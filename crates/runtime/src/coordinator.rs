@@ -54,7 +54,7 @@ use volley_core::time::Tick;
 use volley_obs::{names, Counter, Histogram, Obs, SpanLog};
 
 use crate::checkpoint::{CoordinatorSnapshot, MultitaskSnapshot, TickOutcome, Wal, WalRecord};
-use crate::failure::{FailureInjector, FaultPath, FaultPlan};
+use crate::failure::{FaultPath, FaultPlan};
 use crate::link::MonitorLink;
 use crate::message::{
     decode, encode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
@@ -92,7 +92,6 @@ pub struct CoordinatorActor {
     update_period: u64,
     next_update_tick: Tick,
     adaptive_allocation: bool,
-    failure: FailureInjector,
     faults: FaultPlan,
     tick_deadline: Duration,
     quarantine_after: u32,
@@ -247,7 +246,6 @@ impl CoordinatorActor {
         allocator: ErrorAllocator,
         slack_ratio: f64,
         adaptive_allocation: bool,
-        failure: FailureInjector,
     ) -> Self {
         let update_period = allocator.config().update_period_ticks;
         CoordinatorActor {
@@ -258,7 +256,6 @@ impl CoordinatorActor {
             update_period,
             next_update_tick: update_period,
             adaptive_allocation,
-            failure,
             faults: FaultPlan::default(),
             tick_deadline: DEFAULT_TICK_DEADLINE,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
@@ -613,10 +610,7 @@ impl CoordinatorActor {
             }
             // The report path may be lossy: a dropped report means the
             // coordinator never learns of the local violation.
-            if violation
-                && !self.faults.drops(FaultPath::ViolationReport, monitor, t)
-                && !self.failure.should_drop()
-            {
+            if violation && !self.faults.drops(FaultPath::ViolationReport, monitor, t) {
                 violations += 1;
             }
         }
@@ -1011,14 +1005,7 @@ mod tests {
 
     fn new_coordinator(threshold: f64) -> CoordinatorActor {
         let allocator = ErrorAllocator::new(AllocationConfig::default(), 0.01, 1).unwrap();
-        CoordinatorActor::new(
-            threshold,
-            vec![threshold],
-            allocator,
-            0.2,
-            true,
-            FailureInjector::lossless(),
-        )
+        CoordinatorActor::new(threshold, vec![threshold], allocator, 0.2, true)
     }
 
     /// Drives a 1-monitor coordinator by hand: send sealed frames,
@@ -1145,21 +1132,10 @@ mod tests {
 
     #[test]
     fn dropped_reports_suppress_polls() {
-        let (mon_tx, mon_rx) = unbounded::<Bytes>();
-        let (to_mon_tx, to_mon_rx) = unbounded::<Bytes>();
-        let (runner_tx, runner_rx) = unbounded::<Bytes>();
-        let allocator = ErrorAllocator::new(AllocationConfig::default(), 0.01, 1).unwrap();
-        let coord = CoordinatorActor::new(
-            100.0,
-            vec![100.0],
-            allocator,
-            0.2,
-            true,
-            FailureInjector::new(1.0, 1), // drop every report
-        );
-        let handle = std::thread::spawn(move || {
-            coord.run(mon_rx, vec![MonitorLink::new(to_mon_tx)], runner_tx)
-        });
+        // Drop every report.
+        let plan = FaultPlan::new(1).with_drop_rate(FaultPath::ViolationReport, 1.0);
+        let (mon_tx, to_mon_rx, runner_rx, handle) =
+            harness_with(new_coordinator(100.0).with_fault_plan(plan));
         mon_tx
             .send(seal0(MonitorToCoordinator::TickDone {
                 monitor: MonitorId(0),
@@ -1187,16 +1163,9 @@ mod tests {
     /// A 2-monitor coordinator with a short deadline for fault tests.
     fn degraded_coordinator(quarantine_after: u32) -> CoordinatorActor {
         let allocator = ErrorAllocator::new(AllocationConfig::default(), 0.01, 2).unwrap();
-        CoordinatorActor::new(
-            100.0,
-            vec![50.0, 50.0],
-            allocator,
-            0.2,
-            false,
-            FailureInjector::lossless(),
-        )
-        .with_tick_deadline(Duration::from_millis(30))
-        .with_quarantine_after(quarantine_after)
+        CoordinatorActor::new(100.0, vec![50.0, 50.0], allocator, 0.2, false)
+            .with_tick_deadline(Duration::from_millis(30))
+            .with_quarantine_after(quarantine_after)
     }
 
     #[allow(clippy::type_complexity)]

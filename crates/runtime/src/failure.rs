@@ -2,99 +2,20 @@
 //!
 //! The paper's accuracy analysis assumes local violation reports reach the
 //! coordinator; a lossy network makes the effective mis-detection rate
-//! worse than the allowance. Two injectors quantify that effect:
-//!
-//! - [`FailureInjector`] — the original stateful, probability-per-message
-//!   dropper for the violation-report path. Deterministic per seed but
-//!   *order-dependent*: decisions follow draw order, so concurrent
-//!   monitors racing to the coordinator can shuffle outcomes between runs.
-//! - [`FaultPlan`] — its generalization. Every decision is a pure
-//!   function of `(seed, path, monitor, tick)`, so outcomes are identical
-//!   regardless of thread scheduling, and the same plan replayed over the
-//!   same traces yields an identical [`RuntimeReport`](crate::RuntimeReport).
-//!   Besides message drops on both report paths it injects duplication,
-//!   delayed (reordered) delivery, monitor crashes at a given tick and
-//!   multi-tick stalls.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! worse than the allowance. [`FaultPlan`] quantifies that effect and is
+//! the runtime's one fault path: every decision is a pure function of
+//! `(seed, path, monitor, tick)`, so outcomes are identical regardless of
+//! thread scheduling, and the same plan replayed over the same traces
+//! yields an identical [`RuntimeReport`](crate::RuntimeReport). Besides
+//! message drops on both report paths
+//! ([`with_drop_rate`](FaultPlan::with_drop_rate)) it injects
+//! duplication, delayed (reordered) delivery, monitor crashes at a given
+//! tick, multi-tick stalls, partitions, coordinator crashes, WAL
+//! corruption and storage faults.
 
 use volley_core::task::MonitorId;
 use volley_core::time::Tick;
 use volley_core::vfs::IoFaultPlan;
-
-/// Deterministic, seeded message-drop injector.
-///
-/// ```
-/// use volley_runtime::FailureInjector;
-///
-/// let mut lossless = FailureInjector::lossless();
-/// assert!(!lossless.should_drop());
-///
-/// let mut lossy = FailureInjector::new(1.0, 42);
-/// assert!(lossy.should_drop());
-/// ```
-#[derive(Debug, Clone)]
-pub struct FailureInjector {
-    drop_probability: f64,
-    rng: StdRng,
-    dropped: u64,
-    passed: u64,
-}
-
-impl FailureInjector {
-    /// Creates an injector dropping each message with `drop_probability`
-    /// (clamped to `[0, 1]`), deterministically seeded.
-    pub fn new(drop_probability: f64, seed: u64) -> Self {
-        FailureInjector {
-            drop_probability: if drop_probability.is_finite() {
-                drop_probability.clamp(0.0, 1.0)
-            } else {
-                0.0
-            },
-            rng: StdRng::seed_from_u64(seed),
-            dropped: 0,
-            passed: 0,
-        }
-    }
-
-    /// An injector that never drops anything.
-    pub fn lossless() -> Self {
-        FailureInjector::new(0.0, 0)
-    }
-
-    /// The configured drop probability.
-    pub fn drop_probability(&self) -> f64 {
-        self.drop_probability
-    }
-
-    /// Decides the fate of one message; `true` means drop it.
-    pub fn should_drop(&mut self) -> bool {
-        let drop = self.drop_probability > 0.0 && self.rng.gen::<f64>() < self.drop_probability;
-        if drop {
-            self.dropped += 1;
-        } else {
-            self.passed += 1;
-        }
-        drop
-    }
-
-    /// Number of messages dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of messages passed so far.
-    pub fn passed(&self) -> u64 {
-        self.passed
-    }
-}
-
-impl Default for FailureInjector {
-    fn default() -> Self {
-        FailureInjector::lossless()
-    }
-}
 
 /// The monitor→coordinator message path a fault decision applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,52 +320,6 @@ fn clamp_probability(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lossless_never_drops() {
-        let mut f = FailureInjector::lossless();
-        for _ in 0..1000 {
-            assert!(!f.should_drop());
-        }
-        assert_eq!(f.dropped(), 0);
-        assert_eq!(f.passed(), 1000);
-    }
-
-    #[test]
-    fn full_loss_always_drops() {
-        let mut f = FailureInjector::new(1.0, 1);
-        for _ in 0..100 {
-            assert!(f.should_drop());
-        }
-        assert_eq!(f.dropped(), 100);
-    }
-
-    #[test]
-    fn partial_loss_is_close_to_probability() {
-        let mut f = FailureInjector::new(0.3, 7);
-        for _ in 0..100_000 {
-            f.should_drop();
-        }
-        let rate = f.dropped() as f64 / 100_000.0;
-        assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let decisions = |seed| {
-            let mut f = FailureInjector::new(0.5, seed);
-            (0..64).map(|_| f.should_drop()).collect::<Vec<_>>()
-        };
-        assert_eq!(decisions(9), decisions(9));
-        assert_ne!(decisions(9), decisions(10));
-    }
-
-    #[test]
-    fn out_of_range_probability_clamped() {
-        assert_eq!(FailureInjector::new(7.0, 0).drop_probability(), 1.0);
-        assert_eq!(FailureInjector::new(-2.0, 0).drop_probability(), 0.0);
-        assert_eq!(FailureInjector::new(f64::NAN, 0).drop_probability(), 0.0);
-    }
 
     #[test]
     fn plan_decisions_are_order_independent() {

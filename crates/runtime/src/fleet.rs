@@ -4,7 +4,7 @@
 //! [`FleetRunner`] executes a batch of independent distributed tasks in
 //! parallel — each with its own monitor threads and coordinator — and
 //! collects their reports in submission order. Tasks are isolated: a
-//! task's channels, failure injection and allowance budget never touch
+//! task's channels, fault plan and allowance budget never touch
 //! another's.
 
 use volley_core::coordinator::CoordinationScheme;
@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::coordinator::DEFAULT_TICK_DEADLINE;
-use crate::failure::{FailureInjector, FaultPlan};
+use crate::failure::FaultPlan;
 use crate::runner::{RuntimeReport, TaskRunner};
 
 /// One task submission for a fleet run.
@@ -28,8 +28,6 @@ pub struct FleetTask {
     pub traces: Vec<Vec<f64>>,
     /// Allowance-allocation scheme.
     pub scheme: CoordinationScheme,
-    /// Violation-report loss injection.
-    pub failure: FailureInjector,
     /// Deterministic fault plan (crashes, stalls, drops, delays,
     /// duplication) for this task's run.
     pub fault_plan: FaultPlan,
@@ -54,7 +52,6 @@ impl FleetTask {
             spec,
             traces,
             scheme: CoordinationScheme::Adaptive,
-            failure: FailureInjector::lossless(),
             fault_plan: FaultPlan::default(),
             tick_deadline: DEFAULT_TICK_DEADLINE,
             standby: false,
@@ -178,7 +175,6 @@ impl FleetRunner {
                         let outcome = (|| {
                             let mut runner = TaskRunner::new(&task.spec)?
                                 .with_scheme(task.scheme)
-                                .with_failure(task.failure.clone())
                                 .with_fault_plan(task.fault_plan.clone())
                                 .with_tick_deadline(task.tick_deadline)
                                 .with_standby(task.standby);

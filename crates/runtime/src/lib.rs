@@ -50,9 +50,14 @@
 //! [`failure::FaultPlan`] drops, delays and duplicates protocol messages
 //! and schedules monitor crashes and stalls, purely as a function of
 //! `(seed, monitor, tick)`, so a run under a given plan is exactly
-//! reproducible. The legacy [`failure::FailureInjector`] (ordered,
-//! stateful loss on the violation-report path only) remains for the
-//! original accuracy experiments.
+//! reproducible — loss on the violation-report path, the knob of the
+//! original accuracy experiments, is
+//! [`FaultPlan::with_drop_rate`]`(`[`FaultPath::ViolationReport`]`, p)`.
+//!
+//! [`TaskRunner`], [`MultiTaskRunner`] and [`NetCoordinator`] all drive
+//! this protocol through one crate-private session (spawn the actors,
+//! step a tick and fold its summary, finish by joining and flushing on
+//! success and error alike) and add only their own policy on top.
 //!
 //! ```
 //! use volley_core::task::TaskSpec;
@@ -83,6 +88,7 @@ pub mod monitor;
 pub mod multitask;
 pub mod net;
 pub mod runner;
+mod session;
 pub mod transport;
 
 pub use checkpoint::{
@@ -90,7 +96,7 @@ pub use checkpoint::{
     WalSyncPolicy,
 };
 pub use coordinator::CoordinatorActor;
-pub use failure::{FailureInjector, FaultPath, FaultPlan};
+pub use failure::{FaultPath, FaultPlan};
 pub use fleet::{FleetRunner, FleetSummary, FleetTask};
 pub use link::MonitorLink;
 pub use message::CoordinatorToRunner;

@@ -14,6 +14,7 @@ use crate::message::{
     decode, encode, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator,
     TickData,
 };
+use crate::session::fresh_sampler;
 
 /// A monitor: owns one [`AdaptiveSampler`] and serves the coordinator
 /// protocol over byte-framed channels.
@@ -312,11 +313,11 @@ impl MonitorActor {
                 // the default interval. The allowance in effect survives
                 // (the coordinator follows up with `SetAllowance` when it
                 // has a better value).
-                let err = self.sampler.error_allowance();
-                let mut fresh =
-                    AdaptiveSampler::new(*self.sampler.config(), self.sampler.threshold());
-                fresh.set_error_allowance(err);
-                self.sampler = fresh;
+                self.sampler = fresh_sampler(
+                    *self.sampler.config(),
+                    self.sampler.threshold(),
+                    self.sampler.error_allowance(),
+                );
                 self.next_sample_tick = 0;
                 self.current = None;
                 self.sampled_this_tick = false;

@@ -67,28 +67,18 @@
 
 use std::path::PathBuf;
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver};
 use serde::Serialize;
 
-use volley_core::allocation::{AllocationConfig, ErrorAllocator};
 use volley_core::correlation::{CorrelationConfig, CorrelationDetector, MonitoringPlan};
 use volley_core::task::{TaskId, TaskSpec};
 use volley_core::time::Tick;
-use volley_core::{AdaptiveSampler, VolleyError};
+use volley_core::VolleyError;
 use volley_obs::Obs;
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::Wal;
-use crate::coordinator::CoordinatorActor;
-use crate::failure::FailureInjector;
-use crate::link::MonitorLink;
-use crate::message::{
-    decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
-    MonitorToCoordinator, TickData,
-};
-use crate::monitor::MonitorActor;
 use crate::runner::{MultitaskReport, RuntimeReport};
+use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
 
 /// One task submission for a multi-task run.
 #[derive(Debug, Clone)]
@@ -171,15 +161,6 @@ impl MultiTaskOutcome {
     }
 }
 
-/// Per-task actor handles for one lock-step run.
-struct TaskActors {
-    links: Vec<MonitorLink>,
-    out_link: MonitorLink,
-    summary_rx: Receiver<Bytes>,
-    monitor_handles: Vec<std::thread::JoinHandle<()>>,
-    coord_handle: std::thread::JoinHandle<()>,
-}
-
 /// Drives several monitoring tasks in lock-step with live §II.B
 /// correlation suppression (see the [module docs](self)).
 #[derive(Debug)]
@@ -246,175 +227,28 @@ impl MultiTaskRunner {
     /// [`VolleyError::RuntimeDisconnected`] if a coordinator dies
     /// mid-run (the multi-task runner arms no standby).
     pub fn run(&self, tasks: &[MultiTask]) -> Result<MultiTaskOutcome, VolleyError> {
-        let n_tasks = tasks.len();
-        let mut ticks = u64::MAX;
-        for task in tasks {
-            if task.spec.monitors().is_empty() {
-                return Err(VolleyError::EmptyTask);
-            }
-            if task.traces.len() != task.spec.monitors().len() {
-                return Err(VolleyError::ValueCountMismatch {
-                    got: task.traces.len(),
-                    expected: task.spec.monitors().len(),
-                });
-            }
-            for trace in &task.traces {
-                ticks = ticks.min(trace.len() as u64);
-            }
-        }
-        if n_tasks == 0 || ticks == u64::MAX {
-            return Ok(MultiTaskOutcome {
-                reports: Vec::new(),
-                gates: Vec::new(),
-                ticks: 0,
-                train_ticks: self.config.train_ticks,
-                suppressed_samples: 0,
-                gate_flips: 0,
-            });
-        }
-
-        let mut actors = Vec::with_capacity(n_tasks);
-        for (index, task) in tasks.iter().enumerate() {
-            actors.push(self.spawn_task(index, task)?);
-        }
-
-        let mut detector = CorrelationDetector::new(
-            self.config.correlation,
-            (0..n_tasks as u64).map(TaskId).collect(),
-        );
-        let mut plan: Option<MonitoringPlan> = None;
-        // Submission order with every gated follower moved after the
-        // ungated tasks, so a follower's gate decision at tick `t` sees
-        // its leader's activity *including* tick `t`.
-        let mut order: Vec<usize> = (0..n_tasks).collect();
-        // Last tick each task's violation activity was *detected*
-        // (locally reported or alerted), the §II.B precondition signal.
-        let mut last_active: Vec<Option<Tick>> = vec![None; n_tasks];
-        let mut engaged = vec![false; n_tasks];
-        let mut active_now = vec![false; n_tasks];
-        let mut reports = vec![RuntimeReport::default(); n_tasks];
-        let mut sections = vec![MultitaskReport::default(); n_tasks];
-
-        for tick in 0..ticks {
-            for &index in &order {
-                let task = &tasks[index];
-                let actor = &actors[index];
-                // Drive this follower's gate ahead of its tick frame:
-                // SetGate shares the monitor inbox FIFO with Tick, and the
-                // LeaderState notice shares the monitor→coordinator FIFO
-                // with the TickDones it must precede.
-                if let Some(gate) = plan.as_ref().and_then(|p| p.gate(TaskId(index as u64))) {
-                    let leader_active = last_active[gate.leader.0 as usize].is_some_and(|at| {
-                        tick - at <= u64::from(self.config.correlation.lag_window)
-                    });
-                    let engage = !leader_active;
-                    if engage != engaged[index] {
-                        engaged[index] = engage;
-                        sections[index].gate_flips += 1;
-                        let interval = engage.then(|| gate.gated_interval.get());
-                        let set = ControlFrame::seal(0, CoordinatorToMonitor::SetGate { interval });
-                        for link in &actor.links {
-                            let _ = link.send(set.clone());
-                        }
-                        let _ = actor.out_link.send(MonitorFrame::seal(
-                            0,
-                            MonitorToCoordinator::LeaderState {
-                                tick,
-                                active: leader_active,
-                            },
-                        ));
-                    }
-                    if engaged[index] {
-                        sections[index].gated_ticks += 1;
-                    }
-                }
-                for (i, link) in actor.links.iter().enumerate() {
-                    let data = TickData {
-                        tick,
-                        value: task.traces[i][tick as usize],
-                    };
-                    let _ = link.send(ControlFrame::seal(0, CoordinatorToMonitor::Tick(data)));
-                }
-                let summary = loop {
-                    let Ok(frame) = actor.summary_rx.recv() else {
-                        return Err(VolleyError::RuntimeDisconnected {
-                            component: "coordinator",
-                        });
-                    };
-                    match decode::<CoordinatorToRunner>(&frame) {
-                        Ok(CoordinatorToRunner::Summary(summary)) => break summary,
-                        Ok(CoordinatorToRunner::MonitorQuarantined { .. }) => {
-                            reports[index].quarantines += 1;
-                        }
-                        Ok(CoordinatorToRunner::MonitorRecovered { .. }) => {
-                            reports[index].recoveries += 1;
-                        }
-                        Err(_) => {} // never produced by our coordinator
-                    }
-                };
-                active_now[index] = summary.local_violations > 0 || summary.alerted;
-                if active_now[index] {
-                    last_active[index] = Some(tick);
-                }
-                let report = &mut reports[index];
-                report.ticks += 1;
-                report.scheduled_samples += u64::from(summary.scheduled_samples);
-                report.poll_samples += u64::from(summary.poll_samples);
-                report.local_violation_reports += u64::from(summary.local_violations);
-                report.missed_tick_reports += u64::from(summary.missing_reports);
-                sections[index].suppressed_samples += u64::from(summary.suppressed_samples);
-                if summary.polled {
-                    report.polls += 1;
-                    if summary.degraded {
-                        report.degraded_polls += 1;
-                    }
-                }
-                if summary.alerted {
-                    report.alerts += 1;
-                    report.alert_ticks.push(summary.tick);
-                    if summary.degraded {
-                        report.degraded_alerts += 1;
-                    }
-                    if let Some(recorder) = &self.recorder {
-                        recorder
-                            .for_task(index as u32)
-                            .record_alert(summary.tick, summary.degraded);
-                    }
-                }
-            }
-            detector.observe(tick, &active_now);
-            // Derive the plan only when gating still has ticks to act on;
-            // a training window at least as long as the run stays pure
-            // observation and reports no gates.
-            if tick + 1 == self.config.train_ticks && tick + 1 < ticks {
-                let derived = match &self.config.costs {
-                    Some(costs) => detector.plan_with_costs(costs),
-                    None => detector.plan(),
-                };
-                order.sort_by_key(|&i| derived.gate(TaskId(i as u64)).is_some());
-                plan = Some(derived);
-            }
-        }
-
-        // Teardown: stop monitors, join them, cut the monitor→coordinator
-        // channel so each coordinator exits on disconnect.
-        for actor in actors {
-            for link in &actor.links {
-                let _ = link.send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown));
-            }
-            for handle in actor.monitor_handles {
-                handle.join().expect("monitor thread exits cleanly");
-            }
-            drop(actor.links);
-            drop(actor.out_link);
-            actor
-                .coord_handle
-                .join()
-                .expect("coordinator thread exits cleanly");
-        }
-        if let Some(recorder) = &self.recorder {
-            recorder.flush();
-        }
+        // The shortest submission bounds the run (zero ticks for none).
+        let lengths: Result<Vec<u64>, VolleyError> = tasks
+            .iter()
+            .map(|task| run_length(&task.spec, &task.traces))
+            .collect();
+        let ticks = lengths?.into_iter().min().unwrap_or(0);
+        let configs: Vec<SessionConfig> = tasks
+            .iter()
+            .enumerate()
+            .map(|(index, task)| SessionConfig {
+                recorder: self.recorder.as_ref().map(|r| r.for_task(index as u32)),
+                gated_interval: Some(self.config.correlation.gated_interval.get()),
+                ..SessionConfig::new(task.spec.clone(), self.obs.clone())
+            })
+            .collect();
+        // Every session that was spawned is finished, whichever way the
+        // drive ends.
+        let mut sessions = Vec::with_capacity(tasks.len());
+        let driven = self.drive(&configs, tasks, ticks, &mut sessions);
+        let mut reports: Vec<RuntimeReport> =
+            sessions.into_iter().map(TaskSession::finish).collect();
+        let (plan, sections) = driven?;
 
         let mut gates = Vec::new();
         if let Some(plan) = &plan {
@@ -431,7 +265,6 @@ impl MultiTaskRunner {
         let mut suppressed_samples = 0;
         let mut gate_flips = 0;
         for (index, report) in reports.iter_mut().enumerate() {
-            report.total_samples = report.scheduled_samples + report.poll_samples;
             if let Some(gate) = plan.as_ref().and_then(|p| p.gate(TaskId(index as u64))) {
                 let section = MultitaskReport {
                     leader: gate.leader.0,
@@ -452,61 +285,84 @@ impl MultiTaskRunner {
         })
     }
 
-    /// Spawns one task's monitor actors and coordinator.
-    fn spawn_task(&self, index: usize, task: &MultiTask) -> Result<TaskActors, VolleyError> {
-        let n = task.spec.monitors().len();
-        let global_err = task.spec.adaptation().error_allowance();
-        let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-        let out_link = MonitorLink::new(to_coord_tx);
-        let mut links = Vec::with_capacity(n);
-        let mut monitor_handles = Vec::with_capacity(n);
-        for m in task.spec.monitors() {
-            let (tx, rx) = unbounded::<Bytes>();
-            links.push(MonitorLink::new(tx));
-            let mut sampler = AdaptiveSampler::new(*task.spec.adaptation(), m.local_threshold);
-            sampler.set_error_allowance(global_err / n as f64);
-            let mut actor = MonitorActor::new(m.id, sampler).with_obs(&self.obs);
-            if let Some(recorder) = &self.recorder {
-                actor = actor.with_recorder(recorder.for_task(index as u32));
-            }
-            let outbox = out_link.clone();
-            monitor_handles.push(std::thread::spawn(move || actor.run(rx, outbox)));
+    /// Spawns one session per task into `sessions` and steps them in
+    /// lock-step, applying the gate policy between steps. Returns the
+    /// derived plan and each task's gate accounting.
+    fn drive<'a>(
+        &self,
+        configs: &'a [SessionConfig],
+        tasks: &[MultiTask],
+        ticks: u64,
+        sessions: &mut Vec<TaskSession<'a>>,
+    ) -> Result<(Option<MonitoringPlan>, Vec<MultitaskReport>), VolleyError> {
+        let n_tasks = tasks.len();
+        for (index, config) in configs.iter().enumerate() {
+            // Best-effort durability, as everywhere: an uncreatable log
+            // leaves the task unlogged.
+            let wal = self.wal.as_ref().and_then(|(dir, every)| {
+                let wal = Wal::create(dir.join(format!("task-{index}.wal"))).ok()?;
+                Some((wal, *every))
+            });
+            sessions.push(TaskSession::spawn(config, MonitorPlane::Threads, wal)?);
         }
-        let allocator = ErrorAllocator::new(AllocationConfig::default(), global_err, n)?;
-        let local_thresholds = task
-            .spec
-            .monitors()
-            .iter()
-            .map(|m| m.local_threshold)
-            .collect();
-        let mut coordinator = CoordinatorActor::new(
-            task.spec.global_threshold(),
-            local_thresholds,
-            allocator,
-            task.spec.adaptation().slack_ratio(),
-            true,
-            FailureInjector::lossless(),
-        )
-        .with_multitask(self.config.correlation.gated_interval.get())
-        .with_external_gate_driver()
-        .with_obs(&self.obs);
-        if let Some((dir, every)) = &self.wal {
-            let path = dir.join(format!("task-{index}.wal"));
-            if let Ok(wal) = Wal::create(&path) {
-                coordinator = coordinator.with_checkpoint(wal, *every);
+
+        let mut detector = CorrelationDetector::new(
+            self.config.correlation,
+            (0..n_tasks as u64).map(TaskId).collect(),
+        );
+        let mut plan: Option<MonitoringPlan> = None;
+        // Submission order with every gated follower moved after the
+        // ungated tasks, so a follower's gate decision at tick `t` sees
+        // its leader's activity *including* tick `t`.
+        let mut order: Vec<usize> = (0..n_tasks).collect();
+        // Last tick each task's violation activity was *detected*
+        // (locally reported or alerted), the §II.B precondition signal.
+        let mut last_active: Vec<Option<Tick>> = vec![None; n_tasks];
+        let mut engaged = vec![false; n_tasks];
+        let mut active_now = vec![false; n_tasks];
+        let mut sections = vec![MultitaskReport::default(); n_tasks];
+
+        for tick in 0..ticks {
+            for &index in &order {
+                let traces = &tasks[index].traces;
+                let session = &mut sessions[index];
+                // Drive this follower's gate ahead of its tick frame.
+                if let Some(gate) = plan.as_ref().and_then(|p| p.gate(TaskId(index as u64))) {
+                    let leader_active = last_active[gate.leader.0 as usize].is_some_and(|at| {
+                        tick - at <= u64::from(self.config.correlation.lag_window)
+                    });
+                    let engage = !leader_active;
+                    if engage != engaged[index] {
+                        engaged[index] = engage;
+                        sections[index].gate_flips += 1;
+                        let interval = engage.then(|| gate.gated_interval.get());
+                        session.drive_gate(tick, interval, leader_active);
+                    }
+                    if engaged[index] {
+                        sections[index].gated_ticks += 1;
+                    }
+                }
+                let summary = session.step(tick, |i| traces[i][tick as usize])?;
+                active_now[index] = summary.local_violations > 0 || summary.alerted;
+                if active_now[index] {
+                    last_active[index] = Some(tick);
+                }
+                sections[index].suppressed_samples += u64::from(summary.suppressed_samples);
+            }
+            detector.observe(tick, &active_now);
+            // Derive the plan only when gating still has ticks to act on;
+            // a training window at least as long as the run stays pure
+            // observation and reports no gates.
+            if tick + 1 == self.config.train_ticks && tick + 1 < ticks {
+                let derived = match &self.config.costs {
+                    Some(costs) => detector.plan_with_costs(costs),
+                    None => detector.plan(),
+                };
+                order.sort_by_key(|&i| derived.gate(TaskId(i as u64)).is_some());
+                plan = Some(derived);
             }
         }
-        let coord_links = links.clone();
-        let (summary_tx, summary_rx) = unbounded::<Bytes>();
-        let coord_handle =
-            std::thread::spawn(move || coordinator.run(to_coord_rx, coord_links, summary_tx));
-        Ok(TaskActors {
-            links,
-            out_link,
-            summary_rx,
-            monitor_handles,
-            coord_handle,
-        })
+        Ok((plan, sections))
     }
 }
 

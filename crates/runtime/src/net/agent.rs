@@ -24,10 +24,11 @@ use std::time::Duration;
 use serde::Serialize;
 
 use volley_core::task::{MonitorId, TaskSpec};
-use volley_core::{AdaptiveSampler, VolleyError};
+use volley_core::VolleyError;
 
 use crate::message::{encode, MonitorFrame, MonitorToCoordinator};
 use crate::monitor::MonitorActor;
+use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
@@ -100,8 +101,7 @@ pub struct AgentReport {
 /// bounds or empty, or when an outage outlasts
 /// [`BackoffConfig::max_retries_per_outage`].
 pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
-    let specs = config.spec.monitors();
-    let n = specs.len();
+    let n = config.spec.monitors().len();
     if config.monitors.start >= config.monitors.end || config.monitors.end as usize > n {
         return Err(VolleyError::InvalidConfig {
             parameter: "net",
@@ -112,16 +112,13 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
         });
     }
 
-    // Build the hosted actors with the runner's exact sampler recipe, so
-    // a fault-free networked run is sample-for-sample identical.
-    let global_err = config.spec.adaptation().error_allowance();
-    let mut actors: Vec<(MonitorActor, bool)> = Vec::new();
-    for m in config.monitors.clone() {
-        let spec = &specs[m as usize];
-        let mut sampler = AdaptiveSampler::new(*config.spec.adaptation(), spec.local_threshold);
-        sampler.set_error_allowance(global_err / n as f64);
-        actors.push((MonitorActor::new(spec.id, sampler), true));
-    }
+    // The hosted actors come from the session's recipe, so a fault-free
+    // networked run is sample-for-sample identical to an in-process one.
+    let mut actors: Vec<(MonitorActor, bool)> = config
+        .monitors
+        .clone()
+        .map(|m| (monitor_actor(&config.spec, m as usize), true))
+        .collect();
 
     let mut report = AgentReport {
         agent: config.agent,

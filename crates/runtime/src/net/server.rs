@@ -1,6 +1,6 @@
 //! The networked coordinator: a readiness-driven nonblocking event loop
-//! multiplexing every agent socket, plus a lockstep driver that mirrors
-//! [`crate::runner::TaskRunner`] tick for tick.
+//! multiplexing every agent socket, beside one remote-plane task session
+//! — the same tick driver [`crate::runner::TaskRunner`] runs in-process.
 //!
 //! ## Architecture
 //!
@@ -8,7 +8,8 @@
 //!
 //! 1. the **coordinator actor** ([`crate::coordinator::CoordinatorActor`])
 //!    runs unmodified — it still reads one inbound channel and writes
-//!    per-monitor [`MonitorLink`]s; it cannot tell the transport changed.
+//!    per-monitor [`MonitorLink`](crate::link::MonitorLink)s; it cannot
+//!    tell the transport changed.
 //! 2. the **event loop** (this module) owns the listener and every agent
 //!    socket. Inbound: raw bytes → [`FrameBuffer`] reassembly → raw
 //!    `MonitorFrame` lines forwarded verbatim into the coordinator's
@@ -16,10 +17,11 @@
 //!    monitor id to the owning connection's bounded queue, spliced into
 //!    [`ServerFrame::Ctl`](super::wire::ServerFrame) envelopes, and
 //!    written in ~64 KiB batches with partial-write carry-over.
-//! 3. the **driver** ([`NetCoordinator::run`]) paces ticks and folds
-//!    [`TickSummary`](crate::message::TickSummary)s into a
-//!    [`RuntimeReport`] with the runner's exact aggregation, which is
-//!    what makes bit-for-bit report parity testable.
+//! 3. the **driver** ([`NetCoordinator::run`]) waits for the fleet to
+//!    assemble, steps the session tick by tick (storms, pacing and
+//!    net gauges around each step) and tears both down. The report is
+//!    folded by the session, which is what makes bit-for-bit parity with
+//!    the in-process runner hold by construction.
 //!
 //! ## Robustness policy
 //!
@@ -51,17 +53,14 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use serde::Serialize;
 
-use volley_core::allocation::{AllocationConfig, ErrorAllocator};
 use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 use volley_obs::{names, Obs};
 use volley_serve::ServePublisher;
 
-use crate::coordinator::{CoordinatorActor, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
-use crate::failure::{FailureInjector, FaultPlan};
-use crate::link::MonitorLink;
-use crate::message::{decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, TickData};
+use crate::message::decode;
 use crate::runner::RuntimeReport;
+use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
@@ -345,10 +344,9 @@ const READ_CHUNK: usize = 16 * 1024;
 /// A socket-serving coordinator bound to a listener and ready to run.
 #[derive(Debug)]
 pub struct NetCoordinator {
-    spec: TaskSpec,
+    /// The protocol parameters: spec, obs hub, deadlines.
+    session: SessionConfig,
     listener: Listener,
-    tick_deadline: Duration,
-    quarantine_after: u32,
     queue_cap: usize,
     idle_timeout: Duration,
     /// Sleep inserted before each tick — zero (default) runs ticks
@@ -358,7 +356,6 @@ pub struct NetCoordinator {
     wait_timeout: Duration,
     transport: TransportConfig,
     faults: NetFaultPlan,
-    obs: Obs,
     serve: Option<ServePublisher>,
 }
 
@@ -375,17 +372,14 @@ impl NetCoordinator {
             reason: format!("bind {addr}: {e}"),
         })?;
         Ok(NetCoordinator {
-            spec,
+            session: SessionConfig::new(spec, Obs::new(false)),
             listener,
-            tick_deadline: DEFAULT_TICK_DEADLINE,
-            quarantine_after: DEFAULT_QUARANTINE_AFTER,
             queue_cap: 1024,
             idle_timeout: Duration::from_secs(30),
             tick_interval: Duration::ZERO,
             wait_timeout: Duration::from_secs(30),
             transport: TransportConfig::default(),
             faults: NetFaultPlan::new(0),
-            obs: Obs::new(false),
             serve: None,
         })
     }
@@ -397,15 +391,16 @@ impl NetCoordinator {
     }
 
     /// Sets how long the coordinator waits for tick reports before
-    /// degrading (see [`CoordinatorActor::with_tick_deadline`]).
+    /// degrading (see
+    /// [`CoordinatorActor::with_tick_deadline`](crate::coordinator::CoordinatorActor::with_tick_deadline)).
     pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
-        self.tick_deadline = deadline;
+        self.session.tick_deadline = deadline;
         self
     }
 
     /// Sets consecutive missed deadlines before quarantine.
     pub fn with_quarantine_after(mut self, misses: u32) -> Self {
-        self.quarantine_after = misses.max(1);
+        self.session.quarantine_after = misses.max(1);
         self
     }
 
@@ -449,7 +444,7 @@ impl NetCoordinator {
     /// Attaches an observability hub for net gauges/counters and the
     /// coordinator's own metrics.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
+        self.session.obs = obs.clone();
         self
     }
 
@@ -473,50 +468,23 @@ impl NetCoordinator {
     /// fleet fails to assemble in time; [`VolleyError::RuntimeDisconnected`]
     /// when the coordinator actor dies mid-run.
     pub fn run(self, traces: &[Vec<f64>]) -> Result<NetRunOutcome, VolleyError> {
-        let n = self.spec.monitors().len();
-        if traces.len() != n {
-            return Err(VolleyError::ValueCountMismatch {
-                got: traces.len(),
-                expected: n,
-            });
-        }
-        let ticks = traces.iter().map(|t| t.len()).min().unwrap_or(0) as u64;
-        let global_err = self.spec.adaptation().error_allowance();
+        let ticks = run_length(&self.session.spec, traces)?;
+        let n = traces.len();
+        let obs = &self.session.obs;
 
-        // Plumbing: monitor frames in, tagged control frames out,
-        // summaries to this driver.
+        // Plumbing: the session's coordinator reads monitor frames the
+        // event loop forwards and writes tagged control frames the event
+        // loop routes.
         let (to_coord_tx, from_monitors) = unbounded::<Bytes>();
         let (net_out_tx, net_out_rx) = unbounded::<(u32, Bytes)>();
-        let (summary_tx, summary_rx) = unbounded::<Bytes>();
-        let links: Vec<MonitorLink> = (0..n as u32)
-            .map(|m| MonitorLink::tagged(m, net_out_tx.clone()))
-            .collect();
-
-        // The coordinator actor, with the runner's exact construction so
-        // aggregation semantics are shared.
-        let allocator = ErrorAllocator::new(AllocationConfig::default(), global_err, n)?;
-        let local_thresholds: Vec<f64> = self
-            .spec
-            .monitors()
-            .iter()
-            .map(|m| m.local_threshold)
-            .collect();
-        let coordinator = CoordinatorActor::new(
-            self.spec.global_threshold(),
-            local_thresholds,
-            allocator,
-            self.spec.adaptation().slack_ratio(),
-            true,
-            FailureInjector::lossless(),
-        )
-        .with_fault_plan(FaultPlan::default())
-        .with_tick_deadline(self.tick_deadline)
-        .with_quarantine_after(self.quarantine_after)
-        .with_epoch(0)
-        .with_obs(&self.obs);
-        let coord_links = links.clone();
-        let coord_handle =
-            thread::spawn(move || coordinator.run(from_monitors, coord_links, summary_tx));
+        let mut session = TaskSession::spawn(
+            &self.session,
+            MonitorPlane::Remote {
+                out: net_out_tx,
+                from_monitors,
+            },
+            None,
+        )?;
 
         // The event loop owns the listener, every socket, and the only
         // sender into the coordinator's inbox.
@@ -538,7 +506,7 @@ impl NetCoordinator {
             );
         });
 
-        let drive = || -> Result<RuntimeReport, VolleyError> {
+        let driven = (|| -> Result<(), VolleyError> {
             // Fleet assembly: every monitor must be claimed before tick 0,
             // or the first deadline would instantly degrade the stragglers.
             let assemble_by = Instant::now() + self.wait_timeout;
@@ -556,7 +524,7 @@ impl NetCoordinator {
                 thread::sleep(Duration::from_millis(2));
             }
 
-            let registry = self.obs.registry();
+            let registry = obs.registry();
             let conn_gauge = registry.gauge(names::NET_CONNECTIONS);
             let queue_gauge = registry.gauge(names::NET_QUEUE_DEPTH);
             let reconnects_total = registry.counter(names::NET_RECONNECTS_TOTAL);
@@ -564,7 +532,6 @@ impl NetCoordinator {
             let mut obs_reconnects = 0u64;
             let mut obs_stalls = 0u64;
 
-            let mut report = RuntimeReport::default();
             for tick in 0..ticks {
                 if self.faults.storm_at(tick) {
                     let victims: Vec<u32> = {
@@ -582,59 +549,16 @@ impl NetCoordinator {
                 if self.tick_interval > Duration::ZERO {
                     thread::sleep(self.tick_interval);
                 }
-                for (i, link) in links.iter().enumerate() {
-                    let data = TickData {
-                        tick,
-                        value: traces[i][tick as usize],
-                    };
-                    let _ = link.send(ControlFrame::seal(0, CoordinatorToMonitor::Tick(data)));
-                }
-                // Consume liveness events until this tick's summary
-                // arrives — the runner's loop, minus supervision (agents
-                // restart themselves; the coordinator only re-admits).
-                let summary = loop {
-                    let Ok(frame) = summary_rx.recv() else {
-                        return Err(VolleyError::RuntimeDisconnected {
-                            component: "coordinator",
-                        });
-                    };
-                    match decode::<CoordinatorToRunner>(&frame) {
-                        Ok(CoordinatorToRunner::Summary(summary)) => break summary,
-                        Ok(CoordinatorToRunner::MonitorQuarantined { .. }) => {
-                            report.quarantines += 1;
-                        }
-                        Ok(CoordinatorToRunner::MonitorRecovered { .. }) => {
-                            report.recoveries += 1;
-                        }
-                        Err(_) => {}
-                    }
-                };
-                report.ticks += 1;
-                report.scheduled_samples += u64::from(summary.scheduled_samples);
-                report.poll_samples += u64::from(summary.poll_samples);
-                report.local_violation_reports += u64::from(summary.local_violations);
-                report.missed_tick_reports += u64::from(summary.missing_reports);
-                report.stale_epoch_frames += u64::from(summary.stale_epoch_frames);
-                if summary.polled {
-                    report.polls += 1;
-                    if summary.degraded {
-                        report.degraded_polls += 1;
-                    }
-                }
-                if summary.alerted {
-                    report.alerts += 1;
-                    report.alert_ticks.push(summary.tick);
-                    if summary.degraded {
-                        report.degraded_alerts += 1;
-                    }
-                    if let Some(serve) = &self.serve {
+                // No supervision here: agents restart themselves; the
+                // coordinator only re-admits.
+                let summary = session.step(tick, |i| traces[i][tick as usize])?;
+                if let Some(serve) = &self.serve {
+                    if summary.alerted {
                         serve.alert(summary.tick, summary.degraded);
                     }
-                }
-                if let Some(serve) = &self.serve {
                     serve.set_tick(tick);
                 }
-                if self.obs.enabled() {
+                if obs.enabled() {
                     let stats = shared.stats();
                     conn_gauge.set(shared.open.load(Ordering::Relaxed) as f64);
                     queue_gauge.set(stats.max_queue_depth as f64);
@@ -644,35 +568,22 @@ impl NetCoordinator {
                     obs_stalls = stats.backpressure_drops;
                 }
             }
-            report.total_samples = report.scheduled_samples + report.poll_samples;
-            Ok(report)
-        };
-        let outcome = drive();
+            Ok(())
+        })();
 
         // Teardown: keep resending Shutdown until every agent drains off
         // (reconnecting agents that missed the first copy get another),
         // then stop the loop — dropping the coordinator inbox sender —
-        // and join everything.
+        // and finish the session.
         let drain_by = Instant::now() + Duration::from_secs(5);
         while shared.open.load(Ordering::Acquire) > 0 && Instant::now() < drain_by {
-            for link in &links {
-                let _ = link.send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown));
-            }
+            session.broadcast_shutdown();
             thread::sleep(Duration::from_millis(50));
         }
         shared.stop.store(true, Ordering::Release);
         loop_handle.join().expect("event loop exits cleanly");
-        drop(links);
-        drop(net_out_tx);
-        // Drain any trailing summaries so the coordinator never blocks on
-        // a full channel (it can't — unbounded — but the recv side must
-        // outlive it regardless), then join it.
-        while summary_rx.try_recv().is_ok() {}
-        coord_handle
-            .join()
-            .expect("coordinator thread exits cleanly");
-
-        outcome.map(|report| NetRunOutcome {
+        let report = session.finish();
+        driven.map(|()| NetRunOutcome {
             report,
             net: shared.stats(),
         })

@@ -1,36 +1,28 @@
-//! The task runner: spawns the actor threads, drives simulated time,
-//! supervises monitor liveness and fails over to a warm standby
-//! coordinator when the primary dies.
+//! The task runner: one in-process task session plus the policy
+//! that is the runner's own — whether quarantined monitors are restarted,
+//! whether a warm standby takes over when the coordinator dies, and the
+//! WAL/obs/serve sinks the run publishes to.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
 
-use volley_core::allocation::{AllocationConfig, ErrorAllocator};
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::service::TaskKind;
-use volley_core::task::{MonitorId, TaskId, TaskSpec};
+use volley_core::task::{TaskId, TaskSpec};
 use volley_core::time::Tick;
-use volley_core::vfs::{FaultFs, IoFaultStats};
-use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
+use volley_core::vfs::{FaultFs, IoFaultStats, StdFs, Vfs};
+use volley_core::{AdaptationConfig, VolleyError};
 use volley_obs::{names, GaugeSource, Obs, SelfMonitor, SnapshotWriter};
 use volley_serve::ServePublisher;
 use volley_store::SampleRecorder;
 
-use crate::checkpoint::{Wal, WalStats, WalSyncPolicy};
-use crate::coordinator::{CoordinatorActor, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
-use crate::failure::{FailureInjector, FaultPlan};
-use crate::link::MonitorLink;
-use crate::message::{
-    decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
-    MonitorToCoordinator, TickData,
-};
-use crate::monitor::MonitorActor;
+use crate::checkpoint::{CoordinatorSnapshot, Wal, WalStats, WalSyncPolicy};
+use crate::failure::FaultPlan;
+use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
 
 /// Hard cap on coordinator failovers per run — a backstop against fault
 /// plans that kill every incarnation.
@@ -180,36 +172,26 @@ impl RuntimeReport {
 /// supervised restart, epoch-fenced coordinator failover).
 #[derive(Debug)]
 pub struct TaskRunner {
-    spec: TaskSpec,
-    scheme: CoordinationScheme,
-    allocation: AllocationConfig,
-    failure: FailureInjector,
-    fault_plan: FaultPlan,
-    tick_deadline: Duration,
-    quarantine_after: u32,
-    supervise: bool,
+    /// The protocol parameters: spec, obs bundle, allocation scheme,
+    /// fault plan, deadlines, recorder, supervision.
+    session: SessionConfig,
     standby: bool,
     /// Checkpoint WAL path and snapshot cadence (ticks).
     wal: Option<(PathBuf, u64)>,
     /// WAL group-fsync policy (default sync on snapshot records).
     wal_sync: WalSyncPolicy,
-    /// Observability bundle shared by runner, coordinator and monitors.
-    obs: Obs,
     /// Snapshot dump directory and cadence (ticks).
     obs_dir: Option<(PathBuf, u64)>,
     /// Self-monitor watchdog: (tick-latency threshold in µs, error
     /// allowance for its adaptive sampler).
     self_monitor: Option<(f64, f64)>,
-    /// Sample/alert/interval recording sink shared with every monitor.
-    recorder: Option<SampleRecorder>,
     /// Live serving-plane publisher: alert/epoch/degradation events and
     /// the current tick for `/metrics` stamping.
     serve: Option<ServePublisher>,
 }
 
 impl TaskRunner {
-    /// Creates a runner for `spec` with adaptive allowance allocation, the
-    /// default allocation configuration, a lossless report path, no
+    /// Creates a runner for `spec` with adaptive allowance allocation, no
     /// injected faults, supervision enabled, and neither a standby
     /// coordinator nor checkpointing.
     ///
@@ -221,33 +203,27 @@ impl TaskRunner {
             return Err(VolleyError::EmptyTask);
         }
         Ok(TaskRunner {
-            spec: spec.clone(),
-            scheme: CoordinationScheme::Adaptive,
-            allocation: AllocationConfig::default(),
-            failure: FailureInjector::lossless(),
-            fault_plan: FaultPlan::default(),
-            tick_deadline: DEFAULT_TICK_DEADLINE,
-            quarantine_after: DEFAULT_QUARANTINE_AFTER,
-            supervise: true,
+            session: SessionConfig {
+                supervise: true,
+                ..SessionConfig::new(spec.clone(), Obs::disabled())
+            },
             standby: false,
             wal: None,
             wal_sync: WalSyncPolicy::default(),
-            obs: Obs::disabled(),
             obs_dir: None,
             self_monitor: None,
-            recorder: None,
             serve: None,
         })
     }
 
     /// Attaches a [`SampleRecorder`]: every monitor records its sampled
     /// values and interval changes, and the runner records every alert.
-    /// The recorder is flushed at teardown. Recording is best-effort and
-    /// never fails the run — check
+    /// The recorder is flushed at teardown, on success and on error alike.
+    /// Recording is best-effort and never fails the run — check
     /// [`SampleRecorder::io_errors`] afterwards.
     #[must_use]
     pub fn with_recorder(mut self, recorder: SampleRecorder) -> Self {
-        self.recorder = Some(recorder);
+        self.session.recorder = Some(recorder);
         self
     }
 
@@ -256,7 +232,7 @@ impl TaskRunner {
     /// (the default) costs one relaxed atomic load per instrument.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.session.obs = obs;
         self
     }
 
@@ -297,22 +273,7 @@ impl TaskRunner {
     /// Selects the allowance-allocation scheme (default adaptive).
     #[must_use]
     pub fn with_scheme(mut self, scheme: CoordinationScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Overrides the allocation configuration.
-    #[must_use]
-    pub fn with_allocation(mut self, allocation: AllocationConfig) -> Self {
-        self.allocation = allocation;
-        self
-    }
-
-    /// Injects message loss on the violation-report path (legacy,
-    /// order-dependent injector; prefer [`TaskRunner::with_fault_plan`]).
-    #[must_use]
-    pub fn with_failure(mut self, failure: FailureInjector) -> Self {
-        self.failure = failure;
+        self.session.adaptive_allocation = scheme == CoordinationScheme::Adaptive;
         self
     }
 
@@ -322,23 +283,24 @@ impl TaskRunner {
     /// reproduce the same [`RuntimeReport`].
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+        self.session.fault_plan = plan;
         self
     }
 
     /// Bounds how long the coordinator waits for any one tick's reports
-    /// (default [`DEFAULT_TICK_DEADLINE`]).
+    /// (default [`DEFAULT_TICK_DEADLINE`](crate::coordinator::DEFAULT_TICK_DEADLINE)).
     #[must_use]
     pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
-        self.tick_deadline = deadline;
+        self.session.tick_deadline = deadline;
         self
     }
 
     /// Sets how many consecutive missed deadlines quarantine a monitor
-    /// (default [`DEFAULT_QUARANTINE_AFTER`]).
+    /// (default
+    /// [`DEFAULT_QUARANTINE_AFTER`](crate::coordinator::DEFAULT_QUARANTINE_AFTER)).
     #[must_use]
     pub fn with_quarantine_after(mut self, rounds: u32) -> Self {
-        self.quarantine_after = rounds;
+        self.session.quarantine_after = rounds;
         self
     }
 
@@ -347,13 +309,13 @@ impl TaskRunner {
     /// stays quarantined and the task runs degraded to completion.
     #[must_use]
     pub fn with_supervision(mut self, supervise: bool) -> Self {
-        self.supervise = supervise;
+        self.session.supervise = supervise;
         self
     }
 
     /// Arms a warm standby: when the coordinator dies mid-run, the runner
     /// bumps the epoch, fences the fleet with
-    /// [`NewEpoch`](CoordinatorToMonitor::NewEpoch), restores monitor
+    /// [`NewEpoch`](crate::message::CoordinatorToMonitor::NewEpoch), restores monitor
     /// state from the checkpoint WAL (when [`with_wal`](Self::with_wal)
     /// is configured — conservative `I_d` resets otherwise) and re-drives
     /// the interrupted tick on a fresh coordinator. Without a standby a
@@ -403,100 +365,35 @@ impl TaskRunner {
     /// Returns [`VolleyError::ValueCountMismatch`] when the trace count
     /// differs from the monitor count, or
     /// [`VolleyError::RuntimeDisconnected`] if the coordinator thread dies
-    /// mid-run with no standby armed (or past the failover cap of 8).
+    /// mid-run with no standby armed (or past the failover cap of 8) —
+    /// after the same teardown as a completed run: every actor joined,
+    /// the recorder flushed.
     pub fn run(&self, traces: &[Vec<f64>]) -> Result<RuntimeReport, VolleyError> {
-        let n = self.spec.monitors().len();
-        if traces.len() != n {
-            return Err(VolleyError::ValueCountMismatch {
-                got: traces.len(),
-                expected: n,
-            });
-        }
-        let ticks = traces.iter().map(|t| t.len()).min().unwrap_or(0) as u64;
+        let ticks = run_length(&self.session.spec, traces)?;
+        let n = traces.len();
+        let obs = &self.session.obs;
+        let recorder = self.session.recorder.as_ref();
 
         // Asking for snapshot dumps or a watchdog implies instrumenting:
         // both read the registry, which is empty while obs is disabled.
         if self.obs_dir.is_some() || self.self_monitor.is_some() {
-            self.obs.set_enabled(true);
+            obs.set_enabled(true);
         }
 
-        // Wiring: runner/coordinator → monitor inbox links; monitors → a
-        // shared, *swappable* outbox link into the coordinator (failover
-        // repoints it at the standby's fresh channel, so frames addressed
-        // to the dead incarnation die with its receiver); coordinator →
-        // runner frames.
-        let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-        let out_link = MonitorLink::new(to_coord_tx);
-        let mut epoch = 0u64;
-        let mut links: Vec<MonitorLink> = Vec::with_capacity(n);
-        let mut monitor_handles = Vec::with_capacity(n);
-        let mut retired_handles = Vec::new();
-        let global_err = self.spec.adaptation().error_allowance();
-        for m in self.spec.monitors() {
-            let (tx, rx) = unbounded::<Bytes>();
-            links.push(MonitorLink::new(tx));
-            let mut sampler = AdaptiveSampler::new(*self.spec.adaptation(), m.local_threshold);
-            sampler.set_error_allowance(global_err / n as f64);
-            let mut actor = MonitorActor::new(m.id, sampler)
-                .with_faults(self.fault_plan.clone())
-                .with_obs(&self.obs);
-            if let Some(recorder) = &self.recorder {
-                actor = actor.with_recorder(recorder.clone());
-            }
-            let outbox = out_link.clone();
-            monitor_handles.push(std::thread::spawn(move || actor.run(rx, outbox)));
-        }
-
-        // Storage-fault bookkeeping: each runner-owned sink gets its own
-        // FaultFs (independent op counters keep decisions order-free
-        // across threads); stats handles survive the sinks for the
-        // report's degradation section.
+        // Storage-fault bookkeeping: the stats handles survive the sinks
+        // for the report's degradation section.
         let mut io_stats: Vec<Arc<IoFaultStats>> = Vec::new();
         let wal = self.open_wal(&mut io_stats);
-        let mut wal_stats: Vec<Arc<WalStats>> = wal.iter().map(Wal::stats).collect();
-        let (summary_tx, summary_rx) = unbounded::<Bytes>();
-        let mut summary_rx = summary_rx;
-        let mut coord_handle = self.spawn_coordinator(
-            epoch,
-            None,
-            self.fault_plan.clone(),
-            wal,
-            to_coord_rx,
-            &links,
-            summary_tx,
-        )?;
-
-        // Observability: pre-resolve the runner's instruments (no registry
-        // mutex on the tick path), arm the snapshot writer and the
-        // self-monitoring watchdog.
-        let registry = self.obs.registry();
-        let ticks_total = registry.counter(names::RUNNER_TICKS_TOTAL);
-        let tick_hist = registry.histogram(names::RUNNER_TICK_LATENCY_NS);
-        let tick_gauge = registry.gauge(names::RUNNER_TICK_LATENCY_US);
-        let degraded_total = registry.counter(names::RUNNER_DEGRADED_TICKS_TOTAL);
-        let alerts_total = registry.counter(names::RUNNER_ALERTS_TOTAL);
-        let samples_total = registry.counter(names::RUNNER_SAMPLES_TOTAL);
-        let failovers_total = registry.counter(names::RUNNER_FAILOVERS_TOTAL);
-        let sampling_fraction = registry.gauge(names::RUNNER_SAMPLING_FRACTION);
-        let degraded_fraction = registry.gauge(names::RUNNER_DEGRADED_FRACTION);
-        let wal_degraded_gauge = registry.gauge(names::WAL_DEGRADED);
-        let wal_ring_gauge = registry.gauge(names::WAL_RING_BUFFERED);
-        let store_degraded_gauge = registry.gauge(names::STORE_DEGRADED);
-        let obs_degraded_gauge = registry.gauge(names::OBS_SNAPSHOTS_DEGRADED);
+        let mut wal_stats: Vec<Arc<WalStats>> = wal.iter().map(|(wal, _)| wal.stats()).collect();
         let mut writer = match &self.obs_dir {
-            Some((dir, every)) => {
-                let built = match self.io_fault_fs() {
-                    Some(fs) => {
-                        io_stats.push(fs.stats());
-                        SnapshotWriter::new_on(Arc::new(fs), dir, *every)
+            Some((dir, every)) => Some(
+                SnapshotWriter::new_on(self.sink_fs(&mut io_stats), dir, *every).map_err(|e| {
+                    VolleyError::InvalidConfig {
+                        parameter: "obs_dir",
+                        reason: format!("cannot create snapshot dir: {e}"),
                     }
-                    None => SnapshotWriter::new(dir, *every),
-                };
-                Some(built.map_err(|e| VolleyError::InvalidConfig {
-                    parameter: "obs_dir",
-                    reason: format!("cannot create snapshot dir: {e}"),
-                })?)
-            }
+                })?,
+            ),
             None => None,
         };
         let mut watchdog = match self.self_monitor {
@@ -515,216 +412,141 @@ impl TaskRunner {
             }
             None => None,
         };
+
+        let mut session = TaskSession::spawn(&self.session, MonitorPlane::Threads, wal)?;
+
+        // Observability: pre-resolve the runner's instruments (no registry
+        // mutex on the tick path).
+        let registry = obs.registry();
+        let ticks_total = registry.counter(names::RUNNER_TICKS_TOTAL);
+        let tick_hist = registry.histogram(names::RUNNER_TICK_LATENCY_NS);
+        let tick_gauge = registry.gauge(names::RUNNER_TICK_LATENCY_US);
+        let degraded_total = registry.counter(names::RUNNER_DEGRADED_TICKS_TOTAL);
+        let alerts_total = registry.counter(names::RUNNER_ALERTS_TOTAL);
+        let samples_total = registry.counter(names::RUNNER_SAMPLES_TOTAL);
+        let failovers_total = registry.counter(names::RUNNER_FAILOVERS_TOTAL);
+        let sampling_fraction = registry.gauge(names::RUNNER_SAMPLING_FRACTION);
+        let degraded_fraction = registry.gauge(names::RUNNER_DEGRADED_FRACTION);
+        let wal_degraded_gauge = registry.gauge(names::WAL_DEGRADED);
+        let wal_ring_gauge = registry.gauge(names::WAL_RING_BUFFERED);
+        let store_degraded_gauge = registry.gauge(names::STORE_DEGRADED);
+        let obs_degraded_gauge = registry.gauge(names::OBS_SNAPSHOTS_DEGRADED);
         let mut degraded_ticks = 0u64;
+        let mut self_monitor_alert_ticks: Vec<Tick> = Vec::new();
         // Last published wal/store/obs degradation states, so the serve
         // stream only carries *transitions*, not one event per tick.
         let mut sink_degraded_prev = [false; 3];
-
-        // Drive ticks in lock-step. A failed send means that monitor is
-        // gone; the coordinator notices via its deadline, so the run keeps
-        // going instead of panicking.
-        let mut report = RuntimeReport::default();
         let mut failovers_left = MAX_FAILOVERS;
-        for tick in 0..ticks {
-            let tick_started = self.obs.enabled().then(Instant::now);
-            let summary = 'attempt: loop {
-                for (i, link) in links.iter().enumerate() {
-                    let data = TickData {
-                        tick,
-                        value: traces[i][tick as usize],
+
+        let driven = (|| -> Result<(), VolleyError> {
+            for tick in 0..ticks {
+                let tick_started = obs.enabled().then(Instant::now);
+                // A dead coordinator fails the step; with a standby armed
+                // the same tick is stepped again on its successor.
+                let summary = loop {
+                    let err = match session.step(tick, |i| traces[i][tick as usize]) {
+                        Ok(summary) => break summary,
+                        Err(err) => err,
                     };
-                    let _ = link.send(ControlFrame::seal(epoch, CoordinatorToMonitor::Tick(data)));
-                }
-                // Consume liveness events until this tick's summary
-                // arrives — or the coordinator dies and a standby takes
-                // over, re-driving the tick from the top of 'attempt.
-                loop {
-                    let Ok(frame) = summary_rx.recv() else {
-                        if !self.standby || failovers_left == 0 {
-                            return Err(VolleyError::RuntimeDisconnected {
-                                component: "coordinator",
-                            });
-                        }
-                        failovers_left -= 1;
-                        report.coordinator_failovers += 1;
-                        failovers_total.inc();
-                        epoch += 1;
-                        if let Some(serve) = &self.serve {
-                            serve.epoch(epoch, tick);
-                        }
-                        coord_handle
-                            .join()
-                            .expect("coordinator thread exits cleanly");
-                        let (rx, handle) = self.fail_over(
-                            epoch,
-                            tick,
-                            &links,
-                            &out_link,
-                            global_err,
-                            n,
-                            &mut report,
-                            &mut io_stats,
-                            &mut wal_stats,
-                        )?;
-                        summary_rx = rx;
-                        coord_handle = handle;
-                        continue 'attempt;
-                    };
-                    match decode::<CoordinatorToRunner>(&frame) {
-                        Ok(CoordinatorToRunner::Summary(summary)) => break 'attempt summary,
-                        Ok(CoordinatorToRunner::MonitorQuarantined { monitor, .. }) => {
-                            report.quarantines += 1;
-                            if self.supervise {
-                                let handle = self.restart_monitor(
-                                    monitor, &links, &out_link, global_err, n, epoch,
-                                );
-                                retired_handles.push(std::mem::replace(
-                                    &mut monitor_handles[monitor.0 as usize],
-                                    handle,
-                                ));
-                                report.restarts += 1;
-                                // Tell the coordinator to await the restarted
-                                // monitor again; FIFO puts this notice ahead
-                                // of the fresh actor's first report.
-                                let _ = out_link.send(MonitorFrame::seal(
-                                    epoch,
-                                    MonitorToCoordinator::Revived { monitor },
-                                ));
-                            }
-                        }
-                        Ok(CoordinatorToRunner::MonitorRecovered { .. }) => {
-                            report.recoveries += 1;
-                        }
-                        Err(_) => {} // never produced by our coordinator
+                    if !self.standby || failovers_left == 0 {
+                        return Err(err);
+                    }
+                    failovers_left -= 1;
+                    failovers_total.inc();
+                    let (snapshot, wal) = self.recover_wal(&mut io_stats, &mut wal_stats);
+                    let epoch = session.fail_over(tick, snapshot.as_ref(), wal)?;
+                    if let Some(serve) = &self.serve {
+                        serve.epoch(epoch, tick);
+                    }
+                };
+                if summary.alerted {
+                    if let Some(serve) = &self.serve {
+                        serve.alert(summary.tick, summary.degraded);
                     }
                 }
-            };
-            report.ticks += 1;
-            report.scheduled_samples += u64::from(summary.scheduled_samples);
-            report.poll_samples += u64::from(summary.poll_samples);
-            report.local_violation_reports += u64::from(summary.local_violations);
-            report.missed_tick_reports += u64::from(summary.missing_reports);
-            report.stale_epoch_frames += u64::from(summary.stale_epoch_frames);
-            if summary.polled {
-                report.polls += 1;
                 if summary.degraded {
-                    report.degraded_polls += 1;
+                    degraded_ticks += 1;
                 }
-            }
-            if summary.alerted {
-                report.alerts += 1;
-                report.alert_ticks.push(summary.tick);
-                if summary.degraded {
-                    report.degraded_alerts += 1;
+
+                // Per-tick observability: record end-to-end tick latency,
+                // bump the runner counters, refresh derived gauges, then
+                // let the watchdog read the fresh snapshot and dump on
+                // cadence.
+                if let Some(started) = tick_started {
+                    let elapsed = started.elapsed();
+                    tick_hist.record(elapsed.as_nanos() as u64);
+                    tick_gauge.set(elapsed.as_micros() as f64);
+                    obs.spans().record("runner_tick", started);
+                    ticks_total.inc();
+                    samples_total.add(
+                        u64::from(summary.scheduled_samples) + u64::from(summary.poll_samples),
+                    );
+                    if summary.degraded {
+                        degraded_total.inc();
+                    }
+                    if summary.alerted {
+                        alerts_total.inc();
+                    }
+                    let report = session.report();
+                    let done = report.ticks as f64;
+                    sampling_fraction.set(report.total_samples as f64 / (done * n as f64));
+                    degraded_fraction.set(degraded_ticks as f64 / done);
+                    // Sink-degradation gauges: every breaker transition
+                    // shows up as an obs series, per the accuracy
+                    // contract's "visible, never silent" rule.
+                    if let Some(stats) = wal_stats.last() {
+                        wal_degraded_gauge.set(stats.degraded.load(Ordering::Relaxed) as f64);
+                        wal_ring_gauge.set(stats.ring_buffered.load(Ordering::Relaxed) as f64);
+                    }
+                    if let Some(recorder) = recorder {
+                        store_degraded_gauge.set(f64::from(u8::from(recorder.degraded())));
+                    }
                 }
-                if let Some(recorder) = &self.recorder {
-                    recorder.record_alert(summary.tick, summary.degraded);
+                if let Some(monitor) = watchdog.as_mut() {
+                    if monitor.any_due(tick) {
+                        let snapshot = obs.snapshot(tick);
+                        for alert in monitor.tick(tick, &snapshot) {
+                            self_monitor_alert_ticks.push(alert.tick);
+                        }
+                    }
+                }
+                if let Some(writer) = writer.as_mut() {
+                    let _ = writer.maybe_write(registry, tick);
+                    if obs.enabled() {
+                        obs_degraded_gauge.set(f64::from(u8::from(writer.degraded())));
+                    }
                 }
                 if let Some(serve) = &self.serve {
-                    serve.alert(summary.tick, summary.degraded);
-                }
-            }
-            if summary.degraded {
-                degraded_ticks += 1;
-            }
-
-            // Per-tick observability: record end-to-end tick latency, bump
-            // the runner counters, refresh derived gauges, then let the
-            // watchdog read the fresh snapshot and dump on cadence.
-            if let Some(started) = tick_started {
-                let elapsed = started.elapsed();
-                tick_hist.record(elapsed.as_nanos() as u64);
-                tick_gauge.set(elapsed.as_micros() as f64);
-                self.obs.spans().record("runner_tick", started);
-                ticks_total.inc();
-                samples_total
-                    .add(u64::from(summary.scheduled_samples) + u64::from(summary.poll_samples));
-                if summary.degraded {
-                    degraded_total.inc();
-                }
-                if summary.alerted {
-                    alerts_total.inc();
-                }
-                let done = report.ticks as f64;
-                sampling_fraction.set(
-                    (report.scheduled_samples + report.poll_samples) as f64 / (done * n as f64),
-                );
-                degraded_fraction.set(degraded_ticks as f64 / done);
-                // Sink-degradation gauges: every breaker transition shows
-                // up as an obs series, per the accuracy contract's
-                // "visible, never silent" rule.
-                if let Some(stats) = wal_stats.last() {
-                    wal_degraded_gauge.set(stats.degraded.load(Ordering::Relaxed) as f64);
-                    wal_ring_gauge.set(stats.ring_buffered.load(Ordering::Relaxed) as f64);
-                }
-                if let Some(recorder) = &self.recorder {
-                    store_degraded_gauge.set(f64::from(u8::from(recorder.degraded())));
-                }
-            }
-            if let Some(monitor) = watchdog.as_mut() {
-                if monitor.any_due(tick) {
-                    let snapshot = self.obs.snapshot(tick);
-                    for alert in monitor.tick(tick, &snapshot) {
-                        report.self_monitor_alerts += 1;
-                        report.self_monitor_alert_ticks.push(alert.tick);
+                    serve.set_tick(tick);
+                    let sinks = [
+                        (
+                            "wal",
+                            wal_stats
+                                .last()
+                                .is_some_and(|s| s.degraded.load(Ordering::Relaxed) != 0),
+                        ),
+                        ("store", recorder.is_some_and(SampleRecorder::degraded)),
+                        ("obs", writer.as_ref().is_some_and(SnapshotWriter::degraded)),
+                    ];
+                    for (i, (sink, degraded)) in sinks.into_iter().enumerate() {
+                        if degraded != sink_degraded_prev[i] {
+                            sink_degraded_prev[i] = degraded;
+                            serve.degradation(sink, degraded, tick);
+                        }
                     }
                 }
             }
-            if let Some(writer) = writer.as_mut() {
-                let _ = writer.maybe_write(registry, tick);
-                if self.obs.enabled() {
-                    obs_degraded_gauge.set(f64::from(u8::from(writer.degraded())));
-                }
-            }
-            if let Some(serve) = &self.serve {
-                serve.set_tick(tick);
-                let sinks = [
-                    (
-                        "wal",
-                        wal_stats
-                            .last()
-                            .is_some_and(|s| s.degraded.load(Ordering::Relaxed) != 0),
-                    ),
-                    (
-                        "store",
-                        self.recorder.as_ref().is_some_and(SampleRecorder::degraded),
-                    ),
-                    ("obs", writer.as_ref().is_some_and(SnapshotWriter::degraded)),
-                ];
-                for (i, (sink, degraded)) in sinks.into_iter().enumerate() {
-                    if degraded != sink_degraded_prev[i] {
-                        sink_degraded_prev[i] = degraded;
-                        serve.degradation(sink, degraded, tick);
-                    }
-                }
-            }
-        }
-        report.total_samples = report.scheduled_samples + report.poll_samples;
+            Ok(())
+        })();
+        // Every exit tears down the same way. The recorder is sealed
+        // before degradation state is read: the final flush can itself
+        // trip or re-arm the store breaker.
+        let mut report = session.finish();
+        driven?;
+        report.self_monitor_alerts = self_monitor_alert_ticks.len() as u64;
+        report.self_monitor_alert_ticks = self_monitor_alert_ticks;
         if let Some(monitor) = &watchdog {
             report.self_monitor_samples = monitor.samples();
-        }
-
-        // Teardown: stop monitors (crashed ones fail the send, which is
-        // fine), join them, then cut the monitor→coordinator channel so
-        // the coordinator exits on disconnect.
-        for link in &links {
-            let _ = link.send(ControlFrame::seal(epoch, CoordinatorToMonitor::Shutdown));
-        }
-        for handle in monitor_handles.into_iter().chain(retired_handles) {
-            handle.join().expect("monitor thread exits cleanly");
-        }
-        drop(links);
-        drop(out_link);
-        coord_handle
-            .join()
-            .expect("coordinator thread exits cleanly");
-
-        // Seal recorded samples only after every monitor has joined, so
-        // the flushed segments hold the complete run. (Before reading
-        // degradation state: the final flush can itself trip or re-arm
-        // the store breaker.)
-        if let Some(recorder) = &self.recorder {
-            recorder.flush();
         }
 
         // Degradation accounting: WAL counters sum across coordinator
@@ -740,7 +562,7 @@ impl TaskRunner {
         d.wal_degraded_at_end = wal_stats
             .last()
             .is_some_and(|s| s.degraded.load(Ordering::Relaxed) != 0);
-        if let Some(recorder) = &self.recorder {
+        if let Some(recorder) = recorder {
             d.store_shed_samples = recorder.shed_samples();
             let (trips, rearms) = recorder.breaker_transitions();
             d.store_trips = trips;
@@ -758,7 +580,7 @@ impl TaskRunner {
 
         // Publish the cumulative degradation counters so the final
         // snapshot (and any scraper) carries them.
-        if self.obs.enabled() {
+        if obs.enabled() {
             let d = &report.degradation;
             registry
                 .counter(names::WAL_WRITE_FAILURES_TOTAL)
@@ -796,230 +618,70 @@ impl TaskRunner {
         // best-effort, like WAL durability.
         if let Some(writer) = writer.as_mut() {
             let _ = writer.write_now(registry, ticks);
-            let _ = writer.write_spans(self.obs.spans());
+            let _ = writer.write_spans(obs.spans());
         }
         Ok(report)
     }
 
-    /// A fresh `FaultFs` for one sink when the plan schedules storage
-    /// faults, `None` for the plain filesystem. One instance per sink:
+    /// The filesystem one runner-owned sink writes through: the plain one,
+    /// or — when the plan schedules storage faults — a fresh `FaultFs`
+    /// whose stats handle joins `io_stats`. One instance per sink:
     /// independent op counters keep fault decisions order-independent
     /// across the threads the sinks live on.
-    fn io_fault_fs(&self) -> Option<FaultFs> {
-        let io = self.fault_plan.io();
-        (!io.is_benign()).then(|| FaultFs::new(io.clone()))
+    fn sink_fs(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Arc<dyn Vfs> {
+        let io = self.session.fault_plan.io();
+        if io.is_benign() {
+            return Arc::new(StdFs);
+        }
+        let fs = FaultFs::new(io.clone());
+        io_stats.push(fs.stats());
+        Arc::new(fs)
     }
 
-    /// Opens the checkpoint WAL (best-effort — `None` on I/O failure),
-    /// arming any planned WAL corruption, the sync policy and storage
-    /// faults. Pushes the sink's fault stats into `io_stats`.
-    fn open_wal(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Option<Wal> {
-        let (path, _) = self.wal.as_ref()?;
-        let created = match self.io_fault_fs() {
-            Some(fs) => {
-                io_stats.push(fs.stats());
-                Wal::create_on(Arc::new(fs), path)
-            }
-            None => Wal::create(path),
-        };
-        created.ok().map(|wal| {
+    /// Arms a freshly created log with the sync policy and any planned
+    /// corruption, pairing it with the snapshot cadence (best-effort —
+    /// `None` when the log could not be created).
+    fn arm_wal(&self, created: std::io::Result<Wal>, every: u64) -> Option<(Wal, u64)> {
+        let wal = created.ok()?;
+        let corruptions = self.session.fault_plan.wal_corruptions().to_vec();
+        Some((
             wal.with_sync_policy(self.wal_sync)
-                .with_corruption(self.fault_plan.wal_corruptions().to_vec())
-        })
+                .with_corruption(corruptions),
+            every,
+        ))
     }
 
-    /// Builds and spawns one coordinator incarnation.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_coordinator(
-        &self,
-        epoch: u64,
-        resume: Option<(Option<Tick>, Tick)>,
-        plan: FaultPlan,
-        wal: Option<Wal>,
-        from_monitors: Receiver<Bytes>,
-        links: &[MonitorLink],
-        summary_tx: Sender<Bytes>,
-    ) -> Result<std::thread::JoinHandle<()>, VolleyError> {
-        let n = self.spec.monitors().len();
-        let global_err = self.spec.adaptation().error_allowance();
-        let allocator = ErrorAllocator::new(self.allocation, global_err, n)?;
-        let local_thresholds: Vec<f64> = self
-            .spec
-            .monitors()
-            .iter()
-            .map(|m| m.local_threshold)
-            .collect();
-        let mut coordinator = CoordinatorActor::new(
-            self.spec.global_threshold(),
-            local_thresholds,
-            allocator,
-            self.spec.adaptation().slack_ratio(),
-            self.scheme == CoordinationScheme::Adaptive,
-            self.failure.clone(),
-        )
-        .with_fault_plan(plan)
-        .with_tick_deadline(self.tick_deadline)
-        .with_quarantine_after(self.quarantine_after)
-        .with_epoch(epoch)
-        .with_obs(&self.obs);
-        if let Some((last_tick, next_update_tick)) = resume {
-            coordinator = coordinator.with_resume(last_tick, next_update_tick);
-        }
-        if let Some(wal) = wal {
-            let every = self.wal.as_ref().map_or(1, |(_, every)| *every);
-            coordinator = coordinator.with_checkpoint(wal, every);
-        }
-        let coord_links = links.to_vec();
-        Ok(std::thread::spawn(move || {
-            coordinator.run(from_monitors, coord_links, summary_tx)
-        }))
+    /// Opens the checkpoint WAL under the plan's storage faults.
+    fn open_wal(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Option<(Wal, u64)> {
+        let (path, every) = self.wal.as_ref()?;
+        self.arm_wal(Wal::create_on(self.sink_fs(io_stats), path), *every)
     }
 
-    /// Fails over to a warm standby after the coordinator died while
-    /// `tick` was in flight: replay the WAL, fence the fleet at the new
-    /// `epoch`, restore checkpointed monitor state (conservative `I_d`
-    /// resets where none exists), repoint the shared outbox at a fresh
-    /// channel — stranding any frames addressed to the dead incarnation —
-    /// and spawn the standby resuming behind the re-driven tick.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_over(
+    /// Standby takeover, storage side: recovers whatever the dead
+    /// incarnation managed to persist, then restarts the log cleanly
+    /// (compaction also clears any corrupt tail the replay truncated at)
+    /// under the same storage-fault plan as its predecessor's.
+    fn recover_wal(
         &self,
-        epoch: u64,
-        tick: Tick,
-        links: &[MonitorLink],
-        out_link: &MonitorLink,
-        global_err: f64,
-        n: usize,
-        report: &mut RuntimeReport,
         io_stats: &mut Vec<Arc<IoFaultStats>>,
         wal_stats: &mut Vec<Arc<WalStats>>,
-    ) -> Result<(Receiver<Bytes>, std::thread::JoinHandle<()>), VolleyError> {
-        // Recover whatever the dead incarnation managed to persist, then
-        // restart the log cleanly (compaction also clears any corrupt
-        // tail the replay truncated at). The successor's log runs under
-        // the same storage-fault plan as its predecessor's.
-        let (snapshot, wal) = match &self.wal {
-            Some((path, _)) => {
-                let replay = Wal::replay(path).unwrap_or_default();
-                let compacted = match self.io_fault_fs() {
-                    Some(fs) => {
-                        io_stats.push(fs.stats());
-                        Wal::compact_to_on(Arc::new(fs), path, replay.snapshot.as_ref())
-                    }
-                    None => Wal::compact_to(path, replay.snapshot.as_ref()),
-                };
-                let wal = compacted.ok().map(|wal| {
-                    wal.with_sync_policy(self.wal_sync)
-                        .with_corruption(self.fault_plan.wal_corruptions().to_vec())
-                });
-                (replay.snapshot, wal)
-            }
-            None => (None, None),
+    ) -> (Option<CoordinatorSnapshot>, Option<(Wal, u64)>) {
+        let Some((path, every)) = &self.wal else {
+            return (None, None);
         };
-        wal_stats.extend(wal.iter().map(Wal::stats));
-
-        // Fence first, then restore: a monitor that consumes the NewEpoch
-        // adopts it, so every later reply carries the new stamp. A monitor
-        // that cannot hear us (partitioned) keeps its old epoch — its
-        // post-heal frames are provably stale and the new coordinator
-        // rejects them until epoch repair readmits it.
-        for (idx, link) in links.iter().enumerate() {
-            let _ = link.send(ControlFrame::seal(
-                epoch,
-                CoordinatorToMonitor::NewEpoch { epoch },
-            ));
-            let restored = snapshot
-                .as_ref()
-                .and_then(|s| s.samplers.get(idx).copied().flatten());
-            match restored {
-                Some(sampler) => {
-                    let _ = link.send(ControlFrame::seal(
-                        epoch,
-                        CoordinatorToMonitor::RestoreState { snapshot: sampler },
-                    ));
-                    report.checkpoint_restores += 1;
-                }
-                None => {
-                    // The paper's conservative restart: back to the
-                    // default interval and the even allowance share.
-                    let _ = link.send(ControlFrame::seal(
-                        epoch,
-                        CoordinatorToMonitor::ResetSampler,
-                    ));
-                    let _ = link.send(ControlFrame::seal(
-                        epoch,
-                        CoordinatorToMonitor::SetAllowance {
-                            err: global_err / n as f64,
-                        },
-                    ));
-                    report.conservative_restarts += 1;
-                }
-            }
-        }
-
-        // Fresh channels: monitor frames sent to the dead incarnation are
-        // stranded with its receiver instead of leaking into the standby.
-        let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-        out_link.replace(to_coord_tx);
-        let (summary_tx, summary_rx) = unbounded::<Bytes>();
-
-        let resume_last = tick.checked_sub(1);
-        let next_update = snapshot.as_ref().map_or_else(
-            || tick + self.allocation.update_period_ticks,
-            |s| s.next_update_tick,
-        );
-        let plan = self.fault_plan.without_coordinator_crashes_through(tick);
-        let handle = self.spawn_coordinator(
-            epoch,
-            Some((resume_last, next_update)),
-            plan,
-            wal,
-            to_coord_rx,
-            links,
-            summary_tx,
-        )?;
-        Ok((summary_rx, handle))
-    }
-
-    /// Replaces a quarantined monitor with a fresh actor: new inbox, a
-    /// fresh sampler at the default interval (its learned schedule died
-    /// with it), the even share of the error allowance, and the current
-    /// coordinator epoch. Process faults (crash/stall) are stripped from
-    /// the restarted actor's plan — its predecessor already acted them
-    /// out — while network faults (including partitions) keep applying.
-    fn restart_monitor(
-        &self,
-        monitor: MonitorId,
-        links: &[MonitorLink],
-        out_link: &MonitorLink,
-        global_err: f64,
-        n: usize,
-        epoch: u64,
-    ) -> std::thread::JoinHandle<()> {
-        let idx = monitor.0 as usize;
-        let m = &self.spec.monitors()[idx];
-        let (tx, rx) = unbounded::<Bytes>();
-        let mut sampler = AdaptiveSampler::new(*self.spec.adaptation(), m.local_threshold);
-        sampler.set_error_allowance(global_err / n as f64);
-        let mut actor = MonitorActor::new(m.id, sampler)
-            .with_faults(self.fault_plan.without_process_faults(monitor))
-            .with_epoch(epoch)
-            .with_obs(&self.obs);
-        if let Some(recorder) = &self.recorder {
-            actor = actor.with_recorder(recorder.clone());
-        }
-        let outbox = out_link.clone();
-        let handle = std::thread::spawn(move || actor.run(rx, outbox));
-        // Swapping the link drops the old sender: a stalled predecessor
-        // sees its inbox disconnect and exits.
-        links[idx].replace(tx);
-        handle
+        let replay = Wal::replay(path).unwrap_or_default();
+        let compacted = Wal::compact_to_on(self.sink_fs(io_stats), path, replay.snapshot.as_ref());
+        let wal = self.arm_wal(compacted, *every);
+        wal_stats.extend(wal.iter().map(|(wal, _)| wal.stats()));
+        (replay.snapshot, wal)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FaultPath;
+    use volley_core::task::MonitorId;
 
     fn spec(monitors: usize, threshold: f64, err: f64) -> TaskSpec {
         TaskSpec::builder(threshold)
@@ -1116,7 +778,7 @@ mod tests {
         trace[30] = 99.0;
         let report = TaskRunner::new(&spec)
             .unwrap()
-            .with_failure(FailureInjector::new(1.0, 3))
+            .with_fault_plan(FaultPlan::new(3).with_drop_rate(FaultPath::ViolationReport, 1.0))
             .run([trace].as_ref())
             .unwrap();
         assert_eq!(report.alerts, 0, "all reports dropped → no alerts");
@@ -1272,6 +934,46 @@ mod tests {
                 component: "coordinator"
             }
         ));
+    }
+
+    #[test]
+    fn coordinator_crash_without_standby_still_flushes_the_recorder() {
+        use volley_store::{RecordKind, SampleRecorder, ScanRange, Store};
+        let dir = std::env::temp_dir().join(format!("volley-runner-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // err = 0: both monitors sample every tick, so the samples acked
+        // before the crash tick are exactly 2 per tick 0..10.
+        let spec = spec(2, 1000.0, 0.0);
+        let traces = vec![vec![1.0; 40], vec![2.0; 40]];
+        let recorder = SampleRecorder::new(Store::open(&dir).unwrap());
+        let err = TaskRunner::new(&spec)
+            .unwrap()
+            .with_fault_plan(FaultPlan::new(7).with_coordinator_crash(10))
+            .with_tick_deadline(Duration::from_millis(25))
+            .with_recorder(recorder.clone())
+            .run(&traces)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            VolleyError::RuntimeDisconnected {
+                component: "coordinator"
+            }
+        ));
+        assert_eq!(recorder.io_errors(), 0);
+        drop(recorder);
+        // A fresh handle sees only what reached disk: the error path must
+        // have joined the monitors and sealed their buffered samples.
+        let reopened = Store::open(&dir).unwrap();
+        for monitor in 0..2u32 {
+            let ticks: Vec<Tick> = reopened
+                .scan(&ScanRange::all().kind(RecordKind::Sample).monitor(monitor))
+                .unwrap()
+                .map(|r| r.tick)
+                .filter(|&t| t < 10)
+                .collect();
+            assert_eq!(ticks, (0..10).collect::<Vec<Tick>>(), "monitor {monitor}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

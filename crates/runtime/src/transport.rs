@@ -1,36 +1,31 @@
-//! Wire transport: the protocol over real sockets.
+//! Socket-level hardening shared by both ends of the networked
+//! deployment ([`crate::net`]).
 //!
 //! The actors speak newline-delimited JSON frames
-//! ([`crate::message::encode`]); this module carries those frames
-//! over any `Read`/`Write` pair — in particular TCP — so a monitor can
-//! live in a different process or on a different machine from its
-//! coordinator, exactly as in the paper's deployment (monitors in each
-//! server's Dom0, a coordinator per five servers).
+//! ([`crate::message::encode`]). The wire is treated as hostile: frames
+//! are capped at a maximum size (a corrupt or malicious peer cannot make
+//! a reader buffer without bound), a stream that ends mid-frame is a
+//! decode error rather than a silently accepted partial message, and
+//! socket reads and writes can carry timeouts ([`TransportConfig`]).
 //!
-//! The wire is treated as hostile: frames are capped at a maximum size
-//! (a corrupt or malicious peer cannot make [`read_frame`] buffer without
-//! bound), a stream that ends mid-frame is a decode error rather than a
-//! silently accepted partial message, socket reads and writes can carry
-//! timeouts, and [`connect_with_retry`] reconnects with bounded
-//! exponential backoff.
+//! [`read_frame_limited`] is the blocking reference reader: the
+//! nonblocking [`FrameBuffer`](crate::net::FrameBuffer) the event loop
+//! and the agents use is property-tested to agree with it byte for byte.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{BufRead, Read};
 use std::time::Duration;
 
 use bytes::Bytes;
 
 use volley_core::VolleyError;
 
-use crate::message::{decode, encode, CoordinatorToMonitor};
-use crate::monitor::MonitorActor;
-
 /// Default cap on a single wire frame. Protocol messages are tens to a
 /// few hundred bytes; 64 KiB leaves room for large period reports while
 /// bounding what a misbehaving peer can make us buffer.
 pub const DEFAULT_MAX_FRAME_SIZE: usize = 64 * 1024;
 
-/// Socket-level hardening knobs for [`serve_monitor_tcp_with`].
+/// Socket-level hardening knobs for [`crate::net::NetCoordinator`] and
+/// [`crate::net::run_agent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Maximum accepted frame size in bytes.
@@ -54,19 +49,8 @@ impl Default for TransportConfig {
     }
 }
 
-/// Writes one frame (already newline-terminated by
-/// [`crate::message::encode`]) to the wire.
-///
-/// # Errors
-///
-/// Propagates writer failures.
-pub fn write_frame<W: Write>(writer: &mut W, frame: &Bytes) -> std::io::Result<()> {
-    writer.write_all(frame)?;
-    writer.flush()
-}
-
-/// Reads one newline-delimited frame from the wire, capped at
-/// [`DEFAULT_MAX_FRAME_SIZE`]; `Ok(None)` signals a clean end of stream.
+/// Reads one newline-delimited frame of at most `max_size` bytes from
+/// the wire; `Ok(None)` signals a clean end of stream.
 ///
 /// # Errors
 ///
@@ -74,15 +58,6 @@ pub fn write_frame<W: Write>(writer: &mut W, frame: &Bytes) -> std::io::Result<(
 /// [`InvalidData`](std::io::ErrorKind::InvalidData) error wrapping
 /// [`VolleyError::FrameTooLarge`] for an oversized frame, or one for a
 /// stream that ends mid-frame (bytes after the last newline).
-pub fn read_frame<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Bytes>> {
-    read_frame_limited(reader, DEFAULT_MAX_FRAME_SIZE)
-}
-
-/// [`read_frame`] with an explicit frame-size cap.
-///
-/// # Errors
-///
-/// As [`read_frame`], with `max_size` as the cap.
 pub fn read_frame_limited<R: BufRead>(
     reader: &mut R,
     max_size: usize,
@@ -115,110 +90,20 @@ pub fn read_frame_limited<R: BufRead>(
     Ok(Some(Bytes::from(buffer)))
 }
 
-/// Connects to `addr`, retrying with exponential backoff: attempt *k*
-/// (0-based) sleeps `base_backoff × 2^k` after failing, up to `attempts`
-/// total tries.
-///
-/// # Errors
-///
-/// Returns the final attempt's error once the budget is exhausted (or an
-/// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error for
-/// `attempts == 0`).
-pub fn connect_with_retry<A: ToSocketAddrs>(
-    addr: A,
-    attempts: u32,
-    base_backoff: Duration,
-) -> std::io::Result<TcpStream> {
-    let mut last_err = std::io::Error::new(
-        std::io::ErrorKind::InvalidInput,
-        "connect_with_retry needs at least one attempt",
-    );
-    for attempt in 0..attempts {
-        match TcpStream::connect(&addr) {
-            Ok(stream) => return Ok(stream),
-            Err(err) => last_err = err,
-        }
-        if attempt + 1 < attempts {
-            std::thread::sleep(base_backoff * 2u32.saturating_pow(attempt));
-        }
-    }
-    Err(last_err)
-}
-
-/// Serves one monitor over a TCP connection — reading coordinator
-/// frames, handling them with the actor, writing replies — until the
-/// peer closes the connection or sends `Shutdown`. Malformed frames are
-/// skipped, as a production server would; oversized or truncated frames
-/// are connection-fatal. Uses the default [`TransportConfig`].
-///
-/// # Errors
-///
-/// Propagates socket failures.
-pub fn serve_monitor_tcp(actor: MonitorActor, stream: TcpStream) -> std::io::Result<()> {
-    serve_monitor_tcp_with(actor, stream, TransportConfig::default())
-}
-
-/// [`serve_monitor_tcp`] with explicit transport hardening knobs.
-///
-/// # Errors
-///
-/// Propagates socket failures, including reads or writes exceeding the
-/// configured timeouts.
-pub fn serve_monitor_tcp_with(
-    mut actor: MonitorActor,
-    stream: TcpStream,
-    config: TransportConfig,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(config.read_timeout)?;
-    stream.set_write_timeout(config.write_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    while let Some(frame) = read_frame_limited(&mut reader, config.max_frame_size)? {
-        let Ok(msg) = decode::<CoordinatorToMonitor>(&frame) else {
-            continue;
-        };
-        let (reply, terminate) = actor.handle(msg);
-        if let Some(reply) = reply {
-            write_frame(&mut writer, &encode(&reply))?;
-        }
-        if terminate {
-            break;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    use volley_core::task::MonitorId;
-    use volley_core::{AdaptationConfig, AdaptiveSampler};
-
-    use crate::message::{MonitorToCoordinator, TickData};
-
-    fn actor(threshold: f64) -> MonitorActor {
-        let cfg = AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .patience(2)
-            .warmup_samples(2)
-            .max_interval(4)
-            .build()
-            .unwrap();
-        MonitorActor::new(MonitorId(0), AdaptiveSampler::new(cfg, threshold))
-    }
 
     #[test]
-    fn frame_round_trip_over_buffers() {
-        let frame = encode(&CoordinatorToMonitor::Poll { tick: 9 });
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
+    fn frames_are_read_until_a_clean_end_of_stream() {
+        let wire = b"{\"tick\":9}\nsecond\n".to_vec();
         let mut reader = std::io::BufReader::new(wire.as_slice());
-        let back = read_frame(&mut reader).unwrap().expect("one frame");
-        assert_eq!(back, frame);
+        let first = read_frame_limited(&mut reader, 64).unwrap().unwrap();
+        assert_eq!(&*first, b"{\"tick\":9}\n");
+        let second = read_frame_limited(&mut reader, 64).unwrap().unwrap();
+        assert_eq!(&*second, b"second\n");
         assert!(
-            read_frame(&mut reader).unwrap().is_none(),
+            read_frame_limited(&mut reader, 64).unwrap().is_none(),
             "stream ends cleanly"
         );
     }
@@ -245,138 +130,8 @@ mod tests {
     fn truncated_final_frame_is_an_error() {
         let wire = b"{\"tick\":1".to_vec(); // peer died mid-write
         let mut reader = std::io::BufReader::new(wire.as_slice());
-        let err = read_frame(&mut reader).unwrap_err();
+        let err = read_frame_limited(&mut reader, 64).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("mid-frame"));
-    }
-
-    #[test]
-    fn connect_with_retry_reaches_a_listener() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("bound address");
-        let stream = connect_with_retry(addr, 3, Duration::from_millis(1)).expect("connects");
-        drop(stream);
-    }
-
-    #[test]
-    fn connect_with_retry_gives_up_after_budget() {
-        // Port 1 is privileged and never assigned to test listeners, so
-        // loopback refuses the connection immediately.
-        let addr = "127.0.0.1:1";
-        let err = connect_with_retry(addr, 2, Duration::from_millis(1)).unwrap_err();
-        assert_ne!(err.kind(), std::io::ErrorKind::InvalidInput);
-        let err = connect_with_retry(addr, 0, Duration::from_millis(1)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn monitor_serves_over_tcp_loopback() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("bound address");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            serve_monitor_tcp(actor(5.0), stream).expect("serve succeeds");
-        });
-
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
-
-        // Tick with a violating value.
-        write_frame(
-            &mut writer,
-            &encode(&CoordinatorToMonitor::Tick(TickData {
-                tick: 0,
-                value: 9.0,
-            })),
-        )
-        .expect("send tick");
-        let frame = read_frame(&mut reader).expect("io").expect("reply");
-        let msg: MonitorToCoordinator = decode(&frame).expect("decodes");
-        assert!(matches!(
-            msg,
-            MonitorToCoordinator::TickDone {
-                violation: true,
-                sampled: true,
-                ..
-            }
-        ));
-
-        // Poll returns the current value.
-        write_frame(
-            &mut writer,
-            &encode(&CoordinatorToMonitor::Poll { tick: 0 }),
-        )
-        .expect("send poll");
-        let frame = read_frame(&mut reader).expect("io").expect("reply");
-        let msg: MonitorToCoordinator = decode(&frame).expect("decodes");
-        match msg {
-            MonitorToCoordinator::PollReply {
-                value,
-                forced_sample,
-                ..
-            } => {
-                assert_eq!(value, 9.0);
-                assert!(!forced_sample, "already sampled this tick");
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-
-        // Garbage is skipped without killing the connection.
-        write_frame(&mut writer, &Bytes::from_static(b"garbage\n")).expect("send garbage");
-        write_frame(
-            &mut writer,
-            &encode(&CoordinatorToMonitor::Tick(TickData {
-                tick: 1,
-                value: 1.0,
-            })),
-        )
-        .expect("send tick");
-        let frame = read_frame(&mut reader).expect("io").expect("reply");
-        let msg: MonitorToCoordinator = decode(&frame).expect("decodes");
-        assert!(matches!(
-            msg,
-            MonitorToCoordinator::TickDone {
-                violation: false,
-                ..
-            }
-        ));
-
-        // Shutdown terminates the server loop.
-        write_frame(&mut writer, &encode(&CoordinatorToMonitor::Shutdown)).expect("send shutdown");
-        server.join().expect("server thread exits");
-    }
-
-    #[test]
-    fn oversized_frame_kills_the_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("bound address");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let config = TransportConfig {
-                max_frame_size: 128,
-                ..TransportConfig::default()
-            };
-            serve_monitor_tcp_with(actor(5.0), stream, config)
-        });
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut bomb = vec![b'a'; 4096];
-        bomb.push(b'\n');
-        stream.write_all(&bomb).expect("send oversized frame");
-        let err = server.join().expect("server thread exits").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn peer_disconnect_ends_service() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("bound address");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            serve_monitor_tcp(actor(5.0), stream).expect("serve tolerates disconnect");
-        });
-        let stream = TcpStream::connect(addr).expect("connect");
-        drop(stream); // immediate disconnect
-        server.join().expect("server exits cleanly");
     }
 }

@@ -1,91 +1,74 @@
 //! A monitor served over a real TCP socket — the paper's deployment
 //! shape (monitors in each server's Dom0, coordinators elsewhere) run in
-//! miniature: the "Dom0" side serves [`volley_runtime::MonitorActor`] on
-//! a loopback socket; the "coordinator" side drives ticks, receives local
-//! violation reports and issues a poll, all over the wire protocol.
+//! miniature: the "Dom0" side is a one-monitor agent
+//! ([`volley_runtime::run_agent`]) dialing a loopback socket; the
+//! coordinator side ([`volley_runtime::NetCoordinator`]) drives ticks,
+//! receives local violation reports and issues global polls, all over
+//! the wire protocol — with the agent's reconnect, frame caps and
+//! backpressure handling included.
 //!
 //! Run with: `cargo run --example remote_monitor`
 
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
-
-use volley::core::task::MonitorId;
-use volley::{AdaptationConfig, AdaptiveSampler, NetflowConfig};
-use volley_runtime::message::{
-    decode, encode, CoordinatorToMonitor, MonitorToCoordinator, TickData,
-};
-use volley_runtime::transport::{read_frame, serve_monitor_tcp, write_frame};
-use volley_runtime::MonitorActor;
+use volley::core::task::TaskSpec;
+use volley::NetflowConfig;
+use volley_runtime::transport::TransportConfig;
+use volley_runtime::{run_agent, AgentConfig, BackoffConfig, NetAddr, NetCoordinator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- "Dom0" side: serve one monitor on a loopback socket. ---
     let trace = NetflowConfig::builder()
         .seed(21)
         .build()
         .generate_vm(0, 1200)
         .rho;
     let threshold = volley::selectivity_threshold(&trace, 1.0)?;
-    let config = AdaptationConfig::builder()
+    let spec = TaskSpec::builder(threshold)
+        .monitors(1)
         .error_allowance(0.02)
         .max_interval(8)
         .patience(5)
         .build()?;
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let server = std::thread::spawn(move || {
-        let (stream, peer) = listener.accept().expect("accept coordinator");
-        eprintln!("monitor: serving coordinator at {peer}");
-        let actor = MonitorActor::new(MonitorId(0), AdaptiveSampler::new(config, threshold));
-        serve_monitor_tcp(actor, stream).expect("monitor serves cleanly");
+
+    // --- Coordinator side: bind a loopback port. ---
+    let coordinator = NetCoordinator::bind(spec.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))?;
+    let addr = coordinator
+        .local_addr()
+        .ok_or("TCP listener has an address")?;
+
+    // --- "Dom0" side: one agent hosting the task's only monitor. ---
+    let agent = std::thread::spawn(move || {
+        eprintln!("monitor: dialing coordinator at {addr}");
+        run_agent(&AgentConfig {
+            agent: 0,
+            addr: NetAddr::Tcp(addr.to_string()),
+            spec,
+            monitors: 0..1,
+            transport: TransportConfig::default(),
+            backoff: BackoffConfig::default(),
+        })
     });
 
-    // --- Coordinator side: drive ticks over the wire. ---
-    let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut samples = 0u64;
-    let mut violations = 0u64;
-    let mut polls = 0u64;
-    for (t, &value) in trace.iter().enumerate() {
-        let tick = t as u64;
-        write_frame(
-            &mut writer,
-            &encode(&CoordinatorToMonitor::Tick(TickData { tick, value })),
-        )?;
-        let frame = read_frame(&mut reader)?.ok_or("monitor hung up")?;
-        match decode::<MonitorToCoordinator>(&frame)? {
-            MonitorToCoordinator::TickDone {
-                sampled, violation, ..
-            } => {
-                if sampled {
-                    samples += 1;
-                }
-                if violation {
-                    violations += 1;
-                    // Local violation → global poll, over the same wire.
-                    write_frame(&mut writer, &encode(&CoordinatorToMonitor::Poll { tick }))?;
-                    let frame = read_frame(&mut reader)?.ok_or("monitor hung up")?;
-                    if let MonitorToCoordinator::PollReply { value, .. } = decode(&frame)? {
-                        polls += 1;
-                        if polls == 1 {
-                            println!(
-                                "first local violation at tick {tick}: polled value {value:.0}"
-                            );
-                        }
-                    }
-                }
-            }
-            other => eprintln!("unexpected message: {other:?}"),
-        }
-    }
-    write_frame(&mut writer, &encode(&CoordinatorToMonitor::Shutdown))?;
-    server.join().expect("server thread exits");
+    // --- Drive every tick over the wire. ---
+    let ticks = trace.len();
+    let outcome = coordinator.run(&[trace])?;
+    let served = agent.join().expect("agent thread exits")?;
+    let report = outcome.report;
 
-    println!("ticks driven:      {}", trace.len());
+    if let Some(tick) = report.alert_ticks.first() {
+        println!("first global violation at tick {tick}");
+    }
+    println!("ticks driven:      {ticks}");
     println!(
-        "samples over TCP:  {samples} ({:.1}% of periodic)",
-        100.0 * samples as f64 / trace.len() as f64
+        "samples over TCP:  {} ({:.1}% of periodic)",
+        report.scheduled_samples,
+        100.0 * report.scheduled_samples as f64 / ticks as f64
     );
-    println!("local violations:  {violations} (each answered by a global poll)");
+    println!(
+        "local violations:  {} (each answered by a global poll)",
+        report.local_violation_reports
+    );
+    println!(
+        "frames on the wire: {} in, {} out, {} sent by the agent",
+        outcome.net.frames_in, outcome.net.frames_out, served.frames_sent
+    );
     Ok(())
 }

@@ -1,7 +1,9 @@
 //! End-to-end tests of the live §II.B multi-task suppression on the
 //! threaded runtime: a planted leader/follower cascade yields a gate
 //! that saves follower samples without missing its post-training
-//! alerts, and the follower-gate state survives a coordinator
+//! alerts, ungated tasks report exactly what a solo `TaskRunner` reports
+//! (both fold through the one session), and the follower-gate state
+//! survives a coordinator
 //! crash/failover — the WAL checkpoint round-trips the suppression
 //! counters bit-for-bit, so a standby resumes pacing where the deposed
 //! primary stopped.
@@ -9,7 +11,7 @@
 use volley::core::correlation::CorrelationConfig;
 use volley::core::task::TaskSpec;
 use volley::runtime::checkpoint::Wal;
-use volley::runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner};
+use volley::runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner, TaskRunner};
 
 fn spec() -> TaskSpec {
     TaskSpec::builder(100.0)
@@ -93,6 +95,29 @@ fn suppression_saves_follower_samples_without_missing_alerts() {
         gated.reports[0].total_samples,
         ungated.reports[0].total_samples
     );
+}
+
+#[test]
+fn ungated_tasks_report_exactly_what_a_solo_runner_reports() {
+    // Pure observation (training as long as the run): no gate ever
+    // engages, so every task must fold to the report a solo TaskRunner
+    // produces on the same spec and traces — field for field, including
+    // the fencing/quarantine/recovery counters.
+    let ticks = 300;
+    let tasks = cascade(ticks);
+    let outcome = MultiTaskRunner::new(config(ticks))
+        .expect("valid config")
+        .run(&tasks)
+        .expect("observation run");
+    assert!(outcome.gates.is_empty());
+    assert_eq!(outcome.reports.len(), tasks.len());
+    for (index, task) in tasks.iter().enumerate() {
+        let solo = TaskRunner::new(&task.spec)
+            .expect("valid runner")
+            .run(&task.traces)
+            .expect("solo run");
+        assert_eq!(outcome.reports[index], solo, "task {index}");
+    }
 }
 
 #[test]
