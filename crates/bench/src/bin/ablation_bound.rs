@@ -10,7 +10,6 @@ use volley_bench::params::SweepParams;
 use volley_bench::workloads::{TraceFamily, WorkloadSet};
 use volley_core::misdetection_bound;
 use volley_core::stats::DeltaTracker;
-use volley_core::Interval;
 
 fn main() {
     let params = SweepParams::from_args(std::env::args().skip(1));
@@ -36,7 +35,7 @@ fn main() {
                     volley_core::selectivity_threshold(trace, 1.0).expect("valid trace");
                 let mut tracker = DeltaTracker::new();
                 for (t, &v) in trace.iter().enumerate() {
-                    tracker.record(t as u64, v, Interval::DEFAULT);
+                    tracker.record(t as u64, v);
                     let stats = tracker.stats();
                     if stats.count() < 5 {
                         continue;

@@ -17,13 +17,19 @@
 //! allowance (without it, growing at `β(I) = err` would almost surely yield
 //! `β(I+1) > err`). The paper reports `γ = 0.2`, `p = 20` as a good
 //! practice; both are the defaults here.
+//!
+//! That whole per-sample algorithm is one crate-private function, `step`,
+//! over a borrowed `Lane` of monitor state. [`AdaptiveSampler`] runs it
+//! on the one lane it owns and adds the §IV-B updating-period aggregates;
+//! [`SamplerBank`](crate::SamplerBank) runs it on a slot of its arrays
+//! and adds nothing.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::VolleyError;
 use crate::likelihood::{misdetection_bound_with, BoundKind};
 use crate::snapshot::{finite_or_zero, SamplerSnapshot};
-use crate::stats::{DeltaTracker, StatsKind};
+use crate::stats::{self, DeltaLane, DeltaTracker, OnlineStats, StatsKind};
 use crate::time::{Interval, Tick};
 
 /// Configuration of the monitor-level adaptation algorithm.
@@ -260,6 +266,103 @@ pub struct Observation {
     pub grew: bool,
 }
 
+/// Borrowed §III-B controller state of one monitor, wherever its owner
+/// stores it: the δ state plus the interval in effect (in ticks, ≥ 1) and
+/// the streak of consecutive sub-slack observations toward the next growth.
+#[derive(Debug)]
+pub(crate) struct Lane<'a> {
+    pub(crate) delta: DeltaLane<'a>,
+    pub(crate) interval: &'a mut u32,
+    pub(crate) consecutive_ok: &'a mut u32,
+}
+
+/// What one [`step`] decided, plus the inputs of its bound for callers
+/// that evaluate further bounds on the same sample.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) observation: Observation,
+    /// Mean and standard deviation of δ after recording the sample.
+    pub(crate) mu: f64,
+    pub(crate) sigma: f64,
+    /// Whether the statistics have warmed up; until then `beta` is a
+    /// vacuous 1.
+    pub(crate) warmed: bool,
+}
+
+/// Feeds one sample into the lane's δ statistics without running the
+/// adaptation rule.
+#[inline]
+pub(crate) fn record(config: &AdaptationConfig, lane: &mut DeltaLane<'_>, tick: Tick, value: f64) {
+    stats::record(config.stats(), config.restart_after(), lane, tick, value);
+}
+
+/// The complete per-sample algorithm of §III-B on one lane: statistics
+/// update (with `δ̂` correction for coarse intervals), `β(I)` evaluation
+/// for the interval in effect, collapse/grow decision under allowance
+/// `err`.
+#[inline]
+pub(crate) fn step(
+    config: &AdaptationConfig,
+    err: f64,
+    threshold: f64,
+    lane: &mut Lane<'_>,
+    tick: Tick,
+    value: f64,
+) -> Step {
+    record(config, &mut lane.delta, tick, value);
+    let (mu, sigma) = (*lane.delta.mean, lane.delta.variance.sqrt());
+    let warmed = *lane.delta.n >= u64::from(config.warmup_samples().max(2));
+    let interval = &mut *lane.interval;
+    let beta = if warmed {
+        misdetection_bound_with(config.bound(), value, threshold, mu, sigma, *interval)
+    } else {
+        // Until statistics warm up, claim nothing: a vacuous bound keeps
+        // the monitor at the default interval.
+        1.0
+    };
+
+    let default = Interval::DEFAULT.get();
+    let max = config.max_interval().get();
+    let ok = &mut *lane.consecutive_ok;
+    let mut collapsed = false;
+    let mut grew = false;
+    if err <= 0.0 {
+        // Degenerate allowance: periodic sampling at the default rate.
+        *interval = default;
+        *ok = 0;
+    } else if beta > err {
+        if warmed || *interval > default {
+            collapsed = *interval > default;
+            *interval = default;
+        }
+        *ok = 0;
+    } else if beta <= config.grow_threshold(err) {
+        *ok += 1;
+        if *ok >= config.patience() && *interval < max {
+            *interval = interval.saturating_add(1).min(max);
+            *ok = 0;
+            grew = true;
+        }
+    } else {
+        *ok = 0;
+    }
+
+    let next_interval = Interval::new_clamped(*interval);
+    Step {
+        observation: Observation {
+            violation: value > threshold,
+            beta,
+            next_interval,
+            next_sample_tick: tick + u64::from(next_interval),
+            collapsed,
+            grew,
+        },
+        mu,
+        sigma,
+        warmed,
+    }
+}
+
 /// The monitor-level adaptive sampler (Figure 2 of the paper).
 ///
 /// Drives *when to sample next* for a single monitored metric with a fixed
@@ -278,7 +381,8 @@ pub struct AdaptiveSampler {
     threshold: f64,
     err: f64,
     tracker: DeltaTracker,
-    interval: Interval,
+    /// Sampling interval in effect, in ticks (≥ 1).
+    interval: u32,
     consecutive_ok: u32,
     /// Running sums for the coordinator's updating-period averages (§IV-B).
     period_beta_grown_sum: f64,
@@ -297,18 +401,12 @@ impl AdaptiveSampler {
     /// `value > threshold`, starting (per the paper) at the default
     /// interval.
     pub fn new(config: AdaptationConfig, threshold: f64) -> Self {
-        let err = config.error_allowance();
         AdaptiveSampler {
             config,
             threshold,
-            err,
-            tracker: match config.stats() {
-                StatsKind::WindowedRestart => {
-                    DeltaTracker::with_restart_after(config.restart_after())
-                }
-                StatsKind::Ewma { lambda } => DeltaTracker::with_ewma(lambda),
-            },
-            interval: Interval::DEFAULT,
+            err: config.error_allowance(),
+            tracker: DeltaTracker::with_restart_after(config.restart_after()),
+            interval: Interval::DEFAULT.get(),
             consecutive_ok: 0,
             period_beta_grown_sum: 0.0,
             period_beta_current_sum: 0.0,
@@ -336,18 +434,25 @@ impl AdaptiveSampler {
         self.err
     }
 
-    /// Updates the error allowance (task-level coordination, §IV-B).
+    /// Updates the error allowance (task-level coordination, §IV-B),
+    /// clamped into `[0, 1]`. A non-finite allowance falls back to the
+    /// configured one: every comparison of the rule is false against a
+    /// NaN, which would leave a grown interval unable to collapse.
     ///
     /// Shrinking the allowance below the current `β(I)` causes a collapse
     /// at the next observation, not immediately — matching the paper, where
     /// adaptation decisions happen only at sampling times.
     pub fn set_error_allowance(&mut self, err: f64) {
-        self.err = err.clamp(0.0, 1.0);
+        self.err = if err.is_finite() {
+            err.clamp(0.0, 1.0)
+        } else {
+            self.config.error_allowance()
+        };
     }
 
     /// The sampling interval currently in effect.
     pub fn interval(&self) -> Interval {
-        self.interval
+        Interval::new_clamped(self.interval)
     }
 
     /// The adaptation configuration.
@@ -360,71 +465,35 @@ impl AdaptiveSampler {
         self.total_samples
     }
 
-    /// Access to the online δ statistics (mainly for diagnostics/tests).
-    pub fn stats(&self) -> &crate::OnlineStats {
-        self.tracker.stats()
+    /// The δ statistics as they stand (mainly for diagnostics/tests): the
+    /// moments of whichever estimator the configuration selects.
+    pub fn stats(&self) -> OnlineStats {
+        *self.tracker.stats()
     }
 
     /// Processes the result of one sampling operation performed at `tick`
-    /// and returns the adaptation outcome, including when to sample next.
-    ///
-    /// This is the complete per-sample algorithm of §III-B: statistics
-    /// update (with `δ̂` correction for coarse intervals), `β(I)`
-    /// evaluation, collapse/grow decision.
+    /// and returns the adaptation outcome, including when to sample next:
+    /// one §III-B `step`, then the §IV-B updating-period aggregates.
     pub fn observe(&mut self, tick: Tick, value: f64) -> Observation {
         self.total_samples += 1;
-        self.tracker.record(tick, value, self.interval);
-        let violation = value > self.threshold;
-
-        let (mu, sigma, observations) = (
-            self.tracker.mean(),
-            self.tracker.std_dev(),
-            self.tracker.count(),
-        );
-        let warmed = observations >= self.config.warmup_samples().max(2);
-        // β for the interval currently in effect, from the fresh sample.
-        let beta_current = if warmed {
-            misdetection_bound_with(
-                self.config.bound(),
-                value,
-                self.threshold,
-                mu,
-                sigma,
-                self.interval.get(),
-            )
-        } else {
-            // Until statistics warm up, claim nothing: a vacuous bound
-            // keeps the sampler at the default interval.
-            1.0
+        let mut lane = Lane {
+            delta: self.tracker.lane(),
+            interval: &mut self.interval,
+            consecutive_ok: &mut self.consecutive_ok,
         };
-
-        let mut collapsed = false;
-        let mut grew = false;
-        if self.err <= 0.0 {
-            // Degenerate allowance: periodic sampling at the default rate.
-            self.interval = Interval::DEFAULT;
-            self.consecutive_ok = 0;
-        } else if beta_current > self.err {
-            if warmed || self.interval > Interval::DEFAULT {
-                collapsed = self.interval > Interval::DEFAULT;
-                self.interval = Interval::DEFAULT;
-            }
-            self.consecutive_ok = 0;
-        } else if beta_current <= self.config.grow_threshold(self.err) {
-            self.consecutive_ok += 1;
-            if self.consecutive_ok >= self.config.patience()
-                && self.interval < self.config.max_interval()
-            {
-                self.interval = self
-                    .interval
-                    .saturating_add(1)
-                    .min(self.config.max_interval());
-                self.consecutive_ok = 0;
-                grew = true;
-            }
-        } else {
-            self.consecutive_ok = 0;
-        }
+        let Step {
+            observation,
+            mu,
+            sigma,
+            warmed,
+        } = step(
+            &self.config,
+            self.err,
+            self.threshold,
+            &mut lane,
+            tick,
+            value,
+        );
 
         // Maintain the updating-period aggregates used by the task-level
         // coordinator (§IV-B): the average β at the grown interval, the
@@ -437,14 +506,14 @@ impl AdaptiveSampler {
                 self.threshold,
                 mu,
                 sigma,
-                self.interval.get().saturating_add(1),
+                self.interval.saturating_add(1),
             )
         } else {
             1.0
         };
-        self.period_beta_current_sum += beta_current.min(1.0);
+        self.period_beta_current_sum += observation.beta.min(1.0);
         self.period_beta_grown_sum += beta_grown.min(1.0);
-        self.period_reduction_sum += 1.0 - 1.0 / f64::from(self.interval.get() + 1);
+        self.period_reduction_sum += 1.0 - 1.0 / f64::from(self.interval + 1);
         self.period_observations += 1;
         // Measure the cost-vs-allowance curve: the interval this sample's
         // bound would sustain at each candidate allowance of the ladder.
@@ -477,16 +546,7 @@ impl AdaptiveSampler {
                 *slot += 1.0;
             }
         }
-
-        let next_interval = self.interval;
-        Observation {
-            violation,
-            beta: beta_current,
-            next_interval,
-            next_sample_tick: tick + u64::from(next_interval),
-            collapsed,
-            grew,
-        }
+        observation
     }
 
     /// Records a value obtained by a *forced* sample (e.g. a global poll
@@ -496,7 +556,7 @@ impl AdaptiveSampler {
     /// improve rather than distort the model.
     pub fn observe_forced(&mut self, tick: Tick, value: f64) {
         self.total_samples += 1;
-        self.tracker.record(tick, value, Interval::DEFAULT);
+        record(&self.config, &mut self.tracker.lane(), tick, value);
     }
 
     /// Drains the updating-period aggregates collected since the previous
@@ -516,8 +576,8 @@ impl AdaptiveSampler {
             avg_beta_current: self.period_beta_current_sum / f64::from(n),
             avg_beta_grown: self.period_beta_grown_sum / f64::from(n),
             avg_potential_reduction: self.period_reduction_sum / f64::from(n),
-            interval: self.interval,
-            at_max_interval: self.interval >= self.config.max_interval(),
+            interval: self.interval(),
+            at_max_interval: self.interval() >= self.config.max_interval(),
             cost_curve,
         };
         self.period_beta_current_sum = 0.0;
@@ -538,7 +598,7 @@ impl AdaptiveSampler {
             threshold: self.threshold,
             err: self.err,
             tracker: self.tracker.to_snapshot(),
-            interval: self.interval.get(),
+            interval: self.interval,
             consecutive_ok: self.consecutive_ok,
             total_samples: self.total_samples,
         }
@@ -555,13 +615,9 @@ impl AdaptiveSampler {
     pub fn from_snapshot(snapshot: &SamplerSnapshot) -> Self {
         let config = snapshot.config.sanitized();
         let mut sampler = AdaptiveSampler::new(config, finite_or_zero(snapshot.threshold));
-        sampler.err = if snapshot.err.is_finite() {
-            snapshot.err.clamp(0.0, 1.0)
-        } else {
-            config.error_allowance()
-        };
+        sampler.set_error_allowance(snapshot.err);
         sampler.tracker = DeltaTracker::from_snapshot(&snapshot.tracker);
-        sampler.interval = Interval::new_clamped(snapshot.interval).min(config.max_interval());
+        sampler.interval = snapshot.interval.clamp(1, config.max_interval().get());
         // The counter rises past the patience while the interval sits at
         // its maximum; cap it only far away, where a hostile value could
         // overflow subsequent increments.
@@ -574,7 +630,7 @@ impl AdaptiveSampler {
     /// statistics). The error allowance is preserved.
     pub fn reset(&mut self) {
         self.tracker.reset();
-        self.interval = Interval::DEFAULT;
+        self.interval = Interval::DEFAULT.get();
         self.consecutive_ok = 0;
         self.period_beta_current_sum = 0.0;
         self.period_beta_grown_sum = 0.0;
@@ -765,6 +821,21 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_allowance_cannot_wedge_a_grown_interval_open() {
+        let mut sampler = AdaptiveSampler::new(quiet_config(), 100.0);
+        let due = run_flat(&mut sampler, 100).last().unwrap().next_sample_tick;
+        assert!(sampler.interval() > Interval::DEFAULT);
+        // Against a NaN allowance every comparison of the rule is false,
+        // so the setter must not let one through.
+        sampler.set_error_allowance(f64::NAN);
+        assert_eq!(sampler.error_allowance(), 0.05);
+        let obs = sampler.observe(due, 99.9);
+        assert!(obs.beta > 0.05, "beta {}", obs.beta);
+        assert!(obs.collapsed);
+        assert_eq!(sampler.interval(), Interval::DEFAULT);
+    }
+
+    #[test]
     fn forced_samples_feed_statistics_without_adaptation() {
         let mut sampler = AdaptiveSampler::new(quiet_config(), 100.0);
         sampler.observe(0, 10.0);
@@ -857,5 +928,45 @@ mod tests {
             tl = o.next_sample_tick;
         }
         assert!(loose.interval() >= tight.interval());
+    }
+
+    /// The drift guard for the §III-B kernel: each recurrence, the `δ̂`
+    /// and the collapse/grow comparisons are spelled in exactly one file
+    /// of this crate, so a new layout cannot quietly grow its own copy.
+    #[test]
+    fn the_kernel_is_spelled_once() {
+        use std::path::Path;
+        // (needle, [(file whose non-test code may contain it, times)])
+        let homes: [(&str, &[(&str, usize)]); 6] = [
+            ("* (delta - prev_mean)", &[("stats.rs", 1)]), // Welford numerator
+            ("diff * incr", &[("stats.rs", 1)]),           // EWMA variance update
+            ("(tick - last_tick)", &[("stats.rs", 1)]),    // δ̂ = Δv / Δt
+            ("> err", &[("adaptation.rs", 1)]),            // collapse
+            ("grow_threshold(", &[("adaptation.rs", 2)]),  // definition + grow
+            // Defined once; called for β(I) and for §IV-B's β(I+1).
+            (
+                "misdetection_bound_with(",
+                &[("likelihood.rs", 1), ("adaptation.rs", 2)],
+            ),
+        ];
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        for entry in std::fs::read_dir(src).expect("readable src dir") {
+            let path = entry.expect("dir entry").path();
+            let file = path.file_name().unwrap().to_str().unwrap().to_string();
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let code: String = text[..text.find("#[cfg(test)]").unwrap_or(text.len())]
+                .lines()
+                .filter(|line| !line.trim_start().starts_with("//"))
+                .collect();
+            for (needle, allowed) in homes {
+                let expected = allowed.iter().find(|(home, _)| *home == file);
+                let expected = expected.map_or(0, |(_, times)| *times);
+                assert_eq!(
+                    code.matches(needle).count(),
+                    expected,
+                    "`{needle}` in {file}"
+                );
+            }
+        }
     }
 }

@@ -5,54 +5,24 @@
 //! updating-period aggregates (average `β(I+1)`, the measured
 //! cost-vs-allowance curve) that a task-level coordinator reads between
 //! reallocation rounds. Fleet simulations that never reallocate pay for
-//! those aggregates on every sample anyway — two extra bound evaluations,
+//! those aggregates on every sample anyway — an extra bound evaluation,
 //! an allowance-ladder sweep, and a per-monitor heap vector — although
 //! they feed nothing.
 //!
-//! [`SamplerBank`] is the same §III-B decision algorithm over a
-//! struct-of-arrays layout: one bank holds every monitor of a shard, with
-//! each piece of controller state (threshold, δ statistics, interval,
-//! growth streak) in its own contiguous array. Scanning a shard's
-//! monitors walks flat arrays instead of hopping between heap-allocated
-//! sampler structs, and nothing is computed that does not feed the next
-//! decision.
-//!
-//! **Bit-exact contract:** for any observation stream,
-//! [`SamplerBank::observe`] returns exactly the decision fields of
-//! [`AdaptiveSampler::observe`](crate::AdaptiveSampler::observe) —
-//! `violation`, `beta`, `next_interval`, `next_sample_tick`, `collapsed`,
-//! `grew` — bit for bit. It runs the identical float operations in the
-//! identical order (the δ̂ update, the Welford/EWMA recurrence, the same
-//! [`misdetection_bound_with`] call); it only *skips* the §IV-B
-//! aggregates, which never influence decisions. The `parity` tests pin
-//! this equivalence over adversarial streams for both statistics kinds.
+//! [`SamplerBank`] is the same `step` (see [`crate::adaptation`]) over
+//! different storage: one bank holds every monitor of a shard, with each
+//! piece of controller state (threshold, δ statistics, interval, growth
+//! streak) in its own contiguous array, and lends `step` one slot of each.
+//! Scanning a shard's monitors walks flat arrays instead of hopping
+//! between heap-allocated sampler structs, and the §IV-B aggregates —
+//! which never influence a decision — are skipped. Sharing the code makes
+//! every decision field of [`SamplerBank::observe`] equal to
+//! [`AdaptiveSampler::observe`](crate::AdaptiveSampler::observe)'s by
+//! construction; the `tests` module pins the decisions themselves.
 
-use crate::adaptation::AdaptationConfig;
-use crate::likelihood::misdetection_bound_with;
-use crate::stats::StatsKind;
+use crate::adaptation::{step, AdaptationConfig, Lane, Observation};
+use crate::stats::{DeltaLane, NO_SAMPLE};
 use crate::time::{Interval, Tick};
-
-/// Sentinel for "no previous sample" in [`SamplerBank::last_tick`].
-const NO_SAMPLE: Tick = Tick::MAX;
-
-/// Decision outcome of one bank observation — the decision fields of
-/// [`Observation`](crate::Observation), bit-identical to what the
-/// equivalent [`AdaptiveSampler`](crate::AdaptiveSampler) would return.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BankObservation {
-    /// Whether the sampled value exceeded the threshold.
-    pub violation: bool,
-    /// The mis-detection bound `β(I)` for the interval in effect.
-    pub beta: f64,
-    /// The interval scheduling the next sample.
-    pub next_interval: Interval,
-    /// The tick at which the next regular sample is due.
-    pub next_sample_tick: Tick,
-    /// Whether this observation collapsed the interval to the default.
-    pub collapsed: bool,
-    /// Whether this observation grew the interval.
-    pub grew: bool,
-}
 
 /// A fleet of §III-B adaptive-sampling controllers in struct-of-arrays
 /// layout (see module docs).
@@ -73,8 +43,7 @@ pub struct BankObservation {
 /// for _ in 0..50 {
 ///     let a = bank.observe(vm, tick, 10.0);
 ///     let b = sampler.observe(tick, 10.0);
-///     assert_eq!(a.next_sample_tick, b.next_sample_tick);
-///     assert_eq!(a.beta.to_bits(), b.beta.to_bits());
+///     assert_eq!(a, b);
 ///     tick = a.next_sample_tick;
 /// }
 /// # Ok(())
@@ -90,12 +59,11 @@ pub struct SamplerBank {
     last_tick: Vec<Tick>,
     /// Value of the previous sample.
     last_value: Vec<f64>,
-    /// Active-estimator observation count (u64 so the EWMA counter
-    /// cannot wrap; the windowed estimator stays far below u32::MAX).
+    /// δ-estimator observation count.
     n: Vec<u64>,
-    /// Active-estimator mean of δ.
+    /// δ-estimator mean.
     mean: Vec<f64>,
-    /// Active-estimator population variance of δ.
+    /// δ-estimator population variance.
     variance: Vec<f64>,
     /// Current sampling interval in ticks (≥ 1).
     interval: Vec<u32>,
@@ -168,152 +136,45 @@ impl SamplerBank {
     }
 
     /// Processes one sampling operation of monitor `idx` at `tick` —
-    /// the §III-B algorithm of
+    /// the §III-B `step` of
     /// [`AdaptiveSampler::observe`](crate::AdaptiveSampler::observe),
-    /// minus the §IV-B period aggregates (which feed no decision).
+    /// without the §IV-B period aggregates (which feed no decision).
     ///
     /// # Panics
     ///
     /// Panics when `idx` is out of bounds.
-    pub fn observe(&mut self, idx: usize, tick: Tick, value: f64) -> BankObservation {
-        // δ̂ statistics update (DeltaTracker::record): prefer the actual
-        // elapsed tick gap, fall back to the declared interval.
-        let last_tick = self.last_tick[idx];
-        if last_tick != NO_SAMPLE && tick > last_tick {
-            let elapsed = (tick - last_tick) as f64;
-            let declared = f64::from(self.interval[idx]);
-            let gap = if elapsed > 0.0 { elapsed } else { declared };
-            let delta_hat = (value - self.last_value[idx]) / gap;
-            self.update_stats(idx, delta_hat);
-        }
-        self.last_tick[idx] = tick;
-        self.last_value[idx] = value;
-
-        let threshold = self.thresholds[idx];
-        let violation = value > threshold;
-
-        let (mu, sigma, observations) =
-            (self.mean[idx], self.variance[idx].sqrt(), self.count(idx));
-        let warmed = observations >= self.config.warmup_samples().max(2);
-        let beta_current = if warmed {
-            misdetection_bound_with(
-                self.config.bound(),
-                value,
-                threshold,
-                mu,
-                sigma,
-                self.interval[idx],
-            )
-        } else {
-            // Until statistics warm up, claim nothing: a vacuous bound
-            // keeps the monitor at the default interval.
-            1.0
+    pub fn observe(&mut self, idx: usize, tick: Tick, value: f64) -> Observation {
+        let mut lane = Lane {
+            delta: DeltaLane {
+                last_tick: &mut self.last_tick[idx],
+                last_value: &mut self.last_value[idx],
+                n: &mut self.n[idx],
+                mean: &mut self.mean[idx],
+                variance: &mut self.variance[idx],
+            },
+            interval: &mut self.interval[idx],
+            consecutive_ok: &mut self.consecutive_ok[idx],
         };
-
-        let mut collapsed = false;
-        let mut grew = false;
-        let interval = &mut self.interval[idx];
-        let ok = &mut self.consecutive_ok[idx];
-        if self.err <= 0.0 {
-            *interval = Interval::DEFAULT.get();
-            *ok = 0;
-        } else if beta_current > self.err {
-            if warmed || *interval > Interval::DEFAULT.get() {
-                collapsed = *interval > Interval::DEFAULT.get();
-                *interval = Interval::DEFAULT.get();
-            }
-            *ok = 0;
-        } else if beta_current <= self.config.grow_threshold(self.err) {
-            *ok += 1;
-            if *ok >= self.config.patience() && *interval < self.config.max_interval().get() {
-                *interval = interval
-                    .saturating_add(1)
-                    .min(self.config.max_interval().get());
-                *ok = 0;
-                grew = true;
-            }
-        } else {
-            *ok = 0;
-        }
-
-        let next_interval = Interval::new_clamped(*interval);
-        BankObservation {
-            violation,
-            beta: beta_current,
-            next_interval,
-            next_sample_tick: tick + u64::from(next_interval),
-            collapsed,
-            grew,
-        }
-    }
-
-    /// Active-estimator observation count, as
-    /// [`DeltaTracker::count`](crate::DeltaTracker::count) reports it.
-    fn count(&self, idx: usize) -> u32 {
-        self.n[idx].min(u64::from(u32::MAX)) as u32
-    }
-
-    /// One δ̂ observation into the active estimator — the exact float
-    /// recurrence of [`OnlineStats::update`](crate::OnlineStats::update)
-    /// or [`EwmaStats::update`](crate::EwmaStats::update).
-    fn update_stats(&mut self, idx: usize, delta: f64) {
-        if !delta.is_finite() {
-            return;
-        }
-        match self.config.stats() {
-            StatsKind::WindowedRestart => {
-                let restart_after = u64::from(self.config.restart_after().max(2));
-                if self.n[idx] >= restart_after {
-                    self.n[idx] = 0;
-                    self.mean[idx] = 0.0;
-                    self.variance[idx] = 0.0;
-                }
-                self.n[idx] += 1;
-                let n = self.n[idx] as f64;
-                let prev_mean = self.mean[idx];
-                self.mean[idx] = prev_mean + (delta - prev_mean) / n;
-                self.variance[idx] = ((n - 1.0) * self.variance[idx]
-                    + (delta - self.mean[idx]) * (delta - prev_mean))
-                    / n;
-                if self.variance[idx] < 0.0 {
-                    self.variance[idx] = 0.0;
-                }
-            }
-            StatsKind::Ewma { lambda } => {
-                // EwmaStats::new clamps λ the same way.
-                let lambda = if lambda.is_finite() {
-                    lambda.clamp(1e-6, 1.0)
-                } else {
-                    0.05
-                };
-                self.n[idx] += 1;
-                if self.n[idx] == 1 {
-                    self.mean[idx] = delta;
-                    self.variance[idx] = 0.0;
-                    return;
-                }
-                let diff = delta - self.mean[idx];
-                let incr = lambda * diff;
-                self.mean[idx] += incr;
-                self.variance[idx] = (1.0 - lambda) * (self.variance[idx] + diff * incr);
-                if self.variance[idx] < 0.0 {
-                    self.variance[idx] = 0.0;
-                }
-            }
-        }
+        let threshold = self.thresholds[idx];
+        step(&self.config, self.err, threshold, &mut lane, tick, value).observation
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AdaptiveSampler;
+    use crate::{AdaptiveSampler, StatsKind};
 
-    fn assert_parity(config: AdaptationConfig, threshold: f64, values: &[f64]) {
+    /// Runs one stream through both layouts. Every step must agree on
+    /// every decision field (the benchmark's layer-pass oracle relies on
+    /// the same property); the decisions are folded FNV-1a style into
+    /// one digest so the two layouts cannot drift *together* unnoticed.
+    fn decision_digest(config: AdaptationConfig, threshold: f64, values: &[f64]) -> u64 {
         let mut sampler = AdaptiveSampler::new(config, threshold);
         let mut bank = SamplerBank::new(config);
         let idx = bank.push(threshold);
         let mut tick = 0u64;
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
         for (i, &value) in values.iter().enumerate() {
             let a = sampler.observe(tick, value);
             let b = bank.observe(idx, tick, value);
@@ -324,8 +185,18 @@ mod tests {
             assert_eq!(a.collapsed, b.collapsed, "step {i}");
             assert_eq!(a.grew, b.grew, "step {i}");
             assert_eq!(sampler.interval(), bank.interval(idx), "step {i}");
+            for word in [
+                u64::from(a.violation),
+                a.beta.to_bits(),
+                u64::from(a.next_interval),
+                u64::from(a.collapsed),
+                u64::from(a.grew),
+            ] {
+                digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+            }
             tick = a.next_sample_tick;
         }
+        digest
     }
 
     /// Deterministic adversarial stream: calm stretches, near-threshold
@@ -347,64 +218,123 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn parity_windowed_restart() {
-        let config = AdaptationConfig::builder()
+    fn quick(patience: u32, warmup: u32) -> crate::adaptation::AdaptationConfigBuilder {
+        AdaptationConfig::builder()
             .error_allowance(0.05)
             .max_interval(8)
-            .patience(3)
-            .warmup_samples(3)
-            .build()
-            .unwrap();
-        for seed in 1..=8 {
-            assert_parity(config, 100.0, &stream(seed, 600, 100.0));
-        }
+            .patience(patience)
+            .warmup_samples(warmup)
     }
 
+    /// Decision-level goldens of the §III-B kernel: the digests were
+    /// produced by the two hand-copied kernels that preceded the shared
+    /// `step`, so they pin its decisions bit for bit under both layouts.
     #[test]
-    fn parity_ewma() {
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .max_interval(8)
-            .patience(3)
-            .warmup_samples(3)
+    fn decisions_match_across_layouts_and_pinned_goldens() {
+        const WINDOWED: [u64; 8] = [
+            0xD821_4A59_8B2A_458B,
+            0x4699_6D87_61F0_966B,
+            0xF026_78B4_3162_A250,
+            0xC588_B127_71F2_E268,
+            0x5BFB_048A_FA3E_5EAD,
+            0x9372_A84E_CDEE_3537,
+            0xA8A0_1EFD_BA02_A060,
+            0xA7ED_4FA9_0167_E6A4,
+        ];
+        const EWMA: [u64; 8] = [
+            0xE2DF_6BDF_6A08_D2CE,
+            0x601D_EA97_E36F_D43B,
+            0x5369_4C36_59F9_C87F,
+            0xF51F_0CBD_A67F_D9A1,
+            0x8E82_B8EC_E251_40F0,
+            0x1C1B_AD5F_9AB7_A4FB,
+            0x7F5C_7BFD_88C8_1995,
+            0x6A05_B0CB_5CA7_3EEE,
+        ];
+        let windowed = quick(3, 3).build().unwrap();
+        let ewma = quick(3, 3)
             .stats(StatsKind::Ewma { lambda: 0.1 })
             .build()
             .unwrap();
-        for seed in 1..=8 {
-            assert_parity(config, 100.0, &stream(seed, 600, 100.0));
-        }
-    }
-
-    #[test]
-    fn parity_across_restart_boundary() {
-        // A tiny restart window forces the windowed estimator through
-        // many restarts; the bank must restart at the same steps.
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .max_interval(8)
-            .patience(2)
-            .warmup_samples(2)
-            .restart_after(7)
-            .build()
-            .unwrap();
-        assert_parity(config, 100.0, &stream(42, 400, 100.0));
-    }
-
-    #[test]
-    fn parity_zero_allowance_periodic() {
-        let config = AdaptationConfig::builder()
+        let zero_allowance = AdaptationConfig::builder()
             .error_allowance(0.0)
             .max_interval(8)
             .patience(1)
             .build()
             .unwrap();
-        assert_parity(config, 50.0, &stream(3, 100, 50.0));
+        // A tiny restart window forces the windowed estimator through
+        // many restarts; both layouts must restart at the same steps.
+        let restarting = quick(2, 2).restart_after(7).build().unwrap();
+        let defaults = AdaptationConfig::default();
+        let non_finite = vec![10.0, f64::NAN, 12.0, f64::INFINITY, 11.0, 10.5, 10.2];
+        let mut cases = vec![
+            (
+                "restart_after 7",
+                restarting,
+                100.0,
+                stream(42, 400, 100.0),
+                0x8D75_CFC9_F895_9E11,
+            ),
+            (
+                "zero allowance",
+                zero_allowance,
+                50.0,
+                stream(3, 100, 50.0),
+                0x49F3_6D94_2A00_694D,
+            ),
+            (
+                "paper defaults",
+                defaults,
+                99.0,
+                stream(7, 2000, 99.0),
+                0x69B8_0781_719A_84EE,
+            ),
+            (
+                "non-finite values",
+                defaults,
+                100.0,
+                non_finite,
+                0x97B1_AF8A_77E3_180F,
+            ),
+        ];
+        for (name, config, goldens) in [("windowed", windowed, WINDOWED), ("ewma", ewma, EWMA)] {
+            for (seed, golden) in (1..).zip(goldens) {
+                cases.push((name, config, 100.0, stream(seed, 600, 100.0), golden));
+            }
+        }
+        for (i, (name, config, threshold, values, golden)) in cases.into_iter().enumerate() {
+            let digest = decision_digest(config, threshold, &values);
+            assert_eq!(digest, golden, "case {i} ({name}): digest {digest:#018X}");
+        }
     }
 
     #[test]
-    fn parity_paper_defaults_long_run() {
-        assert_parity(AdaptationConfig::default(), 99.0, &stream(7, 2000, 99.0));
+    fn forced_samples_leave_the_same_delta_statistics_as_a_bank_lane() {
+        // `observe_forced` skips the rule but not the estimator: a scalar
+        // sampler fed alternately through both entry points must hold
+        // the δ statistics of a bank lane that observed every sample.
+        let config = quick(3, 3).build().unwrap();
+        let mut sampler = AdaptiveSampler::new(config, 100.0);
+        let mut bank = SamplerBank::new(config);
+        let idx = bank.push(100.0);
+        for (i, &value) in stream(5, 300, 100.0).iter().enumerate() {
+            let tick = 3 * i as u64;
+            if i % 2 == 0 {
+                sampler.observe(tick, value);
+            } else {
+                sampler.observe_forced(tick, value);
+            }
+            bank.observe(idx, tick, value);
+            let stats = sampler.stats();
+            assert_eq!(u64::from(stats.count()), bank.n[idx], "step {i}");
+            assert_eq!(stats.mean().to_bits(), bank.mean[idx].to_bits(), "step {i}");
+            assert_eq!(
+                stats.variance().to_bits(),
+                bank.variance[idx].to_bits(),
+                "step {i}"
+            );
+        }
+        assert!(bank.n[idx] > 250);
     }
 
     #[test]
@@ -433,22 +363,5 @@ mod tests {
         }
         assert!(bank.interval(calm) > Interval::DEFAULT);
         assert_eq!(bank.interval(noisy), Interval::DEFAULT);
-    }
-
-    #[test]
-    fn non_finite_values_do_not_poison_statistics() {
-        let config = AdaptationConfig::default();
-        let mut sampler = AdaptiveSampler::new(config, 100.0);
-        let mut bank = SamplerBank::new(config);
-        let idx = bank.push(100.0);
-        let values = [10.0, f64::NAN, 12.0, f64::INFINITY, 11.0, 10.5, 10.2];
-        let mut tick = 0u64;
-        for &value in &values {
-            let a = sampler.observe(tick, value);
-            let b = bank.observe(idx, tick, value);
-            assert_eq!(a.next_sample_tick, b.next_sample_tick);
-            assert_eq!(a.beta.to_bits(), b.beta.to_bits());
-            tick = a.next_sample_tick;
-        }
     }
 }

@@ -87,7 +87,7 @@ pub mod window;
 pub use accuracy::{AccuracyReport, DetectionLog, GroundTruth};
 pub use adaptation::{AdaptationConfig, AdaptiveSampler, Observation};
 pub use allocation::{AllocationConfig, AllowanceCostMode, ErrorAllocator, YieldMode};
-pub use bank::{BankObservation, SamplerBank};
+pub use bank::SamplerBank;
 pub use condition::{Condition, ConditionSampler};
 pub use coordinator::{Coordinator, DistributedTask, GlobalPollOutcome, TaskStepOutcome};
 pub use correlation::{
@@ -97,8 +97,8 @@ pub use error::VolleyError;
 pub use likelihood::{exceed_probability_bound, misdetection_bound, BoundKind};
 pub use sampler::{PeriodicSampler, ReactiveSampler, SamplingPolicy};
 pub use service::{Alert, MonitoringService, TaskKind};
-pub use snapshot::{DeltaSnapshot, EwmaSnapshot, SamplerSnapshot, StatsSnapshot};
-pub use stats::{DeltaTracker, EwmaStats, OnlineStats, StatsKind};
+pub use snapshot::{DeltaSnapshot, SamplerSnapshot, StatsSnapshot};
+pub use stats::{DeltaTracker, OnlineStats, StatsKind};
 pub use task::{MonitorId, MonitorSpec, TaskId, TaskSpec};
 pub use threshold::{selectivity_threshold, ThresholdSplit};
 pub use time::{Interval, Tick};

@@ -30,40 +30,24 @@ use crate::time::Tick;
 /// Snapshot of an [`OnlineStats`](crate::OnlineStats) accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
-    /// Observations in the current window.
-    pub n: u32,
+    /// Observations in the current window (under
+    /// [`StatsKind::Ewma`](crate::StatsKind::Ewma): consumed so far).
+    pub n: u64,
     /// Running mean of δ.
     pub mean: f64,
     /// Running population variance of δ.
     pub variance: f64,
     /// Restart window length.
     pub restart_after: u32,
-    /// Windowed restarts performed so far.
-    pub restarts: u32,
-}
-
-/// Snapshot of an [`EwmaStats`](crate::EwmaStats) accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EwmaSnapshot {
-    /// Forgetting factor `λ`.
-    pub lambda: f64,
-    /// Exponentially-weighted mean.
-    pub mean: f64,
-    /// Exponentially-weighted variance.
-    pub variance: f64,
-    /// Observations consumed so far.
-    pub n: u64,
 }
 
 /// Snapshot of a [`DeltaTracker`](crate::DeltaTracker): the δ statistics
 /// plus the cached last sample the next δ̂ will be computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeltaSnapshot {
-    /// The windowed-restart accumulator.
+    /// The δ estimator's moments; which recurrence they belong to is the
+    /// owning configuration's [`StatsKind`](crate::StatsKind).
     pub stats: StatsSnapshot,
-    /// The optional exponentially-forgetting accumulator (active
-    /// estimator when present).
-    pub ewma: Option<EwmaSnapshot>,
     /// Most recent `(tick, value)` sample, if any.
     pub last: Option<(Tick, f64)>,
 }
@@ -102,7 +86,7 @@ pub(crate) fn finite_or_zero(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{DeltaTracker, EwmaStats, OnlineStats};
+    use crate::stats::{DeltaTracker, OnlineStats, StatsKind};
     use crate::time::Interval;
     use crate::AdaptiveSampler;
 
@@ -123,7 +107,6 @@ mod tests {
             mean: f64::NAN,
             variance: -5.0,
             restart_after: 0,
-            restarts: 3,
         };
         let back = OnlineStats::from_snapshot(&hostile);
         assert_eq!(back.mean(), 0.0);
@@ -138,29 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn ewma_round_trip_and_sanitize() {
-        let mut e = EwmaStats::new(0.1);
-        for x in [4.0, 6.0, 5.0] {
-            e.update(x);
-        }
-        assert_eq!(EwmaStats::from_snapshot(&e.to_snapshot()), e);
-        let hostile = EwmaSnapshot {
-            lambda: f64::INFINITY,
-            mean: f64::NEG_INFINITY,
-            variance: f64::NAN,
-            n: 7,
-        };
-        let back = EwmaStats::from_snapshot(&hostile);
-        assert!(back.lambda() > 0.0 && back.lambda() <= 1.0);
-        assert_eq!(back.mean(), 0.0);
-        assert_eq!(back.variance(), 0.0);
-    }
-
-    #[test]
     fn tracker_round_trip_preserves_last_sample() {
-        let mut t = DeltaTracker::with_ewma(0.2);
-        t.record(0, 10.0, Interval::DEFAULT);
-        t.record(3, 16.0, Interval::new_clamped(3));
+        let mut t = DeltaTracker::new();
+        t.record(0, 10.0);
+        t.record(3, 16.0);
         let back = DeltaTracker::from_snapshot(&t.to_snapshot());
         assert_eq!(back, t);
         assert_eq!(back.last_sample(), Some((3, 16.0)));
@@ -169,7 +133,7 @@ mod tests {
     #[test]
     fn tracker_restore_drops_non_finite_last_sample() {
         let mut t = DeltaTracker::new();
-        t.record(0, 1.0, Interval::DEFAULT);
+        t.record(0, 1.0);
         let mut snap = t.to_snapshot();
         snap.last = Some((5, f64::NAN));
         let back = DeltaTracker::from_snapshot(&snap);
@@ -198,6 +162,31 @@ mod tests {
         sampler.drain_period_report();
         let back = AdaptiveSampler::from_snapshot(&sampler.to_snapshot());
         assert_eq!(back, sampler);
+    }
+
+    #[test]
+    fn ewma_sampler_round_trips_and_survives_hostile_lambda() {
+        let cfg = |lambda| {
+            AdaptationConfig::builder()
+                .stats(StatsKind::Ewma { lambda })
+                .build()
+                .unwrap()
+        };
+        let mut sampler = AdaptiveSampler::new(cfg(0.1), 100.0);
+        for (t, v) in [4.0, 6.0, 5.0, 7.0].into_iter().enumerate() {
+            sampler.observe(t as u64, v);
+        }
+        sampler.drain_period_report();
+        let mut snap = sampler.to_snapshot();
+        assert_eq!(AdaptiveSampler::from_snapshot(&snap), sampler);
+        // A corrupted forgetting factor is clamped at every update.
+        snap.config = cfg(f64::INFINITY);
+        snap.tracker.stats.mean = f64::NEG_INFINITY;
+        snap.tracker.stats.variance = f64::NAN;
+        let mut back = AdaptiveSampler::from_snapshot(&snap);
+        assert_eq!((back.stats().mean(), back.stats().variance()), (0.0, 0.0));
+        back.observe(10, 8.0);
+        assert!(back.stats().mean().is_finite() && back.stats().variance().is_finite());
     }
 
     #[test]

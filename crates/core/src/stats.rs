@@ -15,16 +15,20 @@
 //!
 //! 1. **Coarse-interval updates.** When sampling with interval `I > 1`, the
 //!    per-default-interval change is estimated as
-//!    `δ̂ = (v(t) − v(t−I)) / I` and `δ̂` feeds the statistics
-//!    ([`DeltaTracker::record`]).
+//!    `δ̂ = (v(t) − v(t−I)) / I` and `δ̂` feeds the statistics.
 //! 2. **Windowed restart.** To track drifting distributions, the statistics
 //!    are restarted (`n = 0`) once `n` exceeds a restart limit (1000 in the
 //!    paper).
+//!
+//! Both live here exactly once, over *borrowed* state: `update` is the
+//! crate's only Welford and only EWMA recurrence, `record` its only `δ̂`.
+//! [`OnlineStats`] and [`DeltaTracker`] are owned storage around them;
+//! [`SamplerBank`](crate::SamplerBank) lends them slots of its arrays.
 
 use serde::{Deserialize, Serialize};
 
-use crate::snapshot::{finite_or_zero, DeltaSnapshot, EwmaSnapshot, StatsSnapshot};
-use crate::time::{Interval, Tick};
+use crate::snapshot::{finite_or_zero, DeltaSnapshot, StatsSnapshot};
+use crate::time::Tick;
 
 /// Which δ-statistics estimator the adaptation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -33,10 +37,21 @@ pub enum StatsKind {
     /// 1000 observations) — the paper's scheme (§III-B).
     #[default]
     WindowedRestart,
-    /// Exponentially-forgetting estimation (see [`EwmaStats`]): reacts
-    /// to drift continuously instead of in window-sized steps.
+    /// Exponentially-forgetting estimation: where the windowed scheme
+    /// weights every observation of the current window equally and then
+    /// discards the whole window, this discounts the past continuously
+    /// (the standard exponentially-weighted moving variance):
+    ///
+    /// ```text
+    /// μ ← (1−λ)·μ + λ·δ
+    /// σ² ← (1−λ)·(σ² + λ·(δ−μ_old)²)
+    /// ```
+    ///
+    /// Smaller `λ` remembers longer. The `ablation_stats` bench compares
+    /// both estimators inside the running controller.
     Ewma {
-        /// Forgetting factor `λ ∈ (0, 1]`.
+        /// Forgetting factor `λ ∈ (0, 1]` (clamped into range; a
+        /// non-finite `λ` falls back to 0.05).
         lambda: f64,
     },
 }
@@ -44,6 +59,111 @@ pub enum StatsKind {
 /// Number of δ observations after which the paper restarts statistics
 /// accumulation (§III-B: "setting n = 0 when n > 1000").
 pub const DEFAULT_RESTART_AFTER: u32 = 1000;
+
+/// Sentinel tick for "no previous sample" in a [`DeltaLane`].
+pub(crate) const NO_SAMPLE: Tick = Tick::MAX;
+
+/// Incorporates one δ observation into the `(n, mean, variance)` of the
+/// estimator `kind` selects. `restart_after` (floored at 2) only concerns
+/// the windowed estimator.
+///
+/// Non-finite observations are ignored (they would poison the statistics
+/// and thereby disable adaptation permanently).
+#[inline]
+pub(crate) fn update(
+    kind: StatsKind,
+    restart_after: u32,
+    n: &mut u64,
+    mean: &mut f64,
+    variance: &mut f64,
+    delta: f64,
+) {
+    if !delta.is_finite() {
+        return;
+    }
+    match kind {
+        StatsKind::WindowedRestart => {
+            if *n >= u64::from(restart_after.max(2)) {
+                // Paper: "periodically restarts the statistics updating by
+                // setting n = 0 when n > 1000". The running values are
+                // discarded so the next window reflects only fresh data.
+                *n = 0;
+                *mean = 0.0;
+                *variance = 0.0;
+            }
+            *n += 1;
+            let count = *n as f64;
+            let prev_mean = *mean;
+            *mean = prev_mean + (delta - prev_mean) / count;
+            *variance = ((count - 1.0) * *variance + (delta - *mean) * (delta - prev_mean)) / count;
+        }
+        StatsKind::Ewma { lambda } => {
+            let lambda = if lambda.is_finite() {
+                lambda.clamp(1e-6, 1.0)
+            } else {
+                0.05
+            };
+            *n += 1;
+            if *n == 1 {
+                *mean = delta;
+                *variance = 0.0;
+                return;
+            }
+            let diff = delta - *mean;
+            let incr = lambda * diff;
+            *mean += incr;
+            *variance = (1.0 - lambda) * (*variance + diff * incr);
+        }
+    }
+    // Guard against tiny negative values caused by floating-point
+    // cancellation; variance is non-negative by definition.
+    if *variance < 0.0 {
+        *variance = 0.0;
+    }
+}
+
+/// Borrowed δ state of one monitor: the previous sample and the
+/// estimator's `(n, mean, variance)`, wherever the owner stores them.
+#[derive(Debug)]
+pub(crate) struct DeltaLane<'a> {
+    /// Tick of the previous sample ([`NO_SAMPLE`] before the first).
+    pub(crate) last_tick: &'a mut Tick,
+    pub(crate) last_value: &'a mut f64,
+    /// Observation count (`u64` so the EWMA counter cannot wrap; the
+    /// windowed estimator stays at or below its restart window).
+    pub(crate) n: &'a mut u64,
+    pub(crate) mean: &'a mut f64,
+    pub(crate) variance: &'a mut f64,
+}
+
+/// Records a sampled `value` observed at `tick`: the per-default-interval
+/// delta estimate `δ̂ = Δv / Δtick` against the previous sample feeds the
+/// estimator. If `tick` does not advance past the previous sample (e.g. a
+/// forced global-poll sample at the same tick), the observation only
+/// replaces the cached value.
+#[inline]
+pub(crate) fn record(
+    kind: StatsKind,
+    restart_after: u32,
+    lane: &mut DeltaLane<'_>,
+    tick: Tick,
+    value: f64,
+) {
+    let last_tick = *lane.last_tick;
+    if last_tick != NO_SAMPLE && tick > last_tick {
+        let delta_hat = (value - *lane.last_value) / (tick - last_tick) as f64;
+        update(
+            kind,
+            restart_after,
+            lane.n,
+            lane.mean,
+            lane.variance,
+            delta_hat,
+        );
+    }
+    *lane.last_tick = tick;
+    *lane.last_value = value;
+}
 
 /// Online mean/variance accumulator using the paper's update equations.
 ///
@@ -66,12 +186,10 @@ pub const DEFAULT_RESTART_AFTER: u32 = 1000;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
-    n: u32,
+    n: u64,
     mean: f64,
     variance: f64,
     restart_after: u32,
-    /// Number of restarts performed so far (diagnostic).
-    restarts: u32,
 }
 
 impl OnlineStats {
@@ -89,37 +207,20 @@ impl OnlineStats {
             mean: 0.0,
             variance: 0.0,
             restart_after: restart_after.max(2),
-            restarts: 0,
         }
     }
 
-    /// Incorporates one δ observation.
-    ///
-    /// Non-finite observations are ignored (they would poison the
-    /// statistics and thereby disable adaptation permanently).
+    /// Incorporates one δ observation with the paper's windowed-restart
+    /// recurrence; non-finite observations are ignored.
     pub fn update(&mut self, delta: f64) {
-        if !delta.is_finite() {
-            return;
-        }
-        if self.n >= self.restart_after {
-            // Paper: "periodically restarts the statistics updating by
-            // setting n = 0 when n > 1000". The running values are
-            // discarded so the next window reflects only fresh data.
-            self.n = 0;
-            self.mean = 0.0;
-            self.variance = 0.0;
-            self.restarts += 1;
-        }
-        self.n += 1;
-        let n = f64::from(self.n);
-        let prev_mean = self.mean;
-        self.mean = prev_mean + (delta - prev_mean) / n;
-        self.variance = ((n - 1.0) * self.variance + (delta - self.mean) * (delta - prev_mean)) / n;
-        // Guard against tiny negative values caused by floating-point
-        // cancellation; variance is non-negative by definition.
-        if self.variance < 0.0 {
-            self.variance = 0.0;
-        }
+        update(
+            StatsKind::WindowedRestart,
+            self.restart_after,
+            &mut self.n,
+            &mut self.mean,
+            &mut self.variance,
+            delta,
+        );
     }
 
     /// Current mean of δ (0 when no observation has been made).
@@ -138,14 +239,10 @@ impl OnlineStats {
         self.variance.sqrt()
     }
 
-    /// Number of observations in the current window.
+    /// Number of observations in the current window (saturating to
+    /// `u32`, which only an exponentially-forgetting count can exceed).
     pub fn count(&self) -> u32 {
-        self.n
-    }
-
-    /// Number of windowed restarts performed so far.
-    pub fn restarts(&self) -> u32 {
-        self.restarts
+        u32::try_from(self.n).unwrap_or(u32::MAX)
     }
 
     /// Whether enough observations have accumulated for the statistics to
@@ -155,12 +252,11 @@ impl OnlineStats {
         self.n >= 2
     }
 
-    /// Discards all state, beginning a fresh window (counts as a restart).
+    /// Discards all state, beginning a fresh window.
     pub fn reset(&mut self) {
         self.n = 0;
         self.mean = 0.0;
         self.variance = 0.0;
-        self.restarts += 1;
     }
 
     /// Captures the accumulator state for checkpointing.
@@ -170,7 +266,6 @@ impl OnlineStats {
             mean: self.mean,
             variance: self.variance,
             restart_after: self.restart_after,
-            restarts: self.restarts,
         }
     }
 
@@ -185,7 +280,6 @@ impl OnlineStats {
             mean: finite_or_zero(snapshot.mean),
             variance: finite_or_zero(snapshot.variance).max(0.0),
             restart_after: snapshot.restart_after.max(2),
-            restarts: snapshot.restarts,
         }
     }
 }
@@ -196,142 +290,29 @@ impl Default for OnlineStats {
     }
 }
 
-/// Exponentially-forgetting mean/variance — an alternative to the
-/// paper's windowed restart for tracking drifting δ distributions.
-///
-/// Where [`OnlineStats`] weights every observation in the current window
-/// equally and then discards the whole window, `EwmaStats` discounts the
-/// past continuously:
-///
-/// ```text
-/// μ ← (1−λ)·μ + λ·δ
-/// σ² ← (1−λ)·(σ² + λ·(δ−μ_old)²)
-/// ```
-///
-/// (the standard exponentially-weighted moving variance). Smaller `λ`
-/// remembers longer. The `ablation_stats` bench compares both estimators
-/// inside the running controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EwmaStats {
-    lambda: f64,
-    mean: f64,
-    variance: f64,
-    n: u64,
-}
-
-impl EwmaStats {
-    /// Creates an accumulator with forgetting factor `λ ∈ (0, 1]`
-    /// (clamped into range; 1 means "only the latest observation").
-    pub fn new(lambda: f64) -> Self {
-        let lambda = if lambda.is_finite() {
-            lambda.clamp(1e-6, 1.0)
-        } else {
-            0.05
-        };
-        EwmaStats {
-            lambda,
-            mean: 0.0,
-            variance: 0.0,
-            n: 0,
-        }
-    }
-
-    /// The forgetting factor `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Incorporates one δ observation; non-finite values are ignored.
-    pub fn update(&mut self, delta: f64) {
-        if !delta.is_finite() {
-            return;
-        }
-        self.n += 1;
-        if self.n == 1 {
-            self.mean = delta;
-            self.variance = 0.0;
-            return;
-        }
-        let diff = delta - self.mean;
-        let incr = self.lambda * diff;
-        self.mean += incr;
-        self.variance = (1.0 - self.lambda) * (self.variance + diff * incr);
-        if self.variance < 0.0 {
-            self.variance = 0.0;
-        }
-    }
-
-    /// Current exponentially-weighted mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Current exponentially-weighted variance.
-    pub fn variance(&self) -> f64 {
-        self.variance
-    }
-
-    /// Current exponentially-weighted standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Observations consumed so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Captures the accumulator state for checkpointing.
-    pub fn to_snapshot(&self) -> EwmaSnapshot {
-        EwmaSnapshot {
-            lambda: self.lambda,
-            mean: self.mean,
-            variance: self.variance,
-            n: self.n,
-        }
-    }
-
-    /// Rebuilds an accumulator from a snapshot; `λ` passes through the
-    /// constructor's clamp and non-finite moments are zeroed.
-    pub fn from_snapshot(snapshot: &EwmaSnapshot) -> Self {
-        let mut ewma = EwmaStats::new(snapshot.lambda);
-        ewma.mean = finite_or_zero(snapshot.mean);
-        ewma.variance = finite_or_zero(snapshot.variance).max(0.0);
-        ewma.n = snapshot.n;
-        ewma
-    }
-}
-
 /// Couples an [`OnlineStats`] accumulator with the previous sampled value
 /// so that coarse-interval samples update the per-default-interval δ
 /// statistics correctly.
 ///
 /// ```
-/// use volley_core::{DeltaTracker, Interval};
+/// use volley_core::DeltaTracker;
 ///
 /// let mut tracker = DeltaTracker::new();
-/// tracker.record(0, 10.0, Interval::DEFAULT);
-/// tracker.record(3, 16.0, Interval::new(3).unwrap()); // δ̂ = (16-10)/3 = 2
+/// tracker.record(0, 10.0);
+/// tracker.record(3, 16.0); // δ̂ = (16-10)/3 = 2
 /// assert_eq!(tracker.stats().mean(), 2.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeltaTracker {
     stats: OnlineStats,
-    /// Optional exponentially-forgetting estimator; when present it is
-    /// the one the likelihood machinery reads (the windowed accumulator
-    /// keeps running alongside for diagnostics).
-    ewma: Option<EwmaStats>,
-    last: Option<(Tick, f64)>,
+    last_tick: Tick,
+    last_value: f64,
 }
 
 impl DeltaTracker {
     /// Creates a tracker with the default restart window.
     pub fn new() -> Self {
-        DeltaTracker {
-            stats: OnlineStats::new(),
-            ewma: None,
-            last: None,
-        }
+        Self::with_restart_after(DEFAULT_RESTART_AFTER)
     }
 
     /// Creates a tracker whose statistics restart after `restart_after`
@@ -339,69 +320,34 @@ impl DeltaTracker {
     pub fn with_restart_after(restart_after: u32) -> Self {
         DeltaTracker {
             stats: OnlineStats::with_restart_after(restart_after),
-            ewma: None,
-            last: None,
+            last_tick: NO_SAMPLE,
+            last_value: 0.0,
         }
     }
 
-    /// Creates a tracker whose *active* estimator is exponentially
-    /// forgetting with factor `lambda` (see [`EwmaStats`]).
-    pub fn with_ewma(lambda: f64) -> Self {
-        DeltaTracker {
-            stats: OnlineStats::new(),
-            ewma: Some(EwmaStats::new(lambda)),
-            last: None,
+    /// Lends the tracker's state to the shared `record`.
+    pub(crate) fn lane(&mut self) -> DeltaLane<'_> {
+        DeltaLane {
+            last_tick: &mut self.last_tick,
+            last_value: &mut self.last_value,
+            n: &mut self.stats.n,
+            mean: &mut self.stats.mean,
+            variance: &mut self.stats.variance,
         }
     }
 
-    /// Mean of δ from the active estimator.
-    pub fn mean(&self) -> f64 {
-        match &self.ewma {
-            Some(e) => e.mean(),
-            None => self.stats.mean(),
-        }
-    }
-
-    /// Standard deviation of δ from the active estimator.
-    pub fn std_dev(&self) -> f64 {
-        match &self.ewma {
-            Some(e) => e.std_dev(),
-            None => self.stats.std_dev(),
-        }
-    }
-
-    /// Observation count of the active estimator (saturating to `u32`).
-    pub fn count(&self) -> u32 {
-        match &self.ewma {
-            Some(e) => e.count().min(u64::from(u32::MAX)) as u32,
-            None => self.stats.count(),
-        }
-    }
-
-    /// Records a sampled `value` observed at `tick`, where `interval` is
-    /// the sampling interval that *produced* this sample (the gap since the
-    /// previous sample).
-    ///
-    /// The per-default-interval delta estimate `δ̂ = Δv / interval` is fed
-    /// into the statistics. If `tick` does not advance past the previous
-    /// sample (e.g. a forced global-poll sample at the same tick), the
-    /// observation only replaces the cached value.
-    pub fn record(&mut self, tick: Tick, value: f64, interval: Interval) {
-        if let Some((last_tick, last_value)) = self.last {
-            if tick > last_tick {
-                // Prefer the actual elapsed gap when it is known from the
-                // tick axis; fall back to the declared interval.
-                let elapsed = (tick - last_tick) as f64;
-                let declared = f64::from(interval.get());
-                let gap = if elapsed > 0.0 { elapsed } else { declared };
-                let delta_hat = (value - last_value) / gap;
-                self.stats.update(delta_hat);
-                if let Some(e) = &mut self.ewma {
-                    e.update(delta_hat);
-                }
-            }
-        }
-        self.last = Some((tick, value));
+    /// Records a sampled `value` observed at `tick` into the paper's
+    /// windowed-restart statistics: `δ̂ = Δv / Δtick` against the previous
+    /// sample. A sample that does not advance past the previous tick only
+    /// replaces the cached value.
+    pub fn record(&mut self, tick: Tick, value: f64) {
+        record(
+            StatsKind::WindowedRestart,
+            self.stats.restart_after,
+            &mut self.lane(),
+            tick,
+            value,
+        );
     }
 
     /// The underlying statistics accumulator.
@@ -411,36 +357,36 @@ impl DeltaTracker {
 
     /// Most recent `(tick, value)` pair, if any sample has been recorded.
     pub fn last_sample(&self) -> Option<(Tick, f64)> {
-        self.last
+        (self.last_tick != NO_SAMPLE).then_some((self.last_tick, self.last_value))
     }
 
     /// Clears both the statistics and the cached last sample.
     pub fn reset(&mut self) {
         self.stats.reset();
-        if let Some(e) = &mut self.ewma {
-            *e = EwmaStats::new(e.lambda());
-        }
-        self.last = None;
+        self.last_tick = NO_SAMPLE;
     }
 
     /// Captures the tracker state for checkpointing.
     pub fn to_snapshot(&self) -> DeltaSnapshot {
         DeltaSnapshot {
             stats: self.stats.to_snapshot(),
-            ewma: self.ewma.map(|e| e.to_snapshot()),
-            last: self.last,
+            last: self.last_sample(),
         }
     }
 
     /// Rebuilds a tracker from a snapshot. A cached last sample with a
-    /// non-finite value is discarded (the next sample re-seeds the cache
-    /// instead of producing a poisoned δ̂); the presence of an EWMA
-    /// snapshot restores the exponentially-forgetting active estimator.
+    /// non-finite value (or the reserved tick `u64::MAX`) is discarded:
+    /// the next sample re-seeds the cache instead of producing a poisoned
+    /// δ̂.
     pub fn from_snapshot(snapshot: &DeltaSnapshot) -> Self {
+        let (last_tick, last_value) = snapshot
+            .last
+            .filter(|(_, value)| value.is_finite())
+            .unwrap_or((NO_SAMPLE, 0.0));
         DeltaTracker {
             stats: OnlineStats::from_snapshot(&snapshot.stats),
-            ewma: snapshot.ewma.map(|e| EwmaStats::from_snapshot(&e)),
-            last: snapshot.last.filter(|(_, value)| value.is_finite()),
+            last_tick,
+            last_value,
         }
     }
 }
@@ -495,7 +441,6 @@ mod tests {
         stats.update(1.0); // triggers restart, then records 1.0
         assert_eq!(stats.count(), 1);
         assert_eq!(stats.mean(), 1.0);
-        assert_eq!(stats.restarts(), 1);
     }
 
     #[test]
@@ -529,14 +474,14 @@ mod tests {
     #[test]
     fn tracker_uses_elapsed_ticks_for_delta_hat() {
         let mut t = DeltaTracker::new();
-        t.record(0, 0.0, Interval::DEFAULT);
-        t.record(4, 8.0, Interval::new(4).unwrap());
+        t.record(0, 0.0);
+        t.record(4, 8.0);
         assert_eq!(t.stats().mean(), 2.0);
         // A sample that does not advance time replaces the cache without
         // polluting statistics.
-        t.record(4, 100.0, Interval::DEFAULT);
+        t.record(4, 100.0);
         assert_eq!(t.stats().count(), 1);
-        t.record(5, 102.0, Interval::DEFAULT);
+        t.record(5, 102.0);
         assert_eq!(t.stats().count(), 2);
         assert_eq!(t.stats().mean(), 2.0); // (2 + 2) / 2
     }
@@ -544,10 +489,10 @@ mod tests {
     #[test]
     fn tracker_reset_clears_cache() {
         let mut t = DeltaTracker::new();
-        t.record(0, 1.0, Interval::DEFAULT);
+        t.record(0, 1.0);
         t.reset();
         assert_eq!(t.last_sample(), None);
-        t.record(10, 5.0, Interval::DEFAULT);
+        t.record(10, 5.0);
         assert_eq!(t.stats().count(), 0); // first sample after reset seeds only
     }
 
@@ -557,60 +502,54 @@ mod tests {
         assert_eq!(DeltaTracker::default().stats().count(), 0);
     }
 
+    /// `(n, mean, variance)` after feeding `values` to the EWMA recurrence.
+    fn ewma(lambda: f64, values: impl IntoIterator<Item = f64>) -> (u64, f64, f64) {
+        let (mut n, mut mean, mut variance) = (0, 0.0, 0.0);
+        for v in values {
+            let kind = StatsKind::Ewma { lambda };
+            update(kind, 0, &mut n, &mut mean, &mut variance, v);
+        }
+        (n, mean, variance)
+    }
+
     #[test]
     fn ewma_tracks_stationary_mean_and_variance() {
-        let mut e = EwmaStats::new(0.05);
         // Deterministic alternating stream: mean 5, variance 4.
-        for i in 0..20_000 {
-            e.update(if i % 2 == 0 { 3.0 } else { 7.0 });
-        }
-        assert!((e.mean() - 5.0).abs() < 0.3, "mean {}", e.mean());
-        assert!(
-            (e.variance() - 4.0).abs() < 0.5,
-            "variance {}",
-            e.variance()
-        );
+        let stream = (0..20_000).map(|i| if i % 2 == 0 { 3.0 } else { 7.0 });
+        let (_, mean, variance) = ewma(0.05, stream);
+        assert!((mean - 5.0).abs() < 0.3, "mean {mean}");
+        assert!((variance - 4.0).abs() < 0.5, "variance {variance}");
     }
 
     #[test]
     fn ewma_adapts_to_shifts_faster_than_windowed_restart() {
-        let mut ewma = EwmaStats::new(0.1);
+        // 900 calm observations, then a regime shift: mean jumps to 10.
+        let stream = || (0..950).map(|i| if i < 900 { 0.0 } else { 10.0 });
+        let (_, ewma_mean, _) = ewma(0.1, stream());
         let mut windowed = OnlineStats::with_restart_after(1000);
-        for _ in 0..900 {
-            ewma.update(0.0);
-            windowed.update(0.0);
-        }
-        // Regime shift: mean jumps to 10.
-        for _ in 0..50 {
-            ewma.update(10.0);
-            windowed.update(10.0);
-        }
+        stream().for_each(|v| windowed.update(v));
         assert!(
-            ewma.mean() > windowed.mean() * 2.0,
-            "ewma {} should outrun windowed {}",
-            ewma.mean(),
+            ewma_mean > windowed.mean() * 2.0,
+            "ewma {ewma_mean} should outrun windowed {}",
             windowed.mean()
         );
     }
 
     #[test]
     fn ewma_edge_cases() {
-        let mut e = EwmaStats::new(f64::NAN); // falls back to default λ
-        assert!((e.lambda() - 0.05).abs() < 1e-12);
-        e.update(f64::INFINITY);
-        assert_eq!(e.count(), 0);
-        e.update(4.0);
-        assert_eq!(e.mean(), 4.0);
-        assert_eq!(e.variance(), 0.0);
-        let clamped = EwmaStats::new(7.0);
-        assert_eq!(clamped.lambda(), 1.0);
+        // Non-finite observations are ignored; the first finite one seeds.
+        assert_eq!(ewma(0.1, [f64::INFINITY, 4.0]), (1, 4.0, 0.0));
+        // λ is clamped into (0, 1] (1 = "only the latest observation")…
+        assert_eq!(ewma(7.0, [4.0, 9.0]).1, 9.0);
+        // …and a non-finite λ falls back to 0.05.
+        assert_eq!(ewma(f64::NAN, [0.0, 1.0]), ewma(0.05, [0.0, 1.0]));
     }
 
     #[test]
     fn serde_round_trip() {
         let mut t = DeltaTracker::new();
-        t.record(0, 1.0, Interval::DEFAULT);
-        t.record(1, 2.0, Interval::DEFAULT);
+        t.record(0, 1.0);
+        t.record(1, 2.0);
         let json = serde_json::to_string(&t).unwrap();
         let back: DeltaTracker = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);

@@ -117,7 +117,7 @@ struct SampleEvent {
 /// contiguous memory instead of chasing one heap-heavy
 /// `AdaptiveSampler` per VM, and skips the paper's §IV-B period
 /// aggregates that only allowance reallocation consumes. Decisions are
-/// bit-identical (pinned by parity tests in `volley_core::bank`).
+/// those of `AdaptiveSampler`: both run the same §III-B step.
 struct FleetShard {
     cluster: ClusterConfig,
     window: SimDuration,

@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use volley::core::snapshot::{DeltaSnapshot, EwmaSnapshot, SamplerSnapshot, StatsSnapshot};
-use volley::core::stats::{DeltaTracker, EwmaStats, OnlineStats};
+use volley::core::snapshot::{DeltaSnapshot, SamplerSnapshot, StatsSnapshot};
+use volley::core::stats::{DeltaTracker, OnlineStats};
 use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan};
-use volley::core::{AdaptationConfig, AdaptiveSampler, Interval};
+use volley::core::{AdaptationConfig, AdaptiveSampler, StatsKind};
 use volley::runtime::checkpoint::{
     decode_records, encode_record, AppendOutcome, CoordinatorSnapshot, MultitaskSnapshot,
     TickOutcome, Wal, WalRecord, WalSyncPolicy,
@@ -31,12 +31,13 @@ fn case_dir(prefix: &str) -> std::path::PathBuf {
 
 /// A sampler grown through real observations, so its snapshot satisfies
 /// every invariant the restore path round-trips exactly.
-fn grown_sampler(threshold: f64, err: f64, steps: u64) -> AdaptiveSampler {
+fn grown_sampler(stats: StatsKind, threshold: f64, err: f64, steps: u64) -> AdaptiveSampler {
     let cfg = AdaptationConfig::builder()
         .error_allowance(0.05)
         .max_interval(8)
         .patience(3)
         .warmup_samples(3)
+        .stats(stats)
         .build()
         .unwrap();
     let mut sampler = AdaptiveSampler::new(cfg, threshold);
@@ -97,46 +98,39 @@ proptest! {
         prop_assert_eq!(back, snap);
     }
 
-    /// `EwmaStats` → snapshot → restore is the identity.
-    #[test]
-    fn ewma_snapshot_round_trips(
-        lambda in 0.001f64..1.0,
-        values in prop::collection::vec(-1e6f64..1e6, 0..64),
-    ) {
-        let mut ewma = EwmaStats::new(lambda);
-        for v in &values {
-            ewma.update(*v);
-        }
-        let snap = ewma.to_snapshot();
-        prop_assert_eq!(EwmaStats::from_snapshot(&snap), ewma);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: EwmaSnapshot = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, snap);
-    }
-
-    /// `DeltaTracker` (with and without the EWMA estimator) round-trips,
-    /// including the cached last sample.
+    /// `DeltaTracker` round-trips, including the cached last sample.
     #[test]
     fn delta_snapshot_round_trips(
-        use_ewma in 0u8..2,
         samples in prop::collection::vec((0u64..1_000_000, -1e6f64..1e6), 0..32),
     ) {
-        let mut tracker = if use_ewma == 1 {
-            DeltaTracker::with_ewma(0.2)
-        } else {
-            DeltaTracker::new()
-        };
+        let mut tracker = DeltaTracker::new();
         let mut last_tick = None;
         for (tick, value) in &samples {
             // Ticks must advance for δ̂ normalization to stay sane.
             let tick = last_tick.map_or(*tick % 1000, |t: u64| t + 1 + *tick % 1000);
-            tracker.record(tick, *value, Interval::DEFAULT);
+            tracker.record(tick, *value);
             last_tick = Some(tick);
         }
         let snap = tracker.to_snapshot();
         prop_assert_eq!(DeltaTracker::from_snapshot(&snap), tracker);
         let json = serde_json::to_string(&snap).unwrap();
         let back: DeltaSnapshot = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(back, snap);
+    }
+
+    /// A sampler under the exponentially-forgetting estimator → snapshot →
+    /// restore is the identity: its moments travel where the windowed
+    /// ones do, and `λ` travels in the configuration.
+    #[test]
+    fn ewma_sampler_snapshot_round_trips(
+        lambda in 0.001f64..1.0,
+        steps in 0u64..80,
+    ) {
+        let sampler = grown_sampler(StatsKind::Ewma { lambda }, 100.0, 0.05, steps);
+        let snap = sampler.to_snapshot();
+        prop_assert_eq!(AdaptiveSampler::from_snapshot(&snap), sampler);
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: SamplerSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, snap);
     }
 
@@ -148,7 +142,7 @@ proptest! {
         err in 0.0f64..0.2,
         steps in 0u64..80,
     ) {
-        let sampler = grown_sampler(threshold, err, steps);
+        let sampler = grown_sampler(StatsKind::WindowedRestart, threshold, err, steps);
         let snap = sampler.to_snapshot();
         prop_assert_eq!(AdaptiveSampler::from_snapshot(&snap), sampler);
         let json = serde_json::to_string(&snap).unwrap();
@@ -170,7 +164,7 @@ proptest! {
         for t in 0..ticks_before {
             bytes.extend(encode_record(&tick_record(epoch, t, (t % 4) as u32)));
         }
-        let sampler = grown_sampler(100.0, 0.01, steps);
+        let sampler = grown_sampler(StatsKind::WindowedRestart, 100.0, 0.01, steps);
         let snap = snapshot_record(epoch, ticks_before, vec![Some(sampler.to_snapshot()), None]);
         bytes.extend(encode_record(&snap));
         for t in 0..ticks_after {
