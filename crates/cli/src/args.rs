@@ -1,6 +1,13 @@
 //! Command-line argument parsing (hand-rolled, dependency-free).
+//!
+//! Every flag is one [`Flag`] row — spelling, value placeholder,
+//! default, help line and setter — and every subcommand is one
+//! [`Subcommand`] entry of [`SUBCOMMANDS`] listing the rows its handler
+//! reads. Parsing, defaults and `volley help` are all derived from that
+//! table, so a flag cannot be accepted, defaulted or documented in two
+//! different ways.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use volley_core::vfs::IoFaultPlan;
 use volley_runtime::WalSyncPolicy;
@@ -52,82 +59,28 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Flags shared by the workload subcommands (`run`, `chaos`, `sim`,
-/// `obs`): one spelling, one default, one parser. Subcommands embed this
-/// group and offer each flag through [`CommonArgs::accept`], so `--seed`,
-/// `--obs-dir`, `--threads` and `--report-json` mean the same thing
-/// everywhere they appear.
-#[derive(Debug, Clone, PartialEq)]
+/// Flags that mean the same thing on every subcommand that reads them.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommonArgs {
     /// Random seed (workload, fault plan or scenario, per subcommand).
     pub seed: u64,
-    /// Directory for obs snapshots; `None` disables dumping.
+    /// Directory for obs snapshots: written by `run`/`chaos`/`sim`/
+    /// `coordinator`, read by `obs`.
     pub obs_dir: Option<String>,
-    /// Directory for the embedded sample store; `None` disables
-    /// recording (on `run`/`chaos`) or is an error where a store is
-    /// required (`store`, `backtest`).
+    /// Directory of the embedded sample store: recorded into by
+    /// `run`/`chaos`, read by `store`/`backtest`/`analyze`.
     pub store_dir: Option<String>,
-    /// Worker threads for sharded execution (floored at 1). Results
-    /// never depend on this value — only wall-clock time does.
+    /// Worker threads for sharded execution. Results never depend on
+    /// this value — only wall-clock time does.
     pub threads: usize,
     /// Emit the versioned machine-readable JSON envelope instead of the
     /// text report.
     pub report_json: bool,
 }
 
-impl Default for CommonArgs {
-    fn default() -> Self {
-        CommonArgs {
-            seed: 0,
-            obs_dir: None,
-            store_dir: None,
-            threads: 1,
-            report_json: false,
-        }
-    }
-}
-
-impl CommonArgs {
-    /// Tries to consume `flag` (and its value, if any) from the argument
-    /// stream. Returns `Ok(true)` when the flag belonged to this group.
-    ///
-    /// `--json` is accepted as an alias of `--report-json` for
-    /// compatibility with pre-schema-3 command lines.
-    fn accept(
-        &mut self,
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, CliError> {
-        match flag {
-            "--seed" => self.seed = parse_value(flag, it.next())?,
-            "--obs-dir" => self.obs_dir = Some(parse_value(flag, it.next())?),
-            "--store-dir" => self.store_dir = Some(parse_value(flag, it.next())?),
-            "--threads" => self.threads = parse_value::<usize>(flag, it.next())?.max(1),
-            "--report-json" | "--json" => self.report_json = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The one resolver for snapshot-directory spelling: the shared
-    /// `--obs-dir` flag wins over a subcommand's legacy `--dir` alias.
-    /// Subcommands call this instead of hand-merging the two flags.
-    pub fn resolve_obs_dir<'a>(&'a self, legacy_alias: Option<&'a str>) -> Option<&'a str> {
-        self.obs_dir.as_deref().or(legacy_alias)
-    }
-
-    /// Same resolution for the store directory (`--store-dir` wins over
-    /// a subcommand's legacy `--dir` alias).
-    pub fn resolve_store_dir<'a>(&'a self, legacy_alias: Option<&'a str>) -> Option<&'a str> {
-        self.store_dir.as_deref().or(legacy_alias)
-    }
-}
-
-/// Transport knobs shared by the networked subcommands (`agent`,
-/// `coordinator`, `chaos --net`): frame cap, socket timeouts, and the
-/// reconnect backoff policy. Same pattern as [`CommonArgs`] — one
-/// spelling, one default, one parser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Socket and reconnect knobs of the networked subcommands (`agent`,
+/// `coordinator`, `chaos --net`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportArgs {
     /// Maximum accepted frame size in bytes (excluding the newline).
     pub max_frame_bytes: usize,
@@ -141,50 +94,10 @@ pub struct TransportArgs {
     pub backoff_cap_ms: u64,
 }
 
-impl Default for TransportArgs {
-    fn default() -> Self {
-        TransportArgs {
-            max_frame_bytes: 64 * 1024,
-            read_timeout_ms: 0,
-            write_timeout_ms: 0,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2000,
-        }
-    }
-}
-
-impl TransportArgs {
-    /// Tries to consume `flag` (and its value) from the argument stream.
-    /// Returns `Ok(true)` when the flag belonged to this group.
-    fn accept(
-        &mut self,
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, CliError> {
-        match flag {
-            "--max-frame-bytes" => {
-                self.max_frame_bytes = parse_value::<usize>(flag, it.next())?.max(64);
-            }
-            "--read-timeout-ms" => self.read_timeout_ms = parse_value(flag, it.next())?,
-            "--write-timeout-ms" => self.write_timeout_ms = parse_value(flag, it.next())?,
-            "--backoff-base-ms" => {
-                self.backoff_base_ms = parse_value::<u64>(flag, it.next())?.max(1);
-            }
-            "--backoff-cap-ms" => {
-                self.backoff_cap_ms = parse_value::<u64>(flag, it.next())?.max(1);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-}
-
-/// Embedded HTTP serving knobs shared by the long-running subcommands
-/// (`run`, `chaos`, `coordinator`): bind address, request caps, and the
-/// stream/pagination bounds. Same pattern as [`TransportArgs`] — one
-/// spelling, one default, one parser. The plane is off unless
-/// `--serve-addr` is given.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Embedded HTTP serving knobs of the long-running subcommands (`run`,
+/// `chaos`, `coordinator`). The plane is off unless `--serve-addr` is
+/// given.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeArgs {
     /// HTTP bind address; `None` disables the serving plane.
     pub addr: Option<String>,
@@ -203,49 +116,7 @@ pub struct ServeArgs {
     pub linger_ms: u64,
 }
 
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            addr: None,
-            store_dir: None,
-            max_request_bytes: volley_serve::DEFAULT_MAX_REQUEST_BYTES,
-            idle_timeout_ms: 30_000,
-            stream_buffer: volley_serve::DEFAULT_STREAM_BUFFER,
-            page_limit: volley_serve::DEFAULT_PAGE_LIMIT,
-            linger_ms: 0,
-        }
-    }
-}
-
 impl ServeArgs {
-    /// Tries to consume `flag` (and its value) from the argument stream.
-    /// Returns `Ok(true)` when the flag belonged to this group.
-    fn accept(
-        &mut self,
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, CliError> {
-        match flag {
-            "--serve-addr" => self.addr = Some(parse_value(flag, it.next())?),
-            "--serve-store-dir" => self.store_dir = Some(parse_value(flag, it.next())?),
-            "--serve-max-request-bytes" => {
-                self.max_request_bytes = parse_value::<usize>(flag, it.next())?.max(256);
-            }
-            "--serve-idle-timeout-ms" => {
-                self.idle_timeout_ms = parse_value::<u64>(flag, it.next())?.max(1);
-            }
-            "--serve-stream-buffer" => {
-                self.stream_buffer = parse_value::<usize>(flag, it.next())?.max(1);
-            }
-            "--serve-page-limit" => {
-                self.page_limit = parse_value::<usize>(flag, it.next())?.max(1);
-            }
-            "--serve-linger-ms" => self.linger_ms = parse_value(flag, it.next())?,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
     /// Whether the serving plane was requested at all.
     pub fn enabled(&self) -> bool {
         self.addr.is_some()
@@ -258,10 +129,8 @@ impl ServeArgs {
     }
 }
 
-/// Storage-fault knobs shared by the fault-injecting subcommands
-/// (`chaos` today): one spelling, one default, one parser, mirroring
-/// [`CommonArgs`]. All rates are per-operation probabilities decided
-/// deterministically from the run's `--seed`.
+/// Storage-fault knobs of `chaos`. All rates are per-operation
+/// probabilities decided deterministically from the run's `--seed`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IoFaultArgs {
     /// ENOSPC window as `(from_tick, duration_ticks)`; duration `0`
@@ -278,32 +147,6 @@ pub struct IoFaultArgs {
 }
 
 impl IoFaultArgs {
-    /// Tries to consume `flag` (and its value) from the argument stream.
-    /// Returns `Ok(true)` when the flag belonged to this group.
-    fn accept(
-        &mut self,
-        flag: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, CliError> {
-        match flag {
-            "--io-enospc-at" => self.enospc = Some(parse_enospc_spec(it.next())?),
-            "--io-error-rate" => {
-                self.error_rate = parse_value::<f64>(flag, it.next())?.clamp(0.0, 1.0);
-            }
-            "--io-torn-writes" => {
-                self.torn_rate = parse_value::<f64>(flag, it.next())?.clamp(0.0, 1.0);
-            }
-            "--io-short-writes" => {
-                self.short_rate = parse_value::<f64>(flag, it.next())?.clamp(0.0, 1.0);
-            }
-            "--io-sync-errors" => {
-                self.sync_error_rate = parse_value::<f64>(flag, it.next())?.clamp(0.0, 1.0);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
     /// Whether no storage fault was requested.
     pub fn is_benign(&self) -> bool {
         *self == IoFaultArgs::default()
@@ -324,219 +167,147 @@ impl IoFaultArgs {
     }
 }
 
-/// The `coordinator` subcommand's options: bind a socket, wait for the
-/// agent fleet, and drive the bursty workload over the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoordinatorArgs {
-    /// Number of monitors across the whole fleet.
+/// Every option any subcommand reads, in one parse target. A field a
+/// subcommand does not read keeps its derived `Default` ("flag not
+/// given"), because that subcommand's table has no row that could set
+/// it; a field it does read starts from the row's own default (see
+/// [`Subcommand::defaults`]).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Args {
+    /// `--monitors`: fleet size (`run`, `chaos`, `coordinator`).
     pub monitors: usize,
-    /// Trace length in ticks.
+    /// `--ticks`: trace or simulation length.
     pub ticks: usize,
-    /// Error allowance for the monitored task.
+    /// `--err`: error allowance of the monitored task.
     pub err: f64,
-    /// TCP listen address.
-    pub listen: String,
-    /// Unix socket path; wins over `--listen` when given.
-    pub unix: Option<String>,
-    /// Coordinator collection deadline in milliseconds.
-    pub deadline_ms: u64,
-    /// Consecutive missed deadlines before quarantine.
-    pub quarantine_after: u32,
-    /// Bounded per-connection outbound queue depth (frames).
-    pub queue_cap: usize,
-    /// Idle connection reap timeout in milliseconds.
-    pub idle_timeout_ms: u64,
-    /// How long to wait for the full fleet to connect, in milliseconds.
-    pub wait_ms: u64,
-    /// Artificial delay between ticks in milliseconds (`0` = free-run).
-    pub tick_interval_ms: u64,
-    /// Shared transport knobs.
-    pub transport: TransportArgs,
-    /// Shared embedded-HTTP serving knobs (`--serve-*`).
-    pub serve: ServeArgs,
-    /// Shared seed / obs-dir / threads / report-json group.
-    pub common: CommonArgs,
-}
-
-/// The `agent` subcommand's options: host a slice of the fleet's
-/// monitors behind one socket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentArgs {
-    /// Coordinator TCP address to dial.
-    pub connect: String,
-    /// Unix socket path; wins over `--connect` when given.
-    pub unix: Option<String>,
-    /// Fleet-unique agent id.
-    pub agent_id: u32,
-    /// Hosted monitor range `a..b` (end-exclusive); defaults to the
-    /// whole fleet.
-    pub monitors: Option<(u32, u32)>,
-    /// Total monitors across the fleet (must match the coordinator).
-    pub fleet_size: usize,
-    /// Error allowance (must match the coordinator).
-    pub err: f64,
-    /// Global threshold override; defaults to the coordinator's
-    /// convention of `100 × fleet size`.
+    /// `--threshold`: fixed threshold (`monitor`), global-threshold
+    /// override (`agent`, `backtest`).
     pub threshold: Option<f64>,
-    /// Shared transport knobs.
-    pub transport: TransportArgs,
-    /// Shared seed / obs-dir / threads / report-json group.
-    pub common: CommonArgs,
-}
-
-/// The `monitor` subcommand's options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorArgs {
-    /// Input path (`-` for stdin).
+    /// `monitor --input`: trace path (`-` for stdin).
     pub input: String,
-    /// Fixed threshold, if given.
-    pub threshold: Option<f64>,
-    /// Selectivity percentile to derive the threshold from, if given.
+    /// `monitor --percentile`: selectivity to derive the threshold from.
     pub percentile: Option<f64>,
-    /// Error allowance.
-    pub err: f64,
-    /// Maximum interval in default-interval units.
+    /// `monitor --max-interval`, in default-interval units.
     pub max_interval: u32,
-    /// Monitor `value < threshold` instead of `value > threshold`.
+    /// `monitor --below`: alert on `value < threshold`.
     pub below: bool,
-    /// Emit machine-readable JSON instead of the text report.
-    pub json: bool,
-}
-
-/// The `generate` subcommand's options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerateArgs {
-    /// Workload family: `network`, `system` or `application`.
+    /// `generate --family`: `network`, `system` or `application`.
     pub family: String,
-    /// Trace length in ticks.
-    pub ticks: usize,
-    /// Number of parallel tasks (columns).
+    /// `generate --tasks`: parallel tasks (CSV columns).
     pub tasks: usize,
-    /// Random seed.
-    pub seed: u64,
-}
-
-/// The `sim` subcommand's options (`simulate` is accepted as an alias).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateArgs {
-    /// Physical servers.
+    /// `sim --servers`: physical servers.
     pub servers: u32,
-    /// VMs per server.
+    /// `sim --vms`: VMs per server.
     pub vms: u32,
-    /// Error allowance.
-    pub err: f64,
-    /// Simulation length in 15-second windows.
-    pub ticks: usize,
-    /// Shared seed / obs-dir / threads / report-json group. `--threads`
-    /// selects the sharded engine's worker count.
-    pub common: CommonArgs,
-}
-
-/// The `chaos` subcommand's options: run the threaded runtime on a bursty
-/// workload while injecting deterministic faults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosArgs {
-    /// Number of monitors.
-    pub monitors: usize,
-    /// Trace length in ticks.
-    pub ticks: usize,
-    /// Run this many correlated tasks under the multi-task suppression
-    /// runner — a planted leader/follower cascade plus uncorrelated
-    /// noise tasks — instead of the single-task fault fleet (`0` = off).
-    pub multitask: usize,
-    /// Training window for the multi-task correlation plan in ticks
-    /// (`0` = auto: a third of the run).
-    pub train_ticks: u64,
-    /// Violation-report drop probability.
-    pub drop_rate: f64,
-    /// Poll-reply drop probability.
-    pub poll_drop_rate: f64,
-    /// Reply duplication probability.
-    pub dup_rate: f64,
-    /// Reply delay (reorder) probability.
-    pub delay_rate: f64,
-    /// Scheduled crashes as `(monitor, tick)`.
-    pub crashes: Vec<(u32, u64)>,
-    /// Scheduled stalls as `(monitor, from_tick, duration)`.
-    pub stalls: Vec<(u32, u64, u64)>,
-    /// Scheduled coordinator crashes (ticks).
-    pub coordinator_crashes: Vec<u64>,
-    /// Scheduled partitions as `(monitors, from_tick, duration)`.
-    pub partitions: Vec<(Vec<u32>, u64, u64)>,
-    /// WAL records to corrupt (indices into the append sequence).
-    pub wal_corruptions: Vec<u64>,
-    /// Directory for checkpoint WALs; `None` disables checkpointing.
-    pub wal_dir: Option<String>,
-    /// Checkpoint snapshot cadence in ticks.
-    pub checkpoint_interval: u64,
-    /// WAL group-fsync policy (`--wal-sync every-n|on-snapshot|never`).
-    pub wal_sync: WalSyncPolicy,
-    /// Whether a warm standby coordinator is armed.
-    pub standby: bool,
-    /// Coordinator collection deadline in milliseconds.
-    pub deadline_ms: u64,
-    /// Consecutive missed deadlines before quarantine.
-    pub quarantine_after: u32,
-    /// Whether the supervisor restarts quarantined monitors.
-    pub supervise: bool,
-    /// Obs snapshot cadence in ticks.
+    /// `--obs-every`: obs snapshot cadence in ticks.
     pub obs_every: u64,
-    /// Run the fleet over real localhost sockets instead of channels,
-    /// injecting socket-level faults (`--net-storm-*`).
-    pub net: bool,
-    /// Agent processes to split the monitors across (`0` = one monitor
-    /// per agent). Net mode only.
-    pub net_agents: usize,
-    /// Sever a random fraction of agents every this many ticks
-    /// (`0` = off). Net mode only.
-    pub net_storm_every: u64,
-    /// Fraction of agents severed per storm.
-    pub net_storm_fraction: f64,
-    /// Shared transport knobs (net mode only).
-    pub transport: TransportArgs,
-    /// Shared embedded-HTTP serving knobs (`--serve-*`).
-    pub serve: ServeArgs,
-    /// Shared storage-fault knobs (`--io-*`): ENOSPC windows, EIO,
-    /// torn/short writes and failed fsyncs under every persistence sink.
-    pub io: IoFaultArgs,
-    /// Shared seed / obs-dir / threads / report-json group. `--seed`
-    /// seeds the fault plan; `--obs-dir` enables snapshot dumping.
-    pub common: CommonArgs,
-}
-
-/// The `run` subcommand's options: drive the threaded runtime on a
-/// synthetic bursty workload with observability on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
-    /// Number of monitors.
-    pub monitors: usize,
-    /// Trace length in ticks.
-    pub ticks: usize,
-    /// Error allowance for the monitored task.
-    pub err: f64,
-    /// Obs snapshot cadence in ticks.
-    pub obs_every: u64,
-    /// Arm the self-monitoring watchdog at this tick-latency threshold
-    /// (microseconds).
+    /// `run --self-monitor-us`: arm the watchdog at this tick latency.
     pub self_monitor_us: Option<f64>,
-    /// Shared embedded-HTTP serving knobs (`--serve-*`).
-    pub serve: ServeArgs,
-    /// Shared seed / obs-dir / threads / report-json group (`--seed` is
-    /// reserved here: the burst workload is deterministic).
-    pub common: CommonArgs,
-}
-
-/// The `obs` subcommand's options: read back the latest snapshot from an
-/// `--obs-dir` directory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsArgs {
-    /// Snapshot directory (`--obs-dir`, or its legacy alias `--dir`).
-    pub dir: String,
-    /// Print the Prometheus text exposition instead of the summary.
+    /// `chaos --multitask`: correlated tasks under the suppression
+    /// runner (`0` = single-task chaos).
+    pub multitask: usize,
+    /// `chaos --train-ticks`: correlation training window (`0` = a
+    /// third of the run).
+    pub train_ticks: u64,
+    /// `chaos --drop-rate`: violation-report drop probability.
+    pub drop_rate: f64,
+    /// `chaos --poll-drop-rate`: poll-reply drop probability.
+    pub poll_drop_rate: f64,
+    /// `chaos --dup-rate`: reply duplication probability.
+    pub dup_rate: f64,
+    /// `chaos --delay-rate`: reply delay (reorder) probability.
+    pub delay_rate: f64,
+    /// `chaos --crash`: scheduled crashes as `(monitor, tick)`.
+    pub crashes: Vec<(u32, u64)>,
+    /// `chaos --stall`: stalls as `(monitor, from_tick, duration)`.
+    pub stalls: Vec<(u32, u64, u64)>,
+    /// `chaos --coordinator-crash`: coordinator crash ticks.
+    pub coordinator_crashes: Vec<u64>,
+    /// `chaos --partition`: `(monitors, from_tick, duration)`.
+    pub partitions: Vec<(Vec<u32>, u64, u64)>,
+    /// `chaos --corrupt-wal-record`: append indices to corrupt.
+    pub wal_corruptions: Vec<u64>,
+    /// `chaos --wal-dir`: checkpoint WAL directory.
+    pub wal_dir: Option<String>,
+    /// `chaos --checkpoint-interval`: snapshot cadence in ticks.
+    pub checkpoint_interval: u64,
+    /// `chaos --wal-sync`: WAL group-fsync policy.
+    pub wal_sync: WalSyncPolicy,
+    /// `chaos --standby`: arm a warm standby coordinator.
+    pub standby: bool,
+    /// `--deadline-ms`: coordinator collection deadline.
+    pub deadline_ms: u64,
+    /// `--quarantine-after`: consecutive missed deadlines tolerated.
+    pub quarantine_after: u32,
+    /// `chaos --no-supervise`: leave quarantined monitors down.
+    pub no_supervise: bool,
+    /// `chaos --net`: run the fleet over real localhost sockets.
+    pub net: bool,
+    /// `chaos --net-agents`: agents to split the monitors across (`0` =
+    /// one monitor per agent).
+    pub net_agents: usize,
+    /// `chaos --net-storm-every`: sever agents every this many ticks.
+    pub net_storm_every: u64,
+    /// `chaos --net-storm-fraction`: share of agents severed per storm.
+    pub net_storm_fraction: f64,
+    /// `obs --prom`: print the Prometheus exposition.
     pub prom: bool,
-    /// Shared flag group (`--report-json` wraps the snapshot in the
-    /// versioned envelope; seed and threads are accepted no-ops here).
+    /// `--task`: the task to filter (`store`) or replay (`backtest`).
+    pub task: Option<u32>,
+    /// `store --monitor`: restrict to one monitor.
+    pub monitor: Option<u32>,
+    /// `store --kind`: restrict to one record kind.
+    pub kind: Option<volley_store::RecordKind>,
+    /// `--from`: first tick (inclusive).
+    pub from: u64,
+    /// `--to`: last tick (inclusive); `None` = no upper bound.
+    pub to: Option<u64>,
+    /// `store --limit`: cap on printed records.
+    pub limit: Option<usize>,
+    /// `store query --cursor`: matched records to skip (pagination).
+    pub cursor: u64,
+    /// `backtest --err` (repeatable): candidate error allowances.
+    pub errs: Vec<f64>,
+    /// `backtest --verify`: fail unless the recorded-config replay
+    /// reproduces the recorded alert set exactly.
+    pub verify: bool,
+    /// `backtest --monitors`: monitor-count override.
+    pub monitors_override: Option<usize>,
+    /// `analyze --top-k`: best pairs to report.
+    pub top_k: usize,
+    /// `analyze --lag`: lag window in ticks.
+    pub lag: u32,
+    /// `analyze --min-support`: follower alerts a pair needs.
+    pub min_support: u64,
+    /// `analyze --max-alerts`: alert ticks retained per task.
+    pub max_alerts: usize,
+    /// `coordinator --listen` / `agent --connect`: the TCP address.
+    pub tcp: String,
+    /// `--unix`: Unix socket path; wins over the TCP address.
+    pub unix: Option<String>,
+    /// `coordinator --queue-cap`: per-connection outbound queue depth.
+    pub queue_cap: usize,
+    /// `coordinator --idle-timeout-ms`: idle connection reap timeout.
+    pub idle_timeout_ms: u64,
+    /// `coordinator --wait-ms`: how long to wait for the full fleet.
+    pub wait_ms: u64,
+    /// `coordinator --tick-interval-ms`: delay between ticks.
+    pub tick_interval_ms: u64,
+    /// `agent --agent-id`: fleet-unique agent id.
+    pub agent_id: u32,
+    /// `agent --monitors a..b`: hosted range (end-exclusive); `None` =
+    /// the whole fleet.
+    pub monitor_range: Option<(u32, u32)>,
+    /// `agent --fleet-size`: monitors across the whole fleet.
+    pub fleet_size: usize,
+    /// The shared seed / obs-dir / store-dir / threads / report-json rows.
     pub common: CommonArgs,
+    /// The `transport` and `reconnect` groups.
+    pub transport: TransportArgs,
+    /// The `serve` group.
+    pub serve: ServeArgs,
+    /// The `storage-fault` group.
+    pub io: IoFaultArgs,
 }
 
 /// What `volley store` should do with the store directory.
@@ -550,94 +321,11 @@ pub enum StoreAction {
     ExportCsv,
 }
 
-/// The `store` subcommand's options: inspect or maintain a recorded
-/// sample store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreArgs {
-    /// The action (`query`, `compact` or `export-csv`).
-    pub action: StoreAction,
-    /// Store directory (`--store-dir`, or its legacy alias `--dir`).
-    pub dir: String,
-    /// Restrict to one task.
-    pub task: Option<u32>,
-    /// Restrict to one monitor.
-    pub monitor: Option<u32>,
-    /// Restrict to one record kind (`sample`, `poll`, `alert`,
-    /// `interval`, `gauge`, `counter`).
-    pub kind: Option<volley_store::RecordKind>,
-    /// First tick (inclusive).
-    pub from: u64,
-    /// Last tick (inclusive).
-    pub to: u64,
-    /// Cap on printed records (`query` only; scans are unaffected).
-    pub limit: Option<usize>,
-    /// Matched records to skip before printing (`query` only): the
-    /// pagination cursor echoed back as `next_cursor`.
-    pub cursor: u64,
-    /// Shared flag group (`--report-json` wraps query output in the
-    /// versioned envelope).
-    pub common: CommonArgs,
-}
-
-/// The `backtest` subcommand's options: replay a recorded range through
-/// candidate error allowances and report cost/accuracy deltas.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BacktestArgs {
-    /// Store directory (`--store-dir`, or its legacy alias `--dir`).
-    pub dir: String,
-    /// The recorded task to replay.
-    pub task: u32,
-    /// Candidate error allowances (repeatable `--err`). The recorded
-    /// allowance is always replayed first as the determinism baseline.
-    pub errs: Vec<f64>,
-    /// First tick (inclusive).
-    pub from: u64,
-    /// Last tick (inclusive).
-    pub to: u64,
-    /// Fail unless the same-config replay reproduces the recorded alert
-    /// set exactly (the CI determinism gate).
-    pub verify: bool,
-    /// Monitor-count override when the store has no `task-meta.json`.
-    pub monitors: Option<usize>,
-    /// Global-threshold override when the store has no `task-meta.json`.
-    pub threshold: Option<f64>,
-    /// Shared flag group.
-    pub common: CommonArgs,
-}
-
 /// What `volley analyze` should compute over the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyzeAction {
     /// Top-K pairwise violation correlation (`correlation_matrix_v1`).
     Correlate,
-}
-
-/// The `analyze` subcommand's options: run an offline analysis job
-/// (a bounded-memory, single-pass fold — see `volley-analyze`) over a
-/// recorded sample store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeArgs {
-    /// The job to run (`correlate`).
-    pub action: AnalyzeAction,
-    /// Store directory (`--store-dir`, or its legacy alias `--dir`).
-    pub dir: String,
-    /// Best pairs to report (`--top-k`).
-    pub top_k: usize,
-    /// Lag window in ticks (`--lag`): how far before a follower alert a
-    /// leader alert may land and still count.
-    pub lag: u32,
-    /// Minimum follower alerts for a pair to qualify (`--min-support`).
-    pub min_support: u64,
-    /// First tick (inclusive).
-    pub from: u64,
-    /// Last tick (inclusive).
-    pub to: u64,
-    /// Alert ticks retained per task (`--max-alerts`); surplus history
-    /// is counted but not correlated.
-    pub max_alerts: usize,
-    /// Shared flag group (`--report-json` wraps the matrix in the
-    /// versioned envelope).
-    pub common: CommonArgs,
 }
 
 /// A parsed command line.
@@ -646,154 +334,156 @@ pub struct AnalyzeArgs {
 #[allow(clippy::large_enum_variant)] // one Command per process; never stored in bulk
 pub enum Command {
     /// Replay a trace through the adaptive monitor.
-    Monitor(MonitorArgs),
+    Monitor(Args),
     /// Emit synthetic traces as CSV.
-    Generate(GenerateArgs),
+    Generate(Args),
     /// Run the datacenter simulator scenario.
-    Simulate(SimulateArgs),
-    /// Run the fault-injected threaded runtime.
-    Chaos(ChaosArgs),
+    Simulate(Args),
+    /// Run the fault-injected runtime (`--net` and `--multitask` select
+    /// the socket and multi-task modes).
+    Chaos(Args),
     /// Run the threaded runtime with observability on.
-    Run(RunArgs),
+    Run(Args),
     /// Read back the latest obs snapshot from a directory.
-    Obs(ObsArgs),
+    Obs(Args),
     /// Query, compact or export a recorded sample store.
-    Store(StoreArgs),
+    Store(StoreAction, Args),
     /// Replay recorded history through candidate configurations.
-    Backtest(BacktestArgs),
+    Backtest(Args),
     /// Run an offline analysis job over a recorded store.
-    Analyze(AnalyzeArgs),
+    Analyze(AnalyzeAction, Args),
     /// Serve a monitor fleet over a real socket.
-    Coordinator(CoordinatorArgs),
+    Coordinator(Args),
     /// Host a slice of monitors and dial the coordinator.
-    Agent(AgentArgs),
+    Agent(Args),
     /// Print usage.
     Help,
 }
 
-/// The usage text printed by `volley help`.
-pub const USAGE: &str = "\
-volley — violation-likelihood based adaptive state monitoring
+/// Stores a flag's value; the error (if any) is the hint appended to
+/// the one invalid-value message in [`Subcommand::parse`].
+type Setter = fn(&mut Args, &str) -> Result<(), String>;
 
-Common flags (same meaning on run, chaos, sim, obs, store and backtest):
-  --seed <n=0>        random seed (workload, fault plan or scenario)
-  --obs-dir <dir>     dump obs snapshots into <dir>
-  --store-dir <dir>   record samples/alerts/interval changes into the
-                      embedded store at <dir> (run, chaos), or name the
-                      store to read (store, backtest)
-  --threads <n=1>     worker threads for sharded execution
-                      (never changes results, only wall-clock time)
-  --report-json       emit the versioned JSON envelope
-                      {schema, command, report} (alias: --json)
+/// One row of the flag table.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The spelling, e.g. `--seed`.
+    pub name: &'static str,
+    /// The value placeholder `volley help` shows; empty for a switch.
+    pub value: &'static str,
+    /// The default, as the string `volley help` shows and the setter
+    /// parses; empty when the flag has none.
+    pub default: &'static str,
+    /// The help line.
+    pub help: &'static str,
+    set: Setter,
+}
 
-USAGE:
-  volley monitor  --input <file|-> (--threshold <T> | --percentile <k>)
-                  [--err <e=0.01>] [--max-interval <n=16>] [--below]
-                  [--report-json]
-  volley generate --family <network|system|application>
-                  [--ticks <n=2000>] [--tasks <n=1>] [--seed <n=0>]
-  volley sim      [--servers <n=4>] [--vms <n=40>] [--err <e=0.01>]
-                  [--ticks <n=1500>] [common flags]
-                  (alias: simulate)
-  volley run      [--monitors <n=5>] [--ticks <n=200>] [--err <e=0.01>]
-                  [--obs-every <n=50>] [--self-monitor-us <t>]
-                  [serve flags] [common flags]
-  volley chaos    [--monitors <n=5>] [--ticks <n=200>]
-                  [--drop-rate <p=0>] [--poll-drop-rate <p=0>]
-                  [--dup-rate <p=0>] [--delay-rate <p=0>]
-                  [--crash <m@t>] [--stall <m@t+d>] [--deadline-ms <n=50>]
-                  [--coordinator-crash <t>] [--partition <m1,m2@t+d>]
-                  [--standby] [--wal-dir <dir>] [--checkpoint-interval <n=25>]
-                  [--wal-sync <every-N|on-snapshot|never>]
-                  [--corrupt-wal-record <i>] [--obs-every <n=50>]
-                  [--quarantine-after <n=2>] [--no-supervise]
-                  [storage-fault flags] [serve flags] [common flags]
-  volley obs      --obs-dir <dir> [--prom] [common flags]
-  volley store    <query|compact|export-csv> --store-dir <dir>
-                  [--task <n>] [--monitor <n>] [--kind <k>]
-                  [--from <t>] [--to <t>] [--limit <n>] [--cursor <n=0>]
-                  [common flags]
-                  (kinds: sample poll alert interval gauge counter)
-  volley backtest --store-dir <dir> [--task <n=0>] [--err <e>]...
-                  [--from <t>] [--to <t>] [--verify]
-                  [--monitors <n>] [--threshold <T>] [common flags]
-  volley analyze  correlate --store-dir <dir> [--top-k <n=10>]
-                  [--lag <n=2>] [--min-support <n=3>]
-                  [--from <t>] [--to <t>] [--max-alerts <n=65536>]
-                  [common flags]
-  volley coordinator [--monitors <n=5>] [--ticks <n=200>] [--err <e=0.01>]
-                  [--listen <addr=127.0.0.1:7707>] [--unix <path>]
-                  [--deadline-ms <n=5000>] [--quarantine-after <n=3>]
-                  [--queue-cap <n=1024>] [--idle-timeout-ms <n=30000>]
-                  [--wait-ms <n=30000>] [--tick-interval-ms <n=0>]
-                  [transport flags] [serve flags] [common flags]
-  volley agent    [--connect <addr=127.0.0.1:7707>] [--unix <path>]
-                  [--agent-id <n=0>] [--monitors <a..b>]
-                  [--fleet-size <n=5>] [--err <e=0.01>] [--threshold <T>]
-                  [transport flags] [common flags]
-  volley chaos --net  adds: [--net-agents <n>] [--net-storm-every <t>]
-                  [--net-storm-fraction <p=0.25>] [transport flags]
-  volley chaos --multitask <n>  runs <n> correlated tasks (a planted
-                  leader/follower cascade plus noise tasks) under the
-                  live correlation-suppression runner; adds:
-                  [--train-ticks <t=ticks/3>]
-  volley help
+/// A row that takes no value, has no default and no help line yet.
+const fn flag(name: &'static str, set: Setter) -> Flag {
+    Flag {
+        name,
+        value: "",
+        default: "",
+        help: "",
+        set,
+    }
+}
 
-Transport flags (same meaning on agent, coordinator and chaos --net):
-  --max-frame-bytes <n=65536>   frame size cap (bytes, sans newline)
-  --read-timeout-ms <n=0>       socket read timeout (0 = none)
-  --write-timeout-ms <n=0>      socket write timeout (0 = none)
-  --backoff-base-ms <n=50>      first reconnect delay
-  --backoff-cap-ms <n=2000>     reconnect delay ceiling (pre-jitter)
+impl Flag {
+    /// The row, taking a value shown as `<value=default>` in help.
+    const fn takes(self, value: &'static str, default: &'static str) -> Flag {
+        Flag {
+            value,
+            default,
+            ..self
+        }
+    }
 
-Serve flags (same meaning on run, chaos and coordinator): embedded
-HTTP plane for live Prometheus scrapes (/metrics), store range queries
-(/api/v1/query) and streaming alert subscriptions
-(/api/v1/alerts/stream). Off unless --serve-addr is given.
-  --serve-addr <addr>           bind the HTTP listener (e.g. 127.0.0.1:9464)
-  --serve-store-dir <dir>       store read by /api/v1/query
-                                (defaults to the run's --store-dir)
-  --serve-max-request-bytes <n=8192>
-                                request-head cap (431 beyond it)
-  --serve-idle-timeout-ms <n=30000>
-                                idle connection reap timeout
-  --serve-stream-buffer <n=1024>
-                                alert broadcast ring capacity (events)
-  --serve-page-limit <n=4096>   max records per query page
-  --serve-linger-ms <n=0>       keep serving this long after the run ends
+    /// The row with another default (same spelling, same setter).
+    const fn default(self, default: &'static str) -> Flag {
+        Flag { default, ..self }
+    }
 
-Storage-fault flags (chaos): deterministic faults under every
-persistence sink (WAL, sample store, obs snapshots). Detection output is
-unaffected by design — only sampling fidelity degrades, visibly.
-  --io-enospc-at <t|t+d>        disk full from tick t (for d ticks;
-                                bare t never recovers)
-  --io-error-rate <p=0>         per-write EIO probability
-  --io-torn-writes <p=0>        per-write torn-write probability
-                                (corrupted prefix lands, then EIO)
-  --io-short-writes <p=0>       per-write short-write probability
-                                (clean prefix lands, then EIO)
-  --io-sync-errors <p=0>        per-fsync failure probability
-";
+    /// The row with its (or another) help line.
+    const fn help(self, help: &'static str) -> Flag {
+        Flag { help, ..self }
+    }
+}
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, CliError> {
-    let raw = value.ok_or_else(|| CliError::Usage(format!("flag {flag} requires a value")))?;
-    raw.parse()
-        .map_err(|_| CliError::Usage(format!("invalid value `{raw}` for {flag}")))
+/// Rows shared by several subcommands and shown once in `volley help`.
+#[derive(Debug)]
+pub struct Group {
+    /// Heading in `volley help`.
+    pub title: &'static str,
+    /// What the group configures.
+    pub about: &'static str,
+    /// The rows.
+    pub flags: &'static [Flag],
+}
+
+/// One subcommand (or `chaos` mode, or `store`/`analyze` action): the
+/// rows its handler reads, and nothing else.
+#[derive(Debug)]
+pub struct Subcommand {
+    /// The words that select it: `run`, `store query`, `chaos --net`. A
+    /// second word starting with `--` is a mode flag looked for anywhere
+    /// on the command line; any other second word is a positional action.
+    pub name: &'static str,
+    /// One-line description.
+    pub about: &'static str,
+    /// The subcommand's own rows.
+    pub flags: &'static [Flag],
+    /// Shared groups it also reads.
+    pub groups: &'static [&'static Group],
+    /// Flags of which at least one must be given.
+    pub requires: &'static [&'static str],
+    build: fn(Args) -> Command,
+}
+
+fn parse_value<T: std::str::FromStr>(raw: &str) -> Result<T, String> {
+    raw.parse().map_err(|_| String::new())
+}
+
+/// Parses a probability, clamped to `[0, 1]`.
+fn rate(raw: &str) -> Result<f64, String> {
+    parse_value::<f64>(raw).map(|p| p.clamp(0.0, 1.0))
+}
+
+fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+fn set<T: std::str::FromStr>(slot: &mut T, raw: &str) -> Result<(), String> {
+    put(slot, parse_value(raw))
+}
+
+fn opt<T: std::str::FromStr>(slot: &mut Option<T>, raw: &str) -> Result<(), String> {
+    put(slot, parse_value(raw).map(Some))
+}
+
+/// Stores a number no smaller than the flag's floor.
+fn floor<T: std::str::FromStr + Ord>(slot: &mut T, raw: &str, min: T) -> Result<(), String> {
+    put(slot, parse_value::<T>(raw).map(|v| v.max(min)))
+}
+
+/// Turns a switch on.
+fn on(slot: &mut bool) -> Result<(), String> {
+    put(slot, Ok(true))
 }
 
 /// Parses a crash spec `m@t`: monitor `m` crashes at tick `t`.
-fn parse_crash_spec(value: Option<&String>) -> Result<(u32, u64), CliError> {
-    let raw = value.ok_or_else(|| CliError::Usage("--crash requires m@t".to_string()))?;
-    let bad = || CliError::Usage(format!("invalid crash spec `{raw}` (expected m@t)"));
+fn parse_crash_spec(raw: &str) -> Result<(u32, u64), String> {
+    let bad = || " (expected m@t)".to_string();
     let (m, t) = raw.split_once('@').ok_or_else(bad)?;
     Ok((m.parse().map_err(|_| bad())?, t.parse().map_err(|_| bad())?))
 }
 
 /// Parses a stall spec `m@t+d`: monitor `m` goes silent at tick `t` for
 /// `d` ticks.
-fn parse_stall_spec(value: Option<&String>) -> Result<(u32, u64, u64), CliError> {
-    let raw = value.ok_or_else(|| CliError::Usage("--stall requires m@t+d".to_string()))?;
-    let bad = || CliError::Usage(format!("invalid stall spec `{raw}` (expected m@t+d)"));
+fn parse_stall_spec(raw: &str) -> Result<(u32, u64, u64), String> {
+    let bad = || " (expected m@t+d)".to_string();
     let (m, rest) = raw.split_once('@').ok_or_else(bad)?;
     let (t, d) = rest.split_once('+').ok_or_else(bad)?;
     Ok((
@@ -805,22 +495,14 @@ fn parse_stall_spec(value: Option<&String>) -> Result<(u32, u64, u64), CliError>
 
 /// Parses a partition spec `m1,m2@t+d`: monitors `m1,m2,…` lose the
 /// coordinator link at tick `t` for `d` ticks.
-fn parse_partition_spec(value: Option<&String>) -> Result<(Vec<u32>, u64, u64), CliError> {
-    let raw = value.ok_or_else(|| CliError::Usage("--partition requires m1,m2@t+d".to_string()))?;
-    let bad = || {
-        CliError::Usage(format!(
-            "invalid partition spec `{raw}` (expected m1,m2@t+d)"
-        ))
-    };
+fn parse_partition_spec(raw: &str) -> Result<(Vec<u32>, u64, u64), String> {
+    let bad = || " (expected m1,m2@t+d)".to_string();
     let (monitors, rest) = raw.split_once('@').ok_or_else(bad)?;
     let (t, d) = rest.split_once('+').ok_or_else(bad)?;
     let lanes = monitors
         .split(',')
         .map(|m| m.parse().map_err(|_| bad()))
         .collect::<Result<Vec<u32>, _>>()?;
-    if lanes.is_empty() {
-        return Err(bad());
-    }
     Ok((
         lanes,
         t.parse().map_err(|_| bad())?,
@@ -830,10 +512,8 @@ fn parse_partition_spec(value: Option<&String>) -> Result<(Vec<u32>, u64, u64), 
 
 /// Parses an ENOSPC window spec `t` or `t+d`: the disk fills at tick `t`
 /// and recovers after `d` ticks (`t` alone never recovers).
-fn parse_enospc_spec(value: Option<&String>) -> Result<(u64, u64), CliError> {
-    let raw =
-        value.ok_or_else(|| CliError::Usage("--io-enospc-at requires t or t+d".to_string()))?;
-    let bad = || CliError::Usage(format!("invalid enospc spec `{raw}` (expected t or t+d)"));
+fn parse_enospc_spec(raw: &str) -> Result<(u64, u64), String> {
+    let bad = || " (expected t or t+d)".to_string();
     match raw.split_once('+') {
         Some((t, d)) => Ok((t.parse().map_err(|_| bad())?, d.parse().map_err(|_| bad())?)),
         None => Ok((raw.parse().map_err(|_| bad())?, 0)),
@@ -841,9 +521,8 @@ fn parse_enospc_spec(value: Option<&String>) -> Result<(u64, u64), CliError> {
 }
 
 /// Parses a monitor range `a..b` (end-exclusive, `a < b`).
-fn parse_range_spec(value: Option<&String>) -> Result<(u32, u32), CliError> {
-    let raw = value.ok_or_else(|| CliError::Usage("--monitors requires a..b".to_string()))?;
-    let bad = || CliError::Usage(format!("invalid monitor range `{raw}` (expected a..b)"));
+fn parse_range_spec(raw: &str) -> Result<(u32, u32), String> {
+    let bad = || " (expected a..b with a < b)".to_string();
     let (a, b) = raw.split_once("..").ok_or_else(bad)?;
     let (a, b): (u32, u32) = (a.parse().map_err(|_| bad())?, b.parse().map_err(|_| bad())?);
     if a >= b {
@@ -852,521 +531,717 @@ fn parse_range_spec(value: Option<&String>) -> Result<(u32, u32), CliError> {
     Ok((a, b))
 }
 
+fn record_kind(raw: &str) -> Result<volley_store::RecordKind, String> {
+    volley_store::RecordKind::parse(raw)
+        .ok_or_else(|| " (expected sample, poll, alert, interval, gauge or counter)".to_string())
+}
+
+// ---- rows read by more than one subcommand -------------------------------
+
+const SEED: Flag = flag("--seed", |a, v| set(&mut a.common.seed, v))
+    .takes("n", "0")
+    .help("random seed");
+const OBS_DIR: Flag = flag("--obs-dir", |a, v| opt(&mut a.common.obs_dir, v))
+    .takes("dir", "")
+    .help("dump obs snapshots into <dir>");
+const STORE_DIR: Flag = flag("--store-dir", |a, v| opt(&mut a.common.store_dir, v))
+    .takes("dir", "")
+    .help("record samples, alerts and interval changes into the store at <dir>");
+/// `--store-dir` where it names a recorded store to read.
+const STORE_DIR_READ: Flag = STORE_DIR.help("the recorded store to read");
+const THREADS: Flag = flag("--threads", |a, v| floor(&mut a.common.threads, v, 1))
+    .takes("n", "1")
+    .help("worker threads (never changes results, only wall-clock time)");
+const REPORT_JSON: Flag = flag("--report-json", |a, _| on(&mut a.common.report_json))
+    .help("emit the versioned JSON envelope {schema, command, report}");
+const MONITORS: Flag = flag("--monitors", |a, v| floor(&mut a.monitors, v, 1))
+    .takes("n", "5")
+    .help("number of monitors");
+const TICKS: Flag = flag("--ticks", |a, v| floor(&mut a.ticks, v, 1))
+    .takes("n", "200")
+    .help("trace length in ticks");
+const ERR: Flag = flag("--err", |a, v| set(&mut a.err, v))
+    .takes("e", "0.01")
+    .help("error allowance");
+const THRESHOLD: Flag = flag("--threshold", |a, v| opt(&mut a.threshold, v))
+    .takes("T", "")
+    .help("fixed alert threshold");
+const OBS_EVERY: Flag = flag("--obs-every", |a, v| floor(&mut a.obs_every, v, 1))
+    .takes("n", "50")
+    .help("obs snapshot cadence in ticks");
+const DEADLINE_MS: Flag = flag("--deadline-ms", |a, v| floor(&mut a.deadline_ms, v, 1))
+    .takes("n", "50")
+    .help("coordinator collection deadline in milliseconds");
+const QUARANTINE_AFTER: Flag = flag("--quarantine-after", |a, v| {
+    floor(&mut a.quarantine_after, v, 1)
+})
+.takes("n", "2")
+.help("consecutive missed deadlines before quarantine");
+const WAL_DIR: Flag = flag("--wal-dir", |a, v| opt(&mut a.wal_dir, v))
+    .takes("dir", "")
+    .help("checkpoint WALs into <dir>");
+const CHECKPOINT_INTERVAL: Flag = flag("--checkpoint-interval", |a, v| {
+    floor(&mut a.checkpoint_interval, v, 1)
+})
+.takes("n", "25")
+.help("checkpoint snapshot cadence in ticks");
+const UNIX: Flag = flag("--unix", |a, v| opt(&mut a.unix, v))
+    .takes("path", "")
+    .help("Unix socket path (wins over the TCP address)");
+const TASK: Flag = flag("--task", |a, v| opt(&mut a.task, v))
+    .takes("n", "")
+    .help("restrict to one task");
+const MONITOR: Flag = flag("--monitor", |a, v| opt(&mut a.monitor, v))
+    .takes("n", "")
+    .help("restrict to one monitor");
+const KIND: Flag = flag("--kind", |a, v| put(&mut a.kind, record_kind(v).map(Some)))
+    .takes("k", "")
+    .help("restrict to one record kind: sample poll alert interval gauge counter");
+const FROM: Flag = flag("--from", |a, v| set(&mut a.from, v))
+    .takes("t", "0")
+    .help("first tick (inclusive)");
+const TO: Flag = flag("--to", |a, v| opt(&mut a.to, v))
+    .takes("t", "")
+    .help("last tick (inclusive; default: no upper bound)");
+const LIMIT: Flag = flag("--limit", |a, v| opt(&mut a.limit, v))
+    .takes("n", "")
+    .help("cap on printed records");
+
+// ---- shared groups -------------------------------------------------------
+
+/// Socket knobs of `agent`, `coordinator` and `chaos --net`.
+pub static TRANSPORT: Group = Group {
+    title: "transport flags",
+    about: "frame cap and socket timeouts of the fleet wire",
+    flags: &[
+        flag("--max-frame-bytes", |a, v| {
+            floor(&mut a.transport.max_frame_bytes, v, 64)
+        })
+        .takes("n", "65536")
+        .help("frame size cap (bytes, sans newline)"),
+        flag("--read-timeout-ms", |a, v| {
+            set(&mut a.transport.read_timeout_ms, v)
+        })
+        .takes("n", "0")
+        .help("socket read timeout (0 = none)"),
+        flag("--write-timeout-ms", |a, v| {
+            set(&mut a.transport.write_timeout_ms, v)
+        })
+        .takes("n", "0")
+        .help("socket write timeout (0 = none)"),
+    ],
+};
+
+/// Reconnect backoff of the dialing side (`agent`, `chaos --net`).
+pub static RECONNECT: Group = Group {
+    title: "reconnect flags",
+    about: "the agent's redial backoff",
+    flags: &[
+        flag("--backoff-base-ms", |a, v| {
+            floor(&mut a.transport.backoff_base_ms, v, 1)
+        })
+        .takes("n", "50")
+        .help("first reconnect delay"),
+        flag("--backoff-cap-ms", |a, v| {
+            floor(&mut a.transport.backoff_cap_ms, v, 1)
+        })
+        .takes("n", "2000")
+        .help("reconnect delay ceiling (pre-jitter)"),
+    ],
+};
+
+/// The embedded HTTP plane of `run`, `chaos` and `coordinator`.
+pub static SERVE: Group = Group {
+    title: "serve flags",
+    about: "embedded HTTP plane for live Prometheus scrapes (/metrics), store range \
+            queries (/api/v1/query) and alert subscriptions (/api/v1/alerts/stream); \
+            off unless --serve-addr is given",
+    flags: &[
+        flag("--serve-addr", |a, v| opt(&mut a.serve.addr, v))
+            .takes("addr", "")
+            .help("bind the HTTP listener (e.g. 127.0.0.1:9464)"),
+        flag("--serve-store-dir", |a, v| opt(&mut a.serve.store_dir, v))
+            .takes("dir", "")
+            .help("store read by /api/v1/query (defaults to the run's --store-dir)"),
+        flag("--serve-max-request-bytes", |a, v| {
+            floor(&mut a.serve.max_request_bytes, v, 256)
+        })
+        .takes("n", "8192")
+        .help("request-head cap (431 beyond it)"),
+        flag("--serve-idle-timeout-ms", |a, v| {
+            floor(&mut a.serve.idle_timeout_ms, v, 1)
+        })
+        .takes("n", "30000")
+        .help("idle connection reap timeout"),
+        flag("--serve-stream-buffer", |a, v| {
+            floor(&mut a.serve.stream_buffer, v, 1)
+        })
+        .takes("n", "1024")
+        .help("alert broadcast ring capacity (events)"),
+        flag("--serve-page-limit", |a, v| {
+            floor(&mut a.serve.page_limit, v, 1)
+        })
+        .takes("n", "4096")
+        .help("max records per query page"),
+        flag("--serve-linger-ms", |a, v| set(&mut a.serve.linger_ms, v))
+            .takes("n", "0")
+            .help("keep serving this long after the run ends"),
+    ],
+};
+
+/// Storage faults under every persistence sink of `chaos`.
+pub static IO_FAULTS: Group = Group {
+    title: "storage-fault flags",
+    about: "deterministic faults under the WAL, sample store and obs snapshots; detection \
+            output is unaffected by design — only sampling fidelity degrades, visibly",
+    flags: &[
+        flag("--io-enospc-at", |a, v| {
+            put(&mut a.io.enospc, parse_enospc_spec(v).map(Some))
+        })
+        .takes("t|t+d", "")
+        .help("disk full from tick t for d ticks (bare t never recovers)"),
+        flag("--io-error-rate", |a, v| put(&mut a.io.error_rate, rate(v)))
+            .takes("p", "0")
+            .help("per-write EIO probability"),
+        flag("--io-torn-writes", |a, v| put(&mut a.io.torn_rate, rate(v)))
+            .takes("p", "0")
+            .help("per-write torn-write probability (corrupted prefix lands, then EIO)"),
+        flag("--io-short-writes", |a, v| {
+            put(&mut a.io.short_rate, rate(v))
+        })
+        .takes("p", "0")
+        .help("per-write short-write probability (clean prefix lands, then EIO)"),
+        flag("--io-sync-errors", |a, v| {
+            put(&mut a.io.sync_error_rate, rate(v))
+        })
+        .takes("p", "0")
+        .help("per-fsync failure probability"),
+    ],
+};
+
+/// Every shared group, in `volley help` order.
+pub static GROUPS: [&Group; 4] = [&TRANSPORT, &RECONNECT, &SERVE, &IO_FAULTS];
+
+// ---- subcommands ---------------------------------------------------------
+
+/// Every subcommand. Within one first word, modes selected by a flag
+/// come before the plain form, so the first match wins.
+pub static SUBCOMMANDS: [Subcommand; 15] = [
+    Subcommand {
+        name: "monitor",
+        about: "replay a full-resolution trace through the adaptive monitor",
+        flags: &[
+            flag("--input", |a, v| set(&mut a.input, v))
+                .takes("file", "-")
+                .help("trace file, `-` for stdin"),
+            THRESHOLD,
+            flag("--percentile", |a, v| opt(&mut a.percentile, v))
+                .takes("k", "")
+                .help("derive the threshold: alert on the most extreme k% of values"),
+            ERR,
+            flag("--max-interval", |a, v| set(&mut a.max_interval, v))
+                .takes("n", "16")
+                .help("largest sampling interval"),
+            flag("--below", |a, _| on(&mut a.below)).help("alert on value < threshold"),
+            REPORT_JSON,
+        ],
+        groups: &[],
+        requires: &["--threshold", "--percentile"],
+        build: Command::Monitor,
+    },
+    Subcommand {
+        name: "generate",
+        about: "emit synthetic traces as CSV, one column per task",
+        flags: &[
+            flag("--family", |a, v| set(&mut a.family, v))
+                .takes("name", "")
+                .help("network, system or application"),
+            TICKS.default("2000"),
+            flag("--tasks", |a, v| floor(&mut a.tasks, v, 1))
+                .takes("n", "1")
+                .help("parallel tasks (columns)"),
+            SEED,
+        ],
+        groups: &[],
+        requires: &["--family"],
+        build: Command::Generate,
+    },
+    Subcommand {
+        name: "sim",
+        about: "run the datacenter simulator's network-monitoring scenario",
+        flags: &[
+            flag("--servers", |a, v| set(&mut a.servers, v))
+                .takes("n", "4")
+                .help("physical servers"),
+            flag("--vms", |a, v| set(&mut a.vms, v))
+                .takes("n", "40")
+                .help("VMs per server"),
+            ERR,
+            TICKS
+                .default("1500")
+                .help("simulation length in 15-second windows"),
+            SEED,
+            OBS_DIR,
+            THREADS,
+            REPORT_JSON,
+        ],
+        groups: &[],
+        requires: &[],
+        build: Command::Simulate,
+    },
+    Subcommand {
+        name: "run",
+        about: "drive the threaded runtime on the bursty workload with observability on",
+        flags: &[
+            MONITORS,
+            TICKS,
+            ERR,
+            OBS_EVERY,
+            flag("--self-monitor-us", |a, v| opt(&mut a.self_monitor_us, v))
+                .takes("t", "")
+                .help("arm the watchdog at this tick latency (microseconds)"),
+            SEED.help("stamped into the store's task metadata (the workload is fixed)"),
+            OBS_DIR,
+            STORE_DIR,
+            REPORT_JSON,
+        ],
+        groups: &[&SERVE],
+        requires: &[],
+        build: Command::Run,
+    },
+    Subcommand {
+        name: "chaos --multitask",
+        about: "run <n> correlated tasks (a planted leader/follower cascade plus noise \
+                tasks) under the live correlation-suppression runner",
+        flags: &[
+            flag("--multitask", |a, v| floor(&mut a.multitask, v, 1))
+                .takes("n", "")
+                .help("number of tasks"),
+            flag("--train-ticks", |a, v| set(&mut a.train_ticks, v))
+                .takes("t", "0")
+                .help("correlation training window (0 = a third of the run)"),
+            MONITORS.help("monitors per task"),
+            TICKS,
+            WAL_DIR,
+            CHECKPOINT_INTERVAL,
+            SEED,
+            STORE_DIR,
+            REPORT_JSON,
+        ],
+        groups: &[&SERVE],
+        requires: &[],
+        build: Command::Chaos,
+    },
+    Subcommand {
+        name: "chaos --net",
+        about: "run the fleet over real localhost sockets under reconnect storms",
+        flags: &[
+            flag("--net", |a, _| on(&mut a.net)).help("select this mode"),
+            MONITORS,
+            TICKS,
+            flag("--net-agents", |a, v| set(&mut a.net_agents, v))
+                .takes("n", "0")
+                .help("agents to split the monitors across (0 = one monitor per agent)"),
+            flag("--net-storm-every", |a, v| set(&mut a.net_storm_every, v))
+                .takes("t", "0")
+                .help("sever a random share of agents every t ticks (0 = off)"),
+            flag("--net-storm-fraction", |a, v| {
+                put(&mut a.net_storm_fraction, rate(v))
+            })
+            .takes("p", "0.25")
+            .help("share of agents severed per storm"),
+            DEADLINE_MS,
+            QUARANTINE_AFTER,
+            SEED,
+            REPORT_JSON,
+        ],
+        groups: &[&TRANSPORT, &RECONNECT, &SERVE],
+        requires: &[],
+        build: Command::Chaos,
+    },
+    Subcommand {
+        name: "chaos",
+        about: "run the threaded runtime on the bursty workload under injected message, \
+                crash and storage faults",
+        flags: &[
+            MONITORS,
+            TICKS,
+            flag("--drop-rate", |a, v| set(&mut a.drop_rate, v))
+                .takes("p", "0")
+                .help("violation-report drop probability"),
+            flag("--poll-drop-rate", |a, v| set(&mut a.poll_drop_rate, v))
+                .takes("p", "0")
+                .help("poll-reply drop probability"),
+            flag("--dup-rate", |a, v| set(&mut a.dup_rate, v))
+                .takes("p", "0")
+                .help("reply duplication probability"),
+            flag("--delay-rate", |a, v| set(&mut a.delay_rate, v))
+                .takes("p", "0")
+                .help("reply delay (reorder) probability"),
+            flag("--crash", |a, v| {
+                parse_crash_spec(v).map(|spec| a.crashes.push(spec))
+            })
+            .takes("m@t", "")
+            .help("crash monitor m at tick t (repeatable)"),
+            flag("--stall", |a, v| {
+                parse_stall_spec(v).map(|spec| a.stalls.push(spec))
+            })
+            .takes("m@t+d", "")
+            .help("silence monitor m at tick t for d ticks (repeatable)"),
+            flag("--coordinator-crash", |a, v| {
+                parse_value(v).map(|tick| a.coordinator_crashes.push(tick))
+            })
+            .takes("t", "")
+            .help("crash the coordinator at tick t (repeatable)"),
+            flag("--partition", |a, v| {
+                parse_partition_spec(v).map(|spec| a.partitions.push(spec))
+            })
+            .takes("m1,m2@t+d", "")
+            .help("cut monitors off the coordinator at tick t for d ticks (repeatable)"),
+            flag("--corrupt-wal-record", |a, v| {
+                parse_value(v).map(|record| a.wal_corruptions.push(record))
+            })
+            .takes("i", "")
+            .help("corrupt the i-th WAL append (repeatable)"),
+            flag("--standby", |a, _| on(&mut a.standby)).help("arm a warm standby coordinator"),
+            WAL_DIR,
+            CHECKPOINT_INTERVAL,
+            flag("--wal-sync", |a, v| set(&mut a.wal_sync, v))
+                .takes("every-N|on-snapshot|never", "on-snapshot")
+                .help("WAL group-fsync policy"),
+            DEADLINE_MS,
+            QUARANTINE_AFTER,
+            flag("--no-supervise", |a, _| on(&mut a.no_supervise))
+                .help("leave quarantined monitors down"),
+            OBS_EVERY,
+            SEED.help("seeds the fault plan"),
+            OBS_DIR,
+            STORE_DIR,
+            REPORT_JSON,
+        ],
+        groups: &[&IO_FAULTS, &SERVE],
+        requires: &[],
+        build: Command::Chaos,
+    },
+    Subcommand {
+        name: "obs",
+        about: "read back the latest snapshot an --obs-dir run dumped",
+        flags: &[
+            OBS_DIR.help("the snapshot directory to read"),
+            flag("--prom", |a, _| on(&mut a.prom)).help("print the Prometheus text exposition"),
+            REPORT_JSON,
+        ],
+        groups: &[],
+        requires: &["--obs-dir"],
+        build: Command::Obs,
+    },
+    Subcommand {
+        name: "store query",
+        about: "print the matching records of a recorded store",
+        flags: &[
+            STORE_DIR_READ,
+            TASK,
+            MONITOR,
+            KIND,
+            FROM,
+            TO,
+            LIMIT,
+            flag("--cursor", |a, v| set(&mut a.cursor, v))
+                .takes("n", "0")
+                .help("matched records to skip (the next_cursor of the previous page)"),
+            REPORT_JSON,
+        ],
+        groups: &[],
+        requires: &["--store-dir"],
+        build: |a| Command::Store(StoreAction::Query, a),
+    },
+    Subcommand {
+        name: "store compact",
+        about: "merge all sealed segments into one",
+        flags: &[STORE_DIR_READ, REPORT_JSON],
+        groups: &[],
+        requires: &["--store-dir"],
+        build: |a| Command::Store(StoreAction::Compact, a),
+    },
+    Subcommand {
+        name: "store export-csv",
+        about: "write the matching records as CSV",
+        flags: &[STORE_DIR_READ, TASK, MONITOR, KIND, FROM, TO, LIMIT],
+        groups: &[],
+        requires: &["--store-dir"],
+        build: |a| Command::Store(StoreAction::ExportCsv, a),
+    },
+    Subcommand {
+        name: "backtest",
+        about: "replay a recorded range through candidate error allowances",
+        flags: &[
+            STORE_DIR_READ,
+            TASK.default("0").help("the recorded task to replay"),
+            flag("--err", |a, v| parse_value(v).map(|err| a.errs.push(err)))
+                .takes("e", "")
+                .help("candidate error allowance (repeatable; default 0.01 and 0.05)"),
+            FROM,
+            TO,
+            flag("--verify", |a, _| on(&mut a.verify))
+                .help("fail unless the recorded-config replay reproduces the recorded alerts"),
+            flag("--monitors", |a, v| opt(&mut a.monitors_override, v))
+                .takes("n", "")
+                .help("monitor count, when the store has no task-meta.json"),
+            THRESHOLD.help("global threshold, when the store has no task-meta.json"),
+            REPORT_JSON,
+        ],
+        groups: &[],
+        requires: &["--store-dir"],
+        build: Command::Backtest,
+    },
+    Subcommand {
+        name: "analyze correlate",
+        about: "rank the top-K lag-aware violation correlations of a recorded store",
+        flags: &[
+            STORE_DIR_READ,
+            flag("--top-k", |a, v| set(&mut a.top_k, v))
+                .takes("n", "10")
+                .help("best pairs to report"),
+            flag("--lag", |a, v| set(&mut a.lag, v))
+                .takes("n", "2")
+                .help("ticks a leader alert may precede a follower alert by"),
+            flag("--min-support", |a, v| set(&mut a.min_support, v))
+                .takes("n", "3")
+                .help("follower alerts a pair needs"),
+            FROM,
+            TO,
+            flag("--max-alerts", |a, v| set(&mut a.max_alerts, v))
+                .takes("n", "65536")
+                .help("alert ticks retained per task"),
+            REPORT_JSON,
+        ],
+        groups: &[],
+        requires: &["--store-dir"],
+        build: |a| Command::Analyze(AnalyzeAction::Correlate, a),
+    },
+    Subcommand {
+        name: "coordinator",
+        about: "bind a socket, wait for the agent fleet and drive the bursty workload \
+                over the wire",
+        flags: &[
+            MONITORS,
+            TICKS,
+            ERR,
+            flag("--listen", |a, v| set(&mut a.tcp, v))
+                .takes("addr", "127.0.0.1:7707")
+                .help("TCP listen address"),
+            UNIX,
+            DEADLINE_MS.default("5000"),
+            QUARANTINE_AFTER.default("3"),
+            flag("--queue-cap", |a, v| floor(&mut a.queue_cap, v, 1))
+                .takes("n", "1024")
+                .help("per-connection outbound queue (frames)"),
+            flag("--idle-timeout-ms", |a, v| {
+                floor(&mut a.idle_timeout_ms, v, 1)
+            })
+            .takes("n", "30000")
+            .help("idle connection reap timeout"),
+            flag("--wait-ms", |a, v| floor(&mut a.wait_ms, v, 1))
+                .takes("n", "30000")
+                .help("how long to wait for the full fleet"),
+            flag("--tick-interval-ms", |a, v| set(&mut a.tick_interval_ms, v))
+                .takes("n", "0")
+                .help("delay between ticks (0 = free-run)"),
+            OBS_DIR,
+            STORE_DIR.help("store read by /api/v1/query unless --serve-store-dir is given"),
+            REPORT_JSON,
+        ],
+        groups: &[&TRANSPORT, &SERVE],
+        requires: &[],
+        build: Command::Coordinator,
+    },
+    Subcommand {
+        name: "agent",
+        about: "host a slice of the fleet's monitors and dial the coordinator",
+        flags: &[
+            flag("--connect", |a, v| set(&mut a.tcp, v))
+                .takes("addr", "127.0.0.1:7707")
+                .help("coordinator TCP address"),
+            UNIX,
+            flag("--agent-id", |a, v| set(&mut a.agent_id, v))
+                .takes("n", "0")
+                .help("fleet-unique agent id"),
+            flag("--monitors", |a, v| {
+                put(&mut a.monitor_range, parse_range_spec(v).map(Some))
+            })
+            .takes("a..b", "")
+            .help("hosted monitor range, end-exclusive (default: the whole fleet)"),
+            flag("--fleet-size", |a, v| floor(&mut a.fleet_size, v, 1))
+                .takes("n", "5")
+                .help("monitors across the fleet (must match the coordinator)"),
+            ERR.help("error allowance (must match the coordinator)"),
+            THRESHOLD.help("global threshold (default: 100 x fleet size, as the coordinator)"),
+            REPORT_JSON,
+        ],
+        groups: &[&TRANSPORT, &RECONNECT],
+        requires: &[],
+        build: Command::Agent,
+    },
+];
+
+impl Subcommand {
+    /// The `i`-th word of [`Subcommand::name`].
+    fn word(&self, i: usize) -> Option<&'static str> {
+        self.name.split(' ').nth(i)
+    }
+
+    /// Every row this subcommand accepts: its own, then its groups'.
+    pub fn rows(&self) -> impl Iterator<Item = &'static Flag> {
+        let shared = self.groups.iter().flat_map(|group| group.flags);
+        self.flags.iter().chain(shared)
+    }
+
+    /// The options of a command line that gives no flag: each row's own
+    /// setter applied to its own default string.
+    pub fn defaults(&self) -> Args {
+        let mut args = Args::default();
+        for row in self.rows().filter(|row| !row.default.is_empty()) {
+            (row.set)(&mut args, row.default).expect("a row's default parses through its setter");
+        }
+        args
+    }
+
+    /// Parses the flags that follow the subcommand's selecting words.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] for a flag this subcommand does not read, a
+    /// missing or malformed value, or a missing required flag.
+    pub fn parse(&self, argv: &[String]) -> Result<Args, CliError> {
+        let mut args = self.defaults();
+        let mut given = Vec::new();
+        let mut words = argv.iter();
+        while let Some(word) = words.next() {
+            let Some(row) = self.rows().find(|row| row.name == word) else {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `{word}` for `volley {}`",
+                    self.name
+                )));
+            };
+            let raw = match row.value {
+                "" => "",
+                _ => words
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("flag {word} requires a value")))?,
+            };
+            (row.set)(&mut args, raw).map_err(|hint| {
+                CliError::Usage(format!("invalid value `{raw}` for {word}{hint}"))
+            })?;
+            given.push(row.name);
+        }
+        if !self.requires.is_empty() && !self.requires.iter().any(|name| given.contains(name)) {
+            let needed = self.requires.join(" or ");
+            return Err(CliError::Usage(format!("{} requires {needed}", self.name)));
+        }
+        if let Some((_, end)) = args.monitor_range {
+            if end as usize > args.fleet_size {
+                return Err(CliError::Usage(format!(
+                    "monitor range end {end} exceeds --fleet-size {}",
+                    args.fleet_size
+                )));
+            }
+        }
+        Ok(args)
+    }
+}
+
 impl Command {
     /// Parses a command line (without the program name).
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::Usage`] for unknown subcommands, unknown
-    /// flags, missing values or missing required options.
+    /// Returns [`CliError::Usage`] for unknown subcommands or actions
+    /// and for everything [`Subcommand::parse`] rejects.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliError> {
-        let args: Vec<String> = args.into_iter().collect();
-        let Some(subcommand) = args.first() else {
+        let argv: Vec<String> = args.into_iter().collect();
+        let Some(first) = argv.first() else {
             return Ok(Command::Help);
         };
-        let rest = &args[1..];
-        match subcommand.as_str() {
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            "monitor" => Self::parse_monitor(rest),
-            "generate" => Self::parse_generate(rest),
-            "sim" | "simulate" => Self::parse_simulate(rest),
-            "chaos" => Self::parse_chaos(rest),
-            "run" => Self::parse_run(rest),
-            "obs" => Self::parse_obs(rest),
-            "store" => Self::parse_store(rest),
-            "backtest" => Self::parse_backtest(rest),
-            "analyze" => Self::parse_analyze(rest),
-            "coordinator" => Self::parse_coordinator(rest),
-            "agent" => Self::parse_agent(rest),
-            other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+        if matches!(first.as_str(), "help" | "--help" | "-h") {
+            return Ok(Command::Help);
         }
+        let family = || SUBCOMMANDS.iter().filter(|sub| sub.word(0) == Some(first));
+        let actions: Vec<&str> = family()
+            .filter_map(|sub| sub.word(1))
+            .filter(|word| !word.starts_with("--"))
+            .collect();
+        let (sub, rest) = if actions.is_empty() {
+            let mode_given = |mode: &str| argv.iter().any(|word| word == mode);
+            let sub = family()
+                .find(|sub| sub.word(1).is_none_or(mode_given))
+                .ok_or_else(|| CliError::Usage(format!("unknown subcommand `{first}`")))?;
+            (sub, &argv[1..])
+        } else {
+            let expected = actions.join(", ");
+            let action = argv.get(1).ok_or_else(|| {
+                CliError::Usage(format!("{first} requires an action: {expected}"))
+            })?;
+            let sub = family()
+                .find(|sub| sub.word(1) == Some(action))
+                .ok_or_else(|| {
+                    CliError::Usage(format!(
+                        "unknown {first} action `{action}` (expected one of: {expected})"
+                    ))
+                })?;
+            (sub, &argv[2..])
+        };
+        Ok((sub.build)(sub.parse(rest)?))
     }
+}
 
-    fn parse_monitor(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = MonitorArgs {
-            input: String::from("-"),
-            threshold: None,
-            percentile: None,
-            err: 0.01,
-            max_interval: 16,
-            below: false,
-            json: false,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--input" => parsed.input = parse_value(flag, it.next())?,
-                "--threshold" => parsed.threshold = Some(parse_value(flag, it.next())?),
-                "--percentile" => parsed.percentile = Some(parse_value(flag, it.next())?),
-                "--err" => parsed.err = parse_value(flag, it.next())?,
-                "--max-interval" => parsed.max_interval = parse_value(flag, it.next())?,
-                "--below" => parsed.below = true,
-                "--json" | "--report-json" => parsed.json = true,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        if parsed.threshold.is_none() && parsed.percentile.is_none() {
-            return Err(CliError::Usage(
-                "monitor requires --threshold or --percentile".to_string(),
-            ));
-        }
-        Ok(Command::Monitor(parsed))
-    }
+/// Renders one row as `volley help` shows it.
+fn write_row(text: &mut String, row: &Flag) {
+    let spec = match (row.value, row.default) {
+        ("", _) => row.name.to_string(),
+        (value, "") => format!("{} <{value}>", row.name),
+        (value, default) => format!("{} <{value}={default}>", row.name),
+    };
+    let _ = writeln!(text, "    {spec:<36} {}", row.help);
+}
 
-    fn parse_generate(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = GenerateArgs {
-            family: String::new(),
-            ticks: 2000,
-            tasks: 1,
-            seed: 0,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--family" => parsed.family = parse_value(flag, it.next())?,
-                "--ticks" => parsed.ticks = parse_value(flag, it.next())?,
-                "--tasks" => parsed.tasks = parse_value(flag, it.next())?,
-                "--seed" => parsed.seed = parse_value(flag, it.next())?,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
+/// The text `volley help` prints: every subcommand with every row it
+/// accepts and each row's default, rendered from [`SUBCOMMANDS`].
+pub fn usage() -> String {
+    let mut text = String::from(
+        "volley — violation-likelihood based adaptive state monitoring\n\n\
+         USAGE: volley <subcommand> [flags]     (a flag's default shows as <value=default>)\n",
+    );
+    for sub in &SUBCOMMANDS {
+        let _ = writeln!(text, "\n  volley {}\n    {}", sub.name, sub.about);
+        if !sub.requires.is_empty() {
+            let _ = writeln!(text, "    requires {}", sub.requires.join(" or "));
         }
-        if parsed.family.is_empty() {
-            return Err(CliError::Usage("generate requires --family".to_string()));
+        for row in sub.flags {
+            write_row(&mut text, row);
         }
-        parsed.ticks = parsed.ticks.max(1);
-        parsed.tasks = parsed.tasks.max(1);
-        Ok(Command::Generate(parsed))
+        for group in sub.groups {
+            let _ = writeln!(text, "    [{}]", group.title);
+        }
     }
-
-    fn parse_chaos(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = ChaosArgs {
-            monitors: 5,
-            ticks: 200,
-            multitask: 0,
-            train_ticks: 0,
-            drop_rate: 0.0,
-            poll_drop_rate: 0.0,
-            dup_rate: 0.0,
-            delay_rate: 0.0,
-            crashes: Vec::new(),
-            stalls: Vec::new(),
-            coordinator_crashes: Vec::new(),
-            partitions: Vec::new(),
-            wal_corruptions: Vec::new(),
-            wal_dir: None,
-            checkpoint_interval: 25,
-            wal_sync: WalSyncPolicy::default(),
-            standby: false,
-            deadline_ms: 50,
-            quarantine_after: 2,
-            supervise: true,
-            obs_every: 50,
-            net: false,
-            net_agents: 0,
-            net_storm_every: 0,
-            net_storm_fraction: 0.25,
-            transport: TransportArgs::default(),
-            serve: ServeArgs::default(),
-            io: IoFaultArgs::default(),
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)?
-                || parsed.transport.accept(flag, &mut it)?
-                || parsed.serve.accept(flag, &mut it)?
-                || parsed.io.accept(flag, &mut it)?
-            {
-                continue;
-            }
-            match flag.as_str() {
-                "--monitors" => parsed.monitors = parse_value(flag, it.next())?,
-                "--ticks" => parsed.ticks = parse_value(flag, it.next())?,
-                "--multitask" => parsed.multitask = parse_value(flag, it.next())?,
-                "--train-ticks" => parsed.train_ticks = parse_value(flag, it.next())?,
-                "--drop-rate" => parsed.drop_rate = parse_value(flag, it.next())?,
-                "--poll-drop-rate" => parsed.poll_drop_rate = parse_value(flag, it.next())?,
-                "--dup-rate" => parsed.dup_rate = parse_value(flag, it.next())?,
-                "--delay-rate" => parsed.delay_rate = parse_value(flag, it.next())?,
-                "--crash" => parsed.crashes.push(parse_crash_spec(it.next())?),
-                "--stall" => parsed.stalls.push(parse_stall_spec(it.next())?),
-                "--coordinator-crash" => {
-                    parsed
-                        .coordinator_crashes
-                        .push(parse_value(flag, it.next())?);
-                }
-                "--partition" => parsed.partitions.push(parse_partition_spec(it.next())?),
-                "--corrupt-wal-record" => {
-                    parsed.wal_corruptions.push(parse_value(flag, it.next())?);
-                }
-                "--wal-dir" => parsed.wal_dir = Some(parse_value(flag, it.next())?),
-                "--checkpoint-interval" => {
-                    parsed.checkpoint_interval = parse_value(flag, it.next())?;
-                }
-                "--wal-sync" => parsed.wal_sync = parse_value(flag, it.next())?,
-                "--standby" => parsed.standby = true,
-                "--obs-every" => parsed.obs_every = parse_value(flag, it.next())?,
-                "--deadline-ms" => parsed.deadline_ms = parse_value(flag, it.next())?,
-                "--quarantine-after" => parsed.quarantine_after = parse_value(flag, it.next())?,
-                "--no-supervise" => parsed.supervise = false,
-                "--net" => parsed.net = true,
-                "--net-agents" => parsed.net_agents = parse_value(flag, it.next())?,
-                "--net-storm-every" => parsed.net_storm_every = parse_value(flag, it.next())?,
-                "--net-storm-fraction" => {
-                    parsed.net_storm_fraction =
-                        parse_value::<f64>(flag, it.next())?.clamp(0.0, 1.0);
-                }
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
+    let _ = writeln!(text, "\n  volley help");
+    for group in GROUPS {
+        let users: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .filter(|sub| sub.groups.iter().any(|g| std::ptr::eq(*g, group)))
+            .map(|sub| sub.name)
+            .collect();
+        let _ = writeln!(
+            text,
+            "\n  [{}] on {}\n    {}",
+            group.title,
+            users.join(", "),
+            group.about
+        );
+        for row in group.flags {
+            write_row(&mut text, row);
         }
-        parsed.monitors = parsed.monitors.max(1);
-        parsed.ticks = parsed.ticks.max(1);
-        parsed.deadline_ms = parsed.deadline_ms.max(1);
-        parsed.quarantine_after = parsed.quarantine_after.max(1);
-        parsed.checkpoint_interval = parsed.checkpoint_interval.max(1);
-        parsed.obs_every = parsed.obs_every.max(1);
-        Ok(Command::Chaos(parsed))
     }
-
-    fn parse_run(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = RunArgs {
-            monitors: 5,
-            ticks: 200,
-            err: 0.01,
-            obs_every: 50,
-            self_monitor_us: None,
-            serve: ServeArgs::default(),
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? || parsed.serve.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--monitors" => parsed.monitors = parse_value(flag, it.next())?,
-                "--ticks" => parsed.ticks = parse_value(flag, it.next())?,
-                "--err" => parsed.err = parse_value(flag, it.next())?,
-                "--obs-every" => parsed.obs_every = parse_value(flag, it.next())?,
-                "--self-monitor-us" => {
-                    parsed.self_monitor_us = Some(parse_value(flag, it.next())?);
-                }
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        parsed.monitors = parsed.monitors.max(1);
-        parsed.ticks = parsed.ticks.max(1);
-        parsed.obs_every = parsed.obs_every.max(1);
-        Ok(Command::Run(parsed))
-    }
-
-    fn parse_obs(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = ObsArgs {
-            dir: String::new(),
-            prom: false,
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--dir" => parsed.dir = parse_value(flag, it.next())?,
-                "--prom" => parsed.prom = true,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        // One resolver for the `--obs-dir` vs legacy `--dir` spelling
-        // (see [`CommonArgs::resolve_obs_dir`]).
-        let legacy = (!parsed.dir.is_empty()).then(|| parsed.dir.clone());
-        let resolved = parsed
-            .common
-            .resolve_obs_dir(legacy.as_deref())
-            .map(str::to_string);
-        match resolved {
-            Some(dir) => parsed.dir = dir,
-            None => return Err(CliError::Usage("obs requires --obs-dir".to_string())),
-        }
-        parsed.common.obs_dir = None; // consumed by the resolution
-        Ok(Command::Obs(parsed))
-    }
-
-    fn parse_store(args: &[String]) -> Result<Command, CliError> {
-        let mut it = args.iter();
-        let action = match it.next().map(String::as_str) {
-            Some("query") => StoreAction::Query,
-            Some("compact") => StoreAction::Compact,
-            Some("export-csv") => StoreAction::ExportCsv,
-            Some(other) => {
-                return Err(CliError::Usage(format!(
-                    "unknown store action `{other}` (expected query, compact or export-csv)"
-                )))
-            }
-            None => {
-                return Err(CliError::Usage(
-                    "store requires an action: query, compact or export-csv".to_string(),
-                ))
-            }
-        };
-        let mut parsed = StoreArgs {
-            action,
-            dir: String::new(),
-            task: None,
-            monitor: None,
-            kind: None,
-            from: 0,
-            to: u64::MAX,
-            limit: None,
-            cursor: 0,
-            common: CommonArgs::default(),
-        };
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--dir" => parsed.dir = parse_value(flag, it.next())?,
-                "--task" => parsed.task = Some(parse_value(flag, it.next())?),
-                "--monitor" => parsed.monitor = Some(parse_value(flag, it.next())?),
-                "--kind" => {
-                    let raw: String = parse_value(flag, it.next())?;
-                    parsed.kind = Some(volley_store::RecordKind::parse(&raw).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "unknown record kind `{raw}` (expected sample, poll, alert, \
-                             interval, gauge or counter)"
-                        ))
-                    })?);
-                }
-                "--from" => parsed.from = parse_value(flag, it.next())?,
-                "--to" => parsed.to = parse_value(flag, it.next())?,
-                "--limit" => parsed.limit = Some(parse_value(flag, it.next())?),
-                "--cursor" => parsed.cursor = parse_value(flag, it.next())?,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        let legacy = (!parsed.dir.is_empty()).then(|| parsed.dir.clone());
-        match parsed
-            .common
-            .resolve_store_dir(legacy.as_deref())
-            .map(str::to_string)
-        {
-            Some(dir) => parsed.dir = dir,
-            None => return Err(CliError::Usage("store requires --store-dir".to_string())),
-        }
-        parsed.common.store_dir = None; // consumed by the resolution
-        Ok(Command::Store(parsed))
-    }
-
-    fn parse_backtest(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = BacktestArgs {
-            dir: String::new(),
-            task: 0,
-            errs: Vec::new(),
-            from: 0,
-            to: u64::MAX,
-            verify: false,
-            monitors: None,
-            threshold: None,
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--dir" => parsed.dir = parse_value(flag, it.next())?,
-                "--task" => parsed.task = parse_value(flag, it.next())?,
-                "--err" => parsed.errs.push(parse_value(flag, it.next())?),
-                "--from" => parsed.from = parse_value(flag, it.next())?,
-                "--to" => parsed.to = parse_value(flag, it.next())?,
-                "--verify" => parsed.verify = true,
-                "--monitors" => parsed.monitors = Some(parse_value(flag, it.next())?),
-                "--threshold" => parsed.threshold = Some(parse_value(flag, it.next())?),
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        let legacy = (!parsed.dir.is_empty()).then(|| parsed.dir.clone());
-        match parsed
-            .common
-            .resolve_store_dir(legacy.as_deref())
-            .map(str::to_string)
-        {
-            Some(dir) => parsed.dir = dir,
-            None => return Err(CliError::Usage("backtest requires --store-dir".to_string())),
-        }
-        parsed.common.store_dir = None; // consumed by the resolution
-        Ok(Command::Backtest(parsed))
-    }
-
-    fn parse_analyze(args: &[String]) -> Result<Command, CliError> {
-        let mut it = args.iter();
-        let action = match it.next().map(String::as_str) {
-            Some("correlate") => AnalyzeAction::Correlate,
-            Some(other) => {
-                return Err(CliError::Usage(format!(
-                    "unknown analyze job `{other}` (expected correlate)"
-                )))
-            }
-            None => {
-                return Err(CliError::Usage(
-                    "analyze requires a job: correlate".to_string(),
-                ))
-            }
-        };
-        let mut parsed = AnalyzeArgs {
-            action,
-            dir: String::new(),
-            top_k: 10,
-            lag: 2,
-            min_support: 3,
-            from: 0,
-            to: u64::MAX,
-            max_alerts: 65_536,
-            common: CommonArgs::default(),
-        };
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--dir" => parsed.dir = parse_value(flag, it.next())?,
-                "--top-k" => parsed.top_k = parse_value(flag, it.next())?,
-                "--lag" => parsed.lag = parse_value(flag, it.next())?,
-                "--min-support" => parsed.min_support = parse_value(flag, it.next())?,
-                "--from" => parsed.from = parse_value(flag, it.next())?,
-                "--to" => parsed.to = parse_value(flag, it.next())?,
-                "--max-alerts" => parsed.max_alerts = parse_value(flag, it.next())?,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        let legacy = (!parsed.dir.is_empty()).then(|| parsed.dir.clone());
-        match parsed
-            .common
-            .resolve_store_dir(legacy.as_deref())
-            .map(str::to_string)
-        {
-            Some(dir) => parsed.dir = dir,
-            None => return Err(CliError::Usage("analyze requires --store-dir".to_string())),
-        }
-        parsed.common.store_dir = None; // consumed by the resolution
-        Ok(Command::Analyze(parsed))
-    }
-
-    fn parse_coordinator(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = CoordinatorArgs {
-            monitors: 5,
-            ticks: 200,
-            err: 0.01,
-            listen: String::from("127.0.0.1:7707"),
-            unix: None,
-            deadline_ms: 5000,
-            quarantine_after: 3,
-            queue_cap: 1024,
-            idle_timeout_ms: 30_000,
-            wait_ms: 30_000,
-            tick_interval_ms: 0,
-            transport: TransportArgs::default(),
-            serve: ServeArgs::default(),
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)?
-                || parsed.transport.accept(flag, &mut it)?
-                || parsed.serve.accept(flag, &mut it)?
-            {
-                continue;
-            }
-            match flag.as_str() {
-                "--monitors" => parsed.monitors = parse_value(flag, it.next())?,
-                "--ticks" => parsed.ticks = parse_value(flag, it.next())?,
-                "--err" => parsed.err = parse_value(flag, it.next())?,
-                "--listen" => parsed.listen = parse_value(flag, it.next())?,
-                "--unix" => parsed.unix = Some(parse_value(flag, it.next())?),
-                "--deadline-ms" => parsed.deadline_ms = parse_value(flag, it.next())?,
-                "--quarantine-after" => parsed.quarantine_after = parse_value(flag, it.next())?,
-                "--queue-cap" => parsed.queue_cap = parse_value(flag, it.next())?,
-                "--idle-timeout-ms" => parsed.idle_timeout_ms = parse_value(flag, it.next())?,
-                "--wait-ms" => parsed.wait_ms = parse_value(flag, it.next())?,
-                "--tick-interval-ms" => parsed.tick_interval_ms = parse_value(flag, it.next())?,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        parsed.monitors = parsed.monitors.max(1);
-        parsed.ticks = parsed.ticks.max(1);
-        parsed.deadline_ms = parsed.deadline_ms.max(1);
-        parsed.quarantine_after = parsed.quarantine_after.max(1);
-        parsed.queue_cap = parsed.queue_cap.max(1);
-        parsed.idle_timeout_ms = parsed.idle_timeout_ms.max(1);
-        parsed.wait_ms = parsed.wait_ms.max(1);
-        Ok(Command::Coordinator(parsed))
-    }
-
-    fn parse_agent(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = AgentArgs {
-            connect: String::from("127.0.0.1:7707"),
-            unix: None,
-            agent_id: 0,
-            monitors: None,
-            fleet_size: 5,
-            err: 0.01,
-            threshold: None,
-            transport: TransportArgs::default(),
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? || parsed.transport.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--connect" => parsed.connect = parse_value(flag, it.next())?,
-                "--unix" => parsed.unix = Some(parse_value(flag, it.next())?),
-                "--agent-id" => parsed.agent_id = parse_value(flag, it.next())?,
-                "--monitors" => parsed.monitors = Some(parse_range_spec(it.next())?),
-                "--fleet-size" => parsed.fleet_size = parse_value(flag, it.next())?,
-                "--err" => parsed.err = parse_value(flag, it.next())?,
-                "--threshold" => parsed.threshold = Some(parse_value(flag, it.next())?),
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        parsed.fleet_size = parsed.fleet_size.max(1);
-        if let Some((_, end)) = parsed.monitors {
-            if end as usize > parsed.fleet_size {
-                return Err(CliError::Usage(format!(
-                    "monitor range end {end} exceeds --fleet-size {}",
-                    parsed.fleet_size
-                )));
-            }
-        }
-        Ok(Command::Agent(parsed))
-    }
-
-    fn parse_simulate(args: &[String]) -> Result<Command, CliError> {
-        let mut parsed = SimulateArgs {
-            servers: 4,
-            vms: 40,
-            err: 0.01,
-            ticks: 1500,
-            common: CommonArgs::default(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if parsed.common.accept(flag, &mut it)? {
-                continue;
-            }
-            match flag.as_str() {
-                "--servers" => parsed.servers = parse_value(flag, it.next())?,
-                "--vms" => parsed.vms = parse_value(flag, it.next())?,
-                "--err" => parsed.err = parse_value(flag, it.next())?,
-                "--ticks" => parsed.ticks = parse_value(flag, it.next())?,
-                other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-            }
-        }
-        Ok(Command::Simulate(parsed))
-    }
+    text
 }
 
 #[cfg(test)]
@@ -1414,7 +1289,7 @@ mod tests {
             "--max-interval",
             "8",
             "--below",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
@@ -1424,7 +1299,7 @@ mod tests {
                 assert_eq!(m.err, 0.02);
                 assert_eq!(m.max_interval, 8);
                 assert!(m.below);
-                assert!(m.json);
+                assert!(m.common.report_json);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1459,7 +1334,7 @@ mod tests {
 
     #[test]
     fn simulate_has_defaults() {
-        let cmd = Command::parse(args(&["simulate"])).unwrap();
+        let cmd = Command::parse(args(&["sim"])).unwrap();
         match cmd {
             Command::Simulate(s) => {
                 assert_eq!(s.servers, 4);
@@ -1476,7 +1351,7 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            Command::parse(args(&["simulate", "--servers"])),
+            Command::parse(args(&["sim", "--servers"])),
             Err(CliError::Usage(_))
         ));
     }
@@ -1498,7 +1373,7 @@ mod tests {
             "--deadline-ms",
             "30",
             "--no-supervise",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
@@ -1509,7 +1384,7 @@ mod tests {
                 assert_eq!(c.crashes, vec![(1, 40)]);
                 assert_eq!(c.stalls, vec![(2, 20, 50)]);
                 assert_eq!(c.deadline_ms, 30);
-                assert!(!c.supervise);
+                assert!(c.no_supervise);
                 assert!(c.common.report_json);
             }
             other => panic!("unexpected {other:?}"),
@@ -1533,7 +1408,7 @@ mod tests {
                 assert_eq!(c.monitors, 1);
                 assert_eq!(c.deadline_ms, 1);
                 assert_eq!(c.quarantine_after, 1);
-                assert!(c.supervise);
+                assert!(!c.no_supervise);
                 assert!(c.crashes.is_empty());
             }
             other => panic!("unexpected {other:?}"),
@@ -1675,7 +1550,7 @@ mod tests {
             "0",
             "--self-monitor-us",
             "250000",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
@@ -1723,22 +1598,17 @@ mod tests {
             Command::parse(args(&["obs"])),
             Err(CliError::Usage(_))
         ));
-        match Command::parse(args(&["obs", "--dir", "/tmp/obs", "--prom"])).unwrap() {
+        match Command::parse(args(&["obs", "--obs-dir", "/tmp/obs", "--prom"])).unwrap() {
             Command::Obs(o) => {
-                assert_eq!(o.dir, "/tmp/obs");
+                assert_eq!(o.common.obs_dir.as_deref(), Some("/tmp/obs"));
                 assert!(o.prom);
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        // `--obs-dir` is the canonical spelling and wins over `--dir`.
-        match Command::parse(args(&["obs", "--dir", "/a", "--obs-dir", "/b"])).unwrap() {
-            Command::Obs(o) => assert_eq!(o.dir, "/b"),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn sim_alias_and_common_group() {
+    fn sim_parses_shared_rows() {
         let cmd = Command::parse(args(&[
             "sim",
             "--servers",
@@ -1765,41 +1635,6 @@ mod tests {
     }
 
     #[test]
-    fn common_group_parses_identically_everywhere() {
-        // The same flag tail must produce the same CommonArgs under every
-        // workload subcommand — the point of the shared group.
-        let tail = [
-            "--seed",
-            "9",
-            "--threads",
-            "0", // floored at 1
-            "--obs-dir",
-            "/tmp/g",
-            "--store-dir",
-            "/tmp/s",
-            "--json", // legacy alias of --report-json
-        ];
-        let expect = CommonArgs {
-            seed: 9,
-            obs_dir: Some("/tmp/g".to_string()),
-            store_dir: Some("/tmp/s".to_string()),
-            threads: 1,
-            report_json: true,
-        };
-        for sub in ["run", "chaos", "sim"] {
-            let mut argv = vec![sub];
-            argv.extend_from_slice(&tail);
-            let common = match Command::parse(args(&argv)).unwrap() {
-                Command::Run(r) => r.common,
-                Command::Chaos(c) => c.common,
-                Command::Simulate(s) => s.common,
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(common, expect, "under `{sub}`");
-        }
-    }
-
-    #[test]
     fn store_parses_actions_and_filters() {
         let cmd = Command::parse(args(&[
             "store",
@@ -1818,47 +1653,34 @@ mod tests {
             "99",
             "--limit",
             "5",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
-            Command::Store(s) => {
-                assert_eq!(s.action, StoreAction::Query);
-                assert_eq!(s.dir, "/tmp/store");
+            Command::Store(action, s) => {
+                assert_eq!(action, StoreAction::Query);
+                assert_eq!(s.common.store_dir.as_deref(), Some("/tmp/store"));
                 assert_eq!(s.task, Some(1));
                 assert_eq!(s.monitor, Some(2));
                 assert_eq!(s.kind, Some(volley_store::RecordKind::Alert));
                 assert_eq!(s.from, 10);
-                assert_eq!(s.to, 99);
+                assert_eq!(s.to, Some(99));
                 assert_eq!(s.limit, Some(5));
                 assert!(s.common.report_json);
-                assert_eq!(s.common.store_dir, None, "consumed by the resolver");
             }
             other => panic!("unexpected {other:?}"),
         }
-        // The legacy `--dir` alias works; `--store-dir` wins over it.
-        match Command::parse(args(&["store", "compact", "--dir", "/a"])).unwrap() {
-            Command::Store(s) => {
-                assert_eq!(s.action, StoreAction::Compact);
-                assert_eq!(s.dir, "/a");
+        for (word, expect) in [
+            ("compact", StoreAction::Compact),
+            ("export-csv", StoreAction::ExportCsv),
+        ] {
+            match Command::parse(args(&["store", word, "--store-dir", "/a"])).unwrap() {
+                Command::Store(action, s) => {
+                    assert_eq!(action, expect);
+                    assert_eq!(s.common.store_dir.as_deref(), Some("/a"));
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Command::parse(args(&[
-            "store",
-            "export-csv",
-            "--dir",
-            "/a",
-            "--store-dir",
-            "/b",
-        ]))
-        .unwrap()
-        {
-            Command::Store(s) => {
-                assert_eq!(s.action, StoreAction::ExportCsv);
-                assert_eq!(s.dir, "/b");
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1892,16 +1714,16 @@ mod tests {
             "--from",
             "5",
             "--verify",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
             Command::Backtest(b) => {
-                assert_eq!(b.dir, "/tmp/store");
-                assert_eq!(b.task, 3);
+                assert_eq!(b.common.store_dir.as_deref(), Some("/tmp/store"));
+                assert_eq!(b.task, Some(3));
                 assert_eq!(b.errs, vec![0.01, 0.05]);
                 assert_eq!(b.from, 5);
-                assert_eq!(b.to, u64::MAX);
+                assert_eq!(b.to, None);
                 assert!(b.verify);
                 assert!(b.common.report_json);
             }
@@ -1930,26 +1752,20 @@ mod tests {
             "10",
             "--to",
             "900",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
-            Command::Analyze(a) => {
-                assert_eq!(a.action, AnalyzeAction::Correlate);
-                assert_eq!(a.dir, "/tmp/store");
+            Command::Analyze(action, a) => {
+                assert_eq!(action, AnalyzeAction::Correlate);
+                assert_eq!(a.common.store_dir.as_deref(), Some("/tmp/store"));
                 assert_eq!(a.top_k, 5);
                 assert_eq!(a.lag, 4);
                 assert_eq!(a.min_support, 7);
                 assert_eq!(a.from, 10);
-                assert_eq!(a.to, 900);
+                assert_eq!(a.to, Some(900));
                 assert!(a.common.report_json);
-                assert_eq!(a.common.store_dir, None, "consumed by resolution");
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Legacy `--dir` spells the store directory too.
-        match Command::parse(args(&["analyze", "correlate", "--dir", "/tmp/s"])).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.dir, "/tmp/s"),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -2008,21 +1824,21 @@ mod tests {
             "0",
             "--max-frame-bytes",
             "4096",
-            "--backoff-cap-ms",
+            "--write-timeout-ms",
             "500",
-            "--json",
+            "--report-json",
         ]))
         .unwrap();
         match cmd {
             Command::Coordinator(c) => {
                 assert_eq!(c.monitors, 12);
                 assert_eq!(c.ticks, 1, "ticks floored at 1");
-                assert_eq!(c.listen, "0.0.0.0:9000");
+                assert_eq!(c.tcp, "0.0.0.0:9000");
                 assert_eq!(c.unix, None);
                 assert_eq!(c.deadline_ms, 250);
                 assert_eq!(c.queue_cap, 1, "queue cap floored at 1");
                 assert_eq!(c.transport.max_frame_bytes, 4096);
-                assert_eq!(c.transport.backoff_cap_ms, 500);
+                assert_eq!(c.transport.write_timeout_ms, 500);
                 assert!(c.common.report_json);
             }
             other => panic!("unexpected {other:?}"),
@@ -2030,8 +1846,10 @@ mod tests {
         match Command::parse(args(&["coordinator"])).unwrap() {
             Command::Coordinator(c) => {
                 assert_eq!(c.monitors, 5);
-                assert_eq!(c.listen, "127.0.0.1:7707");
-                assert_eq!(c.transport, TransportArgs::default());
+                assert_eq!(c.tcp, "127.0.0.1:7707");
+                assert_eq!(c.deadline_ms, 5000, "its own default, not chaos's 50");
+                assert_eq!(c.transport.max_frame_bytes, 65_536);
+                assert_eq!(c.transport.read_timeout_ms, 0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2059,9 +1877,9 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Agent(a) => {
-                assert_eq!(a.connect, "10.0.0.1:7707");
+                assert_eq!(a.tcp, "10.0.0.1:7707");
                 assert_eq!(a.agent_id, 3);
-                assert_eq!(a.monitors, Some((6, 9)));
+                assert_eq!(a.monitor_range, Some((6, 9)));
                 assert_eq!(a.fleet_size, 12);
                 assert_eq!(a.err, 0.02);
                 assert_eq!(a.threshold, Some(1200.0));
@@ -2112,99 +1930,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match Command::parse(args(&["chaos"])).unwrap() {
+        match Command::parse(args(&["chaos", "--net"])).unwrap() {
             Command::Chaos(c) => {
-                assert!(!c.net);
+                assert_eq!(c.net_agents, 0);
                 assert_eq!(c.net_storm_fraction, 0.25);
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn transport_group_parses_identically_everywhere() {
-        let tail = [
-            "--max-frame-bytes",
-            "0", // floored at 64
-            "--read-timeout-ms",
-            "250",
-            "--write-timeout-ms",
-            "300",
-            "--backoff-base-ms",
-            "0", // floored at 1
-            "--backoff-cap-ms",
-            "750",
-        ];
-        let expect = TransportArgs {
-            max_frame_bytes: 64,
-            read_timeout_ms: 250,
-            write_timeout_ms: 300,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 750,
-        };
-        for sub in ["agent", "coordinator", "chaos"] {
-            let mut argv = vec![sub];
-            argv.extend_from_slice(&tail);
-            let transport = match Command::parse(args(&argv)).unwrap() {
-                Command::Agent(a) => a.transport,
-                Command::Coordinator(c) => c.transport,
-                Command::Chaos(c) => c.transport,
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(transport, expect, "under `{sub}`");
-        }
-    }
-
-    #[test]
-    fn serve_group_parses_identically_everywhere() {
-        let tail = [
-            "--serve-addr",
-            "127.0.0.1:9464",
-            "--serve-store-dir",
-            "/tmp/st",
-            "--serve-max-request-bytes",
-            "0", // floored at 256
-            "--serve-idle-timeout-ms",
-            "0", // floored at 1
-            "--serve-stream-buffer",
-            "64",
-            "--serve-page-limit",
-            "100",
-            "--serve-linger-ms",
-            "1500",
-        ];
-        let expect = ServeArgs {
-            addr: Some("127.0.0.1:9464".to_string()),
-            store_dir: Some("/tmp/st".to_string()),
-            max_request_bytes: 256,
-            idle_timeout_ms: 1,
-            stream_buffer: 64,
-            page_limit: 100,
-            linger_ms: 1500,
-        };
-        for sub in ["run", "chaos", "coordinator"] {
-            let mut argv = vec![sub];
-            argv.extend_from_slice(&tail);
-            let serve = match Command::parse(args(&argv)).unwrap() {
-                Command::Run(r) => r.serve,
-                Command::Chaos(c) => c.serve,
-                Command::Coordinator(c) => c.serve,
-                other => panic!("unexpected {other:?}"),
-            };
-            assert!(serve.enabled());
-            assert_eq!(serve, expect, "under `{sub}`");
-        }
-        // Off by default, and `--serve-store-dir` wins over the
-        // recording directory in the resolver.
-        match Command::parse(args(&["run"])).unwrap() {
-            Command::Run(r) => {
-                assert!(!r.serve.enabled());
-                assert_eq!(r.serve, ServeArgs::default());
-                assert_eq!(r.serve.resolve_store_dir(Some("/rec")), Some("/rec"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(expect.resolve_store_dir(Some("/rec")), Some("/tmp/st"));
     }
 
     #[test]
@@ -2219,11 +1951,11 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Store(s) => assert_eq!(s.cursor, 128),
+            Command::Store(_, s) => assert_eq!(s.cursor, 128),
             other => panic!("unexpected {other:?}"),
         }
         match Command::parse(args(&["store", "query", "--store-dir", "/tmp/s"])).unwrap() {
-            Command::Store(s) => assert_eq!(s.cursor, 0),
+            Command::Store(_, s) => assert_eq!(s.cursor, 0),
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(
@@ -2239,74 +1971,246 @@ mod tests {
         ));
     }
 
-    /// Extracts the `<…=default>` value USAGE documents right after
-    /// `flag`. Panics when the flag is missing or documents no default.
-    fn usage_default(flag: &str) -> String {
-        let idx = USAGE
-            .find(flag)
-            .unwrap_or_else(|| panic!("{flag} not documented in USAGE"));
-        let rest = &USAGE[idx + flag.len()..];
-        let open = rest
-            .find('<')
-            .unwrap_or_else(|| panic!("{flag} documents no <…> value"));
-        let close = open
-            + rest[open..]
-                .find('>')
-                .unwrap_or_else(|| panic!("{flag} value spec unterminated"));
-        let spec = &rest[open + 1..close];
-        spec.split_once('=')
-            .unwrap_or_else(|| panic!("{flag} documents no default in `{spec}`"))
-            .1
-            .to_string()
+    /// The table invariants that replaced the per-group drift guards:
+    /// with one row per flag there is nothing left to keep in sync, only
+    /// the table's own shape to check.
+    #[test]
+    fn the_flag_table_is_well_formed() {
+        let help = usage();
+        for sub in &SUBCOMMANDS {
+            // Every default goes through its own setter.
+            let defaults = sub.defaults();
+            if let Ok(parsed) = sub.parse(&[]) {
+                assert_eq!(parsed, defaults, "{}", sub.name);
+            }
+            let section = &help[help
+                .find(&format!("\n  volley {}\n", sub.name))
+                .unwrap_or_else(|| panic!("`{}` missing from volley help", sub.name))..];
+            let mut seen = Vec::new();
+            for row in sub.rows() {
+                assert!(
+                    !seen.contains(&row.name),
+                    "{} twice in {}",
+                    row.name,
+                    sub.name
+                );
+                seen.push(row.name);
+                assert!(
+                    row.name.starts_with("--") && !row.help.is_empty(),
+                    "{row:?}"
+                );
+                assert!(
+                    row.default.is_empty() || !row.value.is_empty(),
+                    "{row:?}: a switch cannot have a default"
+                );
+            }
+            // Every own row is listed under the subcommand with its default…
+            for row in sub.flags {
+                let spec = match (row.value, row.default) {
+                    ("", _) => format!("    {} ", row.name),
+                    (value, "") => format!("    {} <{value}> ", row.name),
+                    (value, default) => format!("    {} <{value}={default}> ", row.name),
+                };
+                let end = section[1..]
+                    .find("\n\n")
+                    .map_or(section.len(), |end| end + 1);
+                assert!(
+                    section[..end].contains(&spec),
+                    "{spec:?} not under {}",
+                    sub.name
+                );
+            }
+            // …and every group it lists is one of the shared statics, which
+            // help renders once with its rows.
+            for group in sub.groups {
+                assert!(GROUPS.iter().any(|shared| std::ptr::eq(*shared, *group)));
+                assert!(help.contains(&format!("[{}] on ", group.title)));
+                for row in group.flags {
+                    assert!(
+                        help.contains(&format!("    {} <{}=", row.name, row.value))
+                            || help.contains(&format!("    {} <{}> ", row.name, row.value))
+                    );
+                }
+            }
+            for name in sub.requires {
+                assert!(seen.contains(name), "{} requires unknown {name}", sub.name);
+            }
+        }
+        // The serve rows' defaults are the serving plane's own.
+        let serve = SUBCOMMANDS[3].defaults().serve;
+        assert_eq!(SUBCOMMANDS[3].name, "run");
+        assert_eq!(
+            serve.max_request_bytes,
+            volley_serve::DEFAULT_MAX_REQUEST_BYTES
+        );
+        assert_eq!(serve.stream_buffer, volley_serve::DEFAULT_STREAM_BUFFER);
+        assert_eq!(serve.page_limit, volley_serve::DEFAULT_PAGE_LIMIT);
+        assert!(!serve.enabled());
+        assert_eq!(serve.resolve_store_dir(Some("/rec")), Some("/rec"));
     }
 
-    /// The drift guard for the shared flag groups: the defaults USAGE
-    /// advertises must be the defaults the parsers actually apply.
+    /// A shared group parses into the same fields under every
+    /// subcommand that lists it, floors included.
     #[test]
-    fn usage_defaults_match_flag_group_defaults() {
-        let transport = TransportArgs::default();
-        assert_eq!(
-            usage_default("--max-frame-bytes"),
-            transport.max_frame_bytes.to_string()
-        );
-        assert_eq!(
-            usage_default("--read-timeout-ms"),
-            transport.read_timeout_ms.to_string()
-        );
-        assert_eq!(
-            usage_default("--write-timeout-ms"),
-            transport.write_timeout_ms.to_string()
-        );
-        assert_eq!(
-            usage_default("--backoff-base-ms"),
-            transport.backoff_base_ms.to_string()
-        );
-        assert_eq!(
-            usage_default("--backoff-cap-ms"),
-            transport.backoff_cap_ms.to_string()
-        );
+    fn shared_groups_parse_identically_everywhere() {
+        let tail = [
+            "--max-frame-bytes",
+            "0", // floored at 64
+            "--read-timeout-ms",
+            "250",
+            "--serve-addr",
+            "127.0.0.1:9464",
+            "--serve-max-request-bytes",
+            "0", // floored at 256
+            "--serve-linger-ms",
+            "1500",
+        ];
+        let mut parsed = Vec::new();
+        for head in [&["coordinator"][..], &["chaos", "--net"]] {
+            let argv: Vec<&str> = head.iter().chain(&tail).copied().collect();
+            match Command::parse(args(&argv)).unwrap() {
+                Command::Coordinator(a) | Command::Chaos(a) => parsed.push((
+                    a.transport.max_frame_bytes,
+                    a.transport.read_timeout_ms,
+                    a.serve,
+                )),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(parsed[0], parsed[1]);
+        let (max_frame_bytes, read_timeout_ms, serve) = &parsed[0];
+        assert_eq!((*max_frame_bytes, *read_timeout_ms), (64, 250));
+        assert_eq!((serve.max_request_bytes, serve.linger_ms), (256, 1500));
+        assert!(serve.enabled());
+        assert_eq!(serve.resolve_store_dir(Some("/rec")), Some("/rec"));
+    }
 
-        let serve = ServeArgs::default();
-        assert_eq!(
-            usage_default("--serve-max-request-bytes"),
-            serve.max_request_bytes.to_string()
-        );
-        assert_eq!(
-            usage_default("--serve-idle-timeout-ms"),
-            serve.idle_timeout_ms.to_string()
-        );
-        assert_eq!(
-            usage_default("--serve-stream-buffer"),
-            serve.stream_buffer.to_string()
-        );
-        assert_eq!(
-            usage_default("--serve-page-limit"),
-            serve.page_limit.to_string()
-        );
-        assert_eq!(
-            usage_default("--serve-linger-ms"),
-            serve.linger_ms.to_string()
-        );
+    /// A flag a subcommand (or `chaos` mode) never reads is a usage
+    /// error that names the flag and the mode — not a silent no-op.
+    #[test]
+    fn flags_a_mode_never_reads_are_usage_errors() {
+        let cases: &[(&[&str], &str, &str)] = &[
+            (
+                &["chaos", "--net", "--store-dir", "s"],
+                "--store-dir",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--net", "--wal-dir", "w"],
+                "--wal-dir",
+                "chaos --net",
+            ),
+            (&["chaos", "--standby", "--net"], "--standby", "chaos --net"),
+            (
+                &["chaos", "--net", "--crash", "1@10"],
+                "--crash",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--net", "--stall", "1@10+5"],
+                "--stall",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--net", "--partition", "1@10+5"],
+                "--partition",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--net", "--drop-rate", "0.1"],
+                "--drop-rate",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--net", "--io-error-rate", "0.1"],
+                "--io-error-rate",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--net", "--obs-dir", "o"],
+                "--obs-dir",
+                "chaos --net",
+            ),
+            (
+                &["chaos", "--multitask", "3", "--crash", "1@10"],
+                "--crash",
+                "chaos --multitask",
+            ),
+            (
+                &["chaos", "--multitask", "3", "--drop-rate", "0.1"],
+                "--drop-rate",
+                "chaos --multitask",
+            ),
+            (
+                &["chaos", "--multitask", "3", "--standby"],
+                "--standby",
+                "chaos --multitask",
+            ),
+            (
+                &["chaos", "--multitask", "3", "--net"],
+                "--net",
+                "chaos --multitask",
+            ),
+            (&["chaos", "--net-agents", "2"], "--net-agents", "chaos"),
+            (&["chaos", "--train-ticks", "9"], "--train-ticks", "chaos"),
+            (&["sim", "--store-dir", "s"], "--store-dir", "sim"),
+            (&["run", "--threads", "2"], "--threads", "run"),
+            (&["agent", "--seed", "1"], "--seed", "agent"),
+            (&["agent", "--threads", "2"], "--threads", "agent"),
+            (&["agent", "--obs-dir", "o"], "--obs-dir", "agent"),
+            (&["agent", "--store-dir", "s"], "--store-dir", "agent"),
+            (&["coordinator", "--seed", "1"], "--seed", "coordinator"),
+            (
+                &["coordinator", "--threads", "2"],
+                "--threads",
+                "coordinator",
+            ),
+            (
+                &["coordinator", "--backoff-cap-ms", "9"],
+                "--backoff-cap-ms",
+                "coordinator",
+            ),
+            (
+                &["store", "compact", "--store-dir", "s", "--limit", "1"],
+                "--limit",
+                "store compact",
+            ),
+            (&["obs", "--obs-dir", "o", "--seed", "1"], "--seed", "obs"),
+            // The dropped legacy spellings.
+            (&["run", "--json"], "--json", "run"),
+            (&["obs", "--dir", "o"], "--dir", "obs"),
+            (&["store", "query", "--dir", "s"], "--dir", "store query"),
+        ];
+        for (argv, flag, mode) in cases {
+            match Command::parse(args(argv)) {
+                Err(CliError::Usage(message)) => assert!(
+                    message.contains(&format!("`{flag}`"))
+                        && message.contains(&format!("`volley {mode}`")),
+                    "{argv:?}: {message}"
+                ),
+                other => panic!("{argv:?} must be a usage error, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            Command::parse(args(&["simulate"])),
+            Err(CliError::Usage(_))
+        ));
+    }
+
+    /// The drift guard for the parse loop: each of the three usage-error
+    /// templates is spelled once in the non-test half of this file, so a
+    /// second parser cannot quietly grow beside the table.
+    #[test]
+    fn the_usage_error_templates_are_spelled_once() {
+        let text = include_str!("args.rs");
+        let code: String = text[..text.find("#[cfg(test)]").expect("a test module")]
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .collect();
+        for template in ["requires a value", "invalid value `", "unknown flag `"] {
+            assert_eq!(code.matches(template).count(), 1, "`{template}`");
+        }
+        assert_eq!(code.matches("match flag.as_str()").count(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn main() -> ExitCode {
 fn fail(err: CliError) -> ExitCode {
     eprintln!("volley: {err}");
     if matches!(err, CliError::Usage(_)) {
-        eprintln!("\n{}", volley_cli::args::USAGE);
+        eprintln!("\n{}", volley_cli::args::usage());
     }
     ExitCode::FAILURE
 }

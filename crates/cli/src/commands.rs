@@ -1,22 +1,28 @@
 //! Command execution. Each command writes its report to the supplied
 //! writer so tests can capture output without spawning processes.
 
+use std::fmt::Display;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
+use std::time::Duration;
 
 use serde::Serialize;
 
 use volley_core::condition::{Condition, ConditionSampler};
-use volley_core::{AdaptationConfig, GroundTruth};
+use volley_core::task::{MonitorId, TaskSpec, TaskSpecBuilder};
+use volley_core::{AdaptationConfig, FaultFs, GroundTruth, IoFaultPlan, IoFaultStats};
+use volley_runtime::net::{
+    run_agent, AgentConfig, BackoffConfig, NetAddr, NetCoordinator, NetFaultPlan, NetStats,
+};
+use volley_runtime::transport::TransportConfig;
+use volley_runtime::{RuntimeReport, TaskRunner};
 use volley_sim::{ClusterConfig, EngineStats, NetworkScenario, NetworkScenarioConfig};
+use volley_store::{SampleRecorder, Store, TaskMeta};
 use volley_traces::http::HttpWorkloadConfig;
 use volley_traces::netflow::NetflowConfig;
 use volley_traces::sysmetrics::SystemMetricsGenerator;
 
-use crate::args::{
-    AgentArgs, AnalyzeAction, AnalyzeArgs, BacktestArgs, ChaosArgs, CliError, Command,
-    CoordinatorArgs, GenerateArgs, MonitorArgs, ObsArgs, RunArgs, ServeArgs, SimulateArgs,
-    StoreAction, StoreArgs, TransportArgs, USAGE,
-};
+use crate::args::{usage, AnalyzeAction, Args, CliError, Command, StoreAction, TransportArgs};
 
 /// The version of the JSON report envelope shared by every subcommand
 /// and by the HTTP query endpoint. The constant (and the envelope
@@ -44,21 +50,79 @@ fn write_envelope<W: Write, T: Serialize>(
 pub fn run<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> {
     match command {
         Command::Help => {
-            writeln!(out, "{USAGE}")?;
+            write!(out, "{}", usage())?;
             Ok(())
         }
         Command::Monitor(args) => monitor(&args, out),
         Command::Generate(args) => generate(&args, out),
         Command::Simulate(args) => simulate(&args, out),
+        Command::Chaos(args) if args.multitask > 0 => chaos_multitask(&args, out),
+        Command::Chaos(args) if args.net => chaos_net(&args, out),
         Command::Chaos(args) => chaos(&args, out),
         Command::Run(args) => run_runtime(&args, out),
         Command::Obs(args) => obs_read(&args, out),
-        Command::Store(args) => store_cmd(&args, out),
+        Command::Store(action, args) => store_cmd(action, &args, out),
         Command::Backtest(args) => backtest_cmd(&args, out),
-        Command::Analyze(args) => analyze_cmd(&args, out),
+        Command::Analyze(AnalyzeAction::Correlate, args) => analyze_cmd(&args, out),
         Command::Coordinator(args) => coordinator_cmd(&args, out),
         Command::Agent(args) => agent_cmd(&args, out),
     }
+}
+
+/// The `samples:` line every detection report shares.
+fn write_samples<W: Write>(out: &mut W, samples: u64, cost_ratio: f64) -> std::io::Result<()> {
+    let percent = 100.0 * cost_ratio;
+    writeln!(
+        out,
+        "samples:          {samples} ({percent:.1}% of periodic)"
+    )
+}
+
+/// The `alerts at ticks:` line: the first 20 alert ticks, if any.
+fn write_alert_ticks<W: Write>(out: &mut W, alert_ticks: &[u64]) -> std::io::Result<()> {
+    if alert_ticks.is_empty() {
+        return Ok(());
+    }
+    let shown: Vec<String> = alert_ticks.iter().take(20).map(u64::to_string).collect();
+    let suffix = if alert_ticks.len() > 20 { ", …" } else { "" };
+    writeln!(out, "alerts at ticks:  {}{suffix}", shown.join(", "))
+}
+
+/// The `monitors` / `ticks` / `alerts` head of a fleet report.
+fn write_fleet_head<W: Write>(
+    out: &mut W,
+    monitors: impl Display,
+    report: &RuntimeReport,
+) -> std::io::Result<()> {
+    writeln!(out, "monitors:         {monitors}")?;
+    writeln!(out, "ticks:            {}", report.ticks)?;
+    writeln!(
+        out,
+        "alerts:           {} ({} degraded)",
+        report.alerts, report.degraded_alerts
+    )
+}
+
+/// The sink directories a run wrote into, as the text reports end.
+fn write_sink_dirs<W: Write>(out: &mut W, args: &Args) -> std::io::Result<()> {
+    if let Some(dir) = &args.common.obs_dir {
+        writeln!(out, "obs snapshots:    {dir}")?;
+    }
+    if let Some(dir) = &args.common.store_dir {
+        writeln!(out, "sample store:     {dir}")?;
+    }
+    Ok(())
+}
+
+/// The directory a reading subcommand was pointed at (the parser
+/// requires the flag; a hand-built [`Args`] may still lack it).
+fn required<'a>(dir: &'a Option<String>, flag: &str) -> Result<&'a str, CliError> {
+    dir.as_deref()
+        .ok_or_else(|| CliError::Usage(format!("{flag} is required")))
+}
+
+fn open_store(dir: &str) -> Result<Store, CliError> {
+    Store::open(dir).map_err(|e| CliError::Input(format!("cannot open store {dir}: {e}")))
 }
 
 /// Parses a trace: one `value` or `tick,value` per line; `#` comments and
@@ -98,7 +162,7 @@ struct MonitorReport {
     alert_ticks: Vec<u64>,
 }
 
-fn monitor<W: Write>(args: &MonitorArgs, out: &mut W) -> Result<(), CliError> {
+fn monitor<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let trace = if args.input == "-" {
         parse_trace(std::io::stdin().lock())?
     } else {
@@ -115,7 +179,11 @@ fn monitor<W: Write>(args: &MonitorArgs, out: &mut W) -> Result<(), CliError> {
             let selectivity = if args.below { 100.0 - k } else { k };
             volley_core::selectivity_threshold(&trace, selectivity.clamp(0.0, 100.0))?
         }
-        (None, None) => unreachable!("parser enforces a threshold source"),
+        (None, None) => {
+            return Err(CliError::Usage(
+                "monitor requires --threshold or --percentile".to_string(),
+            ))
+        }
     };
     let condition = if args.below {
         Condition::Below(threshold)
@@ -171,44 +239,26 @@ fn monitor<W: Write>(args: &MonitorArgs, out: &mut W) -> Result<(), CliError> {
         misdetection_rate: report.misdetection_rate(),
         alert_ticks,
     };
-    if args.json {
-        write_envelope(out, "monitor", &summary)?;
-    } else {
-        writeln!(out, "condition:        {}", summary.condition)?;
-        writeln!(out, "trace:            {} ticks", summary.ticks)?;
-        writeln!(
-            out,
-            "samples:          {} ({:.1}% of periodic)",
-            summary.samples,
-            100.0 * summary.cost_ratio
-        )?;
-        writeln!(
-            out,
-            "violations:       {} (detected {}, miss rate {:.4})",
-            summary.violations, summary.detected, summary.misdetection_rate
-        )?;
-        if !summary.alert_ticks.is_empty() {
-            let shown: Vec<String> = summary
-                .alert_ticks
-                .iter()
-                .take(20)
-                .map(|t| t.to_string())
-                .collect();
-            let suffix = if summary.alert_ticks.len() > 20 {
-                ", …"
-            } else {
-                ""
-            };
-            writeln!(out, "alerts at ticks:  {}{}", shown.join(", "), suffix)?;
-        }
+    if args.common.report_json {
+        return write_envelope(out, "monitor", &summary);
     }
+    writeln!(out, "condition:        {}", &summary.condition)?;
+    writeln!(out, "trace:            {} ticks", summary.ticks)?;
+    write_samples(out, summary.samples, summary.cost_ratio)?;
+    writeln!(
+        out,
+        "violations:       {} (detected {}, miss rate {:.4})",
+        summary.violations, summary.detected, summary.misdetection_rate
+    )?;
+    write_alert_ticks(out, &summary.alert_ticks)?;
     Ok(())
 }
 
-fn generate<W: Write>(args: &GenerateArgs, out: &mut W) -> Result<(), CliError> {
+fn generate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    let seed = args.common.seed;
     let traces: Vec<Vec<f64>> = match args.family.as_str() {
         "network" => NetflowConfig::builder()
-            .seed(args.seed)
+            .seed(seed)
             .vms(args.tasks)
             .build()
             .generate(args.ticks)
@@ -216,14 +266,14 @@ fn generate<W: Write>(args: &GenerateArgs, out: &mut W) -> Result<(), CliError> 
             .map(|t| t.rho)
             .collect(),
         "system" => {
-            let generator = SystemMetricsGenerator::new(args.seed);
+            let generator = SystemMetricsGenerator::new(seed);
             (0..args.tasks)
                 .map(|i| generator.trace(i / 66, i % 66, args.ticks))
                 .collect()
         }
         "application" => {
             let workload = HttpWorkloadConfig::builder()
-                .seed(args.seed)
+                .seed(seed)
                 .objects(args.tasks)
                 .requests_per_tick(1000.0 * args.tasks as f64)
                 .build()
@@ -248,36 +298,6 @@ fn generate<W: Write>(args: &GenerateArgs, out: &mut W) -> Result<(), CliError> 
     Ok(())
 }
 
-/// The sharded engine's execution counters, embedded in report
-/// envelopes (schema ≥ 6). `epochs`, `merges`, `lane_swaps` and
-/// `arena_reuses` are deterministic for a given config; `steals` and
-/// `max_queue_depth` depend on thread scheduling and must not be
-/// compared across runs.
-#[derive(Debug, Serialize)]
-struct EngineSection {
-    shards: u32,
-    epochs: u64,
-    steals: u64,
-    merges: u64,
-    max_queue_depth: usize,
-    lane_swaps: u64,
-    arena_reuses: u64,
-}
-
-impl From<EngineStats> for EngineSection {
-    fn from(stats: EngineStats) -> Self {
-        EngineSection {
-            shards: stats.shards,
-            epochs: stats.epochs,
-            steals: stats.steals,
-            merges: stats.merges,
-            max_queue_depth: stats.max_queue_depth,
-            lane_swaps: stats.lane_swaps,
-            arena_reuses: stats.arena_reuses,
-        }
-    }
-}
-
 /// JSON report of a `sim` run.
 #[derive(Debug, Serialize)]
 struct SimulateReport {
@@ -290,10 +310,13 @@ struct SimulateReport {
     cpu_median: f64,
     cpu_max: f64,
     obs_dir: Option<String>,
-    engine: EngineSection,
+    /// The sharded engine's execution counters (schema ≥ 6). `steals`
+    /// and `max_queue_depth` depend on thread scheduling and must not be
+    /// compared across runs; the rest is deterministic for a config.
+    engine: EngineStats,
 }
 
-fn simulate<W: Write>(args: &SimulateArgs, out: &mut W) -> Result<(), CliError> {
+fn simulate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let config = NetworkScenarioConfig {
         cluster: ClusterConfig::new(args.servers, args.vms, 5),
         error_allowance: args.err,
@@ -304,8 +327,7 @@ fn simulate<W: Write>(args: &SimulateArgs, out: &mut W) -> Result<(), CliError> 
     let scenario = NetworkScenario::from_config(config);
     // The sharded engine guarantees thread-count independence, so
     // --threads only changes wall-clock time, never the report.
-    let obs_dir = args.common.resolve_obs_dir(None);
-    let (report, engine) = if let Some(dir) = obs_dir {
+    let (report, engine) = if let Some(dir) = &args.common.obs_dir {
         let obs = volley_obs::Obs::new(true);
         let detailed = scenario.run_parallel_detailed(args.common.threads, Some(&obs));
         let mut writer = volley_obs::SnapshotWriter::new(dir, 1)?;
@@ -329,7 +351,7 @@ fn simulate<W: Write>(args: &SimulateArgs, out: &mut W) -> Result<(), CliError> 
                 cpu_median: cpu.median,
                 cpu_max: cpu.max,
                 obs_dir: args.common.obs_dir.clone(),
-                engine: engine.into(),
+                engine,
             },
         );
     }
@@ -364,15 +386,13 @@ fn simulate<W: Write>(args: &SimulateArgs, out: &mut W) -> Result<(), CliError> 
         "engine:           {} shards, {} epochs, {} merges, {} lane swaps, {} buffer reuses",
         engine.shards, engine.epochs, engine.merges, engine.lane_swaps, engine.arena_reuses
     )?;
-    if let Some(dir) = obs_dir {
-        writeln!(out, "obs snapshots:    {dir}")?;
-    }
+    write_sink_dirs(out, args)?;
     Ok(())
 }
 
-/// The synthetic bursty workload shared by `run` and `chaos`: every 50th
-/// tick all monitors spike over their local thresholds together, with a
-/// small per-monitor wobble so traces differ.
+/// The synthetic bursty traces behind `run`, `chaos` and `coordinator`:
+/// every 50th tick all monitors spike over their local thresholds
+/// together, with a small per-monitor wobble so traces differ.
 fn bursty_traces(n: usize, ticks: usize) -> Vec<Vec<f64>> {
     let local = 100.0;
     (0..n)
@@ -391,66 +411,173 @@ fn bursty_traces(n: usize, ticks: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Opens (or creates) a sample store at `dir`, stamps it with the run's
-/// metadata — what `backtest` needs to rebuild the production config —
-/// and wraps it in a best-effort [`volley_store::SampleRecorder`]. With
-/// `faults`, the store runs over a fault-injecting filesystem (`chaos
-/// --io-*`) and degrades to lossy recording under sustained failure.
-fn open_recorder(
-    dir: &str,
-    meta: &volley_store::TaskMeta,
-    faults: Option<volley_core::FaultFs>,
-) -> Result<volley_store::SampleRecorder, CliError> {
-    let faulted = faults.is_some();
-    let store = match faults {
-        Some(fs) => volley_store::Store::open_on(std::sync::Arc::new(fs), dir),
-        None => volley_store::Store::open(dir),
+/// What a run stamps into a store it records — and what `backtest`
+/// needs to rebuild the production config: `--monitors` local
+/// thresholds of 100 each, at error allowance `err`.
+fn task_meta(args: &Args, err: f64) -> TaskMeta {
+    TaskMeta {
+        monitors: args.monitors,
+        global_threshold: 100.0 * args.monitors as f64,
+        error_allowance: err,
+        ticks: args.ticks as u64,
+        seed: args.common.seed,
     }
-    .map_err(|e| CliError::Input(format!("cannot open store {dir}: {e}")))?;
-    match store.write_meta(meta) {
-        Ok(()) => {}
-        // Under injected storage faults the meta stamp is best-effort
-        // like every other persistence write: a torn or failed write
-        // degrades recording, it must not abort the run.
-        Err(_) if faulted => {}
-        Err(e) => return Err(e.into()),
-    }
-    Ok(volley_store::SampleRecorder::new(store))
 }
 
-/// Boots the embedded HTTP plane when `--serve-addr` was given: binds
-/// the listener (errors surface before the run starts), pointing the
-/// query endpoint at `--serve-store-dir` or, failing that, the run's
-/// own recording directory.
-fn start_serve(
-    serve: &ServeArgs,
-    recording: Option<&str>,
-    obs: &volley_obs::Obs,
-) -> Result<Option<volley_serve::ServerHandle>, CliError> {
-    let Some(addr) = &serve.addr else {
-        return Ok(None);
-    };
-    let mut config = volley_serve::ServeConfig::new(addr.clone());
-    config.store_dir = serve.resolve_store_dir(recording).map(str::to_string);
-    config.max_request_bytes = serve.max_request_bytes;
-    config.idle_timeout = std::time::Duration::from_millis(serve.idle_timeout_ms);
-    config.stream_buffer = serve.stream_buffer;
-    config.page_limit = serve.page_limit;
-    let handle = volley_serve::Server::start(config, obs)
-        .map_err(|e| CliError::Input(format!("cannot serve on {addr}: {e}")))?;
-    Ok(Some(handle))
+/// The task `meta` describes, open for further tuning.
+fn task_spec(meta: &TaskMeta) -> TaskSpecBuilder {
+    TaskSpec::builder(meta.global_threshold)
+        .monitors(meta.monitors)
+        .error_allowance(meta.error_allowance)
 }
 
-/// Ends a serving plane started by [`start_serve`]: publishes the
-/// `run_end` event, keeps serving through `--serve-linger-ms` so
-/// clients can drain, then stops the loop.
-fn finish_serve(handle: Option<volley_serve::ServerHandle>, ticks: u64, linger_ms: u64) {
-    let Some(handle) = handle else { return };
-    handle.publisher().run_end(ticks);
-    if linger_ms > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(linger_ms));
+/// The single-task workload `run`, `chaos`, `chaos --net` and
+/// `coordinator` all drive: [`task_spec`] over [`bursty_traces`].
+struct Workload {
+    spec: TaskSpec,
+    traces: Vec<Vec<f64>>,
+    meta: TaskMeta,
+}
+
+impl Workload {
+    fn bursty(args: &Args, err: f64) -> Result<Workload, CliError> {
+        let meta = task_meta(args, err);
+        Ok(Workload {
+            spec: task_spec(&meta).build()?,
+            traces: bursty_traces(args.monitors, args.ticks),
+            meta,
+        })
     }
-    let _ = handle.shutdown();
+}
+
+/// The sinks of one run — obs bundle, sample recorder, embedded HTTP
+/// plane — opened from the flags in one place, attached to whichever
+/// runner drives the run, and torn down in one order.
+struct Sinks {
+    obs: volley_obs::Obs,
+    recorder: Option<SampleRecorder>,
+    serve: Option<volley_serve::ServerHandle>,
+    /// Fault counters of the recorder's own filesystem (`chaos --io-*`),
+    /// which the runtime's degradation report cannot see.
+    store_faults: Option<Arc<IoFaultStats>>,
+    linger_ms: u64,
+}
+
+impl Sinks {
+    /// Opens the sinks the flags ask for, so a bad store directory or
+    /// serve address fails before the run starts. The obs bundle is
+    /// enabled when `obs_on` or when `--serve-addr` needs a live
+    /// registry to scrape. With `meta` and `--store-dir`, a recorder is
+    /// opened and stamped; with `io_faults`, its store runs over its own
+    /// fault-injecting filesystem (independent op counter, same plan, so
+    /// monitor-thread scheduling cannot shuffle fault decisions with the
+    /// runner-owned sinks) and degrades to lossy recording.
+    fn open(
+        args: &Args,
+        obs_on: bool,
+        meta: Option<&TaskMeta>,
+        io_faults: Option<&IoFaultPlan>,
+    ) -> Result<Sinks, CliError> {
+        let obs = volley_obs::Obs::new(obs_on || args.serve.enabled());
+        let store_dir = args.common.store_dir.as_deref();
+        let faults = io_faults.map(|plan| FaultFs::new(plan.clone()));
+        let store_faults = faults.as_ref().map(FaultFs::stats);
+        let recorder = match (store_dir, meta) {
+            (Some(dir), Some(meta)) => {
+                let faulted = faults.is_some();
+                let store = match faults {
+                    Some(fs) => Store::open_on(Arc::new(fs), dir),
+                    None => Store::open(dir),
+                }
+                .map_err(|e| CliError::Input(format!("cannot open store {dir}: {e}")))?;
+                match store.write_meta(meta) {
+                    // Under injected storage faults the meta stamp is
+                    // best-effort like every other persistence write: a
+                    // torn or failed write degrades recording, it must
+                    // not abort the run.
+                    Err(_) if faulted => {}
+                    stamped => stamped?,
+                }
+                Some(SampleRecorder::new(store))
+            }
+            _ => None,
+        };
+        let serve = match &args.serve.addr {
+            Some(addr) => {
+                let mut config = volley_serve::ServeConfig::new(addr.clone());
+                config.store_dir = args.serve.resolve_store_dir(store_dir).map(str::to_string);
+                config.max_request_bytes = args.serve.max_request_bytes;
+                config.idle_timeout = Duration::from_millis(args.serve.idle_timeout_ms);
+                config.stream_buffer = args.serve.stream_buffer;
+                config.page_limit = args.serve.page_limit;
+                let handle = volley_serve::Server::start(config, &obs)
+                    .map_err(|e| CliError::Input(format!("cannot serve on {addr}: {e}")))?;
+                Some(handle)
+            }
+            None => None,
+        };
+        Ok(Sinks {
+            obs,
+            recorder,
+            serve,
+            store_faults,
+            linger_ms: args.serve.linger_ms,
+        })
+    }
+
+    /// A [`TaskRunner`] for `spec` wired to every open sink, plus
+    /// `--obs-dir` snapshot dumps (which flip the obs bundle on at run
+    /// time).
+    fn task_runner(&self, spec: &TaskSpec, args: &Args) -> Result<TaskRunner, CliError> {
+        let mut runner = TaskRunner::new(spec)?.with_obs(self.obs.clone());
+        if let Some(dir) = &args.common.obs_dir {
+            runner = runner.with_obs_dir(dir, args.obs_every);
+        }
+        if let Some(recorder) = &self.recorder {
+            runner = runner.with_recorder(recorder.clone());
+        }
+        if let Some(handle) = &self.serve {
+            runner = runner.with_serve_publisher(handle.publisher());
+        }
+        Ok(runner)
+    }
+
+    /// A [`NetCoordinator`] for `spec` bound to `addr`, with the shared
+    /// deadline / quarantine / transport flags applied and wired to the
+    /// obs bundle and the HTTP plane.
+    fn net_coordinator(
+        &self,
+        spec: TaskSpec,
+        addr: &NetAddr,
+        args: &Args,
+    ) -> Result<NetCoordinator, CliError> {
+        let mut coordinator = NetCoordinator::bind(spec, addr)?
+            .with_tick_deadline(Duration::from_millis(args.deadline_ms))
+            .with_quarantine_after(args.quarantine_after)
+            .with_transport(transport_config(&args.transport))
+            .with_obs(&self.obs);
+        if let Some(handle) = &self.serve {
+            coordinator = coordinator.with_serve_publisher(handle.publisher());
+        }
+        Ok(coordinator)
+    }
+
+    /// Ends the run: flushes the recorder, publishes `run_end`, keeps
+    /// serving through `--serve-linger-ms` so clients can drain, then
+    /// stops the HTTP loop.
+    fn finish(&mut self, ticks: u64) {
+        if let Some(recorder) = &self.recorder {
+            recorder.flush();
+        }
+        let Some(handle) = self.serve.take() else {
+            return;
+        };
+        handle.publisher().run_end(ticks);
+        if self.linger_ms > 0 {
+            std::thread::sleep(Duration::from_millis(self.linger_ms));
+        }
+        let _ = handle.shutdown();
+    }
 }
 
 /// JSON report of a `run` invocation.
@@ -470,7 +597,7 @@ struct RunReport {
     /// simulation engine. The threaded runtime reports `null` here; the
     /// field exists so schema-6 consumers see one shape across `sim`
     /// and `run`.
-    engine: Option<EngineSection>,
+    engine: Option<EngineStats>,
     /// The final in-process registry snapshot, embedded verbatim.
     snapshot: volley_obs::Snapshot,
 }
@@ -478,56 +605,23 @@ struct RunReport {
 /// Runs the threaded runtime on the bursty workload with observability
 /// enabled, optionally dumping snapshots and arming the self-monitoring
 /// watchdog.
-fn run_runtime<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
-    use volley_core::task::TaskSpec;
-    use volley_runtime::TaskRunner;
-
+fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let n = args.monitors;
-    let spec = TaskSpec::builder(100.0 * n as f64)
-        .monitors(n)
-        .error_allowance(args.err)
-        .build()?;
-    let traces = bursty_traces(n, args.ticks);
-
-    let obs = volley_obs::Obs::new(true);
-    let mut runner = TaskRunner::new(&spec)?.with_obs(obs.clone());
-    if let Some(dir) = args.common.resolve_obs_dir(None) {
-        runner = runner.with_obs_dir(dir, args.obs_every);
-    }
-    let recorder = match args.common.resolve_store_dir(None) {
-        Some(dir) => Some(open_recorder(
-            dir,
-            &volley_store::TaskMeta {
-                monitors: n,
-                global_threshold: 100.0 * n as f64,
-                error_allowance: args.err,
-                ticks: args.ticks as u64,
-                seed: args.common.seed,
-            },
-            None,
-        )?),
-        None => None,
-    };
-    if let Some(recorder) = &recorder {
-        runner = runner.with_recorder(recorder.clone());
-    }
+    let workload = Workload::bursty(args, args.err)?;
+    let mut sinks = Sinks::open(args, true, Some(&workload.meta), None)?;
+    let mut runner = sinks.task_runner(&workload.spec, args)?;
     if let Some(threshold_us) = args.self_monitor_us {
         // Zero error allowance: the watchdog inspects every tick, so a
         // single stall cannot slip between adaptive samples.
         runner = runner.with_self_monitor(threshold_us, 0.0);
     }
-    let serve_handle = start_serve(&args.serve, args.common.resolve_store_dir(None), &obs)?;
-    if let Some(handle) = &serve_handle {
-        runner = runner.with_serve_publisher(handle.publisher().clone());
-    }
-    let report = runner.run(&traces)?;
-    if let Some(recorder) = &recorder {
+    let report = runner.run(&workload.traces)?;
+    if let Some(recorder) = &sinks.recorder {
         // Persist the final registry snapshot next to the samples, so
         // `store query --kind counter` works without an --obs-dir.
-        recorder.record_snapshot(report.ticks, &obs.snapshot(report.ticks));
-        recorder.flush();
+        recorder.record_snapshot(report.ticks, &sinks.obs.snapshot(report.ticks));
     }
-    finish_serve(serve_handle, report.ticks, args.serve.linger_ms);
+    sinks.finish(report.ticks);
 
     let summary = RunReport {
         monitors: n,
@@ -541,7 +635,7 @@ fn run_runtime<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
         self_monitor_alert_ticks: report.self_monitor_alert_ticks.clone(),
         obs_dir: args.common.obs_dir.clone(),
         engine: None,
-        snapshot: obs.snapshot(report.ticks),
+        snapshot: sinks.obs.snapshot(report.ticks),
     };
     if args.common.report_json {
         return write_envelope(out, "run", &summary);
@@ -549,12 +643,7 @@ fn run_runtime<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
     writeln!(out, "monitors:         {}", summary.monitors)?;
     writeln!(out, "ticks:            {}", summary.ticks)?;
     writeln!(out, "alerts:           {}", summary.alerts)?;
-    writeln!(
-        out,
-        "samples:          {} ({:.1}% of periodic)",
-        summary.total_samples,
-        100.0 * summary.cost_ratio
-    )?;
+    write_samples(out, summary.total_samples, summary.cost_ratio)?;
     if args.self_monitor_us.is_some() {
         writeln!(
             out,
@@ -563,12 +652,7 @@ fn run_runtime<W: Write>(args: &RunArgs, out: &mut W) -> Result<(), CliError> {
         )?;
     }
     write_snapshot_summary(&summary.snapshot, out)?;
-    if let Some(dir) = args.common.resolve_obs_dir(None) {
-        writeln!(out, "obs snapshots:    {dir}")?;
-    }
-    if let Some(dir) = args.common.resolve_store_dir(None) {
-        writeln!(out, "sample store:     {dir}")?;
-    }
+    write_sink_dirs(out, args)?;
     Ok(())
 }
 
@@ -615,14 +699,12 @@ fn write_snapshot_summary<W: Write>(
 }
 
 /// Reads back the newest snapshot from an `--obs-dir` directory.
-fn obs_read<W: Write>(args: &ObsArgs, out: &mut W) -> Result<(), CliError> {
-    let Some((path, snapshot)) = volley_obs::latest_snapshot(&args.dir)
-        .map_err(|e| CliError::Input(format!("cannot read {}: {e}", args.dir)))?
+fn obs_read<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    let dir = required(&args.common.obs_dir, "--obs-dir")?;
+    let Some((path, snapshot)) = volley_obs::latest_snapshot(dir)
+        .map_err(|e| CliError::Input(format!("cannot read {dir}: {e}")))?
     else {
-        return Err(CliError::Input(format!(
-            "no obs-*.json snapshots in {}",
-            args.dir
-        )));
+        return Err(CliError::Input(format!("no obs-*.json snapshots in {dir}")));
     };
     if args.prom {
         write!(out, "{}", snapshot.to_prometheus())?;
@@ -633,8 +715,7 @@ fn obs_read<W: Write>(args: &ObsArgs, out: &mut W) -> Result<(), CliError> {
     }
     writeln!(out, "snapshot:         {}", path.display())?;
     writeln!(out, "tick:             {}", snapshot.tick)?;
-    write_snapshot_summary(&snapshot, out)?;
-    Ok(())
+    write_snapshot_summary(&snapshot, out)
 }
 
 /// JSON report of a `chaos` run.
@@ -663,30 +744,32 @@ struct ChaosReport {
     degradation: volley_runtime::DegradationReport,
 }
 
-/// Runs the threaded runtime on a synthetic bursty workload (every 50th
-/// tick all monitors spike over their local thresholds together) while a
+/// One sink's line of the `chaos` degradation section.
+fn write_degradation<W: Write>(
+    out: &mut W,
+    label: &str,
+    counts: std::fmt::Arguments<'_>,
+    degraded_at_end: bool,
+) -> std::io::Result<()> {
+    let tail = if degraded_at_end {
+        " [degraded at end]"
+    } else {
+        ""
+    };
+    writeln!(out, "{label:<18}{counts}{tail}")
+}
+
+/// Runs the threaded runtime on the bursty workload while a
 /// [`volley_runtime::FaultPlan`] built from the command-line flags drops,
 /// delays and duplicates messages and crashes or stalls monitors.
-fn chaos<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
-    use volley_core::task::{MonitorId, TaskSpec};
-    use volley_runtime::{FaultPath, FaultPlan, TaskRunner};
-
-    if args.multitask > 0 {
-        return chaos_multitask(args, out);
-    }
-    if args.net {
-        return chaos_net(args, out);
-    }
+fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    use volley_runtime::{FaultPath, FaultPlan};
 
     let n = args.monitors;
     // Error allowance 0 keeps every monitor at the default interval, so a
     // fault-free run alerts on exactly the burst ticks — the report's
     // alert list reads directly as "which bursts survived the faults".
-    let spec = TaskSpec::builder(100.0 * n as f64)
-        .monitors(n)
-        .error_allowance(0.0)
-        .build()?;
-    let traces = bursty_traces(n, args.ticks);
+    let workload = Workload::bursty(args, 0.0)?;
 
     let mut plan = FaultPlan::new(args.common.seed)
         .with_drop_rate(FaultPath::ViolationReport, args.drop_rate)
@@ -709,16 +792,18 @@ fn chaos<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
     for &record in &args.wal_corruptions {
         plan = plan.with_wal_corruption(record);
     }
-    let io_plan = args.io.plan(args.common.seed);
-    if !io_plan.is_benign() {
+    let io_plan = Some(args.io.plan(args.common.seed)).filter(|plan| !plan.is_benign());
+    if let Some(io_plan) = &io_plan {
         plan = plan.with_io_faults(io_plan.clone());
     }
 
-    let mut runner = TaskRunner::new(&spec)?
+    let mut sinks = Sinks::open(args, false, Some(&workload.meta), io_plan.as_ref())?;
+    let mut runner = sinks
+        .task_runner(&workload.spec, args)?
         .with_fault_plan(plan)
-        .with_tick_deadline(std::time::Duration::from_millis(args.deadline_ms))
+        .with_tick_deadline(Duration::from_millis(args.deadline_ms))
         .with_quarantine_after(args.quarantine_after)
-        .with_supervision(args.supervise)
+        .with_supervision(!args.no_supervise)
         .with_standby(args.standby)
         .with_wal_sync(args.wal_sync);
     if let Some(dir) = &args.wal_dir {
@@ -729,49 +814,10 @@ fn chaos<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
             args.checkpoint_interval,
         );
     }
-    if let Some(dir) = args.common.resolve_obs_dir(None) {
-        // with_obs_dir flips the runner's obs bundle on at run time.
-        runner = runner.with_obs_dir(dir, args.obs_every);
-    }
-    // The recorder's store gets its own FaultFs (independent op counter,
-    // same plan) so monitor-thread scheduling can't shuffle decisions
-    // with the runner-owned sinks.
-    let store_faults = (!io_plan.is_benign()).then(|| volley_core::FaultFs::new(io_plan.clone()));
-    let store_fault_stats = store_faults.as_ref().map(volley_core::FaultFs::stats);
-    let recorder = match args.common.resolve_store_dir(None) {
-        Some(dir) => Some(open_recorder(
-            dir,
-            &volley_store::TaskMeta {
-                monitors: n,
-                global_threshold: 100.0 * n as f64,
-                error_allowance: 0.0,
-                ticks: args.ticks as u64,
-                seed: args.common.seed,
-            },
-            store_faults,
-        )?),
-        None => None,
-    };
-    if let Some(recorder) = &recorder {
-        runner = runner.with_recorder(recorder.clone());
-    }
-    // The serving plane scrapes the runner's live registry, so hand the
-    // runner an enabled obs bundle when `--serve-addr` was given (the
-    // run itself enables it anyway when `--obs-dir` is set).
-    let obs = volley_obs::Obs::new(args.serve.enabled());
-    let serve_handle = start_serve(&args.serve, args.common.resolve_store_dir(None), &obs)?;
-    if let Some(handle) = &serve_handle {
-        runner = runner
-            .with_obs(obs.clone())
-            .with_serve_publisher(handle.publisher().clone());
-    }
-    let report = runner.run(&traces)?;
-    if let Some(recorder) = &recorder {
-        recorder.flush();
-    }
-    finish_serve(serve_handle, report.ticks, args.serve.linger_ms);
+    let report = runner.run(&workload.traces)?;
+    sinks.finish(report.ticks);
     let mut degradation = report.degradation.clone();
-    if let Some(stats) = &store_fault_stats {
+    if let Some(stats) = &sinks.store_faults {
         degradation.io_faults_injected += stats.total();
     }
 
@@ -798,13 +844,7 @@ fn chaos<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
     if args.common.report_json {
         return write_envelope(out, "chaos", &summary);
     }
-    writeln!(out, "monitors:         {}", summary.monitors)?;
-    writeln!(out, "ticks:            {}", summary.ticks)?;
-    writeln!(
-        out,
-        "alerts:           {} ({} degraded)",
-        summary.alerts, summary.degraded_alerts
-    )?;
+    write_fleet_head(out, n, &report)?;
     writeln!(
         out,
         "polls:            {} ({} degraded)",
@@ -826,74 +866,44 @@ fn chaos<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
         )?;
         writeln!(out, "stale frames:     {}", summary.stale_epoch_frames)?;
     }
-    writeln!(
-        out,
-        "samples:          {} ({:.1}% of periodic)",
-        summary.total_samples,
-        100.0 * summary.cost_ratio
-    )?;
+    write_samples(out, summary.total_samples, summary.cost_ratio)?;
     if summary.degradation.any() {
         let d = &summary.degradation;
         writeln!(out, "io faults:        {} injected", d.io_faults_injected)?;
-        writeln!(
+        write_degradation(
             out,
-            "wal degradation:  {} write / {} sync failures ({} trips, {} rearms, {} ring drops){}",
-            d.wal_write_failures,
-            d.wal_sync_failures,
-            d.wal_trips,
-            d.wal_rearms,
-            d.wal_ring_dropped,
-            if d.wal_degraded_at_end {
-                " [degraded at end]"
-            } else {
-                ""
-            }
+            "wal degradation:",
+            format_args!(
+                "{} write / {} sync failures ({} trips, {} rearms, {} ring drops)",
+                d.wal_write_failures,
+                d.wal_sync_failures,
+                d.wal_trips,
+                d.wal_rearms,
+                d.wal_ring_dropped
+            ),
+            d.wal_degraded_at_end,
         )?;
-        writeln!(
+        write_degradation(
             out,
-            "store shedding:   {} samples shed ({} trips, {} rearms){}",
-            d.store_shed_samples,
-            d.store_trips,
-            d.store_rearms,
-            if d.store_degraded_at_end {
-                " [degraded at end]"
-            } else {
-                ""
-            }
+            "store shedding:",
+            format_args!(
+                "{} samples shed ({} trips, {} rearms)",
+                d.store_shed_samples, d.store_trips, d.store_rearms
+            ),
+            d.store_degraded_at_end,
         )?;
-        writeln!(
+        write_degradation(
             out,
-            "obs snapshots:    {} paused ({} trips, {} rearms){}",
-            d.obs_snapshots_paused,
-            d.obs_trips,
-            d.obs_rearms,
-            if d.obs_degraded_at_end {
-                " [degraded at end]"
-            } else {
-                ""
-            }
+            "obs snapshots:",
+            format_args!(
+                "{} paused ({} trips, {} rearms)",
+                d.obs_snapshots_paused, d.obs_trips, d.obs_rearms
+            ),
+            d.obs_degraded_at_end,
         )?;
     }
-    if !summary.alert_ticks.is_empty() {
-        let shown: Vec<String> = summary
-            .alert_ticks
-            .iter()
-            .take(20)
-            .map(|t| t.to_string())
-            .collect();
-        let suffix = if summary.alert_ticks.len() > 20 {
-            ", …"
-        } else {
-            ""
-        };
-        writeln!(out, "alerts at ticks:  {}{}", shown.join(", "), suffix)?;
-    }
-    if let Some(dir) = args.common.resolve_obs_dir(None) {
-        writeln!(out, "obs snapshots:    {dir}")?;
-    }
-    if let Some(dir) = args.common.resolve_store_dir(None) {
-        writeln!(out, "sample store:     {dir}")?;
-    }
+    write_alert_ticks(out, &summary.alert_ticks)?;
+    write_sink_dirs(out, args)?;
     Ok(())
 }
 
@@ -992,12 +1002,11 @@ struct MultitaskChaosReport {
 /// suppression runner ([`volley_runtime::MultiTaskRunner`]): a planted
 /// leader/follower cascade plus seeded noise tasks, trained for
 /// `--train-ticks`, then gated. The same workload is re-run ungated to
-/// price the suppression savings and mis-detection cost. Message/fault
-/// injection flags do not apply in this mode (the fleet runs lossless);
-/// `--store-dir`, `--wal-dir` and the serve plane do.
-fn chaos_multitask<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
+/// price the suppression savings and mis-detection cost. The fleet runs
+/// lossless in this mode: its table carries no fault flags, only
+/// `--store-dir`, `--wal-dir` and the serve plane.
+fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use volley_core::correlation::CorrelationConfig;
-    use volley_core::task::TaskSpec;
     use volley_runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner};
 
     let monitors = args.monitors;
@@ -1010,9 +1019,8 @@ fn chaos_multitask<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliErr
     // Same adaptation shape as the runtime's own cascade tests: a small
     // max interval keeps the adaptive schedule fine-grained, so the
     // coarse gated interval (8) is visibly cheaper.
-    let spec = TaskSpec::builder(100.0 * monitors as f64)
-        .monitors(monitors)
-        .error_allowance(0.05)
+    let meta = task_meta(args, 0.05);
+    let spec = task_spec(&meta)
         .max_interval(4)
         .patience(2)
         .warmup_samples(2)
@@ -1028,43 +1036,22 @@ fn chaos_multitask<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliErr
         ..CorrelationConfig::default()
     };
 
-    let recorder = match args.common.resolve_store_dir(None) {
-        Some(dir) => Some(open_recorder(
-            dir,
-            &volley_store::TaskMeta {
-                monitors,
-                global_threshold: 100.0 * monitors as f64,
-                error_allowance: 0.05,
-                ticks,
-                seed: args.common.seed,
-            },
-            None,
-        )?),
-        None => None,
-    };
-    let obs = volley_obs::Obs::new(args.serve.enabled());
-    let serve_handle = start_serve(&args.serve, args.common.resolve_store_dir(None), &obs)?;
-
+    let mut sinks = Sinks::open(args, false, Some(&meta), None)?;
     let mut runner = MultiTaskRunner::new(MultiTaskConfig {
         correlation,
         train_ticks,
         costs: None,
-    })?;
-    if let Some(recorder) = &recorder {
+    })?
+    .with_obs(sinks.obs.clone());
+    if let Some(recorder) = &sinks.recorder {
         runner = runner.with_recorder(recorder.clone());
-    }
-    if serve_handle.is_some() {
-        runner = runner.with_obs(obs.clone());
     }
     if let Some(dir) = &args.wal_dir {
         std::fs::create_dir_all(dir)?;
         runner = runner.with_wal_dir(dir, args.checkpoint_interval);
     }
     let outcome = runner.run(&tasks)?;
-    if let Some(recorder) = &recorder {
-        recorder.flush();
-    }
-    finish_serve(serve_handle, outcome.ticks, args.serve.linger_ms);
+    sinks.finish(outcome.ticks);
 
     // The savings baseline: the identical workload, never gated (a
     // training window spanning the run is pure observation).
@@ -1167,39 +1154,36 @@ fn chaos_multitask<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliErr
             t.gated_ticks
         )?;
     }
-    if let Some(dir) = args.common.resolve_store_dir(None) {
-        writeln!(out, "sample store:     {dir}")?;
-    }
+    write_sink_dirs(out, args)?;
     Ok(())
 }
 
-/// Converts the shared `--max-frame-bytes`/`--*-timeout-ms` flags into
-/// the runtime's socket configuration (`0` = no timeout).
-fn transport_config(t: &TransportArgs) -> volley_runtime::transport::TransportConfig {
-    let ms = |v: u64| (v > 0).then(|| std::time::Duration::from_millis(v));
-    volley_runtime::transport::TransportConfig {
+/// Converts the `transport` group into the runtime's socket
+/// configuration (`0` = no timeout).
+fn transport_config(t: &TransportArgs) -> TransportConfig {
+    let ms = |v: u64| (v > 0).then(|| Duration::from_millis(v));
+    TransportConfig {
         max_frame_size: t.max_frame_bytes,
         read_timeout: ms(t.read_timeout_ms),
         write_timeout: ms(t.write_timeout_ms),
     }
 }
 
-/// Converts the shared `--backoff-*-ms` flags into the agent's
-/// reconnect policy.
-fn backoff_config(t: &TransportArgs) -> volley_runtime::net::BackoffConfig {
-    volley_runtime::net::BackoffConfig {
-        base: std::time::Duration::from_millis(t.backoff_base_ms),
-        cap: std::time::Duration::from_millis(t.backoff_cap_ms),
-        ..volley_runtime::net::BackoffConfig::default()
+/// Converts the `reconnect` group into the agent's redial policy.
+fn backoff_config(t: &TransportArgs) -> BackoffConfig {
+    BackoffConfig {
+        base: Duration::from_millis(t.backoff_base_ms),
+        cap: Duration::from_millis(t.backoff_cap_ms),
+        ..BackoffConfig::default()
     }
 }
 
 /// Resolves the `--unix <path>` / TCP-address pair into a [`NetAddr`]
 /// (`--unix` wins when both are given).
-fn net_addr(unix: Option<&str>, tcp: &str) -> volley_runtime::net::NetAddr {
-    match unix {
-        Some(path) => volley_runtime::net::NetAddr::Unix(std::path::PathBuf::from(path)),
-        None => volley_runtime::net::NetAddr::Tcp(tcp.to_string()),
+fn net_addr(args: &Args) -> NetAddr {
+    match &args.unix {
+        Some(path) => NetAddr::Unix(std::path::PathBuf::from(path)),
+        None => NetAddr::Tcp(args.tcp.clone()),
     }
 }
 
@@ -1220,48 +1204,32 @@ struct CoordinatorReport {
     recoveries: u64,
     total_samples: u64,
     cost_ratio: f64,
-    net: volley_runtime::net::NetStats,
+    net: NetStats,
 }
 
 /// Binds the coordinator socket, waits for the agent fleet to cover
 /// every monitor, then drives the bursty workload over the wire. The
 /// workload, spec, and aggregation are identical to `run`, so the
 /// reports must agree bit-for-bit on the detection fields.
-fn coordinator_cmd<W: Write>(args: &CoordinatorArgs, out: &mut W) -> Result<(), CliError> {
-    use std::time::Duration;
-    use volley_core::task::TaskSpec;
-    use volley_runtime::net::NetCoordinator;
-
+fn coordinator_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let n = args.monitors;
-    let spec = TaskSpec::builder(100.0 * n as f64)
-        .monitors(n)
-        .error_allowance(args.err)
-        .build()?;
-    let traces = bursty_traces(n, args.ticks);
-    let addr = net_addr(args.unix.as_deref(), &args.listen);
-
-    let obs_dir = args.common.resolve_obs_dir(None);
-    // Serving needs a live registry even when snapshots aren't dumped.
-    let obs = volley_obs::Obs::new(obs_dir.is_some() || args.serve.enabled());
-    let serve_handle = start_serve(&args.serve, args.common.resolve_store_dir(None), &obs)?;
-    let mut coordinator = NetCoordinator::bind(spec, &addr)?
-        .with_tick_deadline(Duration::from_millis(args.deadline_ms))
-        .with_quarantine_after(args.quarantine_after)
+    let workload = Workload::bursty(args, args.err)?;
+    let addr = net_addr(args);
+    // `--store-dir` only names the store the HTTP plane serves: nothing
+    // is recorded over the wire, so no recorder (no `meta`) is opened.
+    let mut sinks = Sinks::open(args, args.common.obs_dir.is_some(), None, None)?;
+    let coordinator = sinks
+        .net_coordinator(workload.spec, &addr, args)?
         .with_queue_cap(args.queue_cap)
         .with_idle_timeout(Duration::from_millis(args.idle_timeout_ms))
         .with_wait_timeout(Duration::from_millis(args.wait_ms))
-        .with_tick_interval(Duration::from_millis(args.tick_interval_ms))
-        .with_transport(transport_config(&args.transport))
-        .with_obs(&obs);
-    if let Some(handle) = &serve_handle {
-        coordinator = coordinator.with_serve_publisher(handle.publisher().clone());
-    }
-    let outcome = coordinator.run(&traces)?;
-    if let Some(dir) = obs_dir {
+        .with_tick_interval(Duration::from_millis(args.tick_interval_ms));
+    let outcome = coordinator.run(&workload.traces)?;
+    if let Some(dir) = &args.common.obs_dir {
         let mut writer = volley_obs::SnapshotWriter::new(dir, 1)?;
-        writer.write_now(obs.registry(), outcome.report.ticks)?;
+        writer.write_now(sinks.obs.registry(), outcome.report.ticks)?;
     }
-    finish_serve(serve_handle, outcome.report.ticks, args.serve.linger_ms);
+    sinks.finish(outcome.report.ticks);
 
     let report = &outcome.report;
     let summary = CoordinatorReport {
@@ -1283,37 +1251,29 @@ fn coordinator_cmd<W: Write>(args: &CoordinatorArgs, out: &mut W) -> Result<(), 
         return write_envelope(out, "coordinator", &summary);
     }
     writeln!(out, "listen:           {addr}")?;
-    writeln!(out, "monitors:         {}", summary.monitors)?;
-    writeln!(out, "ticks:            {}", summary.ticks)?;
-    writeln!(
-        out,
-        "alerts:           {} ({} degraded)",
-        summary.alerts, summary.degraded_alerts
-    )?;
-    writeln!(
-        out,
-        "samples:          {} ({:.1}% of periodic)",
-        summary.total_samples,
-        100.0 * summary.cost_ratio
-    )?;
-    writeln!(
-        out,
-        "quarantines:      {} ({} recoveries)",
-        summary.quarantines, summary.recoveries
-    )?;
+    write_fleet_head(out, n, report)?;
+    write_samples(out, summary.total_samples, summary.cost_ratio)?;
+    write_quarantines(out, report)?;
     write_net_stats(&summary.net, out)?;
-    if let Some(dir) = obs_dir {
+    if let Some(dir) = &args.common.obs_dir {
         writeln!(out, "obs snapshots:    {dir}")?;
     }
     Ok(())
 }
 
+/// The `quarantines:` line of the socket-fleet reports (nothing
+/// restarts a remote monitor, so there is no restart count).
+fn write_quarantines<W: Write>(out: &mut W, report: &RuntimeReport) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "quarantines:      {} ({} recoveries)",
+        report.quarantines, report.recoveries
+    )
+}
+
 /// Renders the socket-layer counters shared by `coordinator` and
 /// `chaos --net` text reports.
-fn write_net_stats<W: Write>(
-    net: &volley_runtime::net::NetStats,
-    out: &mut W,
-) -> Result<(), CliError> {
+fn write_net_stats<W: Write>(net: &NetStats, out: &mut W) -> std::io::Result<()> {
     writeln!(
         out,
         "connections:      {} accepted, {} reconnects, {} kicked, {} idle-closed",
@@ -1328,27 +1288,23 @@ fn write_net_stats<W: Write>(
         out,
         "queues:           depth high-water {}, {} backpressure drops, {} unrouted drops",
         net.max_queue_depth, net.backpressure_drops, net.unrouted_drops
-    )?;
-    Ok(())
+    )
 }
 
 /// Runs one agent process to completion: hosts `--monitors a..b` of the
 /// fleet and serves them over the socket until the coordinator shuts
 /// every one of them down.
-fn agent_cmd<W: Write>(args: &AgentArgs, out: &mut W) -> Result<(), CliError> {
-    use volley_core::task::TaskSpec;
-    use volley_runtime::net::{run_agent, AgentConfig};
-
+fn agent_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let n = args.fleet_size;
     let threshold = args.threshold.unwrap_or(100.0 * n as f64);
     let spec = TaskSpec::builder(threshold)
         .monitors(n)
         .error_allowance(args.err)
         .build()?;
-    let (start, end) = args.monitors.unwrap_or((0, n as u32));
+    let (start, end) = args.monitor_range.unwrap_or((0, n as u32));
     let config = AgentConfig {
         agent: args.agent_id,
-        addr: net_addr(args.unix.as_deref(), &args.connect),
+        addr: net_addr(args),
         spec,
         monitors: start..end,
         transport: transport_config(&args.transport),
@@ -1387,7 +1343,7 @@ struct NetChaosReport {
     recoveries: u64,
     total_samples: u64,
     agent_reconnects: u64,
-    net: volley_runtime::net::NetStats,
+    net: NetStats,
 }
 
 /// Socket-level chaos: binds an ephemeral localhost port, splits the
@@ -1396,59 +1352,51 @@ struct NetChaosReport {
 /// connections on a fixed cadence. Like channel-mode `chaos`, the error
 /// allowance is zero so a clean run alerts on exactly the burst ticks —
 /// the alert list reads as "which bursts survived the storms".
-fn chaos_net<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
-    use std::time::Duration;
-    use volley_core::task::TaskSpec;
-    use volley_runtime::net::{run_agent, AgentConfig, NetAddr, NetCoordinator, NetFaultPlan};
-
+fn chaos_net<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let n = args.monitors;
-    let agents = if args.net_agents == 0 {
+    let requested = if args.net_agents == 0 {
         n
     } else {
         args.net_agents.min(n)
     };
-    let spec = TaskSpec::builder(100.0 * n as f64)
-        .monitors(n)
-        .error_allowance(0.0)
-        .build()?;
-    let traces = bursty_traces(n, args.ticks);
+    // `per` monitors each; the last slices may come up empty when the
+    // split is uneven, so only as many agents as have monitors to host
+    // are spawned (and reported).
+    let per = n.div_ceil(requested);
+    let agents = n.div_ceil(per);
+    let workload = Workload::bursty(args, 0.0)?;
 
     let mut faults = NetFaultPlan::new(args.common.seed);
     if args.net_storm_every > 0 {
         faults = faults.with_storm(args.net_storm_every, args.net_storm_fraction);
     }
-    let obs = volley_obs::Obs::new(args.serve.enabled());
-    let serve_handle = start_serve(&args.serve, args.common.resolve_store_dir(None), &obs)?;
-    let mut coordinator = NetCoordinator::bind(spec.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))?
-        .with_tick_deadline(Duration::from_millis(args.deadline_ms))
-        .with_quarantine_after(args.quarantine_after)
+    let mut sinks = Sinks::open(args, false, None, None)?;
+    let coordinator = sinks
+        .net_coordinator(
+            workload.spec.clone(),
+            &NetAddr::Tcp("127.0.0.1:0".into()),
+            args,
+        )?
         .with_wait_timeout(Duration::from_secs(30))
-        .with_transport(transport_config(&args.transport))
         .with_faults(faults);
-    if let Some(handle) = &serve_handle {
-        coordinator = coordinator
-            .with_obs(&obs)
-            .with_serve_publisher(handle.publisher().clone());
-    }
     let local = coordinator
         .local_addr()
         .ok_or_else(|| CliError::Input("chaos --net needs a TCP local address".to_string()))?;
 
-    let per = (n as u32).div_ceil(agents as u32);
-    let handles: Vec<std::thread::JoinHandle<_>> = (0..agents as u32)
+    let handles: Vec<std::thread::JoinHandle<_>> = (0..agents)
         .map(|a| {
             let config = AgentConfig {
-                agent: a,
+                agent: a as u32,
                 addr: NetAddr::Tcp(local.to_string()),
-                spec: spec.clone(),
-                monitors: (a * per)..((a + 1) * per).min(n as u32),
+                spec: workload.spec.clone(),
+                monitors: (a * per) as u32..((a + 1) * per).min(n) as u32,
                 transport: transport_config(&args.transport),
                 backoff: backoff_config(&args.transport),
             };
             std::thread::spawn(move || run_agent(&config))
         })
         .collect();
-    let outcome = coordinator.run(&traces)?;
+    let outcome = coordinator.run(&workload.traces)?;
     let mut agent_reconnects = 0u64;
     for handle in handles {
         let report = handle
@@ -1456,7 +1404,7 @@ fn chaos_net<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
             .map_err(|_| CliError::Input("agent thread panicked".to_string()))??;
         agent_reconnects += report.reconnects;
     }
-    finish_serve(serve_handle, outcome.report.ticks, args.serve.linger_ms);
+    sinks.finish(outcome.report.ticks);
 
     let report = &outcome.report;
     let summary = NetChaosReport {
@@ -1476,35 +1424,12 @@ fn chaos_net<W: Write>(args: &ChaosArgs, out: &mut W) -> Result<(), CliError> {
     if args.common.report_json {
         return write_envelope(out, "chaos", &summary);
     }
-    writeln!(out, "monitors:         {} across {} agents", n, agents)?;
-    writeln!(out, "ticks:            {}", summary.ticks)?;
-    writeln!(
-        out,
-        "alerts:           {} ({} degraded)",
-        summary.alerts, summary.degraded_alerts
-    )?;
+    write_fleet_head(out, format_args!("{n} across {agents} agents"), report)?;
     writeln!(out, "missed reports:   {}", summary.missed_tick_reports)?;
-    writeln!(
-        out,
-        "quarantines:      {} ({} recoveries)",
-        summary.quarantines, summary.recoveries
-    )?;
+    write_quarantines(out, report)?;
     writeln!(out, "agent reconnects: {}", summary.agent_reconnects)?;
     write_net_stats(&summary.net, out)?;
-    if !summary.alert_ticks.is_empty() {
-        let shown: Vec<String> = summary
-            .alert_ticks
-            .iter()
-            .take(20)
-            .map(|t| t.to_string())
-            .collect();
-        let suffix = if summary.alert_ticks.len() > 20 {
-            ", …"
-        } else {
-            ""
-        };
-        writeln!(out, "alerts at ticks:  {}{}", shown.join(", "), suffix)?;
-    }
+    write_alert_ticks(out, &summary.alert_ticks)?;
     Ok(())
 }
 
@@ -1515,34 +1440,29 @@ struct StoreCompactReport {
     stats: volley_store::CompactionStats,
 }
 
-/// The shared [`volley_store::QueryParams`] a `store` invocation's
-/// filter flags describe — the same struct the HTTP query endpoint
-/// builds, so the two surfaces resolve ranges identically.
-fn query_params(args: &StoreArgs) -> volley_store::QueryParams {
-    volley_store::QueryParams {
+/// Inspects or maintains a recorded sample store: `query` prints matching
+/// records, `compact` merges sealed segments, `export-csv` dumps rows for
+/// spreadsheet post-processing.
+fn store_cmd<W: Write>(action: StoreAction, args: &Args, out: &mut W) -> Result<(), CliError> {
+    let dir = required(&args.common.store_dir, "--store-dir")?;
+    let mut store = open_store(dir)?;
+    // The same struct the HTTP query endpoint builds from its query
+    // string, so the two surfaces resolve ranges identically.
+    let params = volley_store::QueryParams {
         task: args.task,
         monitor: args.monitor,
         kind: args.kind,
         from: args.from,
-        to: args.to,
+        to: args.to.unwrap_or(u64::MAX),
         limit: args.limit,
         cursor: args.cursor,
-    }
-}
-
-/// Inspects or maintains a recorded sample store: `query` prints matching
-/// records, `compact` merges sealed segments, `export-csv` dumps rows for
-/// spreadsheet post-processing.
-fn store_cmd<W: Write>(args: &StoreArgs, out: &mut W) -> Result<(), CliError> {
-    let mut store = volley_store::Store::open(&args.dir)
-        .map_err(|e| CliError::Input(format!("cannot open store {}: {e}", args.dir)))?;
-    let params = query_params(args);
-    match args.action {
+    };
+    match action {
         StoreAction::Query => {
             // Range resolution, pagination and rendering are shared
             // with `GET /api/v1/query` (see `volley_store::query`), so
             // the two surfaces are byte-identical for the same range.
-            let report = volley_store::query::run_query(&store, &args.dir, &params)?;
+            let report = volley_store::query::run_query(&store, dir, &params)?;
             if args.common.report_json {
                 return write_envelope(out, "store", &report);
             }
@@ -1552,13 +1472,13 @@ fn store_cmd<W: Write>(args: &StoreArgs, out: &mut W) -> Result<(), CliError> {
         StoreAction::Compact => {
             let stats = store.compact()?;
             let report = StoreCompactReport {
-                dir: args.dir.clone(),
+                dir: dir.to_string(),
                 stats,
             };
             if args.common.report_json {
                 return write_envelope(out, "store", &report);
             }
-            writeln!(out, "store:            {}", report.dir)?;
+            writeln!(out, "store:            {}", &report.dir)?;
             writeln!(
                 out,
                 "segments:         {} -> {}",
@@ -1611,25 +1531,23 @@ struct BacktestReport {
 /// determinism baseline — `--verify` turns an inexact baseline into an
 /// error), then through each candidate error allowance, reporting the
 /// cost and detection deltas against production.
-fn backtest_cmd<W: Write>(args: &BacktestArgs, out: &mut W) -> Result<(), CliError> {
-    use volley_store::{Backtest, ScanRange, Store, TaskMeta};
+fn backtest_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    use volley_store::{Backtest, ScanRange};
 
-    let store = Store::open(&args.dir)
-        .map_err(|e| CliError::Input(format!("cannot open store {}: {e}", args.dir)))?;
-    let range = ScanRange::all().from(args.from).to(args.to);
-    let backtest = Backtest::load(&store, args.task, &range)?.ok_or_else(|| {
-        CliError::Input(format!(
-            "no samples recorded for task {} in {}",
-            args.task, args.dir
-        ))
-    })?;
+    let dir = required(&args.common.store_dir, "--store-dir")?;
+    let task = args.task.unwrap_or(0);
+    let store = open_store(dir)?;
+    let range = ScanRange::all()
+        .from(args.from)
+        .to(args.to.unwrap_or(u64::MAX));
+    let backtest = Backtest::load(&store, task, &range)?
+        .ok_or_else(|| CliError::Input(format!("no samples recorded for task {task} in {dir}")))?;
     let mut meta = match store.read_meta()? {
         Some(meta) => meta,
         None => {
-            let (Some(monitors), Some(threshold)) = (args.monitors, args.threshold) else {
+            let (Some(monitors), Some(threshold)) = (args.monitors_override, args.threshold) else {
                 return Err(CliError::Input(format!(
-                    "{} has no task-meta.json; pass --monitors and --threshold",
-                    args.dir
+                    "{dir} has no task-meta.json; pass --monitors and --threshold"
                 )));
             };
             TaskMeta {
@@ -1642,7 +1560,7 @@ fn backtest_cmd<W: Write>(args: &BacktestArgs, out: &mut W) -> Result<(), CliErr
         }
     };
     // Explicit flags win over recorded metadata.
-    if let Some(monitors) = args.monitors {
+    if let Some(monitors) = args.monitors_override {
         meta.monitors = monitors;
     }
     if let Some(threshold) = args.threshold {
@@ -1668,8 +1586,8 @@ fn backtest_cmd<W: Write>(args: &BacktestArgs, out: &mut W) -> Result<(), CliErr
     }
 
     let report = BacktestReport {
-        dir: args.dir.clone(),
-        task: args.task,
+        dir: dir.to_string(),
+        task,
         monitors: backtest.monitors(),
         ticks: backtest.ticks(),
         recorded_error_allowance: meta.error_allowance,
@@ -1682,7 +1600,7 @@ fn backtest_cmd<W: Write>(args: &BacktestArgs, out: &mut W) -> Result<(), CliErr
     if args.common.report_json {
         return write_envelope(out, "backtest", &report);
     }
-    writeln!(out, "store:            {}", report.dir)?;
+    writeln!(out, "store:            {}", &report.dir)?;
     writeln!(
         out,
         "recorded:         task {} · {} monitors · {} ticks · err {}",
@@ -1728,27 +1646,27 @@ struct AnalyzeReport {
     matrix: volley_analyze::CorrelationMatrix,
 }
 
-/// Runs an offline analysis job over a recorded store: one streaming
-/// scan pass, bounded memory (see `volley-analyze` for the contract).
-fn analyze_cmd<W: Write>(args: &AnalyzeArgs, out: &mut W) -> Result<(), CliError> {
+/// Runs the `correlate` analysis job over a recorded store: one
+/// streaming scan pass, bounded memory (see `volley-analyze` for the
+/// contract).
+fn analyze_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use volley_analyze::{run_job, CorrelationMatrixConfig, CorrelationMatrixJob};
 
-    let AnalyzeAction::Correlate = args.action;
-    let store = volley_store::Store::open(&args.dir)
-        .map_err(|e| CliError::Input(format!("cannot open store {}: {e}", args.dir)))?;
+    let dir = required(&args.common.store_dir, "--store-dir")?;
+    let store = open_store(dir)?;
     let job = CorrelationMatrixJob::new(CorrelationMatrixConfig {
         top_k: args.top_k,
         lag_window: args.lag,
         min_support: args.min_support,
         from: args.from,
-        to: args.to,
+        to: args.to.unwrap_or(u64::MAX),
         max_alerts_per_task: args.max_alerts,
     });
     let config = *job.config();
     let finished = run_job(&store, job)?;
     let report = AnalyzeReport {
         job: finished.job,
-        dir: args.dir.clone(),
+        dir: dir.to_string(),
         records_scanned: finished.records_scanned,
         config,
         matrix: finished.output,
@@ -1756,8 +1674,8 @@ fn analyze_cmd<W: Write>(args: &AnalyzeArgs, out: &mut W) -> Result<(), CliError
     if args.common.report_json {
         return write_envelope(out, "analyze", &report);
     }
-    writeln!(out, "job:              {}", report.job)?;
-    writeln!(out, "store:            {}", report.dir)?;
+    writeln!(out, "job:              {}", &report.job)?;
+    writeln!(out, "store:            {}", &report.dir)?;
     writeln!(out, "records scanned:  {}", report.records_scanned)?;
     writeln!(
         out,
@@ -1797,10 +1715,34 @@ fn analyze_cmd<W: Write>(args: &AnalyzeArgs, out: &mut W) -> Result<(), CliError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::{
-        ChaosArgs, CommonArgs, GenerateArgs, MonitorArgs, ObsArgs, RunArgs, SimulateArgs,
-    };
+    use crate::args::CommonArgs;
     use volley_store::RecordKind;
+
+    /// The options `argv` parses to: the subcommand's defaults plus
+    /// whatever flags the test spells out.
+    fn args_of(argv: &[&str]) -> Args {
+        match Command::parse(argv.iter().map(|s| s.to_string())).expect("valid command line") {
+            Command::Monitor(a)
+            | Command::Generate(a)
+            | Command::Simulate(a)
+            | Command::Chaos(a)
+            | Command::Run(a)
+            | Command::Obs(a)
+            | Command::Store(_, a)
+            | Command::Backtest(a)
+            | Command::Analyze(_, a)
+            | Command::Coordinator(a)
+            | Command::Agent(a) => a,
+            Command::Help => panic!("{argv:?} is help"),
+        }
+    }
+
+    fn json_common() -> CommonArgs {
+        CommonArgs {
+            report_json: true,
+            ..CommonArgs::default()
+        }
+    }
 
     fn run_to_string(command: Command) -> String {
         let mut buffer = Vec::new();
@@ -1840,24 +1782,18 @@ mod tests {
         let dir = std::env::temp_dir().join("volley-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.csv");
-        let csv = run_to_string(Command::Generate(GenerateArgs {
-            family: "network".to_string(),
-            ticks: 800,
-            tasks: 1,
-            seed: 5,
-        }));
+        let csv = run_to_string(Command::Generate(args_of(&[
+            "generate", "--family", "network", "--ticks", "800", "--seed", "5",
+        ])));
         // Strip the header for monitor's single-column input.
         let body: String = csv.lines().skip(1).map(|l| format!("{l}\n")).collect();
         std::fs::write(&path, body).unwrap();
         // …then monitor it.
-        let text = run_to_string(Command::Monitor(MonitorArgs {
+        let text = run_to_string(Command::Monitor(Args {
             input: path.to_string_lossy().to_string(),
-            threshold: None,
-            percentile: Some(1.0),
             err: 0.02,
             max_interval: 8,
-            below: false,
-            json: false,
+            ..args_of(&["monitor", "--percentile", "1"])
         }));
         assert!(text.contains("condition:"), "{text}");
         assert!(text.contains("samples:"));
@@ -1870,14 +1806,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("json-trace.csv");
         std::fs::write(&path, "1\n2\n3\n100\n2\n1\n").unwrap();
-        let text = run_to_string(Command::Monitor(MonitorArgs {
+        let text = run_to_string(Command::Monitor(Args {
             input: path.to_string_lossy().to_string(),
-            threshold: Some(50.0),
-            percentile: None,
             err: 0.0,
             max_interval: 4,
-            below: false,
-            json: true,
+            common: json_common(),
+            ..args_of(&["monitor", "--threshold", "50"])
         }));
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed["schema"], REPORT_SCHEMA_VERSION);
@@ -1894,14 +1828,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("below-trace.csv");
         std::fs::write(&path, "100\n100\n100\n5\n100\n").unwrap();
-        let text = run_to_string(Command::Monitor(MonitorArgs {
+        let text = run_to_string(Command::Monitor(Args {
             input: path.to_string_lossy().to_string(),
-            threshold: Some(50.0),
-            percentile: None,
             err: 0.0,
             max_interval: 4,
             below: true,
-            json: true,
+            common: json_common(),
+            ..args_of(&["monitor", "--threshold", "50"])
         }));
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed["report"]["violations"], 1);
@@ -1913,58 +1846,33 @@ mod tests {
     fn generate_rejects_unknown_family() {
         let mut buffer = Vec::new();
         let result = run(
-            Command::Generate(GenerateArgs {
-                family: "weather".to_string(),
-                ticks: 10,
-                tasks: 1,
-                seed: 0,
-            }),
+            Command::Generate(args_of(&[
+                "generate", "--family", "weather", "--ticks", "10",
+            ])),
             &mut buffer,
         );
         assert!(matches!(result, Err(CliError::Usage(_))));
     }
 
-    fn chaos_args() -> ChaosArgs {
-        ChaosArgs {
+    /// A small, fast `chaos` run in the mode `mode` selects (`&[]`,
+    /// `&["--net"]` or `&["--multitask", "3"]`), reporting JSON.
+    fn chaos_args(mode: &[&str]) -> Args {
+        let argv: Vec<&str> = ["chaos"].iter().chain(mode).copied().collect();
+        Args {
             monitors: 2,
             ticks: 100,
-            multitask: 0,
-            train_ticks: 0,
-            drop_rate: 0.0,
-            poll_drop_rate: 0.0,
-            dup_rate: 0.0,
-            delay_rate: 0.0,
-            crashes: Vec::new(),
-            stalls: Vec::new(),
-            coordinator_crashes: Vec::new(),
-            partitions: Vec::new(),
-            wal_corruptions: Vec::new(),
-            wal_dir: None,
-            checkpoint_interval: 25,
-            standby: false,
             deadline_ms: 25,
-            quarantine_after: 2,
-            supervise: true,
-            obs_every: 50,
-            net: false,
-            net_agents: 0,
-            net_storm_every: 0,
-            net_storm_fraction: 0.25,
-            transport: TransportArgs::default(),
-            serve: ServeArgs::default(),
-            wal_sync: volley_runtime::WalSyncPolicy::default(),
-            io: crate::args::IoFaultArgs::default(),
             common: CommonArgs {
                 seed: 7,
-                report_json: true,
-                ..CommonArgs::default()
+                ..json_common()
             },
+            ..args_of(&argv)
         }
     }
 
     #[test]
     fn chaos_with_crash_reports_the_recovery() {
-        let mut args = chaos_args();
+        let mut args = chaos_args(&[]);
         args.crashes.push((1, 10));
         let text = run_to_string(Command::Chaos(args));
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
@@ -1983,7 +1891,7 @@ mod tests {
     fn chaos_with_coordinator_crash_fails_over_and_restores() {
         let dir = std::env::temp_dir().join("volley-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut args = chaos_args();
+        let mut args = chaos_args(&[]);
         args.coordinator_crashes.push(60);
         args.standby = true;
         args.wal_dir = Some(dir.to_string_lossy().to_string());
@@ -2008,13 +1916,13 @@ mod tests {
         std::fs::create_dir_all(&base).unwrap();
 
         let clean = {
-            let mut args = chaos_args();
+            let mut args = chaos_args(&[]);
             args.deadline_ms = 2000;
             run_to_string(Command::Chaos(args))
         };
         let clean: serde_json::Value = serde_json::from_str(&clean).unwrap();
 
-        let mut args = chaos_args();
+        let mut args = chaos_args(&[]);
         args.deadline_ms = 2000;
         args.wal_dir = Some(base.join("wal").to_string_lossy().to_string());
         args.checkpoint_interval = 10;
@@ -2036,14 +1944,14 @@ mod tests {
 
     #[test]
     fn chaos_partition_across_failover_rejects_stale_frames() {
-        let mut args = chaos_args();
+        let mut args = chaos_args(&[]);
         args.coordinator_crashes.push(40);
         args.standby = true;
         args.partitions.push((vec![1], 35, 15));
         // No supervisor: a restart would hand the partitioned monitor the
         // new epoch out-of-band. Keeping the original actor alive forces
         // it through the stale-frame → epoch-repair → recovery path.
-        args.supervise = false;
+        args.no_supervise = true;
         let text = run_to_string(Command::Chaos(args));
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
         let report = &parsed["report"];
@@ -2062,25 +1970,21 @@ mod tests {
 
     #[test]
     fn chaos_text_report_lists_counters() {
-        let mut args = chaos_args();
+        let mut args = chaos_args(&[]);
         args.common.report_json = false;
         let text = run_to_string(Command::Chaos(args));
         assert!(text.contains("quarantines:"), "{text}");
         assert!(text.contains("alerts at ticks:  49, 99"), "{text}");
     }
 
-    fn run_args() -> RunArgs {
-        RunArgs {
+    fn run_args() -> Args {
+        Args {
             monitors: 2,
             ticks: 100,
             err: 0.0,
             obs_every: 25,
-            self_monitor_us: None,
-            serve: ServeArgs::default(),
-            common: CommonArgs {
-                report_json: true,
-                ..CommonArgs::default()
-            },
+            common: json_common(),
+            ..args_of(&["run"])
         }
     }
 
@@ -2124,23 +2028,15 @@ mod tests {
         args.common.obs_dir = Some(dir.to_string_lossy().to_string());
         let _ = run_to_string(Command::Run(args));
 
-        let text = run_to_string(Command::Obs(ObsArgs {
-            dir: dir.to_string_lossy().to_string(),
-            prom: false,
-            common: CommonArgs::default(),
-        }));
+        let obs_args = args_of(&["obs", "--obs-dir", &dir.to_string_lossy()]);
+        let text = run_to_string(Command::Obs(obs_args.clone()));
         assert!(text.contains("volley_runner_ticks_total"), "{text}");
         assert!(text.contains("histograms:"), "{text}");
 
         // --report-json wraps the snapshot in the schema-3 envelope.
-        let json = run_to_string(Command::Obs(ObsArgs {
-            dir: dir.to_string_lossy().to_string(),
-            prom: false,
-            common: CommonArgs {
-                report_json: true,
-                ..CommonArgs::default()
-            },
-        }));
+        let mut json_args = obs_args.clone();
+        json_args.common.report_json = true;
+        let json = run_to_string(Command::Obs(json_args));
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed["schema"], REPORT_SCHEMA_VERSION);
         assert_eq!(parsed["command"], "obs");
@@ -2150,10 +2046,9 @@ mod tests {
             .iter()
             .any(|(name, _)| name == "volley_runner_ticks_total"));
 
-        let prom = run_to_string(Command::Obs(ObsArgs {
-            dir: dir.to_string_lossy().to_string(),
+        let prom = run_to_string(Command::Obs(Args {
             prom: true,
-            common: CommonArgs::default(),
+            ..obs_args
         }));
         assert!(volley_obs::parse_prometheus(&prom)
             .unwrap()
@@ -2168,11 +2063,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut buffer = Vec::new();
         let result = run(
-            Command::Obs(ObsArgs {
-                dir: dir.to_string_lossy().to_string(),
-                prom: false,
-                common: CommonArgs::default(),
-            }),
+            Command::Obs(args_of(&["obs", "--obs-dir", &dir.to_string_lossy()])),
             &mut buffer,
         );
         assert!(matches!(result, Err(CliError::Input(_))));
@@ -2191,12 +2082,9 @@ mod tests {
 
     #[test]
     fn generate_emits_correct_shape() {
-        let csv = run_to_string(Command::Generate(GenerateArgs {
-            family: "system".to_string(),
-            ticks: 50,
-            tasks: 3,
-            seed: 1,
-        }));
+        let csv = run_to_string(Command::Generate(args_of(&[
+            "generate", "--family", "system", "--ticks", "50", "--tasks", "3", "--seed", "1",
+        ])));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 51); // header + 50 rows
         assert_eq!(lines[0], "task0,task1,task2");
@@ -2205,12 +2093,12 @@ mod tests {
 
     #[test]
     fn simulate_reports_cpu() {
-        let text = run_to_string(Command::Simulate(SimulateArgs {
+        let text = run_to_string(Command::Simulate(Args {
             servers: 1,
             vms: 4,
             err: 0.0,
             ticks: 100,
-            common: CommonArgs::default(),
+            ..args_of(&["sim"])
         }));
         assert!(text.contains("Dom0 CPU"));
         assert!(text.contains("miss rate"));
@@ -2219,17 +2107,16 @@ mod tests {
     #[test]
     fn simulate_json_is_thread_count_independent() {
         let report_with = |threads: usize| {
-            let text = run_to_string(Command::Simulate(SimulateArgs {
+            let text = run_to_string(Command::Simulate(Args {
                 servers: 2,
                 vms: 8,
-                err: 0.01,
                 ticks: 120,
                 common: CommonArgs {
                     seed: 5,
                     threads,
-                    report_json: true,
-                    ..CommonArgs::default()
+                    ..json_common()
                 },
+                ..args_of(&["sim"])
             }));
             let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
             assert_eq!(parsed["schema"], REPORT_SCHEMA_VERSION);
@@ -2247,39 +2134,24 @@ mod tests {
         assert_eq!(report_with(1), report_with(4));
     }
 
-    fn store_args(dir: &str, action: StoreAction) -> StoreArgs {
-        StoreArgs {
-            action,
-            dir: dir.to_string(),
-            task: None,
-            monitor: None,
-            kind: None,
-            from: 0,
-            to: u64::MAX,
-            limit: None,
-            cursor: 0,
-            common: CommonArgs {
-                report_json: true,
-                ..CommonArgs::default()
-            },
+    /// `store <action> --store-dir dir --report-json` (`export-csv`
+    /// has no JSON form).
+    fn store_command(dir: &str, action: &str, edit: impl FnOnce(&mut Args)) -> Command {
+        let mut argv = vec!["store", action, "--store-dir", dir];
+        if action != "export-csv" {
+            argv.push("--report-json");
+        }
+        match Command::parse(argv.iter().map(|s| s.to_string())).expect("valid") {
+            Command::Store(action, mut args) => {
+                edit(&mut args);
+                Command::Store(action, args)
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 
-    fn backtest_args(dir: &str) -> BacktestArgs {
-        BacktestArgs {
-            dir: dir.to_string(),
-            task: 0,
-            errs: Vec::new(),
-            from: 0,
-            to: u64::MAX,
-            verify: false,
-            monitors: None,
-            threshold: None,
-            common: CommonArgs {
-                report_json: true,
-                ..CommonArgs::default()
-            },
-        }
+    fn backtest_args(dir: &str) -> Args {
+        args_of(&["backtest", "--store-dir", dir, "--report-json"])
     }
 
     #[test]
@@ -2288,7 +2160,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let dir = dir.to_string_lossy().to_string();
 
-        let mut args = chaos_args();
+        let mut args = chaos_args(&[]);
         args.common.store_dir = Some(dir.clone());
         let chaos_text = run_to_string(Command::Chaos(args));
         let chaos_report: serde_json::Value = serde_json::from_str(&chaos_text).unwrap();
@@ -2324,7 +2196,7 @@ mod tests {
         }
 
         // Two scans of the same store are byte-identical.
-        let query = || run_to_string(Command::Store(store_args(&dir, StoreAction::Query)));
+        let query = || run_to_string(store_command(&dir, "query", |_| {}));
         let first = query();
         assert_eq!(first, query(), "scan determinism");
         let parsed: serde_json::Value = serde_json::from_str(&first).unwrap();
@@ -2332,25 +2204,22 @@ mod tests {
         assert!(parsed["report"]["matched"].as_u64().unwrap() > 200);
 
         // The alert filter narrows to the two burst ticks.
-        let mut alerts = store_args(&dir, StoreAction::Query);
-        alerts.kind = Some(RecordKind::Alert);
-        let alert_text = run_to_string(Command::Store(alerts));
+        let only_alerts = |args: &mut Args| args.kind = Some(RecordKind::Alert);
+        let alert_text = run_to_string(store_command(&dir, "query", only_alerts));
         let parsed: serde_json::Value = serde_json::from_str(&alert_text).unwrap();
         assert_eq!(parsed["report"]["matched"], 2, "{alert_text}");
         assert_eq!(parsed["report"]["records"][0]["tick"], 49);
         assert_eq!(parsed["report"]["records"][1]["tick"], 99);
 
         // CSV export round-trips through the same filters.
-        let mut csv_args = store_args(&dir, StoreAction::ExportCsv);
-        csv_args.kind = Some(RecordKind::Alert);
-        let csv = run_to_string(Command::Store(csv_args));
+        let csv = run_to_string(store_command(&dir, "export-csv", only_alerts));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "task,monitor,kind,tick,value");
         assert_eq!(lines.len(), 3);
         assert!(lines[1].contains("alert,49,"), "{csv}");
 
         // Compaction merges segments without changing query results.
-        let compact = run_to_string(Command::Store(store_args(&dir, StoreAction::Compact)));
+        let compact = run_to_string(store_command(&dir, "compact", |_| {}));
         let parsed: serde_json::Value = serde_json::from_str(&compact).unwrap();
         assert_eq!(parsed["report"]["stats"]["segments_after"], 1, "{compact}");
         assert_eq!(first, query(), "compaction preserves scans");
@@ -2366,8 +2235,7 @@ mod tests {
 
         // A 3-task planted cascade: the runner learns the 1 ← 0 gate and
         // suppresses follower sampling while the leader is calm.
-        let mut args = chaos_args();
-        args.multitask = 3;
+        let mut args = chaos_args(&["--multitask", "3"]);
         args.ticks = 600;
         args.train_ticks = 200;
         args.common.store_dir = Some(dir.clone());
@@ -2389,21 +2257,18 @@ mod tests {
 
         // The offline job recovers the planted pair at rank 1 from the
         // recorded alerts alone.
+        let correlate = args_of(&["analyze", "correlate", "--store-dir", &dir]);
         let analyze = || {
-            run_to_string(Command::Analyze(AnalyzeArgs {
-                action: AnalyzeAction::Correlate,
-                dir: dir.clone(),
-                top_k: 10,
-                lag: 2,
-                min_support: 3,
-                from: 0,
-                to: u64::MAX,
-                max_alerts: 65_536,
-                common: CommonArgs {
-                    report_json: true,
-                    ..CommonArgs::default()
+            run_to_string(Command::Analyze(
+                AnalyzeAction::Correlate,
+                Args {
+                    common: CommonArgs {
+                        report_json: true,
+                        ..correlate.common.clone()
+                    },
+                    ..correlate.clone()
                 },
-            }))
+            ))
         };
         let first = analyze();
         assert_eq!(first, analyze(), "analysis determinism");
@@ -2419,19 +2284,7 @@ mod tests {
         assert!(pairs[0]["confidence"].as_f64().unwrap() > 0.9, "{first}");
 
         // Text mode renders the same ranking.
-        let mut text_args = AnalyzeArgs {
-            action: AnalyzeAction::Correlate,
-            dir: dir.clone(),
-            top_k: 10,
-            lag: 2,
-            min_support: 3,
-            from: 0,
-            to: u64::MAX,
-            max_alerts: 65_536,
-            common: CommonArgs::default(),
-        };
-        text_args.common.report_json = false;
-        let rendered = run_to_string(Command::Analyze(text_args));
+        let rendered = run_to_string(Command::Analyze(AnalyzeAction::Correlate, correlate));
         assert!(rendered.contains("correlation_matrix_v1"), "{rendered}");
         assert!(rendered.contains("task 0 → task 1"), "{rendered}");
 
@@ -2451,16 +2304,15 @@ mod tests {
         let total_samples = parsed["report"]["total_samples"].as_u64().unwrap();
 
         // The recorded sample count matches the runtime report.
-        let mut samples = store_args(&dir, StoreAction::Query);
-        samples.limit = Some(0);
-        samples.kind = Some(RecordKind::Sample);
-        let sampled: serde_json::Value =
-            serde_json::from_str(&run_to_string(Command::Store(samples))).unwrap();
-        let mut polls = store_args(&dir, StoreAction::Query);
-        polls.limit = Some(0);
-        polls.kind = Some(RecordKind::PollSample);
-        let polled: serde_json::Value =
-            serde_json::from_str(&run_to_string(Command::Store(polls))).unwrap();
+        let count_of = |kind: RecordKind| -> serde_json::Value {
+            let command = store_command(&dir, "query", |args| {
+                args.limit = Some(0);
+                args.kind = Some(kind);
+            });
+            serde_json::from_str(&run_to_string(command)).unwrap()
+        };
+        let sampled = count_of(RecordKind::Sample);
+        let polled = count_of(RecordKind::PollSample);
         assert_eq!(
             sampled["report"]["matched"].as_u64().unwrap()
                 + polled["report"]["matched"].as_u64().unwrap(),
@@ -2468,10 +2320,8 @@ mod tests {
         );
 
         // The final obs snapshot landed in the store as counter series.
-        let mut counters = store_args(&dir, StoreAction::Query);
-        counters.kind = Some(RecordKind::Counter);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&run_to_string(Command::Store(counters))).unwrap();
+        let counters = store_command(&dir, "query", |a| a.kind = Some(RecordKind::Counter));
+        let parsed: serde_json::Value = serde_json::from_str(&run_to_string(counters)).unwrap();
         assert!(
             parsed["report"]["matched"].as_u64().unwrap() > 0,
             "snapshot counters recorded"
@@ -2482,36 +2332,35 @@ mod tests {
 
     #[test]
     fn chaos_net_runs_over_real_sockets() {
-        let mut args = chaos_args();
-        args.net = true;
-        args.net_agents = 2;
-        args.ticks = 60;
-        args.deadline_ms = 2000;
-        let text = run_to_string(Command::Chaos(args));
-        let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(parsed["schema"], REPORT_SCHEMA_VERSION);
-        assert_eq!(parsed["command"], "chaos");
-        let report = &parsed["report"];
-        assert_eq!(report["ticks"], 60);
-        // Burst at tick 49; a storm-free socket run detects it.
-        assert_eq!(report["alerts"], 1, "{text}");
-        assert_eq!(report["agents"], 2);
-        assert_eq!(report["net"]["malformed_frames"], 0);
-        assert!(report["net"]["frames_in"].as_u64().unwrap() > 0);
+        // (monitors, --net-agents, agents actually spawned): an even
+        // split, then the uneven ones whose last slices come up empty
+        // (12 monitors over 5 agents is 3+3+3+3+0) and once failed the
+        // finished run with "monitor range 12..12 out of bounds".
+        for (monitors, net_agents, spawned) in [(2, 2, 2), (12, 5, 4), (7, 5, 4), (10, 6, 5)] {
+            let mut args = chaos_args(&["--net"]);
+            args.monitors = monitors;
+            args.net_agents = net_agents;
+            args.ticks = 60;
+            args.deadline_ms = 2000;
+            let text = run_to_string(Command::Chaos(args));
+            let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
+            assert_eq!(parsed["schema"], REPORT_SCHEMA_VERSION);
+            assert_eq!(parsed["command"], "chaos");
+            let report = &parsed["report"];
+            assert_eq!(report["ticks"], 60);
+            // Burst at tick 49; a storm-free socket run detects it.
+            assert_eq!(report["alerts"], 1, "{text}");
+            assert_eq!(report["monitors"], monitors);
+            assert_eq!(report["agents"], spawned, "{text}");
+            assert_eq!(report["net"]["connections_accepted"], spawned, "{text}");
+            assert_eq!(report["net"]["malformed_frames"], 0);
+            assert!(report["net"]["frames_in"].as_u64().unwrap() > 0);
+        }
     }
 
     #[test]
     fn coordinator_without_fleet_times_out() {
-        let args = match Command::parse(
-            ["coordinator", "--listen", "127.0.0.1:0", "--wait-ms", "100"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap()
-        {
-            Command::Coordinator(c) => c,
-            other => panic!("unexpected {other:?}"),
-        };
+        let args = args_of(&["coordinator", "--listen", "127.0.0.1:0", "--wait-ms", "100"]);
         let mut buffer = Vec::new();
         let result = run(Command::Coordinator(args), &mut buffer);
         assert!(matches!(result, Err(CliError::Config(_))), "{result:?}");

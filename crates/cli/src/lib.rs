@@ -1,23 +1,37 @@
 //! # volley-cli
 //!
 //! The command-line interface for Volley adaptive state monitoring. The
-//! installed binary is called `volley` and has three subcommands:
+//! installed binary is called `volley`; `volley help` prints every
+//! subcommand with every flag it reads and each flag's default,
+//! rendered from the one flag table in [`args`] that the parser itself
+//! reads. The subcommands, by the paper level they expose:
+//!
+//! - **monitor level (§III)** — `monitor` replays a full-resolution
+//!   value trace through the adaptive controller; `generate` emits
+//!   synthetic traces to feed it; `sim` runs the datacenter simulator's
+//!   network-monitoring scenario on the sharded engine.
+//! - **task level (§IV)** — `run` drives the threaded runtime on a
+//!   bursty workload with observability on; `chaos` does so under
+//!   injected message, crash and storage faults (`chaos --net` over real
+//!   sockets under reconnect storms); `coordinator` and `agent` split
+//!   the same task across processes.
+//! - **multi-task level (§II.B)** — `chaos --multitask` runs correlated
+//!   tasks under live suppression; `analyze correlate` recovers the
+//!   correlation offline from a recorded store.
+//! - **recorded history** — `obs` reads back metric snapshots; `store
+//!   query|compact|export-csv` inspects a sample store; `backtest`
+//!   replays it through candidate error allowances.
 //!
 //! ```text
-//! volley monitor   --input trace.csv --percentile 1 [--err 0.01] [--below] [--json]
-//! volley generate  --family network --ticks 2000 --tasks 4 [--seed 7]
-//! volley simulate  --servers 4 --vms 40 --err 0.01 --ticks 1500
+//! volley generate --family network --ticks 2000 | tail -n +2 > trace.csv
+//! volley monitor  --input trace.csv --percentile 1 --report-json
+//! volley chaos    --monitors 5 --crash 1@40 --store-dir /tmp/store
+//! volley backtest --store-dir /tmp/store --verify
 //! ```
 //!
-//! - **monitor** replays a full-resolution value trace (one value per
-//!   line, or `tick,value` CSV) through the adaptive controller and
-//!   reports which ticks it would have sampled, the alerts raised, the
-//!   sampling cost versus periodic, and the ground-truth miss rate.
-//! - **generate** emits synthetic traces from the workload generators as
-//!   CSV (one column per task), for piping back into `monitor` or
-//!   external tools.
-//! - **simulate** runs the datacenter simulator's network-monitoring
-//!   scenario and prints the Dom0 CPU distribution and accuracy.
+//! A flag a subcommand does not read is a usage error there, never a
+//! silent no-op; every `--report-json` output is the versioned envelope
+//! `{"schema": N, "command": "...", "report": {...}}`.
 //!
 //! The library half exposes the argument parsing and command execution
 //! so it can be integration-tested without spawning processes.

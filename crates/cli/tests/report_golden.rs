@@ -1,0 +1,169 @@
+//! Byte-identity pins for `--report-json`: each deterministic
+//! invocation below runs in-process and its stdout is hashed; the
+//! digests were captured at commit `f00fe91`, before the flag-table and
+//! run-harness refactor, so "the refactor moved no report byte" is an
+//! executable claim. After an *intended* report change, rerun with
+//! `--nocapture`, read the new digests off the failure message and
+//! update them here.
+
+/// 64-bit FNV-1a over the output bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs one command line in-process and returns its stdout.
+fn volley(argv: &[&str]) -> String {
+    let command = volley_cli::Command::parse(argv.iter().map(|s| s.to_string()))
+        .unwrap_or_else(|err| panic!("{argv:?} must parse: {err}"));
+    let mut out = Vec::new();
+    volley_cli::run(command, &mut out).unwrap_or_else(|err| panic!("{argv:?} must run: {err}"));
+    String::from_utf8(out).expect("utf8 report")
+}
+
+/// A scratch path unique to this test binary run.
+fn scratch(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("volley-golden-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_file(&path);
+    path.to_string_lossy().into_owned()
+}
+
+fn assert_digest(what: &str, output: &str, expected: u64) {
+    assert_eq!(
+        fnv(output.as_bytes()),
+        expected,
+        "{what}: report bytes moved (digest now {:#018x}):\n{output}",
+        fnv(output.as_bytes())
+    );
+}
+
+#[test]
+fn generate_then_monitor_report_is_pinned() {
+    let csv = volley(&[
+        "generate", "--family", "network", "--ticks", "800", "--tasks", "1", "--seed", "5",
+    ]);
+    assert_digest("generate", &csv, 0x9610_6438_26fd_36ca);
+    let trace = scratch("trace.csv");
+    let body: String = csv.lines().skip(1).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&trace, body).expect("write trace");
+    let report = volley(&[
+        "monitor",
+        "--input",
+        &trace,
+        "--percentile",
+        "1",
+        "--err",
+        "0.02",
+        "--max-interval",
+        "8",
+        "--report-json",
+    ]);
+    assert_digest("monitor", &report, 0xa90b_4ad9_0967_ef5d);
+    let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
+fn chaos_crash_and_stall_report_is_pinned() {
+    // The deadline is generous so a loaded host cannot turn a slow
+    // reply into a missed report: only the planted crash and stall miss.
+    let report = volley(&[
+        "chaos",
+        "--monitors",
+        "5",
+        "--ticks",
+        "150",
+        "--seed",
+        "42",
+        "--crash",
+        "1@40",
+        "--stall",
+        "3@20+50",
+        "--deadline-ms",
+        "1000",
+        "--report-json",
+    ]);
+    assert_digest("chaos", &report, 0xdc70_9d86_1800_7118);
+}
+
+#[test]
+fn chaos_multitask_report_is_pinned() {
+    let report = volley(&[
+        "chaos",
+        "--multitask",
+        "4",
+        "--ticks",
+        "600",
+        "--train-ticks",
+        "200",
+        "--seed",
+        "42",
+        "--report-json",
+    ]);
+    assert_digest("chaos --multitask", &report, 0x2928_030a_3bff_a5d3);
+}
+
+#[test]
+fn recorded_store_reports_are_pinned() {
+    let store = scratch("store");
+    // Reports echo the store path; hash them with it normalised.
+    let pinned = |what: &str, argv: &[&str], expected: u64| {
+        let report = volley(argv).replace(&store, "<store>");
+        assert_digest(what, &report, expected);
+    };
+    pinned(
+        "chaos --store-dir",
+        &[
+            "chaos",
+            "--monitors",
+            "5",
+            "--ticks",
+            "150",
+            "--seed",
+            "42",
+            "--deadline-ms",
+            "1000",
+            "--store-dir",
+            &store,
+            "--report-json",
+        ],
+        0x6533_4103_8d61_99a7,
+    );
+    pinned(
+        "store query",
+        &["store", "query", "--store-dir", &store, "--report-json"],
+        0xa8e5_f4ac_57b4_c3da,
+    );
+    pinned(
+        "backtest --verify",
+        &[
+            "backtest",
+            "--store-dir",
+            &store,
+            "--err",
+            "0.01",
+            "--err",
+            "0.05",
+            "--verify",
+            "--report-json",
+        ],
+        0x437a_06c9_4408_2bdf,
+    );
+    pinned(
+        "analyze correlate",
+        &[
+            "analyze",
+            "correlate",
+            "--store-dir",
+            &store,
+            "--top-k",
+            "5",
+            "--lag",
+            "2",
+            "--report-json",
+        ],
+        0x951c_1d56_4e5d_286a,
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}

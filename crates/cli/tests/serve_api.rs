@@ -1,5 +1,5 @@
 //! Byte-parity between the two query surfaces: `volley store query
-//! --json` and HTTP `GET /api/v1/query` must produce identical bytes
+//! --report-json` and HTTP `GET /api/v1/query` must produce identical bytes
 //! for the same store, range and page — both sit on
 //! `volley_store::query` plus the shared versioned envelope, and this
 //! test pins that they cannot drift.
@@ -45,7 +45,7 @@ fn cli_query(dir: &str, json: bool, extra: &[&str]) -> Vec<u8> {
     argv.push(dir.to_string());
     argv.extend(extra.iter().map(|s| s.to_string()));
     if json {
-        argv.push("--json".to_string());
+        argv.push("--report-json".to_string());
     }
     let command = volley_cli::Command::parse(argv).expect("valid command line");
     let mut out = Vec::new();

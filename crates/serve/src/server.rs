@@ -548,7 +548,7 @@ fn parse_param<T: std::str::FromStr>(request: &Request, name: &str) -> Result<Op
 
 /// Builds the `/api/v1/query` response: params → [`QueryParams`] →
 /// shared query module → shared envelope. Byte-identical to
-/// `volley store query --json` for the same range.
+/// `volley store query --report-json` for the same range.
 fn query_endpoint(request: &Request, config: &ServeConfig) -> Vec<u8> {
     let Some(dir) = config.store_dir.as_deref() else {
         return http::response(

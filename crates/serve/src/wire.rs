@@ -1,6 +1,6 @@
 //! The versioned JSON report envelope — one renderer shared by the CLI
-//! (`--json` reports) and the HTTP query endpoint, so the two surfaces
-//! cannot drift: for the same report they are byte-identical.
+//! (`--report-json` reports) and the HTTP query endpoint, so the two
+//! surfaces cannot drift: for the same report they are byte-identical.
 
 use serde::Serialize;
 

@@ -130,7 +130,7 @@ pub fn run_query(store: &Store, dir_label: &str, params: &QueryParams) -> io::Re
     })
 }
 
-/// Renders the human-readable table — the CLI's non-`--json` output.
+/// Renders the human-readable table — the CLI's non-`--report-json` output.
 ///
 /// # Errors
 ///

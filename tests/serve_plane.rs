@@ -125,7 +125,7 @@ fn metrics_scrape_reflects_live_fleet() {
 
 /// The HTTP query endpoint and the shared query module agree
 /// byte-for-byte on every page of a recorded run — the same guarantee
-/// `volley store query --json` gives, since all three sit on one
+/// `volley store query --report-json` gives, since all three sit on one
 /// resolution/rendering path.
 #[test]
 fn query_endpoint_pages_match_shared_module() {
