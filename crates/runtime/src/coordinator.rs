@@ -165,6 +165,9 @@ struct Liveness {
     stale_epoch: u32,
     /// Monitors that sent a stale-epoch frame and owe an epoch repair.
     needs_epoch: Vec<bool>,
+    /// [`mark_reviving`](Self::mark_reviving) grew the awaited set since
+    /// a collection last counted it.
+    awaited_grew: bool,
 }
 
 impl Liveness {
@@ -177,6 +180,7 @@ impl Liveness {
             pending: VecDeque::new(),
             stale_epoch: 0,
             needs_epoch: vec![false; monitors],
+            awaited_grew: false,
         }
     }
 
@@ -198,6 +202,7 @@ impl Liveness {
         if idx < self.quarantined.len() && self.quarantined[idx] && !self.reviving[idx] {
             self.reviving[idx] = true;
             self.consecutive_missed[idx] = 0;
+            self.awaited_grew = true;
         }
     }
 }
@@ -538,15 +543,29 @@ impl CoordinatorActor {
         let mut scheduled = 0u32;
         let mut violations = 0u32;
         let mut suppressed_samples = 0u32;
+        // `(awaited, outstanding)`: how many monitors this collection
+        // waits for and how many of them have yet to report. Counted over
+        // the fleet only when the awaited set can have changed — the round
+        // opens, its tick is fixed, `recv_msg` revives a monitor — and
+        // kept by decrement otherwise (a recount per frame is O(n²) a
+        // tick).
+        let mut waiting: Option<(usize, usize)> = None;
         loop {
-            // `recv_msg` can grow the awaited set mid-round, so the exit
-            // condition is re-evaluated every iteration. Partitioned
-            // monitors are never waited for — their frames cannot arrive
-            // — but still count as missing below, so a long partition
-            // quarantines them and degraded aggregation takes over.
+            // Partitioned monitors are never waited for — their frames
+            // cannot arrive — but still count as missing below, so a long
+            // partition quarantines them and degraded aggregation takes
+            // over.
             let expect = round_tick.unwrap_or_else(|| live.last_tick.map_or(0, |t| t + 1));
             let awaited = |live: &Liveness, i: usize| live.awaited(i) && self.reachable(i, expect);
-            if (0..n).any(|i| awaited(live, i)) && (0..n).all(|i| !awaited(live, i) || seen[i]) {
+            if std::mem::take(&mut live.awaited_grew) {
+                waiting = None;
+            }
+            let (awaited_count, outstanding) = *waiting.get_or_insert_with(|| {
+                let awaited_count = (0..n).filter(|&i| awaited(live, i)).count();
+                let reported = (0..n).filter(|&i| awaited(live, i) && seen[i]).count();
+                (awaited_count, awaited_count - reported)
+            });
+            if awaited_count > 0 && outstanding == 0 {
                 break;
             }
             let Some(msg) = self.recv_msg(live, from_monitors, deadline)? else {
@@ -579,6 +598,7 @@ impl CoordinatorActor {
                         continue; // late frame for an already-closed tick
                     }
                     round_tick = Some(t);
+                    waiting = None; // reachability is judged at `t` from here on
                 }
                 Some(rt) if t < rt => continue, // late frame
                 Some(rt) if t > rt => {
@@ -593,6 +613,11 @@ impl CoordinatorActor {
                 continue; // duplicated frame
             }
             seen[idx] = true;
+            if let Some((_, outstanding)) = waiting.as_mut() {
+                if !live.awaited_grew && live.awaited(idx) && self.reachable(idx, expect) {
+                    *outstanding -= 1;
+                }
+            }
             live.consecutive_missed[idx] = 0;
             if live.quarantined[idx] {
                 live.quarantined[idx] = false;
@@ -685,13 +710,13 @@ impl CoordinatorActor {
             // changes nothing about outcomes — it only avoids pointless
             // deadline waits).
             let mut awaiting = vec![false; n];
+            let poll = ControlFrame::seal(self.epoch, CoordinatorToMonitor::Poll { tick });
             for idx in 0..n {
                 if !live.active(idx) || !self.reachable(idx, tick) {
                     continue; // unreachable; aggregate at T_i
                 }
                 let monitor = MonitorId(idx as u32);
-                let poll = ControlFrame::seal(self.epoch, CoordinatorToMonitor::Poll { tick });
-                if !to_monitors[idx].send(poll) {
+                if !to_monitors[idx].send(poll.clone()) {
                     continue; // monitor process gone; aggregate at T_i
                 }
                 awaiting[idx] = !self.faults.drops(FaultPath::PollReply, monitor, tick)

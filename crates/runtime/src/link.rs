@@ -10,12 +10,15 @@
 //! actor inbox it feeds a shared `(monitor, frame)` channel, which is how
 //! the networked coordinator ([`crate::net`]) funnels every monitor's
 //! outbound traffic into one socket event loop without the coordinator
-//! actor knowing the transport changed.
+//! actor knowing the transport changed. Each tagged send fires the
+//! loop's [`Waker`], so the loop blocks in `poll` instead of polling the
+//! channel.
 
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
+use volley_serve::reactor::Waker;
 
 /// Where a link's frames go: straight into an actor inbox, or tagged with
 /// the monitor index into a shared multiplexer channel.
@@ -25,6 +28,7 @@ enum LinkTarget {
     Tagged {
         monitor: u32,
         out: Sender<(u32, Bytes)>,
+        waker: Waker,
     },
 }
 
@@ -45,10 +49,16 @@ impl MonitorLink {
     /// Wraps a shared multiplexer sender: every frame sent through this
     /// link arrives as `(monitor, frame)` on `out`, preserving per-link
     /// FIFO order. Used by the socket transport, where one event loop
-    /// serves every monitor connection.
-    pub fn tagged(monitor: u32, out: Sender<(u32, Bytes)>) -> Self {
+    /// serves every monitor connection; `waker` interrupts that loop's
+    /// wait after each send.
+    pub fn tagged(monitor: u32, out: Sender<(u32, Bytes)>, waker: Waker) -> Self {
+        let target = LinkTarget::Tagged {
+            monitor,
+            out,
+            waker,
+        };
         MonitorLink {
-            inner: Arc::new(Mutex::new(LinkTarget::Tagged { monitor, out })),
+            inner: Arc::new(Mutex::new(target)),
         }
     }
 
@@ -58,7 +68,15 @@ impl MonitorLink {
         let guard = self.inner.lock().expect("link lock never poisoned");
         match &*guard {
             LinkTarget::Channel(sender) => sender.send(frame).is_ok(),
-            LinkTarget::Tagged { monitor, out } => out.send((*monitor, frame)).is_ok(),
+            LinkTarget::Tagged {
+                monitor,
+                out,
+                waker,
+            } => {
+                let sent = out.send((*monitor, frame)).is_ok();
+                waker.wake();
+                sent
+            }
         }
     }
 
@@ -75,6 +93,7 @@ impl MonitorLink {
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
+    use volley_serve::reactor::Reactor;
 
     #[test]
     fn send_reaches_receiver() {
@@ -108,18 +127,21 @@ mod tests {
     #[test]
     fn tagged_link_stamps_the_monitor_index() {
         let (tx, rx) = unbounded::<(u32, Bytes)>();
-        let a = MonitorLink::tagged(3, tx.clone());
-        let b = MonitorLink::tagged(7, tx);
+        let mut reactor = Reactor::new().unwrap();
+        let a = MonitorLink::tagged(3, tx.clone(), reactor.waker());
+        let b = MonitorLink::tagged(7, tx, reactor.waker());
         assert!(a.send(Bytes::from_static(b"x")));
         assert!(b.send(Bytes::from_static(b"y")));
         assert_eq!(rx.recv().unwrap(), (3, Bytes::from_static(b"x")));
         assert_eq!(rx.recv().unwrap(), (7, Bytes::from_static(b"y")));
+        // The sends armed the waker: a wait with no deadline returns.
+        reactor.wait(&[], None, &mut Vec::new());
     }
 
     #[test]
     fn tagged_link_reports_dead_multiplexer() {
         let (tx, rx) = unbounded::<(u32, Bytes)>();
-        let link = MonitorLink::tagged(0, tx);
+        let link = MonitorLink::tagged(0, tx, Reactor::new().unwrap().waker());
         drop(rx);
         assert!(!link.send(Bytes::from_static(b"z")));
     }

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-use volley_core::task::{MonitorId, TaskSpec};
+use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 
 use crate::message::{encode, MonitorFrame, MonitorToCoordinator};
@@ -218,10 +218,9 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
                     ServerFrame::Welcome { .. } => continue,
                     ServerFrame::Ctl { to, frame } => (to, frame),
                 };
-                let Some(slot) = actors
-                    .iter_mut()
-                    .find(|(actor, _)| actor.id() == MonitorId(to))
-                else {
+                // The hosted range is contiguous: `to` indexes it directly.
+                let hosted = to.checked_sub(config.monitors.start);
+                let Some(slot) = hosted.and_then(|idx| actors.get_mut(idx as usize)) else {
                     continue; // misrouted: not ours, ignore
                 };
                 if !slot.1 {

@@ -1,6 +1,7 @@
-//! The networked coordinator: a readiness-driven nonblocking event loop
-//! multiplexing every agent socket, beside one remote-plane task session
-//! — the same tick driver [`crate::runner::TaskRunner`] runs in-process.
+//! The networked coordinator: one readiness reactor
+//! ([`volley_serve::reactor`], `poll(2)` + wake handle) multiplexing
+//! every agent socket, beside one remote-plane task session — the same
+//! tick driver [`crate::runner::TaskRunner`] runs in-process.
 //!
 //! ## Architecture
 //!
@@ -10,15 +11,19 @@
 //!    runs unmodified — it still reads one inbound channel and writes
 //!    per-monitor [`MonitorLink`](crate::link::MonitorLink)s; it cannot
 //!    tell the transport changed.
-//! 2. the **event loop** (this module) owns the listener and every agent
-//!    socket. Inbound: raw bytes → [`FrameBuffer`] reassembly → raw
-//!    `MonitorFrame` lines forwarded verbatim into the coordinator's
-//!    inbox. Outbound: the coordinator's tagged link traffic is routed by
-//!    monitor id to the owning connection's bounded queue, spliced into
-//!    [`ServerFrame::Ctl`](super::wire::ServerFrame) envelopes, and
-//!    written in ~64 KiB batches with partial-write carry-over.
-//! 3. the **driver** ([`NetCoordinator::run`]) waits for the fleet to
-//!    assemble, steps the session tick by tick (storms, pacing and
+//! 2. the **event loop** ([`reactor::run`] over this module's
+//!    line-frame [`Protocol`]) owns the listener and every agent socket
+//!    and blocks in `poll` on them. Inbound: raw bytes → [`FrameBuffer`]
+//!    reassembly → raw `MonitorFrame` lines forwarded verbatim into the
+//!    coordinator's inbox. Outbound: the coordinator's tagged link
+//!    traffic is routed by monitor id to the owning connection's bounded
+//!    queue, spliced into [`ServerFrame::Ctl`](super::wire::ServerFrame)
+//!    envelopes, and written in ~64 KiB batches with partial-write
+//!    carry-over. Every tagged send, storm kick and the stop flag fires
+//!    the reactor's waker, so nothing waits out a park; the poll timeout
+//!    is only the next idle-reap deadline.
+//! 3. the **driver** ([`NetCoordinator::run`]) parks until the loop
+//!    reports the fleet assembled, steps the session tick by tick (storms, pacing and
 //!    net gauges around each step) and tears both down. The report is
 //!    folded by the session, which is what makes bit-for-bit parity with
 //!    the in-process runner hold by construction.
@@ -39,23 +44,26 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::io::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
 
 use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 use volley_obs::{names, Obs};
+use volley_serve::reactor::{self, Conn, Fd, Flow, Pollable, Protocol, Reactor, Waker};
 use volley_serve::ServePublisher;
 
 use crate::message::decode;
@@ -111,14 +119,6 @@ pub(crate) enum Socket {
 }
 
 impl Socket {
-    pub(crate) fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        match self {
-            Socket::Tcp(s) => s.set_nonblocking(on),
-            #[cfg(unix)]
-            Socket::Unix(s) => s.set_nonblocking(on),
-        }
-    }
-
     pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             Socket::Tcp(s) => s.set_read_timeout(dur),
@@ -132,6 +132,16 @@ impl Socket {
             Socket::Tcp(s) => s.set_write_timeout(dur),
             #[cfg(unix)]
             Socket::Unix(s) => s.set_write_timeout(dur),
+        }
+    }
+}
+
+#[cfg(unix)]
+impl AsRawFd for Socket {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Socket::Tcp(s) => s.as_raw_fd(),
+            Socket::Unix(s) => s.as_raw_fd(),
         }
     }
 }
@@ -191,11 +201,23 @@ impl Listener {
         }
     }
 
+    /// One pending connection as a nonblocking socket — TCP ones with
+    /// Nagle off, like the dialing side: a tick's second small write
+    /// batch must not wait for the agent's ACK of the first.
     fn accept(&self) -> std::io::Result<Socket> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Socket::Tcp(s)),
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nonblocking(true)?;
+                stream.set_nodelay(true)?;
+                Ok(Socket::Tcp(stream))
+            }
             #[cfg(unix)]
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Socket::Unix(s)),
+            Listener::Unix(l, _) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nonblocking(true)?;
+                Ok(Socket::Unix(stream))
+            }
         }
     }
 
@@ -204,6 +226,16 @@ impl Listener {
             Listener::Tcp(l) => l.local_addr().ok(),
             #[cfg(unix)]
             Listener::Unix(..) => None,
+        }
+    }
+}
+
+#[cfg(unix)]
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
         }
     }
 }
@@ -255,9 +287,15 @@ pub struct NetRunOutcome {
     pub net: NetStats,
 }
 
-/// State shared between the driver and the event loop.
+/// State shared between the driver and the event loop. Neither side
+/// polls the other: the driver fires `waker` after a store the loop
+/// must act on, the loop unparks `driver` when `seen_count` or `open`
+/// change.
 #[derive(Debug)]
 struct NetShared {
+    waker: Waker,
+    /// The thread that runs [`NetCoordinator::run`].
+    driver: Thread,
     stop: AtomicBool,
     /// Per-monitor "an agent has ever claimed this monitor" flags, for
     /// fleet-assembly.
@@ -269,77 +307,66 @@ struct NetShared {
     agents: Mutex<HashSet<u32>>,
     /// Agent ids whose connections the event loop must sever (storms).
     kick: Mutex<Vec<u32>>,
-    connections_accepted: AtomicU64,
-    reconnects: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    malformed_frames: AtomicU64,
-    backpressure_drops: AtomicU64,
-    unrouted_drops: AtomicU64,
-    kicked: AtomicU64,
-    idle_closed: AtomicU64,
-    max_queue_depth: AtomicU64,
+    /// The loop's counters as of its last pass (it is their only
+    /// writer and publishes a copy per pass).
+    stats: Mutex<NetStats>,
 }
 
 impl NetShared {
-    fn new(n: usize) -> Self {
+    /// Shared state for `n` monitors, driven from the calling thread.
+    fn new(n: usize, waker: Waker) -> Self {
         NetShared {
+            waker,
+            driver: thread::current(),
             stop: AtomicBool::new(false),
             seen: (0..n).map(|_| AtomicBool::new(false)).collect(),
             seen_count: AtomicUsize::new(0),
             open: AtomicUsize::new(0),
             agents: Mutex::new(HashSet::new()),
             kick: Mutex::new(Vec::new()),
-            connections_accepted: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            malformed_frames: AtomicU64::new(0),
-            backpressure_drops: AtomicU64::new(0),
-            unrouted_drops: AtomicU64::new(0),
-            kicked: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
+            stats: Mutex::new(NetStats::default()),
         }
+    }
+
+    /// Tells the loop to return.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.waker.wake();
+    }
+
+    /// Has the loop sever every connection of these agents.
+    fn kick(&self, victims: Vec<u32>) {
+        self.kick.lock().expect("kick lock").extend(victims);
+        self.waker.wake();
+    }
+
+    /// Parks the driver until `done` holds or `deadline` passes; returns
+    /// whether it held. `done` may read `seen_count` and `open` only —
+    /// the values whose changes unpark the driver.
+    fn park_until(&self, deadline: Instant, done: impl Fn(&NetShared) -> bool) -> bool {
+        while !done(self) {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            thread::park_timeout(deadline - now);
+        }
+        true
     }
 
     fn stats(&self) -> NetStats {
-        NetStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
-            backpressure_drops: self.backpressure_drops.load(Ordering::Relaxed),
-            unrouted_drops: self.unrouted_drops.load(Ordering::Relaxed),
-            kicked: self.kicked.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-        }
+        *self.stats.lock().expect("stats lock")
     }
 }
 
-/// One agent connection's state machine.
-struct Conn {
-    socket: Socket,
+/// What the loop knows about one agent connection beyond its socket.
+struct AgentConn {
     frames: FrameBuffer,
     /// `None` until a valid hello arrives.
     agent: Option<u32>,
     /// Monitors registered by this connection's hello.
     monitors: Vec<u32>,
-    /// Bounded outbound frame queue (capped at `queue_cap`).
-    outq: std::collections::VecDeque<Bytes>,
-    /// Current write batch and how much of it is already on the wire.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    last_read: Instant,
-    closed: bool,
 }
-
-/// How big a write batch grows before it must drain (bytes).
-const WRITE_BATCH: usize = 64 * 1024;
-/// Read chunk size per `read` call.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// A socket-serving coordinator bound to a listener and ready to run.
 #[derive(Debug)]
@@ -347,6 +374,7 @@ pub struct NetCoordinator {
     /// The protocol parameters: spec, obs hub, deadlines.
     session: SessionConfig,
     listener: Listener,
+    reactor: Reactor,
     queue_cap: usize,
     idle_timeout: Duration,
     /// Sleep inserted before each tick — zero (default) runs ticks
@@ -367,13 +395,15 @@ impl NetCoordinator {
     ///
     /// [`VolleyError::InvalidConfig`] when the bind fails.
     pub fn bind(spec: TaskSpec, addr: &NetAddr) -> Result<Self, VolleyError> {
-        let listener = Listener::bind(addr).map_err(|e| VolleyError::InvalidConfig {
+        let bound = Listener::bind(addr).and_then(|l| Ok((l, Reactor::new()?)));
+        let (listener, reactor) = bound.map_err(|e| VolleyError::InvalidConfig {
             parameter: "net",
             reason: format!("bind {addr}: {e}"),
         })?;
         Ok(NetCoordinator {
             session: SessionConfig::new(spec, Obs::new(false)),
             listener,
+            reactor,
             queue_cap: 1024,
             idle_timeout: Duration::from_secs(30),
             tick_interval: Duration::ZERO,
@@ -474,13 +504,15 @@ impl NetCoordinator {
 
         // Plumbing: the session's coordinator reads monitor frames the
         // event loop forwards and writes tagged control frames the event
-        // loop routes.
-        let (to_coord_tx, from_monitors) = unbounded::<Bytes>();
-        let (net_out_tx, net_out_rx) = unbounded::<(u32, Bytes)>();
+        // loop routes; each tagged send wakes the loop.
+        let mut reactor = self.reactor;
+        let (to_coord, from_monitors) = unbounded::<Bytes>();
+        let (net_out_tx, out_rx) = unbounded::<(u32, Bytes)>();
         let mut session = TaskSession::spawn(
             &self.session,
             MonitorPlane::Remote {
                 out: net_out_tx,
+                waker: reactor.waker(),
                 from_monitors,
             },
             None,
@@ -488,40 +520,34 @@ impl NetCoordinator {
 
         // The event loop owns the listener, every socket, and the only
         // sender into the coordinator's inbox.
-        let shared = Arc::new(NetShared::new(n));
-        let loop_shared = Arc::clone(&shared);
-        let listener = self.listener;
-        let queue_cap = self.queue_cap;
+        let shared = Arc::new(NetShared::new(n, reactor.waker()));
+        let mut lines = LineFrames {
+            listener: self.listener,
+            shared: Arc::clone(&shared),
+            out_rx,
+            to_coord,
+            route: vec![None; n],
+            queue_cap: self.queue_cap,
+            max_frame: self.transport.max_frame_size,
+            stats: NetStats::default(),
+        };
         let idle_timeout = self.idle_timeout;
-        let max_frame = self.transport.max_frame_size;
-        let loop_handle = thread::spawn(move || {
-            event_loop(
-                listener,
-                &loop_shared,
-                &net_out_rx,
-                &to_coord_tx,
-                queue_cap,
-                idle_timeout,
-                max_frame,
-            );
-        });
+        let loop_handle =
+            thread::spawn(move || reactor::run(&mut reactor, &mut lines, idle_timeout));
 
         let driven = (|| -> Result<(), VolleyError> {
             // Fleet assembly: every monitor must be claimed before tick 0,
             // or the first deadline would instantly degrade the stragglers.
-            let assemble_by = Instant::now() + self.wait_timeout;
-            while shared.seen_count.load(Ordering::Acquire) < n {
-                if Instant::now() > assemble_by {
-                    return Err(VolleyError::InvalidConfig {
-                        parameter: "net",
-                        reason: format!(
-                            "fleet incomplete: {}/{n} monitors registered within {:?}",
-                            shared.seen_count.load(Ordering::Acquire),
-                            self.wait_timeout
-                        ),
-                    });
-                }
-                thread::sleep(Duration::from_millis(2));
+            let assembled = |s: &NetShared| s.seen_count.load(Ordering::Acquire) >= n;
+            if !shared.park_until(Instant::now() + self.wait_timeout, assembled) {
+                return Err(VolleyError::InvalidConfig {
+                    parameter: "net",
+                    reason: format!(
+                        "fleet incomplete: {}/{n} monitors registered within {:?}",
+                        shared.seen_count.load(Ordering::Acquire),
+                        self.wait_timeout
+                    ),
+                });
             }
 
             let registry = obs.registry();
@@ -543,11 +569,12 @@ impl NetCoordinator {
                             .collect()
                     };
                     if !victims.is_empty() {
-                        shared.kick.lock().expect("kick lock").extend(victims);
+                        shared.kick(victims);
                     }
                 }
                 if self.tick_interval > Duration::ZERO {
-                    thread::sleep(self.tick_interval);
+                    // Pacing: nothing ends this wait early.
+                    shared.park_until(Instant::now() + self.tick_interval, |_| false);
                 }
                 // No supervision here: agents restart themselves; the
                 // coordinator only re-admits.
@@ -571,16 +598,19 @@ impl NetCoordinator {
             Ok(())
         })();
 
-        // Teardown: keep resending Shutdown until every agent drains off
+        // Teardown: resend Shutdown every 50 ms while connections remain
         // (reconnecting agents that missed the first copy get another),
-        // then stop the loop — dropping the coordinator inbox sender —
+        // for at most 5 s; the loop unparks us as each agent drains off.
+        // Then stop the loop — dropping the coordinator inbox sender —
         // and finish the session.
+        let drained = |s: &NetShared| s.open.load(Ordering::Acquire) == 0;
         let drain_by = Instant::now() + Duration::from_secs(5);
-        while shared.open.load(Ordering::Acquire) > 0 && Instant::now() < drain_by {
+        while !drained(&shared) && Instant::now() < drain_by {
             session.broadcast_shutdown();
-            thread::sleep(Duration::from_millis(50));
+            let resend_at = Instant::now() + Duration::from_millis(50);
+            shared.park_until(resend_at.min(drain_by), drained);
         }
-        shared.stop.store(true, Ordering::Release);
+        shared.stop();
         loop_handle.join().expect("event loop exits cleanly");
         let report = session.finish();
         driven.map(|()| NetRunOutcome {
@@ -590,271 +620,158 @@ impl NetCoordinator {
     }
 }
 
-/// Routes one outbound `(monitor, frame)` into the owning connection's
-/// queue, enforcing the cap.
-fn route_frame(
-    conns: &mut [Option<Conn>],
-    route: &[Option<usize>],
-    shared: &NetShared,
+/// The agent plane as the reactor sees it: newline-framed
+/// [`super::wire`] messages, routed by monitor id.
+struct LineFrames {
+    listener: Listener,
+    shared: Arc<NetShared>,
+    /// The coordinator's tagged control frames, to route.
+    out_rx: Receiver<(u32, Bytes)>,
+    /// The coordinator's inbox.
+    to_coord: Sender<Bytes>,
+    /// Monitor id → table slot of the connection hosting it.
+    route: Vec<Option<usize>>,
     queue_cap: usize,
-    monitor: u32,
-    frame: &Bytes,
-) {
-    let Some(slot) = route.get(monitor as usize).copied().flatten() else {
-        shared.unrouted_drops.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    let Some(conn) = conns[slot].as_mut() else {
-        shared.unrouted_drops.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    if conn.closed {
-        shared.unrouted_drops.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    if conn.outq.len() >= queue_cap {
-        shared.backpressure_drops.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    conn.outq.push_back(ctl_line(monitor, frame));
-    shared
-        .max_queue_depth
-        .fetch_max(conn.outq.len() as u64, Ordering::Relaxed);
+    max_frame: usize,
+    stats: NetStats,
 }
 
-/// The event loop: accept, read/reassemble/forward, route, batch-write,
-/// enforce liveness — all nonblocking, single-threaded.
-#[allow(clippy::too_many_lines)]
-fn event_loop(
-    listener: Listener,
-    shared: &NetShared,
-    net_out_rx: &Receiver<(u32, Bytes)>,
-    to_coord: &Sender<Bytes>,
-    queue_cap: usize,
-    idle_timeout: Duration,
-    max_frame: usize,
-) {
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut route: Vec<Option<usize>> = vec![None; shared.seen.len()];
-    let mut chunk = vec![0u8; READ_CHUNK];
+impl LineFrames {
+    /// Routes one outbound `(monitor, frame)` into the owning
+    /// connection's queue, enforcing the cap: a full queue drops the
+    /// frame, not the peer.
+    fn route_frame(&mut self, conns: &mut [Option<Conn<Self>>], monitor: u32, frame: &Bytes) {
+        let slot = self.route.get(monitor as usize).copied().flatten();
+        let Some(conn) = slot
+            .and_then(|slot| conns[slot].as_mut())
+            .filter(|conn| conn.is_open())
+        else {
+            self.stats.unrouted_drops += 1;
+            return;
+        };
+        if conn.queued() >= self.queue_cap {
+            self.stats.backpressure_drops += 1;
+            return;
+        }
+        conn.push(ctl_line(monitor, frame));
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(conn.queued() as u64);
+    }
 
-    while !shared.stop.load(Ordering::Acquire) {
-        let mut progress = false;
-
-        // 1. Sever stormed agents.
-        {
-            let victims: Vec<u32> = shared.kick.lock().expect("kick lock").drain(..).collect();
-            for victim in victims {
-                for conn in conns.iter_mut().flatten() {
-                    if conn.agent == Some(victim) && !conn.closed {
-                        conn.closed = true;
-                        shared.kicked.fetch_add(1, Ordering::Relaxed);
-                        progress = true;
-                    }
+    /// Registers a connection's first line: which agent, which monitors.
+    fn hello(&mut self, slot: usize, conn: &mut Conn<Self>, line: &Bytes) {
+        let shared = &self.shared;
+        let Ok(hello) = decode::<AgentHello>(line) else {
+            self.stats.malformed_frames += 1;
+            conn.close_now();
+            return;
+        };
+        conn.state.agent = Some(hello.agent);
+        for &monitor in &hello.monitors {
+            if let Some(entry) = self.route.get_mut(monitor as usize) {
+                // Later hellos win: a reconnecting agent's new socket
+                // takes over its monitors' routes.
+                *entry = Some(slot);
+                conn.state.monitors.push(monitor);
+                if !shared.seen[monitor as usize].swap(true, Ordering::AcqRel) {
+                    shared.seen_count.fetch_add(1, Ordering::AcqRel);
+                    shared.driver.unpark();
                 }
             }
         }
+        let known = !shared
+            .agents
+            .lock()
+            .expect("agents lock")
+            .insert(hello.agent);
+        self.stats.reconnects += u64::from(known);
+        // The welcome bypasses the cap: it must reach even a
+        // briefly-backlogged reconnecting peer.
+        conn.push_front(welcome_line(0));
+    }
+}
 
-        // 2. Route coordinator traffic to per-connection queues.
-        while let Ok((monitor, frame)) = net_out_rx.try_recv() {
-            route_frame(&mut conns, &route, shared, queue_cap, monitor, &frame);
-            progress = true;
-        }
+impl Protocol for LineFrames {
+    type Stream = Socket;
+    type Frame = Bytes;
+    type State = AgentConn;
 
-        // 3. Accept new connections.
-        loop {
-            match listener.accept() {
-                Ok(socket) => {
-                    if socket.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let conn = Conn {
-                        socket,
-                        frames: FrameBuffer::new(max_frame),
-                        agent: None,
-                        monitors: Vec::new(),
-                        outq: std::collections::VecDeque::new(),
-                        wbuf: Vec::new(),
-                        wpos: 0,
-                        last_read: Instant::now(),
-                        closed: false,
-                    };
-                    let slot = conns.iter().position(Option::is_none);
-                    match slot {
-                        Some(slot) => conns[slot] = Some(conn),
-                        None => conns.push(Some(conn)),
-                    }
-                    shared.open.fetch_add(1, Ordering::AcqRel);
-                    shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                    progress = true;
+    fn listener(&self) -> Fd {
+        self.listener.fd()
+    }
+
+    fn accept(&mut self) -> std::io::Result<(Socket, AgentConn)> {
+        let socket = self.listener.accept()?;
+        self.shared.open.fetch_add(1, Ordering::AcqRel);
+        self.stats.connections_accepted += 1;
+        let state = AgentConn {
+            frames: FrameBuffer::new(self.max_frame),
+            agent: None,
+            monitors: Vec::new(),
+        };
+        Ok((socket, state))
+    }
+
+    /// Reassemble; the first line registers, the rest are raw monitor
+    /// frames forwarded verbatim.
+    fn on_bytes(&mut self, slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
+        conn.state.frames.extend(bytes);
+        while conn.is_open() {
+            let line = match conn.state.frames.next_frame() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                Err(_) => {
+                    // Oversized frame: protocol violation, drop peer.
+                    self.stats.malformed_frames += 1;
+                    conn.close_now();
+                    break;
                 }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-
-        // 4. Read, reassemble, register/forward.
-        let now = Instant::now();
-        for (slot, entry) in conns.iter_mut().enumerate() {
-            let Some(conn) = entry.as_mut() else {
-                continue;
             };
-            if conn.closed {
-                continue;
-            }
-            loop {
-                match conn.socket.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.closed = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        conn.frames.extend(&chunk[..k]);
-                        conn.last_read = now;
-                        progress = true;
-                        if k < chunk.len() {
-                            break; // kernel buffer drained
-                        }
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.closed = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                let line = match conn.frames.next_frame() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Oversized frame: protocol violation, drop peer.
-                        shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-                        conn.closed = true;
-                        break;
-                    }
-                };
-                if conn.agent.is_none() {
-                    // First line must be the hello.
-                    let Ok(hello) = decode::<AgentHello>(&line) else {
-                        shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-                        conn.closed = true;
-                        break;
-                    };
-                    conn.agent = Some(hello.agent);
-                    for &monitor in &hello.monitors {
-                        if let Some(entry) = route.get_mut(monitor as usize) {
-                            // Later hellos win: a reconnecting agent's new
-                            // socket takes over its monitors' routes.
-                            *entry = Some(slot);
-                            conn.monitors.push(monitor);
-                            if !shared.seen[monitor as usize].swap(true, Ordering::AcqRel) {
-                                shared.seen_count.fetch_add(1, Ordering::AcqRel);
-                            }
-                        }
-                    }
-                    let known = {
-                        let mut agents = shared.agents.lock().expect("agents lock");
-                        !agents.insert(hello.agent)
-                    };
-                    if known {
-                        shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // The welcome bypasses the cap: it must reach even a
-                    // briefly-backlogged reconnecting peer.
-                    conn.outq.push_front(welcome_line(0));
-                } else {
-                    // Post-hello: raw monitor frames, forwarded verbatim.
-                    if to_coord.send(line).is_err() {
-                        // Coordinator gone: only during teardown.
-                        break;
-                    }
-                    shared.frames_in.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        // 5. Batched writes with partial-write carry-over.
-        for conn in conns.iter_mut().flatten() {
-            if conn.closed {
-                continue;
-            }
-            loop {
-                if conn.wpos == conn.wbuf.len() {
-                    conn.wbuf.clear();
-                    conn.wpos = 0;
-                    while conn.wbuf.len() < WRITE_BATCH {
-                        let Some(frame) = conn.outq.pop_front() else {
-                            break;
-                        };
-                        conn.wbuf.extend_from_slice(&frame);
-                        shared.frames_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if conn.wbuf.is_empty() {
-                        break; // nothing to send
-                    }
-                }
-                match conn.socket.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        conn.closed = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        conn.wpos += k;
-                        progress = true;
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.closed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // 6. Liveness: close half-open peers.
-        if idle_timeout > Duration::ZERO {
-            for conn in conns.iter_mut().flatten() {
-                if !conn.closed && now.duration_since(conn.last_read) > idle_timeout {
-                    conn.closed = true;
-                    shared.idle_closed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        // 7. Reap closed connections and their routes.
-        for (slot, entry) in conns.iter_mut().enumerate() {
-            let reap = entry.as_ref().is_some_and(|c| c.closed);
-            if reap {
-                let conn = entry.take().expect("checked");
-                for monitor in conn.monitors {
-                    if route[monitor as usize] == Some(slot) {
-                        route[monitor as usize] = None;
-                    }
-                }
-                shared.open.fetch_sub(1, Ordering::AcqRel);
-                progress = true;
-            }
-        }
-
-        // 8. Idle: park briefly on the outbound channel instead of
-        // spinning; a routed frame wakes the loop immediately.
-        if !progress {
-            match net_out_rx.recv_timeout(Duration::from_millis(1)) {
-                Ok((monitor, frame)) => {
-                    route_frame(&mut conns, &route, shared, queue_cap, monitor, &frame);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    thread::sleep(Duration::from_millis(1));
-                }
+            if conn.state.agent.is_none() {
+                self.hello(slot, conn, &line);
+            } else if self.to_coord.send(line).is_ok() {
+                self.stats.frames_in += 1;
+            } else {
+                break; // coordinator gone: only during teardown
             }
         }
     }
-    // Listener drop unlinks a Unix socket path.
+
+    /// What the driver published since the last pass: the stop flag,
+    /// stormed agents to sever, coordinator traffic to route.
+    fn turn(&mut self, conns: &mut [Option<Conn<Self>>]) -> Flow {
+        *self.shared.stats.lock().expect("stats lock") = self.stats;
+        if self.shared.stop.load(Ordering::Acquire) {
+            return Flow::Stop; // the listener's drop unlinks a Unix socket path
+        }
+        for victim in self.shared.kick.lock().expect("kick lock").drain(..) {
+            for conn in conns.iter_mut().flatten() {
+                if conn.state.agent == Some(victim) && conn.is_open() {
+                    conn.close_now();
+                    self.stats.kicked += 1;
+                }
+            }
+        }
+        while let Ok((monitor, frame)) = self.out_rx.try_recv() {
+            self.route_frame(conns, monitor, &frame);
+        }
+        Flow::Run
+    }
+
+    fn flushed(&mut self, frames: usize) {
+        self.stats.frames_out += frames as u64;
+    }
+
+    /// Frees the connection's routes and tells the driver.
+    fn on_close(&mut self, slot: usize, conn: Conn<Self>, idle: bool) {
+        for monitor in conn.state.monitors {
+            if self.route[monitor as usize] == Some(slot) {
+                self.route[monitor as usize] = None;
+            }
+        }
+        self.stats.idle_closed += u64::from(idle);
+        self.shared.open.fetch_sub(1, Ordering::AcqRel);
+        self.shared.driver.unpark();
+    }
 }
 
 #[cfg(test)]
@@ -869,43 +786,102 @@ mod tests {
             .unwrap()
     }
 
+    /// A connected loopback pair: `(dialing side, accepted side)`.
+    fn tcp_pair(listener: &Listener) -> (TcpStream, Socket) {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = loop {
+            match listener.accept() {
+                Ok(socket) => break socket,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::yield_now(),
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        (client, accepted)
+    }
+
+    /// A line-frame protocol over a fresh loopback listener, plus the
+    /// far ends of its two channels.
+    fn line_frames(
+        monitors: usize,
+        queue_cap: usize,
+        waker: Waker,
+    ) -> (LineFrames, Sender<(u32, Bytes)>, Receiver<Bytes>) {
+        let (to_coord, from_monitors) = unbounded::<Bytes>();
+        let (out_tx, out_rx) = unbounded::<(u32, Bytes)>();
+        let lines = LineFrames {
+            listener: Listener::bind(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap(),
+            shared: Arc::new(NetShared::new(monitors, waker)),
+            out_rx,
+            to_coord,
+            route: vec![None; monitors],
+            queue_cap,
+            max_frame: 1024,
+            stats: NetStats::default(),
+        };
+        (lines, out_tx, from_monitors)
+    }
+
+    #[test]
+    fn accepted_tcp_connections_have_nagle_off() {
+        let listener = Listener::bind(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let (_client, accepted) = tcp_pair(&listener);
+        let Socket::Tcp(stream) = accepted else {
+            panic!("a TCP listener accepts TCP sockets");
+        };
+        assert!(stream.nodelay().unwrap(), "TCP_NODELAY set on accept");
+    }
+
     #[test]
     fn bounded_queue_backpressure_and_unrouted_drops() {
-        use std::collections::VecDeque;
-
         // A real connected pair so the Conn has a live socket; no bytes
         // ever flow — this exercises the routing layer only.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server, _) = listener.accept().unwrap();
-
-        let shared = NetShared::new(2);
-        let mut conns = vec![Some(Conn {
-            socket: Socket::Tcp(server),
+        let reactor = Reactor::new().unwrap();
+        let (mut lines, _out_tx, _from_monitors) = line_frames(2, 2, reactor.waker());
+        let (_client, server) = tcp_pair(&lines.listener);
+        let state = AgentConn {
             frames: FrameBuffer::new(1024),
             agent: Some(0),
             monitors: vec![0],
-            outq: VecDeque::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            last_read: Instant::now(),
-            closed: false,
-        })];
-        let route = vec![Some(0usize), None];
+        };
+        let mut conns = vec![Some(Conn::new(server, state))];
+        lines.route = vec![Some(0usize), None];
         let frame = Bytes::from_static(b"{\"epoch\":0,\"msg\":\"Shutdown\"}\n");
 
-        route_frame(&mut conns, &route, &shared, 2, 0, &frame);
-        route_frame(&mut conns, &route, &shared, 2, 0, &frame);
+        lines.route_frame(&mut conns, 0, &frame);
+        lines.route_frame(&mut conns, 0, &frame);
         // Cap reached: the third frame must be dropped, not queued.
-        route_frame(&mut conns, &route, &shared, 2, 0, &frame);
-        assert_eq!(shared.stats().backpressure_drops, 1);
-        assert_eq!(shared.stats().max_queue_depth, 2);
-        assert_eq!(conns[0].as_ref().unwrap().outq.len(), 2);
+        lines.route_frame(&mut conns, 0, &frame);
+        assert_eq!(lines.stats.backpressure_drops, 1);
+        assert_eq!(lines.stats.max_queue_depth, 2);
+        assert_eq!(conns[0].as_ref().unwrap().queued(), 2);
 
         // Monitor 1 has no live connection: the frame is dropped and
         // counted, never buffered.
-        route_frame(&mut conns, &route, &shared, 2, 1, &frame);
-        assert_eq!(shared.stats().unrouted_drops, 1);
+        lines.route_frame(&mut conns, 1, &frame);
+        assert_eq!(lines.stats.unrouted_drops, 1);
+    }
+
+    /// The loop blocks in `poll`: with no agent, no traffic and a 30 s
+    /// idle horizon it must not wake at all (it woke ~300 times in
+    /// 300 ms while it parked 1 ms at a time), yet `stop` ends it at once.
+    #[test]
+    fn an_idle_event_loop_does_not_wake() {
+        let mut reactor = Reactor::new().unwrap();
+        let waker = reactor.waker();
+        let (mut lines, _out_tx, _from_monitors) = line_frames(1, 8, reactor.waker());
+        let shared = Arc::clone(&lines.shared);
+        let handle =
+            thread::spawn(move || reactor::run(&mut reactor, &mut lines, Duration::from_secs(30)));
+        thread::sleep(Duration::from_millis(300));
+        let wakeups = waker.wakeups();
+        let stopping = Instant::now();
+        shared.stop();
+        handle.join().unwrap();
+        assert!(wakeups <= 10, "idle loop woke {wakeups} times in 300 ms");
+        assert!(
+            stopping.elapsed() < Duration::from_millis(100),
+            "stop interrupts the wait"
+        );
     }
 
     #[test]

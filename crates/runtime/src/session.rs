@@ -29,6 +29,7 @@ use volley_core::task::{MonitorId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
 use volley_obs::Obs;
+use volley_serve::reactor::Waker;
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal};
@@ -129,10 +130,12 @@ pub(crate) enum MonitorPlane {
     /// One in-process actor thread per monitor, wired over channels.
     Threads,
     /// Behind sockets: control frames leave tagged `(monitor, frame)` on
-    /// `out`, monitor frames arrive on `from_monitors` — both ends held
-    /// by the event loop that owns the connections.
+    /// `out` (each send firing `waker`), monitor frames arrive on
+    /// `from_monitors` — both far ends held by the event loop that owns
+    /// the connections.
     Remote {
         out: Sender<(u32, Bytes)>,
+        waker: Waker,
         from_monitors: Receiver<Bytes>,
     },
 }
@@ -193,9 +196,13 @@ impl<'a> TaskSession<'a> {
                 }
                 to_coord_rx
             }
-            MonitorPlane::Remote { out, from_monitors } => {
+            MonitorPlane::Remote {
+                out,
+                waker,
+                from_monitors,
+            } => {
                 session.links = (0..n as u32)
-                    .map(|m| MonitorLink::tagged(m, out.clone()))
+                    .map(|m| MonitorLink::tagged(m, out.clone(), waker.clone()))
                     .collect();
                 from_monitors
             }
@@ -282,15 +289,21 @@ impl<'a> TaskSession<'a> {
         tick: Tick,
         value: impl Fn(usize) -> f64,
     ) -> Result<TickSummary, VolleyError> {
-        for (i, link) in self.links.iter().enumerate() {
-            let data = TickData {
-                tick,
-                value: value(i),
-            };
-            let _ = link.send(ControlFrame::seal(
-                self.epoch,
-                CoordinatorToMonitor::Tick(data),
-            ));
+        // Seal the whole tick, then send it: the socket plane's loop
+        // wakes on the first frame, and by the time it looks most of the
+        // rest are queued behind it — a few write batches per agent
+        // instead of a trickle paced by the encoder.
+        let frames: Vec<Bytes> = (0..self.links.len())
+            .map(|i| {
+                let value = value(i);
+                ControlFrame::seal(
+                    self.epoch,
+                    CoordinatorToMonitor::Tick(TickData { tick, value }),
+                )
+            })
+            .collect();
+        for (link, frame) in self.links.iter().zip(frames) {
+            let _ = link.send(frame);
         }
         let summary = loop {
             let Ok(frame) = self.summary_rx.recv() else {

@@ -17,6 +17,8 @@ use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
+use crate::reactor::Waker;
+
 /// Default capacity of the broadcast ring, in events.
 pub const DEFAULT_STREAM_BUFFER: usize = 1024;
 
@@ -26,6 +28,10 @@ struct RingInner {
     /// Sequence number the next published event receives.
     next_seq: u64,
     cap: usize,
+    /// Open `/api/v1/alerts/stream` subscriptions: a publish wakes the
+    /// serving loop only while someone is there to push it to.
+    subscribers: usize,
+    waker: Option<Waker>,
 }
 
 /// A bounded multi-subscriber broadcast ring of NDJSON event lines.
@@ -44,6 +50,8 @@ impl EventRing {
                 buf: VecDeque::new(),
                 next_seq: 0,
                 cap: cap.max(1),
+                subscribers: 0,
+                waker: None,
             })),
         }
     }
@@ -59,6 +67,27 @@ impl EventRing {
             inner.buf.pop_front();
         }
         inner.buf.push_back((seq, line.into()));
+        if inner.subscribers > 0 {
+            if let Some(waker) = &inner.waker {
+                waker.wake();
+            }
+        }
+    }
+
+    /// Names the serving loop's waker (once, before the loop starts).
+    pub(crate) fn attach_waker(&self, waker: Waker) {
+        self.inner
+            .lock()
+            .expect("event ring lock never poisoned")
+            .waker = Some(waker);
+    }
+
+    /// A stream subscription opened (`+1`) or closed (`-1`). Taken under
+    /// the ring lock, so a publish either precedes the subscriber's
+    /// first `collect_since` or sees it and wakes the loop.
+    pub(crate) fn subscribers_changed(&self, by: isize) {
+        let mut inner = self.inner.lock().expect("event ring lock never poisoned");
+        inner.subscribers = inner.subscribers.saturating_add_signed(by);
     }
 
     /// Total events ever published.

@@ -21,8 +21,8 @@
 //!
 //! ## Isolation guarantees
 //!
-//! The server runs the same nonblocking readiness-driven event-loop
-//! pattern as `runtime::net`: bounded per-connection buffers, batched
+//! The server runs on the same [`reactor`] as `runtime::net`: a
+//! `poll(2)` readiness wait, bounded per-connection buffers, batched
 //! writes, idle reaping, and slow clients dropped rather than waited
 //! on. The runtime only ever touches the serving plane through
 //! [`ServePublisher`] — a couple of relaxed atomic stores and a
@@ -36,13 +36,25 @@
 //!   style of `runtime::net::FrameBuffer`) and response builders.
 //! - [`events`]: the bounded broadcast ring and [`ServePublisher`].
 //! - [`wire`]: the versioned JSON report envelope shared with the CLI.
-//! - [`server`]: the listener, event loop and endpoint dispatch.
+//! - [`reactor`]: the readiness wait, wake handle and connection-table
+//!   loop shared with `runtime::net` (it lives here because
+//!   `volley-runtime` already depends on this crate).
+//! - [`server`]: the listener, endpoint dispatch and stream pump — the
+//!   HTTP protocol of that loop.
+//!
+//! ## Unsafe policy
+//!
+//! The workspace has exactly one `unsafe` site: the `poll(2)` call in
+//! `reactor::sys`, behind `cfg(unix)`, in the only module that carries
+//! `#[allow(unsafe_code)]`. Everything else in this crate is denied
+//! unsafe code, and every other crate forbids it.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;
 pub mod http;
+pub mod reactor;
 pub mod server;
 pub mod wire;
 

@@ -1,13 +1,17 @@
-//! The listener, event loop and endpoint dispatch.
+//! The listener, endpoint dispatch and stream pump: the HTTP
+//! [`Protocol`] of the shared [`reactor`].
 //!
-//! Same shape as `runtime::net::server`: one nonblocking
-//! readiness-driven loop over a slot-reused connection table, bounded
-//! per-connection buffers in both directions, batched writes, idle
-//! reaping, and slow clients dropped instead of waited on. The loop
-//! runs on its own thread; the runtime's only contact is the
-//! [`ServePublisher`] handed back in the [`ServerHandle`].
+//! The loop itself — connection table, readiness wait, batched writes,
+//! idle reaping — is [`reactor::run`], the same one under
+//! `runtime::net::server`. This module says what HTTP bytes mean, caps
+//! a connection's outbound buffer (a slow client is dropped, not waited
+//! on) and pumps the alert stream. The loop runs on its own thread and
+//! blocks in `poll` while nothing happens; a request, a stream publish
+//! (while a subscriber is attached) or [`ServerHandle::shutdown`] wakes
+//! it. The runtime's only contact is the [`ServePublisher`] handed back
+//! in the [`ServerHandle`].
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,14 +24,8 @@ use volley_store::{QueryParams, RecordKind, Store};
 
 use crate::events::{EventRing, ServePublisher, DEFAULT_STREAM_BUFFER};
 use crate::http::{self, HttpError, Request, RequestParser, DEFAULT_MAX_REQUEST_BYTES};
+use crate::reactor::{self, Conn, Fd, Flow, Pollable, Protocol, Reactor, Waker};
 use crate::wire;
-
-/// Most bytes written to one connection per loop pass (batched writes,
-/// same constant family as the net layer).
-const WRITE_BATCH: usize = 64 * 1024;
-
-/// Read chunk size per pass.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Default cap on one page of query results.
 pub const DEFAULT_PAGE_LIMIT: usize = 4096;
@@ -136,49 +134,13 @@ impl Instruments {
     }
 }
 
-/// One connection slot.
-struct Conn {
-    stream: TcpStream,
+/// Per-connection HTTP state.
+struct HttpConn {
     parser: RequestParser,
-    /// Outbound bytes not yet written; `out[written..]` is pending.
-    out: Vec<u8>,
-    written: usize,
     /// Whether this connection holds an open alert stream.
     streaming: bool,
     /// Next ring sequence this subscriber wants.
     stream_cursor: u64,
-    /// Close once the outbound buffer drains.
-    close_after_write: bool,
-    last_activity: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, max_request_bytes: usize) -> Conn {
-        Conn {
-            stream,
-            parser: RequestParser::new(max_request_bytes),
-            out: Vec::new(),
-            written: 0,
-            streaming: false,
-            stream_cursor: 0,
-            close_after_write: false,
-            last_activity: Instant::now(),
-        }
-    }
-
-    fn queue(&mut self, bytes: &[u8]) {
-        // Compact the written prefix before growing, same bound as the
-        // parser buffer: pending data, not connection lifetime.
-        if self.written > 0 {
-            self.out.drain(..self.written);
-            self.written = 0;
-        }
-        self.out.extend_from_slice(bytes);
-    }
-
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.written
-    }
 }
 
 /// The embedded HTTP server.
@@ -195,20 +157,37 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let mut reactor = Reactor::new()?;
+        let waker = reactor.waker();
         let ring = EventRing::new(config.stream_buffer);
+        ring.attach_waker(waker.clone());
         let publisher = ServePublisher::new(ring);
         let stop = Arc::new(AtomicBool::new(false));
-        let loop_publisher = publisher.clone();
-        let loop_stop = Arc::clone(&stop);
-        let loop_obs = obs.clone();
+        let mut http = Http {
+            listener,
+            instruments: Instruments::new(obs),
+            obs: obs.clone(),
+            publisher: publisher.clone(),
+            stop: Arc::clone(&stop),
+            stopping: false,
+            open: 0,
+            stats: ServeStats::default(),
+            config,
+        };
         let join = thread::Builder::new()
             .name("volley-serve".to_string())
-            .spawn(move || event_loop(listener, config, loop_obs, loop_publisher, loop_stop))
+            .spawn(move || {
+                let idle_timeout = http.config.idle_timeout;
+                reactor::run(&mut reactor, &mut http, idle_timeout);
+                http.instruments.connections.set(0.0);
+                http.stats
+            })
             .expect("spawning the serve thread never fails");
         Ok(ServerHandle {
             local_addr,
             publisher,
             stop,
+            waker,
             join: Some(join),
         })
     }
@@ -220,6 +199,7 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     publisher: ServePublisher,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     join: Option<JoinHandle<ServeStats>>,
 }
 
@@ -237,300 +217,208 @@ impl ServerHandle {
     /// Stops the event loop: open streams get their final chunk,
     /// buffers drain best-effort, and the loop's stats come back.
     pub fn shutdown(mut self) -> ServeStats {
-        self.stop.store(true, Ordering::Relaxed);
-        match self.join.take() {
-            Some(join) => join.join().unwrap_or_default(),
-            None => ServeStats::default(),
-        }
+        self.stop_loop().unwrap_or_default()
+    }
+
+    /// Raises the stop flag, wakes the loop and joins it.
+    fn stop_loop(&mut self) -> Option<ServeStats> {
+        self.stop.store(true, Ordering::Release);
+        self.waker.wake();
+        self.join.take()?.join().ok()
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        self.stop_loop();
     }
 }
 
-/// The readiness-driven loop: accept, read/parse/dispatch, pump
-/// streams, write in batches, reap, park 1ms when nothing progressed.
-fn event_loop(
+/// The HTTP plane as the reactor sees it: the listener, the endpoint
+/// dispatch and the stream pump. Runs on the `volley-serve` thread.
+struct Http {
     listener: TcpListener,
     config: ServeConfig,
     obs: Obs,
     publisher: ServePublisher,
     stop: Arc<AtomicBool>,
-) -> ServeStats {
-    let instruments = Instruments::new(&obs);
-    let mut stats = ServeStats::default();
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut read_buf = [0u8; READ_CHUNK];
-    let mut stopping = false;
-    loop {
-        let mut progress = false;
+    /// The stop flag has been acted on: streams ended, buffers draining.
+    stopping: bool,
+    open: usize,
+    instruments: Instruments,
+    stats: ServeStats,
+}
 
-        if !stopping && stop.load(Ordering::Relaxed) {
-            // Graceful: terminate open streams, then drain what's
-            // buffered below and exit.
-            stopping = true;
-            for conn in conns.iter_mut().flatten() {
-                if conn.streaming {
-                    let (_, _, lines) = publisher.ring().collect_since(conn.stream_cursor);
-                    for line in &lines {
-                        let mut payload = line.as_bytes().to_vec();
-                        payload.push(b'\n');
-                        conn.queue(&http::chunk(&payload));
-                    }
-                    conn.queue(&http::final_chunk());
+impl Protocol for Http {
+    type Stream = TcpStream;
+    type Frame = Vec<u8>;
+    type State = HttpConn;
+
+    fn listener(&self) -> Fd {
+        self.listener.fd()
+    }
+
+    fn accept(&mut self) -> io::Result<(TcpStream, HttpConn)> {
+        let (stream, _peer) = self.listener.accept()?;
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        self.stats.connections += 1;
+        self.open += 1;
+        self.instruments.connections.set(self.open as f64);
+        let state = HttpConn {
+            parser: RequestParser::new(self.config.max_request_bytes),
+            streaming: false,
+            stream_cursor: 0,
+        };
+        Ok((stream, state))
+    }
+
+    fn on_bytes(&mut self, _slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
+        conn.state.parser.extend(bytes);
+        loop {
+            match conn.state.parser.next_request() {
+                Ok(Some(request)) => {
+                    let started = Instant::now();
+                    self.dispatch(&request, conn);
+                    self.instruments
+                        .request_ns
+                        .record(started.elapsed().as_nanos() as u64);
                 }
-                conn.close_after_write = true;
+                Ok(None) => break,
+                Err(error) => {
+                    self.stats.bad_requests += 1;
+                    self.instruments.bad_requests.inc();
+                    let (code, reason) = match error {
+                        HttpError::HeadTooLarge { .. } => (431, "Request Header Fields Too Large"),
+                        _ => (400, "Bad Request"),
+                    };
+                    conn.push(http::response(
+                        code,
+                        reason,
+                        "text/plain; charset=utf-8",
+                        format!("{error}\n").as_bytes(),
+                    ));
+                    conn.close_after_write();
+                    break;
+                }
             }
         }
+    }
 
-        // Accept phase.
-        if !stopping {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        stats.connections += 1;
-                        let conn = Conn::new(stream, config.max_request_bytes);
-                        match conns.iter().position(Option::is_none) {
-                            Some(slot) => conns[slot] = Some(conn),
-                            None => conns.push(Some(conn)),
-                        }
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+    /// Stream pump, slow-client cap and the stop flag. A publish wakes
+    /// the loop only while a subscriber streams; shutdown always does.
+    fn turn(&mut self, conns: &mut [Option<Conn<Self>>]) -> Flow {
+        if self.stopping {
+            return Flow::Drain;
+        }
+        // Graceful stop: open streams get what is left plus their final
+        // chunk, then everything buffered drains and the loop exits.
+        self.stopping = self.stop.load(Ordering::Acquire);
+        for conn in conns.iter_mut().flatten() {
+            if conn.state.streaming {
+                // Frame any events published since the subscriber's cursor.
+                let (next, lagged, lines) = self
+                    .publisher
+                    .ring()
+                    .collect_since(conn.state.stream_cursor);
+                self.stats.stream_lag_drops += lagged;
+                self.instruments.stream_lag_drops.add(lagged);
+                for line in &lines {
+                    conn.push(http::chunk(format!("{line}\n").as_bytes()));
                 }
+                conn.state.stream_cursor = next;
+                if self.stopping {
+                    conn.push(http::final_chunk());
+                }
+            }
+            if self.stopping {
+                conn.close_after_write();
+            } else if conn.pending_bytes() > self.config.write_cap {
+                // A client that lets its outbound buffer blow the cap is
+                // slow; cut it loose rather than buffer unboundedly.
+                self.stats.slow_client_drops += 1;
+                self.instruments.slow_client_drops.inc();
+                conn.close_now();
             }
         }
-
-        for slot in conns.iter_mut() {
-            let Some(conn) = slot.as_mut() else { continue };
-            let mut drop_conn = false;
-
-            // Read + parse + dispatch phase.
-            if !conn.close_after_write {
-                loop {
-                    match conn.stream.read(&mut read_buf) {
-                        Ok(0) => {
-                            drop_conn = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progress = true;
-                            conn.last_activity = Instant::now();
-                            conn.parser.extend(&read_buf[..n]);
-                            loop {
-                                match conn.parser.next_request() {
-                                    Ok(Some(request)) => {
-                                        let started = Instant::now();
-                                        dispatch(
-                                            &request,
-                                            conn,
-                                            &config,
-                                            &obs,
-                                            &publisher,
-                                            &instruments,
-                                            &mut stats,
-                                        );
-                                        instruments
-                                            .request_ns
-                                            .record(started.elapsed().as_nanos() as u64);
-                                    }
-                                    Ok(None) => break,
-                                    Err(error) => {
-                                        stats.bad_requests += 1;
-                                        instruments.bad_requests.inc();
-                                        let body = format!("{error}\n");
-                                        let status = match error {
-                                            HttpError::HeadTooLarge { .. } => {
-                                                (431, "Request Header Fields Too Large")
-                                            }
-                                            _ => (400, "Bad Request"),
-                                        };
-                                        conn.queue(&http::response(
-                                            status.0,
-                                            status.1,
-                                            "text/plain; charset=utf-8",
-                                            body.as_bytes(),
-                                        ));
-                                        conn.close_after_write = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            if conn.close_after_write {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Stream pump phase: frame any events published since the
-            // subscriber's cursor.
-            if !drop_conn && conn.streaming && !stopping {
-                let (next, lagged, lines) = publisher.ring().collect_since(conn.stream_cursor);
-                if lagged > 0 {
-                    stats.stream_lag_drops += lagged;
-                    instruments.stream_lag_drops.add(lagged);
-                }
-                if !lines.is_empty() {
-                    progress = true;
-                    conn.last_activity = Instant::now();
-                    for line in &lines {
-                        let mut payload = line.as_bytes().to_vec();
-                        payload.push(b'\n');
-                        conn.queue(&http::chunk(&payload));
-                    }
-                }
-                conn.stream_cursor = next;
-            }
-
-            // A client that lets its outbound buffer blow the cap is
-            // slow; cut it loose rather than buffer unboundedly.
-            if !drop_conn && conn.pending_out() > config.write_cap {
-                stats.slow_client_drops += 1;
-                instruments.slow_client_drops.inc();
-                drop_conn = true;
-            }
-
-            // Write phase, batched.
-            if !drop_conn && conn.pending_out() > 0 {
-                let mut budget = WRITE_BATCH;
-                while budget > 0 && conn.pending_out() > 0 {
-                    let end = (conn.written + budget.min(conn.pending_out())).min(conn.out.len());
-                    match conn.stream.write(&conn.out[conn.written..end]) {
-                        Ok(0) => {
-                            drop_conn = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progress = true;
-                            conn.written += n;
-                            budget = budget.saturating_sub(n);
-                            conn.last_activity = Instant::now();
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
-                    }
-                }
-                if conn.pending_out() == 0 {
-                    conn.out.clear();
-                    conn.written = 0;
-                }
-            }
-
-            // Close/reap phase.
-            if !drop_conn && conn.close_after_write && conn.pending_out() == 0 {
-                drop_conn = true;
-            }
-            if !drop_conn
-                && !conn.streaming
-                && conn.pending_out() == 0
-                && conn.last_activity.elapsed() > config.idle_timeout
-            {
-                drop_conn = true;
-            }
-            if drop_conn {
-                *slot = None;
-            }
+        if self.stopping {
+            Flow::Drain
+        } else {
+            Flow::Run
         }
+    }
 
-        let open = conns.iter().filter(|slot| slot.is_some()).count();
-        instruments.connections.set(open as f64);
-        if stopping && (open == 0 || !progress) {
-            // Stopping: exit once buffers drained or no client is
-            // making progress (a stalled client doesn't pin shutdown).
-            instruments.connections.set(0.0);
-            return stats;
+    fn idle_exempt(&self, conn: &Conn<Self>) -> bool {
+        conn.state.streaming || conn.pending_bytes() > 0
+    }
+
+    fn on_close(&mut self, _slot: usize, conn: Conn<Self>, _idle: bool) {
+        if conn.state.streaming {
+            self.publisher.ring().subscribers_changed(-1);
         }
-        if !progress {
-            thread::sleep(Duration::from_millis(1));
-        }
+        self.open -= 1;
+        self.instruments.connections.set(self.open as f64);
     }
 }
 
-/// Routes one parsed request, queuing the response (or the stream
-/// head) on the connection.
-fn dispatch(
-    request: &Request,
-    conn: &mut Conn,
-    config: &ServeConfig,
-    obs: &Obs,
-    publisher: &ServePublisher,
-    instruments: &Instruments,
-    stats: &mut ServeStats,
-) {
-    if request.close {
-        conn.close_after_write = true;
-    }
-    if request.method != "GET" {
-        stats.other_requests += 1;
-        instruments.other_requests.inc();
-        conn.queue(&http::response(
-            405,
-            "Method Not Allowed",
-            "text/plain; charset=utf-8",
-            b"only GET is served\n",
-        ));
-        return;
-    }
-    match request.path.as_str() {
-        "/metrics" => {
-            stats.metrics_requests += 1;
-            instruments.metrics_requests.inc();
-            let body = obs.snapshot(publisher.tick()).to_prometheus();
-            conn.queue(&http::response(
-                200,
-                "OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                body.as_bytes(),
-            ));
+impl Http {
+    /// Routes one parsed request, queuing the response (or the stream
+    /// head) on the connection.
+    fn dispatch(&mut self, request: &Request, conn: &mut Conn<Self>) {
+        let (stats, instruments) = (&mut self.stats, &self.instruments);
+        if request.close {
+            conn.close_after_write();
         }
-        "/api/v1/query" => {
-            stats.query_requests += 1;
-            instruments.query_requests.inc();
-            let response = query_endpoint(request, config);
-            conn.queue(&response);
-        }
-        "/api/v1/alerts/stream" => {
-            stats.stream_requests += 1;
-            instruments.stream_requests.inc();
-            conn.queue(&http::chunked_head(200, "OK", "application/x-ndjson"));
-            conn.streaming = true;
-            // Cursor 0: replay whatever history the ring retains, so
-            // alerts raised before this subscriber arrived still show.
-            conn.stream_cursor = 0;
-        }
-        _ => {
+        if request.method != "GET" {
             stats.other_requests += 1;
             instruments.other_requests.inc();
-            conn.queue(&http::response(
-                404,
-                "Not Found",
+            conn.push(http::response(
+                405,
+                "Method Not Allowed",
                 "text/plain; charset=utf-8",
-                b"unknown path\n",
+                b"only GET is served\n",
             ));
+            return;
+        }
+        match request.path.as_str() {
+            "/metrics" => {
+                stats.metrics_requests += 1;
+                instruments.metrics_requests.inc();
+                let body = self.obs.snapshot(self.publisher.tick()).to_prometheus();
+                conn.push(http::response(
+                    200,
+                    "OK",
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    body.as_bytes(),
+                ));
+            }
+            "/api/v1/query" => {
+                stats.query_requests += 1;
+                instruments.query_requests.inc();
+                conn.push(query_endpoint(request, &self.config));
+            }
+            "/api/v1/alerts/stream" => {
+                stats.stream_requests += 1;
+                instruments.stream_requests.inc();
+                conn.push(http::chunked_head(200, "OK", "application/x-ndjson"));
+                if !conn.state.streaming {
+                    self.publisher.ring().subscribers_changed(1);
+                }
+                conn.state.streaming = true;
+                // Cursor 0: replay whatever history the ring retains, so
+                // alerts raised before this subscriber arrived still show.
+                conn.state.stream_cursor = 0;
+            }
+            _ => {
+                stats.other_requests += 1;
+                instruments.other_requests.inc();
+                conn.push(http::response(
+                    404,
+                    "Not Found",
+                    "text/plain; charset=utf-8",
+                    b"unknown path\n",
+                ));
+            }
         }
     }
 }
@@ -624,5 +512,49 @@ fn query_endpoint(request: &Request, config: &ServeConfig) -> Vec<u8> {
             "text/plain; charset=utf-8",
             format!("scan failed: {e}\n").as_bytes(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+
+    /// The loop blocks in `poll`: an idle server does not wake (it woke
+    /// ~300 times in 300 ms while it slept 1 ms at a time), yet shutdown
+    /// interrupts the wait at once.
+    #[test]
+    fn an_idle_server_does_not_wake() {
+        let handle = Server::start(ServeConfig::new("127.0.0.1:0"), &Obs::new(false)).unwrap();
+        thread::sleep(Duration::from_millis(300));
+        let wakeups = handle.waker.wakeups();
+        let stopping = Instant::now();
+        handle.shutdown();
+        assert!(wakeups <= 10, "idle server woke {wakeups} times in 300 ms");
+        assert!(stopping.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn publishes_wake_the_loop_only_while_a_subscriber_streams() {
+        let handle = Server::start(ServeConfig::new("127.0.0.1:0"), &Obs::new(false)).unwrap();
+        let publisher = handle.publisher();
+        for tick in 0..50 {
+            publisher.alert(tick, false);
+        }
+        thread::sleep(Duration::from_millis(50));
+        assert!(handle.waker.wakeups() <= 2, "nobody listens: no wake");
+
+        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream
+            .write_all(b"GET /api/v1/alerts/stream HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let mut lines = BufReader::new(stream).lines().map(Result::unwrap);
+        // The subscriber replays history, then gets a live event pushed
+        // by the publish's wake (no request of its own follows).
+        assert!(lines.any(|l| l.contains(r#""tick":49"#)));
+        publisher.alert(777, true);
+        assert!(lines.any(|l| l.contains(r#""tick":777"#)));
+        let stats = handle.shutdown();
+        assert_eq!(stats.stream_requests, 1);
     }
 }
