@@ -13,10 +13,8 @@
 //! `--out <dir>` redirects both. For the fleet-scale version of this
 //! experiment on the sharded engine, see the `multitask` binary.
 
-use std::path::PathBuf;
-
 use serde::Serialize;
-use volley_bench::params::SweepParams;
+use volley_bench::params::{BenchArgs, OUT, QUICK, SEED, TICKS};
 use volley_core::accuracy::{DetectionLog, GroundTruth};
 use volley_core::correlation::{CorrelationConfig, CorrelationDetector};
 use volley_core::task::TaskId;
@@ -39,19 +37,6 @@ struct CorrelationBenchReport {
     gated_samples: u64,
     gated_misdetection_rate: f64,
     gated_cost_ratio: f64,
-}
-
-fn out_dir() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            if let Some(dir) = it.next() {
-                return PathBuf::from(dir);
-            }
-        }
-    }
-    PathBuf::from("reproduction")
 }
 
 /// Builds the correlated pair of traces: (response time, traffic
@@ -81,7 +66,8 @@ fn build_traces(ticks: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
 }
 
 fn main() {
-    let params = SweepParams::from_args(std::env::args().skip(1));
+    let BenchArgs { params, out, .. } =
+        BenchArgs::from_env("correlation", &[QUICK, TICKS, SEED, OUT]);
     let ticks = params.ticks.max(4000);
     eprintln!("correlation: ticks={ticks}");
     let (response, rho) = build_traces(ticks, params.seed);
@@ -162,7 +148,6 @@ fn main() {
     );
     print!("{text}");
 
-    let out = out_dir();
     std::fs::create_dir_all(&out).expect("create output dir");
     std::fs::write(out.join("correlation.txt"), &text).expect("write txt");
     std::fs::write(

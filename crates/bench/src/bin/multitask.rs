@@ -15,9 +15,8 @@
 //!
 //! [`DdosCascadeScenario`]: volley_sim::DdosCascadeScenario
 
-use std::path::PathBuf;
-
 use serde::Serialize;
+use volley_bench::params::{BenchArgs, OUT, SMOKE};
 use volley_sim::{ClusterConfig, DdosCascadeConfig, DdosCascadeScenario};
 
 /// Allowances swept; each produces a gated/ungated pair of runs.
@@ -67,21 +66,8 @@ fn arm(report: &volley_sim::CascadeReport) -> ArmReport {
     }
 }
 
-fn out_dir() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            if let Some(dir) = it.next() {
-                return PathBuf::from(dir);
-            }
-        }
-    }
-    PathBuf::from("reproduction")
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let BenchArgs { smoke, out, .. } = BenchArgs::from_env("multitask", &[SMOKE, OUT]);
     let base = if smoke {
         DdosCascadeConfig {
             cluster: ClusterConfig::new(2, 4, 1),
@@ -189,7 +175,6 @@ fn main() {
     }
     print!("{text}");
 
-    let out = out_dir();
     std::fs::create_dir_all(&out).expect("create output dir");
     std::fs::write(out.join("multitask.txt"), &text).expect("write txt");
     std::fs::write(

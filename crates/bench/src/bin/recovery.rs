@@ -12,13 +12,12 @@
 //! shrinks as checkpoints get more frequent.
 //!
 //! Writes `reproduction/recovery.txt` and `reproduction/recovery.json`
-//! and prints the table. Accepts the standard sizing flags (`--quick`,
-//! `--ticks`, `--seed`, `--out <dir>`).
+//! and prints the table. Accepts `--quick`, `--ticks`, `--seed` and
+//! `--out <dir>`.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use volley_bench::params::SweepParams;
+use volley_bench::params::{BenchArgs, OUT, QUICK, SEED, TICKS};
 use volley_bench::report::Matrix;
 use volley_core::task::TaskSpec;
 use volley_runtime::{FaultPlan, RuntimeReport, TaskRunner};
@@ -26,19 +25,6 @@ use volley_runtime::{FaultPlan, RuntimeReport, TaskRunner};
 const MONITORS: usize = 4;
 const BURST_LEN: u64 = 12;
 const CHECKPOINT_INTERVALS: [u64; 3] = [10, 25, 50];
-
-fn out_dir() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            if let Some(dir) = it.next() {
-                return PathBuf::from(dir);
-            }
-        }
-    }
-    PathBuf::from("reproduction")
-}
 
 /// Both bursts land after the mid-run crash, so they measure
 /// *post-recovery* detection; the quiet lead-in is what lets the
@@ -59,13 +45,17 @@ fn detection_rate(report: &RuntimeReport, windows: &[(u64, u64)]) -> f64 {
 }
 
 fn main() {
-    let params = SweepParams::from_args(std::env::args().skip(1));
-    let quick = std::env::args().any(|a| a == "--quick");
+    let BenchArgs {
+        params,
+        out: dir,
+        quick,
+        ..
+    } = BenchArgs::from_env("recovery", &[QUICK, TICKS, SEED, OUT]);
     let ticks = if quick {
         400
     } else {
         params.ticks.clamp(400, 2000) as u64
-    } as u64;
+    };
     let crash = ticks / 2;
     eprintln!("recovery: {params:?}, {MONITORS} monitors, {ticks} ticks, crash at {crash}");
 
@@ -178,7 +168,6 @@ fn main() {
         );
     }
 
-    let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("output directory is creatable");
     std::fs::write(dir.join("recovery.txt"), matrix.render()).expect("write txt");
     std::fs::write(dir.join("recovery.json"), matrix.to_json()).expect("write json");

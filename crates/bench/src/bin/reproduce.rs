@@ -1,103 +1,23 @@
-//! One-shot reproduction driver: runs every figure and ablation binary's
-//! logic in-process and writes each table to `<outdir>/<name>.txt`
-//! (default `./reproduction`), so `cargo run -p volley-bench --release
-//! --bin reproduce` regenerates the paper's whole evaluation in one
-//! command.
+//! The one reproduction driver: renders every row of
+//! [`volley_bench::TABLES`] and writes it to `<out>/<name>.txt` (default
+//! `./reproduction`), so `cargo run -p volley-bench --release --bin
+//! reproduce` regenerates the paper's whole deterministic evaluation —
+//! figures, ablations and the simulator table — in one command.
 //!
-//! Accepts the same sizing flags as the individual binaries (`--quick`,
-//! `--ticks`, `--tasks`, `--seed`, `--max-interval`) plus
-//! `--out <dir>`.
+//! Accepts the sizing flags (`--quick`, `--ticks`, `--tasks`, `--seed`,
+//! `--max-interval`) plus `--out <dir>`.
 
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-use volley_bench::experiments::{misdetection_matrix, sampling_ratio_matrix};
-use volley_bench::params::{SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
-use volley_bench::workloads::TraceFamily;
-use volley_sim::{ClusterConfig, NetworkScenario, NetworkScenarioConfig};
-
-fn out_dir() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            if let Some(dir) = it.next() {
-                return PathBuf::from(dir);
-            }
-        }
-    }
-    PathBuf::from("reproduction")
-}
-
-fn write(dir: &Path, name: &str, content: &str) {
-    let path = dir.join(format!("{name}.txt"));
-    let mut file = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    file.write_all(content.as_bytes()).expect("write succeeds");
-    println!("wrote {}", path.display());
-}
+use volley_bench::params::{BenchArgs, SWEEP_FLAGS};
+use volley_bench::TABLES;
 
 fn main() {
-    let params = SweepParams::from_args(std::env::args().skip(1));
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("output directory is creatable");
-    eprintln!("reproduce: {params:?} -> {}", dir.display());
-
-    // Figure 5(a)(b)(c).
-    for (name, family) in [
-        ("fig5a", TraceFamily::Network),
-        ("fig5b", TraceFamily::System),
-        ("fig5c", TraceFamily::Application),
-    ] {
-        let matrix = sampling_ratio_matrix(family, &ERR_SWEEP, &SELECTIVITY_SWEEP, &params);
-        write(&dir, name, &matrix.render());
-        write(&dir, &format!("{name}_json"), &matrix.to_json());
+    let BenchArgs { params, out, .. } = BenchArgs::from_env("reproduce", &SWEEP_FLAGS);
+    std::fs::create_dir_all(&out).expect("output directory is creatable");
+    eprintln!("reproduce: {params:?} -> {}", out.display());
+    for table in TABLES {
+        let path = out.join(format!("{}.txt", table.name));
+        std::fs::write(&path, (table.render)(&params))
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("wrote {} ({})", path.display(), table.paper_item);
     }
-
-    // Figure 7.
-    let matrix = misdetection_matrix(TraceFamily::System, &ERR_SWEEP, &SELECTIVITY_SWEEP, &params);
-    write(&dir, "fig7", &matrix.render());
-
-    // Figure 6 (scaled by --quick via the task knob).
-    let cluster = if params.tasks <= SweepParams::quick().tasks {
-        ClusterConfig::new(4, 40, 2)
-    } else {
-        ClusterConfig::paper()
-    };
-    let mut fig6 = String::from(
-        "# Dom0 CPU utilization distribution vs error allowance (network monitoring)\n",
-    );
-    fig6.push_str(&format!(
-        "{:<8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>9}{:>12}\n",
-        "err", "min%", "q1%", "med%", "q3%", "max%", "mean%", "miss-rate"
-    ));
-    for err in [0.0, 0.002, 0.004, 0.008, 0.016, 0.032] {
-        let report = NetworkScenario::from_config(NetworkScenarioConfig {
-            cluster,
-            error_allowance: err,
-            selectivity_percent: 1.0,
-            ticks: params.ticks,
-            seed: params.seed,
-            max_interval: params.max_interval,
-            patience: params.patience,
-            ..NetworkScenarioConfig::default()
-        })
-        .run();
-        let cpu = report.cpu.expect("utilization samples exist");
-        fig6.push_str(&format!(
-            "{:<8}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>9.1}{:>12.4}\n",
-            err,
-            cpu.min * 100.0,
-            cpu.q1 * 100.0,
-            cpu.median * 100.0,
-            cpu.q3 * 100.0,
-            cpu.max * 100.0,
-            cpu.mean * 100.0,
-            report.accuracy.misdetection_rate(),
-        ));
-    }
-    write(&dir, "fig6", &fig6);
-
-    println!("\nDone. For figures 1/2/8, the runtime, correlation and ablation");
-    println!("experiments, run their dedicated binaries (see README).");
 }

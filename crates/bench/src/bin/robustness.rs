@@ -12,13 +12,12 @@
 //!
 //! Writes `reproduction/robustness.txt` and
 //! `reproduction/robustness.json` (drop rate → detection rate plus
-//! supporting counters) and prints the table. Accepts the standard
-//! sizing flags (`--quick`, `--ticks`, `--seed`, …).
+//! supporting counters) and prints the table. Accepts `--quick`,
+//! `--ticks`, `--seed`, `--max-interval` and `--out <dir>`.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use volley_bench::params::SweepParams;
+use volley_bench::params::{BenchArgs, MAX_INTERVAL, OUT, QUICK, SEED, TICKS};
 use volley_bench::report::Matrix;
 use volley_core::task::TaskSpec;
 use volley_core::DistributedTask;
@@ -30,22 +29,13 @@ const DROP_RATES: [f64; 6] = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8];
 /// producing one unambiguous ground-truth alert.
 const BURST_EVERY: usize = 97;
 
-fn out_dir() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            if let Some(dir) = it.next() {
-                return PathBuf::from(dir);
-            }
-        }
-    }
-    PathBuf::from("reproduction")
-}
-
 fn main() {
-    let params = SweepParams::from_args(std::env::args().skip(1));
-    let quick = std::env::args().any(|a| a == "--quick");
+    let BenchArgs {
+        params,
+        out: dir,
+        quick,
+        ..
+    } = BenchArgs::from_env("robustness", &[QUICK, TICKS, SEED, MAX_INTERVAL, OUT]);
     let ticks = if quick { 600 } else { params.ticks.min(2000) };
     eprintln!("robustness: {params:?}, {MONITORS} monitors, {ticks} ticks");
 
@@ -142,7 +132,6 @@ fn main() {
     // Sanity: a lossless network must detect every ground-truth alert.
     assert_eq!(matrix.values[0][0], 1.0, "lossless run detects all alerts");
 
-    let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("output directory is creatable");
     std::fs::write(dir.join("robustness.txt"), matrix.render()).expect("write txt");
     std::fs::write(dir.join("robustness.json"), matrix.to_json()).expect("write json");

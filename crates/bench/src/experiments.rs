@@ -1,159 +1,114 @@
-//! The shared sweep machinery behind the Figure 5/7 binaries.
+//! The shared evaluation machinery: the one "score every task of a
+//! workload and merge" fold, and the `err × k` matrix behind Figures 5
+//! and 7.
 
-use serde::{Deserialize, Serialize};
+use volley_core::accuracy::{evaluate_policy, AccuracyReport, DetectionLog};
+use volley_core::{AdaptationConfig, AdaptiveSampler, Observation, SamplingPolicy};
 
-use volley_core::accuracy::{evaluate_policy, AccuracyReport};
-use volley_core::{AdaptationConfig, AdaptiveSampler};
-
-use crate::params::SweepParams;
+use crate::params::{SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
+use crate::report::Matrix;
 use crate::workloads::{TraceFamily, WorkloadSet};
 
-/// One cell of an `err × k` sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SweepResult {
-    /// Error allowance used.
-    pub error_allowance: f64,
-    /// Alert selectivity `k` in percent.
-    pub selectivity: f64,
-    /// Cost/accuracy merged over all tasks.
-    pub report: AccuracyReport,
+/// Scores every task trace of `workload` with `score` and merges the
+/// per-task reports into the family-wide one.
+pub fn merge_over(
+    workload: &WorkloadSet,
+    score: impl FnMut(&Vec<f64>) -> AccuracyReport,
+) -> AccuracyReport {
+    workload
+        .traces()
+        .iter()
+        .map(score)
+        .reduce(|merged, report| merged.merged(&report))
+        .expect("workload sets are non-empty")
 }
 
-impl SweepResult {
-    /// The sampling ratio vs the periodic baseline (Figure 5 y-axis).
-    pub fn sampling_ratio(&self) -> f64 {
-        self.report.cost_ratio()
-    }
-
-    /// The actual mis-detection rate (Figure 7 y-axis).
-    pub fn misdetection_rate(&self) -> f64 {
-        self.report.misdetection_rate()
-    }
-}
-
-/// Runs one `(err, k)` cell over a workload set: every task gets its own
-/// selectivity-derived threshold and adaptive sampler; reports are merged.
+/// Runs one cell: every task gets its own `selectivity`-derived
+/// threshold and a fresh policy from `make`; reports are merged.
 pub fn run_cell(
     workload: &WorkloadSet,
-    error_allowance: f64,
     selectivity: f64,
-    params: &SweepParams,
-) -> SweepResult {
-    let adaptation = AdaptationConfig::builder()
-        .error_allowance(error_allowance)
-        .max_interval(params.max_interval)
-        .patience(params.patience)
-        .build()
-        .expect("sweep parameters are valid");
-    let mut merged: Option<AccuracyReport> = None;
-    for trace in workload.traces() {
+    make: impl Fn(f64) -> Box<dyn SamplingPolicy>,
+) -> AccuracyReport {
+    merge_over(workload, |trace| {
         let threshold = volley_core::selectivity_threshold(trace, selectivity)
             .expect("non-empty trace, valid selectivity");
-        let mut policy = AdaptiveSampler::new(adaptation, threshold);
-        let report = evaluate_policy(&mut policy, trace);
-        merged = Some(match merged {
-            Some(m) => m.merged(&report),
-            None => report,
-        });
-    }
-    SweepResult {
-        error_allowance,
-        selectivity,
-        report: merged.expect("workload sets are non-empty"),
-    }
+        evaluate_policy(make(threshold).as_mut(), trace)
+    })
 }
 
-/// Full `err × k` sampling-ratio sweep for one family (Figure 5 a/b/c).
-pub fn sweep_sampling_ratio(
-    family: TraceFamily,
-    errs: &[f64],
-    selectivities: &[f64],
-    params: &SweepParams,
-) -> Vec<SweepResult> {
-    let workload = WorkloadSet::generate(family, params);
-    let mut out = Vec::with_capacity(errs.len() * selectivities.len());
-    for &k in selectivities {
-        for &err in errs {
-            out.push(run_cell(&workload, err, k, params));
+/// [`run_cell`] with Volley's adaptive sampler under `adaptation`.
+pub fn run_adaptive(
+    workload: &WorkloadSet,
+    selectivity: f64,
+    adaptation: AdaptationConfig,
+) -> AccuracyReport {
+    run_cell(workload, selectivity, |threshold| {
+        Box::new(AdaptiveSampler::new(adaptation, threshold))
+    })
+}
+
+/// Drives `observe` over `trace` exactly as a monitor would — called
+/// only at the ticks the previous observation scheduled — and returns
+/// the log of what was sampled and flagged.
+pub fn sample_log(trace: &[f64], mut observe: impl FnMut(u64, f64) -> Observation) -> DetectionLog {
+    let mut log = DetectionLog::new();
+    let mut next = 0u64;
+    for (t, &value) in trace.iter().enumerate() {
+        let tick = t as u64;
+        if tick >= next {
+            let obs = observe(tick, value);
+            log.record(tick, 1, obs.violation);
+            next = obs.next_sample_tick;
         }
     }
-    out
+    log
 }
 
-/// Full `err × k` mis-detection sweep (Figure 7) — same cells, different
-/// projection; kept separate so binaries read naturally.
-pub fn sweep_misdetection(
-    family: TraceFamily,
-    errs: &[f64],
-    selectivities: &[f64],
-    params: &SweepParams,
-) -> Vec<SweepResult> {
-    sweep_sampling_ratio(family, errs, selectivities, params)
+/// What an `err × k` matrix cell shows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Sampling operations relative to the periodic baseline (Figure 5).
+    SamplingRatio,
+    /// Missed violations over all violations (Figure 7).
+    Misdetection,
 }
 
-/// Builds the Figure 5-style matrix (rows = error allowances, columns =
-/// selectivities, cells = sampling ratio) for one family.
-pub fn sampling_ratio_matrix(
-    family: TraceFamily,
-    errs: &[f64],
-    selectivities: &[f64],
-    params: &SweepParams,
-) -> crate::report::Matrix {
-    let results = sweep_sampling_ratio(family, errs, selectivities, params);
-    project_matrix(
-        format!(
-            "{} monitoring: sampling ratio vs periodic baseline",
-            family.name()
-        ),
-        errs,
-        selectivities,
-        &results,
-        SweepResult::sampling_ratio,
-    )
-}
-
-/// Builds the Figure 7-style matrix (cells = actual mis-detection rate).
-pub fn misdetection_matrix(
-    family: TraceFamily,
-    errs: &[f64],
-    selectivities: &[f64],
-    params: &SweepParams,
-) -> crate::report::Matrix {
-    let results = sweep_misdetection(family, errs, selectivities, params);
-    project_matrix(
-        format!("{} monitoring: actual mis-detection rate", family.name()),
-        errs,
-        selectivities,
-        &results,
-        SweepResult::misdetection_rate,
-    )
-}
-
-fn project_matrix(
-    title: String,
-    errs: &[f64],
-    selectivities: &[f64],
-    results: &[SweepResult],
-    project: impl Fn(&SweepResult) -> f64,
-) -> crate::report::Matrix {
-    let rows: Vec<String> = errs.iter().map(|e| crate::report::err_label(*e)).collect();
-    let cols: Vec<String> = selectivities
+/// The one generator behind `fig5a/b/c`, their JSON twins and `fig7`:
+/// rows = [`ERR_SWEEP`], columns = [`SELECTIVITY_SWEEP`], cells =
+/// `metric` of the adaptive sampler over `family`'s workload.
+pub fn err_k_matrix(family: TraceFamily, metric: Metric, params: &SweepParams) -> Matrix {
+    let workload = WorkloadSet::generate(family, params);
+    let values = ERR_SWEEP
         .iter()
-        .map(|k| format!("k={}", crate::report::percent_label(*k)))
+        .map(|&err| {
+            let adaptation = params.adaptation(err).build().expect("valid sweep cell");
+            SELECTIVITY_SWEEP
+                .iter()
+                .map(|&k| {
+                    let report = run_adaptive(&workload, k, adaptation);
+                    match metric {
+                        Metric::SamplingRatio => report.cost_ratio(),
+                        Metric::Misdetection => report.misdetection_rate(),
+                    }
+                })
+                .collect()
+        })
         .collect();
-    let mut values = vec![vec![0.0; selectivities.len()]; errs.len()];
-    for result in results {
-        let row = errs
+    let what = match metric {
+        Metric::SamplingRatio => "sampling ratio vs periodic baseline",
+        Metric::Misdetection => "actual mis-detection rate",
+    };
+    Matrix::new(
+        format!("{} monitoring: {what}", family.name()),
+        "err",
+        ERR_SWEEP.iter().map(|e| format!("{e}")).collect(),
+        SELECTIVITY_SWEEP
             .iter()
-            .position(|e| *e == result.error_allowance)
-            .expect("known err");
-        let col = selectivities
-            .iter()
-            .position(|k| *k == result.selectivity)
-            .expect("known selectivity");
-        values[row][col] = project(result);
-    }
-    crate::report::Matrix::new(title, "err", rows, cols, values)
+            .map(|k| format!("k={k}%"))
+            .collect(),
+        values,
+    )
 }
 
 #[cfg(test)]
@@ -169,69 +124,45 @@ mod tests {
         }
     }
 
+    fn cell(workload: &WorkloadSet, err: f64, k: f64) -> AccuracyReport {
+        run_adaptive(workload, k, quick().adaptation(err).build().unwrap())
+    }
+
     #[test]
     fn zero_allowance_cell_is_periodic() {
-        let params = quick();
-        let w = WorkloadSet::generate(TraceFamily::System, &params);
-        let cell = run_cell(&w, 0.0, 1.0, &params);
-        assert!((cell.sampling_ratio() - 1.0).abs() < 1e-12);
-        assert_eq!(cell.misdetection_rate(), 0.0);
+        let w = WorkloadSet::generate(TraceFamily::System, &quick());
+        let report = cell(&w, 0.0, 1.0);
+        assert!((report.cost_ratio() - 1.0).abs() < 1e-12);
+        assert_eq!(report.misdetection_rate(), 0.0);
     }
 
     #[test]
     fn larger_allowance_never_costs_more() {
-        let params = quick();
-        let w = WorkloadSet::generate(TraceFamily::Network, &params);
-        let tight = run_cell(&w, 0.002, 1.0, &params);
-        let loose = run_cell(&w, 0.032, 1.0, &params);
+        let w = WorkloadSet::generate(TraceFamily::Network, &quick());
+        let (tight, loose) = (cell(&w, 0.002, 1.0), cell(&w, 0.032, 1.0));
         assert!(
-            loose.sampling_ratio() <= tight.sampling_ratio() + 0.02,
+            loose.cost_ratio() <= tight.cost_ratio() + 0.02,
             "loose {} vs tight {}",
-            loose.sampling_ratio(),
-            tight.sampling_ratio()
+            loose.cost_ratio(),
+            tight.cost_ratio()
         );
     }
 
     #[test]
     fn adaptation_saves_cost_on_every_family() {
-        let params = quick();
-        for family in [
-            TraceFamily::Network,
-            TraceFamily::System,
-            TraceFamily::Application,
-        ] {
-            let w = WorkloadSet::generate(family, &params);
-            let cell = run_cell(&w, 0.016, 0.4, &params);
-            assert!(
-                cell.sampling_ratio() < 0.9,
-                "{}: ratio {}",
-                family.name(),
-                cell.sampling_ratio()
-            );
+        for family in TraceFamily::ALL {
+            let w = WorkloadSet::generate(family, &quick());
+            let ratio = cell(&w, 0.016, 0.4).cost_ratio();
+            assert!(ratio < 0.9, "{}: ratio {ratio}", family.name());
         }
     }
 
     #[test]
     fn matrices_have_sweep_shape() {
-        let params = quick();
-        let m = sampling_ratio_matrix(TraceFamily::System, &[0.002, 0.032], &[0.4], &params);
-        assert_eq!(m.rows.len(), 2);
-        assert_eq!(m.cols.len(), 1);
-        assert!(m.values.iter().flatten().all(|v| (0.0..=1.0).contains(v)));
-        let m7 = misdetection_matrix(TraceFamily::System, &[0.032], &[0.4, 6.4], &params);
-        assert_eq!(m7.values[0].len(), 2);
-    }
-
-    #[test]
-    fn sweep_covers_grid() {
-        let params = quick();
-        let results =
-            sweep_sampling_ratio(TraceFamily::System, &[0.002, 0.032], &[0.4, 6.4], &params);
-        assert_eq!(results.len(), 4);
-        let ks: std::collections::BTreeSet<u64> = results
-            .iter()
-            .map(|r| (r.selectivity * 10.0) as u64)
-            .collect();
-        assert_eq!(ks.len(), 2);
+        for metric in [Metric::SamplingRatio, Metric::Misdetection] {
+            let m = err_k_matrix(TraceFamily::System, metric, &quick());
+            assert_eq!((m.rows.len(), m.cols.len()), (5, 7));
+            assert!(m.values.iter().flatten().all(|v| (0.0..=1.0).contains(v)));
+        }
     }
 }

@@ -2,40 +2,31 @@
 //!
 //! The experiment harness regenerating **every figure** of the Volley
 //! paper's evaluation (§V), plus the ablations called out in `DESIGN.md`.
-//! Each figure has a dedicated binary:
 //!
-//! | Binary | Paper item | What it prints |
-//! |---|---|---|
-//! | `fig1` | Figure 1 | motivating example: periodic fast/slow vs dynamic sampling on a DDoS trace |
-//! | `fig5a` | Figure 5(a) | network monitoring: sampling ratio vs `err` × selectivity `k` |
-//! | `fig5b` | Figure 5(b) | system monitoring: same sweep |
-//! | `fig5c` | Figure 5(c) | application monitoring: same sweep |
-//! | `fig6` | Figure 6 | Dom0 CPU utilization distribution vs `err` (box-plot stats) |
-//! | `fig7` | Figure 7 | actual mis-detection rate vs `err` × `k` |
-//! | `fig8` | Figure 8 | adaptive vs even allowance allocation vs Zipf skew |
-//! | `runtime_e2e` | §V-A prototype | threaded runtime vs reference implementation parity + cost |
-//! | `correlation` | §II-B | state-correlation gating: cost/accuracy with and without the plan |
-//! | `ablation_gamma_p` | §III-B | slack ratio `γ` and patience `p` sweep |
-//! | `ablation_yield` | §IV-B | yield/allowance-cost formula variants |
-//! | `ablation_bound` | §III-A | Chebyshev bound tightness vs empirical mis-detection |
-//!
-//! Run any of them with
-//! `cargo run -p volley-bench --release --bin <name> [-- --quick]`.
-//!
-//! The library half of the crate holds the shared experiment machinery so
-//! the binaries, the integration tests and the Criterion micro-benches
-//! all drive identical code paths.
+//! A paper table is data, not a binary: [`TABLES`] lists every
+//! deterministic table — name, paper item, expected shape, renderer —
+//! and `cargo run -p volley-bench --release --bin reproduce [-- --quick]`
+//! writes them all. Four more binaries cover the experiments that drive
+//! the live runtime or the sharded simulator and gate their own output:
+//! `correlation` (§II-B gating), `multitask` (fleet-scale suppression
+//! curve), `recovery` (checkpointed failover cost) and `robustness`
+//! (message loss vs detection). All five share one argument parser
+//! ([`params::BenchArgs`]). Performance is not measured here — that is
+//! `benchmark/` and the `BENCH_<n>.json` ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod ablations;
 pub mod experiments;
+pub mod figures;
 pub mod params;
 pub mod report;
+pub mod tables;
 pub mod workloads;
 
-pub use experiments::{sweep_misdetection, sweep_sampling_ratio, SweepResult};
-pub use params::{SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
-pub use report::{print_matrix, Matrix};
+pub use params::{BenchArgs, SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
+pub use report::Matrix;
+pub use tables::{Table, TABLES};
 pub use workloads::{TraceFamily, WorkloadSet};

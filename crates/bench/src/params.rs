@@ -1,11 +1,16 @@
-//! Canonical experiment parameters shared by all figure binaries.
+//! Canonical experiment parameters and the one argument parser shared
+//! by every bench binary.
 //!
 //! The paper sweeps the error allowance over a doubling ladder (Figure 6's
 //! x-axis prints 0.002 … 0.032) and the alert selectivity `k` over
 //! 0.1% … 6.4% (§V-B: "varying k from 6.4% to 0.1% can lead to 40% cost
 //! reduction"). These constants pin the same grids for every harness.
 
+use std::path::PathBuf;
+
 use serde::{Deserialize, Serialize};
+use volley_core::adaptation::AdaptationConfigBuilder;
+use volley_core::AdaptationConfig;
 
 /// The error-allowance ladder (Figure 6 x-axis).
 pub const ERR_SWEEP: [f64; 5] = [0.002, 0.004, 0.008, 0.016, 0.032];
@@ -25,7 +30,8 @@ pub struct SweepParams {
     pub seed: u64,
     /// Maximum sampling interval `I_m`.
     pub max_interval: u32,
-    /// Adaptation patience `p` (paper default 20).
+    /// Adaptation patience `p`: 20 (the paper's default) full-size, 10
+    /// under `--quick`. A property of the size profile, not a flag.
     pub patience: u32,
 }
 
@@ -53,49 +59,14 @@ impl SweepParams {
         }
     }
 
-    /// Parses `--quick` (and optional `--ticks N`, `--tasks N`,
-    /// `--seed N`, `--max-interval N`) from command-line arguments,
-    /// defaulting to [`SweepParams::full`].
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let args: Vec<String> = args.into_iter().collect();
-        let mut params = if args.iter().any(|a| a == "--quick") {
-            SweepParams::quick()
-        } else {
-            SweepParams::full()
-        };
-        fn parse_next<T: std::str::FromStr>(it: &mut std::slice::Iter<String>) -> Option<T> {
-            it.next().and_then(|v| v.parse().ok())
-        }
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--ticks" => {
-                    if let Some(v) = parse_next(&mut it) {
-                        params.ticks = v;
-                    }
-                }
-                "--tasks" => {
-                    if let Some(v) = parse_next(&mut it) {
-                        params.tasks = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = parse_next(&mut it) {
-                        params.seed = v;
-                    }
-                }
-                "--max-interval" => {
-                    if let Some(v) = parse_next(&mut it) {
-                        params.max_interval = v;
-                    }
-                }
-                _ => {}
-            }
-        }
-        params.ticks = params.ticks.max(10);
-        params.tasks = params.tasks.max(1);
-        params.max_interval = params.max_interval.max(1);
-        params
+    /// The adaptation config every single-sampler experiment starts
+    /// from: allowance `err` under this run's `I_m` and patience.
+    /// Ablations set their one extra knob on the returned builder.
+    pub fn adaptation(&self, err: f64) -> AdaptationConfigBuilder {
+        AdaptationConfig::builder()
+            .error_allowance(err)
+            .max_interval(self.max_interval)
+            .patience(self.patience)
     }
 }
 
@@ -105,55 +76,158 @@ impl Default for SweepParams {
     }
 }
 
+/// `--quick`: the small size profile ([`SweepParams::quick`]).
+pub const QUICK: &str = "--quick";
+/// `--smoke`: a binary's own CI-sized workload (`multitask`).
+pub const SMOKE: &str = "--smoke";
+/// `--ticks N`: trace length.
+pub const TICKS: &str = "--ticks";
+/// `--tasks N`: tasks averaged per cell.
+pub const TASKS: &str = "--tasks";
+/// `--seed N`: base random seed.
+pub const SEED: &str = "--seed";
+/// `--max-interval N`: the cap `I_m`.
+pub const MAX_INTERVAL: &str = "--max-interval";
+/// `--out DIR`: where result files go (default `reproduction`).
+pub const OUT: &str = "--out";
+/// Everything a binary that sizes itself from [`SweepParams`] reads.
+pub const SWEEP_FLAGS: [&str; 6] = [QUICK, TICKS, TASKS, SEED, MAX_INTERVAL, OUT];
+
+/// What a bench binary was asked to do.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchArgs {
+    /// Size knobs: the `--quick` or full profile plus explicit overrides.
+    pub params: SweepParams,
+    /// Output directory.
+    pub out: PathBuf,
+    /// `--quick` was given.
+    pub quick: bool,
+    /// `--smoke` was given.
+    pub smoke: bool,
+}
+
+impl BenchArgs {
+    /// Parses `args` against the flags the calling binary reads
+    /// (`accepted`, a subset of this module's flag constants). Anything
+    /// else — an unknown flag, a flag the binary does not read, a
+    /// missing or unparsable value — is an error naming the offender.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        accepted: &[&str],
+        args: I,
+    ) -> Result<BenchArgs, String> {
+        fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, String> {
+            let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+            raw.parse()
+                .map_err(|_| format!("invalid value `{raw}` for {flag}"))
+        }
+        let args: Vec<String> = args.into_iter().collect();
+        let quick = args.iter().any(|a| a == QUICK);
+        let mut parsed = BenchArgs {
+            params: if quick {
+                SweepParams::quick()
+            } else {
+                SweepParams::full()
+            },
+            out: PathBuf::from("reproduction"),
+            quick,
+            smoke: false,
+        };
+        let mut it = args.into_iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            if !accepted.contains(&flag) {
+                return Err(format!("unknown flag `{flag}`"));
+            }
+            let params = &mut parsed.params;
+            match flag {
+                QUICK => {}
+                SMOKE => parsed.smoke = true,
+                TICKS => params.ticks = value::<usize>(flag, it.next())?.max(10),
+                TASKS => params.tasks = value::<usize>(flag, it.next())?.max(1),
+                SEED => params.seed = value(flag, it.next())?,
+                MAX_INTERVAL => params.max_interval = value::<u32>(flag, it.next())?.max(1),
+                OUT => parsed.out = PathBuf::from(value::<String>(flag, it.next())?),
+                _ => unreachable!("`accepted` holds only this module's flag constants"),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// [`BenchArgs::parse`] over the process arguments; on error prints
+    /// the message and the accepted flags to stderr and exits 2.
+    pub fn from_env(bin: &str, accepted: &[&str]) -> BenchArgs {
+        BenchArgs::parse(accepted, std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("{bin}: {message}\naccepted flags: {}", accepted.join(" "));
+            std::process::exit(2)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    fn parse(list: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::parse(&SWEEP_FLAGS, list.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults_to_full() {
-        let p = SweepParams::from_args(args(&[]));
-        assert_eq!(p, SweepParams::full());
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.params, SweepParams::full());
+        assert_eq!(args.out, PathBuf::from("reproduction"));
+        assert!(!args.quick && !args.smoke);
     }
 
     #[test]
-    fn quick_flag_switches_profile() {
-        let p = SweepParams::from_args(args(&["--quick"]));
-        assert_eq!(p, SweepParams::quick());
+    fn quick_flag_switches_profile_wherever_it_stands() {
+        let args = parse(&["--ticks", "777", "--quick"]).unwrap();
+        assert!(args.quick);
+        assert_eq!(args.params.ticks, 777);
+        assert_eq!(args.params.patience, SweepParams::quick().patience);
     }
 
     #[test]
     fn explicit_overrides_apply() {
-        let p = SweepParams::from_args(args(&[
-            "--quick", "--ticks", "777", "--tasks", "3", "--seed", "5",
-        ]));
-        assert_eq!(p.ticks, 777);
-        assert_eq!(p.tasks, 3);
-        assert_eq!(p.seed, 5);
+        let args = parse(&[
+            "--quick", "--ticks", "777", "--tasks", "3", "--seed", "5", "--out", "/tmp/x",
+        ])
+        .unwrap();
+        assert_eq!(
+            (args.params.ticks, args.params.tasks, args.params.seed),
+            (777, 3, 5)
+        );
+        assert_eq!(args.out, PathBuf::from("/tmp/x"));
     }
 
     #[test]
-    fn malformed_values_are_ignored() {
-        let p = SweepParams::from_args(args(&["--ticks", "abc"]));
-        assert_eq!(p.ticks, SweepParams::full().ticks);
+    fn malformed_values_are_errors() {
+        assert!(parse(&["--ticks", "abc"]).unwrap_err().contains("`abc`"));
+        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
     }
 
     #[test]
-    fn max_interval_flag_parses() {
-        let p = SweepParams::from_args(args(&["--max-interval", "64"]));
-        assert_eq!(p.max_interval, 64);
-        let floor = SweepParams::from_args(args(&["--max-interval", "0"]));
-        assert_eq!(floor.max_interval, 1);
+    fn unknown_and_unread_flags_are_errors() {
+        assert!(parse(&["--tick", "100"]).unwrap_err().contains("`--tick`"));
+        assert!(parse(&["--smoke"]).unwrap_err().contains("`--smoke`"));
+        let multitask = BenchArgs::parse(&[SMOKE, OUT], ["--smoke".to_string()]).unwrap();
+        assert!(multitask.smoke);
+        assert!(BenchArgs::parse(&[SMOKE, OUT], ["--quick".to_string()]).is_err());
     }
 
     #[test]
     fn floors_enforced() {
-        let p = SweepParams::from_args(args(&["--ticks", "1", "--tasks", "0"]));
-        assert_eq!(p.ticks, 10);
-        assert_eq!(p.tasks, 1);
+        let p = parse(&["--ticks", "1", "--tasks", "0", "--max-interval", "0"])
+            .unwrap()
+            .params;
+        assert_eq!((p.ticks, p.tasks, p.max_interval), (10, 1, 1));
+        assert_eq!(
+            parse(&["--max-interval", "64"])
+                .unwrap()
+                .params
+                .max_interval,
+            64
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Plain-text result tables.
 //!
-//! Every figure binary prints an aligned matrix — rows and columns
-//! labelled with the swept parameters — so the output can be compared
-//! against the paper's chart by eye and parsed by scripts (cells are
-//! whitespace-separated).
+//! The `err × k` tables and the `recovery` / `robustness` binaries
+//! render an aligned matrix — rows and columns labelled with the swept
+//! parameters — so the output can be compared against the paper's chart
+//! by eye and parsed by scripts (cells are whitespace-separated).
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -82,21 +82,6 @@ impl Matrix {
     }
 }
 
-/// Prints a matrix table to stdout (text, then a blank line).
-pub fn print_matrix(matrix: &Matrix) {
-    println!("{}", matrix.render());
-}
-
-/// Formats labels like `0.2%` for selectivity columns.
-pub fn percent_label(value: f64) -> String {
-    format!("{value}%")
-}
-
-/// Formats error-allowance row labels.
-pub fn err_label(value: f64) -> String {
-    format!("{value}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,11 +137,5 @@ mod tests {
             vec!["c".into()],
             vec![vec![1.0, 2.0]],
         );
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(percent_label(0.4), "0.4%");
-        assert_eq!(err_label(0.002), "0.002");
     }
 }

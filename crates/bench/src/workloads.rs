@@ -21,6 +21,13 @@ pub enum TraceFamily {
 }
 
 impl TraceFamily {
+    /// Every family, in the order tables list them.
+    pub const ALL: [TraceFamily; 3] = [
+        TraceFamily::Network,
+        TraceFamily::System,
+        TraceFamily::Application,
+    ];
+
     /// Display name used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -132,11 +139,7 @@ mod tests {
 
     #[test]
     fn generates_requested_shape() {
-        for family in [
-            TraceFamily::Network,
-            TraceFamily::System,
-            TraceFamily::Application,
-        ] {
+        for family in TraceFamily::ALL {
             let set = WorkloadSet::generate(family, &quick());
             assert_eq!(set.len(), 4, "{}", family.name());
             assert!(set.traces().iter().all(|t| t.len() == 300));
@@ -165,11 +168,7 @@ mod tests {
 
     #[test]
     fn traces_contain_finite_values() {
-        for family in [
-            TraceFamily::Network,
-            TraceFamily::System,
-            TraceFamily::Application,
-        ] {
+        for family in TraceFamily::ALL {
             let set = WorkloadSet::generate(family, &quick());
             assert!(set.traces().iter().flatten().all(|v| v.is_finite()));
         }

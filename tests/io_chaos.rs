@@ -7,13 +7,19 @@
 //! fault-free run at the same seed, the degradation section of the
 //! report must show the circuit breakers tripping and re-arming, and
 //! recording must resume after the storm clears.
+//!
+//! Below the runtime, the WAL and the store are driven directly: every
+//! sync policy replays every acknowledged record, a benign `FaultFs` is
+//! indistinguishable from `StdFs`, and a sustained 20% error plan trips
+//! the breakers without costing an acknowledged record.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use volley::core::task::TaskSpec;
-use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan};
-use volley::store::{SampleRecorder, ScanRange, Store, TaskMeta};
+use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan, StdFs, Vfs};
+use volley::runtime::checkpoint::{AppendOutcome, TickOutcome, Wal, WalRecord};
+use volley::store::{Record, RecordKind, SampleRecorder, ScanRange, Store, TaskMeta};
 use volley::TaskRunner;
 use volley_runtime::{FaultPlan, WalSyncPolicy};
 
@@ -180,4 +186,126 @@ fn random_fault_soak_never_perturbs_detection() {
 
     assert_eq!(report.alert_ticks, clean.alert_ticks);
     assert!(report.degradation.io_faults_injected > 0);
+}
+
+/// Appends tick records `0..records` to a fresh WAL at `path` through
+/// `vfs` under `policy`; returns the ticks acknowledged
+/// [`AppendOutcome::Persisted`] and how often the WAL's breaker tripped.
+fn drive_wal(
+    vfs: Arc<dyn Vfs>,
+    path: &std::path::Path,
+    policy: WalSyncPolicy,
+    records: u64,
+) -> (Vec<u64>, u64) {
+    let mut wal = Wal::create_on(vfs, path).unwrap().with_sync_policy(policy);
+    let stats = wal.stats();
+    let acknowledged = (0..records)
+        .filter(|&tick| {
+            let record = WalRecord::Tick(TickOutcome {
+                epoch: 1,
+                tick,
+                polled: tick.is_multiple_of(7),
+                alerted: tick % 50 == 49,
+                local_violations: (tick % 3) as u32,
+            });
+            matches!(wal.append(&record), Ok(AppendOutcome::Persisted))
+        })
+        .collect();
+    (
+        acknowledged,
+        stats.trips.load(std::sync::atomic::Ordering::Relaxed),
+    )
+}
+
+/// The ticks a replay of `path` restores, in log order.
+fn replayed_ticks(path: &std::path::Path) -> Vec<u64> {
+    let replay = Wal::replay(path).unwrap();
+    assert_eq!(replay.records as usize, replay.tail.len(), "ticks only");
+    replay.tail.iter().map(|o| o.tick).collect()
+}
+
+#[test]
+fn every_sync_policy_and_a_benign_faultfs_replay_all_records() {
+    const RECORDS: u64 = 2_000;
+    let dir = scratch("policies");
+    let all: Vec<u64> = (0..RECORDS).collect();
+    for (name, policy) in [
+        ("never", WalSyncPolicy::Never),
+        ("on-snapshot", WalSyncPolicy::OnSnapshot),
+        ("every-8", WalSyncPolicy::EveryN(8)),
+        ("every-1", WalSyncPolicy::EveryN(1)),
+    ] {
+        let path = dir.join(format!("{name}.wal"));
+        let (acknowledged, trips) = drive_wal(Arc::new(StdFs), &path, policy, RECORDS);
+        assert_eq!(acknowledged, all, "{name}: every append acknowledged");
+        assert_eq!(replayed_ticks(&path), all, "{name}: every record replays");
+        assert_eq!(trips, 0, "{name}");
+    }
+
+    // All rates zero, no window: the fault layer must be a passthrough.
+    let benign = FaultFs::new(IoFaultPlan::new(7));
+    let injected = benign.stats();
+    let path = dir.join("benign.wal");
+    let (acknowledged, _) = drive_wal(Arc::new(benign), &path, WalSyncPolicy::EveryN(64), RECORDS);
+    assert_eq!(injected.total(), 0, "a benign plan injects nothing");
+    assert_eq!(acknowledged, all);
+    assert_eq!(replayed_ticks(&path), all, "a benign FaultFs loses nothing");
+}
+
+#[test]
+fn error_soak_trips_breakers_keeps_acknowledged_wal_and_seals_store() {
+    const RECORDS: u64 = 2_000;
+    let dir = scratch("error-soak");
+    let plan = IoFaultPlan::new(21)
+        .with_error_rate(0.2)
+        .with_torn_writes(0.1);
+
+    // WAL: faults cost unacknowledged records, never acknowledged ones,
+    // and replay never invents or reorders.
+    let wal_fs = FaultFs::new(plan.clone());
+    let wal_faults = wal_fs.stats();
+    let path = dir.join("soak.wal");
+    let (acknowledged, trips) =
+        drive_wal(Arc::new(wal_fs), &path, WalSyncPolicy::EveryN(1), RECORDS);
+    assert!(wal_faults.total() > 0, "the plan injected WAL faults");
+    assert!(trips >= 1, "sustained errors trip the WAL breaker");
+    assert!(!acknowledged.is_empty(), "the soak is not a total outage");
+    let replayed = replayed_ticks(&path);
+    assert!(replayed.windows(2).all(|w| w[0] < w[1]), "{replayed:?}");
+    assert!(replayed.iter().all(|t| *t < RECORDS));
+    let mut cursor = replayed.iter();
+    for tick in &acknowledged {
+        assert!(cursor.any(|r| r == tick), "acknowledged tick {tick} lost");
+    }
+
+    // Store: the breaker trips and sheds, and what was sealed is a
+    // scannable, uncorrupted subset once the filesystem heals.
+    let store_fs = FaultFs::new(plan);
+    let store_faults = store_fs.stats();
+    let store_dir = dir.join("soak-store");
+    let mut store = Store::open_on(Arc::new(store_fs), &store_dir)
+        .unwrap()
+        .with_flush_limits(64, u64::MAX);
+    for tick in 0..RECORDS {
+        let _ = store.append(Record {
+            task: 0,
+            monitor: 0,
+            kind: RecordKind::Sample,
+            tick,
+            value: tick as f64,
+        });
+    }
+    assert!(store_faults.total() > 0, "the plan injected store faults");
+    assert!(
+        store.trips() >= 1,
+        "sustained errors trip the store breaker"
+    );
+    drop(store);
+    let healed = Store::open(&store_dir).unwrap();
+    let sealed: Vec<Record> = healed.scan(&ScanRange::all()).unwrap().collect();
+    assert!(!sealed.is_empty(), "segments sealed between faults survive");
+    assert!(sealed.windows(2).all(|w| w[0].tick < w[1].tick));
+    assert!(sealed
+        .iter()
+        .all(|r| r.tick < RECORDS && r.value == r.tick as f64));
 }

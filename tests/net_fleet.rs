@@ -86,21 +86,29 @@ fn net_run(
     (outcome, reports)
 }
 
-#[test]
-fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
-    let n = 24usize;
-    let task = spec(n, 0.01);
-    let traces = bursty_traces(n, 150);
+/// One fleet size of the TCP parity bar: `monitors` actors multiplexed
+/// over `agents` localhost connections must report bit-for-bit what the
+/// channel-based `TaskRunner` reports on the same workload. Both sides
+/// get the same generous deadline — at 10k monitors the OS cannot
+/// schedule every monitor thread inside the default window, and a miss
+/// on either side would (correctly) break parity by counting monitors
+/// degraded.
+fn tcp_parity(monitors: usize, agents: u32, ticks: usize) {
+    let task = spec(monitors, 0.01);
+    let traces = bursty_traces(monitors, ticks);
+    let deadline = Duration::from_secs(10);
     let baseline = TaskRunner::new(&task)
         .unwrap()
+        .with_tick_deadline(deadline)
         .run(&traces)
         .expect("in-process run succeeds");
 
     let coordinator = NetCoordinator::bind(task.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))
         .unwrap()
-        .with_wait_timeout(Duration::from_secs(10));
+        .with_wait_timeout(Duration::from_secs(60))
+        .with_tick_deadline(deadline);
     let addr = NetAddr::Tcp(coordinator.local_addr().unwrap().to_string());
-    let (outcome, reports) = net_run(coordinator, &addr, &task, &traces, n as u32, 6);
+    let (outcome, reports) = net_run(coordinator, &addr, &task, &traces, monitors as u32, agents);
 
     assert_eq!(
         outcome.report, baseline,
@@ -111,6 +119,20 @@ fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
     assert_eq!(outcome.net.malformed_frames, 0);
     let sent: u64 = reports.iter().map(|r| r.frames_sent).sum();
     assert_eq!(sent, outcome.net.frames_in, "every agent frame arrived");
+}
+
+#[test]
+fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
+    tcp_parity(24, 6, 150);
+}
+
+/// The acceptance bar of the networked deployment: a 10k-monitor fleet
+/// over 250 connections (≈ 27 s in release, most of it the 10 000-thread
+/// in-process baseline). CI's `net-smoke` runs it with `--ignored`.
+#[test]
+#[ignore = "10 000 monitor threads; run in release with --ignored"]
+fn tcp_fleet_matches_in_process_runner_at_10k_monitors() {
+    tcp_parity(10_000, 250, 60);
 }
 
 #[cfg(unix)]

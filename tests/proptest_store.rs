@@ -6,7 +6,9 @@
 //! invent records. A live [`Store`] driven through a fault-injecting
 //! filesystem upholds the same contract: injected write faults never
 //! panic recovery and never lose a record covered by a successful
-//! flush.
+//! flush. One fixed-input case beside the properties pins what the codec
+//! is *for*: a realistic recording compresses at least 2× and scans
+//! back exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,6 +62,56 @@ fn build_records(raw: &[(u8, u8, u64)]) -> Vec<Record> {
 /// Bit-exact record comparison (`PartialEq` would treat NaN ≠ NaN).
 fn same_record(a: &Record, b: &Record) -> bool {
     a.sort_key() == b.sort_key() && a.value.to_bits() == b.value.to_bits()
+}
+
+/// The store's production shape — monotone ticks per series, AR(1)
+/// system-metric values quantized to the 2⁻⁷ ≈ 0.01 grid a fixed-point
+/// agent encoding ships — must seal to at most half the 16 B/record of
+/// a naive tick+value row format, and a scan of the sealed store must
+/// return exactly what was appended, twice over.
+#[test]
+fn sysmetrics_recording_compresses_2x_and_scans_back_exactly() {
+    const MONITORS: usize = 4;
+    const TICKS: usize = 4_000;
+    const QUANT: f64 = 128.0;
+    let generator = volley::traces::sysmetrics::SystemMetricsGenerator::new(20_130_708);
+    let mut appended = Vec::with_capacity(MONITORS * TICKS);
+    for monitor in 0..MONITORS {
+        let trace = generator.trace(monitor / 66, monitor % 66, TICKS);
+        appended.extend(trace.iter().enumerate().map(|(tick, v)| Record {
+            task: 0,
+            monitor: monitor as u32,
+            kind: RecordKind::Sample,
+            tick: tick as u64,
+            value: (v * QUANT).round() / QUANT,
+        }));
+    }
+
+    let dir = case_dir("volley-store-ratio");
+    let mut store = Store::open(&dir).unwrap();
+    // Tick-major, as a live fleet appends.
+    for tick in 0..TICKS {
+        for monitor in 0..MONITORS {
+            store.append(appended[monitor * TICKS + tick]).unwrap();
+        }
+    }
+    store.flush().unwrap();
+
+    let stored_bytes: u64 = store
+        .segments()
+        .unwrap()
+        .iter()
+        .map(|(_, path)| std::fs::metadata(path).unwrap().len())
+        .sum();
+    let ratio = (appended.len() * 16) as f64 / stored_bytes as f64;
+    assert!(ratio >= 2.0, "compression {ratio:.2}x below 2x");
+
+    let scan = || -> Vec<Record> { store.scan(&ScanRange::all()).unwrap().collect() };
+    let mut first = scan();
+    assert_eq!(first, scan(), "two scans of the sealed store agree");
+    first.sort_by_key(|r| (r.monitor, r.tick));
+    assert_eq!(first, appended, "scan returns exactly what was appended");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -65,9 +65,21 @@ fn reference_run(spec: &TaskSpec, traces: &[Vec<f64>]) -> (Vec<u64>, u64) {
 
 #[test]
 fn exact_parity_across_seeds_and_sizes() {
-    for (monitors, seed) in [(2usize, 1u64), (3, 2), (5, 3)] {
+    let even = |monitors: usize| spec(monitors, 60.0 * monitors as f64, 0.02);
+    // Uneven local thresholds carried by the spec itself (a proportional
+    // split), as a deployment with per-monitor selectivity builds it.
+    let weighted = TaskSpec::builder(240.0)
+        .threshold_split(volley::core::ThresholdSplit::Proportional)
+        .threshold_weights(vec![1.0, 2.0, 3.0, 2.0])
+        .error_allowance(0.02)
+        .max_interval(8)
+        .patience(5)
+        .warmup_samples(3)
+        .build()
+        .expect("valid spec");
+    for (spec, seed) in [(even(2), 1u64), (even(3), 2), (even(5), 3), (weighted, 4)] {
+        let monitors = spec.monitors().len();
         let traces = traces(monitors, 1200, seed);
-        let spec = spec(monitors, 60.0 * monitors as f64, 0.02);
         let (ref_alerts, ref_samples) = reference_run(&spec, &traces);
         let report = TaskRunner::new(&spec)
             .expect("valid runner")
