@@ -173,11 +173,12 @@ pub enum WalRecord {
 
 /// Encodes one record into its framed on-disk form.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let payload = serde_json::to_vec(record).expect("WAL records always serialize");
-    let mut framed = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-    framed.extend_from_slice(&payload);
+    // The payload is written in place behind a header filled in after it.
+    let mut framed = vec![0u8; FRAME_OVERHEAD];
+    serde_json::to_writer(&mut framed, record).expect("WAL records always serialize");
+    let (header, payload) = framed.split_at_mut(FRAME_OVERHEAD);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     framed
 }
 

@@ -168,6 +168,12 @@ struct Liveness {
     /// [`mark_reviving`](Self::mark_reviving) grew the awaited set since
     /// a collection last counted it.
     awaited_grew: bool,
+    /// Per-round scratch, reset where its phase starts (kept here so a
+    /// tick allocates none of it): who reported this tick, whom the poll
+    /// waits for, who answered it.
+    seen: Vec<bool>,
+    awaiting: Vec<bool>,
+    replied: Vec<bool>,
 }
 
 impl Liveness {
@@ -181,6 +187,9 @@ impl Liveness {
             stale_epoch: 0,
             needs_epoch: vec![false; monitors],
             awaited_grew: false,
+            seen: vec![false; monitors],
+            awaiting: vec![false; monitors],
+            replied: vec![false; monitors],
         }
     }
 
@@ -538,7 +547,7 @@ impl CoordinatorActor {
         // throttles the loop and gives `Revived` notices a chance to
         // arrive.
         let deadline = Instant::now() + self.tick_deadline;
-        let mut seen = vec![false; n];
+        live.seen.fill(false);
         let mut round_tick: Option<Tick> = None;
         let mut scheduled = 0u32;
         let mut violations = 0u32;
@@ -562,7 +571,7 @@ impl CoordinatorActor {
             }
             let (awaited_count, outstanding) = *waiting.get_or_insert_with(|| {
                 let awaited_count = (0..n).filter(|&i| awaited(live, i)).count();
-                let reported = (0..n).filter(|&i| awaited(live, i) && seen[i]).count();
+                let reported = (0..n).filter(|&i| awaited(live, i) && live.seen[i]).count();
                 (awaited_count, awaited_count - reported)
             });
             if awaited_count > 0 && outstanding == 0 {
@@ -609,10 +618,10 @@ impl CoordinatorActor {
                 }
                 Some(_) => {}
             }
-            if seen[idx] {
+            if live.seen[idx] {
                 continue; // duplicated frame
             }
-            seen[idx] = true;
+            live.seen[idx] = true;
             if let Some((_, outstanding)) = waiting.as_mut() {
                 if !live.awaited_grew && live.awaited(idx) && self.reachable(idx, expect) {
                     *outstanding -= 1;
@@ -662,7 +671,7 @@ impl CoordinatorActor {
 
         // Deadline bookkeeping: missed reports, quarantine decisions.
         let mut missing_reports = 0u32;
-        for (idx, &seen_this_round) in seen.iter().enumerate() {
+        for idx in 0..n {
             if live.quarantined[idx] {
                 missing_reports += 1;
                 // A reviving monitor that keeps missing deadlines loses
@@ -675,7 +684,7 @@ impl CoordinatorActor {
                 }
                 continue;
             }
-            if seen_this_round {
+            if live.seen[idx] {
                 continue;
             }
             missing_reports += 1;
@@ -709,23 +718,27 @@ impl CoordinatorActor {
             // shared with the injection sites, so predicting them here
             // changes nothing about outcomes — it only avoids pointless
             // deadline waits).
-            let mut awaiting = vec![false; n];
+            live.awaiting.fill(false);
+            live.replied.fill(false);
             let poll = ControlFrame::seal(self.epoch, CoordinatorToMonitor::Poll { tick });
-            for idx in 0..n {
+            // Awaited monitors yet to answer, kept by decrement (a recount
+            // per reply is O(n²) a polled tick).
+            let mut outstanding = 0usize;
+            for (idx, link) in to_monitors.iter().enumerate().take(n) {
                 if !live.active(idx) || !self.reachable(idx, tick) {
                     continue; // unreachable; aggregate at T_i
                 }
                 let monitor = MonitorId(idx as u32);
-                if !to_monitors[idx].send(poll.clone()) {
+                if !link.send(poll.clone()) {
                     continue; // monitor process gone; aggregate at T_i
                 }
-                awaiting[idx] = !self.faults.drops(FaultPath::PollReply, monitor, tick)
+                live.awaiting[idx] = !self.faults.drops(FaultPath::PollReply, monitor, tick)
                     && !self.faults.delays(monitor, tick);
+                outstanding += usize::from(live.awaiting[idx]);
             }
             let mut aggregate = 0.0;
-            let mut replied = vec![false; n];
             let poll_deadline = Instant::now() + self.tick_deadline;
-            while !(0..n).all(|i| !awaiting[i] || replied[i]) {
+            while outstanding > 0 {
                 let Some(msg) = self.recv_msg(live, from_monitors, poll_deadline)? else {
                     break;
                 };
@@ -739,13 +752,16 @@ impl CoordinatorActor {
                     continue;
                 };
                 let idx = monitor.0 as usize;
-                if idx >= n || t != tick || replied[idx] {
+                if idx >= n || t != tick || live.replied[idx] {
                     continue; // stale, foreign or duplicated reply
                 }
                 if self.faults.drops(FaultPath::PollReply, monitor, tick) {
                     continue; // the network ate this reply
                 }
-                replied[idx] = true;
+                live.replied[idx] = true;
+                if live.awaiting[idx] {
+                    outstanding -= 1;
+                }
                 aggregate += value;
                 if forced_sample {
                     poll_samples += 1;
@@ -754,7 +770,7 @@ impl CoordinatorActor {
             // Degraded aggregation: every monitor that did not answer is
             // counted at its local threshold T_i — the largest value it
             // could hold without having reported a local violation.
-            for (idx, &got_reply) in replied.iter().enumerate() {
+            for (idx, &got_reply) in live.replied.iter().enumerate() {
                 if !got_reply {
                     aggregate += self.local_thresholds[idx];
                     degraded = true;

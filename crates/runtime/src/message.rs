@@ -6,7 +6,21 @@
 //! line-delimited JSON over a [`bytes::Bytes`] buffer — chosen for
 //! debuggability (the paper's prototype likewise shipped human-readable
 //! reports between bash-driven monitors and coordinators).
-
+//!
+//! ## What a frame costs
+//!
+//! [`encode`] / [`encode_into`] / [`decode`] / [`decode_line`] and the
+//! `seal`s run the serde stand-in's *streaming* path: the derives write
+//! each message's text straight into the byte buffer (static key
+//! literals, no intermediate tree) and read it straight off the input
+//! (keys matched where they lie, nothing allocated but the message's own
+//! vectors). There is no per-frame fast path here and none is needed —
+//! the generic functions are the fast ones, for every message type, and
+//! stay the ones the benchmark ledger times. `serde::Value` is only
+//! built by callers that want a document (reports, the serve plane); it
+//! is also the oracle `tests/proptest_messages.rs` holds every frame's
+//! bytes and every decoder verdict to.
+//!
 //! ## Epoch fencing
 //!
 //! With a warm-standby coordinator, frames from a deposed coordinator
@@ -267,13 +281,31 @@ pub fn encode<M: Serialize>(message: &M) -> Bytes {
     Bytes::from(buf)
 }
 
+/// Appends exactly the bytes of [`encode`] to `out`: for senders that
+/// batch frames into one write buffer (or reuse one scratch buffer)
+/// instead of allocating a [`Bytes`] per frame.
+pub fn encode_into<M: Serialize>(message: &M, out: &mut Vec<u8>) {
+    serde_json::to_writer(out, message).expect("protocol messages serialize");
+    out.push(b'\n');
+}
+
 /// Decodes a message produced by [`encode`].
 ///
 /// # Errors
 ///
 /// Returns a JSON error for malformed frames.
 pub fn decode<M: for<'de> Deserialize<'de>>(frame: &Bytes) -> Result<M, serde_json::Error> {
-    serde_json::from_slice(frame)
+    decode_line(frame)
+}
+
+/// [`decode`] for a frame still sitting in a read buffer (see
+/// [`FrameBuffer::next_line`](crate::net::FrameBuffer::next_line)).
+///
+/// # Errors
+///
+/// Returns a JSON error for malformed frames.
+pub fn decode_line<M: for<'de> Deserialize<'de>>(line: &[u8]) -> Result<M, serde_json::Error> {
+    serde_json::from_slice(line)
 }
 
 #[cfg(test)]
@@ -294,6 +326,38 @@ mod tests {
         assert_eq!(frame.last(), Some(&b'\n'));
         let back: MonitorToCoordinator = decode(&frame).unwrap();
         assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_what_encode_returns() {
+        let frames = [
+            MonitorFrame {
+                epoch: 3,
+                msg: MonitorToCoordinator::Revived {
+                    monitor: MonitorId(9),
+                },
+            },
+            MonitorFrame {
+                epoch: u64::MAX,
+                msg: MonitorToCoordinator::PollReply {
+                    monitor: MonitorId(0),
+                    tick: 5,
+                    value: -1.25e-3,
+                    forced_sample: true,
+                },
+            },
+        ];
+        let mut batch = Vec::new();
+        let mut expected = Vec::new();
+        for frame in &frames {
+            encode_into(frame, &mut batch);
+            expected.extend_from_slice(&encode(frame));
+        }
+        assert_eq!(batch, expected);
+        let lines: Vec<&[u8]> = batch.split_inclusive(|&b| b == b'\n').collect();
+        for (line, frame) in lines.iter().zip(&frames) {
+            assert_eq!(&decode_line::<MonitorFrame>(line).unwrap(), frame);
+        }
     }
 
     #[test]

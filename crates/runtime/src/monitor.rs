@@ -11,7 +11,7 @@ use volley_store::SampleRecorder;
 use crate::failure::FaultPlan;
 use crate::link::MonitorLink;
 use crate::message::{
-    decode, encode, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator,
+    decode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator,
     TickData,
 };
 use crate::session::fresh_sampler;
@@ -20,7 +20,7 @@ use crate::session::fresh_sampler;
 /// protocol over byte-framed channels.
 ///
 /// The actor is transport-agnostic: it speaks [`Bytes`] frames produced by
-/// [`encode`], so the crossbeam channels used here
+/// [`encode`](crate::message::encode), so the crossbeam channels used here
 /// could be replaced by sockets without changing the actor.
 ///
 /// An installed [`FaultPlan`] lets the run loop impersonate a faulty
@@ -414,6 +414,12 @@ impl MonitorActor {
         // fault decisions (stall/partition windows, delay/duplicate lanes)
         // key on.
         let mut last_tick = 0u64;
+        // Replies are encoded into one reused buffer; only the frame that
+        // crosses the channel is allocated. The buffer stays frame-sized: a
+        // one-off snapshot reply must not pin its kilobyte on every monitor
+        // thread for the rest of the run.
+        const REPLY_SCRATCH: usize = 256;
+        let mut scratch: Vec<u8> = Vec::new();
         while let Ok(bytes) = inbox.recv() {
             let frame: ControlFrame = match decode(&bytes) {
                 Ok(m) => m,
@@ -436,7 +442,10 @@ impl MonitorActor {
             }
             let (reply, terminate) = self.handle_frame(frame);
             if let Some(reply) = reply {
-                let frame = encode(&reply);
+                scratch.clear();
+                scratch.shrink_to(REPLY_SCRATCH);
+                encode_into(&reply, &mut scratch);
+                let frame = Bytes::copy_from_slice(&scratch);
                 if self.faults.delays(self.id, last_tick) {
                     // Hold this reply; anything already held goes out now,
                     // behind schedule.

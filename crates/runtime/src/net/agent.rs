@@ -26,7 +26,7 @@ use serde::Serialize;
 use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 
-use crate::message::{encode, MonitorFrame, MonitorToCoordinator};
+use crate::message::{decode_line, encode_into, MonitorFrame, MonitorToCoordinator};
 use crate::monitor::MonitorActor;
 use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
@@ -177,16 +177,20 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
             monitors: actors.iter().map(|(actor, _)| actor.id().0).collect(),
             epoch,
         };
-        let mut wbuf: Vec<u8> = encode(&hello).to_vec();
+        // One write buffer per connection: frames are encoded in place
+        // and leave in batches.
+        let mut wbuf: Vec<u8> = Vec::new();
+        encode_into(&hello, &mut wbuf);
         let mut revived = 0u64;
         for (actor, alive) in &actors {
             if *alive {
-                wbuf.extend_from_slice(&MonitorFrame::seal(
-                    actor.epoch(),
-                    MonitorToCoordinator::Revived {
+                let notice = MonitorFrame {
+                    epoch: actor.epoch(),
+                    msg: MonitorToCoordinator::Revived {
                         monitor: actor.id(),
                     },
-                ));
+                };
+                encode_into(&notice, &mut wbuf);
                 revived += 1;
             }
         }
@@ -202,14 +206,15 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
         loop {
             // Drain every complete frame before touching the socket again.
             loop {
-                let line = match frames.next_frame() {
+                // Decoded where it lies in the read buffer: no copy.
+                let line = match frames.next_line() {
                     Ok(Some(line)) => line,
                     Ok(None) => break,
                     // Oversized/garbled server frame: drop the connection
                     // and re-handshake on a clean buffer.
                     Err(_) => continue 'outer,
                 };
-                let frame: ServerFrame = match crate::message::decode(&line) {
+                let frame: ServerFrame = match decode_line(line) {
                     Ok(frame) => frame,
                     Err(_) => continue 'outer,
                 };
@@ -228,7 +233,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
                 }
                 let (reply, terminate) = slot.0.handle_frame(control);
                 if let Some(msg) = reply {
-                    wbuf.extend_from_slice(&encode(&msg));
+                    encode_into(&msg, &mut wbuf);
                     report.frames_sent += 1;
                 }
                 if terminate {

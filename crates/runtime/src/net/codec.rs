@@ -65,6 +65,17 @@ impl FrameBuffer {
     /// buffer is poisoned after an error; the connection should be
     /// closed, exactly as the blocking reader's callers do.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, VolleyError> {
+        Ok(self.next_line()?.map(Bytes::copy_from_slice))
+    }
+
+    /// [`next_frame`](Self::next_frame) without the copy: the frame is
+    /// borrowed from the buffer, valid until the next call. For callers
+    /// that decode a frame on the spot instead of forwarding it.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_frame`](Self::next_frame).
+    pub fn next_line(&mut self) -> Result<Option<&[u8]>, VolleyError> {
         match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
             Some(offset) => {
                 let newline = self.scanned + offset;
@@ -75,10 +86,10 @@ impl FrameBuffer {
                         max_size: self.max_frame,
                     });
                 }
-                let frame = Bytes::copy_from_slice(&self.buf[self.start..=newline]);
+                let line = &self.buf[self.start..=newline];
                 self.start = newline + 1;
                 self.scanned = self.start;
-                Ok(Some(frame))
+                Ok(Some(line))
             }
             None => {
                 self.scanned = self.buf.len();
@@ -135,6 +146,19 @@ mod tests {
         assert_eq!(&*fb.next_frame().unwrap().unwrap(), b"bb\n");
         assert_eq!(&*fb.next_frame().unwrap().unwrap(), b"ccc\n");
         assert!(fb.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn borrowed_lines_match_copied_frames() {
+        let wire = b"{\"a\":1}\n\nbb\n{\"tick\":";
+        let (mut copied, mut borrowed) = (FrameBuffer::new(64), FrameBuffer::new(64));
+        copied.extend(wire);
+        borrowed.extend(wire);
+        while let Some(frame) = copied.next_frame().unwrap() {
+            assert_eq!(borrowed.next_line().unwrap(), Some(&frame[..]));
+        }
+        assert_eq!(borrowed.next_line().unwrap(), None);
+        assert_eq!(borrowed.pending(), copied.pending());
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //!   already carry their `monitor` id, so no re-encoding happens on the
 //!   hot path.
 //! - **coordinator → agent**: every line is a [`ServerFrame`] — either a
-//!   [`ServerFrame::Welcome`] answering a hello with the current epoch,
-//!   or a [`ServerFrame::Ctl`] wrapping one control frame with the
+//!   [`ServerFrame::Welcome`] acknowledging a hello, or a
+//!   [`ServerFrame::Ctl`] wrapping one control frame with the
 //!   destination monitor id.
 //!
 //! [`ctl_line`] builds the `Ctl` envelope by textual splice around the
 //! already-encoded control frame instead of decode → wrap → re-encode;
 //! a unit test pins the splice to the derive-generated encoding so any
-//! format drift fails loudly.
+//! format drift fails loudly. It is the only hand-spelled JSON in the
+//! workspace's non-test code (a second test keeps it so): every other
+//! frame gets its text from the derives' streaming `write_json`.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -37,18 +39,23 @@ pub struct AgentHello {
     /// Monitor ids hosted behind this connection. On reconnect the new
     /// connection's routes override any stale ones for the same ids.
     pub monitors: Vec<u32>,
-    /// Highest epoch the agent's monitors have observed; the coordinator
-    /// answers with its own epoch in [`ServerFrame::Welcome`].
+    /// Highest epoch the agent's monitors have observed. Informational:
+    /// the coordinator acknowledges with [`ServerFrame::Welcome`] and
+    /// re-fences stale monitors through `NewEpoch` control frames.
     pub epoch: u64,
 }
 
 /// Frames the coordinator writes to an agent socket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerFrame {
-    /// Acknowledges an [`AgentHello`], carrying the coordinator's epoch
-    /// so a reconnecting agent can fence itself forward immediately.
+    /// Acknowledges an [`AgentHello`]: the handshake ack, nothing more.
+    /// The server always sends epoch 0 and the agent ignores the field —
+    /// a monitor only ever raises its epoch on
+    /// [`CoordinatorToMonitor::NewEpoch`](crate::message::CoordinatorToMonitor::NewEpoch),
+    /// which the coordinator sends to any monitor whose frames arrive
+    /// stale.
     Welcome {
-        /// The coordinator's current epoch.
+        /// Reserved; 0 on the wire today.
         epoch: u64,
     },
     /// One control frame addressed to one hosted monitor.
@@ -111,7 +118,9 @@ mod tests {
     #[test]
     fn ctl_splice_matches_derived_encoding() {
         // The splice must be byte-identical to encoding the enum the slow
-        // way, for every control message shape that crosses the wire.
+        // way — which is the derive's *streamed* `write_json`, itself held
+        // to the `Value` tree's rendering here — for every control message
+        // shape that crosses the wire.
         let seal = |epoch, msg| ControlFrame { epoch, msg };
         let frames = vec![
             seal(
@@ -121,17 +130,35 @@ mod tests {
                     value: 17.5,
                 }),
             ),
+            seal(
+                u64::MAX,
+                CoordinatorToMonitor::Tick(TickData {
+                    tick: u64::MAX,
+                    value: -3.0,
+                }),
+            ),
             seal(2, CoordinatorToMonitor::Poll { tick: 7 }),
             seal(1, CoordinatorToMonitor::SetAllowance { err: 0.0125 }),
             seal(5, CoordinatorToMonitor::NewEpoch { epoch: 6 }),
+            seal(3, CoordinatorToMonitor::SetGate { interval: Some(8) }),
+            seal(3, CoordinatorToMonitor::SetGate { interval: None }),
             seal(0, CoordinatorToMonitor::RequestReport),
             seal(0, CoordinatorToMonitor::Shutdown),
         ];
         for frame in frames {
             let control = encode(&frame);
             let spliced = ctl_line(31, &control);
-            let derived = encode(&ServerFrame::Ctl { to: 31, frame });
+            let wrapped = ServerFrame::Ctl { to: 31, frame };
+            let derived = encode(&wrapped);
             assert_eq!(spliced, derived, "splice drifted from derive for {frame:?}");
+            let mut tree = Vec::new();
+            serde::json::write_value(&wrapped.to_value(), &mut tree, None);
+            tree.push(b'\n');
+            assert_eq!(
+                &spliced[..],
+                &tree[..],
+                "streamed encoding drifted from the tree's"
+            );
             // And the result decodes back to the same control frame.
             match decode::<ServerFrame>(&spliced).unwrap() {
                 ServerFrame::Ctl { to, frame: back } => {
@@ -141,6 +168,64 @@ mod tests {
                 other => panic!("expected Ctl, got {other:?}"),
             }
         }
+    }
+
+    /// The drift guard for the wire format: [`ctl_line`] is the only
+    /// hand-spelled JSON in any crate's non-test code. Every other frame,
+    /// record and report gets its text from the derives, so a new
+    /// `"{\"epoch\":…"`-style fast path cannot quietly grow beside them.
+    #[test]
+    fn ctl_line_is_the_only_hand_spliced_json() {
+        use std::path::{Path, PathBuf};
+        fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).expect("readable dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    sources(&path, out);
+                } else if path.extension().is_some_and(|ext| ext == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(crates).expect("readable crates dir") {
+            sources(&entry.expect("dir entry").path().join("src"), &mut files);
+        }
+        assert!(files.len() > 50, "walked {} sources", files.len());
+        // An object opening on a quoted key: `{\"key\":` inside a string
+        // or byte-string literal, `{"key":` inside a raw one.
+        let opens_object = |line: &str| {
+            [("{\\\"", "\\\":"), ("{\"", "\":")]
+                .iter()
+                .any(|(open, close)| {
+                    line.match_indices(open).any(|(at, _)| {
+                        let rest = &line[at + open.len()..];
+                        let key =
+                            rest.trim_start_matches(|c: char| c.is_alphanumeric() || c == '_');
+                        key.len() < rest.len() && key.starts_with(close)
+                    })
+                })
+        };
+        let mut spliced = Vec::new();
+        for path in files {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let code = &text[..text.find("#[cfg(test)]").unwrap_or(text.len())];
+            for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+                if opens_object(line) {
+                    let file = path.strip_prefix(crates).unwrap().display().to_string();
+                    spliced.push((file, line.trim().to_string()));
+                }
+            }
+        }
+        assert_eq!(
+            spliced,
+            [(
+                "runtime/src/net/wire.rs".to_string(),
+                "out.extend_from_slice(b\"{\\\"Ctl\\\":{\\\"to\\\":\");".to_string()
+            )],
+            "hand-spelled JSON outside `ctl_line`"
+        );
     }
 
     #[test]

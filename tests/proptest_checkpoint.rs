@@ -6,6 +6,15 @@
 //! a fault-injecting filesystem upholds the same contract end to end:
 //! torn, short, errored and unsynced writes never panic recovery and
 //! never lose a record whose append was acknowledged as persisted.
+//!
+//! Snapshots and WAL payloads are JSON written and read by the serde
+//! stand-in's streaming path; [`differential::check`] holds it to the
+//! `Value`-tree path on each of them (same bytes, and the same verdict on
+//! every corruption), so logs written before the streaming path existed
+//! replay unchanged.
+
+#[path = "../vendor/serde_json/tests/differential/mod.rs"]
+mod differential;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,6 +105,7 @@ proptest! {
         let json = serde_json::to_string(&snap).unwrap();
         let back: StatsSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, snap);
+        differential::check(&snap);
     }
 
     /// `DeltaTracker` round-trips, including the cached last sample.
@@ -116,6 +126,7 @@ proptest! {
         let json = serde_json::to_string(&snap).unwrap();
         let back: DeltaSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, snap);
+        differential::check(&snap);
     }
 
     /// A sampler under the exponentially-forgetting estimator → snapshot →
@@ -132,6 +143,8 @@ proptest! {
         let json = serde_json::to_string(&snap).unwrap();
         let back: SamplerSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, snap);
+        differential::check(&snap);
+        differential::check(&snap);
     }
 
     /// A sampler grown through arbitrary-length real runs round-trips its
@@ -148,6 +161,8 @@ proptest! {
         let json = serde_json::to_string(&snap).unwrap();
         let back: SamplerSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, snap);
+        differential::check(&snap);
+        differential::check(&snap);
     }
 
     /// A well-formed WAL stream decodes back to exactly the records that
@@ -170,6 +185,11 @@ proptest! {
         for t in 0..ticks_after {
             bytes.extend(encode_record(&tick_record(epoch, ticks_before + 1 + t, 0)));
         }
+
+        differential::check(&snap);
+        differential::check(&tick_record(epoch, ticks_before, ticks_after as u32));
+        // A record's payload is the plain encoding behind the frame header.
+        prop_assert_eq!(&encode_record(&snap)[8..], &serde_json::to_vec(&snap).unwrap()[..]);
 
         let replay = decode_records(&bytes);
         prop_assert!(!replay.truncated);

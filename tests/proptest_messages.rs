@@ -1,6 +1,16 @@
 //! Property tests of the wire protocol: every message variant survives an
 //! encode/decode round trip, and the decoder never panics on arbitrary or
 //! truncated input — a hostile peer can at worst produce a decode error.
+//!
+//! Every round trip is also a differential test of the codec itself:
+//! frames are written and read by the serde stand-in's streaming path,
+//! and [`differential::check`] holds that path to the `Value`-tree path —
+//! byte-identical encoding, and the same verdict (same value, or an error
+//! from both) on the frame and on every truncation, bit flip, key
+//! reordering, duplicate key, unknown key and whitespace padding of it.
+
+#[path = "../vendor/serde_json/tests/differential/mod.rs"]
+mod differential;
 
 use proptest::prelude::*;
 
@@ -11,9 +21,10 @@ use volley::core::task::MonitorId;
 use volley::core::Interval;
 use volley::core::{AdaptationConfig, AdaptiveSampler};
 use volley::runtime::message::{
-    decode, encode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
-    MonitorToCoordinator, TickData, TickSummary,
+    decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor,
+    CoordinatorToRunner, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
+use volley::runtime::net::{AgentHello, ServerFrame};
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
 /// through the real sampler so every invariant the restore path expects
@@ -36,6 +47,27 @@ where
     assert_eq!(frame.last(), Some(&b'\n'), "frames are newline-terminated");
     let back: M = decode(&frame).expect("round trip decodes");
     assert_eq!(&back, msg);
+    // The in-place variants are the same codec: same bytes, same value.
+    let mut batched = b"earlier frame\n".to_vec();
+    encode_into(msg, &mut batched);
+    assert_eq!(batched, [b"earlier frame\n", &frame[..]].concat());
+    assert_eq!(
+        &decode_line::<M>(&frame).expect("borrowed line decodes"),
+        msg
+    );
+    differential::check(msg);
+}
+
+/// [`round_trip`] inside both epoch envelopes' worth of nesting: the
+/// frames as they actually cross a socket.
+fn sealed_round_trip(epoch: u64, msg: MonitorToCoordinator) {
+    round_trip(&MonitorFrame { epoch, msg });
+}
+
+fn control_round_trip(epoch: u64, to: u32, msg: CoordinatorToMonitor) {
+    let frame = ControlFrame { epoch, msg };
+    round_trip(&frame);
+    round_trip(&ServerFrame::Ctl { to, frame });
 }
 
 proptest! {
@@ -69,6 +101,19 @@ proptest! {
             tick,
             active: flags & 1 != 0,
         });
+        sealed_round_trip(tick ^ u64::from(monitor), MonitorToCoordinator::TickDone {
+            monitor: MonitorId(monitor),
+            tick,
+            sampled,
+            violation,
+            suppressed: !sampled,
+        });
+        sealed_round_trip(u64::from(flags), MonitorToCoordinator::PollReply {
+            monitor: MonitorId(monitor),
+            tick,
+            value,
+            forced_sample: violation,
+        });
     }
 
     /// The snapshot-bearing variants — the only ones carrying full
@@ -85,6 +130,12 @@ proptest! {
             snapshot,
         });
         round_trip(&CoordinatorToMonitor::RestoreState { snapshot });
+        round_trip(&snapshot);
+        sealed_round_trip(observed, MonitorToCoordinator::StateSnapshot {
+            monitor: MonitorId(monitor),
+            snapshot,
+        });
+        control_round_trip(observed, monitor, CoordinatorToMonitor::RestoreState { snapshot });
     }
 
     /// Period reports — the only variant holding nested structures and a
@@ -97,17 +148,19 @@ proptest! {
         interval in 0u32..4096,
         curve in prop::collection::vec(0.0f64..1.0, 0..16),
     ) {
-        round_trip(&MonitorToCoordinator::Report {
+        let report = PeriodReport {
+            observations,
+            avg_beta_current: beta,
+            avg_beta_grown: beta / 2.0,
+            avg_potential_reduction: 1.0 - beta,
+            interval: Interval::new_clamped(interval),
+            at_max_interval: interval >= 4095,
+            cost_curve: curve,
+        };
+        round_trip(&report);
+        sealed_round_trip(u64::from(observations), MonitorToCoordinator::Report {
             monitor: MonitorId(monitor),
-            report: PeriodReport {
-                observations,
-                avg_beta_current: beta,
-                avg_beta_grown: beta / 2.0,
-                avg_potential_reduction: 1.0 - beta,
-                interval: Interval::new_clamped(interval),
-                at_max_interval: interval >= 4095,
-                cost_curve: curve,
-            },
+            report,
         });
     }
 
@@ -129,6 +182,29 @@ proptest! {
             interval: if err < 0.5 { Some(tick as u32 % 64 + 1) } else { None },
         });
         round_trip(&CoordinatorToMonitor::Shutdown);
+        let to = (tick % 4096) as u32;
+        control_round_trip(tick, to, CoordinatorToMonitor::Tick(TickData { tick, value }));
+        control_round_trip(tick, to, CoordinatorToMonitor::Poll { tick });
+        control_round_trip(0, to, CoordinatorToMonitor::SetAllowance { err });
+        control_round_trip(1, to, CoordinatorToMonitor::SetGate { interval: None });
+        control_round_trip(2, to, CoordinatorToMonitor::Shutdown);
+    }
+
+    /// The socket-level envelopes round-trip: the hello an agent opens
+    /// with and the welcome it is answered with.
+    #[test]
+    fn handshake_frames_round_trip(
+        agent in 0u32..10_000,
+        first in 0u32..100_000,
+        hosted in 0u32..300,
+        epoch in 0u64..u64::MAX,
+    ) {
+        round_trip(&AgentHello {
+            agent,
+            monitors: (first..first + hosted).collect(),
+            epoch,
+        });
+        round_trip(&ServerFrame::Welcome { epoch });
     }
 
     /// Epoch envelopes round-trip: sealing a message and decoding the
@@ -203,6 +279,51 @@ proptest! {
         let _ = decode::<TickSummary>(&bytes);
         let _ = decode::<MonitorFrame>(&bytes);
         let _ = decode::<ControlFrame>(&bytes);
+        // ... and whatever the verdict, the tree path reaches the same one.
+        differential::assert_decoders_agree::<MonitorFrame>(&bytes);
+        differential::assert_decoders_agree::<ControlFrame>(&bytes);
+        differential::assert_decoders_agree::<ServerFrame>(&bytes);
+        differential::assert_decoders_agree::<AgentHello>(&bytes);
+        differential::assert_decoders_agree::<CoordinatorToRunner>(&bytes);
+    }
+
+    /// Frames written before the multi-task gate existed carry no
+    /// `suppressed` (or `suppressed_samples` / `gated`) member; they still
+    /// decode, on both paths, to the ungated value.
+    #[test]
+    fn pre_gate_frames_still_decode(
+        epoch in 0u64..1000,
+        monitor in 0u32..1000,
+        tick in 0u64..u64::MAX,
+    ) {
+        let legacy = format!(
+            "{{\"epoch\":{epoch},\"msg\":{{\"TickDone\":{{\"monitor\":{monitor},\"tick\":{tick},\
+             \"sampled\":true,\"violation\":false}}}}}}\n"
+        );
+        differential::assert_decoders_agree::<MonitorFrame>(legacy.as_bytes());
+        let frame: MonitorFrame = decode_line(legacy.as_bytes()).expect("legacy frame decodes");
+        prop_assert_eq!(frame, MonitorFrame {
+            epoch,
+            msg: MonitorToCoordinator::TickDone {
+                monitor: MonitorId(monitor),
+                tick,
+                sampled: true,
+                violation: false,
+                suppressed: false,
+            },
+        });
+        let legacy = format!(
+            "{{\"Summary\":{{\"tick\":{tick},\"scheduled_samples\":1,\"poll_samples\":2,\
+             \"local_violations\":3,\"polled\":true,\"alerted\":false,\"missing_reports\":0,\
+             \"degraded\":false,\"stale_epoch_frames\":0}}}}"
+        );
+        differential::assert_decoders_agree::<CoordinatorToRunner>(legacy.as_bytes());
+        let CoordinatorToRunner::Summary(summary) =
+            decode_line(legacy.as_bytes()).expect("legacy summary decodes")
+        else {
+            panic!("expected a summary");
+        };
+        prop_assert_eq!((summary.suppressed_samples, summary.gated), (0, false));
     }
 
     /// Decoding a truncated frame of a real message never panics, and a
