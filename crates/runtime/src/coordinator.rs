@@ -57,7 +57,7 @@ use crate::checkpoint::{CoordinatorSnapshot, MultitaskSnapshot, TickOutcome, Wal
 use crate::failure::{FaultPath, FaultPlan};
 use crate::link::MonitorLink;
 use crate::message::{
-    decode, encode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
+    decode_line, encode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
     MonitorToCoordinator, TickSummary,
 };
 
@@ -158,9 +158,16 @@ struct Liveness {
     reviving: Vec<bool>,
     consecutive_missed: Vec<u32>,
     last_tick: Option<Tick>,
-    /// Frames read ahead of their round (defensive; lock-step rarely
-    /// produces them).
+    /// Payloads received and not yet read to their end. A payload holds
+    /// one frame per line: a monitor host sends everything one drain of
+    /// its inbox produced as one payload, the socket loop every line of
+    /// one read.
     pending: VecDeque<Bytes>,
+    /// How much of `pending`'s front payload has been read.
+    cursor: usize,
+    /// Frames read ahead of their round (defensive; lock-step rarely
+    /// produces them), re-queued on `pending` when the next round opens.
+    read_ahead: Vec<Bytes>,
     /// Stale-epoch frames rejected this round.
     stale_epoch: u32,
     /// Monitors that sent a stale-epoch frame and owe an epoch repair.
@@ -184,6 +191,8 @@ impl Liveness {
             consecutive_missed: vec![0; monitors],
             last_tick: None,
             pending: VecDeque::new(),
+            cursor: 0,
+            read_ahead: Vec::new(),
             stale_epoch: 0,
             needs_epoch: vec![false; monitors],
             awaited_grew: false,
@@ -204,6 +213,26 @@ impl Liveness {
 
     fn any_quarantined(&self) -> bool {
         self.quarantined.iter().any(|&q| q)
+    }
+
+    /// The next unread line of the pending payloads, newline included
+    /// (a last line may lack it), as `(payload, range)`.
+    fn next_line(&mut self) -> Option<std::ops::Range<usize>> {
+        while let Some(payload) = self.pending.front() {
+            let rest = &payload[self.cursor..];
+            if rest.is_empty() {
+                self.pending.pop_front();
+                self.cursor = 0;
+                continue;
+            }
+            let len = rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(rest.len(), |at| at + 1);
+            self.cursor += len;
+            return Some(self.cursor - len..self.cursor);
+        }
+        None
     }
 
     /// Marks evidence that a quarantined monitor is alive again.
@@ -428,31 +457,34 @@ impl CoordinatorActor {
         !self.faults.partitioned(MonitorId(idx as u32), tick)
     }
 
-    /// Receives the next frame: buffered read-ahead first, then the
-    /// channel, bounded by `deadline`. `Ok(None)` means the deadline
-    /// passed; `Err(())` means every sender disconnected.
-    fn recv_frame(
+    /// Receives the next frame: the next line of the pending payloads
+    /// first, then the channel, bounded by `deadline`. `Ok(None)` means
+    /// the deadline passed; `Err(())` means every sender disconnected.
+    fn recv_frame<'a>(
         &self,
-        live: &mut Liveness,
+        live: &'a mut Liveness,
         from_monitors: &Receiver<Bytes>,
         deadline: Instant,
-    ) -> Result<Option<Bytes>, ()> {
-        if let Some(frame) = live.pending.pop_front() {
-            return Ok(Some(frame));
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Ok(None);
-        }
-        match from_monitors.recv_timeout(remaining) {
-            Ok(frame) => {
-                if let Some(handles) = &self.obs {
-                    handles.recvs.inc();
-                }
-                Ok(Some(frame))
+    ) -> Result<Option<&'a [u8]>, ()> {
+        loop {
+            if let Some(line) = live.next_line() {
+                return Ok(Some(&live.pending[0][line]));
             }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(()),
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            match from_monitors.recv_timeout(remaining) {
+                Ok(payload) => {
+                    if let Some(handles) = &self.obs {
+                        let frames = payload.split_inclusive(|&b| b == b'\n').count();
+                        handles.recvs.add(frames as u64);
+                    }
+                    live.pending.push_back(payload);
+                }
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(()),
+            }
         }
     }
 
@@ -471,8 +503,8 @@ impl CoordinatorActor {
             let Some(frame) = self.recv_frame(live, from_monitors, deadline)? else {
                 return Ok(None);
             };
-            let Ok(MonitorFrame { epoch, msg }) = decode::<MonitorFrame>(&frame) else {
-                continue; // malformed frame
+            let Ok(MonitorFrame { epoch, msg }) = decode_line::<MonitorFrame>(frame) else {
+                continue; // malformed frame: skip this line only
             };
             let sender = msg_sender(&msg).map(|id| id.0 as usize);
             if epoch < self.epoch {
@@ -531,6 +563,7 @@ impl CoordinatorActor {
     ) -> Result<bool, ()> {
         let n = self.monitors();
         live.stale_epoch = 0;
+        live.pending.extend(live.read_ahead.drain(..));
         // One span + histogram pair covers the whole round — collection
         // wait included, which is what makes a stalled monitor visible as
         // coordinator tick latency.
@@ -613,7 +646,7 @@ impl CoordinatorActor {
                 Some(rt) if t > rt => {
                     // Read-ahead (possible only if the runner raced ahead);
                     // keep it for the next round.
-                    live.pending.push_back(MonitorFrame::seal(self.epoch, msg));
+                    live.read_ahead.push(MonitorFrame::seal(self.epoch, msg));
                     continue;
                 }
                 Some(_) => {}
@@ -950,21 +983,24 @@ impl CoordinatorActor {
         let n = self.monitors();
         let mut snaps: Vec<Option<SamplerSnapshot>> = vec![None; n];
         let mut awaiting = vec![false; n];
+        // Awaited monitors yet to answer, kept by decrement.
+        let mut outstanding = 0usize;
+        let request = ControlFrame::seal(self.epoch, CoordinatorToMonitor::RequestSnapshot);
         for idx in 0..n {
-            if !live.active(idx) || !self.reachable(idx, tick) {
-                continue;
+            if live.active(idx) && self.reachable(idx, tick) {
+                awaiting[idx] = to_monitors[idx].send(request.clone());
+                outstanding += usize::from(awaiting[idx]);
             }
-            let request = ControlFrame::seal(self.epoch, CoordinatorToMonitor::RequestSnapshot);
-            awaiting[idx] = to_monitors[idx].send(request);
         }
         let deadline = Instant::now() + self.tick_deadline;
-        while (0..n).any(|i| awaiting[i] && snaps[i].is_none()) {
+        while outstanding > 0 {
             let Ok(Some(msg)) = self.recv_msg(live, from_monitors, deadline) else {
                 break; // deadline or disconnect: checkpoint what we have
             };
             if let MonitorToCoordinator::StateSnapshot { monitor, snapshot } = msg {
                 let idx = monitor.0 as usize;
                 if idx < n {
+                    outstanding -= usize::from(awaiting[idx] && snaps[idx].is_none());
                     snaps[idx] = Some(snapshot);
                 }
             }
@@ -987,9 +1023,9 @@ impl CoordinatorActor {
         if live.any_quarantined() {
             return Ok(());
         }
+        let request = ControlFrame::seal(self.epoch, CoordinatorToMonitor::RequestReport);
         for tx in to_monitors {
-            let request = ControlFrame::seal(self.epoch, CoordinatorToMonitor::RequestReport);
-            if !tx.send(request) {
+            if !tx.send(request.clone()) {
                 return Ok(()); // dead monitor: skip the round
             }
         }
@@ -1025,6 +1061,7 @@ impl CoordinatorActor {
 mod tests {
     use super::*;
     use crate::checkpoint::Replay;
+    use crate::message::decode;
     use crossbeam::channel::unbounded;
     use std::path::PathBuf;
     use volley_core::allocation::AllocationConfig;
@@ -1376,6 +1413,158 @@ mod tests {
         let (summary, _) = next_summary(&runner_rx);
         assert_eq!(summary.tick, 1);
         assert_eq!(summary.local_violations, 0, "stale violation ignored");
+        drop(mon_tx);
+        handle.join().unwrap();
+    }
+
+    /// One payload holding `frames` back to back, as a monitor host sends
+    /// a drain of its inbox.
+    fn payload(frames: &[Bytes]) -> Bytes {
+        Bytes::from(
+            frames
+                .iter()
+                .flat_map(|frame| frame.iter().copied())
+                .collect::<Vec<u8>>(),
+        )
+    }
+
+    /// A 2-monitor coordinator whose deadline is long enough that a test
+    /// waiting one out fails its own timing assertion.
+    fn patient_coordinator() -> CoordinatorActor {
+        degraded_coordinator(3).with_tick_deadline(Duration::from_secs(4))
+    }
+
+    /// The next summary, which must arrive without a deadline wait.
+    fn prompt_summary(runner_rx: &Receiver<Bytes>) -> TickSummary {
+        let started = Instant::now();
+        let (summary, events) = next_summary(runner_rx);
+        assert!(events.is_empty(), "unexpected events {events:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the round waited out its deadline"
+        );
+        summary
+    }
+
+    #[test]
+    fn a_malformed_line_in_a_payload_skips_only_that_line() {
+        let (mon_tx, _to_mon0, _to_mon1, runner_rx, handle) =
+            degraded_harness_with(patient_coordinator());
+        let garbage = Bytes::from_static(b"{\"epoch\":0,\"msg\":garbage}\n");
+        mon_tx
+            .send(payload(&[
+                tick_done(0, 0, false),
+                garbage,
+                tick_done(1, 0, false),
+            ]))
+            .unwrap();
+        let summary = prompt_summary(&runner_rx);
+        assert_eq!(summary.tick, 0);
+        assert_eq!(summary.scheduled_samples, 2, "both neighbours counted");
+        assert_eq!(summary.missing_reports, 0);
+        drop(mon_tx);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_stale_epoch_line_in_a_payload_is_counted_and_repaired_alone() {
+        let (mon_tx, to_mon0, to_mon1, runner_rx, handle) =
+            degraded_harness_with(patient_coordinator().with_epoch(2));
+        let report = |epoch, monitor, violation| {
+            MonitorFrame::seal(
+                epoch,
+                MonitorToCoordinator::TickDone {
+                    monitor: MonitorId(monitor),
+                    tick: 0,
+                    sampled: true,
+                    violation,
+                    suppressed: false,
+                },
+            )
+        };
+        // Monitor 1 first speaks from the deposed epoch (with a violation
+        // that must not poll), then at the current one.
+        mon_tx
+            .send(payload(&[
+                report(2, 0, false),
+                report(1, 1, true),
+                report(2, 1, false),
+            ]))
+            .unwrap();
+        let summary = prompt_summary(&runner_rx);
+        assert_eq!(summary.stale_epoch_frames, 1);
+        assert_eq!(
+            summary.scheduled_samples, 2,
+            "the neighbours were processed"
+        );
+        assert_eq!(summary.missing_reports, 0);
+        assert!(!summary.polled, "a stale violation must not poll");
+        let repair: ControlFrame = decode(&to_mon1.recv().unwrap()).unwrap();
+        assert!(matches!(
+            repair.msg,
+            CoordinatorToMonitor::NewEpoch { epoch: 2 }
+        ));
+        assert!(
+            to_mon0.try_recv().is_err(),
+            "only the stale sender is repaired"
+        );
+        drop(mon_tx);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn empty_and_unterminated_payloads_neither_panic_nor_hang() {
+        let (mon_tx, _to_mon0, _to_mon1, runner_rx, handle) =
+            degraded_harness_with(patient_coordinator());
+        mon_tx.send(Bytes::new()).unwrap();
+        mon_tx.send(Bytes::from_static(b"\n\n")).unwrap();
+        let whole = payload(&[tick_done(0, 0, false), tick_done(1, 0, false)]);
+        let unterminated = Bytes::copy_from_slice(&whole[..whole.len() - 1]);
+        mon_tx.send(unterminated).unwrap();
+        let summary = prompt_summary(&runner_rx);
+        assert_eq!(
+            summary.scheduled_samples, 2,
+            "the last line needs no newline"
+        );
+        assert_eq!(summary.missing_reports, 0);
+        drop(mon_tx);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_payload_spanning_two_ticks_leaves_the_second_for_the_next_round() {
+        let (mon_tx, _to_mon0, _to_mon1, runner_rx, handle) =
+            degraded_harness_with(patient_coordinator());
+        // Monitor 0 races a tick ahead inside one payload: its tick-1
+        // report is read during round 0 (set aside), monitor 1's lies
+        // unread in the payload when round 0 closes.
+        mon_tx
+            .send(payload(&[
+                tick_done(0, 0, false),
+                tick_done(0, 1, true),
+                tick_done(1, 0, false),
+                tick_done(1, 1, false),
+            ]))
+            .unwrap();
+        let summary = prompt_summary(&runner_rx);
+        assert_eq!((summary.tick, summary.scheduled_samples), (0, 2));
+        assert_eq!(summary.local_violations, 0, "tick 1's violation waits");
+        // Round 1 needs nothing new from the channel — but its violation
+        // polls, and the poll is answered in one payload too.
+        mon_tx
+            .send(payload(&[0u32, 1].map(|monitor| {
+                seal0(MonitorToCoordinator::PollReply {
+                    monitor: MonitorId(monitor),
+                    tick: 1,
+                    value: 10.0,
+                    forced_sample: false,
+                })
+            })))
+            .unwrap();
+        let summary = prompt_summary(&runner_rx);
+        assert_eq!((summary.tick, summary.scheduled_samples), (1, 2));
+        assert_eq!(summary.local_violations, 1);
+        assert!(summary.polled && !summary.degraded && !summary.alerted);
         drop(mon_tx);
         handle.join().unwrap();
     }

@@ -2,7 +2,7 @@
 //!
 //! A datacenter runs "a large number of monitoring tasks" (§I) at once;
 //! [`FleetRunner`] executes a batch of independent distributed tasks in
-//! parallel — each with its own monitor threads and coordinator — and
+//! parallel — each with its own monitor hosts and coordinator — and
 //! collects their reports in submission order. Tasks are isolated: a
 //! task's channels, fault plan and allowance budget never touch
 //! another's.

@@ -7,12 +7,14 @@
 //! periodically reallocates the task-level error allowance.
 //!
 //! Unlike [`volley_core::DistributedTask`] — a single-threaded,
-//! step-driven reference implementation — this crate actually runs every
-//! monitor and the coordinator on its own OS thread, communicating
-//! exclusively through channels, exactly as the components would across
-//! machines. A [`TaskRunner`] drives simulated time in lock-step (the
-//! stand-in for the paper's NTP-synchronized wall clocks) and feeds each
-//! monitor its agent's ground-truth values.
+//! step-driven reference implementation — this crate runs the monitors
+//! and the coordinator as actors on real threads (the coordinator on its
+//! own, the monitors hosted on a few — an agent process minus the
+//! socket), communicating exclusively through byte-framed channels,
+//! exactly as the components would across machines. A [`TaskRunner`]
+//! drives simulated time in lock-step (the stand-in for the paper's
+//! NTP-synchronized wall clocks) and feeds each monitor its agent's
+//! ground-truth values.
 //!
 //! The protocol per tick:
 //!

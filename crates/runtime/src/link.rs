@@ -1,30 +1,40 @@
-//! Swappable channel endpoints for monitor inboxes.
+//! Cloneable channel endpoints for monitor inboxes.
 //!
-//! The runner and the coordinator both send frames to every monitor. When
-//! the runner restarts a crashed or stalled monitor it must atomically
-//! redirect *both* senders to the fresh actor's inbox; [`MonitorLink`]
-//! provides that indirection: a cloneable handle whose underlying
-//! [`Sender`] can be replaced at runtime, with clones observing the swap.
+//! The runner and the coordinator both send frames to every monitor, and
+//! neither knows where the monitor lives; [`MonitorLink`] is that
+//! indirection. A link feeds one of three things:
 //!
-//! A link can also be *tagged* ([`MonitorLink::tagged`]): instead of an
-//! actor inbox it feeds a shared `(monitor, frame)` channel, which is how
-//! the networked coordinator ([`crate::net`]) funnels every monitor's
-//! outbound traffic into one socket event loop without the coordinator
-//! actor knowing the transport changed. Each tagged send fires the
-//! loop's [`Waker`], so the loop blocks in `poll` instead of polling the
-//! channel.
+//! - a plain frame channel ([`MonitorLink::new`]) — the monitors' shared
+//!   link *to* the coordinator, which a failover repoints at the
+//!   successor's inbox ([`MonitorLink::replace`], seen by every clone);
+//! - the inbox of the in-process host thread that steps the monitor
+//!   ([`MonitorLink::hosted`]), frames tagged with the monitor index;
+//! - the socket event loop's shared `(monitor, frame)` channel
+//!   ([`MonitorLink::tagged`]), which is how the networked coordinator
+//!   ([`crate::net`]) funnels every monitor's outbound traffic into one
+//!   loop without the coordinator actor knowing the transport changed.
+//!   Each tagged send fires the loop's [`Waker`], so the loop blocks in
+//!   `poll` instead of polling the channel.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use volley_serve::reactor::Waker;
 
-/// Where a link's frames go: straight into an actor inbox, or tagged with
-/// the monitor index into a shared multiplexer channel.
+use crate::monitor::{HostMsg, MonitorActor, MonitorSlot};
+
+/// Where a link's frames go.
 #[derive(Debug)]
 enum LinkTarget {
     Channel(Sender<Bytes>),
+    Hosted {
+        monitor: u32,
+        inbox: Sender<HostMsg>,
+        /// The liveness flag of the slot currently installed.
+        alive: Arc<AtomicBool>,
+    },
     Tagged {
         monitor: u32,
         out: Sender<(u32, Bytes)>,
@@ -32,18 +42,32 @@ enum LinkTarget {
     },
 }
 
-/// A cloneable, swappable handle to one monitor's inbox.
+/// A cloneable handle to one monitor's inbox.
 #[derive(Debug, Clone)]
 pub struct MonitorLink {
     inner: Arc<Mutex<LinkTarget>>,
 }
 
 impl MonitorLink {
-    /// Wraps a monitor-inbox sender.
-    pub fn new(sender: Sender<Bytes>) -> Self {
+    fn to(target: LinkTarget) -> Self {
         MonitorLink {
-            inner: Arc::new(Mutex::new(LinkTarget::Channel(sender))),
+            inner: Arc::new(Mutex::new(target)),
         }
+    }
+
+    /// Wraps a frame-channel sender.
+    pub fn new(sender: Sender<Bytes>) -> Self {
+        Self::to(LinkTarget::Channel(sender))
+    }
+
+    /// Links to monitor `monitor` on the in-process host reading `inbox`;
+    /// `alive` is its slot's [`MonitorSlot::liveness`].
+    pub(crate) fn hosted(monitor: u32, inbox: Sender<HostMsg>, alive: Arc<AtomicBool>) -> Self {
+        Self::to(LinkTarget::Hosted {
+            monitor,
+            inbox,
+            alive,
+        })
     }
 
     /// Wraps a shared multiplexer sender: every frame sent through this
@@ -52,22 +76,29 @@ impl MonitorLink {
     /// serves every monitor connection; `waker` interrupts that loop's
     /// wait after each send.
     pub fn tagged(monitor: u32, out: Sender<(u32, Bytes)>, waker: Waker) -> Self {
-        let target = LinkTarget::Tagged {
+        Self::to(LinkTarget::Tagged {
             monitor,
             out,
             waker,
-        };
-        MonitorLink {
-            inner: Arc::new(Mutex::new(target)),
-        }
+        })
     }
 
-    /// Sends one frame; `false` means the monitor's inbox is gone
-    /// (its thread exited and the receiver was dropped).
+    /// Sends one frame; `false` means the monitor is gone (it crashed or
+    /// shut down, or whatever hosted it dropped the receiver).
     pub fn send(&self, frame: Bytes) -> bool {
         let guard = self.inner.lock().expect("link lock never poisoned");
         match &*guard {
             LinkTarget::Channel(sender) => sender.send(frame).is_ok(),
+            LinkTarget::Hosted {
+                monitor,
+                inbox,
+                alive,
+            } => {
+                // Queued even for a dead monitor — its slot drops the
+                // frame, but must still hear a shutdown.
+                let alive = alive.load(Ordering::Relaxed);
+                inbox.send(HostMsg::Frame(*monitor, frame)).is_ok() && alive
+            }
             LinkTarget::Tagged {
                 monitor,
                 out,
@@ -80,9 +111,22 @@ impl MonitorLink {
         }
     }
 
-    /// Redirects this link (and every clone of it) to a new inbox;
-    /// dropping the previous sender disconnects the old actor, letting a
-    /// stalled thread drain out and exit.
+    /// Replaces a hosted monitor with `actor` in a fresh slot with a
+    /// liveness flag of its own (the predecessor's stays as it fell). The
+    /// install rides the host's inbox under the link's lock, so frames
+    /// sent before it never reach the newcomer and frames sent after it
+    /// do. No-op on a link that is not [`hosted`](Self::hosted).
+    pub(crate) fn install(&self, actor: MonitorActor) {
+        let mut guard = self.inner.lock().expect("link lock never poisoned");
+        if let LinkTarget::Hosted { inbox, alive, .. } = &mut *guard {
+            let slot = MonitorSlot::new(actor);
+            *alive = slot.liveness();
+            let _ = inbox.send(HostMsg::Install(Box::new(slot)));
+        }
+    }
+
+    /// Redirects this link (and every clone of it) to a new frame
+    /// channel, dropping the previous sender.
     pub fn replace(&self, sender: Sender<Bytes>) {
         let mut guard = self.inner.lock().expect("link lock never poisoned");
         *guard = LinkTarget::Channel(sender);

@@ -173,7 +173,7 @@ pub enum CoordinatorToMonitor {
         /// Minimum ticks between samples while gated; `None` = ungated.
         interval: Option<u32>,
     },
-    /// Terminate the monitor thread.
+    /// Terminate the monitor (its host returns once all its monitors did).
     Shutdown,
 }
 

@@ -1,4 +1,11 @@
-//! The monitor actor: local adaptive sampling on its own thread.
+//! The monitor actor (local adaptive sampling) and the plane that hosts
+//! it: a [`SlotTable`] of [`MonitorSlot`]s stepped by one thread — an
+//! in-process host ([`SlotTable::host`]) or a socket agent
+//! ([`crate::net::run_agent`]); the two differ only in where frames come
+//! from and where the replies go.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -23,10 +30,11 @@ use crate::session::fresh_sampler;
 /// [`encode`](crate::message::encode), so the crossbeam channels used here
 /// could be replaced by sockets without changing the actor.
 ///
-/// An installed [`FaultPlan`] lets the run loop impersonate a faulty
-/// process: crashing at a scheduled tick, going silent for a stall
-/// window, or delaying/duplicating its replies — all without touching
-/// the pure protocol logic in [`handle`](MonitorActor::handle).
+/// An installed [`FaultPlan`] lets the slot hosting the actor
+/// impersonate a faulty process: crashing at a scheduled tick, going
+/// silent for a stall window, or delaying/duplicating its replies — all
+/// without touching the pure protocol logic in
+/// [`handle`](MonitorActor::handle).
 ///
 /// # Epoch fencing
 ///
@@ -53,7 +61,7 @@ pub struct MonitorActor {
     current: Option<TickData>,
     /// Whether the current tick's schedule already sampled.
     sampled_this_tick: bool,
-    /// Injected faults, evaluated in the run loop only.
+    /// Injected faults, acted out by the hosting [`MonitorSlot`] only.
     faults: FaultPlan,
     /// The coordinator epoch this monitor currently accepts.
     epoch: u64,
@@ -89,17 +97,6 @@ struct MonitorObsHandles {
     sends: Counter,
 }
 
-/// Sends `frame`, counting successful transport sends when obs is on.
-fn send_counted(outbox: &MonitorLink, obs: &Option<MonitorObsHandles>, frame: Bytes) -> bool {
-    let ok = outbox.send(frame);
-    if ok {
-        if let Some(handles) = obs {
-            handles.sends.inc();
-        }
-    }
-    ok
-}
-
 impl MonitorActor {
     /// Creates a monitor actor around a configured sampler.
     pub fn new(id: MonitorId, sampler: AdaptiveSampler) -> Self {
@@ -121,7 +118,7 @@ impl MonitorActor {
         }
     }
 
-    /// Installs a deterministic fault plan this actor's run loop acts out.
+    /// Installs a deterministic fault plan the actor's host acts out.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -384,100 +381,238 @@ impl MonitorActor {
             terminate,
         )
     }
+}
 
-    /// Runs the actor loop until shutdown or channel disconnection,
-    /// consuming the actor.
-    ///
-    /// Faults from the installed [`FaultPlan`] are acted out here:
-    ///
-    /// - **crash**: the loop returns (dropping the inbox) the first time a
-    ///   tick at or past the scheduled crash tick arrives — the process
-    ///   simply ceases to exist;
-    /// - **stall**: while stalled the actor keeps consuming input but
-    ///   neither processes nor replies, like a thread wedged on a lock
-    ///   (shutdown still terminates it so harness teardown cannot hang);
-    /// - **delay**: a reply is held back and flushed after the *next*
-    ///   reply, arriving reordered and past its collection deadline;
-    /// - **duplicate**: a reply is sent twice, exercising the
-    ///   coordinator's dedup path;
-    /// - **partition**: while the link to the coordinator is cut the
-    ///   actor consumes input without processing it and sends nothing —
-    ///   its local state (including its epoch) freezes, which is exactly
-    ///   what makes its first frames after the heal stale.
-    ///
-    /// The outbox is a [`MonitorLink`] so the supervisor can atomically
-    /// repoint every monitor at a standby coordinator during failover.
-    pub fn run(mut self, inbox: Receiver<Bytes>, outbox: MonitorLink) {
-        // A delayed reply awaiting the next send opportunity.
-        let mut held: Option<Bytes> = None;
-        // The actor's notion of "now": the last tick it saw, which is what
-        // fault decisions (stall/partition windows, delay/duplicate lanes)
-        // key on.
-        let mut last_tick = 0u64;
-        // Replies are encoded into one reused buffer; only the frame that
-        // crosses the channel is allocated. The buffer stays frame-sized: a
-        // one-off snapshot reply must not pin its kilobyte on every monitor
-        // thread for the rest of the run.
-        const REPLY_SCRATCH: usize = 256;
-        let mut scratch: Vec<u8> = Vec::new();
-        while let Ok(bytes) = inbox.recv() {
-            let frame: ControlFrame = match decode(&bytes) {
-                Ok(m) => m,
-                Err(_) => continue, // drop malformed frames, as a socket server would
-            };
-            if let CoordinatorToMonitor::Tick(data) = &frame.msg {
-                last_tick = data.tick;
-                if self
-                    .faults
-                    .crash_tick(self.id)
-                    .is_some_and(|at| data.tick >= at)
-                {
-                    return; // simulated crash: vanish without replying
-                }
-            }
-            let unreachable = self.faults.stalled(self.id, last_tick)
-                || self.faults.partitioned(self.id, last_tick);
-            if unreachable && !matches!(frame.msg, CoordinatorToMonitor::Shutdown) {
-                continue; // wedged or cut off: consume input, do nothing
-            }
-            let (reply, terminate) = self.handle_frame(frame);
-            if let Some(reply) = reply {
-                scratch.clear();
-                scratch.shrink_to(REPLY_SCRATCH);
-                encode_into(&reply, &mut scratch);
-                let frame = Bytes::copy_from_slice(&scratch);
-                if self.faults.delays(self.id, last_tick) {
-                    // Hold this reply; anything already held goes out now,
-                    // behind schedule.
-                    if let Some(old) = held.replace(frame) {
-                        if !send_counted(&outbox, &self.obs, old) {
-                            return;
-                        }
-                    }
-                } else {
-                    if !send_counted(&outbox, &self.obs, frame.clone()) {
-                        return; // coordinator gone
-                    }
-                    if self.faults.duplicates(self.id, last_tick)
-                        && !send_counted(&outbox, &self.obs, frame)
-                    {
-                        return;
-                    }
-                    if let Some(old) = held.take() {
-                        if !send_counted(&outbox, &self.obs, old) {
-                            return;
-                        }
-                    }
-                }
-            }
-            if terminate {
-                break;
+/// One hosted monitor: the actor plus the bit of process state its
+/// faults act on — liveness, the last tick seen, a held delayed reply.
+///
+/// Faults from the actor's [`FaultPlan`] are acted out in
+/// [`deliver`](Self::deliver). They key on virtual ticks, never on a real
+/// sleep, so any number of slots share one thread without one's fault
+/// touching another's replies:
+///
+/// - **crash**: the slot dies (held reply and all) the first time a tick
+///   at or past the scheduled crash tick arrives — the process simply
+///   ceases to exist, and sends to it fail;
+/// - **stall**: while stalled the slot keeps consuming input but neither
+///   processes nor replies, like a thread wedged on a lock (shutdown
+///   still terminates it so harness teardown cannot hang);
+/// - **delay**: a reply is held back and flushed after the *next*
+///   reply, arriving reordered and past its collection deadline;
+/// - **duplicate**: a reply is sent twice, exercising the coordinator's
+///   dedup path;
+/// - **partition**: while the link to the coordinator is cut the slot
+///   consumes input without processing it and sends nothing — its local
+///   state (including its epoch) freezes, which is exactly what makes
+///   its first frames after the heal stale.
+#[derive(Debug)]
+pub(crate) struct MonitorSlot {
+    actor: MonitorActor,
+    /// Cleared by a crash or a shutdown, for good. A hosted monitor's
+    /// [`MonitorLink`] shares the flag, so a send to a dead monitor
+    /// fails as a send to an exited thread's inbox would. It publishes
+    /// nothing but itself, hence `Relaxed`.
+    alive: Arc<AtomicBool>,
+    /// Told to shut down (whether or not a crash got there first).
+    stopped: bool,
+    /// The slot's notion of "now", which fault decisions key on.
+    last_tick: u64,
+    /// A delayed reply awaiting the next send opportunity.
+    held: Option<Vec<u8>>,
+}
+
+impl MonitorSlot {
+    /// A live slot around `actor`.
+    pub(crate) fn new(actor: MonitorActor) -> Self {
+        MonitorSlot {
+            actor,
+            alive: Arc::new(AtomicBool::new(true)),
+            stopped: false,
+            last_tick: 0,
+            held: None,
+        }
+    }
+
+    /// The hosted actor.
+    pub(crate) fn actor(&self) -> &MonitorActor {
+        &self.actor
+    }
+
+    /// Whether the monitor still runs (neither crashed nor shut down).
+    pub(crate) fn alive(&self) -> bool {
+        self.alive.load(Ordering::Relaxed)
+    }
+
+    /// The flag behind [`alive`](Self::alive), for the monitor's link.
+    pub(crate) fn liveness(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.alive)
+    }
+
+    /// Feeds the slot one control frame, appending whatever it sends —
+    /// encoded replies, one per line — to `out`; returns how many frames
+    /// that was.
+    fn deliver(&mut self, frame: ControlFrame, out: &mut Vec<u8>) -> u64 {
+        let shutdown = matches!(frame.msg, CoordinatorToMonitor::Shutdown);
+        self.stopped |= shutdown;
+        if !self.alive() {
+            return 0;
+        }
+        let (id, faults) = (self.actor.id, &self.actor.faults);
+        if let CoordinatorToMonitor::Tick(data) = &frame.msg {
+            self.last_tick = data.tick;
+            if faults.crash_tick(id).is_some_and(|at| data.tick >= at) {
+                // Simulated crash: vanish without replying.
+                self.held = None;
+                self.alive.store(false, Ordering::Relaxed);
+                return 0;
             }
         }
-        // Flush any still-held reply; the coordinator will discard it as
-        // stale, but a real delayed packet would arrive too.
-        if let Some(old) = held {
-            send_counted(&outbox, &self.obs, old);
+        let now = self.last_tick;
+        if (faults.stalled(id, now) || faults.partitioned(id, now)) && !shutdown {
+            return 0; // wedged or cut off: consume input, do nothing
+        }
+        let (delays, duplicates) = (faults.delays(id, now), faults.duplicates(id, now));
+        let (reply, terminate) = self.actor.handle_frame(frame);
+        let mut sent = 0;
+        if let Some(reply) = reply {
+            let start = out.len();
+            encode_into(&reply, out);
+            if delays {
+                // Hold this reply; anything already held goes out now,
+                // behind schedule.
+                let late = self.held.replace(out.split_off(start));
+                sent += flush(late, out);
+            } else {
+                sent += 1 + u64::from(duplicates);
+                if duplicates {
+                    out.extend_from_within(start..);
+                }
+                sent += flush(self.held.take(), out);
+            }
+        }
+        if terminate {
+            sent += self.retire(out);
+        }
+        self.count(sent)
+    }
+
+    /// Ends the slot's life in an orderly way (shutdown, or a supervisor
+    /// replacing it): a still-held reply goes out — the coordinator will
+    /// discard it as stale, but a real delayed packet would arrive too.
+    fn retire(&mut self, out: &mut Vec<u8>) -> u64 {
+        self.alive.store(false, Ordering::Relaxed);
+        flush(self.held.take(), out)
+    }
+
+    /// Counts `sent` frames as transport sends when obs is on.
+    fn count(&self, sent: u64) -> u64 {
+        if let Some(handles) = &self.actor.obs {
+            handles.sends.add(sent);
+        }
+        sent
+    }
+}
+
+/// Appends a held reply, if any, to `out`; returns how many frames went.
+fn flush(held: Option<Vec<u8>>, out: &mut Vec<u8>) -> u64 {
+    held.map_or(0, |late| {
+        out.extend_from_slice(&late);
+        1
+    })
+}
+
+/// What a host finds in its inbox.
+#[derive(Debug)]
+pub(crate) enum HostMsg {
+    /// A control frame for this monitor.
+    Frame(u32, Bytes),
+    /// A supervisor's replacement for a quarantined monitor (rare, so
+    /// boxed: the inbox message stays a few words).
+    Install(Box<MonitorSlot>),
+}
+
+/// The monitors one thread hosts: a contiguous range of the task's
+/// monitor ids, one [`MonitorSlot`] each.
+#[derive(Debug)]
+pub(crate) struct SlotTable {
+    /// Id of the first hosted monitor; `slots[i]` is monitor `base + i`.
+    base: u32,
+    slots: Vec<MonitorSlot>,
+}
+
+impl SlotTable {
+    /// A table hosting `slots` as monitors `base..`.
+    pub(crate) fn new(base: u32, slots: Vec<MonitorSlot>) -> Self {
+        SlotTable { base, slots }
+    }
+
+    /// The hosted slots, in monitor order.
+    pub(crate) fn slots(&self) -> &[MonitorSlot] {
+        &self.slots
+    }
+
+    /// Whether every hosted monitor has been told to shut down.
+    pub(crate) fn finished(&self) -> bool {
+        self.slots.iter().all(|slot| slot.stopped)
+    }
+
+    fn slot(&mut self, monitor: u32) -> Option<&mut MonitorSlot> {
+        let hosted = monitor.checked_sub(self.base)?;
+        self.slots.get_mut(hosted as usize)
+    }
+
+    /// Hands monitor `to` one control frame (misrouted frames and frames
+    /// for a dead monitor are dropped); its replies are appended to
+    /// `out`, their count returned.
+    pub(crate) fn deliver(&mut self, to: u32, frame: ControlFrame, out: &mut Vec<u8>) -> u64 {
+        self.slot(to).map_or(0, |slot| slot.deliver(frame, out))
+    }
+
+    /// Puts `fresh` in its predecessor's place; a reply the predecessor
+    /// still held goes out, as its exiting thread flushed it.
+    fn install(&mut self, fresh: MonitorSlot, out: &mut Vec<u8>) {
+        if let Some(slot) = self.slot(fresh.actor.id.0) {
+            let mut old = std::mem::replace(slot, fresh);
+            let sent = old.retire(out);
+            old.count(sent);
+        }
+    }
+
+    /// Runs the in-process host until every slot was shut down (or the
+    /// session dropped the inbox): the loop [`crate::net::run_agent`]
+    /// runs behind a socket, minus the socket. The host blocks for one
+    /// message, drains what else is queued, and everything that drain
+    /// produced leaves as **one** newline-delimited payload — the
+    /// coordinator is woken once per host per tick, not once per reply.
+    ///
+    /// The outbox is a [`MonitorLink`] so a failover can repoint every
+    /// host at the successor coordinator atomically; a payload addressed
+    /// to a dead coordinator is simply lost.
+    pub(crate) fn host(mut self, inbox: Receiver<HostMsg>, outbox: MonitorLink) {
+        // The buffer stays tick-sized: a one-off round of snapshot
+        // replies must not pin its kilobytes for the rest of the run.
+        const PAYLOAD_SCRATCH: usize = 4096;
+        let mut out: Vec<u8> = Vec::new();
+        while !self.finished() {
+            let Ok(first) = inbox.recv() else {
+                return;
+            };
+            for msg in std::iter::once(first).chain(inbox.try_iter()) {
+                match msg {
+                    // Malformed frames are dropped, as a socket server would.
+                    HostMsg::Frame(to, bytes) => {
+                        if let Ok(frame) = decode::<ControlFrame>(&bytes) {
+                            self.deliver(to, frame, &mut out);
+                        }
+                    }
+                    HostMsg::Install(fresh) => self.install(*fresh, &mut out),
+                }
+            }
+            if !out.is_empty() {
+                outbox.send(Bytes::copy_from_slice(&out));
+                out.clear();
+                out.shrink_to(PAYLOAD_SCRATCH);
+            }
         }
     }
 }
@@ -492,6 +627,10 @@ mod tests {
     use volley_core::AdaptationConfig;
 
     fn actor(threshold: f64) -> MonitorActor {
+        actor_id(0, threshold)
+    }
+
+    fn actor_id(id: u32, threshold: f64) -> MonitorActor {
         let cfg = AdaptationConfig::builder()
             .error_allowance(0.05)
             .patience(2)
@@ -499,7 +638,7 @@ mod tests {
             .max_interval(4)
             .build()
             .unwrap();
-        MonitorActor::new(MonitorId(0), AdaptiveSampler::new(cfg, threshold))
+        MonitorActor::new(MonitorId(id), AdaptiveSampler::new(cfg, threshold))
     }
 
     #[test]
@@ -717,222 +856,326 @@ mod tests {
         assert!(stop);
     }
 
-    /// Decodes a monitor reply, asserting the envelope carries `epoch`.
-    fn open(frame: &Bytes, epoch: u64) -> MonitorToCoordinator {
-        let sealed: MonitorFrame = decode(frame).unwrap();
-        assert_eq!(sealed.epoch, epoch);
-        sealed.msg
+    use crate::failure::FaultPlan;
+    use crate::message::decode_line;
+    use crossbeam::channel::{unbounded, Sender};
+    use std::collections::VecDeque;
+    use std::time::Duration;
+
+    /// One shared host stepping `actors` as monitors `0..`, driven by
+    /// hand: what the session's spawn wires, minus the coordinator.
+    struct Host {
+        links: Vec<MonitorLink>,
+        inbox: Sender<HostMsg>,
+        /// The coordinator's end of the host's outbox…
+        payloads: Receiver<Bytes>,
+        /// …and a sender to it, for notices the session sends itself.
+        to_coordinator: Sender<Bytes>,
+        /// Lines of payloads already received.
+        lines: VecDeque<Vec<u8>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    fn host(actors: Vec<MonitorActor>) -> Host {
+        let (inbox, rx) = unbounded::<HostMsg>();
+        let (to_coordinator, payloads) = unbounded::<Bytes>();
+        let mut links = Vec::new();
+        let mut slots = Vec::new();
+        for (monitor, actor) in actors.into_iter().enumerate() {
+            let slot = MonitorSlot::new(actor);
+            links.push(MonitorLink::hosted(
+                monitor as u32,
+                inbox.clone(),
+                slot.liveness(),
+            ));
+            slots.push(slot);
+        }
+        let outbox = MonitorLink::new(to_coordinator.clone());
+        let thread = std::thread::spawn(move || SlotTable::new(0, slots).host(rx, outbox));
+        Host {
+            links,
+            inbox,
+            payloads,
+            to_coordinator,
+            lines: VecDeque::new(),
+            thread,
+        }
+    }
+
+    impl Host {
+        fn send(&self, monitor: usize, epoch: u64, msg: CoordinatorToMonitor) -> bool {
+            self.links[monitor].send(ControlFrame::seal(epoch, msg))
+        }
+
+        fn tick(&self, monitor: usize, tick: u64, value: f64) -> bool {
+            self.send(
+                monitor,
+                0,
+                CoordinatorToMonitor::Tick(TickData { tick, value }),
+            )
+        }
+
+        /// The next frame any slot sent, as its raw line.
+        fn next_line(&mut self) -> Vec<u8> {
+            while self.lines.is_empty() {
+                let payload = self
+                    .payloads
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("the host replies");
+                assert_eq!(payload.last(), Some(&b'\n'), "payloads end on a newline");
+                self.lines.extend(lines_of(&payload));
+            }
+            self.lines.pop_front().unwrap()
+        }
+
+        /// The next frame any slot sent, asserting its envelope carries
+        /// `epoch`.
+        fn next(&mut self, epoch: u64) -> MonitorToCoordinator {
+            let sealed: MonitorFrame = decode_line(&self.next_line()).unwrap();
+            assert_eq!(sealed.epoch, epoch);
+            sealed.msg
+        }
+
+        /// Shuts every slot down and joins the host; returns the frames
+        /// still unread, in order.
+        fn stop(mut self) -> Vec<MonitorToCoordinator> {
+            for monitor in 0..self.links.len() {
+                self.send(monitor, 0, CoordinatorToMonitor::Shutdown);
+            }
+            self.thread.join().unwrap();
+            let mut lines: Vec<Vec<u8>> = self.lines.drain(..).collect();
+            for payload in self.payloads.try_iter() {
+                lines.extend(lines_of(&payload));
+            }
+            let open = |line: &Vec<u8>| decode_line::<MonitorFrame>(line).unwrap().msg;
+            lines.iter().map(open).collect()
+        }
+    }
+
+    fn lines_of(payload: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        payload.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec)
+    }
+
+    fn tick_done(msg: &MonitorToCoordinator) -> (u32, u64) {
+        match msg {
+            MonitorToCoordinator::TickDone { monitor, tick, .. } => (monitor.0, *tick),
+            other => panic!("expected a TickDone, got {other:?}"),
+        }
     }
 
     #[test]
-    fn threaded_actor_round_trip() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
-        let outbox = MonitorLink::new(outbox);
-        let handle = std::thread::spawn(move || actor(5.0).run(inbox, outbox));
-        to_monitor
-            .send(ControlFrame::seal(
-                0,
-                CoordinatorToMonitor::Tick(TickData {
-                    tick: 0,
-                    value: 9.0,
-                }),
-            ))
-            .unwrap();
-        let frame = from_monitor.recv().unwrap();
+    fn hosted_actor_round_trip() {
+        let mut host = host(vec![actor(5.0)]);
+        assert!(host.tick(0, 0, 9.0));
         assert!(matches!(
-            open(&frame, 0),
+            host.next(0),
             MonitorToCoordinator::TickDone {
                 violation: true,
                 ..
             }
         ));
-        to_monitor
-            .send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown))
-            .unwrap();
-        handle.join().unwrap();
+        assert!(host.stop().is_empty());
     }
 
     #[test]
     fn malformed_frames_are_skipped() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
-        let outbox = MonitorLink::new(outbox);
-        let handle = std::thread::spawn(move || actor(5.0).run(inbox, outbox));
-        to_monitor.send(Bytes::from_static(b"garbage\n")).unwrap();
-        to_monitor
-            .send(ControlFrame::seal(
-                0,
-                CoordinatorToMonitor::Tick(TickData {
-                    tick: 0,
-                    value: 0.0,
-                }),
-            ))
-            .unwrap();
+        let mut host = host(vec![actor(5.0)]);
+        assert!(host.links[0].send(Bytes::from_static(b"garbage\n")));
+        host.tick(0, 0, 0.0);
         assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
+            host.next(0),
             MonitorToCoordinator::TickDone {
                 violation: false,
                 ..
             }
         ));
-        to_monitor
-            .send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown))
-            .unwrap();
-        handle.join().unwrap();
-    }
-
-    use crate::failure::FaultPlan;
-
-    fn tick_frame(tick: u64, value: f64) -> Bytes {
-        ControlFrame::seal(0, CoordinatorToMonitor::Tick(TickData { tick, value }))
+        assert!(host.stop().is_empty());
     }
 
     #[test]
     fn crash_fault_terminates_without_reply() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
         let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
-        let handle = std::thread::spawn(move || faulty.run(inbox, MonitorLink::new(outbox)));
-        to_monitor.send(tick_frame(0, 1.0)).unwrap();
-        let _ = open(&from_monitor.recv().unwrap(), 0);
-        to_monitor.send(tick_frame(1, 1.0)).unwrap();
-        handle.join().unwrap(); // thread exits at the crash tick
-        assert!(from_monitor.try_recv().is_err(), "no reply after crashing");
+        let mut host = host(vec![faulty, actor_id(1, 5.0)]);
+        host.tick(0, 0, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (0, 0));
+        host.tick(0, 1, 1.0);
+        // That was the crash tick. The neighbour shares the inbox, so its
+        // reply proves the tick was consumed — and nothing came of it.
+        host.tick(1, 1, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (1, 1));
+        assert!(!host.tick(0, 2, 1.0), "a send to a crashed monitor fails");
+        assert!(host.stop().is_empty(), "no reply after crashing");
     }
 
     #[test]
     fn stalled_monitor_discards_but_honors_shutdown() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
         let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_stall(MonitorId(0), 1, 2));
-        let handle = std::thread::spawn(move || faulty.run(inbox, MonitorLink::new(outbox)));
-        to_monitor.send(tick_frame(0, 1.0)).unwrap();
-        assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
-            MonitorToCoordinator::TickDone { tick: 0, .. }
-        ));
+        let mut host = host(vec![faulty]);
+        host.tick(0, 0, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (0, 0));
         // Ticks 1 and 2 fall inside the stall window: consumed, no reply.
-        to_monitor.send(tick_frame(1, 1.0)).unwrap();
-        to_monitor
-            .send(ControlFrame::seal(
-                0,
-                CoordinatorToMonitor::Poll { tick: 1 },
-            ))
-            .unwrap();
-        to_monitor.send(tick_frame(2, 1.0)).unwrap();
+        host.tick(0, 1, 1.0);
+        host.send(0, 0, CoordinatorToMonitor::Poll { tick: 1 });
+        host.tick(0, 2, 1.0);
         // Tick 3 is past the window: the monitor answers again.
-        to_monitor.send(tick_frame(3, 1.0)).unwrap();
-        assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
-            MonitorToCoordinator::TickDone { tick: 3, .. }
-        ));
-        to_monitor
-            .send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown))
-            .unwrap();
-        handle.join().unwrap();
+        host.tick(0, 3, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (0, 3));
+        // Back inside a (second) stall the slot still hears Shutdown:
+        // `stop` joins the host, so a deaf slot would hang here.
+        assert!(host.stop().is_empty());
+    }
+
+    #[test]
+    fn a_slot_stalled_at_shutdown_still_lets_its_host_finish() {
+        let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_stall(MonitorId(0), 0, 100));
+        let host = host(vec![faulty]);
+        host.tick(0, 0, 1.0);
+        assert!(host.stop().is_empty());
     }
 
     #[test]
     fn partitioned_monitor_goes_silent_then_answers_with_its_old_epoch() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
         let faulty =
             actor(5.0).with_faults(FaultPlan::new(1).with_partition(&[MonitorId(0)], 1, 3));
-        let handle = std::thread::spawn(move || faulty.run(inbox, MonitorLink::new(outbox)));
-        to_monitor.send(tick_frame(0, 1.0)).unwrap();
-        assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
-            MonitorToCoordinator::TickDone { tick: 0, .. }
-        ));
+        let mut host = host(vec![faulty]);
+        host.tick(0, 0, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (0, 0));
         // The partition spans a failover: the dying primary's tick 1
         // advances the monitor's clock into the window, then the standby's
         // NewEpoch broadcast and the next tick are blind-consumed.
-        to_monitor
-            .send(ControlFrame::seal(
-                0,
-                CoordinatorToMonitor::Tick(TickData {
-                    tick: 1,
-                    value: 1.0,
-                }),
-            ))
-            .unwrap();
-        to_monitor
-            .send(ControlFrame::seal(
-                1,
-                CoordinatorToMonitor::NewEpoch { epoch: 1 },
-            ))
-            .unwrap();
-        to_monitor
-            .send(ControlFrame::seal(
-                1,
-                CoordinatorToMonitor::Tick(TickData {
-                    tick: 2,
-                    value: 1.0,
-                }),
-            ))
-            .unwrap();
+        let tick = |tick| CoordinatorToMonitor::Tick(TickData { tick, value: 1.0 });
+        host.send(0, 0, tick(1));
+        host.send(0, 1, CoordinatorToMonitor::NewEpoch { epoch: 1 });
+        host.send(0, 1, tick(2));
         // The partition heals at tick 3 — but the monitor missed the
         // epoch bump, so its reply still carries epoch 0: provably stale
         // at the new coordinator.
-        to_monitor
-            .send(ControlFrame::seal(
-                1,
-                CoordinatorToMonitor::Tick(TickData {
-                    tick: 3,
-                    value: 1.0,
-                }),
-            ))
-            .unwrap();
-        assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
-            MonitorToCoordinator::TickDone { tick: 3, .. }
-        ));
-        to_monitor
-            .send(ControlFrame::seal(1, CoordinatorToMonitor::Shutdown))
-            .unwrap();
-        handle.join().unwrap();
+        host.send(0, 1, tick(3));
+        assert_eq!(tick_done(&host.next(0)), (0, 3));
+        assert!(host.stop().is_empty());
     }
 
     #[test]
     fn delayed_reply_arrives_after_the_next_one() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
         // Delay probability 1: every reply is held one send behind.
         let faulty = actor(100.0).with_faults(FaultPlan::new(1).with_delay_rate(1.0));
-        let handle = std::thread::spawn(move || faulty.run(inbox, MonitorLink::new(outbox)));
-        to_monitor.send(tick_frame(0, 1.0)).unwrap();
-        to_monitor.send(tick_frame(1, 1.0)).unwrap();
-        to_monitor
-            .send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown))
-            .unwrap();
+        let host = host(vec![faulty]);
+        host.tick(0, 0, 1.0);
+        host.tick(0, 1, 1.0);
         // Tick 0's reply only flushes when tick 1's reply displaces it;
-        // tick 1's reply flushes at loop exit.
-        assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
-            MonitorToCoordinator::TickDone { tick: 0, .. }
-        ));
-        assert!(matches!(
-            open(&from_monitor.recv().unwrap(), 0),
-            MonitorToCoordinator::TickDone { tick: 1, .. }
-        ));
-        handle.join().unwrap();
+        // tick 1's reply flushes at shutdown.
+        let sent: Vec<(u32, u64)> = host.stop().iter().map(tick_done).collect();
+        assert_eq!(sent, [(0, 0), (0, 1)]);
     }
 
     #[test]
     fn duplicated_reply_is_sent_twice() {
-        let (to_monitor, inbox) = crossbeam::channel::unbounded::<Bytes>();
-        let (outbox, from_monitor) = crossbeam::channel::unbounded::<Bytes>();
         let faulty = actor(100.0).with_faults(FaultPlan::new(1).with_duplication_rate(1.0));
-        let handle = std::thread::spawn(move || faulty.run(inbox, MonitorLink::new(outbox)));
-        to_monitor.send(tick_frame(0, 1.0)).unwrap();
-        let a = from_monitor.recv().unwrap();
-        let b = from_monitor.recv().unwrap();
+        let mut host = host(vec![faulty]);
+        host.tick(0, 0, 1.0);
+        let (a, b) = (host.next_line(), host.next_line());
         assert_eq!(a, b, "the same frame goes out twice");
-        to_monitor
-            .send(ControlFrame::seal(0, CoordinatorToMonitor::Shutdown))
+        assert!(host.stop().is_empty());
+    }
+
+    #[test]
+    fn host_finishes_once_every_slot_was_told_to_shut_down() {
+        let crashing = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 0));
+        let mut host = host(vec![crashing, actor_id(1, 5.0)]);
+        host.tick(0, 0, 1.0);
+        host.tick(1, 0, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (1, 0));
+        // Slot 0 is dead by now. One live slot shut down is not the end:
+        // slot 0 may yet be replaced, so the host keeps serving…
+        host.send(1, 0, CoordinatorToMonitor::Shutdown);
+        host.links[0].install(actor(5.0));
+        host.tick(0, 1, 1.0);
+        // …until the (replaced) slot 0 is shut down too.
+        let sent: Vec<(u32, u64)> = host.stop().iter().map(tick_done).collect();
+        assert_eq!(sent, [(0, 1)]);
+    }
+
+    #[test]
+    fn a_stalled_or_crashed_slot_does_not_delay_its_neighbours() {
+        let plan = FaultPlan::new(1)
+            .with_crash(MonitorId(0), 1)
+            .with_stall(MonitorId(1), 1, 1_000);
+        let actors = (0..4).map(|m| actor_id(m, 5.0).with_faults(plan.clone()));
+        let mut host = host(actors.collect());
+        for tick in 0..3 {
+            for monitor in 0..4 {
+                host.tick(monitor, tick, 1.0);
+            }
+            // Every healthy slot answers every tick, in inbox order, with
+            // nothing from (or because of) the two faulty ones in between.
+            let healthy: &[u32] = if tick == 0 { &[0, 1, 2, 3] } else { &[2, 3] };
+            for &monitor in healthy {
+                assert_eq!(tick_done(&host.next(0)), (monitor, tick));
+            }
+        }
+        assert!(host.stop().is_empty());
+    }
+
+    #[test]
+    fn install_after_crash_announces_before_reporting_and_drops_the_gap() {
+        let crashing = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
+        let mut host = host(vec![crashing, actor_id(1, 5.0)]);
+        host.tick(0, 0, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (0, 0));
+        host.tick(0, 1, 1.0);
+        // Between crash and install: the link refuses frames once the
+        // host has acted the crash out, and one that races past the link
+        // dies at the dead slot.
+        host.tick(1, 1, 1.0);
+        assert_eq!(tick_done(&host.next(0)), (1, 1));
+        assert!(!host.tick(0, 2, 1.0));
+        let raced = CoordinatorToMonitor::Tick(TickData {
+            tick: 2,
+            value: 1.0,
+        });
+        let raced = HostMsg::Frame(0, ControlFrame::seal(0, raced));
+        host.inbox.send(raced).unwrap();
+        // The supervisor's order of business (`TaskSession::restart_monitor`):
+        // install, then `Revived` straight down the coordinator's channel,
+        // and only later the next tick's data.
+        host.links[0].install(actor(5.0).with_epoch(3));
+        let revived = MonitorToCoordinator::Revived {
+            monitor: MonitorId(0),
+        };
+        host.to_coordinator
+            .send(MonitorFrame::seal(3, revived.clone()))
             .unwrap();
-        handle.join().unwrap();
+        let data = TickData {
+            tick: 3,
+            value: 1.0,
+        };
+        let sent = host.send(0, 3, CoordinatorToMonitor::Tick(data));
+        assert!(sent, "the link is live again");
+        assert_eq!(host.next(3), revived);
+        assert_eq!(
+            tick_done(&host.next(3)),
+            (0, 3),
+            "the fresh actor's first report"
+        );
+        assert!(host.stop().is_empty(), "tick 2 was dropped");
+    }
+
+    #[test]
+    fn install_flushes_the_reply_a_stalled_predecessor_still_held() {
+        // Every reply is delayed; from tick 1 on the monitor is wedged.
+        let plan = FaultPlan::new(1)
+            .with_delay_rate(1.0)
+            .with_stall(MonitorId(0), 1, 1_000);
+        let mut host = host(vec![actor(5.0).with_faults(plan)]);
+        host.tick(0, 0, 1.0); // reply held
+        host.tick(0, 1, 1.0); // stalled
+        host.links[0].install(actor(5.0));
+        host.tick(0, 2, 1.0);
+        // The predecessor's exiting thread flushed its held reply; so
+        // does the install, ahead of anything the newcomer says.
+        assert_eq!(tick_done(&host.next(0)), (0, 0));
+        assert_eq!(tick_done(&host.next(0)), (0, 2));
+        assert!(host.stop().is_empty());
     }
 
     #[test]

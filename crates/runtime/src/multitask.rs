@@ -171,6 +171,8 @@ pub struct MultiTaskRunner {
     /// Checkpoint directory and snapshot cadence; each task logs to
     /// `task-{index}.wal` inside it.
     wal: Option<(PathBuf, u64)>,
+    /// Pins each task's monitor-host thread count (tests only).
+    hosts: Option<usize>,
 }
 
 impl MultiTaskRunner {
@@ -187,6 +189,7 @@ impl MultiTaskRunner {
             recorder: None,
             obs: Obs::disabled(),
             wal: None,
+            hosts: None,
         })
     }
 
@@ -303,7 +306,11 @@ impl MultiTaskRunner {
                 let wal = Wal::create(dir.join(format!("task-{index}.wal"))).ok()?;
                 Some((wal, *every))
             });
-            sessions.push(TaskSession::spawn(config, MonitorPlane::Threads, wal)?);
+            sessions.push(TaskSession::spawn(
+                config,
+                MonitorPlane::Hosted { hosts: self.hosts },
+                wal,
+            )?);
         }
 
         let mut detector = CorrelationDetector::new(
@@ -416,6 +423,38 @@ mod tests {
             },
             train_ticks: 200,
             costs: None,
+        }
+    }
+
+    /// The cascade with five monitors a task, so a session has slices to
+    /// split across hosts: gating, suppression and reports must not care
+    /// how many threads host them.
+    #[test]
+    fn outcome_does_not_depend_on_the_host_count() {
+        let wide = |offset| {
+            let spec = TaskSpec::builder(500.0)
+                .monitors(5)
+                .error_allowance(0.05)
+                .max_interval(4)
+                .patience(2)
+                .warmup_samples(2)
+                .build()
+                .unwrap();
+            MultiTask::new(spec, vec![burst_trace(600, offset); 5])
+        };
+        let tasks = [wide(10), wide(12)];
+        let run = |hosts: usize| {
+            let mut runner = MultiTaskRunner::new(config()).unwrap();
+            runner.hosts = Some(hosts);
+            runner.run(&tasks).unwrap()
+        };
+        let one = run(1);
+        assert_eq!(one.gates.len(), 1, "the follower is gated");
+        assert!(one.suppressed_samples > 0);
+        for hosts in [3, 5] {
+            let many = run(hosts);
+            assert_eq!(one.reports, many.reports, "{hosts} hosts");
+            assert_eq!(one, many, "{hosts} hosts");
         }
     }
 

@@ -4,9 +4,8 @@
 //! the [`super::wire`] protocol to the coordinator: it dials, sends an
 //! [`AgentHello`](super::wire::AgentHello), then loops decoding
 //! [`ServerFrame`](super::wire::ServerFrame)s and feeding each wrapped
-//! control frame to the addressed [`MonitorActor`] — exactly the code
-//! path the in-process runner drives through channels, which is what
-//! makes report parity possible.
+//! control frame to its [`SlotTable`] — the table an in-process monitor
+//! host steps off a channel, which is what makes report parity possible.
 //!
 //! Robustness lives here too: when the connection dies (coordinator
 //! restart, injected storm, plain TCP reset) the agent re-dials with
@@ -27,7 +26,7 @@ use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 
 use crate::message::{decode_line, encode_into, MonitorFrame, MonitorToCoordinator};
-use crate::monitor::MonitorActor;
+use crate::monitor::{MonitorSlot, SlotTable};
 use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
 
@@ -114,11 +113,12 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
 
     // The hosted actors come from the session's recipe, so a fault-free
     // networked run is sample-for-sample identical to an in-process one.
-    let mut actors: Vec<(MonitorActor, bool)> = config
+    let actors = config
         .monitors
         .clone()
-        .map(|m| (monitor_actor(&config.spec, m as usize), true))
-        .collect();
+        .map(|m| monitor_actor(&config.spec, m as usize));
+    let slots = actors.map(MonitorSlot::new).collect();
+    let mut table = SlotTable::new(config.monitors.start, slots);
 
     let mut report = AgentReport {
         agent: config.agent,
@@ -167,32 +167,27 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
         ever_connected = true;
 
         // --- handshake: hello + Revived per live monitor ---
-        let epoch = actors
-            .iter()
-            .map(|(actor, _)| actor.epoch())
-            .max()
-            .unwrap_or(0);
+        let actors = || table.slots().iter().map(MonitorSlot::actor);
         let hello = AgentHello {
             agent: config.agent,
-            monitors: actors.iter().map(|(actor, _)| actor.id().0).collect(),
-            epoch,
+            monitors: actors().map(|actor| actor.id().0).collect(),
+            epoch: actors().map(|actor| actor.epoch()).max().unwrap_or(0),
         };
         // One write buffer per connection: frames are encoded in place
         // and leave in batches.
         let mut wbuf: Vec<u8> = Vec::new();
         encode_into(&hello, &mut wbuf);
         let mut revived = 0u64;
-        for (actor, alive) in &actors {
-            if *alive {
-                let notice = MonitorFrame {
-                    epoch: actor.epoch(),
-                    msg: MonitorToCoordinator::Revived {
-                        monitor: actor.id(),
-                    },
-                };
-                encode_into(&notice, &mut wbuf);
-                revived += 1;
-            }
+        for slot in table.slots().iter().filter(|slot| slot.alive()) {
+            let actor = slot.actor();
+            let notice = MonitorFrame {
+                epoch: actor.epoch(),
+                msg: MonitorToCoordinator::Revived {
+                    monitor: actor.id(),
+                },
+            };
+            encode_into(&notice, &mut wbuf);
+            revived += 1;
         }
         if socket.write_all(&wbuf).is_err() {
             continue 'outer; // dial again; the listener may not be up yet
@@ -223,22 +218,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
                     ServerFrame::Welcome { .. } => continue,
                     ServerFrame::Ctl { to, frame } => (to, frame),
                 };
-                // The hosted range is contiguous: `to` indexes it directly.
-                let hosted = to.checked_sub(config.monitors.start);
-                let Some(slot) = hosted.and_then(|idx| actors.get_mut(idx as usize)) else {
-                    continue; // misrouted: not ours, ignore
-                };
-                if !slot.1 {
-                    continue; // already shut down
-                }
-                let (reply, terminate) = slot.0.handle_frame(control);
-                if let Some(msg) = reply {
-                    encode_into(&msg, &mut wbuf);
-                    report.frames_sent += 1;
-                }
-                if terminate {
-                    slot.1 = false;
-                }
+                report.frames_sent += table.deliver(to, control, &mut wbuf);
             }
             if !wbuf.is_empty() {
                 if socket.write_all(&wbuf).is_err() {
@@ -246,7 +226,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
                 }
                 wbuf.clear();
             }
-            if actors.iter().all(|(_, alive)| !alive) {
+            if table.finished() {
                 return Ok(report); // every monitor shut down cleanly
             }
             match socket.read(&mut chunk) {

@@ -712,27 +712,33 @@ impl Protocol for LineFrames {
     }
 
     /// Reassemble; the first line registers, the rest are raw monitor
-    /// frames forwarded verbatim.
+    /// frames forwarded verbatim — every complete line of this chunk as
+    /// one newline-delimited payload, the format a monitor host sends.
     fn on_bytes(&mut self, slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
         conn.state.frames.extend(bytes);
+        let mut payload: Vec<u8> = Vec::with_capacity(conn.state.frames.pending());
+        let mut lines = 0u64;
         while conn.is_open() {
-            let line = match conn.state.frames.next_frame() {
-                Ok(Some(line)) => line,
+            match conn.state.frames.next_line() {
+                Ok(Some(line)) if conn.state.agent.is_some() => {
+                    payload.extend_from_slice(line);
+                    lines += 1;
+                }
+                Ok(Some(line)) => {
+                    let line = Bytes::copy_from_slice(line);
+                    self.hello(slot, conn, &line);
+                }
                 Ok(None) => break,
                 Err(_) => {
                     // Oversized frame: protocol violation, drop peer.
                     self.stats.malformed_frames += 1;
                     conn.close_now();
-                    break;
                 }
-            };
-            if conn.state.agent.is_none() {
-                self.hello(slot, conn, &line);
-            } else if self.to_coord.send(line).is_ok() {
-                self.stats.frames_in += 1;
-            } else {
-                break; // coordinator gone: only during teardown
             }
+        }
+        // A failed send means the coordinator is gone: only during teardown.
+        if lines > 0 && self.to_coord.send(Bytes::from(payload)).is_ok() {
+            self.stats.frames_in += lines;
         }
     }
 

@@ -188,6 +188,9 @@ pub struct TaskRunner {
     /// Live serving-plane publisher: alert/epoch/degradation events and
     /// the current tick for `/metrics` stamping.
     serve: Option<ServePublisher>,
+    /// Pins the monitor-host thread count. Only tests set it: the count
+    /// comes from the machine and no report may depend on it.
+    hosts: Option<usize>,
 }
 
 impl TaskRunner {
@@ -213,6 +216,7 @@ impl TaskRunner {
             obs_dir: None,
             self_monitor: None,
             serve: None,
+            hosts: None,
         })
     }
 
@@ -348,9 +352,12 @@ impl TaskRunner {
     }
 
     /// Runs the task over the per-monitor ground-truth `traces`
-    /// (`traces[i][t]` = monitor *i*'s value at tick *t*), spawning one
-    /// thread per monitor plus one for the coordinator, and blocks until
-    /// the shortest trace is exhausted.
+    /// (`traces[i][t]` = monitor *i*'s value at tick *t*) and blocks until
+    /// the shortest trace is exhausted. The monitors are hosted on
+    /// `min(monitors, available_parallelism())` threads — each steps a
+    /// contiguous slice of them off one inbox and answers a tick with
+    /// one payload — beside one thread for the coordinator; no report
+    /// depends on how many hosts there were.
     ///
     /// The run completes even if monitors crash or stall mid-way: the
     /// coordinator quarantines them after missed deadlines and (unless
@@ -413,7 +420,8 @@ impl TaskRunner {
             None => None,
         };
 
-        let mut session = TaskSession::spawn(&self.session, MonitorPlane::Threads, wal)?;
+        let plane = MonitorPlane::Hosted { hosts: self.hosts };
+        let mut session = TaskSession::spawn(&self.session, plane, wal)?;
 
         // Observability: pre-resolve the runner's instruments (no registry
         // mutex on the tick path).
@@ -753,6 +761,60 @@ mod tests {
         // no forced samples.
         assert_eq!(report.poll_samples, 0);
         assert_eq!(report.polls, 1);
+    }
+
+    /// Calm wobble with every monitor bursting over its local threshold
+    /// on the last tick of each 50: polls, alerts and adaptation all move.
+    fn bursty_traces(monitors: usize, ticks: usize) -> Vec<Vec<f64>> {
+        (0..monitors)
+            .map(|m| {
+                (0..ticks)
+                    .map(|t| {
+                        let wobble = ((t * (3 + m)) % 7) as f64;
+                        if t % 50 == 49 {
+                            140.0 + wobble
+                        } else {
+                            20.0 + wobble
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// How many threads host the monitors is the machine's business: the
+    /// report is the same on 1, 3 and n of them, with the monitors healthy
+    /// and with them crashing, stalling, duplicating and losing reports.
+    #[test]
+    fn reports_do_not_depend_on_the_host_count() {
+        let monitors = 7;
+        let spec = spec(monitors, 100.0 * monitors as f64, 0.02);
+        let traces = bursty_traces(monitors, 220);
+        let faulty = FaultPlan::new(20130708)
+            .with_drop_rate(FaultPath::ViolationReport, 0.25)
+            .with_drop_rate(FaultPath::PollReply, 0.25)
+            .with_duplication_rate(0.2)
+            .with_crash(MonitorId(2), 30)
+            .with_stall(MonitorId(5), 60, 10);
+        for plan in [FaultPlan::default(), faulty] {
+            let run = |hosts: usize| {
+                let mut runner = TaskRunner::new(&spec)
+                    .unwrap()
+                    .with_fault_plan(plan.clone())
+                    .with_tick_deadline(Duration::from_millis(250))
+                    .with_quarantine_after(2);
+                runner.hosts = Some(hosts);
+                runner.run(&traces).unwrap()
+            };
+            let one = run(1);
+            assert_eq!(one.ticks, 220);
+            assert!(one.alerts > 0, "the bursts alert");
+            if !plan.is_benign() {
+                assert_eq!((one.quarantines, one.restarts), (2, 2), "the plan bites");
+            }
+            assert_eq!(one, run(3), "3 hosts");
+            assert_eq!(one, run(monitors), "one host per monitor");
+        }
     }
 
     #[test]

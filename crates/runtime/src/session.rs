@@ -5,8 +5,8 @@
 //!
 //! - **spawn** ([`TaskSession::spawn`]): the only monitor-actor recipe
 //!   ([`monitor_actor`]), the only [`CoordinatorActor`] construction and
-//!   the link/channel wiring between them, the monitors on in-process
-//!   threads or behind a socket event loop ([`MonitorPlane`]);
+//!   the link/channel wiring between them, the monitors hosted on a few
+//!   in-process threads or behind a socket event loop ([`MonitorPlane`]);
 //! - **step** ([`TaskSession::step`]): send one tick's [`TickData`], drain
 //!   liveness events until its [`TickSummary`], fold that into the
 //!   [`RuntimeReport`];
@@ -40,7 +40,7 @@ use crate::message::{
     decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
     MonitorToCoordinator, TickData, TickSummary,
 };
-use crate::monitor::MonitorActor;
+use crate::monitor::{HostMsg, MonitorActor, MonitorSlot, SlotTable};
 use crate::runner::RuntimeReport;
 
 /// A fresh sampler at the default interval holding allowance `err`.
@@ -57,7 +57,7 @@ fn even_share(spec: &TaskSpec) -> f64 {
 }
 
 /// The monitor-actor recipe: monitor `idx` of `spec` around a fresh
-/// sampler at the even allowance share. In-process threads, supervised
+/// sampler at the even allowance share. In-process hosts, supervised
 /// restarts and socket agents all start here, hence bit-for-bit parity.
 pub(crate) fn monitor_actor(spec: &TaskSpec, idx: usize) -> MonitorActor {
     let m = &spec.monitors()[idx];
@@ -127,8 +127,11 @@ pub(crate) fn run_length(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<u64, Vo
 
 /// Where a session's monitors live.
 pub(crate) enum MonitorPlane {
-    /// One in-process actor thread per monitor, wired over channels.
-    Threads,
+    /// In process: `min(n, available_parallelism())` host threads, each
+    /// stepping a contiguous slice of the monitors off one inbox — an
+    /// agent without a socket. `hosts` pins the thread count instead;
+    /// only tests set it (a report must not depend on it).
+    Hosted { hosts: Option<usize> },
     /// Behind sockets: control frames leave tagged `(monitor, frame)` on
     /// `out` (each send firing `waker`), monitor frames arrive on
     /// `from_monitors` — both far ends held by the event loop that owns
@@ -150,8 +153,8 @@ pub(crate) struct TaskSession<'a> {
     /// only): failover repoints it at the successor's fresh channel, so
     /// frames addressed to the dead incarnation die with its receiver.
     out_link: Option<MonitorLink>,
-    /// Live monitor threads, plus predecessors replaced by a restart.
-    monitor_handles: Vec<JoinHandle<()>>,
+    /// The monitor host threads (in-process plane only).
+    host_handles: Vec<JoinHandle<()>>,
     summary_rx: Receiver<Bytes>,
     /// `None` once a dead coordinator has been joined.
     coord_handle: Option<JoinHandle<()>>,
@@ -159,9 +162,9 @@ pub(crate) struct TaskSession<'a> {
 }
 
 impl<'a> TaskSession<'a> {
-    /// Wires the links, spawns the monitors (in-process plane) and the
-    /// first coordinator incarnation, checkpointing to `wal` (log plus
-    /// snapshot cadence) when given.
+    /// Wires the links, spawns the monitor hosts (in-process plane) and
+    /// the first coordinator incarnation, checkpointing to `wal` (log
+    /// plus snapshot cadence) when given.
     ///
     /// # Errors
     ///
@@ -179,21 +182,36 @@ impl<'a> TaskSession<'a> {
             epoch: 0,
             links: Vec::new(),
             out_link: None,
-            monitor_handles: Vec::new(),
+            host_handles: Vec::new(),
             summary_rx,
             coord_handle: None,
             report: RuntimeReport::default(),
         };
         let from_monitors = match plane {
-            MonitorPlane::Threads => {
+            MonitorPlane::Hosted { hosts } => {
                 let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-                session.out_link = Some(MonitorLink::new(to_coord_tx));
-                for idx in 0..n {
-                    let plan = session.config.fault_plan.clone();
-                    let (tx, handle) = session.spawn_monitor(idx, plan);
-                    session.links.push(MonitorLink::new(tx));
-                    session.monitor_handles.push(handle);
+                let out_link = MonitorLink::new(to_coord_tx);
+                let hosts = hosts
+                    .or_else(|| thread::available_parallelism().ok().map(usize::from))
+                    .unwrap_or(1)
+                    .clamp(1, n);
+                for host in 0..hosts {
+                    let (tx, rx) = unbounded::<HostMsg>();
+                    let hosted = host * n / hosts..(host + 1) * n / hosts;
+                    let mut slots = Vec::with_capacity(hosted.len());
+                    for idx in hosted.clone() {
+                        let plan = session.config.fault_plan.clone();
+                        let slot = MonitorSlot::new(session.actor(idx, plan));
+                        let link = MonitorLink::hosted(idx as u32, tx.clone(), slot.liveness());
+                        session.links.push(link);
+                        slots.push(slot);
+                    }
+                    let table = SlotTable::new(hosted.start as u32, slots);
+                    let outbox = out_link.clone();
+                    let handle = thread::spawn(move || table.host(rx, outbox));
+                    session.host_handles.push(handle);
                 }
+                session.out_link = Some(out_link);
                 to_coord_rx
             }
             MonitorPlane::Remote {
@@ -212,19 +230,17 @@ impl<'a> TaskSession<'a> {
         Ok(session)
     }
 
-    /// Spawns monitor `idx` on its own thread at the current epoch under
-    /// `plan`, returning its inbox sender.
-    fn spawn_monitor(&self, idx: usize, plan: FaultPlan) -> (Sender<Bytes>, JoinHandle<()>) {
-        let (tx, rx) = unbounded::<Bytes>();
-        let mut actor = monitor_actor(&self.config.spec, idx)
+    /// Monitor `idx`'s actor at the current epoch under `plan`, wired to
+    /// the session's sinks.
+    fn actor(&self, idx: usize, plan: FaultPlan) -> MonitorActor {
+        let actor = monitor_actor(&self.config.spec, idx)
             .with_faults(plan)
             .with_epoch(self.epoch)
             .with_obs(&self.config.obs);
-        if let Some(recorder) = &self.config.recorder {
-            actor = actor.with_recorder(recorder.clone());
+        match &self.config.recorder {
+            Some(recorder) => actor.with_recorder(recorder.clone()),
+            None => actor,
         }
-        let outbox = self.out_link.clone().expect("in-process plane");
-        (tx, thread::spawn(move || actor.run(rx, outbox)))
     }
 
     /// Builds and spawns one coordinator incarnation at the current epoch.
@@ -360,20 +376,16 @@ impl<'a> TaskSession<'a> {
         }
     }
 
-    /// Replaces a quarantined monitor with a fresh actor: new inbox, a
-    /// fresh sampler at the default interval (its learned schedule died
-    /// with it), the even allowance share, the current epoch. Process
-    /// faults (crash/stall) are stripped from the restarted actor's plan
-    /// — its predecessor already acted them out — while network faults
-    /// (including partitions) keep applying.
+    /// Replaces a quarantined monitor with a fresh actor installed in
+    /// its host's slot: a fresh sampler at the default interval (its
+    /// learned schedule died with it), the even allowance share, the
+    /// current epoch. Process faults (crash/stall) are stripped from the
+    /// restarted actor's plan — its predecessor already acted them out —
+    /// while network faults (including partitions) keep applying.
     fn restart_monitor(&mut self, monitor: MonitorId) {
         let idx = monitor.0 as usize;
         let plan = self.config.fault_plan.without_process_faults(monitor);
-        let (tx, handle) = self.spawn_monitor(idx, plan);
-        self.monitor_handles.push(handle);
-        // Swapping the link drops the old sender: a stalled predecessor
-        // sees its inbox disconnect and exits.
-        self.links[idx].replace(tx);
+        self.links[idx].install(self.actor(idx, plan));
         self.report.restarts += 1;
         // Tell the coordinator to await the restarted monitor again;
         // FIFO puts this notice ahead of the fresh actor's first report.
@@ -481,15 +493,16 @@ impl<'a> TaskSession<'a> {
         }
     }
 
-    /// Tears the session down and returns its report: stop and join the
-    /// monitors, cut the monitor→coordinator channel so the coordinator
-    /// exits on disconnect, join it, and only then — every producer gone —
-    /// seal the recorded samples. A remote plane's event loop must already
-    /// have stopped (it holds the coordinator's inbox sender).
+    /// Tears the session down and returns its report: stop the monitors
+    /// and join their hosts, cut the monitor→coordinator channel so the
+    /// coordinator exits on disconnect, join it, and only then — every
+    /// producer gone — seal the recorded samples. A remote plane's event
+    /// loop must already have stopped (it holds the coordinator's inbox
+    /// sender).
     pub(crate) fn finish(self) -> RuntimeReport {
         self.broadcast_shutdown();
-        for handle in self.monitor_handles {
-            handle.join().expect("monitor thread exits cleanly");
+        for handle in self.host_handles {
+            handle.join().expect("monitor host exits cleanly");
         }
         drop(self.links);
         drop(self.out_link);
@@ -524,22 +537,52 @@ mod tests {
         text[..end].to_string()
     }
 
-    fn scan(dir: &Path, offenders: &mut Vec<String>) {
+    /// Calls `visit` on every `.rs` file under `dir`.
+    fn for_each_source(dir: &Path, visit: &mut dyn FnMut(&Path)) {
         for entry in std::fs::read_dir(dir).expect("readable src dir") {
             let path = entry.expect("dir entry").path();
             if path.is_dir() {
-                scan(&path, offenders);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && path.file_name().is_some_and(|f| f != "session.rs")
-            {
-                let source = non_test_source(&path);
-                for recipe in ["CoordinatorActor::new(", "AdaptiveSampler::new("] {
-                    if source.contains(recipe) {
-                        offenders.push(format!("{}: {recipe}", path.display()));
-                    }
-                }
+                for_each_source(&path, visit);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                visit(&path);
             }
         }
+    }
+
+    /// The drift guard for the monitor plane: a session's threads are its
+    /// hosts plus one coordinator, however many monitors it runs — the
+    /// crate spawns threads at two sites here (host, coordinator) and at
+    /// one in the socket server (its event loop), never one per monitor.
+    #[test]
+    fn a_session_spawns_at_most_hosts_plus_one_threads() {
+        use super::{MonitorPlane, SessionConfig, TaskSession};
+        use volley_core::task::TaskSpec;
+        use volley_obs::Obs;
+
+        let spec = TaskSpec::builder(6400.0).monitors(64).build().unwrap();
+        let config = SessionConfig::new(spec, Obs::disabled());
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        for (hosts, expected) in [(None, cores.min(64)), (Some(3), 3), (Some(500), 64)] {
+            let session =
+                TaskSession::spawn(&config, MonitorPlane::Hosted { hosts }, None).unwrap();
+            assert_eq!(session.host_handles.len(), expected, "hosts {hosts:?}");
+            assert_eq!(session.links.len(), 64);
+            session.finish();
+        }
+
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let spawns = |file: &str| {
+            non_test_source(&src.join(file))
+                .matches("thread::spawn(")
+                .count()
+        };
+        let mut total = 0;
+        for_each_source(&src, &mut |path| {
+            total += non_test_source(path).matches("thread::spawn(").count();
+        });
+        assert_eq!(spawns("session.rs"), 2, "one per host, one per coordinator");
+        assert_eq!(spawns("net/server.rs"), 1, "the event loop");
+        assert_eq!(total, 3, "a thread::spawn outside the three known sites");
     }
 
     /// The drift guard for the tick path: actors are built in this module
@@ -549,7 +592,16 @@ mod tests {
     fn actor_recipes_live_in_the_session_module_only() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
         let mut offenders = Vec::new();
-        scan(&src, &mut offenders);
+        for_each_source(&src, &mut |path| {
+            if path.file_name().is_some_and(|f| f != "session.rs") {
+                let source = non_test_source(path);
+                for recipe in ["CoordinatorActor::new(", "AdaptiveSampler::new("] {
+                    if source.contains(recipe) {
+                        offenders.push(format!("{}: {recipe}", path.display()));
+                    }
+                }
+            }
+        });
         assert!(
             offenders.is_empty(),
             "actor construction outside session.rs: {offenders:?}"

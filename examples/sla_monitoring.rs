@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_interval(16)
         .task_spec(threshold, SERVERS)?;
 
-    // Spawns one OS thread per monitor plus a coordinator thread; blocks
-    // until the trace is exhausted.
+    // Spawns a few monitor-host threads (at most one per core) plus a
+    // coordinator thread; blocks until the trace is exhausted.
     let report = TaskRunner::new(&spec)?.run(&traces)?;
 
     println!("scale-up threshold: {threshold:.0} requests/s (aggregate)");

@@ -24,7 +24,7 @@ use volley::runtime::message::{
     decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor,
     CoordinatorToRunner, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
-use volley::runtime::net::{AgentHello, ServerFrame};
+use volley::runtime::net::{AgentHello, FrameBuffer, ServerFrame};
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
 /// through the real sampler so every invariant the restore path expects
@@ -232,6 +232,62 @@ proptest! {
         let frame: ControlFrame = decode(&sealed).expect("control envelope decodes");
         prop_assert_eq!(frame.epoch, epoch);
         prop_assert_eq!(frame.msg, ctrl);
+    }
+
+    /// What lets a monitor host (or the socket loop) hand the coordinator
+    /// a whole drain as one payload: `k` encoded frames concatenated split
+    /// back on newlines into the same `k` frames, byte for byte — a frame
+    /// holds exactly one newline, its last byte — and `FrameBuffer` cuts
+    /// the payload at the same places.
+    #[test]
+    fn concatenated_frames_split_back_into_the_same_frames(
+        epoch in 0u64..1000,
+        k in 0usize..40,
+        tick in 0u64..u64::MAX,
+        value in -1e12f64..1e12,
+        threshold in 1.0f64..1e6,
+    ) {
+        let frames: Vec<Bytes> = (0..k as u32)
+            .map(|i| {
+                let monitor = MonitorId(i);
+                let msg = match i % 4 {
+                    0 => MonitorToCoordinator::TickDone {
+                        monitor,
+                        tick,
+                        sampled: i % 8 == 0,
+                        violation: false,
+                        suppressed: i % 8 != 0,
+                    },
+                    1 => MonitorToCoordinator::PollReply {
+                        monitor,
+                        tick,
+                        value,
+                        forced_sample: true,
+                    },
+                    2 => MonitorToCoordinator::Revived { monitor },
+                    _ => MonitorToCoordinator::StateSnapshot {
+                        monitor,
+                        snapshot: sampler_snapshot(threshold, u64::from(i)),
+                    },
+                };
+                MonitorFrame::seal(epoch + u64::from(i), msg)
+            })
+            .collect();
+        let payload: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
+
+        let lines: Vec<&[u8]> = payload.split_inclusive(|&b| b == b'\n').collect();
+        prop_assert_eq!(lines.len(), k);
+        let mut reassembled = FrameBuffer::new(1 << 20);
+        reassembled.extend(&payload);
+        for (line, frame) in lines.iter().zip(&frames) {
+            prop_assert_eq!(*line, &frame[..]);
+            prop_assert_eq!(
+                decode_line::<MonitorFrame>(line).expect("a split line decodes"),
+                decode::<MonitorFrame>(frame).expect("the frame decodes")
+            );
+            prop_assert_eq!(&reassembled.next_frame().expect("under the cap"), &Some(frame.clone()));
+        }
+        prop_assert_eq!(reassembled.pending(), 0);
     }
 
     /// `CoordinatorToRunner` round-trips for every variant.
