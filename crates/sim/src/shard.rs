@@ -11,10 +11,12 @@
 //! 1. every shard independently drains its own queue up to the epoch
 //!    boundary (threads pull shards off a shared work list, so a fast
 //!    thread steals shards from slower ones);
-//! 2. at the barrier, each shard's per-destination **send lanes** are
-//!    handed to their destination shards by pointer swap — a lane is
+//! 2. at the barrier, the **send lanes** each shard sent on this epoch
+//!    (a lane exists only for a destination that was sent to) are
+//!    handed to their destination shards by pointer move — a lane is
 //!    already in canonical `(source shard, send order)` form, so no
-//!    collect/route/sort pass runs and no message is ever copied;
+//!    collect/route/sort pass runs, no message is ever copied, and the
+//!    barrier's work grows with the lanes sent on, never with shards²;
 //! 3. the next epoch begins by draining the delivered lanes, source
 //!    shard ascending.
 //!
@@ -22,7 +24,7 @@
 //! per-shard [`ScratchArena`] buffers are recycled through spare pools
 //! instead of being reallocated each epoch, and the worker threads are
 //! spawned once per run — an epoch boundary is two [`Barrier`]
-//! rendezvous plus pointer swaps, not a `thread::scope` teardown.
+//! rendezvous plus pointer moves, not a `thread::scope` teardown.
 //!
 //! Determinism is by construction, not by luck: shard state is touched
 //! only by whichever thread currently holds the shard, every shard owns
@@ -63,7 +65,8 @@
 //! assert_eq!(stats.shards, 4);
 //! ```
 
-use std::mem;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
@@ -198,16 +201,30 @@ impl ScratchArena {
     }
 }
 
+/// One shard's outgoing send lanes, sparse: a lane exists only for a
+/// destination sent to since the last barrier, so nothing here is sized
+/// by the shard count.
+#[derive(Debug)]
+struct SendLanes<M> {
+    /// `(destination, messages in send order)`, sorted by destination.
+    touched: Vec<(u32, Vec<M>)>,
+    /// Empty buffers for the next first sends; the barrier tops this up
+    /// with one recycled buffer per lane it takes.
+    free: Vec<Vec<M>>,
+    /// Total shards in the running engine (the bound `send` checks).
+    shards: u32,
+}
+
 /// The per-shard execution context handed to [`ShardWorker`] callbacks:
-/// the shard's own event queue, RNG stream, typed per-destination send
-/// lanes, and scratch arena.
+/// the shard's own event queue, RNG stream, typed sparse send lanes, and
+/// scratch arena.
 #[derive(Debug)]
 pub struct EpochCtx<'a, E, M> {
     shard: ShardId,
     queue: &'a mut EventQueue<E>,
     rng: &'a mut StdRng,
-    /// One send lane per destination shard; a push is the whole send.
-    lanes: &'a mut [Vec<M>],
+    /// The lanes sent on this epoch; a send is a search plus a push.
+    lanes: &'a mut SendLanes<M>,
     scratch: &'a mut ScratchArena,
 }
 
@@ -219,7 +236,7 @@ impl<E, M> EpochCtx<'_, E, M> {
 
     /// Total shards in the running engine.
     pub fn shard_count(&self) -> u32 {
-        self.lanes.len() as u32
+        self.lanes.shards
     }
 
     /// Current simulated time on this shard's clock.
@@ -239,20 +256,34 @@ impl<E, M> EpochCtx<'_, E, M> {
     }
 
     /// Sends `msg` to shard `dst` by pushing onto the destination's
-    /// lane. Lanes are handed over — batched, in canonical
-    /// `(source shard, send order)` order, by pointer swap — at the next
-    /// epoch boundary.
+    /// lane, opening the lane (on a recycled buffer) at its sorted
+    /// position on the epoch's first send to `dst`. Lanes are handed
+    /// over — batched, in canonical `(source shard, send order)` order,
+    /// by pointer move — at the next epoch boundary.
+    ///
+    /// Known cost: opening a lane shifts the lanes after it, so a shard
+    /// that fans out to *k* new destinations in descending order pays
+    /// O(k²) moves of 32-byte entries per epoch; ascending fan-out
+    /// appends.
     ///
     /// # Panics
     ///
     /// Panics when `dst` does not exist in the plan.
     pub fn send(&mut self, dst: ShardId, msg: M) {
-        let shard = self.shard;
-        let lane = self
-            .lanes
-            .get_mut(dst.0 as usize)
-            .unwrap_or_else(|| panic!("{shard} sent a message to nonexistent {dst}"));
-        lane.push(msg);
+        let (shard, lanes) = (self.shard, &mut *self.lanes);
+        assert!(
+            dst.0 < lanes.shards,
+            "{shard} sent a message to nonexistent {dst}"
+        );
+        let at = match lanes.touched.binary_search_by_key(&dst.0, |lane| lane.0) {
+            Ok(at) => at,
+            Err(at) => {
+                let buf = lanes.free.pop().unwrap_or_default();
+                lanes.touched.insert(at, (dst.0, buf));
+                at
+            }
+        };
+        lanes.touched[at].1.push(msg);
     }
 
     /// This shard's own deterministic RNG stream.
@@ -341,7 +372,7 @@ pub struct EngineStats {
     pub merges: u64,
     /// Largest per-shard pending-event backlog observed at an epoch end.
     pub max_queue_depth: usize,
-    /// Non-empty send lanes handed over by pointer swap at barriers.
+    /// Send lanes handed over by pointer move at barriers.
     pub lane_swaps: u64,
     /// Recycled buffers (lane spares and scratch-arena hits) handed
     /// back out instead of allocating.
@@ -354,8 +385,8 @@ struct ShardCell<W: ShardWorker> {
     worker: Option<W>,
     queue: EventQueue<W::Event>,
     rng: StdRng,
-    /// Outgoing send lanes, indexed by destination shard.
-    lanes: Vec<Vec<W::Msg>>,
+    /// Outgoing send lanes: the destinations sent to this epoch.
+    lanes: SendLanes<W::Msg>,
     /// Delivered lane buffers in canonical `(source, send order)` form.
     inbox: Vec<(ShardId, Vec<W::Msg>)>,
     /// Drained inbox buffers awaiting recycling into the spares pool.
@@ -453,7 +484,13 @@ impl ShardedEngine {
     ///
     /// The worker pool is spawned once and parked on a [`Barrier`]
     /// between epochs; an epoch boundary costs two rendezvous plus the
-    /// serial lane swap.
+    /// serial hand-off of the lanes that were sent on.
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic raised by `build` or a worker callback, at every
+    /// thread count, once the pool has shut down; when several shards
+    /// panic in one epoch the lowest shard's payload is the one resumed.
     pub fn run<W, F>(
         &self,
         plan: &ShardPlan,
@@ -482,7 +519,11 @@ impl ShardedEngine {
                     worker: None,
                     queue: EventQueue::new(),
                     rng: ShardPlan::rng_for(seed, shard),
-                    lanes: (0..shard_count).map(|_| Vec::new()).collect(),
+                    lanes: SendLanes {
+                        touched: Vec::new(),
+                        free: Vec::new(),
+                        shards: shard_count as u32,
+                    },
                     inbox: Vec::new(),
                     spent: Vec::new(),
                     scratch: ScratchArena::default(),
@@ -512,6 +553,34 @@ impl ShardedEngine {
         let epoch_end_us = AtomicU64::new(0);
         let next_shard = CachePadded(AtomicUsize::new(0));
         let steals = CachePadded(AtomicU64::new(0));
+        // A worker panic, parked until every thread has left the pool.
+        let failed: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
+
+        // One pool thread's share of an epoch: claim shards off the
+        // shared list until none remain. A panicking worker is caught
+        // here so its thread still reaches the end-of-epoch barrier; the
+        // lowest panicking shard wins, so what `run` surfaces does not
+        // depend on scheduling.
+        let claim_shards = |ordinal: usize, epoch_end: SimTime| {
+            let mut index = 0;
+            let caught = catch_unwind(AssertUnwindSafe(|| loop {
+                index = next_shard.0.fetch_add(1, Ordering::Relaxed);
+                if index >= shard_count {
+                    break;
+                }
+                if index % threads != ordinal {
+                    steals.0.fetch_add(1, Ordering::Relaxed);
+                }
+                let mut cell = cells[index].0.lock().expect("shard cell lock");
+                cell.run_epoch(&build, epoch_end);
+            }));
+            if let Err(payload) = caught {
+                let mut failed = failed.lock().expect("panic slot lock");
+                if failed.as_ref().is_none_or(|(shard, _)| index < *shard) {
+                    *failed = Some((index, payload));
+                }
+            }
+        };
 
         // Barrier scratch, reused across epochs: recycled lane buffers
         // and the staging list for the serial swap pass.
@@ -519,31 +588,16 @@ impl ShardedEngine {
         let mut staged: Vec<(u32, ShardId, Vec<W::Msg>)> = Vec::new();
 
         std::thread::scope(|scope| {
-            let cells = &cells;
-            let build = &build;
             for ordinal in 1..threads {
-                let barrier = &barrier;
-                let done = &done;
-                let epoch_end_us = &epoch_end_us;
-                let next_shard = &next_shard;
-                let steals = &steals;
+                let (barrier, done, epoch_end_us) = (&barrier, &done, &epoch_end_us);
+                let claim_shards = &claim_shards;
                 scope.spawn(move || loop {
                     barrier.wait();
                     if done.load(Ordering::Relaxed) {
                         break;
                     }
                     let epoch_end = SimTime::from_micros(epoch_end_us.load(Ordering::Relaxed));
-                    loop {
-                        let index = next_shard.0.fetch_add(1, Ordering::Relaxed);
-                        if index >= shard_count {
-                            break;
-                        }
-                        if index % threads != ordinal {
-                            steals.0.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let mut cell = cells[index].0.lock().expect("shard cell lock");
-                        cell.run_epoch(build, epoch_end);
-                    }
+                    claim_shards(ordinal, epoch_end);
                     barrier.wait();
                 });
             }
@@ -568,47 +622,41 @@ impl ShardedEngine {
                 steals.0.store(0, Ordering::Relaxed);
                 barrier.wait();
                 // This thread is pool ordinal 0.
-                loop {
-                    let index = next_shard.0.fetch_add(1, Ordering::Relaxed);
-                    if index >= shard_count {
-                        break;
-                    }
-                    if !index.is_multiple_of(threads) {
-                        steals.0.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut cell = cells[index].0.lock().expect("shard cell lock");
-                    cell.run_epoch(build, epoch_end);
-                }
+                claim_shards(0, epoch_end);
                 barrier.wait();
+                if failed.lock().expect("panic slot lock").is_some() {
+                    // The panicking shard's lock is poisoned: release the
+                    // pool without touching the cells again.
+                    done.store(true, Ordering::Relaxed);
+                    barrier.wait();
+                    break;
+                }
 
                 stats.steals += steals.0.load(Ordering::Relaxed);
                 stats.epochs += 1;
 
-                // Barrier merge: hand every non-empty lane to its
-                // destination by pointer swap. Iterating sources in
-                // ascending order keeps each inbox in canonical
-                // (source, send order) form with no sort.
+                // Barrier merge: hand every touched lane to its
+                // destination by pointer move, topping the source's free
+                // list up with one recycled buffer per lane taken.
+                // Iterating sources in ascending order keeps each inbox
+                // in canonical (source, send order) form with no sort.
                 let mut depth = 0usize;
                 let mut merged = 0u64;
                 for (src, slot) in cells.iter().enumerate().take(shard_count) {
                     let cell = &mut *slot.0.lock().expect("shard cell lock");
                     depth = depth.max(cell.queue.len());
                     spares.append(&mut cell.spent);
-                    for dst in 0..shard_count {
-                        if cell.lanes[dst].is_empty() {
-                            continue;
-                        }
-                        let replacement = match spares.pop() {
-                            Some(buf) => {
+                    for (dst, buf) in cell.lanes.touched.drain(..) {
+                        cell.lanes.free.push(match spares.pop() {
+                            Some(spare) => {
                                 stats.arena_reuses += 1;
-                                buf
+                                spare
                             }
                             None => Vec::new(),
-                        };
-                        let buf = mem::replace(&mut cell.lanes[dst], replacement);
+                        });
                         merged += buf.len() as u64;
                         stats.lane_swaps += 1;
-                        staged.push((dst as u32, ShardId(src as u32), buf));
+                        staged.push((dst, ShardId(src as u32), buf));
                     }
                 }
                 let has_pending_messages = !staged.is_empty();
@@ -654,6 +702,9 @@ impl ShardedEngine {
             }
         });
 
+        if let Some((_, payload)) = failed.into_inner().expect("panic slot lock") {
+            resume_unwind(payload);
+        }
         let mut workers = Vec::with_capacity(shard_count);
         for cell in cells {
             let cell = cell.0.into_inner().expect("shard cell lock");
@@ -801,10 +852,11 @@ mod tests {
             assert_eq!(one.lane_swaps, many.lane_swaps, "threads={threads}");
             assert_eq!(one.arena_reuses, many.arena_reuses, "threads={threads}");
         }
-        assert!(one.lane_swaps > 0, "ping-pong must swap lanes");
-        assert!(
-            one.arena_reuses > 0,
-            "scratch take/put and lane recycling must reuse buffers"
+        // Literal values of the dense-lane engine (PR 19): the sparse
+        // lane set must hand off, recycle and count exactly as it did.
+        assert_eq!(
+            (one.epochs, one.merges, one.lane_swaps, one.arena_reuses),
+            (6, 68, 20, 216)
         );
     }
 
@@ -879,6 +931,67 @@ mod tests {
         type Event = ();
         type Msg = ();
         fn handle(&mut self, _ctx: &mut EpochCtx<'_, (), ()>, _t: SimTime, _e: ()) {}
+    }
+
+    #[test]
+    fn a_20_000_shard_message_free_run_needs_no_quadratic_memory() {
+        // A dense per-destination lane table would be 20 000² × 24 B =
+        // 9.6 GB of empty `Vec` headers before the first event.
+        let plan = ShardPlan::by_coordinator_group(ClusterConfig::new(20_000, 1, 1));
+        assert_eq!(plan.shard_count(), 20_000);
+        let engine = ShardedEngine::new(EngineConfig::message_free(2, SimTime::from_micros(10)));
+        let (workers, stats) = engine.run(&plan, 0, |shard, _| shard.0, None);
+        assert!(workers.iter().copied().eq(0..20_000));
+        assert_eq!((stats.epochs, stats.lane_swaps), (1, 0));
+    }
+
+    #[test]
+    fn a_panicking_worker_unwinds_out_of_run_at_every_thread_count() {
+        struct Stray;
+        impl ShardWorker for Stray {
+            type Event = ();
+            type Msg = ();
+            fn handle(&mut self, ctx: &mut EpochCtx<'_, (), ()>, _t: SimTime, _e: ()) {
+                // Shards 1 and 3 both panic: the lowest must surface.
+                if ctx.shard().0 % 2 == 1 {
+                    ctx.send(ShardId(99), ());
+                }
+            }
+        }
+        for threads in [1, 2, 4] {
+            // On a helper thread, so a pool that never shuts down fails
+            // this test instead of hanging the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let plan = ShardPlan::by_coordinator_group(ClusterConfig::new(4, 1, 1));
+                let engine = ShardedEngine::new(EngineConfig {
+                    threads,
+                    epoch: SimDuration::from_micros(10),
+                    horizon: SimTime::from_micros(100),
+                });
+                let outcome = catch_unwind(|| {
+                    engine.run(
+                        &plan,
+                        0,
+                        |_, ctx| {
+                            ctx.schedule(SimTime::from_micros(25), ());
+                            Stray
+                        },
+                        None,
+                    );
+                });
+                let _ = tx.send(outcome);
+            });
+            let payload = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("engine hung on a worker panic at {threads} threads"))
+                .expect_err("the worker's panic must propagate out of run");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("shard-1 sent a message to nonexistent shard-99"),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -354,33 +354,42 @@ fn fleet_runner_matches_pre_rewrite_goldens() {
 //
 // The old barrier tagged every message with a per-source sequence number,
 // gathered all (dst, src, seq) triples, and sorted each destination's
-// inbox by (src, seq). The lane-based barrier skips the sort: it walks
-// source lanes in ascending order and each lane preserves push order,
-// which is the same total order by construction. This property test
-// drives arbitrary send patterns through the engine and checks the
-// delivered order against the sort-based definition.
+// inbox by (src, seq). The lane-based barrier skips the sort: a source
+// keeps the lanes it sent on sorted by destination, the barrier walks
+// sources in ascending order and each lane preserves push order, which is
+// the same total order by construction. This property test drives
+// arbitrary send patterns through the engine — 64 shards, three epochs,
+// plus the patterns the sparse lane set has code for: self-sends, a
+// descending fan-out (every lane opens in front of the others) and a
+// destination first sent to in a later epoch — and checks the delivered
+// order against the sort-based definition.
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
 
+const LANE_SHARDS: u32 = 64;
+const LANE_EPOCHS: usize = 3;
+
 #[derive(Debug, Default)]
 struct LaneProbe {
-    /// (dst, payload) pairs to emit from this shard, in order.
-    sends: Vec<(u32, u64)>,
+    /// Per epoch, the (dst, payload) pairs to emit from this shard, in
+    /// order.
+    sends: Vec<Vec<(u32, u64)>>,
     /// (src, payload) pairs in the order the barrier delivered them.
     received: Vec<(u32, u64)>,
 }
 
 impl volley::sim::ShardWorker for LaneProbe {
-    type Event = ();
+    /// The epoch whose sends to emit.
+    type Event = usize;
     type Msg = u64;
     fn handle(
         &mut self,
         ctx: &mut volley::sim::EpochCtx<'_, Self::Event, Self::Msg>,
         _time: SimTime,
-        _event: Self::Event,
+        epoch: Self::Event,
     ) {
-        for &(dst, payload) in &self.sends {
+        for &(dst, payload) in &self.sends[epoch] {
             ctx.send(ShardId(dst), payload);
         }
     }
@@ -397,39 +406,62 @@ impl volley::sim::ShardWorker for LaneProbe {
 proptest! {
     #[test]
     fn lane_delivery_order_equals_sorted_merge_order(
-        sends in prop::collection::vec((0u32..4, 0u32..4, 0u16..512), 0..96),
+        random in prop::collection::vec(
+            (0usize..LANE_EPOCHS, 0u32..LANE_SHARDS - 2, 0u32..LANE_SHARDS, 0u16..512),
+            0..192,
+        ),
     ) {
-        let shards = 4u32;
-        // Old-engine definition: per destination, sort by (src, per-src
-        // send sequence). Payloads carry (src, seq) so the expectation is
-        // computable without touching engine internals.
-        let mut per_shard_sends: Vec<Vec<(u32, u64)>> = vec![Vec::new(); shards as usize];
-        let mut expected: Vec<Vec<(u32, u64)>> = vec![Vec::new(); shards as usize];
-        for (i, &(src, dst, tag)) in sends.iter().enumerate() {
-            let payload = (u64::from(src) << 48) | (u64::from(tag) << 24) | i as u64;
-            per_shard_sends[src as usize].push((dst, payload));
-            expected[dst as usize].push((src, payload));
+        // The last two shards send only what is scripted here, so every
+        // case holds the three patterns whatever the random part drew.
+        let mut sends = random;
+        for epoch in 0..LANE_EPOCHS {
+            // Descending fan-out to every shard, itself included.
+            sends.extend((0..LANE_SHARDS).rev().map(|dst| (epoch, LANE_SHARDS - 1, dst, 0)));
         }
-        for inbox in &mut expected {
-            // Stable sort by source: within a source, send order is kept,
-            // exactly what the old per-source sequence numbers encoded.
-            inbox.sort_by_key(|&(src, _)| src);
+        // Destination 5 is first sent to in the last epoch, between two
+        // lanes this shard has used before, and out of order.
+        let late = LANE_SHARDS - 2;
+        sends.extend([(0, late, 3, 1), (0, late, 9, 2)]);
+        sends.extend([(2, late, 9, 3), (2, late, 5, 4), (2, late, 3, 5), (2, late, 5, 6)]);
+
+        // Old-engine definition: per destination and epoch, sort by
+        // (src, per-src send sequence). Payloads carry (src, seq) so the
+        // expectation is computable without touching engine internals.
+        let shards = LANE_SHARDS as usize;
+        let mut per_shard_sends = vec![vec![Vec::new(); LANE_EPOCHS]; shards];
+        let mut delivered = vec![vec![Vec::new(); shards]; LANE_EPOCHS];
+        for (i, &(epoch, src, dst, tag)) in sends.iter().enumerate() {
+            let payload = (u64::from(src) << 48) | (u64::from(tag) << 24) | i as u64;
+            per_shard_sends[src as usize][epoch].push((dst, payload));
+            delivered[epoch][dst as usize].push((src, payload));
+        }
+        let mut expected: Vec<Vec<(u32, u64)>> = vec![Vec::new(); shards];
+        for epoch in &mut delivered {
+            for (dst, inbox) in epoch.iter_mut().enumerate() {
+                // Stable sort by source: within a source, send order is
+                // kept, exactly what the old per-source sequence numbers
+                // encoded.
+                inbox.sort_by_key(|&(src, _)| src);
+                expected[dst].append(inbox);
+            }
         }
 
-        let plan = ShardPlan::by_coordinator_group(ClusterConfig::new(8, 2, 2));
-        assert_eq!(plan.shard_count(), shards);
+        let plan = ShardPlan::by_coordinator_group(ClusterConfig::new(LANE_SHARDS, 1, 1));
+        assert_eq!(plan.shard_count(), LANE_SHARDS);
         let mut baseline: Option<Vec<Vec<(u32, u64)>>> = None;
         for threads in [1usize, 4] {
             let engine = ShardedEngine::new(EngineConfig {
                 threads,
                 epoch: SimDuration::from_micros(50),
-                horizon: SimTime::from_micros(50),
+                horizon: SimTime::from_micros(50 * LANE_EPOCHS as u64),
             });
             let (workers, _) = engine.run(
                 &plan,
                 7,
                 |shard, ctx| {
-                    ctx.schedule(SimTime::ZERO, ());
+                    for epoch in 0..LANE_EPOCHS {
+                        ctx.schedule(SimTime::from_micros(50 * epoch as u64 + 10), epoch);
+                    }
                     LaneProbe {
                         sends: per_shard_sends[shard.0 as usize].clone(),
                         received: Vec::new(),
