@@ -292,6 +292,25 @@ impl ErrorAllocator {
         &self.config
     }
 
+    /// Adopts a checkpointed assignment, as read back from disk. It must
+    /// be one this allocator could have produced: an entry per monitor,
+    /// each finite and non-negative, `Σ ≤ err` (to rounding). Anything
+    /// else is refused — the even split is installed and `false`
+    /// returned. Smoothed yields start over either way.
+    pub fn restore(&mut self, allowances: &[f64]) -> bool {
+        let valid = allowances.len() == self.allowances.len()
+            && allowances.iter().all(|a| a.is_finite() && *a >= 0.0)
+            && allowances.iter().sum::<f64>() <= self.global_err + 1e-12;
+        if valid {
+            self.allowances.copy_from_slice(allowances);
+        } else {
+            let even = self.global_err / self.allowances.len() as f64;
+            self.allowances.fill(even);
+        }
+        self.smoothed_yields.clear();
+        valid
+    }
+
     /// Computes the proportional yield `y_i` for one monitor's period
     /// report under the configured modes, with `slack_ratio` = the
     /// adaptation `γ` (§IV-B).

@@ -10,15 +10,23 @@
 //! the coordinator collects the monitors' period reports and reallocates
 //! the task-level error allowance using an [`ErrorAllocator`].
 //!
-//! The struct is deliberately *step-driven*: the embedding layer (the
-//! simulator, the threaded runtime, or a test) advances the tick axis and
+//! [`DistributedTask`] is deliberately *step-driven*: the embedding layer
+//! (the simulator, a backtest, or a test) advances the tick axis and
 //! supplies the ground-truth current values; the task decides which
 //! monitors actually *sample* (i.e. pay cost and see the value) at that
 //! tick. This makes cost and accuracy accounting exact.
+//!
+//! The coordinator's three rules — the aggregate comparison, the
+//! updating-period cadence and the allocator round — are
+//! [`Coordinator`]'s and are spelled nowhere else: `DistributedTask::step`
+//! is a direct synchronous loop over its samplers that calls them, and
+//! the message-passing runtime's coordinator (`volley-runtime`) wraps
+//! the same type in its protocol. `step` is the reference every parity
+//! test and the benchmark's live oracle compare that runtime against.
 
 use serde::{Deserialize, Serialize};
 
-use crate::adaptation::AdaptiveSampler;
+use crate::adaptation::{AdaptiveSampler, PeriodReport};
 use crate::allocation::{AllocationConfig, ErrorAllocator};
 use crate::error::VolleyError;
 use crate::task::TaskSpec;
@@ -43,6 +51,10 @@ pub struct GlobalPollOutcome {
     pub aggregate: f64,
     /// Whether the aggregate exceeded the global threshold (a state alert).
     pub global_violation: bool,
+    /// Whether a monitor without a value was counted at its local
+    /// threshold `T_i`. Never set by [`DistributedTask::step`], whose
+    /// monitors always answer.
+    pub degraded: bool,
 }
 
 /// Outcome of advancing a [`DistributedTask`] by one tick.
@@ -79,8 +91,15 @@ struct MonitorState {
     next_sample_tick: Tick,
 }
 
-/// The coordinator's aggregate statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The coordinator's rules (§IV), each spelled here and nowhere else:
+/// a global poll compares `Σ v_i` with `T` ([`poll`](Self::poll)), an
+/// updating period elapses ([`reallocation_due`](Self::reallocation_due))
+/// and allowance moves by yield ([`reallocate`](Self::reallocate)).
+///
+/// It holds no monitor, channel or clock. [`DistributedTask::step`] calls
+/// it over its own samplers; the threaded runtime's coordinator calls it
+/// over whatever its monitors answered in time.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Coordinator {
     /// Total global polls performed.
     pub global_polls: u64,
@@ -90,6 +109,145 @@ pub struct Coordinator {
     pub local_violation_reports: u64,
     /// Allowance reallocation rounds run.
     pub allocation_rounds: u64,
+    global_threshold: f64,
+    local_thresholds: Vec<f64>,
+    allocator: ErrorAllocator,
+    scheme: CoordinationScheme,
+    slack_ratio: f64,
+    next_update_tick: Tick,
+}
+
+impl Coordinator {
+    /// The coordinator of `spec`'s task: the allowance split evenly, the
+    /// first reallocation one updating period after tick 0.
+    ///
+    /// # Errors
+    ///
+    /// [`VolleyError::EmptyTask`] for a spec without monitors, otherwise
+    /// what [`ErrorAllocator::new`] rejects.
+    pub fn new(
+        spec: &TaskSpec,
+        scheme: CoordinationScheme,
+        allocation: AllocationConfig,
+    ) -> Result<Self, VolleyError> {
+        if spec.monitors().is_empty() {
+            return Err(VolleyError::EmptyTask);
+        }
+        let adaptation = spec.adaptation();
+        let allocator = ErrorAllocator::new(
+            allocation,
+            adaptation.error_allowance(),
+            spec.monitors().len(),
+        )?;
+        Ok(Coordinator {
+            global_polls: 0,
+            alerts: 0,
+            local_violation_reports: 0,
+            allocation_rounds: 0,
+            global_threshold: spec.global_threshold(),
+            local_thresholds: spec.monitors().iter().map(|m| m.local_threshold).collect(),
+            allocator,
+            scheme,
+            slack_ratio: adaptation.slack_ratio(),
+            next_update_tick: allocation.update_period_ticks,
+        })
+    }
+
+    /// The global violation threshold `T`.
+    pub fn global_threshold(&self) -> f64 {
+        self.global_threshold
+    }
+
+    /// The coordination scheme in effect.
+    pub fn scheme(&self) -> CoordinationScheme {
+        self.scheme
+    }
+
+    /// Number of monitors in the task.
+    pub fn monitors(&self) -> usize {
+        self.local_thresholds.len()
+    }
+
+    /// The allowance each monitor is assigned (`Σ ≤ err`).
+    pub fn allowances(&self) -> &[f64] {
+        self.allocator.allowances()
+    }
+
+    /// The tick at (or after) which the next reallocation is due.
+    pub fn next_update_tick(&self) -> Tick {
+        self.next_update_tick
+    }
+
+    /// Evaluates a global poll at `tick` over `values`, one per monitor
+    /// in monitor order. A monitor without a value is counted at its
+    /// local threshold `T_i` — the largest value it could hold without
+    /// having reported a local violation — and marks the outcome
+    /// degraded: since `Σ T_i ≤ T` the substitution can raise a false
+    /// alert but never hides one another monitor's excess would cause.
+    pub fn poll(
+        &mut self,
+        tick: Tick,
+        values: impl IntoIterator<Item = Option<f64>>,
+    ) -> GlobalPollOutcome {
+        let mut degraded = false;
+        let mut aggregate = 0.0;
+        for (value, &local_threshold) in values.into_iter().zip(&self.local_thresholds) {
+            aggregate += value.unwrap_or_else(|| {
+                degraded = true;
+                local_threshold
+            });
+        }
+        let global_violation = aggregate > self.global_threshold;
+        self.global_polls += 1;
+        self.alerts += u64::from(global_violation);
+        GlobalPollOutcome {
+            tick,
+            aggregate,
+            global_violation,
+            degraded,
+        }
+    }
+
+    /// Whether an updating period ends at `tick`; if so the next one is
+    /// scheduled. `true` asks the caller to gather one period report per
+    /// monitor for [`reallocate`](Self::reallocate) — never under the
+    /// [`Even`](CoordinationScheme::Even) scheme or for a single
+    /// monitor, which have nothing to move.
+    pub fn reallocation_due(&mut self, tick: Tick) -> bool {
+        if tick < self.next_update_tick {
+            return false;
+        }
+        self.defer_reallocation(tick);
+        self.scheme == CoordinationScheme::Adaptive && self.monitors() > 1
+    }
+
+    /// Schedules the next reallocation one updating period after `tick`
+    /// (a coordinator taking over at `tick` with no checkpoint to
+    /// [`restore`](Self::restore)).
+    pub fn defer_reallocation(&mut self, tick: Tick) {
+        self.next_update_tick = tick + self.allocator.config().update_period_ticks;
+    }
+
+    /// One §IV-B updating round over the monitors' period `reports` (one
+    /// per monitor, in monitor order). Returns the new assignment when
+    /// it changed, for the caller to push to its monitors; `None` when
+    /// the round was throttled, already at its fixed point, or handed
+    /// the wrong number of reports.
+    pub fn reallocate(&mut self, reports: &[PeriodReport]) -> Option<&[f64]> {
+        let decision = self.allocator.update(reports, self.slack_ratio).ok()?;
+        self.allocation_rounds += 1;
+        decision.reallocated.then(|| self.allocator.allowances())
+    }
+
+    /// Resumes a checkpointed coordinator's reallocation state: its
+    /// schedule and the allowance split its monitors still hold. Returns
+    /// `false`, keeping the schedule but falling back to the even split,
+    /// when `allowances` cannot be such a split (see
+    /// [`ErrorAllocator::restore`]).
+    pub fn restore(&mut self, allowances: &[f64], next_update_tick: Tick) -> bool {
+        self.next_update_tick = next_update_tick;
+        self.allocator.restore(allowances)
+    }
 }
 
 /// A fully-assembled distributed state monitoring task.
@@ -113,14 +271,8 @@ pub struct Coordinator {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DistributedTask {
-    global_threshold: f64,
     monitors: Vec<MonitorState>,
-    allocator: ErrorAllocator,
-    scheme: CoordinationScheme,
     coordinator: Coordinator,
-    slack_ratio: f64,
-    update_period: u64,
-    next_update_tick: Tick,
     total_scheduled_samples: u64,
     total_poll_samples: u64,
     ticks_seen: u64,
@@ -152,35 +304,23 @@ impl DistributedTask {
         scheme: CoordinationScheme,
         allocation: AllocationConfig,
     ) -> Result<Self, VolleyError> {
-        if spec.monitors().is_empty() {
-            return Err(VolleyError::EmptyTask);
-        }
-        let n = spec.monitors().len();
-        let global_err = spec.adaptation().error_allowance();
-        let allocator = ErrorAllocator::new(allocation, global_err, n)?;
-        let per_monitor_err = global_err / n as f64;
+        let coordinator = Coordinator::new(spec, scheme, allocation)?;
         let monitors = spec
             .monitors()
             .iter()
-            .map(|m| {
+            .zip(coordinator.allowances())
+            .map(|(m, &err)| {
                 let mut sampler = AdaptiveSampler::new(*spec.adaptation(), m.local_threshold);
-                sampler.set_error_allowance(per_monitor_err);
+                sampler.set_error_allowance(err);
                 MonitorState {
                     sampler,
                     next_sample_tick: 0,
                 }
             })
             .collect();
-        let update_period = allocation.update_period_ticks;
         Ok(DistributedTask {
-            global_threshold: spec.global_threshold(),
             monitors,
-            allocator,
-            scheme,
-            coordinator: Coordinator::default(),
-            slack_ratio: spec.adaptation().slack_ratio(),
-            update_period,
-            next_update_tick: update_period,
+            coordinator,
             total_scheduled_samples: 0,
             total_poll_samples: 0,
             ticks_seen: 0,
@@ -189,7 +329,7 @@ impl DistributedTask {
 
     /// The global violation threshold `T`.
     pub fn global_threshold(&self) -> f64 {
-        self.global_threshold
+        self.coordinator.global_threshold()
     }
 
     /// Number of monitors in the task.
@@ -199,10 +339,10 @@ impl DistributedTask {
 
     /// The coordination scheme in effect.
     pub fn scheme(&self) -> CoordinationScheme {
-        self.scheme
+        self.coordinator.scheme()
     }
 
-    /// The coordinator's aggregate statistics.
+    /// The coordinator: its rules' state and aggregate statistics.
     pub fn coordinator(&self) -> &Coordinator {
         &self.coordinator
     }
@@ -324,7 +464,6 @@ impl DistributedTask {
         // collects current values from every monitor; monitors that have
         // not sampled this tick are forced to sample now (extra cost).
         if !outcome.local_violations.is_empty() {
-            self.coordinator.global_polls += 1;
             for (i, m) in self.monitors.iter_mut().enumerate() {
                 if !sampled[i] {
                     m.sampler.observe_forced(tick, values[i]);
@@ -332,35 +471,22 @@ impl DistributedTask {
                 }
             }
             self.total_poll_samples += u64::from(outcome.poll_samples);
-            let aggregate: f64 = values.iter().sum();
-            let global_violation = aggregate > self.global_threshold;
-            if global_violation {
-                self.coordinator.alerts += 1;
-            }
-            outcome.poll = Some(GlobalPollOutcome {
-                tick,
-                aggregate,
-                global_violation,
-            });
+            let answers = values.iter().copied().map(Some);
+            outcome.poll = Some(self.coordinator.poll(tick, answers));
         }
 
         // Phase 3: periodic allowance reallocation (adaptive scheme only).
-        if tick >= self.next_update_tick {
-            self.next_update_tick = tick + self.update_period;
-            if self.scheme == CoordinationScheme::Adaptive && self.monitors.len() > 1 {
-                let reports: Vec<_> = self
-                    .monitors
-                    .iter_mut()
-                    .map(|m| m.sampler.drain_period_report())
-                    .collect();
-                let decision = self.allocator.update(&reports, self.slack_ratio)?;
-                if decision.reallocated {
-                    for (m, &err) in self.monitors.iter_mut().zip(decision.allowances.iter()) {
-                        m.sampler.set_error_allowance(err);
-                    }
-                    outcome.reallocated = true;
+        if self.coordinator.reallocation_due(tick) {
+            let reports: Vec<_> = self
+                .monitors
+                .iter_mut()
+                .map(|m| m.sampler.drain_period_report())
+                .collect();
+            if let Some(allowances) = self.coordinator.reallocate(&reports) {
+                for (m, &err) in self.monitors.iter_mut().zip(allowances) {
+                    m.sampler.set_error_allowance(err);
                 }
-                self.coordinator.allocation_rounds += 1;
+                outcome.reallocated = true;
             }
         }
 
@@ -552,6 +678,122 @@ mod tests {
             task.step(tick, &[1.0, 1.0]).unwrap();
         }
         assert!((task.cost_ratio() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_poll_counts_a_silent_monitor_at_its_local_threshold() {
+        let spec = spec(2, 100.0, 0.01); // T_i = 50
+        let mut rules = Coordinator::new(
+            &spec,
+            CoordinationScheme::Adaptive,
+            AllocationConfig::default(),
+        )
+        .unwrap();
+        let complete = rules.poll(7, [Some(60.0), Some(30.0)]);
+        assert_eq!((complete.tick, complete.aggregate), (7, 90.0));
+        assert!(!complete.global_violation && !complete.degraded);
+        // 60 + T_1 = 110 > 100: the substitution errs toward alerting.
+        let degraded = rules.poll(8, [Some(60.0), None]);
+        assert_eq!(degraded.aggregate, 110.0);
+        assert!(degraded.global_violation && degraded.degraded);
+        // Σ T_i = T is not a violation: silence alone never alerts.
+        let silent = rules.poll(9, [None, None]);
+        assert!(!silent.global_violation && silent.degraded);
+        assert_eq!((rules.global_polls, rules.alerts), (3, 1));
+    }
+
+    #[test]
+    fn the_cadence_advances_under_every_scheme_but_only_adaptive_reallocates() {
+        let allocation = AllocationConfig {
+            update_period_ticks: 50,
+            ..AllocationConfig::default()
+        };
+        for (monitors, scheme, reallocates) in [
+            (3, CoordinationScheme::Adaptive, true),
+            (3, CoordinationScheme::Even, false),
+            (1, CoordinationScheme::Adaptive, false),
+        ] {
+            let spec = spec(monitors, 100.0, 0.03);
+            let mut rules = Coordinator::new(&spec, scheme, allocation).unwrap();
+            assert!(!rules.reallocation_due(49));
+            assert_eq!(rules.reallocation_due(50), reallocates);
+            assert_eq!(rules.next_update_tick(), 100);
+            assert!(!rules.reallocation_due(99));
+            rules.defer_reallocation(120);
+            assert_eq!(rules.next_update_tick(), 170);
+        }
+    }
+
+    #[test]
+    fn restore_adopts_a_valid_split_and_refuses_anything_else() {
+        let spec = spec(2, 100.0, 0.02);
+        let fresh = || {
+            Coordinator::new(
+                &spec,
+                CoordinationScheme::Adaptive,
+                AllocationConfig::default(),
+            )
+            .unwrap()
+        };
+        let mut rules = fresh();
+        assert!(rules.restore(&[0.015, 0.005], 4000));
+        assert_eq!(rules.allowances(), [0.015, 0.005]);
+        assert_eq!(rules.next_update_tick(), 4000);
+        // Off disk, anything can come back: a wrong length, a negative
+        // or non-finite entry, a split that overspends `err`.
+        for bad in [
+            &[0.02][..],
+            &[0.01, 0.005, 0.005],
+            &[0.03, -0.01],
+            &[f64::NAN, 0.01],
+            &[f64::INFINITY, 0.0],
+            &[0.015, 0.015],
+        ] {
+            let mut rules = fresh();
+            rules.restore(&[0.015, 0.005], 1000);
+            assert!(!rules.restore(bad, 3000), "{bad:?}");
+            assert_eq!(rules.allowances(), [0.01, 0.01], "even split after {bad:?}");
+            assert_eq!(rules.next_update_tick(), 3000, "the schedule is kept");
+        }
+    }
+
+    /// The drift guard for the §IV task rules: the global-poll
+    /// comparison, the updating-period cadence and the allocator round
+    /// are each spelled once, here — the simulator, the threaded runtime
+    /// and the store's backtest all call [`Coordinator`] for them.
+    #[test]
+    fn the_task_rules_are_spelled_once() {
+        use std::path::{Path, PathBuf};
+        let needles = [
+            "> self.global_threshold",   // Σ v_i vs T
+            "next_update_tick = tick +", // the cadence advance
+            "allocator.update(",         // the §IV-B round
+        ];
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut pending: Vec<PathBuf> = ["core", "runtime", "sim", "store"]
+            .iter()
+            .map(|krate| crates.join(krate).join("src"))
+            .collect();
+        let mut homes = vec![Vec::new(); needles.len()];
+        while let Some(path) = pending.pop() {
+            if path.is_dir() {
+                let entries = std::fs::read_dir(&path).expect("readable src dir");
+                pending.extend(entries.map(|entry| entry.expect("dir entry").path()));
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let code: String = text[..text.find("#[cfg(test)]").unwrap_or(text.len())]
+                .lines()
+                .filter(|line| !line.trim_start().starts_with("//"))
+                .collect();
+            for (needle, homes) in needles.iter().zip(&mut homes) {
+                homes.extend(code.matches(needle).map(|_| path.clone()));
+            }
+        }
+        let here = crates.join("core/src/coordinator.rs");
+        for (needle, homes) in needles.iter().zip(&homes) {
+            assert_eq!(homes, std::slice::from_ref(&here), "`{needle}`");
+        }
     }
 
     #[test]

@@ -144,10 +144,10 @@ pub struct CoordinatorSnapshot {
     pub multitask: Option<MultitaskSnapshot>,
 }
 
-/// Follower-gate state persisted with each checkpoint so a standby
-/// resumes suppression exactly where the deposed primary left it —
-/// without this, a failover would silently drop the gate and followers
-/// would burn full adaptive sampling until the next leader transition.
+/// Follower-gate state persisted with each checkpoint: where the
+/// coordinator's gate stood and what it had counted, for whoever reads
+/// the log. No runner resumes a gate from it — the multi-task runner,
+/// the only one that gates, arms no standby.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MultitaskSnapshot {
     /// Whether the gate was engaged (leader calm, followers coarsened).
@@ -292,9 +292,9 @@ pub enum AppendOutcome {
     Buffered,
 }
 
-/// Shared degradation counters for one WAL, readable from any thread
-/// (the log itself lives on the coordinator thread; the runner reads
-/// these for obs series and the end-of-run report).
+/// Shared degradation counters for one WAL (the log itself is owned by
+/// the task session that steps the coordinator; the runner reads these
+/// for obs series and the end-of-run report).
 #[derive(Debug, Default)]
 pub struct WalStats {
     /// Records accepted (persisted or ring-buffered).

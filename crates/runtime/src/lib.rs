@@ -8,13 +8,15 @@
 //!
 //! Unlike [`volley_core::DistributedTask`] — a single-threaded,
 //! step-driven reference implementation — this crate runs the monitors
-//! and the coordinator as actors on real threads (the coordinator on its
-//! own, the monitors hosted on a few — an agent process minus the
-//! socket), communicating exclusively through byte-framed channels,
-//! exactly as the components would across machines. A [`TaskRunner`]
-//! drives simulated time in lock-step (the stand-in for the paper's
-//! NTP-synchronized wall clocks) and feeds each monitor its agent's
-//! ground-truth values.
+//! and the coordinator as actors communicating exclusively through
+//! byte-framed messages, exactly as the components would across
+//! machines: the monitors hosted on a few threads (an agent process
+//! minus the socket) or behind real sockets, the coordinator a sans-IO
+//! machine ([`coordinator`]) stepped on the driving thread. It decides
+//! by the same [`volley_core::coordinator::Coordinator`] rules the
+//! reference does. A [`TaskRunner`] drives simulated time in lock-step
+//! (the stand-in for the paper's NTP-synchronized wall clocks) and
+//! feeds each monitor its agent's ground-truth values.
 //!
 //! The protocol per tick:
 //!
@@ -57,9 +59,11 @@
 //! [`FaultPlan::with_drop_rate`]`(`[`FaultPath::ViolationReport`]`, p)`.
 //!
 //! [`TaskRunner`], [`MultiTaskRunner`] and [`NetCoordinator`] all drive
-//! this protocol through one crate-private session (spawn the actors,
-//! step a tick and fold its summary, finish by joining and flushing on
-//! success and error alike) and add only their own policy on top.
+//! this protocol through one crate-private session (spawn the monitor
+//! hosts, step a tick — which steps the coordinator machine and executes
+//! its outbox: links, checkpoint log, supervisor — and fold its summary,
+//! finish by joining and flushing on success and error alike) and add
+//! only their own policy on top.
 //!
 //! ```
 //! use volley_core::task::TaskSpec;
@@ -101,7 +105,6 @@ pub use coordinator::CoordinatorActor;
 pub use failure::{FaultPath, FaultPlan};
 pub use fleet::{FleetRunner, FleetSummary, FleetTask};
 pub use link::MonitorLink;
-pub use message::CoordinatorToRunner;
 pub use monitor::MonitorActor;
 pub use multitask::{MultiTask, MultiTaskConfig, MultiTaskOutcome, MultiTaskRunner, PlanGate};
 pub use net::{

@@ -93,11 +93,11 @@ pub enum MonitorToCoordinator {
         /// The period aggregates.
         report: PeriodReport,
     },
-    /// Supervisor notice (sent by the *runner*, which shares the
-    /// monitor→coordinator channel): `monitor` was restarted and will
-    /// report again — await it instead of skipping it as quarantined.
-    /// Because the channel is FIFO, the notice always precedes the
-    /// restarted monitor's first report.
+    /// Supervisor notice (from the *driver* that steps the coordinator):
+    /// `monitor` was restarted and will report again — await it instead
+    /// of skipping it as quarantined. The driver hands it over before it
+    /// sends the restarted monitor its first tick, so the notice always
+    /// precedes that monitor's first report.
     Revived {
         /// The restarted monitor.
         monitor: MonitorId,
@@ -110,13 +110,12 @@ pub enum MonitorToCoordinator {
         /// The sampler state.
         snapshot: SamplerSnapshot,
     },
-    /// Multi-task control notice (sent by the *runner*, which shares the
-    /// monitor→coordinator channel, like [`Self::Revived`]): the state of
-    /// this task's precondition (leader) task. A follower coordinator
-    /// engages its suppression gate while the leader is calm and releases
-    /// it the moment the leader's violation likelihood is high (§II.B).
-    /// FIFO ordering guarantees the notice is consumed before the tick it
-    /// precedes.
+    /// Multi-task control notice (from the *driver*, like
+    /// [`Self::Revived`]): the state of this task's precondition (leader)
+    /// task. A follower coordinator engages its suppression gate while
+    /// the leader is calm and releases it the moment the leader's
+    /// violation likelihood is high (§II.B). The driver hands it over
+    /// before it sends the tick the notice precedes.
     LeaderState {
         /// The tick this notice precedes.
         tick: Tick,
@@ -210,7 +209,7 @@ impl ControlFrame {
 }
 
 /// Per-tick summary the coordinator returns to the runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TickSummary {
     /// The concluded tick.
     pub tick: Tick,
@@ -240,33 +239,6 @@ pub struct TickSummary {
     /// Whether the suppression gate was engaged when this tick closed.
     #[serde(default)]
     pub gated: bool,
-}
-
-/// Frames the coordinator sends the runner: the per-tick summary plus
-/// liveness events about individual monitors, which the runner's
-/// supervisor uses to restart dead ones.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum CoordinatorToRunner {
-    /// A tick concluded.
-    Summary(TickSummary),
-    /// A monitor missed enough consecutive tick deadlines to be
-    /// quarantined: the coordinator stops waiting for it and aggregates
-    /// it at its local threshold until it reappears.
-    MonitorQuarantined {
-        /// The quarantined monitor.
-        monitor: MonitorId,
-        /// The tick at which quarantine began.
-        tick: Tick,
-        /// Consecutive deadlines missed at that point.
-        consecutive_missed: u32,
-    },
-    /// A quarantined monitor reported on time again.
-    MonitorRecovered {
-        /// The recovered monitor.
-        monitor: MonitorId,
-        /// The tick at which it reported again.
-        tick: Tick,
-    },
 }
 
 /// Encodes a message as one JSON line in a [`Bytes`] buffer.
@@ -505,32 +477,20 @@ mod tests {
 
     #[test]
     fn runner_frames_round_trip() {
-        for msg in [
-            CoordinatorToRunner::Summary(TickSummary {
-                tick: 12,
-                scheduled_samples: 3,
-                poll_samples: 1,
-                local_violations: 2,
-                polled: true,
-                alerted: false,
-                missing_reports: 1,
-                degraded: true,
-                stale_epoch_frames: 2,
-                suppressed_samples: 0,
-                gated: false,
-            }),
-            CoordinatorToRunner::MonitorQuarantined {
-                monitor: MonitorId(4),
-                tick: 100,
-                consecutive_missed: 3,
-            },
-            CoordinatorToRunner::MonitorRecovered {
-                monitor: MonitorId(4),
-                tick: 150,
-            },
-        ] {
-            let back: CoordinatorToRunner = decode(&encode(&msg)).unwrap();
-            assert_eq!(back, msg);
-        }
+        let summary = TickSummary {
+            tick: 12,
+            scheduled_samples: 3,
+            poll_samples: 1,
+            local_violations: 2,
+            polled: true,
+            alerted: false,
+            missing_reports: 1,
+            degraded: true,
+            stale_epoch_frames: 2,
+            suppressed_samples: 0,
+            gated: false,
+        };
+        let back: TickSummary = decode(&encode(&summary)).unwrap();
+        assert_eq!(back, summary);
     }
 }

@@ -570,7 +570,7 @@ impl SlotTable {
 
     /// Puts `fresh` in its predecessor's place; a reply the predecessor
     /// still held goes out, as its exiting thread flushed it.
-    fn install(&mut self, fresh: MonitorSlot, out: &mut Vec<u8>) {
+    pub(crate) fn install(&mut self, fresh: MonitorSlot, out: &mut Vec<u8>) {
         if let Some(slot) = self.slot(fresh.actor.id.0) {
             let mut old = std::mem::replace(slot, fresh);
             let sent = old.retire(out);

@@ -21,13 +21,11 @@
 //! inbox link itself, FIFO-ordered with that tick's
 //! [`CoordinatorToMonitor::Tick`] frame, so the tick at which a gate
 //! engages or releases is a pure function of the traces. The follower's
-//! coordinator is configured with
-//! [`CoordinatorActor::with_external_gate_driver`]: it still consumes
-//! the [`MonitorToCoordinator::LeaderState`] notices (sent ahead of the
-//! tick's data frames on the shared monitor→coordinator channel), tracks
-//! engage/release state, counts suppressed samples and checkpoints the
-//! gate through the WAL/snapshot plane — it just does not race its own
-//! `SetGate` broadcast against the runner's.
+//! coordinator ([`CoordinatorActor::with_multitask`]) never sends a gate
+//! frame itself: it is handed the
+//! [`MonitorToCoordinator::LeaderState`] notices (before the tick's data
+//! is sent), tracks engage/release state, counts suppressed samples and
+//! checkpoints the gate through the WAL/snapshot plane.
 //!
 //! ```
 //! use volley_core::correlation::CorrelationConfig;
@@ -63,7 +61,7 @@
 //! [`CoordinatorToMonitor::SetGate`]: crate::message::CoordinatorToMonitor::SetGate
 //! [`CoordinatorToMonitor::Tick`]: crate::message::CoordinatorToMonitor::Tick
 //! [`MonitorToCoordinator::LeaderState`]: crate::message::MonitorToCoordinator::LeaderState
-//! [`CoordinatorActor::with_external_gate_driver`]: crate::coordinator::CoordinatorActor::with_external_gate_driver
+//! [`CoordinatorActor::with_multitask`]: crate::coordinator::CoordinatorActor::with_multitask
 
 use std::path::PathBuf;
 
@@ -342,8 +340,7 @@ impl MultiTaskRunner {
                     if engage != engaged[index] {
                         engaged[index] = engage;
                         sections[index].gate_flips += 1;
-                        let interval = engage.then(|| gate.gated_interval.get());
-                        session.drive_gate(tick, interval, leader_active);
+                        session.drive_gate(tick, leader_active);
                     }
                     if engaged[index] {
                         sections[index].gated_ticks += 1;

@@ -5,28 +5,29 @@
 //!
 //! ## Architecture
 //!
-//! Three threads cooperate:
+//! Two threads cooperate:
 //!
-//! 1. the **coordinator actor** ([`crate::coordinator::CoordinatorActor`])
-//!    runs unmodified — it still reads one inbound channel and writes
-//!    per-monitor [`MonitorLink`](crate::link::MonitorLink)s; it cannot
-//!    tell the transport changed.
-//! 2. the **event loop** ([`reactor::run`] over this module's
+//! 1. the **event loop** ([`reactor::run`] over this module's
 //!    line-frame [`Protocol`]) owns the listener and every agent socket
 //!    and blocks in `poll` on them. Inbound: raw bytes → [`FrameBuffer`]
 //!    reassembly → raw `MonitorFrame` lines forwarded verbatim into the
-//!    coordinator's inbox. Outbound: the coordinator's tagged link
-//!    traffic is routed by monitor id to the owning connection's bounded
+//!    session's inbox. Outbound: the session's tagged
+//!    [`MonitorLink`](crate::link::MonitorLink) traffic is routed by
+//!    monitor id to the owning connection's bounded
 //!    queue, spliced into [`ServerFrame::Ctl`](super::wire::ServerFrame)
 //!    envelopes, and written in ~64 KiB batches with partial-write
 //!    carry-over. Every tagged send, storm kick and the stop flag fires
 //!    the reactor's waker, so nothing waits out a park; the poll timeout
 //!    is only the next idle-reap deadline.
-//! 3. the **driver** ([`NetCoordinator::run`]) parks until the loop
-//!    reports the fleet assembled, steps the session tick by tick (storms, pacing and
-//!    net gauges around each step) and tears both down. The report is
-//!    folded by the session, which is what makes bit-for-bit parity with
-//!    the in-process runner hold by construction.
+//! 2. the **driver** ([`NetCoordinator::run`]) parks until the loop
+//!    reports the fleet assembled, steps the session tick by tick
+//!    (storms, pacing and net gauges around each step) and tears both
+//!    down. A step sends the tick and then steps the coordinator machine
+//!    ([`crate::coordinator::CoordinatorActor`]) right there, pumping
+//!    the inbox into it — the machine cannot tell the transport changed,
+//!    and the report is folded by the session, which is what makes
+//!    bit-for-bit parity with the in-process runner hold by
+//!    construction.
 //!
 //! ## Robustness policy
 //!
@@ -420,9 +421,9 @@ impl NetCoordinator {
         self.listener.local_addr()
     }
 
-    /// Sets how long the coordinator waits for tick reports before
-    /// degrading (see
-    /// [`CoordinatorActor::with_tick_deadline`](crate::coordinator::CoordinatorActor::with_tick_deadline)).
+    /// Sets how long one collection phase of the coordinator waits for
+    /// monitor replies before it closes without them (default
+    /// [`DEFAULT_TICK_DEADLINE`](crate::coordinator::DEFAULT_TICK_DEADLINE)).
     pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
         self.session.tick_deadline = deadline;
         self
@@ -496,15 +497,15 @@ impl NetCoordinator {
     /// [`VolleyError::ValueCountMismatch`] when `traces` does not have
     /// one trace per monitor; [`VolleyError::InvalidConfig`] when the
     /// fleet fails to assemble in time; [`VolleyError::RuntimeDisconnected`]
-    /// when the coordinator actor dies mid-run.
+    /// when the event loop dies mid-run.
     pub fn run(self, traces: &[Vec<f64>]) -> Result<NetRunOutcome, VolleyError> {
         let ticks = run_length(&self.session.spec, traces)?;
         let n = traces.len();
         let obs = &self.session.obs;
 
-        // Plumbing: the session's coordinator reads monitor frames the
-        // event loop forwards and writes tagged control frames the event
-        // loop routes; each tagged send wakes the loop.
+        // Plumbing: the session reads monitor frames the event loop
+        // forwards and writes tagged control frames the event loop
+        // routes; each tagged send wakes the loop.
         let mut reactor = self.reactor;
         let (to_coord, from_monitors) = unbounded::<Bytes>();
         let (net_out_tx, out_rx) = unbounded::<(u32, Bytes)>();
@@ -519,7 +520,7 @@ impl NetCoordinator {
         )?;
 
         // The event loop owns the listener, every socket, and the only
-        // sender into the coordinator's inbox.
+        // sender into the session's inbox.
         let shared = Arc::new(NetShared::new(n, reactor.waker()));
         let mut lines = LineFrames {
             listener: self.listener,
@@ -601,8 +602,7 @@ impl NetCoordinator {
         // Teardown: resend Shutdown every 50 ms while connections remain
         // (reconnecting agents that missed the first copy get another),
         // for at most 5 s; the loop unparks us as each agent drains off.
-        // Then stop the loop — dropping the coordinator inbox sender —
-        // and finish the session.
+        // Then stop the loop and finish the session.
         let drained = |s: &NetShared| s.open.load(Ordering::Acquire) == 0;
         let drain_by = Instant::now() + Duration::from_secs(5);
         while !drained(&shared) && Instant::now() < drain_by {

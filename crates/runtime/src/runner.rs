@@ -277,7 +277,7 @@ impl TaskRunner {
     /// Selects the allowance-allocation scheme (default adaptive).
     #[must_use]
     pub fn with_scheme(mut self, scheme: CoordinationScheme) -> Self {
-        self.session.adaptive_allocation = scheme == CoordinationScheme::Adaptive;
+        self.session.scheme = scheme;
         self
     }
 
@@ -356,8 +356,8 @@ impl TaskRunner {
     /// the shortest trace is exhausted. The monitors are hosted on
     /// `min(monitors, available_parallelism())` threads — each steps a
     /// contiguous slice of them off one inbox and answers a tick with
-    /// one payload — beside one thread for the coordinator; no report
-    /// depends on how many hosts there were.
+    /// one payload — while the coordinator is stepped on the calling
+    /// thread; no report depends on how many hosts there were.
     ///
     /// The run completes even if monitors crash or stall mid-way: the
     /// coordinator quarantines them after missed deadlines and (unless
@@ -371,7 +371,7 @@ impl TaskRunner {
     ///
     /// Returns [`VolleyError::ValueCountMismatch`] when the trace count
     /// differs from the monitor count, or
-    /// [`VolleyError::RuntimeDisconnected`] if the coordinator thread dies
+    /// [`VolleyError::RuntimeDisconnected`] if the coordinator crashes
     /// mid-run with no standby armed (or past the failover cap of 8) —
     /// after the same teardown as a completed run: every actor joined,
     /// the recorder flushed.

@@ -5,13 +5,19 @@
 //!
 //! - **spawn** ([`TaskSession::spawn`]): the only monitor-actor recipe
 //!   ([`monitor_actor`]), the only [`CoordinatorActor`] construction and
-//!   the link/channel wiring between them, the monitors hosted on a few
-//!   in-process threads or behind a socket event loop ([`MonitorPlane`]);
-//! - **step** ([`TaskSession::step`]): send one tick's [`TickData`], drain
-//!   liveness events until its [`TickSummary`], fold that into the
-//!   [`RuntimeReport`];
+//!   the links between them, the monitors hosted on a few in-process
+//!   threads or behind a socket event loop ([`MonitorPlane`]);
+//! - **step** ([`TaskSession::step`]): send one tick's [`TickData`], then
+//!   step the coordinator machine on this thread — pump monitor frames
+//!   into it, execute its outbox — until the tick's [`TickSummary`]
+//!   comes out, and fold that into the [`RuntimeReport`];
 //! - **finish** ([`TaskSession::finish`]): Shutdown, join, flush — on
 //!   success *and* on error.
+//!
+//! The coordinator has no thread: it is a machine
+//! ([`crate::coordinator`]) that never blocks, and this module is its
+//! I/O shell — the links, the checkpoint [`Wal`], the one
+//! `recv_timeout` whose deadline the machine arms, the obs handles.
 //!
 //! The runners keep policy only: [`crate::TaskRunner`] supervision,
 //! standby failover and sinks; [`crate::MultiTaskRunner`] N sessions in
@@ -19,26 +25,28 @@
 //! one remote session beside its event loop.
 
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use volley_core::allocation::{AllocationConfig, ErrorAllocator};
+use volley_core::allocation::AllocationConfig;
+use volley_core::coordinator::{CoordinationScheme, Coordinator};
 use volley_core::task::{MonitorId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
-use volley_obs::Obs;
+use volley_obs::{names, Counter, Histogram, Obs};
 use volley_serve::reactor::Waker;
 use volley_store::SampleRecorder;
 
-use crate::checkpoint::{CoordinatorSnapshot, Wal};
-use crate::coordinator::{CoordinatorActor, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
+use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord};
+use crate::coordinator::{
+    CoordinatorActor, Output, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE,
+};
 use crate::failure::FaultPlan;
 use crate::link::MonitorLink;
 use crate::message::{
-    decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
-    MonitorToCoordinator, TickData, TickSummary,
+    ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
 use crate::monitor::{HostMsg, MonitorActor, MonitorSlot, SlotTable};
 use crate::runner::RuntimeReport;
@@ -50,18 +58,13 @@ pub(crate) fn fresh_sampler(config: AdaptationConfig, threshold: f64, err: f64) 
     sampler
 }
 
-/// The even share of the task allowance every monitor starts from (and
-/// falls back to on a conservative restart).
-fn even_share(spec: &TaskSpec) -> f64 {
-    spec.adaptation().error_allowance() / spec.monitors().len() as f64
-}
-
 /// The monitor-actor recipe: monitor `idx` of `spec` around a fresh
 /// sampler at the even allowance share. In-process hosts, supervised
 /// restarts and socket agents all start here, hence bit-for-bit parity.
 pub(crate) fn monitor_actor(spec: &TaskSpec, idx: usize) -> MonitorActor {
     let m = &spec.monitors()[idx];
-    let sampler = fresh_sampler(*spec.adaptation(), m.local_threshold, even_share(spec));
+    let even_share = spec.adaptation().error_allowance() / spec.monitors().len() as f64;
+    let sampler = fresh_sampler(*spec.adaptation(), m.local_threshold, even_share);
     MonitorActor::new(m.id, sampler)
 }
 
@@ -71,9 +74,10 @@ pub(crate) fn monitor_actor(spec: &TaskSpec, idx: usize) -> MonitorActor {
 pub(crate) struct SessionConfig {
     pub(crate) spec: TaskSpec,
     pub(crate) obs: Obs,
-    /// The paper's `adapt` allocation scheme (else the static `even`).
-    pub(crate) adaptive_allocation: bool,
+    /// The paper's `adapt` allocation scheme or the static `even`.
+    pub(crate) scheme: CoordinationScheme,
     pub(crate) fault_plan: FaultPlan,
+    /// How long one collection phase of the coordinator may wait.
     pub(crate) tick_deadline: Duration,
     pub(crate) quarantine_after: u32,
     /// Recording sink for every monitor's samples and the task's alerts.
@@ -92,7 +96,7 @@ impl SessionConfig {
         SessionConfig {
             spec,
             obs,
-            adaptive_allocation: true,
+            scheme: CoordinationScheme::Adaptive,
             fault_plan: FaultPlan::default(),
             tick_deadline: DEFAULT_TICK_DEADLINE,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
@@ -100,6 +104,47 @@ impl SessionConfig {
             supervise: false,
             gated_interval: None,
         }
+    }
+
+    /// The §IV rules one coordinator incarnation starts from.
+    fn rules(&self) -> Result<Coordinator, VolleyError> {
+        Coordinator::new(&self.spec, self.scheme, AllocationConfig::default())
+    }
+
+    /// Monitor `idx`'s actor at `epoch` under `plan`, wired to the
+    /// session's sinks.
+    fn actor(&self, epoch: u64, idx: usize, plan: FaultPlan) -> MonitorActor {
+        let actor = monitor_actor(&self.spec, idx)
+            .with_faults(plan)
+            .with_epoch(epoch)
+            .with_obs(&self.obs);
+        match &self.recorder {
+            Some(recorder) => actor.with_recorder(recorder.clone()),
+            None => actor,
+        }
+    }
+
+    /// One coordinator incarnation deciding by `rules` at `epoch` under
+    /// `plan`, resuming behind `last_tick`, snapshotting every
+    /// `checkpoint_every` ticks when given.
+    fn coordinator(
+        &self,
+        rules: Coordinator,
+        plan: FaultPlan,
+        epoch: u64,
+        last_tick: Option<Tick>,
+        checkpoint_every: Option<u64>,
+    ) -> CoordinatorActor {
+        let mut coordinator = CoordinatorActor::new(rules, plan, last_tick)
+            .with_quarantine_after(self.quarantine_after)
+            .with_epoch(epoch);
+        if self.gated_interval.is_some() {
+            coordinator = coordinator.with_multitask();
+        }
+        if let Some(every) = checkpoint_every {
+            coordinator = coordinator.with_checkpoint(every);
+        }
+        coordinator
     }
 }
 
@@ -125,6 +170,11 @@ pub(crate) fn run_length(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<u64, Vo
     Ok(traces.iter().map(Vec::len).min().unwrap_or(0) as u64)
 }
 
+/// What a step reports once the coordinator has crashed.
+const COORDINATOR_DEAD: VolleyError = VolleyError::RuntimeDisconnected {
+    component: "coordinator",
+};
+
 /// Where a session's monitors live.
 pub(crate) enum MonitorPlane {
     /// In process: `min(n, available_parallelism())` host threads, each
@@ -143,6 +193,21 @@ pub(crate) enum MonitorPlane {
     },
 }
 
+/// Pre-resolved obs instruments for the shell's hot paths (handles are
+/// resolved once so a tick never touches the registry mutex).
+struct ShellObs {
+    /// `coordinator_tick`: the whole round, collection wait included —
+    /// which is what makes a stalled monitor visible as tick latency.
+    tick_hist: Histogram,
+    wal_hist: Histogram,
+    /// `checkpoint_write`: gathering sampler snapshots plus the write.
+    checkpoint_hist: Histogram,
+    polls: Counter,
+    recvs: Counter,
+    suppressed: Counter,
+    gate_flips: Counter,
+}
+
 /// One running task: its monitor links, its coordinator incarnation and
 /// the report folded so far.
 pub(crate) struct TaskSession<'a> {
@@ -155,16 +220,20 @@ pub(crate) struct TaskSession<'a> {
     out_link: Option<MonitorLink>,
     /// The monitor host threads (in-process plane only).
     host_handles: Vec<JoinHandle<()>>,
-    summary_rx: Receiver<Bytes>,
-    /// `None` once a dead coordinator has been joined.
-    coord_handle: Option<JoinHandle<()>>,
+    /// Where the monitors' payloads arrive, one frame per line.
+    from_monitors: Receiver<Bytes>,
+    /// `None` once an injected crash silenced it, until a failover.
+    coordinator: Option<CoordinatorActor>,
+    /// The incumbent's checkpoint log.
+    wal: Option<Wal>,
+    obs: ShellObs,
     report: RuntimeReport,
 }
 
 impl<'a> TaskSession<'a> {
     /// Wires the links, spawns the monitor hosts (in-process plane) and
-    /// the first coordinator incarnation, checkpointing to `wal` (log
-    /// plus snapshot cadence) when given.
+    /// builds the first coordinator incarnation, checkpointing to `wal`
+    /// (log plus snapshot cadence) when given.
     ///
     /// # Errors
     ///
@@ -175,21 +244,31 @@ impl<'a> TaskSession<'a> {
         wal: Option<(Wal, u64)>,
     ) -> Result<Self, VolleyError> {
         let n = config.spec.monitors().len();
-        let allocator = allocator(config)?;
-        let (summary_tx, summary_rx) = unbounded::<Bytes>();
+        let rules = config.rules()?;
+        let registry = config.obs.registry();
+        let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
         let mut session = TaskSession {
             config,
             epoch: 0,
             links: Vec::new(),
             out_link: None,
             host_handles: Vec::new(),
-            summary_rx,
-            coord_handle: None,
+            from_monitors: to_coord_rx,
+            coordinator: None,
+            wal: None,
+            obs: ShellObs {
+                tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
+                wal_hist: registry.histogram(names::WAL_APPEND_NS),
+                checkpoint_hist: registry.histogram(names::CHECKPOINT_WRITE_NS),
+                polls: registry.counter(names::COORDINATOR_POLLS_TOTAL),
+                recvs: registry.counter(names::TRANSPORT_RECVS_TOTAL),
+                suppressed: registry.counter(names::MULTITASK_SUPPRESSED_SAMPLES_TOTAL),
+                gate_flips: registry.counter(names::MULTITASK_GATE_FLIPS_TOTAL),
+            },
             report: RuntimeReport::default(),
         };
-        let from_monitors = match plane {
+        match plane {
             MonitorPlane::Hosted { hosts } => {
-                let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
                 let out_link = MonitorLink::new(to_coord_tx);
                 let hosts = hosts
                     .or_else(|| thread::available_parallelism().ok().map(usize::from))
@@ -200,8 +279,8 @@ impl<'a> TaskSession<'a> {
                     let hosted = host * n / hosts..(host + 1) * n / hosts;
                     let mut slots = Vec::with_capacity(hosted.len());
                     for idx in hosted.clone() {
-                        let plan = session.config.fault_plan.clone();
-                        let slot = MonitorSlot::new(session.actor(idx, plan));
+                        let plan = config.fault_plan.clone();
+                        let slot = MonitorSlot::new(config.actor(0, idx, plan));
                         let link = MonitorLink::hosted(idx as u32, tx.clone(), slot.liveness());
                         session.links.push(link);
                         slots.push(slot);
@@ -212,7 +291,6 @@ impl<'a> TaskSession<'a> {
                     session.host_handles.push(handle);
                 }
                 session.out_link = Some(out_link);
-                to_coord_rx
             }
             MonitorPlane::Remote {
                 out,
@@ -222,66 +300,14 @@ impl<'a> TaskSession<'a> {
                 session.links = (0..n as u32)
                     .map(|m| MonitorLink::tagged(m, out.clone(), waker.clone()))
                     .collect();
-                from_monitors
+                session.from_monitors = from_monitors;
             }
-        };
-        let plan = session.config.fault_plan.clone();
-        session.start_coordinator(allocator, plan, None, wal, from_monitors, summary_tx);
+        }
+        let (wal, every) = wal.unzip();
+        let plan = config.fault_plan.clone();
+        session.coordinator = Some(config.coordinator(rules, plan, 0, None, every));
+        session.wal = wal;
         Ok(session)
-    }
-
-    /// Monitor `idx`'s actor at the current epoch under `plan`, wired to
-    /// the session's sinks.
-    fn actor(&self, idx: usize, plan: FaultPlan) -> MonitorActor {
-        let actor = monitor_actor(&self.config.spec, idx)
-            .with_faults(plan)
-            .with_epoch(self.epoch)
-            .with_obs(&self.config.obs);
-        match &self.config.recorder {
-            Some(recorder) => actor.with_recorder(recorder.clone()),
-            None => actor,
-        }
-    }
-
-    /// Builds and spawns one coordinator incarnation at the current epoch.
-    fn start_coordinator(
-        &mut self,
-        allocator: ErrorAllocator,
-        plan: FaultPlan,
-        resume: Option<(Option<Tick>, Tick)>,
-        wal: Option<(Wal, u64)>,
-        from_monitors: Receiver<Bytes>,
-        summary_tx: Sender<Bytes>,
-    ) {
-        let spec = &self.config.spec;
-        let local_thresholds = spec.monitors().iter().map(|m| m.local_threshold).collect();
-        let mut coordinator = CoordinatorActor::new(
-            spec.global_threshold(),
-            local_thresholds,
-            allocator,
-            spec.adaptation().slack_ratio(),
-            self.config.adaptive_allocation,
-        )
-        .with_fault_plan(plan)
-        .with_tick_deadline(self.config.tick_deadline)
-        .with_quarantine_after(self.config.quarantine_after)
-        .with_epoch(self.epoch)
-        .with_obs(&self.config.obs);
-        if let Some(interval) = self.config.gated_interval {
-            coordinator = coordinator
-                .with_multitask(interval)
-                .with_external_gate_driver();
-        }
-        if let Some((last_tick, next_update_tick)) = resume {
-            coordinator = coordinator.with_resume(last_tick, next_update_tick);
-        }
-        if let Some((wal, every)) = wal {
-            coordinator = coordinator.with_checkpoint(wal, every);
-        }
-        let links = self.links.clone();
-        self.coord_handle = Some(thread::spawn(move || {
-            coordinator.run(from_monitors, links, summary_tx)
-        }));
     }
 
     /// The report folded so far.
@@ -289,17 +315,18 @@ impl<'a> TaskSession<'a> {
         &self.report
     }
 
-    /// Drives one tick: sends monitor *i* the value `value(i)`, consumes
-    /// liveness events (restarting quarantined monitors when supervising)
-    /// until the tick's summary arrives, and folds it into the report. A
-    /// failed send means that monitor is gone; the coordinator notices
-    /// via its deadline, so the run keeps going.
+    /// Drives one tick: sends monitor *i* the value `value(i)`, steps
+    /// the coordinator until the tick's summary comes out (restarting
+    /// quarantined monitors on the way when supervising) and folds it
+    /// into the report. A failed send means that monitor is gone; the
+    /// coordinator notices via its deadline, so the run keeps going.
     ///
     /// # Errors
     ///
-    /// [`VolleyError::RuntimeDisconnected`] when the coordinator died
-    /// mid-tick (its thread is joined by then): [`fail_over`](Self::fail_over)
-    /// and step the same tick again, or [`finish`](Self::finish).
+    /// [`VolleyError::RuntimeDisconnected`] when the coordinator crashed
+    /// mid-tick: [`fail_over`](Self::fail_over) and step the same tick
+    /// again, or [`finish`](Self::finish). Also when the socket plane's
+    /// event loop is gone.
     pub(crate) fn step(
         &mut self,
         tick: Tick,
@@ -321,36 +348,96 @@ impl<'a> TaskSession<'a> {
         for (link, frame) in self.links.iter().zip(frames) {
             let _ = link.send(frame);
         }
-        let summary = loop {
-            let Ok(frame) = self.summary_rx.recv() else {
-                if let Some(handle) = self.coord_handle.take() {
-                    handle.join().expect("coordinator thread exits cleanly");
-                }
-                return Err(VolleyError::RuntimeDisconnected {
-                    component: "coordinator",
-                });
-            };
-            match decode::<CoordinatorToRunner>(&frame) {
-                Ok(CoordinatorToRunner::Summary(summary)) => break summary,
-                Ok(CoordinatorToRunner::MonitorQuarantined { monitor, .. }) => {
-                    self.report.quarantines += 1;
-                    if self.config.supervise {
-                        self.restart_monitor(monitor);
-                    }
-                }
-                Ok(CoordinatorToRunner::MonitorRecovered { .. }) => {
-                    self.report.recoveries += 1;
-                }
-                Err(_) => {} // never produced by our coordinator
-            }
-        };
-        self.fold(&summary);
+        let mut coordinator = self.coordinator.take().ok_or(COORDINATOR_DEAD)?;
+        let summary = self.pump(&mut coordinator)?;
+        self.coordinator = Some(coordinator);
+        Self::fold(&mut self.report, self.config.recorder.as_ref(), &summary);
         Ok(summary)
     }
 
-    /// Folds one tick summary into the report (and records its alert).
-    fn fold(&mut self, summary: &TickSummary) {
-        let report = &mut self.report;
+    /// The coordinator's I/O shell: executes its outbox, and whenever
+    /// that runs dry blocks for the monitors' next payload — at most
+    /// until the deadline the machine last armed, which is then reported
+    /// to it instead. When an injected crash fires the step fails with
+    /// the machine dead and its log closed, as a crashed process would
+    /// leave them.
+    ///
+    /// WAL I/O errors are swallowed: durability is best-effort and never
+    /// worth failing the run over (a standby restoring from a short log
+    /// just falls back to conservative restarts for the missing state).
+    fn pump(&mut self, coordinator: &mut CoordinatorActor) -> Result<TickSummary, VolleyError> {
+        let spans = self.config.obs.spans();
+        let _tick_span = spans.span_timed("coordinator_tick", &self.obs.tick_hist);
+        let mut checkpoint_started = Instant::now();
+        let mut deadline = checkpoint_started + self.config.tick_deadline;
+        loop {
+            while let Some(output) = coordinator.pop_output() {
+                match output {
+                    Output::Send { to, msg } => {
+                        let frame = ControlFrame::seal(self.epoch, msg);
+                        for monitor in to {
+                            if !self.links[monitor.0 as usize].send(frame.clone()) {
+                                coordinator.on_undeliverable(monitor);
+                            }
+                        }
+                    }
+                    Output::ArmDeadline => deadline = Instant::now() + self.config.tick_deadline,
+                    Output::Quarantined { monitor, .. } => {
+                        self.report.quarantines += 1;
+                        if self.config.supervise {
+                            self.restart_monitor(coordinator, monitor);
+                        }
+                    }
+                    Output::Recovered { .. } => self.report.recoveries += 1,
+                    Output::GateFlipped => self.obs.gate_flips.inc(),
+                    Output::Tick(outcome) => {
+                        if let Some(wal) = self.wal.as_mut() {
+                            let _timed = spans.span_timed("wal_append", &self.obs.wal_hist);
+                            let _ = wal.append(&WalRecord::Tick(outcome));
+                        }
+                        // A snapshot, if due, is gathered from here on.
+                        checkpoint_started = Instant::now();
+                    }
+                    Output::Snapshot(snapshot) => {
+                        if let Some(wal) = self.wal.as_mut() {
+                            let _ = wal.append_snapshot(&snapshot);
+                        }
+                        if spans.enabled() {
+                            spans.record("checkpoint_write", checkpoint_started);
+                            let elapsed = checkpoint_started.elapsed().as_nanos() as u64;
+                            self.obs.checkpoint_hist.record(elapsed);
+                        }
+                    }
+                    Output::Summary(summary) => {
+                        if summary.polled {
+                            self.obs.polls.inc();
+                        }
+                        self.obs
+                            .suppressed
+                            .add(u64::from(summary.suppressed_samples));
+                        return Ok(summary);
+                    }
+                    Output::Crashed => {
+                        self.wal = None;
+                        return Err(COORDINATOR_DEAD);
+                    }
+                }
+            }
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match self.from_monitors.recv_timeout(wait) {
+                Ok(payload) => self.obs.recvs.add(coordinator.on_payload(&payload)),
+                Err(RecvTimeoutError::Timeout) => coordinator.on_deadline(),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(VolleyError::RuntimeDisconnected {
+                        component: "monitor plane",
+                    })
+                }
+            }
+        }
+    }
+
+    /// Folds one tick summary into `report` (and records its alert).
+    fn fold(report: &mut RuntimeReport, recorder: Option<&SampleRecorder>, summary: &TickSummary) {
         report.ticks += 1;
         report.scheduled_samples += u64::from(summary.scheduled_samples);
         report.poll_samples += u64::from(summary.poll_samples);
@@ -370,7 +457,7 @@ impl<'a> TaskSession<'a> {
             if summary.degraded {
                 report.degraded_alerts += 1;
             }
-            if let Some(recorder) = &self.config.recorder {
+            if let Some(recorder) = recorder {
                 recorder.record_alert(summary.tick, summary.degraded);
             }
         }
@@ -382,46 +469,51 @@ impl<'a> TaskSession<'a> {
     /// current epoch. Process faults (crash/stall) are stripped from the
     /// restarted actor's plan — its predecessor already acted them out —
     /// while network faults (including partitions) keep applying.
-    fn restart_monitor(&mut self, monitor: MonitorId) {
+    fn restart_monitor(&mut self, coordinator: &mut CoordinatorActor, monitor: MonitorId) {
         let idx = monitor.0 as usize;
         let plan = self.config.fault_plan.without_process_faults(monitor);
-        self.links[idx].install(self.actor(idx, plan));
+        self.links[idx].install(self.config.actor(self.epoch, idx, plan));
         self.report.restarts += 1;
-        // Tell the coordinator to await the restarted monitor again;
-        // FIFO puts this notice ahead of the fresh actor's first report.
-        self.send_to_coordinator(MonitorToCoordinator::Revived { monitor });
-    }
-
-    /// Sends a driver-originated notice down the monitors' shared link.
-    fn send_to_coordinator(&self, msg: MonitorToCoordinator) {
-        let out_link = self.out_link.as_ref().expect("in-process plane");
-        let _ = out_link.send(MonitorFrame::seal(self.epoch, msg));
+        // Tell the coordinator to await the restarted monitor again,
+        // ahead of the fresh actor's first report.
+        coordinator.on_frame(MonitorFrame {
+            epoch: self.epoch,
+            msg: MonitorToCoordinator::Revived { monitor },
+        });
     }
 
     /// Propagates a follower-gate transition ahead of `tick`'s data:
     /// `SetGate` shares each monitor's inbox FIFO with the `Tick` frame
-    /// that follows, `LeaderState` the monitor→coordinator FIFO with the
-    /// `TickDone`s it must precede — so the tick a gate takes effect at
-    /// is a pure function of the traces.
-    pub(crate) fn drive_gate(&self, tick: Tick, interval: Option<u32>, leader_active: bool) {
+    /// that follows, and the coordinator hears `LeaderState` before any
+    /// of that tick's `TickDone`s exist — so the tick a gate takes
+    /// effect at is a pure function of the traces. A calm leader engages
+    /// the gate at the session's gated interval.
+    pub(crate) fn drive_gate(&mut self, tick: Tick, leader_active: bool) {
+        let interval = self.config.gated_interval.filter(|_| !leader_active);
         let set = ControlFrame::seal(self.epoch, CoordinatorToMonitor::SetGate { interval });
         for link in &self.links {
             let _ = link.send(set.clone());
         }
-        self.send_to_coordinator(MonitorToCoordinator::LeaderState {
-            tick,
-            active: leader_active,
-        });
+        if let Some(coordinator) = self.coordinator.as_mut() {
+            coordinator.on_frame(MonitorFrame {
+                epoch: self.epoch,
+                msg: MonitorToCoordinator::LeaderState {
+                    tick,
+                    active: leader_active,
+                },
+            });
+        }
     }
 
     /// Fails over to a successor coordinator after [`step`](Self::step)
     /// reported the incumbent dead with `tick` in flight: bump the epoch,
-    /// fence the fleet, restore monitor state from `snapshot`
-    /// (conservative `I_d` resets where it has none), repoint the shared
-    /// outbox at a fresh channel — stranding any frames addressed to the
-    /// dead incarnation — and spawn the successor resuming behind the
-    /// tick the caller is about to step again, checkpointing to `wal`.
-    /// Returns the new epoch.
+    /// fence the fleet, restore the allowance ledger and the monitors'
+    /// samplers from `snapshot` (the even split and conservative `I_d`
+    /// resets where it has none), repoint the shared outbox at a fresh
+    /// channel — stranding any frames addressed to the dead incarnation —
+    /// and build the successor resuming behind the tick the caller is
+    /// about to step again, checkpointing to `wal`. Returns the new
+    /// epoch.
     ///
     /// # Errors
     ///
@@ -432,7 +524,19 @@ impl<'a> TaskSession<'a> {
         snapshot: Option<&CoordinatorSnapshot>,
         wal: Option<(Wal, u64)>,
     ) -> Result<u64, VolleyError> {
-        let allocator = allocator(self.config)?;
+        let mut rules = self.config.rules()?;
+        // The monitors restore the allowance they held at the
+        // checkpoint; the ledger must resume from the same split, or the
+        // successor's first round would move allowance from a split
+        // nobody holds.
+        let ledger_refused = match snapshot {
+            Some(s) => !rules.restore(&s.allowances, s.next_update_tick),
+            None => {
+                rules.defer_reallocation(tick);
+                false
+            }
+        };
+        self.report.conservative_restarts += u64::from(ledger_refused);
         self.report.coordinator_failovers += 1;
         self.epoch += 1;
         let epoch = self.epoch;
@@ -444,41 +548,43 @@ impl<'a> TaskSession<'a> {
         // rejects them until epoch repair readmits it.
         for (idx, link) in self.links.iter().enumerate() {
             let send = |msg| link.send(ControlFrame::seal(epoch, msg));
+            let ledger = CoordinatorToMonitor::SetAllowance {
+                err: rules.allowances()[idx],
+            };
             send(CoordinatorToMonitor::NewEpoch { epoch });
             match snapshot.and_then(|s| s.samplers.get(idx).copied().flatten()) {
                 Some(snapshot) => {
                     send(CoordinatorToMonitor::RestoreState { snapshot });
+                    if ledger_refused {
+                        send(ledger);
+                    }
                     self.report.checkpoint_restores += 1;
                 }
                 None => {
                     // The paper's conservative restart: back to the
-                    // default interval and the even allowance share.
+                    // default interval, at the ledger's allowance.
                     send(CoordinatorToMonitor::ResetSampler);
-                    send(CoordinatorToMonitor::SetAllowance {
-                        err: even_share(&self.config.spec),
-                    });
+                    send(ledger);
                     self.report.conservative_restarts += 1;
                 }
             }
         }
 
-        let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-        self.out_link
-            .as_ref()
-            .expect("in-process plane")
-            .replace(to_coord_tx);
-        let (summary_tx, summary_rx) = unbounded::<Bytes>();
-        self.summary_rx = summary_rx;
-        let next_update = snapshot.map_or_else(
-            || tick + AllocationConfig::default().update_period_ticks,
-            |s| s.next_update_tick,
-        );
+        if let Some(out_link) = &self.out_link {
+            let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
+            out_link.replace(to_coord_tx);
+            self.from_monitors = to_coord_rx;
+        }
         let plan = self
             .config
             .fault_plan
             .without_coordinator_crashes_through(tick);
-        let resume = Some((tick.checked_sub(1), next_update));
-        self.start_coordinator(allocator, plan, resume, wal, to_coord_rx, summary_tx);
+        let (wal, every) = wal.unzip();
+        let resumed = self
+            .config
+            .coordinator(rules, plan, epoch, tick.checked_sub(1), every);
+        self.coordinator = Some(resumed);
+        self.wal = wal;
         Ok(epoch)
     }
 
@@ -494,20 +600,12 @@ impl<'a> TaskSession<'a> {
     }
 
     /// Tears the session down and returns its report: stop the monitors
-    /// and join their hosts, cut the monitor→coordinator channel so the
-    /// coordinator exits on disconnect, join it, and only then — every
-    /// producer gone — seal the recorded samples. A remote plane's event
-    /// loop must already have stopped (it holds the coordinator's inbox
-    /// sender).
+    /// and join their hosts, and only then — every producer gone — seal
+    /// the recorded samples.
     pub(crate) fn finish(self) -> RuntimeReport {
         self.broadcast_shutdown();
         for handle in self.host_handles {
             handle.join().expect("monitor host exits cleanly");
-        }
-        drop(self.links);
-        drop(self.out_link);
-        if let Some(handle) = self.coord_handle {
-            handle.join().expect("coordinator thread exits cleanly");
         }
         if let Some(recorder) = &self.config.recorder {
             recorder.flush();
@@ -516,19 +614,12 @@ impl<'a> TaskSession<'a> {
     }
 }
 
-/// The allowance allocator one coordinator incarnation starts from.
-fn allocator(config: &SessionConfig) -> Result<ErrorAllocator, VolleyError> {
-    let spec = &config.spec;
-    ErrorAllocator::new(
-        AllocationConfig::default(),
-        spec.adaptation().error_allowance(),
-        spec.monitors().len(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use std::path::Path;
+
+    use super::*;
+    use crate::failure::FaultPath;
 
     /// Non-test source of one file: everything before its test module.
     fn non_test_source(path: &Path) -> String {
@@ -550,11 +641,11 @@ mod tests {
     }
 
     /// The drift guard for the monitor plane: a session's threads are its
-    /// hosts plus one coordinator, however many monitors it runs — the
-    /// crate spawns threads at two sites here (host, coordinator) and at
-    /// one in the socket server (its event loop), never one per monitor.
+    /// hosts, however many monitors it runs — the crate spawns threads at
+    /// one site here (a host) and at one in the socket server (its event
+    /// loop), never one per monitor and none for the coordinator.
     #[test]
-    fn a_session_spawns_at_most_hosts_plus_one_threads() {
+    fn a_session_spawns_only_its_host_threads() {
         use super::{MonitorPlane, SessionConfig, TaskSession};
         use volley_core::task::TaskSpec;
         use volley_obs::Obs;
@@ -580,9 +671,9 @@ mod tests {
         for_each_source(&src, &mut |path| {
             total += non_test_source(path).matches("thread::spawn(").count();
         });
-        assert_eq!(spawns("session.rs"), 2, "one per host, one per coordinator");
+        assert_eq!(spawns("session.rs"), 1, "one per host");
         assert_eq!(spawns("net/server.rs"), 1, "the event loop");
-        assert_eq!(total, 3, "a thread::spawn outside the three known sites");
+        assert_eq!(total, 2, "a thread::spawn outside the two known sites");
     }
 
     /// The drift guard for the tick path: actors are built in this module
@@ -606,5 +697,244 @@ mod tests {
             offenders.is_empty(),
             "actor construction outside session.rs: {offenders:?}"
         );
+    }
+
+    /// A whole task on one thread: the coordinator machine and every
+    /// monitor's slot stepped off one queue, with no channel and no clock
+    /// — a phase's deadline "expires" exactly when no frame is in flight,
+    /// so a run is a pure function of its inputs.
+    struct Lockstep<'a> {
+        config: &'a SessionConfig,
+        coordinator: CoordinatorActor,
+        table: SlotTable,
+        /// The monitors' replies not yet handed to the coordinator.
+        in_flight: Vec<u8>,
+        report: RuntimeReport,
+    }
+
+    impl<'a> Lockstep<'a> {
+        fn new(config: &'a SessionConfig) -> Self {
+            let plan = &config.fault_plan;
+            let slots = (0..config.spec.monitors().len())
+                .map(|idx| MonitorSlot::new(config.actor(0, idx, plan.clone())))
+                .collect();
+            Lockstep {
+                config,
+                coordinator: config.coordinator(
+                    config.rules().unwrap(),
+                    plan.clone(),
+                    0,
+                    None,
+                    None,
+                ),
+                table: SlotTable::new(0, slots),
+                in_flight: Vec::new(),
+                report: RuntimeReport::default(),
+            }
+        }
+
+        /// Delivers `msg` as a hosted link would: dropped by a dead
+        /// slot, whose link reports the refusal.
+        fn send(&mut self, to: MonitorId, msg: CoordinatorToMonitor) -> bool {
+            let alive = self.table.slots()[to.0 as usize].alive();
+            let frame = ControlFrame { epoch: 0, msg };
+            self.table.deliver(to.0, frame, &mut self.in_flight);
+            alive
+        }
+
+        /// [`TaskSession::step`] without I/O. Returns the tick's summary
+        /// and whatever allowances it assigned.
+        fn step(&mut self, tick: Tick, value: impl Fn(usize) -> f64) -> (TickSummary, Vec<f64>) {
+            for idx in 0..self.config.spec.monitors().len() {
+                let value = value(idx);
+                let data = CoordinatorToMonitor::Tick(TickData { tick, value });
+                self.send(MonitorId(idx as u32), data);
+            }
+            let mut assigned = Vec::new();
+            loop {
+                while let Some(output) = self.coordinator.pop_output() {
+                    match output {
+                        Output::Send { to, msg } => {
+                            if let CoordinatorToMonitor::SetAllowance { err } = msg {
+                                assigned.push(err);
+                            }
+                            for monitor in to {
+                                if !self.send(monitor, msg) {
+                                    self.coordinator.on_undeliverable(monitor);
+                                }
+                            }
+                        }
+                        Output::Quarantined { monitor, .. } => {
+                            // The supervisor, as `restart_monitor`.
+                            self.report.quarantines += 1;
+                            let plan = self.config.fault_plan.without_process_faults(monitor);
+                            let actor = self.config.actor(0, monitor.0 as usize, plan);
+                            self.table
+                                .install(MonitorSlot::new(actor), &mut self.in_flight);
+                            self.report.restarts += 1;
+                            let msg = MonitorToCoordinator::Revived { monitor };
+                            self.coordinator.on_frame(MonitorFrame { epoch: 0, msg });
+                        }
+                        Output::Recovered { .. } => self.report.recoveries += 1,
+                        Output::Summary(summary) => {
+                            TaskSession::fold(&mut self.report, None, &summary);
+                            return (summary, assigned);
+                        }
+                        Output::Crashed => panic!("no coordinator crash is planned"),
+                        Output::ArmDeadline
+                        | Output::GateFlipped
+                        | Output::Tick(_)
+                        | Output::Snapshot(_) => {}
+                    }
+                }
+                if self.in_flight.is_empty() {
+                    self.coordinator.on_deadline();
+                } else {
+                    let payload = std::mem::take(&mut self.in_flight);
+                    self.coordinator.on_payload(&payload);
+                }
+            }
+        }
+
+        fn run(config: &'a SessionConfig, traces: &[Vec<f64>]) -> (RuntimeReport, Vec<Vec<f64>>) {
+            let mut task = Lockstep::new(config);
+            let mut reallocations = Vec::new();
+            for tick in 0..run_length(&config.spec, traces).unwrap() {
+                let (_, assigned) = task.step(tick, |idx| traces[idx][tick as usize]);
+                if !assigned.is_empty() {
+                    reallocations.push(assigned);
+                }
+            }
+            (task.report, reallocations)
+        }
+    }
+
+    /// tests/runtime_parity.rs's traces: per-monitor noise around a
+    /// monitor-specific base, with periodic 120-unit surges.
+    fn parity_traces(monitors: usize, ticks: usize, seed: u64) -> Vec<Vec<f64>> {
+        (0..monitors)
+            .map(|m| {
+                let mut state = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(m as u64);
+                (0..ticks)
+                    .map(|t| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let noise = (state >> 33) as f64 / (1u64 << 31) as f64;
+                        let base = 20.0 + 5.0 * (m as f64) + noise * 5.0;
+                        let surge = t % (500 + m * 37) > (480 + m * 37);
+                        base + if surge { 120.0 } else { 0.0 }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn parity_spec(monitors: usize) -> TaskSpec {
+        TaskSpec::builder(60.0 * monitors as f64)
+            .monitors(monitors)
+            .error_allowance(0.02)
+            .max_interval(8)
+            .patience(5)
+            .warmup_samples(3)
+            .build()
+            .unwrap()
+    }
+
+    /// The deterministic whole-task run, fault-free: the machine and the
+    /// real monitor actors on one thread reproduce the reference
+    /// [`DistributedTask::step`] exactly, and never alert on a tick the
+    /// ground truth does not contain.
+    #[test]
+    fn a_single_threaded_task_matches_the_reference_and_the_ground_truth() {
+        use volley_core::{DistributedTask, GroundTruth};
+        // Uneven local thresholds carried by the spec itself.
+        let weighted = TaskSpec::builder(240.0)
+            .threshold_split(volley_core::ThresholdSplit::Proportional)
+            .threshold_weights(vec![1.0, 2.0, 3.0, 2.0])
+            .error_allowance(0.02)
+            .max_interval(8)
+            .patience(5)
+            .warmup_samples(3)
+            .build()
+            .unwrap();
+        let mut alerts_checked = 0;
+        for (spec, seed) in [
+            (parity_spec(2), 1u64),
+            (parity_spec(3), 2),
+            (parity_spec(5), 3),
+            (weighted, 4),
+        ] {
+            let monitors = spec.monitors().len();
+            let traces = parity_traces(monitors, 1200, seed);
+            let mut reference = DistributedTask::new(&spec).unwrap();
+            let (mut alerts, mut samples) = (Vec::new(), 0u64);
+            for tick in 0..1200u64 {
+                let values: Vec<f64> = traces.iter().map(|t| t[tick as usize]).collect();
+                let outcome = reference.step(tick, &values).unwrap();
+                samples += u64::from(outcome.total_samples());
+                if outcome.alerted() {
+                    alerts.push(tick);
+                }
+            }
+            let config = SessionConfig::new(spec.clone(), Obs::disabled());
+            let (report, _) = Lockstep::run(&config, &traces);
+            assert_eq!(report.alert_ticks, alerts, "alerts (m={monitors})");
+            assert_eq!(report.total_samples, samples, "samples (m={monitors})");
+            assert_eq!(report.missed_tick_reports, 0);
+            let truth = GroundTruth::from_aggregate_traces(&traces, spec.global_threshold());
+            for tick in &report.alert_ticks {
+                assert!(
+                    truth.violation_ticks().contains(tick),
+                    "alert at {tick} without a violation"
+                );
+            }
+            alerts_checked += alerts.len();
+        }
+        assert!(alerts_checked > 0, "no trace violated");
+    }
+
+    /// The deterministic whole-task run under a seeded fault plan —
+    /// drops on both lossy paths, delays, duplicates, a crash, a stall
+    /// and a partition, with the supervisor restarting what is
+    /// quarantined: with no wall clock in the loop the folded report is
+    /// identical on every rerun, `missed_tick_reports` included, and
+    /// every reallocation assigns `Σ err_i ≤ err`.
+    #[test]
+    fn a_single_threaded_faulty_task_reproduces_its_report_exactly() {
+        let spec = parity_spec(4);
+        let traces = parity_traces(4, 2400, 7);
+        let plan = FaultPlan::new(42)
+            .with_drop_rate(FaultPath::ViolationReport, 0.1)
+            .with_drop_rate(FaultPath::PollReply, 0.1)
+            .with_delay_rate(0.02)
+            .with_duplication_rate(0.02)
+            .with_crash(MonitorId(1), 300)
+            .with_stall(MonitorId(2), 600, 40)
+            .with_partition(&[MonitorId(3)], 995, 1005);
+        let config = SessionConfig {
+            fault_plan: plan,
+            supervise: true,
+            ..SessionConfig::new(spec.clone(), Obs::disabled())
+        };
+        let (first, reallocations) = Lockstep::run(&config, &traces);
+        assert_eq!(first.ticks, 2400);
+        assert!(first.alerts > 0 && first.degraded_polls > 0);
+        assert!(first.missed_tick_reports > 0 && first.quarantines >= 3);
+        assert_eq!(first.quarantines, first.restarts);
+        assert_eq!(first.restarts, first.recoveries);
+        let err = spec.adaptation().error_allowance();
+        assert!(!reallocations.is_empty(), "no round reallocated");
+        for assigned in &reallocations {
+            assert_eq!(assigned.len(), 4);
+            assert!(assigned.iter().sum::<f64>() <= err + 1e-12, "{assigned:?}");
+        }
+        for rerun in 1..100 {
+            let (report, again) = Lockstep::run(&config, &traces);
+            assert_eq!(report, first, "rerun {rerun}");
+            assert_eq!(again, reallocations, "rerun {rerun}");
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! An EC2-style autoscaler adds web-server instances when the monitored
 //! aggregate request throughput exceeds a provisioning threshold (§V-A,
 //! application-level monitoring). Here three servers share a web
-//! application; each runs a real monitor *thread* (via
+//! application; each runs a real monitor actor (via
 //! [`volley::TaskRunner`]) that samples its local request rate
-//! adaptively, and a coordinator thread raises the scale-up alert when
-//! the aggregate crosses the threshold.
+//! adaptively, and the coordinator raises the scale-up alert when the
+//! aggregate crosses the threshold.
 //!
 //! Run with: `cargo run --example sla_monitoring`
 
@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_interval(16)
         .task_spec(threshold, SERVERS)?;
 
-    // Spawns a few monitor-host threads (at most one per core) plus a
-    // coordinator thread; blocks until the trace is exhausted.
+    // Spawns a few monitor-host threads (at most one per core), steps
+    // the coordinator on this one; blocks until the trace is exhausted.
     let report = TaskRunner::new(&spec)?.run(&traces)?;
 
     println!("scale-up threshold: {threshold:.0} requests/s (aggregate)");

@@ -21,8 +21,8 @@ use volley::core::task::MonitorId;
 use volley::core::Interval;
 use volley::core::{AdaptationConfig, AdaptiveSampler};
 use volley::runtime::message::{
-    decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor,
-    CoordinatorToRunner, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
+    decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
+    MonitorToCoordinator, TickData, TickSummary,
 };
 use volley::runtime::net::{AgentHello, FrameBuffer, ServerFrame};
 
@@ -290,15 +290,14 @@ proptest! {
         prop_assert_eq!(reassembled.pending(), 0);
     }
 
-    /// `CoordinatorToRunner` round-trips for every variant.
+    /// The `TickSummary` the coordinator hands its driver round-trips.
     #[test]
     fn runner_frames_round_trip(
-        monitor in 0u32..1000,
         tick in 0u64..u64::MAX,
         counts in (0u32..10_000, 0u32..10_000, 0u32..10_000, 0u32..10_000),
         flags in 0u8..4,
     ) {
-        round_trip(&CoordinatorToRunner::Summary(TickSummary {
+        round_trip(&TickSummary {
             tick,
             scheduled_samples: counts.0,
             poll_samples: counts.1,
@@ -310,15 +309,6 @@ proptest! {
             stale_epoch_frames: counts.2,
             suppressed_samples: counts.1,
             gated: flags & 2 != 0,
-        }));
-        round_trip(&CoordinatorToRunner::MonitorQuarantined {
-            monitor: MonitorId(monitor),
-            tick,
-            consecutive_missed: counts.0,
-        });
-        round_trip(&CoordinatorToRunner::MonitorRecovered {
-            monitor: MonitorId(monitor),
-            tick,
         });
     }
 
@@ -331,7 +321,6 @@ proptest! {
         let bytes = Bytes::from(raw.iter().map(|&b| b as u8).collect::<Vec<u8>>());
         let _ = decode::<MonitorToCoordinator>(&bytes);
         let _ = decode::<CoordinatorToMonitor>(&bytes);
-        let _ = decode::<CoordinatorToRunner>(&bytes);
         let _ = decode::<TickSummary>(&bytes);
         let _ = decode::<MonitorFrame>(&bytes);
         let _ = decode::<ControlFrame>(&bytes);
@@ -340,7 +329,7 @@ proptest! {
         differential::assert_decoders_agree::<ControlFrame>(&bytes);
         differential::assert_decoders_agree::<ServerFrame>(&bytes);
         differential::assert_decoders_agree::<AgentHello>(&bytes);
-        differential::assert_decoders_agree::<CoordinatorToRunner>(&bytes);
+        differential::assert_decoders_agree::<TickSummary>(&bytes);
     }
 
     /// Frames written before the multi-task gate existed carry no
@@ -369,16 +358,13 @@ proptest! {
             },
         });
         let legacy = format!(
-            "{{\"Summary\":{{\"tick\":{tick},\"scheduled_samples\":1,\"poll_samples\":2,\
+            "{{\"tick\":{tick},\"scheduled_samples\":1,\"poll_samples\":2,\
              \"local_violations\":3,\"polled\":true,\"alerted\":false,\"missing_reports\":0,\
-             \"degraded\":false,\"stale_epoch_frames\":0}}}}"
+             \"degraded\":false,\"stale_epoch_frames\":0}}"
         );
-        differential::assert_decoders_agree::<CoordinatorToRunner>(legacy.as_bytes());
-        let CoordinatorToRunner::Summary(summary) =
-            decode_line(legacy.as_bytes()).expect("legacy summary decodes")
-        else {
-            panic!("expected a summary");
-        };
+        differential::assert_decoders_agree::<TickSummary>(legacy.as_bytes());
+        let summary: TickSummary =
+            decode_line(legacy.as_bytes()).expect("legacy summary decodes");
         prop_assert_eq!((summary.suppressed_samples, summary.gated), (0, false));
     }
 
