@@ -1,6 +1,6 @@
 //! Robustness sweep: message loss versus alert detection.
 //!
-//! Runs the threaded runtime over a bursty workload with known
+//! Runs the live runtime over a bursty workload with known
 //! ground-truth alerts while a deterministic [`FaultPlan`] drops a
 //! growing fraction of both monitor→coordinator reply paths
 //! (violation reports and poll replies), and measures how many

@@ -342,7 +342,7 @@ pub enum Command {
     /// Run the fault-injected runtime (`--net` and `--multitask` select
     /// the socket and multi-task modes).
     Chaos(Args),
-    /// Run the threaded runtime with observability on.
+    /// Run the live runtime with observability on.
     Run(Args),
     /// Read back the latest obs snapshot from a directory.
     Obs(Args),
@@ -791,7 +791,7 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
     },
     Subcommand {
         name: "run",
-        about: "drive the threaded runtime on the bursty workload with observability on",
+        about: "drive the live runtime on the bursty workload with observability on",
         flags: &[
             MONITORS,
             TICKS,
@@ -861,7 +861,7 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
     },
     Subcommand {
         name: "chaos",
-        about: "run the threaded runtime on the bursty workload under injected message, \
+        about: "run the live runtime on the bursty workload under injected message, \
                 crash and storage faults",
         flags: &[
             MONITORS,

@@ -594,7 +594,7 @@ struct RunReport {
     self_monitor_alert_ticks: Vec<u64>,
     obs_dir: Option<String>,
     /// Sharded-engine execution counters, when the workload ran on the
-    /// simulation engine. The threaded runtime reports `null` here; the
+    /// simulation engine. The live runtime reports `null` here; the
     /// field exists so schema-6 consumers see one shape across `sim`
     /// and `run`.
     engine: Option<EngineStats>,
@@ -602,7 +602,7 @@ struct RunReport {
     snapshot: volley_obs::Snapshot,
 }
 
-/// Runs the threaded runtime on the bursty workload with observability
+/// Runs the live runtime on the bursty workload with observability
 /// enabled, optionally dumping snapshots and arming the self-monitoring
 /// watchdog.
 fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
@@ -759,7 +759,7 @@ fn write_degradation<W: Write>(
     writeln!(out, "{label:<18}{counts}{tail}")
 }
 
-/// Runs the threaded runtime on the bursty workload while a
+/// Runs the live runtime on the bursty workload while a
 /// [`volley_runtime::FaultPlan`] built from the command-line flags drops,
 /// delays and duplicates messages and crashes or stalls monitors.
 fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {

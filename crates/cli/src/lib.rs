@@ -10,7 +10,7 @@
 //!   value trace through the adaptive controller; `generate` emits
 //!   synthetic traces to feed it; `sim` runs the datacenter simulator's
 //!   network-monitoring scenario on the sharded engine.
-//! - **task level (§IV)** — `run` drives the threaded runtime on a
+//! - **task level (§IV)** — `run` drives the live runtime on a
 //!   bursty workload with observability on; `chaos` does so under
 //!   injected message, crash and storage faults (`chaos --net` over real
 //!   sockets under reconnect storms); `coordinator` and `agent` split

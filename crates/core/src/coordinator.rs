@@ -97,7 +97,7 @@ struct MonitorState {
 /// and allowance moves by yield ([`reallocate`](Self::reallocate)).
 ///
 /// It holds no monitor, channel or clock. [`DistributedTask::step`] calls
-/// it over its own samplers; the threaded runtime's coordinator calls it
+/// it over its own samplers; the live runtime's coordinator calls it
 /// over whatever its monitors answered in time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Coordinator {
@@ -759,7 +759,7 @@ mod tests {
 
     /// The drift guard for the §IV task rules: the global-poll
     /// comparison, the updating-period cadence and the allocator round
-    /// are each spelled once, here — the simulator, the threaded runtime
+    /// are each spelled once, here — the simulator, the live runtime
     /// and the store's backtest all call [`Coordinator`] for them.
     #[test]
     fn the_task_rules_are_spelled_once() {

@@ -10,7 +10,7 @@
 //! costs exactly one relaxed atomic load per call site.
 //!
 //! Writes are striped over [`SHARDS`] cache-line-aligned slots indexed by
-//! a per-thread ordinal, so monitor threads hammering the same counter
+//! a per-thread ordinal, so threads hammering the same counter
 //! never contend on one cache line. Reads ([`Counter::value`],
 //! [`Histogram::snapshot`]) sum the stripes; they are racy-consistent
 //! (each stripe is read atomically, the sum is not a point-in-time cut),

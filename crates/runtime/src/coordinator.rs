@@ -12,8 +12,8 @@
 //! finds in the outbox ([`pop_output`](CoordinatorActor::pop_output)) in
 //! order: sends, liveness notices, the tick's log records and finally
 //! its [`TickSummary`]. The machine never blocks, so it needs no thread:
-//! the task session steps it between channel receives on the thread that
-//! drives the ticks, a test with no clock at all. The §IV *decisions*
+//! the task session steps it on the thread that drives the ticks, between
+//! deliveries to its in-process monitors or receives from its sockets. The §IV *decisions*
 //! (aggregate vs `T`, when an updating period ends, how allowance moves)
 //! are the embedded [`Coordinator`]'s; this module is the protocol
 //! around them.
@@ -38,7 +38,8 @@
 //! and aggregates in **degraded mode** — the missing monitor counts at
 //! its local threshold `T_i`, which can raise a false alert but never
 //! hides one ([`Coordinator::poll`]). A quarantined monitor that reports
-//! on time again is restored immediately, but is only *awaited* again on
+//! on time again — in the same payload as the active monitors' reports
+//! or ahead of it — is restored immediately, but is only *awaited* again on
 //! **fresh** evidence — a `Revived` notice or a frame for a tick not yet
 //! closed — so a delayed frame replayed after quarantine cannot
 //! resurrect a dead monitor. Reallocation skips any round it cannot get
@@ -371,6 +372,13 @@ impl CoordinatorActor {
     /// hands the message to the phase that waits for it (any other
     /// phase's stale replies are dropped).
     pub fn on_frame(&mut self, frame: MonitorFrame) {
+        self.admit(frame);
+        self.settle(false);
+    }
+
+    /// [`on_frame`](Self::on_frame) short of closing the phase the frame
+    /// may have completed.
+    fn admit(&mut self, frame: MonitorFrame) {
         if self.crashed {
             return;
         }
@@ -396,21 +404,28 @@ impl CoordinatorActor {
             }
         }
         self.accept(msg);
-        self.settle(false);
     }
 
-    /// Feeds the machine one payload as a monitor host or the socket loop
-    /// sends it — one encoded [`MonitorFrame`] per line, the last line's
+    /// Feeds the machine one payload as the in-process plane or the socket
+    /// loop hands it over — one encoded [`MonitorFrame`] per line, the last line's
     /// newline optional — skipping malformed lines one at a time.
     /// Returns how many lines the payload held.
+    ///
+    /// Frames that arrive together are judged together: a phase closes
+    /// only once the whole payload is in, so where in it a frame stood
+    /// decides nothing. In process a tick's replies are one payload in
+    /// monitor order, and a quarantined but live monitor's report would
+    /// otherwise trail the report that closes its round — late, tick
+    /// after tick, however promptly it was sent.
     pub fn on_payload(&mut self, payload: &[u8]) -> u64 {
         let mut lines = 0;
         for line in payload.split_inclusive(|&b| b == b'\n') {
             lines += 1;
             if let Ok(frame) = decode_line::<MonitorFrame>(line) {
-                self.on_frame(frame);
+                self.admit(frame);
             }
         }
+        self.settle(false);
         lines
     }
 
@@ -1051,6 +1066,35 @@ mod tests {
         );
     }
 
+    /// Inside one payload the order of the frames decides nothing:
+    /// monitor 1's report trails the one that completes the active set
+    /// and still counts. In process a tick's replies always arrive as one
+    /// payload in monitor order, so closing the round frame by frame
+    /// would leave a quarantined monitor behind an active one late on
+    /// every tick.
+    #[test]
+    fn a_quarantined_monitor_recovers_wherever_its_report_stands_in_the_payload() {
+        let mut machine = pair_with_monitor_1_quarantined();
+        machine.on_payload(&payload(&[tick_done(0, 1, false), tick_done(1, 1, false)]));
+        let (summary, before) = closed(&mut machine);
+        assert_eq!(summary.missing_reports, 0);
+        assert_eq!(
+            before,
+            [Output::Recovered {
+                monitor: MonitorId(1),
+                tick: 1,
+            }]
+        );
+        // Frame by frame the active monitor's report closes the round,
+        // and the other one is late.
+        let mut machine = pair_with_monitor_1_quarantined();
+        machine.on_frame(tick_done(0, 1, false));
+        machine.on_frame(tick_done(1, 1, false));
+        let (summary, before) = closed(&mut machine);
+        assert_eq!(summary.missing_reports, 1);
+        assert!(before.is_empty());
+    }
+
     #[test]
     fn revived_notice_makes_the_round_await_the_monitor() {
         let mut machine = pair_with_monitor_1_quarantined();
@@ -1094,8 +1138,8 @@ mod tests {
         assert_eq!(summary.local_violations, 0, "stale violation ignored");
     }
 
-    /// One payload holding `frames` back to back, as a monitor host sends
-    /// a drain of its inbox.
+    /// One payload holding `frames` back to back, as a slot table leaves
+    /// a batch of replies.
     fn payload(frames: &[MonitorFrame]) -> Vec<u8> {
         frames
             .iter()

@@ -2,10 +2,11 @@
 //!
 //! A datacenter runs "a large number of monitoring tasks" (§I) at once;
 //! [`FleetRunner`] executes a batch of independent distributed tasks in
-//! parallel — each with its own monitor hosts and coordinator — and
-//! collects their reports in submission order. Tasks are isolated: a
-//! task's channels, fault plan and allowance budget never touch
-//! another's.
+//! parallel — each with its own monitors and coordinator, stepped on
+//! the pool thread that picked the task up, so the fleet runs on exactly
+//! its pool — and collects their reports in submission order. Tasks are
+//! isolated: a task's monitors, fault plan and allowance budget never
+//! touch another's.
 
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::task::TaskSpec;
@@ -118,12 +119,12 @@ impl FleetSummary {
 /// Executes batches of independent monitoring tasks in parallel.
 #[derive(Debug, Default)]
 pub struct FleetRunner {
-    /// Worker-thread cap; `None` runs every task on its own thread.
+    /// Worker-thread cap; `None` runs every task on a thread of its own.
     threads: Option<usize>,
 }
 
 impl FleetRunner {
-    /// Creates a fleet runner that gives every task its own thread group.
+    /// Creates a fleet runner that gives every task a thread of its own.
     pub fn new() -> Self {
         FleetRunner::default()
     }
@@ -140,8 +141,8 @@ impl FleetRunner {
     }
 
     /// Runs all submissions concurrently (up to the
-    /// [`with_threads`](Self::with_threads) cap, default one thread group
-    /// per task) and returns their reports in submission order plus a
+    /// [`with_threads`](Self::with_threads) cap, default one thread per
+    /// task) and returns their reports in submission order plus a
     /// fleet summary.
     ///
     /// # Errors

@@ -6,15 +6,18 @@
 //! and a **coordinator** processes those reports, runs global polls, and
 //! periodically reallocates the task-level error allowance.
 //!
-//! Unlike [`volley_core::DistributedTask`] — a single-threaded,
-//! step-driven reference implementation — this crate runs the monitors
-//! and the coordinator as actors communicating exclusively through
-//! byte-framed messages, exactly as the components would across
-//! machines: the monitors hosted on a few threads (an agent process
-//! minus the socket) or behind real sockets, the coordinator a sans-IO
-//! machine ([`coordinator`]) stepped on the driving thread. It decides
-//! by the same [`volley_core::coordinator::Coordinator`] rules the
-//! reference does. A [`TaskRunner`] drives simulated time in lock-step
+//! Unlike [`volley_core::DistributedTask`] — a step-driven reference
+//! implementation that calls its samplers directly — this crate runs the
+//! monitors and the coordinator as actors communicating exclusively
+//! through protocol messages, exactly as the components would across
+//! machines: the monitors slots of a table (an agent process minus the
+//! socket) or behind real sockets, the coordinator a sans-IO machine
+//! ([`coordinator`]). In process both are stepped on the driving thread
+//! — no thread is spawned, so a run is a pure function of its inputs and
+//! a tick costs its work, not its hand-offs; only the socket plane adds
+//! threads (its event loop, the agents). The coordinator decides by the
+//! same [`volley_core::coordinator::Coordinator`] rules the reference
+//! does. A [`TaskRunner`] drives simulated time in lock-step
 //! (the stand-in for the paper's NTP-synchronized wall clocks) and
 //! feeds each monitor its agent's ground-truth values.
 //!
@@ -38,7 +41,9 @@
 //! The runtime assumes monitors can fail and the network can misbehave:
 //!
 //! - every coordinator collection phase is bounded by a **tick deadline**
-//!   ([`TaskRunner::with_tick_deadline`]) instead of blocking forever;
+//!   ([`TaskRunner::with_tick_deadline`]) instead of blocking forever (in
+//!   process a silent monitor costs exactly that deadline per round: no
+//!   reply can arrive while the driver waits);
 //! - a monitor missing consecutive deadlines is **quarantined**
 //!   ([`TaskRunner::with_quarantine_after`]): the coordinator stops
 //!   waiting for it and aggregates it at its local threshold `T_i`
@@ -59,11 +64,11 @@
 //! [`FaultPlan::with_drop_rate`]`(`[`FaultPath::ViolationReport`]`, p)`.
 //!
 //! [`TaskRunner`], [`MultiTaskRunner`] and [`NetCoordinator`] all drive
-//! this protocol through one crate-private session (spawn the monitor
-//! hosts, step a tick — which steps the coordinator machine and executes
-//! its outbox: links, checkpoint log, supervisor — and fold its summary,
-//! finish by joining and flushing on success and error alike) and add
-//! only their own policy on top.
+//! this protocol through one crate-private session (build the monitor
+//! plane, step a tick — which steps the coordinator machine and executes
+//! its outbox: sends, checkpoint log, supervisor — and fold its summary,
+//! finish by shutting down and flushing on success and error alike) and
+//! add only their own policy on top.
 //!
 //! ```
 //! use volley_core::task::TaskSpec;
@@ -88,7 +93,6 @@ pub mod checkpoint;
 pub mod coordinator;
 pub mod failure;
 pub mod fleet;
-pub mod link;
 pub mod message;
 pub mod monitor;
 pub mod multitask;
@@ -104,7 +108,6 @@ pub use checkpoint::{
 pub use coordinator::CoordinatorActor;
 pub use failure::{FaultPath, FaultPlan};
 pub use fleet::{FleetRunner, FleetSummary, FleetTask};
-pub use link::MonitorLink;
 pub use monitor::MonitorActor;
 pub use multitask::{MultiTask, MultiTaskConfig, MultiTaskOutcome, MultiTaskRunner, PlanGate};
 pub use net::{

@@ -172,7 +172,7 @@ pub enum CoordinatorToMonitor {
         /// Minimum ticks between samples while gated; `None` = ungated.
         interval: Option<u32>,
     },
-    /// Terminate the monitor (its host returns once all its monitors did).
+    /// Terminate the monitor (an agent exits once all its monitors did).
     Shutdown,
 }
 

@@ -1,14 +1,8 @@
-//! The monitor actor (local adaptive sampling) and the plane that hosts
-//! it: a [`SlotTable`] of [`MonitorSlot`]s stepped by one thread — an
-//! in-process host ([`SlotTable::host`]) or a socket agent
-//! ([`crate::net::run_agent`]); the two differ only in where frames come
-//! from and where the replies go.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use bytes::Bytes;
-use crossbeam::channel::Receiver;
+//! The monitor actor (local adaptive sampling) and the table that hosts
+//! it: a [`SlotTable`] of [`MonitorSlot`]s stepped by whichever thread
+//! feeds it — the task session's driver in process, a socket agent
+//! ([`crate::net::run_agent`]) across the network; the two differ only in
+//! where frames come from and where the replies go.
 
 use volley_core::task::MonitorId;
 use volley_core::AdaptiveSampler;
@@ -16,19 +10,17 @@ use volley_obs::{names, Counter, Histogram, Obs, SpanLog};
 use volley_store::SampleRecorder;
 
 use crate::failure::FaultPlan;
-use crate::link::MonitorLink;
 use crate::message::{
-    decode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator,
-    TickData,
+    encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData,
 };
 use crate::session::fresh_sampler;
 
 /// A monitor: owns one [`AdaptiveSampler`] and serves the coordinator
-/// protocol over byte-framed channels.
+/// protocol.
 ///
-/// The actor is transport-agnostic: it speaks [`Bytes`] frames produced by
-/// [`encode`](crate::message::encode), so the crossbeam channels used here
-/// could be replaced by sockets without changing the actor.
+/// The actor is transport-agnostic: it takes decoded [`ControlFrame`]s
+/// and answers with [`MonitorFrame`]s, so the same actor runs in process
+/// and behind a socket.
 ///
 /// An installed [`FaultPlan`] lets the slot hosting the actor
 /// impersonate a faulty process: crashing at a scheduled tick, going
@@ -408,11 +400,9 @@ impl MonitorActor {
 #[derive(Debug)]
 pub(crate) struct MonitorSlot {
     actor: MonitorActor,
-    /// Cleared by a crash or a shutdown, for good. A hosted monitor's
-    /// [`MonitorLink`] shares the flag, so a send to a dead monitor
-    /// fails as a send to an exited thread's inbox would. It publishes
-    /// nothing but itself, hence `Relaxed`.
-    alive: Arc<AtomicBool>,
+    /// Cleared by a crash or a shutdown, for good: a send to a dead
+    /// monitor fails as a send to an exited process would.
+    alive: bool,
     /// Told to shut down (whether or not a crash got there first).
     stopped: bool,
     /// The slot's notion of "now", which fault decisions key on.
@@ -426,7 +416,7 @@ impl MonitorSlot {
     pub(crate) fn new(actor: MonitorActor) -> Self {
         MonitorSlot {
             actor,
-            alive: Arc::new(AtomicBool::new(true)),
+            alive: true,
             stopped: false,
             last_tick: 0,
             held: None,
@@ -440,12 +430,7 @@ impl MonitorSlot {
 
     /// Whether the monitor still runs (neither crashed nor shut down).
     pub(crate) fn alive(&self) -> bool {
-        self.alive.load(Ordering::Relaxed)
-    }
-
-    /// The flag behind [`alive`](Self::alive), for the monitor's link.
-    pub(crate) fn liveness(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.alive)
+        self.alive
     }
 
     /// Feeds the slot one control frame, appending whatever it sends —
@@ -454,7 +439,7 @@ impl MonitorSlot {
     fn deliver(&mut self, frame: ControlFrame, out: &mut Vec<u8>) -> u64 {
         let shutdown = matches!(frame.msg, CoordinatorToMonitor::Shutdown);
         self.stopped |= shutdown;
-        if !self.alive() {
+        if !self.alive {
             return 0;
         }
         let (id, faults) = (self.actor.id, &self.actor.faults);
@@ -463,7 +448,7 @@ impl MonitorSlot {
             if faults.crash_tick(id).is_some_and(|at| data.tick >= at) {
                 // Simulated crash: vanish without replying.
                 self.held = None;
-                self.alive.store(false, Ordering::Relaxed);
+                self.alive = false;
                 return 0;
             }
         }
@@ -500,7 +485,7 @@ impl MonitorSlot {
     /// replacing it): a still-held reply goes out — the coordinator will
     /// discard it as stale, but a real delayed packet would arrive too.
     fn retire(&mut self, out: &mut Vec<u8>) -> u64 {
-        self.alive.store(false, Ordering::Relaxed);
+        self.alive = false;
         flush(self.held.take(), out)
     }
 
@@ -519,16 +504,6 @@ fn flush(held: Option<Vec<u8>>, out: &mut Vec<u8>) -> u64 {
         out.extend_from_slice(&late);
         1
     })
-}
-
-/// What a host finds in its inbox.
-#[derive(Debug)]
-pub(crate) enum HostMsg {
-    /// A control frame for this monitor.
-    Frame(u32, Bytes),
-    /// A supervisor's replacement for a quarantined monitor (rare, so
-    /// boxed: the inbox message stays a few words).
-    Install(Box<MonitorSlot>),
 }
 
 /// The monitors one thread hosts: a contiguous range of the task's
@@ -569,7 +544,7 @@ impl SlotTable {
     }
 
     /// Puts `fresh` in its predecessor's place; a reply the predecessor
-    /// still held goes out, as its exiting thread flushed it.
+    /// still held goes out, as a process told to exit flushes it.
     pub(crate) fn install(&mut self, fresh: MonitorSlot, out: &mut Vec<u8>) {
         if let Some(slot) = self.slot(fresh.actor.id.0) {
             let mut old = std::mem::replace(slot, fresh);
@@ -577,49 +552,7 @@ impl SlotTable {
             old.count(sent);
         }
     }
-
-    /// Runs the in-process host until every slot was shut down (or the
-    /// session dropped the inbox): the loop [`crate::net::run_agent`]
-    /// runs behind a socket, minus the socket. The host blocks for one
-    /// message, drains what else is queued, and everything that drain
-    /// produced leaves as **one** newline-delimited payload — the
-    /// coordinator is woken once per host per tick, not once per reply.
-    ///
-    /// The outbox is a [`MonitorLink`] so a failover can repoint every
-    /// host at the successor coordinator atomically; a payload addressed
-    /// to a dead coordinator is simply lost.
-    pub(crate) fn host(mut self, inbox: Receiver<HostMsg>, outbox: MonitorLink) {
-        // The buffer stays tick-sized: a one-off round of snapshot
-        // replies must not pin its kilobytes for the rest of the run.
-        const PAYLOAD_SCRATCH: usize = 4096;
-        let mut out: Vec<u8> = Vec::new();
-        while !self.finished() {
-            let Ok(first) = inbox.recv() else {
-                return;
-            };
-            for msg in std::iter::once(first).chain(inbox.try_iter()) {
-                match msg {
-                    // Malformed frames are dropped, as a socket server would.
-                    HostMsg::Frame(to, bytes) => {
-                        if let Ok(frame) = decode::<ControlFrame>(&bytes) {
-                            self.deliver(to, frame, &mut out);
-                        }
-                    }
-                    HostMsg::Install(fresh) => self.install(*fresh, &mut out),
-                }
-            }
-            if !out.is_empty() {
-                outbox.send(Bytes::copy_from_slice(&out));
-                out.clear();
-                out.shrink_to(PAYLOAD_SCRATCH);
-            }
-        }
-    }
 }
-
-/// Frames flowing monitor → coordinator (encoded
-/// [`MonitorToCoordinator`]).
-pub type MonitorToCoordinatorFrame = Bytes;
 
 #[cfg(test)]
 mod tests {
@@ -858,188 +791,141 @@ mod tests {
 
     use crate::failure::FaultPlan;
     use crate::message::decode_line;
-    use crossbeam::channel::{unbounded, Sender};
-    use std::collections::VecDeque;
-    use std::time::Duration;
 
-    /// One shared host stepping `actors` as monitors `0..`, driven by
-    /// hand: what the session's spawn wires, minus the coordinator.
-    struct Host {
-        links: Vec<MonitorLink>,
-        inbox: Sender<HostMsg>,
-        /// The coordinator's end of the host's outbox…
-        payloads: Receiver<Bytes>,
-        /// …and a sender to it, for notices the session sends itself.
-        to_coordinator: Sender<Bytes>,
-        /// Lines of payloads already received.
-        lines: VecDeque<Vec<u8>>,
-        thread: std::thread::JoinHandle<()>,
+    /// A table stepping `actors` as monitors `0..`, driven by hand: what
+    /// the session and the socket agent do, minus the coordinator.
+    struct Hosted {
+        table: SlotTable,
+        /// What the slots sent and [`sent`](Self::sent) has not read yet.
+        out: Vec<u8>,
     }
 
-    fn host(actors: Vec<MonitorActor>) -> Host {
-        let (inbox, rx) = unbounded::<HostMsg>();
-        let (to_coordinator, payloads) = unbounded::<Bytes>();
-        let mut links = Vec::new();
-        let mut slots = Vec::new();
-        for (monitor, actor) in actors.into_iter().enumerate() {
-            let slot = MonitorSlot::new(actor);
-            links.push(MonitorLink::hosted(
-                monitor as u32,
-                inbox.clone(),
-                slot.liveness(),
-            ));
-            slots.push(slot);
-        }
-        let outbox = MonitorLink::new(to_coordinator.clone());
-        let thread = std::thread::spawn(move || SlotTable::new(0, slots).host(rx, outbox));
-        Host {
-            links,
-            inbox,
-            payloads,
-            to_coordinator,
-            lines: VecDeque::new(),
-            thread,
+    fn hosted(actors: Vec<MonitorActor>) -> Hosted {
+        let slots = actors.into_iter().map(MonitorSlot::new).collect();
+        Hosted {
+            table: SlotTable::new(0, slots),
+            out: Vec::new(),
         }
     }
 
-    impl Host {
-        fn send(&self, monitor: usize, epoch: u64, msg: CoordinatorToMonitor) -> bool {
-            self.links[monitor].send(ControlFrame::seal(epoch, msg))
+    impl Hosted {
+        /// Delivers one frame; returns how many frames the slot sent.
+        fn send(&mut self, monitor: u32, epoch: u64, msg: CoordinatorToMonitor) -> u64 {
+            let frame = ControlFrame { epoch, msg };
+            self.table.deliver(monitor, frame, &mut self.out)
         }
 
-        fn tick(&self, monitor: usize, tick: u64, value: f64) -> bool {
-            self.send(
-                monitor,
-                0,
-                CoordinatorToMonitor::Tick(TickData { tick, value }),
-            )
+        fn tick(&mut self, monitor: u32, tick: u64, value: f64) -> u64 {
+            let data = TickData { tick, value };
+            self.send(monitor, 0, CoordinatorToMonitor::Tick(data))
         }
 
-        /// The next frame any slot sent, as its raw line.
-        fn next_line(&mut self) -> Vec<u8> {
-            while self.lines.is_empty() {
-                let payload = self
-                    .payloads
-                    .recv_timeout(Duration::from_secs(5))
-                    .expect("the host replies");
-                assert_eq!(payload.last(), Some(&b'\n'), "payloads end on a newline");
-                self.lines.extend(lines_of(&payload));
-            }
-            self.lines.pop_front().unwrap()
+        fn install(&mut self, actor: MonitorActor) {
+            self.table.install(MonitorSlot::new(actor), &mut self.out);
         }
 
-        /// The next frame any slot sent, asserting its envelope carries
-        /// `epoch`.
-        fn next(&mut self, epoch: u64) -> MonitorToCoordinator {
-            let sealed: MonitorFrame = decode_line(&self.next_line()).unwrap();
-            assert_eq!(sealed.epoch, epoch);
-            sealed.msg
+        fn alive(&self, monitor: usize) -> bool {
+            self.table.slots()[monitor].alive()
         }
 
-        /// Shuts every slot down and joins the host; returns the frames
-        /// still unread, in order.
-        fn stop(mut self) -> Vec<MonitorToCoordinator> {
-            for monitor in 0..self.links.len() {
-                self.send(monitor, 0, CoordinatorToMonitor::Shutdown);
-            }
-            self.thread.join().unwrap();
-            let mut lines: Vec<Vec<u8>> = self.lines.drain(..).collect();
-            for payload in self.payloads.try_iter() {
-                lines.extend(lines_of(&payload));
-            }
-            let open = |line: &Vec<u8>| decode_line::<MonitorFrame>(line).unwrap().msg;
-            lines.iter().map(open).collect()
+        /// The frames sent since the last call, in order.
+        fn sent(&mut self) -> Vec<MonitorFrame> {
+            assert!(
+                self.out.is_empty() || self.out.ends_with(b"\n"),
+                "replies end on a newline"
+            );
+            let frames = self
+                .out
+                .split_inclusive(|&b| b == b'\n')
+                .map(|line| decode_line(line).unwrap())
+                .collect();
+            self.out.clear();
+            frames
         }
-    }
 
-    fn lines_of(payload: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
-        payload.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec)
-    }
-
-    fn tick_done(msg: &MonitorToCoordinator) -> (u32, u64) {
-        match msg {
-            MonitorToCoordinator::TickDone { monitor, tick, .. } => (monitor.0, *tick),
-            other => panic!("expected a TickDone, got {other:?}"),
+        /// The `(monitor, tick)` of every frame sent since the last call,
+        /// all of them `TickDone`s sealed at `epoch`.
+        fn tick_dones(&mut self, epoch: u64) -> Vec<(u32, u64)> {
+            let done = |frame: MonitorFrame| {
+                assert_eq!(frame.epoch, epoch);
+                match frame.msg {
+                    MonitorToCoordinator::TickDone { monitor, tick, .. } => (monitor.0, tick),
+                    other => panic!("expected a TickDone, got {other:?}"),
+                }
+            };
+            self.sent().into_iter().map(done).collect()
         }
     }
 
     #[test]
-    fn hosted_actor_round_trip() {
-        let mut host = host(vec![actor(5.0)]);
-        assert!(host.tick(0, 0, 9.0));
+    fn a_slot_answers_a_tick_with_one_encoded_line() {
+        let mut host = hosted(vec![actor(5.0)]);
+        assert_eq!(host.tick(0, 0, 9.0), 1);
+        let sent = host.sent();
         assert!(matches!(
-            host.next(0),
-            MonitorToCoordinator::TickDone {
-                violation: true,
-                ..
-            }
+            sent[..],
+            [MonitorFrame {
+                epoch: 0,
+                msg: MonitorToCoordinator::TickDone {
+                    violation: true,
+                    ..
+                }
+            }]
         ));
-        assert!(host.stop().is_empty());
-    }
-
-    #[test]
-    fn malformed_frames_are_skipped() {
-        let mut host = host(vec![actor(5.0)]);
-        assert!(host.links[0].send(Bytes::from_static(b"garbage\n")));
-        host.tick(0, 0, 0.0);
-        assert!(matches!(
-            host.next(0),
-            MonitorToCoordinator::TickDone {
-                violation: false,
-                ..
-            }
-        ));
-        assert!(host.stop().is_empty());
+        // A frame for a monitor the table does not host is dropped.
+        assert_eq!(host.tick(7, 1, 9.0), 0);
+        assert!(host.sent().is_empty());
     }
 
     #[test]
     fn crash_fault_terminates_without_reply() {
         let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
-        let mut host = host(vec![faulty, actor_id(1, 5.0)]);
+        let mut host = hosted(vec![faulty, actor_id(1, 5.0)]);
         host.tick(0, 0, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (0, 0));
-        host.tick(0, 1, 1.0);
-        // That was the crash tick. The neighbour shares the inbox, so its
-        // reply proves the tick was consumed — and nothing came of it.
+        assert_eq!(host.tick_dones(0), [(0, 0)]);
+        assert!(host.alive(0));
+        // The crash tick: consumed, and nothing comes of it.
+        assert_eq!(host.tick(0, 1, 1.0), 0);
+        assert!(!host.alive(0), "a send to a crashed monitor fails");
+        assert_eq!(host.tick(0, 2, 1.0), 0);
         host.tick(1, 1, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (1, 1));
-        assert!(!host.tick(0, 2, 1.0), "a send to a crashed monitor fails");
-        assert!(host.stop().is_empty(), "no reply after crashing");
+        assert_eq!(host.tick_dones(0), [(1, 1)], "the neighbour is untouched");
     }
 
     #[test]
     fn stalled_monitor_discards_but_honors_shutdown() {
-        let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_stall(MonitorId(0), 1, 2));
-        let mut host = host(vec![faulty]);
+        let faulty = actor(5.0).with_faults(
+            FaultPlan::new(1)
+                .with_stall(MonitorId(0), 1, 2)
+                .with_stall(MonitorId(0), 4, 100),
+        );
+        let mut host = hosted(vec![faulty]);
         host.tick(0, 0, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (0, 0));
+        assert_eq!(host.tick_dones(0), [(0, 0)]);
         // Ticks 1 and 2 fall inside the stall window: consumed, no reply.
         host.tick(0, 1, 1.0);
         host.send(0, 0, CoordinatorToMonitor::Poll { tick: 1 });
         host.tick(0, 2, 1.0);
+        assert!(host.sent().is_empty());
         // Tick 3 is past the window: the monitor answers again.
         host.tick(0, 3, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (0, 3));
-        // Back inside a (second) stall the slot still hears Shutdown:
-        // `stop` joins the host, so a deaf slot would hang here.
-        assert!(host.stop().is_empty());
-    }
-
-    #[test]
-    fn a_slot_stalled_at_shutdown_still_lets_its_host_finish() {
-        let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_stall(MonitorId(0), 0, 100));
-        let host = host(vec![faulty]);
-        host.tick(0, 0, 1.0);
-        assert!(host.stop().is_empty());
+        assert_eq!(host.tick_dones(0), [(0, 3)]);
+        // Back inside a (second) stall the slot still hears Shutdown —
+        // an agent whose table never finished would never exit.
+        host.tick(0, 4, 1.0);
+        assert!(!host.table.finished());
+        host.send(0, 0, CoordinatorToMonitor::Shutdown);
+        assert!(host.table.finished() && !host.alive(0));
+        assert!(host.sent().is_empty());
     }
 
     #[test]
     fn partitioned_monitor_goes_silent_then_answers_with_its_old_epoch() {
         let faulty =
             actor(5.0).with_faults(FaultPlan::new(1).with_partition(&[MonitorId(0)], 1, 3));
-        let mut host = host(vec![faulty]);
+        let mut host = hosted(vec![faulty]);
         host.tick(0, 0, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (0, 0));
+        assert_eq!(host.tick_dones(0), [(0, 0)]);
         // The partition spans a failover: the dying primary's tick 1
         // advances the monitor's clock into the window, then the standby's
         // NewEpoch broadcast and the next tick are blind-consumed.
@@ -1047,52 +933,55 @@ mod tests {
         host.send(0, 0, tick(1));
         host.send(0, 1, CoordinatorToMonitor::NewEpoch { epoch: 1 });
         host.send(0, 1, tick(2));
+        assert!(host.sent().is_empty());
         // The partition heals at tick 3 — but the monitor missed the
         // epoch bump, so its reply still carries epoch 0: provably stale
         // at the new coordinator.
         host.send(0, 1, tick(3));
-        assert_eq!(tick_done(&host.next(0)), (0, 3));
-        assert!(host.stop().is_empty());
+        assert_eq!(host.tick_dones(0), [(0, 3)]);
     }
 
     #[test]
     fn delayed_reply_arrives_after_the_next_one() {
         // Delay probability 1: every reply is held one send behind.
         let faulty = actor(100.0).with_faults(FaultPlan::new(1).with_delay_rate(1.0));
-        let host = host(vec![faulty]);
-        host.tick(0, 0, 1.0);
-        host.tick(0, 1, 1.0);
-        // Tick 0's reply only flushes when tick 1's reply displaces it;
-        // tick 1's reply flushes at shutdown.
-        let sent: Vec<(u32, u64)> = host.stop().iter().map(tick_done).collect();
-        assert_eq!(sent, [(0, 0), (0, 1)]);
+        let mut host = hosted(vec![faulty]);
+        assert_eq!(host.tick(0, 0, 1.0), 0, "held");
+        // Tick 0's reply only goes out when tick 1's reply displaces it;
+        // tick 1's reply goes out at shutdown.
+        assert_eq!(host.tick(0, 1, 1.0), 1);
+        assert_eq!(host.tick_dones(0), [(0, 0)]);
+        assert_eq!(host.send(0, 0, CoordinatorToMonitor::Shutdown), 1);
+        assert_eq!(host.tick_dones(0), [(0, 1)]);
     }
 
     #[test]
     fn duplicated_reply_is_sent_twice() {
         let faulty = actor(100.0).with_faults(FaultPlan::new(1).with_duplication_rate(1.0));
-        let mut host = host(vec![faulty]);
-        host.tick(0, 0, 1.0);
-        let (a, b) = (host.next_line(), host.next_line());
-        assert_eq!(a, b, "the same frame goes out twice");
-        assert!(host.stop().is_empty());
+        let mut host = hosted(vec![faulty]);
+        assert_eq!(host.tick(0, 0, 1.0), 2);
+        let sent = host.sent();
+        assert_eq!(sent.len(), 2);
+        assert_eq!(sent[0], sent[1], "the same frame goes out twice");
     }
 
     #[test]
-    fn host_finishes_once_every_slot_was_told_to_shut_down() {
+    fn a_table_is_finished_once_every_slot_was_told_to_shut_down() {
         let crashing = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 0));
-        let mut host = host(vec![crashing, actor_id(1, 5.0)]);
+        let mut host = hosted(vec![crashing, actor_id(1, 5.0)]);
         host.tick(0, 0, 1.0);
         host.tick(1, 0, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (1, 0));
+        assert_eq!(host.tick_dones(0), [(1, 0)]);
         // Slot 0 is dead by now. One live slot shut down is not the end:
-        // slot 0 may yet be replaced, so the host keeps serving…
+        // slot 0 may yet be replaced, so the table keeps serving…
         host.send(1, 0, CoordinatorToMonitor::Shutdown);
-        host.links[0].install(actor(5.0));
+        assert!(!host.table.finished());
+        host.install(actor(5.0));
         host.tick(0, 1, 1.0);
+        assert_eq!(host.tick_dones(0), [(0, 1)]);
         // …until the (replaced) slot 0 is shut down too.
-        let sent: Vec<(u32, u64)> = host.stop().iter().map(tick_done).collect();
-        assert_eq!(sent, [(0, 1)]);
+        host.send(0, 0, CoordinatorToMonitor::Shutdown);
+        assert!(host.table.finished());
     }
 
     #[test]
@@ -1101,63 +990,42 @@ mod tests {
             .with_crash(MonitorId(0), 1)
             .with_stall(MonitorId(1), 1, 1_000);
         let actors = (0..4).map(|m| actor_id(m, 5.0).with_faults(plan.clone()));
-        let mut host = host(actors.collect());
+        let mut host = hosted(actors.collect());
         for tick in 0..3 {
             for monitor in 0..4 {
                 host.tick(monitor, tick, 1.0);
             }
-            // Every healthy slot answers every tick, in inbox order, with
-            // nothing from (or because of) the two faulty ones in between.
+            // Every healthy slot answers every tick, in delivery order,
+            // with nothing from (or because of) the two faulty ones in
+            // between.
             let healthy: &[u32] = if tick == 0 { &[0, 1, 2, 3] } else { &[2, 3] };
-            for &monitor in healthy {
-                assert_eq!(tick_done(&host.next(0)), (monitor, tick));
-            }
+            let expected: Vec<(u32, u64)> = healthy.iter().map(|&m| (m, tick)).collect();
+            assert_eq!(host.tick_dones(0), expected);
         }
-        assert!(host.stop().is_empty());
     }
 
     #[test]
-    fn install_after_crash_announces_before_reporting_and_drops_the_gap() {
+    fn install_after_crash_revives_the_slot_and_drops_the_gap() {
         let crashing = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
-        let mut host = host(vec![crashing, actor_id(1, 5.0)]);
+        let mut host = hosted(vec![crashing]);
         host.tick(0, 0, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (0, 0));
+        assert_eq!(host.tick_dones(0), [(0, 0)]);
         host.tick(0, 1, 1.0);
-        // Between crash and install: the link refuses frames once the
-        // host has acted the crash out, and one that races past the link
-        // dies at the dead slot.
-        host.tick(1, 1, 1.0);
-        assert_eq!(tick_done(&host.next(0)), (1, 1));
-        assert!(!host.tick(0, 2, 1.0));
-        let raced = CoordinatorToMonitor::Tick(TickData {
-            tick: 2,
-            value: 1.0,
-        });
-        let raced = HostMsg::Frame(0, ControlFrame::seal(0, raced));
-        host.inbox.send(raced).unwrap();
-        // The supervisor's order of business (`TaskSession::restart_monitor`):
-        // install, then `Revived` straight down the coordinator's channel,
-        // and only later the next tick's data.
-        host.links[0].install(actor(5.0).with_epoch(3));
-        let revived = MonitorToCoordinator::Revived {
-            monitor: MonitorId(0),
-        };
-        host.to_coordinator
-            .send(MonitorFrame::seal(3, revived.clone()))
-            .unwrap();
+        // Between crash and install every frame dies at the dead slot.
+        assert_eq!(host.tick(0, 2, 1.0), 0);
+        assert!(!host.alive(0));
+        host.install(actor(5.0).with_epoch(3));
+        assert!(host.alive(0), "the slot is live again");
         let data = TickData {
             tick: 3,
             value: 1.0,
         };
-        let sent = host.send(0, 3, CoordinatorToMonitor::Tick(data));
-        assert!(sent, "the link is live again");
-        assert_eq!(host.next(3), revived);
+        host.send(0, 3, CoordinatorToMonitor::Tick(data));
         assert_eq!(
-            tick_done(&host.next(3)),
-            (0, 3),
-            "the fresh actor's first report"
+            host.tick_dones(3),
+            [(0, 3)],
+            "the fresh actor's first report; tick 2 was dropped"
         );
-        assert!(host.stop().is_empty(), "tick 2 was dropped");
     }
 
     #[test]
@@ -1166,16 +1034,15 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_delay_rate(1.0)
             .with_stall(MonitorId(0), 1, 1_000);
-        let mut host = host(vec![actor(5.0).with_faults(plan)]);
+        let mut host = hosted(vec![actor(5.0).with_faults(plan)]);
         host.tick(0, 0, 1.0); // reply held
         host.tick(0, 1, 1.0); // stalled
-        host.links[0].install(actor(5.0));
+        assert!(host.sent().is_empty());
+        // A process told to exit flushes what it still holds; so does
+        // the install, ahead of anything the newcomer says.
+        host.install(actor(5.0));
         host.tick(0, 2, 1.0);
-        // The predecessor's exiting thread flushed its held reply; so
-        // does the install, ahead of anything the newcomer says.
-        assert_eq!(tick_done(&host.next(0)), (0, 0));
-        assert_eq!(tick_done(&host.next(0)), (0, 2));
-        assert!(host.stop().is_empty());
+        assert_eq!(host.tick_dones(0), [(0, 0), (0, 2)]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Multi-task correlation suppression on the threaded runtime (§II.B).
+//! Multi-task correlation suppression on the live runtime (§II.B).
 //!
 //! A [`MultiTaskRunner`] drives several distributed monitoring tasks in
-//! lock-step on real threads — each with its own monitor actors and
-//! coordinator — and layers the paper's multi-task scheme on top: for a
+//! lock-step on the calling thread — each with its own monitor actors
+//! and coordinator — and layers the paper's multi-task scheme on top: for a
 //! **training window** it feeds every task's detected violation activity
 //! into a [`CorrelationDetector`]; once the window closes it derives a
 //! two-level [`MonitoringPlan`] and thereafter paces each *gated
@@ -16,11 +16,10 @@
 //!
 //! # Determinism
 //!
-//! Gate propagation is runner-driven: the runner sends
-//! [`CoordinatorToMonitor::SetGate`] frames on each follower monitor's
-//! inbox link itself, FIFO-ordered with that tick's
-//! [`CoordinatorToMonitor::Tick`] frame, so the tick at which a gate
-//! engages or releases is a pure function of the traces. The follower's
+//! Gate propagation is runner-driven: the runner hands each follower
+//! monitor its [`CoordinatorToMonitor::SetGate`] frame itself, ahead of
+//! that tick's [`CoordinatorToMonitor::Tick`] frame, so the tick at
+//! which a gate engages or releases is a pure function of the traces. The follower's
 //! coordinator ([`CoordinatorActor::with_multitask`]) never sends a gate
 //! frame itself: it is handed the
 //! [`MonitorToCoordinator::LeaderState`] notices (before the tick's data
@@ -169,8 +168,6 @@ pub struct MultiTaskRunner {
     /// Checkpoint directory and snapshot cadence; each task logs to
     /// `task-{index}.wal` inside it.
     wal: Option<(PathBuf, u64)>,
-    /// Pins each task's monitor-host thread count (tests only).
-    hosts: Option<usize>,
 }
 
 impl MultiTaskRunner {
@@ -187,7 +184,6 @@ impl MultiTaskRunner {
             recorder: None,
             obs: Obs::disabled(),
             wal: None,
-            hosts: None,
         })
     }
 
@@ -306,7 +302,7 @@ impl MultiTaskRunner {
             });
             sessions.push(TaskSession::spawn(
                 config,
-                MonitorPlane::Hosted { hosts: self.hosts },
+                MonitorPlane::inline(config),
                 wal,
             )?);
         }
@@ -420,38 +416,6 @@ mod tests {
             },
             train_ticks: 200,
             costs: None,
-        }
-    }
-
-    /// The cascade with five monitors a task, so a session has slices to
-    /// split across hosts: gating, suppression and reports must not care
-    /// how many threads host them.
-    #[test]
-    fn outcome_does_not_depend_on_the_host_count() {
-        let wide = |offset| {
-            let spec = TaskSpec::builder(500.0)
-                .monitors(5)
-                .error_allowance(0.05)
-                .max_interval(4)
-                .patience(2)
-                .warmup_samples(2)
-                .build()
-                .unwrap();
-            MultiTask::new(spec, vec![burst_trace(600, offset); 5])
-        };
-        let tasks = [wide(10), wide(12)];
-        let run = |hosts: usize| {
-            let mut runner = MultiTaskRunner::new(config()).unwrap();
-            runner.hosts = Some(hosts);
-            runner.run(&tasks).unwrap()
-        };
-        let one = run(1);
-        assert_eq!(one.gates.len(), 1, "the follower is gated");
-        assert!(one.suppressed_samples > 0);
-        for hosts in [3, 5] {
-            let many = run(hosts);
-            assert_eq!(one.reports, many.reports, "{hosts} hosts");
-            assert_eq!(one, many, "{hosts} hosts");
         }
     }
 

@@ -4,8 +4,8 @@
 //! the [`super::wire`] protocol to the coordinator: it dials, sends an
 //! [`AgentHello`](super::wire::AgentHello), then loops decoding
 //! [`ServerFrame`](super::wire::ServerFrame)s and feeding each wrapped
-//! control frame to its [`SlotTable`] — the table an in-process monitor
-//! host steps off a channel, which is what makes report parity possible.
+//! control frame to its [`SlotTable`] — the table an in-process task
+//! session steps itself, which is what makes report parity possible.
 //!
 //! Robustness lives here too: when the connection dies (coordinator
 //! restart, injected storm, plain TCP reset) the agent re-dials with

@@ -11,12 +11,11 @@
 //!    line-frame [`Protocol`]) owns the listener and every agent socket
 //!    and blocks in `poll` on them. Inbound: raw bytes → [`FrameBuffer`]
 //!    reassembly → raw `MonitorFrame` lines forwarded verbatim into the
-//!    session's inbox. Outbound: the session's tagged
-//!    [`MonitorLink`](crate::link::MonitorLink) traffic is routed by
-//!    monitor id to the owning connection's bounded
-//!    queue, spliced into [`ServerFrame::Ctl`](super::wire::ServerFrame)
+//!    session's inbox. Outbound: the session's remote plane tags each
+//!    control frame `(monitor, frame)`, and the loop routes it by
+//!    monitor id to the owning connection's bounded queue, spliced into [`ServerFrame::Ctl`](super::wire::ServerFrame)
 //!    envelopes, and written in ~64 KiB batches with partial-write
-//!    carry-over. Every tagged send, storm kick and the stop flag fires
+//!    carry-over. Every such send, storm kick and the stop flag fires
 //!    the reactor's waker, so nothing waits out a park; the poll timeout
 //!    is only the next idle-reap deadline.
 //! 2. the **driver** ([`NetCoordinator::run`]) parks until the loop

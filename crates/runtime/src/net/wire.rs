@@ -1,8 +1,8 @@
 //! Socket-level envelope messages for the agent/coordinator deployment.
 //!
 //! The in-process protocol ([`crate::message`]) is monitor-addressed: the
-//! coordinator holds one [`crate::link::MonitorLink`] per monitor and
-//! never names the peer inside the frame. A socket carries traffic for
+//! task session hands each frame to its monitor's slot and never names
+//! the peer inside the frame. A socket carries traffic for
 //! *many* monitors (an agent multiplexes a contiguous range of them), so
 //! the network layer adds the thinnest possible addressing shim:
 //!

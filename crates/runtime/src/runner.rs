@@ -93,7 +93,7 @@ pub struct MultitaskReport {
     pub gate_flips: u64,
 }
 
-/// Aggregate result of a threaded task run.
+/// Aggregate result of a task run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RuntimeReport {
     /// Ticks processed.
@@ -165,7 +165,7 @@ impl RuntimeReport {
     }
 }
 
-/// Spawns and drives a distributed monitoring task on real threads.
+/// Drives a distributed monitoring task in process.
 ///
 /// See the [crate docs](crate) for the tick protocol and the fault
 /// tolerance model (deadlines, quarantine, degraded aggregation,
@@ -188,9 +188,6 @@ pub struct TaskRunner {
     /// Live serving-plane publisher: alert/epoch/degradation events and
     /// the current tick for `/metrics` stamping.
     serve: Option<ServePublisher>,
-    /// Pins the monitor-host thread count. Only tests set it: the count
-    /// comes from the machine and no report may depend on it.
-    hosts: Option<usize>,
 }
 
 impl TaskRunner {
@@ -216,7 +213,6 @@ impl TaskRunner {
             obs_dir: None,
             self_monitor: None,
             serve: None,
-            hosts: None,
         })
     }
 
@@ -353,19 +349,22 @@ impl TaskRunner {
 
     /// Runs the task over the per-monitor ground-truth `traces`
     /// (`traces[i][t]` = monitor *i*'s value at tick *t*) and blocks until
-    /// the shortest trace is exhausted. The monitors are hosted on
-    /// `min(monitors, available_parallelism())` threads — each steps a
-    /// contiguous slice of them off one inbox and answers a tick with
-    /// one payload — while the coordinator is stepped on the calling
-    /// thread; no report depends on how many hosts there were.
+    /// the shortest trace is exhausted. Everything runs on the calling
+    /// thread: the monitors are slots of one table and the coordinator a
+    /// machine, both stepped here, so the protocol's report is a pure
+    /// function of the traces, the spec and the fault plan — it does not
+    /// depend on the [tick deadline](Self::with_tick_deadline) or the
+    /// host's speed (only the self-monitor section, which watches
+    /// wall-clock tick latency, does).
     ///
     /// The run completes even if monitors crash or stall mid-way: the
-    /// coordinator quarantines them after missed deadlines and (unless
-    /// supervision is disabled) the runner restarts them with a fresh
-    /// sampler at the default interval. With
-    /// [`with_standby`](Self::with_standby) the run also survives the
-    /// coordinator dying: the interrupted tick is re-driven on a fresh,
-    /// epoch-bumped coordinator.
+    /// coordinator quarantines them after missed deadlines — each missed
+    /// round costs one deadline of wall time, as no reply can arrive
+    /// while the driver waits — and (unless supervision is disabled) the
+    /// runner restarts them with a fresh sampler at the default
+    /// interval. With [`with_standby`](Self::with_standby) the run also
+    /// survives the coordinator dying: the interrupted tick is re-driven
+    /// on a fresh, epoch-bumped coordinator.
     ///
     /// # Errors
     ///
@@ -373,8 +372,8 @@ impl TaskRunner {
     /// differs from the monitor count, or
     /// [`VolleyError::RuntimeDisconnected`] if the coordinator crashes
     /// mid-run with no standby armed (or past the failover cap of 8) —
-    /// after the same teardown as a completed run: every actor joined,
-    /// the recorder flushed.
+    /// after the same teardown as a completed run: every monitor shut
+    /// down, the recorder flushed.
     pub fn run(&self, traces: &[Vec<f64>]) -> Result<RuntimeReport, VolleyError> {
         let ticks = run_length(&self.session.spec, traces)?;
         let n = traces.len();
@@ -420,7 +419,7 @@ impl TaskRunner {
             None => None,
         };
 
-        let plane = MonitorPlane::Hosted { hosts: self.hosts };
+        let plane = MonitorPlane::inline(&self.session);
         let mut session = TaskSession::spawn(&self.session, plane, wal)?;
 
         // Observability: pre-resolve the runner's instruments (no registry
@@ -782,39 +781,32 @@ mod tests {
             .collect()
     }
 
-    /// How many threads host the monitors is the machine's business: the
-    /// report is the same on 1, 3 and n of them, with the monitors healthy
-    /// and with them crashing, stalling, duplicating and losing reports.
+    /// A coordinator crash strands the replies addressed to the dead
+    /// incarnation: duplicates trailing the report that closed the
+    /// crashed round never reach the successor, so the only stale-epoch
+    /// frames it counts are the delayed replies the monitors still held
+    /// across the failover — five, the count the host-thread plane
+    /// produced, where a swapped channel did the stranding.
     #[test]
-    fn reports_do_not_depend_on_the_host_count() {
-        let monitors = 7;
+    fn a_coordinator_crash_strands_the_replies_in_flight() {
+        let monitors = 5;
         let spec = spec(monitors, 100.0 * monitors as f64, 0.02);
-        let traces = bursty_traces(monitors, 220);
-        let faulty = FaultPlan::new(20130708)
-            .with_drop_rate(FaultPath::ViolationReport, 0.25)
-            .with_drop_rate(FaultPath::PollReply, 0.25)
-            .with_duplication_rate(0.2)
-            .with_crash(MonitorId(2), 30)
-            .with_stall(MonitorId(5), 60, 10);
-        for plan in [FaultPlan::default(), faulty] {
-            let run = |hosts: usize| {
-                let mut runner = TaskRunner::new(&spec)
-                    .unwrap()
-                    .with_fault_plan(plan.clone())
-                    .with_tick_deadline(Duration::from_millis(250))
-                    .with_quarantine_after(2);
-                runner.hosts = Some(hosts);
-                runner.run(&traces).unwrap()
-            };
-            let one = run(1);
-            assert_eq!(one.ticks, 220);
-            assert!(one.alerts > 0, "the bursts alert");
-            if !plan.is_benign() {
-                assert_eq!((one.quarantines, one.restarts), (2, 2), "the plan bites");
-            }
-            assert_eq!(one, run(3), "3 hosts");
-            assert_eq!(one, run(monitors), "one host per monitor");
-        }
+        let traces = bursty_traces(monitors, 150);
+        let plan = FaultPlan::new(42)
+            .with_duplication_rate(0.3)
+            .with_delay_rate(0.5)
+            .with_coordinator_crash(60);
+        let report = TaskRunner::new(&spec)
+            .unwrap()
+            .with_fault_plan(plan)
+            .with_tick_deadline(Duration::ZERO)
+            .with_standby(true)
+            .run(&traces)
+            .unwrap();
+        assert_eq!(report.ticks, 150);
+        assert_eq!(report.coordinator_failovers, 1);
+        assert_eq!(report.alerts, 3, "every burst still alerts");
+        assert_eq!(report.stale_epoch_frames, 5);
     }
 
     #[test]
@@ -849,7 +841,7 @@ mod tests {
 
     #[test]
     fn matches_reference_distributed_task() {
-        // The threaded runtime and the step-driven core implementation
+        // The live runtime and the step-driven core implementation
         // must agree on alerts and sample counts for identical inputs.
         let spec = spec(2, 200.0, 0.03);
         let traces: Vec<Vec<f64>> = (0..2)

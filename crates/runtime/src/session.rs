@@ -5,30 +5,34 @@
 //!
 //! - **spawn** ([`TaskSession::spawn`]): the only monitor-actor recipe
 //!   ([`monitor_actor`]), the only [`CoordinatorActor`] construction and
-//!   the links between them, the monitors hosted on a few in-process
-//!   threads or behind a socket event loop ([`MonitorPlane`]);
+//!   the plane between them ([`MonitorPlane`]) — the monitors in a slot
+//!   table this session steps itself, or behind a socket event loop;
 //! - **step** ([`TaskSession::step`]): send one tick's [`TickData`], then
 //!   step the coordinator machine on this thread — pump monitor frames
 //!   into it, execute its outbox — until the tick's [`TickSummary`]
 //!   comes out, and fold that into the [`RuntimeReport`];
-//! - **finish** ([`TaskSession::finish`]): Shutdown, join, flush — on
-//!   success *and* on error.
+//! - **finish** ([`TaskSession::finish`]): Shutdown, flush — on success
+//!   *and* on error.
 //!
-//! The coordinator has no thread: it is a machine
-//! ([`crate::coordinator`]) that never blocks, and this module is its
-//! I/O shell — the links, the checkpoint [`Wal`], the one
-//! `recv_timeout` whose deadline the machine arms, the obs handles.
+//! Neither the coordinator nor an in-process monitor has a thread: the
+//! coordinator is a machine ([`crate::coordinator`]) that never blocks,
+//! a monitor is a slot that answers the frame it is handed, and this
+//! module is their I/O shell — the plane, the checkpoint [`Wal`], the
+//! one wait whose deadline the machine arms, the obs handles. With the
+//! monitors in process nothing runs concurrently, so a report is a pure
+//! function of the traces, the spec and the [`FaultPlan`]: the tick
+//! deadline only sets how long a silent monitor's tick takes.
 //!
 //! The runners keep policy only: [`crate::TaskRunner`] supervision,
 //! standby failover and sinks; [`crate::MultiTaskRunner`] N sessions in
 //! lock-step with gates driven between steps; [`crate::NetCoordinator`]
 //! one remote session beside its event loop.
 
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use volley_core::allocation::AllocationConfig;
 use volley_core::coordinator::{CoordinationScheme, Coordinator};
@@ -44,11 +48,10 @@ use crate::coordinator::{
     CoordinatorActor, Output, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE,
 };
 use crate::failure::FaultPlan;
-use crate::link::MonitorLink;
 use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
-use crate::monitor::{HostMsg, MonitorActor, MonitorSlot, SlotTable};
+use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
 use crate::runner::RuntimeReport;
 
 /// A fresh sampler at the default interval holding allowance `err`.
@@ -59,7 +62,7 @@ pub(crate) fn fresh_sampler(config: AdaptationConfig, threshold: f64, err: f64) 
 }
 
 /// The monitor-actor recipe: monitor `idx` of `spec` around a fresh
-/// sampler at the even allowance share. In-process hosts, supervised
+/// sampler at the even allowance share. In-process slots, supervised
 /// restarts and socket agents all start here, hence bit-for-bit parity.
 pub(crate) fn monitor_actor(spec: &TaskSpec, idx: usize) -> MonitorActor {
     let m = &spec.monitors()[idx];
@@ -175,15 +178,25 @@ const COORDINATOR_DEAD: VolleyError = VolleyError::RuntimeDisconnected {
     component: "coordinator",
 };
 
+/// The least the in-process plane's reply buffer shrinks back to once
+/// read. It keeps room for twice the payload just read — so steady
+/// ticks never reallocate, and a one-off round of snapshot replies does
+/// not pin its kilobytes for the rest of the run.
+const PAYLOAD_SCRATCH: usize = 4096;
+
 /// Where a session's monitors live.
 pub(crate) enum MonitorPlane {
-    /// In process: `min(n, available_parallelism())` host threads, each
-    /// stepping a contiguous slice of the monitors off one inbox — an
-    /// agent without a socket. `hosts` pins the thread count instead;
-    /// only tests set it (a report must not depend on it).
-    Hosted { hosts: Option<usize> },
+    /// In process: every monitor a slot of one table the session steps
+    /// on its own thread — an agent without a socket. A control frame is
+    /// handed to its slot as a value; the encoded replies wait in
+    /// `in_flight` until the coordinator machine is next stepped.
+    Inline {
+        table: SlotTable,
+        in_flight: Vec<u8>,
+    },
     /// Behind sockets: control frames leave tagged `(monitor, frame)` on
-    /// `out` (each send firing `waker`), monitor frames arrive on
+    /// `out` (each send firing `waker`, so the loop blocks in `poll`
+    /// instead of polling the channel), monitor frames arrive on
     /// `from_monitors` — both far ends held by the event loop that owns
     /// the connections.
     Remote {
@@ -191,6 +204,69 @@ pub(crate) enum MonitorPlane {
         waker: Waker,
         from_monitors: Receiver<Bytes>,
     },
+}
+
+impl MonitorPlane {
+    /// The in-process plane of `config`'s task: one fresh slot per
+    /// monitor, under the session's fault plan.
+    pub(crate) fn inline(config: &SessionConfig) -> Self {
+        let slots = (0..config.spec.monitors().len())
+            .map(|idx| MonitorSlot::new(config.actor(0, idx, config.fault_plan.clone())))
+            .collect();
+        MonitorPlane::Inline {
+            table: SlotTable::new(0, slots),
+            in_flight: Vec::new(),
+        }
+    }
+
+    /// Sends each `(monitor, message)` of `frames` at `epoch`, in order,
+    /// calling `refused` for every monitor that is gone (it crashed or
+    /// shut down, or the event loop dropped its receiver).
+    fn send(
+        &mut self,
+        epoch: u64,
+        frames: impl IntoIterator<Item = (MonitorId, CoordinatorToMonitor)>,
+        mut refused: impl FnMut(MonitorId),
+    ) {
+        match self {
+            MonitorPlane::Inline { table, in_flight } => {
+                for (to, msg) in frames {
+                    // Delivered even to a dead monitor: its slot drops
+                    // the frame, but must still hear a shutdown.
+                    let alive = table.slots()[to.0 as usize].alive();
+                    table.deliver(to.0, ControlFrame { epoch, msg }, in_flight);
+                    if !alive {
+                        refused(to);
+                    }
+                }
+            }
+            MonitorPlane::Remote { out, waker, .. } => {
+                // Seal the whole batch, then send it: the loop wakes on
+                // the first frame, and by the time it looks most of the
+                // rest are queued behind it — a few write batches per
+                // agent instead of a trickle paced by the encoder. A
+                // broadcast's identical frame is sealed once.
+                let frames = frames.into_iter();
+                let mut sealed: Vec<(MonitorId, Bytes)> = Vec::with_capacity(frames.size_hint().0);
+                let mut last = None;
+                for (to, msg) in frames {
+                    let frame = match sealed.last() {
+                        Some((_, same)) if last == Some(msg) => same.clone(),
+                        _ => ControlFrame::seal(epoch, msg),
+                    };
+                    last = Some(msg);
+                    sealed.push((to, frame));
+                }
+                for (to, frame) in sealed {
+                    let sent = out.send((to.0, frame)).is_ok();
+                    waker.wake();
+                    if !sent {
+                        refused(to);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Pre-resolved obs instruments for the shell's hot paths (handles are
@@ -208,20 +284,12 @@ struct ShellObs {
     gate_flips: Counter,
 }
 
-/// One running task: its monitor links, its coordinator incarnation and
+/// One running task: its monitor plane, its coordinator incarnation and
 /// the report folded so far.
 pub(crate) struct TaskSession<'a> {
     config: &'a SessionConfig,
     epoch: u64,
-    links: Vec<MonitorLink>,
-    /// The shared, swappable monitor→coordinator link (in-process plane
-    /// only): failover repoints it at the successor's fresh channel, so
-    /// frames addressed to the dead incarnation die with its receiver.
-    out_link: Option<MonitorLink>,
-    /// The monitor host threads (in-process plane only).
-    host_handles: Vec<JoinHandle<()>>,
-    /// Where the monitors' payloads arrive, one frame per line.
-    from_monitors: Receiver<Bytes>,
+    plane: MonitorPlane,
     /// `None` once an injected crash silenced it, until a failover.
     coordinator: Option<CoordinatorActor>,
     /// The incumbent's checkpoint log.
@@ -231,31 +299,28 @@ pub(crate) struct TaskSession<'a> {
 }
 
 impl<'a> TaskSession<'a> {
-    /// Wires the links, spawns the monitor hosts (in-process plane) and
-    /// builds the first coordinator incarnation, checkpointing to `wal`
-    /// (log plus snapshot cadence) when given.
+    /// Builds the first coordinator incarnation over `plane`,
+    /// checkpointing to `wal` (log plus snapshot cadence) when given.
+    /// Spawns nothing: the session runs on the thread that steps it.
     ///
     /// # Errors
     ///
-    /// A spec no allocator accepts — before any thread is spawned.
+    /// A spec no allocator accepts.
     pub(crate) fn spawn(
         config: &'a SessionConfig,
         plane: MonitorPlane,
         wal: Option<(Wal, u64)>,
     ) -> Result<Self, VolleyError> {
-        let n = config.spec.monitors().len();
         let rules = config.rules()?;
         let registry = config.obs.registry();
-        let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-        let mut session = TaskSession {
+        let (wal, every) = wal.unzip();
+        let plan = config.fault_plan.clone();
+        Ok(TaskSession {
             config,
             epoch: 0,
-            links: Vec::new(),
-            out_link: None,
-            host_handles: Vec::new(),
-            from_monitors: to_coord_rx,
-            coordinator: None,
-            wal: None,
+            plane,
+            coordinator: Some(config.coordinator(rules, plan, 0, None, every)),
+            wal,
             obs: ShellObs {
                 tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
                 wal_hist: registry.histogram(names::WAL_APPEND_NS),
@@ -266,48 +331,12 @@ impl<'a> TaskSession<'a> {
                 gate_flips: registry.counter(names::MULTITASK_GATE_FLIPS_TOTAL),
             },
             report: RuntimeReport::default(),
-        };
-        match plane {
-            MonitorPlane::Hosted { hosts } => {
-                let out_link = MonitorLink::new(to_coord_tx);
-                let hosts = hosts
-                    .or_else(|| thread::available_parallelism().ok().map(usize::from))
-                    .unwrap_or(1)
-                    .clamp(1, n);
-                for host in 0..hosts {
-                    let (tx, rx) = unbounded::<HostMsg>();
-                    let hosted = host * n / hosts..(host + 1) * n / hosts;
-                    let mut slots = Vec::with_capacity(hosted.len());
-                    for idx in hosted.clone() {
-                        let plan = config.fault_plan.clone();
-                        let slot = MonitorSlot::new(config.actor(0, idx, plan));
-                        let link = MonitorLink::hosted(idx as u32, tx.clone(), slot.liveness());
-                        session.links.push(link);
-                        slots.push(slot);
-                    }
-                    let table = SlotTable::new(hosted.start as u32, slots);
-                    let outbox = out_link.clone();
-                    let handle = thread::spawn(move || table.host(rx, outbox));
-                    session.host_handles.push(handle);
-                }
-                session.out_link = Some(out_link);
-            }
-            MonitorPlane::Remote {
-                out,
-                waker,
-                from_monitors,
-            } => {
-                session.links = (0..n as u32)
-                    .map(|m| MonitorLink::tagged(m, out.clone(), waker.clone()))
-                    .collect();
-                session.from_monitors = from_monitors;
-            }
-        }
-        let (wal, every) = wal.unzip();
-        let plan = config.fault_plan.clone();
-        session.coordinator = Some(config.coordinator(rules, plan, 0, None, every));
-        session.wal = wal;
-        Ok(session)
+        })
+    }
+
+    /// Every monitor of the task, in order.
+    fn monitors(&self) -> impl Iterator<Item = MonitorId> {
+        (0..self.config.spec.monitors().len() as u32).map(MonitorId)
     }
 
     /// The report folded so far.
@@ -318,7 +347,7 @@ impl<'a> TaskSession<'a> {
     /// Drives one tick: sends monitor *i* the value `value(i)`, steps
     /// the coordinator until the tick's summary comes out (restarting
     /// quarantined monitors on the way when supervising) and folds it
-    /// into the report. A failed send means that monitor is gone; the
+    /// into the report. A refused tick means that monitor is gone; the
     /// coordinator notices via its deadline, so the run keeps going.
     ///
     /// # Errors
@@ -332,22 +361,12 @@ impl<'a> TaskSession<'a> {
         tick: Tick,
         value: impl Fn(usize) -> f64,
     ) -> Result<TickSummary, VolleyError> {
-        // Seal the whole tick, then send it: the socket plane's loop
-        // wakes on the first frame, and by the time it looks most of the
-        // rest are queued behind it — a few write batches per agent
-        // instead of a trickle paced by the encoder.
-        let frames: Vec<Bytes> = (0..self.links.len())
-            .map(|i| {
-                let value = value(i);
-                ControlFrame::seal(
-                    self.epoch,
-                    CoordinatorToMonitor::Tick(TickData { tick, value }),
-                )
-            })
-            .collect();
-        for (link, frame) in self.links.iter().zip(frames) {
-            let _ = link.send(frame);
-        }
+        let data = self.monitors().map(|monitor| {
+            let value = value(monitor.0 as usize);
+            let data = CoordinatorToMonitor::Tick(TickData { tick, value });
+            (monitor, data)
+        });
+        self.plane.send(self.epoch, data, |_| {});
         let mut coordinator = self.coordinator.take().ok_or(COORDINATOR_DEAD)?;
         let summary = self.pump(&mut coordinator)?;
         self.coordinator = Some(coordinator);
@@ -356,11 +375,12 @@ impl<'a> TaskSession<'a> {
     }
 
     /// The coordinator's I/O shell: executes its outbox, and whenever
-    /// that runs dry blocks for the monitors' next payload — at most
-    /// until the deadline the machine last armed, which is then reported
-    /// to it instead. When an injected crash fires the step fails with
-    /// the machine dead and its log closed, as a crashed process would
-    /// leave them.
+    /// that runs dry hands it what the monitors have sent — waiting for
+    /// that at most until the deadline the machine last armed, which is
+    /// then reported to it instead. In process nothing can arrive during
+    /// the wait, so a silent monitor costs exactly its deadline. When an
+    /// injected crash fires the step fails with the machine dead and its
+    /// log closed, as a crashed process would leave them.
     ///
     /// WAL I/O errors are swallowed: durability is best-effort and never
     /// worth failing the run over (a standby restoring from a short log
@@ -374,12 +394,9 @@ impl<'a> TaskSession<'a> {
             while let Some(output) = coordinator.pop_output() {
                 match output {
                     Output::Send { to, msg } => {
-                        let frame = ControlFrame::seal(self.epoch, msg);
-                        for monitor in to {
-                            if !self.links[monitor.0 as usize].send(frame.clone()) {
-                                coordinator.on_undeliverable(monitor);
-                            }
-                        }
+                        let frames = to.into_iter().map(|monitor| (monitor, msg));
+                        let refused = |monitor| coordinator.on_undeliverable(monitor);
+                        self.plane.send(self.epoch, frames, refused);
                     }
                     Output::ArmDeadline => deadline = Instant::now() + self.config.tick_deadline,
                     Output::Quarantined { monitor, .. } => {
@@ -419,18 +436,37 @@ impl<'a> TaskSession<'a> {
                     }
                     Output::Crashed => {
                         self.wal = None;
+                        // Replies addressed to the dead incarnation die
+                        // with it; its successor must never read them.
+                        if let MonitorPlane::Inline { in_flight, .. } = &mut self.plane {
+                            in_flight.clear();
+                        }
                         return Err(COORDINATOR_DEAD);
                     }
                 }
             }
             let wait = deadline.saturating_duration_since(Instant::now());
-            match self.from_monitors.recv_timeout(wait) {
-                Ok(payload) => self.obs.recvs.add(coordinator.on_payload(&payload)),
-                Err(RecvTimeoutError::Timeout) => coordinator.on_deadline(),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(VolleyError::RuntimeDisconnected {
-                        component: "monitor plane",
-                    })
+            match &mut self.plane {
+                MonitorPlane::Inline { in_flight, .. } if !in_flight.is_empty() => {
+                    self.obs.recvs.add(coordinator.on_payload(in_flight));
+                    let read = in_flight.len();
+                    in_flight.clear();
+                    in_flight.shrink_to(PAYLOAD_SCRATCH.max(2 * read));
+                }
+                MonitorPlane::Inline { .. } => {
+                    thread::sleep(wait);
+                    coordinator.on_deadline();
+                }
+                MonitorPlane::Remote { from_monitors, .. } => {
+                    match from_monitors.recv_timeout(wait) {
+                        Ok(payload) => self.obs.recvs.add(coordinator.on_payload(&payload)),
+                        Err(RecvTimeoutError::Timeout) => coordinator.on_deadline(),
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(VolleyError::RuntimeDisconnected {
+                                component: "monitor plane",
+                            })
+                        }
+                    }
                 }
             }
         }
@@ -463,8 +499,8 @@ impl<'a> TaskSession<'a> {
         }
     }
 
-    /// Replaces a quarantined monitor with a fresh actor installed in
-    /// its host's slot: a fresh sampler at the default interval (its
+    /// Replaces a quarantined in-process monitor with a fresh actor
+    /// installed in its slot: a fresh sampler at the default interval (its
     /// learned schedule died with it), the even allowance share, the
     /// current epoch. Process faults (crash/stall) are stripped from the
     /// restarted actor's plan — its predecessor already acted them out —
@@ -472,7 +508,10 @@ impl<'a> TaskSession<'a> {
     fn restart_monitor(&mut self, coordinator: &mut CoordinatorActor, monitor: MonitorId) {
         let idx = monitor.0 as usize;
         let plan = self.config.fault_plan.without_process_faults(monitor);
-        self.links[idx].install(self.config.actor(self.epoch, idx, plan));
+        if let MonitorPlane::Inline { table, in_flight } = &mut self.plane {
+            let actor = self.config.actor(self.epoch, idx, plan);
+            table.install(MonitorSlot::new(actor), in_flight);
+        }
         self.report.restarts += 1;
         // Tell the coordinator to await the restarted monitor again,
         // ahead of the fresh actor's first report.
@@ -483,17 +522,16 @@ impl<'a> TaskSession<'a> {
     }
 
     /// Propagates a follower-gate transition ahead of `tick`'s data:
-    /// `SetGate` shares each monitor's inbox FIFO with the `Tick` frame
-    /// that follows, and the coordinator hears `LeaderState` before any
-    /// of that tick's `TickDone`s exist — so the tick a gate takes
-    /// effect at is a pure function of the traces. A calm leader engages
+    /// `SetGate` reaches each monitor before the `Tick` frame that
+    /// follows, and the coordinator hears `LeaderState` before any of
+    /// that tick's `TickDone`s exist — so the tick a gate takes effect
+    /// at is a pure function of the traces. A calm leader engages
     /// the gate at the session's gated interval.
     pub(crate) fn drive_gate(&mut self, tick: Tick, leader_active: bool) {
         let interval = self.config.gated_interval.filter(|_| !leader_active);
-        let set = ControlFrame::seal(self.epoch, CoordinatorToMonitor::SetGate { interval });
-        for link in &self.links {
-            let _ = link.send(set.clone());
-        }
+        let set = CoordinatorToMonitor::SetGate { interval };
+        let frames = self.monitors().map(|monitor| (monitor, set));
+        self.plane.send(self.epoch, frames, |_| {});
         if let Some(coordinator) = self.coordinator.as_mut() {
             coordinator.on_frame(MonitorFrame {
                 epoch: self.epoch,
@@ -509,11 +547,9 @@ impl<'a> TaskSession<'a> {
     /// reported the incumbent dead with `tick` in flight: bump the epoch,
     /// fence the fleet, restore the allowance ledger and the monitors'
     /// samplers from `snapshot` (the even split and conservative `I_d`
-    /// resets where it has none), repoint the shared outbox at a fresh
-    /// channel — stranding any frames addressed to the dead incarnation —
-    /// and build the successor resuming behind the tick the caller is
-    /// about to step again, checkpointing to `wal`. Returns the new
-    /// epoch.
+    /// resets where it has none) and build the successor resuming behind
+    /// the tick the caller is about to step again, checkpointing to
+    /// `wal`. Returns the new epoch.
     ///
     /// # Errors
     ///
@@ -546,35 +582,31 @@ impl<'a> TaskSession<'a> {
         // that cannot hear us (partitioned) keeps its old epoch — its
         // post-heal frames are provably stale and the new coordinator
         // rejects them until epoch repair readmits it.
-        for (idx, link) in self.links.iter().enumerate() {
-            let send = |msg| link.send(ControlFrame::seal(epoch, msg));
+        let mut fence = Vec::new();
+        for (idx, monitor) in self.monitors().enumerate() {
             let ledger = CoordinatorToMonitor::SetAllowance {
                 err: rules.allowances()[idx],
             };
-            send(CoordinatorToMonitor::NewEpoch { epoch });
+            fence.push((monitor, CoordinatorToMonitor::NewEpoch { epoch }));
             match snapshot.and_then(|s| s.samplers.get(idx).copied().flatten()) {
                 Some(snapshot) => {
-                    send(CoordinatorToMonitor::RestoreState { snapshot });
+                    fence.push((monitor, CoordinatorToMonitor::RestoreState { snapshot }));
                     if ledger_refused {
-                        send(ledger);
+                        fence.push((monitor, ledger));
                     }
                     self.report.checkpoint_restores += 1;
                 }
                 None => {
                     // The paper's conservative restart: back to the
                     // default interval, at the ledger's allowance.
-                    send(CoordinatorToMonitor::ResetSampler);
-                    send(ledger);
+                    fence.push((monitor, CoordinatorToMonitor::ResetSampler));
+                    fence.push((monitor, ledger));
                     self.report.conservative_restarts += 1;
                 }
             }
         }
+        self.plane.send(epoch, fence, |_| {});
 
-        if let Some(out_link) = &self.out_link {
-            let (to_coord_tx, to_coord_rx) = unbounded::<Bytes>();
-            out_link.replace(to_coord_tx);
-            self.from_monitors = to_coord_rx;
-        }
         let plan = self
             .config
             .fault_plan
@@ -588,25 +620,19 @@ impl<'a> TaskSession<'a> {
         Ok(epoch)
     }
 
-    /// Tells every monitor to shut down (crashed ones fail the send,
-    /// which is fine; the epoch fence never applies to `Shutdown`).
-    pub(crate) fn broadcast_shutdown(&self) {
-        for link in &self.links {
-            let _ = link.send(ControlFrame::seal(
-                self.epoch,
-                CoordinatorToMonitor::Shutdown,
-            ));
-        }
+    /// Tells every monitor to shut down (crashed ones refuse it, which
+    /// is fine; the epoch fence never applies to `Shutdown`).
+    pub(crate) fn broadcast_shutdown(&mut self) {
+        let frames = self
+            .monitors()
+            .map(|monitor| (monitor, CoordinatorToMonitor::Shutdown));
+        self.plane.send(self.epoch, frames, |_| {});
     }
 
-    /// Tears the session down and returns its report: stop the monitors
-    /// and join their hosts, and only then — every producer gone — seal
-    /// the recorded samples.
-    pub(crate) fn finish(self) -> RuntimeReport {
+    /// Tears the session down and returns its report: stop the monitors,
+    /// and only then — every producer gone — seal the recorded samples.
+    pub(crate) fn finish(mut self) -> RuntimeReport {
         self.broadcast_shutdown();
-        for handle in self.host_handles {
-            handle.join().expect("monitor host exits cleanly");
-        }
         if let Some(recorder) = &self.config.recorder {
             recorder.flush();
         }
@@ -640,40 +666,58 @@ mod tests {
         }
     }
 
-    /// The drift guard for the monitor plane: a session's threads are its
-    /// hosts, however many monitors it runs — the crate spawns threads at
-    /// one site here (a host) and at one in the socket server (its event
-    /// loop), never one per monitor and none for the coordinator.
+    /// The drift guard for the monitor plane: a session spawns nothing,
+    /// however many monitors it runs — the crate's one `thread::spawn` is
+    /// the socket server's event loop; no monitor, host or coordinator
+    /// has a thread of its own.
     #[test]
-    fn a_session_spawns_only_its_host_threads() {
-        use super::{MonitorPlane, SessionConfig, TaskSession};
-        use volley_core::task::TaskSpec;
-        use volley_obs::Obs;
-
-        let spec = TaskSpec::builder(6400.0).monitors(64).build().unwrap();
-        let config = SessionConfig::new(spec, Obs::disabled());
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        for (hosts, expected) in [(None, cores.min(64)), (Some(3), 3), (Some(500), 64)] {
-            let session =
-                TaskSession::spawn(&config, MonitorPlane::Hosted { hosts }, None).unwrap();
-            assert_eq!(session.host_handles.len(), expected, "hosts {hosts:?}");
-            assert_eq!(session.links.len(), 64);
-            session.finish();
-        }
-
+    fn a_session_spawns_no_thread() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        let spawns = |file: &str| {
-            non_test_source(&src.join(file))
-                .matches("thread::spawn(")
-                .count()
-        };
-        let mut total = 0;
+        let mut sites = Vec::new();
         for_each_source(&src, &mut |path| {
-            total += non_test_source(path).matches("thread::spawn(").count();
+            let spawns = non_test_source(path).matches("thread::spawn(").count();
+            sites.extend(std::iter::repeat_n(path.to_path_buf(), spawns));
         });
-        assert_eq!(spawns("session.rs"), 1, "one per host");
-        assert_eq!(spawns("net/server.rs"), 1, "the event loop");
-        assert_eq!(total, 2, "a thread::spawn outside the two known sites");
+        assert_eq!(sites, [src.join("net/server.rs")], "the event loop only");
+    }
+
+    /// The socket plane's send: every frame leaves tagged with its
+    /// monitor, in order, each send arms the loop's waker, and a loop
+    /// that is gone refuses the frame.
+    #[test]
+    fn the_remote_plane_tags_frames_wakes_the_loop_and_reports_its_loss() {
+        use crossbeam::channel::unbounded;
+        use volley_serve::reactor::Reactor;
+
+        let (out, routed) = unbounded::<(u32, Bytes)>();
+        let (_to_session, from_monitors) = unbounded::<Bytes>();
+        let mut reactor = Reactor::new().unwrap();
+        let mut plane = MonitorPlane::Remote {
+            out,
+            waker: reactor.waker(),
+            from_monitors,
+        };
+        let poll = CoordinatorToMonitor::Poll { tick: 9 };
+        let stop = CoordinatorToMonitor::Shutdown;
+        let mut refused = Vec::new();
+        let frames = [
+            (MonitorId(3), poll),
+            (MonitorId(7), poll),
+            (MonitorId(3), stop),
+        ];
+        plane.send(4, frames, |monitor| refused.push(monitor));
+        assert!(refused.is_empty());
+        let routed_frames: Vec<(u32, Bytes)> = routed.try_iter().collect();
+        let sealed = |msg| ControlFrame::seal(4, msg);
+        assert_eq!(
+            routed_frames,
+            [(3, sealed(poll)), (7, sealed(poll)), (3, sealed(stop))]
+        );
+        // The sends armed the waker: a wait with no deadline returns.
+        reactor.wait(&[], None, &mut Vec::new());
+        drop(routed);
+        plane.send(4, [(MonitorId(1), poll)], |monitor| refused.push(monitor));
+        assert_eq!(refused, [MonitorId(1)]);
     }
 
     /// The drift guard for the tick path: actors are built in this module
@@ -699,114 +743,35 @@ mod tests {
         );
     }
 
-    /// A whole task on one thread: the coordinator machine and every
-    /// monitor's slot stepped off one queue, with no channel and no clock
-    /// — a phase's deadline "expires" exactly when no frame is in flight,
-    /// so a run is a pure function of its inputs.
-    struct Lockstep<'a> {
-        config: &'a SessionConfig,
-        coordinator: CoordinatorActor,
-        table: SlotTable,
-        /// The monitors' replies not yet handed to the coordinator.
-        in_flight: Vec<u8>,
-        report: RuntimeReport,
-    }
-
-    impl<'a> Lockstep<'a> {
-        fn new(config: &'a SessionConfig) -> Self {
-            let plan = &config.fault_plan;
-            let slots = (0..config.spec.monitors().len())
-                .map(|idx| MonitorSlot::new(config.actor(0, idx, plan.clone())))
-                .collect();
-            Lockstep {
-                config,
-                coordinator: config.coordinator(
-                    config.rules().unwrap(),
-                    plan.clone(),
-                    0,
-                    None,
-                    None,
-                ),
-                table: SlotTable::new(0, slots),
-                in_flight: Vec::new(),
-                report: RuntimeReport::default(),
+    /// Runs `config`'s task over `traces` through the session itself.
+    /// Returns the report and every reallocation: the allowances the
+    /// monitors held after each tick that moved the coordinator's ledger
+    /// — what that round's `SetAllowance` frames carried.
+    fn run_inline(config: &SessionConfig, traces: &[Vec<f64>]) -> (RuntimeReport, Vec<Vec<f64>>) {
+        let plane = MonitorPlane::inline(config);
+        let mut session = TaskSession::spawn(config, plane, None).unwrap();
+        let ledger = |session: &TaskSession| {
+            let coordinator = session.coordinator.as_ref().unwrap();
+            coordinator.rules().allowances().to_vec()
+        };
+        let mut assigned = ledger(&session);
+        let mut reallocations = Vec::new();
+        for tick in 0..run_length(&config.spec, traces).unwrap() {
+            session
+                .step(tick, |idx| traces[idx][tick as usize])
+                .unwrap();
+            if ledger(&session) != assigned {
+                assigned = ledger(&session);
+                let MonitorPlane::Inline { table, .. } = &session.plane else {
+                    unreachable!("the plane is inline");
+                };
+                let held = |slot: &MonitorSlot| slot.actor().sampler().error_allowance();
+                let held: Vec<f64> = table.slots().iter().map(held).collect();
+                assert_eq!(held, assigned, "tick {tick}: the frames arrived");
+                reallocations.push(held);
             }
         }
-
-        /// Delivers `msg` as a hosted link would: dropped by a dead
-        /// slot, whose link reports the refusal.
-        fn send(&mut self, to: MonitorId, msg: CoordinatorToMonitor) -> bool {
-            let alive = self.table.slots()[to.0 as usize].alive();
-            let frame = ControlFrame { epoch: 0, msg };
-            self.table.deliver(to.0, frame, &mut self.in_flight);
-            alive
-        }
-
-        /// [`TaskSession::step`] without I/O. Returns the tick's summary
-        /// and whatever allowances it assigned.
-        fn step(&mut self, tick: Tick, value: impl Fn(usize) -> f64) -> (TickSummary, Vec<f64>) {
-            for idx in 0..self.config.spec.monitors().len() {
-                let value = value(idx);
-                let data = CoordinatorToMonitor::Tick(TickData { tick, value });
-                self.send(MonitorId(idx as u32), data);
-            }
-            let mut assigned = Vec::new();
-            loop {
-                while let Some(output) = self.coordinator.pop_output() {
-                    match output {
-                        Output::Send { to, msg } => {
-                            if let CoordinatorToMonitor::SetAllowance { err } = msg {
-                                assigned.push(err);
-                            }
-                            for monitor in to {
-                                if !self.send(monitor, msg) {
-                                    self.coordinator.on_undeliverable(monitor);
-                                }
-                            }
-                        }
-                        Output::Quarantined { monitor, .. } => {
-                            // The supervisor, as `restart_monitor`.
-                            self.report.quarantines += 1;
-                            let plan = self.config.fault_plan.without_process_faults(monitor);
-                            let actor = self.config.actor(0, monitor.0 as usize, plan);
-                            self.table
-                                .install(MonitorSlot::new(actor), &mut self.in_flight);
-                            self.report.restarts += 1;
-                            let msg = MonitorToCoordinator::Revived { monitor };
-                            self.coordinator.on_frame(MonitorFrame { epoch: 0, msg });
-                        }
-                        Output::Recovered { .. } => self.report.recoveries += 1,
-                        Output::Summary(summary) => {
-                            TaskSession::fold(&mut self.report, None, &summary);
-                            return (summary, assigned);
-                        }
-                        Output::Crashed => panic!("no coordinator crash is planned"),
-                        Output::ArmDeadline
-                        | Output::GateFlipped
-                        | Output::Tick(_)
-                        | Output::Snapshot(_) => {}
-                    }
-                }
-                if self.in_flight.is_empty() {
-                    self.coordinator.on_deadline();
-                } else {
-                    let payload = std::mem::take(&mut self.in_flight);
-                    self.coordinator.on_payload(&payload);
-                }
-            }
-        }
-
-        fn run(config: &'a SessionConfig, traces: &[Vec<f64>]) -> (RuntimeReport, Vec<Vec<f64>>) {
-            let mut task = Lockstep::new(config);
-            let mut reallocations = Vec::new();
-            for tick in 0..run_length(&config.spec, traces).unwrap() {
-                let (_, assigned) = task.step(tick, |idx| traces[idx][tick as usize]);
-                if !assigned.is_empty() {
-                    reallocations.push(assigned);
-                }
-            }
-            (task.report, reallocations)
-        }
+        (session.finish(), reallocations)
     }
 
     /// tests/runtime_parity.rs's traces: per-monitor noise around a
@@ -843,8 +808,8 @@ mod tests {
             .unwrap()
     }
 
-    /// The deterministic whole-task run, fault-free: the machine and the
-    /// real monitor actors on one thread reproduce the reference
+    /// The whole-task run, fault-free: the session — the machine and the
+    /// real monitor actors on one thread — reproduces the reference
     /// [`DistributedTask::step`] exactly, and never alert on a tick the
     /// ground truth does not contain.
     #[test]
@@ -880,7 +845,7 @@ mod tests {
                 }
             }
             let config = SessionConfig::new(spec.clone(), Obs::disabled());
-            let (report, _) = Lockstep::run(&config, &traces);
+            let (report, _) = run_inline(&config, &traces);
             assert_eq!(report.alert_ticks, alerts, "alerts (m={monitors})");
             assert_eq!(report.total_samples, samples, "samples (m={monitors})");
             assert_eq!(report.missed_tick_reports, 0);
@@ -896,30 +861,40 @@ mod tests {
         assert!(alerts_checked > 0, "no trace violated");
     }
 
-    /// The deterministic whole-task run under a seeded fault plan —
+    /// The fault plan of the whole-task tests:
     /// drops on both lossy paths, delays, duplicates, a crash, a stall
     /// and a partition, with the supervisor restarting what is
-    /// quarantined: with no wall clock in the loop the folded report is
-    /// identical on every rerun, `missed_tick_reports` included, and
-    /// every reallocation assigns `Σ err_i ≤ err`.
-    #[test]
-    fn a_single_threaded_faulty_task_reproduces_its_report_exactly() {
-        let spec = parity_spec(4);
-        let traces = parity_traces(4, 2400, 7);
-        let plan = FaultPlan::new(42)
+    /// quarantined.
+    fn faulty_plan() -> FaultPlan {
+        FaultPlan::new(42)
             .with_drop_rate(FaultPath::ViolationReport, 0.1)
             .with_drop_rate(FaultPath::PollReply, 0.1)
             .with_delay_rate(0.02)
             .with_duplication_rate(0.02)
             .with_crash(MonitorId(1), 300)
             .with_stall(MonitorId(2), 600, 40)
-            .with_partition(&[MonitorId(3)], 995, 1005);
-        let config = SessionConfig {
-            fault_plan: plan,
+            .with_partition(&[MonitorId(3)], 995, 1005)
+    }
+
+    fn faulty(spec: &TaskSpec, tick_deadline: Duration) -> SessionConfig {
+        SessionConfig {
+            fault_plan: faulty_plan(),
             supervise: true,
+            tick_deadline,
             ..SessionConfig::new(spec.clone(), Obs::disabled())
-        };
-        let (first, reallocations) = Lockstep::run(&config, &traces);
+        }
+    }
+
+    /// The whole-task run under a seeded fault plan: nothing runs beside
+    /// the driver, so the folded report is identical on every rerun,
+    /// `missed_tick_reports` included, and every reallocation assigns
+    /// `Σ err_i ≤ err`.
+    #[test]
+    fn a_single_threaded_faulty_task_reproduces_its_report_exactly() {
+        let spec = parity_spec(4);
+        let traces = parity_traces(4, 2400, 7);
+        let config = faulty(&spec, Duration::ZERO);
+        let (first, reallocations) = run_inline(&config, &traces);
         assert_eq!(first.ticks, 2400);
         assert!(first.alerts > 0 && first.degraded_polls > 0);
         assert!(first.missed_tick_reports > 0 && first.quarantines >= 3);
@@ -932,9 +907,29 @@ mod tests {
             assert!(assigned.iter().sum::<f64>() <= err + 1e-12, "{assigned:?}");
         }
         for rerun in 1..100 {
-            let (report, again) = Lockstep::run(&config, &traces);
+            let (report, again) = run_inline(&config, &traces);
             assert_eq!(report, first, "rerun {rerun}");
             assert_eq!(again, reallocations, "rerun {rerun}");
         }
+    }
+
+    /// A deadline passes time and decides nothing: the faulty task's
+    /// report is the same whether a silent monitor costs the driver no
+    /// wait at all or 30 ms a round.
+    #[test]
+    fn a_report_does_not_depend_on_the_tick_deadline() {
+        let spec = parity_spec(4);
+        let traces = parity_traces(4, 700, 7);
+        let run = |deadline| run_inline(&faulty(&spec, deadline), &traces);
+        let (unhurried, reallocations) = run(Duration::ZERO);
+        assert!(unhurried.missed_tick_reports > 0 && unhurried.quarantines >= 2);
+        let started = Instant::now();
+        let (waited, again) = run(Duration::from_millis(30));
+        assert!(
+            started.elapsed() >= Duration::from_millis(30),
+            "it did wait"
+        );
+        assert_eq!(waited, unhurried);
+        assert_eq!(again, reallocations);
     }
 }

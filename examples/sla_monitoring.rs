@@ -1,4 +1,5 @@
-//! SLA / throughput monitoring for autoscaling, on the threaded runtime.
+//! SLA / throughput monitoring for autoscaling, on the message-passing
+//! runtime.
 //!
 //! An EC2-style autoscaler adds web-server instances when the monitored
 //! aggregate request throughput exceeds a provisioning threshold (§V-A,
@@ -44,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_interval(16)
         .task_spec(threshold, SERVERS)?;
 
-    // Spawns a few monitor-host threads (at most one per core), steps
-    // the coordinator on this one; blocks until the trace is exhausted.
+    // Steps the monitors and the coordinator on this thread; blocks
+    // until the trace is exhausted.
     let report = TaskRunner::new(&spec)?.run(&traces)?;
 
     println!("scale-up threshold: {threshold:.0} requests/s (aggregate)");

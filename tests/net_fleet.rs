@@ -88,11 +88,12 @@ fn net_run(
 
 /// One fleet size of the TCP parity bar: `monitors` actors multiplexed
 /// over `agents` localhost connections must report bit-for-bit what the
-/// channel-based `TaskRunner` reports on the same workload. Both sides
-/// get the same generous deadline — at 10k monitors a debug build on a
-/// loaded host may not step every monitor inside the default window,
-/// and a miss on either side would (correctly) break parity by counting
-/// monitors degraded.
+/// in-process `TaskRunner` reports on the same workload. The networked
+/// side gets a generous deadline — at 10k monitors a debug build on a
+/// loaded host may not hear every agent inside the default window, and
+/// a miss would (correctly) break parity by counting monitors degraded;
+/// the in-process side takes the same value, though its report does not
+/// depend on it.
 fn tcp_parity(monitors: usize, agents: u32, ticks: usize) {
     let task = spec(monitors, 0.01);
     let traces = bursty_traces(monitors, ticks);
@@ -127,12 +128,12 @@ fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
 }
 
 /// The acceptance bar of the networked deployment: a 10k-monitor fleet
-/// over 250 connections. The in-process baseline hosts its 10 000
-/// monitors on one thread per core, so the case takes ≈ 3 s in release
-/// (it took ≈ 27 s on 10 000 monitor threads) — but 12–13 s in the debug
-/// profile tier-1 runs, over the 10 s a default case may take, so it
-/// stays out of the default run. CI's `net-smoke` runs it with
-/// `--ignored`.
+/// over 250 connections. The in-process baseline steps its 10 000
+/// monitors on this thread, so the case takes 3–4 s in release (the
+/// networked half dominates; it took ≈ 27 s on 10 000 monitor threads)
+/// — but over 10 s in the debug profile tier-1 runs, more than a
+/// default case may take, so it stays out of the default run. CI's
+/// `net-smoke` runs it with `--ignored`.
 #[test]
 #[ignore = "12–13 s in the debug profile (≈ 3 s in release); run in release with --ignored"]
 fn tcp_fleet_matches_in_process_runner_at_10k_monitors() {

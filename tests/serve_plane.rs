@@ -208,6 +208,15 @@ fn alert_stream_delivers_mid_run_alerts() {
     subscriber
         .write_all(b"GET /api/v1/alerts/stream HTTP/1.1\r\nHost: test\r\n\r\n")
         .expect("subscribe");
+    // The response head proves the reactor has opened the subscription;
+    // a 40-tick run can otherwise reach `shutdown` before the reactor
+    // has even parsed the request.
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        subscriber.read_exact(&mut byte).expect("stream head");
+        raw.push(byte[0]);
+    }
 
     let report = TaskRunner::new(&spec())
         .unwrap()
@@ -222,7 +231,6 @@ fn alert_stream_delivers_mid_run_alerts() {
     assert_eq!(stats.stream_requests, 1);
     assert_eq!(stats.stream_lag_drops, 0);
 
-    let mut raw = Vec::new();
     subscriber.read_to_end(&mut raw).expect("drain stream");
     let text = String::from_utf8(raw).expect("utf8 stream");
     assert!(
