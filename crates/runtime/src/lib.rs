@@ -12,10 +12,11 @@
 //! through protocol messages, exactly as the components would across
 //! machines: the monitors slots of a table (an agent process minus the
 //! socket) or behind real sockets, the coordinator a sans-IO machine
-//! ([`coordinator`]). In process both are stepped on the driving thread
-//! — no thread is spawned, so a run is a pure function of its inputs and
-//! a tick costs its work, not its hand-offs; only the socket plane adds
-//! threads (its event loop, the agents). The coordinator decides by the
+//! ([`coordinator`]). Both are stepped on the driving thread, and so
+//! are the coordinator's sockets — this crate spawns no thread, so an
+//! in-process run is a pure function of its inputs and a tick costs its
+//! work, not its hand-offs; only agents run elsewhere (their own
+//! processes, or the threads a test gives them). The coordinator decides by the
 //! same [`volley_core::coordinator::Coordinator`] rules the reference
 //! does. A [`TaskRunner`] drives simulated time in lock-step
 //! (the stand-in for the paper's NTP-synchronized wall clocks) and

@@ -3,9 +3,10 @@
 //! The in-process [`volley_core::failure::FaultPlan`] perturbs *frames*
 //! (drop/dup/delay). A networked deployment has a failure mode frames
 //! can't express: whole connections dying and re-dialing. [`NetFaultPlan`]
-//! schedules those — at storm ticks the event loop force-closes the
-//! chosen agents' sockets, and the agents' own backoff/re-handshake
-//! machinery has to win the race against the tick deadline.
+//! schedules those — at storm ticks the coordinator force-closes the
+//! chosen agents' sockets, ahead of that tick's frames, and the agents'
+//! own backoff/re-handshake machinery has to win the race against the
+//! tick deadline.
 //!
 //! Victim selection is a pure hash of `(seed, tick, agent)`, so a storm
 //! schedule is reproducible across runs and across processes without any

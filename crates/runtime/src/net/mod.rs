@@ -6,8 +6,9 @@
 //! module only replaces the channel transport with sockets:
 //!
 //! - [`NetCoordinator`] binds a TCP or Unix listener and drives the task
-//!   over a fleet of connected agents with a nonblocking event loop
-//!   (bounded per-connection queues, batched writes, idle reaping).
+//!   over a fleet of connected agents, stepping their nonblocking
+//!   sockets on its own thread (bounded per-connection queues, batched
+//!   writes, idle reaping).
 //! - [`run_agent`] hosts a slice of the task's monitors behind one
 //!   socket, reconnecting with jittered exponential backoff and the
 //!   `Revived` re-handshake when the connection dies.
@@ -25,5 +26,6 @@ mod wire;
 pub use agent::{run_agent, AgentConfig, AgentReport, BackoffConfig};
 pub use codec::FrameBuffer;
 pub use faults::NetFaultPlan;
+pub(crate) use server::SocketPlane;
 pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats};
 pub use wire::{ctl_line, welcome_line, AgentHello, ServerFrame};

@@ -1,46 +1,50 @@
-//! The networked coordinator: one readiness reactor
-//! ([`volley_serve::reactor`], `poll(2)` + wake handle) multiplexing
-//! every agent socket, beside one remote-plane task session — the same
-//! tick driver [`crate::runner::TaskRunner`] runs in-process.
+//! The networked coordinator: one remote-plane task session — the same
+//! tick driver [`crate::runner::TaskRunner`] runs in-process — whose
+//! monitor plane is every agent socket, multiplexed by one readiness
+//! reactor ([`volley_serve::reactor`], `poll(2)`).
 //!
 //! ## Architecture
 //!
-//! Two threads cooperate:
+//! One thread does everything, the one that calls
+//! [`NetCoordinator::run`]. The session's [`SocketPlane`] owns the
+//! listener, the reactor and the connection table
+//! ([`reactor::Table`](volley_serve::reactor::Table) over this module's
+//! line-frame [`Protocol`]) and is stepped, never served:
 //!
-//! 1. the **event loop** ([`reactor::run`] over this module's
-//!    line-frame [`Protocol`]) owns the listener and every agent socket
-//!    and blocks in `poll` on them. Inbound: raw bytes → [`FrameBuffer`]
-//!    reassembly → raw `MonitorFrame` lines forwarded verbatim into the
-//!    session's inbox. Outbound: the session's remote plane tags each
-//!    control frame `(monitor, frame)`, and the loop routes it by
-//!    monitor id to the owning connection's bounded queue, spliced into [`ServerFrame::Ctl`](super::wire::ServerFrame)
-//!    envelopes, and written in ~64 KiB batches with partial-write
-//!    carry-over. Every such send, storm kick and the stop flag fires
-//!    the reactor's waker, so nothing waits out a park; the poll timeout
-//!    is only the next idle-reap deadline.
-//! 2. the **driver** ([`NetCoordinator::run`]) parks until the loop
-//!    reports the fleet assembled, steps the session tick by tick
-//!    (storms, pacing and net gauges around each step) and tears both
-//!    down. A step sends the tick and then steps the coordinator machine
-//!    ([`crate::coordinator::CoordinatorActor`]) right there, pumping
-//!    the inbox into it — the machine cannot tell the transport changed,
-//!    and the report is folded by the session, which is what makes
-//!    bit-for-bit parity with the in-process runner hold by
-//!    construction.
+//! - **outbound**: a session send hands the plane `(monitor, frame)`
+//!   *values*; each is routed by monitor id to the owning connection and
+//!   encoded as a [`ServerFrame::Ctl`] line straight into that
+//!   connection's write batch (bounded — see below), and every batch is
+//!   written before the send returns, with partial-write carry-over for
+//!   a peer that does not take it whole;
+//! - **inbound**: when the coordinator machine
+//!   ([`crate::coordinator::CoordinatorActor`]) has nothing left to do,
+//!   the session turns the table — wait in `poll` at most until the
+//!   armed deadline, accept, read, [`FrameBuffer`] reassembly, flush,
+//!   reap — until complete `MonitorFrame` lines are in the plane's inbox,
+//!   and hands the machine all of them as one payload. The machine
+//!   cannot tell the transport changed, and the report is folded by the
+//!   session, which is what makes bit-for-bit parity with the in-process
+//!   runner hold by construction;
+//! - **between ticks** [`NetCoordinator::run`] turns the same table for
+//!   fleet assembly, tick pacing, storm kicks and the teardown drain.
+//!   Nothing sleeps on a guess: every wait is a `poll` whose timeout is
+//!   the caller's deadline or the next idle reap.
 //!
 //! ## Robustness policy
 //!
-//! - *Slow peers*: each connection's outbound queue is capped
-//!   ([`NetCoordinator::with_queue_cap`]). Overflow drops the frame and
-//!   counts a backpressure stall — the monitor then misses its tick
-//!   deadline and the existing quarantine/degraded-mode path takes over.
-//!   Memory stays bounded no matter how slow a peer is.
+//! - *Slow peers*: the frames a connection holds accepted and not yet
+//!   written are capped ([`NetCoordinator::with_queue_cap`]). Overflow
+//!   drops the frame and counts a backpressure stall — the monitor then
+//!   misses its tick deadline and the existing quarantine/degraded-mode
+//!   path takes over. Memory stays bounded no matter how slow a peer is.
 //! - *Half-open connections*: sockets silent longer than the idle
 //!   timeout are closed; a live agent re-dials and re-handshakes.
 //! - *Reconnect storms*: a [`NetFaultPlan`](super::faults::NetFaultPlan)
-//!   severs a fraction of agents at storm ticks; accept + hello
-//!   re-registration is O(1) per connection, so a storm is absorbed
-//!   without disturbing other connections.
+//!   severs a fraction of agents at storm ticks — their sockets are
+//!   closed in place, before that tick's frames are routed; accept +
+//!   hello re-registration is O(1) per connection, so a storm is
+//!   absorbed without disturbing other connections.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -51,29 +55,24 @@ use std::os::unix::io::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
 
 use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 use volley_obs::{names, Obs};
-use volley_serve::reactor::{self, Conn, Fd, Flow, Pollable, Protocol, Reactor, Waker};
+use volley_serve::reactor::{Conn, Fd, Pollable, Protocol, Reactor, Table};
 use volley_serve::ServePublisher;
 
-use crate::message::decode;
+use crate::message::{decode_line, encode_into, ControlFrame};
 use crate::runner::RuntimeReport;
 use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::faults::NetFaultPlan;
-use super::wire::{ctl_line, welcome_line, AgentHello};
+use super::wire::{AgentHello, ServerFrame};
 
 /// Where the coordinator listens (and agents dial).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,79 +286,7 @@ pub struct NetRunOutcome {
     pub net: NetStats,
 }
 
-/// State shared between the driver and the event loop. Neither side
-/// polls the other: the driver fires `waker` after a store the loop
-/// must act on, the loop unparks `driver` when `seen_count` or `open`
-/// change.
-#[derive(Debug)]
-struct NetShared {
-    waker: Waker,
-    /// The thread that runs [`NetCoordinator::run`].
-    driver: Thread,
-    stop: AtomicBool,
-    /// Per-monitor "an agent has ever claimed this monitor" flags, for
-    /// fleet-assembly.
-    seen: Vec<AtomicBool>,
-    seen_count: AtomicUsize,
-    /// Live connection count (teardown waits for 0).
-    open: AtomicUsize,
-    /// Agent ids with at least one hello, for fault targeting.
-    agents: Mutex<HashSet<u32>>,
-    /// Agent ids whose connections the event loop must sever (storms).
-    kick: Mutex<Vec<u32>>,
-    /// The loop's counters as of its last pass (it is their only
-    /// writer and publishes a copy per pass).
-    stats: Mutex<NetStats>,
-}
-
-impl NetShared {
-    /// Shared state for `n` monitors, driven from the calling thread.
-    fn new(n: usize, waker: Waker) -> Self {
-        NetShared {
-            waker,
-            driver: thread::current(),
-            stop: AtomicBool::new(false),
-            seen: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            seen_count: AtomicUsize::new(0),
-            open: AtomicUsize::new(0),
-            agents: Mutex::new(HashSet::new()),
-            kick: Mutex::new(Vec::new()),
-            stats: Mutex::new(NetStats::default()),
-        }
-    }
-
-    /// Tells the loop to return.
-    fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.waker.wake();
-    }
-
-    /// Has the loop sever every connection of these agents.
-    fn kick(&self, victims: Vec<u32>) {
-        self.kick.lock().expect("kick lock").extend(victims);
-        self.waker.wake();
-    }
-
-    /// Parks the driver until `done` holds or `deadline` passes; returns
-    /// whether it held. `done` may read `seen_count` and `open` only —
-    /// the values whose changes unpark the driver.
-    fn park_until(&self, deadline: Instant, done: impl Fn(&NetShared) -> bool) -> bool {
-        while !done(self) {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            thread::park_timeout(deadline - now);
-        }
-        true
-    }
-
-    fn stats(&self) -> NetStats {
-        *self.stats.lock().expect("stats lock")
-    }
-}
-
-/// What the loop knows about one agent connection beyond its socket.
+/// What the plane knows about one agent connection beyond its socket.
 struct AgentConn {
     frames: FrameBuffer,
     /// `None` until a valid hello arrives.
@@ -373,42 +300,36 @@ struct AgentConn {
 pub struct NetCoordinator {
     /// The protocol parameters: spec, obs hub, deadlines.
     session: SessionConfig,
-    listener: Listener,
-    reactor: Reactor,
-    queue_cap: usize,
-    idle_timeout: Duration,
-    /// Sleep inserted before each tick — zero (default) runs ticks
+    /// The bound listener and the (still empty) connection table.
+    plane: SocketPlane,
+    /// Pause inserted before each tick — zero (default) runs ticks
     /// back-to-back; tests injecting process faults use it to widen the
     /// windows they race against.
     tick_interval: Duration,
     wait_timeout: Duration,
-    transport: TransportConfig,
     faults: NetFaultPlan,
     serve: Option<ServePublisher>,
 }
 
 impl NetCoordinator {
     /// Binds the listener; agents may start dialing immediately (their
-    /// hellos are absorbed once [`run`](Self::run) starts the loop).
+    /// hellos are absorbed once [`run`](Self::run) turns the table).
     ///
     /// # Errors
     ///
     /// [`VolleyError::InvalidConfig`] when the bind fails.
     pub fn bind(spec: TaskSpec, addr: &NetAddr) -> Result<Self, VolleyError> {
-        let bound = Listener::bind(addr).and_then(|l| Ok((l, Reactor::new()?)));
-        let (listener, reactor) = bound.map_err(|e| VolleyError::InvalidConfig {
-            parameter: "net",
-            reason: format!("bind {addr}: {e}"),
+        let plane = SocketPlane::bind(addr, spec.monitors().len()).map_err(|e| {
+            VolleyError::InvalidConfig {
+                parameter: "net",
+                reason: format!("bind {addr}: {e}"),
+            }
         })?;
         Ok(NetCoordinator {
             session: SessionConfig::new(spec, Obs::new(false)),
-            listener,
-            reactor,
-            queue_cap: 1024,
-            idle_timeout: Duration::from_secs(30),
+            plane,
             tick_interval: Duration::ZERO,
             wait_timeout: Duration::from_secs(30),
-            transport: TransportConfig::default(),
             faults: NetFaultPlan::new(0),
             serve: None,
         })
@@ -417,7 +338,7 @@ impl NetCoordinator {
     /// The bound TCP address (for port-0 binds in tests); `None` for
     /// Unix listeners.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.local_addr()
+        self.plane.local_addr()
     }
 
     /// Sets how long one collection phase of the coordinator waits for
@@ -434,20 +355,22 @@ impl NetCoordinator {
         self
     }
 
-    /// Caps each connection's outbound frame queue. Overflow drops
-    /// frames (counted) and lets deadline machinery degrade the peer.
+    /// Caps the frames a connection holds accepted and not yet written.
+    /// Overflow drops frames (counted) and lets deadline machinery
+    /// degrade the peer.
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap.max(1);
+        self.plane.lines.queue_cap = cap.max(1);
         self
     }
 
     /// Closes connections silent for this long (half-open protection).
     pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = timeout;
+        self.plane.table = Table::new(timeout);
         self
     }
 
-    /// Inserts a sleep before each tick (default zero).
+    /// Inserts a pause before each tick (default zero); the sockets are
+    /// served while it lasts.
     pub fn with_tick_interval(mut self, interval: Duration) -> Self {
         self.tick_interval = interval;
         self
@@ -459,9 +382,10 @@ impl NetCoordinator {
         self
     }
 
-    /// Frame-size cap and socket timeouts.
+    /// Frame-size cap (the coordinator's sockets never block, so the
+    /// timeouts do not apply to it).
     pub fn with_transport(mut self, transport: TransportConfig) -> Self {
-        self.transport = transport;
+        self.plane.lines.max_frame = transport.max_frame_size;
         self
     }
 
@@ -489,63 +413,38 @@ impl NetCoordinator {
 
     /// Runs the task over the fleet: waits for every monitor to be
     /// claimed by a connected agent, drives `traces` tick by tick, and
-    /// shuts the fleet down.
+    /// shuts the fleet down. Spawns nothing: sockets and coordinator are
+    /// stepped on the calling thread.
     ///
     /// # Errors
     ///
     /// [`VolleyError::ValueCountMismatch`] when `traces` does not have
     /// one trace per monitor; [`VolleyError::InvalidConfig`] when the
-    /// fleet fails to assemble in time; [`VolleyError::RuntimeDisconnected`]
-    /// when the event loop dies mid-run.
+    /// fleet fails to assemble in time.
     pub fn run(self, traces: &[Vec<f64>]) -> Result<NetRunOutcome, VolleyError> {
         let ticks = run_length(&self.session.spec, traces)?;
         let n = traces.len();
         let obs = &self.session.obs;
 
-        // Plumbing: the session reads monitor frames the event loop
-        // forwards and writes tagged control frames the event loop
-        // routes; each tagged send wakes the loop.
-        let mut reactor = self.reactor;
-        let (to_coord, from_monitors) = unbounded::<Bytes>();
-        let (net_out_tx, out_rx) = unbounded::<(u32, Bytes)>();
+        // The session owns the sockets: a send stages and writes control
+        // frames, a pump turns the table until replies are in.
         let mut session = TaskSession::spawn(
             &self.session,
-            MonitorPlane::Remote {
-                out: net_out_tx,
-                waker: reactor.waker(),
-                from_monitors,
-            },
+            MonitorPlane::Remote(Box::new(self.plane)),
             None,
         )?;
-
-        // The event loop owns the listener, every socket, and the only
-        // sender into the session's inbox.
-        let shared = Arc::new(NetShared::new(n, reactor.waker()));
-        let mut lines = LineFrames {
-            listener: self.listener,
-            shared: Arc::clone(&shared),
-            out_rx,
-            to_coord,
-            route: vec![None; n],
-            queue_cap: self.queue_cap,
-            max_frame: self.transport.max_frame_size,
-            stats: NetStats::default(),
-        };
-        let idle_timeout = self.idle_timeout;
-        let loop_handle =
-            thread::spawn(move || reactor::run(&mut reactor, &mut lines, idle_timeout));
 
         let driven = (|| -> Result<(), VolleyError> {
             // Fleet assembly: every monitor must be claimed before tick 0,
             // or the first deadline would instantly degrade the stragglers.
-            let assembled = |s: &NetShared| s.seen_count.load(Ordering::Acquire) >= n;
-            if !shared.park_until(Instant::now() + self.wait_timeout, assembled) {
+            let plane = session.remote();
+            let assemble_by = Instant::now() + self.wait_timeout;
+            if !plane.turn_until(assemble_by, |lines| lines.seen_count >= n) {
                 return Err(VolleyError::InvalidConfig {
                     parameter: "net",
                     reason: format!(
                         "fleet incomplete: {}/{n} monitors registered within {:?}",
-                        shared.seen_count.load(Ordering::Acquire),
-                        self.wait_timeout
+                        plane.lines.seen_count, self.wait_timeout
                     ),
                 });
             }
@@ -559,22 +458,14 @@ impl NetCoordinator {
             let mut obs_stalls = 0u64;
 
             for tick in 0..ticks {
+                let plane = session.remote();
                 if self.faults.storm_at(tick) {
-                    let victims: Vec<u32> = {
-                        let agents = shared.agents.lock().expect("agents lock");
-                        agents
-                            .iter()
-                            .copied()
-                            .filter(|&a| self.faults.severs(tick, a))
-                            .collect()
-                    };
-                    if !victims.is_empty() {
-                        shared.kick(victims);
-                    }
+                    plane.kick(|agent| self.faults.severs(tick, agent));
                 }
                 if self.tick_interval > Duration::ZERO {
-                    // Pacing: nothing ends this wait early.
-                    shared.park_until(Instant::now() + self.tick_interval, |_| false);
+                    // Pacing: nothing ends this wait early, but a
+                    // re-dialling agent's hello is absorbed during it.
+                    plane.turn_until(Instant::now() + self.tick_interval, |_| false);
                 }
                 // No supervision here: agents restart themselves; the
                 // coordinator only re-admits.
@@ -586,13 +477,13 @@ impl NetCoordinator {
                     serve.set_tick(tick);
                 }
                 if obs.enabled() {
-                    let stats = shared.stats();
-                    conn_gauge.set(shared.open.load(Ordering::Relaxed) as f64);
-                    queue_gauge.set(stats.max_queue_depth as f64);
-                    reconnects_total.add(stats.reconnects - obs_reconnects);
-                    obs_reconnects = stats.reconnects;
-                    stalls_total.add(stats.backpressure_drops - obs_stalls);
-                    obs_stalls = stats.backpressure_drops;
+                    let lines = &session.remote().lines;
+                    conn_gauge.set(lines.open as f64);
+                    queue_gauge.set(lines.stats.max_queue_depth as f64);
+                    reconnects_total.add(lines.stats.reconnects - obs_reconnects);
+                    obs_reconnects = lines.stats.reconnects;
+                    stalls_total.add(lines.stats.backpressure_drops - obs_stalls);
+                    obs_stalls = lines.stats.backpressure_drops;
                 }
             }
             Ok(())
@@ -600,66 +491,174 @@ impl NetCoordinator {
 
         // Teardown: resend Shutdown every 50 ms while connections remain
         // (reconnecting agents that missed the first copy get another),
-        // for at most 5 s; the loop unparks us as each agent drains off.
-        // Then stop the loop and finish the session.
-        let drained = |s: &NetShared| s.open.load(Ordering::Acquire) == 0;
+        // for at most 5 s, returning as soon as the last agent drains
+        // off. The totals are read before the session's own parting copy.
         let drain_by = Instant::now() + Duration::from_secs(5);
-        while !drained(&shared) && Instant::now() < drain_by {
+        while session.remote().lines.open > 0 && Instant::now() < drain_by {
             session.broadcast_shutdown();
-            let resend_at = Instant::now() + Duration::from_millis(50);
-            shared.park_until(resend_at.min(drain_by), drained);
+            let resend_at = (Instant::now() + Duration::from_millis(50)).min(drain_by);
+            let plane = session.remote();
+            plane.turn_until(resend_at, |lines| lines.open == 0);
         }
-        shared.stop();
-        loop_handle.join().expect("event loop exits cleanly");
+        let net = session.remote().stats();
         let report = session.finish();
-        driven.map(|()| NetRunOutcome {
-            report,
-            net: shared.stats(),
-        })
+        driven.map(|()| NetRunOutcome { report, net })
     }
 }
 
-/// The agent plane as the reactor sees it: newline-framed
+/// The socket plane of a networked session: the listener, the reactor
+/// and the connection table, stepped on the driver's thread — by the
+/// session while a tick runs, by [`NetCoordinator::run`] between ticks.
+pub(crate) struct SocketPlane {
+    reactor: Reactor,
+    table: Table<LineFrames>,
+    lines: LineFrames,
+}
+
+impl fmt::Debug for SocketPlane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SocketPlane")
+            .field("listener", &self.lines.listener)
+            .field("stats", &self.lines.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+impl SocketPlane {
+    /// Binds the listener of a plane for `monitors` monitors, at the
+    /// defaults [`NetCoordinator`]'s builders override: 1 024 frames a
+    /// queue, 30 s of silence before a reap, the default frame cap.
+    pub(crate) fn bind(addr: &NetAddr, monitors: usize) -> std::io::Result<Self> {
+        Ok(SocketPlane {
+            reactor: Reactor::new()?,
+            table: Table::new(Duration::from_secs(30)),
+            lines: LineFrames {
+                listener: Listener::bind(addr)?,
+                route: vec![None; monitors],
+                seen: vec![false; monitors],
+                seen_count: 0,
+                agents: HashSet::new(),
+                open: 0,
+                inbox: Vec::new(),
+                queue_cap: 1024,
+                max_frame: TransportConfig::default().max_frame_size,
+                stats: NetStats::default(),
+            },
+        })
+    }
+
+    /// The bound TCP address; `None` for Unix listeners.
+    pub(crate) fn local_addr(&self) -> Option<SocketAddr> {
+        self.lines.listener.local_addr()
+    }
+
+    /// Socket-layer totals so far.
+    pub(crate) fn stats(&self) -> NetStats {
+        self.lines.stats
+    }
+
+    /// One pass over the connection table, waiting at most `cap` for a
+    /// socket to become ready.
+    fn turn(&mut self, cap: Duration) {
+        self.table
+            .step(&mut self.reactor, &mut self.lines, Some(cap));
+    }
+
+    /// Turns the table until `done` holds or `deadline` passes — with one
+    /// last pass at the deadline, so what the kernel already holds is
+    /// never mistaken for silence; returns whether `done` held.
+    fn turn_until(&mut self, deadline: Instant, done: impl Fn(&LineFrames) -> bool) -> bool {
+        loop {
+            if done(&self.lines) {
+                return true;
+            }
+            let wait = deadline.saturating_duration_since(Instant::now());
+            self.turn(wait);
+            if wait.is_zero() {
+                return done(&self.lines);
+            }
+        }
+    }
+
+    /// Sends `frames` in order: each is encoded straight into the write
+    /// batch of the connection hosting its monitor — the cap enforced, a
+    /// full queue dropping the frame, not the peer — and every batch
+    /// leaves before this returns (what a slow peer does not take stays
+    /// for the next passes).
+    pub(crate) fn send(&mut self, frames: impl IntoIterator<Item = (u32, ControlFrame)>) {
+        let (conns, lines) = (self.table.conns(), &mut self.lines);
+        for (to, frame) in frames {
+            let slot = lines.route.get(to as usize).copied().flatten();
+            let Some(conn) = slot
+                .and_then(|slot| conns[slot].as_mut())
+                .filter(|conn| conn.is_open())
+            else {
+                lines.stats.unrouted_drops += 1;
+                continue;
+            };
+            if conn.queued() >= lines.queue_cap {
+                lines.stats.backpressure_drops += 1;
+                continue;
+            }
+            conn.stage(|batch| encode_into(&ServerFrame::Ctl { to, frame }, batch));
+            lines.stats.frames_out += 1;
+            lines.stats.max_queue_depth = lines.stats.max_queue_depth.max(conn.queued() as u64);
+        }
+        for conn in conns.iter_mut().flatten() {
+            if conn.pending_bytes() > 0 {
+                conn.flush();
+            }
+        }
+    }
+
+    /// Turns the table until monitor frames have arrived or `deadline`
+    /// passes; returns the inbox — every connection's complete lines, one
+    /// newline-delimited payload — for the caller to read and clear
+    /// (empty: the deadline passed).
+    pub(crate) fn collect(&mut self, deadline: Instant) -> &mut Vec<u8> {
+        self.turn_until(deadline, |lines| !lines.inbox.is_empty());
+        &mut self.lines.inbox
+    }
+
+    /// Severs every connection of the agents `severs` picks, here and
+    /// now: their sockets are closed when this returns.
+    fn kick(&mut self, severs: impl Fn(u32) -> bool) {
+        for conn in self.table.conns().iter_mut().flatten() {
+            if conn.is_open() && conn.state.agent.is_some_and(&severs) {
+                conn.close_now();
+                self.lines.stats.kicked += 1;
+            }
+        }
+        self.turn(Duration::ZERO);
+    }
+}
+
+/// The agent plane as the connection table sees it: newline-framed
 /// [`super::wire`] messages, routed by monitor id.
 struct LineFrames {
     listener: Listener,
-    shared: Arc<NetShared>,
-    /// The coordinator's tagged control frames, to route.
-    out_rx: Receiver<(u32, Bytes)>,
-    /// The coordinator's inbox.
-    to_coord: Sender<Bytes>,
     /// Monitor id → table slot of the connection hosting it.
     route: Vec<Option<usize>>,
+    /// Per-monitor "an agent has ever claimed this monitor" flags and
+    /// how many are set, for fleet assembly.
+    seen: Vec<bool>,
+    seen_count: usize,
+    /// Agent ids with at least one hello: another one is a reconnect.
+    agents: HashSet<u32>,
+    /// Live connection count (teardown waits for 0).
+    open: usize,
+    /// Monitor frames read and not yet handed to the coordinator
+    /// machine, verbatim, one per line.
+    inbox: Vec<u8>,
     queue_cap: usize,
     max_frame: usize,
     stats: NetStats,
 }
 
 impl LineFrames {
-    /// Routes one outbound `(monitor, frame)` into the owning
-    /// connection's queue, enforcing the cap: a full queue drops the
-    /// frame, not the peer.
-    fn route_frame(&mut self, conns: &mut [Option<Conn<Self>>], monitor: u32, frame: &Bytes) {
-        let slot = self.route.get(monitor as usize).copied().flatten();
-        let Some(conn) = slot
-            .and_then(|slot| conns[slot].as_mut())
-            .filter(|conn| conn.is_open())
-        else {
-            self.stats.unrouted_drops += 1;
-            return;
-        };
-        if conn.queued() >= self.queue_cap {
-            self.stats.backpressure_drops += 1;
-            return;
-        }
-        conn.push(ctl_line(monitor, frame));
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(conn.queued() as u64);
-    }
-
     /// Registers a connection's first line: which agent, which monitors.
-    fn hello(&mut self, slot: usize, conn: &mut Conn<Self>, line: &Bytes) {
-        let shared = &self.shared;
-        let Ok(hello) = decode::<AgentHello>(line) else {
+    fn hello(&mut self, slot: usize, conn: &mut Conn<Self>, line: &[u8]) {
+        let Ok(hello) = decode_line::<AgentHello>(line) else {
             self.stats.malformed_frames += 1;
             conn.close_now();
             return;
@@ -671,27 +670,22 @@ impl LineFrames {
                 // takes over its monitors' routes.
                 *entry = Some(slot);
                 conn.state.monitors.push(monitor);
-                if !shared.seen[monitor as usize].swap(true, Ordering::AcqRel) {
-                    shared.seen_count.fetch_add(1, Ordering::AcqRel);
-                    shared.driver.unpark();
+                if !std::mem::replace(&mut self.seen[monitor as usize], true) {
+                    self.seen_count += 1;
                 }
             }
         }
-        let known = !shared
-            .agents
-            .lock()
-            .expect("agents lock")
-            .insert(hello.agent);
-        self.stats.reconnects += u64::from(known);
-        // The welcome bypasses the cap: it must reach even a
-        // briefly-backlogged reconnecting peer.
-        conn.push_front(welcome_line(0));
+        self.stats.reconnects += u64::from(!self.agents.insert(hello.agent));
+        // The welcome bypasses the cap — it must reach even a peer whose
+        // monitors are backlogged — and is the first line the agent
+        // reads: no route led to this connection before its hello.
+        conn.stage(|batch| encode_into(&ServerFrame::Welcome { epoch: 0 }, batch));
+        self.stats.frames_out += 1;
     }
 }
 
 impl Protocol for LineFrames {
     type Stream = Socket;
-    type Frame = Bytes;
     type State = AgentConn;
 
     fn listener(&self) -> Fd {
@@ -700,7 +694,7 @@ impl Protocol for LineFrames {
 
     fn accept(&mut self) -> std::io::Result<(Socket, AgentConn)> {
         let socket = self.listener.accept()?;
-        self.shared.open.fetch_add(1, Ordering::AcqRel);
+        self.open += 1;
         self.stats.connections_accepted += 1;
         let state = AgentConn {
             frames: FrameBuffer::new(self.max_frame),
@@ -711,20 +705,21 @@ impl Protocol for LineFrames {
     }
 
     /// Reassemble; the first line registers, the rest are raw monitor
-    /// frames forwarded verbatim — every complete line of this chunk as
-    /// one newline-delimited payload, the format a monitor host sends.
+    /// frames appended verbatim to the inbox — the newline-delimited
+    /// payload format the in-process plane hands over.
     fn on_bytes(&mut self, slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
         conn.state.frames.extend(bytes);
-        let mut payload: Vec<u8> = Vec::with_capacity(conn.state.frames.pending());
-        let mut lines = 0u64;
+        // Sized to what arrived, not doubled: the run's largest payload
+        // (a reallocation round's reports) sets the heap's high-water mark.
+        self.inbox.reserve_exact(conn.state.frames.pending());
         while conn.is_open() {
             match conn.state.frames.next_line() {
                 Ok(Some(line)) if conn.state.agent.is_some() => {
-                    payload.extend_from_slice(line);
-                    lines += 1;
+                    self.inbox.extend_from_slice(line);
+                    self.stats.frames_in += 1;
                 }
                 Ok(Some(line)) => {
-                    let line = Bytes::copy_from_slice(line);
+                    let line = line.to_vec();
                     self.hello(slot, conn, &line);
                 }
                 Ok(None) => break,
@@ -735,38 +730,9 @@ impl Protocol for LineFrames {
                 }
             }
         }
-        // A failed send means the coordinator is gone: only during teardown.
-        if lines > 0 && self.to_coord.send(Bytes::from(payload)).is_ok() {
-            self.stats.frames_in += lines;
-        }
     }
 
-    /// What the driver published since the last pass: the stop flag,
-    /// stormed agents to sever, coordinator traffic to route.
-    fn turn(&mut self, conns: &mut [Option<Conn<Self>>]) -> Flow {
-        *self.shared.stats.lock().expect("stats lock") = self.stats;
-        if self.shared.stop.load(Ordering::Acquire) {
-            return Flow::Stop; // the listener's drop unlinks a Unix socket path
-        }
-        for victim in self.shared.kick.lock().expect("kick lock").drain(..) {
-            for conn in conns.iter_mut().flatten() {
-                if conn.state.agent == Some(victim) && conn.is_open() {
-                    conn.close_now();
-                    self.stats.kicked += 1;
-                }
-            }
-        }
-        while let Ok((monitor, frame)) = self.out_rx.try_recv() {
-            self.route_frame(conns, monitor, &frame);
-        }
-        Flow::Run
-    }
-
-    fn flushed(&mut self, frames: usize) {
-        self.stats.frames_out += frames as u64;
-    }
-
-    /// Frees the connection's routes and tells the driver.
+    /// Frees the connection's routes.
     fn on_close(&mut self, slot: usize, conn: Conn<Self>, idle: bool) {
         for monitor in conn.state.monitors {
             if self.route[monitor as usize] == Some(slot) {
@@ -774,14 +740,18 @@ impl Protocol for LineFrames {
             }
         }
         self.stats.idle_closed += u64::from(idle);
-        self.shared.open.fetch_sub(1, Ordering::AcqRel);
-        self.shared.driver.unpark();
+        self.open -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::{BufRead, BufReader};
+    use std::thread;
+
     use super::*;
+    use crate::message::{encode, CoordinatorToMonitor, TickData};
+    use crate::net::{ctl_line, welcome_line};
 
     fn spec(n: usize) -> TaskSpec {
         TaskSpec::builder(100.0 * n as f64)
@@ -791,9 +761,60 @@ mod tests {
             .unwrap()
     }
 
-    /// A connected loopback pair: `(dialing side, accepted side)`.
-    fn tcp_pair(listener: &Listener) -> (TcpStream, Socket) {
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    /// A plane for `monitors` monitors on a fresh loopback listener.
+    fn plane(monitors: usize, queue_cap: usize) -> (SocketPlane, SocketAddr) {
+        let mut plane = SocketPlane::bind(&NetAddr::Tcp("127.0.0.1:0".into()), monitors).unwrap();
+        plane.lines.queue_cap = queue_cap;
+        let addr = plane.local_addr().unwrap();
+        (plane, addr)
+    }
+
+    fn hello(agent: u32, monitors: &[u32]) -> bytes::Bytes {
+        encode(&AgentHello {
+            agent,
+            monitors: monitors.to_vec(),
+            epoch: 0,
+        })
+    }
+
+    /// Dials `addr` as `agent` hosting `monitors` and turns `plane` until
+    /// the hello is answered; the agent's end, its welcome still unread.
+    fn dial(
+        plane: &mut SocketPlane,
+        addr: SocketAddr,
+        agent: u32,
+        monitors: &[u32],
+    ) -> BufReader<TcpStream> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&hello(agent, monitors)).unwrap();
+        let answered = plane.stats().frames_out;
+        let by = Instant::now() + Duration::from_secs(10);
+        assert!(
+            plane.turn_until(by, |lines| lines.stats.frames_out > answered),
+            "the hello was read"
+        );
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        BufReader::new(stream)
+    }
+
+    /// The next line `peer` reads, newline included.
+    fn line(peer: &mut BufReader<TcpStream>) -> Vec<u8> {
+        let mut line = Vec::new();
+        peer.read_until(b'\n', &mut line).unwrap();
+        line
+    }
+
+    /// What the wire carries for `msg` sent to `to` at `epoch`.
+    fn ctl(to: u32, epoch: u64, msg: CoordinatorToMonitor) -> Vec<u8> {
+        ctl_line(to, &ControlFrame::seal(epoch, msg)).to_vec()
+    }
+
+    #[test]
+    fn accepted_tcp_connections_have_nagle_off() {
+        let listener = Listener::bind(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let accepted = loop {
             match listener.accept() {
                 Ok(socket) => break socket,
@@ -801,35 +822,6 @@ mod tests {
                 Err(e) => panic!("accept: {e}"),
             }
         };
-        (client, accepted)
-    }
-
-    /// A line-frame protocol over a fresh loopback listener, plus the
-    /// far ends of its two channels.
-    fn line_frames(
-        monitors: usize,
-        queue_cap: usize,
-        waker: Waker,
-    ) -> (LineFrames, Sender<(u32, Bytes)>, Receiver<Bytes>) {
-        let (to_coord, from_monitors) = unbounded::<Bytes>();
-        let (out_tx, out_rx) = unbounded::<(u32, Bytes)>();
-        let lines = LineFrames {
-            listener: Listener::bind(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap(),
-            shared: Arc::new(NetShared::new(monitors, waker)),
-            out_rx,
-            to_coord,
-            route: vec![None; monitors],
-            queue_cap,
-            max_frame: 1024,
-            stats: NetStats::default(),
-        };
-        (lines, out_tx, from_monitors)
-    }
-
-    #[test]
-    fn accepted_tcp_connections_have_nagle_off() {
-        let listener = Listener::bind(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
-        let (_client, accepted) = tcp_pair(&listener);
         let Socket::Tcp(stream) = accepted else {
             panic!("a TCP listener accepts TCP sockets");
         };
@@ -838,55 +830,162 @@ mod tests {
 
     #[test]
     fn bounded_queue_backpressure_and_unrouted_drops() {
-        // A real connected pair so the Conn has a live socket; no bytes
-        // ever flow — this exercises the routing layer only.
-        let reactor = Reactor::new().unwrap();
-        let (mut lines, _out_tx, _from_monitors) = line_frames(2, 2, reactor.waker());
-        let (_client, server) = tcp_pair(&lines.listener);
-        let state = AgentConn {
-            frames: FrameBuffer::new(1024),
-            agent: Some(0),
-            monitors: vec![0],
+        let (mut plane, addr) = plane(2, 2);
+        let mut peer = dial(&mut plane, addr, 0, &[0]);
+        let stop = CoordinatorToMonitor::Shutdown;
+        let frame = ControlFrame {
+            epoch: 0,
+            msg: stop,
         };
-        let mut conns = vec![Some(Conn::new(server, state))];
-        lines.route = vec![Some(0usize), None];
-        let frame = Bytes::from_static(b"{\"epoch\":0,\"msg\":\"Shutdown\"}\n");
 
-        lines.route_frame(&mut conns, 0, &frame);
-        lines.route_frame(&mut conns, 0, &frame);
-        // Cap reached: the third frame must be dropped, not queued.
-        lines.route_frame(&mut conns, 0, &frame);
-        assert_eq!(lines.stats.backpressure_drops, 1);
-        assert_eq!(lines.stats.max_queue_depth, 2);
-        assert_eq!(conns[0].as_ref().unwrap().queued(), 2);
+        // One send, three frames for one connection: the cap takes two,
+        // the third is dropped, not queued.
+        plane.send([(0, frame), (0, frame), (0, frame)]);
+        assert_eq!(plane.stats().backpressure_drops, 1);
+        assert_eq!(plane.stats().max_queue_depth, 2);
+        // What was accepted left with the send: the queue is free again.
+        plane.send([(0, frame)]);
+        assert_eq!(plane.stats().backpressure_drops, 1);
 
         // Monitor 1 has no live connection: the frame is dropped and
         // counted, never buffered.
-        lines.route_frame(&mut conns, 1, &frame);
-        assert_eq!(lines.stats.unrouted_drops, 1);
+        plane.send([(1, frame)]);
+        assert_eq!(plane.stats().unrouted_drops, 1);
+
+        assert_eq!(line(&mut peer), welcome_line(0).to_vec());
+        for _ in 0..3 {
+            assert_eq!(line(&mut peer), ctl(0, 0, stop));
+        }
+        assert_eq!(plane.stats().frames_out, 4);
     }
 
-    /// The loop blocks in `poll`: with no agent, no traffic and a 30 s
-    /// idle horizon it must not wake at all (it woke ~300 times in
-    /// 300 ms while it parked 1 ms at a time), yet `stop` ends it at once.
+    /// A peer that stops reading: the kernel's buffers fill, then the
+    /// frames accepted and not yet written reach the cap and the rest are
+    /// dropped — memory stays bounded; when the peer reads again it gets
+    /// every accepted frame, in order, and the queue reopens.
     #[test]
-    fn an_idle_event_loop_does_not_wake() {
-        let mut reactor = Reactor::new().unwrap();
-        let waker = reactor.waker();
-        let (mut lines, _out_tx, _from_monitors) = line_frames(1, 8, reactor.waker());
-        let shared = Arc::clone(&lines.shared);
-        let handle =
-            thread::spawn(move || reactor::run(&mut reactor, &mut lines, Duration::from_secs(30)));
-        thread::sleep(Duration::from_millis(300));
-        let wakeups = waker.wakeups();
-        let stopping = Instant::now();
-        shared.stop();
-        handle.join().unwrap();
-        assert!(wakeups <= 10, "idle loop woke {wakeups} times in 300 ms");
-        assert!(
-            stopping.elapsed() < Duration::from_millis(100),
-            "stop interrupts the wait"
+    fn a_stalled_peer_holds_at_most_the_cap_then_catches_up() {
+        const CAP: usize = 4;
+        let (mut plane, addr) = plane(1, CAP);
+        let mut peer = dial(&mut plane, addr, 0, &[0]);
+        let msg = |tick| CoordinatorToMonitor::Tick(TickData { tick, value: 0.5 });
+        let mut sent = 0u64;
+        while plane.stats().backpressure_drops == 0 {
+            plane.send([(
+                0,
+                ControlFrame {
+                    epoch: 1,
+                    msg: msg(sent),
+                },
+            )]);
+            sent += 1;
+            assert!(sent < 10_000_000, "the kernel never pushed back");
+        }
+        let conn = plane.table.conns()[0].as_ref().unwrap();
+        assert_eq!(conn.queued(), CAP);
+        assert!(conn.pending_bytes() > 0);
+        assert_eq!(plane.stats().max_queue_depth, CAP as u64);
+        let accepted = plane.stats().frames_out;
+        assert_eq!(
+            accepted, sent,
+            "all but the dropped frame, plus the welcome"
         );
+
+        let reader = thread::spawn(move || {
+            assert_eq!(line(&mut peer), welcome_line(0).to_vec());
+            for tick in 0..accepted - 1 {
+                assert_eq!(line(&mut peer), ctl(0, 1, msg(tick)), "frame {tick}");
+            }
+            peer
+        });
+        while plane.table.conns()[0].as_ref().unwrap().pending_bytes() > 0 {
+            plane.turn(Duration::from_millis(50));
+        }
+        let _peer = reader.join().unwrap();
+        plane.send([(
+            0,
+            ControlFrame {
+                epoch: 1,
+                msg: msg(sent),
+            },
+        )]);
+        assert_eq!(plane.stats().backpressure_drops, 1, "the queue reopened");
+    }
+
+    /// A re-dialling agent's new socket takes its monitors' routes over,
+    /// and the first line it reads there is the welcome — ahead of every
+    /// control frame routed to it.
+    #[test]
+    fn a_reconnected_agent_reads_its_welcome_first() {
+        let (mut plane, addr) = plane(2, 8);
+        let poll = |tick| CoordinatorToMonitor::Poll { tick };
+        let stamped = |tick| ControlFrame {
+            epoch: 3,
+            msg: poll(tick),
+        };
+        let mut first = dial(&mut plane, addr, 7, &[0, 1]);
+        plane.send([(0, stamped(1)), (1, stamped(1))]);
+        // The agent dials again while its old socket is still open.
+        let mut second = dial(&mut plane, addr, 7, &[0, 1]);
+        assert_eq!(plane.stats().reconnects, 1);
+        plane.send([(1, stamped(2)), (0, stamped(2))]);
+
+        assert_eq!(line(&mut second), welcome_line(0).to_vec());
+        assert_eq!(line(&mut second), ctl(1, 3, poll(2)));
+        assert_eq!(line(&mut second), ctl(0, 3, poll(2)));
+        assert_eq!(line(&mut first), welcome_line(0).to_vec());
+        assert_eq!(line(&mut first), ctl(0, 3, poll(1)));
+        assert_eq!(line(&mut first), ctl(1, 3, poll(1)));
+        first.get_ref().set_nonblocking(true).unwrap();
+        let starved = first.fill_buf().unwrap_err();
+        assert_eq!(starved.kind(), std::io::ErrorKind::WouldBlock);
+    }
+
+    /// A storm kick is part of the tick's own schedule: the victim's
+    /// socket is closed when `kick` returns, so that tick's frames for
+    /// its monitors are unrouted whatever the agent does next.
+    #[test]
+    fn a_kick_closes_the_victims_socket_in_place() {
+        let (mut plane, addr) = plane(2, 8);
+        let mut victim = dial(&mut plane, addr, 0, &[0]);
+        let mut bystander = dial(&mut plane, addr, 1, &[1]);
+        plane.kick(|agent| agent == 0);
+        assert_eq!((plane.stats().kicked, plane.lines.open), (1, 1));
+        let stop = CoordinatorToMonitor::Shutdown;
+        let frame = ControlFrame {
+            epoch: 0,
+            msg: stop,
+        };
+        plane.send([(0, frame), (1, frame)]);
+        assert_eq!(plane.stats().unrouted_drops, 1);
+        assert_eq!(line(&mut victim), welcome_line(0).to_vec());
+        assert_eq!(line(&mut victim), b"", "end of stream");
+        assert_eq!(line(&mut bystander), welcome_line(0).to_vec());
+        assert_eq!(line(&mut bystander), ctl(1, 0, stop));
+    }
+
+    /// Waiting for the fleet blocks in `poll`: four agents dialling 50 ms
+    /// apart cost a few wake-ups each, however long the wait (the loop
+    /// that slept 1 ms at a time would have woken ~200 times).
+    #[test]
+    fn a_coordinator_waiting_for_its_fleet_wakes_per_connection_not_per_interval() {
+        let (mut plane, addr) = plane(4, 8);
+        let dialing = thread::spawn(move || {
+            let dial = |agent: u32| {
+                thread::sleep(Duration::from_millis(50));
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.write_all(&hello(agent, &[agent])).unwrap();
+                stream
+            };
+            (0..4).map(dial).collect::<Vec<_>>()
+        });
+        let began = Instant::now();
+        let by = began + Duration::from_secs(10);
+        assert!(plane.turn_until(by, |lines| lines.seen_count == 4));
+        assert!(began.elapsed() >= Duration::from_millis(150), "it did wait");
+        let wakeups = plane.reactor.waker().wakeups();
+        assert!(wakeups <= 12, "woke {wakeups} times for 4 connections");
+        drop(dialing.join().unwrap());
     }
 
     #[test]

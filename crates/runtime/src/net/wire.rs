@@ -17,12 +17,16 @@
 //!   [`ServerFrame::Ctl`] wrapping one control frame with the
 //!   destination monitor id.
 //!
-//! [`ctl_line`] builds the `Ctl` envelope by textual splice around the
-//! already-encoded control frame instead of decode → wrap → re-encode;
-//! a unit test pins the splice to the derive-generated encoding so any
-//! format drift fails loudly. It is the only hand-spelled JSON in the
-//! workspace's non-test code (a second test keeps it so): every other
-//! frame gets its text from the derives' streaming `write_json`.
+//! The coordinator's socket plane encodes a `Ctl` envelope from its
+//! values, straight into the connection's write batch. [`ctl_line`]
+//! builds the same line by textual splice around an already-encoded
+//! control frame; nothing in the coordinator calls it any more — it
+//! stays exported because the benchmark times it (`net.ctl_line_ns`),
+//! and a unit test pins splice, derive and the plane's bytes to one
+//! another so that row keeps describing the wire. It is the only
+//! hand-spelled JSON in the workspace's non-test code (a second test
+//! keeps it so): every other frame gets its text from the derives'
+//! streaming `write_json`.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -73,8 +77,8 @@ pub fn welcome_line(epoch: u64) -> Bytes {
 }
 
 /// Wraps an already-encoded control frame into a [`ServerFrame::Ctl`]
-/// line without re-encoding it: the coordinator's outbound hot path
-/// splices `{"Ctl":{"to":N,"frame":` + the control frame's JSON + `}}`.
+/// line without re-encoding it: `{"Ctl":{"to":N,"frame":` + the control
+/// frame's JSON + `}}` — byte for byte what the socket plane streams.
 ///
 /// `control` must be [`crate::message::encode`] output (newline
 /// terminated); the trailing newline is stripped before splicing.
@@ -95,7 +99,9 @@ pub fn ctl_line(to: u32, control: &Bytes) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{decode, encode, ControlFrame, CoordinatorToMonitor, TickData};
+    use crate::message::{
+        decode, encode, encode_into, ControlFrame, CoordinatorToMonitor, TickData,
+    };
 
     #[test]
     fn hello_round_trips() {
@@ -151,6 +157,11 @@ mod tests {
             let wrapped = ServerFrame::Ctl { to: 31, frame };
             let derived = encode(&wrapped);
             assert_eq!(spliced, derived, "splice drifted from derive for {frame:?}");
+            // What the socket plane writes: the envelope streamed straight
+            // into a connection's write batch, behind what is staged there.
+            let mut batch = b"staged\n".to_vec();
+            encode_into(&wrapped, &mut batch);
+            assert_eq!(batch[7..], spliced[..], "the plane's bytes drifted");
             let mut tree = Vec::new();
             serde::json::write_value(&wrapped.to_value(), &mut tree, None);
             tree.push(b'\n');

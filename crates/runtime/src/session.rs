@@ -6,7 +6,8 @@
 //! - **spawn** ([`TaskSession::spawn`]): the only monitor-actor recipe
 //!   ([`monitor_actor`]), the only [`CoordinatorActor`] construction and
 //!   the plane between them ([`MonitorPlane`]) — the monitors in a slot
-//!   table this session steps itself, or behind a socket event loop;
+//!   table this session steps itself, or behind sockets it steps just
+//!   the same;
 //! - **step** ([`TaskSession::step`]): send one tick's [`TickData`], then
 //!   step the coordinator machine on this thread — pump monitor frames
 //!   into it, execute its outbox — until the tick's [`TickSummary`]
@@ -14,25 +15,23 @@
 //! - **finish** ([`TaskSession::finish`]): Shutdown, flush — on success
 //!   *and* on error.
 //!
-//! Neither the coordinator nor an in-process monitor has a thread: the
-//! coordinator is a machine ([`crate::coordinator`]) that never blocks,
-//! a monitor is a slot that answers the frame it is handed, and this
-//! module is their I/O shell — the plane, the checkpoint [`Wal`], the
-//! one wait whose deadline the machine arms, the obs handles. With the
-//! monitors in process nothing runs concurrently, so a report is a pure
-//! function of the traces, the spec and the [`FaultPlan`]: the tick
-//! deadline only sets how long a silent monitor's tick takes.
+//! Nothing here has a thread: the coordinator is a machine
+//! ([`crate::coordinator`]) that never blocks, an in-process monitor is
+//! a slot that answers the frame it is handed, the socket plane is a
+//! connection table turned while the machine waits, and this module is
+//! their I/O shell — the plane, the checkpoint [`Wal`], the one wait
+//! whose deadline the machine arms, the obs handles. With the monitors
+//! in process nothing runs concurrently, so a report is a pure function
+//! of the traces, the spec and the [`FaultPlan`]: the tick deadline only
+//! sets how long a silent monitor's tick takes.
 //!
 //! The runners keep policy only: [`crate::TaskRunner`] supervision,
 //! standby failover and sinks; [`crate::MultiTaskRunner`] N sessions in
 //! lock-step with gates driven between steps; [`crate::NetCoordinator`]
-//! one remote session beside its event loop.
+//! one remote session, its sockets served between ticks.
 
 use std::thread;
 use std::time::{Duration, Instant};
-
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use volley_core::allocation::AllocationConfig;
 use volley_core::coordinator::{CoordinationScheme, Coordinator};
@@ -40,7 +39,6 @@ use volley_core::task::{MonitorId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
 use volley_obs::{names, Counter, Histogram, Obs};
-use volley_serve::reactor::Waker;
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord};
@@ -52,6 +50,7 @@ use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
 use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
+use crate::net::SocketPlane;
 use crate::runner::RuntimeReport;
 
 /// A fresh sampler at the default interval holding allowance `err`.
@@ -194,16 +193,11 @@ pub(crate) enum MonitorPlane {
         table: SlotTable,
         in_flight: Vec<u8>,
     },
-    /// Behind sockets: control frames leave tagged `(monitor, frame)` on
-    /// `out` (each send firing `waker`, so the loop blocks in `poll`
-    /// instead of polling the channel), monitor frames arrive on
-    /// `from_monitors` — both far ends held by the event loop that owns
-    /// the connections.
-    Remote {
-        out: Sender<(u32, Bytes)>,
-        waker: Waker,
-        from_monitors: Receiver<Bytes>,
-    },
+    /// Behind sockets the session steps on its own thread as well: a
+    /// control frame is encoded straight into its connection's write
+    /// batch, and the replies the agents write back are read into the
+    /// plane's inbox while the coordinator machine waits for them.
+    Remote(Box<SocketPlane>),
 }
 
 impl MonitorPlane {
@@ -220,8 +214,9 @@ impl MonitorPlane {
     }
 
     /// Sends each `(monitor, message)` of `frames` at `epoch`, in order,
-    /// calling `refused` for every monitor that is gone (it crashed or
-    /// shut down, or the event loop dropped its receiver).
+    /// calling `refused` for every in-process monitor that is gone (it
+    /// crashed or shut down). A monitor no live connection hosts is the
+    /// socket plane's to count, and the deadline's to notice.
     fn send(
         &mut self,
         epoch: u64,
@@ -240,30 +235,9 @@ impl MonitorPlane {
                     }
                 }
             }
-            MonitorPlane::Remote { out, waker, .. } => {
-                // Seal the whole batch, then send it: the loop wakes on
-                // the first frame, and by the time it looks most of the
-                // rest are queued behind it — a few write batches per
-                // agent instead of a trickle paced by the encoder. A
-                // broadcast's identical frame is sealed once.
-                let frames = frames.into_iter();
-                let mut sealed: Vec<(MonitorId, Bytes)> = Vec::with_capacity(frames.size_hint().0);
-                let mut last = None;
-                for (to, msg) in frames {
-                    let frame = match sealed.last() {
-                        Some((_, same)) if last == Some(msg) => same.clone(),
-                        _ => ControlFrame::seal(epoch, msg),
-                    };
-                    last = Some(msg);
-                    sealed.push((to, frame));
-                }
-                for (to, frame) in sealed {
-                    let sent = out.send((to.0, frame)).is_ok();
-                    waker.wake();
-                    if !sent {
-                        refused(to);
-                    }
-                }
+            MonitorPlane::Remote(plane) => {
+                let stamped = |(to, msg): (MonitorId, _)| (to.0, ControlFrame { epoch, msg });
+                plane.send(frames.into_iter().map(stamped));
             }
         }
     }
@@ -334,6 +308,15 @@ impl<'a> TaskSession<'a> {
         })
     }
 
+    /// The socket plane of a networked session, for its driver to serve
+    /// between ticks.
+    pub(crate) fn remote(&mut self) -> &mut SocketPlane {
+        match &mut self.plane {
+            MonitorPlane::Remote(plane) => plane,
+            MonitorPlane::Inline { .. } => unreachable!("the session was spawned in process"),
+        }
+    }
+
     /// Every monitor of the task, in order.
     fn monitors(&self) -> impl Iterator<Item = MonitorId> {
         (0..self.config.spec.monitors().len() as u32).map(MonitorId)
@@ -354,8 +337,7 @@ impl<'a> TaskSession<'a> {
     ///
     /// [`VolleyError::RuntimeDisconnected`] when the coordinator crashed
     /// mid-tick: [`fail_over`](Self::fail_over) and step the same tick
-    /// again, or [`finish`](Self::finish). Also when the socket plane's
-    /// event loop is gone.
+    /// again, or [`finish`](Self::finish).
     pub(crate) fn step(
         &mut self,
         tick: Tick,
@@ -378,7 +360,8 @@ impl<'a> TaskSession<'a> {
     /// that runs dry hands it what the monitors have sent — waiting for
     /// that at most until the deadline the machine last armed, which is
     /// then reported to it instead. In process nothing can arrive during
-    /// the wait, so a silent monitor costs exactly its deadline. When an
+    /// the wait, so a silent monitor costs exactly its deadline; behind
+    /// sockets the wait is the connection table being turned. When an
     /// injected crash fires the step fails with the machine dead and its
     /// log closed, as a crashed process would leave them.
     ///
@@ -445,29 +428,26 @@ impl<'a> TaskSession<'a> {
                     }
                 }
             }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match &mut self.plane {
-                MonitorPlane::Inline { in_flight, .. } if !in_flight.is_empty() => {
-                    self.obs.recvs.add(coordinator.on_payload(in_flight));
-                    let read = in_flight.len();
-                    in_flight.clear();
-                    in_flight.shrink_to(PAYLOAD_SCRATCH.max(2 * read));
-                }
-                MonitorPlane::Inline { .. } => {
-                    thread::sleep(wait);
-                    coordinator.on_deadline();
-                }
-                MonitorPlane::Remote { from_monitors, .. } => {
-                    match from_monitors.recv_timeout(wait) {
-                        Ok(payload) => self.obs.recvs.add(coordinator.on_payload(&payload)),
-                        Err(RecvTimeoutError::Timeout) => coordinator.on_deadline(),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(VolleyError::RuntimeDisconnected {
-                                component: "monitor plane",
-                            })
-                        }
+            let arrived = match &mut self.plane {
+                MonitorPlane::Inline { in_flight, .. } => {
+                    if in_flight.is_empty() {
+                        thread::sleep(deadline.saturating_duration_since(Instant::now()));
                     }
+                    in_flight
                 }
+                MonitorPlane::Remote(plane) => plane.collect(deadline),
+            };
+            if arrived.is_empty() {
+                coordinator.on_deadline();
+                continue;
+            }
+            self.obs.recvs.add(coordinator.on_payload(arrived));
+            let read = arrived.len();
+            arrived.clear();
+            // The socket plane's inbox is sized to what arrived and keeps
+            // it: re-sizing it every tick only fragments the allocator.
+            if let MonitorPlane::Inline { in_flight, .. } = &mut self.plane {
+                in_flight.shrink_to(PAYLOAD_SCRATCH.max(2 * read));
             }
         }
     }
@@ -666,10 +646,10 @@ mod tests {
         }
     }
 
-    /// The drift guard for the monitor plane: a session spawns nothing,
-    /// however many monitors it runs — the crate's one `thread::spawn` is
-    /// the socket server's event loop; no monitor, host or coordinator
-    /// has a thread of its own.
+    /// The drift guard for the monitor plane: nothing in this crate spawns
+    /// a thread — no monitor, host or coordinator has one of its own, and
+    /// the networked coordinator serves its sockets on the thread that
+    /// steps the session, so it spawns no thread either.
     #[test]
     fn a_session_spawns_no_thread() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -678,46 +658,63 @@ mod tests {
             let spawns = non_test_source(path).matches("thread::spawn(").count();
             sites.extend(std::iter::repeat_n(path.to_path_buf(), spawns));
         });
-        assert_eq!(sites, [src.join("net/server.rs")], "the event loop only");
+        assert!(sites.is_empty(), "thread::spawn( in {sites:?}");
     }
 
-    /// The socket plane's send: every frame leaves tagged with its
-    /// monitor, in order, each send arms the loop's waker, and a loop
-    /// that is gone refuses the frame.
+    /// The socket plane's send, over a loopback pair: every frame leaves
+    /// stamped with the epoch and wrapped for its monitor, in order, and
+    /// written by the send itself — nothing turns the table while the
+    /// far end reads. A monitor no live connection hosts is an unrouted
+    /// drop, not a refusal.
     #[test]
-    fn the_remote_plane_tags_frames_wakes_the_loop_and_reports_its_loss() {
-        use crossbeam::channel::unbounded;
-        use volley_serve::reactor::Reactor;
+    fn the_remote_plane_writes_frames_in_order_within_the_send_and_counts_the_unrouted() {
+        use crate::message::encode;
+        use crate::net::{ctl_line, welcome_line, AgentHello, NetAddr};
+        use std::io::{Read, Write};
 
-        let (out, routed) = unbounded::<(u32, Bytes)>();
-        let (_to_session, from_monitors) = unbounded::<Bytes>();
-        let mut reactor = Reactor::new().unwrap();
-        let mut plane = MonitorPlane::Remote {
-            out,
-            waker: reactor.waker(),
-            from_monitors,
+        let mut sockets = SocketPlane::bind(&NetAddr::Tcp("127.0.0.1:0".into()), 8).unwrap();
+        let mut agent = std::net::TcpStream::connect(sockets.local_addr().unwrap()).unwrap();
+        let hello = AgentHello {
+            agent: 0,
+            monitors: vec![3, 7],
+            epoch: 0,
         };
+        let revived = MonitorToCoordinator::Revived {
+            monitor: MonitorId(3),
+        };
+        let revived = MonitorFrame::seal(0, revived);
+        agent.write_all(&encode(&hello)).unwrap();
+        agent.write_all(&revived).unwrap();
+        // The hello registers on the way to the first monitor frame.
+        let inbox = sockets.collect(Instant::now() + Duration::from_secs(10));
+        assert_eq!(inbox[..], revived[..]);
+
+        let mut plane = MonitorPlane::Remote(Box::new(sockets));
         let poll = CoordinatorToMonitor::Poll { tick: 9 };
         let stop = CoordinatorToMonitor::Shutdown;
         let mut refused = Vec::new();
         let frames = [
             (MonitorId(3), poll),
             (MonitorId(7), poll),
+            (MonitorId(1), poll),
             (MonitorId(3), stop),
         ];
         plane.send(4, frames, |monitor| refused.push(monitor));
         assert!(refused.is_empty());
-        let routed_frames: Vec<(u32, Bytes)> = routed.try_iter().collect();
-        let sealed = |msg| ControlFrame::seal(4, msg);
-        assert_eq!(
-            routed_frames,
-            [(3, sealed(poll)), (7, sealed(poll)), (3, sealed(stop))]
-        );
-        // The sends armed the waker: a wait with no deadline returns.
-        reactor.wait(&[], None, &mut Vec::new());
-        drop(routed);
-        plane.send(4, [(MonitorId(1), poll)], |monitor| refused.push(monitor));
-        assert_eq!(refused, [MonitorId(1)]);
+        let wire = |to, msg| ctl_line(to, &ControlFrame::seal(4, msg));
+        let lines = [welcome_line(0), wire(3, poll), wire(7, poll), wire(3, stop)];
+        let expected: Vec<u8> = lines.iter().flat_map(|line| line.to_vec()).collect();
+        let mut read = vec![0u8; expected.len()];
+        agent
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        agent.read_exact(&mut read).unwrap();
+        assert_eq!(read, expected);
+        let MonitorPlane::Remote(sockets) = &plane else {
+            unreachable!("the plane is remote");
+        };
+        assert_eq!(sockets.stats().unrouted_drops, 1);
+        assert_eq!(sockets.stats().frames_out, 4);
     }
 
     /// The drift guard for the tick path: actors are built in this module

@@ -9,7 +9,7 @@
 //! socket reads and writes can carry timeouts ([`TransportConfig`]).
 //!
 //! [`read_frame_limited`] is the blocking reference reader: the
-//! nonblocking [`FrameBuffer`](crate::net::FrameBuffer) the event loop
+//! nonblocking [`FrameBuffer`](crate::net::FrameBuffer) the coordinator
 //! and the agents use is property-tested to agree with it byte for byte.
 
 use std::io::{BufRead, Read};

@@ -1,5 +1,5 @@
-//! The one readiness reactor under both event loops
-//! (`runtime::net::server` and [`crate::server`]).
+//! The one readiness reactor under both socket planes
+//! (`runtime::net::server`'s agents and [`crate::server`]'s HTTP).
 //!
 //! Three layers, bottom up:
 //!
@@ -17,19 +17,23 @@
 //!   the flag clear and writes a fresh byte. So no wakeup is lost, the
 //!   socket pair never holds more than one byte, and a 256-frame
 //!   broadcast costs a wake per loop pass it spans, not 256.
-//! - [`run`]: the connection table both planes used to spell by hand —
-//!   slot reuse, read-chunk → [`Protocol::on_bytes`], a frame out-queue
-//!   drained in ~64 KiB write batches with partial-write carry-over,
-//!   close-after-write, idle reaping — parameterised by [`Protocol`]
-//!   (line frames for agents, HTTP for the serving plane). Caps stay
-//!   protocol policy: the net plane drops a *frame* at a full queue, the
-//!   HTTP plane drops the *client*.
+//! - [`Table`]: the connection table both planes used to spell by hand
+//!   — slot reuse, read-chunk → [`Protocol::on_bytes`], one write batch
+//!   per connection that frames are appended (or encoded straight) into
+//!   and that leaves with partial-write carry-over, close-after-write,
+//!   idle reaping — parameterised by [`Protocol`] (line frames for
+//!   agents, HTTP for the serving plane) and stepped one pass at a time
+//!   by [`Table::step`]. The agent plane's owner steps it on its own
+//!   thread, between the frames it stages; [`run`] is the loop over the
+//!   same step for a plane served on a thread of its own (HTTP). Caps
+//!   stay protocol policy: the net plane drops a *frame* at a full
+//!   queue, the HTTP plane drops the *client*.
 //!
-//! The loop blocks on {listener, every socket for read, sockets with
-//! pending bytes for write, the waker}; its timeout is only the next
-//! idle-reap deadline. An idle loop does not wake.
+//! A step blocks on {listener, every socket for read, sockets with
+//! pending bytes for write, the waker}; its timeout is the caller's cap
+//! or the next idle-reap deadline, whichever is sooner. An idle loop
+//! does not wake.
 
-use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 #[cfg(unix)]
 use std::os::unix::{io::AsRawFd, net::UnixStream};
@@ -37,8 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How big a write batch grows before it must drain (bytes).
-const WRITE_BATCH: usize = 64 * 1024;
 /// Read chunk size per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 /// The portable fallback's park: what both loops slept before `poll`.
@@ -306,13 +308,11 @@ pub enum Flow {
     Stop,
 }
 
-/// What a plane plugs into [`run`]: its listener, its per-connection
-/// state and what bytes mean.
+/// What a plane plugs into a [`Table`]: its listener, its
+/// per-connection state and what bytes mean.
 pub trait Protocol: Sized {
     /// The accepted stream type.
     type Stream: Read + Write + Pollable;
-    /// One queued outbound unit (a frame line, an HTTP response/chunk).
-    type Frame: AsRef<[u8]>;
     /// Per-connection protocol state (reassembly buffer, identity).
     type State;
 
@@ -331,13 +331,15 @@ pub trait Protocol: Sized {
     /// `bytes` arrived on `conn` (table slot `slot`).
     fn on_bytes(&mut self, slot: usize, conn: &mut Conn<Self>, bytes: &[u8]);
 
-    /// Runs once per pass, after reads and before writes: drain the
-    /// channels and flags other threads publish to (each publish fires
-    /// the [`Waker`]), queue what they produced, enforce caps.
-    fn turn(&mut self, conns: &mut [Option<Conn<Self>>]) -> Flow;
-
-    /// `frames` queued frames were moved into a connection's write batch.
-    fn flushed(&mut self, _frames: usize) {}
+    /// Runs once per pass, after reads and before writes. A plane served
+    /// by [`run`] on a thread of its own drains here the channels and
+    /// flags other threads publish to (each publish fires the
+    /// [`Waker`]), queues what they produced and enforces its caps; a
+    /// plane whose owner steps the table itself acts between steps and
+    /// keeps this default.
+    fn turn(&mut self, _conns: &mut [Option<Conn<Self>>]) -> Flow {
+        Flow::Run
+    }
 
     /// Whether `conn` is exempt from idle reaping right now.
     fn idle_exempt(&self, _conn: &Conn<Self>) -> bool {
@@ -355,18 +357,17 @@ enum Close {
     Now,
 }
 
-/// One connection slot: the stream, the protocol's state and the
-/// outbound queue with its current write batch.
+/// One connection slot: the stream, the protocol's state and the write
+/// batch — every frame accepted and not yet on the wire, back to back.
 pub struct Conn<P: Protocol> {
     stream: P::Stream,
     /// The protocol's per-connection state.
     pub state: P::State,
-    outq: VecDeque<P::Frame>,
-    /// Bytes in `outq` (the write batch not included).
-    queued_bytes: usize,
-    /// Current write batch and how much of it is already on the wire.
+    /// The write batch and how much of it is already on the wire.
     wbuf: Vec<u8>,
     wpos: usize,
+    /// Frames in `wbuf`.
+    frames: usize,
     last_read: Instant,
     close: Close,
 }
@@ -377,35 +378,35 @@ impl<P: Protocol> Conn<P> {
         Conn {
             stream,
             state,
-            outq: VecDeque::new(),
-            queued_bytes: 0,
             wbuf: Vec::new(),
             wpos: 0,
+            frames: 0,
             last_read: Instant::now(),
             close: Close::Open,
         }
     }
 
     /// Queues one frame behind everything already queued.
-    pub fn push(&mut self, frame: P::Frame) {
-        self.queued_bytes += frame.as_ref().len();
-        self.outq.push_back(frame);
+    pub fn push(&mut self, frame: impl AsRef<[u8]>) {
+        self.stage(|batch| batch.extend_from_slice(frame.as_ref()));
     }
 
-    /// Queues one frame ahead of the queue (handshake replies).
-    pub fn push_front(&mut self, frame: P::Frame) {
-        self.queued_bytes += frame.as_ref().len();
-        self.outq.push_front(frame);
+    /// Queues the one frame `encode` appends to the write batch — for
+    /// senders that encode in place instead of building a frame first.
+    pub fn stage(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.wbuf);
+        self.frames += 1;
     }
 
-    /// Frames queued behind the current write batch.
+    /// Frames accepted and not yet written; a frame leaves the count
+    /// once the batch it travels in is on the wire.
     pub fn queued(&self) -> usize {
-        self.outq.len()
+        self.frames
     }
 
     /// Bytes accepted but not yet on the wire.
     pub fn pending_bytes(&self) -> usize {
-        self.queued_bytes + self.wbuf.len() - self.wpos
+        self.wbuf.len() - self.wpos
     }
 
     /// Whether the connection still reads and accepts frames.
@@ -420,7 +421,8 @@ impl<P: Protocol> Conn<P> {
         }
     }
 
-    /// Closes at the end of this pass, dropping what is queued.
+    /// Closes at the end of the pass (the next one, when called between
+    /// steps), dropping what is queued.
     pub fn close_now(&mut self) {
         self.close = Close::Now;
     }
@@ -448,65 +450,89 @@ impl<P: Protocol> Conn<P> {
         progress
     }
 
-    /// Writes batches until the queue drains or the socket would block;
-    /// returns `(frames moved into batches, whether any byte left)`.
-    fn flush(&mut self) -> (usize, bool) {
-        let (mut frames, mut progress) = (0, false);
-        loop {
-            if self.wpos == self.wbuf.len() {
-                self.wbuf.clear();
-                self.wpos = 0;
-                while self.wbuf.len() < WRITE_BATCH {
-                    let Some(frame) = self.outq.pop_front() else {
-                        break;
-                    };
-                    self.wbuf.extend_from_slice(frame.as_ref());
-                    frames += 1;
-                }
-                self.queued_bytes -= self.wbuf.len();
-                if self.wbuf.is_empty() {
-                    break; // nothing left to send
-                }
-            }
+    /// Writes the batch until it is gone or the socket would block — one
+    /// `write` when the kernel takes it whole; whether any byte left. A
+    /// [`Table::step`] flushes every backlogged connection; an owner that
+    /// stages frames between steps calls this to send them at once.
+    pub fn flush(&mut self) -> bool {
+        let mut progress = false;
+        while self.close != Close::Now && self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => self.close_now(),
                 Ok(k) => {
                     self.wpos += k;
                     progress = true;
-                    continue;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => self.close_now(),
             }
-            break;
         }
-        (frames, progress)
+        if self.wpos == self.wbuf.len() {
+            self.wbuf.clear();
+            (self.wpos, self.frames) = (0, 0);
+        } else if self.wpos > self.wbuf.len() / 2 {
+            // A backlogged peer: drop the written half, so the batch is
+            // bounded by what pends, not by the connection's lifetime.
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
+        progress
     }
 }
 
-/// Serves `proto` on `reactor` until a [`Protocol::turn`] says
-/// [`Flow::Stop`] or a [`Flow::Drain`] runs dry. Connections silent for
-/// longer than `idle_timeout` are reaped (zero disables reaping).
-pub fn run<P: Protocol>(reactor: &mut Reactor, proto: &mut P, idle_timeout: Duration) {
-    let mut conns: Vec<Option<Conn<P>>> = Vec::new();
-    let mut interests = Vec::new();
-    let mut ready = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut flow = Flow::Run;
-    loop {
-        // Block on the listener, every open socket for read, backlogged
-        // sockets for write (and the waker); the only deadline is the
-        // next idle reap.
-        let running = flow == Flow::Run;
+/// The connection table of one listener: slot reuse, the read chunk and
+/// the poll set, stepped one pass at a time.
+pub struct Table<P: Protocol> {
+    conns: Vec<Option<Conn<P>>>,
+    interests: Vec<Interest>,
+    ready: Vec<Ready>,
+    chunk: Vec<u8>,
+    idle_timeout: Duration,
+    flow: Flow,
+}
+
+impl<P: Protocol> Table<P> {
+    /// An empty table reaping connections silent for longer than
+    /// `idle_timeout` (zero disables reaping).
+    pub fn new(idle_timeout: Duration) -> Self {
+        Table {
+            conns: Vec::new(),
+            interests: Vec::new(),
+            ready: Vec::new(),
+            chunk: vec![0u8; READ_CHUNK],
+            idle_timeout,
+            flow: Flow::Run,
+        }
+    }
+
+    /// The slots, for an owner that queues, flushes or closes between
+    /// steps. A closed connection keeps its slot until the next step.
+    pub fn conns(&mut self) -> &mut [Option<Conn<P>>] {
+        &mut self.conns
+    }
+
+    /// One pass: wait (at most `cap`, and never past the next idle reap)
+    /// on the listener, every open socket for read and backlogged
+    /// sockets for write → accept → read → [`Protocol::turn`] → flush →
+    /// reap. Returns whether to step again: `false` once a turn said
+    /// [`Flow::Stop`] or a [`Flow::Drain`] ran dry.
+    pub fn step(&mut self, reactor: &mut Reactor, proto: &mut P, cap: Option<Duration>) -> bool {
+        let running = self.flow == Flow::Run;
+        let idle_timeout = self.idle_timeout;
+        let reaps =
+            |proto: &P, conn: &Conn<P>| idle_timeout > Duration::ZERO && !proto.idle_exempt(conn);
+        // A connection closed since the last step is reaped by this one,
+        // not by whichever one the wait happens to end for.
+        let mut closing = false;
         let mut reap_at: Option<Instant> = None;
-        interests.clear();
-        interests.push(Interest {
+        self.interests.clear();
+        self.interests.push(Interest {
             fd: proto.listener(),
             read: running,
             write: false,
         });
-        for entry in &conns {
+        for entry in &self.conns {
             // An empty slot keeps its index: `poll` skips negative fds.
             let mut interest = Interest {
                 fd: -1,
@@ -519,56 +545,55 @@ pub fn run<P: Protocol>(reactor: &mut Reactor, proto: &mut P, idle_timeout: Dura
                     read: conn.is_open(),
                     write: conn.pending_bytes() > 0,
                 };
-                if idle_timeout > Duration::ZERO && !proto.idle_exempt(conn) {
+                closing |= conn.close == Close::Now;
+                if reaps(proto, conn) {
                     let at = conn.last_read + idle_timeout;
                     reap_at = Some(reap_at.map_or(at, |first| first.min(at)));
                 }
             }
-            interests.push(interest);
+            self.interests.push(interest);
         }
-        let timeout = if running {
-            reap_at.map(|at| at.saturating_duration_since(Instant::now()))
+        let timeout = if running && !closing {
+            let reap_in = reap_at.map(|at| at.saturating_duration_since(Instant::now()));
+            [cap, reap_in].into_iter().flatten().min()
         } else {
             Some(Duration::ZERO)
         };
-        reactor.wait(&interests, timeout, &mut ready);
+        reactor.wait(&self.interests, timeout, &mut self.ready);
         let now = Instant::now();
         let mut progress = false;
 
-        if running && ready[0].read {
+        if running && self.ready[0].read {
             // Anything but a fresh connection (no more pending, or a
             // failure) ends the batch; the listener stays registered.
             while let Ok((stream, state)) = proto.accept() {
                 let conn = Some(Conn::new(stream, state));
-                match conns.iter().position(Option::is_none) {
-                    Some(slot) => conns[slot] = conn,
-                    None => conns.push(conn),
+                match self.conns.iter().position(Option::is_none) {
+                    Some(slot) => self.conns[slot] = conn,
+                    None => self.conns.push(conn),
                 }
             }
         }
-        for (slot, entry) in conns.iter_mut().enumerate() {
+        for (slot, entry) in self.conns.iter_mut().enumerate() {
             if let Some(conn) = entry {
-                if ready.get(slot + 1).is_some_and(|r| r.read) {
-                    progress |= conn.fill(proto, slot, &mut chunk, now);
+                if self.ready.get(slot + 1).is_some_and(|r| r.read) {
+                    progress |= conn.fill(proto, slot, &mut self.chunk, now);
                 }
             }
         }
-        flow = proto.turn(&mut conns);
-        if flow == Flow::Stop {
-            return;
+        self.flow = proto.turn(&mut self.conns);
+        if self.flow == Flow::Stop {
+            return false;
         }
-        for (slot, entry) in conns.iter_mut().enumerate() {
+        for (slot, entry) in self.conns.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
-            if conn.close != Close::Now && conn.pending_bytes() > 0 {
-                let (frames, wrote) = conn.flush();
-                proto.flushed(frames);
-                progress |= wrote;
+            if conn.pending_bytes() > 0 {
+                progress |= conn.flush();
             }
             let idle = conn.is_open()
-                && idle_timeout > Duration::ZERO
-                && !proto.idle_exempt(conn)
+                && reaps(proto, conn)
                 && now.duration_since(conn.last_read) > idle_timeout;
             let done = match conn.close {
                 Close::Open => idle,
@@ -579,10 +604,17 @@ pub fn run<P: Protocol>(reactor: &mut Reactor, proto: &mut P, idle_timeout: Dura
                 proto.on_close(slot, entry.take().expect("checked above"), idle);
             }
         }
-        if flow == Flow::Drain && (!progress || conns.iter().all(Option::is_none)) {
-            return;
-        }
+        self.flow == Flow::Run || (progress && self.conns.iter().any(Option::is_some))
     }
+}
+
+/// Serves `proto` on `reactor` — a [`Table`] stepped with no cap on its
+/// wait — until a [`Protocol::turn`] says [`Flow::Stop`] or a
+/// [`Flow::Drain`] runs dry. Connections silent for longer than
+/// `idle_timeout` are reaped (zero disables reaping).
+pub fn run<P: Protocol>(reactor: &mut Reactor, proto: &mut P, idle_timeout: Duration) {
+    let mut table = Table::new(idle_timeout);
+    while table.step(reactor, proto, None) {}
 }
 
 #[cfg(test)]
@@ -735,7 +767,6 @@ mod tests {
 
     impl Protocol for Echo {
         type Stream = TcpStream;
-        type Frame = Vec<u8>;
         type State = ();
 
         fn listener(&self) -> Fd {
@@ -749,7 +780,7 @@ mod tests {
         }
 
         fn on_bytes(&mut self, _slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
-            conn.push(bytes.to_vec());
+            conn.push(bytes);
         }
 
         fn turn(&mut self, _conns: &mut [Option<Conn<Self>>]) -> Flow {
@@ -765,6 +796,18 @@ mod tests {
         }
     }
 
+    /// An echo protocol nobody has told to stop, and where its closes
+    /// are reported.
+    fn echo() -> (Echo, mpsc::Receiver<bool>) {
+        let (closed, closes) = mpsc::channel();
+        let echo = Echo {
+            listener: listener(),
+            stop: Arc::new(AtomicBool::new(false)),
+            closed,
+        };
+        (echo, closes)
+    }
+
     /// An echo loop on its own thread: `(address, waker, stop, closes, join)`.
     #[allow(clippy::type_complexity)]
     fn echo_loop(
@@ -778,13 +821,8 @@ mod tests {
     ) {
         let mut reactor = Reactor::new().unwrap();
         let waker = reactor.waker();
-        let stop = Arc::new(AtomicBool::new(false));
-        let (closed, closes) = mpsc::channel();
-        let mut echo = Echo {
-            listener: listener(),
-            stop: Arc::clone(&stop),
-            closed,
-        };
+        let (mut echo, closes) = echo();
+        let stop = Arc::clone(&echo.stop);
         let addr = echo.listener.local_addr().unwrap();
         let join = thread::spawn(move || run(&mut reactor, &mut echo, idle_timeout));
         (addr, waker, stop, closes, join)
@@ -837,6 +875,114 @@ mod tests {
         join.join().unwrap();
     }
 
+    /// The step's wait: a cap is waited out — rounded up to the
+    /// millisecond, never cut short — in one wait; without a cap it ends
+    /// at the next idle reap; and a connection its owner closed between
+    /// steps is reaped at once, whatever the wait could have been.
+    #[test]
+    fn a_step_waits_for_its_cap_or_else_the_next_reap() {
+        let mut reactor = Reactor::new().unwrap();
+        let waker = reactor.waker();
+        let (mut echo, closes) = echo();
+        let mut table = Table::new(Duration::from_millis(80));
+        let cap = Duration::from_micros(20_300);
+        let began = Instant::now();
+        assert!(table.step(&mut reactor, &mut echo, Some(cap)));
+        assert!(
+            began.elapsed() >= cap,
+            "woke {:?} early",
+            cap - began.elapsed()
+        );
+        assert_eq!(waker.wakeups(), 1, "one wait, not a polling cadence");
+
+        let addr = echo.listener.local_addr().unwrap();
+        let _silent = TcpStream::connect(addr).unwrap();
+        assert!(table.step(&mut reactor, &mut echo, None), "the accept");
+        let accepted = Instant::now();
+        let idle = loop {
+            assert!(table.step(&mut reactor, &mut echo, None));
+            if let Ok(idle) = closes.try_recv() {
+                break idle;
+            }
+        };
+        assert!(idle, "closed as idle");
+        assert!(accepted.elapsed() >= Duration::from_millis(70));
+        assert!(waker.wakeups() <= 5, "a deadline, not a cadence");
+
+        let _kicked = TcpStream::connect(addr).unwrap();
+        let mut uncapped = Table::new(Duration::ZERO);
+        assert!(uncapped.step(&mut reactor, &mut echo, None), "the accept");
+        uncapped.conns()[0].as_mut().unwrap().close_now();
+        assert!(uncapped.step(&mut reactor, &mut echo, None));
+        assert!(!closes.try_recv().unwrap(), "closed, and not for silence");
+    }
+
+    /// A stream that takes every write whole and keeps them apart.
+    #[derive(Default)]
+    struct Sink {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for Sink {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(ErrorKind::WouldBlock.into())
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[cfg(unix)]
+    impl AsRawFd for Sink {
+        fn as_raw_fd(&self) -> Fd {
+            -1
+        }
+    }
+
+    /// A plane of sinks: nothing to accept, nothing to read.
+    struct Sinks;
+
+    impl Protocol for Sinks {
+        type Stream = Sink;
+        type State = ();
+
+        fn listener(&self) -> Fd {
+            -1
+        }
+
+        fn accept(&mut self) -> io::Result<(Sink, ())> {
+            Err(ErrorKind::WouldBlock.into())
+        }
+
+        fn on_bytes(&mut self, _slot: usize, _conn: &mut Conn<Self>, _bytes: &[u8]) {}
+
+        fn on_close(&mut self, _slot: usize, _conn: Conn<Self>, _idle: bool) {}
+    }
+
+    /// Frames pushed whole and frames encoded in place share one batch,
+    /// leave back to back in one `write`, and stop counting as queued.
+    #[test]
+    fn staged_frames_leave_in_order_in_one_write() {
+        let mut conn: Conn<Sinks> = Conn::new(Sink::default(), ());
+        conn.push(b"one\n");
+        conn.stage(|batch| batch.extend_from_slice(b"two\n"));
+        conn.push("three\n");
+        assert_eq!((conn.queued(), conn.pending_bytes()), (3, 14));
+        assert!(conn.flush(), "bytes left");
+        assert_eq!(conn.stream.writes, [b"one\ntwo\nthree\n".to_vec()]);
+        assert_eq!((conn.queued(), conn.pending_bytes()), (0, 0));
+        assert!(!conn.flush(), "nothing left to write");
+        assert_eq!(conn.stream.writes.len(), 1);
+    }
+
     /// Non-test source of one file: everything before its test module.
     fn non_test_source(path: &Path) -> String {
         let text = std::fs::read_to_string(path).expect("readable source");
@@ -860,21 +1006,34 @@ mod tests {
         }
     }
 
-    /// The drift guard: both event loops run on this reactor — neither
-    /// parks on a sleep or a timed channel receive — and the workspace's
-    /// one FFI site stays one.
+    /// The drift guard: both socket planes wait in this reactor — neither
+    /// parks on a sleep or a timed channel receive — over one connection
+    /// table ([`run`] is the loop over the step the agent plane's owner
+    /// calls; accept, read, write and reap are spelled once), and the
+    /// workspace's one FFI site stays one.
     #[test]
-    fn both_loops_block_in_the_reactor_and_ffi_stays_in_one_file() {
+    fn both_planes_step_one_table_and_ffi_stays_in_one_file() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for file in [
-            "crates/runtime/src/net/server.rs",
-            "crates/serve/src/server.rs",
+        for (file, entry) in [
+            ("crates/runtime/src/net/server.rs", ".step("),
+            ("crates/serve/src/server.rs", "reactor::run("),
         ] {
             let source = non_test_source(&root.join(file));
             for park in ["thread::sleep", "recv_timeout("] {
                 assert!(!source.contains(park), "{file} parks on `{park}`");
             }
-            assert!(source.contains("reactor::run("), "{file} left the reactor");
+            assert!(source.contains(entry), "{file} left the reactor");
+        }
+        let table = non_test_source(&root.join("crates/serve/src/reactor.rs"));
+        let run = &table[table.find("pub fn run<").expect("`run` exists")..];
+        assert!(run.contains("table.step("), "`run` grew its own loop body");
+        for once in [
+            "proto.accept()",
+            "stream.read(",
+            "stream.write(",
+            "proto.on_close(",
+        ] {
+            assert_eq!(table.matches(once).count(), 1, "`{once}` is spelled once");
         }
         let mut files = Vec::new();
         rust_files(&root, &mut files);

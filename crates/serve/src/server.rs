@@ -251,7 +251,6 @@ struct Http {
 
 impl Protocol for Http {
     type Stream = TcpStream;
-    type Frame = Vec<u8>;
     type State = HttpConn;
 
     fn listener(&self) -> Fd {

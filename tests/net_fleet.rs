@@ -1,8 +1,7 @@
-//! End-to-end socket fleet tests: a real `NetCoordinator` event loop
-//! serving real `run_agent` connections over localhost TCP and Unix
-//! sockets, checked for bit-for-bit report parity against the
-//! in-process `TaskRunner` and for robustness under reconnect storms
-//! and stalled peers.
+//! End-to-end socket fleet tests: a real `NetCoordinator` stepping real
+//! `run_agent` connections over localhost TCP and Unix sockets, checked
+//! for bit-for-bit report parity against the in-process `TaskRunner` and
+//! for robustness under reconnect storms and stalled peers.
 
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -191,6 +190,31 @@ fn reconnect_storm_misses_no_planted_violations() {
         outcome.net.reconnects > 0,
         "the coordinator must have absorbed re-hellos"
     );
+}
+
+/// A storm kick is part of the tick's own schedule — the victims'
+/// sockets are closed on the driver's thread before that tick's frames
+/// are routed — so which reports a storm costs does not depend on who
+/// wins a race: the same plan yields the same report, run after run.
+#[test]
+fn reconnect_storms_reproduce_their_report_exactly() {
+    let n = 12usize;
+    let task = spec(n, 0.01);
+    let traces = bursty_traces(n, 70);
+    let storm_run = || {
+        let coordinator = NetCoordinator::bind(task.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))
+            .unwrap()
+            .with_wait_timeout(Duration::from_secs(10))
+            .with_tick_deadline(Duration::from_millis(250))
+            .with_faults(NetFaultPlan::new(42).with_storm(21, 0.3));
+        let addr = NetAddr::Tcp(coordinator.local_addr().unwrap().to_string());
+        net_run(coordinator, &addr, &task, &traces, n as u32, 6).0
+    };
+    let first = storm_run();
+    assert!(first.net.kicked > 0 && first.report.missed_tick_reports > 0);
+    for rerun in 1..3 {
+        assert_eq!(storm_run().report, first.report, "rerun {rerun}");
+    }
 }
 
 #[test]
