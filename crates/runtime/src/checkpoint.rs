@@ -464,12 +464,18 @@ impl Wal {
     /// the disk write (or a due fsync) failed *now* — the record is still
     /// retained in the ring, so callers may treat errors as advisory.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<AppendOutcome> {
-        let (tick, is_snapshot) = match record {
+        self.log(record.clone())
+    }
+
+    /// [`append`](Self::append) of a record the log may keep: a snapshot
+    /// is encoded, then moved into `last_snapshot` — never copied again.
+    fn log(&mut self, record: WalRecord) -> io::Result<AppendOutcome> {
+        let (tick, is_snapshot) = match &record {
             WalRecord::Snapshot(s) => (s.tick, true),
             WalRecord::Tick(o) => (o.tick, false),
         };
         self.vfs.set_tick(tick);
-        let mut framed = encode_record(record);
+        let mut framed = encode_record(&record);
         if self.corruptions.contains(&self.appended) && framed.len() > FRAME_OVERHEAD {
             let idx = FRAME_OVERHEAD + (framed.len() - FRAME_OVERHEAD) / 2;
             framed[idx] ^= 0x40;
@@ -477,7 +483,7 @@ impl Wal {
         self.appended += 1;
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
         if let WalRecord::Snapshot(snapshot) = record {
-            self.last_snapshot = Some(snapshot.clone());
+            self.last_snapshot = Some(snapshot);
         }
 
         if !self.breaker.should_attempt() {
@@ -586,7 +592,7 @@ impl Wal {
     /// Appends a snapshot and compacts the log down to just that
     /// snapshot when the file has outgrown the compaction threshold.
     pub fn append_snapshot(&mut self, snapshot: &CoordinatorSnapshot) -> io::Result<()> {
-        let outcome = self.append(&WalRecord::Snapshot(snapshot.clone()))?;
+        let outcome = self.log(WalRecord::Snapshot(snapshot.clone()))?;
         if outcome == AppendOutcome::Persisted && self.records_in_file > self.compact_after {
             self.compact()?;
         }
@@ -646,7 +652,7 @@ impl Wal {
     ) -> io::Result<Self> {
         let mut wal = Wal::create_on(vfs, path)?;
         if let Some(snapshot) = snapshot {
-            wal.append(&WalRecord::Snapshot(snapshot.clone()))?;
+            wal.log(WalRecord::Snapshot(snapshot.clone()))?;
         }
         Ok(wal)
     }

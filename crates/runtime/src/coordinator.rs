@@ -3,10 +3,10 @@
 //! stepped by whoever owns the I/O.
 //!
 //! [`CoordinatorActor`] owns no channel, clock, log or metrics handle.
-//! Its driver feeds it [`MonitorFrame`]s
-//! ([`on_frame`](CoordinatorActor::on_frame), or
-//! [`on_payload`](CoordinatorActor::on_payload) for a received payload
-//! of encoded ones), tells it when the phase
+//! Its driver feeds it [`MonitorFrame`]s — values
+//! ([`on_frames`](CoordinatorActor::on_frames)) in process, a received
+//! payload of encoded ones ([`on_payload`](CoordinatorActor::on_payload),
+//! decoded into the same loop) behind sockets — tells it when the phase
 //! it is in has waited long enough
 //! ([`on_deadline`](CoordinatorActor::on_deadline)) and executes what it
 //! finds in the outbox ([`pop_output`](CoordinatorActor::pop_output)) in
@@ -38,7 +38,7 @@
 //! and aggregates in **degraded mode** — the missing monitor counts at
 //! its local threshold `T_i`, which can raise a false alert but never
 //! hides one ([`Coordinator::poll`]). A quarantined monitor that reports
-//! on time again — in the same payload as the active monitors' reports
+//! on time again — in the same batch as the active monitors' reports
 //! or ahead of it — is restored immediately, but is only *awaited* again on
 //! **fresh** evidence — a `Revived` notice or a frame for a tick not yet
 //! closed — so a delayed frame replayed after quarantine cannot
@@ -367,22 +367,64 @@ impl CoordinatorActor {
             .unwrap_or_else(|| self.last_tick.map_or(0, |t| t + 1))
     }
 
-    /// Feeds the machine one decoded monitor frame: enforces the epoch
-    /// fence, notes *fresh* life signs from quarantined monitors and
-    /// hands the message to the phase that waits for it (any other
-    /// phase's stale replies are dropped).
+    /// [`on_frames`](Self::on_frames) of a batch of one.
     pub fn on_frame(&mut self, frame: MonitorFrame) {
-        self.admit(frame);
-        self.settle(false);
+        self.on_frames([frame]);
     }
 
-    /// [`on_frame`](Self::on_frame) short of closing the phase the frame
-    /// may have completed.
+    /// Feeds the machine the frames that arrived together, as values (what
+    /// the in-process plane hands over); returns how many. Each is
+    /// admitted: one no wire could carry is dropped, the epoch fence
+    /// enforced, *fresh* life signs from quarantined monitors noted and the
+    /// message handed to the phase that waits for it, if any still does.
+    ///
+    /// Frames that arrive together are judged together: a phase closes
+    /// only once the whole batch is in, so where in it a frame stood
+    /// decides nothing. In process a tick's replies are one batch in
+    /// monitor order, and a quarantined but live monitor's report would
+    /// otherwise trail the report that closes its round — late, tick
+    /// after tick, however promptly it was sent.
+    pub fn on_frames(&mut self, frames: impl IntoIterator<Item = MonitorFrame>) -> u64 {
+        self.on_batch(frames, Self::admit)
+    }
+
+    /// [`on_frames`](Self::on_frames) for a payload as the socket plane
+    /// reads it — one encoded [`MonitorFrame`] per line, the last line's
+    /// newline optional — each line decoded as the same loop reaches it,
+    /// a malformed one skipped alone. Returns how many lines it held.
+    pub fn on_payload(&mut self, payload: &[u8]) -> u64 {
+        let lines = payload.split_inclusive(|&b| b == b'\n');
+        self.on_batch(lines, |machine, line| {
+            if let Ok(frame) = decode_line::<MonitorFrame>(line) {
+                machine.admit(frame);
+            }
+        })
+    }
+
+    /// The one loop a batch goes through, whatever it is a batch of:
+    /// every item is `feed`-ed to the machine, and only then are the
+    /// phases that completed closed. Returns how many items there were.
+    fn on_batch<T>(
+        &mut self,
+        batch: impl IntoIterator<Item = T>,
+        mut feed: impl FnMut(&mut Self, T),
+    ) -> u64 {
+        let mut count = 0;
+        for item in batch {
+            count += 1;
+            feed(self, item);
+        }
+        self.settle(false);
+        count
+    }
+
+    /// One frame into the machine, short of closing the phase it may
+    /// have completed.
     fn admit(&mut self, frame: MonitorFrame) {
-        if self.crashed {
+        let MonitorFrame { epoch, msg } = frame;
+        if self.crashed || !msg.is_wire_representable() {
             return;
         }
-        let MonitorFrame { epoch, msg } = frame;
         let sender = msg_sender(&msg)
             .map(|id| id.0 as usize)
             .filter(|&idx| idx < self.monitors());
@@ -404,29 +446,6 @@ impl CoordinatorActor {
             }
         }
         self.accept(msg);
-    }
-
-    /// Feeds the machine one payload as the in-process plane or the socket
-    /// loop hands it over — one encoded [`MonitorFrame`] per line, the last line's
-    /// newline optional — skipping malformed lines one at a time.
-    /// Returns how many lines the payload held.
-    ///
-    /// Frames that arrive together are judged together: a phase closes
-    /// only once the whole payload is in, so where in it a frame stood
-    /// decides nothing. In process a tick's replies are one payload in
-    /// monitor order, and a quarantined but live monitor's report would
-    /// otherwise trail the report that closes its round — late, tick
-    /// after tick, however promptly it was sent.
-    pub fn on_payload(&mut self, payload: &[u8]) -> u64 {
-        let mut lines = 0;
-        for line in payload.split_inclusive(|&b| b == b'\n') {
-            lines += 1;
-            if let Ok(frame) = decode_line::<MonitorFrame>(line) {
-                self.admit(frame);
-            }
-        }
-        self.settle(false);
-        lines
     }
 
     /// The phase the machine is in has waited long enough: it closes
@@ -1252,6 +1271,37 @@ mod tests {
         assert!(summary.polled);
         assert!(summary.degraded, "monitor 1's reply timed out");
         assert!(!summary.alerted, "10 + T_1(50) <= 100");
+    }
+
+    /// The wire writes a non-finite float as `null`, which arrives as a
+    /// malformed line; handed over as a value such a reply is dropped
+    /// just the same — the poll stays open, the deadline degrades it.
+    #[test]
+    fn a_reply_the_wire_cannot_carry_is_dropped_as_its_malformed_line_is() {
+        type Feed = fn(&mut CoordinatorActor, &[MonitorFrame]);
+        let by_value: Feed = |machine, frames| {
+            machine.on_frames(frames.iter().cloned());
+        };
+        let by_wire: Feed = |machine, frames| {
+            machine.on_payload(&payload(frames));
+        };
+        for lost in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for feed in [by_value, by_wire] {
+                let mut machine = pair(5);
+                feed(
+                    &mut machine,
+                    &[tick_done(0, 0, true), tick_done(1, 0, false)],
+                );
+                assert_eq!(pending(&mut machine).len(), 2, "poll sent, deadline armed");
+                let replies = [poll_reply(0, 0, 60.0, false), poll_reply(1, 0, lost, true)];
+                feed(&mut machine, &replies);
+                assert!(pending(&mut machine).is_empty(), "monitor 1 still awaited");
+                machine.on_deadline();
+                let (summary, _) = closed(&mut machine);
+                assert!(summary.degraded && summary.alerted, "60 + T_1(50) > 100");
+                assert_eq!(summary.poll_samples, 0, "the lost reply's sample too");
+            }
+        }
     }
 
     #[test]

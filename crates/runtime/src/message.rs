@@ -125,6 +125,40 @@ pub enum MonitorToCoordinator {
     },
 }
 
+impl MonitorToCoordinator {
+    /// Whether the wire can carry this message: whether every float in
+    /// it is finite. The codec writes a non-finite float as `null` and no
+    /// decoder takes that back, so behind a socket such a reply is a
+    /// malformed line: skipped, its sender left to the deadline. The
+    /// coordinator gives a frame handed over as a value the same
+    /// treatment, or the in-process report and the networked one would
+    /// part on the same trace. (A sampler that saw a non-finite value, or
+    /// swings wide enough to overflow, holds one in its δ statistics and
+    /// last-sample cache until the window restarts.)
+    pub fn is_wire_representable(&self) -> bool {
+        let finite = |x: &f64| x.is_finite();
+        match self {
+            Self::PollReply { value, .. } => value.is_finite(),
+            Self::Report { report: r, .. } => {
+                let averages = [
+                    r.avg_beta_current,
+                    r.avg_beta_grown,
+                    r.avg_potential_reduction,
+                ];
+                averages.iter().chain(&r.cost_curve).all(finite)
+            }
+            Self::StateSnapshot { snapshot: s, .. } => {
+                let (config, stats) = (&s.config, &s.tracker.stats);
+                let last = s.tracker.last.map_or(0.0, |(_, value)| value);
+                let allowances = [config.error_allowance(), config.slack_ratio(), s.err];
+                let state = [s.threshold, stats.mean, stats.variance, last];
+                allowances.iter().chain(&state).all(finite)
+            }
+            Self::TickDone { .. } | Self::Revived { .. } | Self::LeaderState { .. } => true,
+        }
+    }
+}
+
 /// Messages from the coordinator (or runner) to a monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CoordinatorToMonitor {
@@ -467,6 +501,77 @@ mod tests {
         let back: ControlFrame = decode(&frame).unwrap();
         assert_eq!(back.epoch, 2);
         assert_eq!(back.msg, CoordinatorToMonitor::Poll { tick: 4 });
+    }
+
+    /// `is_wire_representable` is "its encoding decodes": poison any one
+    /// float of a reply and both turn false together.
+    #[test]
+    fn a_message_is_wire_representable_until_any_float_of_it_is_not() {
+        let monitor = MonitorId(1);
+        let report = PeriodReport {
+            observations: 10,
+            avg_beta_current: 0.01,
+            avg_beta_grown: 0.02,
+            avg_potential_reduction: 0.5,
+            interval: Interval::new_clamped(3),
+            at_max_interval: false,
+            cost_curve: vec![1.0, 0.5],
+        };
+        let snapshot = sampler_snapshot();
+        let poisoned_reports: [fn(&mut PeriodReport); 4] = [
+            |r| r.avg_beta_current = f64::NAN,
+            |r| r.avg_beta_grown = f64::INFINITY,
+            |r| r.avg_potential_reduction = f64::NEG_INFINITY,
+            |r| r.cost_curve[1] = f64::NAN,
+        ];
+        let poisoned_snapshots: [fn(&mut SamplerSnapshot); 5] = [
+            |s| s.threshold = f64::NAN,
+            |s| s.err = f64::INFINITY,
+            |s| s.tracker.stats.mean = f64::NEG_INFINITY,
+            |s| s.tracker.stats.variance = f64::INFINITY,
+            |s| s.tracker.last = Some((3, f64::NAN)),
+        ];
+        let mut cases = vec![
+            (
+                MonitorToCoordinator::Report {
+                    monitor,
+                    report: report.clone(),
+                },
+                true,
+            ),
+            (
+                MonitorToCoordinator::StateSnapshot { monitor, snapshot },
+                true,
+            ),
+            (MonitorToCoordinator::Revived { monitor }, true),
+        ];
+        for value in [1.5e308, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let reply = MonitorToCoordinator::PollReply {
+                monitor,
+                tick: 4,
+                value,
+                forced_sample: true,
+            };
+            cases.push((reply, value.is_finite()));
+        }
+        for poison in poisoned_reports {
+            let mut report = report.clone();
+            poison(&mut report);
+            cases.push((MonitorToCoordinator::Report { monitor, report }, false));
+        }
+        for poison in poisoned_snapshots {
+            let mut snapshot = snapshot;
+            poison(&mut snapshot);
+            cases.push((
+                MonitorToCoordinator::StateSnapshot { monitor, snapshot },
+                false,
+            ));
+        }
+        for (msg, carried) in cases {
+            assert_eq!(msg.is_wire_representable(), carried, "{msg:?}");
+            let decoded = decode::<MonitorToCoordinator>(&encode(&msg));
+            assert_eq!(decoded.is_ok(), carried, "{msg:?}");
+        }
     }
 
     #[test]

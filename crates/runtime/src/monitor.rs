@@ -2,7 +2,8 @@
 //! it: a [`SlotTable`] of [`MonitorSlot`]s stepped by whichever thread
 //! feeds it — the task session's driver in process, a socket agent
 //! ([`crate::net::run_agent`]) across the network; the two differ only in
-//! where frames come from and where the replies go.
+//! where frames come from and where the replies — [`MonitorFrame`]
+//! values handed to the feeder's sink — go: only the agent encodes them.
 
 use volley_core::task::MonitorId;
 use volley_core::AdaptiveSampler;
@@ -11,7 +12,7 @@ use volley_store::SampleRecorder;
 
 use crate::failure::FaultPlan;
 use crate::message::{
-    encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData,
+    ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData,
 };
 use crate::session::fresh_sampler;
 
@@ -389,10 +390,10 @@ impl MonitorActor {
 /// - **stall**: while stalled the slot keeps consuming input but neither
 ///   processes nor replies, like a thread wedged on a lock (shutdown
 ///   still terminates it so harness teardown cannot hang);
-/// - **delay**: a reply is held back and flushed after the *next*
-///   reply, arriving reordered and past its collection deadline;
-/// - **duplicate**: a reply is sent twice, exercising the coordinator's
-///   dedup path;
+/// - **delay**: a reply (the frame, a value) is held back and flushed
+///   after the *next* reply, arriving reordered and past its deadline;
+/// - **duplicate**: a reply is sent twice (the frame and a clone),
+///   exercising the coordinator's dedup path;
 /// - **partition**: while the link to the coordinator is cut the slot
 ///   consumes input without processing it and sends nothing — its local
 ///   state (including its epoch) freezes, which is exactly what makes
@@ -407,8 +408,9 @@ pub(crate) struct MonitorSlot {
     stopped: bool,
     /// The slot's notion of "now", which fault decisions key on.
     last_tick: u64,
-    /// A delayed reply awaiting the next send opportunity.
-    held: Option<Vec<u8>>,
+    /// A delayed reply awaiting the next send opportunity (boxed: a
+    /// fault path must not cost every slot a frame's 160 bytes).
+    held: Option<Box<MonitorFrame>>,
 }
 
 impl MonitorSlot {
@@ -433,10 +435,9 @@ impl MonitorSlot {
         self.alive
     }
 
-    /// Feeds the slot one control frame, appending whatever it sends —
-    /// encoded replies, one per line — to `out`; returns how many frames
-    /// that was.
-    fn deliver(&mut self, frame: ControlFrame, out: &mut Vec<u8>) -> u64 {
+    /// Feeds the slot one control frame, handing the reply frames it
+    /// sends to `out`; returns how many that was.
+    fn deliver(&mut self, frame: ControlFrame, out: &mut impl FnMut(MonitorFrame)) -> u64 {
         let shutdown = matches!(frame.msg, CoordinatorToMonitor::Shutdown);
         self.stopped |= shutdown;
         if !self.alive {
@@ -460,18 +461,17 @@ impl MonitorSlot {
         let (reply, terminate) = self.actor.handle_frame(frame);
         let mut sent = 0;
         if let Some(reply) = reply {
-            let start = out.len();
-            encode_into(&reply, out);
             if delays {
                 // Hold this reply; anything already held goes out now,
                 // behind schedule.
-                let late = self.held.replace(out.split_off(start));
+                let late = self.held.replace(Box::new(reply));
                 sent += flush(late, out);
             } else {
                 sent += 1 + u64::from(duplicates);
                 if duplicates {
-                    out.extend_from_within(start..);
+                    out(reply.clone());
                 }
+                out(reply);
                 sent += flush(self.held.take(), out);
             }
         }
@@ -484,7 +484,7 @@ impl MonitorSlot {
     /// Ends the slot's life in an orderly way (shutdown, or a supervisor
     /// replacing it): a still-held reply goes out — the coordinator will
     /// discard it as stale, but a real delayed packet would arrive too.
-    fn retire(&mut self, out: &mut Vec<u8>) -> u64 {
+    fn retire(&mut self, out: &mut impl FnMut(MonitorFrame)) -> u64 {
         self.alive = false;
         flush(self.held.take(), out)
     }
@@ -498,10 +498,10 @@ impl MonitorSlot {
     }
 }
 
-/// Appends a held reply, if any, to `out`; returns how many frames went.
-fn flush(held: Option<Vec<u8>>, out: &mut Vec<u8>) -> u64 {
+/// Hands a held reply, if any, to `out`; returns how many frames went.
+fn flush(held: Option<Box<MonitorFrame>>, out: &mut impl FnMut(MonitorFrame)) -> u64 {
     held.map_or(0, |late| {
-        out.extend_from_slice(&late);
+        out(*late);
         1
     })
 }
@@ -537,15 +537,20 @@ impl SlotTable {
     }
 
     /// Hands monitor `to` one control frame (misrouted frames and frames
-    /// for a dead monitor are dropped); its replies are appended to
-    /// `out`, their count returned.
-    pub(crate) fn deliver(&mut self, to: u32, frame: ControlFrame, out: &mut Vec<u8>) -> u64 {
+    /// for a dead monitor are dropped); its replies are handed to `out`,
+    /// their count returned.
+    pub(crate) fn deliver(
+        &mut self,
+        to: u32,
+        frame: ControlFrame,
+        out: &mut impl FnMut(MonitorFrame),
+    ) -> u64 {
         self.slot(to).map_or(0, |slot| slot.deliver(frame, out))
     }
 
     /// Puts `fresh` in its predecessor's place; a reply the predecessor
     /// still held goes out, as a process told to exit flushes it.
-    pub(crate) fn install(&mut self, fresh: MonitorSlot, out: &mut Vec<u8>) {
+    pub(crate) fn install(&mut self, fresh: MonitorSlot, out: &mut impl FnMut(MonitorFrame)) {
         if let Some(slot) = self.slot(fresh.actor.id.0) {
             let mut old = std::mem::replace(slot, fresh);
             let sent = old.retire(out);
@@ -790,14 +795,13 @@ mod tests {
     }
 
     use crate::failure::FaultPlan;
-    use crate::message::decode_line;
 
     /// A table stepping `actors` as monitors `0..`, driven by hand: what
     /// the session and the socket agent do, minus the coordinator.
     struct Hosted {
         table: SlotTable,
         /// What the slots sent and [`sent`](Self::sent) has not read yet.
-        out: Vec<u8>,
+        out: Vec<MonitorFrame>,
     }
 
     fn hosted(actors: Vec<MonitorActor>) -> Hosted {
@@ -812,7 +816,9 @@ mod tests {
         /// Delivers one frame; returns how many frames the slot sent.
         fn send(&mut self, monitor: u32, epoch: u64, msg: CoordinatorToMonitor) -> u64 {
             let frame = ControlFrame { epoch, msg };
-            self.table.deliver(monitor, frame, &mut self.out)
+            let out = &mut self.out;
+            self.table
+                .deliver(monitor, frame, &mut |reply| out.push(reply))
         }
 
         fn tick(&mut self, monitor: u32, tick: u64, value: f64) -> u64 {
@@ -821,7 +827,9 @@ mod tests {
         }
 
         fn install(&mut self, actor: MonitorActor) {
-            self.table.install(MonitorSlot::new(actor), &mut self.out);
+            let out = &mut self.out;
+            self.table
+                .install(MonitorSlot::new(actor), &mut |reply| out.push(reply));
         }
 
         fn alive(&self, monitor: usize) -> bool {
@@ -830,17 +838,7 @@ mod tests {
 
         /// The frames sent since the last call, in order.
         fn sent(&mut self) -> Vec<MonitorFrame> {
-            assert!(
-                self.out.is_empty() || self.out.ends_with(b"\n"),
-                "replies end on a newline"
-            );
-            let frames = self
-                .out
-                .split_inclusive(|&b| b == b'\n')
-                .map(|line| decode_line(line).unwrap())
-                .collect();
-            self.out.clear();
-            frames
+            std::mem::take(&mut self.out)
         }
 
         /// The `(monitor, tick)` of every frame sent since the last call,
@@ -858,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_answers_a_tick_with_one_encoded_line() {
+    fn a_slot_answers_a_tick_with_exactly_one_frame() {
         let mut host = hosted(vec![actor(5.0)]);
         assert_eq!(host.tick(0, 0, 9.0), 1);
         let sent = host.sent();
@@ -875,6 +873,15 @@ mod tests {
         // A frame for a monitor the table does not host is dropped.
         assert_eq!(host.tick(7, 1, 9.0), 0);
         assert!(host.sent().is_empty());
+    }
+
+    /// A delayed reply is a fault path: held behind a pointer it costs a
+    /// healthy slot 8 bytes, not a frame's 160.
+    #[test]
+    fn the_held_reply_costs_a_slot_a_pointer_not_a_frame() {
+        use std::mem::size_of;
+        // The actor, then: the two flags (padded), `last_tick`, `held`.
+        assert!(size_of::<MonitorSlot>() <= size_of::<MonitorActor>() + 3 * size_of::<u64>());
     }
 
     #[test]

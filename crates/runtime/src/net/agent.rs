@@ -218,7 +218,9 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
                     ServerFrame::Welcome { .. } => continue,
                     ServerFrame::Ctl { to, frame } => (to, frame),
                 };
-                report.frames_sent += table.deliver(to, control, &mut wbuf);
+                // The one place a monitor's reply becomes bytes.
+                let mut wire = |reply| encode_into(&reply, &mut wbuf);
+                report.frames_sent += table.deliver(to, control, &mut wire);
             }
             if !wbuf.is_empty() {
                 if socket.write_all(&wbuf).is_err() {
@@ -295,6 +297,69 @@ mod tests {
             distinct.len() > 1,
             "agents must not thundering-herd: {delays:?}"
         );
+    }
+
+    /// The agent's edge, byte for byte: what a hosted slot answers as a
+    /// value leaves the socket as exactly `encode(&frame)` — the only
+    /// place a monitor's reply is ever encoded.
+    #[test]
+    fn the_agent_writes_exactly_the_encoding_of_each_reply_frame() {
+        use crate::message::{encode, ControlFrame, CoordinatorToMonitor, TickData};
+        use crate::net::{ctl_line, welcome_line};
+        use std::io::{BufRead, BufReader};
+
+        let spec = TaskSpec::builder(100.0)
+            .monitors(2)
+            .error_allowance(0.01)
+            .build()
+            .unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = AgentConfig {
+            agent: 0,
+            addr: NetAddr::Tcp(listener.local_addr().unwrap().to_string()),
+            spec: spec.clone(),
+            monitors: 1..2,
+            transport: TransportConfig::default(),
+            backoff: BackoffConfig::default(),
+        };
+        let agent = thread::spawn(move || run_agent(&config).unwrap());
+        let (mut socket, _) = listener.accept().unwrap();
+        let mut lines = BufReader::new(socket.try_clone().unwrap());
+        let mut read_line = || {
+            let mut line = Vec::new();
+            lines.read_until(b'\n', &mut line).unwrap();
+            line
+        };
+        let (hello, revived) = (read_line(), read_line());
+        assert!(hello.starts_with(b"{\"agent\":0,"), "the hello comes first");
+        let notice = MonitorToCoordinator::Revived {
+            monitor: volley_core::task::MonitorId(1),
+        };
+        assert_eq!(revived[..], MonitorFrame::seal(0, notice)[..]);
+
+        // The twin of the hosted actor answers the same frames by hand.
+        let mut twin = monitor_actor(&spec, 1);
+        let data = TickData {
+            tick: 0,
+            value: 70.0,
+        };
+        socket.write_all(&welcome_line(0)).unwrap();
+        for msg in [
+            CoordinatorToMonitor::Tick(data),
+            CoordinatorToMonitor::Poll { tick: 0 },
+            CoordinatorToMonitor::RequestSnapshot,
+        ] {
+            socket
+                .write_all(&ctl_line(1, &ControlFrame::seal(0, msg)))
+                .unwrap();
+            let (reply, _) = twin.handle_frame(ControlFrame { epoch: 0, msg });
+            assert_eq!(read_line()[..], encode(&reply.unwrap())[..], "{msg:?}");
+        }
+        let stop = ControlFrame::seal(0, CoordinatorToMonitor::Shutdown);
+        socket.write_all(&ctl_line(1, &stop)).unwrap();
+        let report = agent.join().unwrap();
+        assert_eq!(report.frames_sent, 4, "the Revived notice and 3 replies");
+        assert_eq!(report.frames_received, 5);
     }
 
     #[test]

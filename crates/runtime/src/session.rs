@@ -21,9 +21,12 @@
 //! connection table turned while the machine waits, and this module is
 //! their I/O shell — the plane, the checkpoint [`Wal`], the one wait
 //! whose deadline the machine arms, the obs handles. With the monitors
-//! in process nothing runs concurrently, so a report is a pure function
-//! of the traces, the spec and the [`FaultPlan`]: the tick deadline only
-//! sets how long a silent monitor's tick takes.
+//! in process nothing runs concurrently and nothing is ever bytes —
+//! control frames and replies (held and duplicated ones included) cross
+//! as values; the codec runs at the socket plane's edges only — so a
+//! report is a pure function of the traces, the spec and the
+//! [`FaultPlan`]: the tick deadline only sets how long a silent
+//! monitor's tick takes.
 //!
 //! The runners keep policy only: [`crate::TaskRunner`] supervision,
 //! standby failover and sinks; [`crate::MultiTaskRunner`] N sessions in
@@ -177,21 +180,15 @@ const COORDINATOR_DEAD: VolleyError = VolleyError::RuntimeDisconnected {
     component: "coordinator",
 };
 
-/// The least the in-process plane's reply buffer shrinks back to once
-/// read. It keeps room for twice the payload just read — so steady
-/// ticks never reallocate, and a one-off round of snapshot replies does
-/// not pin its kilobytes for the rest of the run.
-const PAYLOAD_SCRATCH: usize = 4096;
-
 /// Where a session's monitors live.
 pub(crate) enum MonitorPlane {
     /// In process: every monitor a slot of one table the session steps
-    /// on its own thread — an agent without a socket. A control frame is
-    /// handed to its slot as a value; the encoded replies wait in
-    /// `in_flight` until the coordinator machine is next stepped.
+    /// on its own thread — an agent without a socket, so without a codec.
+    /// A control frame is handed to its slot as a value; the reply frames
+    /// wait in `in_flight` until the coordinator machine is next stepped.
     Inline {
         table: SlotTable,
-        in_flight: Vec<u8>,
+        in_flight: Vec<MonitorFrame>,
     },
     /// Behind sockets the session steps on its own thread as well: a
     /// control frame is encoded straight into its connection's write
@@ -225,11 +222,12 @@ impl MonitorPlane {
     ) {
         match self {
             MonitorPlane::Inline { table, in_flight } => {
+                let mut replies = |reply| in_flight.push(reply);
                 for (to, msg) in frames {
                     // Delivered even to a dead monitor: its slot drops
                     // the frame, but must still hear a shutdown.
                     let alive = table.slots()[to.0 as usize].alive();
-                    table.deliver(to.0, ControlFrame { epoch, msg }, in_flight);
+                    table.deliver(to.0, ControlFrame { epoch, msg }, &mut replies);
                     if !alive {
                         refused(to);
                     }
@@ -357,9 +355,9 @@ impl<'a> TaskSession<'a> {
     }
 
     /// The coordinator's I/O shell: executes its outbox, and whenever
-    /// that runs dry hands it what the monitors have sent — waiting for
-    /// that at most until the deadline the machine last armed, which is
-    /// then reported to it instead. In process nothing can arrive during
+    /// that runs dry hands it what the monitors have sent (frames in
+    /// process, a payload behind sockets) — waiting for that at most until
+    /// the deadline the machine last armed, which is then reported to it. In process nothing can arrive during
     /// the wait, so a silent monitor costs exactly its deadline; behind
     /// sockets the wait is the connection table being turned. When an
     /// injected crash fires the step fails with the machine dead and its
@@ -428,27 +426,24 @@ impl<'a> TaskSession<'a> {
                     }
                 }
             }
-            let arrived = match &mut self.plane {
+            let received = match &mut self.plane {
                 MonitorPlane::Inline { in_flight, .. } => {
                     if in_flight.is_empty() {
                         thread::sleep(deadline.saturating_duration_since(Instant::now()));
                     }
-                    in_flight
+                    coordinator.on_frames(in_flight.drain(..))
                 }
-                MonitorPlane::Remote(plane) => plane.collect(deadline),
+                MonitorPlane::Remote(plane) => {
+                    let inbox = plane.collect(deadline);
+                    let lines = coordinator.on_payload(inbox);
+                    inbox.clear();
+                    lines
+                }
             };
-            if arrived.is_empty() {
+            if received == 0 {
                 coordinator.on_deadline();
-                continue;
             }
-            self.obs.recvs.add(coordinator.on_payload(arrived));
-            let read = arrived.len();
-            arrived.clear();
-            // The socket plane's inbox is sized to what arrived and keeps
-            // it: re-sizing it every tick only fragments the allocator.
-            if let MonitorPlane::Inline { in_flight, .. } = &mut self.plane {
-                in_flight.shrink_to(PAYLOAD_SCRATCH.max(2 * read));
-            }
+            self.obs.recvs.add(received);
         }
     }
 
@@ -490,7 +485,7 @@ impl<'a> TaskSession<'a> {
         let plan = self.config.fault_plan.without_process_faults(monitor);
         if let MonitorPlane::Inline { table, in_flight } = &mut self.plane {
             let actor = self.config.actor(self.epoch, idx, plan);
-            table.install(MonitorSlot::new(actor), in_flight);
+            table.install(MonitorSlot::new(actor), &mut |reply| in_flight.push(reply));
         }
         self.report.restarts += 1;
         // Tell the coordinator to await the restarted monitor again,
@@ -659,6 +654,27 @@ mod tests {
             sites.extend(std::iter::repeat_n(path.to_path_buf(), spawns));
         });
         assert!(sites.is_empty(), "thread::spawn( in {sites:?}");
+    }
+
+    /// The drift guard for the reply direction: the in-process plane
+    /// never touches the codec. Between a slot's `handle_frame` and the
+    /// machine's `admit` a reply is a value — so neither this module nor
+    /// the slot table calls an encoder, a decoder or a `seal`.
+    #[test]
+    fn the_in_process_plane_never_touches_the_codec() {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        for file in ["session.rs", "monitor.rs"] {
+            let source = non_test_source(&src.join(file));
+            let code = source.lines().filter(|l| !l.trim_start().starts_with("//"));
+            for (at, line) in code.enumerate() {
+                for call in ["encode", "decode", "seal("] {
+                    assert!(
+                        !line.contains(call),
+                        "{file}: `{call}` in code line {at}: {line}"
+                    );
+                }
+            }
+        }
     }
 
     /// The socket plane's send, over a loopback pair: every frame leaves

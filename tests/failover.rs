@@ -236,3 +236,34 @@ fn same_failover_plan_reproduces_identical_reports() {
     assert_eq!(first.coordinator_failovers, 1);
     assert_eq!(first.checkpoint_restores, MONITORS as u64);
 }
+
+/// What the wire cannot carry, a checkpoint does not hold. Swings of
+/// ±1.5e308 overflow monitor 2's δ statistics, so the sampler state it
+/// answers every snapshot request with is non-finite: behind a socket
+/// that reply is a malformed line, and in process — where it arrives as
+/// a value — the coordinator drops it at the same point. Monitor 2's
+/// checkpoint slot stays empty, and the failover restarts it (and only
+/// it) conservatively. The figures are the ones the runner reported when
+/// its replies were still encoded and decoded in process (PR 23).
+#[test]
+fn a_sampler_state_the_wire_cannot_carry_is_left_out_of_the_checkpoint() {
+    let spec = spec();
+    let mut traces = traces();
+    for (t, value) in traces[2].iter_mut().enumerate().skip(100).take(4) {
+        *value = if t % 2 == 0 { 1.5e308 } else { -1.5e308 };
+    }
+    let path = wal_path("non-finite");
+    let report = TaskRunner::new(&spec)
+        .unwrap()
+        .with_fault_plan(FaultPlan::new(11).with_coordinator_crash(CRASH_TICK))
+        .with_tick_deadline(Duration::from_millis(5))
+        .with_standby(true)
+        .with_wal(&path, 20)
+        .run(&traces)
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(report.coordinator_failovers, 1);
+    assert_eq!(report.checkpoint_restores, MONITORS as u64 - 1);
+    assert_eq!(report.conservative_restarts, 1);
+    assert_eq!((report.total_samples, report.alerts), (837, 22));
+}

@@ -8,6 +8,10 @@
 //! byte-identical encoding, and the same verdict (same value, or an error
 //! from both) on the frame and on every truncation, bit flip, key
 //! reordering, duplicate key, unknown key and whitespace padding of it.
+//!
+//! And of what sits behind the codec: a coordinator machine handed a
+//! batch of frames as values and one handed the batch's encoding end up
+//! with the same outbox ([`driven_both_ways`]).
 
 #[path = "../vendor/serde_json/tests/differential/mod.rs"]
 mod differential;
@@ -16,15 +20,19 @@ use proptest::prelude::*;
 
 use bytes::Bytes;
 use volley::core::adaptation::PeriodReport;
+use volley::core::allocation::AllocationConfig;
+use volley::core::coordinator::{CoordinationScheme, Coordinator};
 use volley::core::snapshot::SamplerSnapshot;
-use volley::core::task::MonitorId;
+use volley::core::task::{MonitorId, TaskSpec};
 use volley::core::Interval;
 use volley::core::{AdaptationConfig, AdaptiveSampler};
+use volley::runtime::coordinator::{CoordinatorActor, Output};
 use volley::runtime::message::{
     decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
     MonitorToCoordinator, TickData, TickSummary,
 };
 use volley::runtime::net::{AgentHello, FrameBuffer, ServerFrame};
+use volley::runtime::FaultPlan;
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
 /// through the real sampler so every invariant the restore path expects
@@ -70,7 +78,255 @@ fn control_round_trip(epoch: u64, to: u32, msg: CoordinatorToMonitor) {
     round_trip(&ServerFrame::Ctl { to, frame });
 }
 
+/// The epoch of the machines [`driven_both_ways`] builds: frames sealed
+/// below it are stale.
+const EPOCH: u64 = 1;
+
+/// One generated frame for a 3-monitor task whose open round is `tick`:
+/// `kind` picks the variant, `bits` its flags and — for the variants
+/// that carry floats — whether one of them is a value no wire can carry.
+/// Monitor 3 is foreign; `bits` ≥ 14 seals the frame at a deposed epoch.
+fn generated_frame(kind: u8, monitor: u32, tick: u64, bits: u8) -> MonitorFrame {
+    const VALUES: [f64; 8] = [
+        10.0,
+        120.5,
+        250.0,
+        -3.25,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5e308,
+    ];
+    let lost = VALUES[4 + usize::from(bits % 3)];
+    let id = MonitorId(monitor);
+    let msg = match kind {
+        0..=3 => MonitorToCoordinator::TickDone {
+            monitor: id,
+            tick,
+            sampled: bits & 1 != 0,
+            violation: bits & 3 == 3,
+            suppressed: bits & 5 == 4,
+        },
+        4 => MonitorToCoordinator::PollReply {
+            monitor: id,
+            tick,
+            value: VALUES[usize::from(bits % 8)],
+            forced_sample: bits & 8 != 0,
+        },
+        5 => {
+            let beta = f64::from(bits) / 64.0;
+            let mut report = PeriodReport {
+                observations: 100 + u32::from(bits),
+                avg_beta_current: beta / 2.0,
+                avg_beta_grown: beta,
+                avg_potential_reduction: 1.0 - 1.0 / f64::from(monitor + 2),
+                interval: Interval::new_clamped(monitor + 1),
+                at_max_interval: false,
+                cost_curve: vec![1.0, 0.9, 0.75, 0.5, 0.4, 0.3, 0.25, 0.2],
+            };
+            match bits % 5 {
+                3 => report.avg_beta_grown = lost,
+                4 => report.cost_curve[usize::from(bits % 8)] = lost,
+                _ => {}
+            }
+            MonitorToCoordinator::Report {
+                monitor: id,
+                report,
+            }
+        }
+        6 => {
+            let mut snapshot = sampler_snapshot(75.0, u64::from(bits));
+            match bits % 5 {
+                2 => snapshot.tracker.stats.variance = lost,
+                3 => snapshot.tracker.last = Some((tick, lost)),
+                4 => snapshot.err = lost,
+                _ => {}
+            }
+            MonitorToCoordinator::StateSnapshot {
+                monitor: id,
+                snapshot,
+            }
+        }
+        7 => MonitorToCoordinator::Revived { monitor: id },
+        _ => MonitorToCoordinator::LeaderState {
+            tick,
+            active: bits & 1 != 0,
+        },
+    };
+    let epoch = if bits >= 14 { EPOCH - 1 } else { EPOCH };
+    MonitorFrame { epoch, msg }
+}
+
+/// `(kind, monitor, ticks ahead of the open round plus one, bits)`: what
+/// [`generated_frame`] makes a frame of.
+type FrameRecipe = (u8, u32, u64, u8);
+
+/// Feeds two identical coordinator machines the same `events` — each a
+/// batch of frames that arrive together and whether the phase's deadline
+/// passes after it — one by [`CoordinatorActor::on_frames`] (values, as
+/// the in-process plane hands them over), one by
+/// [`CoordinatorActor::on_payload`] of the batch's encoding (as a socket
+/// read yields it), and holds them to the same count and the same outbox
+/// after every event. Kind 9 repeats the batch's previous frame. Returns
+/// every output, in order.
+fn driven_both_ways(events: &[(Vec<FrameRecipe>, bool)]) -> Vec<Output> {
+    let machine = || {
+        let spec = TaskSpec::builder(300.0)
+            .monitors(3)
+            .error_allowance(0.02)
+            .build()
+            .expect("valid spec");
+        let scheme = CoordinationScheme::Adaptive;
+        let rules = Coordinator::new(&spec, scheme, AllocationConfig::default()).expect("rules");
+        // Three ticks short of the first updating period's end.
+        CoordinatorActor::new(rules, FaultPlan::default(), Some(996))
+            .with_epoch(EPOCH)
+            .with_quarantine_after(2)
+            .with_multitask()
+            .with_checkpoint(2)
+    };
+    let (mut by_value, mut by_wire) = (machine(), machine());
+    let mut open_round = 997u64;
+    let mut outputs = Vec::new();
+    for (batch, deadline) in events {
+        let mut frames: Vec<MonitorFrame> = Vec::new();
+        for &(kind, monitor, ahead, bits) in batch {
+            let tick = (open_round + ahead).saturating_sub(1);
+            let frame = match frames.last() {
+                Some(previous) if kind == 9 => previous.clone(),
+                _ => generated_frame(kind, monitor, tick, bits),
+            };
+            frames.push(frame);
+        }
+        for frame in &frames {
+            let carried = decode::<MonitorFrame>(&encode(frame)).is_ok();
+            assert_eq!(frame.msg.is_wire_representable(), carried, "{frame:?}");
+        }
+        let payload: Vec<u8> = frames.iter().flat_map(|f| encode(f).to_vec()).collect();
+        assert_eq!(
+            by_value.on_frames(frames.iter().cloned()),
+            by_wire.on_payload(&payload),
+            "a frame and its line count alike"
+        );
+        if *deadline {
+            by_value.on_deadline();
+            by_wire.on_deadline();
+        }
+        let asked: Vec<Output> = std::iter::from_fn(|| by_value.pop_output()).collect();
+        let wired: Vec<Output> = std::iter::from_fn(|| by_wire.pop_output()).collect();
+        assert_eq!(asked, wired, "after {frames:?} (deadline: {deadline})");
+        for output in &asked {
+            if let Output::Summary(summary) = output {
+                open_round = summary.tick + 1;
+            }
+        }
+        outputs.extend(asked);
+    }
+    outputs
+}
+
+/// The scripted run of [`driven_both_ways`]: every ingredient the
+/// generated sequences only probably contain — a stale-epoch frame, a
+/// duplicate, a payload spanning two ticks, replies no wire can carry, a
+/// reallocation round and a snapshot round — and the outputs that prove
+/// each was reached.
+#[test]
+fn values_and_payloads_drive_the_machine_alike_through_a_scripted_run() {
+    let done = |monitor, ahead, bits| (0u8, monitor, ahead, bits);
+    let events = [
+        // Tick 997: monitor 1 first speaks from the deposed epoch, monitor
+        // 0 twice; monitor 2's report for tick 998 rides along.
+        (
+            vec![
+                done(0, 1, 1),
+                (9, 0, 0, 0),
+                done(1, 1, 15),
+                done(1, 1, 1),
+                done(2, 1, 1),
+                done(2, 2, 3),
+            ],
+            false,
+        ),
+        // Tick 998: the read-ahead violation polls once the others report.
+        (vec![done(0, 1, 1), done(1, 1, 1)], false),
+        // Monitor 1's value is one no wire can carry: the poll waits it
+        // out and degrades. Then the checkpoint's snapshot round, monitor
+        // 2's sampler state lost the same way.
+        (vec![(4, 0, 1, 0), (4, 1, 1, 4), (4, 2, 1, 1)], true),
+        (vec![(6, 0, 1, 0), (6, 1, 1, 1), (6, 2, 1, 3)], true),
+        // Tick 999, quiet. Tick 1000 ends the updating period: reports
+        // are gathered — a finite round, so allowances move or stay by
+        // the rules alone — then the next snapshot round.
+        (vec![done(0, 1, 1), done(1, 1, 1), done(2, 1, 1)], false),
+        (vec![done(0, 1, 1), done(1, 1, 1), done(2, 1, 1)], false),
+        (vec![(5, 0, 1, 0), (5, 1, 1, 1), (5, 2, 1, 2)], false),
+        (vec![(6, 0, 1, 0), (6, 1, 1, 1), (6, 2, 1, 5)], false),
+    ];
+    let outputs = driven_both_ways(&events);
+    let summaries: Vec<TickSummary> = outputs
+        .iter()
+        .filter_map(|output| match output {
+            Output::Summary(summary) => Some(*summary),
+            _ => None,
+        })
+        .collect();
+    let ticks: Vec<u64> = summaries.iter().map(|s| s.tick).collect();
+    assert_eq!(ticks, [997, 998, 999, 1000]);
+    assert_eq!(summaries[0].stale_epoch_frames, 1);
+    assert_eq!(
+        summaries[0].scheduled_samples, 3,
+        "the duplicate counts once"
+    );
+    assert!(
+        summaries[1].polled && summaries[1].degraded,
+        "{summaries:?}"
+    );
+    let snapshots: Vec<Vec<bool>> = outputs
+        .iter()
+        .filter_map(|output| match output {
+            Output::Snapshot(snapshot) => {
+                Some(snapshot.samplers.iter().map(Option::is_some).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(snapshots, [[true, true, false], [true, true, true]]);
+    let asked_for_reports = outputs.iter().any(|output| {
+        matches!(
+            output,
+            Output::Send {
+                msg: CoordinatorToMonitor::RequestReport,
+                ..
+            }
+        )
+    });
+    assert!(asked_for_reports, "tick 1000 reallocates");
+}
+
 proptest! {
+    /// The reply direction has two entrances and one machine behind them:
+    /// whatever frames arrive, in whatever batches, handing them over as
+    /// values and handing over their encoding leave the coordinator with
+    /// the same outbox — sends, notices, log records, summaries — after
+    /// every batch. Non-finite floats included: the line the codec makes
+    /// of them does not decode, and the value is dropped just the same.
+    #[test]
+    fn values_and_payloads_drive_the_machine_alike(
+        events in prop::collection::vec(
+            (
+                prop::collection::vec((0u8..10, 0u32..4, 0u64..3, 0u8..16), 0..8),
+                0u8..4,
+            ),
+            1..40,
+        ),
+    ) {
+        let events: Vec<_> = events
+            .into_iter()
+            .map(|(batch, deadline)| (batch, deadline == 0))
+            .collect();
+        driven_both_ways(&events);
+    }
+
     /// `MonitorToCoordinator` round-trips for every variant.
     #[test]
     fn monitor_frames_round_trip(

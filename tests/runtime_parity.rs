@@ -173,3 +173,52 @@ fn runtime_handles_many_monitors() {
     assert_eq!(report.ticks, 400);
     assert!(report.total_samples > 0);
 }
+
+/// What the wire cannot carry, the value path does not carry either. A
+/// `NaN` or infinite trace value makes its monitor's `PollReply`
+/// non-finite: the codec writes `null`, no decoder reads that back, and
+/// behind a socket the reply is a malformed line — skipped, the monitor
+/// counted at `T_i`, the poll degraded. In process the reply is a value
+/// and would sail through — hiding the alert at tick 49, where `NaN`
+/// fails every comparison — so the coordinator drops it at the same
+/// point (its unit tests feed one machine both ways). The figures are
+/// the ones the runner reported when its replies were still encoded and
+/// decoded in process (PR 23).
+///
+/// Only the in-process runner can be asked: a `Tick` carrying `NaN` is
+/// itself a malformed line, so behind a socket the value never reaches
+/// its monitor — the agent drops the connection and re-dials, and the
+/// networked report differs (ROADMAP item 4).
+#[test]
+fn a_non_finite_reply_degrades_its_poll_exactly_as_its_malformed_line_did() {
+    let monitors = 6;
+    let spec = TaskSpec::builder(100.0 * monitors as f64)
+        .monitors(monitors)
+        .error_allowance(0.01)
+        .build()
+        .expect("valid spec");
+    // Quiet at ~20 % of the local threshold, a burst every 50 ticks.
+    let mut traces: Vec<Vec<f64>> = (0..monitors)
+        .map(|m| {
+            (0..150)
+                .map(|t| {
+                    let wobble = ((t * (3 + m)) % 7) as f64;
+                    wobble + if t % 50 == 49 { 140.0 } else { 20.0 }
+                })
+                .collect()
+        })
+        .collect();
+    traces[1][49] = f64::NAN;
+    traces[4][99] = f64::INFINITY;
+    let report = TaskRunner::new(&spec)
+        .expect("valid runner")
+        .run(&traces)
+        .expect("run succeeds");
+    assert_eq!(report.alert_ticks, [49, 99, 149], "T_i stands in: no miss");
+    assert_eq!((report.polls, report.alerts), (3, 3));
+    assert_eq!((report.degraded_polls, report.degraded_alerts), (2, 2));
+    assert_eq!((report.scheduled_samples, report.poll_samples), (884, 1));
+    assert_eq!(report.local_violation_reports, 16);
+    assert_eq!(report.missed_tick_reports, 0);
+    assert_eq!(report.quarantines, 0);
+}
