@@ -3,16 +3,15 @@
 //! The experiment harness regenerating **every figure** of the Volley
 //! paper's evaluation (§V), plus the ablations called out in `DESIGN.md`.
 //!
-//! A paper table is data, not a binary: [`TABLES`] lists every
-//! deterministic table — name, paper item, expected shape, renderer —
-//! and `cargo run -p volley-bench --release --bin reproduce [-- --quick]`
-//! writes them all. Four more binaries cover the experiments that drive
-//! the live runtime or the sharded simulator and gate their own output:
-//! `correlation` (§II-B gating), `multitask` (fleet-scale suppression
-//! curve), `recovery` (checkpointed failover cost) and `robustness`
-//! (message loss vs detection). All five share one argument parser
-//! ([`params::BenchArgs`]). Performance is not measured here — that is
-//! `benchmark/` and the `BENCH_<n>.json` ledger.
+//! A paper table is data, not a binary: [`TABLES`] lists every table —
+//! name, paper item, expected shape, renderer — and `cargo run -p
+//! volley-bench --release --bin reproduce [-- --quick]` writes them all,
+//! from the paper's figures and the ablations to the reproduction's own
+//! extension experiments ([`extensions`]: message loss and coordinator
+//! failover on the live runtime, §II-B multi-task gating on one VM and
+//! at fleet scale). Every table is deterministic, and the extension rows
+//! assert their own acceptance gates. Performance is not measured here —
+//! that is `benchmark/` and the `BENCH_<n>.json` ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +19,7 @@
 
 pub mod ablations;
 pub mod experiments;
+pub mod extensions;
 pub mod figures;
 pub mod params;
 pub mod report;

@@ -1,5 +1,5 @@
-//! Canonical experiment parameters and the one argument parser shared
-//! by every bench binary.
+//! Canonical experiment parameters and the argument parser of the one
+//! bench binary, `reproduce`.
 //!
 //! The paper sweeps the error allowance over a doubling ladder (Figure 6's
 //! x-axis prints 0.002 … 0.032) and the alert selectivity `k` over
@@ -78,8 +78,6 @@ impl Default for SweepParams {
 
 /// `--quick`: the small size profile ([`SweepParams::quick`]).
 pub const QUICK: &str = "--quick";
-/// `--smoke`: a binary's own CI-sized workload (`multitask`).
-pub const SMOKE: &str = "--smoke";
 /// `--ticks N`: trace length.
 pub const TICKS: &str = "--ticks";
 /// `--tasks N`: tasks averaged per cell.
@@ -90,64 +88,49 @@ pub const SEED: &str = "--seed";
 pub const MAX_INTERVAL: &str = "--max-interval";
 /// `--out DIR`: where result files go (default `reproduction`).
 pub const OUT: &str = "--out";
-/// Everything a binary that sizes itself from [`SweepParams`] reads.
+/// Every flag `reproduce` reads.
 pub const SWEEP_FLAGS: [&str; 6] = [QUICK, TICKS, TASKS, SEED, MAX_INTERVAL, OUT];
 
-/// What a bench binary was asked to do.
+/// What `reproduce` was asked to do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
     /// Size knobs: the `--quick` or full profile plus explicit overrides.
     pub params: SweepParams,
     /// Output directory.
     pub out: PathBuf,
-    /// `--quick` was given.
-    pub quick: bool,
-    /// `--smoke` was given.
-    pub smoke: bool,
 }
 
 impl BenchArgs {
-    /// Parses `args` against the flags the calling binary reads
-    /// (`accepted`, a subset of this module's flag constants). Anything
-    /// else — an unknown flag, a flag the binary does not read, a
-    /// missing or unparsable value — is an error naming the offender.
-    pub fn parse<I: IntoIterator<Item = String>>(
-        accepted: &[&str],
-        args: I,
-    ) -> Result<BenchArgs, String> {
+    /// Parses `args` against [`SWEEP_FLAGS`]. Anything else — an unknown
+    /// flag, a missing or unparsable value — is an error naming the
+    /// offender.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BenchArgs, String> {
         fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, String> {
             let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
             raw.parse()
                 .map_err(|_| format!("invalid value `{raw}` for {flag}"))
         }
         let args: Vec<String> = args.into_iter().collect();
-        let quick = args.iter().any(|a| a == QUICK);
         let mut parsed = BenchArgs {
-            params: if quick {
+            params: if args.iter().any(|a| a == QUICK) {
                 SweepParams::quick()
             } else {
                 SweepParams::full()
             },
             out: PathBuf::from("reproduction"),
-            quick,
-            smoke: false,
         };
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let flag = flag.as_str();
-            if !accepted.contains(&flag) {
-                return Err(format!("unknown flag `{flag}`"));
-            }
             let params = &mut parsed.params;
             match flag {
                 QUICK => {}
-                SMOKE => parsed.smoke = true,
                 TICKS => params.ticks = value::<usize>(flag, it.next())?.max(10),
                 TASKS => params.tasks = value::<usize>(flag, it.next())?.max(1),
                 SEED => params.seed = value(flag, it.next())?,
                 MAX_INTERVAL => params.max_interval = value::<u32>(flag, it.next())?.max(1),
                 OUT => parsed.out = PathBuf::from(value::<String>(flag, it.next())?),
-                _ => unreachable!("`accepted` holds only this module's flag constants"),
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
         Ok(parsed)
@@ -155,9 +138,12 @@ impl BenchArgs {
 
     /// [`BenchArgs::parse`] over the process arguments; on error prints
     /// the message and the accepted flags to stderr and exits 2.
-    pub fn from_env(bin: &str, accepted: &[&str]) -> BenchArgs {
-        BenchArgs::parse(accepted, std::env::args().skip(1)).unwrap_or_else(|message| {
-            eprintln!("{bin}: {message}\naccepted flags: {}", accepted.join(" "));
+    pub fn from_env() -> BenchArgs {
+        BenchArgs::parse(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!(
+                "reproduce: {message}\naccepted flags: {}",
+                SWEEP_FLAGS.join(" ")
+            );
             std::process::exit(2)
         })
     }
@@ -168,7 +154,7 @@ mod tests {
     use super::*;
 
     fn parse(list: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::parse(&SWEEP_FLAGS, list.iter().map(|s| s.to_string()))
+        BenchArgs::parse(list.iter().map(|s| s.to_string()))
     }
 
     #[test]
@@ -176,13 +162,11 @@ mod tests {
         let args = parse(&[]).unwrap();
         assert_eq!(args.params, SweepParams::full());
         assert_eq!(args.out, PathBuf::from("reproduction"));
-        assert!(!args.quick && !args.smoke);
     }
 
     #[test]
     fn quick_flag_switches_profile_wherever_it_stands() {
         let args = parse(&["--ticks", "777", "--quick"]).unwrap();
-        assert!(args.quick);
         assert_eq!(args.params.ticks, 777);
         assert_eq!(args.params.patience, SweepParams::quick().patience);
     }
@@ -207,12 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_and_unread_flags_are_errors() {
+    fn unknown_flags_are_errors() {
         assert!(parse(&["--tick", "100"]).unwrap_err().contains("`--tick`"));
         assert!(parse(&["--smoke"]).unwrap_err().contains("`--smoke`"));
-        let multitask = BenchArgs::parse(&[SMOKE, OUT], ["--smoke".to_string()]).unwrap();
-        assert!(multitask.smoke);
-        assert!(BenchArgs::parse(&[SMOKE, OUT], ["--quick".to_string()]).is_err());
     }
 
     #[test]

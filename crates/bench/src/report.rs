@@ -1,7 +1,7 @@
 //! Plain-text result tables.
 //!
-//! The `err × k` tables and the `recovery` / `robustness` binaries
-//! render an aligned matrix — rows and columns labelled with the swept
+//! The `err × k` tables and the `recovery` / `robustness` rows render
+//! an aligned matrix — rows and columns labelled with the swept
 //! parameters — so the output can be compared against the paper's chart
 //! by eye and parsed by scripts (cells are whitespace-separated).
 

@@ -1004,7 +1004,9 @@ struct MultitaskChaosReport {
 /// `--train-ticks`, then gated. The same workload is re-run ungated to
 /// price the suppression savings and mis-detection cost. The fleet runs
 /// lossless in this mode: its table carries no fault flags, only
-/// `--store-dir`, `--wal-dir` and the serve plane.
+/// `--store-dir` and `--wal-dir`. Nor does it carry the serve plane:
+/// `MultiTaskRunner` publishes no alerts, and a publisher alert names no
+/// task.
 fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use volley_core::correlation::CorrelationConfig;
     use volley_runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner};

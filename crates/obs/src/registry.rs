@@ -26,9 +26,11 @@ use std::time::Instant;
 
 use crate::expose::{HistogramSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 
-/// Number of write stripes per instrument. Eight covers the runtime's
-/// thread-per-monitor fan-out at the scales the repo runs while keeping
-/// each histogram's footprint modest.
+/// Number of write stripes per instrument. The threads that write one
+/// registry concurrently are the sharded simulator's workers and the
+/// serve thread (the live runtime writes from its one driving thread);
+/// eight covers the worker counts the repo runs while keeping each
+/// histogram's footprint modest.
 pub const SHARDS: usize = 8;
 
 /// Number of power-of-two latency buckets. Bucket 0 holds zeros; bucket

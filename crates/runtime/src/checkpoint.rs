@@ -18,7 +18,8 @@
 //! [len: u32 LE] [crc: u32 LE] [payload: `len` bytes of JSON]
 //! ```
 //!
-//! where `crc` is the CRC-32 (IEEE) of the payload. Recovery reads
+//! where `crc` is the CRC-32 (IEEE) of the payload — the sample store's
+//! [`volley_store::crc32`], shared by both formats. Recovery reads
 //! records until the first frame that is short, oversized, fails its CRC
 //! or fails to parse — the **truncated-tail rule**: everything before
 //! the bad frame is trusted, everything at and after it is discarded.
@@ -49,6 +50,7 @@ use serde::{Deserialize, Serialize};
 use volley_core::snapshot::SamplerSnapshot;
 use volley_core::time::Tick;
 use volley_core::vfs::{CircuitBreaker, StdFs, Vfs, VfsFile};
+use volley_store::crc32;
 
 /// Upper bound on a record payload. A bit-flipped length field would
 /// otherwise make recovery attempt a multi-gigabyte read.
@@ -64,43 +66,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
 const FRAME_OVERHEAD: usize = 8;
-
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven; the table is built at compile time
-// so the hot append path is a byte-per-iteration table lookup.
-// ---------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        let idx = ((crc ^ u32::from(byte)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------
 // Record types
@@ -716,13 +681,6 @@ mod tests {
         let dir = std::env::temp_dir().join("volley-checkpoint-tests");
         fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}.wal", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

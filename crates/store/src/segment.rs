@@ -52,8 +52,8 @@ const TAG_DATA: u8 = 0x01;
 const TAG_INDEX: u8 = 0x02;
 const MAGIC: &[u8; 4] = b"VSEG";
 
-/// CRC-32 (IEEE) lookup table, built at compile time — same polynomial
-/// and construction as the checkpoint WAL.
+/// CRC-32 (IEEE) lookup table, built at compile time. The checkpoint
+/// WAL frames its records with the same [`crc32`].
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -640,6 +640,13 @@ mod tests {
             tick,
             value,
         }
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        // Standard IEEE test vector.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Facade crate of the **Volley** reproduction — *"Volley: Violation
 //! Likelihood Based State Monitoring for Datacenters"* (ICDCS 2013).
-//! It re-exports the workspace's five libraries under one roof:
+//! It re-exports the workspace's eight libraries under one roof:
 //!
 //! - [`volley_core`] — the violation-likelihood adaptation
 //!   algorithms, distributed coordination and state correlation;
@@ -10,8 +10,9 @@
 //!   in for the paper's Internet2 / ICAC'09 / WorldCup'98 datasets;
 //! - [`volley_sim`] — the discrete-event datacenter simulator with
 //!   the Dom0 CPU cost model;
-//! - [`volley_runtime`] — the threaded monitor/coordinator
-//!   message-passing prototype;
+//! - [`volley_runtime`] — the live monitor/coordinator runtime: the
+//!   §IV protocol as a sans-IO coordinator machine stepped with its
+//!   monitors on the driver's thread, or over sockets to agent processes;
 //! - [`volley_obs`] — the self-monitoring observability subsystem
 //!   (metrics registry, span tracing, exposition, Volley-watching-Volley);
 //! - [`volley_store`] — the embedded time-series sample store with

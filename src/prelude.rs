@@ -38,7 +38,7 @@ pub use volley_sim::{
     ShardedEngine, SimDuration, SimTime, SystemScenario, SystemScenarioConfig, VmId,
 };
 
-// Runtime: the threaded prototype and fleet execution.
+// Runtime: the live monitor/coordinator runtime and fleet execution.
 pub use volley_runtime::{FleetRunner, FleetSummary, FleetTask, RuntimeReport, TaskRunner};
 
 // Traces: synthetic workloads standing in for the paper's datasets.

@@ -1,5 +1,5 @@
 //! End-to-end tests of the live §II.B multi-task suppression on the
-//! threaded runtime: a planted leader/follower cascade yields a gate
+//! in-process runtime: a planted leader/follower cascade yields a gate
 //! that saves follower samples without missing its post-training
 //! alerts, ungated tasks report exactly what a solo `TaskRunner` reports
 //! (both fold through the one session), and the follower-gate state
