@@ -183,7 +183,7 @@ pub const TABLES: &[Table] = &[
     Table {
         name: "multitask_json",
         paper_item: "E9 (§II.B multi-task suppression at fleet scale)",
-        shape: "multitask as the schema-6 envelope",
+        shape: "multitask as the versioned report envelope",
         render: |p| envelope("multitask", &extensions::multitask(p)),
     },
     Table {
@@ -196,7 +196,7 @@ pub const TABLES: &[Table] = &[
     Table {
         name: "correlation_json",
         paper_item: "E9 (§II.B state correlation on one VM)",
-        shape: "correlation as the schema-6 envelope",
+        shape: "correlation as the versioned report envelope",
         render: |p| envelope("correlation", &extensions::correlation(p)),
     },
 ];

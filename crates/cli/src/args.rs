@@ -828,7 +828,7 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
             STORE_DIR,
             REPORT_JSON,
         ],
-        groups: &[],
+        groups: &[&SERVE],
         requires: &[],
         build: Command::Chaos,
     },
@@ -2149,11 +2149,6 @@ mod tests {
             (
                 &["chaos", "--multitask", "3", "--net"],
                 "--net",
-                "chaos --multitask",
-            ),
-            (
-                &["chaos", "--multitask", "3", "--serve-addr", "x"],
-                "--serve-addr",
                 "chaos --multitask",
             ),
             (&["chaos", "--net-agents", "2"], "--net-agents", "chaos"),

@@ -42,6 +42,18 @@ fn write_envelope<W: Write, T: Serialize>(
     Ok(())
 }
 
+/// `report`'s JSON object followed by the keys `extras` adds to it: the
+/// runtime report as one command reports it.
+fn extended(report: &RuntimeReport, extras: impl Serialize) -> serde::Value {
+    let mut object = report.to_value();
+    if let (serde::Value::Object(fields), serde::Value::Object(more)) =
+        (&mut object, extras.to_value())
+    {
+        fields.extend(more);
+    }
+    object
+}
+
 /// Executes a parsed command, writing its report to `out`.
 ///
 /// # Errors
@@ -580,23 +592,15 @@ impl Sinks {
     }
 }
 
-/// JSON report of a `run` invocation.
+/// What `run` adds to its runtime report.
 #[derive(Debug, Serialize)]
-struct RunReport {
+struct RunExtras {
     monitors: usize,
-    ticks: u64,
-    alerts: u64,
-    alert_ticks: Vec<u64>,
-    total_samples: u64,
     cost_ratio: f64,
-    self_monitor_samples: u64,
-    self_monitor_alerts: u64,
-    self_monitor_alert_ticks: Vec<u64>,
     obs_dir: Option<String>,
     /// Sharded-engine execution counters, when the workload ran on the
     /// simulation engine. The live runtime reports `null` here; the
-    /// field exists so schema-6 consumers see one shape across `sim`
-    /// and `run`.
+    /// field exists so consumers see one shape across `sim` and `run`.
     engine: Option<EngineStats>,
     /// The final in-process registry snapshot, embedded verbatim.
     snapshot: volley_obs::Snapshot,
@@ -623,35 +627,29 @@ fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     }
     sinks.finish(report.ticks);
 
-    let summary = RunReport {
-        monitors: n,
-        ticks: report.ticks,
-        alerts: report.alerts,
-        alert_ticks: report.alert_ticks.clone(),
-        total_samples: report.total_samples,
-        cost_ratio: report.cost_ratio(n),
-        self_monitor_samples: report.self_monitor_samples,
-        self_monitor_alerts: report.self_monitor_alerts,
-        self_monitor_alert_ticks: report.self_monitor_alert_ticks.clone(),
-        obs_dir: args.common.obs_dir.clone(),
-        engine: None,
-        snapshot: sinks.obs.snapshot(report.ticks),
-    };
+    let snapshot = sinks.obs.snapshot(report.ticks);
     if args.common.report_json {
-        return write_envelope(out, "run", &summary);
+        let extras = RunExtras {
+            monitors: n,
+            cost_ratio: report.cost_ratio(n),
+            obs_dir: args.common.obs_dir.clone(),
+            engine: None,
+            snapshot,
+        };
+        return write_envelope(out, "run", extended(&report, extras));
     }
-    writeln!(out, "monitors:         {}", summary.monitors)?;
-    writeln!(out, "ticks:            {}", summary.ticks)?;
-    writeln!(out, "alerts:           {}", summary.alerts)?;
-    write_samples(out, summary.total_samples, summary.cost_ratio)?;
+    writeln!(out, "monitors:         {n}")?;
+    writeln!(out, "ticks:            {}", report.ticks)?;
+    writeln!(out, "alerts:           {}", report.alerts)?;
+    write_samples(out, report.total_samples, report.cost_ratio(n))?;
     if args.self_monitor_us.is_some() {
         writeln!(
             out,
             "self-monitor:     {} samples, {} alerts",
-            summary.self_monitor_samples, summary.self_monitor_alerts
+            report.self_monitor_samples, report.self_monitor_alerts
         )?;
     }
-    write_snapshot_summary(&summary.snapshot, out)?;
+    write_snapshot_summary(&snapshot, out)?;
     write_sink_dirs(out, args)?;
     Ok(())
 }
@@ -718,30 +716,11 @@ fn obs_read<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     write_snapshot_summary(&snapshot, out)
 }
 
-/// JSON report of a `chaos` run.
+/// What `chaos` adds to its runtime report.
 #[derive(Debug, Serialize)]
-struct ChaosReport {
+struct ChaosExtras {
     monitors: usize,
-    ticks: u64,
-    alerts: u64,
-    alert_ticks: Vec<u64>,
-    polls: u64,
-    degraded_polls: u64,
-    degraded_alerts: u64,
-    missed_tick_reports: u64,
-    quarantines: u64,
-    restarts: u64,
-    recoveries: u64,
-    coordinator_failovers: u64,
-    stale_epoch_frames: u64,
-    checkpoint_restores: u64,
-    conservative_restarts: u64,
-    total_samples: u64,
     cost_ratio: f64,
-    /// How the persistence sinks degraded under `--io-*` storage faults
-    /// (all zeros on a fault-free run; includes the sample store's
-    /// injected-fault count, which the runtime can't see).
-    degradation: volley_runtime::DegradationReport,
 }
 
 /// One sink's line of the `chaos` degradation section.
@@ -814,61 +793,44 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             args.checkpoint_interval,
         );
     }
-    let report = runner.run(&workload.traces)?;
+    let mut report = runner.run(&workload.traces)?;
     sinks.finish(report.ticks);
-    let mut degradation = report.degradation.clone();
+    // The sample store's injected faults, which the runtime can't see.
     if let Some(stats) = &sinks.store_faults {
-        degradation.io_faults_injected += stats.total();
+        report.degradation.io_faults_injected += stats.total();
     }
 
-    let summary = ChaosReport {
-        monitors: n,
-        ticks: report.ticks,
-        alerts: report.alerts,
-        alert_ticks: report.alert_ticks.clone(),
-        polls: report.polls,
-        degraded_polls: report.degraded_polls,
-        degraded_alerts: report.degraded_alerts,
-        missed_tick_reports: report.missed_tick_reports,
-        quarantines: report.quarantines,
-        restarts: report.restarts,
-        recoveries: report.recoveries,
-        coordinator_failovers: report.coordinator_failovers,
-        stale_epoch_frames: report.stale_epoch_frames,
-        checkpoint_restores: report.checkpoint_restores,
-        conservative_restarts: report.conservative_restarts,
-        total_samples: report.total_samples,
-        cost_ratio: report.cost_ratio(n),
-        degradation,
-    };
+    let cost_ratio = report.cost_ratio(n);
     if args.common.report_json {
-        return write_envelope(out, "chaos", &summary);
+        let extras = ChaosExtras {
+            monitors: n,
+            cost_ratio,
+        };
+        return write_envelope(out, "chaos", extended(&report, extras));
     }
     write_fleet_head(out, n, &report)?;
     writeln!(
         out,
         "polls:            {} ({} degraded)",
-        summary.polls, summary.degraded_polls
+        report.polls, report.degraded_polls
     )?;
-    writeln!(out, "missed reports:   {}", summary.missed_tick_reports)?;
+    writeln!(out, "missed reports:   {}", report.missed_tick_reports)?;
     writeln!(
         out,
         "quarantines:      {} ({} restarts, {} recoveries)",
-        summary.quarantines, summary.restarts, summary.recoveries
+        report.quarantines, report.restarts, report.recoveries
     )?;
-    if summary.coordinator_failovers > 0 || summary.stale_epoch_frames > 0 {
+    if report.coordinator_failovers > 0 || report.stale_epoch_frames > 0 {
         writeln!(
             out,
             "failovers:        {} ({} checkpoint restores, {} conservative)",
-            summary.coordinator_failovers,
-            summary.checkpoint_restores,
-            summary.conservative_restarts
+            report.coordinator_failovers, report.checkpoint_restores, report.conservative_restarts
         )?;
-        writeln!(out, "stale frames:     {}", summary.stale_epoch_frames)?;
+        writeln!(out, "stale frames:     {}", report.stale_epoch_frames)?;
     }
-    write_samples(out, summary.total_samples, summary.cost_ratio)?;
-    if summary.degradation.any() {
-        let d = &summary.degradation;
+    write_samples(out, report.total_samples, cost_ratio)?;
+    if report.degradation.any() {
+        let d = &report.degradation;
         writeln!(out, "io faults:        {} injected", d.io_faults_injected)?;
         write_degradation(
             out,
@@ -902,7 +864,7 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             d.obs_degraded_at_end,
         )?;
     }
-    write_alert_ticks(out, &summary.alert_ticks)?;
+    write_alert_ticks(out, &report.alert_ticks)?;
     write_sink_dirs(out, args)?;
     Ok(())
 }
@@ -958,21 +920,16 @@ fn planted_role(task: usize) -> &'static str {
     }
 }
 
-/// One task's section of a `chaos --multitask` report, pairing the
-/// gated run's numbers with the ungated baseline's.
+/// What one task's section of a `chaos --multitask` report adds to the
+/// gated run's report: the ungated baseline's numbers.
 #[derive(Debug, Serialize)]
-struct MultitaskTaskSection {
+struct MultitaskTaskExtras {
     task: usize,
     /// The *planted* role (what the workload encodes); the derived plan
     /// is in the report's `gates`.
     role: &'static str,
-    alerts: u64,
     baseline_alerts: u64,
-    total_samples: u64,
     baseline_samples: u64,
-    suppressed_samples: u64,
-    gated_ticks: u64,
-    gate_flips: u64,
 }
 
 /// JSON report of a `chaos --multitask` run.
@@ -995,7 +952,8 @@ struct MultitaskChaosReport {
     /// Alerts the gated run missed relative to the baseline, summed over
     /// tasks — the mis-detection cost of suppression.
     missed_alerts: u64,
-    tasks_detail: Vec<MultitaskTaskSection>,
+    /// Per task: its gated report plus [`MultitaskTaskExtras`].
+    tasks_detail: Vec<serde::Value>,
 }
 
 /// Runs `--multitask N` correlated tasks under the live multi-task
@@ -1003,10 +961,8 @@ struct MultitaskChaosReport {
 /// leader/follower cascade plus seeded noise tasks, trained for
 /// `--train-ticks`, then gated. The same workload is re-run ungated to
 /// price the suppression savings and mis-detection cost. The fleet runs
-/// lossless in this mode: its table carries no fault flags, only
-/// `--store-dir` and `--wal-dir`. Nor does it carry the serve plane:
-/// `MultiTaskRunner` publishes no alerts, and a publisher alert names no
-/// task.
+/// lossless in this mode: its table carries no fault flags, only the
+/// sinks.
 fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     use volley_core::correlation::CorrelationConfig;
     use volley_runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner};
@@ -1052,6 +1008,9 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         std::fs::create_dir_all(dir)?;
         runner = runner.with_wal_dir(dir, args.checkpoint_interval);
     }
+    if let Some(handle) = &sinks.serve {
+        runner = runner.with_serve_publisher(handle.publisher());
+    }
     let outcome = runner.run(&tasks)?;
     sinks.finish(outcome.ticks);
 
@@ -1071,30 +1030,19 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     } else {
         0.0
     };
-    let tasks_detail: Vec<MultitaskTaskSection> = outcome
-        .reports
-        .iter()
-        .zip(&baseline.reports)
-        .enumerate()
-        .map(|(task, (gated, ungated))| {
-            let section = gated.multitask.unwrap_or_default();
-            MultitaskTaskSection {
-                task,
-                role: planted_role(task),
-                alerts: gated.alerts,
-                baseline_alerts: ungated.alerts,
-                total_samples: gated.total_samples,
-                baseline_samples: ungated.total_samples,
-                suppressed_samples: section.suppressed_samples,
-                gated_ticks: section.gated_ticks,
-                gate_flips: section.gate_flips,
-            }
-        })
-        .collect();
-    let missed_alerts = tasks_detail
-        .iter()
-        .map(|t| t.baseline_alerts.saturating_sub(t.alerts))
+    let pairs = || outcome.reports.iter().zip(&baseline.reports);
+    let missed_alerts = pairs()
+        .map(|(gated, ungated)| ungated.alerts.saturating_sub(gated.alerts))
         .sum();
+    let tasks_detail = pairs().enumerate().map(|(task, (gated, ungated))| {
+        let extras = MultitaskTaskExtras {
+            task,
+            role: planted_role(task),
+            baseline_alerts: ungated.alerts,
+            baseline_samples: ungated.total_samples,
+        };
+        extended(gated, extras)
+    });
     let summary = MultitaskChaosReport {
         tasks: args.multitask,
         monitors_per_task: monitors,
@@ -1107,7 +1055,7 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         baseline_samples,
         savings_ratio,
         missed_alerts,
-        tasks_detail,
+        tasks_detail: tasks_detail.collect(),
     };
     if args.common.report_json {
         return write_envelope(out, "chaos", &summary);
@@ -1143,17 +1091,17 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         100.0 * summary.savings_ratio
     )?;
     writeln!(out, "missed alerts:    {}", summary.missed_alerts)?;
-    for t in &summary.tasks_detail {
+    for (task, (gated, ungated)) in pairs().enumerate() {
+        let section = gated.multitask.unwrap_or_default();
         writeln!(
             out,
-            "  task {} {:<9} alerts {}/{}  samples {}  suppressed {} over {} gated ticks",
-            t.task,
-            t.role,
-            t.alerts,
-            t.baseline_alerts,
-            t.total_samples,
-            t.suppressed_samples,
-            t.gated_ticks
+            "  task {task} {:<9} alerts {}/{}  samples {}  suppressed {} over {} gated ticks",
+            planted_role(task),
+            gated.alerts,
+            ungated.alerts,
+            gated.total_samples,
+            section.suppressed_samples,
+            section.gated_ticks
         )?;
     }
     write_sink_dirs(out, args)?;
@@ -1189,22 +1137,12 @@ fn net_addr(args: &Args) -> NetAddr {
     }
 }
 
-/// JSON report of a `coordinator` run: the same detection fields as the
-/// in-process `run` report (so CI can diff them for parity), plus the
-/// socket-layer counters.
+/// What `coordinator` adds to its runtime report — the same detection
+/// fields as the in-process `run` report, so CI can diff them for
+/// parity: the socket-layer counters.
 #[derive(Debug, Serialize)]
-struct CoordinatorReport {
+struct CoordinatorExtras {
     monitors: usize,
-    ticks: u64,
-    alerts: u64,
-    alert_ticks: Vec<u64>,
-    polls: u64,
-    degraded_polls: u64,
-    degraded_alerts: u64,
-    missed_tick_reports: u64,
-    quarantines: u64,
-    recoveries: u64,
-    total_samples: u64,
     cost_ratio: f64,
     net: NetStats,
 }
@@ -1234,29 +1172,20 @@ fn coordinator_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     sinks.finish(outcome.report.ticks);
 
     let report = &outcome.report;
-    let summary = CoordinatorReport {
-        monitors: n,
-        ticks: report.ticks,
-        alerts: report.alerts,
-        alert_ticks: report.alert_ticks.clone(),
-        polls: report.polls,
-        degraded_polls: report.degraded_polls,
-        degraded_alerts: report.degraded_alerts,
-        missed_tick_reports: report.missed_tick_reports,
-        quarantines: report.quarantines,
-        recoveries: report.recoveries,
-        total_samples: report.total_samples,
-        cost_ratio: report.cost_ratio(n),
-        net: outcome.net,
-    };
+    let cost_ratio = report.cost_ratio(n);
     if args.common.report_json {
-        return write_envelope(out, "coordinator", &summary);
+        let extras = CoordinatorExtras {
+            monitors: n,
+            cost_ratio,
+            net: outcome.net,
+        };
+        return write_envelope(out, "coordinator", extended(report, extras));
     }
     writeln!(out, "listen:           {addr}")?;
     write_fleet_head(out, n, report)?;
-    write_samples(out, summary.total_samples, summary.cost_ratio)?;
+    write_samples(out, report.total_samples, cost_ratio)?;
     write_quarantines(out, report)?;
-    write_net_stats(&summary.net, out)?;
+    write_net_stats(&outcome.net, out)?;
     if let Some(dir) = &args.common.obs_dir {
         writeln!(out, "obs snapshots:    {dir}")?;
     }
@@ -1331,19 +1260,11 @@ fn agent_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// JSON report of a `chaos --net` run.
+/// What `chaos --net` adds to its runtime report.
 #[derive(Debug, Serialize)]
-struct NetChaosReport {
+struct NetChaosExtras {
     monitors: usize,
     agents: usize,
-    ticks: u64,
-    alerts: u64,
-    alert_ticks: Vec<u64>,
-    degraded_alerts: u64,
-    missed_tick_reports: u64,
-    quarantines: u64,
-    recoveries: u64,
-    total_samples: u64,
     agent_reconnects: u64,
     net: NetStats,
 }
@@ -1409,29 +1330,21 @@ fn chaos_net<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     sinks.finish(outcome.report.ticks);
 
     let report = &outcome.report;
-    let summary = NetChaosReport {
-        monitors: n,
-        agents,
-        ticks: report.ticks,
-        alerts: report.alerts,
-        alert_ticks: report.alert_ticks.clone(),
-        degraded_alerts: report.degraded_alerts,
-        missed_tick_reports: report.missed_tick_reports,
-        quarantines: report.quarantines,
-        recoveries: report.recoveries,
-        total_samples: report.total_samples,
-        agent_reconnects,
-        net: outcome.net,
-    };
     if args.common.report_json {
-        return write_envelope(out, "chaos", &summary);
+        let extras = NetChaosExtras {
+            monitors: n,
+            agents,
+            agent_reconnects,
+            net: outcome.net,
+        };
+        return write_envelope(out, "chaos", extended(report, extras));
     }
     write_fleet_head(out, format_args!("{n} across {agents} agents"), report)?;
-    writeln!(out, "missed reports:   {}", summary.missed_tick_reports)?;
+    writeln!(out, "missed reports:   {}", report.missed_tick_reports)?;
     write_quarantines(out, report)?;
-    writeln!(out, "agent reconnects: {}", summary.agent_reconnects)?;
-    write_net_stats(&summary.net, out)?;
-    write_alert_ticks(out, &summary.alert_ticks)?;
+    writeln!(out, "agent reconnects: {agent_reconnects}")?;
+    write_net_stats(&outcome.net, out)?;
+    write_alert_ticks(out, &report.alert_ticks)?;
     Ok(())
 }
 

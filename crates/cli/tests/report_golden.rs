@@ -60,7 +60,7 @@ fn generate_then_monitor_report_is_pinned() {
         "8",
         "--report-json",
     ]);
-    assert_digest("monitor", &report, 0xa90b_4ad9_0967_ef5d);
+    assert_digest("monitor", &report, 0xe75c_d4b1_63ee_b89a);
     let _ = std::fs::remove_file(&trace);
 }
 
@@ -84,7 +84,7 @@ fn chaos_crash_and_stall_report_is_pinned() {
         "1000",
         "--report-json",
     ]);
-    assert_digest("chaos", &report, 0xdc70_9d86_1800_7118);
+    assert_digest("chaos", &report, 0x3b79_00b8_b11e_83b5);
 }
 
 #[test]
@@ -101,7 +101,7 @@ fn chaos_multitask_report_is_pinned() {
         "42",
         "--report-json",
     ]);
-    assert_digest("chaos --multitask", &report, 0x2928_030a_3bff_a5d3);
+    assert_digest("chaos --multitask", &report, 0x5a1c_fec7_b5c6_c9a4);
 }
 
 #[test]
@@ -128,12 +128,12 @@ fn recorded_store_reports_are_pinned() {
             &store,
             "--report-json",
         ],
-        0x6533_4103_8d61_99a7,
+        0x6a46_f839_5953_1249,
     );
     pinned(
         "store query",
         &["store", "query", "--store-dir", &store, "--report-json"],
-        0xa8e5_f4ac_57b4_c3da,
+        0xad8c_fa79_7091_7fd5,
     );
     pinned(
         "backtest --verify",
@@ -148,7 +148,7 @@ fn recorded_store_reports_are_pinned() {
             "--verify",
             "--report-json",
         ],
-        0x437a_06c9_4408_2bdf,
+        0x0996_b925_49f5_2410,
     );
     pinned(
         "analyze correlate",
@@ -163,7 +163,7 @@ fn recorded_store_reports_are_pinned() {
             "2",
             "--report-json",
         ],
-        0x951c_1d56_4e5d_286a,
+        0x31ff_144a_d5e1_2265,
     );
     let _ = std::fs::remove_dir_all(&store);
 }

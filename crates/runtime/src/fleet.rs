@@ -2,92 +2,29 @@
 //!
 //! A datacenter runs "a large number of monitoring tasks" (§I) at once;
 //! [`FleetRunner`] executes a batch of independent distributed tasks in
-//! parallel — each with its own monitors and coordinator, stepped on
-//! the pool thread that picked the task up, so the fleet runs on exactly
-//! its pool — and collects their reports in submission order. Tasks are
-//! isolated: a task's monitors, fault plan and allowance budget never
-//! touch another's.
+//! parallel — a pool of the one drive loop, each task configured by its
+//! own [`TaskRunner`] and stepped on the pool thread that picked it up,
+//! so the fleet runs on exactly its pool — and collects their reports in
+//! submission order. Tasks are isolated: a task's monitors, fault plan
+//! and allowance budget never touch another's.
 
-use volley_core::coordinator::CoordinationScheme;
-use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
-use crate::coordinator::DEFAULT_TICK_DEADLINE;
-use crate::failure::FaultPlan;
 use crate::runner::{RuntimeReport, TaskRunner};
 
-/// One task submission for a fleet run.
+/// One task submission for a fleet run: a configured runner — spec,
+/// scheme, faults, deadline, standby, WAL, recorder (tag shared
+/// recorders with [`SampleRecorder::for_task`](volley_store::SampleRecorder::for_task)
+/// so tasks stay distinguishable in one store) — plus its traces.
 #[derive(Debug)]
 pub struct FleetTask {
-    /// The task specification.
-    pub spec: TaskSpec,
+    /// How this task runs.
+    pub runner: TaskRunner,
     /// Per-monitor ground-truth traces (`traces[i][t]`).
     pub traces: Vec<Vec<f64>>,
-    /// Allowance-allocation scheme.
-    pub scheme: CoordinationScheme,
-    /// Deterministic fault plan (crashes, stalls, drops, delays,
-    /// duplication) for this task's run.
-    pub fault_plan: FaultPlan,
-    /// Tick deadline for this task's coordinator.
-    pub tick_deadline: Duration,
-    /// Whether a warm standby coordinator is armed for this task.
-    pub standby: bool,
-    /// Checkpoint WAL path and snapshot cadence for this task, if any.
-    pub wal: Option<(std::path::PathBuf, u64)>,
-    /// Recording sink for this task's samples/alerts/interval changes.
-    /// Tag shared recorders with
-    /// [`SampleRecorder::for_task`] so tasks stay
-    /// distinguishable in one store.
-    pub recorder: Option<volley_store::SampleRecorder>,
-}
-
-impl FleetTask {
-    /// Creates a submission with the default (adaptive) scheme, a
-    /// lossless report path and no injected faults.
-    pub fn from_spec(spec: TaskSpec, traces: Vec<Vec<f64>>) -> Self {
-        FleetTask {
-            spec,
-            traces,
-            scheme: CoordinationScheme::Adaptive,
-            fault_plan: FaultPlan::default(),
-            tick_deadline: DEFAULT_TICK_DEADLINE,
-            standby: false,
-            wal: None,
-            recorder: None,
-        }
-    }
-
-    /// Installs a fault plan (and usually a much shorter tick deadline)
-    /// for this submission.
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan, tick_deadline: Duration) -> Self {
-        self.fault_plan = plan;
-        self.tick_deadline = tick_deadline;
-        self
-    }
-
-    /// Arms a warm standby coordinator, optionally durable: with a WAL
-    /// path and snapshot cadence the standby restores checkpointed
-    /// adaptation state at failover instead of conservative `I_d`
-    /// restarts. Each task needs its own WAL path.
-    #[must_use]
-    pub fn with_standby(mut self, wal: Option<(std::path::PathBuf, u64)>) -> Self {
-        self.standby = true;
-        self.wal = wal;
-        self
-    }
-
-    /// Attaches a recording sink for this submission (see
-    /// [`TaskRunner::with_recorder`]).
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: volley_store::SampleRecorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
 }
 
 /// Aggregate statistics over a fleet run.
@@ -149,7 +86,8 @@ impl FleetRunner {
     ///
     /// Returns the first task error encountered (tasks that already
     /// completed are discarded — submissions are expected to be
-    /// pre-validated via [`TaskSpec`] construction).
+    /// pre-validated via [`TaskSpec`](volley_core::task::TaskSpec)
+    /// construction).
     pub fn run(
         &self,
         tasks: Vec<FleetTask>,
@@ -169,24 +107,10 @@ impl FleetRunner {
                     let next = &next;
                     scope.spawn(move || loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= tasks.len() {
+                        let Some(task) = tasks.get(index) else {
                             break;
-                        }
-                        let task = &tasks[index];
-                        let outcome = (|| {
-                            let mut runner = TaskRunner::new(&task.spec)?
-                                .with_scheme(task.scheme)
-                                .with_fault_plan(task.fault_plan.clone())
-                                .with_tick_deadline(task.tick_deadline)
-                                .with_standby(task.standby);
-                            if let Some((path, every)) = &task.wal {
-                                runner = runner.with_wal(path, *every);
-                            }
-                            if let Some(recorder) = &task.recorder {
-                                runner = runner.with_recorder(recorder.clone());
-                            }
-                            runner.run(&task.traces)
-                        })();
+                        };
+                        let outcome = task.runner.run(&task.traces);
                         *results[index].lock().expect("result slot lock") = Some(outcome);
                     });
                 }
@@ -201,7 +125,8 @@ impl FleetRunner {
                 .expect("every slot filled")?;
             summary.tasks += 1;
             summary.total_samples += report.total_samples;
-            summary.baseline_samples += report.ticks * task.spec.monitors().len() as u64;
+            // A completed run had one trace per monitor.
+            summary.baseline_samples += report.ticks * task.traces.len() as u64;
             summary.alerts += report.alerts;
             summary.polls += report.polls;
             reports.push(report);
@@ -213,6 +138,16 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use volley_core::task::TaskSpec;
+
+    use crate::failure::FaultPlan;
+
+    /// A default-configured submission.
+    fn task(spec: TaskSpec, traces: Vec<Vec<f64>>) -> FleetTask {
+        let runner = TaskRunner::new(&spec).unwrap();
+        FleetTask { runner, traces }
+    }
 
     fn spec(monitors: usize, threshold: f64) -> TaskSpec {
         TaskSpec::builder(threshold)
@@ -243,9 +178,9 @@ mod tests {
     fn fleet_matches_individual_runs() {
         let make_tasks = || {
             vec![
-                FleetTask::from_spec(spec(2, 500.0), quiet_traces(2, 400, 5.0)),
-                FleetTask::from_spec(spec(3, 900.0), quiet_traces(3, 400, 10.0)),
-                FleetTask::from_spec(spec(1, 50.0), {
+                (spec(2, 500.0), quiet_traces(2, 400, 5.0)),
+                (spec(3, 900.0), quiet_traces(3, 400, 10.0)),
+                (spec(1, 50.0), {
                     let mut t = quiet_traces(1, 400, 5.0);
                     // A sustained violation spanning more than the max
                     // interval (8), so at least one sample must land on it.
@@ -254,15 +189,13 @@ mod tests {
                 }),
             ]
         };
-        let (fleet_reports, summary) = FleetRunner::new().run(make_tasks()).unwrap();
+        let fleet = make_tasks().into_iter().map(|(s, t)| task(s, t)).collect();
+        let (fleet_reports, summary) = FleetRunner::new().run(fleet).unwrap();
         assert_eq!(fleet_reports.len(), 3);
         assert_eq!(summary.tasks, 3);
         // Individually-run tasks must produce identical reports.
-        for task in make_tasks() {
-            let solo = TaskRunner::new(&task.spec)
-                .unwrap()
-                .run(&task.traces)
-                .unwrap();
+        for (spec, traces) in make_tasks() {
+            let solo = TaskRunner::new(&spec).unwrap().run(&traces).unwrap();
             let matching = fleet_reports.contains(&solo);
             assert!(matching, "no fleet report matches the solo run");
         }
@@ -274,7 +207,7 @@ mod tests {
     #[test]
     fn fleet_propagates_task_errors() {
         // A task whose trace count mismatches its monitor count fails.
-        let bad = FleetTask::from_spec(spec(2, 100.0), quiet_traces(1, 50, 1.0));
+        let bad = task(spec(2, 100.0), quiet_traces(1, 50, 1.0));
         let err = FleetRunner::new().run(vec![bad]).unwrap_err();
         assert!(matches!(err, VolleyError::ValueCountMismatch { .. }));
     }
@@ -282,11 +215,12 @@ mod tests {
     #[test]
     fn faulty_task_completes_without_contaminating_the_fleet() {
         use volley_core::task::MonitorId;
-        let healthy = FleetTask::from_spec(spec(2, 500.0), quiet_traces(2, 100, 5.0));
-        let faulty = FleetTask::from_spec(spec(2, 500.0), quiet_traces(2, 100, 5.0)).with_faults(
-            FaultPlan::new(3).with_crash(MonitorId(0), 10),
-            Duration::from_millis(25),
-        );
+        let healthy = task(spec(2, 500.0), quiet_traces(2, 100, 5.0));
+        let mut faulty = task(spec(2, 500.0), quiet_traces(2, 100, 5.0));
+        faulty.runner = faulty
+            .runner
+            .with_fault_plan(FaultPlan::new(3).with_crash(MonitorId(0), 10))
+            .with_tick_deadline(Duration::from_millis(25));
         let (reports, summary) = FleetRunner::new().run(vec![healthy, faulty]).unwrap();
         assert_eq!(summary.tasks, 2);
         assert_eq!(reports[0].quarantines, 0, "healthy task unaffected");
@@ -300,13 +234,14 @@ mod tests {
         let dir = std::env::temp_dir().join("volley-fleet-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("standby-{}.wal", std::process::id()));
-        let healthy = FleetTask::from_spec(spec(2, 500.0), quiet_traces(2, 80, 5.0));
-        let durable = FleetTask::from_spec(spec(2, 500.0), quiet_traces(2, 80, 5.0))
-            .with_faults(
-                FaultPlan::new(3).with_coordinator_crash(40),
-                Duration::from_millis(50),
-            )
-            .with_standby(Some((path.clone(), 10)));
+        let healthy = task(spec(2, 500.0), quiet_traces(2, 80, 5.0));
+        let mut durable = task(spec(2, 500.0), quiet_traces(2, 80, 5.0));
+        durable.runner = durable
+            .runner
+            .with_fault_plan(FaultPlan::new(3).with_coordinator_crash(40))
+            .with_tick_deadline(Duration::from_millis(50))
+            .with_standby(true)
+            .with_wal(&path, 10);
         let (reports, summary) = FleetRunner::new().run(vec![healthy, durable]).unwrap();
         assert_eq!(summary.tasks, 2);
         assert_eq!(reports[0].coordinator_failovers, 0);
@@ -320,7 +255,7 @@ mod tests {
     fn bounded_pool_matches_unbounded_for_every_cap() {
         let make_tasks = || {
             (0..6)
-                .map(|i| FleetTask::from_spec(spec(2, 800.0 + i as f64), quiet_traces(2, 150, 2.0)))
+                .map(|i| task(spec(2, 800.0 + i as f64), quiet_traces(2, 150, 2.0)))
                 .collect::<Vec<_>>()
         };
         let (unbounded, baseline) = FleetRunner::new().run(make_tasks()).unwrap();
@@ -337,7 +272,7 @@ mod tests {
     #[test]
     fn large_fleet_completes() {
         let tasks: Vec<FleetTask> = (0..12)
-            .map(|i| FleetTask::from_spec(spec(2, 1000.0 + i as f64), quiet_traces(2, 200, 1.0)))
+            .map(|i| task(spec(2, 1000.0 + i as f64), quiet_traces(2, 200, 1.0)))
             .collect();
         let (reports, summary) = FleetRunner::new().run(tasks).unwrap();
         assert_eq!(reports.len(), 12);

@@ -64,12 +64,11 @@
 //! original accuracy experiments, is
 //! [`FaultPlan::with_drop_rate`]`(`[`FaultPath::ViolationReport`]`, p)`.
 //!
-//! [`TaskRunner`], [`MultiTaskRunner`] and [`NetCoordinator`] all drive
-//! this protocol through one crate-private session (build the monitor
-//! plane, step a tick — which steps the coordinator machine and executes
-//! its outbox: sends, checkpoint log, supervisor — and fold its summary,
-//! finish by shutting down and flushing on success and error alike) and
-//! add only their own policy on top.
+//! One crate-private tick loop drives every task shape over sessions
+//! (each steps a coordinator machine and its monitor plane); the runners
+//! are its setup plus a hook between steps: [`TaskRunner`] none,
+//! [`MultiTaskRunner`] the correlation gate, [`NetCoordinator`] the
+//! socket plane's turn, and [`FleetRunner`] is a pool of the loop.
 //!
 //! ```
 //! use volley_core::task::TaskSpec;

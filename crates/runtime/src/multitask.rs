@@ -1,10 +1,11 @@
 //! Multi-task correlation suppression on the live runtime (§II.B).
 //!
 //! A [`MultiTaskRunner`] drives several distributed monitoring tasks in
-//! lock-step on the calling thread — each with its own monitor actors
-//! and coordinator — and layers the paper's multi-task scheme on top: for a
-//! **training window** it feeds every task's detected violation activity
-//! into a [`CorrelationDetector`]; once the window closes it derives a
+//! lock-step on the calling thread — each a [`TaskRunner`] of its own,
+//! all in the one drive loop — with the paper's multi-task scheme as the
+//! loop's hook: a policy over task-level monitors. For a **training
+//! window** it feeds every task's detected violation activity into a
+//! [`CorrelationDetector`]; once the window closes it derives a
 //! two-level [`MonitoringPlan`] and thereafter paces each *gated
 //! follower* task at the coarse gated interval while its *leader*
 //! (precondition) task's violation likelihood is low, snapping the
@@ -16,12 +17,12 @@
 //!
 //! # Determinism
 //!
-//! Gate propagation is runner-driven: the runner hands each follower
-//! monitor its [`CoordinatorToMonitor::SetGate`] frame itself, ahead of
-//! that tick's [`CoordinatorToMonitor::Tick`] frame, so the tick at
-//! which a gate engages or releases is a pure function of the traces. The follower's
-//! coordinator ([`CoordinatorActor::with_multitask`]) never sends a gate
-//! frame itself: it is handed the
+//! Gate propagation is driven between steps: the gate hands each
+//! follower monitor its [`CoordinatorToMonitor::SetGate`] frame itself,
+//! ahead of that tick's [`CoordinatorToMonitor::Tick`] frame, so the tick
+//! at which a gate engages or releases is a pure function of the traces.
+//! The follower's coordinator ([`CoordinatorActor::with_multitask`])
+//! never sends a gate frame itself: it is handed the
 //! [`MonitorToCoordinator::LeaderState`] notices (before the tick's data
 //! is sent), tracks engage/release state, counts suppressed samples and
 //! checkpoints the gate through the WAL/snapshot plane.
@@ -71,11 +72,12 @@ use volley_core::task::{TaskId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::VolleyError;
 use volley_obs::Obs;
+use volley_serve::ServePublisher;
 use volley_store::SampleRecorder;
 
-use crate::checkpoint::Wal;
-use crate::runner::{MultitaskReport, RuntimeReport};
-use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
+use crate::message::TickSummary;
+use crate::runner::{MultitaskReport, RuntimeReport, TaskRunner};
+use crate::session::{self, Hook, Task, TaskSession};
 
 /// One task submission for a multi-task run.
 #[derive(Debug, Clone)]
@@ -168,6 +170,7 @@ pub struct MultiTaskRunner {
     /// Checkpoint directory and snapshot cadence; each task logs to
     /// `task-{index}.wal` inside it.
     wal: Option<(PathBuf, u64)>,
+    serve: Option<ServePublisher>,
 }
 
 impl MultiTaskRunner {
@@ -184,6 +187,7 @@ impl MultiTaskRunner {
             recorder: None,
             obs: Obs::disabled(),
             wal: None,
+            serve: None,
         })
     }
 
@@ -213,6 +217,15 @@ impl MultiTaskRunner {
         self
     }
 
+    /// Attaches a live serving-plane publisher: every task's alerts go
+    /// out on its stream, each tagged with the task's submission index,
+    /// as a [`TaskRunner`]'s do.
+    #[must_use]
+    pub fn with_serve_publisher(mut self, publisher: ServePublisher) -> Self {
+        self.serve = Some(publisher);
+        self
+    }
+
     /// Runs all submissions in lock-step and returns per-task reports
     /// plus the derived gating plan.
     ///
@@ -220,156 +233,153 @@ impl MultiTaskRunner {
     ///
     /// Returns [`VolleyError::EmptyTask`] for a spec without monitors,
     /// [`VolleyError::ValueCountMismatch`] when a submission's trace
-    /// count differs from its monitor count, and
-    /// [`VolleyError::RuntimeDisconnected`] if a coordinator dies
-    /// mid-run (the multi-task runner arms no standby).
+    /// count differs from its monitor count,
+    /// [`VolleyError::NonFiniteValue`] for a `NaN` or infinite trace
+    /// value, and [`VolleyError::RuntimeDisconnected`] if a coordinator
+    /// dies mid-run (no task arms a standby).
     pub fn run(&self, tasks: &[MultiTask]) -> Result<MultiTaskOutcome, VolleyError> {
-        // The shortest submission bounds the run (zero ticks for none).
-        let lengths: Result<Vec<u64>, VolleyError> = tasks
+        let mut runners = Vec::with_capacity(tasks.len());
+        for (index, task) in tasks.iter().enumerate() {
+            // Each task records under, and logs to, its own index.
+            let mut runner = TaskRunner::new(&task.spec)?.with_obs(self.obs.clone());
+            runner.gated_interval = Some(self.config.correlation.gated_interval.get());
+            if let Some(recorder) = &self.recorder {
+                runner = runner.with_recorder(recorder.for_task(index as u32));
+            }
+            if let Some((dir, every)) = &self.wal {
+                runner = runner.with_wal(dir.join(format!("task-{index}.wal")), *every);
+            }
+            if let Some(serve) = &self.serve {
+                runner = runner.with_serve_publisher(serve.clone());
+            }
+            runners.push(runner);
+        }
+        let driven = runners
             .iter()
-            .map(|task| run_length(&task.spec, &task.traces))
+            .zip(tasks)
+            .map(|(runner, task)| Task::new(runner, &task.traces, None))
             .collect();
-        let ticks = lengths?.into_iter().min().unwrap_or(0);
-        let configs: Vec<SessionConfig> = tasks
-            .iter()
-            .enumerate()
-            .map(|(index, task)| SessionConfig {
-                recorder: self.recorder.as_ref().map(|r| r.for_task(index as u32)),
-                gated_interval: Some(self.config.correlation.gated_interval.get()),
-                ..SessionConfig::new(task.spec.clone(), self.obs.clone())
+        let n = tasks.len();
+        let mut policy = CorrelationGate {
+            config: &self.config,
+            detector: CorrelationDetector::new(
+                self.config.correlation,
+                (0..n as u64).map(TaskId).collect(),
+            ),
+            plan: None,
+            ticks: 0,
+            last_active: vec![None; n],
+            engaged: vec![false; n],
+            active_now: vec![false; n],
+            sections: vec![MultitaskReport::default(); n],
+        };
+        let mut reports = session::drive(driven, Some(&mut policy))?;
+
+        let plan = policy.plan.iter().flat_map(MonitoringPlan::iter);
+        let mut gates: Vec<PlanGate> = plan
+            .map(|(follower, gate)| PlanGate {
+                follower: follower.0,
+                leader: gate.leader.0,
+                confidence: gate.confidence,
+                gated_interval: gate.gated_interval.get(),
             })
             .collect();
-        // Every session that was spawned is finished, whichever way the
-        // drive ends.
-        let mut sessions = Vec::with_capacity(tasks.len());
-        let driven = self.drive(&configs, tasks, ticks, &mut sessions);
-        let mut reports: Vec<RuntimeReport> =
-            sessions.into_iter().map(TaskSession::finish).collect();
-        let (plan, sections) = driven?;
-
-        let mut gates = Vec::new();
-        if let Some(plan) = &plan {
-            for (follower, gate) in plan.iter() {
-                gates.push(PlanGate {
-                    follower: follower.0,
-                    leader: gate.leader.0,
-                    confidence: gate.confidence,
-                    gated_interval: gate.gated_interval.get(),
-                });
-            }
-            gates.sort_by_key(|g| g.follower);
+        gates.sort_by_key(|g| g.follower);
+        for gate in &gates {
+            let section = MultitaskReport {
+                leader: gate.leader,
+                ..policy.sections[gate.follower as usize]
+            };
+            reports[gate.follower as usize].multitask = Some(section);
         }
-        let mut suppressed_samples = 0;
-        let mut gate_flips = 0;
-        for (index, report) in reports.iter_mut().enumerate() {
-            if let Some(gate) = plan.as_ref().and_then(|p| p.gate(TaskId(index as u64))) {
-                let section = MultitaskReport {
-                    leader: gate.leader.0,
-                    ..sections[index]
-                };
-                suppressed_samples += section.suppressed_samples;
-                gate_flips += section.gate_flips;
-                report.multitask = Some(section);
-            }
-        }
+        let sections = reports.iter().filter_map(|report| report.multitask);
         Ok(MultiTaskOutcome {
+            ticks: reports.first().map_or(0, |report| report.ticks),
+            suppressed_samples: sections.clone().map(|s| s.suppressed_samples).sum(),
+            gate_flips: sections.map(|s| s.gate_flips).sum(),
             reports,
             gates,
-            ticks,
             train_ticks: self.config.train_ticks,
-            suppressed_samples,
-            gate_flips,
         })
     }
+}
 
-    /// Spawns one session per task into `sessions` and steps them in
-    /// lock-step, applying the gate policy between steps. Returns the
-    /// derived plan and each task's gate accounting.
-    fn drive<'a>(
-        &self,
-        configs: &'a [SessionConfig],
-        tasks: &[MultiTask],
-        ticks: u64,
-        sessions: &mut Vec<TaskSession<'a>>,
-    ) -> Result<(Option<MonitoringPlan>, Vec<MultitaskReport>), VolleyError> {
-        let n_tasks = tasks.len();
-        for (index, config) in configs.iter().enumerate() {
-            // Best-effort durability, as everywhere: an uncreatable log
-            // leaves the task unlogged.
-            let wal = self.wal.as_ref().and_then(|(dir, every)| {
-                let wal = Wal::create(dir.join(format!("task-{index}.wal"))).ok()?;
-                Some((wal, *every))
-            });
-            sessions.push(TaskSession::spawn(
-                config,
-                MonitorPlane::inline(config),
-                wal,
-            )?);
+/// The §II.B policy as the drive loop's hook: learns correlations over
+/// the training window, then gates each follower ahead of its step and
+/// steps it after the ungated tasks, so its gate decision at tick `t`
+/// sees its leader's activity *including* tick `t`.
+struct CorrelationGate<'c> {
+    config: &'c MultiTaskConfig,
+    detector: CorrelationDetector,
+    plan: Option<MonitoringPlan>,
+    ticks: u64,
+    /// Last tick each task's violation activity was *detected* (locally
+    /// reported or alerted), the §II.B precondition signal.
+    last_active: Vec<Option<Tick>>,
+    engaged: Vec<bool>,
+    active_now: Vec<bool>,
+    sections: Vec<MultitaskReport>,
+}
+
+impl Hook for CorrelationGate<'_> {
+    fn start(&mut self, ticks: u64, _: &mut [TaskSession<'_>]) -> Result<(), VolleyError> {
+        self.ticks = ticks;
+        Ok(())
+    }
+
+    /// Drives a follower's gate ahead of its tick frame.
+    fn before_step(&mut self, tick: Tick, task: usize, session: &mut TaskSession<'_>) {
+        let Some(gate) = self.plan.as_ref().and_then(|p| p.gate(TaskId(task as u64))) else {
+            return;
+        };
+        let lag = u64::from(self.config.correlation.lag_window);
+        let leader_active =
+            self.last_active[gate.leader.0 as usize].is_some_and(|at| tick - at <= lag);
+        let engage = !leader_active;
+        if engage != self.engaged[task] {
+            self.engaged[task] = engage;
+            self.sections[task].gate_flips += 1;
+            session.drive_gate(tick, leader_active);
         }
-
-        let mut detector = CorrelationDetector::new(
-            self.config.correlation,
-            (0..n_tasks as u64).map(TaskId).collect(),
-        );
-        let mut plan: Option<MonitoringPlan> = None;
-        // Submission order with every gated follower moved after the
-        // ungated tasks, so a follower's gate decision at tick `t` sees
-        // its leader's activity *including* tick `t`.
-        let mut order: Vec<usize> = (0..n_tasks).collect();
-        // Last tick each task's violation activity was *detected*
-        // (locally reported or alerted), the §II.B precondition signal.
-        let mut last_active: Vec<Option<Tick>> = vec![None; n_tasks];
-        let mut engaged = vec![false; n_tasks];
-        let mut active_now = vec![false; n_tasks];
-        let mut sections = vec![MultitaskReport::default(); n_tasks];
-
-        for tick in 0..ticks {
-            for &index in &order {
-                let traces = &tasks[index].traces;
-                let session = &mut sessions[index];
-                // Drive this follower's gate ahead of its tick frame.
-                if let Some(gate) = plan.as_ref().and_then(|p| p.gate(TaskId(index as u64))) {
-                    let leader_active = last_active[gate.leader.0 as usize].is_some_and(|at| {
-                        tick - at <= u64::from(self.config.correlation.lag_window)
-                    });
-                    let engage = !leader_active;
-                    if engage != engaged[index] {
-                        engaged[index] = engage;
-                        sections[index].gate_flips += 1;
-                        session.drive_gate(tick, leader_active);
-                    }
-                    if engaged[index] {
-                        sections[index].gated_ticks += 1;
-                    }
-                }
-                let summary = session.step(tick, |i| traces[i][tick as usize])?;
-                active_now[index] = summary.local_violations > 0 || summary.alerted;
-                if active_now[index] {
-                    last_active[index] = Some(tick);
-                }
-                sections[index].suppressed_samples += u64::from(summary.suppressed_samples);
-            }
-            detector.observe(tick, &active_now);
-            // Derive the plan only when gating still has ticks to act on;
-            // a training window at least as long as the run stays pure
-            // observation and reports no gates.
-            if tick + 1 == self.config.train_ticks && tick + 1 < ticks {
-                let derived = match &self.config.costs {
-                    Some(costs) => detector.plan_with_costs(costs),
-                    None => detector.plan(),
-                };
-                order.sort_by_key(|&i| derived.gate(TaskId(i as u64)).is_some());
-                plan = Some(derived);
-            }
+        if engage {
+            self.sections[task].gated_ticks += 1;
         }
-        Ok((plan, sections))
+    }
+
+    fn after_step(
+        &mut self,
+        tick: Tick,
+        task: usize,
+        summary: &TickSummary,
+        _: &mut TaskSession<'_>,
+    ) {
+        self.active_now[task] = summary.local_violations > 0 || summary.alerted;
+        if self.active_now[task] {
+            self.last_active[task] = Some(tick);
+        }
+        self.sections[task].suppressed_samples += u64::from(summary.suppressed_samples);
+    }
+
+    /// Derives the plan only when gating still has ticks to act on; a
+    /// training window at least as long as the run stays pure
+    /// observation and reports no gates.
+    fn after_tick(&mut self, tick: Tick, order: &mut [usize]) {
+        self.detector.observe(tick, &self.active_now);
+        if tick + 1 == self.config.train_ticks && tick + 1 < self.ticks {
+            let derived = match &self.config.costs {
+                Some(costs) => self.detector.plan_with_costs(costs),
+                None => self.detector.plan(),
+            };
+            order.sort_by_key(|&i| derived.gate(TaskId(i as u64)).is_some());
+            self.plan = Some(derived);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::Replay;
+    use crate::checkpoint::{Replay, Wal};
 
     fn spec(threshold: f64) -> TaskSpec {
         TaskSpec::builder(threshold)

@@ -1,5 +1,5 @@
-//! The networked coordinator: one remote-plane task session — the same
-//! tick driver [`crate::runner::TaskRunner`] runs in-process — whose
+//! The networked coordinator: one remote-plane task session — driven by
+//! the same loop [`crate::runner::TaskRunner`] runs in-process — whose
 //! monitor plane is every agent socket, multiplexed by one readiness
 //! reactor ([`volley_serve::reactor`], `poll(2)`).
 //!
@@ -26,7 +26,7 @@
 //!   cannot tell the transport changed, and the report is folded by the
 //!   session, which is what makes bit-for-bit parity with the in-process
 //!   runner hold by construction;
-//! - **between ticks** [`NetCoordinator::run`] turns the same table for
+//! - **between ticks** the drive loop's hook turns the same table for
 //!   fleet assembly, tick pacing, storm kicks and the teardown drain.
 //!   Nothing sleeps on a guess: every wait is a `poll` whose timeout is
 //!   the caller's deadline or the next idle reap.
@@ -60,14 +60,15 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use volley_core::task::TaskSpec;
+use volley_core::time::Tick;
 use volley_core::VolleyError;
-use volley_obs::{names, Obs};
+use volley_obs::{names, Counter, Gauge, Obs};
 use volley_serve::reactor::{Conn, Fd, Pollable, Protocol, Reactor, Table};
 use volley_serve::ServePublisher;
 
-use crate::message::{decode_line, encode_into, ControlFrame};
-use crate::runner::RuntimeReport;
-use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
+use crate::message::{decode_line, encode_into, ControlFrame, TickSummary};
+use crate::runner::{RuntimeReport, TaskRunner};
+use crate::session::{self, Hook, Task, TaskSession};
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
@@ -298,8 +299,9 @@ struct AgentConn {
 /// A socket-serving coordinator bound to a listener and ready to run.
 #[derive(Debug)]
 pub struct NetCoordinator {
-    /// The protocol parameters: spec, obs hub, deadlines.
-    session: SessionConfig,
+    /// The task's configuration: spec, obs hub, deadlines, publisher —
+    /// no supervisor, since a remote monitor restarts itself.
+    runner: TaskRunner,
     /// The bound listener and the (still empty) connection table.
     plane: SocketPlane,
     /// Pause inserted before each tick — zero (default) runs ticks
@@ -308,7 +310,6 @@ pub struct NetCoordinator {
     tick_interval: Duration,
     wait_timeout: Duration,
     faults: NetFaultPlan,
-    serve: Option<ServePublisher>,
 }
 
 impl NetCoordinator {
@@ -317,8 +318,10 @@ impl NetCoordinator {
     ///
     /// # Errors
     ///
+    /// [`VolleyError::EmptyTask`] for a spec without monitors,
     /// [`VolleyError::InvalidConfig`] when the bind fails.
     pub fn bind(spec: TaskSpec, addr: &NetAddr) -> Result<Self, VolleyError> {
+        let runner = TaskRunner::new(&spec)?.with_supervision(false);
         let plane = SocketPlane::bind(addr, spec.monitors().len()).map_err(|e| {
             VolleyError::InvalidConfig {
                 parameter: "net",
@@ -326,12 +329,11 @@ impl NetCoordinator {
             }
         })?;
         Ok(NetCoordinator {
-            session: SessionConfig::new(spec, Obs::new(false)),
+            runner,
             plane,
             tick_interval: Duration::ZERO,
             wait_timeout: Duration::from_secs(30),
             faults: NetFaultPlan::new(0),
-            serve: None,
         })
     }
 
@@ -345,13 +347,13 @@ impl NetCoordinator {
     /// monitor replies before it closes without them (default
     /// [`DEFAULT_TICK_DEADLINE`](crate::coordinator::DEFAULT_TICK_DEADLINE)).
     pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
-        self.session.tick_deadline = deadline;
+        self.runner = self.runner.with_tick_deadline(deadline);
         self
     }
 
     /// Sets consecutive missed deadlines before quarantine.
     pub fn with_quarantine_after(mut self, misses: u32) -> Self {
-        self.session.quarantine_after = misses.max(1);
+        self.runner = self.runner.with_quarantine_after(misses.max(1));
         self
     }
 
@@ -398,7 +400,7 @@ impl NetCoordinator {
     /// Attaches an observability hub for net gauges/counters and the
     /// coordinator's own metrics.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.session.obs = obs.clone();
+        self.runner = self.runner.with_obs(obs.clone());
         self
     }
 
@@ -407,92 +409,121 @@ impl NetCoordinator {
     /// the tick loop.
     #[must_use]
     pub fn with_serve_publisher(mut self, publisher: ServePublisher) -> Self {
-        self.serve = Some(publisher);
+        self.runner = self.runner.with_serve_publisher(publisher);
         self
     }
 
     /// Runs the task over the fleet: waits for every monitor to be
     /// claimed by a connected agent, drives `traces` tick by tick, and
     /// shuts the fleet down. Spawns nothing: sockets and coordinator are
-    /// stepped on the calling thread.
+    /// stepped on the calling thread, by the same drive loop
+    /// [`TaskRunner::run`] uses, with the socket plane's turn as its hook.
     ///
     /// # Errors
     ///
     /// [`VolleyError::ValueCountMismatch`] when `traces` does not have
-    /// one trace per monitor; [`VolleyError::InvalidConfig`] when the
-    /// fleet fails to assemble in time.
+    /// one trace per monitor and [`VolleyError::NonFiniteValue`] for a
+    /// `NaN` or infinite value, both before the fleet assembles;
+    /// [`VolleyError::InvalidConfig`] when the fleet fails to assemble in
+    /// time.
     pub fn run(self, traces: &[Vec<f64>]) -> Result<NetRunOutcome, VolleyError> {
-        let ticks = run_length(&self.session.spec, traces)?;
-        let n = traces.len();
-        let obs = &self.session.obs;
+        let registry = self.runner.obs.registry();
+        let mut turn = SocketTurn {
+            obs: &self.runner.obs,
+            faults: &self.faults,
+            monitors: traces.len(),
+            wait_timeout: self.wait_timeout,
+            tick_interval: self.tick_interval,
+            conn_gauge: registry.gauge(names::NET_CONNECTIONS),
+            queue_gauge: registry.gauge(names::NET_QUEUE_DEPTH),
+            reconnects_total: registry.counter(names::NET_RECONNECTS_TOTAL),
+            stalls_total: registry.counter(names::NET_BACKPRESSURE_STALLS_TOTAL),
+            counted: (0, 0),
+            net: NetStats::default(),
+        };
+        let task = Task::new(&self.runner, traces, Some(self.plane));
+        let mut reports = session::drive(vec![task], Some(&mut turn))?;
+        let report = reports.pop().expect("one task, one report");
+        Ok(NetRunOutcome {
+            report,
+            net: turn.net,
+        })
+    }
+}
 
-        // The session owns the sockets: a send stages and writes control
-        // frames, a pump turns the table until replies are in.
-        let mut session = TaskSession::spawn(
-            &self.session,
-            MonitorPlane::Remote(Box::new(self.plane)),
-            None,
-        )?;
+/// The socket plane's turn, as the drive loop's hook: the fleet
+/// assembled before tick 0, storm kicks and pacing before each tick, the
+/// net gauges after it, and the teardown drain on every exit.
+struct SocketTurn<'a> {
+    obs: &'a Obs,
+    faults: &'a NetFaultPlan,
+    monitors: usize,
+    wait_timeout: Duration,
+    tick_interval: Duration,
+    conn_gauge: Gauge,
+    queue_gauge: Gauge,
+    reconnects_total: Counter,
+    stalls_total: Counter,
+    /// Reconnects and backpressure drops already added to the counters.
+    counted: (u64, u64),
+    /// The plane's totals, read at teardown.
+    net: NetStats,
+}
 
-        let driven = (|| -> Result<(), VolleyError> {
-            // Fleet assembly: every monitor must be claimed before tick 0,
-            // or the first deadline would instantly degrade the stragglers.
-            let plane = session.remote();
-            let assemble_by = Instant::now() + self.wait_timeout;
-            if !plane.turn_until(assemble_by, |lines| lines.seen_count >= n) {
-                return Err(VolleyError::InvalidConfig {
-                    parameter: "net",
-                    reason: format!(
-                        "fleet incomplete: {}/{n} monitors registered within {:?}",
-                        plane.lines.seen_count, self.wait_timeout
-                    ),
-                });
-            }
+impl Hook for SocketTurn<'_> {
+    /// Fleet assembly: every monitor must be claimed before tick 0, or
+    /// the first deadline would instantly degrade the stragglers.
+    fn start(&mut self, _: u64, sessions: &mut [TaskSession<'_>]) -> Result<(), VolleyError> {
+        let plane = sessions[0].remote();
+        let assemble_by = Instant::now() + self.wait_timeout;
+        if plane.turn_until(assemble_by, |lines| lines.seen_count >= self.monitors) {
+            return Ok(());
+        }
+        Err(VolleyError::InvalidConfig {
+            parameter: "net",
+            reason: format!(
+                "fleet incomplete: {}/{} monitors registered within {:?}",
+                plane.lines.seen_count, self.monitors, self.wait_timeout
+            ),
+        })
+    }
 
-            let registry = obs.registry();
-            let conn_gauge = registry.gauge(names::NET_CONNECTIONS);
-            let queue_gauge = registry.gauge(names::NET_QUEUE_DEPTH);
-            let reconnects_total = registry.counter(names::NET_RECONNECTS_TOTAL);
-            let stalls_total = registry.counter(names::NET_BACKPRESSURE_STALLS_TOTAL);
-            let mut obs_reconnects = 0u64;
-            let mut obs_stalls = 0u64;
+    /// No supervision here: agents restart themselves; the coordinator
+    /// only re-admits.
+    fn before_step(&mut self, tick: Tick, _: usize, session: &mut TaskSession<'_>) {
+        let plane = session.remote();
+        if self.faults.storm_at(tick) {
+            plane.kick(|agent| self.faults.severs(tick, agent));
+        }
+        if self.tick_interval > Duration::ZERO {
+            // Pacing: nothing ends this wait early, but a re-dialling
+            // agent's hello is absorbed during it.
+            plane.turn_until(Instant::now() + self.tick_interval, |_| false);
+        }
+    }
 
-            for tick in 0..ticks {
-                let plane = session.remote();
-                if self.faults.storm_at(tick) {
-                    plane.kick(|agent| self.faults.severs(tick, agent));
-                }
-                if self.tick_interval > Duration::ZERO {
-                    // Pacing: nothing ends this wait early, but a
-                    // re-dialling agent's hello is absorbed during it.
-                    plane.turn_until(Instant::now() + self.tick_interval, |_| false);
-                }
-                // No supervision here: agents restart themselves; the
-                // coordinator only re-admits.
-                let summary = session.step(tick, |i| traces[i][tick as usize])?;
-                if let Some(serve) = &self.serve {
-                    if summary.alerted {
-                        serve.alert(summary.tick, summary.degraded);
-                    }
-                    serve.set_tick(tick);
-                }
-                if obs.enabled() {
-                    let lines = &session.remote().lines;
-                    conn_gauge.set(lines.open as f64);
-                    queue_gauge.set(lines.stats.max_queue_depth as f64);
-                    reconnects_total.add(lines.stats.reconnects - obs_reconnects);
-                    obs_reconnects = lines.stats.reconnects;
-                    stalls_total.add(lines.stats.backpressure_drops - obs_stalls);
-                    obs_stalls = lines.stats.backpressure_drops;
-                }
-            }
-            Ok(())
-        })();
+    fn after_step(&mut self, _: Tick, _: usize, _: &TickSummary, session: &mut TaskSession<'_>) {
+        if self.obs.enabled() {
+            let lines = &session.remote().lines;
+            self.conn_gauge.set(lines.open as f64);
+            self.queue_gauge.set(lines.stats.max_queue_depth as f64);
+            let (reconnects, stalls) = self.counted;
+            self.reconnects_total
+                .add(lines.stats.reconnects - reconnects);
+            self.stalls_total
+                .add(lines.stats.backpressure_drops - stalls);
+            self.counted = (lines.stats.reconnects, lines.stats.backpressure_drops);
+        }
+    }
 
-        // Teardown: resend Shutdown every 50 ms while connections remain
-        // (reconnecting agents that missed the first copy get another),
-        // for at most 5 s, returning as soon as the last agent drains
-        // off. The totals are read before the session's own parting copy.
+    /// Resends Shutdown every 50 ms while connections remain
+    /// (reconnecting agents that missed the first copy get another), for
+    /// at most 5 s, returning as soon as the last agent drains off. The
+    /// totals are read before the session's own parting copy.
+    fn stop(&mut self, sessions: &mut [TaskSession<'_>]) {
+        let Some(session) = sessions.first_mut() else {
+            return;
+        };
         let drain_by = Instant::now() + Duration::from_secs(5);
         while session.remote().lines.open > 0 && Instant::now() < drain_by {
             session.broadcast_shutdown();
@@ -500,15 +531,13 @@ impl NetCoordinator {
             let plane = session.remote();
             plane.turn_until(resend_at, |lines| lines.open == 0);
         }
-        let net = session.remote().stats();
-        let report = session.finish();
-        driven.map(|()| NetRunOutcome { report, net })
+        self.net = session.remote().stats();
     }
 }
 
 /// The socket plane of a networked session: the listener, the reactor
 /// and the connection table, stepped on the driver's thread — by the
-/// session while a tick runs, by [`NetCoordinator::run`] between ticks.
+/// session while a tick runs, by [`NetCoordinator`]'s hook between ticks.
 pub(crate) struct SocketPlane {
     reactor: Reactor,
     table: Table<LineFrames>,

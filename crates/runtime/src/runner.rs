@@ -1,32 +1,27 @@
-//! The task runner: one in-process task session plus the policy
-//! that is the runner's own — whether quarantined monitors are restarted,
-//! whether a warm standby takes over when the coordinator dies, and the
-//! WAL/obs/serve sinks the run publishes to.
+//! The task runner: the configuration of one task — its protocol knobs,
+//! whether quarantined monitors are restarted, whether a warm standby
+//! takes over when the coordinator dies, and the WAL/obs/serve sinks the
+//! run publishes to — run by the session module's one drive loop.
 
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::Serialize;
 
 use volley_core::coordinator::CoordinationScheme;
-use volley_core::service::TaskKind;
-use volley_core::task::{TaskId, TaskSpec};
+use volley_core::task::TaskSpec;
 use volley_core::time::Tick;
 use volley_core::vfs::{FaultFs, IoFaultStats, StdFs, Vfs};
-use volley_core::{AdaptationConfig, VolleyError};
-use volley_obs::{names, GaugeSource, Obs, SelfMonitor, SnapshotWriter};
+use volley_core::VolleyError;
+use volley_obs::Obs;
 use volley_serve::ServePublisher;
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalStats, WalSyncPolicy};
+use crate::coordinator::{DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
 use crate::failure::FaultPlan;
-use crate::session::{run_length, MonitorPlane, SessionConfig, TaskSession};
-
-/// Hard cap on coordinator failovers per run — a backstop against fault
-/// plans that kill every incarnation.
-const MAX_FAILOVERS: u32 = 8;
+use crate::session::{self, Task};
 
 /// How the run's persistence sinks degraded under storage faults.
 ///
@@ -80,8 +75,9 @@ impl DegradationReport {
 }
 
 /// Multi-task (§II.B) outcome section for a task that ran as a gated
-/// follower under a [`crate::multitask::MultiTaskRunner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// follower behind the correlation gate of a
+/// [`crate::multitask::MultiTaskRunner`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct MultitaskReport {
     /// The leader (precondition) task this follower was gated behind.
     pub leader: u64,
@@ -94,7 +90,7 @@ pub struct MultitaskReport {
 }
 
 /// Aggregate result of a task run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct RuntimeReport {
     /// Ticks processed.
     pub ticks: u64,
@@ -148,7 +144,7 @@ pub struct RuntimeReport {
     /// zeros on a healthy run).
     pub degradation: DegradationReport,
     /// Multi-task suppression outcome; `None` unless this task ran as a
-    /// gated follower under a [`crate::multitask::MultiTaskRunner`].
+    /// gated follower of a [`crate::multitask::MultiTaskRunner`].
     pub multitask: Option<MultitaskReport>,
 }
 
@@ -172,22 +168,34 @@ impl RuntimeReport {
 /// supervised restart, epoch-fenced coordinator failover).
 #[derive(Debug)]
 pub struct TaskRunner {
-    /// The protocol parameters: spec, obs bundle, allocation scheme,
-    /// fault plan, deadlines, recorder, supervision.
-    session: SessionConfig,
-    standby: bool,
+    pub(crate) spec: TaskSpec,
+    pub(crate) obs: Obs,
+    /// The paper's `adapt` allocation scheme or the static `even`.
+    pub(crate) scheme: CoordinationScheme,
+    pub(crate) fault_plan: FaultPlan,
+    /// How long one collection phase of the coordinator may wait.
+    pub(crate) tick_deadline: Duration,
+    pub(crate) quarantine_after: u32,
+    /// Recording sink for every monitor's samples and the task's alerts.
+    pub(crate) recorder: Option<SampleRecorder>,
+    /// Restart quarantined in-process monitors with a fresh actor.
+    pub(crate) supervise: bool,
+    /// §II.B follower gate at this coarse interval, propagated between
+    /// steps by the multi-task runner's gate.
+    pub(crate) gated_interval: Option<u32>,
+    pub(crate) standby: bool,
     /// Checkpoint WAL path and snapshot cadence (ticks).
     wal: Option<(PathBuf, u64)>,
     /// WAL group-fsync policy (default sync on snapshot records).
     wal_sync: WalSyncPolicy,
     /// Snapshot dump directory and cadence (ticks).
-    obs_dir: Option<(PathBuf, u64)>,
+    pub(crate) obs_dir: Option<(PathBuf, u64)>,
     /// Self-monitor watchdog: (tick-latency threshold in µs, error
     /// allowance for its adaptive sampler).
-    self_monitor: Option<(f64, f64)>,
+    pub(crate) self_monitor: Option<(f64, f64)>,
     /// Live serving-plane publisher: alert/epoch/degradation events and
     /// the current tick for `/metrics` stamping.
-    serve: Option<ServePublisher>,
+    pub(crate) serve: Option<ServePublisher>,
 }
 
 impl TaskRunner {
@@ -203,10 +211,15 @@ impl TaskRunner {
             return Err(VolleyError::EmptyTask);
         }
         Ok(TaskRunner {
-            session: SessionConfig {
-                supervise: true,
-                ..SessionConfig::new(spec.clone(), Obs::disabled())
-            },
+            spec: spec.clone(),
+            obs: Obs::disabled(),
+            scheme: CoordinationScheme::Adaptive,
+            fault_plan: FaultPlan::default(),
+            tick_deadline: DEFAULT_TICK_DEADLINE,
+            quarantine_after: DEFAULT_QUARANTINE_AFTER,
+            recorder: None,
+            supervise: true,
+            gated_interval: None,
             standby: false,
             wal: None,
             wal_sync: WalSyncPolicy::default(),
@@ -223,7 +236,7 @@ impl TaskRunner {
     /// [`SampleRecorder::io_errors`] afterwards.
     #[must_use]
     pub fn with_recorder(mut self, recorder: SampleRecorder) -> Self {
-        self.session.recorder = Some(recorder);
+        self.recorder = Some(recorder);
         self
     }
 
@@ -232,7 +245,7 @@ impl TaskRunner {
     /// (the default) costs one relaxed atomic load per instrument.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.session.obs = obs;
+        self.obs = obs;
         self
     }
 
@@ -259,7 +272,7 @@ impl TaskRunner {
 
     /// Arms the *Volley-watching-Volley* watchdog: a Volley monitoring
     /// task (adaptive sampling included) watches the runtime's own
-    /// [`names::RUNNER_TICK_LATENCY_US`] gauge and raises a self-monitor
+    /// [`volley_obs::names::RUNNER_TICK_LATENCY_US`] gauge and raises a self-monitor
     /// alert whenever a tick takes longer than `threshold_us`
     /// microseconds. `err` is the error allowance of the watchdog's own
     /// adaptive sampler — 0.0 checks every tick, larger values let the
@@ -273,7 +286,7 @@ impl TaskRunner {
     /// Selects the allowance-allocation scheme (default adaptive).
     #[must_use]
     pub fn with_scheme(mut self, scheme: CoordinationScheme) -> Self {
-        self.session.scheme = scheme;
+        self.scheme = scheme;
         self
     }
 
@@ -283,24 +296,24 @@ impl TaskRunner {
     /// reproduce the same [`RuntimeReport`].
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.session.fault_plan = plan;
+        self.fault_plan = plan;
         self
     }
 
     /// Bounds how long the coordinator waits for any one tick's reports
-    /// (default [`DEFAULT_TICK_DEADLINE`](crate::coordinator::DEFAULT_TICK_DEADLINE)).
+    /// (default [`DEFAULT_TICK_DEADLINE`]).
     #[must_use]
     pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
-        self.session.tick_deadline = deadline;
+        self.tick_deadline = deadline;
         self
     }
 
     /// Sets how many consecutive missed deadlines quarantine a monitor
     /// (default
-    /// [`DEFAULT_QUARANTINE_AFTER`](crate::coordinator::DEFAULT_QUARANTINE_AFTER)).
+    /// [`DEFAULT_QUARANTINE_AFTER`]).
     #[must_use]
     pub fn with_quarantine_after(mut self, rounds: u32) -> Self {
-        self.session.quarantine_after = rounds;
+        self.quarantine_after = rounds;
         self
     }
 
@@ -309,7 +322,7 @@ impl TaskRunner {
     /// stays quarantined and the task runs degraded to completion.
     #[must_use]
     pub fn with_supervision(mut self, supervise: bool) -> Self {
-        self.session.supervise = supervise;
+        self.supervise = supervise;
         self
     }
 
@@ -369,274 +382,23 @@ impl TaskRunner {
     /// # Errors
     ///
     /// Returns [`VolleyError::ValueCountMismatch`] when the trace count
-    /// differs from the monitor count, or
-    /// [`VolleyError::RuntimeDisconnected`] if the coordinator crashes
-    /// mid-run with no standby armed (or past the failover cap of 8) —
-    /// after the same teardown as a completed run: every monitor shut
-    /// down, the recorder flushed.
+    /// differs from the monitor count,
+    /// [`VolleyError::NonFiniteValue`] for a `NaN` or infinite trace
+    /// value, or [`VolleyError::RuntimeDisconnected`] if the coordinator
+    /// crashes mid-run with no standby armed (or past the failover cap
+    /// of 8) — after the same teardown as a completed run: every monitor
+    /// shut down, the recorder flushed.
     pub fn run(&self, traces: &[Vec<f64>]) -> Result<RuntimeReport, VolleyError> {
-        let ticks = run_length(&self.session.spec, traces)?;
-        let n = traces.len();
-        let obs = &self.session.obs;
-        let recorder = self.session.recorder.as_ref();
-
-        // Asking for snapshot dumps or a watchdog implies instrumenting:
-        // both read the registry, which is empty while obs is disabled.
-        if self.obs_dir.is_some() || self.self_monitor.is_some() {
-            obs.set_enabled(true);
-        }
-
-        // Storage-fault bookkeeping: the stats handles survive the sinks
-        // for the report's degradation section.
-        let mut io_stats: Vec<Arc<IoFaultStats>> = Vec::new();
-        let wal = self.open_wal(&mut io_stats);
-        let mut wal_stats: Vec<Arc<WalStats>> = wal.iter().map(|(wal, _)| wal.stats()).collect();
-        let mut writer = match &self.obs_dir {
-            Some((dir, every)) => Some(
-                SnapshotWriter::new_on(self.sink_fs(&mut io_stats), dir, *every).map_err(|e| {
-                    VolleyError::InvalidConfig {
-                        parameter: "obs_dir",
-                        reason: format!("cannot create snapshot dir: {e}"),
-                    }
-                })?,
-            ),
-            None => None,
-        };
-        let mut watchdog = match self.self_monitor {
-            Some((threshold_us, err)) => {
-                let config = AdaptationConfig::builder().error_allowance(err).build()?;
-                let mut monitor = SelfMonitor::new();
-                monitor.watch(
-                    TaskId(0),
-                    config,
-                    TaskKind::Above {
-                        threshold: threshold_us,
-                    },
-                    Box::new(GaugeSource::new(names::RUNNER_TICK_LATENCY_US)),
-                )?;
-                Some(monitor)
-            }
-            None => None,
-        };
-
-        let plane = MonitorPlane::inline(&self.session);
-        let mut session = TaskSession::spawn(&self.session, plane, wal)?;
-
-        // Observability: pre-resolve the runner's instruments (no registry
-        // mutex on the tick path).
-        let registry = obs.registry();
-        let ticks_total = registry.counter(names::RUNNER_TICKS_TOTAL);
-        let tick_hist = registry.histogram(names::RUNNER_TICK_LATENCY_NS);
-        let tick_gauge = registry.gauge(names::RUNNER_TICK_LATENCY_US);
-        let degraded_total = registry.counter(names::RUNNER_DEGRADED_TICKS_TOTAL);
-        let alerts_total = registry.counter(names::RUNNER_ALERTS_TOTAL);
-        let samples_total = registry.counter(names::RUNNER_SAMPLES_TOTAL);
-        let failovers_total = registry.counter(names::RUNNER_FAILOVERS_TOTAL);
-        let sampling_fraction = registry.gauge(names::RUNNER_SAMPLING_FRACTION);
-        let degraded_fraction = registry.gauge(names::RUNNER_DEGRADED_FRACTION);
-        let wal_degraded_gauge = registry.gauge(names::WAL_DEGRADED);
-        let wal_ring_gauge = registry.gauge(names::WAL_RING_BUFFERED);
-        let store_degraded_gauge = registry.gauge(names::STORE_DEGRADED);
-        let obs_degraded_gauge = registry.gauge(names::OBS_SNAPSHOTS_DEGRADED);
-        let mut degraded_ticks = 0u64;
-        let mut self_monitor_alert_ticks: Vec<Tick> = Vec::new();
-        // Last published wal/store/obs degradation states, so the serve
-        // stream only carries *transitions*, not one event per tick.
-        let mut sink_degraded_prev = [false; 3];
-        let mut failovers_left = MAX_FAILOVERS;
-
-        let driven = (|| -> Result<(), VolleyError> {
-            for tick in 0..ticks {
-                let tick_started = obs.enabled().then(Instant::now);
-                // A dead coordinator fails the step; with a standby armed
-                // the same tick is stepped again on its successor.
-                let summary = loop {
-                    let err = match session.step(tick, |i| traces[i][tick as usize]) {
-                        Ok(summary) => break summary,
-                        Err(err) => err,
-                    };
-                    if !self.standby || failovers_left == 0 {
-                        return Err(err);
-                    }
-                    failovers_left -= 1;
-                    failovers_total.inc();
-                    let (snapshot, wal) = self.recover_wal(&mut io_stats, &mut wal_stats);
-                    let epoch = session.fail_over(tick, snapshot.as_ref(), wal)?;
-                    if let Some(serve) = &self.serve {
-                        serve.epoch(epoch, tick);
-                    }
-                };
-                if summary.alerted {
-                    if let Some(serve) = &self.serve {
-                        serve.alert(summary.tick, summary.degraded);
-                    }
-                }
-                if summary.degraded {
-                    degraded_ticks += 1;
-                }
-
-                // Per-tick observability: record end-to-end tick latency,
-                // bump the runner counters, refresh derived gauges, then
-                // let the watchdog read the fresh snapshot and dump on
-                // cadence.
-                if let Some(started) = tick_started {
-                    let elapsed = started.elapsed();
-                    tick_hist.record(elapsed.as_nanos() as u64);
-                    tick_gauge.set(elapsed.as_micros() as f64);
-                    obs.spans().record("runner_tick", started);
-                    ticks_total.inc();
-                    samples_total.add(
-                        u64::from(summary.scheduled_samples) + u64::from(summary.poll_samples),
-                    );
-                    if summary.degraded {
-                        degraded_total.inc();
-                    }
-                    if summary.alerted {
-                        alerts_total.inc();
-                    }
-                    let report = session.report();
-                    let done = report.ticks as f64;
-                    sampling_fraction.set(report.total_samples as f64 / (done * n as f64));
-                    degraded_fraction.set(degraded_ticks as f64 / done);
-                    // Sink-degradation gauges: every breaker transition
-                    // shows up as an obs series, per the accuracy
-                    // contract's "visible, never silent" rule.
-                    if let Some(stats) = wal_stats.last() {
-                        wal_degraded_gauge.set(stats.degraded.load(Ordering::Relaxed) as f64);
-                        wal_ring_gauge.set(stats.ring_buffered.load(Ordering::Relaxed) as f64);
-                    }
-                    if let Some(recorder) = recorder {
-                        store_degraded_gauge.set(f64::from(u8::from(recorder.degraded())));
-                    }
-                }
-                if let Some(monitor) = watchdog.as_mut() {
-                    if monitor.any_due(tick) {
-                        let snapshot = obs.snapshot(tick);
-                        for alert in monitor.tick(tick, &snapshot) {
-                            self_monitor_alert_ticks.push(alert.tick);
-                        }
-                    }
-                }
-                if let Some(writer) = writer.as_mut() {
-                    let _ = writer.maybe_write(registry, tick);
-                    if obs.enabled() {
-                        obs_degraded_gauge.set(f64::from(u8::from(writer.degraded())));
-                    }
-                }
-                if let Some(serve) = &self.serve {
-                    serve.set_tick(tick);
-                    let sinks = [
-                        (
-                            "wal",
-                            wal_stats
-                                .last()
-                                .is_some_and(|s| s.degraded.load(Ordering::Relaxed) != 0),
-                        ),
-                        ("store", recorder.is_some_and(SampleRecorder::degraded)),
-                        ("obs", writer.as_ref().is_some_and(SnapshotWriter::degraded)),
-                    ];
-                    for (i, (sink, degraded)) in sinks.into_iter().enumerate() {
-                        if degraded != sink_degraded_prev[i] {
-                            sink_degraded_prev[i] = degraded;
-                            serve.degradation(sink, degraded, tick);
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })();
-        // Every exit tears down the same way. The recorder is sealed
-        // before degradation state is read: the final flush can itself
-        // trip or re-arm the store breaker.
-        let mut report = session.finish();
-        driven?;
-        report.self_monitor_alerts = self_monitor_alert_ticks.len() as u64;
-        report.self_monitor_alert_ticks = self_monitor_alert_ticks;
-        if let Some(monitor) = &watchdog {
-            report.self_monitor_samples = monitor.samples();
-        }
-
-        // Degradation accounting: WAL counters sum across coordinator
-        // incarnations; store and obs state come from their live handles.
-        let d = &mut report.degradation;
-        for stats in &wal_stats {
-            d.wal_write_failures += stats.write_failures.load(Ordering::Relaxed);
-            d.wal_sync_failures += stats.sync_failures.load(Ordering::Relaxed);
-            d.wal_trips += stats.trips.load(Ordering::Relaxed);
-            d.wal_rearms += stats.rearms.load(Ordering::Relaxed);
-            d.wal_ring_dropped += stats.ring_dropped.load(Ordering::Relaxed);
-        }
-        d.wal_degraded_at_end = wal_stats
-            .last()
-            .is_some_and(|s| s.degraded.load(Ordering::Relaxed) != 0);
-        if let Some(recorder) = recorder {
-            d.store_shed_samples = recorder.shed_samples();
-            let (trips, rearms) = recorder.breaker_transitions();
-            d.store_trips = trips;
-            d.store_rearms = rearms;
-            d.store_degraded_at_end = recorder.degraded();
-        }
-        if let Some(writer) = &writer {
-            d.obs_snapshots_paused = writer.paused();
-            let (trips, rearms) = writer.breaker_transitions();
-            d.obs_trips = trips;
-            d.obs_rearms = rearms;
-            d.obs_degraded_at_end = writer.degraded();
-        }
-        d.io_faults_injected = io_stats.iter().map(|s| s.total()).sum();
-
-        // Publish the cumulative degradation counters so the final
-        // snapshot (and any scraper) carries them.
-        if obs.enabled() {
-            let d = &report.degradation;
-            registry
-                .counter(names::WAL_WRITE_FAILURES_TOTAL)
-                .add(d.wal_write_failures);
-            registry
-                .counter(names::WAL_SYNC_FAILURES_TOTAL)
-                .add(d.wal_sync_failures);
-            registry
-                .counter(names::WAL_BREAKER_TRIPS_TOTAL)
-                .add(d.wal_trips);
-            registry
-                .counter(names::WAL_BREAKER_REARMS_TOTAL)
-                .add(d.wal_rearms);
-            registry
-                .counter(names::WAL_RING_DROPPED_TOTAL)
-                .add(d.wal_ring_dropped);
-            registry
-                .counter(names::STORE_SHED_SAMPLES_TOTAL)
-                .add(d.store_shed_samples);
-            registry
-                .counter(names::STORE_BREAKER_TRIPS_TOTAL)
-                .add(d.store_trips);
-            registry
-                .counter(names::STORE_BREAKER_REARMS_TOTAL)
-                .add(d.store_rearms);
-            registry
-                .counter(names::OBS_SNAPSHOTS_PAUSED_TOTAL)
-                .add(d.obs_snapshots_paused);
-            registry
-                .counter(names::IO_FAULTS_INJECTED_TOTAL)
-                .add(d.io_faults_injected);
-        }
-
-        // Final dump after all actors have flushed their instruments;
-        // best-effort, like WAL durability.
-        if let Some(writer) = writer.as_mut() {
-            let _ = writer.write_now(registry, ticks);
-            let _ = writer.write_spans(obs.spans());
-        }
-        Ok(report)
+        let mut reports = session::drive(vec![Task::new(self, traces, None)], None)?;
+        Ok(reports.pop().expect("one task, one report"))
     }
 
     /// The filesystem one runner-owned sink writes through: the plain one,
     /// or — when the plan schedules storage faults — a fresh `FaultFs`
     /// whose stats handle joins `io_stats`. One instance per sink:
-    /// independent op counters keep fault decisions order-independent
-    /// across the threads the sinks live on.
-    fn sink_fs(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Arc<dyn Vfs> {
-        let io = self.session.fault_plan.io();
+    /// independent op counters keep fault decisions order-independent.
+    pub(crate) fn sink_fs(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Arc<dyn Vfs> {
+        let io = self.fault_plan.io();
         if io.is_benign() {
             return Arc::new(StdFs);
         }
@@ -650,7 +412,7 @@ impl TaskRunner {
     /// `None` when the log could not be created).
     fn arm_wal(&self, created: std::io::Result<Wal>, every: u64) -> Option<(Wal, u64)> {
         let wal = created.ok()?;
-        let corruptions = self.session.fault_plan.wal_corruptions().to_vec();
+        let corruptions = self.fault_plan.wal_corruptions().to_vec();
         Some((
             wal.with_sync_policy(self.wal_sync)
                 .with_corruption(corruptions),
@@ -659,7 +421,7 @@ impl TaskRunner {
     }
 
     /// Opens the checkpoint WAL under the plan's storage faults.
-    fn open_wal(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Option<(Wal, u64)> {
+    pub(crate) fn open_wal(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Option<(Wal, u64)> {
         let (path, every) = self.wal.as_ref()?;
         self.arm_wal(Wal::create_on(self.sink_fs(io_stats), path), *every)
     }
@@ -668,7 +430,7 @@ impl TaskRunner {
     /// incarnation managed to persist, then restarts the log cleanly
     /// (compaction also clears any corrupt tail the replay truncated at)
     /// under the same storage-fault plan as its predecessor's.
-    fn recover_wal(
+    pub(crate) fn recover_wal(
         &self,
         io_stats: &mut Vec<Arc<IoFaultStats>>,
         wal_stats: &mut Vec<Arc<WalStats>>,

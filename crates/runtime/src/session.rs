@@ -1,4 +1,5 @@
-//! The task session: the one owner of the tick path.
+//! The task session and the one loop that drives sessions: the only
+//! owner of the tick path.
 //!
 //! Every runner in this crate drives the same protocol — monitors feed a
 //! coordinator, a driver paces ticks — so its moving parts live here once:
@@ -13,7 +14,12 @@
 //!   into it, execute its outbox — until the tick's [`TickSummary`]
 //!   comes out, and fold that into the [`RuntimeReport`];
 //! - **finish** ([`TaskSession::finish`]): Shutdown, flush — on success
-//!   *and* on error.
+//!   *and* on error;
+//! - **drive** ([`drive`]): the one tick loop over any number of
+//!   sessions — run length, the standby retry, the serve stream, the
+//!   runner instruments, the watchdog, the snapshot writer, degradation
+//!   accounting and finishing on every exit — with a [`Hook`] called
+//!   between steps.
 //!
 //! Nothing here has a thread: the coordinator is a machine
 //! ([`crate::coordinator`]) that never blocks, an in-process monitor is
@@ -28,33 +34,40 @@
 //! [`FaultPlan`]: the tick deadline only sets how long a silent
 //! monitor's tick takes.
 //!
-//! The runners keep policy only: [`crate::TaskRunner`] supervision,
-//! standby failover and sinks; [`crate::MultiTaskRunner`] N sessions in
-//! lock-step with gates driven between steps; [`crate::NetCoordinator`]
-//! one remote session, its sockets served between ticks.
+//! The runners keep setup and a hook only: [`crate::TaskRunner`] is one
+//! in-process task with no hook; [`crate::MultiTaskRunner`] N of them
+//! with the correlation gate as its hook; [`crate::NetCoordinator`] one
+//! remote task with the socket plane's turn as its hook;
+//! [`crate::FleetRunner`] a pool of single-task loops.
 
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use volley_core::allocation::AllocationConfig;
-use volley_core::coordinator::{CoordinationScheme, Coordinator};
-use volley_core::task::{MonitorId, TaskSpec};
+use volley_core::coordinator::Coordinator;
+use volley_core::service::TaskKind;
+use volley_core::task::{MonitorId, TaskId, TaskSpec};
 use volley_core::time::Tick;
+use volley_core::vfs::IoFaultStats;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
-use volley_obs::{names, Counter, Histogram, Obs};
+use volley_obs::{names, Counter, GaugeSource, Histogram, SelfMonitor, SnapshotWriter};
 use volley_store::SampleRecorder;
 
-use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord};
-use crate::coordinator::{
-    CoordinatorActor, Output, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE,
-};
+use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord, WalStats};
+use crate::coordinator::{CoordinatorActor, Output};
 use crate::failure::FaultPlan;
 use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
 use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
 use crate::net::SocketPlane;
-use crate::runner::RuntimeReport;
+use crate::runner::{RuntimeReport, TaskRunner};
+
+/// Hard cap on coordinator failovers per task and run — a backstop
+/// against fault plans that kill every incarnation.
+const MAX_FAILOVERS: u32 = 8;
 
 /// A fresh sampler at the default interval holding allowance `err`.
 pub(crate) fn fresh_sampler(config: AdaptationConfig, threshold: f64, err: f64) -> AdaptiveSampler {
@@ -73,44 +86,9 @@ pub(crate) fn monitor_actor(spec: &TaskSpec, idx: usize) -> MonitorActor {
     MonitorActor::new(m.id, sampler)
 }
 
-/// The protocol parameters a session's actors are built from. Runners
-/// hold one and override the fields they own.
-#[derive(Debug)]
-pub(crate) struct SessionConfig {
-    pub(crate) spec: TaskSpec,
-    pub(crate) obs: Obs,
-    /// The paper's `adapt` allocation scheme or the static `even`.
-    pub(crate) scheme: CoordinationScheme,
-    pub(crate) fault_plan: FaultPlan,
-    /// How long one collection phase of the coordinator may wait.
-    pub(crate) tick_deadline: Duration,
-    pub(crate) quarantine_after: u32,
-    /// Recording sink for every monitor's samples and the task's alerts.
-    pub(crate) recorder: Option<SampleRecorder>,
-    /// Restart quarantined in-process monitors with a fresh actor.
-    pub(crate) supervise: bool,
-    /// §II.B follower gate at this coarse interval, propagated by the
-    /// driver through [`TaskSession::drive_gate`].
-    pub(crate) gated_interval: Option<u32>,
-}
-
-impl SessionConfig {
-    /// Adaptive allocation, no faults, default deadlines, nothing
-    /// recorded, no supervision, no gate.
-    pub(crate) fn new(spec: TaskSpec, obs: Obs) -> Self {
-        SessionConfig {
-            spec,
-            obs,
-            scheme: CoordinationScheme::Adaptive,
-            fault_plan: FaultPlan::default(),
-            tick_deadline: DEFAULT_TICK_DEADLINE,
-            quarantine_after: DEFAULT_QUARANTINE_AFTER,
-            recorder: None,
-            supervise: false,
-            gated_interval: None,
-        }
-    }
-
+/// The protocol a task's actors are built from, as its runner
+/// configures it.
+impl TaskRunner {
     /// The §IV rules one coordinator incarnation starts from.
     fn rules(&self) -> Result<Coordinator, VolleyError> {
         Coordinator::new(&self.spec, self.scheme, AllocationConfig::default())
@@ -160,7 +138,9 @@ impl SessionConfig {
 ///
 /// [`VolleyError::EmptyTask`] for a spec without monitors,
 /// [`VolleyError::ValueCountMismatch`] unless there is one trace per
-/// monitor.
+/// monitor, [`VolleyError::NonFiniteValue`] for a `NaN` or infinite
+/// value within that length — a `Tick` the wire cannot carry, so both
+/// planes refuse it before any tick rather than diverge on it.
 pub(crate) fn run_length(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<u64, VolleyError> {
     let n = spec.monitors().len();
     if n == 0 {
@@ -172,7 +152,16 @@ pub(crate) fn run_length(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<u64, Vo
             expected: n,
         });
     }
-    Ok(traces.iter().map(Vec::len).min().unwrap_or(0) as u64)
+    let ticks = traces.iter().map(Vec::len).min().unwrap_or(0);
+    if !traces
+        .iter()
+        .all(|trace| trace[..ticks].iter().all(|v| v.is_finite()))
+    {
+        return Err(VolleyError::NonFiniteValue {
+            parameter: "traces",
+        });
+    }
+    Ok(ticks as u64)
 }
 
 /// What a step reports once the coordinator has crashed.
@@ -200,7 +189,7 @@ pub(crate) enum MonitorPlane {
 impl MonitorPlane {
     /// The in-process plane of `config`'s task: one fresh slot per
     /// monitor, under the session's fault plan.
-    pub(crate) fn inline(config: &SessionConfig) -> Self {
+    pub(crate) fn inline(config: &TaskRunner) -> Self {
         let slots = (0..config.spec.monitors().len())
             .map(|idx| MonitorSlot::new(config.actor(0, idx, config.fault_plan.clone())))
             .collect();
@@ -259,7 +248,7 @@ struct ShellObs {
 /// One running task: its monitor plane, its coordinator incarnation and
 /// the report folded so far.
 pub(crate) struct TaskSession<'a> {
-    config: &'a SessionConfig,
+    config: &'a TaskRunner,
     epoch: u64,
     plane: MonitorPlane,
     /// `None` once an injected crash silenced it, until a failover.
@@ -279,7 +268,7 @@ impl<'a> TaskSession<'a> {
     ///
     /// A spec no allocator accepts.
     pub(crate) fn spawn(
-        config: &'a SessionConfig,
+        config: &'a TaskRunner,
         plane: MonitorPlane,
         wal: Option<(Wal, u64)>,
     ) -> Result<Self, VolleyError> {
@@ -615,9 +604,367 @@ impl<'a> TaskSession<'a> {
     }
 }
 
+/// A runner's policy over its sessions, called by [`drive`] between
+/// steps. Every method defaults to doing nothing.
+pub(crate) trait Hook {
+    /// Once the sessions are spawned, before tick 0 of `ticks`.
+    fn start(&mut self, _ticks: u64, _sessions: &mut [TaskSession<'_>]) -> Result<(), VolleyError> {
+        Ok(())
+    }
+
+    /// Before task `task` steps `tick`.
+    fn before_step(&mut self, _tick: Tick, _task: usize, _session: &mut TaskSession<'_>) {}
+
+    /// After task `task` stepped `tick` into `summary`.
+    fn after_step(
+        &mut self,
+        _tick: Tick,
+        _task: usize,
+        _summary: &TickSummary,
+        _session: &mut TaskSession<'_>,
+    ) {
+    }
+
+    /// After every task stepped `tick`; may reorder the next tick's steps.
+    fn after_tick(&mut self, _tick: Tick, _order: &mut [usize]) {}
+
+    /// On every exit, before the sessions are finished.
+    fn stop(&mut self, _sessions: &mut [TaskSession<'_>]) {}
+}
+
+/// One task [`drive`] steps: the runner configuring it, its traces, its
+/// monitors' sockets until its session is spawned (in process without),
+/// and what the loop keeps beside the session — the stats handles of
+/// every sink and WAL incarnation (they outlive them, for the
+/// degradation section) and the failovers left.
+pub(crate) struct Task<'a> {
+    runner: &'a TaskRunner,
+    traces: &'a [Vec<f64>],
+    sockets: Option<SocketPlane>,
+    io_stats: Vec<Arc<IoFaultStats>>,
+    wal_stats: Vec<Arc<WalStats>>,
+    failovers_left: u32,
+}
+
+impl<'a> Task<'a> {
+    pub(crate) fn new(
+        runner: &'a TaskRunner,
+        traces: &'a [Vec<f64>],
+        sockets: Option<SocketPlane>,
+    ) -> Self {
+        Task {
+            runner,
+            traces,
+            sockets,
+            io_stats: Vec::new(),
+            wal_stats: Vec::new(),
+            failovers_left: MAX_FAILOVERS,
+        }
+    }
+
+    /// The incumbent WAL's breaker state: 1 while it sheds to its ring.
+    fn wal_degraded(&self) -> Option<u64> {
+        let stats = self.wal_stats.last()?;
+        Some(stats.degraded.load(Ordering::Relaxed))
+    }
+}
+
+/// The one tick loop: drives `tasks` in lock-step over their shortest
+/// run on the calling thread, calling `hook` between steps, and returns
+/// their reports in task order.
+///
+/// A task whose coordinator died is failed over and stepped again when
+/// its runner arms a standby; its alerts go out on the serve stream
+/// tagged with its index. The run-level sinks — runner instruments,
+/// watchdog, snapshot writer, serve publisher — are the first task's
+/// runner's (a multi-task run hands every task the same obs bundle and
+/// publisher), and so are the watchdog's and the writer's report
+/// sections. On every exit the hook stops, then every spawned session is
+/// finished: monitors shut down, the recorder sealed.
+///
+/// # Errors
+///
+/// What [`run_length`] rejects in any task (before anything is opened),
+/// an uncreatable snapshot directory, an invalid watchdog allowance, a
+/// spec no allocator accepts, the hook's start, or a coordinator that
+/// died with no standby (or past the failover cap of 8).
+pub(crate) fn drive(
+    mut tasks: Vec<Task<'_>>,
+    mut hook: Option<&mut dyn Hook>,
+) -> Result<Vec<RuntimeReport>, VolleyError> {
+    let Some(first) = tasks.first().map(|task| task.runner) else {
+        return Ok(Vec::new());
+    };
+    let mut ticks = u64::MAX;
+    for task in &tasks {
+        ticks = ticks.min(run_length(&task.runner.spec, task.traces)?);
+    }
+    let monitors: usize = tasks.iter().map(|task| task.traces.len()).sum();
+    let (obs, serve) = (&first.obs, first.serve.as_ref());
+    // Asking for snapshot dumps or a watchdog implies instrumenting: both
+    // read the registry, which is empty while obs is disabled.
+    if first.obs_dir.is_some() || first.self_monitor.is_some() {
+        obs.set_enabled(true);
+    }
+
+    let mut planes = Vec::with_capacity(tasks.len());
+    for task in &mut tasks {
+        let wal = task.runner.open_wal(&mut task.io_stats);
+        task.wal_stats = wal.iter().map(|(wal, _)| wal.stats()).collect();
+        planes.push(match task.sockets.take() {
+            Some(sockets) => (MonitorPlane::Remote(Box::new(sockets)), wal),
+            None => (MonitorPlane::inline(task.runner), wal),
+        });
+    }
+    let mut writer = match &first.obs_dir {
+        Some((dir, every)) => Some(
+            SnapshotWriter::new_on(first.sink_fs(&mut tasks[0].io_stats), dir, *every).map_err(
+                |e| VolleyError::InvalidConfig {
+                    parameter: "obs_dir",
+                    reason: format!("cannot create snapshot dir: {e}"),
+                },
+            )?,
+        ),
+        None => None,
+    };
+    let mut watchdog = match first.self_monitor {
+        Some((threshold_us, err)) => {
+            let config = AdaptationConfig::builder().error_allowance(err).build()?;
+            let mut monitor = SelfMonitor::new();
+            let threshold = TaskKind::Above {
+                threshold: threshold_us,
+            };
+            let latency = GaugeSource::new(names::RUNNER_TICK_LATENCY_US);
+            monitor.watch(TaskId(0), config, threshold, Box::new(latency))?;
+            Some(monitor)
+        }
+        None => None,
+    };
+
+    // Observability: pre-resolve the runner's instruments (no registry
+    // mutex on the tick path).
+    let registry = obs.registry();
+    let ticks_total = registry.counter(names::RUNNER_TICKS_TOTAL);
+    let tick_hist = registry.histogram(names::RUNNER_TICK_LATENCY_NS);
+    let tick_gauge = registry.gauge(names::RUNNER_TICK_LATENCY_US);
+    let degraded_total = registry.counter(names::RUNNER_DEGRADED_TICKS_TOTAL);
+    let alerts_total = registry.counter(names::RUNNER_ALERTS_TOTAL);
+    let samples_total = registry.counter(names::RUNNER_SAMPLES_TOTAL);
+    let failovers_total = registry.counter(names::RUNNER_FAILOVERS_TOTAL);
+    let sampling_fraction = registry.gauge(names::RUNNER_SAMPLING_FRACTION);
+    let degraded_fraction = registry.gauge(names::RUNNER_DEGRADED_FRACTION);
+    let wal_degraded_gauge = registry.gauge(names::WAL_DEGRADED);
+    let wal_ring_gauge = registry.gauge(names::WAL_RING_BUFFERED);
+    let store_degraded_gauge = registry.gauge(names::STORE_DEGRADED);
+    let obs_degraded_gauge = registry.gauge(names::OBS_SNAPSHOTS_DEGRADED);
+    let mut degraded_ticks = 0u64;
+    let mut self_monitor_alert_ticks: Vec<Tick> = Vec::new();
+    // Last published wal/store/obs degradation states, so the serve
+    // stream only carries *transitions*, not one event per tick.
+    let mut published = [false; 3];
+
+    let mut sessions: Vec<TaskSession<'_>> = Vec::with_capacity(tasks.len());
+    let driven = (|| -> Result<(), VolleyError> {
+        for (task, (plane, wal)) in tasks.iter().zip(planes) {
+            sessions.push(TaskSession::spawn(task.runner, plane, wal)?);
+        }
+        if let Some(hook) = hook.as_deref_mut() {
+            hook.start(ticks, &mut sessions)?;
+        }
+        let mut order: Vec<usize> = (0..sessions.len()).collect();
+        for tick in 0..ticks {
+            let tick_started = obs.enabled().then(Instant::now);
+            let mut degraded = false;
+            for &index in &order {
+                let (task, session) = (&mut tasks[index], &mut sessions[index]);
+                if let Some(hook) = hook.as_deref_mut() {
+                    hook.before_step(tick, index, session);
+                }
+                // A dead coordinator fails the step; with a standby armed
+                // the same tick is stepped again on its successor.
+                let summary = loop {
+                    let err = match session.step(tick, |i| task.traces[i][tick as usize]) {
+                        Ok(summary) => break summary,
+                        Err(err) => err,
+                    };
+                    if !task.runner.standby || task.failovers_left == 0 {
+                        return Err(err);
+                    }
+                    task.failovers_left -= 1;
+                    failovers_total.inc();
+                    let runner = task.runner;
+                    let (snapshot, wal) =
+                        runner.recover_wal(&mut task.io_stats, &mut task.wal_stats);
+                    let epoch = session.fail_over(tick, snapshot.as_ref(), wal)?;
+                    if let Some(serve) = serve {
+                        serve.epoch(epoch, tick);
+                    }
+                };
+                if summary.alerted {
+                    if let Some(serve) = serve {
+                        serve.alert(index as u64, summary.tick, summary.degraded);
+                    }
+                }
+                degraded |= summary.degraded;
+                if tick_started.is_some() {
+                    samples_total.add(
+                        u64::from(summary.scheduled_samples) + u64::from(summary.poll_samples),
+                    );
+                    if summary.alerted {
+                        alerts_total.inc();
+                    }
+                }
+                if let Some(hook) = hook.as_deref_mut() {
+                    hook.after_step(tick, index, &summary, session);
+                }
+            }
+            if let Some(hook) = hook.as_deref_mut() {
+                hook.after_tick(tick, &mut order);
+            }
+            degraded_ticks += u64::from(degraded);
+
+            // Per-tick observability: record end-to-end tick latency,
+            // bump the runner counters, refresh derived gauges, then let
+            // the watchdog read the fresh snapshot and dump on cadence.
+            let wal_degraded = || tasks.iter().filter_map(Task::wal_degraded).max();
+            let recorders = || {
+                tasks
+                    .iter()
+                    .filter_map(|task| task.runner.recorder.as_ref())
+            };
+            let store_degraded = || recorders().map(SampleRecorder::degraded).max();
+            if let Some(started) = tick_started {
+                let elapsed = started.elapsed();
+                tick_hist.record(elapsed.as_nanos() as u64);
+                tick_gauge.set(elapsed.as_micros() as f64);
+                obs.spans().record("runner_tick", started);
+                ticks_total.inc();
+                if degraded {
+                    degraded_total.inc();
+                }
+                let done = (tick + 1) as f64;
+                let sampled: u64 = sessions.iter().map(|s| s.report().total_samples).sum();
+                sampling_fraction.set(sampled as f64 / (done * monitors as f64));
+                degraded_fraction.set(degraded_ticks as f64 / done);
+                // Sink-degradation gauges: every breaker transition shows
+                // up as an obs series, per the accuracy contract's
+                // "visible, never silent" rule.
+                if let Some(wal_degraded) = wal_degraded() {
+                    wal_degraded_gauge.set(wal_degraded as f64);
+                    let ring = tasks.iter().filter_map(|task| task.wal_stats.last());
+                    let ring: u64 = ring.map(|s| s.ring_buffered.load(Ordering::Relaxed)).sum();
+                    wal_ring_gauge.set(ring as f64);
+                }
+                if let Some(store_degraded) = store_degraded() {
+                    store_degraded_gauge.set(f64::from(u8::from(store_degraded)));
+                }
+            }
+            if let Some(monitor) = watchdog.as_mut() {
+                if monitor.any_due(tick) {
+                    let snapshot = obs.snapshot(tick);
+                    for alert in monitor.tick(tick, &snapshot) {
+                        self_monitor_alert_ticks.push(alert.tick);
+                    }
+                }
+            }
+            if let Some(writer) = writer.as_mut() {
+                let _ = writer.maybe_write(registry, tick);
+                if obs.enabled() {
+                    obs_degraded_gauge.set(f64::from(u8::from(writer.degraded())));
+                }
+            }
+            if let Some(serve) = serve {
+                serve.set_tick(tick);
+                let sinks = [
+                    ("wal", wal_degraded().is_some_and(|d| d != 0)),
+                    ("store", store_degraded().unwrap_or(false)),
+                    ("obs", writer.as_ref().is_some_and(SnapshotWriter::degraded)),
+                ];
+                for (published, (sink, degraded)) in published.iter_mut().zip(sinks) {
+                    if degraded != *published {
+                        *published = degraded;
+                        serve.degradation(sink, degraded, tick);
+                    }
+                }
+            }
+        }
+        Ok(())
+    })();
+    // Every exit tears down the same way. The recorder is sealed before
+    // degradation state is read: the final flush can itself trip or
+    // re-arm the store breaker.
+    if let Some(hook) = hook {
+        hook.stop(&mut sessions);
+    }
+    let mut reports: Vec<RuntimeReport> = sessions.into_iter().map(TaskSession::finish).collect();
+    driven?;
+
+    // Degradation accounting: WAL counters sum across coordinator
+    // incarnations; store and obs state come from their live handles.
+    for (report, task) in reports.iter_mut().zip(tasks.iter()) {
+        let d = &mut report.degradation;
+        for stats in &task.wal_stats {
+            d.wal_write_failures += stats.write_failures.load(Ordering::Relaxed);
+            d.wal_sync_failures += stats.sync_failures.load(Ordering::Relaxed);
+            d.wal_trips += stats.trips.load(Ordering::Relaxed);
+            d.wal_rearms += stats.rearms.load(Ordering::Relaxed);
+            d.wal_ring_dropped += stats.ring_dropped.load(Ordering::Relaxed);
+        }
+        d.wal_degraded_at_end = task.wal_degraded().is_some_and(|d| d != 0);
+        if let Some(recorder) = &task.runner.recorder {
+            d.store_shed_samples = recorder.shed_samples();
+            (d.store_trips, d.store_rearms) = recorder.breaker_transitions();
+            d.store_degraded_at_end = recorder.degraded();
+        }
+        d.io_faults_injected = task.io_stats.iter().map(|s| s.total()).sum();
+    }
+    let report = &mut reports[0];
+    report.self_monitor_alerts = self_monitor_alert_ticks.len() as u64;
+    report.self_monitor_alert_ticks = self_monitor_alert_ticks;
+    if let Some(monitor) = &watchdog {
+        report.self_monitor_samples = monitor.samples();
+    }
+    if let Some(writer) = &writer {
+        let d = &mut report.degradation;
+        d.obs_snapshots_paused = writer.paused();
+        (d.obs_trips, d.obs_rearms) = writer.breaker_transitions();
+        d.obs_degraded_at_end = writer.degraded();
+    }
+
+    // Publish the cumulative degradation counters so the final snapshot
+    // (and any scraper) carries them.
+    if obs.enabled() {
+        for d in reports.iter().map(|report| &report.degradation) {
+            let totals = [
+                (names::WAL_WRITE_FAILURES_TOTAL, d.wal_write_failures),
+                (names::WAL_SYNC_FAILURES_TOTAL, d.wal_sync_failures),
+                (names::WAL_BREAKER_TRIPS_TOTAL, d.wal_trips),
+                (names::WAL_BREAKER_REARMS_TOTAL, d.wal_rearms),
+                (names::WAL_RING_DROPPED_TOTAL, d.wal_ring_dropped),
+                (names::STORE_SHED_SAMPLES_TOTAL, d.store_shed_samples),
+                (names::STORE_BREAKER_TRIPS_TOTAL, d.store_trips),
+                (names::STORE_BREAKER_REARMS_TOTAL, d.store_rearms),
+                (names::OBS_SNAPSHOTS_PAUSED_TOTAL, d.obs_snapshots_paused),
+                (names::IO_FAULTS_INJECTED_TOTAL, d.io_faults_injected),
+            ];
+            for (name, total) in totals {
+                registry.counter(name).add(total);
+            }
+        }
+    }
+    // Final dump after all actors have flushed their instruments;
+    // best-effort, like WAL durability.
+    if let Some(writer) = writer.as_mut() {
+        let _ = writer.write_now(registry, ticks);
+        let _ = writer.write_spans(obs.spans());
+    }
+    Ok(reports)
+}
+
 #[cfg(test)]
 mod tests {
     use std::path::Path;
+    use std::time::Duration;
 
     use super::*;
     use crate::failure::FaultPath;
@@ -733,9 +1080,10 @@ mod tests {
         assert_eq!(sockets.stats().frames_out, 4);
     }
 
-    /// The drift guard for the tick path: actors are built in this module
-    /// only, so a new driver cannot quietly grow its own copy of the
-    /// monitor or coordinator recipe.
+    /// The drift guard for the tick path: actors are built and sessions
+    /// spawned in this module only, so a new driver cannot quietly grow
+    /// its own copy of the monitor or coordinator recipe, or a tick loop
+    /// of its own beside [`drive`].
     #[test]
     fn actor_recipes_live_in_the_session_module_only() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -743,7 +1091,12 @@ mod tests {
         for_each_source(&src, &mut |path| {
             if path.file_name().is_some_and(|f| f != "session.rs") {
                 let source = non_test_source(path);
-                for recipe in ["CoordinatorActor::new(", "AdaptiveSampler::new("] {
+                let recipes = [
+                    "CoordinatorActor::new(",
+                    "AdaptiveSampler::new(",
+                    "TaskSession::spawn(",
+                ];
+                for recipe in recipes {
                     if source.contains(recipe) {
                         offenders.push(format!("{}: {recipe}", path.display()));
                     }
@@ -760,7 +1113,7 @@ mod tests {
     /// Returns the report and every reallocation: the allowances the
     /// monitors held after each tick that moved the coordinator's ledger
     /// — what that round's `SetAllowance` frames carried.
-    fn run_inline(config: &SessionConfig, traces: &[Vec<f64>]) -> (RuntimeReport, Vec<Vec<f64>>) {
+    fn run_inline(config: &TaskRunner, traces: &[Vec<f64>]) -> (RuntimeReport, Vec<Vec<f64>>) {
         let plane = MonitorPlane::inline(config);
         let mut session = TaskSession::spawn(config, plane, None).unwrap();
         let ledger = |session: &TaskSession| {
@@ -857,7 +1210,7 @@ mod tests {
                     alerts.push(tick);
                 }
             }
-            let config = SessionConfig::new(spec.clone(), Obs::disabled());
+            let config = TaskRunner::new(&spec).unwrap();
             let (report, _) = run_inline(&config, &traces);
             assert_eq!(report.alert_ticks, alerts, "alerts (m={monitors})");
             assert_eq!(report.total_samples, samples, "samples (m={monitors})");
@@ -889,13 +1242,11 @@ mod tests {
             .with_partition(&[MonitorId(3)], 995, 1005)
     }
 
-    fn faulty(spec: &TaskSpec, tick_deadline: Duration) -> SessionConfig {
-        SessionConfig {
-            fault_plan: faulty_plan(),
-            supervise: true,
-            tick_deadline,
-            ..SessionConfig::new(spec.clone(), Obs::disabled())
-        }
+    fn faulty(spec: &TaskSpec, tick_deadline: Duration) -> TaskRunner {
+        TaskRunner::new(spec)
+            .unwrap()
+            .with_fault_plan(faulty_plan())
+            .with_tick_deadline(tick_deadline)
     }
 
     /// The whole-task run under a seeded fault plan: nothing runs beside

@@ -177,11 +177,13 @@ impl ServePublisher {
         self.ring.publish_line(line.as_str());
     }
 
-    /// A state alert fired at `tick`.
-    pub fn alert(&self, tick: u64, degraded: bool) {
+    /// Task `task` (its index in the run; a single-task run is task 0)
+    /// fired a state alert at `tick`.
+    pub fn alert(&self, task: u64, tick: u64, degraded: bool) {
         self.publish(
             "alert",
             vec![
+                ("task".to_string(), task.to_value()),
                 ("tick".to_string(), tick.to_value()),
                 ("degraded".to_string(), degraded.to_value()),
             ],
@@ -226,8 +228,8 @@ mod tests {
     fn late_subscriber_replays_history() {
         let ring = EventRing::new(8);
         let publisher = ServePublisher::new(ring.clone());
-        publisher.alert(10, false);
-        publisher.alert(20, true);
+        publisher.alert(0, 10, false);
+        publisher.alert(2, 20, true);
         let (next, lagged, lines) = ring.collect_since(0);
         assert_eq!(next, 2);
         assert_eq!(lagged, 0);
@@ -237,8 +239,8 @@ mod tests {
                 .map(|l| l.as_ref().to_owned())
                 .collect::<Vec<_>>(),
             vec![
-                r#"{"event":"alert","tick":10,"degraded":false}"#,
-                r#"{"event":"alert","tick":20,"degraded":true}"#,
+                r#"{"event":"alert","task":0,"tick":10,"degraded":false}"#,
+                r#"{"event":"alert","task":2,"tick":20,"degraded":true}"#,
             ]
         );
         // Caught up: nothing new, no lag.

@@ -538,7 +538,7 @@ mod tests {
         let handle = Server::start(ServeConfig::new("127.0.0.1:0"), &Obs::new(false)).unwrap();
         let publisher = handle.publisher();
         for tick in 0..50 {
-            publisher.alert(tick, false);
+            publisher.alert(0, tick, false);
         }
         thread::sleep(Duration::from_millis(50));
         assert!(handle.waker.wakeups() <= 2, "nobody listens: no wake");
@@ -551,7 +551,7 @@ mod tests {
         // The subscriber replays history, then gets a live event pushed
         // by the publish's wake (no request of its own follows).
         assert!(lines.any(|l| l.contains(r#""tick":49"#)));
-        publisher.alert(777, true);
+        publisher.alert(0, 777, true);
         assert!(lines.any(|l| l.contains(r#""tick":777"#)));
         let stats = handle.shutdown();
         assert_eq!(stats.stream_requests, 1);

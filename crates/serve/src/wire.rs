@@ -18,8 +18,13 @@ use serde::Serialize;
 /// served over HTTP (`/api/v1/query`); 6 = the `sim` and `run` reports
 /// gain an `engine` section with the sharded engine's execution counters
 /// (epochs, merges, lane swaps, arena reuses — the deterministic subset
-/// of `EngineStats`).
-pub const REPORT_SCHEMA_VERSION: u32 = 6;
+/// of `EngineStats`); 7 = the `run`, `chaos` (all three modes) and
+/// `coordinator` reports are the runtime's `RuntimeReport` — every one
+/// of its fields — plus the command's own keys (`monitors`, `cost_ratio`,
+/// `net`, …), `chaos --multitask`'s `tasks_detail` entries likewise per
+/// task (the gate counters under each entry's `multitask`), and alert
+/// events on `/api/v1/alerts/stream` carry the `task` they fired in.
+pub const REPORT_SCHEMA_VERSION: u32 = 7;
 
 /// Renders `report` wrapped in the versioned envelope —
 /// `{"schema": N, "command": "<subcommand>", "report": {…}}` — as
@@ -48,7 +53,7 @@ mod tests {
     #[test]
     fn envelope_is_pretty_with_trailing_newline() {
         let text = envelope("store", &Sample { matched: 3 });
-        assert!(text.starts_with("{\n  \"schema\": 6,\n  \"command\": \"store\",\n"));
+        assert!(text.starts_with("{\n  \"schema\": 7,\n  \"command\": \"store\",\n"));
         assert!(text.ends_with("}\n"));
         assert!(text.contains("\"matched\": 3"));
     }

@@ -7,10 +7,11 @@
 //! their knobs — error allowance, max interval, patience, selectivity,
 //! seed — but each spells them differently. [`VolleyConfig`] is the one
 //! place to set those knobs; terminal methods convert it into whichever
-//! entry point a program needs. The old scenario and fleet constructors
-//! (`NetworkScenario::new` and friends, `FleetTask::new`) shipped as
-//! `#[deprecated]` shims for one release and have since been removed;
-//! migrate to [`VolleyConfig`] or `FleetTask::from_spec`.
+//! entry point a program needs. The old scenario constructors
+//! (`NetworkScenario::new` and friends) shipped as `#[deprecated]` shims
+//! for one release and have since been removed; migrate to
+//! [`VolleyConfig`]. A [`FleetTask`] is a configured [`TaskRunner`] plus
+//! its traces.
 //!
 //! ```
 //! use volley::prelude::*;
@@ -34,7 +35,7 @@
 
 use volley_core::task::TaskSpec;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
-use volley_runtime::FleetTask;
+use volley_runtime::{FleetTask, TaskRunner};
 use volley_sim::{
     ApplicationScenario, ApplicationScenarioConfig, ClusterConfig, DistributedScenario,
     DistributedScenarioConfig, NetworkScenario, NetworkScenarioConfig, SystemScenario,
@@ -227,7 +228,8 @@ impl VolleyConfig {
     }
 
     /// Builds a fleet submission from this configuration's adaptation
-    /// knobs (the replacement for the removed `FleetTask::new`).
+    /// knobs: a default [`TaskRunner`] for one monitor per trace, which
+    /// the caller may configure further through `runner`.
     ///
     /// # Errors
     ///
@@ -238,7 +240,8 @@ impl VolleyConfig {
         traces: Vec<Vec<f64>>,
     ) -> Result<FleetTask, VolleyError> {
         let spec = self.task_spec(global_threshold, traces.len())?;
-        Ok(FleetTask::from_spec(spec, traces))
+        let runner = TaskRunner::new(&spec)?;
+        Ok(FleetTask { runner, traces })
     }
 
     /// The network-monitoring (DPI cost) scenario configuration.
@@ -335,8 +338,7 @@ impl VolleyConfig {
 
     /// Opens (or creates) a sample store at `dir`, stamps it with this
     /// configuration's [`task_meta`](Self::task_meta) and wraps it in a
-    /// recorder ready for `TaskRunner::with_recorder` /
-    /// `FleetTask::with_recorder`.
+    /// recorder ready for `TaskRunner::with_recorder`.
     ///
     /// # Errors
     ///
@@ -393,7 +395,8 @@ mod tests {
         assert_eq!(scenario.config().seed, 3);
 
         let task = config.fleet_task(200.0, vec![vec![1.0; 10]; 4]).unwrap();
-        assert_eq!(task.spec.monitors().len(), 4);
+        let (_, summary) = volley_runtime::FleetRunner::new().run(vec![task]).unwrap();
+        assert_eq!(summary.baseline_samples, 4 * 10);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use volley::core::task::{TaskId, TaskSpec};
 use volley::core::window::{AggregateKind, SlidingWindow, WindowedSampler};
 use volley::{AdaptationConfig, AdaptiveSampler, SystemMetricsGenerator};
 use volley_runtime::fleet::{FleetRunner, FleetTask};
+use volley_runtime::TaskRunner;
 use volley_traces::io::{read_csv, write_csv};
 use volley_traces::netflow::{AttackSpec, NetflowConfig};
 use volley_traces::ResponseTimeModel;
@@ -192,8 +193,12 @@ fn fleet_runs_mixed_workloads() {
         .iter()
         .map(|t| volley::selectivity_threshold(t, 1.0).expect("valid"))
         .collect();
+    let task = |spec: TaskSpec, traces| FleetTask {
+        runner: TaskRunner::new(&spec).expect("valid runner"),
+        traces,
+    };
     let tasks = vec![
-        FleetTask::from_spec(
+        task(
             TaskSpec::builder(thresholds[0] + thresholds[1])
                 .monitors(2)
                 .error_allowance(0.02)
@@ -203,7 +208,7 @@ fn fleet_runs_mixed_workloads() {
                 .expect("valid spec"),
             traces[0..2].to_vec(),
         ),
-        FleetTask::from_spec(
+        task(
             TaskSpec::builder(thresholds[2] + thresholds[3])
                 .monitors(2)
                 .error_allowance(0.02)

@@ -1,11 +1,13 @@
-//! Integration: the threaded message-passing runtime agrees exactly with
-//! the step-driven reference implementation, and degrades predictably
-//! under injected message loss.
+//! Integration: the message-passing runtime agrees exactly with the
+//! step-driven reference implementation, degrades predictably under
+//! injected message loss, and refuses what its wire cannot carry.
 
+use std::time::Duration;
 use volley::core::coordinator::CoordinationScheme;
 use volley::core::task::TaskSpec;
-use volley::{DistributedTask, TaskRunner};
-use volley_runtime::{FaultPath, FaultPlan};
+
+use volley::{DistributedTask, TaskRunner, VolleyError};
+use volley_runtime::{FaultPath, FaultPlan, NetAddr, NetCoordinator};
 
 /// Deterministic pseudo-random traces (no external RNG needed).
 fn traces(monitors: usize, ticks: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -174,23 +176,15 @@ fn runtime_handles_many_monitors() {
     assert!(report.total_samples > 0);
 }
 
-/// What the wire cannot carry, the value path does not carry either. A
-/// `NaN` or infinite trace value makes its monitor's `PollReply`
-/// non-finite: the codec writes `null`, no decoder reads that back, and
-/// behind a socket the reply is a malformed line — skipped, the monitor
-/// counted at `T_i`, the poll degraded. In process the reply is a value
-/// and would sail through — hiding the alert at tick 49, where `NaN`
-/// fails every comparison — so the coordinator drops it at the same
-/// point (its unit tests feed one machine both ways). The figures are
-/// the ones the runner reported when its replies were still encoded and
-/// decoded in process (PR 23).
-///
-/// Only the in-process runner can be asked: a `Tick` carrying `NaN` is
-/// itself a malformed line, so behind a socket the value never reaches
-/// its monitor — the agent drops the connection and re-dials, and the
-/// networked report differs (ROADMAP item 4).
+/// What the wire cannot carry, no plane carries. A `NaN` or infinite
+/// trace value would be a value in process but a malformed `Tick` line
+/// behind a socket — there the agent drops the connection and re-dials —
+/// so the two planes would report differently. Both refuse it instead,
+/// the same way and before any tick: the networked coordinator before
+/// its fleet assembles, so no agent needs to dial. A value past the
+/// shortest trace is never sent, and is no reason to refuse.
 #[test]
-fn a_non_finite_reply_degrades_its_poll_exactly_as_its_malformed_line_did() {
+fn a_non_finite_trace_value_fails_both_planes_before_any_tick() {
     let monitors = 6;
     let spec = TaskSpec::builder(100.0 * monitors as f64)
         .monitors(monitors)
@@ -198,7 +192,7 @@ fn a_non_finite_reply_degrades_its_poll_exactly_as_its_malformed_line_did() {
         .build()
         .expect("valid spec");
     // Quiet at ~20 % of the local threshold, a burst every 50 ticks.
-    let mut traces: Vec<Vec<f64>> = (0..monitors)
+    let finite: Vec<Vec<f64>> = (0..monitors)
         .map(|m| {
             (0..150)
                 .map(|t| {
@@ -208,17 +202,36 @@ fn a_non_finite_reply_degrades_its_poll_exactly_as_its_malformed_line_did() {
                 .collect()
         })
         .collect();
-    traces[1][49] = f64::NAN;
-    traces[4][99] = f64::INFINITY;
+    let refused = |err: VolleyError| {
+        assert!(
+            matches!(
+                err,
+                VolleyError::NonFiniteValue {
+                    parameter: "traces"
+                }
+            ),
+            "{err:?}"
+        );
+    };
+    for (monitor, tick, value) in [
+        (1, 49, f64::NAN),
+        (4, 99, f64::INFINITY),
+        (0, 0, f64::NEG_INFINITY),
+    ] {
+        let mut traces = finite.clone();
+        traces[monitor][tick] = value;
+        let runner = TaskRunner::new(&spec).expect("valid runner");
+        refused(runner.run(&traces).unwrap_err());
+        let coordinator = NetCoordinator::bind(spec.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))
+            .expect("loopback bind")
+            .with_wait_timeout(Duration::from_secs(60));
+        refused(coordinator.run(&traces).unwrap_err());
+    }
+    let mut longer = finite;
+    longer[3].push(f64::NAN);
     let report = TaskRunner::new(&spec)
         .expect("valid runner")
-        .run(&traces)
-        .expect("run succeeds");
-    assert_eq!(report.alert_ticks, [49, 99, 149], "T_i stands in: no miss");
-    assert_eq!((report.polls, report.alerts), (3, 3));
-    assert_eq!((report.degraded_polls, report.degraded_alerts), (2, 2));
-    assert_eq!((report.scheduled_samples, report.poll_samples), (884, 1));
-    assert_eq!(report.local_violation_reports, 16);
-    assert_eq!(report.missed_tick_reports, 0);
-    assert_eq!(report.quarantines, 0);
+        .run(&longer)
+        .expect("the NaN is never sent");
+    assert_eq!(report.alert_ticks, [49, 99, 149]);
 }

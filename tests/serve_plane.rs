@@ -8,8 +8,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use volley::core::correlation::CorrelationConfig;
 use volley::core::task::TaskSpec;
 use volley::obs::{names, parse_prometheus, Obs};
+use volley::runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner};
 use volley::serve::{envelope, ServeConfig, Server, ServerHandle};
 use volley::store::query::{run_query, QueryParams};
 use volley::store::Store;
@@ -191,6 +193,27 @@ fn query_endpoint_pages_match_shared_module() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Opens an alert-stream subscription on `handle` and returns the
+/// socket with the response head read: the head proves the reactor has
+/// opened the subscription, which a short run could otherwise outpace
+/// to `shutdown` before the reactor has even parsed the request.
+fn subscribe(handle: &ServerHandle) -> (TcpStream, Vec<u8>) {
+    let mut subscriber = TcpStream::connect(handle.local_addr()).expect("connect");
+    subscriber
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    subscriber
+        .write_all(b"GET /api/v1/alerts/stream HTTP/1.1\r\nHost: test\r\n\r\n")
+        .expect("subscribe");
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        subscriber.read_exact(&mut byte).expect("stream head");
+        raw.push(byte[0]);
+    }
+    (subscriber, raw)
+}
+
 /// A subscriber that connects before the run sees every alert the fleet
 /// raises mid-run on its open stream, then the terminating chunk at
 /// shutdown.
@@ -201,22 +224,7 @@ fn alert_stream_delivers_mid_run_alerts() {
 
     // Subscribe before the run starts; the socket stays open while the
     // fleet ticks and drains only at shutdown.
-    let mut subscriber = TcpStream::connect(handle.local_addr()).expect("connect");
-    subscriber
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    subscriber
-        .write_all(b"GET /api/v1/alerts/stream HTTP/1.1\r\nHost: test\r\n\r\n")
-        .expect("subscribe");
-    // The response head proves the reactor has opened the subscription;
-    // a 40-tick run can otherwise reach `shutdown` before the reactor
-    // has even parsed the request.
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    while !raw.ends_with(b"\r\n\r\n") {
-        subscriber.read_exact(&mut byte).expect("stream head");
-        raw.push(byte[0]);
-    }
+    let (mut subscriber, mut raw) = subscribe(&handle);
 
     let report = TaskRunner::new(&spec())
         .unwrap()
@@ -250,6 +258,74 @@ fn alert_stream_delivers_mid_run_alerts() {
         text.ends_with("0\r\n\r\n"),
         "stream must terminate with the final chunk: {text:?}"
     );
+}
+
+/// A multi-task run publishes through the loop a single task does: over
+/// a 3-task cascade (a leader, its follower, a quiet bystander) every
+/// alert line names the task it fired in, the lines per task equal that
+/// task's `alerts`, and exactly one `run_end` follows them.
+#[test]
+fn a_multi_task_stream_carries_each_tasks_alerts() {
+    let obs = Obs::new(true);
+    let handle = Server::start(ServeConfig::new("127.0.0.1:0"), &obs).expect("bind");
+    let (mut subscriber, mut raw) = subscribe(&handle);
+
+    let spec = TaskSpec::builder(100.0)
+        .monitors(1)
+        .error_allowance(0.05)
+        .max_interval(4)
+        .patience(2)
+        .warmup_samples(2)
+        .build()
+        .unwrap();
+    // Violating (200 > 100) on `offset..offset + 8` of every 40 ticks.
+    let burst = |offset: u64| -> Vec<Vec<f64>> {
+        let hot = |t: u64| (offset..offset + 8).contains(&(t % 40));
+        vec![(0..400).map(|t| if hot(t) { 200.0 } else { 5.0 }).collect()]
+    };
+    let tasks = [
+        MultiTask::new(spec.clone(), burst(10)),
+        MultiTask::new(spec.clone(), burst(12)),
+        MultiTask::new(spec, vec![vec![5.0; 400]]),
+    ];
+    let config = MultiTaskConfig {
+        correlation: CorrelationConfig {
+            min_confidence: 0.8,
+            min_support: 5,
+            ..CorrelationConfig::default()
+        },
+        train_ticks: 200,
+        costs: None,
+    };
+    let outcome = MultiTaskRunner::new(config)
+        .unwrap()
+        .with_obs(obs.clone())
+        .with_serve_publisher(handle.publisher())
+        .run(&tasks)
+        .unwrap();
+    assert_eq!(outcome.gates.len(), 1, "the follower is gated");
+    handle.publisher().run_end(outcome.ticks);
+    let stats = handle.shutdown();
+    assert_eq!(stats.stream_lag_drops, 0);
+
+    subscriber.read_to_end(&mut raw).expect("drain stream");
+    let text = String::from_utf8(raw).expect("utf8 stream");
+    for (task, report) in outcome.reports.iter().enumerate() {
+        let line = format!("\"event\":\"alert\",\"task\":{task},");
+        assert_eq!(
+            text.matches(&line).count() as u64,
+            report.alerts,
+            "task {task}"
+        );
+    }
+    assert!(outcome.reports[0].alerts > 0 && outcome.reports[2].alerts == 0);
+    let all_alerts: u64 = outcome.reports.iter().map(|r| r.alerts).sum();
+    assert_eq!(
+        text.matches("\"event\":\"alert\"").count() as u64,
+        all_alerts
+    );
+    assert_eq!(text.matches("\"event\":\"run_end\"").count(), 1);
+    assert!(text.rfind("\"event\":\"alert\"") < text.find("\"event\":\"run_end\""));
 }
 
 /// Protocol hygiene over a real socket: unknown paths 404, non-GET

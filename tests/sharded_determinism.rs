@@ -166,18 +166,21 @@ fn fleet_tasks(seed: u64, faults: bool) -> Vec<volley::runtime::FleetTask> {
                 .max_interval(8)
                 .task_spec(threshold, 3)
                 .expect("valid spec");
-            let task = volley::runtime::FleetTask::from_spec(spec, traces);
-            if faults {
+            let runner = TaskRunner::new(&spec).expect("valid runner");
+            let runner = if faults {
                 // Tick-indexed faults and a seeded drop plan: deterministic
                 // regardless of scheduling, unlike wall-clock stalls.
                 let plan = FaultPlan::new(seed)
                     .with_drop_rate(FaultPath::ViolationReport, 0.2)
                     .with_duplication_rate(0.1)
                     .with_crash(MonitorId(1), 60);
-                task.with_faults(plan, Duration::from_millis(200))
+                runner
+                    .with_fault_plan(plan)
+                    .with_tick_deadline(Duration::from_millis(200))
             } else {
-                task
-            }
+                runner
+            };
+            volley::runtime::FleetTask { runner, traces }
         })
         .collect()
 }
