@@ -357,15 +357,14 @@ fn fleet_runner_matches_pre_rewrite_goldens() {
 //
 // The old barrier tagged every message with a per-source sequence number,
 // gathered all (dst, src, seq) triples, and sorted each destination's
-// inbox by (src, seq). The lane-based barrier skips the sort: a source
-// keeps the lanes it sent on sorted by destination, the barrier walks
-// sources in ascending order and each lane preserves push order, which is
-// the same total order by construction. This property test drives
-// arbitrary send patterns through the engine — 64 shards, three epochs,
-// plus the patterns the sparse lane set has code for: self-sends, a
-// descending fan-out (every lane opens in front of the others) and a
-// destination first sent to in a later epoch — and checks the delivered
-// order against the sort-based definition.
+// inbox by (src, seq). The outbox barrier skips the sort: it walks
+// sources in ascending order and pushes each source's messages onto
+// their destinations' inboxes in send order, which is the same total
+// order by construction. This property test drives arbitrary send
+// patterns through the engine — 64 shards, three epochs, plus
+// self-sends, a descending fan-out and a destination first sent to in a
+// later epoch — checks the delivered order against the sort-based
+// definition, and checks the engine's counters against theirs.
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -448,6 +447,8 @@ proptest! {
                 expected[dst].append(inbox);
             }
         }
+        let lanes: std::collections::BTreeSet<(usize, u32, u32)> =
+            sends.iter().map(|&(epoch, src, dst, _)| (epoch, src, dst)).collect();
 
         let plan = ShardPlan::by_coordinator_group(ClusterConfig::new(LANE_SHARDS, 1, 1));
         assert_eq!(plan.shard_count(), LANE_SHARDS);
@@ -458,7 +459,7 @@ proptest! {
                 epoch: SimDuration::from_micros(50),
                 horizon: SimTime::from_micros(50 * LANE_EPOCHS as u64),
             });
-            let (workers, _) = engine.run(
+            let (workers, stats) = engine.run(
                 &plan,
                 7,
                 |shard, ctx| {
@@ -472,6 +473,11 @@ proptest! {
                 },
                 None,
             );
+            // The counters against their definitions: every send is one
+            // delivery, and a lane swap is one (epoch, src, dst) triple.
+            prop_assert_eq!(stats.merges, sends.len() as u64);
+            prop_assert_eq!(stats.lane_swaps, lanes.len() as u64);
+            prop_assert_eq!(stats.undelivered, 0);
             let received: Vec<Vec<(u32, u64)>> =
                 workers.into_iter().map(|w| w.received).collect();
             prop_assert_eq!(&received, &expected, "lane order != sorted-merge order at {} threads", threads);
