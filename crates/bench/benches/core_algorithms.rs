@@ -166,39 +166,12 @@ fn bench_window(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_condition(c: &mut Criterion) {
-    use volley_core::condition::{Condition, ConditionSampler};
-    let mut group = c.benchmark_group("condition");
-    group.bench_function("band_sampler_observe", |b| {
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.01)
-            .build()
-            .expect("valid");
-        let mut sampler = ConditionSampler::new(
-            config,
-            Condition::Outside {
-                low: -1000.0,
-                high: 1000.0,
-            },
-        )
-        .expect("valid");
-        let mut tick = 0u64;
-        b.iter(|| {
-            let obs = sampler.observe(black_box(tick), black_box((tick % 31) as f64));
-            tick = obs.next_sample_tick;
-            obs.beta
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_likelihood,
     bench_stats,
     bench_adaptation,
     bench_allocation,
-    bench_window,
-    bench_condition
+    bench_window
 );
 criterion_main!(benches);

@@ -8,9 +8,10 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-use volley_core::condition::{Condition, ConditionSampler};
 use volley_core::task::{MonitorId, TaskSpec, TaskSpecBuilder};
-use volley_core::{AdaptationConfig, FaultFs, GroundTruth, IoFaultPlan, IoFaultStats};
+use volley_core::{
+    AdaptationConfig, AdaptiveSampler, FaultFs, GroundTruth, IoFaultPlan, IoFaultStats, VolleyError,
+};
 use volley_runtime::net::{
     run_agent, AgentConfig, BackoffConfig, NetAddr, NetCoordinator, NetFaultPlan, NetStats,
 };
@@ -140,6 +141,8 @@ fn open_store(dir: &str) -> Result<Store, CliError> {
 /// Parses a trace: one `value` or `tick,value` per line; `#` comments and
 /// blank lines are ignored. Ticks, when present, are ignored (the line
 /// index is the tick — the input is a full-resolution ground truth).
+/// `NaN` and `inf` parse as floats but are refused like any other
+/// non-number: no runner accepts a non-finite trace value.
 fn parse_trace<R: BufRead>(reader: R) -> Result<Vec<f64>, CliError> {
     let mut values = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
@@ -149,8 +152,12 @@ fn parse_trace<R: BufRead>(reader: R) -> Result<Vec<f64>, CliError> {
             continue;
         }
         let field = trimmed.rsplit(',').next().unwrap_or(trimmed).trim();
-        let value: f64 = field.parse().map_err(|_| {
-            CliError::Input(format!("line {}: `{trimmed}` is not a number", lineno + 1))
+        let value = field.parse::<f64>().ok().filter(|v| v.is_finite());
+        let value = value.ok_or_else(|| {
+            CliError::Input(format!(
+                "line {}: `{trimmed}` is not a finite number",
+                lineno + 1
+            ))
         })?;
         values.push(value);
     }
@@ -197,23 +204,28 @@ fn monitor<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             ))
         }
     };
-    let condition = if args.below {
-        Condition::Below(threshold)
-    } else {
-        Condition::Above(threshold)
-    };
     let config = AdaptationConfig::builder()
         .error_allowance(args.err)
         .max_interval(args.max_interval)
         .build()?;
-    let mut sampler = ConditionSampler::new(config, condition)?;
+    if !threshold.is_finite() {
+        return Err(VolleyError::NonFiniteValue {
+            parameter: "threshold",
+        }
+        .into());
+    }
+    // Monitoring `v < T` is monitoring `−v > −T`: the sampler and the
+    // ground truth both read the same signed trace.
+    let (sign, relation) = if args.below { (-1.0, '<') } else { (1.0, '>') };
+    let signed: Vec<f64> = trace.iter().map(|v| sign * v).collect();
+    let mut sampler = AdaptiveSampler::new(config, sign * threshold);
 
     // Replay: the trace is full-resolution ground truth; the sampler sees
     // only the ticks it chose to sample.
     let mut log = volley_core::DetectionLog::new();
     let mut alert_ticks = Vec::new();
     let mut next = 0u64;
-    for (t, &value) in trace.iter().enumerate() {
+    for (t, &value) in signed.iter().enumerate() {
         let tick = t as u64;
         if tick >= next {
             let obs = sampler.observe(tick, value);
@@ -224,29 +236,16 @@ fn monitor<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             next = obs.next_sample_tick;
         }
     }
-    let violation_ticks: Vec<u64> = trace
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| condition.is_violated(**v))
-        .map(|(t, _)| t as u64)
-        .collect();
-    let truth = if args.below {
-        // GroundTruth scores "above" conditions; build the equivalent by
-        // negating the trace and threshold.
-        let negated: Vec<f64> = trace.iter().map(|v| -v).collect();
-        GroundTruth::from_trace(&negated, -threshold)
-    } else {
-        GroundTruth::from_trace(&trace, threshold)
-    };
+    let truth = GroundTruth::from_trace(&signed, sign * threshold);
     let report = log.score(&truth, trace.len() as u64);
 
     let summary = MonitorReport {
         ticks: trace.len(),
         threshold,
-        condition: condition.to_string(),
+        condition: format!("value {relation} {threshold}"),
         samples: report.sampling_ops,
         cost_ratio: report.cost_ratio(),
-        violations: violation_ticks.len(),
+        violations: truth.violation_count(),
         detected: report.detected,
         misdetection_rate: report.misdetection_rate(),
         alert_ticks,
@@ -1688,6 +1687,45 @@ mod tests {
         assert!(matches!(
             parse_trace("# only comments\n".as_bytes()),
             Err(CliError::Input(_))
+        ));
+    }
+
+    #[test]
+    fn monitor_refuses_non_finite_values_and_thresholds() {
+        let dir = std::env::temp_dir().join("volley-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let monitor = |name: &str, trace: &str, threshold: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, trace).unwrap();
+            let result = run(
+                Command::Monitor(Args {
+                    input: path.to_string_lossy().to_string(),
+                    ..args_of(&["monitor", "--threshold", threshold])
+                }),
+                &mut Vec::new(),
+            );
+            let _ = std::fs::remove_file(&path);
+            result
+        };
+        // `f64::from_str` accepts both; neither may reach the sampler.
+        let trace = "1\n2\nNaN\n3\ninf\n200\n4\n";
+        match monitor("nan-trace.csv", trace, "100") {
+            Err(CliError::Input(msg)) => {
+                assert!(msg.starts_with("line 3:"), "{msg}");
+                assert!(msg.ends_with("is not a finite number"), "{msg}");
+            }
+            other => panic!("a NaN trace value must be refused: {other:?}"),
+        }
+        let trace = "1\n2\n3\ninf\n200\n4\n";
+        match monitor("inf-trace.csv", trace, "100") {
+            Err(CliError::Input(msg)) => assert!(msg.starts_with("line 4:"), "{msg}"),
+            other => panic!("an inf trace value must be refused: {other:?}"),
+        }
+        assert!(matches!(
+            monitor("inf-threshold.csv", "1\n2\n", "inf"),
+            Err(CliError::Config(VolleyError::NonFiniteValue {
+                parameter: "threshold"
+            }))
         ));
     }
 

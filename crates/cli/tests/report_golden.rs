@@ -48,19 +48,30 @@ fn generate_then_monitor_report_is_pinned() {
     let trace = scratch("trace.csv");
     let body: String = csv.lines().skip(1).map(|l| format!("{l}\n")).collect();
     std::fs::write(&trace, body).expect("write trace");
-    let report = volley(&[
-        "monitor",
-        "--input",
-        &trace,
-        "--percentile",
-        "1",
-        "--err",
-        "0.02",
-        "--max-interval",
-        "8",
-        "--report-json",
-    ]);
-    assert_digest("monitor", &report, 0xe75c_d4b1_63ee_b89a);
+    let monitor = |extra: &[&str]| {
+        let mut argv = vec![
+            "monitor",
+            "--input",
+            &trace,
+            "--percentile",
+            "1",
+            "--err",
+            "0.02",
+            "--max-interval",
+            "8",
+            "--report-json",
+        ];
+        argv.extend_from_slice(extra);
+        volley(&argv)
+    };
+    assert_digest("monitor", &monitor(&[]), 0xe75c_d4b1_63ee_b89a);
+    // Captured at commit `e277774`, while `--below` still ran through a
+    // dedicated condition sampler rather than a sign flip.
+    assert_digest(
+        "monitor --below",
+        &monitor(&["--below"]),
+        0xb6c8_977b_fa72_eb87,
+    );
     let _ = std::fs::remove_file(&trace);
 }
 

@@ -344,146 +344,6 @@ impl MonitoringPlan {
     }
 }
 
-/// Per-task outcome of one [`CorrelatedScheduler`] step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScheduledOutcome {
-    /// The task this outcome belongs to.
-    pub task: TaskId,
-    /// Whether the task sampled at this tick.
-    pub sampled: bool,
-    /// Whether the sampled value violated the task's threshold (always
-    /// `false` when not sampled).
-    pub violation: bool,
-}
-
-/// Drives a set of adaptive samplers under a correlation-based
-/// [`MonitoringPlan`]: gated followers run at the plan's coarse interval
-/// while their leader is calm, and fall back to their own adaptive
-/// schedule the moment the leader's last sampled value violates.
-///
-/// The scheduler is step-driven like
-/// [`DistributedTask`](crate::DistributedTask): the embedding supplies
-/// each task's ground-truth value per tick, and only sampled values are
-/// ever revealed to the samplers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CorrelatedScheduler {
-    tasks: Vec<TaskId>,
-    samplers: Vec<crate::AdaptiveSampler>,
-    next_sample: Vec<Tick>,
-    /// Whether each task's most recent sample violated its threshold.
-    last_violating: Vec<bool>,
-    plan: MonitoringPlan,
-    samples: u64,
-}
-
-impl CorrelatedScheduler {
-    /// Creates a scheduler over `(task, sampler)` pairs and a plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolleyError::EmptyTask`] for an empty task set.
-    pub fn new(
-        tasks: Vec<(TaskId, crate::AdaptiveSampler)>,
-        plan: MonitoringPlan,
-    ) -> Result<Self, VolleyError> {
-        if tasks.is_empty() {
-            return Err(VolleyError::EmptyTask);
-        }
-        let (ids, samplers): (Vec<TaskId>, Vec<crate::AdaptiveSampler>) = tasks.into_iter().unzip();
-        let n = ids.len();
-        Ok(CorrelatedScheduler {
-            tasks: ids,
-            samplers,
-            next_sample: vec![0; n],
-            last_violating: vec![false; n],
-            plan,
-            samples: 0,
-        })
-    }
-
-    /// The tasks under management, in column order.
-    pub fn tasks(&self) -> &[TaskId] {
-        &self.tasks
-    }
-
-    /// Total sampling operations performed.
-    pub fn total_samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Whether `task`'s leader (if gated) was violating at its last
-    /// sample.
-    fn leader_active(&self, task: TaskId) -> bool {
-        let Some(gate) = self.plan.gate(task) else {
-            return false;
-        };
-        self.tasks
-            .iter()
-            .position(|t| *t == gate.leader)
-            .map(|i| self.last_violating[i])
-            .unwrap_or(false)
-    }
-
-    /// Advances all tasks by one tick; `values[i]` is task `i`'s
-    /// ground-truth value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolleyError::ValueCountMismatch`] on a wrong value count.
-    pub fn step(
-        &mut self,
-        tick: Tick,
-        values: &[f64],
-    ) -> Result<Vec<ScheduledOutcome>, VolleyError> {
-        if values.len() != self.tasks.len() {
-            return Err(VolleyError::ValueCountMismatch {
-                got: values.len(),
-                expected: self.tasks.len(),
-            });
-        }
-        // Leaders first, so a follower released this tick reacts to the
-        // leader's *current* state.
-        let mut order: Vec<usize> = (0..self.tasks.len()).collect();
-        order.sort_by_key(|&i| self.plan.gate(self.tasks[i]).is_some());
-        let mut outcomes = vec![
-            ScheduledOutcome {
-                task: TaskId(0),
-                sampled: false,
-                violation: false
-            };
-            self.tasks.len()
-        ];
-        for &i in &order {
-            let task = self.tasks[i];
-            let mut outcome = ScheduledOutcome {
-                task,
-                sampled: false,
-                violation: false,
-            };
-            if tick >= self.next_sample[i] {
-                let obs = self.samplers[i].observe(tick, values[i]);
-                self.samples += 1;
-                self.last_violating[i] = obs.violation;
-                outcome.sampled = true;
-                outcome.violation = obs.violation;
-                // The follower's effective interval is its adaptive one,
-                // stretched to the gated interval while the leader is calm.
-                let interval = if self.leader_active(task) {
-                    obs.next_interval
-                } else {
-                    self.plan
-                        .gate(task)
-                        .map(|g| obs.next_interval.max(g.gated_interval))
-                        .unwrap_or(obs.next_interval)
-                };
-                self.next_sample[i] = tick + u64::from(interval);
-            }
-            outcomes[i] = outcome;
-        }
-        Ok(outcomes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,93 +522,6 @@ mod tests {
         // NaN / zero / short cost vectors are treated as unit costs.
         let plan = det.plan_with_costs(&[f64::NAN]);
         assert_eq!(plan.gated_count(), det.plan().gated_count());
-    }
-
-    fn quiet_sampler() -> crate::AdaptiveSampler {
-        let cfg = crate::AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .patience(3)
-            .warmup_samples(3)
-            .max_interval(4)
-            .build()
-            .unwrap();
-        crate::AdaptiveSampler::new(cfg, 100.0)
-    }
-
-    fn learned_plan() -> MonitoringPlan {
-        let mut det = CorrelationDetector::new(CorrelationConfig::default(), ids(2));
-        feed_necessary_pair(&mut det, 5000);
-        det.plan()
-    }
-
-    #[test]
-    fn scheduler_rejects_empty_and_mismatched_input() {
-        assert!(matches!(
-            CorrelatedScheduler::new(vec![], MonitoringPlan::default()),
-            Err(VolleyError::EmptyTask)
-        ));
-        let mut sched = CorrelatedScheduler::new(
-            vec![(TaskId(0), quiet_sampler())],
-            MonitoringPlan::default(),
-        )
-        .unwrap();
-        assert!(sched.step(0, &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn gated_follower_samples_less_while_leader_calm() {
-        let plan = learned_plan();
-        assert!(plan.gate(TaskId(1)).is_some());
-        let mut gated = CorrelatedScheduler::new(
-            vec![(TaskId(0), quiet_sampler()), (TaskId(1), quiet_sampler())],
-            plan,
-        )
-        .unwrap();
-        let mut ungated = CorrelatedScheduler::new(
-            vec![(TaskId(0), quiet_sampler()), (TaskId(1), quiet_sampler())],
-            MonitoringPlan::default(),
-        )
-        .unwrap();
-        for tick in 0..500u64 {
-            gated.step(tick, &[1.0, 1.0]).unwrap();
-            ungated.step(tick, &[1.0, 1.0]).unwrap();
-        }
-        assert!(
-            gated.total_samples() < ungated.total_samples(),
-            "gated {} vs ungated {}",
-            gated.total_samples(),
-            ungated.total_samples()
-        );
-    }
-
-    #[test]
-    fn active_leader_releases_follower() {
-        let plan = learned_plan();
-        let gated_interval = plan.gate(TaskId(1)).unwrap().gated_interval;
-        let mut sched = CorrelatedScheduler::new(
-            vec![(TaskId(0), quiet_sampler()), (TaskId(1), quiet_sampler())],
-            plan,
-        )
-        .unwrap();
-        // Calm phase: follower runs at the gated cadence.
-        for tick in 0..100u64 {
-            sched.step(tick, &[1.0, 1.0]).unwrap();
-        }
-        // Leader fires: values above its threshold (100). The follower's
-        // subsequent gaps shrink back to its adaptive interval.
-        let mut follower_samples = 0;
-        for tick in 100..150u64 {
-            let outcomes = sched.step(tick, &[150.0, 150.0]).unwrap();
-            if outcomes[1].sampled {
-                follower_samples += 1;
-            }
-        }
-        // At the gated cadence it would sample ~50/gated ticks; released,
-        // near-violating values keep it at the default interval.
-        assert!(
-            follower_samples > 50 / u64::from(gated_interval.get()) as i32 + 2,
-            "follower sampled only {follower_samples} times after release"
-        );
     }
 
     #[test]

@@ -69,13 +69,11 @@ pub mod accuracy;
 pub mod adaptation;
 pub mod allocation;
 pub mod bank;
-pub mod condition;
 pub mod coordinator;
 pub mod correlation;
 pub mod error;
 pub mod likelihood;
 pub mod sampler;
-pub mod service;
 pub mod snapshot;
 pub mod stats;
 pub mod task;
@@ -88,15 +86,11 @@ pub use accuracy::{AccuracyReport, DetectionLog, GroundTruth};
 pub use adaptation::{AdaptationConfig, AdaptiveSampler, Observation};
 pub use allocation::{AllocationConfig, AllowanceCostMode, ErrorAllocator, YieldMode};
 pub use bank::SamplerBank;
-pub use condition::{Condition, ConditionSampler};
 pub use coordinator::{Coordinator, DistributedTask, GlobalPollOutcome, TaskStepOutcome};
-pub use correlation::{
-    CorrelatedScheduler, CorrelationConfig, CorrelationDetector, MonitoringPlan,
-};
+pub use correlation::{CorrelationConfig, CorrelationDetector, MonitoringPlan};
 pub use error::VolleyError;
 pub use likelihood::{exceed_probability_bound, misdetection_bound, BoundKind};
 pub use sampler::{PeriodicSampler, ReactiveSampler, SamplingPolicy};
-pub use service::{Alert, MonitoringService, TaskKind};
 pub use snapshot::{DeltaSnapshot, SamplerSnapshot, StatsSnapshot};
 pub use stats::{DeltaTracker, OnlineStats, StatsKind};
 pub use task::{MonitorId, MonitorSpec, TaskId, TaskSpec};

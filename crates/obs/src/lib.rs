@@ -16,11 +16,6 @@
 //!   Prometheus-text encoders, plus [`SnapshotWriter`] for the
 //!   `--obs-dir` periodic dumps and [`parse_prometheus`] for reading
 //!   them back.
-//! - **Volley watching Volley** — [`SelfMonitor`] adapts registry
-//!   series into [`MetricSource`]s so a `volley-core` monitoring task
-//!   (violation-likelihood adaptive sampling included) watches the
-//!   runtime's own tick latency, degraded-mode fraction, and sampling
-//!   rate, closing the loop the paper motivates.
 //!
 //! The [`Obs`] bundle ties a registry and span log to one shared
 //! enabled flag so the embedding runtime can flip everything on or off
@@ -44,7 +39,6 @@
 
 pub mod expose;
 pub mod registry;
-pub mod selfmon;
 pub mod span;
 
 pub use expose::{
@@ -55,24 +49,21 @@ pub use registry::{
     bucket_index, bucket_upper_bound, thread_ordinal, Counter, Gauge, Histogram, HistogramTimer,
     Registry, BUCKETS, SHARDS,
 };
-pub use selfmon::{
-    CounterRateSource, GaugeSource, HistogramQuantileSource, MetricSource, SelfMonitor,
-};
 pub use span::{SpanEvent, SpanGuard, SpanLog, DEFAULT_SPAN_CAPACITY};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Canonical metric and span names used across the workspace. Keeping
-/// them here means the runtime, CLI, bench, and self-monitor agree on
-/// spelling without string literals scattered through five crates.
+/// them here means the runtime, CLI and bench agree on spelling without
+/// string literals scattered through five crates.
 pub mod names {
     /// Counter: runner ticks driven to completion.
     pub const RUNNER_TICKS_TOTAL: &str = "volley_runner_ticks_total";
     /// Histogram (ns): wall time of one full runner tick.
     pub const RUNNER_TICK_LATENCY_NS: &str = "volley_runner_tick_latency_ns";
-    /// Gauge (µs): latency of the most recent runner tick — the series
-    /// the self-monitor watches for stalls.
+    /// Gauge (µs): latency of the most recent runner tick — the value
+    /// the runner's watchdog samples for stalls.
     pub const RUNNER_TICK_LATENCY_US: &str = "volley_runner_tick_latency_us";
     /// Counter: ticks aggregated in degraded mode.
     pub const RUNNER_DEGRADED_TICKS_TOTAL: &str = "volley_runner_degraded_ticks_total";

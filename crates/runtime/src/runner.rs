@@ -133,10 +133,10 @@ pub struct RuntimeReport {
     /// Monitors restarted conservatively at the default interval at
     /// failover (no checkpointed state available for them).
     pub conservative_restarts: u64,
-    /// Snapshot reads performed by the self-monitoring Volley task.
+    /// Tick latencies the watchdog's adaptive sampler read.
     pub self_monitor_samples: u64,
-    /// Alerts the self-monitoring task raised on the runtime's own
-    /// metrics (e.g. tick latency past its threshold).
+    /// Alerts the watchdog raised: sampled ticks whose latency exceeded
+    /// its threshold.
     pub self_monitor_alerts: u64,
     /// Ticks at which self-monitoring alerts were raised.
     pub self_monitor_alert_ticks: Vec<Tick>,
@@ -270,13 +270,15 @@ impl TaskRunner {
         self
     }
 
-    /// Arms the *Volley-watching-Volley* watchdog: a Volley monitoring
-    /// task (adaptive sampling included) watches the runtime's own
-    /// [`volley_obs::names::RUNNER_TICK_LATENCY_US`] gauge and raises a self-monitor
-    /// alert whenever a tick takes longer than `threshold_us`
-    /// microseconds. `err` is the error allowance of the watchdog's own
-    /// adaptive sampler — 0.0 checks every tick, larger values let the
-    /// watchdog itself skip quiet ticks. Requires an enabled [`Obs`].
+    /// Arms the *Volley-watching-Volley* watchdog: one Volley adaptive
+    /// sampler watches the loop's own tick latency (the value of the
+    /// [`volley_obs::names::RUNNER_TICK_LATENCY_US`] gauge) and raises a
+    /// self-monitor alert whenever a sampled tick took longer than
+    /// `threshold_us` microseconds. `err` is the sampler's error
+    /// allowance — 0.0 checks every tick, larger values let the watchdog
+    /// itself skip quiet ticks. Arming it turns the [`Obs`] bundle on; a
+    /// non-finite `threshold_us` or an invalid `err` fails the run before
+    /// its first tick.
     #[must_use]
     pub fn with_self_monitor(mut self, threshold_us: f64, err: f64) -> Self {
         self.self_monitor = Some((threshold_us, err));

@@ -47,12 +47,11 @@ use std::time::Instant;
 
 use volley_core::allocation::AllocationConfig;
 use volley_core::coordinator::Coordinator;
-use volley_core::service::TaskKind;
-use volley_core::task::{MonitorId, TaskId, TaskSpec};
+use volley_core::task::{MonitorId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::vfs::IoFaultStats;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
-use volley_obs::{names, Counter, GaugeSource, Histogram, SelfMonitor, SnapshotWriter};
+use volley_obs::{names, Counter, Histogram, SnapshotWriter};
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord, WalStats};
@@ -685,9 +684,10 @@ impl<'a> Task<'a> {
 /// # Errors
 ///
 /// What [`run_length`] rejects in any task (before anything is opened),
-/// an uncreatable snapshot directory, an invalid watchdog allowance, a
-/// spec no allocator accepts, the hook's start, or a coordinator that
-/// died with no standby (or past the failover cap of 8).
+/// an uncreatable snapshot directory, an invalid watchdog allowance or a
+/// non-finite watchdog threshold, a spec no allocator accepts, the
+/// hook's start, or a coordinator that died with no standby (or past the
+/// failover cap of 8).
 pub(crate) fn drive(
     mut tasks: Vec<Task<'_>>,
     mut hook: Option<&mut dyn Hook>,
@@ -727,19 +727,21 @@ pub(crate) fn drive(
         ),
         None => None,
     };
+    // The watchdog: one adaptive sampler on the loop's own tick latency
+    // (µs), and the tick its next sample is due.
     let mut watchdog = match first.self_monitor {
         Some((threshold_us, err)) => {
             let config = AdaptationConfig::builder().error_allowance(err).build()?;
-            let mut monitor = SelfMonitor::new();
-            let threshold = TaskKind::Above {
-                threshold: threshold_us,
-            };
-            let latency = GaugeSource::new(names::RUNNER_TICK_LATENCY_US);
-            monitor.watch(TaskId(0), config, threshold, Box::new(latency))?;
-            Some(monitor)
+            if !threshold_us.is_finite() {
+                return Err(VolleyError::NonFiniteValue {
+                    parameter: "threshold",
+                });
+            }
+            Some((AdaptiveSampler::new(config, threshold_us), 0))
         }
         None => None,
     };
+    let mut self_monitor_samples = 0u64;
 
     // Observability: pre-resolve the runner's instruments (no registry
     // mutex on the tick path).
@@ -823,9 +825,9 @@ pub(crate) fn drive(
             }
             degraded_ticks += u64::from(degraded);
 
-            // Per-tick observability: record end-to-end tick latency,
-            // bump the runner counters, refresh derived gauges, then let
-            // the watchdog read the fresh snapshot and dump on cadence.
+            // Per-tick observability: record end-to-end tick latency (the
+            // watchdog samples it when due), bump the runner counters,
+            // refresh derived gauges, then dump on cadence.
             let wal_degraded = || tasks.iter().filter_map(Task::wal_degraded).max();
             let recorders = || {
                 tasks
@@ -835,8 +837,17 @@ pub(crate) fn drive(
             let store_degraded = || recorders().map(SampleRecorder::degraded).max();
             if let Some(started) = tick_started {
                 let elapsed = started.elapsed();
+                let latency_us = elapsed.as_micros() as f64;
                 tick_hist.record(elapsed.as_nanos() as u64);
-                tick_gauge.set(elapsed.as_micros() as f64);
+                tick_gauge.set(latency_us);
+                if let Some((sampler, due)) = watchdog.as_mut().filter(|(_, due)| tick >= *due) {
+                    let seen = sampler.observe(tick, latency_us);
+                    self_monitor_samples += 1;
+                    if seen.violation {
+                        self_monitor_alert_ticks.push(tick);
+                    }
+                    *due = seen.next_sample_tick;
+                }
                 obs.spans().record("runner_tick", started);
                 ticks_total.inc();
                 if degraded {
@@ -857,14 +868,6 @@ pub(crate) fn drive(
                 }
                 if let Some(store_degraded) = store_degraded() {
                     store_degraded_gauge.set(f64::from(u8::from(store_degraded)));
-                }
-            }
-            if let Some(monitor) = watchdog.as_mut() {
-                if monitor.any_due(tick) {
-                    let snapshot = obs.snapshot(tick);
-                    for alert in monitor.tick(tick, &snapshot) {
-                        self_monitor_alert_ticks.push(alert.tick);
-                    }
                 }
             }
             if let Some(writer) = writer.as_mut() {
@@ -921,9 +924,7 @@ pub(crate) fn drive(
     let report = &mut reports[0];
     report.self_monitor_alerts = self_monitor_alert_ticks.len() as u64;
     report.self_monitor_alert_ticks = self_monitor_alert_ticks;
-    if let Some(monitor) = &watchdog {
-        report.self_monitor_samples = monitor.samples();
-    }
+    report.self_monitor_samples = self_monitor_samples;
     if let Some(writer) = &writer {
         let d = &mut report.degradation;
         d.obs_snapshots_paused = writer.paused();

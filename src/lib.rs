@@ -14,7 +14,7 @@
 //!   §IV protocol as a sans-IO coordinator machine stepped with its
 //!   monitors on the driver's thread, or over sockets to agent processes;
 //! - [`volley_obs`] — the self-monitoring observability subsystem
-//!   (metrics registry, span tracing, exposition, Volley-watching-Volley);
+//!   (metrics registry, span tracing, exposition);
 //! - [`volley_store`] — the embedded time-series sample store with
 //!   record/replay and offline backtesting;
 //! - [`volley_analyze`] — offline analysis jobs over store recordings

@@ -1,14 +1,14 @@
 //! Integration: the observability subsystem end to end — instrumented
 //! runtime, periodic snapshot dumps in both exposition formats, and the
-//! flagship *Volley watching Volley* loop: a self-monitoring task (core
-//! adaptive sampling and all) alerting when injected faults spike the
-//! runtime's own tick latency.
+//! flagship *Volley watching Volley* loop: a watchdog (one core adaptive
+//! sampler) alerting when injected faults spike the runtime's own tick
+//! latency.
 
 use std::time::Duration;
 
 use volley::core::task::{MonitorId, TaskSpec};
 use volley::obs::{latest_snapshot, names, parse_prometheus, Obs};
-use volley::TaskRunner;
+use volley::{TaskRunner, VolleyError};
 use volley_runtime::FaultPlan;
 
 const MONITORS: usize = 3;
@@ -45,10 +45,9 @@ fn traces() -> Vec<Vec<f64>> {
 
 /// The flagship loop: a coordinator crash plus a monitor stall at the
 /// same tick force the post-failover coordinator to wait out the full
-/// collection deadline, spiking the runner's tick latency. The
-/// self-monitoring task — fed by the obs registry's own gauge through
-/// the core `MonitoringService` — must alert on that spike, and on
-/// nothing else.
+/// collection deadline, spiking the runner's tick latency. The watchdog
+/// — one core `AdaptiveSampler` reading each tick's latency in the drive
+/// loop — must alert on that spike, and on nothing else.
 #[test]
 fn self_monitor_alerts_on_injected_coordinator_stall() {
     let plan = FaultPlan::new(7)
@@ -97,6 +96,28 @@ fn self_monitor_quiet_on_healthy_run() {
         "healthy ticks are far below the threshold: {:?}",
         report.self_monitor_alert_ticks
     );
+}
+
+/// A watchdog that cannot be built fails the run before its first tick:
+/// a non-finite threshold and an out-of-range allowance are both refused.
+#[test]
+fn self_monitor_refuses_invalid_arming() {
+    let run = |threshold_us: f64, err: f64| {
+        TaskRunner::new(&spec())
+            .unwrap()
+            .with_self_monitor(threshold_us, err)
+            .run(&traces())
+    };
+    assert!(matches!(
+        run(f64::NAN, 0.0),
+        Err(VolleyError::NonFiniteValue {
+            parameter: "threshold"
+        })
+    ));
+    assert!(matches!(
+        run(250_000.0, 1.5),
+        Err(VolleyError::InvalidConfig { .. })
+    ));
 }
 
 /// `--obs-dir` dumps parse back in both exposition formats, and the

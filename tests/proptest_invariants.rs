@@ -244,28 +244,6 @@ proptest! {
         }
     }
 
-    /// A band condition at zero allowance detects exactly the violating
-    /// samples a direct predicate check finds.
-    #[test]
-    fn band_condition_at_zero_allowance_is_exact(
-        values in prop::collection::vec(-100.0f64..100.0, 10..200),
-        low in -80.0f64..-10.0,
-        high in 10.0f64..80.0,
-    ) {
-        use volley::core::condition::{Condition, ConditionSampler};
-        let condition = Condition::Outside { low, high };
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.0)
-            .build()
-            .expect("valid");
-        let mut sampler = ConditionSampler::new(config, condition).expect("valid");
-        for (t, &v) in values.iter().enumerate() {
-            let obs = sampler.observe(t as u64, v);
-            prop_assert_eq!(obs.violation, condition.is_violated(v), "tick {}", t);
-            prop_assert_eq!(obs.next_interval.get(), 1, "zero allowance stays periodic");
-        }
-    }
-
     /// Ground-truth selectivity of a threshold chosen at selectivity `k`
     /// is at most `k` (exceedances are strict).
     #[test]
