@@ -11,11 +11,12 @@ use volley_core::{
     misdetection_bound, AdaptiveSampler, BoundKind, Interval, PeriodicSampler, ReactiveSampler,
     SamplingPolicy, StatsKind,
 };
+use volley_traces::TraceFamily;
 
 use crate::experiments::{merge_over, run_adaptive, run_cell, sample_log};
 use crate::figures::{skew_traces, skewed_cost};
 use crate::params::SweepParams;
-use crate::workloads::{TraceFamily, WorkloadSet};
+use crate::workloads::WorkloadSet;
 
 /// One `family  variant  cost-ratio  miss-rate` line; `width` is the
 /// variant column's.

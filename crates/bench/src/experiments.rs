@@ -4,10 +4,11 @@
 
 use volley_core::accuracy::{evaluate_policy, AccuracyReport, DetectionLog};
 use volley_core::{AdaptationConfig, AdaptiveSampler, Observation, SamplingPolicy};
+use volley_traces::TraceFamily;
 
 use crate::params::{SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
 use crate::report::Matrix;
-use crate::workloads::{TraceFamily, WorkloadSet};
+use crate::workloads::WorkloadSet;
 
 /// Scores every task trace of `workload` with `score` and merges the
 /// per-task reports into the family-wide one.

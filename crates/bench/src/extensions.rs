@@ -505,7 +505,7 @@ pub fn multitask(p: &SweepParams) -> MultitaskBenchReport {
                     gated,
                     ..base.clone()
                 })
-                .run_parallel(threads)
+                .run(threads)
             };
             let (ungated, gated) = (run(false), run(true));
             assert!(

@@ -10,8 +10,7 @@ use volley_core::{
     AdaptationConfig, AdaptiveSampler, DistributedTask, Interval, PeriodicSampler, SamplingPolicy,
 };
 use volley_sim::{
-    ClusterConfig, DistributedScenario, DistributedScenarioConfig, NetworkScenario,
-    NetworkScenarioConfig,
+    ClusterConfig, DistributedScenario, DistributedScenarioConfig, Scenario, ScenarioConfig,
 };
 use volley_traces::netflow::{AttackSpec, NetflowConfig};
 use volley_traces::zipf::zipf_weights;
@@ -159,7 +158,7 @@ pub fn fig6(params: &SweepParams) -> String {
         "err", "min%", "q1%", "med%", "q3%", "max%", "mean%", "miss-rate"
     );
     for err in [0.0, 0.002, 0.004, 0.008, 0.016, 0.032] {
-        let report = NetworkScenario::from_config(NetworkScenarioConfig {
+        let report = Scenario::from_config(ScenarioConfig {
             cluster,
             error_allowance: err,
             selectivity_percent: 1.0,
@@ -167,9 +166,9 @@ pub fn fig6(params: &SweepParams) -> String {
             seed: params.seed,
             max_interval: params.max_interval,
             patience: params.patience,
-            ..NetworkScenarioConfig::default()
+            ..ScenarioConfig::default()
         })
-        .run();
+        .run(1);
         let cpu = report.cpu.expect("utilization samples exist");
         out += &format!(
             "{:<8}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>8.1}{:>9.1}{:>12.4}\n",
@@ -296,9 +295,8 @@ pub fn distributed_sim(params: &SweepParams) -> String {
                 max_interval: params.max_interval,
                 patience: params.patience,
                 scheme,
-                ..DistributedScenarioConfig::default()
             })
-            .run();
+            .run(1);
             let cpu = report.cpu.as_ref().expect("cpu recorded");
             out += &format!(
                 "{:<8}{:<10}{:>12.4}{:>10}{:>10}{:>11.1}%{:>12.4}\n",

@@ -29,4 +29,5 @@ pub mod workloads;
 pub use params::{BenchArgs, SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
 pub use report::Matrix;
 pub use tables::{Table, TABLES};
-pub use workloads::{TraceFamily, WorkloadSet};
+pub use volley_traces::TraceFamily;
+pub use workloads::WorkloadSet;

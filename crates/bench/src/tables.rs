@@ -2,11 +2,12 @@
 //! one row of [`TABLES`], rendered by the one `reproduce` binary. Adding
 //! a figure means adding a row.
 
+use volley_serve::envelope;
+use volley_traces::TraceFamily::{Application, Network, System};
+
 use crate::experiments::{err_k_matrix, Metric};
 use crate::params::SweepParams;
-use crate::workloads::TraceFamily::{Application, Network, System};
 use crate::{ablations, extensions, figures};
-use volley_serve::envelope;
 
 /// One deterministic table of the reproduction.
 #[derive(Debug, Clone, Copy)]

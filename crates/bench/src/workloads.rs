@@ -5,47 +5,9 @@ use serde::{Deserialize, Serialize};
 use volley_traces::http::HttpWorkloadConfig;
 use volley_traces::netflow::NetflowConfig;
 use volley_traces::sysmetrics::SystemMetricsGenerator;
-use volley_traces::DiurnalPattern;
+use volley_traces::{DiurnalPattern, TraceFamily};
 
 use crate::params::SweepParams;
-
-/// The three monitoring families of the evaluation (§V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TraceFamily {
-    /// DDoS traffic-difference monitoring (15-second windows).
-    Network,
-    /// OS metric monitoring (5-second samples).
-    System,
-    /// Per-object access-rate monitoring (1-second samples).
-    Application,
-}
-
-impl TraceFamily {
-    /// Every family, in the order tables list them.
-    pub const ALL: [TraceFamily; 3] = [
-        TraceFamily::Network,
-        TraceFamily::System,
-        TraceFamily::Application,
-    ];
-
-    /// Display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceFamily::Network => "network",
-            TraceFamily::System => "system",
-            TraceFamily::Application => "application",
-        }
-    }
-
-    /// The family's default sampling interval in seconds (§V-A).
-    pub fn default_interval_secs(self) -> f64 {
-        match self {
-            TraceFamily::Network => 15.0,
-            TraceFamily::System => 5.0,
-            TraceFamily::Application => 1.0,
-        }
-    }
-}
 
 /// A set of per-task monitored-value traces for one family.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -156,14 +118,6 @@ mod tests {
         other.seed += 1;
         let c = WorkloadSet::generate(TraceFamily::System, &other);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn family_metadata() {
-        assert_eq!(TraceFamily::Network.default_interval_secs(), 15.0);
-        assert_eq!(TraceFamily::System.default_interval_secs(), 5.0);
-        assert_eq!(TraceFamily::Application.default_interval_secs(), 1.0);
-        assert_eq!(TraceFamily::Application.name(), "application");
     }
 
     #[test]

@@ -770,10 +770,10 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
         name: "sim",
         about: "run the datacenter simulator's network-monitoring scenario",
         flags: &[
-            flag("--servers", |a, v| set(&mut a.servers, v))
+            flag("--servers", |a, v| floor(&mut a.servers, v, 1))
                 .takes("n", "4")
                 .help("physical servers"),
-            flag("--vms", |a, v| set(&mut a.vms, v))
+            flag("--vms", |a, v| floor(&mut a.vms, v, 1))
                 .takes("n", "40")
                 .help("VMs per server"),
             ERR,
@@ -1339,6 +1339,13 @@ mod tests {
             Command::Simulate(s) => {
                 assert_eq!(s.servers, 4);
                 assert_eq!(s.vms, 40);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match Command::parse(args(&["sim", "--servers", "0", "--vms", "0"])).unwrap() {
+            Command::Simulate(s) => {
+                assert_eq!(s.servers, 1, "servers floored at 1");
+                assert_eq!(s.vms, 1, "VMs floored at 1");
             }
             other => panic!("unexpected {other:?}"),
         }

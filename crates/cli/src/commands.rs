@@ -17,7 +17,7 @@ use volley_runtime::net::{
 };
 use volley_runtime::transport::TransportConfig;
 use volley_runtime::{RuntimeReport, TaskRunner};
-use volley_sim::{ClusterConfig, EngineStats, NetworkScenario, NetworkScenarioConfig};
+use volley_sim::{ClusterConfig, EngineStats, Scenario, ScenarioConfig};
 use volley_store::{SampleRecorder, Store, TaskMeta};
 use volley_traces::http::HttpWorkloadConfig;
 use volley_traces::netflow::NetflowConfig;
@@ -328,24 +328,28 @@ struct SimulateReport {
 }
 
 fn simulate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let config = NetworkScenarioConfig {
+    let config = ScenarioConfig {
         cluster: ClusterConfig::new(args.servers, args.vms, 5),
         error_allowance: args.err,
         ticks: args.ticks.max(10),
         seed: args.common.seed,
-        ..NetworkScenarioConfig::default()
+        ..ScenarioConfig::default()
     };
-    let scenario = NetworkScenario::from_config(config);
+    // The scenario trusts its config; refuse outside input before it runs.
+    AdaptationConfig::builder()
+        .error_allowance(args.err)
+        .build()?;
+    let scenario = Scenario::from_config(config);
     // The sharded engine guarantees thread-count independence, so
     // --threads only changes wall-clock time, never the report.
     let (report, engine) = if let Some(dir) = &args.common.obs_dir {
         let obs = volley_obs::Obs::new(true);
-        let detailed = scenario.run_parallel_detailed(args.common.threads, Some(&obs));
+        let detailed = scenario.run_detailed(args.common.threads, Some(&obs));
         let mut writer = volley_obs::SnapshotWriter::new(dir, 1)?;
         writer.write_now(obs.registry(), args.ticks as u64)?;
         detailed
     } else {
-        scenario.run_parallel_detailed(args.common.threads, None)
+        scenario.run_detailed(args.common.threads, None)
     };
     let cpu = report.cpu.as_ref().expect("utilization recorded");
     if args.common.report_json {
@@ -2055,6 +2059,25 @@ mod tests {
         }));
         assert!(text.contains("Dom0 CPU"));
         assert!(text.contains("miss rate"));
+    }
+
+    #[test]
+    fn simulate_refuses_an_invalid_allowance() {
+        for err in [2.0, f64::NAN] {
+            let mut buffer = Vec::new();
+            let result = run(
+                Command::Simulate(Args {
+                    err,
+                    ticks: 20,
+                    ..args_of(&["sim", "--servers", "1", "--vms", "2"])
+                }),
+                &mut buffer,
+            );
+            assert!(
+                matches!(result, Err(CliError::Config(_))),
+                "err {err}: {result:?}"
+            );
+        }
     }
 
     #[test]

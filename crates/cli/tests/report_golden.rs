@@ -76,6 +76,27 @@ fn generate_then_monitor_report_is_pinned() {
 }
 
 #[test]
+fn sim_report_is_pinned() {
+    let report = volley(&[
+        "sim",
+        "--servers",
+        "2",
+        "--vms",
+        "8",
+        "--ticks",
+        "120",
+        "--seed",
+        "5",
+        "--threads",
+        "1",
+        "--report-json",
+    ]);
+    // Captured at commit `8a7c8c3`, before the three per-family scenario
+    // types became one `Scenario`.
+    assert_digest("sim", &report, 0xe6b3_9357_211a_5add);
+}
+
+#[test]
 fn chaos_crash_and_stall_report_is_pinned() {
     // The deadline is generous so a loaded host cannot turn a slow
     // reply into a missed report: only the planted crash and stall miss.

@@ -27,25 +27,25 @@ use volley_core::correlation::{CorrelationConfig, CorrelationDetector};
 use volley_core::task::TaskId;
 use volley_core::{AdaptationConfig, SamplerBank};
 use volley_traces::netflow::{AttackSpec, NetflowConfig};
-use volley_traces::{DiurnalPattern, ResponseTimeModel};
+use volley_traces::{DiurnalPattern, ResponseTimeModel, TraceFamily};
 
 use crate::cluster::{ClusterConfig, VmId};
-use crate::shard::{EngineConfig, EngineStats, EpochCtx, ShardPlan, ShardWorker, ShardedEngine};
+use crate::scenario::{fleet_engine, merged_accuracy};
+use crate::shard::{EpochCtx, ShardWorker};
 use crate::time::{SimDuration, SimTime};
 
-/// Configuration of the DDoS cascade scenario.
+/// Configuration of the DDoS cascade scenario. The follower's `ρ`
+/// threshold sits at selectivity 2 % and the leader's response-time
+/// threshold at a looser 8 % — per the paper, a *necessary* condition
+/// fires at least as often as its consequence. Each attack lasts 80
+/// ticks at peak asymmetry 2 500; the follower adapts with `I_m` 16 and
+/// patience 5 at the 15-second default interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DdosCascadeConfig {
     /// Testbed topology.
     pub cluster: ClusterConfig,
     /// Error allowance `err` for the follower's adaptive sampler.
     pub error_allowance: f64,
-    /// Alert selectivity for the follower's `ρ` threshold (percent).
-    pub rho_selectivity_percent: f64,
-    /// Alert selectivity for the leader's response-time threshold
-    /// (percent). Looser than the follower's, per the paper: a
-    /// *necessary* condition fires at least as often as its consequence.
-    pub response_selectivity_percent: f64,
     /// Run length in default sampling intervals.
     pub ticks: usize,
     /// Ticks spent learning each VM's correlation before gating starts;
@@ -53,12 +53,6 @@ pub struct DdosCascadeConfig {
     pub train_ticks: usize,
     /// Random seed for the traffic generator.
     pub seed: u64,
-    /// Maximum adaptive sampling interval `I_m`.
-    pub max_interval: u32,
-    /// Adaptation patience `p`.
-    pub patience: u32,
-    /// The default sampling interval in seconds.
-    pub window_secs: f64,
     /// Correlation thresholds and the gated (coarse) interval.
     pub correlation: CorrelationConfig,
     /// Whether the learned gates are applied (`false` = the ungated
@@ -66,10 +60,6 @@ pub struct DdosCascadeConfig {
     pub gated: bool,
     /// Ticks between recurring attacks on each VM.
     pub attack_period: u64,
-    /// Duration of each attack in ticks.
-    pub attack_duration: u64,
-    /// Peak traffic asymmetry injected per attack.
-    pub peak_asymmetry: f64,
 }
 
 impl Default for DdosCascadeConfig {
@@ -77,22 +67,15 @@ impl Default for DdosCascadeConfig {
         DdosCascadeConfig {
             cluster: ClusterConfig::paper(),
             error_allowance: 0.02,
-            rho_selectivity_percent: 2.0,
-            response_selectivity_percent: 8.0,
             ticks: 4000,
             train_ticks: 2000,
             seed: 0,
-            max_interval: 16,
-            patience: 5,
-            window_secs: 15.0,
             correlation: CorrelationConfig {
                 lag_window: 4,
                 ..CorrelationConfig::default()
             },
             gated: true,
             attack_period: 900,
-            attack_duration: 80,
-            peak_asymmetry: 2500.0,
         }
     }
 }
@@ -228,26 +211,9 @@ impl DdosCascadeScenario {
         DdosCascadeScenario { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DdosCascadeConfig {
-        &self.config
-    }
-
-    /// Runs the scenario to completion.
-    pub fn run(&self) -> CascadeReport {
-        self.run_parallel(1)
-    }
-
     /// Runs the scenario on `threads` worker threads over the sharded
-    /// engine. Results are bit-identical to [`run`](Self::run) for every
-    /// thread count.
-    pub fn run_parallel(&self, threads: usize) -> CascadeReport {
-        self.run_parallel_detailed(threads).0
-    }
-
-    /// Like [`run_parallel`](Self::run_parallel), but also returns the
-    /// engine's execution counters (for report envelopes).
-    pub fn run_parallel_detailed(&self, threads: usize) -> (CascadeReport, EngineStats) {
+    /// engine. The report is bit-identical for every thread count.
+    pub fn run(&self, threads: usize) -> CascadeReport {
         let cfg = &self.config;
         assert!(
             cfg.train_ticks < cfg.ticks,
@@ -271,8 +237,8 @@ impl DdosCascadeScenario {
                 netflow = netflow.attack(AttackSpec {
                     vm,
                     start_tick: start,
-                    duration_ticks: cfg.attack_duration,
-                    peak_asymmetry: cfg.peak_asymmetry,
+                    duration_ticks: 80,
+                    peak_asymmetry: 2500.0,
                 });
                 start += cfg.attack_period;
             }
@@ -281,26 +247,14 @@ impl DdosCascadeScenario {
 
         let adaptation = AdaptationConfig::builder()
             .error_allowance(cfg.error_allowance)
-            .max_interval(cfg.max_interval)
-            .patience(cfg.patience)
+            .max_interval(16)
+            .patience(5)
             .build()
             .expect("scenario adaptation parameters are valid");
 
-        let window = SimDuration::from_secs_f64(cfg.window_secs);
-        let horizon = SimTime::ZERO + window.saturating_mul(ticks as u64);
-        let plan = ShardPlan::by_coordinator_group(cfg.cluster);
-        let epoch_ticks = (ticks as u64).div_ceil(8).max(1);
-        let engine = ShardedEngine::new(EngineConfig {
-            threads,
-            epoch: window.saturating_mul(epoch_ticks),
-            horizon,
-        });
-        let correlation = cfg.correlation;
-        let gated = cfg.gated;
-        let seed = cfg.seed;
-        let rho_sel = cfg.rho_selectivity_percent;
-        let resp_sel = cfg.response_selectivity_percent;
-        let (workers, stats) = engine.run(
+        let window = SimDuration::from_secs_f64(TraceFamily::Network.default_interval_secs());
+        let (plan, engine) = fleet_engine(cfg.cluster, window, ticks, threads);
+        let (workers, _) = engine.run(
             &plan,
             0, // traces carry the seed; the engine draws no randomness
             |shard, ctx| {
@@ -323,15 +277,15 @@ impl DdosCascadeScenario {
                     // M/M/1-style model; a per-VM stream keeps pairs
                     // independent.
                     let response = ResponseTimeModel::new(20.0, 3200.0)
-                        .series(&rho, seed ^ (u64::from(vm.0) + 1));
-                    let rho_threshold = volley_core::selectivity_threshold(&rho, rho_sel)
+                        .series(&rho, cfg.seed ^ (u64::from(vm.0) + 1));
+                    let rho_threshold = volley_core::selectivity_threshold(&rho, 2.0)
                         .expect("non-empty trace, valid selectivity");
-                    let resp_threshold = volley_core::selectivity_threshold(&response, resp_sel)
+                    let resp_threshold = volley_core::selectivity_threshold(&response, 8.0)
                         .expect("non-empty trace, valid selectivity");
                     // Train this VM's detector on the full-resolution
                     // prefix, then freeze the plan.
                     let mut detector =
-                        CorrelationDetector::new(correlation, vec![leader, follower]);
+                        CorrelationDetector::new(cfg.correlation, vec![leader, follower]);
                     for t in 0..train {
                         detector.observe(
                             t as u64,
@@ -343,7 +297,7 @@ impl DdosCascadeScenario {
                             .necessity_confidence(leader, follower)
                             .unwrap_or(0.0),
                     );
-                    gates.push(if gated {
+                    gates.push(if cfg.gated {
                         detector
                             .plan()
                             .gate(follower)
@@ -362,7 +316,7 @@ impl DdosCascadeScenario {
                     window,
                     ticks: ticks as u64,
                     train: train as u64,
-                    lag: u64::from(correlation.lag_window),
+                    lag: u64::from(cfg.correlation.lag_window),
                     first_vm,
                     bank,
                     rho: rho_traces,
@@ -379,23 +333,28 @@ impl DdosCascadeScenario {
         // Merge shard results in shard order (contiguous ascending VM
         // ranges), scoring the follower on the evaluation window only.
         let eval_ticks = (ticks - train) as u64;
-        let mut accuracy: Option<AccuracyReport> = None;
-        let mut gated_vms = 0u32;
-        let mut confidence_sum = 0.0;
-        for worker in workers {
-            for (local, (log, rho)) in worker.logs.iter().zip(&worker.rho).enumerate() {
-                let truth = GroundTruth::from_trace(&rho[train..], worker.bank.threshold(local));
-                let report = log.score(&truth, eval_ticks);
-                accuracy = Some(match accuracy {
-                    Some(acc) => acc.merged(&report),
-                    None => report,
-                });
-            }
-            gated_vms += worker.gates.iter().filter(|g| g.is_some()).count() as u32;
-            confidence_sum += worker.confidences.iter().sum::<f64>();
-        }
-        let accuracy = accuracy.expect("at least one VM");
-        let report = CascadeReport {
+        let accuracy = merged_accuracy(workers.iter().flat_map(|worker| {
+            worker
+                .logs
+                .iter()
+                .zip(&worker.rho)
+                .enumerate()
+                .map(|(local, (log, rho))| {
+                    log.score(
+                        &GroundTruth::from_trace(&rho[train..], worker.bank.threshold(local)),
+                        eval_ticks,
+                    )
+                })
+        }));
+        let gated_vms = workers
+            .iter()
+            .map(|w| w.gates.iter().filter(|g| g.is_some()).count() as u32)
+            .sum();
+        let confidence_sum: f64 = workers
+            .iter()
+            .map(|w| w.confidences.iter().sum::<f64>())
+            .sum();
+        CascadeReport {
             vms: total_vms as u32,
             eval_ticks,
             follower_samples: accuracy.sampling_ops,
@@ -403,8 +362,7 @@ impl DdosCascadeScenario {
             gated_vms,
             mean_confidence: confidence_sum / total_vms as f64,
             accuracy,
-        };
-        (report, stats)
+        }
     }
 }
 
@@ -426,8 +384,8 @@ mod tests {
 
     #[test]
     fn gating_saves_follower_samples_within_the_allowance() {
-        let ungated = DdosCascadeScenario::from_config(small(false)).run();
-        let gated = DdosCascadeScenario::from_config(small(true)).run();
+        let ungated = DdosCascadeScenario::from_config(small(false)).run(1);
+        let gated = DdosCascadeScenario::from_config(small(true)).run(1);
         assert!(gated.gated_vms > 0, "training must qualify gates");
         assert!(
             gated.follower_samples < ungated.follower_samples,
@@ -445,7 +403,7 @@ mod tests {
 
     #[test]
     fn learned_confidence_is_high_for_the_planted_cascade() {
-        let report = DdosCascadeScenario::from_config(small(true)).run();
+        let report = DdosCascadeScenario::from_config(small(true)).run(1);
         assert!(
             report.mean_confidence > 0.9,
             "necessity confidence {} too low",
@@ -455,15 +413,15 @@ mod tests {
 
     #[test]
     fn ungated_runs_learn_but_do_not_gate() {
-        let report = DdosCascadeScenario::from_config(small(false)).run();
+        let report = DdosCascadeScenario::from_config(small(false)).run(1);
         assert_eq!(report.gated_vms, 0);
         assert!(report.mean_confidence > 0.0, "correlation still learned");
     }
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let one = DdosCascadeScenario::from_config(small(true)).run_parallel(1);
-        let four = DdosCascadeScenario::from_config(small(true)).run_parallel(4);
+        let one = DdosCascadeScenario::from_config(small(true)).run(1);
+        let four = DdosCascadeScenario::from_config(small(true)).run(4);
         assert_eq!(one, four);
     }
 }

@@ -19,15 +19,19 @@ use volley_core::task::TaskSpec;
 use volley_core::DistributedTask;
 use volley_traces::netflow::NetflowConfig;
 use volley_traces::timeseries::SeriesSummary;
-use volley_traces::DiurnalPattern;
+use volley_traces::{DiurnalPattern, TraceFamily};
 
 use crate::cluster::{ClusterConfig, VmId};
 use crate::cost::Dom0CostModel;
-use crate::shard::{EngineConfig, EngineStats, EpochCtx, ShardPlan, ShardWorker, ShardedEngine};
+use crate::scenario::{fleet_engine, merged_accuracy};
+use crate::shard::{EpochCtx, ShardWorker};
 use crate::telemetry::ServerTelemetry;
 use crate::time::{SimDuration, SimTime};
 
-/// Configuration of the distributed-tasks scenario.
+/// Configuration of the distributed-tasks scenario. Monitors watch
+/// network traffic at the 15-second default interval, local thresholds
+/// sit at selectivity 1 %, and every sampling operation — scheduled or
+/// poll-forced — is charged at the packet-inspection cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DistributedScenarioConfig {
     /// Testbed topology; VMs are grouped into tasks of `task_size`
@@ -37,8 +41,6 @@ pub struct DistributedScenarioConfig {
     pub task_size: usize,
     /// Task-level error allowance.
     pub error_allowance: f64,
-    /// Alert selectivity `k` in percent for the *local* thresholds.
-    pub selectivity_percent: f64,
     /// Simulation length in 15-second windows.
     pub ticks: usize,
     /// Random seed.
@@ -49,13 +51,6 @@ pub struct DistributedScenarioConfig {
     pub patience: u32,
     /// Allowance-allocation scheme.
     pub scheme: CoordinationScheme,
-    /// Allocation configuration.
-    pub allocation: AllocationConfig,
-    /// The default sampling interval in seconds.
-    pub window_secs: f64,
-    /// Dom0 cost model (charged per sampling operation, scheduled or
-    /// poll-forced).
-    pub cost: Dom0CostModel,
 }
 
 impl Default for DistributedScenarioConfig {
@@ -64,15 +59,11 @@ impl Default for DistributedScenarioConfig {
             cluster: ClusterConfig::paper(),
             task_size: 5,
             error_allowance: 0.05,
-            selectivity_percent: 1.0,
             ticks: 2000,
             seed: 0,
             max_interval: 16,
             patience: 20,
             scheme: CoordinationScheme::Adaptive,
-            allocation: AllocationConfig::default(),
-            window_secs: 15.0,
-            cost: Dom0CostModel::paper_network(),
         }
     }
 }
@@ -204,50 +195,23 @@ impl DistributedScenario {
         DistributedScenario { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DistributedScenarioConfig {
-        &self.config
-    }
-
-    /// Runs the scenario to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `task_size` is zero or exceeds the VM count.
-    pub fn run(&self) -> DistributedScenarioReport {
-        self.run_parallel(1)
-    }
-
     /// Runs the scenario on `threads` worker threads over the sharded
-    /// engine. Results are bit-identical to [`run`](Self::run) for every
-    /// thread count: tasks are owned by the shard holding their first VM,
-    /// and per-shard telemetry merges in fixed shard order.
+    /// engine. The report is bit-identical for every thread count: tasks
+    /// are owned by the shard holding their first VM, and per-shard
+    /// telemetry merges in fixed shard order.
     ///
     /// # Panics
     ///
     /// Panics when `task_size` is zero or exceeds the VM count.
-    pub fn run_parallel(&self, threads: usize) -> DistributedScenarioReport {
-        self.run_parallel_detailed(threads).0
-    }
-
-    /// Like [`run_parallel`](Self::run_parallel), but also returns the
-    /// engine's execution counters (for report envelopes).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `task_size` is zero or exceeds the VM count.
-    pub fn run_parallel_detailed(
-        &self,
-        threads: usize,
-    ) -> (DistributedScenarioReport, EngineStats) {
+    pub fn run(&self, threads: usize) -> DistributedScenarioReport {
         let cfg = &self.config;
         assert!(cfg.task_size >= 1, "task_size must be at least 1");
         let total_vms = cfg.cluster.total_vms() as usize;
         let task_count = total_vms / cfg.task_size;
         assert!(task_count >= 1, "task_size exceeds the VM count");
-        let window = SimDuration::from_secs_f64(cfg.window_secs);
-        let horizon = SimTime::ZERO + window.saturating_mul(cfg.ticks as u64);
+        let window = SimDuration::from_secs_f64(TraceFamily::Network.default_interval_secs());
         let tick_count = cfg.ticks as u64;
+        let cost = Dom0CostModel::paper_network();
 
         let netflow = NetflowConfig::builder()
             .seed(cfg.seed)
@@ -255,14 +219,8 @@ impl DistributedScenario {
             .diurnal(DiurnalPattern::new((cfg.ticks as u64).min(5760), 0.4))
             .build();
 
-        let plan = ShardPlan::by_coordinator_group(cfg.cluster);
-        let epoch_ticks = tick_count.div_ceil(8).max(1);
-        let engine = ShardedEngine::new(EngineConfig {
-            threads,
-            epoch: window.saturating_mul(epoch_ticks),
-            horizon,
-        });
-        let (workers, stats) = engine.run(
+        let (plan, engine) = fleet_engine(cfg.cluster, window, cfg.ticks, threads);
+        let (workers, _) = engine.run(
             &plan,
             0, // traces carry the seed; shards draw no engine randomness
             |shard, ctx| {
@@ -283,7 +241,7 @@ impl DistributedScenario {
                     let thresholds: Vec<f64> = traffic
                         .iter()
                         .map(|t| {
-                            volley_core::selectivity_threshold(&t.rho, cfg.selectivity_percent)
+                            volley_core::selectivity_threshold(&t.rho, 1.0)
                                 .expect("non-empty trace, valid selectivity")
                         })
                         .collect();
@@ -296,8 +254,12 @@ impl DistributedScenario {
                         .patience(cfg.patience)
                         .build()
                         .expect("scenario task parameters are valid");
-                    let task = DistributedTask::with_scheme(&spec, cfg.scheme, cfg.allocation)
-                        .expect("valid task");
+                    let task = DistributedTask::with_scheme(
+                        &spec,
+                        cfg.scheme,
+                        AllocationConfig::default(),
+                    )
+                    .expect("valid task");
                     let rho: Vec<Vec<f64>> = traffic.iter().map(|t| t.rho.clone()).collect();
                     let packets: Vec<Vec<f64>> = traffic.into_iter().map(|t| t.packets).collect();
                     let truth = GroundTruth::from_aggregate_traces(&rho, global);
@@ -316,7 +278,7 @@ impl DistributedScenario {
                     cluster: cfg.cluster,
                     window,
                     tick_count,
-                    cost: cfg.cost,
+                    cost,
                     tasks,
                     telemetry: (0..cfg.cluster.servers())
                         .map(|_| ServerTelemetry::new(window))
@@ -332,42 +294,33 @@ impl DistributedScenario {
         // in global task order (tasks sort by first VM, shards own
         // ascending VM ranges), telemetry sums element-wise.
         let baseline_per_task = tick_count * cfg.task_size as u64;
-        let mut accuracy: Option<AccuracyReport> = None;
+        let accuracy = merged_accuracy(workers.iter().flat_map(|worker| {
+            worker
+                .tasks
+                .iter()
+                .map(|cell| cell.log.score(&cell.truth, baseline_per_task))
+        }));
         let mut telemetry: Vec<ServerTelemetry> = (0..cfg.cluster.servers())
             .map(|_| ServerTelemetry::new(window))
             .collect();
-        let mut global_polls = 0u64;
-        let mut alerts = 0u64;
-        for worker in workers {
-            for cell in &worker.tasks {
-                let report = cell.log.score(&cell.truth, baseline_per_task);
-                accuracy = Some(match accuracy {
-                    Some(acc) => acc.merged(&report),
-                    None => report,
-                });
-            }
+        for worker in &workers {
             for (into, from) in telemetry.iter_mut().zip(&worker.telemetry) {
                 into.merge_from(from);
             }
-            global_polls += worker.global_polls;
-            alerts += worker.alerts;
         }
-        let accuracy = accuracy.expect("at least one task");
-        let mut cpu_values = Vec::new();
-        for t in &telemetry {
-            cpu_values.extend(t.utilization_values(horizon));
+        let horizon = engine.config().horizon;
+        let cpu_values: Vec<f64> = telemetry
+            .iter()
+            .flat_map(|t| t.utilization_values(horizon))
+            .collect();
+        DistributedScenarioReport {
+            tasks: task_count,
+            accuracy,
+            cpu: SeriesSummary::compute(&cpu_values),
+            sampling_ops: accuracy.sampling_ops,
+            global_polls: workers.iter().map(|w| w.global_polls).sum(),
+            alerts: workers.iter().map(|w| w.alerts).sum(),
         }
-        (
-            DistributedScenarioReport {
-                tasks: task_count,
-                accuracy,
-                cpu: SeriesSummary::compute(&cpu_values),
-                sampling_ops: accuracy.sampling_ops,
-                global_polls,
-                alerts,
-            },
-            stats,
-        )
     }
 }
 
@@ -389,21 +342,21 @@ mod tests {
 
     #[test]
     fn groups_vms_into_tasks() {
-        let report = DistributedScenario::from_config(small(0.05)).run();
+        let report = DistributedScenario::from_config(small(0.05)).run(1);
         assert_eq!(report.tasks, 4); // 20 VMs / 5
     }
 
     #[test]
     fn periodic_baseline_detects_all_aggregate_violations() {
-        let report = DistributedScenario::from_config(small(0.0)).run();
+        let report = DistributedScenario::from_config(small(0.0)).run(1);
         assert_eq!(report.accuracy.misdetection_rate(), 0.0);
         assert_eq!(report.sampling_ops, 4 * 5 * 800);
     }
 
     #[test]
     fn adaptation_saves_cost_on_distributed_tasks() {
-        let periodic = DistributedScenario::from_config(small(0.0)).run();
-        let adaptive = DistributedScenario::from_config(small(0.05)).run();
+        let periodic = DistributedScenario::from_config(small(0.0)).run(1);
+        let adaptive = DistributedScenario::from_config(small(0.05)).run(1);
         assert!(
             adaptive.sampling_ops < periodic.sampling_ops,
             "adaptive {} vs periodic {}",
@@ -417,7 +370,7 @@ mod tests {
 
     #[test]
     fn polls_happen_and_are_counted() {
-        let report = DistributedScenario::from_config(small(0.02)).run();
+        let report = DistributedScenario::from_config(small(0.02)).run(1);
         assert!(
             report.global_polls > 0,
             "local violations should trigger polls"
@@ -426,8 +379,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = DistributedScenario::from_config(small(0.01)).run();
-        let b = DistributedScenario::from_config(small(0.01)).run();
+        let a = DistributedScenario::from_config(small(0.01)).run(1);
+        let b = DistributedScenario::from_config(small(0.01)).run(1);
         assert_eq!(a, b);
     }
 
@@ -438,6 +391,6 @@ mod tests {
             task_size: 0,
             ..small(0.01)
         })
-        .run();
+        .run(1);
     }
 }

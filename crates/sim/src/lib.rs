@@ -24,12 +24,20 @@
 //!   reported utilization band.
 //! - [`telemetry`] — per-server CPU utilization windows and sampling
 //!   counters.
-//! - [`scenario`] — ready-made end-to-end scenarios (network monitoring
-//!   fleet, used by the Figure 6 harness).
 //! - [`shard`] — the sharded, deterministic, multi-threaded execution
 //!   engine (per-coordinator-group event queues in lockstep epochs).
-//! - [`cascade`] — the DDoS cascade scenario: per-VM leader/follower
-//!   task pairs under the §II.B multi-task correlation suppression.
+//!
+//! Scenarios, each one type with one `run(threads)` whose report is
+//! bit-identical for every thread count:
+//!
+//! - [`scenario`] — the fleet: one adaptive monitor per VM at the
+//!   network, system or application level (a
+//!   [`volley_traces::TraceFamily`]); the Figure 6 harness runs its
+//!   network level.
+//! - [`distributed`] — multi-VM tasks whose coordinators trigger global
+//!   polls, every poll-forced sample charged to Dom0.
+//! - [`cascade`] — the DDoS cascade: per-VM leader/follower task pairs
+//!   under the §II.B multi-task correlation suppression.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,10 +58,7 @@ pub use cluster::{ClusterConfig, ServerId, VmId};
 pub use cost::Dom0CostModel;
 pub use distributed::{DistributedScenario, DistributedScenarioConfig, DistributedScenarioReport};
 pub use event::EventQueue;
-pub use scenario::{
-    ApplicationScenario, ApplicationScenarioConfig, NetworkScenario, NetworkScenarioConfig,
-    ScenarioReport, SystemScenario, SystemScenarioConfig,
-};
+pub use scenario::{Scenario, ScenarioConfig, ScenarioReport};
 pub use shard::{
     EngineConfig, EngineStats, EpochCtx, ScratchArena, ShardId, ShardPlan, ShardWorker,
     ShardedEngine,

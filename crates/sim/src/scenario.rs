@@ -1,19 +1,23 @@
-//! End-to-end simulation scenarios.
+//! The fleet scenario: one adaptive monitor per VM (§V-A).
 //!
-//! [`NetworkScenario`] reproduces the paper's network-level monitoring
-//! deployment (§V-A): every VM gets a Dom0 monitor watching its traffic
-//! difference `ρ_v` against a selectivity-derived threshold; monitors run
-//! Volley's adaptive sampling; every sampling operation charges Dom0 CPU
-//! per the cost model. The Figure 6 harness sweeps the error allowance
-//! and summarizes the resulting per-server utilization distributions.
+//! [`Scenario`] reproduces the paper's monitoring deployment at any of
+//! its three levels ([`TraceFamily`]): every VM gets a Dom0 monitor
+//! watching one trace of the family against a selectivity-derived
+//! threshold; monitors run Volley's adaptive sampling; every sampling
+//! operation charges Dom0 CPU per the family's cost model — packet
+//! inspection for network monitoring, a flat agent query otherwise. The
+//! Figure 6 harness sweeps the network level's error allowance and
+//! summarizes the resulting per-server utilization distributions.
 
 use serde::{Deserialize, Serialize};
 
 use volley_core::accuracy::{AccuracyReport, DetectionLog, GroundTruth};
 use volley_core::{AdaptationConfig, SamplerBank};
-use volley_traces::netflow::{AttackSpec, NetflowConfig};
+use volley_traces::http::HttpWorkloadConfig;
+use volley_traces::netflow::NetflowConfig;
+use volley_traces::sysmetrics::SystemMetricsGenerator;
 use volley_traces::timeseries::SeriesSummary;
-use volley_traces::DiurnalPattern;
+use volley_traces::{DiurnalPattern, TraceFamily};
 
 use volley_obs::Obs;
 
@@ -23,40 +27,35 @@ use crate::shard::{EngineConfig, EngineStats, EpochCtx, ShardPlan, ShardWorker, 
 use crate::telemetry::{ObsBridge, ServerTelemetry};
 use crate::time::{SimDuration, SimTime};
 
-/// Configuration of the network-monitoring fleet scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkScenarioConfig {
+/// Configuration of the fleet scenario. The family fixes what differs
+/// between levels: the default interval
+/// ([`TraceFamily::default_interval_secs`]), the trace generator and the
+/// Dom0 cost of a sample.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ScenarioConfig {
+    /// Monitoring level (default: network).
+    pub family: TraceFamily,
     /// Testbed topology (default: the paper's 20 × 40).
     pub cluster: ClusterConfig,
     /// Error allowance `err` for every monitor (0 = periodic sampling).
     pub error_allowance: f64,
     /// Alert selectivity `k` in percent (threshold = `(100 − k)`-th
-    /// percentile of each VM's `ρ` trace).
+    /// percentile of each VM's trace).
     pub selectivity_percent: f64,
-    /// Simulation length in default sampling intervals (15-second
-    /// windows).
+    /// Simulation length in the family's default sampling intervals.
     pub ticks: usize,
-    /// Random seed for the traffic generator.
+    /// Random seed for the trace generator.
     pub seed: u64,
-    /// Maximum sampling interval `I_m` in windows.
+    /// Maximum sampling interval `I_m` in default intervals.
     pub max_interval: u32,
     /// Patience `p` of the adaptation algorithm.
     pub patience: u32,
-    /// The default sampling interval in seconds (paper: 15 s).
-    pub window_secs: f64,
-    /// Dom0 cost model.
-    pub cost: Dom0CostModel,
-    /// Mean flows per VM-window for the traffic generator.
-    pub flows_per_window: f64,
-    /// Diurnal traffic cycle.
-    pub diurnal: DiurnalPattern,
-    /// SYN-flood attacks to inject.
-    pub attacks: Vec<AttackSpec>,
 }
 
-impl Default for NetworkScenarioConfig {
+impl Default for ScenarioConfig {
     fn default() -> Self {
-        NetworkScenarioConfig {
+        ScenarioConfig {
+            family: TraceFamily::Network,
             cluster: ClusterConfig::paper(),
             error_allowance: 0.01,
             selectivity_percent: 1.0,
@@ -64,11 +63,6 @@ impl Default for NetworkScenarioConfig {
             seed: 0,
             max_interval: 16,
             patience: 20,
-            window_secs: 15.0,
-            cost: Dom0CostModel::paper_network(),
-            flows_per_window: 2000.0,
-            diurnal: DiurnalPattern::new(5760, 0.4),
-            attacks: Vec::new(),
         }
     }
 }
@@ -94,13 +88,13 @@ impl ScenarioReport {
     }
 }
 
-/// The network-monitoring fleet scenario (see module docs).
+/// The fleet scenario (see module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkScenario {
-    config: NetworkScenarioConfig,
+pub struct Scenario {
+    config: ScenarioConfig,
 }
 
-/// Discrete event payload: sample one VM's traffic window.
+/// Discrete event payload: sample one VM's trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SampleEvent {
     vm: VmId,
@@ -169,441 +163,205 @@ impl ShardWorker for FleetShard {
     }
 }
 
-/// Per-VM trace source handed to [`run_fleet`]: returns the value trace
-/// and (for DPI-style costs) the per-tick cost weights of one VM.
-/// Called inside the engine's parallel region, so trace generation
-/// scales with threads; sources must therefore be pure per VM.
-type VmSource<'a> = &'a (dyn Fn(VmId) -> (Vec<f64>, Option<Vec<f64>>) + Sync);
+/// Per-VM trace source: returns the value trace and (for DPI-style
+/// costs) the per-tick cost weights of one VM. Called inside the
+/// engine's parallel region, so trace generation scales with threads;
+/// sources must therefore be pure per VM.
+type VmSource = Box<dyn Fn(VmId) -> (Vec<f64>, Option<Vec<f64>>) + Sync>;
 
-/// The shared fleet engine behind every scenario: one adaptive sampler
-/// per VM over a per-VM value trace, sampling events scheduled on
-/// per-coordinator-group event queues (see [`crate::shard`]), cost
-/// charged to the hosting server's Dom0.
-///
-/// Shards never exchange state (a coordinator group's monitors only
-/// touch their own servers), so results are bit-identical for every
-/// `threads` value — `threads` buys wall-clock time, nothing else.
-#[allow(clippy::too_many_arguments)] // internal engine; each knob is load-bearing
-fn run_fleet(
+impl ScenarioConfig {
+    /// The family's trace source over this fleet and seed.
+    fn source(&self) -> VmSource {
+        let (seed, ticks) = (self.seed, self.ticks);
+        let total_vms = self.cluster.total_vms() as usize;
+        match self.family {
+            TraceFamily::Network => {
+                let netflow = NetflowConfig::builder().seed(seed).vms(total_vms).build();
+                Box::new(move |vm: VmId| {
+                    let traffic = netflow.generate_vm(vm.0 as usize, ticks);
+                    (traffic.rho, Some(traffic.packets))
+                })
+            }
+            TraceFamily::System => {
+                // One OS metric per VM, cycling through the 66-metric
+                // catalog.
+                let generator = SystemMetricsGenerator::new(seed)
+                    .with_diurnal_period((ticks as u64).min(17_280));
+                Box::new(move |vm: VmId| {
+                    let vm = vm.0 as usize;
+                    (generator.trace(vm, vm % 66, ticks), None)
+                })
+            }
+            TraceFamily::Application => {
+                // One web object's access rate per VM. The objects are
+                // correlated (shared flash crowds), so the workload is
+                // generated once up front and shared read-only across
+                // shards.
+                let workload = HttpWorkloadConfig::builder()
+                    .seed(seed)
+                    .objects(total_vms)
+                    .requests_per_tick(1000.0 * total_vms as f64)
+                    .diurnal(DiurnalPattern::new((ticks as u64).min(86_400), 0.6))
+                    .flash_crowd_duration((ticks as u64 / 20).max(10))
+                    .build()
+                    .generate(ticks);
+                Box::new(move |vm: VmId| (workload.object_rate(vm.0 as usize).to_vec(), None))
+            }
+        }
+    }
+}
+
+/// The engine every scenario runs on: one shard per coordinator group,
+/// and a handful of lockstep epochs over `ticks` windows so the barrier
+/// path and epoch telemetry stay exercised without measurable overhead.
+pub(crate) fn fleet_engine(
     cluster: ClusterConfig,
     window: SimDuration,
     ticks: usize,
-    adaptation: AdaptationConfig,
-    selectivity_percent: f64,
-    cost_model: Dom0CostModel,
-    source: VmSource<'_>,
-    obs: Option<&Obs>,
     threads: usize,
-) -> (ScenarioReport, EngineStats) {
-    let horizon = SimTime::ZERO + window.saturating_mul(ticks as u64);
-    let plan = ShardPlan::by_coordinator_group(cluster);
-    // Aim for a handful of lockstep epochs so the engine's barrier path
-    // and epoch telemetry stay exercised without measurable overhead.
+) -> (ShardPlan, ShardedEngine) {
     let epoch_ticks = (ticks as u64).div_ceil(8).max(1);
     let engine = ShardedEngine::new(EngineConfig {
         threads,
         epoch: window.saturating_mul(epoch_ticks),
-        horizon,
+        horizon: SimTime::ZERO + window.saturating_mul(ticks as u64),
     });
-    let tick_count = ticks as u64;
-    let (workers, stats) = engine.run(
-        &plan,
-        0, // fleet shards draw no engine randomness; traces carry the seed
-        |shard, ctx| {
-            let first_vm = plan
-                .vms_of(shard)
-                .next()
-                .expect("every coordinator group has at least one VM")
-                .0;
-            let first_server = plan
-                .servers_of(shard)
-                .next()
-                .expect("every coordinator group has at least one server")
-                .0;
-            let mut bank = SamplerBank::new(adaptation);
-            let mut traces = Vec::new();
-            let mut weights: Option<Vec<Vec<f64>>> = None;
-            for vm in plan.vms_of(shard) {
-                let (trace, weight) = source(vm);
-                let threshold = volley_core::selectivity_threshold(&trace, selectivity_percent)
-                    .expect("non-empty trace, valid selectivity");
-                bank.push(threshold);
-                traces.push(trace);
-                if let Some(weight) = weight {
-                    weights.get_or_insert_with(Vec::new).push(weight);
-                }
-                ctx.schedule(SimTime::ZERO, SampleEvent { vm });
-            }
-            let logs = vec![DetectionLog::new(); traces.len()];
-            let telemetry = plan
-                .servers_of(shard)
-                .map(|_| ServerTelemetry::new(window))
-                .collect();
-            FleetShard {
-                cluster,
-                window,
-                tick_count,
-                cost_model,
-                first_vm,
-                first_server,
-                bank,
-                logs,
-                traces,
-                weights,
-                telemetry,
-            }
-        },
-        obs,
-    );
-
-    // Merge shard results in shard order; shards hold contiguous
-    // ascending VM/server ranges, so this reproduces the sequential
-    // engine's merge order exactly.
-    let baseline_per_vm = ticks as u64;
-    let mut accuracy: Option<AccuracyReport> = None;
-    let mut telemetry: Vec<ServerTelemetry> = Vec::with_capacity(cluster.servers() as usize);
-    for worker in workers {
-        for (local, (log, trace)) in worker.logs.iter().zip(&worker.traces).enumerate() {
-            let truth = GroundTruth::from_trace(trace, worker.bank.threshold(local));
-            let report = log.score(&truth, baseline_per_vm);
-            accuracy = Some(match accuracy {
-                Some(acc) => acc.merged(&report),
-                None => report,
-            });
-        }
-        telemetry.extend(worker.telemetry);
-    }
-    let accuracy = accuracy.expect("at least one VM");
-    if let Some(obs) = obs {
-        // One counter path: the per-server recorders already counted every
-        // sampling operation; the bridge forwards the delta to the
-        // registry instead of keeping a second tally.
-        ObsBridge::new(obs.registry()).publish(&telemetry);
-    }
-    let mut cpu_values = Vec::new();
-    for t in &telemetry {
-        cpu_values.extend(t.utilization_values(horizon));
-    }
-    let cpu = SeriesSummary::compute(&cpu_values);
-    (
-        ScenarioReport {
-            accuracy,
-            cpu,
-            cpu_values,
-            sampling_ops: accuracy.sampling_ops,
-        },
-        stats,
-    )
+    (ShardPlan::by_coordinator_group(cluster), engine)
 }
 
-impl NetworkScenario {
+/// Merges per-monitor (or per-task) accuracy reports in the order given.
+/// Shards hold contiguous ascending VM ranges, so feeding them in shard
+/// order reproduces the sequential engine's merge order exactly.
+pub(crate) fn merged_accuracy(reports: impl IntoIterator<Item = AccuracyReport>) -> AccuracyReport {
+    reports
+        .into_iter()
+        .reduce(|acc, report| acc.merged(&report))
+        .expect("at least one monitor")
+}
+
+impl Scenario {
     /// Creates a scenario from its configuration.
-    pub fn from_config(config: NetworkScenarioConfig) -> Self {
-        NetworkScenario { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NetworkScenarioConfig {
-        &self.config
-    }
-
-    /// Runs the scenario to completion and reports cost, accuracy and the
-    /// Dom0 CPU utilization distribution.
-    pub fn run(&self) -> ScenarioReport {
-        self.run_inner(None, 1).0
+    pub fn from_config(config: ScenarioConfig) -> Self {
+        Scenario { config }
     }
 
     /// Runs the scenario on `threads` worker threads over the sharded
-    /// engine. Results are bit-identical to [`run`](Self::run) for every
-    /// thread count.
-    pub fn run_parallel(&self, threads: usize) -> ScenarioReport {
-        self.run_inner(None, threads).0
+    /// engine and reports cost, accuracy and the Dom0 CPU utilization
+    /// distribution. Shards never exchange state (a coordinator group's
+    /// monitors only touch their own servers), so the report is
+    /// bit-identical for every thread count.
+    pub fn run(&self, threads: usize) -> ScenarioReport {
+        self.run_detailed(threads, None).0
     }
 
-    /// Like [`run_parallel`](Self::run_parallel), but also returns the
-    /// engine's execution counters (for report envelopes). The
-    /// [`ScenarioReport`] half is bit-identical for every thread count;
+    /// Like [`run`](Self::run), but also returns the engine's execution
+    /// counters and, with `obs`, publishes engine epoch/steal/merge
+    /// counters and the fleet's sampling operations
+    /// (`volley_sim_sampling_ops_total`) into its registry.
     /// [`EngineStats::steals`] and [`EngineStats::max_queue_depth`]
     /// describe the particular execution.
-    pub fn run_parallel_detailed(
-        &self,
-        threads: usize,
-        obs: Option<&Obs>,
-    ) -> (ScenarioReport, EngineStats) {
-        self.run_inner(obs, threads)
-    }
-
-    /// Like [`run`](Self::run), but also publishes the fleet's sampling
-    /// operations into `obs`'s registry (`volley_sim_sampling_ops_total`).
-    pub fn run_with_obs(&self, obs: &Obs) -> ScenarioReport {
-        self.run_inner(Some(obs), 1).0
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with observability: engine
-    /// epoch/steal/merge counters and sampling ops land in `obs`.
-    pub fn run_parallel_with_obs(&self, threads: usize, obs: &Obs) -> ScenarioReport {
-        self.run_inner(Some(obs), threads).0
-    }
-
-    fn run_inner(&self, obs: Option<&Obs>, threads: usize) -> (ScenarioReport, EngineStats) {
-        let cfg = &self.config;
-        let total_vms = cfg.cluster.total_vms() as usize;
-        let mut netflow = NetflowConfig::builder()
-            .seed(cfg.seed)
-            .vms(total_vms)
-            .base_flows_per_window(cfg.flows_per_window)
-            .diurnal(cfg.diurnal);
-        for attack in &cfg.attacks {
-            netflow = netflow.attack(*attack);
-        }
-        let netflow = netflow.build();
+    pub fn run_detailed(&self, threads: usize, obs: Option<&Obs>) -> (ScenarioReport, EngineStats) {
+        let cfg = self.config;
         let adaptation = AdaptationConfig::builder()
             .error_allowance(cfg.error_allowance)
             .max_interval(cfg.max_interval)
             .patience(cfg.patience)
             .build()
             .expect("scenario adaptation parameters are valid");
-        let ticks = cfg.ticks;
-        // Traces are generated shard-locally inside the engine's parallel
-        // region (each VM has an independent stream), so generation —
-        // the dominant cost at large fleets — scales with threads too.
-        let source = move |vm: VmId| {
-            let traffic = netflow.generate_vm(vm.0 as usize, ticks);
-            (traffic.rho, Some(traffic.packets))
+        let cost_model = match cfg.family {
+            TraceFamily::Network => Dom0CostModel::paper_network(),
+            TraceFamily::System | TraceFamily::Application => Dom0CostModel::agent_query(),
         };
-        run_fleet(
-            cfg.cluster,
-            SimDuration::from_secs_f64(cfg.window_secs),
-            ticks,
-            adaptation,
-            cfg.selectivity_percent,
-            cfg.cost,
-            &source,
+        let source = cfg.source();
+        let window = SimDuration::from_secs_f64(cfg.family.default_interval_secs());
+        let (plan, engine) = fleet_engine(cfg.cluster, window, cfg.ticks, threads);
+        let tick_count = cfg.ticks as u64;
+        let (workers, stats) = engine.run(
+            &plan,
+            0, // fleet shards draw no engine randomness; traces carry the seed
+            |shard, ctx| {
+                let first_vm = plan
+                    .vms_of(shard)
+                    .next()
+                    .expect("every coordinator group has at least one VM")
+                    .0;
+                let first_server = plan
+                    .servers_of(shard)
+                    .next()
+                    .expect("every coordinator group has at least one server")
+                    .0;
+                let mut bank = SamplerBank::new(adaptation);
+                let mut traces = Vec::new();
+                let mut weights: Option<Vec<Vec<f64>>> = None;
+                for vm in plan.vms_of(shard) {
+                    let (trace, weight) = source(vm);
+                    let threshold =
+                        volley_core::selectivity_threshold(&trace, cfg.selectivity_percent)
+                            .expect("non-empty trace, valid selectivity");
+                    bank.push(threshold);
+                    traces.push(trace);
+                    if let Some(weight) = weight {
+                        weights.get_or_insert_with(Vec::new).push(weight);
+                    }
+                    ctx.schedule(SimTime::ZERO, SampleEvent { vm });
+                }
+                let logs = vec![DetectionLog::new(); traces.len()];
+                let telemetry = plan
+                    .servers_of(shard)
+                    .map(|_| ServerTelemetry::new(window))
+                    .collect();
+                FleetShard {
+                    cluster: cfg.cluster,
+                    window,
+                    tick_count,
+                    cost_model,
+                    first_vm,
+                    first_server,
+                    bank,
+                    logs,
+                    traces,
+                    weights,
+                    telemetry,
+                }
+            },
             obs,
-            threads,
-        )
-    }
-}
+        );
 
-/// Configuration of the system-metrics monitoring fleet scenario: one
-/// OS-metric task per VM, sampled by agent queries (flat cost) at the
-/// paper's 5-second default interval (§V-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemScenarioConfig {
-    /// Testbed topology.
-    pub cluster: ClusterConfig,
-    /// Error allowance `err` for every monitor.
-    pub error_allowance: f64,
-    /// Alert selectivity `k` in percent.
-    pub selectivity_percent: f64,
-    /// Simulation length in default sampling intervals (5-second ticks).
-    pub ticks: usize,
-    /// Random seed for the metrics generator.
-    pub seed: u64,
-    /// Maximum sampling interval `I_m`.
-    pub max_interval: u32,
-    /// Adaptation patience `p`.
-    pub patience: u32,
-    /// The default sampling interval in seconds (paper: 5 s).
-    pub sample_interval_secs: f64,
-    /// Dom0 cost model (default: flat agent query).
-    pub cost: Dom0CostModel,
-}
-
-impl Default for SystemScenarioConfig {
-    fn default() -> Self {
-        SystemScenarioConfig {
-            cluster: ClusterConfig::paper(),
-            error_allowance: 0.01,
-            selectivity_percent: 1.0,
-            ticks: 2000,
-            seed: 0,
-            max_interval: 16,
-            patience: 20,
-            sample_interval_secs: 5.0,
-            cost: Dom0CostModel::agent_query(),
+        let accuracy = merged_accuracy(workers.iter().flat_map(|worker| {
+            worker
+                .logs
+                .iter()
+                .zip(&worker.traces)
+                .enumerate()
+                .map(|(local, (log, trace))| {
+                    log.score(
+                        &GroundTruth::from_trace(trace, worker.bank.threshold(local)),
+                        tick_count,
+                    )
+                })
+        }));
+        let telemetry: Vec<ServerTelemetry> = workers
+            .into_iter()
+            .flat_map(|worker| worker.telemetry)
+            .collect();
+        if let Some(obs) = obs {
+            // One counter path: the per-server recorders already counted every
+            // sampling operation; the bridge forwards the delta to the
+            // registry instead of keeping a second tally.
+            ObsBridge::new(obs.registry()).publish(&telemetry);
         }
-    }
-}
-
-/// The system-metrics monitoring fleet scenario: each VM's monitor
-/// adaptively samples one OS metric (cycling through the 66-metric
-/// catalog) via agent queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemScenario {
-    config: SystemScenarioConfig,
-}
-
-impl SystemScenario {
-    /// Creates a scenario from its configuration.
-    pub fn from_config(config: SystemScenarioConfig) -> Self {
-        SystemScenario { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SystemScenarioConfig {
-        &self.config
-    }
-
-    /// Runs the scenario to completion.
-    pub fn run(&self) -> ScenarioReport {
-        self.run_parallel(1)
-    }
-
-    /// Runs the scenario on `threads` worker threads over the sharded
-    /// engine. Results are bit-identical to [`run`](Self::run) for every
-    /// thread count.
-    pub fn run_parallel(&self, threads: usize) -> ScenarioReport {
-        self.run_parallel_detailed(threads, None).0
-    }
-
-    /// Like [`run_parallel`](Self::run_parallel), but also returns the
-    /// engine's execution counters (for report envelopes).
-    pub fn run_parallel_detailed(
-        &self,
-        threads: usize,
-        obs: Option<&Obs>,
-    ) -> (ScenarioReport, EngineStats) {
-        let cfg = &self.config;
-        let generator = volley_traces::sysmetrics::SystemMetricsGenerator::new(cfg.seed)
-            .with_diurnal_period((cfg.ticks as u64).min(17_280));
-        let adaptation = AdaptationConfig::builder()
-            .error_allowance(cfg.error_allowance)
-            .max_interval(cfg.max_interval)
-            .patience(cfg.patience)
-            .build()
-            .expect("scenario adaptation parameters are valid");
-        let ticks = cfg.ticks;
-        let source = move |vm: VmId| {
-            let vm = vm.0 as usize;
-            (generator.trace(vm, vm % 66, ticks), None)
+        let horizon = engine.config().horizon;
+        let cpu_values: Vec<f64> = telemetry
+            .iter()
+            .flat_map(|t| t.utilization_values(horizon))
+            .collect();
+        let report = ScenarioReport {
+            accuracy,
+            cpu: SeriesSummary::compute(&cpu_values),
+            cpu_values,
+            sampling_ops: accuracy.sampling_ops,
         };
-        run_fleet(
-            cfg.cluster,
-            SimDuration::from_secs_f64(cfg.sample_interval_secs),
-            ticks,
-            adaptation,
-            cfg.selectivity_percent,
-            cfg.cost,
-            &source,
-            obs,
-            threads,
-        )
-    }
-}
-
-/// Configuration of the application-level monitoring fleet scenario: one
-/// per-object access-rate task per VM at the paper's 1-second default
-/// interval (§V-A), sampled by log-analysis queries (flat cost).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ApplicationScenarioConfig {
-    /// Testbed topology.
-    pub cluster: ClusterConfig,
-    /// Error allowance `err` for every monitor.
-    pub error_allowance: f64,
-    /// Alert selectivity `k` in percent.
-    pub selectivity_percent: f64,
-    /// Simulation length in default sampling intervals (1-second ticks).
-    pub ticks: usize,
-    /// Random seed for the HTTP workload generator.
-    pub seed: u64,
-    /// Maximum sampling interval `I_m`.
-    pub max_interval: u32,
-    /// Adaptation patience `p`.
-    pub patience: u32,
-    /// The default sampling interval in seconds (paper: 1 s).
-    pub sample_interval_secs: f64,
-    /// Dom0 cost model (default: flat agent query).
-    pub cost: Dom0CostModel,
-}
-
-impl Default for ApplicationScenarioConfig {
-    fn default() -> Self {
-        ApplicationScenarioConfig {
-            cluster: ClusterConfig::paper(),
-            error_allowance: 0.01,
-            selectivity_percent: 1.0,
-            ticks: 2000,
-            seed: 0,
-            max_interval: 16,
-            patience: 20,
-            sample_interval_secs: 1.0,
-            cost: Dom0CostModel::agent_query(),
-        }
-    }
-}
-
-/// The application-level monitoring fleet scenario: each VM's monitor
-/// adaptively samples one web object's access rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ApplicationScenario {
-    config: ApplicationScenarioConfig,
-}
-
-impl ApplicationScenario {
-    /// Creates a scenario from its configuration.
-    pub fn from_config(config: ApplicationScenarioConfig) -> Self {
-        ApplicationScenario { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ApplicationScenarioConfig {
-        &self.config
-    }
-
-    /// Runs the scenario to completion.
-    pub fn run(&self) -> ScenarioReport {
-        self.run_parallel(1)
-    }
-
-    /// Runs the scenario on `threads` worker threads over the sharded
-    /// engine. Results are bit-identical to [`run`](Self::run) for every
-    /// thread count.
-    pub fn run_parallel(&self, threads: usize) -> ScenarioReport {
-        self.run_parallel_detailed(threads, None).0
-    }
-
-    /// Like [`run_parallel`](Self::run_parallel), but also returns the
-    /// engine's execution counters (for report envelopes).
-    pub fn run_parallel_detailed(
-        &self,
-        threads: usize,
-        obs: Option<&Obs>,
-    ) -> (ScenarioReport, EngineStats) {
-        let cfg = &self.config;
-        let total_vms = cfg.cluster.total_vms() as usize;
-        // The HTTP workload's objects are correlated (shared flash
-        // crowds), so it is generated once up front and shared read-only
-        // across shards.
-        let workload = volley_traces::http::HttpWorkloadConfig::builder()
-            .seed(cfg.seed)
-            .objects(total_vms)
-            .requests_per_tick(1000.0 * total_vms as f64)
-            .diurnal(volley_traces::DiurnalPattern::new(
-                (cfg.ticks as u64).min(86_400),
-                0.6,
-            ))
-            .flash_crowd_duration((cfg.ticks as u64 / 20).max(10))
-            .build()
-            .generate(cfg.ticks);
-        let adaptation = AdaptationConfig::builder()
-            .error_allowance(cfg.error_allowance)
-            .max_interval(cfg.max_interval)
-            .patience(cfg.patience)
-            .build()
-            .expect("scenario adaptation parameters are valid");
-        let source = move |vm: VmId| (workload.object_rate(vm.0 as usize).to_vec(), None);
-        run_fleet(
-            cfg.cluster,
-            SimDuration::from_secs_f64(cfg.sample_interval_secs),
-            cfg.ticks,
-            adaptation,
-            cfg.selectivity_percent,
-            cfg.cost,
-            &source,
-            obs,
-            threads,
-        )
+        (report, stats)
     }
 }
 
@@ -611,32 +369,78 @@ impl ApplicationScenario {
 mod tests {
     use super::*;
 
-    fn small(err: f64) -> NetworkScenarioConfig {
-        NetworkScenarioConfig {
-            cluster: ClusterConfig::new(2, 4, 1),
+    /// A small fleet of `family` at allowance `err`.
+    fn small(family: TraceFamily, err: f64) -> ScenarioConfig {
+        let (cluster, ticks, seed, max_interval) = match family {
+            TraceFamily::Network => (ClusterConfig::new(2, 4, 1), 600, 42, 8),
+            TraceFamily::System => (ClusterConfig::new(2, 6, 1), 1200, 9, 16),
+            TraceFamily::Application => (ClusterConfig::new(2, 5, 1), 1500, 4, 16),
+        };
+        ScenarioConfig {
+            family,
+            cluster,
             error_allowance: err,
-            selectivity_percent: 1.0,
-            ticks: 600,
-            seed: 42,
-            max_interval: 8,
+            ticks,
+            seed,
+            max_interval,
             patience: 5,
-            ..NetworkScenarioConfig::default()
+            ..ScenarioConfig::default()
         }
+    }
+
+    fn run(config: ScenarioConfig) -> ScenarioReport {
+        Scenario::from_config(config).run(1)
+    }
+
+    #[test]
+    fn defaults_match_the_paper() {
+        let config = ScenarioConfig::default();
+        assert_eq!(config.family, TraceFamily::Network);
+        assert_eq!(config.cluster, ClusterConfig::paper());
+        assert_eq!(config.error_allowance, 0.01);
+        assert_eq!(config.selectivity_percent, 1.0);
+        assert_eq!(config.max_interval, 16);
+        assert_eq!(config.patience, 20);
     }
 
     #[test]
     fn periodic_baseline_samples_every_window() {
-        let report = NetworkScenario::from_config(small(0.0)).run();
-        // 8 VMs × 600 ticks.
-        assert_eq!(report.sampling_ops, 8 * 600);
-        assert!((report.cost_ratio() - 1.0).abs() < 1e-12);
-        assert_eq!(report.accuracy.misdetection_rate(), 0.0);
+        for family in TraceFamily::ALL {
+            let config = small(family, 0.0);
+            let report = run(config);
+            assert_eq!(
+                report.sampling_ops,
+                u64::from(config.cluster.total_vms()) * config.ticks as u64,
+                "{}",
+                family.name()
+            );
+            assert!((report.cost_ratio() - 1.0).abs() < 1e-12);
+            assert_eq!(report.accuracy.misdetection_rate(), 0.0);
+        }
+    }
+
+    #[test]
+    fn adaptation_saves_cost_in_every_family() {
+        for family in TraceFamily::ALL {
+            let periodic = run(small(family, 0.0));
+            let adaptive = run(small(family, 0.05));
+            assert!(
+                adaptive.sampling_ops < periodic.sampling_ops,
+                "{}: adaptive {} vs periodic {}",
+                family.name(),
+                adaptive.sampling_ops,
+                periodic.sampling_ops
+            );
+            let p = periodic.cpu.expect("cpu");
+            let a = adaptive.cpu.expect("cpu");
+            assert!(a.mean < p.mean, "{}", family.name());
+        }
     }
 
     #[test]
     fn adaptation_reduces_cost() {
-        let periodic = NetworkScenario::from_config(small(0.0)).run();
-        let adaptive = NetworkScenario::from_config(small(0.05)).run();
+        let periodic = run(small(TraceFamily::Network, 0.0));
+        let adaptive = run(small(TraceFamily::Network, 0.05));
         assert!(
             adaptive.sampling_ops < periodic.sampling_ops / 2,
             "adaptive {} vs periodic {}",
@@ -647,8 +451,8 @@ mod tests {
 
     #[test]
     fn adaptation_reduces_cpu_utilization() {
-        let periodic = NetworkScenario::from_config(small(0.0)).run();
-        let adaptive = NetworkScenario::from_config(small(0.05)).run();
+        let periodic = run(small(TraceFamily::Network, 0.0));
+        let adaptive = run(small(TraceFamily::Network, 0.05));
         let p = periodic.cpu.expect("cpu summary");
         let a = adaptive.cpu.expect("cpu summary");
         assert!(
@@ -663,14 +467,13 @@ mod tests {
     fn paper_cluster_periodic_utilization_in_band() {
         // One server of the paper topology, short run: utilization must
         // land in the calibrated 20-34% band on average.
-        let cfg = NetworkScenarioConfig {
+        let report = run(ScenarioConfig {
             cluster: ClusterConfig::new(1, 40, 1),
             error_allowance: 0.0,
             ticks: 200,
             seed: 7,
-            ..NetworkScenarioConfig::default()
-        };
-        let report = NetworkScenario::from_config(cfg).run();
+            ..ScenarioConfig::default()
+        });
         let cpu = report.cpu.expect("cpu summary");
         assert!(
             (0.15..=0.40).contains(&cpu.mean),
@@ -681,7 +484,7 @@ mod tests {
 
     #[test]
     fn misdetection_stays_reasonable() {
-        let report = NetworkScenario::from_config(small(0.02)).run();
+        let report = run(small(TraceFamily::Network, 0.02));
         // The Chebyshev adaptation is conservative; actual misses should
         // be comfortably below 10x the allowance even on short traces.
         assert!(report.accuracy.misdetection_rate() < 0.2);
@@ -689,15 +492,17 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = NetworkScenario::from_config(small(0.01)).run();
-        let b = NetworkScenario::from_config(small(0.01)).run();
-        assert_eq!(a, b);
+        for family in TraceFamily::ALL {
+            let config = small(family, 0.01);
+            assert_eq!(run(config), run(config), "{}", family.name());
+        }
     }
 
     #[test]
     fn obs_counter_matches_report_sampling_ops() {
         let obs = Obs::new(true);
-        let report = NetworkScenario::from_config(small(0.01)).run_with_obs(&obs);
+        let (report, _) =
+            Scenario::from_config(small(TraceFamily::Network, 0.01)).run_detailed(1, Some(&obs));
         let snapshot = obs.snapshot(0);
         assert_eq!(
             snapshot
@@ -711,56 +516,19 @@ mod tests {
 
     #[test]
     fn cpu_values_cover_all_server_windows() {
-        let report = NetworkScenario::from_config(small(0.01)).run();
+        let report = run(small(TraceFamily::Network, 0.01));
         // 2 servers × 600 windows.
         assert_eq!(report.cpu_values.len(), 2 * 600);
-    }
-
-    fn small_system(err: f64) -> SystemScenarioConfig {
-        SystemScenarioConfig {
-            cluster: ClusterConfig::new(2, 6, 1),
-            error_allowance: err,
-            ticks: 1200,
-            seed: 9,
-            patience: 5,
-            ..SystemScenarioConfig::default()
-        }
-    }
-
-    #[test]
-    fn system_scenario_periodic_baseline() {
-        let report = SystemScenario::from_config(small_system(0.0)).run();
-        assert_eq!(report.sampling_ops, 12 * 1200);
-        assert_eq!(report.accuracy.misdetection_rate(), 0.0);
-    }
-
-    #[test]
-    fn system_scenario_adaptation_saves_cost() {
-        let periodic = SystemScenario::from_config(small_system(0.0)).run();
-        let adaptive = SystemScenario::from_config(small_system(0.05)).run();
-        assert!(
-            adaptive.sampling_ops < periodic.sampling_ops,
-            "adaptive {} vs periodic {}",
-            adaptive.sampling_ops,
-            periodic.sampling_ops
-        );
-        let p = periodic.cpu.expect("cpu");
-        let a = adaptive.cpu.expect("cpu");
-        assert!(a.mean < p.mean);
     }
 
     #[test]
     fn system_scenario_agent_queries_are_cheap() {
         // Agent queries must burden Dom0 far less than packet inspection.
-        let system = SystemScenario::from_config(small_system(0.0)).run();
-        let network = NetworkScenario::from_config(NetworkScenarioConfig {
-            cluster: ClusterConfig::new(2, 6, 1),
-            error_allowance: 0.0,
-            ticks: 1200,
-            seed: 9,
-            ..NetworkScenarioConfig::default()
-        })
-        .run();
+        let system = run(small(TraceFamily::System, 0.0));
+        let network = run(ScenarioConfig {
+            family: TraceFamily::Network,
+            ..small(TraceFamily::System, 0.0)
+        });
         let s = system.cpu.expect("cpu");
         let n = network.cpu.expect("cpu");
         assert!(
@@ -769,49 +537,5 @@ mod tests {
             s.mean,
             n.mean
         );
-    }
-
-    #[test]
-    fn system_scenario_deterministic() {
-        let a = SystemScenario::from_config(small_system(0.01)).run();
-        let b = SystemScenario::from_config(small_system(0.01)).run();
-        assert_eq!(a, b);
-    }
-
-    fn small_application(err: f64) -> ApplicationScenarioConfig {
-        ApplicationScenarioConfig {
-            cluster: ClusterConfig::new(2, 5, 1),
-            error_allowance: err,
-            ticks: 1500,
-            seed: 4,
-            patience: 5,
-            ..ApplicationScenarioConfig::default()
-        }
-    }
-
-    #[test]
-    fn application_scenario_periodic_baseline() {
-        let report = ApplicationScenario::from_config(small_application(0.0)).run();
-        assert_eq!(report.sampling_ops, 10 * 1500);
-        assert_eq!(report.accuracy.misdetection_rate(), 0.0);
-    }
-
-    #[test]
-    fn application_scenario_adaptation_saves_cost() {
-        let periodic = ApplicationScenario::from_config(small_application(0.0)).run();
-        let adaptive = ApplicationScenario::from_config(small_application(0.05)).run();
-        assert!(
-            adaptive.sampling_ops < periodic.sampling_ops,
-            "adaptive {} vs periodic {}",
-            adaptive.sampling_ops,
-            periodic.sampling_ops
-        );
-    }
-
-    #[test]
-    fn application_scenario_deterministic() {
-        let a = ApplicationScenario::from_config(small_application(0.01)).run();
-        let b = ApplicationScenario::from_config(small_application(0.01)).run();
-        assert_eq!(a, b);
     }
 }

@@ -15,6 +15,8 @@
 //!   diurnal request arrival with flash crowds; produces per-object access
 //!   rates for application-level monitoring tasks.
 //!
+//! [`TraceFamily`] names the three and their default sampling intervals.
+//!
 //! Support modules: [`zipf`] (the skewed distribution of Figure 8),
 //! [`diurnal`] (day-cycle shaping), [`latency`] (load → response-time
 //! modelling for correlated tasks), and [`timeseries`] (quantiles and
@@ -57,3 +59,56 @@ pub use netflow::{AttackSpec, NetflowConfig, VmTraffic};
 pub use sysmetrics::{MetricClass, MetricSpec, SystemMetricsGenerator, METRIC_CATALOG};
 pub use timeseries::SeriesSummary;
 pub use zipf::Zipf;
+
+use serde::{Deserialize, Serialize};
+
+/// The three monitoring families of the evaluation (§V-A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum TraceFamily {
+    /// DDoS traffic-difference monitoring (15-second windows).
+    Network,
+    /// OS metric monitoring (5-second samples).
+    System,
+    /// Per-object access-rate monitoring (1-second samples).
+    Application,
+}
+
+impl TraceFamily {
+    /// Every family, in the order tables list them.
+    pub const ALL: [TraceFamily; 3] = [
+        TraceFamily::Network,
+        TraceFamily::System,
+        TraceFamily::Application,
+    ];
+
+    /// Display name used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceFamily::Network => "network",
+            TraceFamily::System => "system",
+            TraceFamily::Application => "application",
+        }
+    }
+
+    /// The family's default sampling interval in seconds (§V-A).
+    pub fn default_interval_secs(self) -> f64 {
+        match self {
+            TraceFamily::Network => 15.0,
+            TraceFamily::System => 5.0,
+            TraceFamily::Application => 1.0,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn family_metadata() {
+        assert_eq!(TraceFamily::Network.default_interval_secs(), 15.0);
+        assert_eq!(TraceFamily::System.default_interval_secs(), 5.0);
+        assert_eq!(TraceFamily::Application.default_interval_secs(), 1.0);
+        assert_eq!(TraceFamily::Application.name(), "application");
+    }
+}

@@ -26,14 +26,14 @@ fn main() {
         ("volley (err=1%)", 0.01),
         ("volley (err=3.2%)", 0.032),
     ] {
-        let report = VolleyConfig::new()
-            .cluster(cluster)
-            .error_allowance(err)
-            .selectivity_percent(1.0)
-            .ticks(1500)
-            .seed(2013)
-            .network_scenario()
-            .run();
+        let report = Scenario::from_config(ScenarioConfig {
+            cluster,
+            error_allowance: err,
+            ticks: 1500,
+            seed: 2013,
+            ..ScenarioConfig::default()
+        })
+        .run(1);
         let cpu = report.cpu.expect("utilization recorded");
         println!(
             "{label:<22}{:>12}{:>13.1}%{:>13.1}%{:>12.4}",

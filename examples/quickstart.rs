@@ -20,10 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Volley controller: at most 1% of alerts may be missed relative to
     // periodic 5-second sampling.
-    let mut sampler = VolleyConfig::new()
+    let config = AdaptationConfig::builder()
         .error_allowance(0.01)
         .max_interval(16)
-        .sampler(threshold)?;
+        .build()?;
+    let mut sampler = AdaptiveSampler::new(config, threshold);
 
     let mut samples = 0u64;
     let mut alerts = 0u64;

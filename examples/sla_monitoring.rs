@@ -40,10 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let threshold = selectivity_threshold(&aggregate, 2.0)?;
 
-    let spec = VolleyConfig::new()
+    let spec = TaskSpec::builder(threshold)
+        .monitors(SERVERS)
         .error_allowance(0.02)
         .max_interval(16)
-        .task_spec(threshold, SERVERS)?;
+        .build()?;
 
     // Steps the monitors and the coordinator on this thread; blocks
     // until the trace is exhausted.

@@ -37,16 +37,18 @@
 //! # }
 //! ```
 //!
+//! Each entry point has its own configuration: [`AdaptationConfig`] for
+//! one sampler, [`core::task::TaskSpec`] for a distributed task (and a
+//! [`TaskRunner`]), and [`ScenarioConfig`] for a simulated fleet run by
+//! [`Scenario`]. [`prelude`] imports all of them.
+//!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the
 //! paper-to-module map and `EXPERIMENTS.md` for the reproduced figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod config;
 pub mod prelude;
-
-pub use config::VolleyConfig;
 
 pub use volley_analyze as analyze;
 pub use volley_core as core;
@@ -65,8 +67,8 @@ pub use volley_core::{
 };
 pub use volley_obs::Obs;
 pub use volley_runtime::TaskRunner;
-pub use volley_sim::{NetworkScenario, NetworkScenarioConfig};
+pub use volley_sim::{Scenario, ScenarioConfig};
 pub use volley_store::{Backtest, SampleRecorder, ScanRange, Store};
 pub use volley_traces::{
-    DiurnalPattern, HttpWorkloadConfig, NetflowConfig, SystemMetricsGenerator,
+    DiurnalPattern, HttpWorkloadConfig, NetflowConfig, SystemMetricsGenerator, TraceFamily,
 };

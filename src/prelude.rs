@@ -1,27 +1,24 @@
 //! The one-stop import for Volley programs.
 //!
-//! `use volley::prelude::*;` brings in [`VolleyConfig`] — the unified
-//! builder that replaces the scattered `TaskSpec::builder` /
-//! `*ScenarioConfig` / `FleetTask::new` entry points — together with
-//! the types its terminal methods return and the handful of helpers
-//! (trace generators, thresholds, observability) nearly every example
-//! and integration test reaches for.
+//! `use volley::prelude::*;` brings in each entry point's configuration
+//! — [`AdaptationConfig`] for one sampler, [`TaskSpec`] for a
+//! distributed task, [`ScenarioConfig`] for a simulated fleet — together
+//! with the types they build and the handful of helpers (trace
+//! generators, thresholds, observability) nearly every example and
+//! integration test reaches for.
 //!
 //! ```
 //! use volley::prelude::*;
 //!
-//! # fn main() -> Result<(), VolleyError> {
-//! let report = VolleyConfig::new()
-//!     .cluster(ClusterConfig::new(2, 4, 1))
-//!     .ticks(100)
-//!     .network_scenario()
-//!     .run();
+//! let report = Scenario::from_config(ScenarioConfig {
+//!     family: TraceFamily::System,
+//!     cluster: ClusterConfig::new(2, 4, 1),
+//!     ticks: 100,
+//!     ..ScenarioConfig::default()
+//! })
+//! .run(1);
 //! assert!(report.sampling_ops > 0);
-//! # Ok(())
-//! # }
 //! ```
-
-pub use crate::config::VolleyConfig;
 
 // Core: adaptation, accuracy accounting, coordination, errors.
 pub use volley_core::task::TaskSpec;
@@ -32,10 +29,9 @@ pub use volley_core::{
 
 // Simulation: topology, scenarios, and the sharded engine.
 pub use volley_sim::{
-    ApplicationScenario, ApplicationScenarioConfig, ClusterConfig, DistributedScenario,
-    DistributedScenarioConfig, DistributedScenarioReport, EngineConfig, EngineStats,
-    NetworkScenario, NetworkScenarioConfig, ScenarioReport, ServerId, ShardId, ShardPlan,
-    ShardedEngine, SimDuration, SimTime, SystemScenario, SystemScenarioConfig, VmId,
+    ClusterConfig, DistributedScenario, DistributedScenarioConfig, DistributedScenarioReport,
+    EngineConfig, EngineStats, Scenario, ScenarioConfig, ScenarioReport, ServerId, ShardId,
+    ShardPlan, ShardedEngine, SimDuration, SimTime, VmId,
 };
 
 // Runtime: the live monitor/coordinator runtime and fleet execution.
@@ -43,7 +39,7 @@ pub use volley_runtime::{FleetRunner, FleetSummary, FleetTask, RuntimeReport, Ta
 
 // Traces: synthetic workloads standing in for the paper's datasets.
 pub use volley_traces::{
-    DiurnalPattern, HttpWorkloadConfig, NetflowConfig, SystemMetricsGenerator,
+    DiurnalPattern, HttpWorkloadConfig, NetflowConfig, SystemMetricsGenerator, TraceFamily,
 };
 
 // Observability: the self-monitoring subsystem.

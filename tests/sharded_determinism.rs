@@ -13,20 +13,41 @@ use volley_core::task::MonitorId;
 const SEEDS: [u64; 3] = [1, 2, 3];
 const THREADS: [usize; 3] = [1, 2, 8];
 
-fn small_config(seed: u64) -> VolleyConfig {
-    VolleyConfig::new()
-        .cluster(ClusterConfig::new(4, 6, 1))
-        .ticks(200)
-        .seed(seed)
+fn small_config(seed: u64) -> ScenarioConfig {
+    ScenarioConfig {
+        cluster: ClusterConfig::new(4, 6, 1),
+        ticks: 200,
+        seed,
+        ..ScenarioConfig::default()
+    }
+}
+
+fn family_scenario(family: TraceFamily, seed: u64) -> Scenario {
+    Scenario::from_config(ScenarioConfig {
+        family,
+        ..small_config(seed)
+    })
+}
+
+/// Allowance 0.01 rather than the scenario's default 0.05: the goldens
+/// were captured at 0.01.
+fn distributed_scenario(seed: u64) -> DistributedScenario {
+    DistributedScenario::from_config(DistributedScenarioConfig {
+        cluster: ClusterConfig::new(4, 4, 1),
+        ticks: 150,
+        seed,
+        error_allowance: 0.01,
+        ..DistributedScenarioConfig::default()
+    })
 }
 
 #[test]
 fn network_scenario_identical_across_thread_counts() {
     for seed in SEEDS {
-        let config = small_config(seed);
-        let baseline = config.network_scenario().run_parallel(1);
+        let scenario = Scenario::from_config(small_config(seed));
+        let baseline = scenario.run(1);
         for threads in THREADS {
-            let report = config.network_scenario().run_parallel(threads);
+            let report = scenario.run(threads);
             assert_eq!(
                 report, baseline,
                 "network scenario diverged at seed {seed}, {threads} threads"
@@ -37,17 +58,18 @@ fn network_scenario_identical_across_thread_counts() {
 
 #[test]
 fn system_and_application_scenarios_identical_across_thread_counts() {
-    let config = small_config(2);
-    let system_baseline = config.system_scenario().run_parallel(1);
-    let application_baseline = config.application_scenario().run_parallel(1);
+    let system = family_scenario(TraceFamily::System, 2);
+    let application = family_scenario(TraceFamily::Application, 2);
+    let system_baseline = system.run(1);
+    let application_baseline = application.run(1);
     for threads in THREADS {
         assert_eq!(
-            config.system_scenario().run_parallel(threads),
+            system.run(threads),
             system_baseline,
             "system scenario diverged at {threads} threads"
         );
         assert_eq!(
-            config.application_scenario().run_parallel(threads),
+            application.run(threads),
             application_baseline,
             "application scenario diverged at {threads} threads"
         );
@@ -59,13 +81,10 @@ fn distributed_scenario_identical_across_thread_counts() {
     for seed in SEEDS {
         // Task size 5 over 4-VM shards: tasks straddle shard boundaries,
         // exercising the cross-shard telemetry merge.
-        let config = VolleyConfig::new()
-            .cluster(ClusterConfig::new(4, 4, 1))
-            .ticks(150)
-            .seed(seed);
-        let baseline = config.distributed_scenario(5).run_parallel(1);
+        let scenario = distributed_scenario(seed);
+        let baseline = scenario.run(1);
         for threads in THREADS {
-            let report = config.distributed_scenario(5).run_parallel(threads);
+            let report = scenario.run(threads);
             assert_eq!(
                 report, baseline,
                 "distributed scenario diverged at seed {seed}, {threads} threads"
@@ -161,10 +180,11 @@ fn fleet_tasks(seed: u64, faults: bool) -> Vec<volley::runtime::FleetTask> {
                 .iter()
                 .map(|t| selectivity_threshold(t, 5.0).unwrap())
                 .sum();
-            let spec = VolleyConfig::new()
+            let spec = TaskSpec::builder(threshold)
+                .monitors(3)
                 .error_allowance(0.02)
                 .max_interval(8)
-                .task_spec(threshold, 3)
+                .build()
                 .expect("valid spec");
             let runner = TaskRunner::new(&spec).expect("valid runner");
             let runner = if faults {
@@ -266,7 +286,7 @@ fn network_scenario_matches_pre_rewrite_goldens() {
     ];
     for (seed, expected) in GOLDEN {
         for threads in THREADS {
-            let report = small_config(seed).network_scenario().run_parallel(threads);
+            let report = Scenario::from_config(small_config(seed)).run(threads);
             assert_eq!(
                 fnv1a(&format!("{report:?}")),
                 expected,
@@ -278,15 +298,14 @@ fn network_scenario_matches_pre_rewrite_goldens() {
 
 #[test]
 fn system_and_application_scenarios_match_pre_rewrite_goldens() {
-    let config = small_config(2);
     for threads in THREADS {
-        let system = config.system_scenario().run_parallel(threads);
+        let system = family_scenario(TraceFamily::System, 2).run(threads);
         assert_eq!(
             fnv1a(&format!("{system:?}")),
             0xc28d5b03614ecfdf,
             "system scenario drifted from the pre-rewrite engine at {threads} threads"
         );
-        let application = config.application_scenario().run_parallel(threads);
+        let application = family_scenario(TraceFamily::Application, 2).run(threads);
         assert_eq!(
             fnv1a(&format!("{application:?}")),
             0x6d60381d2b2892c2,
@@ -303,12 +322,8 @@ fn distributed_scenario_matches_pre_rewrite_goldens() {
         (3, 0x9ad280293478747f),
     ];
     for (seed, expected) in GOLDEN {
-        let config = VolleyConfig::new()
-            .cluster(ClusterConfig::new(4, 4, 1))
-            .ticks(150)
-            .seed(seed);
         for threads in THREADS {
-            let report = config.distributed_scenario(5).run_parallel(threads);
+            let report = distributed_scenario(seed).run(threads);
             assert_eq!(
                 fnv1a(&format!("{report:?}")),
                 expected,
