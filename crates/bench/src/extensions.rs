@@ -9,14 +9,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use serde::Serialize;
-use volley_core::accuracy::{DetectionLog, GroundTruth};
-use volley_core::correlation::{CorrelationConfig, CorrelationDetector};
-use volley_core::task::{TaskId, TaskSpec};
-use volley_core::{DistributedTask, Interval};
+use volley_core::task::TaskSpec;
+use volley_core::DistributedTask;
 use volley_runtime::{FaultPath, FaultPlan, RuntimeReport, TaskRunner};
 use volley_sim::{CascadeReport, ClusterConfig, DdosCascadeConfig, DdosCascadeScenario};
-use volley_traces::netflow::{AttackSpec, NetflowConfig};
-use volley_traces::DiurnalPattern;
 
 use crate::params::SweepParams;
 use crate::report::Matrix;
@@ -306,87 +302,38 @@ impl CorrelationBenchReport {
 /// paper's motivating example: DDoS attacks inflate a VM's traffic
 /// difference ρ *and* its request response time, so elevated response
 /// time is (approximately) a necessary condition of an effective attack.
-/// The detector learns that relation on the first half of the run and
-/// gates the expensive DDoS task on the cheap response-time task; the
-/// second half prices the gate against periodic sampling.
+/// A one-VM [`DdosCascadeScenario`] learns that relation on the first
+/// half of the run and gates the expensive DDoS task on the cheap
+/// response-time task; the second half prices the gate against
+/// periodic sampling.
 pub fn correlation(p: &SweepParams) -> CorrelationBenchReport {
     let ticks = p.ticks.max(4000);
-    let (response, rho) = correlated_traces(ticks, p.seed);
-    let train = ticks / 2;
-    let rho_threshold = volley_core::selectivity_threshold(&rho, 2.0).expect("valid trace");
-    let resp_threshold = volley_core::selectivity_threshold(&response, 8.0).expect("valid trace");
-
-    let leader = TaskId(0); // response time (cheap to sample)
-    let follower = TaskId(1); // DDoS ρ (expensive deep packet inspection)
-    let config = CorrelationConfig {
-        lag_window: 4,
-        ..CorrelationConfig::default()
-    };
-    let mut detector = CorrelationDetector::new(config, vec![leader, follower]);
-    for t in 0..train {
-        detector.observe(
-            t as u64,
-            &[response[t] > resp_threshold, rho[t] > rho_threshold],
-        );
-    }
-    let plan = detector.plan();
-
-    // The follower samples at the gated interval while the leader
-    // (sampled every tick — it is cheap) is quiet, and at the default
-    // interval once the leader fires.
-    let eval_rho = &rho[train..];
-    let truth = GroundTruth::from_trace(eval_rho, rho_threshold);
-    let mut gated_log = DetectionLog::new();
-    let mut next_sample = 0u64;
-    for (t, &value) in eval_rho.iter().enumerate() {
-        let tick = t as u64;
-        if tick >= next_sample {
-            gated_log.record(tick, 1, value > rho_threshold);
-            let leader_active = response[train + t] > resp_threshold;
-            next_sample =
-                tick + u64::from(plan.interval_for(follower, leader_active, Interval::DEFAULT));
-        }
-    }
-    let gated = gated_log.score(&truth, eval_rho.len() as u64);
-
-    CorrelationBenchReport {
+    let config = DdosCascadeConfig {
+        cluster: ClusterConfig::new(1, 1, 1),
         ticks,
-        train_ticks: train,
+        train_ticks: ticks / 2,
         seed: p.seed,
-        lag_window: config.lag_window,
-        confidence: detector
-            .necessity_confidence(leader, follower)
-            .unwrap_or(0.0),
-        follower_gated: plan.gate(follower).is_some(),
-        gated_interval: plan.gate(follower).map_or(0, |g| g.gated_interval.get()),
-        periodic_samples: eval_rho.len() as u64,
-        gated_samples: gated.sampling_ops,
-        gated_misdetection_rate: gated.misdetection_rate(),
-        gated_cost_ratio: gated.cost_ratio(),
+        ..DdosCascadeConfig::default()
+    };
+    let report = DdosCascadeScenario::from_config(config.clone()).run(1);
+    let follower_gated = report.gated_vms > 0;
+    CorrelationBenchReport {
+        ticks: config.ticks,
+        train_ticks: config.train_ticks,
+        seed: config.seed,
+        lag_window: config.correlation.lag_window,
+        confidence: report.mean_confidence,
+        follower_gated,
+        gated_interval: if follower_gated {
+            config.correlation.gated_interval.get()
+        } else {
+            0
+        },
+        periodic_samples: report.eval_ticks,
+        gated_samples: report.follower_samples,
+        gated_misdetection_rate: report.misdetection_rate(),
+        gated_cost_ratio: report.cost_ratio(),
     }
-}
-
-/// The correlated pair of traces (response time, traffic difference ρ)
-/// under attacks recurring every 900 ticks.
-fn correlated_traces(ticks: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
-    let mut config = NetflowConfig::builder()
-        .seed(seed)
-        .vms(1)
-        .scan_burst_probability(0.0)
-        .diurnal(DiurnalPattern::new((ticks as u64).min(5760), 0.3));
-    for start in (400..ticks as u64).step_by(900) {
-        config = config.attack(AttackSpec {
-            vm: 0,
-            start_tick: start,
-            duration_ticks: 80,
-            peak_asymmetry: 2500.0,
-        });
-    }
-    let rho = config.build().generate_vm(0, ticks).rho;
-    // Response time tracks attack load through an M/M/1-style model:
-    // attack asymmetry pushes utilization toward the knee and latency up.
-    let response = volley_traces::ResponseTimeModel::new(20.0, 3200.0).series(&rho, seed ^ 1);
-    (response, rho)
 }
 
 /// One arm (gated or ungated) of a [`multitask`] sweep point.

@@ -369,21 +369,6 @@ impl DistributedTask {
         }
     }
 
-    /// Current sampling interval of monitor `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolleyError::UnknownMonitor`] for an out-of-range index.
-    pub fn monitor_interval(&self, index: usize) -> Result<crate::Interval, VolleyError> {
-        self.monitors
-            .get(index)
-            .map(|m| m.sampler.interval())
-            .ok_or(VolleyError::UnknownMonitor {
-                index,
-                len: self.monitors.len(),
-            })
-    }
-
     /// Current error allowance assigned to monitor `index`.
     ///
     /// # Errors

@@ -20,6 +20,10 @@
 //!    interval once the leader fires. Gating is two-level only (a leader
 //!    is never itself gated), so one missed leader can suppress at most
 //!    its direct followers.
+//! 3. **Enforcement** ([`FollowerGate`]): the one gate rule — engage
+//!    while the leader is calm over the lag window, pace due samples to
+//!    `max(adaptive, gated)` while engaged — that the live runtime and
+//!    the simulator both apply.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -331,15 +335,77 @@ impl MonitoringPlan {
     pub fn iter(&self) -> impl Iterator<Item = (&TaskId, &Gate)> {
         self.gates.iter()
     }
+}
 
-    /// The sampling interval `task` should use given whether its leader is
-    /// currently active: gated tasks run at the coarse gated interval while
-    /// the leader is quiet and drop to `default` once it fires; ungated
-    /// tasks always use `default`.
-    pub fn interval_for(&self, task: TaskId, leader_active: bool, default: Interval) -> Interval {
-        match self.gates.get(&task) {
-            Some(gate) if !leader_active => gate.gated_interval,
-            _ => default,
+/// One follower's §II.B gate in force: the single rule every executor of
+/// a [`MonitoringPlan`] applies.
+///
+/// Fed its leader's activity one tick at a time, in ascending tick order
+/// (skipped ticks count as calm), the gate is *engaged* at tick `t` iff
+/// the leader was not active anywhere in `[t − lag_window, t]`. While
+/// engaged it paces the follower: a due sample at `t` is
+/// [held](FollowerGate::holds) iff `t < last_sample + gated_interval`,
+/// so the effective interval is `max(adaptive, gated)`, and a release
+/// snaps the follower straight back to its adaptive schedule. A fresh
+/// gate starts released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FollowerGate {
+    gated_interval: u32,
+    lag_window: u64,
+    leader_last_active: Option<Tick>,
+    engaged: bool,
+    flips: u64,
+}
+
+impl FollowerGate {
+    /// A released gate enforcing `gate` with a `lag_window`-tick leader
+    /// lag tolerance.
+    pub fn new(gate: &Gate, lag_window: u32) -> Self {
+        FollowerGate {
+            gated_interval: gate.gated_interval.get(),
+            lag_window: u64::from(lag_window),
+            leader_last_active: None,
+            engaged: false,
+            flips: 0,
+        }
+    }
+
+    /// Feeds the leader's activity at `tick` and re-evaluates the gate
+    /// there; returns whether the gate flipped (engaged or released).
+    pub fn advance(&mut self, tick: Tick, leader_active: bool) -> bool {
+        if leader_active {
+            self.leader_last_active = Some(tick);
+        }
+        let engaged = self
+            .leader_last_active
+            .is_none_or(|at| tick.saturating_sub(at) > self.lag_window);
+        let flipped = engaged != self.engaged;
+        self.engaged = engaged;
+        self.flips += u64::from(flipped);
+        flipped
+    }
+
+    /// The pacing interval in force: the gated interval while engaged,
+    /// `None` while released.
+    pub fn interval(&self) -> Option<u32> {
+        self.engaged.then_some(self.gated_interval)
+    }
+
+    /// Engage/release transitions so far.
+    pub fn flips(&self) -> u64 {
+        self.flips
+    }
+
+    /// The pacing rule: whether a gate pacing at `interval` (`None` =
+    /// released) holds back a sample due at `tick`, the follower's last
+    /// sample having been taken at `last_sample`. A follower that has
+    /// never sampled is never held: the first sample is the reference
+    /// point the pacing counts from.
+    #[inline]
+    pub fn holds(interval: Option<u32>, last_sample: Option<Tick>, tick: Tick) -> bool {
+        match (interval, last_sample) {
+            (Some(interval), Some(last)) => tick < last.saturating_add(u64::from(interval)),
+            _ => false,
         }
     }
 }
@@ -475,18 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_for_respects_gate_state() {
-        let mut det = CorrelationDetector::new(CorrelationConfig::default(), ids(2));
-        feed_necessary_pair(&mut det, 5000);
-        let plan = det.plan();
-        let default = Interval::DEFAULT;
-        let gated = plan.interval_for(TaskId(1), false, default);
-        assert_eq!(gated, CorrelationConfig::default().gated_interval);
-        assert_eq!(plan.interval_for(TaskId(1), true, default), default);
-        assert_eq!(plan.interval_for(TaskId(0), false, default), default);
-    }
-
-    #[test]
     fn cost_aware_plan_gates_the_expensive_task() {
         // Tasks 0 and 1 are mutually necessary (they fire together), so
         // either could lead. The cost-aware plan must gate whichever is
@@ -522,6 +576,32 @@ mod tests {
         // NaN / zero / short cost vectors are treated as unit costs.
         let plan = det.plan_with_costs(&[f64::NAN]);
         assert_eq!(plan.gated_count(), det.plan().gated_count());
+    }
+
+    #[test]
+    fn follower_gate_engages_exactly_outside_the_lag_window() {
+        let plan_gate = Gate {
+            leader: TaskId(0),
+            confidence: 1.0,
+            gated_interval: Interval::new_clamped(8),
+        };
+        let mut gate = FollowerGate::new(&plan_gate, 3);
+        assert_eq!(gate.interval(), None, "a fresh gate is released");
+        assert!(!gate.advance(4, true));
+        for tick in 5..=7 {
+            assert!(!gate.advance(tick, false), "tick {tick} is within the lag");
+        }
+        assert!(gate.advance(8, false), "4 + 3 < 8 engages");
+        assert_eq!(gate.interval(), Some(8));
+        assert!(FollowerGate::holds(gate.interval(), Some(8), 15));
+        assert!(!FollowerGate::holds(gate.interval(), Some(8), 16));
+        assert!(
+            !FollowerGate::holds(gate.interval(), None, 9),
+            "no reference yet"
+        );
+        assert!(gate.advance(9, true), "the leader fires: released");
+        assert!(!FollowerGate::holds(gate.interval(), Some(8), 10));
+        assert_eq!(gate.flips(), 2);
     }
 
     #[test]

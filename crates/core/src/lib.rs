@@ -87,7 +87,7 @@ pub use adaptation::{AdaptationConfig, AdaptiveSampler, Observation};
 pub use allocation::{AllocationConfig, AllowanceCostMode, ErrorAllocator, YieldMode};
 pub use bank::SamplerBank;
 pub use coordinator::{Coordinator, DistributedTask, GlobalPollOutcome, TaskStepOutcome};
-pub use correlation::{CorrelationConfig, CorrelationDetector, MonitoringPlan};
+pub use correlation::{CorrelationConfig, CorrelationDetector, FollowerGate, MonitoringPlan};
 pub use error::VolleyError;
 pub use likelihood::{exceed_probability_bound, misdetection_bound, BoundKind};
 pub use sampler::{PeriodicSampler, ReactiveSampler, SamplingPolicy};

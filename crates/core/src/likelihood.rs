@@ -275,17 +275,6 @@ pub fn sustainable_intervals_with(
     }
 }
 
-/// Convenience wrapper computing [`misdetection_bound`] straight from an
-/// [`OnlineStats`](crate::OnlineStats) accumulator.
-pub fn misdetection_bound_from_stats(
-    value: f64,
-    threshold: f64,
-    stats: &crate::OnlineStats,
-    interval: u32,
-) -> f64 {
-    misdetection_bound(value, threshold, stats.mean(), stats.std_dev(), interval)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,16 +489,5 @@ mod tests {
                 "gaussian sustains at least as long: {gauss:?} vs {cheb:?}"
             );
         }
-    }
-
-    #[test]
-    fn stats_wrapper_agrees() {
-        let mut stats = crate::OnlineStats::new();
-        for d in [1.0, -1.0, 2.0, 0.0] {
-            stats.update(d);
-        }
-        let a = misdetection_bound_from_stats(10.0, 50.0, &stats, 3);
-        let b = misdetection_bound(10.0, 50.0, stats.mean(), stats.std_dev(), 3);
-        assert_eq!(a, b);
     }
 }

@@ -230,17 +230,6 @@ impl WindowedSampler {
         &self.sampler
     }
 
-    /// Mutable access to the underlying sampler (e.g. for allowance
-    /// updates from a coordinator).
-    pub fn sampler_mut(&mut self) -> &mut AdaptiveSampler {
-        &mut self.sampler
-    }
-
-    /// The current windowed aggregate.
-    pub fn current_aggregate(&self) -> f64 {
-        self.window.aggregate(self.kind)
-    }
-
     /// Feeds the raw value sampled at `tick`, updates the window, and
     /// runs the adaptation step on the aggregate.
     pub fn observe(&mut self, tick: Tick, value: f64) -> Observation {

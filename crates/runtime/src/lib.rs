@@ -68,7 +68,7 @@
 //! (each steps a coordinator machine and its monitor plane); the runners
 //! are its setup plus a hook between steps: [`TaskRunner`] none,
 //! [`MultiTaskRunner`] the correlation gate, [`NetCoordinator`] the
-//! socket plane's turn, and [`FleetRunner`] is a pool of the loop.
+//! socket plane's turn.
 //!
 //! ```
 //! use volley_core::task::TaskSpec;
@@ -92,7 +92,6 @@
 pub mod checkpoint;
 pub mod coordinator;
 pub mod failure;
-pub mod fleet;
 pub mod message;
 pub mod monitor;
 pub mod multitask;
@@ -107,7 +106,6 @@ pub use checkpoint::{
 };
 pub use coordinator::CoordinatorActor;
 pub use failure::{FaultPath, FaultPlan};
-pub use fleet::{FleetRunner, FleetSummary, FleetTask};
 pub use monitor::MonitorActor;
 pub use multitask::{MultiTask, MultiTaskConfig, MultiTaskOutcome, MultiTaskRunner, PlanGate};
 pub use net::{

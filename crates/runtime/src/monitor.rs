@@ -5,6 +5,7 @@
 //! where frames come from and where the replies — [`MonitorFrame`]
 //! values handed to the feeder's sink — go: only the agent encodes them.
 
+use volley_core::correlation::FollowerGate;
 use volley_core::task::MonitorId;
 use volley_core::AdaptiveSampler;
 use volley_obs::{names, Counter, Histogram, Obs, SpanLog};
@@ -201,8 +202,10 @@ impl MonitorActor {
                     // paces samples to at least `gate` ticks apart while
                     // the leader task is calm. `next_sample_tick` is left
                     // untouched, so releasing the gate snaps the monitor
-                    // straight back to its adaptive schedule.
-                    if self.gate_holds(data.tick) {
+                    // straight back to its adaptive schedule. A gated
+                    // monitor that has never sampled samples at once: the
+                    // first sample seeds the δ estimate.
+                    if FollowerGate::holds(self.gate, self.last_sample_tick, data.tick) {
                         suppressed = true;
                         self.suppressed_total += 1;
                     } else {
@@ -320,18 +323,6 @@ impl MonitorActor {
                 (None, false)
             }
             CoordinatorToMonitor::Shutdown => (None, true),
-        }
-    }
-
-    /// Whether the engaged gate holds back a due sample at `tick`: a
-    /// sample was already taken fewer than `gate` ticks ago. A gated
-    /// monitor that has never sampled takes its first sample immediately
-    /// (the gate needs a reference point, and the first sample is what
-    /// seeds the δ estimate).
-    fn gate_holds(&self, tick: u64) -> bool {
-        match (self.gate, self.last_sample_tick) {
-            (Some(gate), Some(last)) => tick < last.saturating_add(u64::from(gate)),
-            _ => false,
         }
     }
 

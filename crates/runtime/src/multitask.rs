@@ -67,7 +67,9 @@ use std::path::PathBuf;
 
 use serde::Serialize;
 
-use volley_core::correlation::{CorrelationConfig, CorrelationDetector, MonitoringPlan};
+use volley_core::correlation::{
+    CorrelationConfig, CorrelationDetector, FollowerGate, MonitoringPlan,
+};
 use volley_core::task::{TaskId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::VolleyError;
@@ -269,7 +271,7 @@ impl MultiTaskRunner {
             plan: None,
             ticks: 0,
             last_active: vec![None; n],
-            engaged: vec![false; n],
+            gates: vec![None; n],
             active_now: vec![false; n],
             sections: vec![MultitaskReport::default(); n],
         };
@@ -286,9 +288,11 @@ impl MultiTaskRunner {
             .collect();
         gates.sort_by_key(|g| g.follower);
         for gate in &gates {
+            let follower = gate.follower as usize;
             let section = MultitaskReport {
                 leader: gate.leader,
-                ..policy.sections[gate.follower as usize]
+                gate_flips: policy.gates[follower].map_or(0, |(_, g)| g.flips()),
+                ..policy.sections[follower]
             };
             reports[gate.follower as usize].multitask = Some(section);
         }
@@ -314,9 +318,11 @@ struct CorrelationGate<'c> {
     plan: Option<MonitoringPlan>,
     ticks: u64,
     /// Last tick each task's violation activity was *detected* (locally
-    /// reported or alerted), the §II.B precondition signal.
+    /// reported or alerted), the §II.B precondition signal: seeds each
+    /// follower's gate when the plan is derived.
     last_active: Vec<Option<Tick>>,
-    engaged: Vec<bool>,
+    /// Each gated follower's leader index and gate, by task index.
+    gates: Vec<Option<(usize, FollowerGate)>>,
     active_now: Vec<bool>,
     sections: Vec<MultitaskReport>,
 }
@@ -329,19 +335,13 @@ impl Hook for CorrelationGate<'_> {
 
     /// Drives a follower's gate ahead of its tick frame.
     fn before_step(&mut self, tick: Tick, task: usize, session: &mut TaskSession<'_>) {
-        let Some(gate) = self.plan.as_ref().and_then(|p| p.gate(TaskId(task as u64))) else {
+        let Some((leader, gate)) = self.gates[task].as_mut() else {
             return;
         };
-        let lag = u64::from(self.config.correlation.lag_window);
-        let leader_active =
-            self.last_active[gate.leader.0 as usize].is_some_and(|at| tick - at <= lag);
-        let engage = !leader_active;
-        if engage != self.engaged[task] {
-            self.engaged[task] = engage;
-            self.sections[task].gate_flips += 1;
-            session.drive_gate(tick, leader_active);
+        if gate.advance(tick, self.active_now[*leader]) {
+            session.drive_gate(tick, gate.interval().is_none());
         }
-        if engage {
+        if gate.interval().is_some() {
             self.sections[task].gated_ticks += 1;
         }
     }
@@ -371,6 +371,15 @@ impl Hook for CorrelationGate<'_> {
                 None => self.detector.plan(),
             };
             order.sort_by_key(|&i| derived.gate(TaskId(i as u64)).is_some());
+            let lag = self.config.correlation.lag_window;
+            for (follower, gate) in derived.iter() {
+                let leader = gate.leader.0 as usize;
+                let mut follower_gate = FollowerGate::new(gate, lag);
+                if let Some(at) = self.last_active[leader] {
+                    follower_gate.advance(at, true);
+                }
+                self.gates[follower.0 as usize] = Some((leader, follower_gate));
+            }
             self.plan = Some(derived);
         }
     }

@@ -1,17 +1,17 @@
 //! Incremental frame reassembly for nonblocking sockets.
 //!
-//! [`crate::transport::read_frame_limited`] assumes a blocking
-//! [`std::io::BufRead`]: it can park until a full line arrives. A
-//! nonblocking event loop cannot — reads return whatever bytes the
+//! A blocking reader over [`std::io::BufRead`] can park until a full
+//! line arrives. A nonblocking event loop cannot — reads return whatever bytes the
 //! kernel has, cut at arbitrary boundaries, so frames must be
 //! reassembled across reads. [`FrameBuffer`] does exactly that: feed it
 //! raw chunks with [`extend`](FrameBuffer::extend), pop complete frames
 //! with [`next_frame`](FrameBuffer::next_frame).
 //!
-//! The size-cap semantics match `read_frame_limited` bit for bit: a
-//! frame whose payload (excluding the terminating newline) exceeds the
-//! cap is an error — detected as soon as the buffered bytes prove it,
-//! without waiting for a newline a hostile peer may never send.
+//! The size cap: a frame whose payload (excluding the terminating
+//! newline) exceeds it is an error — detected as soon as the buffered
+//! bytes prove it, without waiting for a newline a hostile peer may
+//! never send. `tests/proptest_net_codec.rs` holds [`FrameBuffer`] to a
+//! blocking reference reader with the same cap, frame for frame.
 
 use bytes::Bytes;
 
@@ -31,8 +31,7 @@ pub struct FrameBuffer {
 
 impl FrameBuffer {
     /// Creates a buffer enforcing `max_frame` as the payload cap
-    /// (excluding the terminating newline, matching
-    /// [`crate::transport::read_frame_limited`]).
+    /// (excluding the terminating newline).
     pub fn new(max_frame: usize) -> Self {
         FrameBuffer {
             buf: Vec::new(),

@@ -37,8 +37,7 @@
 //! The runners keep setup and a hook only: [`crate::TaskRunner`] is one
 //! in-process task with no hook; [`crate::MultiTaskRunner`] N of them
 //! with the correlation gate as its hook; [`crate::NetCoordinator`] one
-//! remote task with the socket plane's turn as its hook;
-//! [`crate::FleetRunner`] a pool of single-task loops.
+//! remote task with the socket plane's turn as its hook.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

@@ -8,9 +8,11 @@
 //! response-time probe is cheap (an agent query); the `ρ` task is
 //! expensive (packet capture + deep packet inspection). So each VM's
 //! monitor learns the correlation over a training window and then
-//! *gates* the expensive `ρ` task: while the cheap leader is calm the
-//! follower samples at the coarse gated interval, and it snaps back to
-//! its adaptive schedule the moment the leader fires.
+//! *gates* the expensive `ρ` task with the shared §II.B
+//! [`FollowerGate`]: while the cheap leader has been calm over the lag
+//! window, the follower's samples are paced to at least the coarse
+//! gated interval apart, and it snaps back to its adaptive schedule the
+//! moment the leader fires — the live runtime's rule, tick for tick.
 //!
 //! The scenario runs one such leader/follower pair per VM on the
 //! sharded engine ([`crate::shard`]) — shards never exchange state, so
@@ -23,11 +25,10 @@
 use serde::{Deserialize, Serialize};
 
 use volley_core::accuracy::{AccuracyReport, DetectionLog, GroundTruth};
-use volley_core::correlation::{CorrelationConfig, CorrelationDetector};
+use volley_core::correlation::{CorrelationConfig, CorrelationDetector, FollowerGate};
 use volley_core::task::TaskId;
 use volley_core::{AdaptationConfig, SamplerBank};
-use volley_traces::netflow::{AttackSpec, NetflowConfig};
-use volley_traces::{DiurnalPattern, ResponseTimeModel, TraceFamily};
+use volley_traces::{PlantedPair, TraceFamily};
 
 use crate::cluster::{ClusterConfig, VmId};
 use crate::scenario::{fleet_engine, merged_accuracy};
@@ -130,35 +131,18 @@ struct CascadeShard {
     window: SimDuration,
     ticks: u64,
     train: u64,
-    lag: u64,
     first_vm: u32,
     /// Follower (`ρ`) adaptive samplers.
     bank: SamplerBank,
     rho: Vec<Vec<f64>>,
     response: Vec<Vec<f64>>,
     response_thresholds: Vec<f64>,
-    /// Per-VM gated interval, when training qualified (and applied) one.
-    gates: Vec<Option<u32>>,
+    /// Per-VM gate, when training qualified (and applied) one, with the
+    /// first tick of leader activity not yet fed to it.
+    gates: Vec<Option<(FollowerGate, u64)>>,
     confidences: Vec<f64>,
     /// Follower detections over the evaluation window (tick-rebased).
     logs: Vec<DetectionLog>,
-}
-
-impl CascadeShard {
-    /// Was the leader active anywhere in `[tick − lag, tick]`?
-    fn leader_active_within(&self, local: usize, tick: u64) -> bool {
-        let from = tick.saturating_sub(self.lag) as usize;
-        self.response[local][from..=tick as usize]
-            .iter()
-            .any(|&v| v > self.response_thresholds[local])
-    }
-
-    /// First tick in `[from, to]` (clamped to the run) where the leader
-    /// is active — the snap-back wake-up point.
-    fn first_leader_activity(&self, local: usize, from: u64, to: u64) -> Option<u64> {
-        let to = to.min(self.ticks.saturating_sub(1));
-        (from..=to).find(|&t| self.response[local][t as usize] > self.response_thresholds[local])
-    }
 }
 
 impl ShardWorker for CascadeShard {
@@ -182,15 +166,20 @@ impl ShardWorker for CascadeShard {
             self.logs[local].record(tick - self.train, 1, obs.violation);
         }
         let mut next = obs.next_sample_tick;
-        // Once the plan is in force, a calm leader paces the follower at
-        // the coarse gated interval — unless the leader fires first, in
-        // which case the follower snaps back at that very tick.
-        if let Some(gate) = self.gates[local] {
-            if tick >= self.train && !self.leader_active_within(local, tick) {
-                let coarse = tick + u64::from(gate);
-                next = self
-                    .first_leader_activity(local, tick + 1, coarse)
-                    .unwrap_or(coarse);
+        // Once the plan is in force (from `train` on), the next sample is
+        // the first tick at or after the adaptive one that the gate, fed
+        // the leader's trace up to that tick, does not hold.
+        if let Some((gate, fed)) = &mut self.gates[local] {
+            let (response, threshold) = (&self.response[local], self.response_thresholds[local]);
+            while next >= self.train && next < self.ticks {
+                for t in *fed..=next {
+                    gate.advance(t, response[t as usize] > threshold);
+                }
+                *fed = next + 1;
+                if !FollowerGate::holds(gate.interval(), Some(tick), next) {
+                    break;
+                }
+                next += 1;
             }
         }
         if next < self.ticks {
@@ -223,27 +212,9 @@ impl DdosCascadeScenario {
         let ticks = cfg.ticks;
         let train = cfg.train_ticks;
 
-        // Recurring attacks on every VM, phase-staggered so the fleet's
-        // attacks don't land in lockstep; every VM sees attacks in both
+        // Recurring attacks on every VM: every VM sees attacks in both
         // the training and the evaluation window.
-        let mut netflow = NetflowConfig::builder()
-            .seed(cfg.seed)
-            .vms(total_vms)
-            .scan_burst_probability(0.0)
-            .diurnal(DiurnalPattern::new((ticks as u64).min(5760), 0.3));
-        for vm in 0..total_vms {
-            let mut start = (vm as u64 * 211) % cfg.attack_period;
-            while (start as usize) < ticks {
-                netflow = netflow.attack(AttackSpec {
-                    vm,
-                    start_tick: start,
-                    duration_ticks: 80,
-                    peak_asymmetry: 2500.0,
-                });
-                start += cfg.attack_period;
-            }
-        }
-        let netflow = netflow.build();
+        let pairs = PlantedPair::new(cfg.seed, total_vms, ticks, cfg.attack_period);
 
         let adaptation = AdaptationConfig::builder()
             .error_allowance(cfg.error_allowance)
@@ -272,12 +243,7 @@ impl DdosCascadeScenario {
                 let leader = TaskId(0);
                 let follower = TaskId(1);
                 for vm in plan.vms_of(shard) {
-                    let rho = netflow.generate_vm(vm.0 as usize, ticks).rho;
-                    // Response time tracks attack load through the
-                    // M/M/1-style model; a per-VM stream keeps pairs
-                    // independent.
-                    let response = ResponseTimeModel::new(20.0, 3200.0)
-                        .series(&rho, cfg.seed ^ (u64::from(vm.0) + 1));
+                    let (response, rho) = pairs.generate_vm(vm.0 as usize);
                     let rho_threshold = volley_core::selectivity_threshold(&rho, 2.0)
                         .expect("non-empty trace, valid selectivity");
                     let resp_threshold = volley_core::selectivity_threshold(&response, 8.0)
@@ -301,7 +267,7 @@ impl DdosCascadeScenario {
                         detector
                             .plan()
                             .gate(follower)
-                            .map(|g| g.gated_interval.get())
+                            .map(|g| (FollowerGate::new(g, cfg.correlation.lag_window), 0))
                     } else {
                         None
                     });
@@ -316,7 +282,6 @@ impl DdosCascadeScenario {
                     window,
                     ticks: ticks as u64,
                     train: train as u64,
-                    lag: u64::from(cfg.correlation.lag_window),
                     first_vm,
                     bank,
                     rho: rho_traces,

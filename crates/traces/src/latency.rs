@@ -8,12 +8,16 @@
 //! (request rate, traffic volume, attack asymmetry) into a response-time
 //! series with an M/M/1-style hockey-stick: latency is flat while load is
 //! below the knee and grows as `1/(1 − utilization)` beyond it, plus
-//! log-normal-ish service jitter.
+//! log-normal-ish service jitter. [`PlantedPair`] plants that pairing on
+//! a fleet: the §II.B cascade the simulator and its runtime oracle share.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
+
+use crate::netflow::{AttackSpec, NetflowConfig};
+use crate::DiurnalPattern;
 
 /// A load → response-time transfer model.
 ///
@@ -98,6 +102,57 @@ impl ResponseTimeModel {
                 (base * (1.0 + noise.sample(&mut rng))).max(0.1)
             })
             .collect()
+    }
+}
+
+/// The §II.B planted leader/follower pair on every VM of a fleet:
+/// recurring DDoS attacks (80 ticks at peak asymmetry 2 500, one every
+/// `attack_period` ticks, phase-staggered by VM so the fleet's attacks
+/// do not land in lockstep) drive each VM's traffic asymmetry `ρ` — the
+/// expensive follower's signal — and, through a [`ResponseTimeModel`],
+/// its request response time, the cheap necessary-condition leader's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlantedPair {
+    netflow: NetflowConfig,
+    ticks: usize,
+    seed: u64,
+}
+
+impl PlantedPair {
+    /// Plants attacks on `vms` VMs over `ticks` ticks.
+    pub fn new(seed: u64, vms: usize, ticks: usize, attack_period: u64) -> Self {
+        let mut netflow = NetflowConfig::builder()
+            .seed(seed)
+            .vms(vms)
+            .scan_burst_probability(0.0)
+            .diurnal(DiurnalPattern::new((ticks as u64).min(5760), 0.3));
+        for vm in 0..vms {
+            let mut start = (vm as u64 * 211) % attack_period;
+            while (start as usize) < ticks {
+                netflow = netflow.attack(AttackSpec {
+                    vm,
+                    start_tick: start,
+                    duration_ticks: 80,
+                    peak_asymmetry: 2500.0,
+                });
+                start += attack_period;
+            }
+        }
+        PlantedPair {
+            netflow: netflow.build(),
+            ticks,
+            seed,
+        }
+    }
+
+    /// VM `vm`'s `(response time, ρ)` series. Response time tracks attack
+    /// load through the M/M/1-style model; a per-VM jitter stream keeps
+    /// the pairs independent.
+    pub fn generate_vm(&self, vm: usize) -> (Vec<f64>, Vec<f64>) {
+        let rho = self.netflow.generate_vm(vm, self.ticks).rho;
+        let response =
+            ResponseTimeModel::new(20.0, 3200.0).series(&rho, self.seed ^ (vm as u64 + 1));
+        (response, rho)
     }
 }
 

@@ -19,7 +19,8 @@
 //!
 //! Support modules: [`zipf`] (the skewed distribution of Figure 8),
 //! [`diurnal`] (day-cycle shaping), [`latency`] (load → response-time
-//! modelling for correlated tasks), and [`timeseries`] (quantiles and
+//! modelling, and the planted DDoS leader/follower pair, for correlated
+//! tasks), and [`timeseries`] (quantiles and
 //! summary statistics used by the experiment harness).
 //!
 //! All generators are fully deterministic given a seed, so every
@@ -54,7 +55,7 @@ pub mod zipf;
 
 pub use diurnal::DiurnalPattern;
 pub use http::{HttpWorkload, HttpWorkloadConfig};
-pub use latency::ResponseTimeModel;
+pub use latency::{PlantedPair, ResponseTimeModel};
 pub use netflow::{AttackSpec, NetflowConfig, VmTraffic};
 pub use sysmetrics::{MetricClass, MetricSpec, SystemMetricsGenerator, METRIC_CATALOG};
 pub use timeseries::SeriesSummary;

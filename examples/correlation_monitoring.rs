@@ -3,104 +3,43 @@
 //!
 //! Response-time growth is a necessary condition of an effective DDoS
 //! attack, so the expensive deep-packet-inspection task only needs high
-//! frequency while response time is elevated. The example learns that
-//! correlation from data, builds the monitoring plan, and compares the
-//! gated task's cost and accuracy against always-on sampling.
+//! frequency while response time is elevated. The example runs the DDoS
+//! cascade on one VM twice: the plain adaptive follower, then the same
+//! follower gated on the response-time leader the detector learned from
+//! the first half of the run.
 //!
 //! Run with: `cargo run --example correlation_monitoring`
 
-use volley::core::correlation::{CorrelationConfig, CorrelationDetector};
-use volley::core::task::TaskId;
-use volley::core::Interval;
-use volley::NetflowConfig;
-use volley_traces::netflow::AttackSpec;
+use volley::sim::{ClusterConfig, DdosCascadeConfig, DdosCascadeScenario};
 
 const TICKS: usize = 12_000;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Traffic with recurring attacks; response time tracks attack load.
-    let mut config = NetflowConfig::builder()
-        .seed(3)
-        .vms(1)
-        .scan_burst_probability(0.0);
-    let mut start = 500u64;
-    while (start as usize) < TICKS {
-        config = config.attack(AttackSpec {
-            vm: 0,
-            start_tick: start,
-            duration_ticks: 100,
-            peak_asymmetry: 2200.0,
-        });
-        start += 1100;
-    }
-    let rho = config.build().generate_vm(0, TICKS).rho;
-    // Response time follows attack load through an M/M/1-style model.
-    let response = volley_traces::ResponseTimeModel::new(25.0, 3000.0).series(&rho, 99);
-
-    let rho_threshold = volley::selectivity_threshold(&rho, 2.0)?;
-    let resp_threshold = volley::selectivity_threshold(&response, 8.0)?;
-
-    // Learn the correlation on the first half of the data.
-    let response_task = TaskId(0);
-    let ddos_task = TaskId(1);
-    let mut detector = CorrelationDetector::new(
-        CorrelationConfig {
-            lag_window: 4,
-            ..CorrelationConfig::default()
-        },
-        vec![response_task, ddos_task],
+fn main() {
+    let run = |gated| {
+        DdosCascadeScenario::from_config(DdosCascadeConfig {
+            cluster: ClusterConfig::new(1, 1, 1),
+            ticks: TICKS,
+            train_ticks: TICKS / 2,
+            seed: 3,
+            gated,
+            ..DdosCascadeConfig::default()
+        })
+        .run(1)
+    };
+    let (ungated, gated) = (run(false), run(true));
+    println!(
+        "learned P(response time high | DDoS violation) = {:.3}; follower gated: {}",
+        gated.mean_confidence,
+        gated.gated_vms > 0
     );
-    let train = TICKS / 2;
-    for t in 0..train {
-        detector.observe(
-            t as u64,
-            &[response[t] > resp_threshold, rho[t] > rho_threshold],
+    println!("evaluation window: {} ticks", gated.eval_ticks);
+    for (name, report) in [("adaptive", &ungated), ("gated", &gated)] {
+        println!(
+            "{name:>9}: {:>5} DDoS samples ({:.1}% of periodic), {}/{} violations caught",
+            report.follower_samples,
+            100.0 * report.cost_ratio(),
+            report.accuracy.detected,
+            report.accuracy.violations
         );
     }
-    let plan = detector.plan();
-    match plan.gate(ddos_task) {
-        Some(gate) => println!(
-            "learned gate: DDoS task follows {} (confidence {:.3}, quiet interval {})",
-            gate.leader, gate.confidence, gate.gated_interval
-        ),
-        None => println!("no gate learned — tasks look uncorrelated"),
-    }
-
-    // Apply the plan on the second half: sample the DDoS task coarsely
-    // while response time is calm, at full rate once it rises.
-    let mut samples = 0u64;
-    let mut detected = 0u64;
-    let mut violations = 0u64;
-    let mut next_sample = 0u64;
-    for (t, &value) in rho[train..].iter().enumerate() {
-        let tick = t as u64;
-        let violating = value > rho_threshold;
-        if violating {
-            violations += 1;
-        }
-        if tick >= next_sample {
-            samples += 1;
-            if violating {
-                detected += 1;
-            }
-            let leader_active = response[train + t] > resp_threshold;
-            let interval = plan.interval_for(ddos_task, leader_active, Interval::DEFAULT);
-            next_sample = tick + u64::from(interval);
-        }
-    }
-    let eval_len = (TICKS - train) as u64;
-    println!("\nevaluation window: {eval_len} ticks");
-    println!(
-        "DDoS sampling cost: {:.1}% of always-on",
-        100.0 * samples as f64 / eval_len as f64
-    );
-    println!(
-        "violations caught:  {detected}/{violations} ({:.1}% miss rate)",
-        if violations > 0 {
-            100.0 * (violations - detected) as f64 / violations as f64
-        } else {
-            0.0
-        }
-    );
-    Ok(())
 }

@@ -34,8 +34,8 @@ pub use volley_sim::{
     ShardPlan, ShardedEngine, SimDuration, SimTime, VmId,
 };
 
-// Runtime: the live monitor/coordinator runtime and fleet execution.
-pub use volley_runtime::{FleetRunner, FleetSummary, FleetTask, RuntimeReport, TaskRunner};
+// Runtime: the live monitor/coordinator runtime.
+pub use volley_runtime::{RuntimeReport, TaskRunner};
 
 // Traces: synthetic workloads standing in for the paper's datasets.
 pub use volley_traces::{

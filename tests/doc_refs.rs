@@ -1,0 +1,172 @@
+//! Drift guard for the current-state documents: `DESIGN.md`,
+//! `README.md` and `docs/API.md` may only name what exists.
+//!
+//! Checked in inline code spans and link targets (fenced blocks are
+//! examples, compiled or driven elsewhere):
+//! - a repo path (first component a top-level entry of the repo, a
+//!   `:line` suffix allowed) must exist, and a `file.rs::name` suffix
+//!   must name something in that file;
+//! - every segment of a `a::b` path must occur somewhere in the sources
+//!   under `crates/`, `src/` or `vendor/`;
+//! - a relative link must resolve from the document's directory.
+
+use std::collections::HashSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "docs/API.md"];
+const SOURCES: [&str; 3] = ["crates", "src", "vendor"];
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Every identifier-like word in the `.rs` / `.toml` files under `dir`.
+fn collect_words(dir: &Path, words: &mut HashSet<String>) {
+    for entry in fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") {
+                collect_words(&path, words);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "toml") {
+            let text = fs::read_to_string(&path).expect("readable source");
+            words.extend(
+                text.split(|c: char| !is_ident_char(c))
+                    .filter(|w| !w.is_empty())
+                    .map(str::to_owned),
+            );
+        }
+    }
+}
+
+/// The problems with one inline code span.
+fn check_span(
+    span: &str,
+    root: &Path,
+    tops: &HashSet<String>,
+    words: &HashSet<String>,
+) -> Vec<String> {
+    let mut problems = Vec::new();
+    // Repo paths, with an optional `:line` or `::item` suffix.
+    let path_char = |c: char| is_ident_char(c) || "./-:{},*<>…".contains(c);
+    for token in span.split(|c: char| !path_char(c)) {
+        let token = token.trim_end_matches(['.', ',', ':']);
+        let Some((first, _)) = token.split_once('/') else {
+            continue;
+        };
+        if !tops.contains(first) || first == "target" || token.contains(['{', '*', '<', '…']) {
+            continue;
+        }
+        let (file, items) = token.split_once("::").unwrap_or((token, ""));
+        let file = file.split(':').next().unwrap_or(file);
+        let path = root.join(file);
+        if !path.exists() {
+            problems.push(format!("path `{file}` does not exist"));
+            continue;
+        }
+        if !items.is_empty() {
+            let text = fs::read_to_string(&path).unwrap_or_default();
+            for item in items.split("::") {
+                let item = item.trim_end_matches('*');
+                if !text.contains(item) {
+                    problems.push(format!("`{item}` is not in `{file}`"));
+                }
+            }
+        }
+    }
+    // `a::b` paths: runs of identifier characters and colons.
+    let chars: Vec<char> = span.chars().collect();
+    let mut i = 0;
+    while i < chars.len() {
+        if !(is_ident_char(chars[i]) || chars[i] == ':') {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < chars.len() && (is_ident_char(chars[i]) || chars[i] == ':') {
+            i += 1;
+        }
+        let run: String = chars[start..i].iter().collect();
+        // `file.rs::item` was checked above; `a::b{c,d}` / `a::b*` end in
+        // a prefix, not a segment.
+        let qualified_file = start > 0 && chars[start - 1] == '.';
+        if !run.contains("::") || qualified_file {
+            continue;
+        }
+        let prefix_end = chars.get(i).is_some_and(|c| *c == '{' || *c == '*');
+        let segments: Vec<&str> = run.split("::").filter(|s| !s.is_empty()).collect();
+        let checked = if prefix_end {
+            &segments[..segments.len().saturating_sub(1)]
+        } else {
+            &segments[..]
+        };
+        for segment in checked {
+            let is_ident = segment.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_');
+            if is_ident && !words.contains(*segment) {
+                problems.push(format!(
+                    "`{run}`: `{segment}` occurs nowhere in the sources"
+                ));
+            }
+        }
+    }
+    problems
+}
+
+#[test]
+fn documents_name_only_what_exists() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut words = HashSet::new();
+    for dir in SOURCES {
+        collect_words(&root.join(dir), &mut words);
+    }
+    let tops: HashSet<String> = fs::read_dir(&root)
+        .expect("readable repo root")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+
+    let mut problems = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("readable document");
+        let dir = root.join(doc).parent().expect("document dir").to_path_buf();
+        let mut fenced = false;
+        for (number, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if fenced {
+                continue;
+            }
+            let mut found = Vec::new();
+            for span in line.split('`').skip(1).step_by(2) {
+                found.extend(check_span(span, &root, &tops, &words));
+            }
+            for link in line.split("](").skip(1) {
+                let target = link.split([')', ' ']).next().unwrap_or_default();
+                let target = target.split('#').next().unwrap_or_default();
+                if target.is_empty() || target.contains("://") || target.starts_with("mailto:") {
+                    continue;
+                }
+                if !dir.join(target).exists() {
+                    found.push(format!("link `{target}` does not resolve"));
+                }
+            }
+            problems.extend(
+                found
+                    .into_iter()
+                    .map(|p| format!("{doc}:{}: {p}", number + 1)),
+            );
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "documents name what does not exist:\n{}",
+        problems.join("\n")
+    );
+}

@@ -1,8 +1,8 @@
 //! End-to-end tests of the live §II.B multi-task suppression on the
 //! in-process runtime: a planted leader/follower cascade yields a gate
 //! that saves follower samples without missing its post-training
-//! alerts, ungated tasks report exactly what a solo `TaskRunner` and a
-//! `FleetRunner` report (all three are the one drive loop), and the
+//! alerts, ungated tasks report exactly what a solo `TaskRunner`
+//! reports (both are the one drive loop), and the
 //! follower-gate state survives a coordinator crash/failover — the WAL
 //! checkpoint round-trips the suppression counters bit-for-bit, so a
 //! standby resumes pacing where the deposed primary stopped.
@@ -10,9 +10,7 @@
 use volley::core::correlation::CorrelationConfig;
 use volley::core::task::TaskSpec;
 use volley::runtime::checkpoint::Wal;
-use volley::runtime::{
-    FleetRunner, FleetTask, MultiTask, MultiTaskConfig, MultiTaskRunner, TaskRunner,
-};
+use volley::runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner, TaskRunner};
 
 fn spec() -> TaskSpec {
     TaskSpec::builder(100.0)
@@ -118,22 +116,6 @@ fn ungated_tasks_report_exactly_what_a_solo_runner_reports() {
             .run(&task.traces)
             .expect("solo run");
         assert_eq!(outcome.reports[index], solo, "task {index}");
-    }
-    // A fleet is a pool of the same loop: the same submissions on one or
-    // two pool threads fold to the same reports.
-    for threads in [1, 2] {
-        let fleet = tasks
-            .iter()
-            .map(|task| FleetTask {
-                runner: TaskRunner::new(&task.spec).expect("valid runner"),
-                traces: task.traces.clone(),
-            })
-            .collect();
-        let (reports, _) = FleetRunner::new()
-            .with_threads(threads)
-            .run(fleet)
-            .expect("fleet run");
-        assert_eq!(reports, outcome.reports, "{threads} pool threads");
     }
 }
 

@@ -5,12 +5,91 @@
 //! and must agree bit-for-bit with the blocking reader
 //! (`read_frame_limited`) it replaces on the nonblocking path.
 
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Read};
 
 use proptest::prelude::*;
 
+use volley::core::VolleyError;
 use volley::runtime::net::FrameBuffer;
-use volley::runtime::transport::read_frame_limited;
+
+/// The blocking reference reader: one newline-delimited frame of at most
+/// `max_size` bytes from `reader`; `Ok(None)` signals a clean end of
+/// stream. An oversized frame is an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error wrapping
+/// [`VolleyError::FrameTooLarge`], and so is a stream that ends
+/// mid-frame (bytes after the last newline).
+fn read_frame_limited<R: BufRead>(
+    reader: &mut R,
+    max_size: usize,
+) -> std::io::Result<Option<Vec<u8>>> {
+    let mut buffer = Vec::new();
+    // Read at most one byte past the cap: enough to distinguish "exactly
+    // at the limit" from "over it" without unbounded buffering.
+    let mut limited = reader.take(max_size as u64 + 1);
+    let read = limited.read_until(b'\n', &mut buffer)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if buffer.last() != Some(&b'\n') {
+        if buffer.len() > max_size {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                VolleyError::FrameTooLarge {
+                    size: buffer.len(),
+                    max_size,
+                },
+            ));
+        }
+        // EOF in the middle of a frame: a crashed peer's half-written
+        // message, never a message.
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("stream ended mid-frame after {} bytes", buffer.len()),
+        ));
+    }
+    Ok(Some(buffer))
+}
+
+#[test]
+fn frames_are_read_until_a_clean_end_of_stream() {
+    let wire = b"{\"tick\":9}\nsecond\n".to_vec();
+    let mut reader = BufReader::new(wire.as_slice());
+    let first = read_frame_limited(&mut reader, 64).unwrap().unwrap();
+    assert_eq!(first, b"{\"tick\":9}\n");
+    let second = read_frame_limited(&mut reader, 64).unwrap().unwrap();
+    assert_eq!(second, b"second\n");
+    assert!(
+        read_frame_limited(&mut reader, 64).unwrap().is_none(),
+        "stream ends cleanly"
+    );
+}
+
+#[test]
+fn oversized_frame_is_rejected() {
+    let wire = vec![b'x'; 100]; // no newline within the cap
+    let mut reader = BufReader::new(wire.as_slice());
+    let err = read_frame_limited(&mut reader, 64).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("65"), "reports the observed size");
+}
+
+#[test]
+fn frame_exactly_at_the_cap_is_accepted() {
+    let mut wire = vec![b'x'; 63];
+    wire.push(b'\n');
+    let mut reader = BufReader::new(wire.as_slice());
+    let frame = read_frame_limited(&mut reader, 64).unwrap().unwrap();
+    assert_eq!(frame.len(), 64);
+}
+
+#[test]
+fn truncated_final_frame_is_an_error() {
+    let wire = b"{\"tick\":1".to_vec(); // peer died mid-write
+    let mut reader = BufReader::new(wire.as_slice());
+    let err = read_frame_limited(&mut reader, 64).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("mid-frame"));
+}
 
 /// Builds the wire image: every frame payload (newline-free) terminated
 /// by `\n`.
@@ -114,7 +193,7 @@ proptest! {
         let mut reader = BufReader::new(&wire[..]);
         let mut blocking = Vec::new();
         while let Some(frame) = read_frame_limited(&mut reader, 4096).expect("reads") {
-            blocking.push(frame.to_vec());
+            blocking.push(frame);
         }
         prop_assert_eq!(nonblocking, blocking);
     }

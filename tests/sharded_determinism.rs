@@ -1,7 +1,8 @@
-//! Cross-thread determinism of the sharded simulation engine and the
-//! fleet runner: for a fixed seed, results are bit-identical no matter
-//! how many worker threads execute them. Thread count may only change
-//! wall-clock time, never a single reported number.
+//! Cross-thread determinism of the sharded simulation engine and of a
+//! fleet of isolated runtime tasks: for a fixed seed, results are
+//! bit-identical no matter how many worker threads execute them. Thread
+//! count may only change wall-clock time, never a single reported
+//! number.
 
 use std::time::Duration;
 
@@ -164,7 +165,57 @@ fn engine_rng_streams_identical_across_thread_counts() {
     }
 }
 
-fn fleet_tasks(seed: u64, faults: bool) -> Vec<volley::runtime::FleetTask> {
+/// A fleet of independent tasks: each a configured runner plus its
+/// per-monitor traces.
+type Fleet = Vec<(TaskRunner, Vec<Vec<f64>>)>;
+
+/// Fleet-wide totals, folded in submission order.
+#[derive(Debug, PartialEq)]
+struct FleetSummary {
+    tasks: usize,
+    total_samples: u64,
+    baseline_samples: u64,
+    alerts: u64,
+    polls: u64,
+}
+
+/// Runs the fleet's tasks with `TaskRunner::run`, split into contiguous
+/// batches over `threads` scoped threads, and folds the reports in
+/// submission order.
+fn run_fleet(fleet: &Fleet, threads: usize) -> (Vec<RuntimeReport>, FleetSummary) {
+    let batch = fleet.len().div_ceil(threads).max(1);
+    let reports: Vec<RuntimeReport> = std::thread::scope(|scope| {
+        let workers: Vec<_> = fleet
+            .chunks(batch)
+            .map(|tasks| {
+                scope.spawn(move || {
+                    let run = |(runner, traces): &(TaskRunner, Vec<Vec<f64>>)| {
+                        runner.run(traces).expect("task run succeeds")
+                    };
+                    tasks.iter().map(run).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("worker thread"))
+            .collect()
+    });
+    let summary = FleetSummary {
+        tasks: reports.len(),
+        total_samples: reports.iter().map(|r| r.total_samples).sum(),
+        baseline_samples: reports
+            .iter()
+            .zip(fleet)
+            .map(|(r, (_, traces))| r.ticks * traces.len() as u64)
+            .sum(),
+        alerts: reports.iter().map(|r| r.alerts).sum(),
+        polls: reports.iter().map(|r| r.polls).sum(),
+    };
+    (reports, summary)
+}
+
+fn fleet_tasks(seed: u64, faults: bool) -> Fleet {
     let workload = HttpWorkloadConfig::builder()
         .seed(seed)
         .objects(9)
@@ -200,7 +251,7 @@ fn fleet_tasks(seed: u64, faults: bool) -> Vec<volley::runtime::FleetTask> {
             } else {
                 runner
             };
-            volley::runtime::FleetTask { runner, traces }
+            (runner, traces)
         })
         .collect()
 }
@@ -208,15 +259,9 @@ fn fleet_tasks(seed: u64, faults: bool) -> Vec<volley::runtime::FleetTask> {
 #[test]
 fn fleet_runner_identical_across_thread_caps() {
     for seed in SEEDS {
-        let (baseline_reports, baseline_summary) = FleetRunner::new()
-            .with_threads(1)
-            .run(fleet_tasks(seed, false))
-            .expect("fleet run succeeds");
+        let (baseline_reports, baseline_summary) = run_fleet(&fleet_tasks(seed, false), 1);
         for threads in THREADS {
-            let (reports, summary) = FleetRunner::new()
-                .with_threads(threads)
-                .run(fleet_tasks(seed, false))
-                .expect("fleet run succeeds");
+            let (reports, summary) = run_fleet(&fleet_tasks(seed, false), threads);
             assert_eq!(
                 reports, baseline_reports,
                 "fleet reports diverged at seed {seed}, cap {threads}"
@@ -232,20 +277,14 @@ fn fleet_runner_identical_across_thread_caps() {
 #[test]
 fn fleet_runner_identical_across_thread_caps_under_faults() {
     for seed in SEEDS {
-        let (baseline_reports, baseline_summary) = FleetRunner::new()
-            .with_threads(1)
-            .run(fleet_tasks(seed, true))
-            .expect("fleet run succeeds");
+        let (baseline_reports, baseline_summary) = run_fleet(&fleet_tasks(seed, true), 1);
         // Faults actually fired: the crashed monitor was quarantined.
         assert!(
             baseline_reports.iter().all(|r| r.quarantines >= 1),
             "expected the injected crash to register"
         );
         for threads in THREADS {
-            let (reports, summary) = FleetRunner::new()
-                .with_threads(threads)
-                .run(fleet_tasks(seed, true))
-                .expect("fleet run succeeds");
+            let (reports, summary) = run_fleet(&fleet_tasks(seed, true), threads);
             assert_eq!(
                 reports, baseline_reports,
                 "faulted fleet reports diverged at seed {seed}, cap {threads}"
@@ -348,10 +387,7 @@ fn fleet_runner_matches_pre_rewrite_goldens() {
     for (goldens, faults) in [(GOLDEN_CLEAN, false), (GOLDEN_FAULTED, true)] {
         for (seed, expected) in goldens {
             for threads in THREADS {
-                let (reports, summary) = FleetRunner::new()
-                    .with_threads(threads)
-                    .run(fleet_tasks(seed, faults))
-                    .expect("fleet run succeeds");
+                let (reports, summary) = run_fleet(&fleet_tasks(seed, faults), threads);
                 // Fleet tasks never gate, so the multi-task section is
                 // always absent; masking it keeps the digests comparable
                 // to the reports captured before `RuntimeReport` grew
@@ -360,7 +396,7 @@ fn fleet_runner_matches_pre_rewrite_goldens() {
                 assert_eq!(
                     fnv1a(&repr),
                     expected,
-                    "fleet runner (faults: {faults}) drifted from the pre-rewrite engine at seed {seed}, cap {threads}"
+                    "fleet (faults: {faults}) drifted from the pre-rewrite engine at seed {seed}, {threads} threads"
                 );
             }
         }
