@@ -6,7 +6,6 @@
 //! at test size.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use serde::Serialize;
 use volley_core::task::TaskSpec;
@@ -89,7 +88,6 @@ pub fn robustness(p: &SweepParams) -> Matrix {
         let report = TaskRunner::new(&spec)
             .expect("valid runner")
             .with_fault_plan(plan)
-            .with_tick_deadline(Duration::from_millis(50))
             .run(&traces)
             .expect("run completes despite faults");
         let detected = report
@@ -196,7 +194,6 @@ pub fn recovery(p: &SweepParams) -> Matrix {
         let mut runner = TaskRunner::new(&spec)
             .expect("valid runner")
             .with_fault_plan(plan)
-            .with_tick_deadline(Duration::from_millis(50))
             .with_standby(true);
         if let Some(every) = wal {
             runner = runner.with_wal(wal_dir.join(format!("ckpt-{every}.wal")), every);

@@ -909,7 +909,6 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
             flag("--wal-sync", |a, v| set(&mut a.wal_sync, v))
                 .takes("every-N|on-snapshot|never", "on-snapshot")
                 .help("WAL group-fsync policy"),
-            DEADLINE_MS,
             QUARANTINE_AFTER,
             flag("--no-supervise", |a, _| on(&mut a.no_supervise))
                 .help("leave quarantined monitors down"),
@@ -1377,8 +1376,6 @@ mod tests {
             "1@40",
             "--stall",
             "2@20+50",
-            "--deadline-ms",
-            "30",
             "--no-supervise",
             "--report-json",
         ]))
@@ -1390,7 +1387,6 @@ mod tests {
                 assert_eq!(c.drop_rate, 0.25);
                 assert_eq!(c.crashes, vec![(1, 40)]);
                 assert_eq!(c.stalls, vec![(2, 20, 50)]);
-                assert_eq!(c.deadline_ms, 30);
                 assert!(c.no_supervise);
                 assert!(c.common.report_json);
             }
@@ -1404,8 +1400,6 @@ mod tests {
             "chaos",
             "--monitors",
             "0",
-            "--deadline-ms",
-            "0",
             "--quarantine-after",
             "0",
         ]))
@@ -1413,7 +1407,6 @@ mod tests {
         match cmd {
             Command::Chaos(c) => {
                 assert_eq!(c.monitors, 1);
-                assert_eq!(c.deadline_ms, 1);
                 assert_eq!(c.quarantine_after, 1);
                 assert!(!c.no_supervise);
                 assert!(c.crashes.is_empty());
@@ -1854,7 +1847,7 @@ mod tests {
             Command::Coordinator(c) => {
                 assert_eq!(c.monitors, 5);
                 assert_eq!(c.tcp, "127.0.0.1:7707");
-                assert_eq!(c.deadline_ms, 5000, "its own default, not chaos's 50");
+                assert_eq!(c.deadline_ms, 5000, "its own default, not chaos --net's 50");
                 assert_eq!(c.transport.max_frame_bytes, 65_536);
                 assert_eq!(c.transport.read_timeout_ms, 0);
             }
@@ -1925,6 +1918,8 @@ mod tests {
             "1.5",
             "--read-timeout-ms",
             "100",
+            "--deadline-ms",
+            "30",
         ]))
         .unwrap();
         match cmd {
@@ -1934,6 +1929,7 @@ mod tests {
                 assert_eq!(c.net_storm_every, 21);
                 assert_eq!(c.net_storm_fraction, 1.0, "fraction clamped to [0,1]");
                 assert_eq!(c.transport.read_timeout_ms, 100);
+                assert_eq!(c.deadline_ms, 30);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1941,7 +1937,12 @@ mod tests {
             Command::Chaos(c) => {
                 assert_eq!(c.net_agents, 0);
                 assert_eq!(c.net_storm_fraction, 0.25);
+                assert_eq!(c.deadline_ms, 50);
             }
+            other => panic!("unexpected {other:?}"),
+        }
+        match Command::parse(args(&["chaos", "--net", "--deadline-ms", "0"])).unwrap() {
+            Command::Chaos(c) => assert_eq!(c.deadline_ms, 1, "deadline floored at 1"),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -2159,6 +2160,7 @@ mod tests {
                 "chaos --multitask",
             ),
             (&["chaos", "--net-agents", "2"], "--net-agents", "chaos"),
+            (&["chaos", "--deadline-ms", "30"], "--deadline-ms", "chaos"),
             (&["chaos", "--train-ticks", "9"], "--train-ticks", "chaos"),
             (&["sim", "--store-dir", "s"], "--store-dir", "sim"),
             (&["run", "--threads", "2"], "--threads", "run"),

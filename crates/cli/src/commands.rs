@@ -783,7 +783,6 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let mut runner = sinks
         .task_runner(&workload.spec, args)?
         .with_fault_plan(plan)
-        .with_tick_deadline(Duration::from_millis(args.deadline_ms))
         .with_quarantine_after(args.quarantine_after)
         .with_supervision(!args.no_supervise)
         .with_standby(args.standby)
@@ -1818,7 +1817,6 @@ mod tests {
         Args {
             monitors: 2,
             ticks: 100,
-            deadline_ms: 25,
             common: CommonArgs {
                 seed: 7,
                 ..json_common()
@@ -1872,15 +1870,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).unwrap();
 
-        let clean = {
-            let mut args = chaos_args(&[]);
-            args.deadline_ms = 2000;
-            run_to_string(Command::Chaos(args))
-        };
+        let clean = run_to_string(Command::Chaos(chaos_args(&[])));
         let clean: serde_json::Value = serde_json::from_str(&clean).unwrap();
 
         let mut args = chaos_args(&[]);
-        args.deadline_ms = 2000;
         args.wal_dir = Some(base.join("wal").to_string_lossy().to_string());
         args.checkpoint_interval = 10;
         args.common.store_dir = Some(base.join("store").to_string_lossy().to_string());

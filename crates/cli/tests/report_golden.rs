@@ -98,8 +98,8 @@ fn sim_report_is_pinned() {
 
 #[test]
 fn chaos_crash_and_stall_report_is_pinned() {
-    // The deadline is generous so a loaded host cannot turn a slow
-    // reply into a missed report: only the planted crash and stall miss.
+    // In process nothing waits on the host: only the planted crash and
+    // stall miss.
     let report = volley(&[
         "chaos",
         "--monitors",
@@ -112,8 +112,6 @@ fn chaos_crash_and_stall_report_is_pinned() {
         "1@40",
         "--stall",
         "3@20+50",
-        "--deadline-ms",
-        "1000",
         "--report-json",
     ]);
     assert_digest("chaos", &report, 0x3b79_00b8_b11e_83b5);
@@ -154,8 +152,6 @@ fn recorded_store_reports_are_pinned() {
             "150",
             "--seed",
             "42",
-            "--deadline-ms",
-            "1000",
             "--store-dir",
             &store,
             "--report-json",

@@ -62,7 +62,6 @@
 //! the driver fails over.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
 use volley_core::adaptation::PeriodReport;
 use volley_core::coordinator::Coordinator;
@@ -75,11 +74,6 @@ use crate::failure::{FaultPath, FaultPlan};
 use crate::message::{
     decode_line, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickSummary,
 };
-
-/// Default bound on how long a driver lets one collection phase wait.
-/// Generous next to the microseconds a healthy monitor needs, so
-/// deadline misses indicate real failures, not scheduling jitter.
-pub const DEFAULT_TICK_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Default number of consecutive missed deadlines before quarantine.
 pub const DEFAULT_QUARANTINE_AFTER: u32 = 3;
@@ -598,9 +592,10 @@ impl CoordinatorActor {
     /// Closes every phase that is over — its awaited set emptied or, for
     /// the current one, the driver's deadline `expired`. The report
     /// collection is special in one way: with nobody to wait for
-    /// (everything quarantined or unreachable) it still waits out the
-    /// deadline, which throttles the driver's loop and gives `Revived`
-    /// notices a chance to arrive.
+    /// (everything quarantined or unreachable) it still waits for the
+    /// deadline, so a driver behind sockets gives re-dialling agents'
+    /// `Revived` notices a chance to arrive (in process, where nothing
+    /// arrives by waiting, the driver reports the deadline at once).
     fn settle(&mut self, mut expired: bool) {
         while !self.crashed
             && (expired
@@ -645,14 +640,9 @@ impl CoordinatorActor {
     }
 
     /// Opens a request phase: `msg` goes to every active, reachable
-    /// monitor, and those whose reply `can_answer` in time are awaited
-    /// (minus any whose link refuses the request).
-    fn request(
-        &mut self,
-        phase: Phase,
-        msg: CoordinatorToMonitor,
-        can_answer: impl Fn(&FaultPlan, MonitorId) -> bool,
-    ) {
+    /// monitor, and each is awaited (unless its link refuses the
+    /// request).
+    fn request(&mut self, phase: Phase, msg: CoordinatorToMonitor) {
         let tick = self.summary.tick;
         self.phase = phase;
         self.wait.clear();
@@ -661,9 +651,7 @@ impl CoordinatorActor {
             .map(|idx| MonitorId(idx as u32))
             .collect();
         for &monitor in &to {
-            if can_answer(&self.faults, monitor) {
-                self.wait.expect(monitor.0 as usize);
-            }
+            self.wait.expect(monitor.0 as usize);
         }
         if !to.is_empty() {
             self.outbox.push_back(Output::Send { to, msg });
@@ -727,19 +715,9 @@ impl CoordinatorActor {
                 self.quarantined.contains(&true) && self.summary.missing_reports > 0;
             return self.begin_reallocate();
         }
-        // Wait only for monitors that can answer in time: the reply
-        // neither dropped nor delayed by the plan (those decisions are
-        // pure functions shared with the injection sites, so predicting
-        // them changes no outcome — it only avoids pointless waits).
         self.summary.polled = true;
         self.values.fill(None);
-        self.request(
-            Phase::Poll,
-            CoordinatorToMonitor::Poll { tick },
-            |faults, monitor| {
-                !faults.drops(FaultPath::PollReply, monitor, tick) && !faults.delays(monitor, tick)
-            },
-        );
+        self.request(Phase::Poll, CoordinatorToMonitor::Poll { tick });
     }
 
     fn close_poll(&mut self) {
@@ -761,11 +739,7 @@ impl CoordinatorActor {
         let due = self.rules.reallocation_due(tick);
         if due && (0..self.monitors()).all(|idx| self.active(idx) && self.reachable(idx, tick)) {
             self.reports = vec![None; self.monitors()];
-            self.request(
-                Phase::Reallocate,
-                CoordinatorToMonitor::RequestReport,
-                |_, _| true,
-            );
+            self.request(Phase::Reallocate, CoordinatorToMonitor::RequestReport);
         } else {
             self.begin_checkpoint();
         }
@@ -810,11 +784,7 @@ impl CoordinatorActor {
         }
         *next = summary.tick + *every;
         self.snapshots = vec![None; self.monitors()];
-        self.request(
-            Phase::Snapshot,
-            CoordinatorToMonitor::RequestSnapshot,
-            |_, _| true,
-        );
+        self.request(Phase::Snapshot, CoordinatorToMonitor::RequestSnapshot);
     }
 
     fn close_snapshot(&mut self) {

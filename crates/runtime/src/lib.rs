@@ -41,10 +41,10 @@
 //!
 //! The runtime assumes monitors can fail and the network can misbehave:
 //!
-//! - every coordinator collection phase is bounded by a **tick deadline**
-//!   ([`TaskRunner::with_tick_deadline`]) instead of blocking forever (in
-//!   process a silent monitor costs exactly that deadline per round: no
-//!   reply can arrive while the driver waits);
+//! - no coordinator collection phase blocks forever: in process it
+//!   closes as soon as the replies in flight are in (nothing arrives by
+//!   waiting, so a silent monitor costs no time), and behind sockets at
+//!   a **tick deadline** ([`NetCoordinator::with_tick_deadline`]);
 //! - a monitor missing consecutive deadlines is **quarantined**
 //!   ([`TaskRunner::with_quarantine_after`]): the coordinator stops
 //!   waiting for it and aggregates it at its local threshold `T_i`

@@ -27,5 +27,5 @@ pub use agent::{run_agent, AgentConfig, AgentReport, BackoffConfig};
 pub use codec::FrameBuffer;
 pub use faults::NetFaultPlan;
 pub(crate) use server::SocketPlane;
-pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats};
+pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats, DEFAULT_TICK_DEADLINE};
 pub use wire::{ctl_line, welcome_line, AgentHello, ServerFrame};

@@ -75,6 +75,12 @@ use super::codec::FrameBuffer;
 use super::faults::NetFaultPlan;
 use super::wire::{AgentHello, ServerFrame};
 
+/// Default bound on how long the coordinator lets one collection phase
+/// wait for its agents' replies. Generous next to the microseconds a
+/// healthy round trip needs, so deadline misses indicate real failures,
+/// not scheduling jitter.
+pub const DEFAULT_TICK_DEADLINE: Duration = Duration::from_secs(1);
+
 /// Where the coordinator listens (and agents dial).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetAddr {
@@ -345,9 +351,9 @@ impl NetCoordinator {
 
     /// Sets how long one collection phase of the coordinator waits for
     /// monitor replies before it closes without them (default
-    /// [`DEFAULT_TICK_DEADLINE`](crate::coordinator::DEFAULT_TICK_DEADLINE)).
+    /// [`DEFAULT_TICK_DEADLINE`]).
     pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
-        self.runner = self.runner.with_tick_deadline(deadline);
+        self.plane.tick_deadline = deadline;
         self
     }
 
@@ -542,6 +548,11 @@ pub(crate) struct SocketPlane {
     reactor: Reactor,
     table: Table<LineFrames>,
     lines: LineFrames,
+    /// How long one collection phase waits for replies.
+    pub(crate) tick_deadline: Duration,
+    /// When the phase waiting now gives up: [`arm`](Self::arm)ed as its
+    /// requests leave.
+    armed: Instant,
 }
 
 impl fmt::Debug for SocketPlane {
@@ -556,9 +567,12 @@ impl fmt::Debug for SocketPlane {
 impl SocketPlane {
     /// Binds the listener of a plane for `monitors` monitors, at the
     /// defaults [`NetCoordinator`]'s builders override: 1 024 frames a
-    /// queue, 30 s of silence before a reap, the default frame cap.
+    /// queue, 30 s of silence before a reap, the default frame cap and
+    /// tick deadline.
     pub(crate) fn bind(addr: &NetAddr, monitors: usize) -> std::io::Result<Self> {
         Ok(SocketPlane {
+            tick_deadline: DEFAULT_TICK_DEADLINE,
+            armed: Instant::now(),
             reactor: Reactor::new()?,
             table: Table::new(Duration::from_secs(30)),
             lines: LineFrames {
@@ -640,12 +654,17 @@ impl SocketPlane {
         }
     }
 
-    /// Turns the table until monitor frames have arrived or `deadline`
-    /// passes; returns the inbox — every connection's complete lines, one
-    /// newline-delimited payload — for the caller to read and clear
-    /// (empty: the deadline passed).
-    pub(crate) fn collect(&mut self, deadline: Instant) -> &mut Vec<u8> {
-        self.turn_until(deadline, |lines| !lines.inbox.is_empty());
+    /// Starts the collection deadline: one tick deadline from now.
+    pub(crate) fn arm(&mut self) {
+        self.armed = Instant::now() + self.tick_deadline;
+    }
+
+    /// Turns the table until monitor frames have arrived or the
+    /// [`arm`](Self::arm)ed deadline passes; returns the inbox — every
+    /// connection's complete lines, one newline-delimited payload — for
+    /// the caller to read and clear (empty: the deadline passed).
+    pub(crate) fn collect(&mut self) -> &mut Vec<u8> {
+        self.turn_until(self.armed, |lines| !lines.inbox.is_empty());
         &mut self.lines.inbox
     }
 

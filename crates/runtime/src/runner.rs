@@ -5,7 +5,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use serde::Serialize;
 
@@ -19,7 +18,7 @@ use volley_serve::ServePublisher;
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalStats, WalSyncPolicy};
-use crate::coordinator::{DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
+use crate::coordinator::DEFAULT_QUARANTINE_AFTER;
 use crate::failure::FaultPlan;
 use crate::session::{self, Task};
 
@@ -173,8 +172,6 @@ pub struct TaskRunner {
     /// The paper's `adapt` allocation scheme or the static `even`.
     pub(crate) scheme: CoordinationScheme,
     pub(crate) fault_plan: FaultPlan,
-    /// How long one collection phase of the coordinator may wait.
-    pub(crate) tick_deadline: Duration,
     pub(crate) quarantine_after: u32,
     /// Recording sink for every monitor's samples and the task's alerts.
     pub(crate) recorder: Option<SampleRecorder>,
@@ -215,7 +212,6 @@ impl TaskRunner {
             obs: Obs::disabled(),
             scheme: CoordinationScheme::Adaptive,
             fault_plan: FaultPlan::default(),
-            tick_deadline: DEFAULT_TICK_DEADLINE,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
             recorder: None,
             supervise: true,
@@ -302,14 +298,6 @@ impl TaskRunner {
         self
     }
 
-    /// Bounds how long the coordinator waits for any one tick's reports
-    /// (default [`DEFAULT_TICK_DEADLINE`]).
-    #[must_use]
-    pub fn with_tick_deadline(mut self, deadline: Duration) -> Self {
-        self.tick_deadline = deadline;
-        self
-    }
-
     /// Sets how many consecutive missed deadlines quarantine a monitor
     /// (default
     /// [`DEFAULT_QUARANTINE_AFTER`]).
@@ -368,14 +356,13 @@ impl TaskRunner {
     /// thread: the monitors are slots of one table and the coordinator a
     /// machine, both stepped here, so the protocol's report is a pure
     /// function of the traces, the spec and the fault plan — it does not
-    /// depend on the [tick deadline](Self::with_tick_deadline) or the
-    /// host's speed (only the self-monitor section, which watches
-    /// wall-clock tick latency, does).
+    /// depend on the host's speed (only the self-monitor section, which
+    /// watches wall-clock tick latency, does).
     ///
     /// The run completes even if monitors crash or stall mid-way: the
-    /// coordinator quarantines them after missed deadlines — each missed
-    /// round costs one deadline of wall time, as no reply can arrive
-    /// while the driver waits — and (unless supervision is disabled) the
+    /// coordinator quarantines them after missed deadlines — a round
+    /// closes as soon as the replies in flight are in, since nothing
+    /// arrives by waiting — and (unless supervision is disabled) the
     /// runner restarts them with a fresh sampler at the default
     /// interval. With [`with_standby`](Self::with_standby) the run also
     /// survives the coordinator dying: the interrupted tick is re-driven
@@ -563,7 +550,6 @@ mod tests {
         let report = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(plan)
-            .with_tick_deadline(Duration::ZERO)
             .with_standby(true)
             .run(&traces)
             .unwrap();
@@ -703,7 +689,6 @@ mod tests {
         let report = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(7).with_crash(MonitorId(1), 5))
-            .with_tick_deadline(Duration::from_millis(25))
             .with_quarantine_after(2)
             .run(&traces)
             .unwrap();
@@ -724,7 +709,6 @@ mod tests {
         let report = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(7).with_crash(MonitorId(1), 5))
-            .with_tick_deadline(Duration::from_millis(25))
             .with_quarantine_after(2)
             .with_supervision(false)
             .run(&traces)
@@ -743,7 +727,6 @@ mod tests {
         let err = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(7).with_coordinator_crash(10))
-            .with_tick_deadline(Duration::from_millis(25))
             .run(&traces)
             .unwrap_err();
         assert!(matches!(
@@ -767,7 +750,6 @@ mod tests {
         let err = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(7).with_coordinator_crash(10))
-            .with_tick_deadline(Duration::from_millis(25))
             .with_recorder(recorder.clone())
             .run(&traces)
             .unwrap_err();
@@ -803,7 +785,6 @@ mod tests {
         let report = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(7).with_coordinator_crash(10))
-            .with_tick_deadline(Duration::from_millis(25))
             .with_standby(true)
             .run(&traces)
             .unwrap();
@@ -824,7 +805,6 @@ mod tests {
         let report = TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(7).with_coordinator_crash(30))
-            .with_tick_deadline(Duration::from_millis(50))
             .with_standby(true)
             .with_wal(&path, 5)
             .run(&traces)

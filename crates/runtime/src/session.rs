@@ -25,14 +25,15 @@
 //! ([`crate::coordinator`]) that never blocks, an in-process monitor is
 //! a slot that answers the frame it is handed, the socket plane is a
 //! connection table turned while the machine waits, and this module is
-//! their I/O shell — the plane, the checkpoint [`Wal`], the one wait
-//! whose deadline the machine arms, the obs handles. With the monitors
-//! in process nothing runs concurrently and nothing is ever bytes —
-//! control frames and replies (held and duplicated ones included) cross
-//! as values; the codec runs at the socket plane's edges only — so a
-//! report is a pure function of the traces, the spec and the
-//! [`FaultPlan`]: the tick deadline only sets how long a silent
-//! monitor's tick takes.
+//! their I/O shell — the plane, the checkpoint [`Wal`], the obs handles.
+//! With the monitors in process nothing runs concurrently, nothing is
+//! ever bytes — control frames and replies (held and duplicated ones
+//! included) cross as values; the codec runs at the socket plane's edges
+//! only — and nothing waits: a round closes as soon as the replies in
+//! flight are in, so a report is a pure function of the traces, the
+//! spec and the [`FaultPlan`]. The deadline the machine arms is the
+//! socket plane's, the only plane that receives anything while it
+//! waits.
 //!
 //! The runners keep setup and a hook only: [`crate::TaskRunner`] is one
 //! in-process task with no hook; [`crate::MultiTaskRunner`] N of them
@@ -41,7 +42,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 use volley_core::allocation::AllocationConfig;
@@ -226,6 +226,15 @@ impl MonitorPlane {
             }
         }
     }
+
+    /// Starts the collection deadline the machine just armed, where
+    /// replies can arrive while the driver waits: behind sockets. In
+    /// process nothing does, so there is nothing to time.
+    fn arm_deadline(&mut self) {
+        if let MonitorPlane::Remote(plane) = self {
+            plane.arm();
+        }
+    }
 }
 
 /// Pre-resolved obs instruments for the shell's hot paths (handles are
@@ -343,12 +352,13 @@ impl<'a> TaskSession<'a> {
 
     /// The coordinator's I/O shell: executes its outbox, and whenever
     /// that runs dry hands it what the monitors have sent (frames in
-    /// process, a payload behind sockets) — waiting for that at most until
-    /// the deadline the machine last armed, which is then reported to it. In process nothing can arrive during
-    /// the wait, so a silent monitor costs exactly its deadline; behind
-    /// sockets the wait is the connection table being turned. When an
-    /// injected crash fires the step fails with the machine dead and its
-    /// log closed, as a crashed process would leave them.
+    /// process, a payload behind sockets), reporting the deadline when
+    /// nothing came. In process the replies in flight are all there is,
+    /// so a round missing some closes at once; behind sockets the table
+    /// is turned until a payload arrives or the deadline the machine
+    /// last armed passes. When an injected crash fires the step fails
+    /// with the machine dead and its log closed, as a crashed process
+    /// would leave them.
     ///
     /// WAL I/O errors are swallowed: durability is best-effort and never
     /// worth failing the run over (a standby restoring from a short log
@@ -357,7 +367,8 @@ impl<'a> TaskSession<'a> {
         let spans = self.config.obs.spans();
         let _tick_span = spans.span_timed("coordinator_tick", &self.obs.tick_hist);
         let mut checkpoint_started = Instant::now();
-        let mut deadline = checkpoint_started + self.config.tick_deadline;
+        // The tick's data just left: its reports are awaited from now.
+        self.plane.arm_deadline();
         loop {
             while let Some(output) = coordinator.pop_output() {
                 match output {
@@ -366,7 +377,7 @@ impl<'a> TaskSession<'a> {
                         let refused = |monitor| coordinator.on_undeliverable(monitor);
                         self.plane.send(self.epoch, frames, refused);
                     }
-                    Output::ArmDeadline => deadline = Instant::now() + self.config.tick_deadline,
+                    Output::ArmDeadline => self.plane.arm_deadline(),
                     Output::Quarantined { monitor, .. } => {
                         self.report.quarantines += 1;
                         if self.config.supervise {
@@ -415,13 +426,10 @@ impl<'a> TaskSession<'a> {
             }
             let received = match &mut self.plane {
                 MonitorPlane::Inline { in_flight, .. } => {
-                    if in_flight.is_empty() {
-                        thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                    }
                     coordinator.on_frames(in_flight.drain(..))
                 }
                 MonitorPlane::Remote(plane) => {
-                    let inbox = plane.collect(deadline);
+                    let inbox = plane.collect();
                     let lines = coordinator.on_payload(inbox);
                     inbox.clear();
                     lines
@@ -991,7 +999,9 @@ mod tests {
     /// The drift guard for the monitor plane: nothing in this crate spawns
     /// a thread — no monitor, host or coordinator has one of its own, and
     /// the networked coordinator serves its sockets on the thread that
-    /// steps the session, so it spawns no thread either.
+    /// steps the session, so it spawns no thread either. Nor does the
+    /// in-process path wait: neither the shell, the machine nor a slot
+    /// sleeps, and the machine's module reads no time at all.
     #[test]
     fn a_session_spawns_no_thread() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -1001,6 +1011,12 @@ mod tests {
             sites.extend(std::iter::repeat_n(path.to_path_buf(), spawns));
         });
         assert!(sites.is_empty(), "thread::spawn( in {sites:?}");
+        for file in ["session.rs", "coordinator.rs", "monitor.rs"] {
+            let source = non_test_source(&src.join(file));
+            assert!(!source.contains("thread::sleep("), "{file} sleeps");
+        }
+        let machine = non_test_source(&src.join("coordinator.rs"));
+        assert!(!machine.contains("std::time"), "coordinator.rs reads time");
     }
 
     /// The drift guard for the reply direction: the in-process plane
@@ -1049,7 +1065,9 @@ mod tests {
         agent.write_all(&encode(&hello)).unwrap();
         agent.write_all(&revived).unwrap();
         // The hello registers on the way to the first monitor frame.
-        let inbox = sockets.collect(Instant::now() + Duration::from_secs(10));
+        sockets.tick_deadline = Duration::from_secs(10);
+        sockets.arm();
+        let inbox = sockets.collect();
         assert_eq!(inbox[..], revived[..]);
 
         let mut plane = MonitorPlane::Remote(Box::new(sockets));
@@ -1227,12 +1245,12 @@ mod tests {
         assert!(alerts_checked > 0, "no trace violated");
     }
 
-    /// The fault plan of the whole-task tests:
+    /// The fault plan of the whole-task tests, under `seed`:
     /// drops on both lossy paths, delays, duplicates, a crash, a stall
     /// and a partition, with the supervisor restarting what is
     /// quarantined.
-    fn faulty_plan() -> FaultPlan {
-        FaultPlan::new(42)
+    fn faulty_plan(seed: u64) -> FaultPlan {
+        FaultPlan::new(seed)
             .with_drop_rate(FaultPath::ViolationReport, 0.1)
             .with_drop_rate(FaultPath::PollReply, 0.1)
             .with_delay_rate(0.02)
@@ -1242,34 +1260,39 @@ mod tests {
             .with_partition(&[MonitorId(3)], 995, 1005)
     }
 
-    fn faulty(spec: &TaskSpec, tick_deadline: Duration) -> TaskRunner {
+    fn faulty(spec: &TaskSpec, seed: u64) -> TaskRunner {
         TaskRunner::new(spec)
             .unwrap()
-            .with_fault_plan(faulty_plan())
-            .with_tick_deadline(tick_deadline)
+            .with_fault_plan(faulty_plan(seed))
     }
 
     /// The whole-task run under a seeded fault plan: nothing runs beside
     /// the driver, so the folded report is identical on every rerun,
-    /// `missed_tick_reports` included, and every reallocation assigns
-    /// `Σ err_i ≤ err`.
+    /// `missed_tick_reports` included, and every reallocation under each
+    /// of 16 seeds' plans assigns `Σ err_i ≤ err`.
     #[test]
     fn a_single_threaded_faulty_task_reproduces_its_report_exactly() {
         let spec = parity_spec(4);
         let traces = parity_traces(4, 2400, 7);
-        let config = faulty(&spec, Duration::ZERO);
+        let err = spec.adaptation().error_allowance();
+        let mut rounds = 0;
+        for seed in 42..58 {
+            let (_, reallocations) = run_inline(&faulty(&spec, seed), &traces);
+            for assigned in &reallocations {
+                assert_eq!(assigned.len(), 4);
+                let total = assigned.iter().sum::<f64>();
+                assert!(total <= err + 1e-12, "seed={seed}: {assigned:?}");
+            }
+            rounds += reallocations.len();
+        }
+        assert!(rounds > 0, "no round reallocated");
+        let config = faulty(&spec, 42);
         let (first, reallocations) = run_inline(&config, &traces);
         assert_eq!(first.ticks, 2400);
         assert!(first.alerts > 0 && first.degraded_polls > 0);
         assert!(first.missed_tick_reports > 0 && first.quarantines >= 3);
         assert_eq!(first.quarantines, first.restarts);
         assert_eq!(first.restarts, first.recoveries);
-        let err = spec.adaptation().error_allowance();
-        assert!(!reallocations.is_empty(), "no round reallocated");
-        for assigned in &reallocations {
-            assert_eq!(assigned.len(), 4);
-            assert!(assigned.iter().sum::<f64>() <= err + 1e-12, "{assigned:?}");
-        }
         for rerun in 1..100 {
             let (report, again) = run_inline(&config, &traces);
             assert_eq!(report, first, "rerun {rerun}");
@@ -1277,23 +1300,52 @@ mod tests {
         }
     }
 
-    /// A deadline passes time and decides nothing: the faulty task's
-    /// report is the same whether a silent monitor costs the driver no
-    /// wait at all or 30 ms a round.
+    /// A hook that holds up the step of one tick: a slow tick, as the
+    /// socket plane's turn makes one when its agents are slow to answer.
+    struct SlowTick {
+        at: Tick,
+        pause: Duration,
+    }
+
+    impl Hook for SlowTick {
+        fn before_step(&mut self, tick: Tick, _: usize, _: &mut TaskSession<'_>) {
+            if tick == self.at {
+                std::thread::sleep(self.pause);
+            }
+        }
+    }
+
+    /// The watchdog end to end: one eager sampler on the loop's own tick
+    /// latency flags the tick held up past its threshold, and nothing
+    /// before it — a quiet workload, so the slow tick is all there is.
     #[test]
-    fn a_report_does_not_depend_on_the_tick_deadline() {
-        let spec = parity_spec(4);
-        let traces = parity_traces(4, 700, 7);
-        let run = |deadline| run_inline(&faulty(&spec, deadline), &traces);
-        let (unhurried, reallocations) = run(Duration::ZERO);
-        assert!(unhurried.missed_tick_reports > 0 && unhurried.quarantines >= 2);
-        let started = Instant::now();
-        let (waited, again) = run(Duration::from_millis(30));
+    fn the_watchdog_alerts_on_a_slow_tick_and_only_there() {
+        let spec = TaskSpec::builder(300.0)
+            .monitors(3)
+            .error_allowance(0.0)
+            .build()
+            .unwrap();
+        let traces: Vec<Vec<f64>> = (0..3)
+            .map(|m| (0..40).map(|t| 20.0 + ((t * (3 + m)) % 7) as f64).collect())
+            .collect();
+        let runner = TaskRunner::new(&spec)
+            .unwrap()
+            .with_self_monitor(100_000.0, 0.0);
+        let mut slow = SlowTick {
+            at: 10,
+            pause: Duration::from_millis(250),
+        };
+        let task = Task::new(&runner, &traces, None);
+        let report = drive(vec![task], Some(&mut slow)).unwrap().remove(0);
+        assert_eq!(report.ticks, 40);
+        assert_eq!(report.alerts, 0, "quiet workload: no state alerts");
+        // Eager watchdog (err = 0): one latency sample per tick.
+        assert_eq!(report.self_monitor_samples, 40);
+        let flagged = &report.self_monitor_alert_ticks;
+        assert!(!flagged.is_empty(), "the slow tick went unflagged");
         assert!(
-            started.elapsed() >= Duration::from_millis(30),
-            "it did wait"
+            flagged.iter().all(|t| (10..14).contains(t)),
+            "alerts away from the slow tick: {flagged:?}"
         );
-        assert_eq!(waited, unhurried);
-        assert_eq!(again, reallocations);
     }
 }

@@ -46,7 +46,6 @@
 
 pub mod diurnal;
 pub mod http;
-pub mod io;
 pub mod latency;
 pub mod netflow;
 pub mod sysmetrics;

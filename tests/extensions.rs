@@ -1,13 +1,12 @@
 //! Integration: the beyond-the-paper extensions — windowed aggregates,
-//! correlation detection and planning, a fleet of tasks and trace I/O —
-//! working together across crates.
+//! correlation detection and planning and a fleet of tasks — working
+//! together across crates.
 
 use volley::core::correlation::{CorrelationConfig, CorrelationDetector};
 use volley::core::task::{TaskId, TaskSpec};
 use volley::core::window::{AggregateKind, SlidingWindow, WindowedSampler};
 use volley::{AdaptationConfig, AdaptiveSampler, SystemMetricsGenerator};
 use volley_runtime::TaskRunner;
-use volley_traces::io::{read_csv, write_csv};
 use volley_traces::netflow::{AttackSpec, NetflowConfig};
 use volley_traces::ResponseTimeModel;
 
@@ -152,18 +151,4 @@ fn fleet_runs_mixed_workloads() {
     let samples: u64 = reports.iter().map(|r| r.total_samples).sum();
     assert_eq!(baseline, 4 * 600);
     assert!(samples < baseline, "the fleet samples below periodic");
-}
-
-#[test]
-fn csv_round_trip_preserves_generated_traces() {
-    let traffic = NetflowConfig::builder()
-        .seed(3)
-        .vms(3)
-        .build()
-        .generate(200);
-    let columns: Vec<Vec<f64>> = traffic.into_iter().map(|t| t.rho).collect();
-    let mut buffer = Vec::new();
-    write_csv(&mut buffer, &["vm0", "vm1", "vm2"], &columns).expect("write succeeds");
-    let back = read_csv(buffer.as_slice()).expect("read succeeds");
-    assert_eq!(back, columns);
 }

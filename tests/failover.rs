@@ -4,8 +4,6 @@
 //! default-interval restart, and provably fences out stale-epoch frames
 //! from a partitioned former fleet member.
 
-use std::time::Duration;
-
 use volley::core::task::{MonitorId, TaskSpec};
 use volley::TaskRunner;
 use volley_runtime::{FaultPlan, RuntimeReport};
@@ -95,7 +93,6 @@ fn checkpointed_failover_preserves_accuracy_and_beats_conservative_restart() {
     let checkpointed = TaskRunner::new(&spec)
         .unwrap()
         .with_fault_plan(crash())
-        .with_tick_deadline(Duration::from_millis(50))
         .with_standby(true)
         .with_wal(&path, 20)
         .run(&traces)
@@ -103,7 +100,6 @@ fn checkpointed_failover_preserves_accuracy_and_beats_conservative_restart() {
     let conservative = TaskRunner::new(&spec)
         .unwrap()
         .with_fault_plan(crash())
-        .with_tick_deadline(Duration::from_millis(50))
         .with_standby(true)
         .run(&traces)
         .unwrap();
@@ -179,7 +175,6 @@ fn partition_spanning_failover_fences_stale_frames_then_readmits() {
     let report = TaskRunner::new(&spec)
         .unwrap()
         .with_fault_plan(plan)
-        .with_tick_deadline(Duration::from_millis(50))
         .with_quarantine_after(2)
         .with_supervision(false)
         .with_standby(true)
@@ -223,7 +218,6 @@ fn same_failover_plan_reproduces_identical_reports() {
         TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(FaultPlan::new(99).with_coordinator_crash(120))
-            .with_tick_deadline(Duration::from_millis(50))
             .with_standby(true)
             .with_wal(&path, 25)
             .run(&traces)
@@ -256,7 +250,6 @@ fn a_sampler_state_the_wire_cannot_carry_is_left_out_of_the_checkpoint() {
     let report = TaskRunner::new(&spec)
         .unwrap()
         .with_fault_plan(FaultPlan::new(11).with_coordinator_crash(CRASH_TICK))
-        .with_tick_deadline(Duration::from_millis(5))
         .with_standby(true)
         .with_wal(&path, 20)
         .run(&traces)

@@ -2,8 +2,6 @@
 //! without hanging, keeps raising every ground-truth alert in degraded
 //! mode, and reproduces identical reports for identical fault plans.
 
-use std::time::Duration;
-
 use volley::core::task::{MonitorId, TaskSpec};
 use volley::{DistributedTask, TaskRunner};
 use volley_runtime::{FaultPath, FaultPlan};
@@ -71,7 +69,6 @@ fn crash_and_stall_mid_run_still_raise_every_alert() {
     let report = TaskRunner::new(&spec)
         .unwrap()
         .with_fault_plan(plan)
-        .with_tick_deadline(Duration::from_millis(40))
         .with_quarantine_after(2)
         .run(&traces)
         .unwrap();
@@ -103,8 +100,7 @@ fn crash_and_stall_mid_run_still_raise_every_alert() {
 #[test]
 fn same_fault_plan_reproduces_identical_reports() {
     let spec = spec();
-    // A shorter trace: every delayed tick report costs one full collection
-    // deadline, and the test runs twice.
+    // The first 80 ticks: the crash at 30 and the stall at 60 land inside.
     let traces: Vec<Vec<f64>> = traces().into_iter().map(|t| t[..80].to_vec()).collect();
     let plan = FaultPlan::new(20130708)
         .with_drop_rate(FaultPath::ViolationReport, 0.25)
@@ -117,7 +113,6 @@ fn same_fault_plan_reproduces_identical_reports() {
         TaskRunner::new(&spec)
             .unwrap()
             .with_fault_plan(plan.clone())
-            .with_tick_deadline(Duration::from_millis(50))
             .with_quarantine_after(2)
             .run(&traces)
             .unwrap()
@@ -146,7 +141,6 @@ fn unsupervised_stall_degrades_but_completes() {
     let report = TaskRunner::new(&spec)
         .unwrap()
         .with_fault_plan(FaultPlan::new(7).with_stall(MonitorId(4), 10, u64::MAX))
-        .with_tick_deadline(Duration::from_millis(40))
         .with_quarantine_after(2)
         .with_supervision(false)
         .run(&traces)

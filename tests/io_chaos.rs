@@ -14,7 +14,6 @@
 //! the breakers without costing an acknowledged record.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use volley::core::task::TaskSpec;
 use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan, StdFs, Vfs};
@@ -77,12 +76,10 @@ fn meta() -> TaskMeta {
     }
 }
 
-/// Builds the runner every scenario shares: WAL + obs dumping + a
-/// generous deadline so slow CI machines never quarantine a monitor.
+/// Builds the runner every scenario shares: WAL + obs dumping.
 fn runner(spec: &TaskSpec, dir: &std::path::Path, tag: &str) -> TaskRunner {
     TaskRunner::new(spec)
         .unwrap()
-        .with_tick_deadline(Duration::from_millis(3000))
         .with_quarantine_after(3)
         .with_wal(dir.join(format!("{tag}.wal")), 20)
         .with_wal_sync(WalSyncPolicy::EveryN(8))

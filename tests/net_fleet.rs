@@ -90,23 +90,19 @@ fn net_run(
 /// in-process `TaskRunner` reports on the same workload. The networked
 /// side gets a generous deadline — at 10k monitors a debug build on a
 /// loaded host may not hear every agent inside the default window, and
-/// a miss would (correctly) break parity by counting monitors degraded;
-/// the in-process side takes the same value, though its report does not
-/// depend on it.
+/// a miss would (correctly) break parity by counting monitors degraded.
 fn tcp_parity(monitors: usize, agents: u32, ticks: usize) {
     let task = spec(monitors, 0.01);
     let traces = bursty_traces(monitors, ticks);
-    let deadline = Duration::from_secs(10);
     let baseline = TaskRunner::new(&task)
         .unwrap()
-        .with_tick_deadline(deadline)
         .run(&traces)
         .expect("in-process run succeeds");
 
     let coordinator = NetCoordinator::bind(task.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))
         .unwrap()
         .with_wait_timeout(Duration::from_secs(60))
-        .with_tick_deadline(deadline);
+        .with_tick_deadline(Duration::from_secs(10));
     let addr = NetAddr::Tcp(coordinator.local_addr().unwrap().to_string());
     let (outcome, reports) = net_run(coordinator, &addr, &task, &traces, monitors as u32, agents);
 

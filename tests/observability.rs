@@ -1,26 +1,19 @@
 //! Integration: the observability subsystem end to end — instrumented
 //! runtime, periodic snapshot dumps in both exposition formats, and the
-//! flagship *Volley watching Volley* loop: a watchdog (one core adaptive
-//! sampler) alerting when injected faults spike the runtime's own tick
-//! latency.
+//! *Volley watching Volley* watchdog (one core adaptive sampler on the
+//! runtime's own tick latency) kept quiet on a healthy run. Its alerting
+//! on a slow tick is checked where a tick can be held up on purpose:
+//! `session::tests::the_watchdog_alerts_on_a_slow_tick_and_only_there`
+//! in the runtime crate.
 
-use std::time::Duration;
-
-use volley::core::task::{MonitorId, TaskSpec};
+use volley::core::task::TaskSpec;
 use volley::obs::{latest_snapshot, names, parse_prometheus, Obs};
 use volley::{TaskRunner, VolleyError};
-use volley_runtime::FaultPlan;
 
 const MONITORS: usize = 3;
 const TICKS: usize = 40;
-/// The tick where the injected faults land.
-const FAULT_TICK: u64 = 10;
-/// Collection deadline: a stalled monitor holds the coordinator (and so
-/// the runner's tick) for this long — well past the watchdog threshold.
-const DEADLINE: Duration = Duration::from_millis(250);
 /// Watchdog threshold on the runner tick-latency gauge, microseconds.
-/// Healthy ticks on this workload run in the tens of microseconds; the
-/// stalled tick must wait out the 250 ms deadline.
+/// Healthy ticks on this workload run in the tens of microseconds.
 const WATCHDOG_THRESHOLD_US: f64 = 100_000.0;
 
 fn spec() -> TaskSpec {
@@ -31,8 +24,7 @@ fn spec() -> TaskSpec {
         .unwrap()
 }
 
-/// Quiet traces: no state alerts, so everything the watchdog sees comes
-/// from the injected faults, not the workload.
+/// Quiet traces: no state alerts.
 fn traces() -> Vec<Vec<f64>> {
     (0..MONITORS)
         .map(|m| {
@@ -43,46 +35,8 @@ fn traces() -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The flagship loop: a coordinator crash plus a monitor stall at the
-/// same tick force the post-failover coordinator to wait out the full
-/// collection deadline, spiking the runner's tick latency. The watchdog
-/// — one core `AdaptiveSampler` reading each tick's latency in the drive
-/// loop — must alert on that spike, and on nothing else.
-#[test]
-fn self_monitor_alerts_on_injected_coordinator_stall() {
-    let plan = FaultPlan::new(7)
-        .with_coordinator_crash(FAULT_TICK)
-        .with_stall(MonitorId(1), FAULT_TICK, 2);
-    let report = TaskRunner::new(&spec())
-        .unwrap()
-        .with_fault_plan(plan)
-        .with_tick_deadline(DEADLINE)
-        .with_standby(true)
-        .with_self_monitor(WATCHDOG_THRESHOLD_US, 0.0)
-        .run(&traces())
-        .unwrap();
-
-    assert_eq!(report.ticks, TICKS as u64, "the run must complete");
-    assert_eq!(report.coordinator_failovers, 1);
-    assert_eq!(report.alerts, 0, "quiet workload: no state alerts");
-    // Eager watchdog (err = 0): one snapshot read per tick.
-    assert_eq!(report.self_monitor_samples, TICKS as u64);
-    assert!(
-        report.self_monitor_alerts >= 1,
-        "watchdog must flag the stalled tick: {report:?}"
-    );
-    assert!(
-        report
-            .self_monitor_alert_ticks
-            .iter()
-            .all(|&t| (FAULT_TICK..FAULT_TICK + 4).contains(&t)),
-        "alerts must cluster on the injected fault, got {:?}",
-        report.self_monitor_alert_ticks
-    );
-}
-
-/// Without faults the watchdog stays silent — the spike detection above
-/// is signal, not noise.
+/// Without faults the watchdog stays silent: the slow-tick alerts it
+/// raises elsewhere are signal, not noise.
 #[test]
 fn self_monitor_quiet_on_healthy_run() {
     let report = TaskRunner::new(&spec())

@@ -4,9 +4,9 @@
 
 use std::time::Duration;
 use volley::core::coordinator::CoordinationScheme;
-use volley::core::task::TaskSpec;
+use volley::core::task::{MonitorId, TaskSpec};
 
-use volley::{DistributedTask, TaskRunner, VolleyError};
+use volley::{DistributedTask, GroundTruth, TaskRunner, VolleyError};
 use volley_runtime::{FaultPath, FaultPlan, NetAddr, NetCoordinator};
 
 /// Deterministic pseudo-random traces (no external RNG needed).
@@ -65,11 +65,133 @@ fn reference_run(spec: &TaskSpec, traces: &[Vec<f64>]) -> (Vec<u64>, u64) {
     (alerts, samples)
 }
 
+/// Ticks per sweep seed: past two updating periods (1 000 ticks each),
+/// so every seed holds two reallocation rounds.
+const SWEEP_TICKS: usize = 2500;
+
+/// SplitMix64 of `seed` at stream position `k`: every derived input is
+/// its own pure function of the seed.
+fn mix(seed: u64, k: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The task `seed` derives: 2–7 monitors, one of five error
+/// allowances, a maximum interval of 4, 8 or 16 and a global threshold
+/// of 45–75 per monitor.
+fn sweep_spec(seed: u64) -> TaskSpec {
+    let pick = |k: u64, n: u64| (mix(seed, k) % n) as usize;
+    let monitors = 2 + pick(0, 6);
+    let err = [0.005, 0.01, 0.02, 0.05, 0.1][pick(1, 5)];
+    let max_interval = [4, 8, 16][pick(2, 3)];
+    let per_monitor = 45 + pick(3, 31);
+    TaskSpec::builder((per_monitor * monitors) as f64)
+        .monitors(monitors)
+        .error_allowance(err)
+        .max_interval(max_interval)
+        .patience(5)
+        .warmup_samples(3)
+        .build()
+        .expect("valid spec")
+}
+
+/// The fault plan `seed` derives: drops on both lossy paths, delays,
+/// duplicates, one monitor crash, one stall and one partition, each at a
+/// seeded monitor and tick.
+fn sweep_plan(seed: u64, monitors: usize) -> FaultPlan {
+    let monitor = |k: u64| MonitorId((mix(seed, k) % monitors as u64) as u32);
+    let tick = |k: u64, from: u64| from + mix(seed, k) % 500;
+    let cut = tick(9, 1600);
+    FaultPlan::new(seed)
+        .with_drop_rate(FaultPath::ViolationReport, 0.1)
+        .with_drop_rate(FaultPath::PollReply, 0.1)
+        .with_delay_rate(0.02)
+        .with_duplication_rate(0.02)
+        .with_crash(monitor(4), tick(5, 200))
+        .with_stall(monitor(6), tick(7, 900), 40)
+        .with_partition(&[monitor(8)], cut, cut + 10)
+}
+
+/// Holds the in-process run of `spec` over `traces` to the reference:
+/// the same alerts and samples as `DistributedTask::step`, and every
+/// alert a ground-truth violation. Returns how many alerts it compared.
+fn check_parity(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<usize, String> {
+    let (ref_alerts, ref_samples) = reference_run(spec, traces);
+    let report = TaskRunner::new(spec)
+        .and_then(|runner| runner.run(traces))
+        .map_err(|e| format!("run failed: {e}"))?;
+    let alerts = &report.alert_ticks;
+    if *alerts != ref_alerts {
+        let at = alerts.iter().zip(&ref_alerts).take_while(|(a, b)| a == b);
+        let at = at.count();
+        return Err(format!(
+            "alert #{at} at {:?}, reference at {:?} ({} vs {} alerts)",
+            alerts.get(at),
+            ref_alerts.get(at),
+            alerts.len(),
+            ref_alerts.len()
+        ));
+    }
+    if report.total_samples != ref_samples {
+        return Err(format!(
+            "samples {} != reference {ref_samples}",
+            report.total_samples
+        ));
+    }
+    let truth = GroundTruth::from_aggregate_traces(traces, spec.global_threshold());
+    let violations = truth.violation_ticks();
+    if let Some(tick) = alerts.iter().find(|t| !violations.contains(t)) {
+        return Err(format!("alert at {tick} without a violation"));
+    }
+    Ok(ref_alerts.len())
+}
+
+/// One seed of the sweep: its fault-free run matches the reference, and
+/// its supervised faulted run completes and reruns identically.
+fn sweep_seed(seed: u64) -> Result<usize, String> {
+    let spec = sweep_spec(seed);
+    let monitors = spec.monitors().len();
+    let traces = traces(monitors, SWEEP_TICKS, seed);
+    let compared = check_parity(&spec, &traces)?;
+    let faulted = || {
+        TaskRunner::new(&spec)
+            .map(|runner| runner.with_fault_plan(sweep_plan(seed, monitors)))
+            .and_then(|runner| runner.run(&traces))
+            .map_err(|e| format!("faulted run failed: {e}"))
+    };
+    let first = faulted()?;
+    if first.ticks != SWEEP_TICKS as u64 || first.quarantines != first.restarts {
+        return Err(format!("faulted run: {first:?}"));
+    }
+    if faulted()? != first {
+        return Err("the faulted rerun differs".into());
+    }
+    Ok(compared)
+}
+
+/// Sweeps `seeds`, failing with a one-line `seed=<n>` repro at the first
+/// seed that breaks.
+fn sweep(seeds: std::ops::Range<u64>) {
+    let mut compared = 0;
+    for seed in seeds {
+        match sweep_seed(seed) {
+            Ok(alerts) => compared += alerts,
+            Err(what) => panic!("seed={seed}: {what}"),
+        }
+    }
+    assert!(compared > 0, "no seed alerted");
+}
+
+/// The in-process half of whole-system simulation testing: 64 seeded
+/// tasks, plus uneven local thresholds carried by the spec itself (a
+/// proportional split), as a deployment with per-monitor selectivity
+/// builds it.
 #[test]
 fn exact_parity_across_seeds_and_sizes() {
-    let even = |monitors: usize| spec(monitors, 60.0 * monitors as f64, 0.02);
-    // Uneven local thresholds carried by the spec itself (a proportional
-    // split), as a deployment with per-monitor selectivity builds it.
     let weighted = TaskSpec::builder(240.0)
         .threshold_split(volley::core::ThresholdSplit::Proportional)
         .threshold_weights(vec![1.0, 2.0, 3.0, 2.0])
@@ -79,23 +201,16 @@ fn exact_parity_across_seeds_and_sizes() {
         .warmup_samples(3)
         .build()
         .expect("valid spec");
-    for (spec, seed) in [(even(2), 1u64), (even(3), 2), (even(5), 3), (weighted, 4)] {
-        let monitors = spec.monitors().len();
-        let traces = traces(monitors, 1200, seed);
-        let (ref_alerts, ref_samples) = reference_run(&spec, &traces);
-        let report = TaskRunner::new(&spec)
-            .expect("valid runner")
-            .run(&traces)
-            .expect("run succeeds");
-        assert_eq!(
-            report.alert_ticks, ref_alerts,
-            "alerts (m={monitors}, seed={seed})"
-        );
-        assert_eq!(
-            report.total_samples, ref_samples,
-            "samples (m={monitors}, seed={seed})"
-        );
+    if let Err(what) = check_parity(&weighted, &traces(4, 1200, 4)) {
+        panic!("weighted: {what}");
     }
+    sweep(0..64);
+}
+
+#[test]
+#[ignore = "500 seeds; CI runs it in release"]
+fn exact_parity_across_500_seeds() {
+    sweep(0..500);
 }
 
 #[test]

@@ -4,8 +4,6 @@
 //! count may only change wall-clock time, never a single reported
 //! number.
 
-use std::time::Duration;
-
 use volley::prelude::*;
 use volley::runtime::{FaultPath, FaultPlan};
 use volley::sim::{EngineConfig, ShardedEngine};
@@ -245,9 +243,7 @@ fn fleet_tasks(seed: u64, faults: bool) -> Fleet {
                     .with_drop_rate(FaultPath::ViolationReport, 0.2)
                     .with_duplication_rate(0.1)
                     .with_crash(MonitorId(1), 60);
-                runner
-                    .with_fault_plan(plan)
-                    .with_tick_deadline(Duration::from_millis(200))
+                runner.with_fault_plan(plan)
             } else {
                 runner
             };
