@@ -753,6 +753,21 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // alert list reads directly as "which bursts survived the faults".
     let workload = Workload::bursty(args, 0.0)?;
 
+    // A fault for a monitor the fleet does not have would do nothing.
+    let crashes = args.crashes.iter().map(|&(m, _)| ("--crash", m));
+    let stalls = args.stalls.iter().map(|&(m, _, _)| ("--stall", m));
+    let partitioned = args.partitions.iter().flat_map(|(lanes, _, _)| lanes);
+    let partitions = partitioned.map(|&m| ("--partition", m));
+    if let Some((flag, m)) = crashes
+        .chain(stalls)
+        .chain(partitions)
+        .find(|&(_, m)| m as usize >= n)
+    {
+        return Err(CliError::Usage(format!(
+            "{flag} names monitor {m}, but --monitors {n} numbers them 0..{n}"
+        )));
+    }
+
     let mut plan = FaultPlan::new(args.common.seed)
         .with_drop_rate(FaultPath::ViolationReport, args.drop_rate)
         .with_drop_rate(FaultPath::PollReply, args.poll_drop_rate)
@@ -769,7 +784,8 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     }
     for (lanes, t, d) in &args.partitions {
         let lanes: Vec<MonitorId> = lanes.iter().map(|&m| MonitorId(m)).collect();
-        plan = plan.with_partition(&lanes, *t, t + d);
+        // A partition too long to end within the tick axis never heals.
+        plan = plan.with_partition(&lanes, *t, t.saturating_add(*d));
     }
     for &record in &args.wal_corruptions {
         plan = plan.with_wal_corruption(record);
@@ -1840,6 +1856,41 @@ mod tests {
         assert_eq!(report["recoveries"], 1);
         // Bursts at ticks 49 and 99 still alert despite the crash.
         assert_eq!(report["alerts"], 2);
+    }
+
+    #[test]
+    fn chaos_rejects_a_fault_for_a_monitor_outside_the_fleet() {
+        for (flag, spec) in [
+            ("--crash", "99@5"),
+            ("--stall", "99@5+3"),
+            ("--partition", "9@5+3"),
+        ] {
+            let mut argv = vec!["chaos", "--monitors", "5", flag, spec];
+            if flag == "--partition" {
+                argv.extend(["--partition", "1,4@2+3"]);
+            }
+            match run(Command::Chaos(args_of(&argv)), &mut Vec::new()) {
+                Err(CliError::Usage(message)) => {
+                    assert!(message.contains(flag), "{flag}: {message}");
+                }
+                other => panic!("{flag} {spec}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A partition whose end lies past the tick axis never heals: it
+    /// must neither overflow nor wrap around to nothing.
+    #[test]
+    fn chaos_saturates_a_partition_that_never_heals() {
+        let mut args = chaos_args(&[]);
+        args.partitions.push((vec![1], 5, u64::MAX));
+        args.no_supervise = true;
+        let text = run_to_string(Command::Chaos(args));
+        let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let report = &parsed["report"];
+        assert_eq!(report["ticks"], 100);
+        assert_eq!(report["quarantines"], 1);
+        assert_eq!(report["missed_tick_reports"], 95, "silent from tick 5 on");
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl ErrorAllocator {
         })
     }
 
-    /// The global task-level allowance.
-    pub fn global_allowance(&self) -> f64 {
-        self.global_err
-    }
-
     /// The current per-monitor allowances.
     pub fn allowances(&self) -> &[f64] {
         &self.allowances
@@ -731,7 +726,7 @@ mod tests {
                 .collect();
             a.update(&reports, 0.2).unwrap();
             let sum: f64 = a.allowances().iter().sum();
-            assert!(sum <= a.global_allowance() + 1e-12, "sum {sum}");
+            assert!(sum <= 0.01 + 1e-12, "sum {sum}");
             let floor = 0.01 * ALLOWANCE_LADDER_FRACTIONS[0];
             for &x in a.allowances() {
                 assert!(x >= floor - 1e-15);
@@ -748,7 +743,7 @@ mod tests {
         // Must not panic; missing rungs are treated as cost 1.
         a.update(&reports, 0.2).unwrap();
         let sum: f64 = a.allowances().iter().sum();
-        assert!(sum <= a.global_allowance() + 1e-12);
+        assert!(sum <= 0.01 + 1e-12);
     }
 
     #[test]
@@ -769,7 +764,7 @@ mod tests {
         for _ in 0..20 {
             a.update(&reports, 0.2).unwrap();
             let sum: f64 = a.allowances().iter().sum();
-            assert!(sum <= a.global_allowance() + 1e-12);
+            assert!(sum <= 0.01 + 1e-12);
         }
     }
 

@@ -369,21 +369,6 @@ impl DistributedTask {
         }
     }
 
-    /// Current error allowance assigned to monitor `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VolleyError::UnknownMonitor`] for an out-of-range index.
-    pub fn monitor_allowance(&self, index: usize) -> Result<f64, VolleyError> {
-        self.monitors
-            .get(index)
-            .map(|m| m.sampler.error_allowance())
-            .ok_or(VolleyError::UnknownMonitor {
-                index,
-                len: self.monitors.len(),
-            })
-    }
-
     /// Replaces monitor `index`'s local threshold (used by experiments that
     /// skew local violation rates, Figure 8).
     ///
@@ -591,7 +576,7 @@ mod tests {
             assert!(!o.reallocated);
         }
         for i in 0..3 {
-            assert!((task.monitor_allowance(i).unwrap() - 0.01).abs() < 1e-12);
+            assert!((task.coordinator().allowances()[i] - 0.01).abs() < 1e-12);
         }
     }
 
@@ -627,8 +612,10 @@ mod tests {
             reallocated |= o.reallocated;
         }
         assert!(reallocated, "adaptive scheme should have reallocated");
-        let quiet = task.monitor_allowance(0).unwrap();
-        let busy = task.monitor_allowance(1).unwrap();
+        let (quiet, busy) = (
+            task.coordinator().allowances()[0],
+            task.coordinator().allowances()[1],
+        );
         assert!(
             quiet > busy,
             "quiet monitor should hold more allowance (quiet={quiet}, busy={busy})"

@@ -196,15 +196,6 @@ impl CorrelationDetector {
         Some(f64::from(s.leader_active_too) / f64::from(s.follower_violations))
     }
 
-    /// Base violation rate of a task (violating ticks over total ticks).
-    pub fn base_rate(&self, task: TaskId) -> Option<f64> {
-        let i = self.index_of(task)?;
-        if self.ticks == 0 {
-            return Some(0.0);
-        }
-        Some(f64::from(self.violations[i]) / self.ticks as f64)
-    }
-
     fn index_of(&self, task: TaskId) -> Option<usize> {
         self.tasks.iter().position(|t| *t == task)
     }
@@ -324,11 +315,6 @@ impl MonitoringPlan {
     /// The gate applied to `task`, if it is gated.
     pub fn gate(&self, task: TaskId) -> Option<&Gate> {
         self.gates.get(&task)
-    }
-
-    /// Number of gated tasks.
-    pub fn gated_count(&self) -> usize {
-        self.gates.len()
     }
 
     /// Iterates over `(follower, gate)` pairs.
@@ -466,16 +452,6 @@ mod tests {
     fn unknown_task_returns_none() {
         let det = CorrelationDetector::new(CorrelationConfig::default(), ids(2));
         assert_eq!(det.necessity_confidence(TaskId(9), TaskId(1)), None);
-        assert_eq!(det.base_rate(TaskId(9)), None);
-    }
-
-    #[test]
-    fn base_rate_counts_violating_ticks() {
-        let mut det = CorrelationDetector::new(CorrelationConfig::default(), ids(1));
-        for tick in 0..100u64 {
-            det.observe(tick, &[tick % 10 == 0]);
-        }
-        assert!((det.base_rate(TaskId(0)).unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -483,7 +459,7 @@ mod tests {
         let mut det = CorrelationDetector::new(CorrelationConfig::default(), ids(2));
         feed_necessary_pair(&mut det, 5000);
         let plan = det.plan();
-        assert_eq!(plan.gated_count(), 1);
+        assert_eq!(plan.iter().count(), 1);
         let gate = plan.gate(TaskId(1)).expect("follower should be gated");
         assert_eq!(gate.leader, TaskId(0));
         assert!(gate.confidence > 0.99);
@@ -522,7 +498,7 @@ mod tests {
         }
         let plan = det.plan();
         assert_eq!(
-            plan.gated_count(),
+            plan.iter().count(),
             0,
             "independent tasks must not gate each other"
         );
@@ -537,7 +513,7 @@ mod tests {
             let follower = tick % 10 < 2;
             det.observe(tick, &[leader, follower]);
         }
-        assert_eq!(det.plan().gated_count(), 0);
+        assert_eq!(det.plan().iter().count(), 0);
     }
 
     #[test]
@@ -575,7 +551,7 @@ mod tests {
         feed_necessary_pair(&mut det, 5000);
         // NaN / zero / short cost vectors are treated as unit costs.
         let plan = det.plan_with_costs(&[f64::NAN]);
-        assert_eq!(plan.gated_count(), det.plan().gated_count());
+        assert_eq!(plan.iter().count(), det.plan().iter().count());
     }
 
     #[test]

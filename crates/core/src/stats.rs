@@ -245,13 +245,6 @@ impl OnlineStats {
         u32::try_from(self.n).unwrap_or(u32::MAX)
     }
 
-    /// Whether enough observations have accumulated for the statistics to
-    /// be meaningful. The likelihood bound needs a variance estimate, so at
-    /// least two observations are required; callers may demand more.
-    pub fn is_warmed_up(&self) -> bool {
-        self.n >= 2
-    }
-
     /// Discards all state, beginning a fresh window.
     pub fn reset(&mut self) {
         self.n = 0;
@@ -426,9 +419,6 @@ mod tests {
         stats.update(42.0);
         assert_eq!(stats.mean(), 42.0);
         assert_eq!(stats.variance(), 0.0);
-        assert!(!stats.is_warmed_up());
-        stats.update(42.0);
-        assert!(stats.is_warmed_up());
     }
 
     #[test]

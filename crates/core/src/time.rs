@@ -90,12 +90,6 @@ impl Interval {
             other
         }
     }
-
-    /// Fraction of the periodic-sampling cost incurred at this interval:
-    /// sampling every `I` ticks costs `1/I` of sampling every tick.
-    pub fn cost_fraction(self) -> f64 {
-        1.0 / f64::from(self.get())
-    }
 }
 
 impl Default for Interval {
@@ -157,12 +151,6 @@ mod tests {
             Interval::new(u32::MAX).unwrap().saturating_add(1).get(),
             u32::MAX
         );
-    }
-
-    #[test]
-    fn cost_fraction_is_reciprocal() {
-        assert_eq!(Interval::new(4).unwrap().cost_fraction(), 0.25);
-        assert_eq!(Interval::DEFAULT.cost_fraction(), 1.0);
     }
 
     #[test]

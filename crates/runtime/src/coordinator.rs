@@ -25,9 +25,16 @@
 //! updating period gathers period reports (*reallocate*) and on the
 //! checkpoint cadence gathers sampler state (*snapshot*). Every phase
 //! waits on the same awaited set under one rule — a monitor is awaited
-//! when it is active (or, for reports, showing signs of life), the fault
-//! plan has not partitioned it away and its link took the request — and
-//! ends when the set empties or the driver reports the deadline.
+//! when it is active (or, for reports, showing signs of life) and its
+//! link took the request — and ends when the set empties or the driver
+//! reports the deadline.
+//!
+//! The machine knows only what its monitors' frames tell it. Lost,
+//! delayed and duplicated frames, partitions and crashed processes are
+//! the link's doing — the in-process slot table acts out the session's
+//! fault plan on the frames it carries — and reach the machine only as
+//! silence, refusals ([`on_undeliverable`](CoordinatorActor::on_undeliverable))
+//! or frames it has already seen.
 //!
 //! # Fault tolerance
 //!
@@ -57,9 +64,9 @@
 //! emits a [`TickOutcome`] per tick and periodically a full
 //! [`CoordinatorSnapshot`] for the driver to log; a warm standby replays
 //! them to resume with learned intervals and the learned allowance split
-//! instead of the paper's conservative `I_d` restart. An injected
-//! coordinator crash is [`Output::Crashed`]: the machine goes silent and
-//! the driver fails over.
+//! instead of the paper's conservative `I_d` restart. A coordinator
+//! crash is the driver's to act out: it drops the machine mid-tick and
+//! builds a successor.
 
 use std::collections::VecDeque;
 
@@ -70,7 +77,6 @@ use volley_core::task::MonitorId;
 use volley_core::time::Tick;
 
 use crate::checkpoint::{CoordinatorSnapshot, MultitaskSnapshot, TickOutcome};
-use crate::failure::{FaultPath, FaultPlan};
 use crate::message::{
     decode_line, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickSummary,
 };
@@ -120,9 +126,6 @@ pub enum Output {
     Snapshot(CoordinatorSnapshot),
     /// The tick is complete.
     Summary(TickSummary),
-    /// The fault plan's coordinator crash fired: no summary and no log
-    /// record for this tick, and the machine ignores all further input.
-    Crashed,
 }
 
 /// The collection phase a tick is in.
@@ -139,7 +142,7 @@ enum Phase {
 }
 
 /// Whom the current phase waits for.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Await {
     on: Vec<bool>,
     /// Monitors the phase waited for at any point.
@@ -205,10 +208,9 @@ fn is_fresh(msg: &MonitorToCoordinator, last_tick: Option<Tick>) -> bool {
 /// quarantine and degraded aggregation, and surviving its own crash via
 /// an epoch-fenced warm standby restoring from the checkpoints it emits.
 /// See the [module docs](self) for how it is driven.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoordinatorActor {
     rules: Coordinator,
-    faults: FaultPlan,
     quarantine_after: u32,
     epoch: u64,
     /// Snapshot cadence and the next tick one is due at (or after).
@@ -247,20 +249,17 @@ pub struct CoordinatorActor {
     /// produces them), replayed when the next round opens.
     read_ahead: Vec<MonitorToCoordinator>,
     outbox: VecDeque<Output>,
-    crashed: bool,
 }
 
 impl CoordinatorActor {
-    /// A coordinator deciding by `rules` under the fault plan `faults`
-    /// (for the monitor→coordinator message paths, partitions and its
-    /// own crash), at epoch 0 with no checkpoints and no gate, awaiting
-    /// the reports of the tick after `last_tick` — the last tick a
-    /// previous incarnation closed, `None` at the start of a run.
-    pub fn new(rules: Coordinator, faults: FaultPlan, last_tick: Option<Tick>) -> Self {
+    /// A coordinator deciding by `rules`, at epoch 0 with no
+    /// checkpoints and no gate, awaiting the reports of the tick after
+    /// `last_tick` — the last tick a previous incarnation closed, `None`
+    /// at the start of a run.
+    pub fn new(rules: Coordinator, last_tick: Option<Tick>) -> Self {
         let n = rules.monitors();
         let mut machine = CoordinatorActor {
             rules,
-            faults,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
             epoch: 0,
             checkpoint: None,
@@ -284,7 +283,6 @@ impl CoordinatorActor {
             snapshots: Vec::new(),
             read_ahead: Vec::new(),
             outbox: VecDeque::new(),
-            crashed: false,
         };
         machine.open_round();
         machine
@@ -324,7 +322,7 @@ impl CoordinatorActor {
 
     /// Checkpoints: every tick emits its [`Output::Tick`], and every
     /// `every` ticks (minimum 1) the machine gathers its own and every
-    /// reachable monitor's adaptation state into an [`Output::Snapshot`].
+    /// active monitor's adaptation state into an [`Output::Snapshot`].
     #[must_use]
     pub fn with_checkpoint(mut self, every: u64) -> Self {
         let every = every.max(1);
@@ -348,11 +346,6 @@ impl CoordinatorActor {
 
     fn active(&self, idx: usize) -> bool {
         !self.quarantined[idx]
-    }
-
-    /// Whether monitor `idx` is reachable (not partitioned) at `tick`.
-    fn reachable(&self, idx: usize, tick: Tick) -> bool {
-        !self.faults.partitioned(MonitorId(idx as u32), tick)
     }
 
     /// The tick the open round is for until its first report says so.
@@ -416,7 +409,7 @@ impl CoordinatorActor {
     /// have completed.
     fn admit(&mut self, frame: MonitorFrame) {
         let MonitorFrame { epoch, msg } = frame;
-        if self.crashed || !msg.is_wire_representable() {
+        if !msg.is_wire_representable() {
             return;
         }
         let sender = msg_sender(&msg)
@@ -472,10 +465,7 @@ impl CoordinatorActor {
         if self.quarantined[idx] && !self.reviving[idx] {
             self.reviving[idx] = true;
             self.consecutive_missed[idx] = 0;
-            if self.phase == Phase::Reports
-                && !self.seen[idx]
-                && self.reachable(idx, self.expected_tick())
-            {
+            if self.phase == Phase::Reports && !self.seen[idx] {
                 self.wait.expect(idx);
             }
         }
@@ -509,13 +499,8 @@ impl CoordinatorActor {
                 },
             ) => {
                 let idx = monitor.0 as usize;
-                // Stale, foreign and duplicated replies are dropped, and
-                // so is one the plan's network ate.
-                if idx < n
-                    && t == tick
-                    && self.values[idx].is_none()
-                    && !self.faults.drops(FaultPath::PollReply, monitor, tick)
-                {
+                // Stale, foreign and duplicated replies are dropped.
+                if idx < n && t == tick && self.values[idx].is_none() {
                     self.values[idx] = Some(value);
                     self.wait.settle(idx);
                     self.summary.poll_samples += u32::from(forced_sample);
@@ -582,25 +567,19 @@ impl CoordinatorActor {
         }
         self.summary.scheduled_samples += u32::from(sampled);
         self.summary.suppressed_samples += u32::from(suppressed);
-        // The report path may be lossy: a dropped report means the
-        // coordinator never learns of the local violation.
-        if violation && !self.faults.drops(FaultPath::ViolationReport, monitor, t) {
-            self.summary.local_violations += 1;
-        }
+        self.summary.local_violations += u32::from(violation);
     }
 
     /// Closes every phase that is over — its awaited set emptied or, for
     /// the current one, the driver's deadline `expired`. The report
     /// collection is special in one way: with nobody to wait for
-    /// (everything quarantined or unreachable) it still waits for the
+    /// (everything quarantined) it still waits for the
     /// deadline, so a driver behind sockets gives re-dialling agents'
     /// `Revived` notices a chance to arrive (in process, where nothing
     /// arrives by waiting, the driver reports the deadline at once).
     fn settle(&mut self, mut expired: bool) {
-        while !self.crashed
-            && (expired
-                || self.wait.outstanding == 0
-                    && (self.phase != Phase::Reports || self.wait.armed > 0))
+        while expired
+            || self.wait.outstanding == 0 && (self.phase != Phase::Reports || self.wait.armed > 0)
         {
             expired = false;
             match self.phase {
@@ -618,36 +597,32 @@ impl CoordinatorActor {
         self.round_tick = None;
         self.summary = TickSummary::default();
         self.seen.fill(false);
-        self.await_reports(self.expected_tick());
+        self.await_reports();
         for msg in std::mem::take(&mut self.read_ahead) {
             self.accept(msg);
         }
     }
 
-    /// Awaits a `TickDone` for `tick` — the one the lock-step expects,
-    /// at which reachability is judged — from every active monitor plus the
-    /// quarantined ones showing signs of life, minus any the fault plan
-    /// has partitioned away: their frames cannot arrive, but they still
-    /// count as missing, so a long partition quarantines them and
-    /// degraded aggregation takes over.
-    fn await_reports(&mut self, tick: Tick) {
+    /// Awaits a `TickDone` from every active monitor plus the
+    /// quarantined ones showing signs of life. One cut off from the
+    /// coordinator never answers and counts as missing, so a long
+    /// partition quarantines it and degraded aggregation takes over.
+    fn await_reports(&mut self) {
         self.wait.clear();
         for idx in 0..self.monitors() {
-            if (self.active(idx) || self.reviving[idx]) && self.reachable(idx, tick) {
+            if self.active(idx) || self.reviving[idx] {
                 self.wait.expect(idx);
             }
         }
     }
 
-    /// Opens a request phase: `msg` goes to every active, reachable
-    /// monitor, and each is awaited (unless its link refuses the
-    /// request).
+    /// Opens a request phase: `msg` goes to every active monitor, and
+    /// each is awaited (unless its link refuses the request).
     fn request(&mut self, phase: Phase, msg: CoordinatorToMonitor) {
-        let tick = self.summary.tick;
         self.phase = phase;
         self.wait.clear();
         let to: Vec<MonitorId> = (0..self.monitors())
-            .filter(|&idx| self.active(idx) && self.reachable(idx, tick))
+            .filter(|&idx| self.active(idx))
             .map(|idx| MonitorId(idx as u32))
             .collect();
         for &monitor in &to {
@@ -661,8 +636,8 @@ impl CoordinatorActor {
         }
     }
 
-    /// The report collection is over: fix the tick, act out a planned
-    /// crash, do the deadline bookkeeping, then poll if anyone violated.
+    /// The report collection is over: fix the tick, do the deadline
+    /// bookkeeping, then poll if anyone violated.
     fn close_reports(&mut self) {
         // With nothing received (every monitor quarantined or silent)
         // the lock-step still advances one tick, so the driver — which
@@ -670,20 +645,6 @@ impl CoordinatorActor {
         let tick = self.expected_tick();
         self.last_tick = Some(tick);
         self.summary.tick = tick;
-
-        // An injected coordinator crash: the primary vanishes without a
-        // summary and without checkpointing this tick, exactly as a real
-        // crash mid-round would — the tick is newer than the checkpoint
-        // horizon and the standby must re-drive it.
-        if self
-            .faults
-            .coordinator_crash_tick()
-            .is_some_and(|c| tick >= c)
-        {
-            self.crashed = true;
-            self.outbox.push_back(Output::Crashed);
-            return;
-        }
 
         for idx in 0..self.monitors() {
             if self.quarantined[idx] {
@@ -730,14 +691,13 @@ impl CoordinatorActor {
 
     /// One §IV-B updating round, when one is due: gather period reports,
     /// update the allocator, push new allowances. A round that cannot
-    /// hear from every monitor — one is quarantined, partitioned away,
-    /// gone, or misses the deadline — is skipped and every monitor
-    /// carries its allowance forward: reallocation is an optimization,
-    /// never worth stalling the task over.
+    /// hear from every monitor — one is quarantined, gone, or misses the
+    /// deadline — is skipped and every monitor carries its allowance
+    /// forward: reallocation is an optimization, never worth stalling
+    /// the task over.
     fn begin_reallocate(&mut self) {
-        let tick = self.summary.tick;
-        let due = self.rules.reallocation_due(tick);
-        if due && (0..self.monitors()).all(|idx| self.active(idx) && self.reachable(idx, tick)) {
+        let due = self.rules.reallocation_due(self.summary.tick);
+        if due && (0..self.monitors()).all(|idx| self.active(idx)) {
             self.reports = vec![None; self.monitors()];
             self.request(Phase::Reallocate, CoordinatorToMonitor::RequestReport);
         } else {
@@ -842,23 +802,15 @@ mod tests {
 
     /// A 1-monitor coordinator with global (= local) threshold `threshold`.
     fn solo(threshold: f64) -> CoordinatorActor {
-        solo_under(threshold, FaultPlan::default())
-    }
-
-    fn solo_under(threshold: f64, plan: FaultPlan) -> CoordinatorActor {
         let rules = rules(1, threshold, 0.01, CoordinationScheme::Adaptive);
-        CoordinatorActor::new(rules, plan, None)
+        CoordinatorActor::new(rules, None)
     }
 
     /// A 2-monitor coordinator (`T` = 100, `T_i` = 50) that never
     /// reallocates.
     fn pair(quarantine_after: u32) -> CoordinatorActor {
-        pair_under(quarantine_after, FaultPlan::default())
-    }
-
-    fn pair_under(quarantine_after: u32, plan: FaultPlan) -> CoordinatorActor {
         let rules = rules(2, 100.0, 0.01, CoordinationScheme::Even);
-        CoordinatorActor::new(rules, plan, None).with_quarantine_after(quarantine_after)
+        CoordinatorActor::new(rules, None).with_quarantine_after(quarantine_after)
     }
 
     fn sealed(epoch: u64, msg: MonitorToCoordinator) -> MonitorFrame {
@@ -969,18 +921,6 @@ mod tests {
         assert!(summary.polled);
         assert!(!summary.alerted);
         assert_eq!(summary.poll_samples, 1);
-    }
-
-    #[test]
-    fn dropped_reports_suppress_polls() {
-        // Drop every report.
-        let plan = FaultPlan::new(1).with_drop_rate(FaultPath::ViolationReport, 1.0);
-        let mut machine = solo_under(100.0, plan);
-        machine.on_frame(tick_done(0, 0, true));
-        let (summary, before) = closed(&mut machine);
-        assert!(!summary.polled, "dropped report must suppress the poll");
-        assert_eq!(summary.local_violations, 0);
-        assert!(before.is_empty(), "nothing was sent: {before:?}");
     }
 
     #[test]
@@ -1338,48 +1278,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_monitor_is_not_awaited_but_counts_missing() {
-        // Monitor 1 is partitioned for ticks 0..100. The round must not
-        // wait for frames that cannot arrive: it closes on monitor 0's
-        // report, with no deadline.
-        let plan = FaultPlan::new(7).with_partition(&[MonitorId(1)], 0, 100);
-        let mut machine = pair_under(2, plan);
-        machine.on_frame(tick_done(0, 0, false));
-        let (summary, _) = closed(&mut machine);
-        assert_eq!(
-            summary.missing_reports, 1,
-            "partitioned still counts missed"
-        );
-        // A second miss quarantines it — degraded aggregation takes over.
-        machine.on_frame(tick_done(0, 1, false));
-        let (_, before) = closed(&mut machine);
-        assert!(matches!(
-            before.as_slice(),
-            [Output::Quarantined {
-                monitor: MonitorId(1),
-                ..
-            }]
-        ));
-    }
-
-    #[test]
-    fn injected_coordinator_crash_silences_the_coordinator() {
-        let plan = FaultPlan::new(7).with_coordinator_crash(1);
-        let mut machine = solo_under(100.0, plan).with_checkpoint(1);
-        machine.on_frame(tick_done(0, 0, false));
-        machine.on_deadline(); // nobody answers the snapshot request
-        let (summary, _) = closed(&mut machine);
-        assert_eq!(summary.tick, 0);
-        // Tick 1 hits the crash: no summary and no log record — the
-        // driver's failover path sees only the crash.
-        machine.on_frame(tick_done(0, 1, false));
-        assert_eq!(pending(&mut machine), [Output::Crashed]);
-        machine.on_frame(tick_done(0, 2, false));
-        machine.on_deadline();
-        assert_eq!(machine.pop_output(), None, "a crashed machine stays silent");
-    }
-
-    #[test]
     fn checkpointing_records_ticks_and_gathered_snapshots() {
         let mut machine = solo(100.0).with_checkpoint(1);
         let snapshot = {
@@ -1506,7 +1404,7 @@ mod tests {
         let restored = [0.015, 0.005];
         let mut rules = rules(2, 100.0, err, CoordinationScheme::Adaptive);
         assert!(rules.restore(&restored, 2000));
-        let mut machine = CoordinatorActor::new(rules, FaultPlan::default(), Some(1999));
+        let mut machine = CoordinatorActor::new(rules, Some(1999));
         machine.on_frame(tick_done(0, 2000, false));
         machine.on_frame(tick_done(1, 2000, false));
         assert_eq!(
@@ -1557,7 +1455,7 @@ mod tests {
     #[test]
     fn a_refused_report_request_skips_the_round() {
         let rules = rules(2, 100.0, 0.02, CoordinationScheme::Adaptive);
-        let mut machine = CoordinatorActor::new(rules, FaultPlan::default(), Some(999));
+        let mut machine = CoordinatorActor::new(rules, Some(999));
         machine.on_frame(tick_done(0, 1000, false));
         machine.on_frame(tick_done(1, 1000, false));
         assert_eq!(pending(&mut machine).len(), 2, "reports requested");
@@ -1568,22 +1466,38 @@ mod tests {
         assert_eq!(machine.rules().allocation_rounds, 0);
     }
 
-    /// Reallocation used to be the one phase that ignored the partition
-    /// plan: it asked a monitor that could not hear it and waited out
-    /// the whole deadline before skipping the round.
+    /// A monitor cut off from the coordinator on an update tick, before
+    /// it is quarantined, is asked for its period report like everyone
+    /// else — the machine cannot tell a partition from a slow reply. The
+    /// round closes on the deadline without it, and every monitor
+    /// carries its allowance forward.
     #[test]
-    fn a_partitioned_monitor_skips_the_reallocation_round_without_a_wait() {
-        let plan = FaultPlan::new(7).with_partition(&[MonitorId(1)], 1000, 1001);
+    fn a_silent_monitor_is_asked_for_its_report_and_the_round_skipped() {
         let rules = rules(2, 100.0, 0.02, CoordinationScheme::Adaptive);
-        let mut machine = CoordinatorActor::new(rules, plan, Some(999));
-        // An update tick, with monitor 1 cut off but not yet quarantined.
+        let mut machine = CoordinatorActor::new(rules, Some(999));
+        // An update tick, with monitor 1 silent but not yet quarantined.
         machine.on_frame(tick_done(0, 1000, false));
+        assert!(pending(&mut machine).is_empty(), "monitor 1 is awaited");
+        machine.on_deadline();
+        assert_eq!(
+            pending(&mut machine),
+            [
+                send(&[0, 1], CoordinatorToMonitor::RequestReport),
+                Output::ArmDeadline
+            ]
+        );
+        let monitor = MonitorId(0);
+        let report = period_report(2, 0.0001);
+        machine.on_frame(sealed(0, MonitorToCoordinator::Report { monitor, report }));
+        assert!(
+            pending(&mut machine).is_empty(),
+            "monitor 1's report is awaited"
+        );
+        machine.on_deadline();
         let (summary, before) = closed(&mut machine);
         assert_eq!((summary.tick, summary.missing_reports), (1000, 1));
-        assert!(
-            before.is_empty(),
-            "no RequestReport, no deadline armed: {before:?}"
-        );
+        assert!(before.is_empty(), "allowances carried forward: {before:?}");
+        assert_eq!(machine.rules().allowances(), [0.01, 0.01]);
         assert_eq!(
             machine.rules().next_update_tick(),
             2000,

@@ -12,6 +12,15 @@
 //! duplication, delayed (reordered) delivery, monitor crashes at a given
 //! tick, multi-tick stalls, partitions, coordinator crashes, WAL
 //! corruption and storage faults.
+//!
+//! Faults happen on the link and in processes, never in the protocol:
+//! the in-process slot table acts the monitor and message faults out on
+//! the frames it carries in both directions, the task session kills
+//! the coordinator process on its scheduled crash, and the WAL and the
+//! sinks take the storage faults. Neither protocol machine — the
+//! coordinator nor the monitor actor — reads the plan; each learns of a
+//! fault only from the frames it does or does not receive. The socket
+//! plane's plan is always benign.
 
 use volley_core::task::MonitorId;
 use volley_core::time::Tick;
@@ -139,9 +148,9 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules the coordinator to crash upon completing the collection
-    /// phase of tick `at` (before emitting its summary, so the tick is
-    /// re-driven by the successor).
+    /// Schedules the coordinator to crash at tick `at`, once the tick's
+    /// data has left and before any reply reaches it (so the tick has no
+    /// summary, and the successor re-drives it).
     #[must_use]
     pub fn with_coordinator_crash(mut self, at: Tick) -> Self {
         self.coordinator_crashes.push(at);
@@ -242,9 +251,18 @@ impl FaultPlan {
             .any(|&(m, from, dur)| m == monitor && tick >= from && tick < from.saturating_add(dur))
     }
 
-    /// The earliest scheduled coordinator crash, if any.
-    pub fn coordinator_crash_tick(&self) -> Option<Tick> {
-        self.coordinator_crashes.iter().copied().min()
+    /// The earliest coordinator crash scheduled after `fired` — the tick
+    /// the last one fired at, `None` before any has — if any: the crash
+    /// the incumbent coordinator process is headed for. A standby taking
+    /// over after a crash at tick `t` asks with `Some(t)`, so only later
+    /// crashes still apply to it.
+    pub fn coordinator_crash_after(&self, fired: Option<Tick>) -> Option<Tick> {
+        let pending = |&&at: &&Tick| fired.is_none_or(|fired| at > fired);
+        self.coordinator_crashes
+            .iter()
+            .filter(pending)
+            .copied()
+            .min()
     }
 
     /// Whether the link between the coordinator and `monitor` is cut at
@@ -271,16 +289,6 @@ impl FaultPlan {
         let mut plan = self.clone();
         plan.crashes.retain(|(m, _)| *m != monitor);
         plan.stalls.retain(|(m, _, _)| *m != monitor);
-        plan
-    }
-
-    /// A copy of this plan with every coordinator crash at or before
-    /// `tick` removed — the plan a standby taking over after a crash at
-    /// `tick` runs under (later scheduled crashes still apply to it).
-    #[must_use]
-    pub fn without_coordinator_crashes_through(&self, tick: Tick) -> Self {
-        let mut plan = self.clone();
-        plan.coordinator_crashes.retain(|&t| t > tick);
         plan
     }
 
@@ -414,7 +422,11 @@ mod tests {
             .with_partition(&[MonitorId(1), MonitorId(2)], 30, 60)
             .with_wal_corruption(17);
         assert!(!plan.is_benign());
-        assert_eq!(plan.coordinator_crash_tick(), Some(40), "earliest crash");
+        assert_eq!(
+            plan.coordinator_crash_after(None),
+            Some(40),
+            "earliest crash"
+        );
         assert!(!plan.partitioned(MonitorId(1), 29));
         assert!(plan.partitioned(MonitorId(1), 30));
         assert!(plan.partitioned(MonitorId(2), 59));
@@ -430,23 +442,14 @@ mod tests {
     fn standby_plan_strips_consumed_coordinator_crashes() {
         let plan = FaultPlan::new(4)
             .with_coordinator_crash(40)
-            .with_coordinator_crash(120)
-            .with_partition(&[MonitorId(0)], 35, 50);
-        let standby = plan.without_coordinator_crashes_through(40);
+            .with_coordinator_crash(120);
         assert_eq!(
-            standby.coordinator_crash_tick(),
+            plan.coordinator_crash_after(Some(40)),
             Some(120),
             "later crashes survive for the standby"
         );
-        assert!(
-            standby.partitioned(MonitorId(0), 45),
-            "partitions are network faults and persist across takeover"
-        );
-        assert_eq!(
-            plan.without_coordinator_crashes_through(200)
-                .coordinator_crash_tick(),
-            None
-        );
+        assert_eq!(plan.coordinator_crash_after(Some(39)), Some(40));
+        assert_eq!(plan.coordinator_crash_after(Some(200)), None);
     }
 
     #[test]

@@ -60,7 +60,11 @@
 //! [`failure::FaultPlan`] drops, delays and duplicates protocol messages
 //! and schedules monitor crashes and stalls, purely as a function of
 //! `(seed, monitor, tick)`, so a run under a given plan is exactly
-//! reproducible — loss on the violation-report path, the knob of the
+//! reproducible. Faults happen on the link, never in the protocol: the
+//! in-process slot table acts the plan out on the frames it carries and
+//! the session fires the coordinator's crash, while the coordinator
+//! machine and the monitor actor never read it. Loss on the
+//! violation-report path, the knob of the
 //! original accuracy experiments, is
 //! [`FaultPlan::with_drop_rate`]`(`[`FaultPath::ViolationReport`]`, p)`.
 //!

@@ -11,7 +11,7 @@ use volley_core::AdaptiveSampler;
 use volley_obs::{names, Counter, Histogram, Obs, SpanLog};
 use volley_store::SampleRecorder;
 
-use crate::failure::FaultPlan;
+use crate::failure::{FaultPath, FaultPlan};
 use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData,
 };
@@ -22,13 +22,8 @@ use crate::session::fresh_sampler;
 ///
 /// The actor is transport-agnostic: it takes decoded [`ControlFrame`]s
 /// and answers with [`MonitorFrame`]s, so the same actor runs in process
-/// and behind a socket.
-///
-/// An installed [`FaultPlan`] lets the slot hosting the actor
-/// impersonate a faulty process: crashing at a scheduled tick, going
-/// silent for a stall window, or delaying/duplicating its replies — all
-/// without touching the pure protocol logic in
-/// [`handle`](MonitorActor::handle).
+/// and behind a socket. It knows no fault model: the slot hosting it
+/// acts faults out on the frames around it (see `MonitorSlot`).
 ///
 /// # Epoch fencing
 ///
@@ -46,7 +41,7 @@ use crate::session::fresh_sampler;
 ///   A monitor partitioned across a failover therefore re-enters only
 ///   through quarantine and the supervised `Revived` handshake, never by
 ///   having a stale frame mistaken for current traffic.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MonitorActor {
     id: MonitorId,
     sampler: AdaptiveSampler,
@@ -55,8 +50,6 @@ pub struct MonitorActor {
     current: Option<TickData>,
     /// Whether the current tick's schedule already sampled.
     sampled_this_tick: bool,
-    /// Injected faults, acted out by the hosting [`MonitorSlot`] only.
-    faults: FaultPlan,
     /// The coordinator epoch this monitor currently accepts.
     epoch: u64,
     /// Frames rejected for carrying an epoch older than ours.
@@ -83,7 +76,7 @@ pub struct MonitorActor {
 
 /// Pre-resolved obs instruments, so the hot path never takes the
 /// registry mutex.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MonitorObsHandles {
     spans: SpanLog,
     sample_hist: Histogram,
@@ -100,7 +93,6 @@ impl MonitorActor {
             next_sample_tick: 0,
             current: None,
             sampled_this_tick: false,
-            faults: FaultPlan::default(),
             epoch: 0,
             stale_rejections: 0,
             obs: None,
@@ -110,13 +102,6 @@ impl MonitorActor {
             last_sample_tick: None,
             suppressed_total: 0,
         }
-    }
-
-    /// Installs a deterministic fault plan the actor's host acts out.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Attaches observability: the sample/likelihood-evaluation path gets
@@ -367,13 +352,15 @@ impl MonitorActor {
     }
 }
 
-/// One hosted monitor: the actor plus the bit of process state its
-/// faults act on — liveness, the last tick seen, a held delayed reply.
+/// One hosted monitor: the actor, the [`FaultPlan`] its process and
+/// link run under, and the bit of process state those faults act on —
+/// liveness, the last tick seen, a held delayed reply.
 ///
-/// Faults from the actor's [`FaultPlan`] are acted out in
-/// [`deliver`](Self::deliver). They key on virtual ticks, never on a real
-/// sleep, so any number of slots share one thread without one's fault
-/// touching another's replies:
+/// The plan is acted out in [`deliver`](Self::deliver), on the frames
+/// in both directions; neither the actor nor the coordinator reads it.
+/// Faults key on virtual ticks, never on a real sleep, so any number of
+/// slots share one thread without one's fault touching another's
+/// replies:
 ///
 /// - **crash**: the slot dies (held reply and all) the first time a tick
 ///   at or past the scheduled crash tick arrives — the process simply
@@ -381,6 +368,9 @@ impl MonitorActor {
 /// - **stall**: while stalled the slot keeps consuming input but neither
 ///   processes nor replies, like a thread wedged on a lock (shutdown
 ///   still terminates it so harness teardown cannot hang);
+/// - **drop**: a `TickDone`'s violation bit is lost on the report path
+///   (the tick's report still arrives, as a quiet one), and a
+///   `PollReply` is lost whole — each keyed by the reply's own tick;
 /// - **delay**: a reply (the frame, a value) is held back and flushed
 ///   after the *next* reply, arriving reordered and past its deadline;
 /// - **duplicate**: a reply is sent twice (the frame and a clone),
@@ -392,6 +382,7 @@ impl MonitorActor {
 #[derive(Debug)]
 pub(crate) struct MonitorSlot {
     actor: MonitorActor,
+    faults: FaultPlan,
     /// Cleared by a crash or a shutdown, for good: a send to a dead
     /// monitor fails as a send to an exited process would.
     alive: bool,
@@ -405,15 +396,23 @@ pub(crate) struct MonitorSlot {
 }
 
 impl MonitorSlot {
-    /// A live slot around `actor`.
+    /// A live, fault-free slot around `actor`.
     pub(crate) fn new(actor: MonitorActor) -> Self {
         MonitorSlot {
             actor,
+            faults: FaultPlan::default(),
             alive: true,
             stopped: false,
             last_tick: 0,
             held: None,
         }
+    }
+
+    /// Runs the monitor's process and link under `faults`.
+    #[must_use]
+    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The hosted actor.
@@ -434,7 +433,7 @@ impl MonitorSlot {
         if !self.alive {
             return 0;
         }
-        let (id, faults) = (self.actor.id, &self.actor.faults);
+        let (id, faults) = (self.actor.id, &self.faults);
         if let CoordinatorToMonitor::Tick(data) = &frame.msg {
             self.last_tick = data.tick;
             if faults.crash_tick(id).is_some_and(|at| data.tick >= at) {
@@ -452,17 +451,22 @@ impl MonitorSlot {
         let (reply, terminate) = self.actor.handle_frame(frame);
         let mut sent = 0;
         if let Some(reply) = reply {
+            // A reply lost on the link still took its turn: one held
+            // behind it goes out all the same.
+            let reply = lossy(faults, reply);
             if delays {
                 // Hold this reply; anything already held goes out now,
                 // behind schedule.
-                let late = self.held.replace(Box::new(reply));
+                let late = std::mem::replace(&mut self.held, reply.map(Box::new));
                 sent += flush(late, out);
             } else {
-                sent += 1 + u64::from(duplicates);
-                if duplicates {
-                    out(reply.clone());
+                if let Some(reply) = reply {
+                    sent += 1 + u64::from(duplicates);
+                    if duplicates {
+                        out(reply.clone());
+                    }
+                    out(reply);
                 }
-                out(reply);
                 sent += flush(self.held.take(), out);
             }
         }
@@ -487,6 +491,29 @@ impl MonitorSlot {
         }
         sent
     }
+}
+
+/// What of `reply` survives the plan's lossy report paths, keyed by the
+/// reply's own tick: a dropped violation report clears the `TickDone`'s
+/// violation bit, a dropped poll reply is lost whole.
+fn lossy(faults: &FaultPlan, mut reply: MonitorFrame) -> Option<MonitorFrame> {
+    match &mut reply.msg {
+        MonitorToCoordinator::TickDone {
+            monitor,
+            tick,
+            violation,
+            ..
+        } => {
+            *violation = *violation && !faults.drops(FaultPath::ViolationReport, *monitor, *tick);
+        }
+        MonitorToCoordinator::PollReply { monitor, tick, .. }
+            if faults.drops(FaultPath::PollReply, *monitor, *tick) =>
+        {
+            return None;
+        }
+        _ => {}
+    }
+    Some(reply)
 }
 
 /// Hands a held reply, if any, to `out`; returns how many frames went.
@@ -795,8 +822,7 @@ mod tests {
         out: Vec<MonitorFrame>,
     }
 
-    fn hosted(actors: Vec<MonitorActor>) -> Hosted {
-        let slots = actors.into_iter().map(MonitorSlot::new).collect();
+    fn hosted(slots: Vec<MonitorSlot>) -> Hosted {
         Hosted {
             table: SlotTable::new(0, slots),
             out: Vec::new(),
@@ -848,7 +874,7 @@ mod tests {
 
     #[test]
     fn a_slot_answers_a_tick_with_exactly_one_frame() {
-        let mut host = hosted(vec![actor(5.0)]);
+        let mut host = hosted(vec![MonitorSlot::new(actor(5.0))]);
         assert_eq!(host.tick(0, 0, 9.0), 1);
         let sent = host.sent();
         assert!(matches!(
@@ -871,14 +897,17 @@ mod tests {
     #[test]
     fn the_held_reply_costs_a_slot_a_pointer_not_a_frame() {
         use std::mem::size_of;
-        // The actor, then: the two flags (padded), `last_tick`, `held`.
-        assert!(size_of::<MonitorSlot>() <= size_of::<MonitorActor>() + 3 * size_of::<u64>());
+        // The actor and its plan, then: the two flags (padded),
+        // `last_tick`, `held`.
+        let hosted = size_of::<MonitorActor>() + size_of::<FaultPlan>();
+        assert!(size_of::<MonitorSlot>() <= hosted + 3 * size_of::<u64>());
     }
 
     #[test]
     fn crash_fault_terminates_without_reply() {
-        let faulty = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
-        let mut host = hosted(vec![faulty, actor_id(1, 5.0)]);
+        let faulty =
+            MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
+        let mut host = hosted(vec![faulty, MonitorSlot::new(actor_id(1, 5.0))]);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
         assert!(host.alive(0));
@@ -892,7 +921,7 @@ mod tests {
 
     #[test]
     fn stalled_monitor_discards_but_honors_shutdown() {
-        let faulty = actor(5.0).with_faults(
+        let faulty = MonitorSlot::new(actor(5.0)).with_faults(
             FaultPlan::new(1)
                 .with_stall(MonitorId(0), 1, 2)
                 .with_stall(MonitorId(0), 4, 100),
@@ -919,8 +948,11 @@ mod tests {
 
     #[test]
     fn partitioned_monitor_goes_silent_then_answers_with_its_old_epoch() {
-        let faulty =
-            actor(5.0).with_faults(FaultPlan::new(1).with_partition(&[MonitorId(0)], 1, 3));
+        let faulty = MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_partition(
+            &[MonitorId(0)],
+            1,
+            3,
+        ));
         let mut host = hosted(vec![faulty]);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
@@ -942,7 +974,8 @@ mod tests {
     #[test]
     fn delayed_reply_arrives_after_the_next_one() {
         // Delay probability 1: every reply is held one send behind.
-        let faulty = actor(100.0).with_faults(FaultPlan::new(1).with_delay_rate(1.0));
+        let faulty =
+            MonitorSlot::new(actor(100.0)).with_faults(FaultPlan::new(1).with_delay_rate(1.0));
         let mut host = hosted(vec![faulty]);
         assert_eq!(host.tick(0, 0, 1.0), 0, "held");
         // Tick 0's reply only goes out when tick 1's reply displaces it;
@@ -953,9 +986,36 @@ mod tests {
         assert_eq!(host.tick_dones(0), [(0, 1)]);
     }
 
+    /// The report path's drops happen on the link: a violating tick is
+    /// still answered, but with its violation bit lost, and a dropped
+    /// poll reply never leaves at all.
+    #[test]
+    fn dropped_reports_suppress_polls() {
+        let plan = FaultPlan::new(1)
+            .with_drop_rate(FaultPath::ViolationReport, 1.0)
+            .with_drop_rate(FaultPath::PollReply, 1.0);
+        let mut host = hosted(vec![MonitorSlot::new(actor(5.0)).with_faults(plan)]);
+        assert_eq!(host.tick(0, 0, 9.0), 1);
+        let sent = host.sent();
+        assert!(matches!(
+            sent[..],
+            [MonitorFrame {
+                msg: MonitorToCoordinator::TickDone {
+                    sampled: true,
+                    violation: false,
+                    ..
+                },
+                ..
+            }]
+        ));
+        assert_eq!(host.send(0, 0, CoordinatorToMonitor::Poll { tick: 0 }), 0);
+        assert!(host.sent().is_empty());
+    }
+
     #[test]
     fn duplicated_reply_is_sent_twice() {
-        let faulty = actor(100.0).with_faults(FaultPlan::new(1).with_duplication_rate(1.0));
+        let faulty = MonitorSlot::new(actor(100.0))
+            .with_faults(FaultPlan::new(1).with_duplication_rate(1.0));
         let mut host = hosted(vec![faulty]);
         assert_eq!(host.tick(0, 0, 1.0), 2);
         let sent = host.sent();
@@ -965,8 +1025,9 @@ mod tests {
 
     #[test]
     fn a_table_is_finished_once_every_slot_was_told_to_shut_down() {
-        let crashing = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 0));
-        let mut host = hosted(vec![crashing, actor_id(1, 5.0)]);
+        let crashing =
+            MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 0));
+        let mut host = hosted(vec![crashing, MonitorSlot::new(actor_id(1, 5.0))]);
         host.tick(0, 0, 1.0);
         host.tick(1, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(1, 0)]);
@@ -987,8 +1048,8 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_crash(MonitorId(0), 1)
             .with_stall(MonitorId(1), 1, 1_000);
-        let actors = (0..4).map(|m| actor_id(m, 5.0).with_faults(plan.clone()));
-        let mut host = hosted(actors.collect());
+        let slots = (0..4).map(|m| MonitorSlot::new(actor_id(m, 5.0)).with_faults(plan.clone()));
+        let mut host = hosted(slots.collect());
         for tick in 0..3 {
             for monitor in 0..4 {
                 host.tick(monitor, tick, 1.0);
@@ -1004,7 +1065,8 @@ mod tests {
 
     #[test]
     fn install_after_crash_revives_the_slot_and_drops_the_gap() {
-        let crashing = actor(5.0).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
+        let crashing =
+            MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
         let mut host = hosted(vec![crashing]);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
@@ -1032,7 +1094,7 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_delay_rate(1.0)
             .with_stall(MonitorId(0), 1, 1_000);
-        let mut host = hosted(vec![actor(5.0).with_faults(plan)]);
+        let mut host = hosted(vec![MonitorSlot::new(actor(5.0)).with_faults(plan)]);
         host.tick(0, 0, 1.0); // reply held
         host.tick(0, 1, 1.0); // stalled
         assert!(host.sent().is_empty());

@@ -31,9 +31,9 @@
 //! included) cross as values; the codec runs at the socket plane's edges
 //! only — and nothing waits: a round closes as soon as the replies in
 //! flight are in, so a report is a pure function of the traces, the
-//! spec and the [`FaultPlan`]. The deadline the machine arms is the
-//! socket plane's, the only plane that receives anything while it
-//! waits.
+//! spec and the [`FaultPlan`](crate::FaultPlan). The deadline the
+//! machine arms is the socket plane's, the only plane that receives
+//! anything while it waits.
 //!
 //! The runners keep setup and a hook only: [`crate::TaskRunner`] is one
 //! in-process task with no hook; [`crate::MultiTaskRunner`] N of them
@@ -55,7 +55,6 @@ use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord, WalStats};
 use crate::coordinator::{CoordinatorActor, Output};
-use crate::failure::FaultPlan;
 use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
@@ -92,11 +91,9 @@ impl TaskRunner {
         Coordinator::new(&self.spec, self.scheme, AllocationConfig::default())
     }
 
-    /// Monitor `idx`'s actor at `epoch` under `plan`, wired to the
-    /// session's sinks.
-    fn actor(&self, epoch: u64, idx: usize, plan: FaultPlan) -> MonitorActor {
+    /// Monitor `idx`'s actor at `epoch`, wired to the session's sinks.
+    fn actor(&self, epoch: u64, idx: usize) -> MonitorActor {
         let actor = monitor_actor(&self.spec, idx)
-            .with_faults(plan)
             .with_epoch(epoch)
             .with_obs(&self.obs);
         match &self.recorder {
@@ -105,18 +102,17 @@ impl TaskRunner {
         }
     }
 
-    /// One coordinator incarnation deciding by `rules` at `epoch` under
-    /// `plan`, resuming behind `last_tick`, snapshotting every
+    /// One coordinator incarnation deciding by `rules` at `epoch`,
+    /// resuming behind `last_tick`, snapshotting every
     /// `checkpoint_every` ticks when given.
     fn coordinator(
         &self,
         rules: Coordinator,
-        plan: FaultPlan,
         epoch: u64,
         last_tick: Option<Tick>,
         checkpoint_every: Option<u64>,
     ) -> CoordinatorActor {
-        let mut coordinator = CoordinatorActor::new(rules, plan, last_tick)
+        let mut coordinator = CoordinatorActor::new(rules, last_tick)
             .with_quarantine_after(self.quarantine_after)
             .with_epoch(epoch);
         if self.gated_interval.is_some() {
@@ -186,11 +182,11 @@ pub(crate) enum MonitorPlane {
 
 impl MonitorPlane {
     /// The in-process plane of `config`'s task: one fresh slot per
-    /// monitor, under the session's fault plan.
+    /// monitor, its process and link under the session's fault plan.
     pub(crate) fn inline(config: &TaskRunner) -> Self {
-        let slots = (0..config.spec.monitors().len())
-            .map(|idx| MonitorSlot::new(config.actor(0, idx, config.fault_plan.clone())))
-            .collect();
+        let slot =
+            |idx| MonitorSlot::new(config.actor(0, idx)).with_faults(config.fault_plan.clone());
+        let slots = (0..config.spec.monitors().len()).map(slot).collect();
         MonitorPlane::Inline {
             table: SlotTable::new(0, slots),
             in_flight: Vec::new(),
@@ -260,6 +256,8 @@ pub(crate) struct TaskSession<'a> {
     plane: MonitorPlane,
     /// `None` once an injected crash silenced it, until a failover.
     coordinator: Option<CoordinatorActor>,
+    /// The tick the fault plan's last coordinator crash fired at.
+    crashed_at: Option<Tick>,
     /// The incumbent's checkpoint log.
     wal: Option<Wal>,
     obs: ShellObs,
@@ -282,12 +280,12 @@ impl<'a> TaskSession<'a> {
         let rules = config.rules()?;
         let registry = config.obs.registry();
         let (wal, every) = wal.unzip();
-        let plan = config.fault_plan.clone();
         Ok(TaskSession {
             config,
             epoch: 0,
             plane,
-            coordinator: Some(config.coordinator(rules, plan, 0, None, every)),
+            coordinator: Some(config.coordinator(rules, 0, None, every)),
+            crashed_at: None,
             wal,
             obs: ShellObs {
                 tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
@@ -327,6 +325,12 @@ impl<'a> TaskSession<'a> {
     /// into the report. A refused tick means that monitor is gone; the
     /// coordinator notices via its deadline, so the run keeps going.
     ///
+    /// The fault plan's next coordinator crash fires once the tick's
+    /// data has left and before any reply reaches the machine: the
+    /// replies in flight, the machine and its log die with the process,
+    /// so the tick gets no summary and no log record — it is newer than
+    /// the checkpoint horizon, and the successor must re-drive it.
+    ///
     /// # Errors
     ///
     /// [`VolleyError::RuntimeDisconnected`] when the coordinator crashed
@@ -344,6 +348,18 @@ impl<'a> TaskSession<'a> {
         });
         self.plane.send(self.epoch, data, |_| {});
         let mut coordinator = self.coordinator.take().ok_or(COORDINATOR_DEAD)?;
+        let crash = self
+            .config
+            .fault_plan
+            .coordinator_crash_after(self.crashed_at);
+        if crash.is_some_and(|at| tick >= at) {
+            self.crashed_at = Some(tick);
+            self.wal = None;
+            if let MonitorPlane::Inline { in_flight, .. } = &mut self.plane {
+                in_flight.clear();
+            }
+            return Err(COORDINATOR_DEAD);
+        }
         let summary = self.pump(&mut coordinator)?;
         self.coordinator = Some(coordinator);
         Self::fold(&mut self.report, self.config.recorder.as_ref(), &summary);
@@ -356,9 +372,7 @@ impl<'a> TaskSession<'a> {
     /// nothing came. In process the replies in flight are all there is,
     /// so a round missing some closes at once; behind sockets the table
     /// is turned until a payload arrives or the deadline the machine
-    /// last armed passes. When an injected crash fires the step fails
-    /// with the machine dead and its log closed, as a crashed process
-    /// would leave them.
+    /// last armed passes.
     ///
     /// WAL I/O errors are swallowed: durability is best-effort and never
     /// worth failing the run over (a standby restoring from a short log
@@ -412,15 +426,6 @@ impl<'a> TaskSession<'a> {
                             .suppressed
                             .add(u64::from(summary.suppressed_samples));
                         return Ok(summary);
-                    }
-                    Output::Crashed => {
-                        self.wal = None;
-                        // Replies addressed to the dead incarnation die
-                        // with it; its successor must never read them.
-                        if let MonitorPlane::Inline { in_flight, .. } = &mut self.plane {
-                            in_flight.clear();
-                        }
-                        return Err(COORDINATOR_DEAD);
                     }
                 }
             }
@@ -479,8 +484,8 @@ impl<'a> TaskSession<'a> {
         let idx = monitor.0 as usize;
         let plan = self.config.fault_plan.without_process_faults(monitor);
         if let MonitorPlane::Inline { table, in_flight } = &mut self.plane {
-            let actor = self.config.actor(self.epoch, idx, plan);
-            table.install(MonitorSlot::new(actor), &mut |reply| in_flight.push(reply));
+            let slot = MonitorSlot::new(self.config.actor(self.epoch, idx)).with_faults(plan);
+            table.install(slot, &mut |reply| in_flight.push(reply));
         }
         self.report.restarts += 1;
         // Tell the coordinator to await the restarted monitor again,
@@ -577,14 +582,10 @@ impl<'a> TaskSession<'a> {
         }
         self.plane.send(epoch, fence, |_| {});
 
-        let plan = self
-            .config
-            .fault_plan
-            .without_coordinator_crashes_through(tick);
         let (wal, every) = wal.unzip();
         let resumed = self
             .config
-            .coordinator(rules, plan, epoch, tick.checked_sub(1), every);
+            .coordinator(rules, epoch, tick.checked_sub(1), every);
         self.coordinator = Some(resumed);
         self.wal = wal;
         Ok(epoch)
@@ -975,7 +976,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::failure::FaultPath;
+    use crate::failure::{FaultPath, FaultPlan};
 
     /// Non-test source of one file: everything before its test module.
     fn non_test_source(path: &Path) -> String {
@@ -1001,7 +1002,8 @@ mod tests {
     /// the networked coordinator serves its sockets on the thread that
     /// steps the session, so it spawns no thread either. Nor does the
     /// in-process path wait: neither the shell, the machine nor a slot
-    /// sleeps, and the machine's module reads no time at all.
+    /// sleeps, and the machine's module reads no time at all — nor the
+    /// fault plan: faults happen on the link, never in the protocol.
     #[test]
     fn a_session_spawns_no_thread() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -1017,6 +1019,9 @@ mod tests {
         }
         let machine = non_test_source(&src.join("coordinator.rs"));
         assert!(!machine.contains("std::time"), "coordinator.rs reads time");
+        for fault in ["FaultPlan", "FaultPath"] {
+            assert!(!machine.contains(fault), "coordinator.rs names {fault}");
+        }
     }
 
     /// The drift guard for the reply direction: the in-process plane
@@ -1298,6 +1303,127 @@ mod tests {
             assert_eq!(report, first, "rerun {rerun}");
             assert_eq!(again, reallocations, "rerun {rerun}");
         }
+    }
+
+    /// The scheduled coordinator crash is the session's to fire: once
+    /// the tick's data has left and before any reply reaches the
+    /// machine. The step fails with the machine, its log and the
+    /// replies in flight gone, every later step fails alike, and a
+    /// successor re-drives the crashed tick from the start.
+    #[test]
+    fn a_coordinator_crash_fires_between_the_data_and_the_replies() {
+        let spec = parity_spec(2);
+        let config = TaskRunner::new(&spec)
+            .unwrap()
+            .with_fault_plan(FaultPlan::new(7).with_coordinator_crash(1));
+        let dir = std::env::temp_dir().join(format!("volley-session-crash-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = Wal::create(dir.join("crash.wal")).unwrap();
+        let plane = MonitorPlane::inline(&config);
+        let mut session = TaskSession::spawn(&config, plane, Some((wal, 1))).unwrap();
+        assert_eq!(session.step(0, |_| 10.0).unwrap().tick, 0);
+        let dead = |step: Result<TickSummary, VolleyError>| {
+            matches!(
+                step,
+                Err(VolleyError::RuntimeDisconnected {
+                    component: "coordinator"
+                })
+            )
+        };
+        assert!(dead(session.step(1, |_| 10.0)));
+        assert!(session.coordinator.is_none() && session.wal.is_none());
+        let MonitorPlane::Inline { in_flight, .. } = &session.plane else {
+            unreachable!("the plane is inline");
+        };
+        assert!(in_flight.is_empty(), "the tick's replies died with it");
+        assert!(dead(session.step(1, |_| 10.0)), "a dead machine stays dead");
+        assert_eq!(session.fail_over(1, None, None).unwrap(), 1);
+        let summary = session.step(1, |_| 10.0).unwrap();
+        assert_eq!((summary.tick, summary.missing_reports), (1, 0));
+        assert_eq!(session.step(2, |_| 10.0).unwrap().tick, 2, "one crash");
+        let report = session.finish();
+        assert_eq!((report.ticks, report.coordinator_failovers), (3, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A boundary case of the step-level crash: a quarantined monitor
+    /// whose first report back lands on the coordinator's crash tick is
+    /// not counted as recovered. The dead primary never closed that
+    /// tick, and its successor starts with nobody quarantined.
+    #[test]
+    fn a_recovery_on_the_crash_tick_dies_with_the_primary() {
+        let spec = parity_spec(2);
+        let traces = parity_traces(2, 40, 3);
+        let run = |crash_at: Tick| {
+            let plan = FaultPlan::new(7)
+                .with_stall(MonitorId(1), 5, 1)
+                .with_coordinator_crash(crash_at);
+            let config = TaskRunner::new(&spec)
+                .unwrap()
+                .with_fault_plan(plan)
+                .with_quarantine_after(1)
+                .with_supervision(false)
+                .with_standby(true);
+            config.run(&traces).unwrap()
+        };
+        // Monitor 1 misses tick 5, is quarantined, and reports on tick 6.
+        let recovered = run(20);
+        assert_eq!((recovered.quarantines, recovered.recoveries), (1, 1));
+        let crashed = run(6);
+        assert_eq!((crashed.quarantines, crashed.recoveries), (1, 0));
+        assert_eq!(crashed.coordinator_failovers, 1);
+        assert_eq!(crashed.ticks, 40);
+    }
+
+    /// The one policy the link-level partition alters: a monitor cut off
+    /// across a §IV-B update tick before it is quarantined is asked for
+    /// its report like the rest, and the round is skipped on the missing
+    /// one — the reachable monitors drain their period, and every
+    /// monitor carries its allowance forward. Every reallocation before
+    /// and after still assigns `Σ err_i ≤ err`, the monitors hold what
+    /// the ledger says, and the report is identical on rerun.
+    #[test]
+    fn a_partition_across_an_update_tick_skips_the_round_and_keeps_the_ledger() {
+        let spec = parity_spec(4);
+        let traces = parity_traces(4, 3400, 11);
+        let err = spec.adaptation().error_allowance();
+        // Cut monitor 2 off across the update ticks 1000 and 2000, for
+        // fewer ticks than it takes to quarantine it.
+        let plan = FaultPlan::new(3)
+            .with_partition(&[MonitorId(2)], 999, 1001)
+            .with_partition(&[MonitorId(2)], 1999, 2001);
+        let config = TaskRunner::new(&spec).unwrap().with_fault_plan(plan);
+        let plane = MonitorPlane::inline(&config);
+        let mut session = TaskSession::spawn(&config, plane, None).unwrap();
+        for tick in 0..=1000 {
+            session
+                .step(tick, |idx| traces[idx][tick as usize])
+                .unwrap();
+        }
+        let MonitorPlane::Inline { table, .. } = &session.plane else {
+            unreachable!("the plane is inline");
+        };
+        let period = |m: usize| {
+            let mut sampler = table.slots()[m].actor().sampler().clone();
+            sampler.drain_period_report().observations
+        };
+        for reachable in [0, 1, 3] {
+            assert_eq!(period(reachable), 0, "monitor {reachable} was asked");
+        }
+        assert!(period(2) > 0, "the cut-off monitor kept its period");
+        let coordinator = session.coordinator.as_ref().unwrap();
+        assert_eq!(coordinator.rules().allocation_rounds, 0, "skipped");
+        let (first, reallocations) = run_inline(&config, &traces);
+        assert_eq!(first.quarantines, 0, "the partitions are short");
+        assert_eq!(first.missed_tick_reports, 4);
+        assert!(!reallocations.is_empty(), "tick 3000 reallocates");
+        for assigned in &reallocations {
+            let total = assigned.iter().sum::<f64>();
+            assert!(total <= err + 1e-12, "{assigned:?}");
+        }
+        let (again, reallocated_again) = run_inline(&config, &traces);
+        assert_eq!(again, first);
+        assert_eq!(reallocated_again, reallocations);
     }
 
     /// A hook that holds up the step of one tick: a slow tick, as the

@@ -164,16 +164,6 @@ impl ClusterConfig {
         let end = start.checked_add(self.vms_per_server)?;
         Some((start..end).map(VmId))
     }
-
-    /// Iterates over all VMs.
-    pub fn all_vms(&self) -> impl Iterator<Item = VmId> {
-        (0..self.total_vms()).map(VmId)
-    }
-
-    /// Iterates over all servers.
-    pub fn all_servers(&self) -> impl Iterator<Item = ServerId> {
-        (0..self.servers).map(ServerId)
-    }
 }
 
 impl Default for ClusterConfig {
@@ -218,8 +208,6 @@ mod tests {
         let c = ClusterConfig::new(3, 4, 1);
         let vms: Vec<u32> = c.vms_on(ServerId(1)).map(|v| v.0).collect();
         assert_eq!(vms, vec![4, 5, 6, 7]);
-        assert_eq!(c.all_vms().count(), 12);
-        assert_eq!(c.all_servers().count(), 3);
     }
 
     #[test]

@@ -58,17 +58,6 @@ impl ServerTelemetry {
         self.ops.iter().sum()
     }
 
-    /// Sampling operations per window up to `horizon`, zero-filled where
-    /// the server was idle — the per-window twin of
-    /// [`utilization_series`](Self::utilization_series), so obs snapshots
-    /// and the Fig. 6 reproduction read one counter path.
-    pub fn sampling_ops_series(&self, horizon: SimTime) -> Vec<u64> {
-        let windows = (horizon.as_micros() / self.window.as_micros()) as usize;
-        (0..windows.max(self.ops.len()))
-            .map(|idx| self.ops.get(idx).copied().unwrap_or(0))
-            .collect()
-    }
-
     /// Charges one sampling operation of the given busy `cost` starting at
     /// `time`.
     ///
@@ -240,19 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn per_window_ops_align_with_utilization_windows() {
-        let mut t = ServerTelemetry::new(secs(10.0));
-        t.charge_sample(SimTime::from_secs_f64(1.0), secs(0.1));
-        t.charge_sample(SimTime::from_secs_f64(2.0), secs(0.1));
-        t.charge_sample(SimTime::from_secs_f64(25.0), secs(0.1));
-        let horizon = SimTime::from_secs_f64(40.0);
-        let ops = t.sampling_ops_series(horizon);
-        assert_eq!(ops, vec![2, 0, 1, 0]);
-        assert_eq!(ops.len(), t.utilization_series(horizon).len());
-        assert_eq!(t.sampling_ops(), 3);
-    }
-
-    #[test]
     fn obs_bridge_publishes_deltas_without_double_counting() {
         let registry = volley_obs::Registry::new(true);
         let mut fleet = vec![
@@ -288,7 +264,6 @@ mod tests {
         assert!((values[0] - 0.3).abs() < 1e-9);
         assert!((values[2] - 0.5).abs() < 1e-9);
         assert_eq!(a.sampling_ops(), 3);
-        assert_eq!(a.sampling_ops_series(horizon), vec![2, 0, 1]);
     }
 
     #[test]

@@ -121,13 +121,6 @@ impl Backtest {
         }))
     }
 
-    /// Overrides the simulated span of one tick.
-    #[must_use]
-    pub fn with_window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
-    }
-
     /// Monitors in the recording.
     pub fn monitors(&self) -> usize {
         self.series.len()

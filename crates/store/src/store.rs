@@ -484,21 +484,6 @@ impl Store {
         Ok(())
     }
 
-    /// Reads back one persisted obs series as `(tick, value)` pairs.
-    pub fn snapshot_series(
-        &self,
-        task: u32,
-        kind: RecordKind,
-        name: &str,
-        range: &ScanRange,
-    ) -> io::Result<Vec<(Tick, f64)>> {
-        let Some(&id) = self.name_ids.get(name) else {
-            return Ok(Vec::new());
-        };
-        let range = range.task(task).monitor(id).kind(kind);
-        Ok(self.scan(&range)?.map(|r| (r.tick, r.value)).collect())
-    }
-
     fn load_names(&mut self) -> io::Result<()> {
         let text = match self.vfs.read(&self.dir.join(NAMES_FILE)) {
             Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
@@ -876,26 +861,21 @@ mod tests {
         store.record_snapshot(0, &obs.snapshot(20)).unwrap();
         store.flush().unwrap();
         drop(store);
-        // A fresh open resolves the persisted dictionary.
-        let store = Store::open(&dir).unwrap();
-        let series = store
-            .snapshot_series(
-                0,
-                RecordKind::Counter,
-                "volley_test_ticks_total",
-                &ScanRange::all(),
-            )
-            .unwrap();
-        assert_eq!(series, vec![(10, 7.0), (20, 7.0)]);
-        let gauges = store
-            .snapshot_series(
-                0,
-                RecordKind::Gauge,
-                "volley_test_latency_us",
-                &ScanRange::all(),
-            )
-            .unwrap();
-        assert_eq!(gauges, vec![(10, 1.5), (20, 1.5)]);
+        // A fresh open resolves the persisted dictionary: a snapshot
+        // recorded after it files each series under the id it had.
+        let mut store = Store::open(&dir).unwrap();
+        store.record_snapshot(0, &obs.snapshot(30)).unwrap();
+        store.flush().unwrap();
+        for (kind, value) in [(RecordKind::Counter, 7.0), (RecordKind::Gauge, 1.5)] {
+            let range = ScanRange::all().task(0).kind(kind);
+            let series: Vec<_> = store
+                .scan(&range)
+                .unwrap()
+                .map(|r| (r.monitor, r.tick, r.value))
+                .collect();
+            let id = series[0].0;
+            assert_eq!(series, [(id, 10, value), (id, 20, value), (id, 30, value)]);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -191,19 +191,6 @@ impl HttpWorkload {
     pub fn object_rate(&self, object: usize) -> &[f64] {
         &self.rates[object]
     }
-
-    /// Aggregate request rate per tick (sum over objects) — the
-    /// throughput series an autoscaling task would watch.
-    pub fn total_rate(&self) -> Vec<f64> {
-        let ticks = self.rates.first().map(|r| r.len()).unwrap_or(0);
-        let mut total = vec![0.0; ticks];
-        for series in &self.rates {
-            for (t, v) in series.iter().enumerate() {
-                total[t] += v;
-            }
-        }
-        total
-    }
 }
 
 fn sample_poisson(rng: &mut StdRng, lambda: f64) -> f64 {
@@ -267,16 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn total_rate_sums_objects() {
-        let w = small_config().generate(50);
-        let total = w.total_rate();
-        for (t, &tot) in total.iter().enumerate().take(50) {
-            let sum: f64 = (0..w.objects()).map(|o| w.object_rate(o)[t]).sum();
-            assert_eq!(tot, sum);
-        }
-    }
-
-    #[test]
     fn flash_crowds_create_bursts() {
         let config = HttpWorkloadConfig::builder()
             .seed(5)
@@ -300,7 +277,9 @@ mod tests {
     #[test]
     fn diurnal_shapes_aggregate_load() {
         let w = small_config().generate(1000);
-        let total = w.total_rate();
+        let total: Vec<f64> = (0..1000)
+            .map(|t| (0..w.objects()).map(|o| w.object_rate(o)[t]).sum())
+            .collect();
         let day = mean(&total[200..300]); // sine peak region
         let night = mean(&total[700..800]); // sine trough region
         assert!(day > night * 1.5, "day {day} vs night {night}");
@@ -338,7 +317,7 @@ mod tests {
             .flash_crowd_probability(0.0)
             .build();
         let w = config.generate(20);
-        assert!(w.total_rate().iter().all(|&v| v == 0.0));
+        assert!((0..w.objects()).all(|o| w.object_rate(o).iter().all(|&v| v == 0.0)));
     }
 
     #[test]

@@ -60,17 +60,6 @@ impl ResponseTimeModel {
         }
     }
 
-    /// Overrides the relative jitter (clamped to `[0, 2]`).
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = if jitter.is_finite() {
-            jitter.clamp(0.0, 2.0)
-        } else {
-            0.1
-        };
-        self
-    }
-
     /// The idle latency in milliseconds.
     pub fn base_latency_ms(&self) -> f64 {
         self.base_latency_ms
@@ -200,15 +189,8 @@ mod tests {
     }
 
     #[test]
-    fn jitter_zero_is_exact() {
-        let m = ResponseTimeModel::new(20.0, 500.0).with_jitter(0.0);
-        let s = m.series(&[250.0], 1);
-        assert!((s[0] - m.latency_at(250.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn degenerate_inputs_clamped() {
-        let m = ResponseTimeModel::new(-5.0, f64::NAN).with_jitter(f64::NAN);
+        let m = ResponseTimeModel::new(-5.0, f64::NAN);
         assert_eq!(m.base_latency_ms(), 1.0);
         assert_eq!(m.capacity(), 1.0);
         assert!(m.latency_at(10.0).is_finite());

@@ -85,19 +85,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Sliding-window aggregation: averages each consecutive chunk of
-/// `window` ticks (the paper's samplers aggregate e.g. 15-second windows
-/// from finer-grained event streams).
-///
-/// The final partial chunk is averaged over its actual length. A zero
-/// window yields an empty result.
-pub fn window_mean(values: &[f64], window: usize) -> Vec<f64> {
-    if window == 0 {
-        return Vec::new();
-    }
-    values.chunks(window).map(mean).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,14 +123,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 100.0), 6.0);
         assert_eq!(percentile(&sorted, 50.0), 4.0);
         assert_eq!(percentile(&sorted, 150.0), 6.0); // clamped
-    }
-
-    #[test]
-    fn window_mean_chunks() {
-        let values = [1.0, 3.0, 5.0, 7.0, 9.0];
-        assert_eq!(window_mean(&values, 2), vec![2.0, 6.0, 9.0]);
-        assert_eq!(window_mean(&values, 10), vec![5.0]);
-        assert!(window_mean(&values, 0).is_empty());
     }
 
     #[test]

@@ -32,7 +32,6 @@ use volley::runtime::message::{
     MonitorToCoordinator, TickData, TickSummary,
 };
 use volley::runtime::net::{AgentHello, FrameBuffer, ServerFrame};
-use volley::runtime::FaultPlan;
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
 /// through the real sampler so every invariant the restore path expects
@@ -179,7 +178,7 @@ fn driven_both_ways(events: &[(Vec<FrameRecipe>, bool)]) -> Vec<Output> {
         let scheme = CoordinationScheme::Adaptive;
         let rules = Coordinator::new(&spec, scheme, AllocationConfig::default()).expect("rules");
         // Three ticks short of the first updating period's end.
-        CoordinatorActor::new(rules, FaultPlan::default(), Some(996))
+        CoordinatorActor::new(rules, Some(996))
             .with_epoch(EPOCH)
             .with_quarantine_after(2)
             .with_multitask()
