@@ -138,7 +138,7 @@ fn bench_allocation(c: &mut Criterion) {
 }
 
 fn bench_window(c: &mut Criterion) {
-    use volley_core::window::{AggregateKind, SlidingWindow, WindowedSampler};
+    use volley_core::window::{SlidingWindow, WindowedSampler};
     let mut group = c.benchmark_group("window");
     group.bench_function("sliding_window_push_w60", |b| {
         let mut window = SlidingWindow::new(60).expect("valid");
@@ -146,7 +146,7 @@ fn bench_window(c: &mut Criterion) {
         b.iter(|| {
             window.push(tick, black_box((tick % 97) as f64));
             tick += 1;
-            window.aggregate(AggregateKind::Mean)
+            window.mean()
         })
     });
     group.bench_function("windowed_sampler_observe", |b| {
@@ -154,8 +154,7 @@ fn bench_window(c: &mut Criterion) {
             .error_allowance(0.01)
             .build()
             .expect("valid");
-        let mut sampler =
-            WindowedSampler::new(config, 1000.0, 60, AggregateKind::Mean).expect("valid");
+        let mut sampler = WindowedSampler::new(config, 1000.0, 60).expect("valid");
         let mut tick = 0u64;
         b.iter(|| {
             let obs = sampler.observe(black_box(tick), black_box(40.0 + (tick % 17) as f64));

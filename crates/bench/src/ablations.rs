@@ -6,7 +6,7 @@ use volley_core::accuracy::{AccuracyReport, GroundTruth};
 use volley_core::allocation::{AllocationConfig, AllocationStrategy, AllowanceCostMode, YieldMode};
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::stats::DeltaTracker;
-use volley_core::window::{AggregateKind, SlidingWindow, WindowedSampler};
+use volley_core::window::{SlidingWindow, WindowedSampler};
 use volley_core::{
     misdetection_bound, AdaptiveSampler, BoundKind, Interval, PeriodicSampler, ReactiveSampler,
     SamplingPolicy, StatsKind,
@@ -226,13 +226,12 @@ pub fn window(params: &SweepParams) -> String {
                 .enumerate()
                 .map(|(t, &v)| {
                     window.push(t as u64, v);
-                    window.aggregate(AggregateKind::Mean)
+                    window.mean()
                 })
                 .collect();
             let threshold = volley_core::selectivity_threshold(&series, 1.0).expect("valid");
             let mut sampler =
-                WindowedSampler::new(adaptation, threshold, WINDOW, AggregateKind::Mean)
-                    .expect("valid window");
+                WindowedSampler::new(adaptation, threshold, WINDOW).expect("valid window");
             sample_log(trace, |tick, value| sampler.observe(tick, value)).score(
                 &GroundTruth::from_trace(&series, threshold),
                 trace.len() as u64,

@@ -445,9 +445,13 @@ fn parse_value<T: std::str::FromStr>(raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| String::new())
 }
 
-/// Parses a probability, clamped to `[0, 1]`.
+/// Parses a probability, clamped to `[0, 1]`. `NaN` and `±inf` are
+/// refused: no fault plan could say what they mean.
 fn rate(raw: &str) -> Result<f64, String> {
-    parse_value::<f64>(raw).map(|p| p.clamp(0.0, 1.0))
+    match parse_value::<f64>(raw)? {
+        p if p.is_finite() => Ok(p.clamp(0.0, 1.0)),
+        _ => Err(" (expected a finite probability)".to_string()),
+    }
 }
 
 fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
@@ -866,16 +870,18 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
         flags: &[
             MONITORS,
             TICKS,
-            flag("--drop-rate", |a, v| set(&mut a.drop_rate, v))
+            flag("--drop-rate", |a, v| put(&mut a.drop_rate, rate(v)))
                 .takes("p", "0")
                 .help("violation-report drop probability"),
-            flag("--poll-drop-rate", |a, v| set(&mut a.poll_drop_rate, v))
-                .takes("p", "0")
-                .help("poll-reply drop probability"),
-            flag("--dup-rate", |a, v| set(&mut a.dup_rate, v))
+            flag("--poll-drop-rate", |a, v| {
+                put(&mut a.poll_drop_rate, rate(v))
+            })
+            .takes("p", "0")
+            .help("poll-reply drop probability"),
+            flag("--dup-rate", |a, v| put(&mut a.dup_rate, rate(v)))
                 .takes("p", "0")
                 .help("reply duplication probability"),
-            flag("--delay-rate", |a, v| set(&mut a.delay_rate, v))
+            flag("--delay-rate", |a, v| put(&mut a.delay_rate, rate(v)))
                 .takes("p", "0")
                 .help("reply delay (reorder) probability"),
             flag("--crash", |a, v| {
@@ -1531,6 +1537,59 @@ mod tests {
                 matches!(Command::parse(args(&bad)), Err(CliError::Usage(_))),
                 "{bad:?} should be rejected"
             );
+        }
+    }
+
+    /// Every probability flag reads through one parser: a finite value
+    /// is clamped to `[0, 1]`, and `NaN` or `±inf` is a usage error that
+    /// names the flag — not a fault plan that silently injects nothing
+    /// (or everything).
+    #[test]
+    fn every_rate_flag_refuses_non_finite_values_and_clamps_the_rest() {
+        let flags = [
+            "--drop-rate",
+            "--poll-drop-rate",
+            "--dup-rate",
+            "--delay-rate",
+            "--io-error-rate",
+            "--io-torn-writes",
+            "--io-short-writes",
+            "--io-sync-errors",
+            "--net-storm-fraction",
+        ];
+        let line = |flag: &str, value: &str| {
+            let net = flag == "--net-storm-fraction";
+            let mut words = vec!["chaos"];
+            words.extend(net.then_some("--net"));
+            words.extend([flag, value]);
+            Command::parse(args(&words))
+        };
+        for flag in flags {
+            for value in ["inf", "-inf", "NaN", "infinity"] {
+                match line(flag, value) {
+                    Err(CliError::Usage(message)) => {
+                        assert!(message.contains(flag), "{flag} {value}: {message}");
+                        assert!(message.contains("finite"), "{flag} {value}: {message}");
+                    }
+                    other => panic!("{flag} {value} parsed: {other:?}"),
+                }
+            }
+            let Ok(Command::Chaos(c)) = line(flag, "1.5") else {
+                panic!("{flag} 1.5 is a usage error");
+            };
+            let rates = [
+                c.drop_rate,
+                c.poll_drop_rate,
+                c.dup_rate,
+                c.delay_rate,
+                c.io.error_rate,
+                c.io.torn_rate,
+                c.io.short_rate,
+                c.io.sync_error_rate,
+                c.net_storm_fraction,
+            ];
+            let at = flags.iter().position(|f| *f == flag).unwrap();
+            assert_eq!(rates[at], 1.0, "{flag} clamps to [0, 1]");
         }
     }
 

@@ -97,4 +97,4 @@ pub use task::{MonitorId, MonitorSpec, TaskId, TaskSpec};
 pub use threshold::{selectivity_threshold, ThresholdSplit};
 pub use time::{Interval, Tick};
 pub use vfs::{CircuitBreaker, FaultFs, IoFaultPlan, IoFaultStats, StdFs, Vfs, VfsFile};
-pub use window::{AggregateKind, SlidingWindow, WindowedSampler};
+pub use window::{SlidingWindow, WindowedSampler};

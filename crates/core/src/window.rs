@@ -5,14 +5,13 @@
 //! Many production alert conditions are defined on a *windowed aggregate*
 //! rather than an instantaneous value — "average CPU over the last
 //! 5 minutes above 80%", "request count in the last minute above N".
-//! [`SlidingWindow`] maintains such an aggregate incrementally (O(1)
-//! amortized per update, including max/min via a monotonic deque), and
-//! [`WindowedSampler`] composes it with the adaptive controller: the
-//! monitored value handed to the likelihood machinery is the aggregate,
-//! whose smoothness is exactly what makes windowed tasks friendly to
-//! violation-likelihood estimation (an average over `W` ticks can move
-//! only slowly, so δ statistics are tight and intervals grow further than
-//! for the raw series).
+//! [`SlidingWindow`] maintains the window mean incrementally (O(1)
+//! amortized per update), and [`WindowedSampler`] composes it with the
+//! adaptive controller: the monitored value handed to the likelihood
+//! machinery is the mean, whose smoothness is exactly what makes windowed
+//! tasks friendly to violation-likelihood estimation (an average over `W`
+//! ticks can move only slowly, so δ statistics are tight and intervals
+//! grow further than for the raw series).
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -21,48 +20,27 @@ use crate::adaptation::{AdaptationConfig, AdaptiveSampler, Observation};
 use crate::error::VolleyError;
 use crate::time::Tick;
 
-/// The aggregate a window computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum AggregateKind {
-    /// Arithmetic mean of the window's values.
-    Mean,
-    /// Sum of the window's values.
-    Sum,
-    /// Largest value in the window.
-    Max,
-    /// Smallest value in the window.
-    Min,
-    /// Number of values in the window (useful for event-count streams
-    /// where each pushed value is one event's weight).
-    Count,
-}
-
 /// A sliding time window over `(tick, value)` observations.
 ///
 /// Values older than `width` ticks (relative to the most recent push)
-/// are evicted. All aggregates are maintained incrementally.
+/// are evicted; the mean is maintained incrementally.
 ///
 /// ```
-/// use volley_core::window::{AggregateKind, SlidingWindow};
+/// use volley_core::window::SlidingWindow;
 ///
 /// let mut w = SlidingWindow::new(3).unwrap();
 /// w.push(0, 10.0);
 /// w.push(1, 20.0);
 /// w.push(2, 30.0);
-/// assert_eq!(w.aggregate(AggregateKind::Mean), 20.0);
+/// assert_eq!(w.mean(), 20.0);
 /// w.push(3, 40.0); // tick 0 falls out of the 3-tick window
-/// assert_eq!(w.aggregate(AggregateKind::Mean), 30.0);
-/// assert_eq!(w.aggregate(AggregateKind::Max), 40.0);
+/// assert_eq!(w.mean(), 30.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlidingWindow {
     width: u64,
     entries: VecDeque<(Tick, f64)>,
     sum: f64,
-    /// Indices-free monotonic deques holding (tick, value).
-    max_deque: VecDeque<(Tick, f64)>,
-    min_deque: VecDeque<(Tick, f64)>,
 }
 
 impl SlidingWindow {
@@ -80,8 +58,6 @@ impl SlidingWindow {
             width,
             entries: VecDeque::new(),
             sum: 0.0,
-            max_deque: VecDeque::new(),
-            min_deque: VecDeque::new(),
         })
     }
 
@@ -104,28 +80,10 @@ impl SlidingWindow {
     ///
     /// Ticks must be non-decreasing; non-finite values are ignored.
     pub fn push(&mut self, tick: Tick, value: f64) {
-        if !value.is_finite() {
-            self.evict(tick);
-            return;
+        if value.is_finite() {
+            self.entries.push_back((tick, value));
+            self.sum += value;
         }
-        self.entries.push_back((tick, value));
-        self.sum += value;
-        while let Some(&(_, back)) = self.max_deque.back() {
-            if back <= value {
-                self.max_deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.max_deque.push_back((tick, value));
-        while let Some(&(_, back)) = self.min_deque.back() {
-            if back >= value {
-                self.min_deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.min_deque.push_back((tick, value));
         self.evict(tick);
     }
 
@@ -139,20 +97,6 @@ impl SlidingWindow {
                 break;
             }
         }
-        while let Some(&(t, _)) = self.max_deque.front() {
-            if t < cutoff {
-                self.max_deque.pop_front();
-            } else {
-                break;
-            }
-        }
-        while let Some(&(t, _)) = self.min_deque.front() {
-            if t < cutoff {
-                self.min_deque.pop_front();
-            } else {
-                break;
-            }
-        }
         // Rebuild the sum occasionally to cap floating-point drift on
         // long streams.
         if self.entries.len() > 1 && self.sum.abs() > 1e12 {
@@ -160,33 +104,27 @@ impl SlidingWindow {
         }
     }
 
-    /// The current aggregate (0 for an empty window).
-    pub fn aggregate(&self, kind: AggregateKind) -> f64 {
+    /// The mean of the values in the window (0 for an empty window).
+    pub fn mean(&self) -> f64 {
         if self.entries.is_empty() {
             return 0.0;
         }
-        match kind {
-            AggregateKind::Mean => self.sum / self.entries.len() as f64,
-            AggregateKind::Sum => self.sum,
-            AggregateKind::Max => self.max_deque.front().map(|(_, v)| *v).unwrap_or(0.0),
-            AggregateKind::Min => self.min_deque.front().map(|(_, v)| *v).unwrap_or(0.0),
-            AggregateKind::Count => self.entries.len() as f64,
-        }
+        self.sum / self.entries.len() as f64
     }
 }
 
-/// An adaptive sampler over a windowed aggregate: the violation condition
-/// is `aggregate(window) > threshold`, and the likelihood machinery
-/// operates on the aggregate series.
+/// An adaptive sampler over a windowed mean: the violation condition is
+/// `mean(window) > threshold`, and the likelihood machinery operates on
+/// the mean series.
 ///
 /// ```
-/// use volley_core::window::{AggregateKind, WindowedSampler};
+/// use volley_core::window::WindowedSampler;
 /// use volley_core::AdaptationConfig;
 ///
 /// # fn main() -> Result<(), volley_core::VolleyError> {
 /// let config = AdaptationConfig::builder().error_allowance(0.01).build()?;
 /// // Alert when the 10-tick mean exceeds 80.
-/// let mut sampler = WindowedSampler::new(config, 80.0, 10, AggregateKind::Mean)?;
+/// let mut sampler = WindowedSampler::new(config, 80.0, 10)?;
 /// sampler.observe(0, 10.0);
 /// let outcome = sampler.observe(1, 95.0); // one hot sample
 /// assert!(!outcome.violation); // the window mean (52.5) hasn't crossed yet
@@ -196,7 +134,6 @@ impl SlidingWindow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowedSampler {
     window: SlidingWindow,
-    kind: AggregateKind,
     sampler: AdaptiveSampler,
 }
 
@@ -211,18 +148,11 @@ impl WindowedSampler {
         config: AdaptationConfig,
         threshold: f64,
         window_width: u64,
-        kind: AggregateKind,
     ) -> Result<Self, VolleyError> {
         Ok(WindowedSampler {
             window: SlidingWindow::new(window_width)?,
-            kind,
             sampler: AdaptiveSampler::new(config, threshold),
         })
-    }
-
-    /// The aggregate kind being monitored.
-    pub fn kind(&self) -> AggregateKind {
-        self.kind
     }
 
     /// The underlying adaptive sampler (intervals, statistics, allowance).
@@ -231,11 +161,10 @@ impl WindowedSampler {
     }
 
     /// Feeds the raw value sampled at `tick`, updates the window, and
-    /// runs the adaptation step on the aggregate.
+    /// runs the adaptation step on the window mean.
     pub fn observe(&mut self, tick: Tick, value: f64) -> Observation {
         self.window.push(tick, value);
-        let aggregate = self.window.aggregate(self.kind);
-        self.sampler.observe(tick, aggregate)
+        self.sampler.observe(tick, self.window.mean())
     }
 }
 
@@ -247,11 +176,11 @@ mod tests {
     fn rejects_zero_width() {
         assert!(SlidingWindow::new(0).is_err());
         let config = AdaptationConfig::default();
-        assert!(WindowedSampler::new(config, 1.0, 0, AggregateKind::Mean).is_err());
+        assert!(WindowedSampler::new(config, 1.0, 0).is_err());
     }
 
     #[test]
-    fn aggregates_match_naive_computation() {
+    fn mean_matches_naive_computation() {
         let mut w = SlidingWindow::new(5).unwrap();
         let values = [3.0, -1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         for (t, &v) in values.iter().enumerate() {
@@ -259,16 +188,8 @@ mod tests {
             let start = (t + 1).saturating_sub(5);
             let slice = &values[start..=t];
             let sum: f64 = slice.iter().sum();
-            assert!(
-                (w.aggregate(AggregateKind::Sum) - sum).abs() < 1e-12,
-                "t={t}"
-            );
-            assert!((w.aggregate(AggregateKind::Mean) - sum / slice.len() as f64).abs() < 1e-12);
-            let max = slice.iter().cloned().fold(f64::MIN, f64::max);
-            let min = slice.iter().cloned().fold(f64::MAX, f64::min);
-            assert_eq!(w.aggregate(AggregateKind::Max), max);
-            assert_eq!(w.aggregate(AggregateKind::Min), min);
-            assert_eq!(w.aggregate(AggregateKind::Count), slice.len() as f64);
+            assert!((w.mean() - sum / slice.len() as f64).abs() < 1e-12, "t={t}");
+            assert_eq!(w.len(), slice.len());
         }
     }
 
@@ -278,22 +199,14 @@ mod tests {
         w.push(0, 1.0);
         w.push(100, 2.0); // tick 0 far outside the window
         assert_eq!(w.len(), 1);
-        assert_eq!(w.aggregate(AggregateKind::Sum), 2.0);
+        assert_eq!(w.mean(), 2.0);
     }
 
     #[test]
-    fn empty_window_aggregates_to_zero() {
+    fn empty_window_means_zero() {
         let w = SlidingWindow::new(4).unwrap();
         assert!(w.is_empty());
-        for kind in [
-            AggregateKind::Mean,
-            AggregateKind::Sum,
-            AggregateKind::Max,
-            AggregateKind::Min,
-            AggregateKind::Count,
-        ] {
-            assert_eq!(w.aggregate(kind), 0.0);
-        }
+        assert_eq!(w.mean(), 0.0);
     }
 
     #[test]
@@ -303,20 +216,10 @@ mod tests {
         w.push(1, f64::NAN);
         w.push(2, f64::INFINITY);
         assert_eq!(w.len(), 1);
-        assert_eq!(w.aggregate(AggregateKind::Sum), 1.0);
-    }
-
-    #[test]
-    fn max_deque_handles_duplicates() {
-        let mut w = SlidingWindow::new(3).unwrap();
-        w.push(0, 5.0);
-        w.push(1, 5.0);
-        w.push(2, 5.0);
-        assert_eq!(w.aggregate(AggregateKind::Max), 5.0);
-        w.push(3, 1.0);
-        w.push(4, 1.0);
-        w.push(5, 1.0);
-        assert_eq!(w.aggregate(AggregateKind::Max), 1.0);
+        assert_eq!(w.mean(), 1.0);
+        // A skipped value still moves the window on.
+        w.push(9, f64::NAN);
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -327,7 +230,7 @@ mod tests {
             .warmup_samples(3)
             .build()
             .unwrap();
-        let mut sampler = WindowedSampler::new(config, 50.0, 8, AggregateKind::Mean).unwrap();
+        let mut sampler = WindowedSampler::new(config, 50.0, 8).unwrap();
         // One isolated spike must not trip a windowed-mean violation.
         let mut violated = false;
         for tick in 0..20u64 {
@@ -355,7 +258,7 @@ mod tests {
             .max_interval(16)
             .build()
             .unwrap();
-        let mut windowed = WindowedSampler::new(config, 1000.0, 16, AggregateKind::Mean).unwrap();
+        let mut windowed = WindowedSampler::new(config, 1000.0, 16).unwrap();
         let mut raw = AdaptiveSampler::new(config, 1000.0);
         let noisy = |t: u64| 100.0 + ((t * 2654435761) % 100) as f64; // 100..200
         let mut tw = 0u64;
@@ -374,7 +277,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let config = AdaptationConfig::default();
-        let mut s = WindowedSampler::new(config, 10.0, 4, AggregateKind::Sum).unwrap();
+        let mut s = WindowedSampler::new(config, 10.0, 4).unwrap();
         s.observe(0, 1.0);
         s.observe(1, 2.0);
         let json = serde_json::to_string(&s).unwrap();

@@ -66,7 +66,18 @@
 //! them to resume with learned intervals and the learned allowance split
 //! instead of the paper's conservative `I_d` restart. A coordinator
 //! crash is the driver's to act out: it drops the machine mid-tick and
-//! builds a successor.
+//! builds a successor with [`take_over`](CoordinatorActor::take_over),
+//! which queues the fence itself.
+//!
+//! # One speaker
+//!
+//! The machine decides everything a monitor is told but its tick data
+//! and its shutdown: requests, the failover fence, the §II.B follower
+//! gate ([`on_leader`](CoordinatorActor::on_leader)) and the allowance
+//! ledger — after a reallocation round, in the fence, and in answer to
+//! every `Revived`, so a restarted or reconnected monitor holds its
+//! ledger entry again. Its driver runs whatever is left pending between
+//! ticks before the next tick's data.
 
 use std::collections::VecDeque;
 
@@ -173,16 +184,14 @@ impl Await {
     }
 }
 
-/// The monitor a protocol message claims to come from; `None` for
-/// driver-originated control notices that speak for no monitor.
-fn msg_sender(msg: &MonitorToCoordinator) -> Option<MonitorId> {
+/// The monitor a protocol message comes from.
+fn msg_sender(msg: &MonitorToCoordinator) -> MonitorId {
     match *msg {
         MonitorToCoordinator::TickDone { monitor, .. }
         | MonitorToCoordinator::PollReply { monitor, .. }
         | MonitorToCoordinator::Report { monitor, .. }
         | MonitorToCoordinator::Revived { monitor }
-        | MonitorToCoordinator::StateSnapshot { monitor, .. } => Some(monitor),
-        MonitorToCoordinator::LeaderState { .. } => None,
+        | MonitorToCoordinator::StateSnapshot { monitor, .. } => monitor,
     }
 }
 
@@ -196,9 +205,7 @@ fn is_fresh(msg: &MonitorToCoordinator, last_tick: Option<Tick>) -> bool {
         MonitorToCoordinator::Revived { .. } => true,
         MonitorToCoordinator::TickDone { tick, .. }
         | MonitorToCoordinator::PollReply { tick, .. } => last_tick.is_none_or(|lt| tick > lt),
-        MonitorToCoordinator::Report { .. }
-        | MonitorToCoordinator::StateSnapshot { .. }
-        | MonitorToCoordinator::LeaderState { .. } => false,
+        MonitorToCoordinator::Report { .. } | MonitorToCoordinator::StateSnapshot { .. } => false,
     }
 }
 
@@ -215,13 +222,12 @@ pub struct CoordinatorActor {
     epoch: u64,
     /// Snapshot cadence and the next tick one is due at (or after).
     checkpoint: Option<(u64, Tick)>,
-    /// The §II.B follower gate as the coordinator sees it (and
-    /// checkpoints it): the driver paces this task's monitors to a coarse
-    /// interval while the leader task is calm — `SetGate` frames sent
-    /// FIFO with tick data, so the tick a gate takes effect at is
-    /// deterministic — and the machine follows the `LeaderState`
-    /// notices, counting flips and suppressed samples.
-    gate: Option<MultitaskSnapshot>,
+    /// The §II.B follower gate and the interval it paces this task's
+    /// monitors to while the leader task is calm: the machine flips it
+    /// on the driver's [`on_leader`](Self::on_leader) calls, sends the
+    /// `SetGate` frames, counts flips and suppressed samples and
+    /// checkpoints it.
+    gate: Option<(u32, MultitaskSnapshot)>,
     quarantined: Vec<bool>,
     /// A quarantined monitor showing signs of life (a `Revived` notice
     /// from the driver's supervisor, or a *fresh* frame of its own): the
@@ -232,6 +238,9 @@ pub struct CoordinatorActor {
     last_tick: Option<Tick>,
     /// Monitors that sent a stale-epoch frame and owe an epoch repair.
     needs_epoch: Vec<bool>,
+    /// Monitors that sent a `Revived` in the batch being fed, owed
+    /// their ledger entry.
+    owed_ledger: Vec<bool>,
     phase: Phase,
     wait: Await,
     /// The open round's tick, fixed by its first report.
@@ -269,6 +278,7 @@ impl CoordinatorActor {
             consecutive_missed: vec![0; n],
             last_tick,
             needs_epoch: vec![false; n],
+            owed_ledger: vec![false; n],
             phase: Phase::Reports,
             wait: Await {
                 on: vec![false; n],
@@ -288,18 +298,58 @@ impl CoordinatorActor {
         machine
     }
 
-    /// Tracks the §II.B follower gate: the machine follows the driver's
-    /// [`LeaderState`](MonitorToCoordinator::LeaderState) notices (a calm
-    /// leader engages the gate, an active one releases it), reports
+    /// A successor taking over at `epoch` from a primary that crashed
+    /// with `tick` in flight, deciding by fresh `rules`. It resumes the
+    /// ledger and the reallocation schedule from `snapshot`, the last
+    /// checkpoint recovered (the even split without one, or when its
+    /// ledger is no split `rules` could hold; with no snapshot the next
+    /// round is a full period away), awaits `tick`'s reports and queues
+    /// the fence: `NewEpoch`, then per monitor `RestoreState` from the
+    /// snapshot or the paper's conservative `ResetSampler` where it holds
+    /// none, then the monitor's ledger entry. A monitor that cannot hear
+    /// the `NewEpoch` (partitioned) keeps its old epoch, and its frames
+    /// are rejected until epoch repair re-admits it.
+    pub fn take_over(
+        mut rules: Coordinator,
+        epoch: u64,
+        tick: Tick,
+        snapshot: Option<&CoordinatorSnapshot>,
+    ) -> Self {
+        match snapshot {
+            Some(s) => {
+                rules.restore(&s.allowances, s.next_update_tick);
+            }
+            None => rules.defer_reallocation(tick),
+        }
+        let mut machine = Self::new(rules, tick.checked_sub(1)).with_epoch(epoch);
+        let n = machine.monitors();
+        let all = (0..n as u32).map(MonitorId).collect();
+        machine.send(all, CoordinatorToMonitor::NewEpoch { epoch });
+        for idx in 0..n {
+            let msg = match snapshot.and_then(|s| s.samplers.get(idx).copied().flatten()) {
+                Some(snapshot) => CoordinatorToMonitor::RestoreState { snapshot },
+                None => CoordinatorToMonitor::ResetSampler,
+            };
+            machine.send(vec![MonitorId(idx as u32)], msg);
+            machine.send_ledger(idx);
+        }
+        machine
+    }
+
+    /// Tracks the §II.B follower gate, pacing this task's monitors to at
+    /// least `gated_interval` ticks while it is engaged: the driver
+    /// reports the leader task's state ahead of each tick
+    /// ([`on_leader`](Self::on_leader)), and the machine reports
     /// [`TickSummary::gated`] and checkpoints the gate. The gate starts
     /// released.
     #[must_use]
-    pub fn with_multitask(mut self) -> Self {
-        self.gate = Some(MultitaskSnapshot {
+    pub fn with_multitask(mut self, gated_interval: u32) -> Self {
+        let released = MultitaskSnapshot {
             engaged: false,
             flips: 0,
             suppressed: 0,
-        });
+        };
+        self.gate = Some((gated_interval, released));
         self
     }
 
@@ -342,6 +392,19 @@ impl CoordinatorActor {
 
     fn monitors(&self) -> usize {
         self.seen.len()
+    }
+
+    fn send(&mut self, to: Vec<MonitorId>, msg: CoordinatorToMonitor) {
+        self.outbox.push_back(Output::Send { to, msg });
+    }
+
+    /// Tells monitor `idx` its ledger entry.
+    fn send_ledger(&mut self, idx: usize) {
+        let err = self.rules.allowances()[idx];
+        self.send(
+            vec![MonitorId(idx as u32)],
+            CoordinatorToMonitor::SetAllowance { err },
+        );
     }
 
     fn active(&self, idx: usize) -> bool {
@@ -401,8 +464,28 @@ impl CoordinatorActor {
             count += 1;
             feed(self, item);
         }
+        self.readmit();
         self.settle(false);
         count
+    }
+
+    /// Answers the batch's `Revived` notices: a restarted or reconnected
+    /// monitor holds whatever its new process started with, so each is
+    /// told its ledger entry — the monitors owed one value in one send,
+    /// so a fleet connecting at once costs one outbox entry, not one
+    /// each.
+    fn readmit(&mut self) {
+        while let Some(first) = self.owed_ledger.iter().position(|&owed| owed) {
+            let err = self.rules.allowances()[first];
+            let mut to = Vec::new();
+            for idx in first..self.monitors() {
+                if self.owed_ledger[idx] && self.rules.allowances()[idx] == err {
+                    self.owed_ledger[idx] = false;
+                    to.push(MonitorId(idx as u32));
+                }
+            }
+            self.send(to, CoordinatorToMonitor::SetAllowance { err });
+        }
     }
 
     /// One frame into the machine, short of closing the phase it may
@@ -412,9 +495,8 @@ impl CoordinatorActor {
         if !msg.is_wire_representable() {
             return;
         }
-        let sender = msg_sender(&msg)
-            .map(|id| id.0 as usize)
-            .filter(|&idx| idx < self.monitors());
+        let sender = msg_sender(&msg).0 as usize;
+        let known = sender < self.monitors();
         if epoch < self.epoch {
             // A frame from before the failover — e.g. a monitor that
             // missed the NewEpoch broadcast behind a partition, or
@@ -422,17 +504,39 @@ impl CoordinatorActor {
             // (split-brain safety) but schedule an epoch repair so the
             // sender can rejoin the current epoch.
             self.summary.stale_epoch_frames += 1;
-            if let Some(idx) = sender {
-                self.needs_epoch[idx] = true;
+            if known {
+                self.needs_epoch[sender] = true;
             }
             return;
         }
-        if let Some(idx) = sender {
-            if is_fresh(&msg, self.last_tick) {
-                self.mark_reviving(idx);
-            }
+        if known && is_fresh(&msg, self.last_tick) {
+            self.mark_reviving(sender);
+        }
+        if known && matches!(msg, MonitorToCoordinator::Revived { .. }) {
+            self.owed_ledger[sender] = true;
         }
         self.accept(msg);
+    }
+
+    /// The leader task's state ahead of `tick`, the tick about to open:
+    /// a calm leader engages the follower gate, an active one releases
+    /// it. A flip sends every monitor its `SetGate`, which the driver
+    /// runs ahead of `tick`'s data, so the tick a gate takes effect at
+    /// is a pure function of the traces. Without a gate it does nothing.
+    pub fn on_leader(&mut self, tick: Tick, active: bool) {
+        debug_assert_eq!(tick, self.expected_tick(), "a gate flip between ticks");
+        let Some((interval, gate)) = self.gate.as_mut() else {
+            return;
+        };
+        if gate.engaged != active {
+            return;
+        }
+        gate.engaged = !active;
+        gate.flips += 1;
+        let interval = gate.engaged.then_some(*interval);
+        let all = (0..self.monitors() as u32).map(MonitorId).collect();
+        self.send(all, CoordinatorToMonitor::SetGate { interval });
+        self.outbox.push_back(Output::GateFlipped);
     }
 
     /// The phase the machine is in has waited long enough: it closes
@@ -474,18 +578,6 @@ impl CoordinatorActor {
     fn accept(&mut self, msg: MonitorToCoordinator) {
         let (n, tick) = (self.monitors(), self.summary.tick);
         match (self.phase, msg) {
-            // The driver sends leader-state notices ahead of a tick's
-            // data, so the gate decision lands before that round's
-            // reports are produced downstream.
-            (_, MonitorToCoordinator::LeaderState { active, .. }) => {
-                if let Some(gate) = self.gate.as_mut() {
-                    if gate.engaged == active {
-                        gate.engaged = !active;
-                        gate.flips += 1;
-                        self.outbox.push_back(Output::GateFlipped);
-                    }
-                }
-            }
             (Phase::Reports, msg @ MonitorToCoordinator::TickDone { .. }) => {
                 self.on_tick_done(msg);
             }
@@ -629,7 +721,7 @@ impl CoordinatorActor {
             self.wait.expect(monitor.0 as usize);
         }
         if !to.is_empty() {
-            self.outbox.push_back(Output::Send { to, msg });
+            self.send(to, msg);
         }
         if self.wait.outstanding > 0 {
             self.outbox.push_back(Output::ArmDeadline);
@@ -710,14 +802,9 @@ impl CoordinatorActor {
             .into_iter()
             .flatten()
             .collect();
-        if reports.len() == self.monitors() {
-            if let Some(allowances) = self.rules.reallocate(&reports) {
-                for (idx, &err) in allowances.iter().enumerate() {
-                    self.outbox.push_back(Output::Send {
-                        to: vec![MonitorId(idx as u32)],
-                        msg: CoordinatorToMonitor::SetAllowance { err },
-                    });
-                }
+        if reports.len() == self.monitors() && self.rules.reallocate(&reports).is_some() {
+            for idx in 0..self.monitors() {
+                self.send_ledger(idx);
             }
         }
         self.begin_checkpoint();
@@ -754,7 +841,7 @@ impl CoordinatorActor {
             next_update_tick: self.rules.next_update_tick(),
             allowances: self.rules.allowances().to_vec(),
             samplers: std::mem::take(&mut self.snapshots),
-            multitask: self.gate,
+            multitask: self.gate.map(|(_, gate)| gate),
         }));
         self.finish_round();
     }
@@ -765,13 +852,14 @@ impl CoordinatorActor {
         // current-epoch, re-earning active status the normal way).
         for idx in 0..self.monitors() {
             if std::mem::take(&mut self.needs_epoch[idx]) {
-                self.outbox.push_back(Output::Send {
-                    to: vec![MonitorId(idx as u32)],
-                    msg: CoordinatorToMonitor::NewEpoch { epoch: self.epoch },
-                });
+                let epoch = self.epoch;
+                self.send(
+                    vec![MonitorId(idx as u32)],
+                    CoordinatorToMonitor::NewEpoch { epoch },
+                );
             }
         }
-        if let Some(gate) = self.gate.as_mut() {
+        if let Some((_, gate)) = self.gate.as_mut() {
             gate.suppressed += u64::from(self.summary.suppressed_samples);
             self.summary.gated = gate.engaged;
         }
@@ -1034,10 +1122,12 @@ mod tests {
                 monitor: MonitorId(1),
             },
         ));
-        // Even with the active monitor's frame first, the round now waits
-        // for monitor 1 instead of closing without it.
+        // It is told its ledger entry, and even with the active
+        // monitor's frame first, the round now waits for monitor 1
+        // instead of closing without it.
         machine.on_frame(tick_done(0, 1, false));
-        assert!(pending(&mut machine).is_empty());
+        let ledger = CoordinatorToMonitor::SetAllowance { err: 0.005 };
+        assert_eq!(pending(&mut machine), [send(&[1], ledger)]);
         machine.on_frame(tick_done(1, 1, false));
         let (summary, before) = closed(&mut machine);
         assert_eq!(summary.missing_reports, 0);
@@ -1326,34 +1416,32 @@ mod tests {
     }
 
     #[test]
-    fn leader_state_flips_the_follower_gate_and_checkpoints_it() {
-        let mut machine = solo(100.0).with_multitask().with_checkpoint(1);
-        let leader = |tick, active| sealed(0, MonitorToCoordinator::LeaderState { tick, active });
-        // Calm leader ahead of tick 0: the gate engages. The driver sends
-        // the `SetGate` frames; the machine only follows.
-        machine.on_frame(leader(0, false));
-        assert_eq!(pending(&mut machine), [Output::GateFlipped]);
-        machine.on_frame(leader(0, false));
-        assert!(pending(&mut machine).is_empty(), "no flip, no notice");
-        machine.on_frame(tick_done(0, 0, false));
+    fn a_leader_flip_sends_the_gate_and_checkpoints_it() {
+        let mut machine = pair(3).with_multitask(8).with_checkpoint(1);
+        let gate = |interval| send(&[0, 1], CoordinatorToMonitor::SetGate { interval });
+        // Calm leader ahead of tick 0: the gate engages, and every
+        // monitor is told so.
+        machine.on_leader(0, false);
+        assert_eq!(pending(&mut machine), [gate(Some(8)), Output::GateFlipped]);
+        machine.on_leader(0, false);
+        assert!(pending(&mut machine).is_empty(), "no flip, no frame");
+        machine.on_frames([tick_done(0, 0, false), tick_done(1, 0, false)]);
         machine.on_deadline();
         let (summary, _) = closed(&mut machine);
         assert!(summary.gated, "calm leader engages the gate");
         assert_eq!(summary.suppressed_samples, 0);
         // Leader fires ahead of tick 1: the gate releases, and the
         // suppressed flag reported for the tick still counts.
-        machine.on_frame(leader(1, true));
-        assert_eq!(pending(&mut machine), [Output::GateFlipped]);
-        machine.on_frame(sealed(
-            0,
-            MonitorToCoordinator::TickDone {
-                monitor: MonitorId(0),
-                tick: 1,
-                sampled: false,
-                violation: false,
-                suppressed: true,
-            },
-        ));
+        machine.on_leader(1, true);
+        assert_eq!(pending(&mut machine), [gate(None), Output::GateFlipped]);
+        let suppressed = MonitorToCoordinator::TickDone {
+            monitor: MonitorId(0),
+            tick: 1,
+            sampled: false,
+            violation: false,
+            suppressed: true,
+        };
+        machine.on_frames([sealed(0, suppressed), tick_done(1, 1, false)]);
         machine.on_deadline();
         let (summary, before) = closed(&mut machine);
         assert!(!summary.gated, "active leader releases the gate");
@@ -1371,16 +1459,124 @@ mod tests {
                 suppressed: 0,
             })
         );
-        assert!(
-            !before.iter().any(|o| matches!(
-                o,
-                Output::Send {
-                    msg: CoordinatorToMonitor::SetGate { .. },
-                    ..
-                }
-            )),
-            "the machine never broadcasts the gate"
+        // Without a gate a leader notice does nothing.
+        let mut ungated = pair(3);
+        ungated.on_leader(0, false);
+        assert!(pending(&mut ungated).is_empty());
+    }
+
+    /// Every `Revived` is answered with the monitor's ledger entry: a
+    /// restarted or reconnected monitor holds whatever its new process
+    /// started with, which after a reallocation is not what the ledger
+    /// says. The notices of one batch owed the same entry share a send.
+    #[test]
+    fn a_revived_monitor_is_told_its_ledger_entry() {
+        let rules = || rules(2, 100.0, 0.02, CoordinationScheme::Adaptive);
+        let revived = |epoch, monitor| {
+            let monitor = MonitorId(monitor);
+            sealed(epoch, MonitorToCoordinator::Revived { monitor })
+        };
+        let ledger = |to: &[u32], err| send(to, CoordinatorToMonitor::SetAllowance { err });
+        // A quarantined monitor restarted after a reallocation.
+        let mut skewed = rules();
+        assert!(skewed.restore(&[0.015, 0.005], 2000));
+        let mut machine = CoordinatorActor::new(skewed, None).with_quarantine_after(1);
+        machine.on_frame(tick_done(0, 0, false));
+        machine.on_deadline();
+        let (_, before) = closed(&mut machine);
+        assert!(matches!(before.as_slice(), [Output::Quarantined { .. }]));
+        machine.on_frame(revived(0, 1));
+        assert_eq!(pending(&mut machine), [ledger(&[1], 0.005)]);
+        // A whole fleet reconnecting: one send per distinct entry.
+        machine.on_frames([revived(0, 1), revived(0, 0)]);
+        assert_eq!(
+            pending(&mut machine),
+            [ledger(&[0], 0.015), ledger(&[1], 0.005)]
         );
+        let mut even = CoordinatorActor::new(rules(), None);
+        even.on_frames([revived(0, 1), revived(0, 0)]);
+        assert_eq!(pending(&mut even), [ledger(&[0, 1], 0.01)]);
+        // A notice from a deposed epoch or for a foreign monitor is not
+        // answered.
+        let mut fenced = CoordinatorActor::new(rules(), None).with_epoch(1);
+        fenced.on_frames([revived(0, 0), revived(1, 7)]);
+        assert!(pending(&mut fenced).is_empty());
+    }
+
+    /// The successor queues the whole fence itself: `NewEpoch` to all,
+    /// then per monitor its checkpointed sampler or the conservative
+    /// reset and its ledger entry — the restored split, or the even one
+    /// when there is no checkpoint (the next round then a full period
+    /// away) or its ledger is not a split the rules could hold.
+    #[test]
+    fn a_successor_fences_restores_and_re_sends_the_ledger() {
+        let sampler = {
+            use volley_core::{AdaptationConfig, AdaptiveSampler};
+            let mut sampler = AdaptiveSampler::new(AdaptationConfig::default(), 50.0);
+            sampler.observe(0, 10.0);
+            sampler.to_snapshot()
+        };
+        let checkpoint = |allowances: Vec<f64>| CoordinatorSnapshot {
+            epoch: 0,
+            tick: 1200,
+            next_update_tick: 2000,
+            allowances,
+            samplers: vec![Some(sampler), None],
+            multitask: None,
+        };
+        let fence = |ledger: [f64; 2]| {
+            vec![
+                send(&[0, 1], CoordinatorToMonitor::NewEpoch { epoch: 2 }),
+                send(
+                    &[0],
+                    CoordinatorToMonitor::RestoreState { snapshot: sampler },
+                ),
+                send(&[0], CoordinatorToMonitor::SetAllowance { err: ledger[0] }),
+                send(&[1], CoordinatorToMonitor::ResetSampler),
+                send(&[1], CoordinatorToMonitor::SetAllowance { err: ledger[1] }),
+            ]
+        };
+        let rules = || rules(2, 100.0, 0.02, CoordinationScheme::Adaptive);
+        let restored = checkpoint(vec![0.015, 0.005]);
+        let mut machine = CoordinatorActor::take_over(rules(), 2, 1300, Some(&restored));
+        assert_eq!(pending(&mut machine), fence([0.015, 0.005]));
+        assert_eq!(machine.rules().next_update_tick(), 2000);
+        assert_eq!(machine.expected_tick(), 1300);
+        // A ledger no split could be falls back to the even one.
+        let overspent = checkpoint(vec![0.015, 0.015]);
+        let mut machine = CoordinatorActor::take_over(rules(), 2, 1300, Some(&overspent));
+        assert_eq!(pending(&mut machine), fence([0.01, 0.01]));
+        // No checkpoint: every monitor restarts conservatively.
+        let mut machine = CoordinatorActor::take_over(rules(), 2, 1300, None);
+        let reset = |monitor| send(&[monitor], CoordinatorToMonitor::ResetSampler);
+        let even = |monitor| send(&[monitor], CoordinatorToMonitor::SetAllowance { err: 0.01 });
+        assert_eq!(
+            pending(&mut machine),
+            [
+                send(&[0, 1], CoordinatorToMonitor::NewEpoch { epoch: 2 }),
+                reset(0),
+                even(0),
+                reset(1),
+                even(1),
+            ]
+        );
+        assert_eq!(machine.rules().next_update_tick(), 2300);
+        // The successor's frames are sealed at its epoch: an old one's
+        // report is stale.
+        machine.on_frame(tick_done(0, 1300, true));
+        machine.on_frames([
+            MonitorFrame {
+                epoch: 2,
+                ..tick_done(0, 1300, false)
+            },
+            MonitorFrame {
+                epoch: 2,
+                ..tick_done(1, 1300, false)
+            },
+        ]);
+        let (summary, _) = closed(&mut machine);
+        assert_eq!((summary.tick, summary.stale_epoch_frames), (1300, 1));
+        assert!(!summary.polled);
     }
 
     fn period_report(interval: u32, beta_grown: f64) -> PeriodReport {

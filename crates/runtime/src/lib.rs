@@ -52,7 +52,8 @@
 //!   false alerts but never suppresses one another monitor could prove);
 //! - the runner's **supervisor** restarts quarantined monitors with a
 //!   fresh sampler ([`TaskRunner::with_supervision`]), and the
-//!   coordinator welcomes them back the moment they report on time;
+//!   coordinator re-admits them at their ledger allowance and welcomes
+//!   them back the moment they report on time;
 //! - allowance reallocation **skips any round with missing reports** and
 //!   carries the previous allowances forward.
 //!
@@ -69,7 +70,10 @@
 //! [`FaultPlan::with_drop_rate`]`(`[`FaultPath::ViolationReport`]`, p)`.
 //!
 //! One crate-private tick loop drives every task shape over sessions
-//! (each steps a coordinator machine and its monitor plane); the runners
+//! (each steps a coordinator machine and its monitor plane, sending the
+//! monitors their tick data, their shutdown and whatever the machine
+//! decides — requests, allowances, a failover's fence, gate flips —
+//! and nothing else); the runners
 //! are its setup plus a hook between steps: [`TaskRunner`] none,
 //! [`MultiTaskRunner`] the correlation gate, [`NetCoordinator`] the
 //! socket plane's turn.

@@ -93,11 +93,12 @@ pub enum MonitorToCoordinator {
         /// The period aggregates.
         report: PeriodReport,
     },
-    /// Supervisor notice (from the *driver* that steps the coordinator):
-    /// `monitor` was restarted and will report again — await it instead
-    /// of skipping it as quarantined. The driver hands it over before it
-    /// sends the restarted monitor its first tick, so the notice always
-    /// precedes that monitor's first report.
+    /// `monitor` was (re)started and will report again — await it
+    /// instead of skipping it as quarantined, and tell it its ledger
+    /// allowance. In process the driver's supervisor hands it over before
+    /// it sends the restarted monitor its first tick, so the notice always
+    /// precedes that monitor's first report; behind sockets an agent
+    /// sends one per hosted monitor each time it (re)connects.
     Revived {
         /// The restarted monitor.
         monitor: MonitorId,
@@ -109,19 +110,6 @@ pub enum MonitorToCoordinator {
         monitor: MonitorId,
         /// The sampler state.
         snapshot: SamplerSnapshot,
-    },
-    /// Multi-task control notice (from the *driver*, like
-    /// [`Self::Revived`]): the state of this task's precondition (leader)
-    /// task. A follower coordinator engages its suppression gate while
-    /// the leader is calm and releases it the moment the leader's
-    /// violation likelihood is high (§II.B). The driver hands it over
-    /// before it sends the tick the notice precedes.
-    LeaderState {
-        /// The tick this notice precedes.
-        tick: Tick,
-        /// Whether the leader task's violation likelihood is currently
-        /// high (a recent leader violation within the lag window).
-        active: bool,
     },
 }
 
@@ -154,7 +142,7 @@ impl MonitorToCoordinator {
                 let state = [s.threshold, stats.mean, stats.variance, last];
                 allowances.iter().chain(&state).all(finite)
             }
-            Self::TickDone { .. } | Self::Revived { .. } | Self::LeaderState { .. } => true,
+            Self::TickDone { .. } | Self::Revived { .. } => true,
         }
     }
 }
@@ -400,16 +388,6 @@ mod tests {
     fn revived_round_trip() {
         let msg = MonitorToCoordinator::Revived {
             monitor: MonitorId(2),
-        };
-        let back: MonitorToCoordinator = decode(&encode(&msg)).unwrap();
-        assert_eq!(back, msg);
-    }
-
-    #[test]
-    fn leader_state_round_trip() {
-        let msg = MonitorToCoordinator::LeaderState {
-            tick: 17,
-            active: true,
         };
         let back: MonitorToCoordinator = decode(&encode(&msg)).unwrap();
         assert_eq!(back, msg);

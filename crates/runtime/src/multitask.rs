@@ -17,15 +17,16 @@
 //!
 //! # Determinism
 //!
-//! Gate propagation is driven between steps: the gate hands each
-//! follower monitor its [`CoordinatorToMonitor::SetGate`] frame itself,
-//! ahead of that tick's [`CoordinatorToMonitor::Tick`] frame, so the tick
-//! at which a gate engages or releases is a pure function of the traces.
-//! The follower's coordinator ([`CoordinatorActor::with_multitask`])
-//! never sends a gate frame itself: it is handed the
-//! [`MonitorToCoordinator::LeaderState`] notices (before the tick's data
-//! is sent), tracks engage/release state, counts suppressed samples and
-//! checkpoints the gate through the WAL/snapshot plane.
+//! Gate propagation is driven between steps: ahead of a follower's step
+//! the hook tells its coordinator
+//! ([`CoordinatorActor::with_multitask`]) where the leader stands
+//! ([`CoordinatorActor::on_leader`]). On a flip the machine queues a
+//! [`CoordinatorToMonitor::SetGate`] frame for every follower monitor,
+//! which the session sends ahead of that tick's
+//! [`CoordinatorToMonitor::Tick`] frame, so the tick at which a gate
+//! engages or releases is a pure function of the traces. The machine
+//! also counts flips and suppressed samples and checkpoints the gate
+//! through the WAL/snapshot plane.
 //!
 //! ```
 //! use volley_core::correlation::CorrelationConfig;
@@ -60,8 +61,8 @@
 //! [`MonitoringPlan`]: volley_core::correlation::MonitoringPlan
 //! [`CoordinatorToMonitor::SetGate`]: crate::message::CoordinatorToMonitor::SetGate
 //! [`CoordinatorToMonitor::Tick`]: crate::message::CoordinatorToMonitor::Tick
-//! [`MonitorToCoordinator::LeaderState`]: crate::message::MonitorToCoordinator::LeaderState
 //! [`CoordinatorActor::with_multitask`]: crate::coordinator::CoordinatorActor::with_multitask
+//! [`CoordinatorActor::on_leader`]: crate::coordinator::CoordinatorActor::on_leader
 
 use std::path::PathBuf;
 
@@ -339,7 +340,7 @@ impl Hook for CorrelationGate<'_> {
             return;
         };
         if gate.advance(tick, self.active_now[*leader]) {
-            session.drive_gate(tick, gate.interval().is_none());
+            session.on_leader(tick, gate.interval().is_none());
         }
         if gate.interval().is_some() {
             self.sections[task].gated_ticks += 1;

@@ -11,7 +11,8 @@
 //! restart, injected storm, plain TCP reset) the agent re-dials with
 //! jittered exponential backoff and re-handshakes — the hello carries
 //! the hosted monitor set, and a `Revived` frame per live monitor tells
-//! the coordinator's quarantine machinery to await them again. Jitter is
+//! the coordinator's quarantine machinery to await them again (it
+//! answers with each monitor's ledger allowance). Jitter is
 //! a deterministic hash of `(agent, attempt)`, so a storm of N agents
 //! de-synchronizes without any of them sharing state.
 
@@ -31,6 +32,7 @@ use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
+use super::faults::mix;
 use super::server::NetAddr;
 use super::wire::{AgentHello, ServerFrame};
 
@@ -252,13 +254,6 @@ fn backoff_delay(cfg: &BackoffConfig, agent: u32, attempt_total: u64, retries: u
     let h = mix(u64::from(agent) << 32 ^ attempt_total ^ 0x5bd1_e995);
     let jitter = 0.5 + ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
     nominal.mul_f64(jitter)
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn net_err(agent: u32, action: &str, err: &std::io::Error) -> VolleyError {

@@ -65,8 +65,9 @@ impl NetFaultPlan {
 }
 
 /// splitmix64 finalizer — the same mixer the bench harness uses for
-/// deterministic trace synthesis.
-fn mix(mut x: u64) -> u64 {
+/// deterministic trace synthesis; it decides the storms here and the
+/// agents' re-dial jitter.
+pub(super) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -9,10 +9,11 @@
 //!   the plane between them ([`MonitorPlane`]) — the monitors in a slot
 //!   table this session steps itself, or behind sockets it steps just
 //!   the same;
-//! - **step** ([`TaskSession::step`]): send one tick's [`TickData`], then
-//!   step the coordinator machine on this thread — pump monitor frames
-//!   into it, execute its outbox — until the tick's [`TickSummary`]
-//!   comes out, and fold that into the [`RuntimeReport`];
+//! - **step** ([`TaskSession::step`]): send what the machine left
+//!   pending between ticks, then one tick's [`TickData`], then step the
+//!   coordinator machine on this thread — pump monitor frames into it,
+//!   execute its outbox — until the tick's [`TickSummary`] comes out,
+//!   and fold that into the [`RuntimeReport`];
 //! - **finish** ([`TaskSession::finish`]): Shutdown, flush — on success
 //!   *and* on error;
 //! - **drive** ([`drive`]): the one tick loop over any number of
@@ -20,6 +21,13 @@
 //!   runner instruments, the watchdog, the snapshot writer, degradation
 //!   accounting and finishing on every exit — with a [`Hook`] called
 //!   between steps.
+//!
+//! The session is pure I/O for the protocol: it sends the monitors their
+//! tick data, their shutdown and whatever the machine queues — requests,
+//! allowances, a failover's fence, gate flips — and decides nothing a
+//! monitor is told. Its supervisor restarts a quarantined monitor and
+//! tells the machine so (`Revived`); the machine answers with the
+//! monitor's ledger entry.
 //!
 //! Nothing here has a thread: the coordinator is a machine
 //! ([`crate::coordinator`]) that never blocks, an in-process monitor is
@@ -102,21 +110,16 @@ impl TaskRunner {
         }
     }
 
-    /// One coordinator incarnation deciding by `rules` at `epoch`,
-    /// resuming behind `last_tick`, snapshotting every
-    /// `checkpoint_every` ticks when given.
+    /// One coordinator incarnation, `machine` configured as the runner
+    /// says, snapshotting every `checkpoint_every` ticks when given.
     fn coordinator(
         &self,
-        rules: Coordinator,
-        epoch: u64,
-        last_tick: Option<Tick>,
+        machine: CoordinatorActor,
         checkpoint_every: Option<u64>,
     ) -> CoordinatorActor {
-        let mut coordinator = CoordinatorActor::new(rules, last_tick)
-            .with_quarantine_after(self.quarantine_after)
-            .with_epoch(epoch);
-        if self.gated_interval.is_some() {
-            coordinator = coordinator.with_multitask();
+        let mut coordinator = machine.with_quarantine_after(self.quarantine_after);
+        if let Some(interval) = self.gated_interval {
+            coordinator = coordinator.with_multitask(interval);
         }
         if let Some(every) = checkpoint_every {
             coordinator = coordinator.with_checkpoint(every);
@@ -261,6 +264,8 @@ pub(crate) struct TaskSession<'a> {
     /// The incumbent's checkpoint log.
     wal: Option<Wal>,
     obs: ShellObs,
+    /// When the tick's snapshot, if one is due, began to be gathered.
+    checkpoint_started: Instant,
     report: RuntimeReport,
 }
 
@@ -284,9 +289,10 @@ impl<'a> TaskSession<'a> {
             config,
             epoch: 0,
             plane,
-            coordinator: Some(config.coordinator(rules, 0, None, every)),
+            coordinator: Some(config.coordinator(CoordinatorActor::new(rules, None), every)),
             crashed_at: None,
             wal,
+            checkpoint_started: Instant::now(),
             obs: ShellObs {
                 tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
                 wal_hist: registry.histogram(names::WAL_APPEND_NS),
@@ -319,11 +325,13 @@ impl<'a> TaskSession<'a> {
         &self.report
     }
 
-    /// Drives one tick: sends monitor *i* the value `value(i)`, steps
-    /// the coordinator until the tick's summary comes out (restarting
-    /// quarantined monitors on the way when supervising) and folds it
-    /// into the report. A refused tick means that monitor is gone; the
-    /// coordinator notices via its deadline, so the run keeps going.
+    /// Drives one tick: runs what the coordinator left pending between
+    /// ticks (a failover's fence, a gate flip), sends monitor *i* the
+    /// value `value(i)`, steps the coordinator until the tick's summary
+    /// comes out (restarting quarantined monitors on the way when
+    /// supervising) and folds it into the report. A refused tick means
+    /// that monitor is gone; the coordinator notices via its deadline, so
+    /// the run keeps going.
     ///
     /// The fault plan's next coordinator crash fires once the tick's
     /// data has left and before any reply reaches the machine: the
@@ -341,13 +349,17 @@ impl<'a> TaskSession<'a> {
         tick: Tick,
         value: impl Fn(usize) -> f64,
     ) -> Result<TickSummary, VolleyError> {
+        let mut coordinator = self.coordinator.take();
+        if let Some(coordinator) = coordinator.as_mut() {
+            self.drain(coordinator);
+        }
         let data = self.monitors().map(|monitor| {
             let value = value(monitor.0 as usize);
             let data = CoordinatorToMonitor::Tick(TickData { tick, value });
             (monitor, data)
         });
         self.plane.send(self.epoch, data, |_| {});
-        let mut coordinator = self.coordinator.take().ok_or(COORDINATOR_DEAD)?;
+        let mut coordinator = coordinator.ok_or(COORDINATOR_DEAD)?;
         let crash = self
             .config
             .fault_plan
@@ -373,61 +385,14 @@ impl<'a> TaskSession<'a> {
     /// so a round missing some closes at once; behind sockets the table
     /// is turned until a payload arrives or the deadline the machine
     /// last armed passes.
-    ///
-    /// WAL I/O errors are swallowed: durability is best-effort and never
-    /// worth failing the run over (a standby restoring from a short log
-    /// just falls back to conservative restarts for the missing state).
     fn pump(&mut self, coordinator: &mut CoordinatorActor) -> Result<TickSummary, VolleyError> {
         let spans = self.config.obs.spans();
         let _tick_span = spans.span_timed("coordinator_tick", &self.obs.tick_hist);
-        let mut checkpoint_started = Instant::now();
         // The tick's data just left: its reports are awaited from now.
         self.plane.arm_deadline();
         loop {
-            while let Some(output) = coordinator.pop_output() {
-                match output {
-                    Output::Send { to, msg } => {
-                        let frames = to.into_iter().map(|monitor| (monitor, msg));
-                        let refused = |monitor| coordinator.on_undeliverable(monitor);
-                        self.plane.send(self.epoch, frames, refused);
-                    }
-                    Output::ArmDeadline => self.plane.arm_deadline(),
-                    Output::Quarantined { monitor, .. } => {
-                        self.report.quarantines += 1;
-                        if self.config.supervise {
-                            self.restart_monitor(coordinator, monitor);
-                        }
-                    }
-                    Output::Recovered { .. } => self.report.recoveries += 1,
-                    Output::GateFlipped => self.obs.gate_flips.inc(),
-                    Output::Tick(outcome) => {
-                        if let Some(wal) = self.wal.as_mut() {
-                            let _timed = spans.span_timed("wal_append", &self.obs.wal_hist);
-                            let _ = wal.append(&WalRecord::Tick(outcome));
-                        }
-                        // A snapshot, if due, is gathered from here on.
-                        checkpoint_started = Instant::now();
-                    }
-                    Output::Snapshot(snapshot) => {
-                        if let Some(wal) = self.wal.as_mut() {
-                            let _ = wal.append_snapshot(&snapshot);
-                        }
-                        if spans.enabled() {
-                            spans.record("checkpoint_write", checkpoint_started);
-                            let elapsed = checkpoint_started.elapsed().as_nanos() as u64;
-                            self.obs.checkpoint_hist.record(elapsed);
-                        }
-                    }
-                    Output::Summary(summary) => {
-                        if summary.polled {
-                            self.obs.polls.inc();
-                        }
-                        self.obs
-                            .suppressed
-                            .add(u64::from(summary.suppressed_samples));
-                        return Ok(summary);
-                    }
-                }
+            if let Some(summary) = self.drain(coordinator) {
+                return Ok(summary);
             }
             let received = match &mut self.plane {
                 MonitorPlane::Inline { in_flight, .. } => {
@@ -445,6 +410,65 @@ impl<'a> TaskSession<'a> {
             }
             self.obs.recvs.add(received);
         }
+    }
+
+    /// Executes the coordinator's outbox until it is empty, returning
+    /// the tick summary if one came out. Whatever follows a summary —
+    /// the ledger entry a restarted monitor is re-admitted at — goes out
+    /// with it, so nothing is left pending once a tick is over.
+    ///
+    /// WAL I/O errors are swallowed: durability is best-effort and never
+    /// worth failing the run over (a standby restoring from a short log
+    /// just falls back to conservative restarts for the missing state).
+    fn drain(&mut self, coordinator: &mut CoordinatorActor) -> Option<TickSummary> {
+        let spans = self.config.obs.spans();
+        let mut closed = None;
+        while let Some(output) = coordinator.pop_output() {
+            match output {
+                Output::Send { to, msg } => {
+                    let frames = to.into_iter().map(|monitor| (monitor, msg));
+                    let refused = |monitor| coordinator.on_undeliverable(monitor);
+                    self.plane.send(self.epoch, frames, refused);
+                }
+                Output::ArmDeadline => self.plane.arm_deadline(),
+                Output::Quarantined { monitor, .. } => {
+                    self.report.quarantines += 1;
+                    if self.config.supervise {
+                        self.restart_monitor(coordinator, monitor);
+                    }
+                }
+                Output::Recovered { .. } => self.report.recoveries += 1,
+                Output::GateFlipped => self.obs.gate_flips.inc(),
+                Output::Tick(outcome) => {
+                    if let Some(wal) = self.wal.as_mut() {
+                        let _timed = spans.span_timed("wal_append", &self.obs.wal_hist);
+                        let _ = wal.append(&WalRecord::Tick(outcome));
+                    }
+                    // A snapshot, if due, is gathered from here on.
+                    self.checkpoint_started = Instant::now();
+                }
+                Output::Snapshot(snapshot) => {
+                    if let Some(wal) = self.wal.as_mut() {
+                        let _ = wal.append_snapshot(&snapshot);
+                    }
+                    if spans.enabled() {
+                        spans.record("checkpoint_write", self.checkpoint_started);
+                        let elapsed = self.checkpoint_started.elapsed().as_nanos() as u64;
+                        self.obs.checkpoint_hist.record(elapsed);
+                    }
+                }
+                Output::Summary(summary) => {
+                    if summary.polled {
+                        self.obs.polls.inc();
+                    }
+                    self.obs
+                        .suppressed
+                        .add(u64::from(summary.suppressed_samples));
+                    closed = Some(summary);
+                }
+            }
+        }
+        closed
     }
 
     /// Folds one tick summary into `report` (and records its alert).
@@ -476,8 +500,9 @@ impl<'a> TaskSession<'a> {
 
     /// Replaces a quarantined in-process monitor with a fresh actor
     /// installed in its slot: a fresh sampler at the default interval (its
-    /// learned schedule died with it), the even allowance share, the
-    /// current epoch. Process faults (crash/stall) are stripped from the
+    /// learned schedule died with it) and the current epoch; the
+    /// coordinator, told by the `Revived` notice, re-admits it at its
+    /// ledger allowance. Process faults (crash/stall) are stripped from the
     /// restarted actor's plan — its predecessor already acted them out —
     /// while network faults (including partitions) keep applying.
     fn restart_monitor(&mut self, coordinator: &mut CoordinatorActor, monitor: MonitorId) {
@@ -496,35 +521,20 @@ impl<'a> TaskSession<'a> {
         });
     }
 
-    /// Propagates a follower-gate transition ahead of `tick`'s data:
-    /// `SetGate` reaches each monitor before the `Tick` frame that
-    /// follows, and the coordinator hears `LeaderState` before any of
-    /// that tick's `TickDone`s exist — so the tick a gate takes effect
-    /// at is a pure function of the traces. A calm leader engages
-    /// the gate at the session's gated interval.
-    pub(crate) fn drive_gate(&mut self, tick: Tick, leader_active: bool) {
-        let interval = self.config.gated_interval.filter(|_| !leader_active);
-        let set = CoordinatorToMonitor::SetGate { interval };
-        let frames = self.monitors().map(|monitor| (monitor, set));
-        self.plane.send(self.epoch, frames, |_| {});
+    /// Hands the coordinator the leader task's state ahead of `tick`;
+    /// the `SetGate` frames a flip queues go out ahead of `tick`'s data.
+    pub(crate) fn on_leader(&mut self, tick: Tick, active: bool) {
         if let Some(coordinator) = self.coordinator.as_mut() {
-            coordinator.on_frame(MonitorFrame {
-                epoch: self.epoch,
-                msg: MonitorToCoordinator::LeaderState {
-                    tick,
-                    active: leader_active,
-                },
-            });
+            coordinator.on_leader(tick, active);
         }
     }
 
     /// Fails over to a successor coordinator after [`step`](Self::step)
-    /// reported the incumbent dead with `tick` in flight: bump the epoch,
-    /// fence the fleet, restore the allowance ledger and the monitors'
-    /// samplers from `snapshot` (the even split and conservative `I_d`
-    /// resets where it has none) and build the successor resuming behind
-    /// the tick the caller is about to step again, checkpointing to
-    /// `wal`. Returns the new epoch.
+    /// reported the incumbent dead with `tick` in flight: bump the epoch
+    /// and build the successor from `snapshot`, the last checkpoint
+    /// recovered ([`CoordinatorActor::take_over`], which queues the fence
+    /// the next step runs ahead of `tick`'s data), checkpointing to `wal`.
+    /// Returns the new epoch.
     ///
     /// # Errors
     ///
@@ -535,60 +545,18 @@ impl<'a> TaskSession<'a> {
         snapshot: Option<&CoordinatorSnapshot>,
         wal: Option<(Wal, u64)>,
     ) -> Result<u64, VolleyError> {
-        let mut rules = self.config.rules()?;
-        // The monitors restore the allowance they held at the
-        // checkpoint; the ledger must resume from the same split, or the
-        // successor's first round would move allowance from a split
-        // nobody holds.
-        let ledger_refused = match snapshot {
-            Some(s) => !rules.restore(&s.allowances, s.next_update_tick),
-            None => {
-                rules.defer_reallocation(tick);
-                false
-            }
-        };
-        self.report.conservative_restarts += u64::from(ledger_refused);
+        let rules = self.config.rules()?;
+        let monitors = self.config.spec.monitors().len();
+        let restored = snapshot.map_or(0, |s| s.samplers.iter().take(monitors).flatten().count());
+        self.report.checkpoint_restores += restored as u64;
+        self.report.conservative_restarts += (monitors - restored) as u64;
         self.report.coordinator_failovers += 1;
         self.epoch += 1;
-        let epoch = self.epoch;
-
-        // Fence first, then restore: a monitor that consumes the NewEpoch
-        // adopts it, so every later reply carries the new stamp. A monitor
-        // that cannot hear us (partitioned) keeps its old epoch — its
-        // post-heal frames are provably stale and the new coordinator
-        // rejects them until epoch repair readmits it.
-        let mut fence = Vec::new();
-        for (idx, monitor) in self.monitors().enumerate() {
-            let ledger = CoordinatorToMonitor::SetAllowance {
-                err: rules.allowances()[idx],
-            };
-            fence.push((monitor, CoordinatorToMonitor::NewEpoch { epoch }));
-            match snapshot.and_then(|s| s.samplers.get(idx).copied().flatten()) {
-                Some(snapshot) => {
-                    fence.push((monitor, CoordinatorToMonitor::RestoreState { snapshot }));
-                    if ledger_refused {
-                        fence.push((monitor, ledger));
-                    }
-                    self.report.checkpoint_restores += 1;
-                }
-                None => {
-                    // The paper's conservative restart: back to the
-                    // default interval, at the ledger's allowance.
-                    fence.push((monitor, CoordinatorToMonitor::ResetSampler));
-                    fence.push((monitor, ledger));
-                    self.report.conservative_restarts += 1;
-                }
-            }
-        }
-        self.plane.send(epoch, fence, |_| {});
-
+        let successor = CoordinatorActor::take_over(rules, self.epoch, tick, snapshot);
         let (wal, every) = wal.unzip();
-        let resumed = self
-            .config
-            .coordinator(rules, epoch, tick.checked_sub(1), every);
-        self.coordinator = Some(resumed);
+        self.coordinator = Some(self.config.coordinator(successor, every));
         self.wal = wal;
-        Ok(epoch)
+        Ok(self.epoch)
     }
 
     /// Tells every monitor to shut down (crashed ones refuse it, which
@@ -1003,7 +971,8 @@ mod tests {
     /// steps the session, so it spawns no thread either. Nor does the
     /// in-process path wait: neither the shell, the machine nor a slot
     /// sleeps, and the machine's module reads no time at all — nor the
-    /// fault plan: faults happen on the link, never in the protocol.
+    /// fault plan: faults happen on the link, never in the protocol. And
+    /// the shell tells a monitor nothing the machine did not decide.
     #[test]
     fn a_session_spawns_no_thread() {
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -1021,6 +990,19 @@ mod tests {
         assert!(!machine.contains("std::time"), "coordinator.rs reads time");
         for fault in ["FaultPlan", "FaultPath"] {
             assert!(!machine.contains(fault), "coordinator.rs names {fault}");
+        }
+        // One speaker for the protocol: the session sends tick data and
+        // the shutdown; everything else a monitor is told is the
+        // machine's to decide.
+        let shell = non_test_source(&src.join("session.rs"));
+        for (at, _) in shell.match_indices("CoordinatorToMonitor::") {
+            let rest = &shell[at + "CoordinatorToMonitor::".len()..];
+            let variant = rest.split(|c: char| !c.is_alphanumeric()).next();
+            assert!(
+                matches!(variant, Some("Tick" | "Shutdown")),
+                "session.rs builds CoordinatorToMonitor::{}",
+                variant.unwrap_or_default()
+            );
         }
     }
 
@@ -1116,6 +1098,7 @@ mod tests {
                 let source = non_test_source(path);
                 let recipes = [
                     "CoordinatorActor::new(",
+                    "CoordinatorActor::take_over(",
                     "AdaptiveSampler::new(",
                     "TaskSession::spawn(",
                 ];
@@ -1303,6 +1286,46 @@ mod tests {
             assert_eq!(report, first, "rerun {rerun}");
             assert_eq!(again, reallocations, "rerun {rerun}");
         }
+    }
+
+    /// Paper §IV's promise, across a supervised restart: a reallocation
+    /// moves allowance, then monitor 1 crashes, is quarantined and is
+    /// restarted from the even share. The coordinator re-admits it at
+    /// its ledger entry, so after every tick the monitors hold exactly
+    /// the ledger, which never sums past `err`.
+    #[test]
+    fn a_restarted_monitor_is_re_admitted_at_its_ledger_allowance() {
+        let spec = parity_spec(4);
+        let traces = parity_traces(4, 1200, 7);
+        let err = spec.adaptation().error_allowance();
+        let plan = FaultPlan::new(1).with_crash(MonitorId(1), 1050);
+        let config = TaskRunner::new(&spec).unwrap().with_fault_plan(plan);
+        let plane = MonitorPlane::inline(&config);
+        let mut session = TaskSession::spawn(&config, plane, None).unwrap();
+        let even = vec![err / 4.0; 4];
+        for tick in 0..1200 {
+            session
+                .step(tick, |idx| traces[idx][tick as usize])
+                .unwrap();
+            let coordinator = session.coordinator.as_ref().unwrap();
+            let ledger = coordinator.rules().allowances();
+            if tick == 1000 {
+                assert_ne!(ledger, even, "the round moved no allowance");
+            }
+            let MonitorPlane::Inline { table, .. } = &session.plane else {
+                unreachable!("the plane is inline");
+            };
+            let held = |slot: &MonitorSlot| slot.actor().sampler().error_allowance();
+            let held: Vec<f64> = table.slots().iter().map(held).collect();
+            assert_eq!(held, ledger, "tick {tick}: held is not the ledger");
+            assert!(
+                held.iter().sum::<f64>() <= err + 1e-12,
+                "tick {tick}: {held:?}"
+            );
+        }
+        let report = session.finish();
+        assert_eq!((report.quarantines, report.restarts), (1, 1));
+        assert_eq!(report.recoveries, 1);
     }
 
     /// The scheduled coordinator crash is the session's to fire: once

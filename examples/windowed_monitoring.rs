@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example windowed_monitoring`
 
-use volley::core::window::{AggregateKind, WindowedSampler};
+use volley::core::window::WindowedSampler;
 use volley::{AdaptationConfig, AdaptiveSampler, SystemMetricsGenerator};
 
 const TICKS: usize = 17_280; // a day of 5-second samples
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .enumerate()
         .map(|(t, &v)| {
             window.push(t as u64, v);
-            window.aggregate(AggregateKind::Mean)
+            window.mean()
         })
         .collect();
     let raw_threshold = volley::selectivity_threshold(&trace, 1.0)?;
@@ -47,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Windowed-mean monitoring of the same stream.
-    let mut windowed_sampler =
-        WindowedSampler::new(config, mean_threshold, WINDOW, AggregateKind::Mean)?;
+    let mut windowed_sampler = WindowedSampler::new(config, mean_threshold, WINDOW)?;
     let mut win_samples = 0u64;
     let mut win_alerts = 0u64;
     tick = 0;

@@ -4,7 +4,7 @@
 
 use volley::core::correlation::{CorrelationConfig, CorrelationDetector};
 use volley::core::task::{TaskId, TaskSpec};
-use volley::core::window::{AggregateKind, SlidingWindow, WindowedSampler};
+use volley::core::window::{SlidingWindow, WindowedSampler};
 use volley::{AdaptationConfig, AdaptiveSampler, SystemMetricsGenerator};
 use volley_runtime::TaskRunner;
 use volley_traces::netflow::{AttackSpec, NetflowConfig};
@@ -31,15 +31,14 @@ fn windowed_monitoring_is_cheaper_than_raw_on_real_metrics() {
         .enumerate()
         .map(|(t, &v)| {
             w.push(t as u64, v);
-            w.aggregate(AggregateKind::Mean)
+            w.mean()
         })
         .collect();
     let win_threshold = volley::selectivity_threshold(&series, 1.0).expect("valid");
 
     let mut raw = AdaptiveSampler::new(adaptation(0.01), raw_threshold);
     let mut windowed =
-        WindowedSampler::new(adaptation(0.01), win_threshold, 30, AggregateKind::Mean)
-            .expect("valid window");
+        WindowedSampler::new(adaptation(0.01), win_threshold, 30).expect("valid window");
     let mut raw_samples = 0u64;
     let mut win_samples = 0u64;
     let mut tr = 0u64;

@@ -213,14 +213,14 @@ proptest! {
         }
     }
 
-    /// Sliding-window aggregates always match a naive recomputation,
+    /// The sliding-window mean always matches a naive recomputation,
     /// including under sparse (gappy) tick sequences.
     #[test]
     fn sliding_window_matches_naive(
         steps in prop::collection::vec((1u64..20, -1e3f64..1e3), 1..150),
         width in 1u64..40,
     ) {
-        use volley::core::window::{AggregateKind, SlidingWindow};
+        use volley::core::window::SlidingWindow;
         let mut window = SlidingWindow::new(width).expect("valid width");
         let mut history: Vec<(u64, f64)> = Vec::new();
         let mut tick = 0u64;
@@ -232,15 +232,8 @@ proptest! {
             let live: Vec<f64> =
                 history.iter().filter(|(t, _)| *t >= cutoff).map(|(_, v)| *v).collect();
             let sum: f64 = live.iter().sum();
-            prop_assert!((window.aggregate(AggregateKind::Sum) - sum).abs() < 1e-9);
-            prop_assert!(
-                (window.aggregate(AggregateKind::Mean) - sum / live.len() as f64).abs() < 1e-9
-            );
-            let max = live.iter().cloned().fold(f64::MIN, f64::max);
-            let min = live.iter().cloned().fold(f64::MAX, f64::min);
-            prop_assert_eq!(window.aggregate(AggregateKind::Max), max);
-            prop_assert_eq!(window.aggregate(AggregateKind::Min), min);
-            prop_assert_eq!(window.aggregate(AggregateKind::Count), live.len() as f64);
+            prop_assert!((window.mean() - sum / live.len() as f64).abs() < 1e-9);
+            prop_assert_eq!(window.len(), live.len());
         }
     }
 

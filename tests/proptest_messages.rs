@@ -146,11 +146,7 @@ fn generated_frame(kind: u8, monitor: u32, tick: u64, bits: u8) -> MonitorFrame 
                 snapshot,
             }
         }
-        7 => MonitorToCoordinator::Revived { monitor: id },
-        _ => MonitorToCoordinator::LeaderState {
-            tick,
-            active: bits & 1 != 0,
-        },
+        _ => MonitorToCoordinator::Revived { monitor: id },
     };
     let epoch = if bits >= 14 { EPOCH - 1 } else { EPOCH };
     MonitorFrame { epoch, msg }
@@ -181,7 +177,7 @@ fn driven_both_ways(events: &[(Vec<FrameRecipe>, bool)]) -> Vec<Output> {
         CoordinatorActor::new(rules, Some(996))
             .with_epoch(EPOCH)
             .with_quarantine_after(2)
-            .with_multitask()
+            .with_multitask(4)
             .with_checkpoint(2)
     };
     let (mut by_value, mut by_wire) = (machine(), machine());
@@ -351,10 +347,6 @@ proptest! {
         });
         round_trip(&MonitorToCoordinator::Revived {
             monitor: MonitorId(monitor),
-        });
-        round_trip(&MonitorToCoordinator::LeaderState {
-            tick,
-            active: flags & 1 != 0,
         });
         sealed_round_trip(tick ^ u64::from(monitor), MonitorToCoordinator::TickDone {
             monitor: MonitorId(monitor),
