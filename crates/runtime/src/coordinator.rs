@@ -5,8 +5,9 @@
 //! [`CoordinatorActor`] owns no channel, clock, log or metrics handle.
 //! Its driver feeds it [`MonitorFrame`]s — values
 //! ([`on_frames`](CoordinatorActor::on_frames)) in process, a received
-//! payload of encoded ones ([`on_payload`](CoordinatorActor::on_payload),
-//! decoded into the same loop) behind sockets — tells it when the phase
+//! payload of encoded ones, batched per run of monitors
+//! ([`on_payload`](CoordinatorActor::on_payload), expanded into the same
+//! loop) behind sockets — tells it when the phase
 //! it is in has waited long enough
 //! ([`on_deadline`](CoordinatorActor::on_deadline)) and executes what it
 //! finds in the outbox ([`pop_output`](CoordinatorActor::pop_output)) in
@@ -88,9 +89,8 @@ use volley_core::task::MonitorId;
 use volley_core::time::Tick;
 
 use crate::checkpoint::{CoordinatorSnapshot, MultitaskSnapshot, TickOutcome};
-use crate::message::{
-    decode_line, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickSummary,
-};
+use crate::message::{CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickSummary};
+use crate::net::expand_reply_line;
 
 /// Default number of consecutive missed deadlines before quarantine.
 pub const DEFAULT_QUARANTINE_AFTER: u32 = 3;
@@ -439,15 +439,15 @@ impl CoordinatorActor {
     }
 
     /// [`on_frames`](Self::on_frames) for a payload as the socket plane
-    /// reads it — one encoded [`MonitorFrame`] per line, the last line's
-    /// newline optional — each line decoded as the same loop reaches it,
-    /// a malformed one skipped alone. Returns how many lines it held.
+    /// reads it — agent lines, each an encoded [`MonitorFrame`] or a
+    /// [`ReplyBatch`](crate::net::ReplyBatch) of many, the last line's
+    /// newline optional — each line expanded into its frames
+    /// ([`expand_reply_line`]) as the same loop reaches it, a malformed
+    /// one skipped alone. Returns how many lines it held.
     pub fn on_payload(&mut self, payload: &[u8]) -> u64 {
         let lines = payload.split_inclusive(|&b| b == b'\n');
         self.on_batch(lines, |machine, line| {
-            if let Ok(frame) = decode_line::<MonitorFrame>(line) {
-                machine.admit(frame);
-            }
+            expand_reply_line(line, |frame| machine.admit(frame));
         })
     }
 

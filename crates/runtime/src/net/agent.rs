@@ -3,9 +3,12 @@
 //! An agent owns a contiguous range of the task's monitors and speaks
 //! the [`super::wire`] protocol to the coordinator: it dials, sends an
 //! [`AgentHello`](super::wire::AgentHello), then loops decoding
-//! [`ServerFrame`](super::wire::ServerFrame)s and feeding each wrapped
-//! control frame to its [`SlotTable`] — the table an in-process task
-//! session steps itself, which is what makes report parity possible.
+//! [`ServerFrame`](super::wire::ServerFrame) lines, feeding each control
+//! frame a line carries to its [`SlotTable`] — the table an in-process
+//! task session steps itself, which is what makes report parity
+//! possible — and answering each line with its replies as one send
+//! ([`encode_replies`]): a run of tick reports or poll replies is one
+//! line.
 //!
 //! Robustness lives here too: when the connection dies (coordinator
 //! restart, injected storm, plain TCP reset) the agent re-dials with
@@ -34,7 +37,7 @@ use crate::transport::TransportConfig;
 use super::codec::FrameBuffer;
 use super::faults::mix;
 use super::server::NetAddr;
-use super::wire::{AgentHello, ServerFrame};
+use super::wire::{encode_replies, AgentHello, ServerFrame};
 
 /// Reconnect backoff policy: exponential from `base` to `cap`, with
 /// deterministic per-agent jitter in `[0.5, 1.0]` of the nominal delay.
@@ -84,9 +87,12 @@ pub struct AgentReport {
     pub agent: u32,
     /// Monitors hosted.
     pub monitors: u32,
-    /// Monitor frames written to the coordinator (hellos excluded).
+    /// Lines written to the coordinator after each hello: a
+    /// [`ReplyBatch`](super::wire::ReplyBatch) counts once, as does each
+    /// reply that travels alone.
     pub frames_sent: u64,
-    /// Server frames decoded off the socket.
+    /// [`ServerFrame`](super::wire::ServerFrame) lines decoded off the
+    /// socket, however many monitors each carried.
     pub frames_received: u64,
     /// Successful re-dials after losing an established connection.
     pub reconnects: u64,
@@ -200,6 +206,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
         // --- serve until shutdown or disconnect ---
         let mut frames = FrameBuffer::new(config.transport.max_frame_size);
         let mut chunk = [0u8; 16 * 1024];
+        let mut replies = Vec::new();
         loop {
             // Drain every complete frame before touching the socket again.
             loop {
@@ -216,13 +223,14 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
                     Err(_) => continue 'outer,
                 };
                 report.frames_received += 1;
-                let (to, control) = match frame {
-                    ServerFrame::Welcome { .. } => continue,
-                    ServerFrame::Ctl { to, frame } => (to, frame),
-                };
-                // The one place a monitor's reply becomes bytes.
-                let mut wire = |reply| encode_into(&reply, &mut wbuf);
-                report.frames_sent += table.deliver(to, control, &mut wire);
+                frame.expand(config.monitors.clone(), |to, control| {
+                    table.deliver(to, control, &mut |reply| replies.push(reply));
+                });
+                // The one place a monitor's reply becomes bytes: the
+                // replies to one line leave as one send.
+                let max_frame = config.transport.max_frame_size;
+                report.frames_sent += encode_replies(&replies, max_frame, &mut wbuf);
+                replies.clear();
             }
             if !wbuf.is_empty() {
                 if socket.write_all(&wbuf).is_err() {
@@ -294,17 +302,19 @@ mod tests {
         );
     }
 
-    /// The agent's edge, byte for byte: what a hosted slot answers as a
-    /// value leaves the socket as exactly `encode(&frame)` — the only
-    /// place a monitor's reply is ever encoded.
+    /// The agent's edge, byte for byte: what the hosted slots answer one
+    /// line with, as values, leaves the socket as exactly
+    /// `encode_replies` of those values — the only place a monitor's
+    /// reply is ever encoded: a run of tick reports or of poll replies
+    /// as one line, a snapshot as one line per monitor.
     #[test]
     fn the_agent_writes_exactly_the_encoding_of_each_reply_frame() {
-        use crate::message::{encode, ControlFrame, CoordinatorToMonitor, TickData};
-        use crate::net::{ctl_line, welcome_line};
+        use crate::message::{ControlFrame, CoordinatorToMonitor, TickData};
+        use crate::net::{ctl_line, encode_controls, welcome_line};
         use std::io::{BufRead, BufReader};
 
-        let spec = TaskSpec::builder(100.0)
-            .monitors(2)
+        let spec = TaskSpec::builder(300.0)
+            .monitors(3)
             .error_allowance(0.01)
             .build()
             .unwrap();
@@ -313,7 +323,7 @@ mod tests {
             agent: 0,
             addr: NetAddr::Tcp(listener.local_addr().unwrap().to_string()),
             spec: spec.clone(),
-            monitors: 1..2,
+            monitors: 1..3,
             transport: TransportConfig::default(),
             backoff: BackoffConfig::default(),
         };
@@ -325,36 +335,69 @@ mod tests {
             lines.read_until(b'\n', &mut line).unwrap();
             line
         };
-        let (hello, revived) = (read_line(), read_line());
-        assert!(hello.starts_with(b"{\"agent\":0,"), "the hello comes first");
-        let notice = MonitorToCoordinator::Revived {
-            monitor: volley_core::task::MonitorId(1),
-        };
-        assert_eq!(revived[..], MonitorFrame::seal(0, notice)[..]);
+        assert!(
+            read_line().starts_with(b"{\"agent\":0,"),
+            "the hello comes first"
+        );
+        for monitor in 1..3 {
+            let notice = MonitorToCoordinator::Revived {
+                monitor: volley_core::task::MonitorId(monitor),
+            };
+            assert_eq!(read_line()[..], MonitorFrame::seal(0, notice)[..]);
+        }
 
-        // The twin of the hosted actor answers the same frames by hand.
-        let mut twin = monitor_actor(&spec, 1);
-        let data = TickData {
-            tick: 0,
-            value: 70.0,
-        };
+        // The twins of the hosted actors answer the same frames by hand.
+        let mut twins = [monitor_actor(&spec, 1), monitor_actor(&spec, 2)];
         socket.write_all(&welcome_line(0)).unwrap();
-        for msg in [
-            CoordinatorToMonitor::Tick(data),
-            CoordinatorToMonitor::Poll { tick: 0 },
-            CoordinatorToMonitor::RequestSnapshot,
-        ] {
-            socket
-                .write_all(&ctl_line(1, &ControlFrame::seal(0, msg)))
-                .unwrap();
-            let (reply, _) = twin.handle_frame(ControlFrame { epoch: 0, msg });
-            assert_eq!(read_line()[..], encode(&reply.unwrap())[..], "{msg:?}");
+        let sends = [
+            [70.0, 80.0].map(|value| CoordinatorToMonitor::Tick(TickData { tick: 0, value })),
+            [CoordinatorToMonitor::Poll { tick: 0 }; 2],
+            [CoordinatorToMonitor::RequestSnapshot; 2],
+        ];
+        let mut sent = 2;
+        for msgs in sends {
+            let stamped = msgs.map(|msg| ControlFrame { epoch: 0, msg });
+            let frames: Vec<(u32, ControlFrame)> = (1..).zip(stamped).collect();
+            let mut wire = Vec::new();
+            assert_eq!(
+                encode_controls(&frames, usize::MAX, &mut wire),
+                1,
+                "one line"
+            );
+            socket.write_all(&wire).unwrap();
+            let replies: Vec<MonitorFrame> = twins
+                .iter_mut()
+                .zip(&frames)
+                .filter_map(|(twin, &(_, frame))| twin.handle_frame(frame).0)
+                .collect();
+            let mut expected = Vec::new();
+            let lines = encode_replies(&replies, usize::MAX, &mut expected);
+            let mut read = Vec::new();
+            for _ in 0..lines {
+                read.extend(read_line());
+            }
+            assert_eq!(read, expected, "{msgs:?}");
+            sent += lines;
         }
         let stop = ControlFrame::seal(0, CoordinatorToMonitor::Shutdown);
         socket.write_all(&ctl_line(1, &stop)).unwrap();
+        // A fan-out past the hosted range reaches only hosted monitors.
+        let fan = ServerFrame::Fan {
+            first: 2,
+            count: u32::MAX,
+            frame: ControlFrame {
+                epoch: 0,
+                msg: CoordinatorToMonitor::Shutdown,
+            },
+        };
+        socket.write_all(&crate::message::encode(&fan)).unwrap();
         let report = agent.join().unwrap();
-        assert_eq!(report.frames_sent, 4, "the Revived notice and 3 replies");
-        assert_eq!(report.frames_received, 5);
+        assert_eq!(
+            sent, 6,
+            "the Revived notices, a batch for each run, a snapshot each"
+        );
+        assert_eq!(report.frames_sent, sent);
+        assert_eq!(report.frames_received, 6);
     }
 
     #[test]

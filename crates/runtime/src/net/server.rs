@@ -12,20 +12,23 @@
 //! line-frame [`Protocol`]) and is stepped, never served:
 //!
 //! - **outbound**: a session send hands the plane `(monitor, frame)`
-//!   *values*; each is routed by monitor id to the owning connection and
-//!   encoded as a [`ServerFrame::Ctl`] line straight into that
-//!   connection's write batch (bounded — see below), and every batch is
-//!   written before the send returns, with partial-write carry-over for
-//!   a peer that does not take it whole;
+//!   *values*; each is routed by monitor id to the owning connection,
+//!   each run of them for consecutive monitors behind one connection is
+//!   encoded as one line — [`ServerFrame::Ticks`], [`ServerFrame::Fan`],
+//!   or [`ServerFrame::Ctl`] for a run of one, split under the frame
+//!   cap — straight into that connection's write batch (bounded — see
+//!   below), and every batch is written before the send returns, with
+//!   partial-write carry-over for a peer that does not take it whole;
 //! - **inbound**: when the coordinator machine
 //!   ([`crate::coordinator::CoordinatorActor`]) has nothing left to do,
 //!   the session turns the table — wait in `poll` at most until the
 //!   armed deadline, accept, read, [`FrameBuffer`] reassembly, flush,
-//!   reap — until complete `MonitorFrame` lines are in the plane's inbox,
-//!   and hands the machine all of them as one payload. The machine
-//!   cannot tell the transport changed, and the report is folded by the
-//!   session, which is what makes bit-for-bit parity with the in-process
-//!   runner hold by construction;
+//!   reap — until complete agent lines are in the plane's inbox, and
+//!   hands the machine all of them as one payload, which it expands
+//!   into the per-monitor frames the lines carry. The machine cannot
+//!   tell the transport changed, and the report is folded by the
+//!   session, which is what makes bit-for-bit parity with the
+//!   in-process runner hold by construction;
 //! - **between ticks** the drive loop's hook turns the same table for
 //!   fleet assembly, tick pacing, storm kicks and the teardown drain.
 //!   Nothing sleeps on a guess: every wait is a `poll` whose timeout is
@@ -33,11 +36,13 @@
 //!
 //! ## Robustness policy
 //!
-//! - *Slow peers*: the frames a connection holds accepted and not yet
-//!   written are capped ([`NetCoordinator::with_queue_cap`]). Overflow
-//!   drops the frame and counts a backpressure stall — the monitor then
-//!   misses its tick deadline and the existing quarantine/degraded-mode
-//!   path takes over. Memory stays bounded no matter how slow a peer is.
+//! - *Slow peers*: the monitor frames a connection holds accepted and
+//!   not yet written are capped ([`NetCoordinator::with_queue_cap`]; a
+//!   line counts as the frames it carries). Overflow drops the frames
+//!   over the cap and counts a backpressure stall for each — the
+//!   monitor then misses its tick deadline and the existing
+//!   quarantine/degraded-mode path takes over. Memory stays bounded no
+//!   matter how slow a peer is.
 //! - *Half-open connections*: sockets silent longer than the idle
 //!   timeout are closed; a live agent re-dials and re-handshakes.
 //! - *Reconnect storms*: a [`NetFaultPlan`](super::faults::NetFaultPlan)
@@ -73,7 +78,7 @@ use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::faults::NetFaultPlan;
-use super::wire::{AgentHello, ServerFrame};
+use super::wire::{control_runs, AgentHello, ServerFrame};
 
 /// Default bound on how long the coordinator lets one collection phase
 /// wait for its agents' replies. Generous next to the microseconds a
@@ -255,30 +260,37 @@ impl Drop for Listener {
     }
 }
 
-/// Socket-layer totals for one networked run.
+/// Socket-layer totals for one networked run. The `frames_*` counters
+/// count wire lines, however many monitors a line carries; the drops and
+/// `max_queue_depth` count monitor frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct NetStats {
     /// Connections accepted (first dials and re-dials).
     pub connections_accepted: u64,
     /// Hellos from an agent id already seen — i.e. reconnects absorbed.
     pub reconnects: u64,
-    /// Monitor frames forwarded to the coordinator.
+    /// Agent lines (hellos excluded) forwarded to the coordinator: a
+    /// reply batch counts once.
     pub frames_in: u64,
-    /// Server frames fully handed to a connection's write batch.
+    /// Lines handed to a connection's write batch, welcomes included: a
+    /// run of monitors' frames counts once.
     pub frames_out: u64,
-    /// Frames or hellos that failed to parse (connection dropped).
+    /// Hellos that failed to parse and lines over the frame cap (the
+    /// connection is dropped); a malformed line after the hello is
+    /// skipped by the coordinator machine, not counted here.
     pub malformed_frames: u64,
-    /// Outbound frames dropped because a peer's queue was full.
+    /// Outbound monitor frames dropped because a peer's queue was full.
     pub backpressure_drops: u64,
-    /// Outbound frames dropped because no live connection hosted the
-    /// destination monitor.
+    /// Outbound monitor frames dropped because no live connection hosted
+    /// the destination monitor.
     pub unrouted_drops: u64,
     /// Connections force-closed by the fault plan (reconnect storms).
     pub kicked: u64,
     /// Connections closed for exceeding the idle timeout (half-open
     /// peer protection).
     pub idle_closed: u64,
-    /// High-water mark of any single connection's outbound queue.
+    /// High-water mark of any single connection's outbound queue, in
+    /// monitor frames.
     pub max_queue_depth: u64,
 }
 
@@ -363,8 +375,9 @@ impl NetCoordinator {
         self
     }
 
-    /// Caps the frames a connection holds accepted and not yet written.
-    /// Overflow drops frames (counted) and lets deadline machinery
+    /// Caps the monitor frames a connection holds accepted and not yet
+    /// written — a line counts as the frames it carries. Overflow drops
+    /// the frames over the cap (counted) and lets deadline machinery
     /// degrade the peer.
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.plane.lines.queue_cap = cap.max(1);
@@ -390,8 +403,10 @@ impl NetCoordinator {
         self
     }
 
-    /// Frame-size cap (the coordinator's sockets never block, so the
-    /// timeouts do not apply to it).
+    /// Frame-size cap: the longest line the coordinator reads, and the
+    /// longest it writes unless the line carries a single frame (the
+    /// coordinator's sockets never block, so the timeouts do not apply
+    /// to it).
     pub fn with_transport(mut self, transport: TransportConfig) -> Self {
         self.plane.lines.max_frame = transport.max_frame_size;
         self
@@ -623,30 +638,38 @@ impl SocketPlane {
         }
     }
 
-    /// Sends `frames` in order: each is encoded straight into the write
-    /// batch of the connection hosting its monitor — the cap enforced, a
-    /// full queue dropping the frame, not the peer — and every batch
+    /// Sends `frames` in order: each run of them for consecutive
+    /// monitors behind one connection ([`control_runs`]) is encoded
+    /// straight into that connection's write batch — as few lines as the
+    /// frame cap allows, the queue cap enforced frame by frame, a full
+    /// queue dropping the frames over it, not the peer — and every batch
     /// leaves before this returns (what a slow peer does not take stays
     /// for the next passes).
     pub(crate) fn send(&mut self, frames: impl IntoIterator<Item = (u32, ControlFrame)>) {
         let (conns, lines) = (self.table.conns(), &mut self.lines);
-        for (to, frame) in frames {
-            let slot = lines.route.get(to as usize).copied().flatten();
+        let (route, stats) = (&lines.route, &mut lines.stats);
+        let (queue_cap, max_frame) = (lines.queue_cap, lines.max_frame);
+        let routed = frames.into_iter().map(|(to, frame)| {
+            let slot = route.get(to as usize).copied().flatten();
+            (slot, to, frame)
+        });
+        control_runs(routed, |slot, run| {
             let Some(conn) = slot
                 .and_then(|slot| conns[slot].as_mut())
                 .filter(|conn| conn.is_open())
             else {
-                lines.stats.unrouted_drops += 1;
-                continue;
+                stats.unrouted_drops += run.len() as u64;
+                return;
             };
-            if conn.queued() >= lines.queue_cap {
-                lines.stats.backpressure_drops += 1;
-                continue;
+            let take = run.len().min(queue_cap.saturating_sub(conn.queued()));
+            stats.backpressure_drops += (run.len() - take) as u64;
+            if take > 0 {
+                conn.stage(take, |batch| {
+                    stats.frames_out += run.write(take, max_frame, batch)
+                });
+                stats.max_queue_depth = stats.max_queue_depth.max(conn.queued() as u64);
             }
-            conn.stage(|batch| encode_into(&ServerFrame::Ctl { to, frame }, batch));
-            lines.stats.frames_out += 1;
-            lines.stats.max_queue_depth = lines.stats.max_queue_depth.max(conn.queued() as u64);
-        }
+        });
         for conn in conns.iter_mut().flatten() {
             if conn.pending_bytes() > 0 {
                 conn.flush();
@@ -695,8 +718,8 @@ struct LineFrames {
     agents: HashSet<u32>,
     /// Live connection count (teardown waits for 0).
     open: usize,
-    /// Monitor frames read and not yet handed to the coordinator
-    /// machine, verbatim, one per line.
+    /// Agent lines read and not yet handed to the coordinator machine,
+    /// verbatim.
     inbox: Vec<u8>,
     queue_cap: usize,
     max_frame: usize,
@@ -727,7 +750,9 @@ impl LineFrames {
         // The welcome bypasses the cap — it must reach even a peer whose
         // monitors are backlogged — and is the first line the agent
         // reads: no route led to this connection before its hello.
-        conn.stage(|batch| encode_into(&ServerFrame::Welcome { epoch: 0 }, batch));
+        conn.stage(1, |batch| {
+            encode_into(&ServerFrame::Welcome { epoch: 0 }, batch)
+        });
         self.stats.frames_out += 1;
     }
 }
@@ -752,9 +777,10 @@ impl Protocol for LineFrames {
         Ok((socket, state))
     }
 
-    /// Reassemble; the first line registers, the rest are raw monitor
-    /// frames appended verbatim to the inbox — the newline-delimited
-    /// payload format the in-process plane hands over.
+    /// Reassemble; the first line registers, the rest are agent lines
+    /// appended verbatim to the inbox — the newline-delimited payload
+    /// [`CoordinatorActor::on_payload`](crate::coordinator::CoordinatorActor::on_payload)
+    /// expands.
     fn on_bytes(&mut self, slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
         conn.state.frames.extend(bytes);
         // Sized to what arrived, not doubled: the run's largest payload
@@ -859,6 +885,18 @@ mod tests {
         ctl_line(to, &ControlFrame::seal(epoch, msg)).to_vec()
     }
 
+    /// What the wire carries for `msg` sent to the `count` monitors from
+    /// `first` at `epoch`, in one send.
+    fn fan(first: u32, count: u32, epoch: u64, msg: CoordinatorToMonitor) -> Vec<u8> {
+        let frame = ControlFrame { epoch, msg };
+        encode(&ServerFrame::Fan {
+            first,
+            count,
+            frame,
+        })
+        .to_vec()
+    }
+
     #[test]
     fn accepted_tcp_connections_have_nagle_off() {
         let listener = Listener::bind(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
@@ -960,9 +998,72 @@ mod tests {
         assert_eq!(plane.stats().backpressure_drops, 1, "the queue reopened");
     }
 
+    /// A stalled peer hosting four monitors under a cap of two: each
+    /// tick's one run is cut at the cap — the first two monitors' data
+    /// leave as one line that counts as two frames, the other two are
+    /// dropped — and once the kernel stops taking bytes, a whole run is
+    /// dropped. The peer, reading again, gets every accepted line.
+    #[test]
+    fn a_stalled_peer_loses_exactly_the_frames_over_the_cap() {
+        let (mut plane, addr) = plane(4, 2);
+        let mut peer = dial(&mut plane, addr, 0, &[0, 1, 2, 3]);
+        let data = |tick| {
+            (0..4u32).map(move |to| {
+                let value = f64::from(to);
+                let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
+                (to, ControlFrame { epoch: 1, msg })
+            })
+        };
+        let mut ticks = 0u64;
+        loop {
+            plane.send(data(ticks));
+            ticks += 1;
+            assert_eq!(plane.stats().backpressure_drops, 2 * ticks);
+            let conn = plane.table.conns()[0].as_ref().unwrap();
+            if conn.pending_bytes() > 0 {
+                assert_eq!(conn.queued(), 2, "the line holding two frames");
+                break;
+            }
+            assert!(ticks < 10_000_000, "the kernel never pushed back");
+        }
+        assert_eq!(plane.stats().max_queue_depth, 2);
+        assert_eq!(
+            plane.stats().frames_out,
+            ticks + 1,
+            "a line a tick, and the welcome"
+        );
+        plane.send(data(ticks));
+        assert_eq!(
+            plane.stats().backpressure_drops,
+            2 * ticks + 4,
+            "the full queue took none"
+        );
+        assert_eq!(plane.stats().frames_out, ticks + 1);
+
+        let reader = thread::spawn(move || {
+            assert_eq!(line(&mut peer), welcome_line(0).to_vec());
+            for tick in 0..ticks {
+                let values = vec![0.0, 1.0];
+                let ticks = ServerFrame::Ticks {
+                    epoch: 1,
+                    tick,
+                    first: 0,
+                    values,
+                };
+                assert_eq!(line(&mut peer), encode(&ticks).to_vec(), "tick {tick}");
+            }
+        });
+        while plane.table.conns()[0].as_ref().unwrap().pending_bytes() > 0 {
+            plane.turn(Duration::from_millis(50));
+        }
+        reader.join().unwrap();
+    }
+
     /// A re-dialling agent's new socket takes its monitors' routes over,
     /// and the first line it reads there is the welcome — ahead of every
-    /// control frame routed to it.
+    /// control frame routed to it. A frame for consecutive monitors in
+    /// ascending order leaves as one fan-out line; out of order, as one
+    /// line each.
     #[test]
     fn a_reconnected_agent_reads_its_welcome_first() {
         let (mut plane, addr) = plane(2, 8);
@@ -982,8 +1083,8 @@ mod tests {
         assert_eq!(line(&mut second), ctl(1, 3, poll(2)));
         assert_eq!(line(&mut second), ctl(0, 3, poll(2)));
         assert_eq!(line(&mut first), welcome_line(0).to_vec());
-        assert_eq!(line(&mut first), ctl(0, 3, poll(1)));
-        assert_eq!(line(&mut first), ctl(1, 3, poll(1)));
+        assert_eq!(line(&mut first), fan(0, 2, 3, poll(1)));
+        assert_eq!(plane.stats().frames_out, 5, "two welcomes, three lines");
         first.get_ref().set_nonblocking(true).unwrap();
         let starved = first.fill_buf().unwrap_err();
         assert_eq!(starved.kind(), std::io::ErrorKind::WouldBlock);

@@ -2,36 +2,57 @@
 //!
 //! The in-process protocol ([`crate::message`]) is monitor-addressed: the
 //! task session hands each frame to its monitor's slot and never names
-//! the peer inside the frame. A socket carries traffic for
-//! *many* monitors (an agent multiplexes a contiguous range of them), so
-//! the network layer adds the thinnest possible addressing shim:
+//! the peer inside the frame. A socket carries traffic for *many*
+//! monitors (an agent multiplexes a contiguous range of them), so the
+//! network layer adds addressing — and, because a tick sends every
+//! monitor the same kind of frame, batching: a line carries a *run*, the
+//! frames of one send for consecutive monitors, so a tick costs each
+//! agent a line per phase instead of a line per monitor.
 //!
 //! - **agent → coordinator**: the first line on a fresh connection is an
 //!   [`AgentHello`] declaring which monitors live behind the socket.
-//!   Every subsequent line is a raw [`crate::message::MonitorFrame`],
-//!   forwarded to the coordinator actor byte-for-byte — the frames
-//!   already carry their `monitor` id, so no re-encoding happens on the
-//!   hot path.
-//! - **coordinator → agent**: every line is a [`ServerFrame`] — either a
-//!   [`ServerFrame::Welcome`] acknowledging a hello, or a
-//!   [`ServerFrame::Ctl`] wrapping one control frame with the
-//!   destination monitor id.
+//!   Every later line is a [`ReplyBatch`] — a run of `TickDone`s or of
+//!   `PollReply`s at one epoch and tick — or one raw
+//!   [`MonitorFrame`]: every other reply, a run of one, and any reply
+//!   the wire cannot carry ([`MonitorToCoordinator::is_wire_representable`]),
+//!   which travels alone so its malformed line takes no neighbour down.
+//!   [`encode_replies`] writes them; [`expand_reply_line`] turns a line
+//!   back into the frames it carries, in order.
+//! - **coordinator → agent**: every line is a [`ServerFrame`] — a
+//!   [`ServerFrame::Welcome`] acknowledging a hello, a
+//!   [`ServerFrame::Ctl`] wrapping one control frame for one monitor,
+//!   [`ServerFrame::Ticks`] carrying one tick's data for a run, or a
+//!   [`ServerFrame::Fan`] carrying one control frame for a run.
+//!   [`encode_controls`] writes them by the socket plane's rule;
+//!   [`ServerFrame::expand`] hands an agent each `(monitor, frame)`.
 //!
-//! The coordinator's socket plane encodes a `Ctl` envelope from its
-//! values, straight into the connection's write batch. [`ctl_line`]
-//! builds the same line by textual splice around an already-encoded
-//! control frame; nothing in the coordinator calls it any more — it
-//! stays exported because the benchmark times it (`net.ctl_line_ns`),
-//! and a unit test pins splice, derive and the plane's bytes to one
-//! another so that row keeps describing the wire. It is the only
-//! hand-spelled JSON in the workspace's non-test code (a second test
-//! keeps it so): every other frame gets its text from the derives'
-//! streaming `write_json`.
+//! Either way a run holds frames of one send, at one epoch (and tick),
+//! for ascending consecutive monitor ids, and a line holding more than
+//! one monitor is split in halves until its payload fits the sender's
+//! frame cap: only a single frame can exceed it, as it could before
+//! batching.
+//!
+//! [`ctl_line`] builds a `Ctl` line by textual splice around an
+//! already-encoded control frame; nothing in the coordinator calls it —
+//! it stays exported because the benchmark times it
+//! (`net.ctl_line_ns`), and a unit test pins splice, derive and the
+//! plane's bytes to one another so that row keeps describing the wire.
+//! It is the only hand-spelled JSON in the workspace's non-test code (a
+//! second test keeps it so): every other line gets its text from the
+//! derives' streaming `write_json`.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use crate::message::ControlFrame;
+use volley_core::task::MonitorId;
+use volley_core::time::Tick;
+
+use crate::message::{
+    decode_line, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
+    MonitorToCoordinator, TickData,
+};
 
 /// First frame an agent sends on every (re)connection: which monitors it
 /// hosts, and the highest epoch its actors have observed.
@@ -49,7 +70,7 @@ pub struct AgentHello {
     pub epoch: u64,
 }
 
-/// Frames the coordinator writes to an agent socket.
+/// Lines the coordinator writes to an agent socket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerFrame {
     /// Acknowledges an [`AgentHello`]: the handshake ack, nothing more.
@@ -69,6 +90,406 @@ pub enum ServerFrame {
         /// The epoch-stamped control frame, verbatim.
         frame: ControlFrame,
     },
+    /// One tick's data for a run of monitors: monitor `first + i` gets
+    /// `CoordinatorToMonitor::Tick` of `values[i]` at `epoch`.
+    Ticks {
+        /// The epoch every frame of the run is stamped with.
+        epoch: u64,
+        /// The tick the values belong to.
+        tick: Tick,
+        /// The run's first monitor id.
+        first: u32,
+        /// One value per monitor, in id order.
+        values: Vec<f64>,
+    },
+    /// One control frame for the `count` monitors `first..first + count`.
+    Fan {
+        /// The run's first monitor id.
+        first: u32,
+        /// How many consecutive monitors the frame goes to.
+        count: u32,
+        /// The epoch-stamped control frame each of them gets.
+        frame: ControlFrame,
+    },
+}
+
+impl ServerFrame {
+    /// Hands `deliver` each `(monitor, frame)` this line carries, in id
+    /// order, for the monitors in `hosted` only — so a run's claimed
+    /// length costs the agent no more than the monitors it hosts.
+    pub fn expand(self, hosted: Range<u32>, mut deliver: impl FnMut(u32, ControlFrame)) {
+        match self {
+            ServerFrame::Welcome { .. } => {}
+            ServerFrame::Ctl { to, frame } => {
+                if hosted.contains(&to) {
+                    deliver(to, frame);
+                }
+            }
+            ServerFrame::Ticks {
+                epoch,
+                tick,
+                first,
+                values,
+            } => {
+                for (to, value) in (first..=u32::MAX).zip(values) {
+                    if hosted.contains(&to) {
+                        let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
+                        deliver(to, ControlFrame { epoch, msg });
+                    }
+                }
+            }
+            ServerFrame::Fan {
+                first,
+                count,
+                frame,
+            } => {
+                let end = first.saturating_add(count).min(hosted.end);
+                for to in first.max(hosted.start)..end {
+                    deliver(to, frame);
+                }
+            }
+        }
+    }
+}
+
+/// A reply line carrying a run of consecutive monitors' replies of one
+/// kind, at one epoch and tick.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ReplyBatch {
+    /// `TickDone`s of monitors `first..`: one flag byte each — bit 0
+    /// `sampled`, bit 1 `violation`, bit 2 `suppressed`.
+    TickDones {
+        /// The epoch every reply of the run is stamped with.
+        epoch: u64,
+        /// The tick the replies conclude.
+        tick: Tick,
+        /// The run's first monitor id.
+        first: u32,
+        /// One flag byte per monitor, in id order.
+        flags: Vec<u8>,
+    },
+    /// `PollReply`s of monitors `first..`: a value and a forced flag each.
+    PollReplies {
+        /// The epoch every reply of the run is stamped with.
+        epoch: u64,
+        /// The polled tick.
+        tick: Tick,
+        /// The run's first monitor id.
+        first: u32,
+        /// One value per monitor, in id order.
+        values: Vec<f64>,
+        /// One `forced_sample` per monitor, in id order.
+        forced: Vec<bool>,
+    },
+}
+
+impl ReplyBatch {
+    /// The frames the batch carries, handed to `admit` in order — or
+    /// none, returning `false`, when its columns disagree in length, a
+    /// flag byte sets an unknown bit or the run runs past the last id.
+    fn expand(self, mut admit: impl FnMut(MonitorFrame)) -> bool {
+        let fits = |first: u32, len: usize| u64::from(first) + len as u64 <= 1 << 32;
+        match self {
+            ReplyBatch::TickDones {
+                epoch,
+                tick,
+                first,
+                flags,
+            } => {
+                if !fits(first, flags.len()) || flags.iter().any(|&bits| bits > 0b111) {
+                    return false;
+                }
+                for (monitor, bits) in (first..=u32::MAX).zip(flags) {
+                    let msg = MonitorToCoordinator::TickDone {
+                        monitor: MonitorId(monitor),
+                        tick,
+                        sampled: bits & 1 != 0,
+                        violation: bits & 2 != 0,
+                        suppressed: bits & 4 != 0,
+                    };
+                    admit(MonitorFrame { epoch, msg });
+                }
+            }
+            ReplyBatch::PollReplies {
+                epoch,
+                tick,
+                first,
+                values,
+                forced,
+            } => {
+                if !fits(first, values.len()) || values.len() != forced.len() {
+                    return false;
+                }
+                for ((monitor, value), forced_sample) in (first..=u32::MAX).zip(values).zip(forced)
+                {
+                    let msg = MonitorToCoordinator::PollReply {
+                        monitor: MonitorId(monitor),
+                        tick,
+                        value,
+                        forced_sample,
+                    };
+                    admit(MonitorFrame { epoch, msg });
+                }
+            }
+        }
+        true
+    }
+
+    /// The batch of `run`, replies [`batchable`] found consecutive.
+    fn of(run: &[MonitorFrame]) -> ReplyBatch {
+        let epoch = run[0].epoch;
+        match run[0].msg {
+            MonitorToCoordinator::PollReply { monitor, tick, .. } => {
+                let (values, forced) = run
+                    .iter()
+                    .map(|frame| match frame.msg {
+                        MonitorToCoordinator::PollReply {
+                            value,
+                            forced_sample,
+                            ..
+                        } => (value, forced_sample),
+                        _ => unreachable!("a run holds one kind"),
+                    })
+                    .unzip();
+                ReplyBatch::PollReplies {
+                    epoch,
+                    tick,
+                    first: monitor.0,
+                    values,
+                    forced,
+                }
+            }
+            MonitorToCoordinator::TickDone { monitor, tick, .. } => {
+                let flags = run.iter().map(|frame| match frame.msg {
+                    MonitorToCoordinator::TickDone {
+                        sampled,
+                        violation,
+                        suppressed,
+                        ..
+                    } => u8::from(sampled) | u8::from(violation) << 1 | u8::from(suppressed) << 2,
+                    _ => unreachable!("a run holds one kind"),
+                });
+                ReplyBatch::TickDones {
+                    epoch,
+                    tick,
+                    first: monitor.0,
+                    flags: flags.collect(),
+                }
+            }
+            _ => unreachable!("only tick reports and poll replies batch"),
+        }
+    }
+}
+
+/// What a reply must share with its neighbours to join their line —
+/// kind (`true` for a poll reply), epoch and tick — and its sender,
+/// which must follow theirs; `None` for a reply that always travels
+/// alone: one that is neither a tick report nor a poll reply, or that
+/// the wire cannot carry.
+fn batchable(frame: &MonitorFrame) -> Option<((bool, u64, Tick), u32)> {
+    if !frame.msg.is_wire_representable() {
+        return None;
+    }
+    match frame.msg {
+        MonitorToCoordinator::TickDone { monitor, tick, .. } => {
+            Some(((false, frame.epoch, tick), monitor.0))
+        }
+        MonitorToCoordinator::PollReply { monitor, tick, .. } => {
+            Some(((true, frame.epoch, tick), monitor.0))
+        }
+        _ => None,
+    }
+}
+
+/// Appends `replies` — the frames of one send, in order — as agent
+/// lines and returns how many: each run of consecutive monitors'
+/// [`batchable`] replies of one kind, epoch and tick as one
+/// [`ReplyBatch`] (split so that no line's payload passes `max_frame`),
+/// every other reply as its own [`MonitorFrame`] line.
+pub fn encode_replies(replies: &[MonitorFrame], max_frame: usize, out: &mut Vec<u8>) -> u64 {
+    let joins = |pair: &[MonitorFrame]| match (batchable(&pair[0]), batchable(&pair[1])) {
+        (Some((key, monitor)), Some((next_key, next))) => {
+            key == next_key && monitor.checked_add(1) == Some(next)
+        }
+        _ => false,
+    };
+    let mut lines = 0;
+    let mut rest = replies;
+    while !rest.is_empty() {
+        let len = 1 + rest.windows(2).take_while(|pair| joins(pair)).count();
+        let (run, tail) = rest.split_at(len);
+        lines += write_split(0..len, max_frame, out, &mut |part, out| match &run[part] {
+            [one] => encode_into(one, out),
+            many => encode_into(&ReplyBatch::of(many), out),
+        });
+        rest = tail;
+    }
+    lines
+}
+
+/// Hands `admit` every frame one agent line carries, in order — a
+/// [`ReplyBatch`] monitor by monitor, any other line decoded as one
+/// [`MonitorFrame`] — and returns whether the line carried any: a
+/// malformed line, or a batch [`ReplyBatch::expand`] refuses, admits
+/// nothing.
+pub fn expand_reply_line(line: &[u8], mut admit: impl FnMut(MonitorFrame)) -> bool {
+    match decode_line::<ReplyBatch>(line) {
+        Ok(batch) => batch.expand(admit),
+        Err(_) => decode_line::<MonitorFrame>(line).map(&mut admit).is_ok(),
+    }
+}
+
+/// A run of control frames for consecutive monitors, as a send gathers
+/// it: one tick's data (each frame's value kept in `values`), or one
+/// frame repeated.
+pub(crate) struct ControlRun {
+    first: u32,
+    len: usize,
+    /// The run's first frame.
+    frame: ControlFrame,
+    /// Every frame's value, for a run of tick data; empty otherwise.
+    values: Vec<f64>,
+}
+
+impl ControlRun {
+    fn new(to: u32, frame: ControlFrame) -> Self {
+        let values = match frame.msg {
+            CoordinatorToMonitor::Tick(data) => vec![data.value],
+            _ => Vec::new(),
+        };
+        ControlRun {
+            first: to,
+            len: 1,
+            frame,
+            values,
+        }
+    }
+
+    /// Frames in the run.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Takes `frame` for monitor `to` into the run if it continues it:
+    /// the next id, and the same frame — or, for tick data, the same
+    /// epoch and tick and a value the wire can carry (a non-finite one
+    /// travels alone, like a reply that holds one).
+    fn join(&mut self, to: u32, frame: &ControlFrame) -> bool {
+        let next = u64::from(self.first) + self.len as u64 == u64::from(to);
+        let joins = next
+            && match (self.frame.msg, frame.msg) {
+                (CoordinatorToMonitor::Tick(run), CoordinatorToMonitor::Tick(data)) => {
+                    (self.frame.epoch, run.tick) == (frame.epoch, data.tick)
+                        && run.value.is_finite()
+                        && data.value.is_finite()
+                }
+                (CoordinatorToMonitor::Tick(_), _) | (_, CoordinatorToMonitor::Tick(_)) => false,
+                _ => self.frame == *frame,
+            };
+        if joins {
+            if let CoordinatorToMonitor::Tick(data) = frame.msg {
+                self.values.push(data.value);
+            }
+            self.len += 1;
+        }
+        joins
+    }
+
+    /// Appends the run's first `take` frames as lines whose payloads fit
+    /// `max_frame` wherever a split can make them, returning how many.
+    pub(crate) fn write(&self, take: usize, max_frame: usize, out: &mut Vec<u8>) -> u64 {
+        write_split(0..take, max_frame, out, &mut |part, out| {
+            let first = self.first + part.start as u32;
+            let (epoch, msg) = (self.frame.epoch, self.frame.msg);
+            let line = match msg {
+                CoordinatorToMonitor::Tick(data) if part.len() > 1 => ServerFrame::Ticks {
+                    epoch,
+                    tick: data.tick,
+                    first,
+                    values: self.values[part].to_vec(),
+                },
+                CoordinatorToMonitor::Tick(data) => {
+                    let value = self.values[part.start];
+                    let msg = CoordinatorToMonitor::Tick(TickData { value, ..data });
+                    ServerFrame::Ctl {
+                        to: first,
+                        frame: ControlFrame { epoch, msg },
+                    }
+                }
+                _ if part.len() > 1 => ServerFrame::Fan {
+                    first,
+                    count: part.len() as u32,
+                    frame: self.frame,
+                },
+                _ => ServerFrame::Ctl {
+                    to: first,
+                    frame: self.frame,
+                },
+            };
+            encode_into(&line, out);
+        })
+    }
+}
+
+/// Cuts `frames` — `(key, monitor, frame)` in send order — into
+/// [`ControlRun`]s and hands `emit` each with its frames' key: a run
+/// holds consecutive frames under one key, so each is staged before any
+/// later frame of that key. The socket plane keys a frame by the
+/// connection it is routed to.
+pub(crate) fn control_runs<K: PartialEq>(
+    frames: impl IntoIterator<Item = (K, u32, ControlFrame)>,
+    mut emit: impl FnMut(K, ControlRun),
+) {
+    let mut pending: Option<(K, ControlRun)> = None;
+    for (key, to, frame) in frames {
+        if let Some((open, run)) = &mut pending {
+            if *open == key && run.join(to, &frame) {
+                continue;
+            }
+        }
+        if let Some((key, run)) = pending.replace((key, ControlRun::new(to, frame))) {
+            emit(key, run);
+        }
+    }
+    if let Some((key, run)) = pending {
+        emit(key, run);
+    }
+}
+
+/// Appends `frames` — `(monitor, frame)` in send order, all for one
+/// connection — as coordinator lines by the socket plane's rule and
+/// returns how many: each run of one tick's data as
+/// [`ServerFrame::Ticks`], each run of one repeated frame as
+/// [`ServerFrame::Fan`] (split so that no line's payload passes
+/// `max_frame`), a run of one as [`ServerFrame::Ctl`].
+pub fn encode_controls(frames: &[(u32, ControlFrame)], max_frame: usize, out: &mut Vec<u8>) -> u64 {
+    let mut lines = 0;
+    let keyed = frames.iter().map(|&(to, frame)| ((), to, frame));
+    control_runs(keyed, |(), run| {
+        lines += run.write(run.len(), max_frame, out)
+    });
+    lines
+}
+
+/// Appends the lines `line` makes of `items`, returning how many: one
+/// line for all of them when its payload fits `max_frame` (or `items`
+/// is a single one, which cannot be split), else the two halves' lines.
+fn write_split(
+    items: Range<usize>,
+    max_frame: usize,
+    out: &mut Vec<u8>,
+    line: &mut impl FnMut(Range<usize>, &mut Vec<u8>),
+) -> u64 {
+    let start = out.len();
+    line(items.clone(), out);
+    // The payload, as a reader's frame cap measures it: sans newline.
+    if items.len() == 1 || out.len() - start - 1 <= max_frame {
+        return 1;
+    }
+    out.truncate(start);
+    let mid = items.start + items.len() / 2;
+    write_split(items.start..mid, max_frame, out, line)
+        + write_split(mid..items.end, max_frame, out, line)
 }
 
 /// Encodes a [`ServerFrame::Welcome`] line.
@@ -78,7 +499,8 @@ pub fn welcome_line(epoch: u64) -> Bytes {
 
 /// Wraps an already-encoded control frame into a [`ServerFrame::Ctl`]
 /// line without re-encoding it: `{"Ctl":{"to":N,"frame":` + the control
-/// frame's JSON + `}}` — byte for byte what the socket plane streams.
+/// frame's JSON + `}}` — byte for byte what the socket plane streams for
+/// a run of one.
 ///
 /// `control` must be [`crate::message::encode`] output (newline
 /// terminated); the trailing newline is stripped before splicing.
@@ -99,9 +521,7 @@ pub fn ctl_line(to: u32, control: &Bytes) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{
-        decode, encode, encode_into, ControlFrame, CoordinatorToMonitor, TickData,
-    };
+    use crate::message::{decode, encode};
 
     #[test]
     fn hello_round_trips() {
@@ -237,6 +657,274 @@ mod tests {
             )],
             "hand-spelled JSON outside `ctl_line`"
         );
+    }
+
+    fn poll_reply(monitor: u32, value: f64) -> MonitorFrame {
+        let msg = MonitorToCoordinator::PollReply {
+            monitor: MonitorId(monitor),
+            tick: 9,
+            value,
+            forced_sample: monitor.is_multiple_of(2),
+        };
+        MonitorFrame { epoch: 2, msg }
+    }
+
+    fn tick_done(monitor: u32, bits: u8) -> MonitorFrame {
+        let msg = MonitorToCoordinator::TickDone {
+            monitor: MonitorId(monitor),
+            tick: 9,
+            sampled: bits & 1 != 0,
+            violation: bits & 2 != 0,
+            suppressed: bits & 4 != 0,
+        };
+        MonitorFrame { epoch: 2, msg }
+    }
+
+    /// Every frame an agent payload carries, in order.
+    fn expanded(payload: &[u8]) -> Vec<MonitorFrame> {
+        let mut frames = Vec::new();
+        for line in payload.split_inclusive(|&b| b == b'\n') {
+            expand_reply_line(line, |frame| frames.push(frame));
+        }
+        frames
+    }
+
+    /// A reply the wire cannot carry leaves as its own line — malformed,
+    /// so it alone is lost — and its neighbours stay batched around it.
+    #[test]
+    fn a_non_finite_poll_reply_travels_alone_and_takes_no_neighbour_down() {
+        let replies = [
+            poll_reply(0, 1.5),
+            poll_reply(1, 2.5),
+            poll_reply(2, f64::NAN),
+            poll_reply(3, -0.0),
+            poll_reply(4, 4.5),
+        ];
+        let mut payload = Vec::new();
+        assert_eq!(encode_replies(&replies, usize::MAX, &mut payload), 3);
+        let lines: Vec<&[u8]> = payload.split_inclusive(|&b| b == b'\n').collect();
+        let batch = |first: u32, values: Vec<f64>, forced: Vec<bool>| {
+            encode(&ReplyBatch::PollReplies {
+                epoch: 2,
+                tick: 9,
+                first,
+                values,
+                forced,
+            })
+        };
+        assert_eq!(lines[0], &batch(0, vec![1.5, 2.5], vec![true, false])[..]);
+        assert_eq!(
+            lines[1],
+            &encode(&replies[2])[..],
+            "alone, as it always was"
+        );
+        assert_eq!(lines[2], &batch(3, vec![-0.0, 4.5], vec![false, true])[..]);
+        let carried: Vec<MonitorFrame> = expanded(&payload);
+        let survivors = [0, 1, 3, 4].map(|i| replies[i].clone());
+        assert_eq!(carried, survivors);
+        assert!(
+            carried[2].msg == replies[3].msg
+                && matches!(
+                    carried[2].msg,
+                    MonitorToCoordinator::PollReply { value, .. } if value.is_sign_negative()
+                )
+        );
+    }
+
+    /// A run breaks wherever kind, epoch, tick or the next id does, and a
+    /// reply that never batches sits between runs on its own line.
+    #[test]
+    fn replies_batch_only_in_runs_of_one_kind_epoch_tick_and_consecutive_ids() {
+        let mut stale = tick_done(3, 1);
+        stale.epoch = 1;
+        let revived = MonitorFrame {
+            epoch: 2,
+            msg: MonitorToCoordinator::Revived {
+                monitor: MonitorId(6),
+            },
+        };
+        let replies = vec![
+            tick_done(0, 0),
+            tick_done(1, 0b111),
+            tick_done(2, 0b001),
+            stale,
+            tick_done(4, 0b011),
+            tick_done(6, 0b100),
+            revived,
+            tick_done(7, 0),
+            tick_done(8, 0),
+            poll_reply(9, 1.0),
+        ];
+        let mut payload = Vec::new();
+        // [0 1 2] [3 stale] [4] [6] [Revived] [7 8] [poll 9]
+        assert_eq!(encode_replies(&replies, usize::MAX, &mut payload), 7);
+        let first = payload.split_inclusive(|&b| b == b'\n').next().unwrap();
+        let flags = vec![0, 0b111, 0b001];
+        let batch = ReplyBatch::TickDones {
+            epoch: 2,
+            tick: 9,
+            first: 0,
+            flags,
+        };
+        assert_eq!(first, &encode(&batch)[..]);
+        assert_eq!(expanded(&payload), replies);
+    }
+
+    /// Under a frame cap a run splits into halves until every line fits;
+    /// a single frame over the cap still leaves, as it did unbatched.
+    #[test]
+    fn runs_split_under_the_frame_cap_and_expand_to_the_same_frames() {
+        let replies: Vec<MonitorFrame> =
+            (0..40).map(|m| poll_reply(m, 1e3 + f64::from(m))).collect();
+        for cap in [0, 40, 64, 100, 256, 1024, usize::MAX] {
+            let mut payload = Vec::new();
+            let lines = encode_replies(&replies, cap, &mut payload);
+            let longest = payload
+                .split_inclusive(|&b| b == b'\n')
+                .map(|line| line.len() - 1)
+                .max()
+                .unwrap();
+            let single = encode(&replies[39]).len() - 1;
+            assert!(
+                longest <= cap.max(single),
+                "cap {cap}: a {longest}-byte line"
+            );
+            assert!(lines as usize <= replies.len());
+            assert_eq!(expanded(&payload), replies, "cap {cap}");
+        }
+    }
+
+    /// What a batch claims is checked before any of it is admitted.
+    #[test]
+    fn a_malformed_batch_admits_nothing() {
+        let bad = [
+            ReplyBatch::TickDones {
+                epoch: 0,
+                tick: 1,
+                first: 0,
+                flags: vec![0, 8],
+            },
+            ReplyBatch::TickDones {
+                epoch: 0,
+                tick: 1,
+                first: u32::MAX,
+                flags: vec![0, 0],
+            },
+            ReplyBatch::PollReplies {
+                epoch: 0,
+                tick: 1,
+                first: 0,
+                values: vec![1.0, 2.0],
+                forced: vec![true],
+            },
+        ];
+        for batch in bad {
+            let mut admitted = 0;
+            assert!(!expand_reply_line(&encode(&batch), |_| admitted += 1));
+            assert_eq!(admitted, 0, "{batch:?}");
+        }
+        assert!(!expand_reply_line(
+            b"{\"TickDones\":7}\n",
+            |_| unreachable!()
+        ));
+        let last = ReplyBatch::TickDones {
+            epoch: 0,
+            tick: 1,
+            first: u32::MAX,
+            flags: vec![1],
+        };
+        let mut admitted = Vec::new();
+        assert!(expand_reply_line(&encode(&last), |frame| admitted.push(frame)));
+        assert!(matches!(
+            admitted[..],
+            [MonitorFrame {
+                msg: MonitorToCoordinator::TickDone {
+                    monitor: MonitorId(u32::MAX),
+                    sampled: true,
+                    ..
+                },
+                ..
+            }]
+        ));
+    }
+
+    /// Control frames go out by the same rule: one tick's data for
+    /// consecutive monitors as a `Ticks` line, a frame repeated for them
+    /// as a `Fan` line, a run of one — and a non-finite value — as `Ctl`.
+    #[test]
+    fn control_runs_become_ticks_fan_and_ctl_lines_and_expand_back() {
+        let seal = |epoch, msg| ControlFrame { epoch, msg };
+        let data = |tick, value| CoordinatorToMonitor::Tick(TickData { tick, value });
+        let poll = CoordinatorToMonitor::Poll { tick: 4 };
+        let frames = vec![
+            (0, seal(1, data(4, 1.0))),
+            (1, seal(1, data(4, 2.0))),
+            (2, seal(1, data(4, f64::NAN))),
+            (3, seal(1, data(4, 3.0))),
+            (4, seal(1, data(5, 3.0))),
+            (0, seal(1, poll)),
+            (1, seal(1, poll)),
+            (2, seal(1, poll)),
+            (3, seal(2, poll)),
+        ];
+        let mut wire = Vec::new();
+        assert_eq!(encode_controls(&frames, usize::MAX, &mut wire), 6);
+        let lines: Vec<ServerFrame> = wire
+            .split_inclusive(|&b| b == b'\n')
+            .filter_map(|line| decode_line(line).ok())
+            .collect();
+        let ticks = ServerFrame::Ticks {
+            epoch: 1,
+            tick: 4,
+            first: 0,
+            values: vec![1.0, 2.0],
+        };
+        let fan = ServerFrame::Fan {
+            first: 0,
+            count: 3,
+            frame: seal(1, poll),
+        };
+        // The NaN line is malformed (its value encodes as `null`), alone.
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[0], ticks);
+        assert_eq!(lines[3], fan);
+        let mut delivered = Vec::new();
+        for line in lines {
+            line.expand(0..u32::MAX, |to, frame| delivered.push((to, frame)));
+        }
+        let mut carried = frames.clone();
+        carried.remove(2);
+        assert_eq!(delivered, carried);
+    }
+
+    /// An agent takes from a line only the monitors it hosts, whatever
+    /// count the line claims.
+    #[test]
+    fn a_line_delivers_only_the_hosted_monitors() {
+        let frame = ControlFrame {
+            epoch: 0,
+            msg: CoordinatorToMonitor::Shutdown,
+        };
+        let fan = ServerFrame::Fan {
+            first: 2,
+            count: u32::MAX,
+            frame,
+        };
+        let mut to = Vec::new();
+        fan.expand(5..8, |id, _| to.push(id));
+        assert_eq!(to, [5, 6, 7]);
+        let ticks = ServerFrame::Ticks {
+            epoch: 0,
+            tick: 0,
+            first: 6,
+            values: vec![1.0; 4],
+        };
+        to.clear();
+        ticks.expand(5..8, |id, _| to.push(id));
+        assert_eq!(to, [6, 7]);
+        to.clear();
+        ServerFrame::Ctl { to: 9, frame }.expand(5..8, |id, _| to.push(id));
+        assert!(to.is_empty());
     }
 
     #[test]

@@ -13,9 +13,12 @@
 
 use std::time::Duration;
 
-/// Default cap on a single wire frame. Protocol messages are tens to a
-/// few hundred bytes; 64 KiB leaves room for large period reports while
-/// bounding what a misbehaving peer can make us buffer.
+/// Default cap on a single wire line. A one-monitor message is tens to a
+/// few hundred bytes; a batched line carries a run of monitors (a tick's
+/// data or replies: ≈ 5–25 bytes a monitor), so 64 KiB holds runs of a
+/// few thousand monitors in one line — a sender splits a longer run —
+/// and room for large period reports, while bounding what a misbehaving
+/// peer can make us buffer.
 pub const DEFAULT_MAX_FRAME_SIZE: usize = 64 * 1024;
 
 /// Socket-level hardening knobs for [`crate::net::NetCoordinator`] and

@@ -388,18 +388,20 @@ impl<P: Protocol> Conn<P> {
 
     /// Queues one frame behind everything already queued.
     pub fn push(&mut self, frame: impl AsRef<[u8]>) {
-        self.stage(|batch| batch.extend_from_slice(frame.as_ref()));
+        self.stage(1, |batch| batch.extend_from_slice(frame.as_ref()));
     }
 
-    /// Queues the one frame `encode` appends to the write batch — for
-    /// senders that encode in place instead of building a frame first.
-    pub fn stage(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+    /// Queues what `encode` appends to the write batch, counted as
+    /// `frames` frames — for senders that encode in place instead of
+    /// building a frame first, and whose bytes may carry many frames.
+    pub fn stage(&mut self, frames: usize, encode: impl FnOnce(&mut Vec<u8>)) {
         encode(&mut self.wbuf);
-        self.frames += 1;
+        self.frames += frames;
     }
 
-    /// Frames accepted and not yet written; a frame leaves the count
-    /// once the batch it travels in is on the wire.
+    /// Frames accepted and not yet written, as [`stage`](Self::stage)
+    /// counted them; a frame leaves the count once the batch it travels
+    /// in is on the wire.
     pub fn queued(&self) -> usize {
         self.frames
     }
@@ -968,14 +970,15 @@ mod tests {
     }
 
     /// Frames pushed whole and frames encoded in place share one batch,
-    /// leave back to back in one `write`, and stop counting as queued.
+    /// leave back to back in one `write`, and stop counting as queued; a
+    /// staged line counts as the frames its sender says it carries.
     #[test]
     fn staged_frames_leave_in_order_in_one_write() {
         let mut conn: Conn<Sinks> = Conn::new(Sink::default(), ());
         conn.push(b"one\n");
-        conn.stage(|batch| batch.extend_from_slice(b"two\n"));
+        conn.stage(3, |batch| batch.extend_from_slice(b"two\n"));
         conn.push("three\n");
-        assert_eq!((conn.queued(), conn.pending_bytes()), (3, 14));
+        assert_eq!((conn.queued(), conn.pending_bytes()), (5, 14));
         assert!(conn.flush(), "bytes left");
         assert_eq!(conn.stream.writes, [b"one\ntwo\nthree\n".to_vec()]);
         assert_eq!((conn.queued(), conn.pending_bytes()), (0, 0));

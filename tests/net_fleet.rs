@@ -41,12 +41,14 @@ fn spec(n: usize, err: f64) -> TaskSpec {
         .unwrap()
 }
 
-/// Spawns `agents` threads splitting `n` monitors evenly.
+/// Spawns `agents` threads splitting `n` monitors evenly, each capping
+/// its frames at `transport`'s size.
 fn spawn_agents(
     addr: &NetAddr,
     task: &TaskSpec,
     n: u32,
     agents: u32,
+    transport: TransportConfig,
 ) -> Vec<JoinHandle<AgentReport>> {
     let per = n.div_ceil(agents);
     (0..agents)
@@ -56,7 +58,7 @@ fn spawn_agents(
                 addr: addr.clone(),
                 spec: task.clone(),
                 monitors: (a * per)..((a + 1) * per).min(n),
-                transport: TransportConfig::default(),
+                transport,
                 backoff: BackoffConfig {
                     base: Duration::from_millis(10),
                     cap: Duration::from_millis(200),
@@ -76,7 +78,8 @@ fn net_run(
     n: u32,
     agents: u32,
 ) -> (NetRunOutcome, Vec<AgentReport>) {
-    let handles = spawn_agents(addr, task, n, agents);
+    let transport = TransportConfig::default();
+    let handles = spawn_agents(addr, task, n, agents, transport);
     let outcome = coordinator.run(traces).expect("net run succeeds");
     let reports = handles
         .into_iter()
@@ -86,12 +89,18 @@ fn net_run(
 }
 
 /// One fleet size of the TCP parity bar: `monitors` actors multiplexed
-/// over `agents` localhost connections must report bit-for-bit what the
-/// in-process `TaskRunner` reports on the same workload. The networked
-/// side gets a generous deadline — at 10k monitors a debug build on a
-/// loaded host may not hear every agent inside the default window, and
-/// a miss would (correctly) break parity by counting monitors degraded.
-fn tcp_parity(monitors: usize, agents: u32, ticks: usize) {
+/// over `agents` localhost connections, both ends capping lines at
+/// `transport`'s frame size, must report bit-for-bit what the in-process
+/// `TaskRunner` reports on the same workload. The networked side gets a
+/// generous deadline — at 10k monitors a debug build on a loaded host
+/// may not hear every agent inside the default window, and a miss would
+/// (correctly) break parity by counting monitors degraded.
+fn tcp_parity(
+    monitors: usize,
+    agents: u32,
+    ticks: usize,
+    transport: TransportConfig,
+) -> NetRunOutcome {
     let task = spec(monitors, 0.01);
     let traces = bursty_traces(monitors, ticks);
     let baseline = TaskRunner::new(&task)
@@ -102,9 +111,15 @@ fn tcp_parity(monitors: usize, agents: u32, ticks: usize) {
     let coordinator = NetCoordinator::bind(task.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))
         .unwrap()
         .with_wait_timeout(Duration::from_secs(60))
-        .with_tick_deadline(Duration::from_secs(10));
+        .with_tick_deadline(Duration::from_secs(10))
+        .with_transport(transport);
     let addr = NetAddr::Tcp(coordinator.local_addr().unwrap().to_string());
-    let (outcome, reports) = net_run(coordinator, &addr, &task, &traces, monitors as u32, agents);
+    let handles = spawn_agents(&addr, &task, monitors as u32, agents, transport);
+    let outcome = coordinator.run(&traces).expect("net run succeeds");
+    let reports: Vec<AgentReport> = handles
+        .into_iter()
+        .map(|h| h.join().expect("agent thread joins"))
+        .collect();
 
     assert_eq!(
         outcome.report, baseline,
@@ -114,12 +129,35 @@ fn tcp_parity(monitors: usize, agents: u32, ticks: usize) {
     assert_eq!(outcome.net.reconnects, 0, "no reconnects in a clean run");
     assert_eq!(outcome.net.malformed_frames, 0);
     let sent: u64 = reports.iter().map(|r| r.frames_sent).sum();
-    assert_eq!(sent, outcome.net.frames_in, "every agent frame arrived");
+    assert_eq!(sent, outcome.net.frames_in, "every agent line arrived");
+    outcome
 }
 
 #[test]
 fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
-    tcp_parity(24, 6, 150);
+    tcp_parity(24, 6, 150, TransportConfig::default());
+}
+
+/// The batching edge: with a frame cap far below a tick's run on both
+/// ends, every run of tick data and of poll replies splits across
+/// several lines (the hello, one line that must fit, keeps an agent's
+/// run of one-byte tick reports under the cap) — and the report is
+/// still the in-process one, bit for bit, with no line refused by either
+/// reader.
+#[test]
+fn tcp_fleet_under_a_tiny_frame_cap_splits_runs_and_keeps_parity() {
+    let tiny = TransportConfig {
+        max_frame_size: 256,
+        ..TransportConfig::default()
+    };
+    let whole = tcp_parity(96, 2, 100, TransportConfig::default());
+    let split = tcp_parity(96, 2, 100, tiny);
+    // 48 monitors an agent: a whole run is one line per agent and phase,
+    // a split one at least two.
+    assert!(whole.net.frames_out < 3 * 2 * 100, "{:?}", whole.net);
+    let extra = split.net.frames_out - whole.net.frames_out;
+    assert!(extra >= 2 * 100, "{:?} vs {:?}", split.net, whole.net);
+    assert!(split.net.frames_in > whole.net.frames_in, "{:?}", split.net);
 }
 
 /// The acceptance bar of the networked deployment: a 10k-monitor fleet
@@ -132,7 +170,7 @@ fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
 #[test]
 #[ignore = "12–13 s in the debug profile (≈ 3 s in release); run in release with --ignored"]
 fn tcp_fleet_matches_in_process_runner_at_10k_monitors() {
-    tcp_parity(10_000, 250, 60);
+    tcp_parity(10_000, 250, 60, TransportConfig::default());
 }
 
 #[cfg(unix)]
@@ -208,6 +246,36 @@ fn reconnect_storms_reproduce_their_report_exactly() {
     };
     let first = storm_run();
     assert!(first.net.kicked > 0 && first.report.missed_tick_reports > 0);
+    for rerun in 1..3 {
+        assert_eq!(storm_run().report, first.report, "rerun {rerun}");
+    }
+}
+
+/// Storms over agents hosting runs of six: a severed agent's monitors
+/// are dead to the sends of the tick it is kicked at, cutting the tick's
+/// one send into runs around them, and its monitors' replies rejoin
+/// their runs after the re-dial — and the report still repeats exactly.
+#[test]
+fn storms_that_break_runs_reproduce_their_report_exactly() {
+    let n = 24usize;
+    let task = spec(n, 0.01);
+    let traces = bursty_traces(n, 70);
+    let storm_run = || {
+        let coordinator = NetCoordinator::bind(task.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))
+            .unwrap()
+            .with_wait_timeout(Duration::from_secs(10))
+            .with_tick_deadline(Duration::from_millis(250))
+            .with_faults(NetFaultPlan::new(42).with_storm(13, 0.5));
+        let addr = NetAddr::Tcp(coordinator.local_addr().unwrap().to_string());
+        net_run(coordinator, &addr, &task, &traces, n as u32, 4).0
+    };
+    let first = storm_run();
+    assert!(
+        first.net.kicked > 0 && first.net.unrouted_drops > 0,
+        "{:?}",
+        first.net
+    );
+    assert!(first.report.missed_tick_reports > 0);
     for rerun in 1..3 {
         assert_eq!(storm_run().report, first.report, "rerun {rerun}");
     }

@@ -31,7 +31,7 @@ use volley::runtime::message::{
     decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
     MonitorToCoordinator, TickData, TickSummary,
 };
-use volley::runtime::net::{AgentHello, FrameBuffer, ServerFrame};
+use volley::runtime::net::{encode_replies, AgentHello, FrameBuffer, ReplyBatch, ServerFrame};
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
 /// through the real sampler so every invariant the restore path expects
@@ -76,6 +76,18 @@ fn control_round_trip(epoch: u64, to: u32, msg: CoordinatorToMonitor) {
     round_trip(&frame);
     round_trip(&ServerFrame::Ctl { to, frame });
 }
+
+/// Floats at the edges of what the wire's text must carry exactly.
+const EDGE_VALUES: [f64; 8] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -2.225_073_858_507_201e-308,
+    1e308,
+    -1e308,
+    f64::MAX,
+    f64::MIN_POSITIVE,
+];
 
 /// The epoch of the machines [`driven_both_ways`] builds: frames sealed
 /// below it are stale.
@@ -156,14 +168,15 @@ fn generated_frame(kind: u8, monitor: u32, tick: u64, bits: u8) -> MonitorFrame 
 /// [`generated_frame`] makes a frame of.
 type FrameRecipe = (u8, u32, u64, u8);
 
-/// Feeds two identical coordinator machines the same `events` — each a
+/// Feeds three identical coordinator machines the same `events` — each a
 /// batch of frames that arrive together and whether the phase's deadline
 /// passes after it — one by [`CoordinatorActor::on_frames`] (values, as
 /// the in-process plane hands them over), one by
-/// [`CoordinatorActor::on_payload`] of the batch's encoding (as a socket
-/// read yields it), and holds them to the same count and the same outbox
-/// after every event. Kind 9 repeats the batch's previous frame. Returns
-/// every output, in order.
+/// [`CoordinatorActor::on_payload`] of the batch's encoding a line per
+/// frame, and one by `on_payload` of the lines an agent writes for it
+/// ([`encode_replies`]: runs batched) — and holds them to the same outbox
+/// after every event, the first two to the same count. Kind 9 repeats
+/// the batch's previous frame. Returns every output, in order.
 fn driven_both_ways(events: &[(Vec<FrameRecipe>, bool)]) -> Vec<Output> {
     let machine = || {
         let spec = TaskSpec::builder(300.0)
@@ -180,7 +193,7 @@ fn driven_both_ways(events: &[(Vec<FrameRecipe>, bool)]) -> Vec<Output> {
             .with_multitask(4)
             .with_checkpoint(2)
     };
-    let (mut by_value, mut by_wire) = (machine(), machine());
+    let (mut by_value, mut by_wire, mut by_batch) = (machine(), machine(), machine());
     let mut open_round = 997u64;
     let mut outputs = Vec::new();
     for (batch, deadline) in events {
@@ -198,18 +211,28 @@ fn driven_both_ways(events: &[(Vec<FrameRecipe>, bool)]) -> Vec<Output> {
             assert_eq!(frame.msg.is_wire_representable(), carried, "{frame:?}");
         }
         let payload: Vec<u8> = frames.iter().flat_map(|f| encode(f).to_vec()).collect();
+        let mut batched = Vec::new();
+        encode_replies(&frames, usize::MAX, &mut batched);
+        let count = by_value.on_frames(frames.iter().cloned());
         assert_eq!(
-            by_value.on_frames(frames.iter().cloned()),
+            count,
             by_wire.on_payload(&payload),
             "a frame and its line count alike"
         );
+        assert_eq!(count == 0, by_batch.on_payload(&batched) == 0);
         if *deadline {
             by_value.on_deadline();
             by_wire.on_deadline();
+            by_batch.on_deadline();
         }
         let asked: Vec<Output> = std::iter::from_fn(|| by_value.pop_output()).collect();
         let wired: Vec<Output> = std::iter::from_fn(|| by_wire.pop_output()).collect();
+        let batched: Vec<Output> = std::iter::from_fn(|| by_batch.pop_output()).collect();
         assert_eq!(asked, wired, "after {frames:?} (deadline: {deadline})");
+        assert_eq!(
+            asked, batched,
+            "batched, after {frames:?} (deadline: {deadline})"
+        );
         for output in &asked {
             if let Output::Summary(summary) = output {
                 open_round = summary.tick + 1;
@@ -437,6 +460,43 @@ proptest! {
         control_round_trip(2, to, CoordinatorToMonitor::Shutdown);
     }
 
+    /// The batched lines round-trip byte for byte against the tree
+    /// oracle, corruptions and all — tick data and the fan-out on the way
+    /// out, tick reports and poll replies on the way back — and every
+    /// float a run carries comes back bit for bit: ±0.0, subnormals and
+    /// ±1e308 included.
+    #[test]
+    fn batched_lines_round_trip_bit_exactly(
+        epoch in 0u64..u64::MAX,
+        tick in 0u64..u64::MAX,
+        first in 0u32..u32::MAX,
+        count in 0u32..u32::MAX,
+        picks in prop::collection::vec((0usize..EDGE_VALUES.len() + 1, -1e12f64..1e12, 0u8..8), 0..12),
+    ) {
+        let values: Vec<f64> = picks
+            .iter()
+            .map(|&(edge, value, _)| EDGE_VALUES.get(edge).copied().unwrap_or(value))
+            .collect();
+        let flags: Vec<u8> = picks.iter().map(|&(_, _, bits)| bits).collect();
+        let forced: Vec<bool> = flags.iter().map(|&bits| bits & 1 != 0).collect();
+        let ticks = ServerFrame::Ticks { epoch, tick, first, values: values.clone() };
+        let polls = ReplyBatch::PollReplies { epoch, tick, first, values: values.clone(), forced };
+        round_trip(&ticks);
+        round_trip(&polls);
+        round_trip(&ReplyBatch::TickDones { epoch, tick, first, flags });
+        let frame = ControlFrame { epoch, msg: CoordinatorToMonitor::Poll { tick } };
+        round_trip(&ServerFrame::Fan { first, count, frame });
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        match decode::<ServerFrame>(&encode(&ticks)).expect("decodes") {
+            ServerFrame::Ticks { values: back, .. } => prop_assert_eq!(bits(&back), bits(&values)),
+            other => panic!("expected Ticks, got {other:?}"),
+        }
+        match decode::<ReplyBatch>(&encode(&polls)).expect("decodes") {
+            ReplyBatch::PollReplies { values: back, .. } => prop_assert_eq!(bits(&back), bits(&values)),
+            other => panic!("expected PollReplies, got {other:?}"),
+        }
+    }
+
     /// The socket-level envelopes round-trip: the hello an agent opens
     /// with and the welcome it is answered with.
     #[test]
@@ -575,6 +635,7 @@ proptest! {
         differential::assert_decoders_agree::<MonitorFrame>(&bytes);
         differential::assert_decoders_agree::<ControlFrame>(&bytes);
         differential::assert_decoders_agree::<ServerFrame>(&bytes);
+        differential::assert_decoders_agree::<ReplyBatch>(&bytes);
         differential::assert_decoders_agree::<AgentHello>(&bytes);
         differential::assert_decoders_agree::<TickSummary>(&bytes);
     }

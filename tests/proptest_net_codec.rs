@@ -3,14 +3,24 @@
 //! kernel fragments the byte stream — arbitrary chunk boundaries,
 //! byte-at-a-time delivery, polls interleaved between partial reads —
 //! and must agree bit-for-bit with the blocking reader
-//! (`read_frame_limited`) it replaces on the nonblocking path.
+//! (`read_frame_limited`) it replaces on the nonblocking path. And the
+//! batched lines on top of it must carry exactly the per-monitor frames
+//! they were made of, both ways, under any frame cap and any
+//! fragmentation.
 
 use std::io::{BufRead, BufReader, Read};
 
 use proptest::prelude::*;
 
+use volley::core::task::MonitorId;
 use volley::core::VolleyError;
-use volley::runtime::net::FrameBuffer;
+use volley::runtime::message::{
+    decode_line, encode, ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator,
+    TickData,
+};
+use volley::runtime::net::{
+    encode_controls, encode_replies, expand_reply_line, FrameBuffer, ReplyBatch, ServerFrame,
+};
 
 /// The blocking reference reader: one newline-delimited frame of at most
 /// `max_size` bytes from `reader`; `Ok(None)` signals a clean end of
@@ -249,5 +259,95 @@ proptest! {
         let frame = fb.next_frame().expect("under cap").expect("complete");
         prop_assert_eq!(&frame[..frame.len() - 1], &payload[..]);
         prop_assert_eq!(fb.pending(), 0);
+    }
+
+    /// Any per-monitor frame sequence, batched by the socket plane's
+    /// rule (coordinator → agent) or the agent's (agent → coordinator)
+    /// under any frame cap and cut at arbitrary byte boundaries, decodes
+    /// and expands to exactly the original sequence — less only the
+    /// replies no wire can carry, each lost alone. Every line holding
+    /// more than one monitor fits the cap.
+    #[test]
+    fn batched_lines_expand_to_the_frames_they_were_made_of(
+        segments in prop::collection::vec((0u8..4, 1u32..9, 0u32..3, 0u8..4), 0..12),
+        cap in 0usize..600,
+        cuts in prop::collection::vec(0usize..16_384, 0..24),
+    ) {
+        // A segment: kind, length, gap before it (0 continues the last
+        // id), and an epoch/tick wobble that may break a run at its seam.
+        let (mut controls, mut replies) = (Vec::new(), Vec::new());
+        let mut next = 0u32;
+        for (i, &(kind, len, gap, wobble)) in segments.iter().enumerate() {
+            next += gap;
+            let (epoch, tick) = (u64::from(wobble & 1), 40 + u64::from(wobble >> 1));
+            for to in next..next + len {
+                let value = f64::from(to) * 1.25 - f64::from(i as u32);
+                let msg = match kind {
+                    0 => CoordinatorToMonitor::Tick(TickData { tick, value }),
+                    1 => CoordinatorToMonitor::Poll { tick },
+                    2 => CoordinatorToMonitor::SetAllowance { err: 0.01 * f64::from(wobble) },
+                    _ => CoordinatorToMonitor::Shutdown,
+                };
+                controls.push((to, ControlFrame { epoch, msg }));
+                let monitor = MonitorId(to);
+                let msg = match kind {
+                    0 => MonitorToCoordinator::TickDone {
+                        monitor,
+                        tick,
+                        sampled: to % 2 == 0,
+                        violation: to % 4 == 0,
+                        suppressed: to % 3 == 1,
+                    },
+                    1 | 2 => MonitorToCoordinator::PollReply {
+                        monitor,
+                        tick,
+                        value: if kind == 2 && to % 5 == 0 { f64::NAN } else { value },
+                        forced_sample: to % 2 == 1,
+                    },
+                    _ => MonitorToCoordinator::Revived { monitor },
+                };
+                replies.push(MonitorFrame { epoch, msg });
+            }
+            next += len;
+        }
+        // A reader's cap: the sender's, or a lone frame's line if longer.
+        let reader_cap = |lone: usize| cap.max(lone);
+
+        let mut wire = Vec::new();
+        let lines = encode_controls(&controls, cap, &mut wire);
+        let lone = controls
+            .iter()
+            .map(|&(to, frame)| encode(&ServerFrame::Ctl { to, frame }).len() - 1)
+            .max()
+            .unwrap_or(0);
+        let got = reassemble(&wire, &cuts, reader_cap(lone)).expect("every line under the cap");
+        prop_assert_eq!(got.len() as u64, lines);
+        let mut delivered = Vec::new();
+        for line in &got {
+            let frame: ServerFrame = decode_line(line).expect("a control line decodes");
+            let before = delivered.len();
+            frame.expand(0..u32::MAX, |to, frame| delivered.push((to, frame)));
+            prop_assert!(delivered.len() - before <= 1 || line.len() - 1 <= cap);
+        }
+        prop_assert_eq!(delivered, controls);
+
+        let mut wire = Vec::new();
+        let lines = encode_replies(&replies, cap, &mut wire);
+        let lone = replies.iter().map(|frame| encode(frame).len() - 1).max().unwrap_or(0);
+        let got = reassemble(&wire, &cuts, reader_cap(lone)).expect("every line under the cap");
+        prop_assert_eq!(got.len() as u64, lines);
+        let mut admitted = Vec::new();
+        for line in &got {
+            let before = admitted.len();
+            let carried = expand_reply_line(line, |frame| admitted.push(frame));
+            let batch = decode_line::<ReplyBatch>(line).is_ok();
+            prop_assert_eq!(carried, admitted.len() > before);
+            prop_assert!(!batch || line.len() - 1 <= cap);
+        }
+        let carried: Vec<MonitorFrame> = replies
+            .into_iter()
+            .filter(|frame| frame.msg.is_wire_representable())
+            .collect();
+        prop_assert_eq!(admitted, carried);
     }
 }
