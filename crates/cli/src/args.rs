@@ -84,8 +84,6 @@ pub struct CommonArgs {
 pub struct TransportArgs {
     /// Maximum accepted frame size in bytes (excluding the newline).
     pub max_frame_bytes: usize,
-    /// Socket read timeout in milliseconds; `0` means none.
-    pub read_timeout_ms: u64,
     /// Socket write timeout in milliseconds; `0` means none.
     pub write_timeout_ms: u64,
     /// First-retry reconnect delay in milliseconds.
@@ -616,18 +614,13 @@ const LIMIT: Flag = flag("--limit", |a, v| opt(&mut a.limit, v))
 /// Socket knobs of `agent`, `coordinator` and `chaos --net`.
 pub static TRANSPORT: Group = Group {
     title: "transport flags",
-    about: "frame cap and socket timeouts of the fleet wire",
+    about: "frame cap and agent write timeout of the fleet wire",
     flags: &[
         flag("--max-frame-bytes", |a, v| {
             floor(&mut a.transport.max_frame_bytes, v, 64)
         })
         .takes("n", "65536")
         .help("frame size cap (bytes, sans newline)"),
-        flag("--read-timeout-ms", |a, v| {
-            set(&mut a.transport.read_timeout_ms, v)
-        })
-        .takes("n", "0")
-        .help("socket read timeout (0 = none)"),
         flag("--write-timeout-ms", |a, v| {
             set(&mut a.transport.write_timeout_ms, v)
         })
@@ -1908,7 +1901,7 @@ mod tests {
                 assert_eq!(c.tcp, "127.0.0.1:7707");
                 assert_eq!(c.deadline_ms, 5000, "its own default, not chaos --net's 50");
                 assert_eq!(c.transport.max_frame_bytes, 65_536);
-                assert_eq!(c.transport.read_timeout_ms, 0);
+                assert_eq!(c.transport.write_timeout_ms, 0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1975,7 +1968,7 @@ mod tests {
             "21",
             "--net-storm-fraction",
             "1.5",
-            "--read-timeout-ms",
+            "--write-timeout-ms",
             "100",
             "--deadline-ms",
             "30",
@@ -1987,7 +1980,7 @@ mod tests {
                 assert_eq!(c.net_agents, 4);
                 assert_eq!(c.net_storm_every, 21);
                 assert_eq!(c.net_storm_fraction, 1.0, "fraction clamped to [0,1]");
-                assert_eq!(c.transport.read_timeout_ms, 100);
+                assert_eq!(c.transport.write_timeout_ms, 100);
                 assert_eq!(c.deadline_ms, 30);
             }
             other => panic!("unexpected {other:?}"),
@@ -2123,7 +2116,7 @@ mod tests {
         let tail = [
             "--max-frame-bytes",
             "0", // floored at 64
-            "--read-timeout-ms",
+            "--write-timeout-ms",
             "250",
             "--serve-addr",
             "127.0.0.1:9464",
@@ -2138,15 +2131,15 @@ mod tests {
             match Command::parse(args(&argv)).unwrap() {
                 Command::Coordinator(a) | Command::Chaos(a) => parsed.push((
                     a.transport.max_frame_bytes,
-                    a.transport.read_timeout_ms,
+                    a.transport.write_timeout_ms,
                     a.serve,
                 )),
                 other => panic!("unexpected {other:?}"),
             }
         }
         assert_eq!(parsed[0], parsed[1]);
-        let (max_frame_bytes, read_timeout_ms, serve) = &parsed[0];
-        assert_eq!((*max_frame_bytes, *read_timeout_ms), (64, 250));
+        let (max_frame_bytes, write_timeout_ms, serve) = &parsed[0];
+        assert_eq!((*max_frame_bytes, *write_timeout_ms), (64, 250));
         assert_eq!((serve.max_request_bytes, serve.linger_ms), (256, 1500));
         assert!(serve.enabled());
         assert_eq!(serve.resolve_store_dir(Some("/rec")), Some("/rec"));

@@ -1132,7 +1132,6 @@ fn transport_config(t: &TransportArgs) -> TransportConfig {
     let ms = |v: u64| (v > 0).then(|| Duration::from_millis(v));
     TransportConfig {
         max_frame_size: t.max_frame_bytes,
-        read_timeout: ms(t.read_timeout_ms),
         write_timeout: ms(t.write_timeout_ms),
     }
 }

@@ -1,27 +1,20 @@
-//! The agent process: hosts a slice of monitors behind one socket.
-//!
-//! An agent owns a contiguous range of the task's monitors and speaks
-//! the [`super::wire`] protocol to the coordinator: it dials, sends an
-//! [`AgentHello`](super::wire::AgentHello), then loops decoding
-//! [`ServerFrame`](super::wire::ServerFrame) lines, feeding each control
-//! frame a line carries to its [`SlotTable`] — the table an in-process
-//! task session steps itself, which is what makes report parity
-//! possible — and answering each line with its replies as one send
-//! ([`encode_replies`]): a run of tick reports or poll replies is one
-//! line.
-//!
-//! Robustness lives here too: when the connection dies (coordinator
-//! restart, injected storm, plain TCP reset) the agent re-dials with
-//! jittered exponential backoff and re-handshakes — the hello carries
-//! the hosted monitor set, and a `Revived` frame per live monitor tells
-//! the coordinator's quarantine machinery to await them again (it
-//! answers with each monitor's ledger allowance). Jitter is
-//! a deterministic hash of `(agent, attempt)`, so a storm of N agents
-//! de-synchronizes without any of them sharing state.
+//! The agent: hosts a contiguous range of the task's monitors behind one
+//! socket. Its side of the protocol is an [`AgentMachine`] — bytes in,
+//! bytes out, no clock, no socket — and [`run_agent`] is the thin
+//! blocking driver that owns the socket and waits through the wall
+//! [`Clock`]. Connected, the machine emits the [`AgentHello`] and a
+//! `Revived` frame per live monitor; it hands each [`ServerFrame`] line's
+//! frames to its [`SlotTable`] — the table an in-process session steps,
+//! hence report parity — and answers the line as one send
+//! ([`encode_replies`]), and says goodbye (an empty line) once its last
+//! monitor is shut down; closed, it names the next dial's delay: none
+//! after a welcomed session, else a jittered exponential backoff (a hash
+//! of `(agent, attempt)`, so a storm's agents de-synchronize) counted
+//! toward [`BackoffConfig::max_retries_per_outage`].
 
-use std::io::{Read, Write};
+use std::fmt;
+use std::io::{ErrorKind, Read, Write};
 use std::ops::Range;
-use std::thread;
 use std::time::Duration;
 
 use serde::Serialize;
@@ -30,14 +23,15 @@ use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 
 use crate::message::{decode_line, encode_into, MonitorFrame, MonitorToCoordinator};
-use crate::monitor::{MonitorSlot, SlotTable};
+use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
 use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::faults::mix;
-use super::server::NetAddr;
+use super::server::{NetAddr, Socket};
 use super::wire::{encode_replies, AgentHello, ServerFrame};
+use super::{Clock, WallClock};
 
 /// Reconnect backoff policy: exponential from `base` to `cap`, with
 /// deterministic per-agent jitter in `[0.5, 1.0]` of the nominal delay.
@@ -47,7 +41,8 @@ pub struct BackoffConfig {
     pub base: Duration,
     /// Ceiling for the exponential delay (pre-jitter).
     pub cap: Duration,
-    /// Consecutive failed dials tolerated per outage before giving up.
+    /// Consecutive failed dials tolerated per outage before giving up; a
+    /// connection that closes before its welcome counts as one.
     pub max_retries_per_outage: u32,
 }
 
@@ -74,7 +69,7 @@ pub struct AgentConfig {
     /// The slice of `spec` monitors this agent hosts (end-exclusive
     /// indexes into [`TaskSpec::monitors`]).
     pub monitors: Range<u32>,
-    /// Frame cap and socket timeouts.
+    /// Frame cap and write timeout.
     pub transport: TransportConfig,
     /// Reconnect policy.
     pub backoff: BackoffConfig,
@@ -87,14 +82,14 @@ pub struct AgentReport {
     pub agent: u32,
     /// Monitors hosted.
     pub monitors: u32,
-    /// Lines written to the coordinator after each hello: a
+    /// Reply lines written to the coordinator (no hello or goodbye): a
     /// [`ReplyBatch`](super::wire::ReplyBatch) counts once, as does each
     /// reply that travels alone.
     pub frames_sent: u64,
-    /// [`ServerFrame`](super::wire::ServerFrame) lines decoded off the
-    /// socket, however many monitors each carried.
+    /// [`ServerFrame`] lines decoded off the socket, however many
+    /// monitors each carried.
     pub frames_received: u64,
-    /// Successful re-dials after losing an established connection.
+    /// Sessions welcomed after an earlier welcomed one was lost.
     pub reconnects: u64,
 }
 
@@ -108,150 +103,181 @@ pub struct AgentReport {
 /// bounds or empty, or when an outage outlasts
 /// [`BackoffConfig::max_retries_per_outage`].
 pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, VolleyError> {
-    let n = config.spec.monitors().len();
-    if config.monitors.start >= config.monitors.end || config.monitors.end as usize > n {
-        return Err(VolleyError::InvalidConfig {
-            parameter: "net",
-            reason: format!(
-                "agent {} monitor range {:?} out of bounds for {n} monitors",
-                config.agent, config.monitors
-            ),
-        });
+    let mut machine = AgentMachine::new(config)?;
+    let (mut clock, write_timeout) = (WallClock, config.transport.write_timeout);
+    loop {
+        let session = config.addr.connect(write_timeout);
+        let lost = match session.and_then(|mut socket| serve(&mut machine, &mut socket)) {
+            Ok(()) => return Ok(machine.report), // every monitor shut down
+            Err(lost) => lost,
+        };
+        let delay = machine.closed(&lost)?;
+        clock.wait_until(clock.now() + delay, None);
+    }
+}
+
+/// Serves one connection — the handshake, then one read, every complete
+/// line it finishes, one write — until every hosted monitor is shut
+/// down, or the connection is lost.
+fn serve(machine: &mut AgentMachine, socket: &mut Socket) -> std::io::Result<()> {
+    // One write buffer: the machine encodes into it in place.
+    let (mut chunk, mut out) = ([0u8; 16 * 1024], Vec::new());
+    machine.connected(&mut out);
+    loop {
+        let sent = socket.write_all(&out);
+        out.clear();
+        if machine.finished() {
+            return Ok(()); // the goodbye is best-effort
+        }
+        sent?;
+        let k = match socket.read(&mut chunk) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Err(err) if err.kind() == ErrorKind::Interrupted => 0,
+            read => read?,
+        };
+        if !machine.on_bytes(&chunk[..k], &mut out) {
+            return Err(ErrorKind::InvalidData.into());
+        }
+    }
+}
+
+/// The agent's side of the protocol, sans IO: the hosted slot table, the
+/// read buffer and the report; bytes and connection events in, bytes and
+/// dial delays out.
+pub(crate) struct AgentMachine {
+    hosted: Range<u32>,
+    max_frame: usize,
+    backoff: BackoffConfig,
+    table: SlotTable,
+    frames: FrameBuffer,
+    /// The replies to the line being answered, as values.
+    replies: Vec<MonitorFrame>,
+    pub(crate) report: AgentReport,
+    /// Whether the current connection, and whether any, was welcomed.
+    welcomed: (bool, bool),
+    /// Failed dials in this outage, and in the agent's life.
+    retries: u32,
+    attempts: u64,
+}
+
+impl AgentMachine {
+    /// The machine of `config`'s agent, its monitors built by the
+    /// session's recipe: a fault-free run samples as one in process does.
+    pub(crate) fn new(config: &AgentConfig) -> Result<Self, VolleyError> {
+        let (n, hosted) = (config.spec.monitors().len(), config.monitors.clone());
+        if hosted.is_empty() || hosted.end as usize > n {
+            let agent = config.agent;
+            return Err(invalid(format!(
+                "agent {agent} monitor range {hosted:?} out of bounds for {n} monitors"
+            )));
+        }
+        let actors = hosted
+            .clone()
+            .map(|m| monitor_actor(&config.spec, m as usize));
+        let max_frame = config.transport.max_frame_size;
+        Ok(AgentMachine {
+            table: SlotTable::new(hosted.start, actors.map(MonitorSlot::new).collect()),
+            frames: FrameBuffer::new(max_frame),
+            replies: Vec::new(),
+            report: AgentReport {
+                agent: config.agent,
+                monitors: hosted.len() as u32,
+                ..AgentReport::default()
+            },
+            hosted,
+            max_frame,
+            backoff: config.backoff,
+            welcomed: (false, false),
+            retries: 0,
+            attempts: 0,
+        })
     }
 
-    // The hosted actors come from the session's recipe, so a fault-free
-    // networked run is sample-for-sample identical to an in-process one.
-    let actors = config
-        .monitors
-        .clone()
-        .map(|m| monitor_actor(&config.spec, m as usize));
-    let slots = actors.map(MonitorSlot::new).collect();
-    let mut table = SlotTable::new(config.monitors.start, slots);
-
-    let mut report = AgentReport {
-        agent: config.agent,
-        monitors: config.monitors.end - config.monitors.start,
-        ..AgentReport::default()
-    };
-    let mut ever_connected = false;
-    let mut attempt_total: u64 = 0;
-
-    'outer: loop {
-        // --- dial, with jittered exponential backoff per outage ---
-        let mut socket = {
-            let mut retries = 0u32;
-            loop {
-                match config.addr.connect() {
-                    Ok(sock) => break sock,
-                    Err(err) => {
-                        retries += 1;
-                        attempt_total += 1;
-                        if retries > config.backoff.max_retries_per_outage {
-                            return Err(VolleyError::InvalidConfig {
-                                parameter: "net",
-                                reason: format!(
-                                    "agent {}: gave up dialing {} after {retries} attempts: {err}",
-                                    config.agent, config.addr
-                                ),
-                            });
-                        }
-                        thread::sleep(backoff_delay(
-                            &config.backoff,
-                            config.agent,
-                            attempt_total,
-                            retries,
-                        ));
-                    }
-                }
-            }
-        };
-        socket
-            .set_read_timeout(config.transport.read_timeout)
-            .and_then(|()| socket.set_write_timeout(config.transport.write_timeout))
-            .map_err(|e| net_err(config.agent, "configuring socket", &e))?;
-        if ever_connected {
-            report.reconnects += 1;
-        }
-        ever_connected = true;
-
-        // --- handshake: hello + Revived per live monitor ---
-        let actors = || table.slots().iter().map(MonitorSlot::actor);
+    /// A connection is up: appends the hello and a `Revived` frame per
+    /// live monitor to `out`.
+    pub(crate) fn connected(&mut self, out: &mut Vec<u8>) {
+        self.frames = FrameBuffer::new(self.max_frame);
+        let actors = self.table.slots().iter().map(MonitorSlot::actor);
         let hello = AgentHello {
-            agent: config.agent,
-            monitors: actors().map(|actor| actor.id().0).collect(),
-            epoch: actors().map(|actor| actor.epoch()).max().unwrap_or(0),
+            agent: self.report.agent,
+            first: self.hosted.start,
+            count: self.hosted.len() as u32,
+            epoch: actors.map(MonitorActor::epoch).max().unwrap_or(0),
         };
-        // One write buffer per connection: frames are encoded in place
-        // and leave in batches.
-        let mut wbuf: Vec<u8> = Vec::new();
-        encode_into(&hello, &mut wbuf);
-        let mut revived = 0u64;
-        for slot in table.slots().iter().filter(|slot| slot.alive()) {
-            let actor = slot.actor();
-            let notice = MonitorFrame {
-                epoch: actor.epoch(),
-                msg: MonitorToCoordinator::Revived {
-                    monitor: actor.id(),
-                },
-            };
-            encode_into(&notice, &mut wbuf);
-            revived += 1;
+        encode_into(&hello, out);
+        for slot in self.table.slots().iter().filter(|slot| slot.alive()) {
+            let (epoch, monitor) = (slot.actor().epoch(), slot.actor().id());
+            let msg = MonitorToCoordinator::Revived { monitor };
+            encode_into(&MonitorFrame { epoch, msg }, out);
+            self.report.frames_sent += 1;
         }
-        if socket.write_all(&wbuf).is_err() {
-            continue 'outer; // dial again; the listener may not be up yet
-        }
-        report.frames_sent += revived;
-        wbuf.clear();
+    }
 
-        // --- serve until shutdown or disconnect ---
-        let mut frames = FrameBuffer::new(config.transport.max_frame_size);
-        let mut chunk = [0u8; 16 * 1024];
-        let mut replies = Vec::new();
+    /// Bytes arrived: each line they complete is decoded where it lies,
+    /// its frames delivered to the hosted slots and its replies appended
+    /// to `out` as one send — and, once the last hosted monitor is shut
+    /// down, the goodbye the coordinator's teardown waits for: an empty
+    /// line. `false` for an oversized or garbled line: the connection
+    /// must go, to re-handshake on a clean buffer.
+    pub(crate) fn on_bytes(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> bool {
+        let finished = self.finished();
+        self.frames.extend(bytes);
         loop {
-            // Drain every complete frame before touching the socket again.
-            loop {
-                // Decoded where it lies in the read buffer: no copy.
-                let line = match frames.next_line() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => break,
-                    // Oversized/garbled server frame: drop the connection
-                    // and re-handshake on a clean buffer.
-                    Err(_) => continue 'outer,
-                };
-                let frame: ServerFrame = match decode_line(line) {
+            let frame = match self.frames.next_line() {
+                Ok(Some(line)) => match decode_line::<ServerFrame>(line) {
                     Ok(frame) => frame,
-                    Err(_) => continue 'outer,
-                };
-                report.frames_received += 1;
-                frame.expand(config.monitors.clone(), |to, control| {
-                    table.deliver(to, control, &mut |reply| replies.push(reply));
-                });
-                // The one place a monitor's reply becomes bytes: the
-                // replies to one line leave as one send.
-                let max_frame = config.transport.max_frame_size;
-                report.frames_sent += encode_replies(&replies, max_frame, &mut wbuf);
-                replies.clear();
-            }
-            if !wbuf.is_empty() {
-                if socket.write_all(&wbuf).is_err() {
-                    continue 'outer;
-                }
-                wbuf.clear();
-            }
-            if table.finished() {
-                return Ok(report); // every monitor shut down cleanly
-            }
-            match socket.read(&mut chunk) {
-                Ok(0) => continue 'outer, // peer closed: reconnect
-                Ok(k) => frames.extend(&chunk[..k]),
-                Err(err) => match err.kind() {
-                    std::io::ErrorKind::WouldBlock
-                    | std::io::ErrorKind::TimedOut
-                    | std::io::ErrorKind::Interrupted => {}
-                    _ => continue 'outer,
+                    Err(_) => return false,
                 },
+                Ok(None) if !finished && self.table.finished() => {
+                    out.push(b'\n');
+                    return true;
+                }
+                Ok(None) => return true,
+                Err(_) => return false,
+            };
+            self.report.frames_received += 1;
+            if matches!(frame, ServerFrame::Welcome { .. }) && !self.welcomed.0 {
+                self.report.reconnects += u64::from(self.welcomed.1);
+                (self.welcomed, self.retries) = ((true, true), 0);
             }
+            let (table, replies) = (&mut self.table, &mut self.replies);
+            frame.expand(self.hosted.clone(), |to, control| {
+                table.deliver(to, control, &mut |reply| replies.push(reply));
+            });
+            // The one place a monitor's reply becomes bytes.
+            self.report.frames_sent += encode_replies(replies, self.max_frame, out);
+            replies.clear();
         }
+    }
+
+    /// Whether every hosted monitor has been shut down.
+    pub(crate) fn finished(&self) -> bool {
+        self.table.finished()
+    }
+
+    /// The connection closed, or a dial failed (`cause`): the wait before
+    /// the next dial — none after a welcomed session, a backoff step
+    /// otherwise — or the give-up error once the outage's budget is spent.
+    pub(crate) fn closed(&mut self, cause: &dyn fmt::Display) -> Result<Duration, VolleyError> {
+        if std::mem::take(&mut self.welcomed.0) {
+            return Ok(Duration::ZERO);
+        }
+        (self.retries, self.attempts) = (self.retries + 1, self.attempts + 1);
+        let (agent, retries) = (self.report.agent, self.retries);
+        if retries > self.backoff.max_retries_per_outage {
+            return Err(invalid(format!(
+                "agent {agent}: gave up after {retries} failed dials: {cause}"
+            )));
+        }
+        Ok(backoff_delay(&self.backoff, agent, self.attempts, retries))
+    }
+}
+
+/// A `net` configuration error.
+fn invalid(reason: String) -> VolleyError {
+    VolleyError::InvalidConfig {
+        parameter: "net",
+        reason,
     }
 }
 
@@ -264,16 +290,97 @@ fn backoff_delay(cfg: &BackoffConfig, agent: u32, attempt_total: u64, retries: u
     nominal.mul_f64(jitter)
 }
 
-fn net_err(agent: u32, action: &str, err: &std::io::Error) -> VolleyError {
-    VolleyError::InvalidConfig {
-        parameter: "net",
-        reason: format!("agent {agent}: {action}: {err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::thread;
+
     use super::*;
+    use crate::net::welcome_line;
+
+    fn machine(monitors: Range<u32>, backoff: BackoffConfig) -> AgentMachine {
+        let spec = TaskSpec::builder(100.0 * f64::from(monitors.end))
+            .monitors(monitors.end as usize)
+            .error_allowance(0.01)
+            .build()
+            .unwrap();
+        let config = AgentConfig {
+            agent: 3,
+            addr: NetAddr::Tcp("127.0.0.1:1".into()),
+            spec,
+            monitors,
+            transport: TransportConfig::default(),
+            backoff,
+        };
+        AgentMachine::new(&config).unwrap()
+    }
+
+    /// A peer that accepts and closes before its welcome, every time: each
+    /// close is a failed dial of one outage — jittered delays that grow
+    /// to the cap, then the give-up error — never an immediate re-dial.
+    #[test]
+    fn a_peer_that_closes_before_the_welcome_backs_off_then_gives_up() {
+        let backoff = BackoffConfig {
+            base: Duration::from_millis(10),
+            cap: Duration::from_millis(200),
+            max_retries_per_outage: 8,
+        };
+        let mut agent = machine(0..2, backoff);
+        let mut delays = Vec::new();
+        let gave_up = loop {
+            let mut out = Vec::new();
+            agent.connected(&mut out);
+            assert!(out.starts_with(b"{\"agent\":3,"), "the hello leads");
+            match agent.closed(&"closed before the welcome") {
+                Ok(delay) => delays.push(delay),
+                Err(err) => break err,
+            }
+        };
+        assert_eq!(delays.len(), 8, "{delays:?}");
+        for (retry, delay) in (1..).zip(&delays) {
+            let nominal = (backoff.base * (1 << (retry - 1))).min(backoff.cap);
+            assert!(
+                *delay >= nominal / 2 && *delay <= nominal,
+                "{retry}: {delay:?}"
+            );
+        }
+        assert!(delays[7] > delays[0] * 4, "growing: {delays:?}");
+        assert!(gave_up.to_string().contains("gave up after 9 failed dials"));
+
+        // A welcome ends the outage: the loss of a welcomed session
+        // re-dials at once, and the next outage has the whole budget.
+        let mut agent = machine(0..2, backoff);
+        let mut out = Vec::new();
+        for session in 0..3 {
+            for _ in 0..8 {
+                assert!(agent.closed(&"refused").unwrap() > Duration::ZERO);
+            }
+            agent.connected(&mut out);
+            assert!(agent.on_bytes(&welcome_line(0), &mut out));
+            assert_eq!(agent.closed(&"kicked"), Ok(Duration::ZERO), "{session}");
+        }
+        assert_eq!(agent.report.reconnects, 2, "welcomed after a lost one");
+    }
+
+    /// The hello names the hosted range, not its members: its line stays
+    /// short whatever the range's size — a 13 000-monitor agent's hello
+    /// fits any frame cap a one-monitor agent's does.
+    #[test]
+    fn a_hello_line_does_not_grow_with_the_range() {
+        let hello = |monitors: Range<u32>| {
+            let mut agent = machine(monitors, BackoffConfig::default());
+            let mut out = Vec::new();
+            agent.connected(&mut out);
+            let end = out.iter().position(|&b| b == b'\n').unwrap();
+            out.truncate(end + 1);
+            out
+        };
+        let one = hello(10_000..10_001);
+        let all = hello(10_000..13_000);
+        assert_eq!(all.len() - one.len(), 3, "the count's digits only");
+        assert!(all.len() < 64, "{} bytes", all.len());
+        let back: AgentHello = decode_line(&all).unwrap();
+        assert_eq!((back.first, back.count), (10_000, 3_000));
+    }
 
     #[test]
     fn backoff_grows_and_caps() {
@@ -310,7 +417,7 @@ mod tests {
     #[test]
     fn the_agent_writes_exactly_the_encoding_of_each_reply_frame() {
         use crate::message::{ControlFrame, CoordinatorToMonitor, TickData};
-        use crate::net::{ctl_line, encode_controls, welcome_line};
+        use crate::net::{ctl_line, encode_controls};
         use std::io::{BufRead, BufReader};
 
         let spec = TaskSpec::builder(300.0)
@@ -391,6 +498,11 @@ mod tests {
             },
         };
         socket.write_all(&crate::message::encode(&fan)).unwrap();
+        assert_eq!(
+            read_line(),
+            b"\n",
+            "the goodbye, once every monitor is shut down"
+        );
         let report = agent.join().unwrap();
         assert_eq!(
             sent, 6,

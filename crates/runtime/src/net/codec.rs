@@ -1,17 +1,13 @@
 //! Incremental frame reassembly for nonblocking sockets.
 //!
-//! A blocking reader over [`std::io::BufRead`] can park until a full
-//! line arrives. A nonblocking event loop cannot — reads return whatever bytes the
-//! kernel has, cut at arbitrary boundaries, so frames must be
-//! reassembled across reads. [`FrameBuffer`] does exactly that: feed it
-//! raw chunks with [`extend`](FrameBuffer::extend), pop complete frames
-//! with [`next_frame`](FrameBuffer::next_frame).
-//!
-//! The size cap: a frame whose payload (excluding the terminating
-//! newline) exceeds it is an error — detected as soon as the buffered
-//! bytes prove it, without waiting for a newline a hostile peer may
-//! never send. `tests/proptest_net_codec.rs` holds [`FrameBuffer`] to a
-//! blocking reference reader with the same cap, frame for frame.
+//! A nonblocking read returns whatever bytes the kernel has, cut at
+//! arbitrary boundaries: [`FrameBuffer`] takes raw chunks
+//! ([`extend`](FrameBuffer::extend)) and pops complete frames
+//! ([`next_frame`](FrameBuffer::next_frame)). A frame whose payload
+//! (sans newline) exceeds the cap is an error as soon as the buffered
+//! bytes prove it, without waiting for a newline a hostile peer may never
+//! send. `tests/proptest_net_codec.rs` holds it to a blocking reference
+//! reader with the same cap, frame for frame.
 
 use bytes::Bytes;
 

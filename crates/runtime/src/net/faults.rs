@@ -1,16 +1,11 @@
 //! Socket-level fault injection: reconnect storms for `chaos --net`.
 //!
-//! The in-process [`volley_core::failure::FaultPlan`] perturbs *frames*
-//! (drop/dup/delay). A networked deployment has a failure mode frames
-//! can't express: whole connections dying and re-dialing. [`NetFaultPlan`]
-//! schedules those — at storm ticks the coordinator force-closes the
-//! chosen agents' sockets, ahead of that tick's frames, and the agents'
-//! own backoff/re-handshake machinery has to win the race against the
-//! tick deadline.
-//!
-//! Victim selection is a pure hash of `(seed, tick, agent)`, so a storm
-//! schedule is reproducible across runs and across processes without any
-//! shared RNG state.
+//! The in-process [`volley_core::failure::FaultPlan`] perturbs frames; a
+//! networked deployment also loses whole connections. At a
+//! [`NetFaultPlan`] storm tick the coordinator closes the chosen agents'
+//! sockets ahead of that tick's frames, and the agents must re-dial and
+//! re-handshake. Victims are a pure hash of `(seed, tick, agent)`, so a
+//! schedule repeats across runs and processes with no shared state.
 
 /// Deterministic schedule of connection-level faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,11 +34,6 @@ impl NetFaultPlan {
         self.storm_every = every;
         self.storm_fraction = fraction.clamp(0.0, 1.0);
         self
-    }
-
-    /// Whether this plan ever injects anything.
-    pub fn is_active(&self) -> bool {
-        self.storm_every > 0 && self.storm_fraction > 0.0
     }
 
     /// Whether a storm fires at `tick`.
@@ -81,7 +71,6 @@ mod tests {
     #[test]
     fn inactive_plan_never_severs() {
         let plan = NetFaultPlan::new(42);
-        assert!(!plan.is_active());
         for tick in 0..100 {
             for agent in 0..8 {
                 assert!(!plan.severs(tick, agent));
@@ -92,7 +81,6 @@ mod tests {
     #[test]
     fn storms_fire_on_schedule() {
         let plan = NetFaultPlan::new(1).with_storm(10, 1.0);
-        assert!(plan.is_active());
         assert!(plan.storm_at(9));
         assert!(plan.storm_at(19));
         assert!(!plan.storm_at(10));

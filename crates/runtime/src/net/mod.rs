@@ -1,26 +1,17 @@
-//! Networked deployment: agents and a socket-serving coordinator.
-//!
-//! Everything the in-process runner proves about the protocol — epoch
-//! fencing, tick deadlines, quarantine/degraded aggregation — carries
-//! over unchanged, because the same actors run on both sides; this
-//! module only replaces the channel transport with sockets:
-//!
-//! - [`NetCoordinator`] binds a TCP or Unix listener and drives the task
-//!   over a fleet of connected agents, stepping their nonblocking
-//!   sockets on its own thread (bounded per-connection queues, batched
-//!   writes, idle reaping).
-//! - The wire ([`ServerFrame`], [`ReplyBatch`]) carries a run of
-//!   consecutive monitors' frames as one line, so a tick costs an agent
-//!   a line per phase, not a line per monitor; [`encode_controls`],
-//!   [`encode_replies`], [`ServerFrame::expand`] and
-//!   [`expand_reply_line`] are its codec.
-//! - [`run_agent`] hosts a slice of the task's monitors behind one
-//!   socket, reconnecting with jittered exponential backoff and the
-//!   `Revived` re-handshake when the connection dies.
-//! - [`NetFaultPlan`] injects connection-level faults (reconnect
-//!   storms) for `volley chaos --net`.
-//!
-//! See `DESIGN.md` §14 for the wire format and connection state machine.
+//! Networked deployment: the in-process actors, over sockets.
+//! [`NetCoordinator`] drives the task over a fleet of agents on one
+//! thread; [`run_agent`] hosts a slice of the monitors behind one socket,
+//! a blocking driver around the agent's sans-IO machine; the wire
+//! ([`ServerFrame`], [`ReplyBatch`]) carries a run of consecutive
+//! monitors' frames as one line ([`encode_controls`], [`encode_replies`],
+//! [`ServerFrame::expand`], [`expand_reply_line`]); [`NetFaultPlan`]
+//! schedules reconnect storms for `volley chaos --net`. Every time read
+//! and wait goes through one crate-private `Clock`: the wall clock in
+//! production; in tests, a virtual one that runs the real socket plane
+//! against real agent machines on one thread, from one seed. See
+//! `DESIGN.md` §14.
+
+use std::time::{Duration, Instant};
 
 mod agent;
 mod codec;
@@ -37,3 +28,34 @@ pub use wire::{
     ctl_line, encode_controls, encode_replies, expand_reply_line, welcome_line, AgentHello,
     ReplyBatch, ServerFrame,
 };
+
+/// The one source of time of the socket plane and the agent driver.
+pub(crate) trait Clock: Send {
+    /// The current instant.
+    fn now(&self) -> Instant;
+    /// Waits until `until`; `io`, when given, is the caller's own wait on
+    /// its sockets, handed the longest it may block: all the time left on
+    /// the wall clock, so a ready socket ends the wait early; zero on a
+    /// virtual clock, which runs its world and moves time on instead.
+    fn wait_until(&mut self, until: Instant, io: Option<&mut dyn FnMut(Duration)>);
+}
+
+/// Real time: a wait is the caller's `poll`, or a sleep.
+pub(crate) struct WallClock;
+
+impl Clock for WallClock {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn wait_until(&mut self, until: Instant, io: Option<&mut dyn FnMut(Duration)>) {
+        let left = until.saturating_duration_since(Instant::now());
+        match io {
+            Some(io) => io(left),
+            None => std::thread::sleep(left),
+        }
+    }
+}
+
+#[cfg(test)]
+mod sweep;

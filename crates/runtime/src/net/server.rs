@@ -1,60 +1,44 @@
 //! The networked coordinator: one remote-plane task session — driven by
-//! the same loop [`crate::runner::TaskRunner`] runs in-process — whose
-//! monitor plane is every agent socket, multiplexed by one readiness
-//! reactor ([`volley_serve::reactor`], `poll(2)`).
+//! the loop [`crate::runner::TaskRunner`] runs in-process — whose monitor
+//! plane is every agent socket, multiplexed by one `poll(2)` reactor
+//! ([`volley_serve::reactor`]) on the thread that calls
+//! [`NetCoordinator::run`]. The session's [`SocketPlane`] (listener,
+//! reactor, and a [`reactor::Table`](volley_serve::reactor::Table) over
+//! this module's line-frame [`Protocol`]) is stepped, never served:
 //!
-//! ## Architecture
-//!
-//! One thread does everything, the one that calls
-//! [`NetCoordinator::run`]. The session's [`SocketPlane`] owns the
-//! listener, the reactor and the connection table
-//! ([`reactor::Table`](volley_serve::reactor::Table) over this module's
-//! line-frame [`Protocol`]) and is stepped, never served:
-//!
-//! - **outbound**: a session send hands the plane `(monitor, frame)`
-//!   *values*; each is routed by monitor id to the owning connection,
-//!   each run of them for consecutive monitors behind one connection is
-//!   encoded as one line — [`ServerFrame::Ticks`], [`ServerFrame::Fan`],
-//!   or [`ServerFrame::Ctl`] for a run of one, split under the frame
-//!   cap — straight into that connection's write batch (bounded — see
-//!   below), and every batch is written before the send returns, with
-//!   partial-write carry-over for a peer that does not take it whole;
-//! - **inbound**: when the coordinator machine
-//!   ([`crate::coordinator::CoordinatorActor`]) has nothing left to do,
-//!   the session turns the table — wait in `poll` at most until the
-//!   armed deadline, accept, read, [`FrameBuffer`] reassembly, flush,
-//!   reap — until complete agent lines are in the plane's inbox, and
-//!   hands the machine all of them as one payload, which it expands
-//!   into the per-monitor frames the lines carry. The machine cannot
-//!   tell the transport changed, and the report is folded by the
-//!   session, which is what makes bit-for-bit parity with the
-//!   in-process runner hold by construction;
+//! - **outbound**: a send routes `(monitor, frame)` values by id and
+//!   encodes each run for consecutive monitors behind one connection as
+//!   one [`ServerFrame`](super::ServerFrame) line, split under the frame
+//!   cap, into that connection's write batch, written before it returns;
+//! - **inbound**: when the coordinator machine has nothing left to do,
+//!   the session turns the table — `poll` until the armed deadline,
+//!   accept, read, [`FrameBuffer`] reassembly, flush, reap — until agent
+//!   lines are in the inbox, and hands them to the machine as one
+//!   payload: the machine cannot tell the transport changed, so parity
+//!   with the in-process runner holds by construction;
 //! - **between ticks** the drive loop's hook turns the same table for
-//!   fleet assembly, tick pacing, storm kicks and the teardown drain.
-//!   Nothing sleeps on a guess: every wait is a `poll` whose timeout is
-//!   the caller's deadline or the next idle reap.
+//!   fleet assembly, pacing, storm kicks and the teardown drain, which
+//!   lasts until every agent has said goodbye.
 //!
-//! ## Robustness policy
+//! Every deadline is read off the plane's [`Clock`], and every wait is a
+//! `poll` it times out: at the deadline or the next idle reap on the wall
+//! clock; at once on the sweep's virtual clock, whose wait steps its
+//! agents instead.
 //!
-//! - *Slow peers*: the monitor frames a connection holds accepted and
-//!   not yet written are capped ([`NetCoordinator::with_queue_cap`]; a
-//!   line counts as the frames it carries). Overflow drops the frames
-//!   over the cap and counts a backpressure stall for each — the
-//!   monitor then misses its tick deadline and the existing
-//!   quarantine/degraded-mode path takes over. Memory stays bounded no
-//!   matter how slow a peer is.
-//! - *Half-open connections*: sockets silent longer than the idle
-//!   timeout are closed; a live agent re-dials and re-handshakes.
-//! - *Reconnect storms*: a [`NetFaultPlan`](super::faults::NetFaultPlan)
-//!   severs a fraction of agents at storm ticks — their sockets are
-//!   closed in place, before that tick's frames are routed; accept +
-//!   hello re-registration is O(1) per connection, so a storm is
-//!   absorbed without disturbing other connections.
+//! Robustness: a connection holds at most the queue cap of monitor
+//! frames accepted and not yet written ([`NetCoordinator::with_queue_cap`];
+//! a line counts as the frames it carries). A send that finds the queue
+//! full flushes it first, so a peer that reads loses nothing; what the
+//! kernel will not take is dropped, counted as backpressure, and its
+//! monitor falls to the quarantine path. Silent sockets are reaped after
+//! the idle timeout; a storm ([`NetFaultPlan`](super::faults::NetFaultPlan))
+//! closes its victims' sockets before that tick's frames are routed.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 #[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
 #[cfg(unix)]
@@ -71,14 +55,15 @@ use volley_obs::{names, Counter, Gauge, Obs};
 use volley_serve::reactor::{Conn, Fd, Pollable, Protocol, Reactor, Table};
 use volley_serve::ServePublisher;
 
-use crate::message::{decode_line, encode_into, ControlFrame, TickSummary};
+use crate::message::{decode_line, ControlFrame, TickSummary};
 use crate::runner::{RuntimeReport, TaskRunner};
 use crate::session::{self, Hook, Task, TaskSession};
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::faults::NetFaultPlan;
-use super::wire::{control_runs, AgentHello, ServerFrame};
+use super::wire::{control_runs, welcome_line, AgentHello};
+use super::{Clock, WallClock};
 
 /// Default bound on how long the coordinator lets one collection phase
 /// wait for its agents' replies. Generous next to the microseconds a
@@ -107,44 +92,32 @@ impl fmt::Display for NetAddr {
 }
 
 impl NetAddr {
-    /// Dials the address (blocking connect).
-    pub(crate) fn connect(&self) -> std::io::Result<Socket> {
+    /// Dials the address (blocking connect), bounding the socket's
+    /// writes by `write_timeout`.
+    pub(crate) fn connect(&self, write_timeout: Option<Duration>) -> std::io::Result<Socket> {
         match self {
             NetAddr::Tcp(addr) => {
                 let stream = TcpStream::connect(addr)?;
                 stream.set_nodelay(true)?;
+                stream.set_write_timeout(write_timeout)?;
                 Ok(Socket::Tcp(stream))
             }
             #[cfg(unix)]
-            NetAddr::Unix(path) => Ok(Socket::Unix(UnixStream::connect(path)?)),
+            NetAddr::Unix(path) => {
+                let stream = UnixStream::connect(path)?;
+                stream.set_write_timeout(write_timeout)?;
+                Ok(Socket::Unix(stream))
+            }
         }
     }
 }
 
-/// A connected stream, TCP or Unix, with uniform socket-option access.
+/// A connected stream, TCP or Unix.
 #[derive(Debug)]
 pub(crate) enum Socket {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
-}
-
-impl Socket {
-    pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Socket::Tcp(s) => s.set_read_timeout(dur),
-            #[cfg(unix)]
-            Socket::Unix(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    pub(crate) fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Socket::Tcp(s) => s.set_write_timeout(dur),
-            #[cfg(unix)]
-            Socket::Unix(s) => s.set_write_timeout(dur),
-        }
-    }
 }
 
 #[cfg(unix)]
@@ -269,8 +242,8 @@ pub struct NetStats {
     pub connections_accepted: u64,
     /// Hellos from an agent id already seen — i.e. reconnects absorbed.
     pub reconnects: u64,
-    /// Agent lines (hellos excluded) forwarded to the coordinator: a
-    /// reply batch counts once.
+    /// Agent lines (hellos and goodbyes excluded) forwarded to the
+    /// coordinator: a reply batch counts once.
     pub frames_in: u64,
     /// Lines handed to a connection's write batch, welcomes included: a
     /// run of monitors' frames counts once.
@@ -279,7 +252,7 @@ pub struct NetStats {
     /// connection is dropped); a malformed line after the hello is
     /// skipped by the coordinator machine, not counted here.
     pub malformed_frames: u64,
-    /// Outbound monitor frames dropped because a peer's queue was full.
+    /// Outbound monitor frames the kernel would not take from a full queue.
     pub backpressure_drops: u64,
     /// Outbound monitor frames dropped because no live connection hosted
     /// the destination monitor.
@@ -308,10 +281,9 @@ pub struct NetRunOutcome {
 /// What the plane knows about one agent connection beyond its socket.
 struct AgentConn {
     frames: FrameBuffer,
-    /// `None` until a valid hello arrives.
-    agent: Option<u32>,
-    /// Monitors registered by this connection's hello.
-    monitors: Vec<u32>,
+    /// The agent and the monitors its hello registered; `None` until a
+    /// valid hello arrives.
+    hello: Option<(u32, Range<usize>)>,
 }
 
 /// A socket-serving coordinator bound to a listener and ready to run.
@@ -321,10 +293,8 @@ pub struct NetCoordinator {
     /// no supervisor, since a remote monitor restarts itself.
     runner: TaskRunner,
     /// The bound listener and the (still empty) connection table.
-    plane: SocketPlane,
-    /// Pause inserted before each tick — zero (default) runs ticks
-    /// back-to-back; tests injecting process faults use it to widen the
-    /// windows they race against.
+    pub(super) plane: SocketPlane,
+    /// Pause before each tick (default zero: back to back).
     tick_interval: Duration,
     wait_timeout: Duration,
     faults: NetFaultPlan,
@@ -404,9 +374,8 @@ impl NetCoordinator {
     }
 
     /// Frame-size cap: the longest line the coordinator reads, and the
-    /// longest it writes unless the line carries a single frame (the
-    /// coordinator's sockets never block, so the timeouts do not apply
-    /// to it).
+    /// longest it writes unless the line carries a single frame (its
+    /// sockets never block: the write timeout is the agents').
     pub fn with_transport(mut self, transport: TransportConfig) -> Self {
         self.plane.lines.max_frame = transport.max_frame_size;
         self
@@ -496,15 +465,16 @@ impl Hook for SocketTurn<'_> {
     /// the first deadline would instantly degrade the stragglers.
     fn start(&mut self, _: u64, sessions: &mut [TaskSession<'_>]) -> Result<(), VolleyError> {
         let plane = sessions[0].remote();
-        let assemble_by = Instant::now() + self.wait_timeout;
-        if plane.turn_until(assemble_by, |lines| lines.seen_count >= self.monitors) {
+        let assemble_by = plane.clock.now() + self.wait_timeout;
+        if plane.turn_until(assemble_by, |lines| lines.seen.iter().all(|&seen| seen)) {
             return Ok(());
         }
+        let seen = plane.lines.seen.iter().filter(|&&seen| seen).count();
         Err(VolleyError::InvalidConfig {
             parameter: "net",
             reason: format!(
-                "fleet incomplete: {}/{} monitors registered within {:?}",
-                plane.lines.seen_count, self.monitors, self.wait_timeout
+                "fleet incomplete: {seen}/{} monitors registered within {:?}",
+                self.monitors, self.wait_timeout
             ),
         })
     }
@@ -519,14 +489,16 @@ impl Hook for SocketTurn<'_> {
         if self.tick_interval > Duration::ZERO {
             // Pacing: nothing ends this wait early, but a re-dialling
             // agent's hello is absorbed during it.
-            plane.turn_until(Instant::now() + self.tick_interval, |_| false);
+            let until = plane.clock.now() + self.tick_interval;
+            plane.turn_until(until, |_| false);
         }
     }
 
     fn after_step(&mut self, _: Tick, _: usize, _: &TickSummary, session: &mut TaskSession<'_>) {
         if self.obs.enabled() {
+            let open = session.remote().table.conns().iter().flatten().count();
             let lines = &session.remote().lines;
-            self.conn_gauge.set(lines.open as f64);
+            self.conn_gauge.set(open as f64);
             self.queue_gauge.set(lines.stats.max_queue_depth as f64);
             let (reconnects, stalls) = self.counted;
             self.reconnects_total
@@ -537,20 +509,20 @@ impl Hook for SocketTurn<'_> {
         }
     }
 
-    /// Resends Shutdown every 50 ms while connections remain
-    /// (reconnecting agents that missed the first copy get another), for
-    /// at most 5 s, returning as soon as the last agent drains off. The
-    /// totals are read before the session's own parting copy.
+    /// Resends Shutdown every 50 ms, for at most 5 s, until every claimed
+    /// monitor's agent has said goodbye (one whose link dropped with the
+    /// Shutdown re-dials for another); the totals are read before the
+    /// session's own parting copy.
     fn stop(&mut self, sessions: &mut [TaskSession<'_>]) {
         let Some(session) = sessions.first_mut() else {
             return;
         };
-        let drain_by = Instant::now() + Duration::from_secs(5);
-        while session.remote().lines.open > 0 && Instant::now() < drain_by {
+        let drain_by = session.remote().clock.now() + Duration::from_secs(5);
+        while !session.remote().lines.drained() && session.remote().clock.now() < drain_by {
             session.broadcast_shutdown();
-            let resend_at = (Instant::now() + Duration::from_millis(50)).min(drain_by);
             let plane = session.remote();
-            plane.turn_until(resend_at, |lines| lines.open == 0);
+            let resend_at = (plane.clock.now() + Duration::from_millis(50)).min(drain_by);
+            plane.turn_until(resend_at, LineFrames::drained);
         }
         self.net = session.remote().stats();
     }
@@ -568,6 +540,8 @@ pub(crate) struct SocketPlane {
     /// When the phase waiting now gives up: [`arm`](Self::arm)ed as its
     /// requests leave.
     armed: Instant,
+    /// Every time read and wait of the plane and of its hook.
+    pub(super) clock: Box<dyn Clock>,
 }
 
 impl fmt::Debug for SocketPlane {
@@ -580,23 +554,22 @@ impl fmt::Debug for SocketPlane {
 }
 
 impl SocketPlane {
-    /// Binds the listener of a plane for `monitors` monitors, at the
-    /// defaults [`NetCoordinator`]'s builders override: 1 024 frames a
-    /// queue, 30 s of silence before a reap, the default frame cap and
-    /// tick deadline.
+    /// Binds a plane for `monitors` monitors on the wall clock, at the
+    /// defaults [`NetCoordinator`]'s builders override: a 1 024-frame
+    /// queue cap, a 30 s idle reap, the default frame cap and tick deadline.
     pub(crate) fn bind(addr: &NetAddr, monitors: usize) -> std::io::Result<Self> {
         Ok(SocketPlane {
             tick_deadline: DEFAULT_TICK_DEADLINE,
-            armed: Instant::now(),
+            armed: WallClock.now(),
+            clock: Box::new(WallClock),
             reactor: Reactor::new()?,
             table: Table::new(Duration::from_secs(30)),
             lines: LineFrames {
                 listener: Listener::bind(addr)?,
                 route: vec![None; monitors],
                 seen: vec![false; monitors],
-                seen_count: 0,
+                shut: vec![false; monitors],
                 agents: HashSet::new(),
-                open: 0,
                 inbox: Vec::new(),
                 queue_cap: 1024,
                 max_frame: TransportConfig::default().max_frame_size,
@@ -630,21 +603,23 @@ impl SocketPlane {
             if done(&self.lines) {
                 return true;
             }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            self.turn(wait);
-            if wait.is_zero() {
+            let last = self.clock.now() >= deadline;
+            let (table, reactor, lines) = (&mut self.table, &mut self.reactor, &mut self.lines);
+            let mut turn = |cap| {
+                table.step(reactor, lines, Some(cap));
+            };
+            self.clock.wait_until(deadline, Some(&mut turn));
+            if last {
                 return done(&self.lines);
             }
         }
     }
 
     /// Sends `frames` in order: each run of them for consecutive
-    /// monitors behind one connection ([`control_runs`]) is encoded
-    /// straight into that connection's write batch — as few lines as the
-    /// frame cap allows, the queue cap enforced frame by frame, a full
-    /// queue dropping the frames over it, not the peer — and every batch
-    /// leaves before this returns (what a slow peer does not take stays
-    /// for the next passes).
+    /// monitors behind one connection ([`control_runs`]) is encoded into
+    /// that connection's write batch in pieces under the queue cap — a
+    /// full queue is flushed first, and only what the kernel will not
+    /// take is dropped — and every batch leaves before this returns.
     pub(crate) fn send(&mut self, frames: impl IntoIterator<Item = (u32, ControlFrame)>) {
         let (conns, lines) = (self.table.conns(), &mut self.lines);
         let (route, stats) = (&lines.route, &mut lines.stats);
@@ -661,14 +636,23 @@ impl SocketPlane {
                 stats.unrouted_drops += run.len() as u64;
                 return;
             };
-            let take = run.len().min(queue_cap.saturating_sub(conn.queued()));
-            stats.backpressure_drops += (run.len() - take) as u64;
-            if take > 0 {
+            let mut staged = 0;
+            while staged < run.len() {
+                if conn.queued() >= queue_cap {
+                    conn.flush();
+                }
+                let take = (run.len() - staged).min(queue_cap.saturating_sub(conn.queued()));
+                if take == 0 {
+                    break; // the kernel takes no more
+                }
+                let part = staged..staged + take;
                 conn.stage(take, |batch| {
-                    stats.frames_out += run.write(take, max_frame, batch)
+                    stats.frames_out += run.write(part, max_frame, batch)
                 });
+                staged += take;
                 stats.max_queue_depth = stats.max_queue_depth.max(conn.queued() as u64);
             }
+            stats.backpressure_drops += (run.len() - staged) as u64;
         });
         for conn in conns.iter_mut().flatten() {
             if conn.pending_bytes() > 0 {
@@ -679,7 +663,7 @@ impl SocketPlane {
 
     /// Starts the collection deadline: one tick deadline from now.
     pub(crate) fn arm(&mut self) {
-        self.armed = Instant::now() + self.tick_deadline;
+        self.armed = self.clock.now() + self.tick_deadline;
     }
 
     /// Turns the table until monitor frames have arrived or the
@@ -695,7 +679,8 @@ impl SocketPlane {
     /// now: their sockets are closed when this returns.
     fn kick(&mut self, severs: impl Fn(u32) -> bool) {
         for conn in self.table.conns().iter_mut().flatten() {
-            if conn.is_open() && conn.state.agent.is_some_and(&severs) {
+            let agent = conn.state.hello.as_ref().map(|(agent, _)| *agent);
+            if conn.is_open() && agent.is_some_and(&severs) {
                 conn.close_now();
                 self.lines.stats.kicked += 1;
             }
@@ -710,14 +695,13 @@ struct LineFrames {
     listener: Listener,
     /// Monitor id → table slot of the connection hosting it.
     route: Vec<Option<usize>>,
-    /// Per-monitor "an agent has ever claimed this monitor" flags and
-    /// how many are set, for fleet assembly.
+    /// Per monitor: whether an agent has ever claimed it (fleet
+    /// assembly waits for all), and whether its agent said goodbye (the
+    /// teardown drain waits for every claimed one's).
     seen: Vec<bool>,
-    seen_count: usize,
+    shut: Vec<bool>,
     /// Agent ids with at least one hello: another one is a reconnect.
     agents: HashSet<u32>,
-    /// Live connection count (teardown waits for 0).
-    open: usize,
     /// Agent lines read and not yet handed to the coordinator machine,
     /// verbatim.
     inbox: Vec<u8>,
@@ -727,32 +711,30 @@ struct LineFrames {
 }
 
 impl LineFrames {
-    /// Registers a connection's first line: which agent, which monitors.
+    /// Whether every claimed monitor's agent has said goodbye.
+    fn drained(&self) -> bool {
+        self.shut == self.seen
+    }
+
+    /// Registers a connection's first line: the agent and its range.
     fn hello(&mut self, slot: usize, conn: &mut Conn<Self>, line: &[u8]) {
         let Ok(hello) = decode_line::<AgentHello>(line) else {
             self.stats.malformed_frames += 1;
             conn.close_now();
             return;
         };
-        conn.state.agent = Some(hello.agent);
-        for &monitor in &hello.monitors {
-            if let Some(entry) = self.route.get_mut(monitor as usize) {
-                // Later hellos win: a reconnecting agent's new socket
-                // takes over its monitors' routes.
-                *entry = Some(slot);
-                conn.state.monitors.push(monitor);
-                if !std::mem::replace(&mut self.seen[monitor as usize], true) {
-                    self.seen_count += 1;
-                }
-            }
-        }
+        let end = u64::from(hello.first) + u64::from(hello.count);
+        let end = end.min(self.route.len() as u64) as usize;
+        let monitors = (hello.first as usize).min(end)..end;
+        // Later hellos win: a re-dialled agent's socket takes the routes.
+        self.route[monitors.clone()].fill(Some(slot));
+        self.seen[monitors.clone()].fill(true);
+        conn.state.hello = Some((hello.agent, monitors));
         self.stats.reconnects += u64::from(!self.agents.insert(hello.agent));
         // The welcome bypasses the cap — it must reach even a peer whose
         // monitors are backlogged — and is the first line the agent
         // reads: no route led to this connection before its hello.
-        conn.stage(1, |batch| {
-            encode_into(&ServerFrame::Welcome { epoch: 0 }, batch)
-        });
+        conn.push(welcome_line(0));
         self.stats.frames_out += 1;
     }
 }
@@ -767,18 +749,17 @@ impl Protocol for LineFrames {
 
     fn accept(&mut self) -> std::io::Result<(Socket, AgentConn)> {
         let socket = self.listener.accept()?;
-        self.open += 1;
         self.stats.connections_accepted += 1;
         let state = AgentConn {
             frames: FrameBuffer::new(self.max_frame),
-            agent: None,
-            monitors: Vec::new(),
+            hello: None,
         };
         Ok((socket, state))
     }
 
-    /// Reassemble; the first line registers, the rest are agent lines
-    /// appended verbatim to the inbox — the newline-delimited payload
+    /// Reassemble; the first line registers, an empty line says goodbye
+    /// (every hosted monitor is shut down), and the rest are appended
+    /// verbatim to the inbox, the payload
     /// [`CoordinatorActor::on_payload`](crate::coordinator::CoordinatorActor::on_payload)
     /// expands.
     fn on_bytes(&mut self, slot: usize, conn: &mut Conn<Self>, bytes: &[u8]) {
@@ -788,14 +769,17 @@ impl Protocol for LineFrames {
         self.inbox.reserve_exact(conn.state.frames.pending());
         while conn.is_open() {
             match conn.state.frames.next_line() {
-                Ok(Some(line)) if conn.state.agent.is_some() => {
-                    self.inbox.extend_from_slice(line);
-                    self.stats.frames_in += 1;
-                }
-                Ok(Some(line)) => {
-                    let line = line.to_vec();
-                    self.hello(slot, conn, &line);
-                }
+                Ok(Some(line)) => match &conn.state.hello {
+                    Some((_, hosted)) if line == b"\n" => self.shut[hosted.clone()].fill(true),
+                    Some(_) => {
+                        self.inbox.extend_from_slice(line);
+                        self.stats.frames_in += 1;
+                    }
+                    None => {
+                        let line = line.to_vec();
+                        self.hello(slot, conn, &line);
+                    }
+                },
                 Ok(None) => break,
                 Err(_) => {
                     // Oversized frame: protocol violation, drop peer.
@@ -808,13 +792,13 @@ impl Protocol for LineFrames {
 
     /// Frees the connection's routes.
     fn on_close(&mut self, slot: usize, conn: Conn<Self>, idle: bool) {
-        for monitor in conn.state.monitors {
-            if self.route[monitor as usize] == Some(slot) {
-                self.route[monitor as usize] = None;
+        let hosted = conn.state.hello.map_or(0..0, |(_, monitors)| monitors);
+        for route in &mut self.route[hosted] {
+            if *route == Some(slot) {
+                *route = None;
             }
         }
         self.stats.idle_closed += u64::from(idle);
-        self.open -= 1;
     }
 }
 
@@ -825,7 +809,7 @@ mod tests {
 
     use super::*;
     use crate::message::{encode, CoordinatorToMonitor, TickData};
-    use crate::net::{ctl_line, welcome_line};
+    use crate::net::{ctl_line, ServerFrame};
 
     fn spec(n: usize) -> TaskSpec {
         TaskSpec::builder(100.0 * n as f64)
@@ -843,10 +827,11 @@ mod tests {
         (plane, addr)
     }
 
-    fn hello(agent: u32, monitors: &[u32]) -> bytes::Bytes {
+    fn hello(agent: u32, monitors: Range<u32>) -> bytes::Bytes {
         encode(&AgentHello {
             agent,
-            monitors: monitors.to_vec(),
+            first: monitors.start,
+            count: monitors.len() as u32,
             epoch: 0,
         })
     }
@@ -857,7 +842,7 @@ mod tests {
         plane: &mut SocketPlane,
         addr: SocketAddr,
         agent: u32,
-        monitors: &[u32],
+        monitors: Range<u32>,
     ) -> BufReader<TcpStream> {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&hello(agent, monitors)).unwrap();
@@ -914,24 +899,27 @@ mod tests {
         assert!(stream.nodelay().unwrap(), "TCP_NODELAY set on accept");
     }
 
+    /// The cap bounds what waits on a peer, not what one send carries:
+    /// one send of three frames for one connection under a cap of two
+    /// flushes the full queue before the third, so nothing is dropped
+    /// while the kernel takes bytes, and the queue never holds more than
+    /// the cap.
     #[test]
     fn bounded_queue_backpressure_and_unrouted_drops() {
         let (mut plane, addr) = plane(2, 2);
-        let mut peer = dial(&mut plane, addr, 0, &[0]);
+        let mut peer = dial(&mut plane, addr, 0, 0..1);
         let stop = CoordinatorToMonitor::Shutdown;
         let frame = ControlFrame {
             epoch: 0,
             msg: stop,
         };
 
-        // One send, three frames for one connection: the cap takes two,
-        // the third is dropped, not queued.
         plane.send([(0, frame), (0, frame), (0, frame)]);
-        assert_eq!(plane.stats().backpressure_drops, 1);
+        assert_eq!(plane.stats().backpressure_drops, 0);
         assert_eq!(plane.stats().max_queue_depth, 2);
         // What was accepted left with the send: the queue is free again.
         plane.send([(0, frame)]);
-        assert_eq!(plane.stats().backpressure_drops, 1);
+        assert_eq!(plane.stats().backpressure_drops, 0);
 
         // Monitor 1 has no live connection: the frame is dropped and
         // counted, never buffered.
@@ -939,10 +927,10 @@ mod tests {
         assert_eq!(plane.stats().unrouted_drops, 1);
 
         assert_eq!(line(&mut peer), welcome_line(0).to_vec());
-        for _ in 0..3 {
+        for _ in 0..4 {
             assert_eq!(line(&mut peer), ctl(0, 0, stop));
         }
-        assert_eq!(plane.stats().frames_out, 4);
+        assert_eq!(plane.stats().frames_out, 5);
     }
 
     /// A peer that stops reading: the kernel's buffers fill, then the
@@ -953,7 +941,7 @@ mod tests {
     fn a_stalled_peer_holds_at_most_the_cap_then_catches_up() {
         const CAP: usize = 4;
         let (mut plane, addr) = plane(1, CAP);
-        let mut peer = dial(&mut plane, addr, 0, &[0]);
+        let mut peer = dial(&mut plane, addr, 0, 0..1);
         let msg = |tick| CoordinatorToMonitor::Tick(TickData { tick, value: 0.5 });
         let mut sent = 0u64;
         while plane.stats().backpressure_drops == 0 {
@@ -998,15 +986,16 @@ mod tests {
         assert_eq!(plane.stats().backpressure_drops, 1, "the queue reopened");
     }
 
-    /// A stalled peer hosting four monitors under a cap of two: each
-    /// tick's one run is cut at the cap — the first two monitors' data
-    /// leave as one line that counts as two frames, the other two are
-    /// dropped — and once the kernel stops taking bytes, a whole run is
-    /// dropped. The peer, reading again, gets every accepted line.
+    /// A stalled peer hosting four monitors under a cap of two: while the
+    /// kernel takes bytes, each tick's run of four leaves whole, staged as
+    /// two lines of two frames with a flush between them; once it stops,
+    /// the queue holds exactly the cap — one line — and the frames over
+    /// it are dropped, a later run whole. The peer, reading again, gets
+    /// every accepted line, in order.
     #[test]
     fn a_stalled_peer_loses_exactly_the_frames_over_the_cap() {
         let (mut plane, addr) = plane(4, 2);
-        let mut peer = dial(&mut plane, addr, 0, &[0, 1, 2, 3]);
+        let mut peer = dial(&mut plane, addr, 0, 0..4);
         let data = |tick| {
             (0..4u32).map(move |to| {
                 let value = f64::from(to);
@@ -1015,42 +1004,43 @@ mod tests {
             })
         };
         let mut ticks = 0u64;
-        loop {
+        while plane.stats().backpressure_drops == 0 {
+            assert_eq!(
+                plane.stats().frames_out,
+                2 * ticks + 1,
+                "two lines a tick, and the welcome"
+            );
             plane.send(data(ticks));
             ticks += 1;
-            assert_eq!(plane.stats().backpressure_drops, 2 * ticks);
-            let conn = plane.table.conns()[0].as_ref().unwrap();
-            if conn.pending_bytes() > 0 {
-                assert_eq!(conn.queued(), 2, "the line holding two frames");
-                break;
-            }
             assert!(ticks < 10_000_000, "the kernel never pushed back");
         }
+        let conn = plane.table.conns()[0].as_ref().unwrap();
+        assert_eq!(conn.queued(), 2, "the line holding two frames");
+        assert!(conn.pending_bytes() > 0);
         assert_eq!(plane.stats().max_queue_depth, 2);
-        assert_eq!(
-            plane.stats().frames_out,
-            ticks + 1,
-            "a line a tick, and the welcome"
-        );
+        let (drops, lines) = (plane.stats().backpressure_drops, plane.stats().frames_out);
+        assert_eq!(lines - 1 + drops / 2, 2 * ticks, "a line per accepted pair");
         plane.send(data(ticks));
         assert_eq!(
             plane.stats().backpressure_drops,
-            2 * ticks + 4,
+            drops + 4,
             "the full queue took none"
         );
-        assert_eq!(plane.stats().frames_out, ticks + 1);
+        assert_eq!(plane.stats().frames_out, lines);
 
         let reader = thread::spawn(move || {
             assert_eq!(line(&mut peer), welcome_line(0).to_vec());
-            for tick in 0..ticks {
-                let values = vec![0.0, 1.0];
+            for at in 0..lines - 1 {
+                let first = 2 * (at % 2) as u32;
+                let values = vec![f64::from(first), f64::from(first + 1)];
+                let tick = at / 2;
                 let ticks = ServerFrame::Ticks {
                     epoch: 1,
                     tick,
-                    first: 0,
+                    first,
                     values,
                 };
-                assert_eq!(line(&mut peer), encode(&ticks).to_vec(), "tick {tick}");
+                assert_eq!(line(&mut peer), encode(&ticks).to_vec(), "line {at}");
             }
         });
         while plane.table.conns()[0].as_ref().unwrap().pending_bytes() > 0 {
@@ -1072,10 +1062,10 @@ mod tests {
             epoch: 3,
             msg: poll(tick),
         };
-        let mut first = dial(&mut plane, addr, 7, &[0, 1]);
+        let mut first = dial(&mut plane, addr, 7, 0..2);
         plane.send([(0, stamped(1)), (1, stamped(1))]);
         // The agent dials again while its old socket is still open.
-        let mut second = dial(&mut plane, addr, 7, &[0, 1]);
+        let mut second = dial(&mut plane, addr, 7, 0..2);
         assert_eq!(plane.stats().reconnects, 1);
         plane.send([(1, stamped(2)), (0, stamped(2))]);
 
@@ -1096,10 +1086,11 @@ mod tests {
     #[test]
     fn a_kick_closes_the_victims_socket_in_place() {
         let (mut plane, addr) = plane(2, 8);
-        let mut victim = dial(&mut plane, addr, 0, &[0]);
-        let mut bystander = dial(&mut plane, addr, 1, &[1]);
+        let mut victim = dial(&mut plane, addr, 0, 0..1);
+        let mut bystander = dial(&mut plane, addr, 1, 1..2);
         plane.kick(|agent| agent == 0);
-        assert_eq!((plane.stats().kicked, plane.lines.open), (1, 1));
+        let open = plane.table.conns().iter().flatten().count();
+        assert_eq!((plane.stats().kicked, open), (1, 1));
         let stop = CoordinatorToMonitor::Shutdown;
         let frame = ControlFrame {
             epoch: 0,
@@ -1123,14 +1114,14 @@ mod tests {
             let dial = |agent: u32| {
                 thread::sleep(Duration::from_millis(50));
                 let mut stream = TcpStream::connect(addr).unwrap();
-                stream.write_all(&hello(agent, &[agent])).unwrap();
+                stream.write_all(&hello(agent, agent..agent + 1)).unwrap();
                 stream
             };
             (0..4).map(dial).collect::<Vec<_>>()
         });
         let began = Instant::now();
         let by = began + Duration::from_secs(10);
-        assert!(plane.turn_until(by, |lines| lines.seen_count == 4));
+        assert!(plane.turn_until(by, |lines| lines.seen.iter().all(|&seen| seen)));
         assert!(began.elapsed() >= Duration::from_millis(150), "it did wait");
         let wakeups = plane.reactor.waker().wakeups();
         assert!(wakeups <= 12, "woke {wakeups} times for 4 connections");

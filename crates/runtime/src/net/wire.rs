@@ -10,14 +10,15 @@
 //! agent a line per phase instead of a line per monitor.
 //!
 //! - **agent → coordinator**: the first line on a fresh connection is an
-//!   [`AgentHello`] declaring which monitors live behind the socket.
+//!   [`AgentHello`] declaring the range of monitors behind the socket.
 //!   Every later line is a [`ReplyBatch`] — a run of `TickDone`s or of
 //!   `PollReply`s at one epoch and tick — or one raw
 //!   [`MonitorFrame`]: every other reply, a run of one, and any reply
 //!   the wire cannot carry ([`MonitorToCoordinator::is_wire_representable`]),
 //!   which travels alone so its malformed line takes no neighbour down.
 //!   [`encode_replies`] writes them; [`expand_reply_line`] turns a line
-//!   back into the frames it carries, in order.
+//!   back into the frames it carries, in order. An empty line is the
+//!   agent's goodbye: every monitor it hosts is shut down.
 //! - **coordinator → agent**: every line is a [`ServerFrame`] — a
 //!   [`ServerFrame::Welcome`] acknowledging a hello, a
 //!   [`ServerFrame::Ctl`] wrapping one control frame for one monitor,
@@ -32,14 +33,10 @@
 //! frame cap: only a single frame can exceed it, as it could before
 //! batching.
 //!
-//! [`ctl_line`] builds a `Ctl` line by textual splice around an
-//! already-encoded control frame; nothing in the coordinator calls it —
-//! it stays exported because the benchmark times it
-//! (`net.ctl_line_ns`), and a unit test pins splice, derive and the
-//! plane's bytes to one another so that row keeps describing the wire.
-//! It is the only hand-spelled JSON in the workspace's non-test code (a
-//! second test keeps it so): every other line gets its text from the
-//! derives' streaming `write_json`.
+//! [`ctl_line`] splices a `Ctl` line around an already-encoded control
+//! frame. The coordinator never calls it; the benchmark times it
+//! (`net.ctl_line_ns`), and unit tests pin it to the plane's bytes and
+//! keep it the only hand-spelled JSON in the workspace's non-test code.
 
 use std::ops::Range;
 
@@ -54,16 +51,18 @@ use crate::message::{
     MonitorToCoordinator, TickData,
 };
 
-/// First frame an agent sends on every (re)connection: which monitors it
-/// hosts, and the highest epoch its actors have observed.
+/// First frame an agent sends on every (re)connection: the range of
+/// monitors it hosts, and the highest epoch its actors have observed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentHello {
     /// Fleet-unique agent id (used for fault targeting and stats; not an
     /// authorization boundary).
     pub agent: u32,
-    /// Monitor ids hosted behind this connection. On reconnect the new
-    /// connection's routes override any stale ones for the same ids.
-    pub monitors: Vec<u32>,
+    /// The first monitor id hosted behind this connection.
+    pub first: u32,
+    /// How many monitors from `first` are hosted; a reconnect's routes
+    /// override any stale ones for the same ids.
+    pub count: u32,
     /// Highest epoch the agent's monitors have observed. Informational:
     /// the coordinator acknowledges with [`ServerFrame::Welcome`] and
     /// re-fences stale monitors through `NewEpoch` control frames.
@@ -395,10 +394,11 @@ impl ControlRun {
         joins
     }
 
-    /// Appends the run's first `take` frames as lines whose payloads fit
-    /// `max_frame` wherever a split can make them, returning how many.
-    pub(crate) fn write(&self, take: usize, max_frame: usize, out: &mut Vec<u8>) -> u64 {
-        write_split(0..take, max_frame, out, &mut |part, out| {
+    /// Appends the run's frames `part` (indexes into the run) as lines
+    /// whose payloads fit `max_frame` wherever a split can make them,
+    /// returning how many.
+    pub(crate) fn write(&self, part: Range<usize>, max_frame: usize, out: &mut Vec<u8>) -> u64 {
+        write_split(part, max_frame, out, &mut |part, out| {
             let first = self.first + part.start as u32;
             let (epoch, msg) = (self.frame.epoch, self.frame.msg);
             let line = match msg {
@@ -466,7 +466,7 @@ pub fn encode_controls(frames: &[(u32, ControlFrame)], max_frame: usize, out: &m
     let mut lines = 0;
     let keyed = frames.iter().map(|&(to, frame)| ((), to, frame));
     control_runs(keyed, |(), run| {
-        lines += run.write(run.len(), max_frame, out)
+        lines += run.write(0..run.len(), max_frame, out)
     });
     lines
 }
@@ -527,7 +527,8 @@ mod tests {
     fn hello_round_trips() {
         let hello = AgentHello {
             agent: 7,
-            monitors: vec![14, 15, 16],
+            first: 14,
+            count: 3,
             epoch: 3,
         };
         let bytes = encode(&hello);

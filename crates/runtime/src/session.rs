@@ -1042,7 +1042,8 @@ mod tests {
         let mut agent = std::net::TcpStream::connect(sockets.local_addr().unwrap()).unwrap();
         let hello = AgentHello {
             agent: 0,
-            monitors: vec![3, 7],
+            first: 3,
+            count: 5,
             epoch: 0,
         };
         let revived = MonitorToCoordinator::Revived {

@@ -173,6 +173,18 @@ fn tcp_fleet_matches_in_process_runner_at_10k_monitors() {
     tcp_parity(10_000, 250, 60, TransportConfig::default());
 }
 
+/// One agent hosting more monitors than a connection's queue cap (1 024
+/// frames): a tick's run of 1 100 frames passes the cap, so the send
+/// flushes and stages the rest in pieces — the peer reads promptly, so
+/// nothing is dropped, the report is the in-process one bit for bit, and
+/// the agent receives its Shutdown.
+#[test]
+fn one_agent_hosting_more_monitors_than_the_queue_cap_keeps_parity() {
+    let outcome = tcp_parity(1_100, 1, 60, TransportConfig::default());
+    assert_eq!(outcome.net.backpressure_drops, 0, "{:?}", outcome.net);
+    assert!(outcome.net.max_queue_depth <= 1_024, "{:?}", outcome.net);
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_fleet_matches_in_process_runner() {
@@ -320,7 +332,8 @@ fn stalled_peer_is_flow_controlled_then_degraded() {
         let mut sock = std::net::TcpStream::connect(local).expect("fake peer dials");
         let hello = volley_runtime::net::AgentHello {
             agent: 1,
-            monitors: vec![1],
+            first: 1,
+            count: 1,
             epoch: 0,
         };
         sock.write_all(&volley_runtime::message::encode(&hello))
