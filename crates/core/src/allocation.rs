@@ -125,7 +125,7 @@ pub struct AllocationConfig {
     pub min_fraction: f64,
     /// Skip a proportional round when `max(y)/min(y)` is below this ratio
     /// — the paper's "yields near-uniform" throttle (we read its
-    /// `max{y_i/y_j} < 0.1` as a 10% spread test; see DESIGN.md §4).
+    /// `max{y_i/y_j} < 0.1` as a 10% spread test; see DESIGN.md §5).
     pub uniform_skip_ratio: f64,
     /// Updating period in ticks (paper: 1000·`I_d`).
     pub update_period_ticks: u64,

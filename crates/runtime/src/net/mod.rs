@@ -9,7 +9,7 @@
 //! and wait goes through one crate-private `Clock`: the wall clock in
 //! production; in tests, a virtual one that runs the real socket plane
 //! against real agent machines on one thread, from one seed. See
-//! `DESIGN.md` §14.
+//! `DESIGN.md` §8.
 
 use std::time::{Duration, Instant};
 

@@ -1,5 +1,6 @@
 //! Drift guard for the current-state documents: `DESIGN.md`,
-//! `README.md` and `docs/API.md` may only name what exists.
+//! `README.md`, `docs/API.md`, `EXPERIMENTS.md` and `vendor/README.md`
+//! may only name what exists.
 //!
 //! Checked in inline code spans and link targets (fenced blocks are
 //! examples, compiled or driven elsewhere):
@@ -9,34 +10,54 @@
 //! - every segment of a `a::b` path must occur somewhere in the sources
 //!   under `crates/`, `src/` or `vendor/`;
 //! - a relative link must resolve from the document's directory.
+//!
+//! And a `DESIGN.md §N` (or `DESIGN §N`) citation in the documents,
+//! `ROADMAP.md` or a source file under `crates/` must name a `## N.`
+//! heading of `DESIGN.md`.
 
 use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "docs/API.md"];
+const DOCS: [&str; 5] = [
+    "DESIGN.md",
+    "README.md",
+    "docs/API.md",
+    "EXPERIMENTS.md",
+    "vendor/README.md",
+];
+const CITING: [&str; 4] = ["README.md", "docs/API.md", "EXPERIMENTS.md", "ROADMAP.md"];
 const SOURCES: [&str; 3] = ["crates", "src", "vendor"];
 
 fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Every identifier-like word in the `.rs` / `.toml` files under `dir`.
-fn collect_words(dir: &Path, words: &mut HashSet<String>) {
+/// The `.rs` and `.toml` files under `dir`, skipping build output.
+fn source_files(dir: &Path, files: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).expect("readable source dir") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
             if !path.ends_with("target") {
-                collect_words(&path, words);
+                source_files(&path, files);
             }
         } else if path.extension().is_some_and(|e| e == "rs" || e == "toml") {
-            let text = fs::read_to_string(&path).expect("readable source");
-            words.extend(
-                text.split(|c: char| !is_ident_char(c))
-                    .filter(|w| !w.is_empty())
-                    .map(str::to_owned),
-            );
+            files.push(path);
         }
+    }
+}
+
+/// Every identifier-like word in the source files under `dir`.
+fn collect_words(dir: &Path, words: &mut HashSet<String>) {
+    let mut files = Vec::new();
+    source_files(dir, &mut files);
+    for path in files {
+        let text = fs::read_to_string(&path).expect("readable source");
+        words.extend(
+            text.split(|c: char| !is_ident_char(c))
+                .filter(|w| !w.is_empty())
+                .map(str::to_owned),
+        );
     }
 }
 
@@ -167,6 +188,63 @@ fn documents_name_only_what_exists() {
     assert!(
         problems.is_empty(),
         "documents name what does not exist:\n{}",
+        problems.join("\n")
+    );
+}
+
+/// Every `(line, section)` a `DESIGN.md §N` / `DESIGN §N` citation in
+/// `text` names; a backtick may close `DESIGN.md` before the `§`.
+fn design_citations(text: &str) -> Vec<(usize, u32)> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("DESIGN") {
+        let rest = &text[at + "DESIGN".len()..];
+        let rest = rest.strip_prefix(".md").unwrap_or(rest);
+        let rest = rest.strip_prefix('`').unwrap_or(rest);
+        let Some(rest) = rest.trim_start().strip_prefix('§') else {
+            continue;
+        };
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        if let Ok(section) = digits.parse() {
+            out.push((text[..at].matches('\n').count() + 1, section));
+        }
+    }
+    out
+}
+
+#[test]
+fn design_section_citations_name_existing_headings() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("readable DESIGN.md");
+    let headings: HashSet<u32> = design
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .filter_map(|l| l.split_once('.'))
+        .filter_map(|(n, _)| n.parse().ok())
+        .collect();
+
+    let mut citing: Vec<PathBuf> = CITING.iter().map(|d| root.join(d)).collect();
+    let mut sources = Vec::new();
+    source_files(&root.join("crates"), &mut sources);
+    citing.extend(
+        sources
+            .into_iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs")),
+    );
+    let mut problems = Vec::new();
+    for path in citing {
+        let text = fs::read_to_string(&path).expect("readable citing file");
+        for (line, section) in design_citations(&text) {
+            if !headings.contains(&section) {
+                let name = path.strip_prefix(&root).unwrap_or(&path).display();
+                problems.push(format!(
+                    "{name}:{line}: DESIGN §{section} has no `## {section}.` heading"
+                ));
+            }
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "citations of DESIGN.md sections that do not exist:\n{}",
         problems.join("\n")
     );
 }
