@@ -26,7 +26,7 @@ pub(crate) use server::SocketPlane;
 pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats, DEFAULT_TICK_DEADLINE};
 pub use wire::{
     ctl_line, encode_controls, encode_replies, expand_reply_line, welcome_line, AgentHello,
-    ReplyBatch, ServerFrame,
+    DigitColumn, F64Column, ReplyBatch, ServerFrame,
 };
 
 /// The one source of time of the socket plane and the agent driver.

@@ -809,7 +809,7 @@ mod tests {
 
     use super::*;
     use crate::message::{encode, CoordinatorToMonitor, TickData};
-    use crate::net::{ctl_line, ServerFrame};
+    use crate::net::{ctl_line, F64Column, ServerFrame};
 
     fn spec(n: usize) -> TaskSpec {
         TaskSpec::builder(100.0 * n as f64)
@@ -1032,7 +1032,7 @@ mod tests {
             assert_eq!(line(&mut peer), welcome_line(0).to_vec());
             for at in 0..lines - 1 {
                 let first = 2 * (at % 2) as u32;
-                let values = vec![f64::from(first), f64::from(first + 1)];
+                let values = F64Column(vec![f64::from(first), f64::from(first + 1)]);
                 let tick = at / 2;
                 let ticks = ServerFrame::Ticks {
                     epoch: 1,

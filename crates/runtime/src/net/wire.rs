@@ -33,6 +33,17 @@
 //! frame cap: only a single frame can exceed it, as it could before
 //! batching.
 //!
+//! A run's per-monitor numbers travel as *columns*, one JSON string
+//! each, not as JSON number arrays: an [`F64Column`] holds each value's
+//! [`f64::to_bits`] as 16 lowercase hex digits, a [`DigitColumn`] one
+//! ASCII digit per monitor. A column is exact by construction and
+//! fixed-width, and its parser accepts canonical text only — a length
+//! off the width, a digit outside `[0-9a-f]` (or past the column's
+//! largest digit), or a non-finite bit pattern fails the whole line, so
+//! no non-finite value reaches a monitor or the coordinator this way
+//! either. Lone frames (`Ctl`, a lone [`MonitorFrame`]) keep their
+//! decimal numbers.
+//!
 //! [`ctl_line`] splices a `Ctl` line around an already-encoded control
 //! frame. The coordinator never calls it; the benchmark times it
 //! (`net.ctl_line_ns`), and unit tests pin it to the plane's bytes and
@@ -41,7 +52,8 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::json::Parser;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use volley_core::task::MonitorId;
 use volley_core::time::Tick;
@@ -90,7 +102,7 @@ pub enum ServerFrame {
         frame: ControlFrame,
     },
     /// One tick's data for a run of monitors: monitor `first + i` gets
-    /// `CoordinatorToMonitor::Tick` of `values[i]` at `epoch`.
+    /// `CoordinatorToMonitor::Tick` of `values.0[i]` at `epoch`.
     Ticks {
         /// The epoch every frame of the run is stamped with.
         epoch: u64,
@@ -98,8 +110,8 @@ pub enum ServerFrame {
         tick: Tick,
         /// The run's first monitor id.
         first: u32,
-        /// One value per monitor, in id order.
-        values: Vec<f64>,
+        /// One finite value per monitor, in id order, as their bits.
+        values: F64Column,
     },
     /// One control frame for the `count` monitors `first..first + count`.
     Fan {
@@ -130,7 +142,7 @@ impl ServerFrame {
                 first,
                 values,
             } => {
-                for (to, value) in (first..=u32::MAX).zip(values) {
+                for (to, value) in (first..=u32::MAX).zip(values.0) {
                     if hosted.contains(&to) {
                         let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
                         deliver(to, ControlFrame { epoch, msg });
@@ -155,7 +167,7 @@ impl ServerFrame {
 /// kind, at one epoch and tick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ReplyBatch {
-    /// `TickDone`s of monitors `first..`: one flag byte each — bit 0
+    /// `TickDone`s of monitors `first..`: one flag digit each — bit 0
     /// `sampled`, bit 1 `violation`, bit 2 `suppressed`.
     TickDones {
         /// The epoch every reply of the run is stamped with.
@@ -164,8 +176,8 @@ pub enum ReplyBatch {
         tick: Tick,
         /// The run's first monitor id.
         first: u32,
-        /// One flag byte per monitor, in id order.
-        flags: Vec<u8>,
+        /// One flag digit (`0`–`7`) per monitor, in id order.
+        flags: DigitColumn<7>,
     },
     /// `PollReply`s of monitors `first..`: a value and a forced flag each.
     PollReplies {
@@ -175,17 +187,18 @@ pub enum ReplyBatch {
         tick: Tick,
         /// The run's first monitor id.
         first: u32,
-        /// One value per monitor, in id order.
-        values: Vec<f64>,
-        /// One `forced_sample` per monitor, in id order.
-        forced: Vec<bool>,
+        /// One finite value per monitor, in id order, as their bits.
+        values: F64Column,
+        /// One `forced_sample` per monitor (`0` or `1`), in id order.
+        forced: DigitColumn<1>,
     },
 }
 
 impl ReplyBatch {
     /// The frames the batch carries, handed to `admit` in order — or
-    /// none, returning `false`, when its columns disagree in length, a
-    /// flag byte sets an unknown bit or the run runs past the last id.
+    /// none, returning `false`, when its columns disagree in length or
+    /// the run runs past the last id. (Each column's parser has checked
+    /// the column's own contents.)
     fn expand(self, mut admit: impl FnMut(MonitorFrame)) -> bool {
         let fits = |first: u32, len: usize| u64::from(first) + len as u64 <= 1 << 32;
         match self {
@@ -195,10 +208,10 @@ impl ReplyBatch {
                 first,
                 flags,
             } => {
-                if !fits(first, flags.len()) || flags.iter().any(|&bits| bits > 0b111) {
+                if !fits(first, flags.0.len()) {
                     return false;
                 }
-                for (monitor, bits) in (first..=u32::MAX).zip(flags) {
+                for (monitor, bits) in (first..=u32::MAX).zip(flags.0) {
                     let msg = MonitorToCoordinator::TickDone {
                         monitor: MonitorId(monitor),
                         tick,
@@ -216,16 +229,16 @@ impl ReplyBatch {
                 values,
                 forced,
             } => {
+                let (values, forced) = (values.0, forced.0);
                 if !fits(first, values.len()) || values.len() != forced.len() {
                     return false;
                 }
-                for ((monitor, value), forced_sample) in (first..=u32::MAX).zip(values).zip(forced)
-                {
+                for ((monitor, value), forced) in (first..=u32::MAX).zip(values).zip(forced) {
                     let msg = MonitorToCoordinator::PollReply {
                         monitor: MonitorId(monitor),
                         tick,
                         value,
-                        forced_sample,
+                        forced_sample: forced == 1,
                     };
                     admit(MonitorFrame { epoch, msg });
                 }
@@ -246,7 +259,7 @@ impl ReplyBatch {
                             value,
                             forced_sample,
                             ..
-                        } => (value, forced_sample),
+                        } => (value, u8::from(forced_sample)),
                         _ => unreachable!("a run holds one kind"),
                     })
                     .unzip();
@@ -254,8 +267,8 @@ impl ReplyBatch {
                     epoch,
                     tick,
                     first: monitor.0,
-                    values,
-                    forced,
+                    values: F64Column(values),
+                    forced: DigitColumn(forced),
                 }
             }
             MonitorToCoordinator::TickDone { monitor, tick, .. } => {
@@ -272,13 +285,114 @@ impl ReplyBatch {
                     epoch,
                     tick,
                     first: monitor.0,
-                    flags: flags.collect(),
+                    flags: DigitColumn(flags.collect()),
                 }
             }
             _ => unreachable!("only tick reports and poll replies batch"),
         }
     }
 }
+
+/// A column of finite `f64`s as one JSON string: each value's
+/// [`f64::to_bits`] as 16 lowercase hex digits, most significant nibble
+/// first — `[1.0, 0.1]` is `"3ff00000000000003fb999999999999a"`. The
+/// parser accepts exactly that: a length that is a multiple of 16, digits
+/// in `[0-9a-f]` and finite bit patterns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct F64Column(pub Vec<f64>);
+
+impl F64Column {
+    /// Characters per value.
+    const WIDTH: usize = 16;
+
+    fn write_digits(&self, out: &mut Vec<u8>) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.reserve(self.0.len() * Self::WIDTH);
+        for value in &self.0 {
+            let bits = value.to_bits();
+            let mut digits = [0; Self::WIDTH];
+            for (at, digit) in digits.iter_mut().enumerate() {
+                *digit = HEX[(bits >> (60 - 4 * at)) as usize & 0xf];
+            }
+            out.extend_from_slice(&digits);
+        }
+    }
+
+    fn parse(text: &str) -> Option<Self> {
+        let nibble = |digit: u8| match digit {
+            b'0'..=b'9' => Some(u64::from(digit - b'0')),
+            b'a'..=b'f' => Some(u64::from(digit - b'a' + 10)),
+            _ => None,
+        };
+        let text = text.as_bytes();
+        if !text.len().is_multiple_of(Self::WIDTH) {
+            return None;
+        }
+        let values = text.chunks_exact(Self::WIDTH).map(|digits| {
+            let bits = digits
+                .iter()
+                .try_fold(0, |bits, &digit| Some(bits << 4 | nibble(digit)?))?;
+            Some(f64::from_bits(bits)).filter(|value| value.is_finite())
+        });
+        values.collect::<Option<_>>().map(F64Column)
+    }
+}
+
+/// A column of small integers as one JSON string, one ASCII digit each:
+/// `[1, 0, 7]` is `"107"`. The parser accepts only digits `0`..=`MAX`; a
+/// value over 9, which no digit spells, is written as `:` and so never
+/// parses back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DigitColumn<const MAX: u8>(pub Vec<u8>);
+
+impl<const MAX: u8> DigitColumn<MAX> {
+    fn write_digits(&self, out: &mut Vec<u8>) {
+        out.extend(self.0.iter().map(|&value| b'0' + value.min(10)));
+    }
+
+    fn parse(text: &str) -> Option<Self> {
+        let digit = |&byte: &u8| Some(byte.wrapping_sub(b'0')).filter(|&value| value <= MAX);
+        text.as_bytes()
+            .iter()
+            .map(digit)
+            .collect::<Option<_>>()
+            .map(DigitColumn)
+    }
+}
+
+/// The serde impls of a column type: a JSON string of its digits, the
+/// same on the streaming and the tree path.
+macro_rules! column_serde {
+    ([$($generics:tt)*] $column:ty) => {
+        impl<$($generics)*> Serialize for $column {
+            fn to_value(&self) -> Value {
+                let mut digits = Vec::new();
+                self.write_digits(&mut digits);
+                Value::String(String::from_utf8(digits).expect("digits are ASCII"))
+            }
+
+            fn write_json(&self, out: &mut Vec<u8>) {
+                out.push(b'"');
+                self.write_digits(out);
+                out.push(b'"');
+            }
+        }
+
+        impl<'de, $($generics)*> Deserialize<'de> for $column {
+            fn from_value(value: &Value) -> Result<Self, DeError> {
+                let text = value.as_str().ok_or_else(|| DeError::custom("expected string"))?;
+                Self::parse(text).ok_or_else(|| DeError::custom("malformed column"))
+            }
+
+            fn from_json(parser: &mut Parser<'_>) -> Result<Self, DeError> {
+                Self::parse(&parser.parse_str()?).ok_or_else(|| DeError::custom("malformed column"))
+            }
+        }
+    };
+}
+
+column_serde!([] F64Column);
+column_serde!([const MAX: u8] DigitColumn<MAX>);
 
 /// What a reply must share with its neighbours to join their line —
 /// kind (`true` for a poll reply), epoch and tick — and its sender,
@@ -406,7 +520,7 @@ impl ControlRun {
                     epoch,
                     tick: data.tick,
                     first,
-                    values: self.values[part].to_vec(),
+                    values: F64Column(self.values[part].to_vec()),
                 },
                 CoordinatorToMonitor::Tick(data) => {
                     let value = self.values[part.start];
@@ -704,22 +818,22 @@ mod tests {
         let mut payload = Vec::new();
         assert_eq!(encode_replies(&replies, usize::MAX, &mut payload), 3);
         let lines: Vec<&[u8]> = payload.split_inclusive(|&b| b == b'\n').collect();
-        let batch = |first: u32, values: Vec<f64>, forced: Vec<bool>| {
+        let batch = |first: u32, values: Vec<f64>, forced: Vec<u8>| {
             encode(&ReplyBatch::PollReplies {
                 epoch: 2,
                 tick: 9,
                 first,
-                values,
-                forced,
+                values: F64Column(values),
+                forced: DigitColumn(forced),
             })
         };
-        assert_eq!(lines[0], &batch(0, vec![1.5, 2.5], vec![true, false])[..]);
+        assert_eq!(lines[0], &batch(0, vec![1.5, 2.5], vec![1, 0])[..]);
         assert_eq!(
             lines[1],
             &encode(&replies[2])[..],
             "alone, as it always was"
         );
-        assert_eq!(lines[2], &batch(3, vec![-0.0, 4.5], vec![false, true])[..]);
+        assert_eq!(lines[2], &batch(3, vec![-0.0, 4.5], vec![0, 1])[..]);
         let carried: Vec<MonitorFrame> = expanded(&payload);
         let survivors = [0, 1, 3, 4].map(|i| replies[i].clone());
         assert_eq!(carried, survivors);
@@ -760,7 +874,7 @@ mod tests {
         // [0 1 2] [3 stale] [4] [6] [Revived] [7 8] [poll 9]
         assert_eq!(encode_replies(&replies, usize::MAX, &mut payload), 7);
         let first = payload.split_inclusive(|&b| b == b'\n').next().unwrap();
-        let flags = vec![0, 0b111, 0b001];
+        let flags = DigitColumn(vec![0, 0b111, 0b001]);
         let batch = ReplyBatch::TickDones {
             epoch: 2,
             tick: 9,
@@ -803,20 +917,20 @@ mod tests {
                 epoch: 0,
                 tick: 1,
                 first: 0,
-                flags: vec![0, 8],
+                flags: DigitColumn(vec![0, 8]),
             },
             ReplyBatch::TickDones {
                 epoch: 0,
                 tick: 1,
                 first: u32::MAX,
-                flags: vec![0, 0],
+                flags: DigitColumn(vec![0, 0]),
             },
             ReplyBatch::PollReplies {
                 epoch: 0,
                 tick: 1,
                 first: 0,
-                values: vec![1.0, 2.0],
-                forced: vec![true],
+                values: F64Column(vec![1.0, 2.0]),
+                forced: DigitColumn(vec![1]),
             },
         ];
         for batch in bad {
@@ -832,7 +946,7 @@ mod tests {
             epoch: 0,
             tick: 1,
             first: u32::MAX,
-            flags: vec![1],
+            flags: DigitColumn(vec![1]),
         };
         let mut admitted = Vec::new();
         assert!(expand_reply_line(&encode(&last), |frame| admitted.push(frame)));
@@ -847,6 +961,135 @@ mod tests {
                 ..
             }]
         ));
+    }
+
+    /// The columns' bytes, pinned: each value's bits as 16 lowercase hex
+    /// digits, each flag as one digit — and every accepted line encodes
+    /// back to exactly the bytes it was read from.
+    #[test]
+    fn column_lines_carry_bits_and_digits_byte_for_byte() {
+        let values = F64Column(vec![1.0, -0.0, 5e-324, f64::MAX, 0.1]);
+        let hex = "3ff0000000000000\
+                   8000000000000000\
+                   0000000000000001\
+                   7fefffffffffffff\
+                   3fb999999999999a";
+        let ticks = ServerFrame::Ticks {
+            epoch: 3,
+            tick: 42,
+            first: 7,
+            values: values.clone(),
+        };
+        let dones = ReplyBatch::TickDones {
+            epoch: 3,
+            tick: 42,
+            first: 7,
+            flags: DigitColumn(vec![0, 1, 2, 7, 5]),
+        };
+        let polls = ReplyBatch::PollReplies {
+            epoch: 3,
+            tick: 42,
+            first: 7,
+            values,
+            forced: DigitColumn(vec![1, 0, 0, 1, 1]),
+        };
+        let golden = [
+            format!("{{\"Ticks\":{{\"epoch\":3,\"tick\":42,\"first\":7,\"values\":\"{hex}\"}}}}\n"),
+            "{\"TickDones\":{\"epoch\":3,\"tick\":42,\"first\":7,\"flags\":\"01275\"}}\n".into(),
+            format!(
+                "{{\"PollReplies\":{{\"epoch\":3,\"tick\":42,\"first\":7,\"values\":\"{hex}\",\
+                 \"forced\":\"10011\"}}}}\n"
+            ),
+        ];
+        assert_eq!(std::str::from_utf8(&encode(&ticks)).unwrap(), golden[0]);
+        assert_eq!(std::str::from_utf8(&encode(&dones)).unwrap(), golden[1]);
+        assert_eq!(std::str::from_utf8(&encode(&polls)).unwrap(), golden[2]);
+        let back: ServerFrame = decode_line(golden[0].as_bytes()).unwrap();
+        assert_eq!(encode(&back)[..], *golden[0].as_bytes());
+        match back {
+            ServerFrame::Ticks { values, .. } => {
+                assert!(values.0[1].is_sign_negative(), "-0.0 keeps its sign");
+                assert_eq!(values.0[2].to_bits(), 1, "the least subnormal");
+            }
+            other => panic!("expected Ticks, got {other:?}"),
+        }
+        for line in &golden[1..] {
+            let batch: ReplyBatch = decode_line(line.as_bytes()).unwrap();
+            assert_eq!(encode(&batch)[..], *line.as_bytes());
+            let mut admitted = Vec::new();
+            assert!(expand_reply_line(line.as_bytes(), |frame| admitted.push(frame)));
+            assert_eq!(admitted.len(), 5);
+        }
+    }
+
+    /// A column in anything but canonical text fails its whole line: no
+    /// frame of it is admitted or delivered, and no non-finite value gets
+    /// through as a bit pattern either.
+    #[test]
+    fn a_non_canonical_column_fails_its_whole_line() {
+        let one = "3ff0000000000000";
+        let ticks = |values: &str| {
+            format!(
+                "{{\"Ticks\":{{\"epoch\":0,\"tick\":1,\"first\":0,\"values\":\"{values}\"}}}}\n"
+            )
+        };
+        let polls = |values: &str, forced: &str| {
+            format!(
+                "{{\"PollReplies\":{{\"epoch\":0,\"tick\":1,\"first\":0,\"values\":\"{values}\",\
+                 \"forced\":\"{forced}\"}}}}\n"
+            )
+        };
+        let dones = |flags: &str| {
+            format!(
+                "{{\"TickDones\":{{\"epoch\":0,\"tick\":1,\"first\":0,\"flags\":\"{flags}\"}}}}\n"
+            )
+        };
+        // The canonical lines these corrupt are accepted.
+        assert!(decode_line::<ServerFrame>(ticks(&one.repeat(2)).as_bytes()).is_ok());
+        assert!(expand_reply_line(
+            polls(&one.repeat(2), "10").as_bytes(),
+            |_| {}
+        ));
+        assert!(expand_reply_line(dones("07").as_bytes(), |_| {}));
+        let bad_values = [
+            format!("{one}{}", &one[1..]),    // odd length
+            format!("{one}3FF0000000000000"), // uppercase hex
+            format!("{one}3ff000000000000g"), // a non-hex byte
+            format!("{one}{:016x}", f64::NAN.to_bits()),
+            format!("{one}{:016x}", f64::INFINITY.to_bits()),
+            format!("{one}{:016x}", f64::NEG_INFINITY.to_bits()),
+            format!("{one}fff8000000000001"), // a negative NaN payload
+        ];
+        for values in &bad_values {
+            let line = ticks(values);
+            assert!(
+                decode_line::<ServerFrame>(line.as_bytes()).is_err(),
+                "{line}"
+            );
+            let line = polls(values, "10");
+            assert!(
+                !expand_reply_line(line.as_bytes(), |_| unreachable!()),
+                "{line}"
+            );
+        }
+        for flags in ["08", "0:", "0a", "0 "] {
+            let line = dones(flags);
+            assert!(
+                !expand_reply_line(line.as_bytes(), |_| unreachable!()),
+                "{line}"
+            );
+        }
+        let line = polls(&one.repeat(2), "12");
+        assert!(
+            !expand_reply_line(line.as_bytes(), |_| unreachable!()),
+            "{line}"
+        );
+        // A number array, the shape before columns, is no column either.
+        let line = ticks(one).replace(&format!("\"{one}\""), "[1.0]");
+        assert!(
+            decode_line::<ServerFrame>(line.as_bytes()).is_err(),
+            "{line}"
+        );
     }
 
     /// Control frames go out by the same rule: one tick's data for
@@ -878,7 +1121,7 @@ mod tests {
             epoch: 1,
             tick: 4,
             first: 0,
-            values: vec![1.0, 2.0],
+            values: F64Column(vec![1.0, 2.0]),
         };
         let fan = ServerFrame::Fan {
             first: 0,
@@ -918,7 +1161,7 @@ mod tests {
             epoch: 0,
             tick: 0,
             first: 6,
-            values: vec![1.0; 4],
+            values: F64Column(vec![1.0; 4]),
         };
         to.clear();
         ticks.expand(5..8, |id, _| to.push(id));

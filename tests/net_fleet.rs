@@ -140,8 +140,9 @@ fn tcp_fleet_matches_in_process_runner_bit_for_bit() {
 
 /// The batching edge: with a frame cap far below a tick's run on both
 /// ends, every run of tick data and of poll replies splits across
-/// several lines (the hello, one line that must fit, keeps an agent's
-/// run of one-byte tick reports under the cap) — and the report is
+/// several lines (the hello, one line that must fit, keeps the cap
+/// above an agent's run of tick reports, one digit a monitor; a value
+/// is 16 hex digits, so 48 of them take four lines) — and the report is
 /// still the in-process one, bit for bit, with no line refused by either
 /// reader.
 #[test]

@@ -31,7 +31,10 @@ use volley::runtime::message::{
     decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
     MonitorToCoordinator, TickData, TickSummary,
 };
-use volley::runtime::net::{encode_replies, AgentHello, FrameBuffer, ReplyBatch, ServerFrame};
+use volley::runtime::net::{
+    encode_replies, expand_reply_line, AgentHello, DigitColumn, F64Column, FrameBuffer, ReplyBatch,
+    ServerFrame,
+};
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
 /// through the real sampler so every invariant the restore path expects
@@ -88,6 +91,20 @@ const EDGE_VALUES: [f64; 8] = [
     f64::MAX,
     f64::MIN_POSITIVE,
 ];
+
+/// Every batched line with `text` — any string — as one of its columns,
+/// the others valid: the lines a peer could send with a bad column.
+fn column_lines(text: &str) -> [String; 4] {
+    let quoted = serde_json::to_string(text).expect("a string serializes");
+    let head = r#""epoch":1,"tick":2,"first":3"#;
+    let forced = "1".repeat(text.len() / 16);
+    [
+        format!(r#"{{"Ticks":{{{head},"values":{quoted}}}}}"#),
+        format!(r#"{{"PollReplies":{{{head},"values":{quoted},"forced":"{forced}"}}}}"#),
+        format!(r#"{{"PollReplies":{{{head},"values":"","forced":{quoted}}}}}"#),
+        format!(r#"{{"TickDones":{{{head},"flags":{quoted}}}}}"#),
+    ]
+}
 
 /// The epoch of the machines [`driven_both_ways`] builds: frames sealed
 /// below it are stale.
@@ -464,7 +481,8 @@ proptest! {
     /// oracle, corruptions and all — tick data and the fan-out on the way
     /// out, tick reports and poll replies on the way back — and every
     /// float a run carries comes back bit for bit: ±0.0, subnormals and
-    /// ±1e308 included.
+    /// ±1e308 included. A column's width is fixed: 16 hex digits a value,
+    /// one digit a flag.
     #[test]
     fn batched_lines_round_trip_bit_exactly(
         epoch in 0u64..u64::MAX,
@@ -478,21 +496,33 @@ proptest! {
             .map(|&(edge, value, _)| EDGE_VALUES.get(edge).copied().unwrap_or(value))
             .collect();
         let flags: Vec<u8> = picks.iter().map(|&(_, _, bits)| bits).collect();
-        let forced: Vec<bool> = flags.iter().map(|&bits| bits & 1 != 0).collect();
-        let ticks = ServerFrame::Ticks { epoch, tick, first, values: values.clone() };
-        let polls = ReplyBatch::PollReplies { epoch, tick, first, values: values.clone(), forced };
+        let forced: Vec<u8> = flags.iter().map(|&bits| bits & 1).collect();
+        let column = F64Column(values.clone());
+        let ticks = ServerFrame::Ticks { epoch, tick, first, values: column.clone() };
+        let polls = ReplyBatch::PollReplies {
+            epoch,
+            tick,
+            first,
+            values: column,
+            forced: DigitColumn(forced),
+        };
         round_trip(&ticks);
         round_trip(&polls);
-        round_trip(&ReplyBatch::TickDones { epoch, tick, first, flags });
+        let dones = ReplyBatch::TickDones { epoch, tick, first, flags: DigitColumn(flags) };
+        round_trip(&dones);
+        let empty_ticks = ServerFrame::Ticks { epoch, tick, first, values: F64Column(Vec::new()) };
+        let empty_dones = ReplyBatch::TickDones { epoch, tick, first, flags: DigitColumn(Vec::new()) };
+        prop_assert_eq!(encode(&ticks).len(), encode(&empty_ticks).len() + 16 * values.len());
+        prop_assert_eq!(encode(&dones).len(), encode(&empty_dones).len() + values.len());
         let frame = ControlFrame { epoch, msg: CoordinatorToMonitor::Poll { tick } };
         round_trip(&ServerFrame::Fan { first, count, frame });
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         match decode::<ServerFrame>(&encode(&ticks)).expect("decodes") {
-            ServerFrame::Ticks { values: back, .. } => prop_assert_eq!(bits(&back), bits(&values)),
+            ServerFrame::Ticks { values: back, .. } => prop_assert_eq!(bits(&back.0), bits(&values)),
             other => panic!("expected Ticks, got {other:?}"),
         }
         match decode::<ReplyBatch>(&encode(&polls)).expect("decodes") {
-            ReplyBatch::PollReplies { values: back, .. } => prop_assert_eq!(bits(&back), bits(&values)),
+            ReplyBatch::PollReplies { values: back, .. } => prop_assert_eq!(bits(&back.0), bits(&values)),
             other => panic!("expected PollReplies, got {other:?}"),
         }
     }
@@ -625,10 +655,14 @@ proptest! {
     }
 
     /// Decoding arbitrary bytes never panics — it either yields a value
-    /// or an error.
+    /// or an error. Nor does a batched line with arbitrary text where a
+    /// column goes: both decoders reach one verdict on it, and a line they
+    /// accept holds only finite values and encodes back to its own bytes.
     #[test]
     fn decoding_arbitrary_bytes_never_panics(
         raw in prop::collection::vec(0u16..256, 0..128),
+        column in "[0-9a-fA-F:g ]{0,40}",
+        hex in "[0-9a-f]{0,48}",
     ) {
         let bytes = Bytes::from(raw.iter().map(|&b| b as u8).collect::<Vec<u8>>());
         let _ = decode::<MonitorToCoordinator>(&bytes);
@@ -643,6 +677,26 @@ proptest! {
         differential::assert_decoders_agree::<ReplyBatch>(&bytes);
         differential::assert_decoders_agree::<AgentHello>(&bytes);
         differential::assert_decoders_agree::<TickSummary>(&bytes);
+        for text in [String::from_utf8_lossy(&bytes).into_owned(), column, hex] {
+            for line in column_lines(&text) {
+                differential::assert_decoders_agree::<ServerFrame>(line.as_bytes());
+                differential::assert_decoders_agree::<ReplyBatch>(line.as_bytes());
+                let _ = expand_reply_line(line.as_bytes(), |_| {});
+                let canonical = |encoded: Bytes| encoded[..encoded.len() - 1] == *line.as_bytes();
+                if let Ok(frame) = decode_line::<ServerFrame>(line.as_bytes()) {
+                    if let ServerFrame::Ticks { values, .. } = &frame {
+                        prop_assert!(values.0.iter().all(|v| v.is_finite()), "{line}");
+                    }
+                    prop_assert!(canonical(encode(&frame)), "{line}");
+                }
+                if let Ok(batch) = decode_line::<ReplyBatch>(line.as_bytes()) {
+                    if let ReplyBatch::PollReplies { values, .. } = &batch {
+                        prop_assert!(values.0.iter().all(|v| v.is_finite()), "{line}");
+                    }
+                    prop_assert!(canonical(encode(&batch)), "{line}");
+                }
+            }
+        }
     }
 
     /// Frames written before the multi-task gate existed carry no
