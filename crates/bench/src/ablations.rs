@@ -256,7 +256,6 @@ pub fn yield_variants(params: &SweepParams) -> String {
     for (sname, strategy) in [
         ("iterative", AllocationStrategy::Iterative),
         ("proportional", AllocationStrategy::Proportional),
-        ("greedy-curve", AllocationStrategy::GreedyCurve),
     ] {
         for (yname, yield_mode) in [
             ("paper-total", YieldMode::PaperTotal),

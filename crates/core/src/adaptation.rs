@@ -389,10 +389,6 @@ pub struct AdaptiveSampler {
     period_beta_current_sum: f64,
     period_reduction_sum: f64,
     period_observations: u32,
-    /// Per-candidate-allowance sums of the instantaneous sampling cost
-    /// `1/I*(e_k)` (see [`crate::allocation::allowance_ladder`]): the
-    /// monitor's measured cost-vs-allowance curve for the coordinator.
-    period_cost_sums: Vec<f64>,
     total_samples: u64,
 }
 
@@ -412,7 +408,6 @@ impl AdaptiveSampler {
             period_beta_current_sum: 0.0,
             period_reduction_sum: 0.0,
             period_observations: 0,
-            period_cost_sums: vec![0.0; crate::allocation::ALLOWANCE_LADDER_LEN],
             total_samples: 0,
         }
     }
@@ -496,9 +491,8 @@ impl AdaptiveSampler {
         );
 
         // Maintain the updating-period aggregates used by the task-level
-        // coordinator (§IV-B): the average β at the grown interval, the
-        // average potential cost reduction, and the per-interval β
-        // profile over quiet (growth-qualifying) samples.
+        // coordinator (§IV-B): the average β at the current and the grown
+        // interval, and the average potential cost reduction.
         let beta_grown = if warmed {
             misdetection_bound_with(
                 self.config.bound(),
@@ -515,37 +509,6 @@ impl AdaptiveSampler {
         self.period_beta_grown_sum += beta_grown.min(1.0);
         self.period_reduction_sum += 1.0 - 1.0 / f64::from(self.interval + 1);
         self.period_observations += 1;
-        // Measure the cost-vs-allowance curve: the interval this sample's
-        // bound would sustain at each candidate allowance of the ladder.
-        // The candidates are derived from the *task-level* allowance in
-        // the static configuration — using the dynamic per-monitor
-        // allowance here would couple the statistic to the current
-        // assignment and make the allocation oscillate.
-        if warmed {
-            let mut limits = crate::allocation::allowance_ladder(self.config.error_allowance());
-            let grow = 1.0 - self.config.slack_ratio();
-            for limit in &mut limits {
-                *limit *= grow;
-            }
-            let mut intervals = [1u32; crate::allocation::ALLOWANCE_LADDER_LEN];
-            crate::likelihood::sustainable_intervals_with(
-                self.config.bound(),
-                value,
-                self.threshold,
-                mu,
-                sigma,
-                self.config.max_interval().get(),
-                &limits,
-                &mut intervals,
-            );
-            for (slot, i) in self.period_cost_sums.iter_mut().zip(intervals) {
-                *slot += 1.0 / f64::from(i);
-            }
-        } else {
-            for slot in &mut self.period_cost_sums {
-                *slot += 1.0;
-            }
-        }
         observation
     }
 
@@ -563,14 +526,6 @@ impl AdaptiveSampler {
     /// call, returning the coordinator-facing summary (§IV-B).
     pub fn drain_period_report(&mut self) -> PeriodReport {
         let n = self.period_observations.max(1);
-        let cost_curve: Vec<f64> = if self.period_observations > 0 {
-            self.period_cost_sums
-                .iter()
-                .map(|s| (s / f64::from(n)).clamp(0.0, 1.0))
-                .collect()
-        } else {
-            vec![1.0; self.period_cost_sums.len()]
-        };
         let report = PeriodReport {
             observations: self.period_observations,
             avg_beta_current: self.period_beta_current_sum / f64::from(n),
@@ -578,13 +533,11 @@ impl AdaptiveSampler {
             avg_potential_reduction: self.period_reduction_sum / f64::from(n),
             interval: self.interval(),
             at_max_interval: self.interval() >= self.config.max_interval(),
-            cost_curve,
         };
         self.period_beta_current_sum = 0.0;
         self.period_beta_grown_sum = 0.0;
         self.period_reduction_sum = 0.0;
         self.period_observations = 0;
-        self.period_cost_sums.iter_mut().for_each(|s| *s = 0.0);
         report
     }
 
@@ -636,7 +589,6 @@ impl AdaptiveSampler {
         self.period_beta_grown_sum = 0.0;
         self.period_reduction_sum = 0.0;
         self.period_observations = 0;
-        self.period_cost_sums.iter_mut().for_each(|s| *s = 0.0);
     }
 }
 
@@ -658,11 +610,6 @@ pub struct PeriodReport {
     /// Whether the monitor sits at its maximum interval `I_m` (no further
     /// growth is possible, so extra allowance buys nothing).
     pub at_max_interval: bool,
-    /// Measured cost-vs-allowance curve: `cost_curve[k]` is the average
-    /// fraction of the periodic sampling cost the monitor would pay if
-    /// its allowance were the `k`-th rung of
-    /// [`crate::allocation::allowance_ladder`]. Non-increasing in `k`.
-    pub cost_curve: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -937,17 +884,19 @@ mod tests {
     fn the_kernel_is_spelled_once() {
         use std::path::Path;
         // (needle, [(file whose non-test code may contain it, times)])
-        let homes: [(&str, &[(&str, usize)]); 6] = [
+        let homes: [(&str, &[(&str, usize)]); 7] = [
             ("* (delta - prev_mean)", &[("stats.rs", 1)]), // Welford numerator
             ("diff * incr", &[("stats.rs", 1)]),           // EWMA variance update
             ("(tick - last_tick)", &[("stats.rs", 1)]),    // δ̂ = Δv / Δt
             ("> err", &[("adaptation.rs", 1)]),            // collapse
             ("grow_threshold(", &[("adaptation.rs", 2)]),  // definition + grow
-            // Defined once; called for β(I) and for §IV-B's β(I+1).
+            // Defined once (and delegated to by `misdetection_bound`);
+            // called for β(I) and for §IV-B's β(I+1).
             (
                 "misdetection_bound_with(",
-                &[("likelihood.rs", 1), ("adaptation.rs", 2)],
+                &[("likelihood.rs", 2), ("adaptation.rs", 2)],
             ),
+            ("1.0 / (1.0 + k * k)", &[("likelihood.rs", 1)]), // Cantelli term
         ];
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
         for entry in std::fs::read_dir(src).expect("readable src dir") {

@@ -9,7 +9,7 @@
 //! allowance to grow its interval at all (low *yield*), while a quiet
 //! monitor converts allowance into interval growth cheaply (high yield).
 //!
-//! Three allocation strategies are provided; the `ablation_yield` bench
+//! Two allocation strategies are provided; the `ablation_yield` bench
 //! compares them head-to-head:
 //!
 //! - [`AllocationStrategy::Iterative`] (default) — the paper's gradual
@@ -22,37 +22,11 @@
 //!   formulas are printed in §IV-B, including both variants of `r`
 //!   ([`YieldMode`]) and `e` ([`AllowanceCostMode`]) and both throttles
 //!   (minimum assignment `err/100`, skip when yields are near-uniform).
-//! - [`AllocationStrategy::GreedyCurve`] — marginal-yield water-filling
-//!   over the monitors' *measured* cost-vs-allowance curves: each period
-//!   report carries, for a fixed ladder of candidate allowances
-//!   ([`allowance_ladder`]), the average sampling cost the adaptation
-//!   rule would pay at that allowance.
 
 use serde::{Deserialize, Serialize};
 
 use crate::adaptation::PeriodReport;
 use crate::error::VolleyError;
-
-/// Number of rungs in the candidate-allowance ladder monitors measure
-/// their cost curves on.
-pub const ALLOWANCE_LADDER_LEN: usize = 8;
-
-/// Rung values as fractions of the task-level allowance, ascending. The
-/// lowest rung equals the paper's minimum assignment `err/100`; the top
-/// rung is the whole budget.
-pub const ALLOWANCE_LADDER_FRACTIONS: [f64; ALLOWANCE_LADDER_LEN] =
-    [0.01, 0.03125, 0.0625, 0.125, 0.25, 0.5, 0.75, 1.0];
-
-/// The candidate-allowance ladder for a task-level allowance `global_err`:
-/// the per-monitor allowances at which monitors measure their sampling
-/// cost each updating period (see [`PeriodReport::cost_curve`]).
-pub fn allowance_ladder(global_err: f64) -> [f64; ALLOWANCE_LADDER_LEN] {
-    let mut ladder = ALLOWANCE_LADDER_FRACTIONS;
-    for rung in &mut ladder {
-        *rung *= global_err.clamp(0.0, 1.0);
-    }
-    ladder
-}
 
 /// Which cost-reduction numerator `r_i` the proportional yield uses.
 ///
@@ -103,12 +77,6 @@ pub enum AllocationStrategy {
     /// a starved monitor's yield looks high at its collapsed operating
     /// point; kept for the `ablation_yield` experiment.
     Proportional,
-    /// Marginal-yield water-filling over the measured cost-vs-allowance
-    /// curves ([`PeriodReport::cost_curve`]). Bias caveat: hypothetical
-    /// intervals are evaluated against δ statistics gathered at the
-    /// *current* sampling rate, which underestimates the smoothing gained
-    /// at coarser rates; kept for the `ablation_yield` experiment.
-    GreedyCurve,
 }
 
 /// Configuration of the error-allowance allocator.
@@ -121,7 +89,8 @@ pub struct AllocationConfig {
     /// Denominator variant for the proportional yield.
     pub cost_mode: AllowanceCostMode,
     /// Minimum assignment as a fraction of the global allowance
-    /// (paper: `err̲ = err/100` → 0.01).
+    /// (paper: `err̲ = err/100` → 0.01), capped at the even share `1/n`
+    /// so `n` floors never exceed the budget.
     pub min_fraction: f64,
     /// Skip a proportional round when `max(y)/min(y)` is below this ratio
     /// — the paper's "yields near-uniform" throttle (we read its
@@ -207,8 +176,8 @@ pub struct AllocationDecision {
     /// throttled or already at the fixed point).
     pub reallocated: bool,
     /// Diagnostic per-monitor yields: proportional `y_i` for
-    /// [`AllocationStrategy::Proportional`], the first-upgrade marginal
-    /// yield for [`AllocationStrategy::GreedyCurve`].
+    /// [`AllocationStrategy::Proportional`], the smoothed yields for
+    /// [`AllocationStrategy::Iterative`].
     pub yields: Vec<f64>,
 }
 
@@ -375,10 +344,6 @@ impl ErrorAllocator {
                 let smoothed: Vec<f64> = self.smoothed_yields.iter().map(|s| s.exp()).collect();
                 self.compute_iterative(reports, slack_ratio, &smoothed)
             }
-            AllocationStrategy::GreedyCurve => {
-                let (a, y) = self.compute_greedy(reports, slack_ratio);
-                (a, y, false)
-            }
             AllocationStrategy::Proportional => self.compute_proportional(reports, slack_ratio),
         };
         if skipped {
@@ -403,6 +368,13 @@ impl ErrorAllocator {
         })
     }
 
+    /// The minimum assignment `err · min_fraction`, capped at the even
+    /// share `err/n` so the floors of all `n` monitors fit the budget.
+    fn floor(&self) -> f64 {
+        let even_fraction = 1.0 / self.allowances.len() as f64;
+        self.global_err * self.config.min_fraction.min(even_fraction)
+    }
+
     /// Gradual yield-driven transfer (see [`AllocationStrategy::Iterative`]).
     ///
     /// Moves at most one quantum per round from the lowest-yield monitor
@@ -419,7 +391,7 @@ impl ErrorAllocator {
         yields: &[f64],
     ) -> (Vec<f64>, Vec<f64>, bool) {
         let slack = (1.0 - slack_ratio).max(f64::MIN_POSITIVE);
-        let floor = self.global_err * self.config.min_fraction;
+        let floor = self.floor();
         let yields = yields.to_vec();
 
         // Recipient: highest yield. Donor: lowest yield among monitors
@@ -466,88 +438,6 @@ impl ErrorAllocator {
         (new_allowances, yields, false)
     }
 
-    /// Greedy marginal-yield water-filling over the monitors' measured
-    /// cost-vs-allowance curves (see module docs).
-    ///
-    /// Every monitor starts at the lowest ladder rung (the minimum
-    /// assignment). Each step upgrades the monitor whose next rung buys
-    /// the most measured cost reduction per unit of allowance, until the
-    /// budget is exhausted. The cost curves are monotone by measurement
-    /// (larger allowance ⇒ larger sustainable interval), but are clamped
-    /// monotone defensively before use.
-    fn compute_greedy(&self, reports: &[PeriodReport], _slack_ratio: f64) -> (Vec<f64>, Vec<f64>) {
-        let n = self.allowances.len();
-        let ladder = allowance_ladder(self.global_err);
-        // Monotone non-increasing copies of the measured curves.
-        let curves: Vec<Vec<f64>> = reports
-            .iter()
-            .map(|r| {
-                let mut curve: Vec<f64> = ladder
-                    .iter()
-                    .enumerate()
-                    .map(|(k, _)| r.cost_curve.get(k).copied().unwrap_or(1.0).clamp(0.0, 1.0))
-                    .collect();
-                for k in 1..curve.len() {
-                    if curve[k] > curve[k - 1] {
-                        curve[k] = curve[k - 1];
-                    }
-                }
-                curve
-            })
-            .collect();
-
-        let mut rung = vec![0usize; n];
-        let mut budget = (self.global_err - ladder[0] * n as f64).max(0.0);
-        let mut first_yield = vec![0.0f64; n];
-        for (i, curve) in curves.iter().enumerate() {
-            let delta_e = ladder[1] - ladder[0];
-            first_yield[i] = (curve[0] - curve[1]).max(0.0) / delta_e;
-        }
-        loop {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, curve) in curves.iter().enumerate() {
-                let next = rung[i] + 1;
-                if next >= ladder.len() {
-                    continue;
-                }
-                let delta_e = ladder[next] - ladder[rung[i]];
-                if delta_e > budget {
-                    continue;
-                }
-                let delta_r = (curve[rung[i]] - curve[next]).max(0.0);
-                if delta_r <= 0.0 {
-                    continue;
-                }
-                let y = delta_r / delta_e;
-                if best.map(|(_, by)| y > by).unwrap_or(true) {
-                    best = Some((i, y));
-                }
-            }
-            let Some((i, _)) = best else { break };
-            budget -= ladder[rung[i] + 1] - ladder[rung[i]];
-            rung[i] += 1;
-        }
-
-        // Park the leftover budget proportionally to assignments (margin
-        // against drift for the monitors holding intervals), falling back
-        // to an even split.
-        let assigned: Vec<f64> = rung.iter().map(|&k| ladder[k]).collect();
-        let total_assigned: f64 = assigned.iter().sum();
-        let leftover = budget.max(0.0);
-        let allowances: Vec<f64> = assigned
-            .iter()
-            .map(|a| {
-                let share = if total_assigned > 0.0 {
-                    leftover * (a / total_assigned)
-                } else {
-                    leftover / n as f64
-                };
-                a + share
-            })
-            .collect();
-        (allowances, first_yield)
-    }
-
     /// The paper-literal proportional rule with both throttles. Returns
     /// `(allowances, yields, skipped)`.
     fn compute_proportional(
@@ -567,7 +457,7 @@ impl ErrorAllocator {
             return (self.allowances.clone(), yields, true);
         }
         let n = self.allowances.len() as f64;
-        let floor = self.global_err * self.config.min_fraction;
+        let floor = self.floor();
         let distributable = (self.global_err - floor * n).max(0.0);
         let allowances: Vec<f64> = yields
             .iter()
@@ -582,29 +472,6 @@ mod tests {
     use super::*;
     use crate::time::Interval;
 
-    /// A measured cost curve for a monitor with growth-cost scale
-    /// `difficulty`: at allowance `e`, the sustainable interval behaves
-    /// like `(e/difficulty)^(1/3)` (the Chebyshev `β(I) ∝ I³` shape), so
-    /// cost = `min(1, (difficulty/e)^(1/3))`.
-    fn curve(global_err: f64, difficulty: f64) -> Vec<f64> {
-        allowance_ladder(global_err)
-            .iter()
-            .map(|e| (difficulty / e).powf(1.0 / 3.0).min(1.0))
-            .collect()
-    }
-
-    fn report_with_curve(global_err: f64, difficulty: f64) -> PeriodReport {
-        PeriodReport {
-            observations: 1000,
-            avg_beta_current: difficulty,
-            avg_beta_grown: difficulty * 8.0,
-            avg_potential_reduction: 0.5,
-            interval: Interval::DEFAULT,
-            at_max_interval: false,
-            cost_curve: curve(global_err, difficulty),
-        }
-    }
-
     fn report(interval: u32, beta_grown: f64) -> PeriodReport {
         PeriodReport {
             observations: 100,
@@ -613,20 +480,12 @@ mod tests {
             avg_potential_reduction: 1.0 - 1.0 / f64::from(interval + 1),
             interval: Interval::new_clamped(interval),
             at_max_interval: false,
-            cost_curve: curve(0.01, beta_grown / 2.0),
         }
     }
 
     fn proportional_config() -> AllocationConfig {
         AllocationConfig {
             strategy: AllocationStrategy::Proportional,
-            ..AllocationConfig::default()
-        }
-    }
-
-    fn greedy_config() -> AllocationConfig {
-        AllocationConfig {
-            strategy: AllocationStrategy::GreedyCurve,
             ..AllocationConfig::default()
         }
     }
@@ -659,91 +518,6 @@ mod tests {
             ..AllocationConfig::default()
         };
         assert!(ErrorAllocator::new(bad, 0.01, 2).is_err());
-    }
-
-    #[test]
-    fn ladder_scales_with_allowance() {
-        let ladder = allowance_ladder(0.02);
-        assert_eq!(ladder.len(), ALLOWANCE_LADDER_LEN);
-        assert!((ladder[0] - 0.0002).abs() < 1e-15, "lowest rung is err/100");
-        assert_eq!(ladder[ALLOWANCE_LADDER_LEN - 1], 0.02);
-        for w in ladder.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-    }
-
-    #[test]
-    fn greedy_favors_cheap_monitors() {
-        let mut a = ErrorAllocator::new(greedy_config(), 0.01, 2).unwrap();
-        // Monitor 0 cheap to grow, monitor 1 expensive (flat curve at 1).
-        let reports = [report_with_curve(0.01, 1e-6), report_with_curve(0.01, 0.5)];
-        let d = a.update(&reports, 0.2).unwrap();
-        assert!(d.reallocated);
-        assert!(
-            a.allowances()[0] > a.allowances()[1],
-            "cheap monitor should hold more allowance: {:?}",
-            a.allowances()
-        );
-    }
-
-    #[test]
-    fn greedy_is_a_fixed_point_for_stationary_curves() {
-        let mut a = ErrorAllocator::new(greedy_config(), 0.01, 3).unwrap();
-        let reports = [
-            report_with_curve(0.01, 1e-6),
-            report_with_curve(0.01, 1e-5),
-            report_with_curve(0.01, 1e-4),
-        ];
-        a.update(&reports, 0.2).unwrap();
-        let first = a.allowances().to_vec();
-        for _ in 0..5 {
-            let d = a.update(&reports, 0.2).unwrap();
-            assert!(!d.reallocated, "stationary curves must reach a fixed point");
-            assert_eq!(a.allowances(), &first[..]);
-        }
-    }
-
-    #[test]
-    fn greedy_gives_flat_curve_monitors_the_floor() {
-        let mut a = ErrorAllocator::new(greedy_config(), 0.01, 2).unwrap();
-        let mut busy = report_with_curve(0.01, 0.5);
-        busy.cost_curve = vec![1.0; ALLOWANCE_LADDER_LEN]; // allowance buys nothing
-        let reports = [report_with_curve(0.01, 1e-5), busy];
-        a.update(&reports, 0.2).unwrap();
-        assert!(
-            a.allowances()[0] > a.allowances()[1] * 10.0,
-            "{:?}",
-            a.allowances()
-        );
-    }
-
-    #[test]
-    fn greedy_respects_budget_and_floors() {
-        for monitors in [2usize, 5, 20] {
-            let mut a = ErrorAllocator::new(greedy_config(), 0.01, monitors).unwrap();
-            let reports: Vec<PeriodReport> = (0..monitors)
-                .map(|i| report_with_curve(0.01, 10f64.powi(-(i as i32 % 6)) * 1e-2))
-                .collect();
-            a.update(&reports, 0.2).unwrap();
-            let sum: f64 = a.allowances().iter().sum();
-            assert!(sum <= 0.01 + 1e-12, "sum {sum}");
-            let floor = 0.01 * ALLOWANCE_LADDER_FRACTIONS[0];
-            for &x in a.allowances() {
-                assert!(x >= floor - 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_handles_short_or_non_monotone_curves() {
-        let mut a = ErrorAllocator::new(greedy_config(), 0.01, 2).unwrap();
-        let mut odd = report_with_curve(0.01, 1e-5);
-        odd.cost_curve = vec![0.5, 0.9]; // short and non-monotone
-        let reports = [report_with_curve(0.01, 1e-5), odd];
-        // Must not panic; missing rungs are treated as cost 1.
-        a.update(&reports, 0.2).unwrap();
-        let sum: f64 = a.allowances().iter().sum();
-        assert!(sum <= 0.01 + 1e-12);
     }
 
     #[test]
@@ -909,29 +683,5 @@ mod tests {
             "donor dropped below its sustain reserve: {:?}",
             a.allowances()
         );
-    }
-
-    #[test]
-    fn greedy_spends_more_budget_on_larger_allowance() {
-        // A larger global allowance must never produce smaller
-        // assignments for the cheap monitor.
-        let mut small = ErrorAllocator::new(greedy_config(), 0.002, 2).unwrap();
-        let mut large = ErrorAllocator::new(greedy_config(), 0.05, 2).unwrap();
-        small
-            .update(
-                &[
-                    report_with_curve(0.002, 1e-6),
-                    report_with_curve(0.002, 1e-2),
-                ],
-                0.2,
-            )
-            .unwrap();
-        large
-            .update(
-                &[report_with_curve(0.05, 1e-6), report_with_curve(0.05, 1e-2)],
-                0.2,
-            )
-            .unwrap();
-        assert!(large.allowances()[0] > small.allowances()[0]);
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! [`AdaptiveSampler`](crate::AdaptiveSampler) is the right shape for one
 //! monitor: it carries the §III-B controller *and* the §IV-B
-//! updating-period aggregates (average `β(I+1)`, the measured
-//! cost-vs-allowance curve) that a task-level coordinator reads between
-//! reallocation rounds. Fleet simulations that never reallocate pay for
-//! those aggregates on every sample anyway — an extra bound evaluation,
-//! an allowance-ladder sweep, and a per-monitor heap vector — although
-//! they feed nothing.
+//! updating-period aggregates (average `β(I)`, `β(I+1)` and `r_i`) that
+//! a task-level coordinator reads between reallocation rounds. Fleet
+//! simulations that never reallocate would pay for those aggregates on
+//! every sample anyway — an extra bound evaluation — although they feed
+//! nothing.
 //!
 //! [`SamplerBank`] is the same `step` (see [`crate::adaptation`]) over
 //! different storage: one bank holds every monitor of a shard, with each

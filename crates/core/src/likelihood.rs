@@ -59,25 +59,7 @@ pub fn exceed_probability_bound(
     sigma: f64,
     steps: u32,
 ) -> f64 {
-    if !value.is_finite() || !threshold.is_finite() || !mu.is_finite() || !sigma.is_finite() {
-        return 1.0;
-    }
-    if steps == 0 {
-        return if value > threshold { 1.0 } else { 0.0 };
-    }
-    let i = f64::from(steps);
-    let headroom = threshold - value - i * mu;
-    if sigma <= 0.0 {
-        // Deterministic walk: the value i steps out is exactly v + i·μ.
-        return if headroom < 0.0 { 1.0 } else { 0.0 };
-    }
-    if headroom <= 0.0 {
-        // Cantelli requires k > 0; when the mean path reaches the
-        // threshold the one-sided bound is vacuous.
-        return 1.0;
-    }
-    let k = headroom / (i * sigma);
-    1.0 / (1.0 + k * k)
+    exceed_probability_bound_with(BoundKind::Chebyshev, value, threshold, mu, sigma, steps)
 }
 
 /// Upper bound `β(I)` on the probability of mis-detecting a violation when
@@ -97,15 +79,7 @@ pub fn exceed_probability_bound(
 /// assert!(b4 <= 1.0);
 /// ```
 pub fn misdetection_bound(value: f64, threshold: f64, mu: f64, sigma: f64, interval: u32) -> f64 {
-    let mut no_violation = 1.0f64;
-    for i in 1..=interval {
-        let p = exceed_probability_bound(value, threshold, mu, sigma, i);
-        no_violation *= 1.0 - p;
-        if no_violation <= 0.0 {
-            return 1.0;
-        }
-    }
-    (1.0 - no_violation).clamp(0.0, 1.0)
+    misdetection_bound_with(BoundKind::Chebyshev, value, threshold, mu, sigma, interval)
 }
 
 /// Which tail bound the likelihood estimation uses.
@@ -164,9 +138,12 @@ pub fn exceed_probability_bound_with(
     let i = f64::from(steps);
     let headroom = threshold - value - i * mu;
     if sigma <= 0.0 {
+        // Deterministic walk: the value i steps out is exactly v + i·μ.
         return if headroom < 0.0 { 1.0 } else { 0.0 };
     }
     if headroom <= 0.0 {
+        // Cantelli requires k > 0; when the mean path reaches the
+        // threshold the one-sided bound is vacuous.
         return 1.0;
     }
     let k = headroom / (i * sigma);
@@ -194,85 +171,6 @@ pub fn misdetection_bound_with(
         }
     }
     (1.0 - no_violation).clamp(0.0, 1.0)
-}
-
-/// For each bound threshold in ascending `limits`, computes the largest
-/// interval `I ∈ [1, max_interval]` whose mis-detection bound `β(I)` stays
-/// at or below the limit, writing it to the corresponding `out` slot
-/// (minimum 1: the default interval is always allowed).
-///
-/// This is the per-sample kernel behind the monitors' measured
-/// cost-vs-allowance curves (§IV-B): `limits[k] = (1−γ)·e_k` for a ladder
-/// of candidate allowances, and the sustainable interval at each candidate
-/// tells the coordinator what marginal cost reduction an allowance
-/// increase would buy. A single monotone sweep computes all entries in
-/// `O(max_interval + limits.len())`.
-///
-/// # Panics
-///
-/// Panics when `out` is shorter than `limits`.
-pub fn sustainable_intervals(
-    value: f64,
-    threshold: f64,
-    mu: f64,
-    sigma: f64,
-    max_interval: u32,
-    limits: &[f64],
-    out: &mut [u32],
-) {
-    sustainable_intervals_with(
-        BoundKind::Chebyshev,
-        value,
-        threshold,
-        mu,
-        sigma,
-        max_interval,
-        limits,
-        out,
-    );
-}
-
-/// [`sustainable_intervals`] under an explicit tail bound.
-///
-/// # Panics
-///
-/// Panics when `out` is shorter than `limits`.
-#[allow(clippy::too_many_arguments)] // thin kernel; mirrors sustainable_intervals
-pub fn sustainable_intervals_with(
-    kind: BoundKind,
-    value: f64,
-    threshold: f64,
-    mu: f64,
-    sigma: f64,
-    max_interval: u32,
-    limits: &[f64],
-    out: &mut [u32],
-) {
-    assert!(out.len() >= limits.len(), "output slice too short");
-    debug_assert!(
-        limits.windows(2).all(|w| w[0] <= w[1]),
-        "limits must ascend"
-    );
-    // β(I) is non-decreasing in I, so the answers are non-decreasing in
-    // the limit: advance I once across ascending limits (two pointers).
-    let mut interval = 1u32;
-    let mut no_violation =
-        1.0 - exceed_probability_bound_with(kind, value, threshold, mu, sigma, 1);
-    for (k, &limit) in limits.iter().enumerate() {
-        while interval < max_interval {
-            // β at interval + 1.
-            let p = exceed_probability_bound_with(kind, value, threshold, mu, sigma, interval + 1);
-            let next_no_violation = no_violation * (1.0 - p);
-            let next_beta = (1.0 - next_no_violation).clamp(0.0, 1.0);
-            if next_beta <= limit {
-                interval += 1;
-                no_violation = next_no_violation;
-            } else {
-                break;
-            }
-        }
-        out[k] = interval;
-    }
 }
 
 #[cfg(test)]
@@ -360,48 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn sustainable_intervals_match_direct_bound() {
-        let (v, t, mu, sigma, im) = (10.0, 100.0, 0.4, 2.5, 32u32);
-        let limits = [0.0001, 0.001, 0.01, 0.1, 0.9];
-        let mut out = [0u32; 5];
-        sustainable_intervals(v, t, mu, sigma, im, &limits, &mut out);
-        for (k, &limit) in limits.iter().enumerate() {
-            // Direct: largest I with β(I) ≤ limit.
-            let mut expect = 1;
-            for i in 1..=im {
-                if misdetection_bound(v, t, mu, sigma, i) <= limit {
-                    expect = i;
-                } else {
-                    break;
-                }
-            }
-            assert_eq!(out[k], expect, "limit {limit}");
-        }
-        // Non-decreasing across ascending limits.
-        for w in out.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
-    #[test]
-    fn sustainable_intervals_floor_and_cap() {
-        let mut out = [0u32; 2];
-        // Vacuous bound everywhere: floor of 1.
-        sustainable_intervals(99.0, 100.0, 10.0, 1.0, 16, &[0.001, 0.9], &mut out);
-        assert_eq!(out, [1, 1]);
-        // Deterministic quiet walk: cap at max_interval.
-        sustainable_intervals(0.0, 100.0, 0.0, 0.0, 16, &[0.001, 0.9], &mut out);
-        assert_eq!(out, [16, 16]);
-    }
-
-    #[test]
-    #[should_panic(expected = "output slice too short")]
-    fn sustainable_intervals_validates_output_len() {
-        let mut out = [0u32; 1];
-        sustainable_intervals(0.0, 1.0, 0.0, 1.0, 4, &[0.1, 0.2], &mut out);
-    }
-
-    #[test]
     fn gaussian_bound_is_tighter_than_chebyshev() {
         for k in [0.5f64, 1.0, 2.0, 4.0, 8.0] {
             // headroom = k·σ with i = 1, σ = 1.
@@ -454,39 +310,6 @@ mod tests {
             assert_eq!(
                 misdetection_bound(v, t, mu, sigma, i),
                 misdetection_bound_with(BoundKind::Chebyshev, v, t, mu, sigma, i)
-            );
-        }
-    }
-
-    #[test]
-    fn sustainable_intervals_with_gaussian_at_least_chebyshev() {
-        let limits = [0.0001, 0.001, 0.01];
-        let mut cheb = [0u32; 3];
-        let mut gauss = [0u32; 3];
-        sustainable_intervals_with(
-            BoundKind::Chebyshev,
-            10.0,
-            100.0,
-            0.2,
-            2.0,
-            32,
-            &limits,
-            &mut cheb,
-        );
-        sustainable_intervals_with(
-            BoundKind::Gaussian,
-            10.0,
-            100.0,
-            0.2,
-            2.0,
-            32,
-            &limits,
-            &mut gauss,
-        );
-        for (g, c) in gauss.iter().zip(&cheb) {
-            assert!(
-                g >= c,
-                "gaussian sustains at least as long: {gauss:?} vs {cheb:?}"
             );
         }
     }

@@ -1587,7 +1587,6 @@ mod tests {
             avg_potential_reduction: 1.0 - 1.0 / f64::from(interval + 1),
             interval: Interval::new_clamped(interval),
             at_max_interval: false,
-            cost_curve: vec![1.0; 8],
         }
     }
 

@@ -127,14 +127,13 @@ impl MonitorToCoordinator {
         let finite = |x: &f64| x.is_finite();
         match self {
             Self::PollReply { value, .. } => value.is_finite(),
-            Self::Report { report: r, .. } => {
-                let averages = [
-                    r.avg_beta_current,
-                    r.avg_beta_grown,
-                    r.avg_potential_reduction,
-                ];
-                averages.iter().chain(&r.cost_curve).all(finite)
-            }
+            Self::Report { report: r, .. } => [
+                r.avg_beta_current,
+                r.avg_beta_grown,
+                r.avg_potential_reduction,
+            ]
+            .iter()
+            .all(finite),
             Self::StateSnapshot { snapshot: s, .. } => {
                 let (config, stats) = (&s.config, &s.tracker.stats);
                 let last = s.tracker.last.map_or(0.0, |(_, value)| value);
@@ -377,7 +376,6 @@ mod tests {
                 avg_potential_reduction: 0.5,
                 interval: Interval::new_clamped(3),
                 at_max_interval: false,
-                cost_curve: vec![1.0, 0.8, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15],
             },
         };
         let back: MonitorToCoordinator = decode(&encode(&msg)).unwrap();
@@ -493,14 +491,12 @@ mod tests {
             avg_potential_reduction: 0.5,
             interval: Interval::new_clamped(3),
             at_max_interval: false,
-            cost_curve: vec![1.0, 0.5],
         };
         let snapshot = sampler_snapshot();
-        let poisoned_reports: [fn(&mut PeriodReport); 4] = [
+        let poisoned_reports: [fn(&mut PeriodReport); 3] = [
             |r| r.avg_beta_current = f64::NAN,
             |r| r.avg_beta_grown = f64::INFINITY,
             |r| r.avg_potential_reduction = f64::NEG_INFINITY,
-            |r| r.cost_curve[1] = f64::NAN,
         ];
         let poisoned_snapshots: [fn(&mut SamplerSnapshot); 5] = [
             |s| s.threshold = f64::NAN,

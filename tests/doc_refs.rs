@@ -1,6 +1,6 @@
 //! Drift guard for the current-state documents: `DESIGN.md`,
-//! `README.md`, `docs/API.md`, `EXPERIMENTS.md` and `vendor/README.md`
-//! may only name what exists.
+//! `README.md`, `docs/API.md`, `docs/ALGORITHMS.md`, `EXPERIMENTS.md`
+//! and `vendor/README.md` may only name what exists.
 //!
 //! Checked in inline code spans and link targets (fenced blocks are
 //! examples, compiled or driven elsewhere):
@@ -19,10 +19,11 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 5] = [
+const DOCS: [&str; 6] = [
     "DESIGN.md",
     "README.md",
     "docs/API.md",
+    "docs/ALGORITHMS.md",
     "EXPERIMENTS.md",
     "vendor/README.md",
 ];

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 
 use volley::core::accuracy::evaluate_policy;
-use volley::core::allocation::{allowance_ladder, AllocationConfig, ErrorAllocator};
+use volley::core::allocation::{
+    AllocationConfig, AllocationStrategy, AllowanceCostMode, ErrorAllocator, YieldMode,
+};
 use volley::core::stats::OnlineStats;
 use volley::{
     exceed_probability_bound, misdetection_bound, AdaptationConfig, AdaptiveSampler, Interval,
@@ -113,17 +115,17 @@ proptest! {
         prop_assert_eq!(p.misdetection_rate(), 0.0);
     }
 
-    /// Allowance allocation always conserves the budget and floors.
+    /// Every strategy, under every yield and allowance-cost formula, keeps
+    /// `Σ err_i ≤ err` and each allowance at or above the floor
+    /// `err · min(min_fraction, 1/n)` — also past 100 monitors, where
+    /// `n` uncapped `err/100` floors alone would exceed the budget.
     #[test]
     fn allocator_conserves_budget(
         global_err in 0.001f64..0.2,
-        monitors in 2usize..12,
+        monitors in 2usize..301,
         rounds in 1usize..10,
         difficulty_exp in prop::collection::vec(-6.0f64..0.0, 2..12),
     ) {
-        let mut allocator =
-            ErrorAllocator::new(AllocationConfig::default(), global_err, monitors).expect("valid");
-        let ladder = allowance_ladder(global_err);
         let reports: Vec<_> = (0..monitors)
             .map(|i| {
                 let difficulty = 10f64.powf(difficulty_exp[i % difficulty_exp.len()]);
@@ -134,17 +136,33 @@ proptest! {
                     avg_potential_reduction: 0.5,
                     interval: Interval::new_clamped(1 + (i as u32 % 4)),
                     at_max_interval: false,
-                    cost_curve: ladder.iter().map(|e| (difficulty / e).min(1.0)).collect(),
                 }
             })
             .collect();
-        for _ in 0..rounds {
-            allocator.update(&reports, 0.2).expect("update succeeds");
-            let sum: f64 = allocator.allowances().iter().sum();
-            prop_assert!(sum <= global_err + 1e-9, "sum {sum} budget {global_err}");
-            let floor = global_err * allocator.config().min_fraction;
-            for &a in allocator.allowances() {
-                prop_assert!(a >= floor - 1e-12);
+        for strategy in [AllocationStrategy::Iterative, AllocationStrategy::Proportional] {
+            for yield_mode in [YieldMode::PaperTotal, YieldMode::Marginal] {
+                for cost_mode in [AllowanceCostMode::Grown, AllowanceCostMode::Current] {
+                    let config = AllocationConfig {
+                        strategy,
+                        yield_mode,
+                        cost_mode,
+                        ..AllocationConfig::default()
+                    };
+                    let mut allocator =
+                        ErrorAllocator::new(config, global_err, monitors).expect("valid");
+                    let floor = global_err * config.min_fraction.min(1.0 / monitors as f64);
+                    for _ in 0..rounds {
+                        allocator.update(&reports, 0.2).expect("update succeeds");
+                        let sum: f64 = allocator.allowances().iter().sum();
+                        prop_assert!(
+                            sum <= global_err + 1e-9,
+                            "{config:?}: sum {sum} budget {global_err}"
+                        );
+                        for &a in allocator.allowances() {
+                            prop_assert!(a >= floor - 1e-12, "{config:?}: {a} below floor {floor}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -150,11 +150,10 @@ fn generated_frame(kind: u8, monitor: u32, tick: u64, bits: u8) -> MonitorFrame 
                 avg_potential_reduction: 1.0 - 1.0 / f64::from(monitor + 2),
                 interval: Interval::new_clamped(monitor + 1),
                 at_max_interval: false,
-                cost_curve: vec![1.0, 0.9, 0.75, 0.5, 0.4, 0.3, 0.25, 0.2],
             };
             match bits % 5 {
                 3 => report.avg_beta_grown = lost,
-                4 => report.cost_curve[usize::from(bits % 8)] = lost,
+                4 => report.avg_potential_reduction = lost,
                 _ => {}
             }
             MonitorToCoordinator::Report {
@@ -425,15 +424,14 @@ proptest! {
         control_round_trip(observed, monitor, CoordinatorToMonitor::RestoreState { snapshot });
     }
 
-    /// Period reports — the only variant holding nested structures and a
-    /// variable-length payload — round-trip too.
+    /// Period reports — the only variant holding a nested structure —
+    /// round-trip too.
     #[test]
     fn period_reports_round_trip(
         monitor in 0u32..1000,
         observations in 0u32..100_000,
         beta in 0.0f64..1.0,
         interval in 0u32..4096,
-        curve in prop::collection::vec(0.0f64..1.0, 0..16),
     ) {
         let report = PeriodReport {
             observations,
@@ -442,7 +440,6 @@ proptest! {
             avg_potential_reduction: 1.0 - beta,
             interval: Interval::new_clamped(interval),
             at_max_interval: interval >= 4095,
-            cost_curve: curve,
         };
         round_trip(&report);
         sealed_round_trip(u64::from(observations), MonitorToCoordinator::Report {
