@@ -185,39 +185,46 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// MSB-first bit writer over a byte vector.
+/// MSB-first bit writer over a byte vector. Bits gather in a `u128`
+/// accumulator and leave it as whole bytes.
 struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the last byte (0 = byte boundary).
-    used: u8,
+    /// Pending bits, right-aligned; only the low `pending` are live.
+    acc: u128,
+    /// Bits in `acc` not yet emitted (< 8 between calls).
+    pending: u32,
 }
 
 impl BitWriter {
     fn new() -> Self {
         BitWriter {
             bytes: Vec::new(),
-            used: 0,
+            acc: 0,
+            pending: 0,
         }
     }
 
     fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.used);
-        }
-        self.used = (self.used + 1) % 8;
+        self.write_bits(u64::from(bit), 1);
     }
 
+    /// Writes the low `count` (≤ 64) bits of `value`, most significant
+    /// first.
     fn write_bits(&mut self, value: u64, count: u8) {
-        for i in (0..count).rev() {
-            self.write_bit((value >> i) & 1 == 1);
-        }
+        let count = u32::from(count);
+        let value = value & u64::MAX.checked_shr(64 - count).unwrap_or(0);
+        self.acc = (self.acc << count) | u128::from(value);
+        self.pending += count;
+        let whole = (self.pending / 8) as usize;
+        self.pending %= 8;
+        let out = ((self.acc >> self.pending) as u64).to_be_bytes();
+        self.bytes.extend_from_slice(&out[8 - whole..]);
     }
 
-    fn into_bytes(self) -> Vec<u8> {
+    fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.bytes.push((self.acc << (8 - self.pending)) as u8);
+        }
         self.bytes
     }
 }
@@ -234,16 +241,21 @@ impl<'a> BitReader<'a> {
     }
 
     fn read_bit(&mut self) -> Option<bool> {
-        let byte = self.bytes.get(self.pos / 8)?;
-        let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
-        self.pos += 1;
-        Some(bit)
+        self.read_bits(1).map(|bit| bit == 1)
     }
 
+    /// Reads `count` (≤ 64) bits, taking up to a byte's remaining bits
+    /// per step.
     fn read_bits(&mut self, count: u8) -> Option<u64> {
         let mut v = 0u64;
-        for _ in 0..count {
-            v = (v << 1) | u64::from(self.read_bit()?);
+        let mut left = u32::from(count);
+        while left > 0 {
+            let byte = *self.bytes.get(self.pos / 8)?;
+            let offset = (self.pos % 8) as u32;
+            let take = left.min(8 - offset);
+            v = (v << take) | u64::from((byte << offset) >> (8 - take));
+            self.pos += take as usize;
+            left -= take;
         }
         Some(v)
     }
@@ -630,7 +642,129 @@ impl<'a> SegmentReader<'a> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The bit-serial writer the codec shipped with: one bit per step,
+    /// kept as the oracle for [`BitWriter`].
+    struct RefBitWriter {
+        bytes: Vec<u8>,
+        used: u8,
+    }
+
+    impl RefBitWriter {
+        fn write_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.bytes.push(0);
+            }
+            if bit {
+                let last = self.bytes.len() - 1;
+                self.bytes[last] |= 1 << (7 - self.used);
+            }
+            self.used = (self.used + 1) % 8;
+        }
+
+        fn write_bits(&mut self, value: u64, count: u8) {
+            for i in (0..count).rev() {
+                self.write_bit((value >> i) & 1 == 1);
+            }
+        }
+    }
+
+    /// The bit-serial reader the codec shipped with, the oracle for
+    /// [`BitReader`].
+    struct RefBitReader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl RefBitReader<'_> {
+        fn read_bit(&mut self) -> Option<bool> {
+            let byte = self.bytes.get(self.pos / 8)?;
+            let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
+            self.pos += 1;
+            Some(bit)
+        }
+
+        fn read_bits(&mut self, count: u8) -> Option<u64> {
+            let mut v = 0u64;
+            for _ in 0..count {
+                v = (v << 1) | u64::from(self.read_bit()?);
+            }
+            Some(v)
+        }
+    }
+
+    /// One generated write: `width` 0 stands for a `write_bit` call.
+    fn write_op(new: &mut BitWriter, reference: &mut RefBitWriter, (value, width): (u64, u8)) {
+        if width == 0 {
+            new.write_bit(value & 1 == 1);
+            reference.write_bit(value & 1 == 1);
+        } else {
+            new.write_bits(value, width);
+            reference.write_bits(value, width);
+        }
+    }
+
+    /// Replays `ops` as reads; yields each read's result, stopping after
+    /// the first `None`.
+    fn read_ops(ops: &[(u64, u8)], mut read: impl FnMut(u8) -> Option<u64>) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        for &(_, width) in ops {
+            let got = read(width);
+            out.push(got);
+            if got.is_none() {
+                break;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn bit_codec_matches_the_bit_serial_reference(
+            raw in prop::collection::vec((0..u64::MAX, 0u8..65, 0u8..4), 0..300),
+        ) {
+            // Bias widths small half the time, the shapes the value
+            // stream writes most (flag bits, 6-bit headers).
+            let ops: Vec<(u64, u8)> = raw
+                .iter()
+                .map(|&(v, w, bias)| (v, if bias < 2 { w % 8 } else { w }))
+                .collect();
+            let mut new = BitWriter::new();
+            let mut reference = RefBitWriter { bytes: Vec::new(), used: 0 };
+            for &op in &ops {
+                write_op(&mut new, &mut reference, op);
+            }
+            let bytes = new.into_bytes();
+            prop_assert_eq!(&bytes, &reference.bytes);
+
+            let read = |bytes: &[u8]| {
+                let mut bits = BitReader::new(bytes);
+                read_ops(&ops, |w| match w {
+                    0 => bits.read_bit().map(u64::from),
+                    w => bits.read_bits(w),
+                })
+            };
+            let read_ref = |bytes: &[u8]| {
+                let mut bits = RefBitReader { bytes, pos: 0 };
+                read_ops(&ops, |w| match w {
+                    0 => bits.read_bit().map(u64::from),
+                    w => bits.read_bits(w),
+                })
+            };
+            // A write keeps the low `width` bits; `write_bit` the lowest.
+            let expect: Vec<Option<u64>> = ops
+                .iter()
+                .map(|&(v, w)| Some(v & (u64::MAX >> (64 - u32::from(w.max(1))))))
+                .collect();
+            prop_assert_eq!(read(&bytes), expect);
+            for cut in 0..bytes.len() {
+                prop_assert_eq!(read(&bytes[..cut]), read_ref(&bytes[..cut]), "cut at {}", cut);
+            }
+        }
+    }
 
     fn rec(monitor: u32, tick: u64, value: f64) -> Record {
         Record {
@@ -735,6 +869,111 @@ mod tests {
         let reader = SegmentReader::open(&bytes);
         assert!(reader.truncated());
         assert_eq!(reader.records().len(), 100);
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A fixed record set covering every shape the codec packs: six
+    /// kinds over several series, special values, steady and jittered
+    /// cadences, raw random bit patterns (full-width XORs) and one
+    /// series longer than [`MAX_CHUNK_RECORDS`]. Integer arithmetic
+    /// only, so it is the same on every host.
+    fn golden_records() -> Vec<Record> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state
+        };
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::MAX,
+        ];
+        let mut records = Vec::new();
+        // Steady cadence, slowly drifting value, spanning two chunks.
+        for i in 0..(MAX_CHUNK_RECORDS as u64 + 905) {
+            let value = 20.0 + ((i / 7) % 40) as f64 * 0.25;
+            records.push(Record {
+                task: 0,
+                monitor: 0,
+                kind: RecordKind::Sample,
+                tick: 3 * i,
+                value,
+            });
+        }
+        // Jittered cadence with special values and raw bit patterns.
+        let mut tick = 10u64;
+        for i in 0..700usize {
+            tick += 1 + next() % 7;
+            let value = match i % 4 {
+                0 => specials[(i / 4) % specials.len()],
+                1 => f64::from_bits(next()),
+                _ => (next() % 1000) as f64 / 8.0,
+            };
+            records.push(Record {
+                task: 1,
+                monitor: 2,
+                kind: RecordKind::PollSample,
+                tick,
+                value,
+            });
+        }
+        for (n, kind) in RecordKind::ALL.into_iter().enumerate() {
+            let monitor = if kind == RecordKind::Alert {
+                crate::record::TASK_WIDE
+            } else {
+                5
+            };
+            for i in 0..(40 + 30 * n as u64) {
+                let value = match kind {
+                    RecordKind::Alert => 1.0 + (i % 2) as f64,
+                    RecordKind::IntervalChange => (1 + next() % 8) as f64,
+                    _ => (next() % 100_000) as f64 * 0.01,
+                };
+                records.push(Record {
+                    task: 2,
+                    monitor,
+                    kind,
+                    tick: i * (n as u64 + 1),
+                    value,
+                });
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let records = golden_records();
+        let bytes = encode_segment(&records);
+        let reader = SegmentReader::open(&bytes);
+        assert!(reader.entries().len() > RecordKind::ALL.len() + 2);
+        let got = reader.records();
+        let mut expect = records.clone();
+        expect.sort_by_key(Record::sort_key);
+        assert_eq!(got.len(), expect.len());
+        for (a, b) in got.iter().zip(&expect) {
+            assert_eq!(
+                (a.key(), a.tick, a.value.to_bits()),
+                (b.key(), b.tick, b.value.to_bits())
+            );
+        }
+        assert_eq!(
+            (bytes.len(), fnv(&bytes)),
+            (17_809, 0x9c6f_3b1f_a58b_9563),
+            "sealed segment bytes moved (digest now {:#018x})",
+            fnv(&bytes)
+        );
     }
 
     #[test]
