@@ -20,10 +20,11 @@
 //! - one K-bounded min-heap of the best pairs seen so far,
 //!
 //! so memory is `O(tasks · cap + K)` while IO is the framework's single
-//! streaming pass. Pair scoring at [`finish`](crate::Job::finish) runs
-//! each ordered pair once with a two-pointer merge over the two sorted
-//! tick lists — `O(tasks² · cap)` time, no per-pair allocation beyond
-//! the heap.
+//! streaming pass. [`finish`](crate::Job::finish) sorts each list (a
+//! task's alerts may span several series) and scores each ordered pair
+//! once with [`preceded_within`], the two-pointer merge the online
+//! `CorrelationDetector` counts with too — `O(tasks² · cap)` time, no
+//! per-pair allocation beyond the heap.
 //!
 //! [`Alert`]: RecordKind::Alert
 
@@ -31,6 +32,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 
 use serde::Serialize;
+use volley_core::correlation::preceded_within;
 use volley_core::Tick;
 use volley_store::{Record, RecordKind, ScanRange};
 
@@ -145,7 +147,8 @@ pub struct CorrelationMatrix {
     pub pairs: Vec<CorrelatedPair>,
 }
 
-/// Per-task fold state: the capped, scan-ordered alert tick list.
+/// Per-task fold state: the capped alert tick list, in scan order until
+/// [`finish`](crate::Job::finish) sorts it.
 #[derive(Debug, Default)]
 struct TaskAlerts {
     ticks: Vec<Tick>,
@@ -201,16 +204,17 @@ impl Job for CorrelationMatrixJob {
         let task = self.tasks.entry(record.task).or_default();
         task.total += 1;
         if task.ticks.len() < self.config.max_alerts_per_task {
-            // Scan order is tick-ascending within a series, so the list
-            // stays sorted for the two-pointer pass without a sort.
             task.ticks.push(record.tick);
         }
     }
 
-    fn finish(self) -> CorrelationMatrix {
+    fn finish(mut self) -> CorrelationMatrix {
         let mut alerts = 0;
         let mut truncated_tasks = 0;
-        for task in self.tasks.values() {
+        for task in self.tasks.values_mut() {
+            // Scans are tick-ascending only within a series: a task whose
+            // alerts span several monitors arrives as several runs.
+            task.ticks.sort_unstable();
             alerts += task.total;
             if task.total > task.ticks.len() as u64 {
                 truncated_tasks += 1;
@@ -257,53 +261,5 @@ impl Job for CorrelationMatrixJob {
             qualifying_pairs,
             pairs,
         }
-    }
-}
-
-/// How many of `followers`' ticks have a tick of `leaders` inside
-/// `[t - lag, t]`. Both slices are sorted ascending; one two-pointer
-/// merge, O(|leaders| + |followers|).
-fn preceded_within(leaders: &[Tick], followers: &[Tick], lag: u64) -> u64 {
-    let mut joint = 0;
-    let mut next = 0; // first leader tick strictly after the follower tick
-    for &tick in followers {
-        while next < leaders.len() && leaders[next] <= tick {
-            next += 1;
-        }
-        if next > 0 && leaders[next - 1] >= tick.saturating_sub(lag) {
-            joint += 1;
-        }
-    }
-    joint
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn pair_of(leaders: &[Tick], followers: &[Tick], lag: u64) -> u64 {
-        preceded_within(leaders, followers, lag)
-    }
-
-    #[test]
-    fn two_pointer_counts_lag_window_hits() {
-        // 12 sees 10 (lag 2 exactly); 13 does not (10 < 11); 52 sees 50.
-        assert_eq!(pair_of(&[10, 50], &[12, 13, 52, 90], 2), 2);
-        assert_eq!(pair_of(&[10], &[12], 1), 0, "outside the window");
-        assert_eq!(pair_of(&[10], &[10], 0), 1, "same tick counts");
-        assert_eq!(pair_of(&[], &[1, 2, 3], 5), 0);
-        assert_eq!(pair_of(&[1, 2, 3], &[], 5), 0);
-    }
-
-    #[test]
-    fn window_is_backward_looking_only() {
-        // Leader alert *after* the follower's never counts.
-        assert_eq!(pair_of(&[13], &[12], 5), 0);
-    }
-
-    #[test]
-    fn boundary_tick_is_inclusive() {
-        assert_eq!(pair_of(&[10], &[12], 2), 1, "t - lag exactly");
-        assert_eq!(pair_of(&[9], &[12], 2), 0, "one past the window");
     }
 }

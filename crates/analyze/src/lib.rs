@@ -25,9 +25,11 @@
 //!
 //! The first job is [`CorrelationMatrixJob`] (`correlation_matrix_v1`):
 //! top-K pairwise violation correlation across all recorded tasks, the
-//! offline half of the paper's §II.B multi-task scheme. It surfaces as
-//! `volley analyze correlate` on the CLI.
+//! offline half of the paper's §II.B multi-task scheme. It sorts each
+//! task's alert ticks and counts with `volley-core`'s [`preceded_within`],
+//! the online detector's kernel too; `volley analyze correlate` runs it.
 //!
+//! [`preceded_within`]: volley_core::correlation::preceded_within
 //! [`Store::scan`]: volley_store::Store::scan
 
 #![forbid(unsafe_code)]

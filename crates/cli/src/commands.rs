@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 
+use volley_core::hash::splitmix64;
 use volley_core::task::{MonitorId, TaskSpec, TaskSpecBuilder};
 use volley_core::{
     AdaptationConfig, AdaptiveSampler, FaultFs, GroundTruth, IoFaultPlan, IoFaultStats, VolleyError,
@@ -887,15 +888,6 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// SplitMix64 finalizer: the deterministic per-`(seed, task, tick)` hash
-/// behind the noise tasks' spike schedule in [`cascade_traces`].
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The planted cascade workload for `chaos --multitask`: task 0 (the
 /// leader) violates on ticks 10..18 of every 40, task 1 (the follower)
 /// echoes it two ticks later, and every further task spikes on its own
@@ -913,7 +905,7 @@ fn cascade_traces(tasks: usize, monitors: usize, ticks: usize, seed: u64) -> Vec
                             let hot = match task {
                                 0 => (10..18).contains(&(t % 40)),
                                 1 => (12..20).contains(&(t % 40)),
-                                _ => splitmix(seed ^ ((task as u64) << 32) ^ t as u64)
+                                _ => splitmix64(seed ^ ((task as u64) << 32) ^ t as u64)
                                     .is_multiple_of(25),
                             };
                             if hot {

@@ -81,22 +81,16 @@ impl CorrelationConfig {
     }
 }
 
-/// Pairwise co-violation statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct PairStats {
-    /// Follower violations observed.
-    follower_violations: u32,
-    /// Follower violations during which the leader was active within the
-    /// lag window.
-    leader_active_too: u32,
-}
-
 /// Online detector of inter-task state correlation.
 ///
-/// Feed it one [`observe`](CorrelationDetector::observe) call per tick
-/// with the set of task states; query
+/// Feed it one [`observe`](CorrelationDetector::observe) call per tick,
+/// in ascending tick order, with the set of task states; query
 /// [`necessity_confidence`](CorrelationDetector::necessity_confidence) or
 /// build a [`MonitoringPlan`].
+///
+/// It keeps each task's active ticks, counting at query time with the
+/// offline job's merge [`preceded_within`], with no per-task cap: its
+/// callers' training windows bound its memory.
 ///
 /// ```
 /// use volley_core::{CorrelationConfig, CorrelationDetector};
@@ -111,41 +105,24 @@ struct PairStats {
 /// let c = det.necessity_confidence(TaskId(0), TaskId(1)).unwrap();
 /// assert!(c > 0.99);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationDetector {
     config: CorrelationConfig,
     tasks: Vec<TaskId>,
-    /// Most recent tick each task was active (violating).
-    last_active: Vec<Option<Tick>>,
-    /// Per-task violation counts (for base rates).
-    violations: Vec<u32>,
+    /// Ascending ticks at which each task was active (violating).
+    active: Vec<Vec<Tick>>,
     ticks: u64,
-    /// `stats[f][l]` — follower `f`, leader `l`.
-    stats: Vec<Vec<PairStats>>,
 }
 
 impl CorrelationDetector {
     /// Creates a detector over the given tasks.
     pub fn new(config: CorrelationConfig, tasks: Vec<TaskId>) -> Self {
-        let n = tasks.len();
         CorrelationDetector {
             config,
+            active: vec![Vec::new(); tasks.len()],
             tasks,
-            last_active: vec![None; n],
-            violations: vec![0; n],
             ticks: 0,
-            stats: vec![vec![PairStats::default(); n]; n],
         }
-    }
-
-    /// The tasks under observation, in column order.
-    pub fn tasks(&self) -> &[TaskId] {
-        &self.tasks
-    }
-
-    /// Number of ticks observed.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Records one synchronized observation: `active[i]` is whether task
@@ -153,47 +130,36 @@ impl CorrelationDetector {
     ///
     /// Extra or missing columns are ignored beyond the task count.
     pub fn observe(&mut self, tick: Tick, active: &[bool]) {
-        let n = self.tasks.len().min(active.len());
         self.ticks += 1;
-        // Update recency first so simultaneous activity counts as "active
-        // within the window".
-        for (i, &is_active) in active.iter().enumerate().take(n) {
+        for (ticks, &is_active) in self.active.iter_mut().zip(active) {
             if is_active {
-                self.last_active[i] = Some(tick);
-                self.violations[i] += 1;
-            }
-        }
-        let lag = u64::from(self.config.lag_window);
-        for (follower, &follower_active) in active.iter().enumerate().take(n) {
-            if !follower_active {
-                continue;
-            }
-            for leader in 0..n {
-                if leader == follower {
-                    continue;
-                }
-                let s = &mut self.stats[follower][leader];
-                s.follower_violations += 1;
-                if let Some(t) = self.last_active[leader] {
-                    if tick.saturating_sub(t) <= lag {
-                        s.leader_active_too += 1;
-                    }
-                }
+                ticks.push(tick);
             }
         }
     }
 
+    /// The last tick `task` was observed active, if any.
+    pub fn last_active(&self, task: TaskId) -> Option<Tick> {
+        self.active[self.index_of(task)?].last().copied()
+    }
+
     /// Estimated `P(leader active | follower violates)`, or `None` when
     /// the pair lacks support (fewer than `min_support` follower
-    /// violations) or either task is unknown.
+    /// violations), is a self-pair, or either task is unknown.
     pub fn necessity_confidence(&self, leader: TaskId, follower: TaskId) -> Option<f64> {
-        let l = self.index_of(leader)?;
-        let f = self.index_of(follower)?;
-        let s = self.stats[f][l];
-        if s.follower_violations < self.config.min_support {
+        self.confidence(self.index_of(leader)?, self.index_of(follower)?)
+    }
+
+    /// Column `f`'s active ticks with a column `l` tick inside the lag
+    /// window, over all of `f`'s active ticks.
+    fn confidence(&self, l: usize, f: usize) -> Option<f64> {
+        let support = self.active[f].len() as u64;
+        if l == f || support < u64::from(self.config.min_support) {
             return None;
         }
-        Some(f64::from(s.leader_active_too) / f64::from(s.follower_violations))
+        let lag = u64::from(self.config.lag_window);
+        let joint = preceded_within(&self.active[l], &self.active[f], lag);
+        Some(joint as f64 / support as f64)
     }
 
     fn index_of(&self, task: TaskId) -> Option<usize> {
@@ -246,18 +212,13 @@ impl CorrelationDetector {
         let mut candidates: Vec<(usize, usize, f64, f64)> = Vec::new();
         for f in 0..n {
             for l in 0..n {
-                if l == f {
+                let Some(conf) = self.confidence(l, f) else {
                     continue;
-                }
-                let s = self.stats[f][l];
-                if s.follower_violations < self.config.min_support {
-                    continue;
-                }
-                let conf = f64::from(s.leader_active_too) / f64::from(s.follower_violations);
+                };
                 let leader_rate = if self.ticks == 0 {
                     1.0
                 } else {
-                    f64::from(self.violations[l]) / self.ticks as f64
+                    self.active[l].len() as f64 / self.ticks as f64
                 };
                 if conf >= self.config.min_confidence && leader_rate <= 0.5 {
                     let value = cost(f) * saving_factor * (1.0 - leader_rate);
@@ -291,6 +252,24 @@ impl CorrelationDetector {
         }
         MonitoringPlan { gates: gated }
     }
+}
+
+/// How many of `followers`' ticks have a tick of `leaders` inside
+/// `[t - lag, t]`: the §II.B joint count, the numerator of a necessity
+/// confidence. Both slices are sorted ascending; one two-pointer merge,
+/// O(|leaders| + |followers|).
+pub fn preceded_within(leaders: &[Tick], followers: &[Tick], lag: u64) -> u64 {
+    let mut joint = 0;
+    let mut next = 0; // first leader tick strictly after the follower tick
+    for &tick in followers {
+        while next < leaders.len() && leaders[next] <= tick {
+            next += 1;
+        }
+        if next > 0 && leaders[next - 1] >= tick.saturating_sub(lag) {
+            joint += 1;
+        }
+    }
+    joint
 }
 
 /// A single follower→leader gate within a plan.
@@ -412,6 +391,28 @@ mod tests {
             let follower = tick % 50 >= 2 && tick % 50 < 8;
             det.observe(tick, &[leader, follower]);
         }
+    }
+
+    #[test]
+    fn two_pointer_counts_lag_window_hits() {
+        // 12 sees 10 (lag 2 exactly); 13 does not (10 < 11); 52 sees 50.
+        assert_eq!(preceded_within(&[10, 50], &[12, 13, 52, 90], 2), 2);
+        assert_eq!(preceded_within(&[10], &[12], 1), 0, "outside the window");
+        assert_eq!(preceded_within(&[10], &[10], 0), 1, "same tick counts");
+        assert_eq!(preceded_within(&[], &[1, 2, 3], 5), 0);
+        assert_eq!(preceded_within(&[1, 2, 3], &[], 5), 0);
+    }
+
+    #[test]
+    fn window_is_backward_looking_only() {
+        // Leader alert *after* the follower's never counts.
+        assert_eq!(preceded_within(&[13], &[12], 5), 0);
+    }
+
+    #[test]
+    fn boundary_tick_is_inclusive() {
+        assert_eq!(preceded_within(&[10], &[12], 2), 1, "t - lag exactly");
+        assert_eq!(preceded_within(&[9], &[12], 2), 0, "one past the window");
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub mod bank;
 pub mod coordinator;
 pub mod correlation;
 pub mod error;
+pub mod hash;
 pub mod likelihood;
 pub mod sampler;
 pub mod snapshot;

@@ -298,15 +298,11 @@ fn clamp_probability(p: f64) -> f64 {
     }
 }
 
-/// SplitMix64-style avalanche of `(seed, lane, op)` into a unit float —
-/// the same construction the runtime fault plan uses for message faults.
+/// SplitMix64 avalanche of `(seed, lane, op)` into a unit float — the
+/// same construction the runtime fault plan uses for message faults.
 fn unit_hash(seed: u64, lane: u64, op: u64) -> f64 {
-    let mut h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(lane);
-    h ^= op.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(lane);
+    crate::hash::unit_f64(h ^ op.wrapping_mul(0xBF58_476D_1CE4_E5B9))
 }
 
 /// Counters of injected faults, shared between a [`FaultFs`] and whoever

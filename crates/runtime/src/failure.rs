@@ -22,6 +22,7 @@
 //! fault only from the frames it does or does not receive. The socket
 //! plane's plan is always benign.
 
+use volley_core::hash::unit_f64;
 use volley_core::task::MonitorId;
 use volley_core::time::Tick;
 use volley_core::vfs::IoFaultPlan;
@@ -307,13 +308,9 @@ impl FaultPlan {
             .wrapping_add(lane);
         h ^= u64::from(monitor.0).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= tick.wrapping_mul(0x94D0_49BB_1331_11EB);
-        // SplitMix64 finalizer: avalanche so nearby (monitor, tick) pairs
-        // decorrelate.
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < probability
+        // The finalizer's avalanche decorrelates nearby (monitor, tick)
+        // pairs.
+        unit_f64(h) < probability
     }
 }
 

@@ -271,7 +271,6 @@ impl MultiTaskRunner {
             ),
             plan: None,
             ticks: 0,
-            last_active: vec![None; n],
             gates: vec![None; n],
             active_now: vec![false; n],
             sections: vec![MultitaskReport::default(); n],
@@ -318,12 +317,10 @@ struct CorrelationGate<'c> {
     detector: CorrelationDetector,
     plan: Option<MonitoringPlan>,
     ticks: u64,
-    /// Last tick each task's violation activity was *detected* (locally
-    /// reported or alerted), the §II.B precondition signal: seeds each
-    /// follower's gate when the plan is derived.
-    last_active: Vec<Option<Tick>>,
     /// Each gated follower's leader index and gate, by task index.
     gates: Vec<Option<(usize, FollowerGate)>>,
+    /// Whether each task's violation was detected (locally reported or
+    /// alerted) this tick: the §II.B precondition signal.
     active_now: Vec<bool>,
     sections: Vec<MultitaskReport>,
 }
@@ -347,24 +344,19 @@ impl Hook for CorrelationGate<'_> {
         }
     }
 
-    fn after_step(
-        &mut self,
-        tick: Tick,
-        task: usize,
-        summary: &TickSummary,
-        _: &mut TaskSession<'_>,
-    ) {
+    fn after_step(&mut self, _: Tick, task: usize, summary: &TickSummary, _: &mut TaskSession<'_>) {
         self.active_now[task] = summary.local_violations > 0 || summary.alerted;
-        if self.active_now[task] {
-            self.last_active[task] = Some(tick);
-        }
         self.sections[task].suppressed_samples += u64::from(summary.suppressed_samples);
     }
 
-    /// Derives the plan only when gating still has ticks to act on; a
-    /// training window at least as long as the run stays pure
-    /// observation and reports no gates.
+    /// Feeds the detector each task's detected activity over the
+    /// training window only. Derives the plan only when gating still has
+    /// ticks to act on; a training window at least as long as the run
+    /// stays pure observation and reports no gates.
     fn after_tick(&mut self, tick: Tick, order: &mut [usize]) {
+        if tick >= self.config.train_ticks {
+            return;
+        }
         self.detector.observe(tick, &self.active_now);
         if tick + 1 == self.config.train_ticks && tick + 1 < self.ticks {
             let derived = match &self.config.costs {
@@ -376,7 +368,7 @@ impl Hook for CorrelationGate<'_> {
             for (follower, gate) in derived.iter() {
                 let leader = gate.leader.0 as usize;
                 let mut follower_gate = FollowerGate::new(gate, lag);
-                if let Some(at) = self.last_active[leader] {
+                if let Some(at) = self.detector.last_active(gate.leader) {
                     follower_gate.advance(at, true);
                 }
                 self.gates[follower.0 as usize] = Some((leader, follower_gate));

@@ -19,6 +19,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 
+use volley_core::hash::splitmix64;
 use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 
@@ -28,7 +29,6 @@ use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
-use super::faults::mix;
 use super::server::{NetAddr, Socket};
 use super::wire::{encode_replies, AgentHello, ServerFrame};
 use super::{Clock, WallClock};
@@ -285,7 +285,7 @@ fn invalid(reason: String) -> VolleyError {
 fn backoff_delay(cfg: &BackoffConfig, agent: u32, attempt_total: u64, retries: u32) -> Duration {
     let exp = retries.saturating_sub(1).min(20);
     let nominal = cfg.base.saturating_mul(1u32 << exp.min(16)).min(cfg.cap);
-    let h = mix(u64::from(agent) << 32 ^ attempt_total ^ 0x5bd1_e995);
+    let h = splitmix64(u64::from(agent) << 32 ^ attempt_total ^ 0x5bd1_e995);
     let jitter = 0.5 + ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
     nominal.mul_f64(jitter)
 }

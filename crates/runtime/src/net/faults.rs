@@ -1,11 +1,13 @@
 //! Socket-level fault injection: reconnect storms for `chaos --net`.
 //!
-//! The in-process [`volley_core::failure::FaultPlan`] perturbs frames; a
+//! The in-process [`FaultPlan`](crate::failure::FaultPlan) perturbs frames; a
 //! networked deployment also loses whole connections. At a
 //! [`NetFaultPlan`] storm tick the coordinator closes the chosen agents'
 //! sockets ahead of that tick's frames, and the agents must re-dial and
 //! re-handshake. Victims are a pure hash of `(seed, tick, agent)`, so a
 //! schedule repeats across runs and processes with no shared state.
+
+use volley_core::hash::splitmix64;
 
 /// Deterministic schedule of connection-level faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,21 +49,12 @@ impl NetFaultPlan {
         if !self.storm_at(tick) || self.storm_fraction <= 0.0 {
             return false;
         }
-        let h = mix(self.seed ^ mix(tick) ^ mix(u64::from(agent) << 32 | 0x9e37));
+        let h =
+            splitmix64(self.seed ^ splitmix64(tick) ^ splitmix64(u64::from(agent) << 32 | 0x9e37));
         // Map the top 53 bits to [0, 1): uniform enough for storm sizing.
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         unit < self.storm_fraction
     }
-}
-
-/// splitmix64 finalizer — the same mixer the bench harness uses for
-/// deterministic trace synthesis; it decides the storms here and the
-/// agents' re-dial jitter.
-pub(super) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

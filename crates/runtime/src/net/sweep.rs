@@ -23,11 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use volley_core::hash::splitmix64;
 use volley_core::task::TaskSpec;
 use volley_core::{GroundTruth, VolleyError};
 
 use super::agent::AgentMachine;
-use super::faults::mix;
 use super::server::Socket;
 use super::{
     AgentConfig, AgentReport, BackoffConfig, Clock, NetAddr, NetCoordinator, NetFaultPlan,
@@ -188,7 +188,7 @@ struct Scenario {
 
 impl Scenario {
     fn of(seed: u64) -> Scenario {
-        let pick = |k: u64, n: u64| mix(seed ^ mix(k)) % n;
+        let pick = |k: u64, n: u64| splitmix64(seed ^ splitmix64(k)) % n;
         let monitors = 2 + pick(0, 11) as u32;
         let ticks = 40 + pick(1, 110) as usize;
         let spec = TaskSpec::builder(60.0 * f64::from(monitors))
@@ -202,7 +202,9 @@ impl Scenario {
         let period = 15 + pick(4, 40) as usize;
         let traces = (0..monitors as u64)
             .map(|m| {
-                let noise = |t: usize| (mix(seed ^ mix(100 + m) ^ t as u64) % 1000) as f64 / 100.0;
+                let noise = |t: usize| {
+                    (splitmix64(seed ^ splitmix64(100 + m) ^ t as u64) % 1000) as f64 / 100.0
+                };
                 let base = 20.0 + 4.0 * m as f64;
                 let surge = |t: usize| (t + 1) % period < 2 && t > 0;
                 (0..ticks)

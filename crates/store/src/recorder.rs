@@ -1,17 +1,18 @@
-//! `SampleRecorder`: the thread-safe recording sink the runtime hangs
-//! off every monitor actor.
+//! `SampleRecorder`: the recording sink the runtime hangs off every
+//! monitor actor and every task's session.
 //!
-//! Monitors run on their own threads, so the recorder is a cheap
-//! `Clone` handle over one shared [`Store`]. Recording must never take
-//! the runtime down: every append is best-effort — I/O failures bump a
-//! counter instead of propagating, and the caller checks
-//! [`io_errors`](SampleRecorder::io_errors) at teardown.
+//! Each of them holds a clone of one cheap `Clone` handle over one
+//! shared [`Store`]; the runtime steps them all on its driver thread.
+//! Recording must never take the runtime down: every append is
+//! best-effort — I/O failures bump a counter instead of propagating,
+//! and the caller checks [`io_errors`](SampleRecorder::io_errors) at
+//! teardown.
 //!
-//! Determinism note: monitors append concurrently, so *arrival* order
-//! into the store is racy — but segments sort records by
-//! `(task, monitor, kind, tick)` at encode time and every recorded key
-//! is unique per tick, so the sealed bytes (and every scan) are
-//! identical across runs regardless of thread scheduling.
+//! Determinism note: the handle is also safe to share across threads,
+//! where *arrival* order into the store would be racy — but segments
+//! sort records by `(task, monitor, kind, tick)` at encode time and
+//! every recorded key is unique per tick, so the sealed bytes (and
+//! every scan) do not depend on arrival order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

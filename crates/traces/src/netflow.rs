@@ -27,6 +27,18 @@ use serde::{Deserialize, Serialize};
 
 use crate::diurnal::DiurnalPattern;
 
+/// Mean flows per VM per window, before the per-VM scale and the day
+/// cycle.
+const BASE_FLOWS_PER_WINDOW: f64 = 2000.0;
+/// Mean packets per flow.
+const PACKETS_PER_FLOW: f64 = 8.0;
+/// Per-packet SYN probability `p`, the paper's value.
+const SYN_PROBABILITY: f64 = 0.1;
+/// Fraction of benign SYNs left unanswered (baseline `ρ` noise).
+const UNANSWERED_RATE: f64 = 0.02;
+/// Peak unanswered-SYN level of a scan episode.
+const SCAN_BURST_MEAN: f64 = 400.0;
+
 /// A SYN-flood attack against one VM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AttackSpec {
@@ -70,12 +82,7 @@ pub struct VmTraffic {
 pub struct NetflowConfig {
     seed: u64,
     vms: usize,
-    base_flows_per_window: f64,
-    packets_per_flow: f64,
-    syn_probability: f64,
-    unanswered_rate: f64,
     scan_burst_probability: f64,
-    scan_burst_mean: f64,
     diurnal: DiurnalPattern,
     attacks: Vec<AttackSpec>,
 }
@@ -128,17 +135,17 @@ impl NetflowConfig {
         // teleport (compare Figure 1's ramping violation).
         let mut episode: Option<AttackSpec> = None;
         for tick in 0..ticks as u64 {
-            let load = self.base_flows_per_window * vm_scale * self.diurnal.factor(tick);
+            let load = BASE_FLOWS_PER_WINDOW * vm_scale * self.diurnal.factor(tick);
             let flows = sample_poisson(&mut rng, load);
-            let pkts = sample_poisson(&mut rng, flows * self.packets_per_flow);
+            let pkts = sample_poisson(&mut rng, flows * PACKETS_PER_FLOW);
             // Half the packets are inbound; SYN flags are set with the
             // paper's fixed probability p = 0.1 (ρ is invariant to p — it
             // scales P_i and P_o alike).
             let inbound = pkts / 2.0;
-            let syn_in = sample_binomial(&mut rng, inbound as u64, self.syn_probability);
+            let syn_in = sample_binomial(&mut rng, inbound as u64, SYN_PROBABILITY);
             // Benign handshakes answer each SYN with a SYN-ACK except for
             // a small unanswered fraction (timeouts, scans).
-            let answered = sample_binomial(&mut rng, syn_in as u64, 1.0 - self.unanswered_rate);
+            let answered = sample_binomial(&mut rng, syn_in as u64, 1.0 - UNANSWERED_RATE);
             let episode_over = episode
                 .map(|e| tick >= e.start_tick + e.duration_ticks)
                 .unwrap_or(true);
@@ -149,7 +156,7 @@ impl NetflowConfig {
                         vm,
                         start_tick: tick,
                         duration_ticks: rng.gen_range(20..80),
-                        peak_asymmetry: self.scan_burst_mean * (0.2 + 1.6 * rng.gen::<f64>()),
+                        peak_asymmetry: SCAN_BURST_MEAN * (0.2 + 1.6 * rng.gen::<f64>()),
                     });
                 }
             }
@@ -178,21 +185,17 @@ impl NetflowConfig {
 }
 
 impl Default for NetflowConfig {
-    /// Defaults: seed 0, 1 VM, 2000 flows/window, 8 packets/flow, SYN
-    /// probability 0.1, 2% unanswered handshakes, scan episodes (peak
-    /// ~400 unanswered SYNs, 20–80 windows long, starting with
-    /// probability 0.004 per quiet window), a mild day cycle of 5760
-    /// windows (24 h of 15-second windows) with ±40% swing, no attacks.
+    /// Defaults: seed 0, 1 VM, scan episodes (20–80 windows long,
+    /// starting with probability 0.004 per quiet window), a mild day
+    /// cycle of 5760 windows (24 h of 15-second windows) with ±40% swing,
+    /// no attacks. The traffic itself is fixed: 2000 flows/window,
+    /// 8 packets/flow, SYN probability 0.1, 2% unanswered handshakes and
+    /// scan episodes peaking near 400 unanswered SYNs.
     fn default() -> Self {
         NetflowConfig {
             seed: 0,
             vms: 1,
-            base_flows_per_window: 2000.0,
-            packets_per_flow: 8.0,
-            syn_probability: 0.1,
-            unanswered_rate: 0.02,
             scan_burst_probability: 0.004,
-            scan_burst_mean: 400.0,
             diurnal: DiurnalPattern::new(5760, 0.4),
             attacks: Vec::new(),
         }
@@ -218,42 +221,10 @@ impl NetflowConfigBuilder {
         self
     }
 
-    /// Sets the mean flows per VM per window (default 2000).
-    pub fn base_flows_per_window(mut self, flows: f64) -> Self {
-        self.config.base_flows_per_window = flows.max(0.0);
-        self
-    }
-
-    /// Sets the mean packets per flow (default 8).
-    pub fn packets_per_flow(mut self, pkts: f64) -> Self {
-        self.config.packets_per_flow = pkts.max(0.0);
-        self
-    }
-
-    /// Sets the per-packet SYN probability `p` (default 0.1, the paper's
-    /// value). Clamped to `[0, 1]`.
-    pub fn syn_probability(mut self, p: f64) -> Self {
-        self.config.syn_probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the fraction of benign SYNs left unanswered (baseline `ρ`
-    /// noise; default 0.02). Clamped to `[0, 1]`.
-    pub fn unanswered_rate(mut self, r: f64) -> Self {
-        self.config.unanswered_rate = r.clamp(0.0, 1.0);
-        self
-    }
-
     /// Sets the probability that a scan episode starts in a quiet window (default 0.004).
     /// Clamped to `[0, 1]`. Set to 0 for a light-tailed baseline.
     pub fn scan_burst_probability(mut self, p: f64) -> Self {
         self.config.scan_burst_probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the peak unanswered-SYN level of scan episodes (default 400).
-    pub fn scan_burst_mean(mut self, m: f64) -> Self {
-        self.config.scan_burst_mean = m.max(0.0);
         self
     }
 
@@ -411,29 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn rho_is_invariant_to_syn_probability_in_expectation() {
-        // ρ depends on the *unanswered* fraction, not on p itself: with
-        // double the SYN probability the baseline asymmetry roughly
-        // doubles in absolute packets but stays the same relative to SYNs.
-        // Here we simply check both settings produce small baselines.
-        for p in [0.05, 0.2] {
-            let config = NetflowConfig::builder().seed(2).syn_probability(p).build();
-            let t = config.generate_vm(0, 300);
-            let mean_rho = crate::timeseries::mean(&t.rho);
-            let mean_pkts = crate::timeseries::mean(&t.packets);
-            assert!(mean_rho < mean_pkts * 0.05);
-        }
-    }
-
-    #[test]
-    fn zero_traffic_configuration_is_silent() {
-        let config = NetflowConfig::builder().base_flows_per_window(0.0).build();
-        let t = config.generate_vm(0, 20);
-        assert!(t.rho.iter().all(|&r| r == 0.0));
-        assert!(t.packets.iter().all(|&p| p == 0.0));
-    }
-
-    #[test]
     fn diurnal_autocorrelation_peaks_at_the_period() {
         // Traffic volume should correlate with itself one full day apart
         // far more strongly than at a quarter-day lag.
@@ -462,15 +410,7 @@ mod tests {
 
     #[test]
     fn builder_clamps_out_of_range() {
-        let config = NetflowConfig::builder()
-            .vms(0)
-            .syn_probability(7.0)
-            .unanswered_rate(-3.0)
-            .packets_per_flow(-1.0)
-            .build();
+        let config = NetflowConfig::builder().vms(0).build();
         assert_eq!(config.vms(), 1);
-        assert_eq!(config.syn_probability, 1.0);
-        assert_eq!(config.unanswered_rate, 0.0);
-        assert_eq!(config.packets_per_flow, 0.0);
     }
 }

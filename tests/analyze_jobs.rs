@@ -1,7 +1,8 @@
 //! Integration tests of the `volley-analyze` job framework against real
 //! store directories: a planted leader/follower alert cascade is
 //! recovered at rank 1 however the segment boundaries fall, a job run is
-//! byte-identical across repeated runs of the same directory, and
+//! byte-identical across repeated runs of the same directory, a task
+//! whose alerts span several series scores as if they were one, and
 //! corrupt or truncated segments never panic the framework — corruption
 //! shrinks coverage, it never invents pairs.
 
@@ -107,6 +108,46 @@ fn repeated_runs_are_byte_identical() {
     assert_eq!(first_json, second_json, "output bytes must not drift");
     assert_eq!(first, second);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_task_split_over_two_series_scores_as_one_series() {
+    // Leader alerts at 1 and 10; follower alerts at 12 and 5, lag 2. Only
+    // 12 has a leader alert in its window, so joint 1 of support 2. With
+    // the follower's alerts under two monitors, the scan hands them over
+    // as [12] then [5].
+    let score = |follower_monitors: [u32; 2]| {
+        let dir = case_dir("volley-analyze-series");
+        let mut store = Store::open(&dir).expect("open store");
+        store.append(alert(0, 1)).expect("append leader");
+        store.append(alert(0, 10)).expect("append leader");
+        for (monitor, tick) in follower_monitors.into_iter().zip([12, 5]) {
+            store
+                .append(Record {
+                    monitor,
+                    ..alert(1, tick)
+                })
+                .expect("append follower");
+        }
+        store.flush().expect("flush");
+        let job = CorrelationMatrixJob::new(CorrelationMatrixConfig {
+            lag_window: 2,
+            min_support: 1,
+            ..CorrelationMatrixConfig::default()
+        });
+        let matrix = run_job(&store, job).expect("job runs").output;
+        std::fs::remove_dir_all(&dir).ok();
+        matrix
+    };
+    let split = score([0, 5]);
+    assert_eq!(split, score([0, 0]));
+    let pair = split
+        .pairs
+        .iter()
+        .find(|p| (p.leader, p.follower) == (0, 1))
+        .expect("the 0 -> 1 pair qualifies");
+    assert_eq!((pair.joint, pair.support), (1, 2));
+    assert_eq!(pair.confidence, 0.5);
 }
 
 proptest! {

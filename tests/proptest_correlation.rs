@@ -4,12 +4,18 @@
 //! themselves gated — under arbitrary violation histories and cost
 //! vectors, and the necessity-confidence estimate moves the right way
 //! when evidence arrives: confirming observations never lower it,
-//! refuting observations never raise it.
+//! refuting observations never raise it. The online detector and the
+//! offline `correlation_matrix_v1` job score any history alike, to the
+//! bit.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use volley::analyze::{CorrelationMatrixConfig, CorrelationMatrixJob, Job};
 use volley::core::correlation::{CorrelationConfig, CorrelationDetector};
 use volley::core::task::TaskId;
+use volley::store::{Record, RecordKind};
 
 fn ids(n: u64) -> Vec<TaskId> {
     (0..n).map(TaskId).collect()
@@ -180,5 +186,70 @@ proptest! {
         } else {
             prop_assert_eq!(after, 0.0, "first evidence is refuting");
         }
+    }
+
+    /// The online detector and the offline job are one estimator: fed
+    /// the same activity history (the detector tick by tick, the job as
+    /// alert records in scan order), they qualify the same ordered pairs
+    /// and give each the same confidence, bit for bit, over the same
+    /// follower support. Pairs whose leader never fired are the
+    /// detector's alone: the job only knows tasks that alerted.
+    #[test]
+    fn online_and_offline_confidences_agree(
+        tasks in 2usize..6,
+        steps in prop::collection::vec((1u64..4, 0u32..32), 1..300),
+        lag in 0u32..6,
+    ) {
+        let mut det = CorrelationDetector::new(config(lag), ids(tasks as u64));
+        let mut active: Vec<Vec<u64>> = vec![Vec::new(); tasks];
+        let mut tick = 0;
+        for &(gap, mask) in &steps {
+            let row: Vec<bool> = (0..tasks).map(|t| mask >> t & 1 == 1).collect();
+            det.observe(tick, &row);
+            for (ticks, _) in active.iter_mut().zip(&row).filter(|(_, &on)| on) {
+                ticks.push(tick);
+            }
+            tick += gap;
+        }
+        let mut job = CorrelationMatrixJob::new(CorrelationMatrixConfig {
+            top_k: tasks * tasks,
+            lag_window: lag,
+            min_support: 1,
+            max_alerts_per_task: steps.len(),
+            ..CorrelationMatrixConfig::default()
+        });
+        for (task, ticks) in active.iter().enumerate() {
+            for &tick in ticks {
+                job.observe(&Record {
+                    task: task as u32,
+                    monitor: 0,
+                    kind: RecordKind::Alert,
+                    tick,
+                    value: 1.0,
+                });
+            }
+        }
+        let matrix = job.finish();
+
+        let mut online = BTreeMap::new();
+        for (leader, leader_ticks) in active.iter().enumerate() {
+            let lead = TaskId(leader as u64);
+            prop_assert_eq!(det.necessity_confidence(lead, lead), None);
+            if leader_ticks.is_empty() {
+                continue;
+            }
+            for follower in (0..tasks).filter(|&f| f != leader) {
+                if let Some(c) = det.necessity_confidence(lead, TaskId(follower as u64)) {
+                    online.insert((leader as u32, follower as u32), c.to_bits());
+                }
+            }
+        }
+        let mut offline = BTreeMap::new();
+        for pair in &matrix.pairs {
+            prop_assert_eq!(pair.support, active[pair.follower as usize].len() as u64);
+            offline.insert((pair.leader, pair.follower), pair.confidence.to_bits());
+        }
+        prop_assert_eq!(matrix.qualifying_pairs, matrix.pairs.len() as u64);
+        prop_assert_eq!(online, offline);
     }
 }
