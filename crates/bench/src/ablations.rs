@@ -2,7 +2,7 @@
 //! single-sampler ablation is [`run_adaptive`] / [`run_cell`] at `k` = 1%,
 //! `err` = 1% with one knob of the controller varied.
 
-use volley_core::accuracy::{AccuracyReport, GroundTruth};
+use volley_core::accuracy::{sample_log, AccuracyReport, GroundTruth};
 use volley_core::allocation::{AllocationConfig, AllocationStrategy, AllowanceCostMode, YieldMode};
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::stats::DeltaTracker;
@@ -13,7 +13,7 @@ use volley_core::{
 };
 use volley_traces::TraceFamily;
 
-use crate::experiments::{merge_over, run_adaptive, run_cell, sample_log};
+use crate::experiments::{merge_over, run_adaptive, run_cell};
 use crate::figures::{skew_traces, skewed_cost};
 use crate::params::SweepParams;
 use crate::workloads::WorkloadSet;

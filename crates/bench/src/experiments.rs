@@ -2,8 +2,8 @@
 //! workload and merge" fold, and the `err × k` matrix behind Figures 5
 //! and 7.
 
-use volley_core::accuracy::{evaluate_policy, AccuracyReport, DetectionLog};
-use volley_core::{AdaptationConfig, AdaptiveSampler, Observation, SamplingPolicy};
+use volley_core::accuracy::{evaluate_policy, AccuracyReport};
+use volley_core::{AdaptationConfig, AdaptiveSampler, SamplingPolicy};
 use volley_traces::TraceFamily;
 
 use crate::params::{SweepParams, ERR_SWEEP, SELECTIVITY_SWEEP};
@@ -47,23 +47,6 @@ pub fn run_adaptive(
     run_cell(workload, selectivity, |threshold| {
         Box::new(AdaptiveSampler::new(adaptation, threshold))
     })
-}
-
-/// Drives `observe` over `trace` exactly as a monitor would — called
-/// only at the ticks the previous observation scheduled — and returns
-/// the log of what was sampled and flagged.
-pub fn sample_log(trace: &[f64], mut observe: impl FnMut(u64, f64) -> Observation) -> DetectionLog {
-    let mut log = DetectionLog::new();
-    let mut next = 0u64;
-    for (t, &value) in trace.iter().enumerate() {
-        let tick = t as u64;
-        if tick >= next {
-            let obs = observe(tick, value);
-            log.record(tick, 1, obs.violation);
-            next = obs.next_sample_tick;
-        }
-    }
-    log
 }
 
 /// What an `err × k` matrix cell shows.

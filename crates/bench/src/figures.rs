@@ -2,7 +2,7 @@
 //! 1, 2, 6 and 8 and the distributed-task simulator table. (Figures 5
 //! and 7 are [`crate::experiments::err_k_matrix`].)
 
-use volley_core::accuracy::GroundTruth;
+use volley_core::accuracy::{sample_log, GroundTruth};
 use volley_core::allocation::AllocationConfig;
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::task::TaskSpec;
@@ -16,7 +16,6 @@ use volley_traces::netflow::{AttackSpec, NetflowConfig};
 use volley_traces::zipf::zipf_weights;
 use volley_traces::DiurnalPattern;
 
-use crate::experiments::sample_log;
 use crate::params::SweepParams;
 
 /// The illustration figures' fixed controller: `err` 1%, `I_m` 8, `p` 10.

@@ -11,7 +11,7 @@ use serde::Serialize;
 use volley_core::hash::splitmix64;
 use volley_core::task::{MonitorId, TaskSpec, TaskSpecBuilder};
 use volley_core::{
-    AdaptationConfig, AdaptiveSampler, FaultFs, GroundTruth, IoFaultPlan, IoFaultStats, VolleyError,
+    AdaptationConfig, AdaptiveSampler, FaultFs, GroundTruth, IoFaultPlan, VolleyError,
 };
 use volley_runtime::net::{
     run_agent, AgentConfig, BackoffConfig, NetAddr, NetCoordinator, NetFaultPlan, NetStats,
@@ -473,9 +473,6 @@ struct Sinks {
     obs: volley_obs::Obs,
     recorder: Option<SampleRecorder>,
     serve: Option<volley_serve::ServerHandle>,
-    /// Fault counters of the recorder's own filesystem (`chaos --io-*`),
-    /// which the runtime's degradation report cannot see.
-    store_faults: Option<Arc<IoFaultStats>>,
     linger_ms: u64,
 }
 
@@ -485,9 +482,11 @@ impl Sinks {
     /// enabled when `obs_on` or when `--serve-addr` needs a live
     /// registry to scrape. With `meta` and `--store-dir`, a recorder is
     /// opened and stamped; with `io_faults`, its store runs over its own
-    /// fault-injecting filesystem (independent op counter, same plan, so
-    /// monitor-thread scheduling cannot shuffle fault decisions with the
-    /// runner-owned sinks) and degrades to lossy recording.
+    /// fault-injecting filesystem (an op counter of its own under the same
+    /// plan, so the store's writes and the runner-owned sinks' never
+    /// shift each other's fault decisions) and degrades to lossy
+    /// recording. The store counts its faults itself: the run's
+    /// degradation report reads them through its health.
     fn open(
         args: &Args,
         obs_on: bool,
@@ -497,7 +496,6 @@ impl Sinks {
         let obs = volley_obs::Obs::new(obs_on || args.serve.enabled());
         let store_dir = args.common.store_dir.as_deref();
         let faults = io_faults.map(|plan| FaultFs::new(plan.clone()));
-        let store_faults = faults.as_ref().map(FaultFs::stats);
         let recorder = match (store_dir, meta) {
             (Some(dir), Some(meta)) => {
                 let faulted = faults.is_some();
@@ -536,7 +534,6 @@ impl Sinks {
             obs,
             recorder,
             serve,
-            store_faults,
             linger_ms: args.serve.linger_ms,
         })
     }
@@ -812,12 +809,8 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             args.checkpoint_interval,
         );
     }
-    let mut report = runner.run(&workload.traces)?;
+    let report = runner.run(&workload.traces)?;
     sinks.finish(report.ticks);
-    // The sample store's injected faults, which the runtime can't see.
-    if let Some(stats) = &sinks.store_faults {
-        report.degradation.io_faults_injected += stats.total();
-    }
 
     let cost_ratio = report.cost_ratio(n);
     if args.common.report_json {
@@ -1008,7 +1001,6 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let mut runner = MultiTaskRunner::new(MultiTaskConfig {
         correlation,
         train_ticks,
-        costs: None,
     })?
     .with_obs(sinks.obs.clone());
     if let Some(recorder) = &sinks.recorder {
@@ -1029,7 +1021,6 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let baseline = MultiTaskRunner::new(MultiTaskConfig {
         correlation,
         train_ticks: ticks,
-        costs: None,
     })?
     .run(&tasks)?;
 
@@ -1931,6 +1922,52 @@ mod tests {
         // The ENOSPC window closed at tick 60; every breaker re-armed.
         assert_eq!(d["store_degraded_at_end"], false);
         assert_eq!(d["wal_degraded_at_end"], false);
+
+        // Every fsync fails: the store's meta stamp and segment seals take
+        // faults, while the snapshot dumps, which never sync, land. The
+        // report counts the store's faults, and so does the final dump's
+        // counter.
+        let faults_with = |store: bool| {
+            let mut args = chaos_args(&[]);
+            let tag = if store { "with-store" } else { "without-store" };
+            let dir = |sink: &str| {
+                Some(
+                    base.join(format!("{sink}-{tag}"))
+                        .to_string_lossy()
+                        .to_string(),
+                )
+            };
+            args.wal_dir = dir("wal");
+            args.checkpoint_interval = 10;
+            args.common.obs_dir = dir("obs");
+            if store {
+                args.common.store_dir = dir("store");
+            }
+            args.io.sync_error_rate = 1.0;
+            let text = run_to_string(Command::Chaos(args));
+            let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
+            let injected = parsed["report"]["degradation"]["io_faults_injected"]
+                .as_u64()
+                .unwrap();
+            let obs_dir = base.join(format!("obs-{tag}"));
+            let (_, last) = volley_obs::latest_snapshot(&obs_dir)
+                .unwrap()
+                .expect("dumps landed");
+            assert_eq!(last.tick, 100, "the final dump landed");
+            let counter = last
+                .counters
+                .get(volley_obs::names::IO_FAULTS_INJECTED_TOTAL);
+            assert_eq!(
+                counter,
+                Some(&injected),
+                "{tag}: the final dump's counter is the report's"
+            );
+            injected
+        };
+        assert!(
+            faults_with(true) > faults_with(false),
+            "the store's own faults count"
+        );
         let _ = std::fs::remove_dir_all(&base);
     }
 

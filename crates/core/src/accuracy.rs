@@ -249,19 +249,28 @@ impl AccuracyReport {
 /// The policy sees `trace[t]` only at ticks it chose to sample; ground
 /// truth is every tick with `trace[t] > threshold`.
 pub fn evaluate_policy(policy: &mut dyn crate::SamplingPolicy, trace: &[f64]) -> AccuracyReport {
-    let threshold = policy.threshold();
-    let truth = GroundTruth::from_trace(trace, threshold);
+    let truth = GroundTruth::from_trace(trace, policy.threshold());
+    sample_log(trace, |tick, value| policy.observe(tick, value)).score(&truth, trace.len() as u64)
+}
+
+/// Drives `observe` over `trace` exactly as a monitor would — called
+/// only at the ticks the previous observation scheduled — and returns
+/// the log of what was sampled and flagged.
+pub fn sample_log(
+    trace: &[f64],
+    mut observe: impl FnMut(Tick, f64) -> crate::Observation,
+) -> DetectionLog {
     let mut log = DetectionLog::new();
     let mut next_tick: Tick = 0;
     for (t, &value) in trace.iter().enumerate() {
         let tick = t as Tick;
         if tick >= next_tick {
-            let obs = policy.observe(tick, value);
+            let obs = observe(tick, value);
             log.record(tick, 1, obs.violation);
             next_tick = obs.next_sample_tick;
         }
     }
-    log.score(&truth, trace.len() as u64)
+    log
 }
 
 #[cfg(test)]

@@ -97,5 +97,7 @@ pub use stats::{DeltaTracker, OnlineStats, StatsKind};
 pub use task::{MonitorId, MonitorSpec, TaskId, TaskSpec};
 pub use threshold::{selectivity_threshold, ThresholdSplit};
 pub use time::{Interval, Tick};
-pub use vfs::{CircuitBreaker, FaultFs, IoFaultPlan, IoFaultStats, StdFs, Vfs, VfsFile};
+pub use vfs::{
+    CircuitBreaker, FaultFs, IoFaultPlan, IoFaultStats, SinkHealth, StdFs, Vfs, VfsFile,
+};
 pub use window::{SlidingWindow, WindowedSampler};

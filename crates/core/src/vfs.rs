@@ -31,7 +31,8 @@
 //! clients feed it write outcomes, and after a run of consecutive
 //! failures it opens, shedding work until a deterministically backed-off
 //! probe succeeds and the sink re-arms. Detection never consults it —
-//! degraded persistence sheds fidelity, never alerts.
+//! degraded persistence sheds fidelity, never alerts. Each sink reports
+//! what it cost through one [`SinkHealth`] value.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -90,6 +91,10 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// ignore it, [`FaultFs`] uses it to activate tick-windowed faults
     /// such as an ENOSPC storm.
     fn set_tick(&self, _tick: u64) {}
+    /// Faults this filesystem injected so far: none on a real one.
+    fn injected_faults(&self) -> u64 {
+        0
+    }
 }
 
 /// The production passthrough to `std::fs`.
@@ -511,6 +516,10 @@ impl Vfs for FaultFs {
     fn set_tick(&self, tick: u64) {
         self.ctl.tick.fetch_max(tick, Ordering::Relaxed);
     }
+
+    fn injected_faults(&self) -> u64 {
+        self.ctl.stats.total()
+    }
 }
 
 /// Per-sink storage circuit breaker with deterministic backoff.
@@ -632,6 +641,71 @@ impl CircuitBreaker {
     /// Times an open breaker re-armed after a successful probe.
     pub fn rearms(&self) -> u64 {
         self.rearms
+    }
+}
+
+/// One durable sink's degradation, read in one call — the WAL's, the
+/// sample store's and the snapshot writer's `health()`: its breaker's
+/// state and transitions, what it lost for good, and the faults its
+/// filesystem injected. Counters a sink does not keep read 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SinkHealth {
+    /// The breaker is open: the sink is degraded now.
+    pub degraded: bool,
+    /// Times the breaker tripped open.
+    pub trips: u64,
+    /// Times the breaker re-armed.
+    pub rearms: u64,
+    /// What the sink dropped while degraded: ring evictions (WAL), shed
+    /// records (store), paused dumps (snapshot writer).
+    pub lost: u64,
+    /// Records held in memory until the sink re-arms (the WAL's ring).
+    pub buffered: u64,
+    /// Writes that failed (the WAL's appends).
+    pub write_failures: u64,
+    /// Fsyncs that reported failure (the WAL's).
+    pub sync_failures: u64,
+    /// Faults the sink's filesystem injected.
+    pub faults_injected: u64,
+}
+
+impl SinkHealth {
+    /// The part every sink shares: `breaker`'s state and transitions
+    /// and the faults `vfs` injected.
+    pub fn new(breaker: &CircuitBreaker, vfs: &dyn Vfs) -> Self {
+        SinkHealth {
+            degraded: breaker.is_open(),
+            trips: breaker.trips(),
+            rearms: breaker.rearms(),
+            faults_injected: vfs.injected_faults(),
+            ..SinkHealth::default()
+        }
+    }
+
+    /// Two sinks side by side: counters add, degraded if either is.
+    #[must_use]
+    pub fn plus(self, other: SinkHealth) -> Self {
+        SinkHealth {
+            degraded: self.degraded || other.degraded,
+            trips: self.trips + other.trips,
+            rearms: self.rearms + other.rearms,
+            lost: self.lost + other.lost,
+            buffered: self.buffered + other.buffered,
+            write_failures: self.write_failures + other.write_failures,
+            sync_failures: self.sync_failures + other.sync_failures,
+            faults_injected: self.faults_injected + other.faults_injected,
+        }
+    }
+
+    /// A sink followed by its successor (a WAL across coordinator
+    /// incarnations): counters add, the state is `later`'s.
+    #[must_use]
+    pub fn then(self, later: SinkHealth) -> Self {
+        SinkHealth {
+            degraded: later.degraded,
+            buffered: later.buffered,
+            ..self.plus(later)
+        }
     }
 }
 

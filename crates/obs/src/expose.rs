@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use volley_core::vfs::{CircuitBreaker, StdFs, Vfs};
+use volley_core::vfs::{CircuitBreaker, SinkHealth, StdFs, Vfs};
 
 use crate::registry::{bucket_upper_bound, Registry, BUCKETS};
 use crate::span::SpanLog;
@@ -335,19 +335,14 @@ impl SnapshotWriter {
         self.written
     }
 
-    /// True while the circuit breaker is open and snapshot dumps pause.
-    pub fn degraded(&self) -> bool {
-        self.breaker.is_open()
-    }
-
-    /// Cadence dumps skipped while degraded.
-    pub fn paused(&self) -> u64 {
-        self.paused
-    }
-
-    /// `(trips, rearms)` of the writer's circuit breaker.
-    pub fn breaker_transitions(&self) -> (u64, u64) {
-        (self.breaker.trips(), self.breaker.rearms())
+    /// How the writer degraded: `degraded` while snapshot dumps pause,
+    /// `lost` cadence dumps skipped so far, and its breaker's trips and
+    /// re-arms.
+    pub fn health(&self) -> SinkHealth {
+        SinkHealth {
+            lost: self.paused,
+            ..SinkHealth::new(&self.breaker, self.vfs.as_ref())
+        }
     }
 
     /// Dumps a snapshot if `tick` reached the cadence. Returns whether a
@@ -628,10 +623,11 @@ mod tests {
             }
         }
         assert!(io_errors > 0, "the storm must surface write errors");
-        assert!(writer.paused() > 0, "due dumps pause while degraded");
-        let (trips, rearms) = writer.breaker_transitions();
+        let health = writer.health();
+        assert!(health.lost > 0, "due dumps pause while degraded");
+        let (trips, rearms) = (health.trips, health.rearms);
         assert!(trips >= 1 && rearms >= 1, "trips={trips} rearms={rearms}");
-        assert!(!writer.degraded(), "writer re-arms once the fault clears");
+        assert!(!health.degraded, "writer re-arms once the fault clears");
         // Exposition resumed: a post-storm snapshot is the latest on disk.
         let (_, snapshot) = latest_snapshot(&dir).unwrap().expect("snapshots exist");
         assert!(snapshot.tick >= 30, "latest tick {}", snapshot.tick);

@@ -46,8 +46,8 @@ pub use expose::{
     Snapshot, SnapshotWriter, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use registry::{
-    bucket_index, bucket_upper_bound, thread_ordinal, Counter, Gauge, Histogram, HistogramTimer,
-    Registry, BUCKETS, SHARDS,
+    bucket_index, bucket_upper_bound, thread_ordinal, Counter, Gauge, Histogram, Registry, BUCKETS,
+    SHARDS,
 };
 pub use span::{SpanEvent, SpanGuard, SpanLog, DEFAULT_SPAN_CAPACITY};
 
@@ -183,17 +183,13 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Creates a bundle, enabled or not, with the default span capacity.
+    /// Creates a bundle, enabled or not, whose span ring holds
+    /// [`DEFAULT_SPAN_CAPACITY`] spans.
     pub fn new(enabled: bool) -> Self {
-        Obs::with_span_capacity(enabled, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// Creates a bundle with an explicit span ring capacity.
-    pub fn with_span_capacity(enabled: bool, capacity: usize) -> Self {
         let flag = Arc::new(AtomicBool::new(enabled));
         Obs {
             registry: Registry::with_flag(Arc::clone(&flag)),
-            spans: SpanLog::with_flag(Arc::clone(&flag), capacity),
+            spans: SpanLog::with_flag(Arc::clone(&flag), DEFAULT_SPAN_CAPACITY),
             enabled: flag,
         }
     }

@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::expose::{HistogramSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 
@@ -221,17 +220,6 @@ impl Histogram {
         shard.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Starts a scoped timer that records elapsed **nanoseconds** on
-    /// drop. When the registry is disabled the guard is inert and no
-    /// clock is read.
-    #[inline]
-    pub fn start_timer(&self) -> HistogramTimer {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return HistogramTimer(None);
-        }
-        HistogramTimer(Some((self.clone(), Instant::now())))
-    }
-
     /// Sums the stripes into a mergeable snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::empty();
@@ -244,29 +232,6 @@ impl Histogram {
             }
         }
         out
-    }
-}
-
-/// A scoped histogram timer; see [`Histogram::start_timer`].
-#[derive(Debug)]
-pub struct HistogramTimer(Option<(Histogram, Instant)>);
-
-impl HistogramTimer {
-    /// Stops the timer early, recording now instead of at drop.
-    pub fn stop(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if let Some((histogram, started)) = self.0.take() {
-            histogram.record(started.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
@@ -466,18 +431,6 @@ mod tests {
         assert_eq!(snap.max, 10_000);
         assert!(snap.quantile(0.5) < 256, "p50 {}", snap.quantile(0.5));
         assert!(snap.quantile(0.99) >= 8191, "p99 {}", snap.quantile(0.99));
-    }
-
-    #[test]
-    fn timer_records_only_when_enabled() {
-        let registry = Registry::new(false);
-        let histogram = registry.histogram("h");
-        histogram.start_timer().stop();
-        assert_eq!(histogram.snapshot().count, 0);
-        registry.set_enabled(true);
-        histogram.start_timer().stop();
-        let snap = histogram.snapshot();
-        assert_eq!(snap.count, 1);
     }
 
     #[test]

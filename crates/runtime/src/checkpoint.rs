@@ -43,13 +43,12 @@ use std::fs::File;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use volley_core::snapshot::SamplerSnapshot;
 use volley_core::time::Tick;
-use volley_core::vfs::{CircuitBreaker, StdFs, Vfs, VfsFile};
+use volley_core::vfs::{CircuitBreaker, SinkHealth, StdFs, Vfs, VfsFile};
 use volley_store::crc32;
 
 /// Upper bound on a record payload. A bit-flipped length field would
@@ -205,7 +204,7 @@ pub fn decode_records(bytes: &[u8]) -> Replay {
 }
 
 // ---------------------------------------------------------------------
-// Sync policy, degradation stats
+// Sync policy
 // ---------------------------------------------------------------------
 
 /// Group-fsync policy for WAL appends.
@@ -257,31 +256,6 @@ pub enum AppendOutcome {
     Buffered,
 }
 
-/// Shared degradation counters for one WAL (the log itself is owned by
-/// the task session that steps the coordinator; the runner reads these
-/// for obs series and the end-of-run report).
-#[derive(Debug, Default)]
-pub struct WalStats {
-    /// Records accepted (persisted or ring-buffered).
-    pub appends: AtomicU64,
-    /// Records written to the log file.
-    pub persisted: AtomicU64,
-    /// Append-path write failures (fed to the circuit breaker).
-    pub write_failures: AtomicU64,
-    /// Fsyncs that reported failure instead of being silently dropped.
-    pub sync_failures: AtomicU64,
-    /// Times the circuit breaker tripped open (degraded-mode entries).
-    pub trips: AtomicU64,
-    /// Times a probe succeeded and the sink re-armed.
-    pub rearms: AtomicU64,
-    /// Records currently held in the in-memory ring (gauge).
-    pub ring_buffered: AtomicU64,
-    /// Records evicted from the full ring — permanently shed.
-    pub ring_dropped: AtomicU64,
-    /// 1 while the breaker is open (gauge).
-    pub degraded: AtomicU64,
-}
-
 // ---------------------------------------------------------------------
 // The on-disk log
 // ---------------------------------------------------------------------
@@ -325,7 +299,12 @@ pub struct Wal {
     /// probe, oldest first.
     ring: VecDeque<Vec<u8>>,
     ring_capacity: usize,
-    stats: Arc<WalStats>,
+    /// Append-path write failures (fed to the breaker).
+    write_failures: u64,
+    /// Fsyncs that reported failure instead of being silently dropped.
+    sync_failures: u64,
+    /// Records evicted from the full ring — permanently shed.
+    ring_dropped: u64,
 }
 
 impl Wal {
@@ -363,7 +342,9 @@ impl Wal {
             breaker: CircuitBreaker::default(),
             ring: VecDeque::new(),
             ring_capacity: DEFAULT_RING_CAPACITY,
-            stats: Arc::new(WalStats::default()),
+            write_failures: 0,
+            sync_failures: 0,
+            ring_dropped: 0,
         })
     }
 
@@ -411,15 +392,17 @@ impl Wal {
         self.records_in_file
     }
 
-    /// True while the circuit breaker is open and appends fall back to
-    /// the in-memory ring.
-    pub fn degraded(&self) -> bool {
-        self.breaker.is_open()
-    }
-
-    /// Shared degradation counters for this log.
-    pub fn stats(&self) -> Arc<WalStats> {
-        Arc::clone(&self.stats)
+    /// How the log degraded: `degraded` while appends fall back to the
+    /// in-memory ring, `buffered` records held there, `lost` records
+    /// evicted from it, and the failed writes and fsyncs behind it.
+    pub fn health(&self) -> SinkHealth {
+        SinkHealth {
+            lost: self.ring_dropped,
+            buffered: self.ring.len() as u64,
+            write_failures: self.write_failures,
+            sync_failures: self.sync_failures,
+            ..SinkHealth::new(&self.breaker, self.vfs.as_ref())
+        }
     }
 
     /// Appends one record.
@@ -446,7 +429,6 @@ impl Wal {
             framed[idx] ^= 0x40;
         }
         self.appended += 1;
-        self.stats.appends.fetch_add(1, Ordering::Relaxed);
         if let WalRecord::Snapshot(snapshot) = record {
             self.last_snapshot = Some(snapshot);
         }
@@ -456,8 +438,8 @@ impl Wal {
             return Ok(AppendOutcome::Buffered);
         }
         if let Err(e) = self.persist_writes(&framed) {
-            self.stats.write_failures.fetch_add(1, Ordering::Relaxed);
-            self.note_failure();
+            self.write_failures += 1;
+            self.breaker.record_failure();
             // The record is retained in memory: a later successful probe
             // drains it to disk in order.
             self.buffer_degraded(framed);
@@ -466,26 +448,12 @@ impl Wal {
         if let Err(e) = self.maybe_sync(is_snapshot) {
             // The frame reached the OS but not stable storage — feed the
             // breaker without ring-buffering (no duplication on re-arm).
-            self.stats.sync_failures.fetch_add(1, Ordering::Relaxed);
-            self.note_failure();
+            self.sync_failures += 1;
+            self.breaker.record_failure();
             return Err(e);
         }
-        if self.breaker.record_success() {
-            self.stats.rearms.fetch_add(1, Ordering::Relaxed);
-            self.stats.degraded.store(0, Ordering::Relaxed);
-        }
+        self.breaker.record_success();
         Ok(AppendOutcome::Persisted)
-    }
-
-    /// Feeds one failure to the breaker and mirrors trip/degraded state
-    /// into the shared stats.
-    fn note_failure(&mut self) {
-        if self.breaker.record_failure() {
-            self.stats.trips.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.breaker.is_open() {
-            self.stats.degraded.store(1, Ordering::Relaxed);
-        }
     }
 
     /// Pushes a framed record into the degraded-mode ring, evicting the
@@ -493,12 +461,9 @@ impl Wal {
     fn buffer_degraded(&mut self, framed: Vec<u8>) {
         if self.ring.len() >= self.ring_capacity {
             self.ring.pop_front();
-            self.stats.ring_dropped.fetch_add(1, Ordering::Relaxed);
+            self.ring_dropped += 1;
         }
         self.ring.push_back(framed);
-        self.stats
-            .ring_buffered
-            .store(self.ring.len() as u64, Ordering::Relaxed);
     }
 
     /// Writes any ring backlog plus `framed` to the file, repairing a
@@ -515,9 +480,6 @@ impl Wal {
             let bytes = front.clone();
             self.write_frame(&bytes)?;
             self.ring.pop_front();
-            self.stats
-                .ring_buffered
-                .store(self.ring.len() as u64, Ordering::Relaxed);
         }
         self.write_frame(framed)
     }
@@ -544,7 +506,6 @@ impl Wal {
                 self.valid_len += framed.len() as u64;
                 self.records_in_file += 1;
                 self.unsynced += 1;
-                self.stats.persisted.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {
@@ -844,12 +805,12 @@ mod tests {
         for t in 0..20 {
             let _ = wal.append(&WalRecord::Tick(outcome(t)));
         }
-        let stats = wal.stats();
-        assert!(stats.trips.load(Ordering::Relaxed) >= 1, "breaker tripped");
-        assert!(stats.rearms.load(Ordering::Relaxed) >= 1, "sink re-armed");
-        assert!(!wal.degraded(), "fault cleared, breaker closed");
-        assert_eq!(stats.ring_buffered.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.ring_dropped.load(Ordering::Relaxed), 0);
+        let health = wal.health();
+        assert!(health.trips >= 1, "breaker tripped");
+        assert!(health.rearms >= 1, "sink re-armed");
+        assert!(!health.degraded, "fault cleared, breaker closed");
+        assert_eq!(health.buffered, 0);
+        assert_eq!(health.lost, 0);
         drop(wal);
         let replay = Wal::replay(&path).unwrap();
         assert!(!replay.truncated);
@@ -872,10 +833,10 @@ mod tests {
         for t in 0..40 {
             let _ = wal.append(&WalRecord::Tick(outcome(t)));
         }
-        assert!(wal.degraded());
-        let stats = wal.stats();
-        assert_eq!(stats.ring_buffered.load(Ordering::Relaxed), 8);
-        assert_eq!(stats.ring_dropped.load(Ordering::Relaxed), 32);
+        let health = wal.health();
+        assert!(health.degraded);
+        assert_eq!(health.buffered, 8);
+        assert_eq!(health.lost, 32);
         fs::remove_file(&path).ok();
     }
 
@@ -890,9 +851,9 @@ mod tests {
             .with_sync_policy(WalSyncPolicy::EveryN(2));
         assert!(wal.append(&WalRecord::Tick(outcome(0))).is_ok());
         assert!(wal.append(&WalRecord::Tick(outcome(1))).is_err());
-        assert_eq!(wal.stats().sync_failures.load(Ordering::Relaxed), 1);
+        assert_eq!(wal.health().sync_failures, 1);
         // The frames still reached the OS: nothing was ring-buffered.
-        assert_eq!(wal.stats().ring_buffered.load(Ordering::Relaxed), 0);
+        assert_eq!(wal.health().buffered, 0);
         drop(wal);
         assert_eq!(Wal::replay(&path).unwrap().records, 2);
         fs::remove_file(&path).ok();

@@ -109,8 +109,7 @@ mod session;
 pub mod transport;
 
 pub use checkpoint::{
-    AppendOutcome, CoordinatorSnapshot, Replay, TickOutcome, Wal, WalRecord, WalStats,
-    WalSyncPolicy,
+    AppendOutcome, CoordinatorSnapshot, Replay, TickOutcome, Wal, WalRecord, WalSyncPolicy,
 };
 pub use coordinator::CoordinatorActor;
 pub use failure::{FaultPath, FaultPlan};

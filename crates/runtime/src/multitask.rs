@@ -49,7 +49,6 @@
 //! let config = MultiTaskConfig {
 //!     correlation: CorrelationConfig { min_support: 5, min_confidence: 0.8, ..Default::default() },
 //!     train_ticks: 200,
-//!     costs: None,
 //! };
 //! let outcome = MultiTaskRunner::new(config)?.run(&tasks)?;
 //! assert_eq!(outcome.gates.len(), 1, "follower gated behind the leader");
@@ -107,10 +106,6 @@ pub struct MultiTaskConfig {
     /// gating starts. A window at least as long as the run disables
     /// gating entirely (pure observation).
     pub train_ticks: Tick,
-    /// Optional per-task sampling costs for
-    /// [`CorrelationDetector::plan_with_costs`]; uniform costs
-    /// ([`CorrelationDetector::plan`]) when `None`.
-    pub costs: Option<Vec<f64>>,
 }
 
 impl Default for MultiTaskConfig {
@@ -118,7 +113,6 @@ impl Default for MultiTaskConfig {
         MultiTaskConfig {
             correlation: CorrelationConfig::default(),
             train_ticks: 200,
-            costs: None,
         }
     }
 }
@@ -359,10 +353,7 @@ impl Hook for CorrelationGate<'_> {
         }
         self.detector.observe(tick, &self.active_now);
         if tick + 1 == self.config.train_ticks && tick + 1 < self.ticks {
-            let derived = match &self.config.costs {
-                Some(costs) => self.detector.plan_with_costs(costs),
-                None => self.detector.plan(),
-            };
+            let derived = self.detector.plan();
             order.sort_by_key(|&i| derived.gate(TaskId(i as u64)).is_some());
             let lag = self.config.correlation.lag_window;
             for (follower, gate) in derived.iter() {
@@ -427,7 +418,6 @@ mod tests {
                 ..Default::default()
             },
             train_ticks: 200,
-            costs: None,
         }
     }
 

@@ -11,13 +11,13 @@ use serde::Serialize;
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::task::TaskSpec;
 use volley_core::time::Tick;
-use volley_core::vfs::{FaultFs, IoFaultStats, StdFs, Vfs};
+use volley_core::vfs::{FaultFs, SinkHealth, StdFs, Vfs};
 use volley_core::VolleyError;
-use volley_obs::Obs;
+use volley_obs::{names, Obs, Registry};
 use volley_serve::ServePublisher;
 use volley_store::SampleRecorder;
 
-use crate::checkpoint::{CoordinatorSnapshot, Wal, WalStats, WalSyncPolicy};
+use crate::checkpoint::{CoordinatorSnapshot, Wal, WalSyncPolicy};
 use crate::coordinator::DEFAULT_QUARANTINE_AFTER;
 use crate::failure::FaultPlan;
 use crate::session::{self, Task};
@@ -30,9 +30,9 @@ use crate::session::{self, Task};
 /// on a sink and is bit-identical with or without storage faults.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct DegradationReport {
-    /// Storage faults injected by the runner-owned sinks' fault plans
-    /// (WAL + obs snapshots; the sample store is attached pre-wrapped by
-    /// the caller and accounts for its own injections).
+    /// Storage faults injected under the task's sinks: its WAL
+    /// incarnations' and the sample store's filesystems, and — on the
+    /// first task's report — the snapshot writer's.
     pub io_faults_injected: u64,
     /// WAL appends that never reached the file (summed across
     /// coordinator incarnations).
@@ -70,6 +70,49 @@ impl DegradationReport {
     /// Whether any sink degraded (or any fault was injected) at all.
     pub fn any(&self) -> bool {
         *self != DegradationReport::default()
+    }
+
+    /// The section over one health read of each durable sink.
+    pub(crate) fn new(wal: SinkHealth, store: SinkHealth, snapshots: SinkHealth) -> Self {
+        DegradationReport {
+            io_faults_injected: wal.faults_injected
+                + store.faults_injected
+                + snapshots.faults_injected,
+            wal_write_failures: wal.write_failures,
+            wal_sync_failures: wal.sync_failures,
+            wal_trips: wal.trips,
+            wal_rearms: wal.rearms,
+            wal_ring_dropped: wal.lost,
+            wal_degraded_at_end: wal.degraded,
+            store_shed_samples: store.lost,
+            store_trips: store.trips,
+            store_rearms: store.rearms,
+            store_degraded_at_end: store.degraded,
+            obs_snapshots_paused: snapshots.lost,
+            obs_trips: snapshots.trips,
+            obs_rearms: snapshots.rearms,
+            obs_degraded_at_end: snapshots.degraded,
+        }
+    }
+
+    /// Adds the section's counters to their `_total` series in
+    /// `registry`, so the final snapshot (and any scraper) carries them.
+    pub(crate) fn publish(&self, registry: &Registry) {
+        let totals = [
+            (names::WAL_WRITE_FAILURES_TOTAL, self.wal_write_failures),
+            (names::WAL_SYNC_FAILURES_TOTAL, self.wal_sync_failures),
+            (names::WAL_BREAKER_TRIPS_TOTAL, self.wal_trips),
+            (names::WAL_BREAKER_REARMS_TOTAL, self.wal_rearms),
+            (names::WAL_RING_DROPPED_TOTAL, self.wal_ring_dropped),
+            (names::STORE_SHED_SAMPLES_TOTAL, self.store_shed_samples),
+            (names::STORE_BREAKER_TRIPS_TOTAL, self.store_trips),
+            (names::STORE_BREAKER_REARMS_TOTAL, self.store_rearms),
+            (names::OBS_SNAPSHOTS_PAUSED_TOTAL, self.obs_snapshots_paused),
+            (names::IO_FAULTS_INJECTED_TOTAL, self.io_faults_injected),
+        ];
+        for (name, total) in totals {
+            registry.counter(name).add(total);
+        }
     }
 }
 
@@ -383,17 +426,15 @@ impl TaskRunner {
     }
 
     /// The filesystem one runner-owned sink writes through: the plain one,
-    /// or — when the plan schedules storage faults — a fresh `FaultFs`
-    /// whose stats handle joins `io_stats`. One instance per sink:
-    /// independent op counters keep fault decisions order-independent.
-    pub(crate) fn sink_fs(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Arc<dyn Vfs> {
+    /// or — when the plan schedules storage faults — a fresh `FaultFs`.
+    /// One instance per sink: independent op counters keep fault
+    /// decisions order-independent, and each sink counts its own faults.
+    pub(crate) fn sink_fs(&self) -> Arc<dyn Vfs> {
         let io = self.fault_plan.io();
         if io.is_benign() {
             return Arc::new(StdFs);
         }
-        let fs = FaultFs::new(io.clone());
-        io_stats.push(fs.stats());
-        Arc::new(fs)
+        Arc::new(FaultFs::new(io.clone()))
     }
 
     /// Arms a freshly created log with the sync policy and any planned
@@ -410,27 +451,28 @@ impl TaskRunner {
     }
 
     /// Opens the checkpoint WAL under the plan's storage faults.
-    pub(crate) fn open_wal(&self, io_stats: &mut Vec<Arc<IoFaultStats>>) -> Option<(Wal, u64)> {
+    pub(crate) fn open_wal(&self) -> Option<(Wal, u64)> {
         let (path, every) = self.wal.as_ref()?;
-        self.arm_wal(Wal::create_on(self.sink_fs(io_stats), path), *every)
+        self.arm_wal(Wal::create_on(self.sink_fs(), path), *every)
     }
 
     /// Standby takeover, storage side: recovers whatever the dead
     /// incarnation managed to persist, then restarts the log cleanly
     /// (compaction also clears any corrupt tail the replay truncated at)
-    /// under the same storage-fault plan as its predecessor's.
-    pub(crate) fn recover_wal(
-        &self,
-        io_stats: &mut Vec<Arc<IoFaultStats>>,
-        wal_stats: &mut Vec<Arc<WalStats>>,
-    ) -> (Option<CoordinatorSnapshot>, Option<(Wal, u64)>) {
+    /// under the same storage-fault plan as its predecessor's. Returns
+    /// the last checkpoint and the restarted log — or, when the restart
+    /// failed, the faults its filesystem injected on the way (0 with no
+    /// log configured).
+    pub(crate) fn recover_wal(&self) -> (Option<CoordinatorSnapshot>, Result<(Wal, u64), u64>) {
         let Some((path, every)) = &self.wal else {
-            return (None, None);
+            return (None, Err(0));
         };
         let replay = Wal::replay(path).unwrap_or_default();
-        let compacted = Wal::compact_to_on(self.sink_fs(io_stats), path, replay.snapshot.as_ref());
-        let wal = self.arm_wal(compacted, *every);
-        wal_stats.extend(wal.iter().map(|(wal, _)| wal.stats()));
+        let fs = self.sink_fs();
+        let compacted = Wal::compact_to_on(Arc::clone(&fs), path, replay.snapshot.as_ref());
+        let wal = self
+            .arm_wal(compacted, *every)
+            .ok_or_else(|| fs.injected_faults());
         (replay.snapshot, wal)
     }
 }

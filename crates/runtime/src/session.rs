@@ -48,27 +48,25 @@
 //! with the correlation gate as its hook; [`crate::NetCoordinator`] one
 //! remote task with the socket plane's turn as its hook.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use volley_core::allocation::AllocationConfig;
 use volley_core::coordinator::Coordinator;
 use volley_core::task::{MonitorId, TaskSpec};
 use volley_core::time::Tick;
-use volley_core::vfs::IoFaultStats;
+use volley_core::vfs::SinkHealth;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
 use volley_obs::{names, Counter, Histogram, SnapshotWriter};
 use volley_store::SampleRecorder;
 
-use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord, WalStats};
+use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord};
 use crate::coordinator::{CoordinatorActor, Output};
 use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
 use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
 use crate::net::SocketPlane;
-use crate::runner::{RuntimeReport, TaskRunner};
+use crate::runner::{DegradationReport, RuntimeReport, TaskRunner};
 
 /// Hard cap on coordinator failovers per task and run — a backstop
 /// against fault plans that kill every incarnation.
@@ -263,6 +261,9 @@ pub(crate) struct TaskSession<'a> {
     crashed_at: Option<Tick>,
     /// The incumbent's checkpoint log.
     wal: Option<Wal>,
+    /// The dead incarnations' logs, folded: every counter, the last
+    /// one's state.
+    wal_retired: SinkHealth,
     obs: ShellObs,
     /// When the tick's snapshot, if one is due, began to be gathered.
     checkpoint_started: Instant,
@@ -292,6 +293,7 @@ impl<'a> TaskSession<'a> {
             coordinator: Some(config.coordinator(CoordinatorActor::new(rules, None), every)),
             crashed_at: None,
             wal,
+            wal_retired: SinkHealth::default(),
             checkpoint_started: Instant::now(),
             obs: ShellObs {
                 tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
@@ -323,6 +325,16 @@ impl<'a> TaskSession<'a> {
     /// The report folded so far.
     pub(crate) fn report(&self) -> &RuntimeReport {
         &self.report
+    }
+
+    /// The task's checkpoint-log health across coordinator incarnations:
+    /// every log's counters, and the incumbent's state — the last dead
+    /// log's while no successor log runs.
+    pub(crate) fn wal_health(&self) -> SinkHealth {
+        match &self.wal {
+            Some(wal) => self.wal_retired.then(wal.health()),
+            None => self.wal_retired,
+        }
     }
 
     /// Drives one tick: runs what the coordinator left pending between
@@ -366,6 +378,7 @@ impl<'a> TaskSession<'a> {
             .coordinator_crash_after(self.crashed_at);
         if crash.is_some_and(|at| tick >= at) {
             self.crashed_at = Some(tick);
+            self.wal_retired = self.wal_health();
             self.wal = None;
             if let MonitorPlane::Inline { in_flight, .. } = &mut self.plane {
                 in_flight.clear();
@@ -533,8 +546,9 @@ impl<'a> TaskSession<'a> {
     /// reported the incumbent dead with `tick` in flight: bump the epoch
     /// and build the successor from `snapshot`, the last checkpoint
     /// recovered ([`CoordinatorActor::take_over`], which queues the fence
-    /// the next step runs ahead of `tick`'s data), checkpointing to `wal`.
-    /// Returns the new epoch.
+    /// the next step runs ahead of `tick`'s data), checkpointing to `wal`
+    /// — or, when no successor log could start, counting the faults
+    /// injected into it. Returns the new epoch.
     ///
     /// # Errors
     ///
@@ -543,7 +557,7 @@ impl<'a> TaskSession<'a> {
         &mut self,
         tick: Tick,
         snapshot: Option<&CoordinatorSnapshot>,
-        wal: Option<(Wal, u64)>,
+        wal: Result<(Wal, u64), u64>,
     ) -> Result<u64, VolleyError> {
         let rules = self.config.rules()?;
         let monitors = self.config.spec.monitors().len();
@@ -553,7 +567,13 @@ impl<'a> TaskSession<'a> {
         self.report.coordinator_failovers += 1;
         self.epoch += 1;
         let successor = CoordinatorActor::take_over(rules, self.epoch, tick, snapshot);
-        let (wal, every) = wal.unzip();
+        let (wal, every) = match wal {
+            Ok(wal) => (Some(wal.0), Some(wal.1)),
+            Err(faults) => {
+                self.wal_retired.faults_injected += faults;
+                (None, None)
+            }
+        };
         self.coordinator = Some(self.config.coordinator(successor, every));
         self.wal = wal;
         Ok(self.epoch)
@@ -609,15 +629,11 @@ pub(crate) trait Hook {
 
 /// One task [`drive`] steps: the runner configuring it, its traces, its
 /// monitors' sockets until its session is spawned (in process without),
-/// and what the loop keeps beside the session — the stats handles of
-/// every sink and WAL incarnation (they outlive them, for the
-/// degradation section) and the failovers left.
+/// and the failovers it has left.
 pub(crate) struct Task<'a> {
     runner: &'a TaskRunner,
     traces: &'a [Vec<f64>],
     sockets: Option<SocketPlane>,
-    io_stats: Vec<Arc<IoFaultStats>>,
-    wal_stats: Vec<Arc<WalStats>>,
     failovers_left: u32,
 }
 
@@ -631,17 +647,26 @@ impl<'a> Task<'a> {
             runner,
             traces,
             sockets,
-            io_stats: Vec::new(),
-            wal_stats: Vec::new(),
             failovers_left: MAX_FAILOVERS,
         }
     }
+}
 
-    /// The incumbent WAL's breaker state: 1 while it sheds to its ring.
-    fn wal_degraded(&self) -> Option<u64> {
-        let stats = self.wal_stats.last()?;
-        Some(stats.degraded.load(Ordering::Relaxed))
-    }
+/// One health read of the run's durable sinks (`wal`, `store` and `obs`
+/// on the serve stream): the tasks' checkpoint logs side by side, the
+/// sample store (one per run: a multi-task run hands every task a handle
+/// on the same store) and the snapshot writer. A sink not attached reads
+/// all zeros.
+fn sink_health(
+    wals: impl Iterator<Item = SinkHealth>,
+    recorder: Option<&SampleRecorder>,
+    writer: Option<&SnapshotWriter>,
+) -> [SinkHealth; 3] {
+    [
+        wals.fold(SinkHealth::default(), SinkHealth::plus),
+        recorder.map(SampleRecorder::health).unwrap_or_default(),
+        writer.map(SnapshotWriter::health).unwrap_or_default(),
+    ]
 }
 
 /// The one tick loop: drives `tasks` in lock-step over their shortest
@@ -651,11 +676,11 @@ impl<'a> Task<'a> {
 /// A task whose coordinator died is failed over and stepped again when
 /// its runner arms a standby; its alerts go out on the serve stream
 /// tagged with its index. The run-level sinks — runner instruments,
-/// watchdog, snapshot writer, serve publisher — are the first task's
-/// runner's (a multi-task run hands every task the same obs bundle and
-/// publisher), and so are the watchdog's and the writer's report
-/// sections. On every exit the hook stops, then every spawned session is
-/// finished: monitors shut down, the recorder sealed.
+/// watchdog, sample store, snapshot writer, serve publisher — are the
+/// first task's runner's (a multi-task run hands every task the same obs
+/// bundle, store and publisher), and so are the watchdog's and the
+/// writer's report sections. On every exit the hook stops, then every
+/// spawned session is finished: monitors shut down, the recorder sealed.
 ///
 /// # Errors
 ///
@@ -685,8 +710,7 @@ pub(crate) fn drive(
 
     let mut planes = Vec::with_capacity(tasks.len());
     for task in &mut tasks {
-        let wal = task.runner.open_wal(&mut task.io_stats);
-        task.wal_stats = wal.iter().map(|(wal, _)| wal.stats()).collect();
+        let wal = task.runner.open_wal();
         planes.push(match task.sockets.take() {
             Some(sockets) => (MonitorPlane::Remote(Box::new(sockets)), wal),
             None => (MonitorPlane::inline(task.runner), wal),
@@ -694,12 +718,12 @@ pub(crate) fn drive(
     }
     let mut writer = match &first.obs_dir {
         Some((dir, every)) => Some(
-            SnapshotWriter::new_on(first.sink_fs(&mut tasks[0].io_stats), dir, *every).map_err(
-                |e| VolleyError::InvalidConfig {
+            SnapshotWriter::new_on(first.sink_fs(), dir, *every).map_err(|e| {
+                VolleyError::InvalidConfig {
                     parameter: "obs_dir",
                     reason: format!("cannot create snapshot dir: {e}"),
-                },
-            )?,
+                }
+            })?,
         ),
         None => None,
     };
@@ -770,9 +794,7 @@ pub(crate) fn drive(
                     }
                     task.failovers_left -= 1;
                     failovers_total.inc();
-                    let runner = task.runner;
-                    let (snapshot, wal) =
-                        runner.recover_wal(&mut task.io_stats, &mut task.wal_stats);
+                    let (snapshot, wal) = task.runner.recover_wal();
                     let epoch = session.fail_over(tick, snapshot.as_ref(), wal)?;
                     if let Some(serve) = serve {
                         serve.epoch(epoch, tick);
@@ -803,14 +825,7 @@ pub(crate) fn drive(
 
             // Per-tick observability: record end-to-end tick latency (the
             // watchdog samples it when due), bump the runner counters,
-            // refresh derived gauges, then dump on cadence.
-            let wal_degraded = || tasks.iter().filter_map(Task::wal_degraded).max();
-            let recorders = || {
-                tasks
-                    .iter()
-                    .filter_map(|task| task.runner.recorder.as_ref())
-            };
-            let store_degraded = || recorders().map(SampleRecorder::degraded).max();
+            // refresh derived gauges, dump on cadence, then read the sinks.
             if let Some(started) = tick_started {
                 let elapsed = started.elapsed();
                 let latency_us = elapsed.as_micros() as f64;
@@ -833,36 +848,31 @@ pub(crate) fn drive(
                 let sampled: u64 = sessions.iter().map(|s| s.report().total_samples).sum();
                 sampling_fraction.set(sampled as f64 / (done * monitors as f64));
                 degraded_fraction.set(degraded_ticks as f64 / done);
-                // Sink-degradation gauges: every breaker transition shows
-                // up as an obs series, per the accuracy contract's
-                // "visible, never silent" rule.
-                if let Some(wal_degraded) = wal_degraded() {
-                    wal_degraded_gauge.set(wal_degraded as f64);
-                    let ring = tasks.iter().filter_map(|task| task.wal_stats.last());
-                    let ring: u64 = ring.map(|s| s.ring_buffered.load(Ordering::Relaxed)).sum();
-                    wal_ring_gauge.set(ring as f64);
-                }
-                if let Some(store_degraded) = store_degraded() {
-                    store_degraded_gauge.set(f64::from(u8::from(store_degraded)));
-                }
             }
             if let Some(writer) = writer.as_mut() {
                 let _ = writer.maybe_write(registry, tick);
-                if obs.enabled() {
-                    obs_degraded_gauge.set(f64::from(u8::from(writer.degraded())));
-                }
             }
-            if let Some(serve) = serve {
-                serve.set_tick(tick);
-                let sinks = [
-                    ("wal", wal_degraded().is_some_and(|d| d != 0)),
-                    ("store", store_degraded().unwrap_or(false)),
-                    ("obs", writer.as_ref().is_some_and(SnapshotWriter::degraded)),
-                ];
-                for (published, (sink, degraded)) in published.iter_mut().zip(sinks) {
-                    if degraded != *published {
-                        *published = degraded;
-                        serve.degradation(sink, degraded, tick);
+            // Sink health, one read a tick: every breaker transition
+            // shows up as a gauge and on the serve stream, per the
+            // accuracy contract's "visible, never silent" rule.
+            if tick_started.is_some() || serve.is_some() {
+                let wals = sessions.iter().map(TaskSession::wal_health);
+                let sinks = sink_health(wals, first.recorder.as_ref(), writer.as_ref());
+                let [wal, store, snapshots] = sinks;
+                if tick_started.is_some() {
+                    wal_degraded_gauge.set(f64::from(u8::from(wal.degraded)));
+                    wal_ring_gauge.set(wal.buffered as f64);
+                    store_degraded_gauge.set(f64::from(u8::from(store.degraded)));
+                    obs_degraded_gauge.set(f64::from(u8::from(snapshots.degraded)));
+                }
+                if let Some(serve) = serve {
+                    serve.set_tick(tick);
+                    let named = ["wal", "store", "obs"].into_iter().zip(sinks);
+                    for ((sink, health), published) in named.zip(&mut published) {
+                        if health.degraded != *published {
+                            *published = health.degraded;
+                            serve.degradation(sink, health.degraded, tick);
+                        }
                     }
                 }
             }
@@ -875,59 +885,33 @@ pub(crate) fn drive(
     if let Some(hook) = hook {
         hook.stop(&mut sessions);
     }
+    let wals: Vec<SinkHealth> = sessions.iter().map(TaskSession::wal_health).collect();
     let mut reports: Vec<RuntimeReport> = sessions.into_iter().map(TaskSession::finish).collect();
     driven?;
 
-    // Degradation accounting: WAL counters sum across coordinator
-    // incarnations; store and obs state come from their live handles.
-    for (report, task) in reports.iter_mut().zip(tasks.iter()) {
-        let d = &mut report.degradation;
-        for stats in &task.wal_stats {
-            d.wal_write_failures += stats.write_failures.load(Ordering::Relaxed);
-            d.wal_sync_failures += stats.sync_failures.load(Ordering::Relaxed);
-            d.wal_trips += stats.trips.load(Ordering::Relaxed);
-            d.wal_rearms += stats.rearms.load(Ordering::Relaxed);
-            d.wal_ring_dropped += stats.ring_dropped.load(Ordering::Relaxed);
-        }
-        d.wal_degraded_at_end = task.wal_degraded().is_some_and(|d| d != 0);
-        if let Some(recorder) = &task.runner.recorder {
-            d.store_shed_samples = recorder.shed_samples();
-            (d.store_trips, d.store_rearms) = recorder.breaker_transitions();
-            d.store_degraded_at_end = recorder.degraded();
-        }
-        d.io_faults_injected = task.io_stats.iter().map(|s| s.total()).sum();
+    // Degradation accounting, one read of each sink: a task's section
+    // holds its own WAL and the shared store; the first task's also the
+    // snapshot writer. The run's totals are published once, so the final
+    // snapshot (and any scraper) carries them.
+    let [wal, store, snapshots] = sink_health(
+        wals.iter().copied(),
+        first.recorder.as_ref(),
+        writer.as_ref(),
+    );
+    for (index, (report, wal)) in reports.iter_mut().zip(wals).enumerate() {
+        let snapshots = if index == 0 {
+            snapshots
+        } else {
+            SinkHealth::default()
+        };
+        report.degradation = DegradationReport::new(wal, store, snapshots);
     }
     let report = &mut reports[0];
     report.self_monitor_alerts = self_monitor_alert_ticks.len() as u64;
     report.self_monitor_alert_ticks = self_monitor_alert_ticks;
     report.self_monitor_samples = self_monitor_samples;
-    if let Some(writer) = &writer {
-        let d = &mut report.degradation;
-        d.obs_snapshots_paused = writer.paused();
-        (d.obs_trips, d.obs_rearms) = writer.breaker_transitions();
-        d.obs_degraded_at_end = writer.degraded();
-    }
-
-    // Publish the cumulative degradation counters so the final snapshot
-    // (and any scraper) carries them.
     if obs.enabled() {
-        for d in reports.iter().map(|report| &report.degradation) {
-            let totals = [
-                (names::WAL_WRITE_FAILURES_TOTAL, d.wal_write_failures),
-                (names::WAL_SYNC_FAILURES_TOTAL, d.wal_sync_failures),
-                (names::WAL_BREAKER_TRIPS_TOTAL, d.wal_trips),
-                (names::WAL_BREAKER_REARMS_TOTAL, d.wal_rearms),
-                (names::WAL_RING_DROPPED_TOTAL, d.wal_ring_dropped),
-                (names::STORE_SHED_SAMPLES_TOTAL, d.store_shed_samples),
-                (names::STORE_BREAKER_TRIPS_TOTAL, d.store_trips),
-                (names::STORE_BREAKER_REARMS_TOTAL, d.store_rearms),
-                (names::OBS_SNAPSHOTS_PAUSED_TOTAL, d.obs_snapshots_paused),
-                (names::IO_FAULTS_INJECTED_TOTAL, d.io_faults_injected),
-            ];
-            for (name, total) in totals {
-                registry.counter(name).add(total);
-            }
-        }
+        DegradationReport::new(wal, store, snapshots).publish(registry);
     }
     // Final dump after all actors have flushed their instruments;
     // best-effort, like WAL durability.
@@ -1361,7 +1345,7 @@ mod tests {
         };
         assert!(in_flight.is_empty(), "the tick's replies died with it");
         assert!(dead(session.step(1, |_| 10.0)), "a dead machine stays dead");
-        assert_eq!(session.fail_over(1, None, None).unwrap(), 1);
+        assert_eq!(session.fail_over(1, None, Err(0)).unwrap(), 1);
         let summary = session.step(1, |_| 10.0).unwrap();
         assert_eq!((summary.tick, summary.missing_reports), (1, 0));
         assert_eq!(session.step(2, |_| 10.0).unwrap().tick, 2, "one crash");

@@ -19,12 +19,12 @@ use volley_traces::sysmetrics::SystemMetricsGenerator;
 use volley_traces::timeseries::SeriesSummary;
 use volley_traces::{DiurnalPattern, TraceFamily};
 
-use volley_obs::Obs;
+use volley_obs::{names, Obs};
 
 use crate::cluster::{ClusterConfig, VmId};
 use crate::cost::Dom0CostModel;
 use crate::shard::{EngineConfig, EngineStats, EpochCtx, ShardPlan, ShardWorker, ShardedEngine};
-use crate::telemetry::{ObsBridge, ServerTelemetry};
+use crate::telemetry::ServerTelemetry;
 use crate::time::{SimDuration, SimTime};
 
 /// Configuration of the fleet scenario. The family fixes what differs
@@ -346,9 +346,11 @@ impl Scenario {
             .collect();
         if let Some(obs) = obs {
             // One counter path: the per-server recorders already counted every
-            // sampling operation; the bridge forwards the delta to the
-            // registry instead of keeping a second tally.
-            ObsBridge::new(obs.registry()).publish(&telemetry);
+            // sampling operation; their sum is published once.
+            let total = telemetry.iter().map(ServerTelemetry::sampling_ops).sum();
+            obs.registry()
+                .counter(names::SIM_SAMPLING_OPS_TOTAL)
+                .add(total);
         }
         let horizon = engine.config().horizon;
         let cpu_values: Vec<f64> = telemetry

@@ -5,7 +5,6 @@
 //! busy time into fixed windows and converts it to utilization samples.
 
 use serde::{Deserialize, Serialize};
-use volley_obs::{names, Counter, Registry};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -126,44 +125,6 @@ impl ServerTelemetry {
     }
 }
 
-/// Forwards a fleet's sampling-operation count into the obs registry
-/// without double counting: [`ServerTelemetry`] stays the single source
-/// of truth (it also feeds the Fig. 6 utilization reproduction), and the
-/// bridge publishes only the delta since its last publish into the
-/// `volley_sim_sampling_ops_total` counter.
-#[derive(Debug)]
-pub struct ObsBridge {
-    counter: Counter,
-    published: u64,
-}
-
-impl ObsBridge {
-    /// A bridge into `registry`'s sim sampling-ops counter.
-    pub fn new(registry: &Registry) -> Self {
-        ObsBridge {
-            counter: registry.counter(names::SIM_SAMPLING_OPS_TOTAL),
-            published: 0,
-        }
-    }
-
-    /// Publishes the fleet's current total, adding only the unpublished
-    /// delta to the counter. Returns that delta. Safe to call repeatedly
-    /// (including on every simulated window) — re-publishing the same
-    /// state adds zero.
-    pub fn publish(&mut self, fleet: &[ServerTelemetry]) -> u64 {
-        let total: u64 = fleet.iter().map(ServerTelemetry::sampling_ops).sum();
-        let delta = total.saturating_sub(self.published);
-        self.counter.add(delta);
-        self.published = total;
-        delta
-    }
-
-    /// The total published so far.
-    pub fn published(&self) -> u64 {
-        self.published
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,29 +187,6 @@ mod tests {
     fn zero_window_is_clamped() {
         let t = ServerTelemetry::new(SimDuration::ZERO);
         assert_eq!(t.window(), SimDuration::from_micros(1));
-    }
-
-    #[test]
-    fn obs_bridge_publishes_deltas_without_double_counting() {
-        let registry = volley_obs::Registry::new(true);
-        let mut fleet = vec![
-            ServerTelemetry::new(secs(1.0)),
-            ServerTelemetry::new(secs(1.0)),
-        ];
-        let mut bridge = ObsBridge::new(&registry);
-        fleet[0].charge_sample(SimTime::ZERO, secs(0.01));
-        fleet[1].charge_sample(SimTime::ZERO, secs(0.01));
-        assert_eq!(bridge.publish(&fleet), 2);
-        // Re-publishing unchanged state must not inflate the counter.
-        assert_eq!(bridge.publish(&fleet), 0);
-        fleet[0].charge_sample(SimTime::from_secs_f64(1.0), secs(0.01));
-        assert_eq!(bridge.publish(&fleet), 1);
-        let snapshot = registry.snapshot(0);
-        assert_eq!(
-            snapshot.counters.get(names::SIM_SAMPLING_OPS_TOTAL),
-            Some(&3)
-        );
-        assert_eq!(bridge.published(), 3);
     }
 
     #[test]

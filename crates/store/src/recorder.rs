@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use volley_core::Tick;
+use volley_core::{SinkHealth, Tick};
 use volley_obs::Snapshot;
 
 use crate::record::{Record, RecordKind, TASK_WIDE};
@@ -139,22 +139,9 @@ impl SampleRecorder {
         self.inner.io_errors.load(Ordering::Relaxed)
     }
 
-    /// Records shed while the store's circuit breaker was open
-    /// (`store_shed_samples_total`).
-    pub fn shed_samples(&self) -> u64 {
-        self.lock().shed_samples()
-    }
-
-    /// True while the store is in lossy degraded mode.
-    pub fn degraded(&self) -> bool {
-        self.lock().degraded()
-    }
-
-    /// `(trips, rearms)` of the store's circuit breaker: degraded-mode
-    /// entries and recoveries.
-    pub fn breaker_transitions(&self) -> (u64, u64) {
-        let store = self.lock();
-        (store.trips(), store.rearms())
+    /// The shared store's [`Store::health`], read under one lock.
+    pub fn health(&self) -> SinkHealth {
+        self.lock().health()
     }
 
     /// Runs `f` against the underlying store — the escape hatch for

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use volley_core::vfs::{CircuitBreaker, StdFs, Vfs};
+use volley_core::vfs::{CircuitBreaker, SinkHealth, StdFs, Vfs};
 use volley_core::Tick;
 
 use crate::record::{Record, RecordKind};
@@ -245,24 +245,14 @@ impl Store {
         self.buffer.len()
     }
 
-    /// True while the circuit breaker is open and appends are shed.
-    pub fn degraded(&self) -> bool {
-        self.breaker.is_open()
-    }
-
-    /// Records dropped in degraded mode (`store_shed_samples_total`).
-    pub fn shed_samples(&self) -> u64 {
-        self.shed_samples
-    }
-
-    /// Times the store entered degraded mode.
-    pub fn trips(&self) -> u64 {
-        self.breaker.trips()
-    }
-
-    /// Times the store re-armed after a successful probe flush.
-    pub fn rearms(&self) -> u64 {
-        self.breaker.rearms()
+    /// How the store degraded: `degraded` while appends are shed,
+    /// `lost` records shed so far (`store_shed_samples_total`), and its
+    /// breaker's trips and re-arms.
+    pub fn health(&self) -> SinkHealth {
+        SinkHealth {
+            lost: self.shed_samples,
+            ..SinkHealth::new(&self.breaker, self.vfs.as_ref())
+        }
     }
 
     /// Appends one record, sealing a segment when a flush limit trips.
@@ -817,10 +807,11 @@ mod tests {
             let _ = store.append(rec(0, t, t as f64));
         }
         store.flush().unwrap();
-        assert!(store.trips() >= 1, "breaker tripped during the storm");
-        assert!(store.rearms() >= 1, "store re-armed after the storm");
-        assert!(!store.degraded(), "fault cleared");
-        assert!(store.shed_samples() > 0, "degraded mode shed records");
+        let health = store.health();
+        assert!(health.trips >= 1, "breaker tripped during the storm");
+        assert!(health.rearms >= 1, "store re-armed after the storm");
+        assert!(!health.degraded, "fault cleared");
+        assert!(health.lost > 0, "degraded mode shed records");
         let got: Vec<Record> = store.scan(&ScanRange::all()).unwrap().collect();
         assert!(
             got.iter().any(|r| r.tick >= 100),

@@ -60,7 +60,6 @@ fn run_runtime(
     MultiTaskRunner::new(MultiTaskConfig {
         correlation,
         train_ticks: train,
-        costs: None,
     })
     .expect("valid multi-task config")
     .run(tasks)

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use volley::core::task::TaskSpec;
 use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan, StdFs, Vfs};
+use volley::obs::{names, Obs};
 use volley::runtime::checkpoint::{AppendOutcome, TickOutcome, Wal, WalRecord};
 use volley::store::{Record, RecordKind, SampleRecorder, ScanRange, Store, TaskMeta};
 use volley::TaskRunner;
@@ -160,6 +161,55 @@ fn enospc_storm_leaves_alerts_bit_identical_and_rearms() {
     );
 }
 
+/// The report counts every sink's injected faults — the WAL's, the
+/// snapshot writer's and the recorder's store's — and the published
+/// `volley_io_faults_injected_total` agrees with it. The WAL and the
+/// writer run on the runner's own filesystems, so their share is read
+/// off a twin run whose store sits on a plain filesystem: each sink's
+/// fault decisions depend on its own operations only.
+#[test]
+fn io_fault_count_covers_every_sink_and_matches_its_counter() {
+    let spec = spec();
+    let traces = traces();
+    let dir = scratch("fault-count");
+    let io = IoFaultPlan::new(13)
+        .with_error_rate(0.25)
+        .with_sync_errors(0.25);
+    let run = |tag: &str, vfs: Arc<dyn Vfs>| {
+        let store = Store::open_on(vfs, dir.join(format!("store-{tag}")))
+            .unwrap()
+            .with_flush_limits(32, 16);
+        let obs = Obs::new(true);
+        let report = runner(&spec, &dir, tag)
+            .with_fault_plan(FaultPlan::new(13).with_io_faults(io.clone()))
+            .with_recorder(SampleRecorder::new(store))
+            .with_obs(obs.clone())
+            .run(&traces)
+            .unwrap();
+        let counters = obs.registry().snapshot(0).counters;
+        (
+            report,
+            counters.get(names::IO_FAULTS_INJECTED_TOTAL).copied(),
+        )
+    };
+    let store_fs = Arc::new(FaultFs::new(io.clone()));
+    let (faulted, counter) = run("faulted", Arc::clone(&store_fs) as Arc<dyn Vfs>);
+    let (twin, _) = run("twin", Arc::new(StdFs));
+
+    let store_faults = store_fs.injected_faults();
+    let runner_faults = twin.degradation.io_faults_injected;
+    assert!(store_faults > 0, "the plan injected store faults");
+    assert!(runner_faults > 0, "the plan injected WAL and obs faults");
+    assert_eq!(faulted.alert_ticks, twin.alert_ticks);
+    assert_eq!(
+        faulted.degradation.io_faults_injected,
+        runner_faults + store_faults,
+        "{:?}",
+        faulted.degradation
+    );
+    assert_eq!(counter, Some(faulted.degradation.io_faults_injected));
+}
+
 #[test]
 fn random_fault_soak_never_perturbs_detection() {
     let spec = spec();
@@ -195,7 +245,6 @@ fn drive_wal(
     records: u64,
 ) -> (Vec<u64>, u64) {
     let mut wal = Wal::create_on(vfs, path).unwrap().with_sync_policy(policy);
-    let stats = wal.stats();
     let acknowledged = (0..records)
         .filter(|&tick| {
             let record = WalRecord::Tick(TickOutcome {
@@ -208,10 +257,7 @@ fn drive_wal(
             matches!(wal.append(&record), Ok(AppendOutcome::Persisted))
         })
         .collect();
-    (
-        acknowledged,
-        stats.trips.load(std::sync::atomic::Ordering::Relaxed),
-    )
+    (acknowledged, wal.health().trips)
 }
 
 /// The ticks a replay of `path` restores, in log order.
@@ -294,7 +340,7 @@ fn error_soak_trips_breakers_keeps_acknowledged_wal_and_seals_store() {
     }
     assert!(store_faults.total() > 0, "the plan injected store faults");
     assert!(
-        store.trips() >= 1,
+        store.health().trips >= 1,
         "sustained errors trip the store breaker"
     );
     drop(store);

@@ -7,10 +7,15 @@
 //! checkpoint round-trips the suppression counters bit-for-bit, so a
 //! standby resumes pacing where the deposed primary stopped.
 
+use std::sync::Arc;
+
 use volley::core::correlation::CorrelationConfig;
 use volley::core::task::TaskSpec;
+use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan};
+use volley::obs::{names, Obs};
 use volley::runtime::checkpoint::Wal;
 use volley::runtime::{MultiTask, MultiTaskConfig, MultiTaskRunner, TaskRunner};
+use volley::{SampleRecorder, Store};
 
 fn spec() -> TaskSpec {
     TaskSpec::builder(100.0)
@@ -55,8 +60,57 @@ fn config(train_ticks: u64) -> MultiTaskConfig {
             ..CorrelationConfig::default()
         },
         train_ticks,
-        costs: None,
     }
+}
+
+/// Every task records into one store: a run-level sink, published to
+/// obs once however many tasks share it, while each task's report still
+/// shows the shared store's state.
+#[test]
+fn a_shared_store_publishes_its_counters_once() {
+    let dir = std::env::temp_dir().join(format!("volley-mt-shared-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let io = IoFaultPlan::new(5).with_enospc_window(100, 100);
+    let store = Store::open_on(Arc::new(FaultFs::new(io)), &dir)
+        .unwrap()
+        .with_flush_limits(8, 4)
+        .with_breaker(CircuitBreaker::with_backoff(2, 2, 8));
+    let recorder = SampleRecorder::new(store);
+    let obs = Obs::new(true);
+    let tasks = cascade(600);
+    let outcome = MultiTaskRunner::new(config(200))
+        .expect("valid config")
+        .with_recorder(recorder.clone())
+        .with_obs(obs.clone())
+        .run(&tasks)
+        .expect("multi-task run");
+
+    let own = recorder.health();
+    assert!(
+        own.lost > 0 && own.trips >= 1 && own.rearms >= 1,
+        "the storm was felt and cleared: {own:?}"
+    );
+    let counters = obs.registry().snapshot(0).counters;
+    for (name, total) in [
+        (names::STORE_SHED_SAMPLES_TOTAL, own.lost),
+        (names::STORE_BREAKER_TRIPS_TOTAL, own.trips),
+        (names::STORE_BREAKER_REARMS_TOTAL, own.rearms),
+    ] {
+        assert_eq!(
+            counters.get(name),
+            Some(&total),
+            "{name} over {} tasks",
+            tasks.len()
+        );
+    }
+    for report in &outcome.reports {
+        let d = &report.degradation;
+        assert_eq!(
+            (d.store_shed_samples, d.store_trips, d.store_rearms),
+            (own.lost, own.trips, own.rearms)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

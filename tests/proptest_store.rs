@@ -225,7 +225,7 @@ proptest! {
         let mut accepted: Vec<u64> = Vec::new();
         let mut sealed = 0usize;
         for t in 0..count {
-            let shed_before = store.shed_samples();
+            let shed_before = store.health().lost;
             let _ = store.append(Record {
                 task: 0,
                 monitor: 0,
@@ -233,7 +233,7 @@ proptest! {
                 tick: t,
                 value: t as f64,
             });
-            if store.shed_samples() == shed_before {
+            if store.health().lost == shed_before {
                 accepted.push(t);
             }
             if store.buffered() == 0 {

@@ -295,7 +295,6 @@ fn a_multi_task_stream_carries_each_tasks_alerts() {
             ..CorrelationConfig::default()
         },
         train_ticks: 200,
-        costs: None,
     };
     let outcome = MultiTaskRunner::new(config)
         .unwrap()
