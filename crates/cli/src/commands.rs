@@ -575,13 +575,11 @@ impl Sinks {
         Ok(coordinator)
     }
 
-    /// Ends the run: flushes the recorder, publishes `run_end`, keeps
-    /// serving through `--serve-linger-ms` so clients can drain, then
-    /// stops the HTTP loop.
+    /// Ends the run: publishes `run_end`, keeps serving through
+    /// `--serve-linger-ms` so clients can drain, then stops the HTTP
+    /// loop. The recorder was sealed by the run's own teardown, before
+    /// its report read the store's health.
     fn finish(&mut self, ticks: u64) {
-        if let Some(recorder) = &self.recorder {
-            recorder.flush();
-        }
         let Some(handle) = self.serve.take() else {
             return;
         };
@@ -625,6 +623,7 @@ fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         // Persist the final registry snapshot next to the samples, so
         // `store query --kind counter` works without an --obs-dir.
         recorder.record_snapshot(report.ticks, &sinks.obs.snapshot(report.ticks));
+        recorder.flush();
     }
     sinks.finish(report.ticks);
 
@@ -743,6 +742,79 @@ fn write_degradation<W: Write>(
 /// [`volley_runtime::FaultPlan`] built from the command-line flags drops,
 /// delays and duplicates messages and crashes or stalls monitors.
 fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    let n = args.monitors;
+    let (report, _) = chaos_run(args)?;
+    let cost_ratio = report.cost_ratio(n);
+    if args.common.report_json {
+        let extras = ChaosExtras {
+            monitors: n,
+            cost_ratio,
+        };
+        return write_envelope(out, "chaos", extended(&report, extras));
+    }
+    write_fleet_head(out, n, &report)?;
+    writeln!(
+        out,
+        "polls:            {} ({} degraded)",
+        report.polls, report.degraded_polls
+    )?;
+    writeln!(out, "missed reports:   {}", report.missed_tick_reports)?;
+    writeln!(
+        out,
+        "quarantines:      {} ({} restarts, {} recoveries)",
+        report.quarantines, report.restarts, report.recoveries
+    )?;
+    if report.coordinator_failovers > 0 || report.stale_epoch_frames > 0 {
+        writeln!(
+            out,
+            "failovers:        {} ({} checkpoint restores, {} conservative)",
+            report.coordinator_failovers, report.checkpoint_restores, report.conservative_restarts
+        )?;
+        writeln!(out, "stale frames:     {}", report.stale_epoch_frames)?;
+    }
+    write_samples(out, report.total_samples, cost_ratio)?;
+    if report.degradation.any() {
+        let d = &report.degradation;
+        writeln!(out, "io faults:        {} injected", d.io_faults_injected)?;
+        write_degradation(
+            out,
+            "wal degradation:",
+            format_args!(
+                "{} write / {} sync failures ({} trips, {} rearms, {} ring drops)",
+                d.wal_write_failures,
+                d.wal_sync_failures,
+                d.wal_trips,
+                d.wal_rearms,
+                d.wal_ring_dropped
+            ),
+            d.wal_degraded_at_end,
+        )?;
+        write_degradation(
+            out,
+            "store shedding:",
+            format_args!(
+                "{} samples shed ({} trips, {} rearms)",
+                d.store_shed_samples, d.store_trips, d.store_rearms
+            ),
+            d.store_degraded_at_end,
+        )?;
+        write_degradation(
+            out,
+            "obs snapshots:",
+            format_args!(
+                "{} paused ({} trips, {} rearms)",
+                d.obs_snapshots_paused, d.obs_trips, d.obs_rearms
+            ),
+            d.obs_degraded_at_end,
+        )?;
+    }
+    write_alert_ticks(out, &report.alert_ticks)?;
+    write_sink_dirs(out, args)?;
+    Ok(())
+}
+
+/// The run behind [`chaos`]: its report, and its sinks once finished.
+fn chaos_run(args: &Args) -> Result<(RuntimeReport, Sinks), CliError> {
     use volley_runtime::{FaultPath, FaultPlan};
 
     let n = args.monitors;
@@ -811,74 +883,7 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     }
     let report = runner.run(&workload.traces)?;
     sinks.finish(report.ticks);
-
-    let cost_ratio = report.cost_ratio(n);
-    if args.common.report_json {
-        let extras = ChaosExtras {
-            monitors: n,
-            cost_ratio,
-        };
-        return write_envelope(out, "chaos", extended(&report, extras));
-    }
-    write_fleet_head(out, n, &report)?;
-    writeln!(
-        out,
-        "polls:            {} ({} degraded)",
-        report.polls, report.degraded_polls
-    )?;
-    writeln!(out, "missed reports:   {}", report.missed_tick_reports)?;
-    writeln!(
-        out,
-        "quarantines:      {} ({} restarts, {} recoveries)",
-        report.quarantines, report.restarts, report.recoveries
-    )?;
-    if report.coordinator_failovers > 0 || report.stale_epoch_frames > 0 {
-        writeln!(
-            out,
-            "failovers:        {} ({} checkpoint restores, {} conservative)",
-            report.coordinator_failovers, report.checkpoint_restores, report.conservative_restarts
-        )?;
-        writeln!(out, "stale frames:     {}", report.stale_epoch_frames)?;
-    }
-    write_samples(out, report.total_samples, cost_ratio)?;
-    if report.degradation.any() {
-        let d = &report.degradation;
-        writeln!(out, "io faults:        {} injected", d.io_faults_injected)?;
-        write_degradation(
-            out,
-            "wal degradation:",
-            format_args!(
-                "{} write / {} sync failures ({} trips, {} rearms, {} ring drops)",
-                d.wal_write_failures,
-                d.wal_sync_failures,
-                d.wal_trips,
-                d.wal_rearms,
-                d.wal_ring_dropped
-            ),
-            d.wal_degraded_at_end,
-        )?;
-        write_degradation(
-            out,
-            "store shedding:",
-            format_args!(
-                "{} samples shed ({} trips, {} rearms)",
-                d.store_shed_samples, d.store_trips, d.store_rearms
-            ),
-            d.store_degraded_at_end,
-        )?;
-        write_degradation(
-            out,
-            "obs snapshots:",
-            format_args!(
-                "{} paused ({} trips, {} rearms)",
-                d.obs_snapshots_paused, d.obs_trips, d.obs_rearms
-            ),
-            d.obs_degraded_at_end,
-        )?;
-    }
-    write_alert_ticks(out, &report.alert_ticks)?;
-    write_sink_dirs(out, args)?;
-    Ok(())
+    Ok((report, sinks))
 }
 
 /// The planted cascade workload for `chaos --multitask`: task 0 (the
@@ -1969,6 +1974,25 @@ mod tests {
             "the store's own faults count"
         );
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// Nothing touches the store once the report has read its health:
+    /// with every fsync failing, each seal attempt — the run's last one
+    /// included — is a fault, and the report counts all of them.
+    #[test]
+    fn chaos_report_counts_the_stores_last_flush() {
+        let dir =
+            std::env::temp_dir().join(format!("volley-cli-last-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut args = chaos_args(&[]);
+        args.common.store_dir = Some(dir.to_string_lossy().to_string());
+        args.io.sync_error_rate = 1.0;
+        let (report, sinks) = chaos_run(&args).unwrap();
+        let store = sinks.recorder.as_ref().expect("a store").health();
+        // No WAL and no snapshot dumps: every injected fault is the store's.
+        assert!(store.faults_injected > 0);
+        assert_eq!(report.degradation.io_faults_injected, store.faults_injected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

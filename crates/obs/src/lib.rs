@@ -221,7 +221,7 @@ impl Obs {
 
     /// Shorthand for `self.spans().span(name)`.
     #[inline]
-    pub fn span(&self, name: &'static str) -> SpanGuard {
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         self.spans.span(name)
     }
 

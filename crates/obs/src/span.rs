@@ -99,31 +99,38 @@ impl SpanLog {
     /// Starts a scoped span recorded on guard drop. When disabled the
     /// guard is inert — one relaxed atomic load, no clock read.
     #[inline]
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return SpanGuard(None);
-        }
-        SpanGuard(Some(SpanGuardInner {
-            log: self.clone(),
-            name,
-            started: Instant::now(),
-            histogram: None,
-        }))
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        self.start(name, None)
     }
 
     /// Starts a scoped span that also records its duration (nanoseconds)
     /// into `histogram` — one clock pair serving both the trace and the
     /// latency distribution.
     #[inline]
-    pub fn span_timed(&self, name: &'static str, histogram: &crate::Histogram) -> SpanGuard {
+    pub fn span_timed<'a>(
+        &'a self,
+        name: &'static str,
+        histogram: &'a crate::Histogram,
+    ) -> SpanGuard<'a> {
+        self.start(name, Some(histogram))
+    }
+
+    /// The guard borrows the log and the histogram: starting a span
+    /// clones no handle.
+    #[inline]
+    fn start<'a>(
+        &'a self,
+        name: &'static str,
+        histogram: Option<&'a crate::Histogram>,
+    ) -> SpanGuard<'a> {
         if !self.enabled.load(Ordering::Relaxed) {
             return SpanGuard(None);
         }
         SpanGuard(Some(SpanGuardInner {
-            log: self.clone(),
+            log: self,
             name,
             started: Instant::now(),
-            histogram: Some(histogram.clone()),
+            histogram,
         }))
     }
 
@@ -223,18 +230,18 @@ impl SpanLog {
 }
 
 #[derive(Debug)]
-struct SpanGuardInner {
-    log: SpanLog,
+struct SpanGuardInner<'a> {
+    log: &'a SpanLog,
     name: &'static str,
     started: Instant,
-    histogram: Option<crate::Histogram>,
+    histogram: Option<&'a crate::Histogram>,
 }
 
 /// A scoped span; records on drop. Inert when the log is disabled.
 #[derive(Debug)]
-pub struct SpanGuard(Option<SpanGuardInner>);
+pub struct SpanGuard<'a>(Option<SpanGuardInner<'a>>);
 
-impl SpanGuard {
+impl SpanGuard<'_> {
     /// Closes the span now instead of at scope end.
     pub fn finish(mut self) {
         self.close();
@@ -243,7 +250,7 @@ impl SpanGuard {
     fn close(&mut self) {
         if let Some(inner) = self.0.take() {
             let ended = Instant::now();
-            if let Some(histogram) = &inner.histogram {
+            if let Some(histogram) = inner.histogram {
                 histogram.record(ended.duration_since(inner.started).as_nanos() as u64);
             }
             inner.log.push(inner.name, inner.started, ended);
@@ -251,7 +258,7 @@ impl SpanGuard {
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.close();
     }

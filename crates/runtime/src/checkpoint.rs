@@ -137,8 +137,15 @@ pub enum WalRecord {
 
 /// Encodes one record into its framed on-disk form.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
+    // Sized for the whole frame up front (a Tick's JSON is ≈ 90 bytes, a
+    // sampler's ≈ 380), so the payload is written without regrowing.
+    let capacity = match record {
+        WalRecord::Tick(_) => 128,
+        WalRecord::Snapshot(s) => 160 + 24 * s.allowances.len() + 400 * s.samplers.len(),
+    };
+    let mut framed = Vec::with_capacity(capacity);
     // The payload is written in place behind a header filled in after it.
-    let mut framed = vec![0u8; FRAME_OVERHEAD];
+    framed.extend_from_slice(&[0u8; FRAME_OVERHEAD]);
     serde_json::to_writer(&mut framed, record).expect("WAL records always serialize");
     let (header, payload) = framed.split_at_mut(FRAME_OVERHEAD);
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -285,7 +292,9 @@ pub struct Wal {
     /// bit-flipped after the CRC is computed: deterministic
     /// WAL-corruption injection for chaos runs.
     corruptions: Vec<u64>,
-    last_snapshot: Option<CoordinatorSnapshot>,
+    /// The latest snapshot's framed bytes as encoded, before any injected
+    /// corruption: what compaction writes.
+    last_snapshot: Option<Vec<u8>>,
     sync_policy: WalSyncPolicy,
     /// Records persisted since the last fsync (for `EveryN`).
     unsynced: u64,
@@ -412,26 +421,20 @@ impl Wal {
     /// the disk write (or a due fsync) failed *now* — the record is still
     /// retained in the ring, so callers may treat errors as advisory.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<AppendOutcome> {
-        self.log(record.clone())
-    }
-
-    /// [`append`](Self::append) of a record the log may keep: a snapshot
-    /// is encoded, then moved into `last_snapshot` — never copied again.
-    fn log(&mut self, record: WalRecord) -> io::Result<AppendOutcome> {
-        let (tick, is_snapshot) = match &record {
+        let (tick, is_snapshot) = match record {
             WalRecord::Snapshot(s) => (s.tick, true),
             WalRecord::Tick(o) => (o.tick, false),
         };
         self.vfs.set_tick(tick);
-        let mut framed = encode_record(&record);
+        let mut framed = encode_record(record);
+        if is_snapshot {
+            self.last_snapshot = Some(framed.clone());
+        }
         if self.corruptions.contains(&self.appended) && framed.len() > FRAME_OVERHEAD {
             let idx = FRAME_OVERHEAD + (framed.len() - FRAME_OVERHEAD) / 2;
             framed[idx] ^= 0x40;
         }
         self.appended += 1;
-        if let WalRecord::Snapshot(snapshot) = record {
-            self.last_snapshot = Some(snapshot);
-        }
 
         if !self.breaker.should_attempt() {
             self.buffer_degraded(framed);
@@ -518,7 +521,7 @@ impl Wal {
     /// Appends a snapshot and compacts the log down to just that
     /// snapshot when the file has outgrown the compaction threshold.
     pub fn append_snapshot(&mut self, snapshot: &CoordinatorSnapshot) -> io::Result<()> {
-        let outcome = self.log(WalRecord::Snapshot(snapshot.clone()))?;
+        let outcome = self.append(&WalRecord::Snapshot(snapshot.clone()))?;
         if outcome == AppendOutcome::Persisted && self.records_in_file > self.compact_after {
             self.compact()?;
         }
@@ -528,13 +531,12 @@ impl Wal {
     /// Rewrites the log as just the latest snapshot (temp file + atomic
     /// rename), dropping every record the snapshot supersedes.
     fn compact(&mut self) -> io::Result<()> {
-        let Some(snapshot) = self.last_snapshot.clone() else {
+        let Some(framed) = &self.last_snapshot else {
             return Ok(());
         };
-        let framed = encode_record(&WalRecord::Snapshot(snapshot));
         let tmp = self.path.with_extension("wal.tmp");
         let mut out = self.vfs.create(&tmp)?;
-        out.write_all(&framed)?;
+        out.write_all(framed)?;
         out.sync_all()?;
         drop(out);
         self.vfs.rename(&tmp, &self.path)?;
@@ -562,7 +564,9 @@ impl Wal {
 
     /// Starts a fresh log at `path` seeded with `snapshot` (if any) —
     /// the takeover path: the standby compacts whatever it could replay
-    /// into a clean log, clearing any corrupt tail in the process.
+    /// into a clean log, clearing any corrupt tail in the process. Only
+    /// creating the file can fail: the seed write is advisory, like any
+    /// [`append`](Self::append).
     pub fn compact_to(
         path: impl Into<PathBuf>,
         snapshot: Option<&CoordinatorSnapshot>,
@@ -578,7 +582,7 @@ impl Wal {
     ) -> io::Result<Self> {
         let mut wal = Wal::create_on(vfs, path)?;
         if let Some(snapshot) = snapshot {
-            wal.log(WalRecord::Snapshot(snapshot.clone()))?;
+            let _ = wal.append(&WalRecord::Snapshot(snapshot.clone()));
         }
         Ok(wal)
     }

@@ -460,9 +460,10 @@ impl TaskRunner {
     /// incarnation managed to persist, then restarts the log cleanly
     /// (compaction also clears any corrupt tail the replay truncated at)
     /// under the same storage-fault plan as its predecessor's. Returns
-    /// the last checkpoint and the restarted log — or, when the restart
-    /// failed, the faults its filesystem injected on the way (0 with no
-    /// log configured).
+    /// the last checkpoint and the restarted log — kept even when its
+    /// seed snapshot write failed, as the ring holds that snapshot — or,
+    /// when the log file could not be created, the faults its filesystem
+    /// injected on the way (0 with no log configured).
     pub(crate) fn recover_wal(&self) -> (Option<CoordinatorSnapshot>, Result<(Wal, u64), u64>) {
         let Some((path, every)) = &self.wal else {
             return (None, Err(0));

@@ -400,7 +400,12 @@ impl<'a> TaskSession<'a> {
     /// last armed passes.
     fn pump(&mut self, coordinator: &mut CoordinatorActor) -> Result<TickSummary, VolleyError> {
         let spans = self.config.obs.spans();
-        let _tick_span = spans.span_timed("coordinator_tick", &self.obs.tick_hist);
+        // The guard borrows its histogram across `&mut self` calls, so the
+        // handle is cloned — only while spans record.
+        let tick_hist = spans.enabled().then(|| self.obs.tick_hist.clone());
+        let _tick_span = tick_hist
+            .as_ref()
+            .map(|hist| spans.span_timed("coordinator_tick", hist));
         // The tick's data just left: its reports are awaited from now.
         self.plane.arm_deadline();
         loop {

@@ -31,7 +31,12 @@
 //! first bad frame is trusted, everything after it is ignored. Decoding
 //! never panics on arbitrary input.
 
-use crate::record::{Record, RecordKind};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use volley_core::hash::splitmix64;
+
+use crate::record::{Record, RecordKind, SeriesKey};
 
 /// Upper bound on one frame's payload, mirroring the WAL's cap: anything
 /// larger is treated as corruption rather than a 4 GB allocation.
@@ -52,10 +57,12 @@ const TAG_DATA: u8 = 0x01;
 const TAG_INDEX: u8 = 0x02;
 const MAGIC: &[u8; 4] = b"VSEG";
 
-/// CRC-32 (IEEE) lookup table, built at compile time. The checkpoint
-/// WAL frames its records with the same [`crc32`].
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE) slicing-by-8 tables, built at compile time: row 0 is
+/// the classic bytewise table, row `k` advances a byte's CRC over `k`
+/// more zero bytes, so eight table lookups fold eight input bytes at
+/// once. The checkpoint WAL frames its records with the same [`crc32`].
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -68,19 +75,42 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -432,14 +462,95 @@ fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// A multiplicative hasher for the series keys of one seal: keys come
+/// from the program's own records, so no flooding defence is needed.
+#[derive(Default)]
+struct SeriesHasher(u64);
+
+impl Hasher for SeriesHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+/// `records` in [`Record::sort_key`] order, arrival order kept among
+/// equal keys — what a stable sort yields — with no sort over all of
+/// them: one pass numbers each record's series, each record then lands
+/// in its series' next slot, and a series is sorted by tick only if it
+/// arrived out of order.
+fn seal_order(records: &[Record]) -> Vec<Record> {
+    // Each series, numbered in first-seen order, with its record count.
+    let mut ids: HashMap<SeriesKey, u32, BuildHasherDefault<SeriesHasher>> = HashMap::default();
+    let mut series: Vec<(SeriesKey, usize)> = Vec::new();
+    let id_of: Vec<u32> = records
+        .iter()
+        .map(|r| {
+            let id = *ids.entry(r.key()).or_insert(series.len() as u32);
+            if id as usize == series.len() {
+                series.push((r.key(), 0));
+            }
+            series[id as usize].1 += 1;
+            id
+        })
+        .collect();
+    // Counts become each series' first slot, in key order, then advance
+    // to its end.
+    let mut order: Vec<u32> = (0..series.len() as u32).collect();
+    order.sort_unstable_by_key(|&id| series[id as usize].0);
+    let mut next = 0;
+    for &id in &order {
+        let slot = &mut series[id as usize].1;
+        (*slot, next) = (next, next + *slot);
+    }
+    let mut sorted = records.to_vec();
+    for (r, &id) in records.iter().zip(&id_of) {
+        let slot = &mut series[id as usize].1;
+        sorted[*slot] = *r;
+        *slot += 1;
+    }
+    // Freed before a series' sort takes its scratch: the peak stays
+    // within the record copy plus a full sort's scratch.
+    drop(id_of);
+    let mut start = 0;
+    for &id in &order {
+        let end = series[id as usize].1;
+        let run = &mut sorted[start..end];
+        if run.windows(2).any(|w| w[0].tick > w[1].tick) {
+            run.sort_by_key(|r| r.tick);
+        }
+        start = end;
+    }
+    sorted
+}
+
 /// Encodes `records` into a complete segment: header, sorted data
 /// chunks, trailing sparse index. Input order does not matter — records
-/// are sorted by `(task, monitor, kind, tick)` first, which is what
+/// are ordered by `(task, monitor, kind, tick)` first, which is what
 /// makes concurrently-recorded runs byte-deterministic.
 pub fn encode_segment(records: &[Record]) -> Vec<u8> {
-    let mut sorted: Vec<Record> = records.to_vec();
-    sorted.sort_by_key(Record::sort_key);
+    encode_sorted(&seal_order(records))
+}
 
+/// [`encode_segment`] of records already in [`seal_order`].
+fn encode_sorted(sorted: &[Record]) -> Vec<u8> {
     let mut out = Vec::with_capacity(sorted.len() * 4 + 64);
     let mut header = Vec::with_capacity(9);
     header.push(TAG_HEADER);
@@ -514,6 +625,17 @@ fn decode_index(payload: &[u8]) -> Option<Vec<ChunkEntry>> {
     Some(entries)
 }
 
+/// Decodes the chunk `entry` locates in `bytes`, a segment whose frames
+/// [`SegmentReader::open`] has already CRC-checked: the entry's frame is
+/// read as is. `None` on a malformed payload.
+pub(crate) fn decode_entry(bytes: &[u8], entry: &ChunkEntry) -> Option<Vec<Record>> {
+    let pos = usize::try_from(entry.offset).ok()?;
+    let head = bytes.get(pos..pos + FRAME_OVERHEAD)?;
+    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+    let payload = bytes.get(pos + FRAME_OVERHEAD..pos + FRAME_OVERHEAD + len)?;
+    decode_chunk(payload)
+}
+
 /// A decoded view over one segment's bytes: trusted chunk entries plus
 /// lazy, zero-copy access to their payloads (chunk payloads are slices
 /// into the segment buffer; nothing is materialized until a scan decodes
@@ -585,9 +707,12 @@ impl<'a> SegmentReader<'a> {
             .flatten()
             .and_then(|(_, p)| decode_index(p))
             .filter(|entries| {
-                entries
-                    .iter()
-                    .all(|e| data_frames.iter().any(|&(o, _)| o == e.offset))
+                // Frames are walked in offset order: one search per entry.
+                entries.iter().all(|e| {
+                    data_frames
+                        .binary_search_by_key(&e.offset, |&(o, _)| o)
+                        .is_ok()
+                })
             });
         let entries = match indexed {
             Some(entries) => entries,
@@ -621,13 +746,7 @@ impl<'a> SegmentReader<'a> {
     /// Decodes the chunk behind `entry`; `None` if its payload is
     /// malformed (possible only via a colliding CRC or a lying index).
     pub fn decode_entry(&self, entry: &ChunkEntry) -> Option<Vec<Record>> {
-        let pos = usize::try_from(entry.offset).ok()?;
-        let head = self.bytes.get(pos..pos + FRAME_OVERHEAD)?;
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let payload = self
-            .bytes
-            .get(pos + FRAME_OVERHEAD..pos + FRAME_OVERHEAD + len)?;
-        decode_chunk(payload)
+        decode_entry(self.bytes, entry)
     }
 
     /// All trusted records, in `(task, monitor, kind, tick)` order.
@@ -773,6 +892,74 @@ mod tests {
             kind: RecordKind::Sample,
             tick,
             value,
+        }
+    }
+
+    /// The bytewise CRC-32 the codec shipped with: one table lookup per
+    /// byte, kept as the oracle for the slicing-by-8 [`crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let table = &CRC32_TABLES[0];
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Little-endian bytes of `words`: random bytes from `u64` draws.
+    fn bytes_of(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            words in prop::collection::vec(0..u64::MAX, 514..515),
+            len in 0usize..4097,
+        ) {
+            let bytes = bytes_of(&words);
+            for start in 0..8 {
+                let data = &bytes[start..start + len];
+                prop_assert_eq!(crc32(data), crc32_bytewise(data), "start {} len {}", start, len);
+            }
+        }
+
+        #[test]
+        fn seal_order_matches_a_stable_sort(
+            raw in prop::collection::vec((0u64..4, 0u64..6, 0u64..40, 0..u64::MAX), 0..600),
+        ) {
+            // Few series and few ticks: duplicate `(key, tick)` pairs,
+            // out-of-order ticks, several tasks and kinds.
+            let records: Vec<Record> = raw
+                .iter()
+                .map(|&(task, kind, tick, bits)| Record {
+                    task: (task % 2) as u32,
+                    monitor: (bits % 3) as u32,
+                    kind: RecordKind::ALL[kind as usize],
+                    tick,
+                    value: f64::from_bits(bits),
+                })
+                .collect();
+            let mut expect = records.clone();
+            expect.sort_by_key(Record::sort_key);
+            let got = seal_order(&records);
+            let bits = |rs: &[Record]| -> Vec<_> {
+                rs.iter().map(|r| (r.sort_key(), r.value.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&expect));
+            // The seal used to encode exactly that sorted copy.
+            prop_assert_eq!(encode_segment(&records), encode_sorted(&expect));
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference_on_short_inputs() {
+        let bytes: Vec<u8> = (0..80u8).map(|b| b.wrapping_mul(37) ^ 0xA5).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
         }
     }
 

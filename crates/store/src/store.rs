@@ -23,7 +23,7 @@ use volley_core::vfs::{CircuitBreaker, SinkHealth, StdFs, Vfs};
 use volley_core::Tick;
 
 use crate::record::{Record, RecordKind};
-use crate::segment::{encode_segment, ChunkEntry, SegmentReader};
+use crate::segment::{decode_entry, encode_segment, ChunkEntry, SegmentReader};
 
 /// Default flush threshold: buffered records.
 pub const DEFAULT_FLUSH_RECORDS: usize = 8192;
@@ -545,9 +545,9 @@ fn segment_files(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
-/// One segment's scan state: owned bytes, the filtered chunk list, and
-/// at most one decoded chunk at a time (bounded memory regardless of
-/// segment size).
+/// One segment's scan state: owned bytes, CRC-checked once when the
+/// cursor opens, the filtered chunk list, and at most one decoded chunk
+/// at a time (bounded memory regardless of segment size).
 #[derive(Debug)]
 struct SegmentCursor {
     bytes: Vec<u8>,
@@ -586,12 +586,9 @@ impl SegmentCursor {
                 return;
             };
             self.next_entry += 1;
-            let reader = SegmentReader::open(&self.bytes);
-            let decoded = reader.decode_entry(entry).unwrap_or_default();
-            self.chunk = decoded
-                .into_iter()
-                .filter(|r| self.range.matches(r))
-                .collect();
+            let mut decoded = decode_entry(&self.bytes, entry).unwrap_or_default();
+            decoded.retain(|r| self.range.matches(r));
+            self.chunk = decoded;
             self.chunk_pos = 0;
         }
     }

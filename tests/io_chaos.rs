@@ -18,7 +18,9 @@ use std::sync::Arc;
 use volley::core::task::TaskSpec;
 use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan, StdFs, Vfs};
 use volley::obs::{names, Obs};
-use volley::runtime::checkpoint::{AppendOutcome, TickOutcome, Wal, WalRecord};
+use volley::runtime::checkpoint::{
+    AppendOutcome, CoordinatorSnapshot, TickOutcome, Wal, WalRecord,
+};
 use volley::store::{Record, RecordKind, SampleRecorder, ScanRange, Store, TaskMeta};
 use volley::TaskRunner;
 use volley_runtime::{FaultPlan, WalSyncPolicy};
@@ -233,6 +235,54 @@ fn random_fault_soak_never_perturbs_detection() {
 
     assert_eq!(report.alert_ticks, clean.alert_ticks);
     assert!(report.degradation.io_faults_injected > 0);
+}
+
+/// A standby whose fresh log takes a torn write on its seed snapshot
+/// keeps that log: the snapshot waits in the log's ring, the next
+/// appends drain it to disk, and a second coordinator crash restores
+/// every monitor from it instead of restarting them conservatively.
+#[test]
+fn a_torn_seed_write_keeps_the_successor_log() {
+    let spec = spec();
+    let traces = traces();
+    let dir = scratch("torn-seed");
+    let io = IoFaultPlan::new(1)
+        .with_torn_writes(0.2)
+        .with_short_writes(0.2);
+    // Every log starts on a filesystem of its own: under this plan a
+    // fresh log's seed write is torn.
+    let seed = CoordinatorSnapshot {
+        epoch: 0,
+        tick: 40,
+        next_update_tick: 50,
+        allowances: Vec::new(),
+        samplers: Vec::new(),
+        multitask: None,
+    };
+    let probe = Wal::compact_to_on(
+        Arc::new(FaultFs::new(io.clone())),
+        dir.join("probe.wal"),
+        Some(&seed),
+    )
+    .expect("creating the log succeeds");
+    assert_eq!(probe.health().write_failures, 1, "the seed write is torn");
+    assert_eq!(probe.health().buffered, 1, "the ring holds the seed");
+
+    let plan = FaultPlan::new(1)
+        .with_io_faults(io)
+        .with_coordinator_crash(60)
+        .with_coordinator_crash(100);
+    let report = runner(&spec, &dir, "torn-seed")
+        .with_standby(true)
+        .with_fault_plan(plan)
+        .run(&traces)
+        .unwrap();
+    assert_eq!(report.coordinator_failovers, 2);
+    assert_eq!(
+        (report.checkpoint_restores, report.conservative_restarts),
+        (2 * MONITORS as u64, 0),
+        "both failovers restore every monitor from a checkpoint"
+    );
 }
 
 /// Appends tick records `0..records` to a fresh WAL at `path` through
