@@ -469,8 +469,9 @@ impl Wal {
         self.ring.push_back(framed);
     }
 
-    /// Writes any ring backlog plus `framed` to the file, repairing a
-    /// torn tail first.
+    /// Writes any ring backlog plus `framed` to the file as one write,
+    /// repairing a torn tail first: a probe stands or falls as a whole,
+    /// so a backlog drains whenever one write lands, however long it is.
     fn persist_writes(&mut self, framed: &[u8]) -> io::Result<()> {
         if self.dirty_tail {
             // A previous failed write may have left partial bytes; the
@@ -479,12 +480,18 @@ impl Wal {
             self.file.truncate(self.valid_len)?;
             self.dirty_tail = false;
         }
-        while let Some(front) = self.ring.front() {
-            let bytes = front.clone();
-            self.write_frame(&bytes)?;
-            self.ring.pop_front();
+        if self.ring.is_empty() {
+            return self.write_frames(framed, 1);
         }
-        self.write_frame(framed)
+        let backlog: usize = self.ring.iter().map(Vec::len).sum();
+        let mut batch = Vec::with_capacity(backlog + framed.len());
+        for frame in &self.ring {
+            batch.extend_from_slice(frame);
+        }
+        batch.extend_from_slice(framed);
+        self.write_frames(&batch, self.ring.len() as u64 + 1)?;
+        self.ring.clear();
+        Ok(())
     }
 
     /// Fsyncs when the group-commit policy says a sync is due.
@@ -501,14 +508,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Writes one framed record, updating the intact-bytes watermark; a
-    /// failure marks the tail dirty for truncation-repair.
-    fn write_frame(&mut self, framed: &[u8]) -> io::Result<()> {
-        match self.file.write_all(framed) {
+    /// Writes `frames` framed records, concatenated in `bytes`, updating
+    /// the intact-bytes watermark; a failure marks the tail dirty for
+    /// truncation-repair.
+    fn write_frames(&mut self, bytes: &[u8], frames: u64) -> io::Result<()> {
+        match self.file.write_all(bytes) {
             Ok(()) => {
-                self.valid_len += framed.len() as u64;
-                self.records_in_file += 1;
-                self.unsynced += 1;
+                self.valid_len += bytes.len() as u64;
+                self.records_in_file += frames;
+                self.unsynced += frames;
                 Ok(())
             }
             Err(e) => {

@@ -297,44 +297,91 @@ impl ReplyBatch {
 /// [`f64::to_bits`] as 16 lowercase hex digits, most significant nibble
 /// first — `[1.0, 0.1]` is `"3ff00000000000003fb999999999999a"`. The
 /// parser accepts exactly that: a length that is a multiple of 16, digits
-/// in `[0-9a-f]` and finite bit patterns.
+/// in `[0-9a-f]` and finite bit patterns. Both directions work a word at
+/// a time, eight digits to a `u64` of byte lanes, and the parser checks
+/// the whole column once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct F64Column(pub Vec<f64>);
+
+/// The value of the 8 hex digits in `word`, the first in its top byte,
+/// and a flag word that is non-zero unless each is a lowercase hex digit.
+/// A byte lane is a digit when its high bit survives one of two exact
+/// per-lane range tests (`m < byte < n` for an ASCII byte; a non-ASCII
+/// byte fails both); its nibble is its low four bits, plus 9 for a
+/// letter; the eight nibbles then pack pairwise into 32 bits.
+fn hex_value(word: u64) -> (u64, u64) {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let low = word & LOW7;
+    let between =
+        |m: u64, n: u64| (LANES * (127 + n) - low) & !word & (low + LANES * (127 - m)) & HIGH;
+    let letters = between(0x60, 0x67);
+    let invalid = (between(0x2f, 0x3a) | letters) ^ HIGH;
+    let mut x = (word & 0x0f0f_0f0f_0f0f_0f0f) + (letters >> 7) * 9;
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    ((x | x >> 16) & 0xffff_ffff, invalid)
+}
+
+/// `half`'s 8 nibbles as lowercase hex digits, most significant first: the
+/// nibbles spread into one byte lane each, then every lane offset to `'0'`
+/// or, past 9, to `'a' - 10` at once (`n + 6` carries into bit 4 exactly
+/// when `n ≥ 10`; no lane overflows).
+fn hex_digits(half: u32) -> [u8; 8] {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    let mut x = u64::from(half);
+    x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+    let letters = (x + 6 * LANES) >> 4 & LANES;
+    (x + u64::from(b'0') * LANES + letters * u64::from(b'a' - 10 - b'0')).to_be_bytes()
+}
 
 impl F64Column {
     /// Characters per value.
     const WIDTH: usize = 16;
 
     fn write_digits(&self, out: &mut Vec<u8>) {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        out.reserve(self.0.len() * Self::WIDTH);
-        for value in &self.0 {
-            let bits = value.to_bits();
-            let mut digits = [0; Self::WIDTH];
-            for (at, digit) in digits.iter_mut().enumerate() {
-                *digit = HEX[(bits >> (60 - 4 * at)) as usize & 0xf];
-            }
-            out.extend_from_slice(&digits);
-        }
+        F64View(&self.0).write_digits(out);
     }
 
     fn parse(text: &str) -> Option<Self> {
-        let nibble = |digit: u8| match digit {
-            b'0'..=b'9' => Some(u64::from(digit - b'0')),
-            b'a'..=b'f' => Some(u64::from(digit - b'a' + 10)),
-            _ => None,
-        };
+        const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
         let text = text.as_bytes();
         if !text.len().is_multiple_of(Self::WIDTH) {
             return None;
         }
+        // One flag for the whole column, checked once: no branch per value.
+        let mut invalid = 0;
         let values = text.chunks_exact(Self::WIDTH).map(|digits| {
-            let bits = digits
-                .iter()
-                .try_fold(0, |bits, &digit| Some(bits << 4 | nibble(digit)?))?;
-            Some(f64::from_bits(bits)).filter(|value| value.is_finite())
+            let word =
+                |at: usize| u64::from_be_bytes(digits[at..at + 8].try_into().expect("8 digits"));
+            let ((high, high_invalid), (low, low_invalid)) =
+                (hex_value(word(0)), hex_value(word(8)));
+            let bits = high << 32 | low;
+            invalid |= high_invalid | low_invalid | u64::from(bits & EXPONENT == EXPONENT);
+            f64::from_bits(bits)
         });
-        values.collect::<Option<_>>().map(F64Column)
+        let values = values.collect();
+        (invalid == 0).then_some(F64Column(values))
+    }
+}
+
+/// An [`F64Column`] over borrowed values: the same text, written
+/// without owning them.
+struct F64View<'a>(&'a [f64]);
+
+impl F64View<'_> {
+    fn write_digits(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.0.len() * F64Column::WIDTH, 0);
+        let cells = out[start..].chunks_exact_mut(F64Column::WIDTH);
+        for (cell, value) in cells.zip(self.0) {
+            let bits = value.to_bits();
+            cell[..8].copy_from_slice(&hex_digits((bits >> 32) as u32));
+            cell[8..].copy_from_slice(&hex_digits(bits as u32));
+        }
     }
 }
 
@@ -351,19 +398,18 @@ impl<const MAX: u8> DigitColumn<MAX> {
     }
 
     fn parse(text: &str) -> Option<Self> {
-        let digit = |&byte: &u8| Some(byte.wrapping_sub(b'0')).filter(|&value| value <= MAX);
-        text.as_bytes()
+        let values: Vec<u8> = text.bytes().map(|byte| byte.wrapping_sub(b'0')).collect();
+        values
             .iter()
-            .map(digit)
-            .collect::<Option<_>>()
-            .map(DigitColumn)
+            .all(|&value| value <= MAX)
+            .then_some(DigitColumn(values))
     }
 }
 
 /// The serde impls of a column type: a JSON string of its digits, the
-/// same on the streaming and the tree path.
+/// same on the streaming and the tree path (`ser` alone for a view).
 macro_rules! column_serde {
-    ([$($generics:tt)*] $column:ty) => {
+    (ser [$($generics:tt)*] $column:ty) => {
         impl<$($generics)*> Serialize for $column {
             fn to_value(&self) -> Value {
                 let mut digits = Vec::new();
@@ -377,6 +423,9 @@ macro_rules! column_serde {
                 out.push(b'"');
             }
         }
+    };
+    ([$($generics:tt)*] $column:ty) => {
+        column_serde!(ser [$($generics)*] $column);
 
         impl<'de, $($generics)*> Deserialize<'de> for $column {
             fn from_value(value: &Value) -> Result<Self, DeError> {
@@ -392,7 +441,21 @@ macro_rules! column_serde {
 }
 
 column_serde!([] F64Column);
+column_serde!(ser [] F64View<'_>);
 column_serde!([const MAX: u8] DigitColumn<MAX>);
+
+/// [`ServerFrame::Ticks`] over a run's borrowed values — the same
+/// variant, fields and derive, so the same bytes — for
+/// [`ControlRun::write`], which then copies no values out of its run.
+#[derive(Serialize)]
+enum TicksLine<'a> {
+    Ticks {
+        epoch: u64,
+        tick: Tick,
+        first: u32,
+        values: F64View<'a>,
+    },
+}
 
 /// What a reply must share with its neighbours to join their line —
 /// kind (`true` for a poll reply), epoch and tick — and its sender,
@@ -516,12 +579,15 @@ impl ControlRun {
             let first = self.first + part.start as u32;
             let (epoch, msg) = (self.frame.epoch, self.frame.msg);
             let line = match msg {
-                CoordinatorToMonitor::Tick(data) if part.len() > 1 => ServerFrame::Ticks {
-                    epoch,
-                    tick: data.tick,
-                    first,
-                    values: F64Column(self.values[part].to_vec()),
-                },
+                CoordinatorToMonitor::Tick(data) if part.len() > 1 => {
+                    let line = TicksLine::Ticks {
+                        epoch,
+                        tick: data.tick,
+                        first,
+                        values: F64View(&self.values[part]),
+                    };
+                    return encode_into(&line, out);
+                }
                 CoordinatorToMonitor::Tick(data) => {
                     let value = self.values[part.start];
                     let msg = CoordinatorToMonitor::Tick(TickData { value, ..data });
@@ -1141,6 +1207,33 @@ mod tests {
         assert_eq!(delivered, carried);
     }
 
+    /// A tick run written from its borrowed values is, line for line and
+    /// under any frame cap, the bytes of the owned `Ticks` frame.
+    #[test]
+    fn tick_runs_write_the_owned_frames_bytes_under_every_cap() {
+        let frames: Vec<(u32, ControlFrame)> = (0..40)
+            .map(|to| {
+                let data = TickData {
+                    tick: 6,
+                    value: f64::from(to) * -0.3,
+                };
+                let msg = CoordinatorToMonitor::Tick(data);
+                (to + 5, ControlFrame { epoch: 2, msg })
+            })
+            .collect();
+        for cap in [0, 100, 256, 1024, usize::MAX] {
+            let mut wire = Vec::new();
+            let lines = encode_controls(&frames, cap, &mut wire);
+            let mut seen = 0;
+            for line in wire.split_inclusive(|&b| b == b'\n') {
+                let frame: ServerFrame = decode_line(line).unwrap();
+                assert_eq!(encode(&frame)[..], *line, "cap {cap}");
+                seen += 1;
+            }
+            assert_eq!(seen, lines);
+        }
+    }
+
     /// An agent takes from a line only the monitors it hosts, whatever
     /// count the line claims.
     #[test]
@@ -1169,6 +1262,149 @@ mod tests {
         to.clear();
         ServerFrame::Ctl { to: 9, frame }.expand(5..8, |id, _| to.push(id));
         assert!(to.is_empty());
+    }
+
+    /// The per-nibble column codec the word-at-a-time one replaced, kept
+    /// as its oracle.
+    mod reference {
+        pub fn write_hex(values: &[f64], out: &mut Vec<u8>) {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            for value in values {
+                let bits = value.to_bits();
+                let mut digits = [0; 16];
+                for (at, digit) in digits.iter_mut().enumerate() {
+                    *digit = HEX[(bits >> (60 - 4 * at)) as usize & 0xf];
+                }
+                out.extend_from_slice(&digits);
+            }
+        }
+
+        pub fn parse_hex(text: &str) -> Option<Vec<f64>> {
+            let nibble = |digit: u8| match digit {
+                b'0'..=b'9' => Some(u64::from(digit - b'0')),
+                b'a'..=b'f' => Some(u64::from(digit - b'a' + 10)),
+                _ => None,
+            };
+            let text = text.as_bytes();
+            if !text.len().is_multiple_of(16) {
+                return None;
+            }
+            let values = text.chunks_exact(16).map(|digits| {
+                let bits = digits
+                    .iter()
+                    .try_fold(0, |bits, &digit| Some(bits << 4 | nibble(digit)?))?;
+                Some(f64::from_bits(bits)).filter(|value| value.is_finite())
+            });
+            values.collect()
+        }
+
+        pub fn parse_digits(text: &str, max: u8) -> Option<Vec<u8>> {
+            let digit = |&byte: &u8| Some(byte.wrapping_sub(b'0')).filter(|&value| value <= max);
+            text.as_bytes().iter().map(digit).collect()
+        }
+    }
+
+    /// What a column's text is built from: canonical digits and the
+    /// near misses a parser must refuse.
+    const PALETTE: [&str; 26] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "a", "b", "c", "d", "e", "f", "A", "F",
+        "g", ":", "/", "`", " ", "é", "\u{7f}", "\u{80}",
+    ];
+
+    fn bits_of(column: Option<F64Column>) -> Option<Vec<u64>> {
+        column.map(|column| column.0.iter().map(|value| value.to_bits()).collect())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn column_writer_prints_what_format_prints(
+            words in proptest::collection::vec(0..u64::MAX, 0..9),
+        ) {
+            let values: Vec<f64> = words.iter().map(|&bits| f64::from_bits(bits)).collect();
+            let mut written = b"kept".to_vec();
+            F64Column(values.clone()).write_digits(&mut written);
+            let printed: String = words.iter().map(|bits| format!("{bits:016x}")).collect();
+            proptest::prop_assert_eq!(&written[4..], printed.as_bytes());
+            let mut borrowed = Vec::new();
+            F64View(&values).write_digits(&mut borrowed);
+            let mut old = Vec::new();
+            reference::write_hex(&values, &mut old);
+            proptest::prop_assert_eq!(&borrowed, &old);
+            proptest::prop_assert_eq!(&written[4..], &old[..]);
+        }
+
+        #[test]
+        fn column_parsers_accept_and_refuse_what_the_reference_does(
+            cells in proptest::collection::vec(0..u64::MAX, 0..6),
+            digits in proptest::collection::vec(0..u8::MAX, 0..81),
+            (flaw, at, trim) in (0usize..2 * PALETTE.len() + 4, 0usize..96, 0usize..24),
+            top in 0u8..10,
+            noise in proptest::collection::vec(0usize..PALETTE.len(), 0..81),
+        ) {
+            // A hex column and a digit column, each clean about half the
+            // time and otherwise with one flaw: a character swapped for a
+            // palette entry, a non-finite value, a cut; the digits run
+            // up to `top`, on either side of each column's largest.
+            let mut values = cells.clone();
+            if flaw >= 2 * PALETTE.len() && !values.is_empty() {
+                let n = values.len();
+                values[at % n] |= 0x7ff0_0000_0000_0000;
+            }
+            let hex: String = values.iter().map(|bits| format!("{bits:016x}")).collect();
+            let mut hex = swapped(&hex, flaw, at);
+            if trim < 3 {
+                hex.truncate(hex.floor_char_boundary(hex.len().saturating_sub(trim)));
+            }
+            let digits: String = digits.iter().map(|d| char::from(b'0' + d % (top + 1))).collect();
+            let digits = swapped(&digits, flaw, at);
+            let noise: String = noise.iter().map(|&pick| PALETTE[pick]).collect();
+            for text in [&hex, &digits, &noise] {
+                proptest::prop_assert_eq!(
+                    bits_of(F64Column::parse(text)),
+                    bits_of(reference::parse_hex(text).map(F64Column)),
+                    "{:?}",
+                    text
+                );
+                proptest::prop_assert_eq!(
+                    DigitColumn::<7>::parse(text).map(|column| column.0),
+                    reference::parse_digits(text, 7),
+                    "{:?}",
+                    text
+                );
+                proptest::prop_assert_eq!(
+                    DigitColumn::<1>::parse(text).map(|column| column.0),
+                    reference::parse_digits(text, 1),
+                    "{:?}",
+                    text
+                );
+            }
+        }
+    }
+
+    /// `text` with its `at`-th character (modulo its length) swapped for
+    /// palette entry `flaw`, or as it is when `flaw` is past the palette.
+    fn swapped(text: &str, flaw: usize, at: usize) -> String {
+        let mut chars: Vec<&str> = text.split_inclusive(|_| true).collect();
+        if let (Some(swap), false) = (PALETTE.get(flaw), chars.is_empty()) {
+            let n = chars.len();
+            chars[at % n] = swap;
+        }
+        chars.concat()
+    }
+
+    /// The writer at the edges: every nibble value in every position, and
+    /// the all-ones pattern the generator's range leaves out.
+    #[test]
+    fn column_writer_prints_every_nibble_in_every_position() {
+        let mut words = vec![0, u64::MAX];
+        for at in 0..16 {
+            words.extend((0..16u64).map(|nibble| nibble << (4 * at)));
+        }
+        let values: Vec<f64> = words.iter().map(|&bits| f64::from_bits(bits)).collect();
+        let mut written = Vec::new();
+        F64Column(values).write_digits(&mut written);
+        let printed: String = words.iter().map(|bits| format!("{bits:016x}")).collect();
+        assert_eq!(std::str::from_utf8(&written).unwrap(), printed);
     }
 
     #[test]

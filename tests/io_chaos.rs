@@ -296,18 +296,20 @@ fn drive_wal(
 ) -> (Vec<u64>, u64) {
     let mut wal = Wal::create_on(vfs, path).unwrap().with_sync_policy(policy);
     let acknowledged = (0..records)
-        .filter(|&tick| {
-            let record = WalRecord::Tick(TickOutcome {
-                epoch: 1,
-                tick,
-                polled: tick.is_multiple_of(7),
-                alerted: tick % 50 == 49,
-                local_violations: (tick % 3) as u32,
-            });
-            matches!(wal.append(&record), Ok(AppendOutcome::Persisted))
-        })
+        .filter(|&tick| matches!(wal.append(&tick_record(tick)), Ok(AppendOutcome::Persisted)))
         .collect();
     (acknowledged, wal.health().trips)
+}
+
+/// The tick record [`drive_wal`] appends at `tick`.
+fn tick_record(tick: u64) -> WalRecord {
+    WalRecord::Tick(TickOutcome {
+        epoch: 1,
+        tick,
+        polled: tick.is_multiple_of(7),
+        alerted: tick % 50 == 49,
+        local_violations: (tick % 3) as u32,
+    })
 }
 
 /// The ticks a replay of `path` restores, in log order.
@@ -401,4 +403,47 @@ fn error_soak_trips_breakers_keeps_acknowledged_wal_and_seals_store() {
     assert!(sealed
         .iter()
         .all(|r| r.tick < RECORDS && r.value == r.tick as f64));
+}
+
+/// A degraded WAL's probe writes its whole ring backlog and the new
+/// record as one write, so one fault decision settles it: after an
+/// ENOSPC storm leaves a long backlog, the log re-arms within a few
+/// probes even while every write still fails at rate 0.2 — and the
+/// drained log replays every record, in order.
+#[test]
+fn a_long_backlog_rearms_within_a_few_probes_under_a_steady_fault_rate() {
+    const STORM_END: u64 = 70;
+    const MAX_FAILED_PROBES: u64 = 6;
+    let dir = scratch("backlog");
+    let path = dir.join("backlog.wal");
+    let plan = IoFaultPlan::new(5)
+        .with_enospc_window(10, STORM_END - 10)
+        .with_error_rate(0.2);
+    let mut wal = Wal::create_on(Arc::new(FaultFs::new(plan)), &path)
+        .unwrap()
+        .with_sync_policy(WalSyncPolicy::Never);
+    for tick in 0..STORM_END {
+        let _ = wal.append(&tick_record(tick));
+    }
+    let storm = wal.health();
+    assert!(storm.degraded, "the storm trips the breaker");
+    assert!(storm.buffered >= 32, "a long backlog: {}", storm.buffered);
+
+    // Every write attempted while degraded is a probe.
+    let mut tick = STORM_END;
+    while wal.health().degraded && tick < STORM_END + 1_000 {
+        let _ = wal.append(&tick_record(tick));
+        tick += 1;
+    }
+    let drained = wal.health();
+    let failed_probes = drained.write_failures - storm.write_failures;
+    assert_eq!(drained.rearms, storm.rearms + 1, "the log re-armed");
+    assert!(
+        failed_probes <= MAX_FAILED_PROBES,
+        "{failed_probes} probes failed before one landed"
+    );
+    assert_eq!((drained.buffered, drained.lost), (0, 0));
+    drop(wal);
+    let all: Vec<u64> = (0..tick).collect();
+    assert_eq!(replayed_ticks(&path), all, "the backlog drained in order");
 }
