@@ -64,11 +64,10 @@ impl From<std::io::Error> for CliError {
 pub struct CommonArgs {
     /// Random seed (workload, fault plan or scenario, per subcommand).
     pub seed: u64,
-    /// Directory for obs snapshots: written by `run`/`chaos`/`sim`/
-    /// `coordinator`, read by `obs`.
-    pub obs_dir: Option<String>,
     /// Directory of the embedded sample store: recorded into by
-    /// `run`/`chaos`, read by `store`/`backtest`/`analyze`.
+    /// `run`/`chaos` (with obs snapshots on `run` and fault-mode
+    /// `chaos`), given the final obs snapshot by `sim`/`coordinator`,
+    /// read by `store`/`backtest`/`analyze`/`obs`.
     pub store_dir: Option<String>,
     /// Worker threads for sharded execution. Results never depend on
     /// this value — only wall-clock time does.
@@ -298,7 +297,7 @@ pub struct Args {
     pub monitor_range: Option<(u32, u32)>,
     /// `agent --fleet-size`: monitors across the whole fleet.
     pub fleet_size: usize,
-    /// The shared seed / obs-dir / store-dir / threads / report-json rows.
+    /// The shared seed / store-dir / threads / report-json rows.
     pub common: CommonArgs,
     /// The `transport` and `reconnect` groups.
     pub transport: TransportArgs,
@@ -342,7 +341,7 @@ pub enum Command {
     Chaos(Args),
     /// Run the live runtime with observability on.
     Run(Args),
-    /// Read back the latest obs snapshot from a directory.
+    /// Read back the latest obs snapshot from a recorded store.
     Obs(Args),
     /// Query, compact or export a recorded sample store.
     Store(StoreAction, Args),
@@ -534,8 +533,9 @@ fn parse_range_spec(raw: &str) -> Result<(u32, u32), String> {
 }
 
 fn record_kind(raw: &str) -> Result<volley_store::RecordKind, String> {
-    volley_store::RecordKind::parse(raw)
-        .ok_or_else(|| " (expected sample, poll, alert, interval, gauge or counter)".to_string())
+    volley_store::RecordKind::parse(raw).ok_or_else(|| {
+        " (expected sample, poll, alert, interval, gauge, counter or histogram)".to_string()
+    })
 }
 
 // ---- rows read by more than one subcommand -------------------------------
@@ -543,14 +543,16 @@ fn record_kind(raw: &str) -> Result<volley_store::RecordKind, String> {
 const SEED: Flag = flag("--seed", |a, v| set(&mut a.common.seed, v))
     .takes("n", "0")
     .help("random seed");
-const OBS_DIR: Flag = flag("--obs-dir", |a, v| opt(&mut a.common.obs_dir, v))
-    .takes("dir", "")
-    .help("dump obs snapshots into <dir>");
 const STORE_DIR: Flag = flag("--store-dir", |a, v| opt(&mut a.common.store_dir, v))
     .takes("dir", "")
     .help("record samples, alerts and interval changes into the store at <dir>");
 /// `--store-dir` where it names a recorded store to read.
 const STORE_DIR_READ: Flag = STORE_DIR.help("the recorded store to read");
+/// `--store-dir` where the run also records obs snapshots into it.
+const STORE_DIR_OBS: Flag = STORE_DIR.help(
+    "record samples, alerts, interval changes and obs snapshots (every --obs-every ticks) \
+     into the store at <dir>",
+);
 const THREADS: Flag = flag("--threads", |a, v| floor(&mut a.common.threads, v, 1))
     .takes("n", "1")
     .help("worker threads (never changes results, only wall-clock time)");
@@ -570,7 +572,7 @@ const THRESHOLD: Flag = flag("--threshold", |a, v| opt(&mut a.threshold, v))
     .help("fixed alert threshold");
 const OBS_EVERY: Flag = flag("--obs-every", |a, v| floor(&mut a.obs_every, v, 1))
     .takes("n", "50")
-    .help("obs snapshot cadence in ticks");
+    .help("obs snapshot cadence in ticks, into --store-dir");
 const DEADLINE_MS: Flag = flag("--deadline-ms", |a, v| floor(&mut a.deadline_ms, v, 1))
     .takes("n", "50")
     .help("coordinator collection deadline in milliseconds");
@@ -689,8 +691,8 @@ pub static SERVE: Group = Group {
 /// Storage faults under every persistence sink of `chaos`.
 pub static IO_FAULTS: Group = Group {
     title: "storage-fault flags",
-    about: "deterministic faults under the WAL, sample store and obs snapshots; detection \
-            output is unaffected by design — only sampling fidelity degrades, visibly",
+    about: "deterministic faults under the WAL and the sample store; detection output is \
+            unaffected by design — only sampling fidelity degrades, visibly",
     flags: &[
         flag("--io-enospc-at", |a, v| {
             put(&mut a.io.enospc, parse_enospc_spec(v).map(Some))
@@ -778,7 +780,7 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
                 .default("1500")
                 .help("simulation length in 15-second windows"),
             SEED,
-            OBS_DIR,
+            STORE_DIR.help("record the final obs snapshot into the store at <dir>"),
             THREADS,
             REPORT_JSON,
         ],
@@ -798,8 +800,7 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
                 .takes("t", "")
                 .help("arm the watchdog at this tick latency (microseconds)"),
             SEED.help("stamped into the store's task metadata (the workload is fixed)"),
-            OBS_DIR,
-            STORE_DIR,
+            STORE_DIR_OBS,
             REPORT_JSON,
         ],
         groups: &[&SERVE],
@@ -913,8 +914,7 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
                 .help("leave quarantined monitors down"),
             OBS_EVERY,
             SEED.help("seeds the fault plan"),
-            OBS_DIR,
-            STORE_DIR,
+            STORE_DIR_OBS,
             REPORT_JSON,
         ],
         groups: &[&IO_FAULTS, &SERVE],
@@ -923,14 +923,14 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
     },
     Subcommand {
         name: "obs",
-        about: "read back the latest snapshot an --obs-dir run dumped",
+        about: "read back the latest obs snapshot a run recorded into its store",
         flags: &[
-            OBS_DIR.help("the snapshot directory to read"),
+            STORE_DIR_READ,
             flag("--prom", |a, _| on(&mut a.prom)).help("print the Prometheus text exposition"),
             REPORT_JSON,
         ],
         groups: &[],
-        requires: &["--obs-dir"],
+        requires: &["--store-dir"],
         build: Command::Obs,
     },
     Subcommand {
@@ -1045,8 +1045,10 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
             flag("--tick-interval-ms", |a, v| set(&mut a.tick_interval_ms, v))
                 .takes("n", "0")
                 .help("delay between ticks (0 = free-run)"),
-            OBS_DIR,
-            STORE_DIR.help("store read by /api/v1/query unless --serve-store-dir is given"),
+            STORE_DIR.help(
+                "record the final obs snapshot into the store at <dir>, which /api/v1/query \
+                 reads unless --serve-store-dir is given",
+            ),
             REPORT_JSON,
         ],
         groups: &[&TRANSPORT, &SERVE],
@@ -1596,8 +1598,8 @@ mod tests {
             "0",
             "--err",
             "0.05",
-            "--obs-dir",
-            "/tmp/obs",
+            "--store-dir",
+            "/tmp/store",
             "--obs-every",
             "0",
             "--self-monitor-us",
@@ -1610,7 +1612,7 @@ mod tests {
                 assert_eq!(r.monitors, 3);
                 assert_eq!(r.ticks, 1, "ticks floored at 1");
                 assert_eq!(r.err, 0.05);
-                assert_eq!(r.common.obs_dir.as_deref(), Some("/tmp/obs"));
+                assert_eq!(r.common.store_dir.as_deref(), Some("/tmp/store"));
                 assert_eq!(r.obs_every, 1, "cadence floored at 1");
                 assert_eq!(r.self_monitor_us, Some(250_000.0));
                 assert!(r.common.report_json);
@@ -1634,10 +1636,17 @@ mod tests {
 
     #[test]
     fn chaos_parses_obs_flags() {
-        match Command::parse(args(&["chaos", "--obs-dir", "/tmp/o", "--obs-every", "10"])).unwrap()
+        match Command::parse(args(&[
+            "chaos",
+            "--store-dir",
+            "/tmp/s",
+            "--obs-every",
+            "10",
+        ]))
+        .unwrap()
         {
             Command::Chaos(c) => {
-                assert_eq!(c.common.obs_dir.as_deref(), Some("/tmp/o"));
+                assert_eq!(c.common.store_dir.as_deref(), Some("/tmp/s"));
                 assert_eq!(c.obs_every, 10);
             }
             other => panic!("unexpected {other:?}"),
@@ -1650,9 +1659,9 @@ mod tests {
             Command::parse(args(&["obs"])),
             Err(CliError::Usage(_))
         ));
-        match Command::parse(args(&["obs", "--obs-dir", "/tmp/obs", "--prom"])).unwrap() {
+        match Command::parse(args(&["obs", "--store-dir", "/tmp/store", "--prom"])).unwrap() {
             Command::Obs(o) => {
-                assert_eq!(o.common.obs_dir.as_deref(), Some("/tmp/obs"));
+                assert_eq!(o.common.store_dir.as_deref(), Some("/tmp/store"));
                 assert!(o.prom);
             }
             other => panic!("unexpected {other:?}"),
@@ -1669,8 +1678,8 @@ mod tests {
             "8",
             "--seed",
             "11",
-            "--obs-dir",
-            "/tmp/sim-obs",
+            "--store-dir",
+            "/tmp/sim-store",
             "--report-json",
         ]))
         .unwrap();
@@ -1679,7 +1688,7 @@ mod tests {
                 assert_eq!(s.servers, 2);
                 assert_eq!(s.common.threads, 8);
                 assert_eq!(s.common.seed, 11);
-                assert_eq!(s.common.obs_dir.as_deref(), Some("/tmp/sim-obs"));
+                assert_eq!(s.common.store_dir.as_deref(), Some("/tmp/sim-store"));
                 assert!(s.common.report_json);
             }
             other => panic!("unexpected {other:?}"),
@@ -2187,8 +2196,8 @@ mod tests {
                 "chaos --net",
             ),
             (
-                &["chaos", "--net", "--obs-dir", "o"],
-                "--obs-dir",
+                &["chaos", "--net", "--obs-every", "10"],
+                "--obs-every",
                 "chaos --net",
             ),
             (
@@ -2214,11 +2223,10 @@ mod tests {
             (&["chaos", "--net-agents", "2"], "--net-agents", "chaos"),
             (&["chaos", "--deadline-ms", "30"], "--deadline-ms", "chaos"),
             (&["chaos", "--train-ticks", "9"], "--train-ticks", "chaos"),
-            (&["sim", "--store-dir", "s"], "--store-dir", "sim"),
+            (&["sim", "--obs-every", "5"], "--obs-every", "sim"),
             (&["run", "--threads", "2"], "--threads", "run"),
             (&["agent", "--seed", "1"], "--seed", "agent"),
             (&["agent", "--threads", "2"], "--threads", "agent"),
-            (&["agent", "--obs-dir", "o"], "--obs-dir", "agent"),
             (&["agent", "--store-dir", "s"], "--store-dir", "agent"),
             (&["coordinator", "--seed", "1"], "--seed", "coordinator"),
             (
@@ -2236,7 +2244,7 @@ mod tests {
                 "--limit",
                 "store compact",
             ),
-            (&["obs", "--obs-dir", "o", "--seed", "1"], "--seed", "obs"),
+            (&["obs", "--store-dir", "s", "--seed", "1"], "--seed", "obs"),
             // The dropped legacy spellings.
             (&["run", "--json"], "--json", "run"),
             (&["obs", "--dir", "o"], "--dir", "obs"),

@@ -119,9 +119,6 @@ fn write_fleet_head<W: Write>(
 
 /// The sink directories a run wrote into, as the text reports end.
 fn write_sink_dirs<W: Write>(out: &mut W, args: &Args) -> std::io::Result<()> {
-    if let Some(dir) = &args.common.obs_dir {
-        writeln!(out, "obs snapshots:    {dir}")?;
-    }
     if let Some(dir) = &args.common.store_dir {
         writeln!(out, "sample store:     {dir}")?;
     }
@@ -137,6 +134,14 @@ fn required<'a>(dir: &'a Option<String>, flag: &str) -> Result<&'a str, CliError
 
 fn open_store(dir: &str) -> Result<Store, CliError> {
     Store::open(dir).map_err(|e| CliError::Input(format!("cannot open store {dir}: {e}")))
+}
+
+/// Records `obs`'s snapshot at `tick` into the store at `dir`: the one
+/// snapshot `sim` and `coordinator`, which record nothing else, persist.
+fn record_final_snapshot(dir: &str, obs: &volley_obs::Obs, tick: u64) -> Result<(), CliError> {
+    let mut store = open_store(dir)?;
+    store.record_snapshot(0, &obs.snapshot(tick))?;
+    Ok(store.flush()?)
 }
 
 /// Parses a trace: one `value` or `tick,value` per line; `#` comments and
@@ -321,7 +326,6 @@ struct SimulateReport {
     misdetection_rate: f64,
     cpu_median: f64,
     cpu_max: f64,
-    obs_dir: Option<String>,
     /// The sharded engine's execution counters (schema ≥ 6). `steals`
     /// and `max_queue_depth` depend on thread scheduling and must not be
     /// compared across runs; the rest is deterministic for a config.
@@ -343,11 +347,10 @@ fn simulate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let scenario = Scenario::from_config(config);
     // The sharded engine guarantees thread-count independence, so
     // --threads only changes wall-clock time, never the report.
-    let (report, engine) = if let Some(dir) = &args.common.obs_dir {
+    let (report, engine) = if let Some(dir) = &args.common.store_dir {
         let obs = volley_obs::Obs::new(true);
         let detailed = scenario.run_detailed(args.common.threads, Some(&obs));
-        let mut writer = volley_obs::SnapshotWriter::new(dir, 1)?;
-        writer.write_now(obs.registry(), args.ticks as u64)?;
+        record_final_snapshot(dir, &obs, args.ticks as u64)?;
         detailed
     } else {
         scenario.run_detailed(args.common.threads, None)
@@ -366,7 +369,6 @@ fn simulate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                 misdetection_rate: report.accuracy.misdetection_rate(),
                 cpu_median: cpu.median,
                 cpu_max: cpu.max,
-                obs_dir: args.common.obs_dir.clone(),
                 engine,
             },
         );
@@ -538,16 +540,15 @@ impl Sinks {
         })
     }
 
-    /// A [`TaskRunner`] for `spec` wired to every open sink, plus
-    /// `--obs-dir` snapshot dumps (which flip the obs bundle on at run
-    /// time).
+    /// A [`TaskRunner`] for `spec` wired to every open sink; a recorder
+    /// also takes registry snapshots every `--obs-every` ticks (which
+    /// flips the obs bundle on at run time).
     fn task_runner(&self, spec: &TaskSpec, args: &Args) -> Result<TaskRunner, CliError> {
         let mut runner = TaskRunner::new(spec)?.with_obs(self.obs.clone());
-        if let Some(dir) = &args.common.obs_dir {
-            runner = runner.with_obs_dir(dir, args.obs_every);
-        }
         if let Some(recorder) = &self.recorder {
-            runner = runner.with_recorder(recorder.clone());
+            runner = runner
+                .with_recorder(recorder.clone())
+                .with_snapshot_every(args.obs_every);
         }
         if let Some(handle) = &self.serve {
             runner = runner.with_serve_publisher(handle.publisher());
@@ -596,7 +597,6 @@ impl Sinks {
 struct RunExtras {
     monitors: usize,
     cost_ratio: f64,
-    obs_dir: Option<String>,
     /// Sharded-engine execution counters, when the workload ran on the
     /// simulation engine. The live runtime reports `null` here; the
     /// field exists so consumers see one shape across `sim` and `run`.
@@ -606,8 +606,8 @@ struct RunExtras {
 }
 
 /// Runs the live runtime on the bursty workload with observability
-/// enabled, optionally dumping snapshots and arming the self-monitoring
-/// watchdog.
+/// enabled, optionally recording into a store (snapshots included) and
+/// arming the self-monitoring watchdog.
 fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let n = args.monitors;
     let workload = Workload::bursty(args, args.err)?;
@@ -619,12 +619,6 @@ fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         runner = runner.with_self_monitor(threshold_us, 0.0);
     }
     let report = runner.run(&workload.traces)?;
-    if let Some(recorder) = &sinks.recorder {
-        // Persist the final registry snapshot next to the samples, so
-        // `store query --kind counter` works without an --obs-dir.
-        recorder.record_snapshot(report.ticks, &sinks.obs.snapshot(report.ticks));
-        recorder.flush();
-    }
     sinks.finish(report.ticks);
 
     let snapshot = sinks.obs.snapshot(report.ticks);
@@ -632,7 +626,6 @@ fn run_runtime<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         let extras = RunExtras {
             monitors: n,
             cost_ratio: report.cost_ratio(n),
-            obs_dir: args.common.obs_dir.clone(),
             engine: None,
             snapshot,
         };
@@ -696,13 +689,14 @@ fn write_snapshot_summary<W: Write>(
     Ok(())
 }
 
-/// Reads back the newest snapshot from an `--obs-dir` directory.
+/// Reads back the newest snapshot a run recorded into its store.
 fn obs_read<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    let dir = required(&args.common.obs_dir, "--obs-dir")?;
-    let Some((path, snapshot)) = volley_obs::latest_snapshot(dir)
+    let dir = required(&args.common.store_dir, "--store-dir")?;
+    let Some(snapshot) = open_store(dir)?
+        .latest_snapshot(0)
         .map_err(|e| CliError::Input(format!("cannot read {dir}: {e}")))?
     else {
-        return Err(CliError::Input(format!("no obs-*.json snapshots in {dir}")));
+        return Err(CliError::Input(format!("no obs snapshots in store {dir}")));
     };
     if args.prom {
         write!(out, "{}", snapshot.to_prometheus())?;
@@ -711,7 +705,7 @@ fn obs_read<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     if args.common.report_json {
         return write_envelope(out, "obs", &snapshot);
     }
-    writeln!(out, "snapshot:         {}", path.display())?;
+    writeln!(out, "store:            {dir}")?;
     writeln!(out, "tick:             {}", snapshot.tick)?;
     write_snapshot_summary(&snapshot, out)
 }
@@ -797,15 +791,6 @@ fn chaos<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
                 d.store_shed_samples, d.store_trips, d.store_rearms
             ),
             d.store_degraded_at_end,
-        )?;
-        write_degradation(
-            out,
-            "obs snapshots:",
-            format_args!(
-                "{} paused ({} trips, {} rearms)",
-                d.obs_snapshots_paused, d.obs_trips, d.obs_rearms
-            ),
-            d.obs_degraded_at_end,
         )?;
     }
     write_alert_ticks(out, &report.alert_ticks)?;
@@ -1160,9 +1145,11 @@ fn coordinator_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let n = args.monitors;
     let workload = Workload::bursty(args, args.err)?;
     let addr = net_addr(args);
-    // `--store-dir` only names the store the HTTP plane serves: nothing
-    // is recorded over the wire, so no recorder (no `meta`) is opened.
-    let mut sinks = Sinks::open(args, args.common.obs_dir.is_some(), None, None)?;
+    // Nothing is recorded over the wire, so no recorder (no `meta`) is
+    // opened: `--store-dir` gets the final snapshot only, and the HTTP
+    // plane serves it.
+    let store_dir = args.common.store_dir.as_deref();
+    let mut sinks = Sinks::open(args, store_dir.is_some(), None, None)?;
     let coordinator = sinks
         .net_coordinator(workload.spec, &addr, args)?
         .with_queue_cap(args.queue_cap)
@@ -1170,9 +1157,8 @@ fn coordinator_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         .with_wait_timeout(Duration::from_millis(args.wait_ms))
         .with_tick_interval(Duration::from_millis(args.tick_interval_ms));
     let outcome = coordinator.run(&workload.traces)?;
-    if let Some(dir) = &args.common.obs_dir {
-        let mut writer = volley_obs::SnapshotWriter::new(dir, 1)?;
-        writer.write_now(sinks.obs.registry(), outcome.report.ticks)?;
+    if let Some(dir) = store_dir {
+        record_final_snapshot(dir, &sinks.obs, outcome.report.ticks)?;
     }
     sinks.finish(outcome.report.ticks);
 
@@ -1191,9 +1177,7 @@ fn coordinator_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     write_samples(out, report.total_samples, cost_ratio)?;
     write_quarantines(out, report)?;
     write_net_stats(&outcome.net, out)?;
-    if let Some(dir) = &args.common.obs_dir {
-        writeln!(out, "obs snapshots:    {dir}")?;
-    }
+    write_sink_dirs(out, args)?;
     Ok(())
 }
 
@@ -1927,11 +1911,20 @@ mod tests {
         // The ENOSPC window closed at tick 60; every breaker re-armed.
         assert_eq!(d["store_degraded_at_end"], false);
         assert_eq!(d["wal_degraded_at_end"], false);
+        // The store sealed after the window, so the final snapshot landed
+        // in it, and its counter is the report's.
+        let store = Store::open(base.join("store")).unwrap();
+        let last = store.latest_snapshot(0).unwrap().expect("snapshots landed");
+        assert_eq!(last.tick, 100, "the final snapshot landed");
+        assert_eq!(
+            last.counters
+                .get(volley_obs::names::IO_FAULTS_INJECTED_TOTAL),
+            Some(&d["io_faults_injected"].as_u64().unwrap()),
+            "the final snapshot's counter is the report's"
+        );
 
         // Every fsync fails: the store's meta stamp and segment seals take
-        // faults, while the snapshot dumps, which never sync, land. The
-        // report counts the store's faults, and so does the final dump's
-        // counter.
+        // faults, and the report counts them.
         let faults_with = |store: bool| {
             let mut args = chaos_args(&[]);
             let tag = if store { "with-store" } else { "without-store" };
@@ -1944,30 +1937,15 @@ mod tests {
             };
             args.wal_dir = dir("wal");
             args.checkpoint_interval = 10;
-            args.common.obs_dir = dir("obs");
             if store {
                 args.common.store_dir = dir("store");
             }
             args.io.sync_error_rate = 1.0;
             let text = run_to_string(Command::Chaos(args));
             let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
-            let injected = parsed["report"]["degradation"]["io_faults_injected"]
+            parsed["report"]["degradation"]["io_faults_injected"]
                 .as_u64()
-                .unwrap();
-            let obs_dir = base.join(format!("obs-{tag}"));
-            let (_, last) = volley_obs::latest_snapshot(&obs_dir)
                 .unwrap()
-                .expect("dumps landed");
-            assert_eq!(last.tick, 100, "the final dump landed");
-            let counter = last
-                .counters
-                .get(volley_obs::names::IO_FAULTS_INJECTED_TOTAL);
-            assert_eq!(
-                counter,
-                Some(&injected),
-                "{tag}: the final dump's counter is the report's"
-            );
-            injected
         };
         assert!(
             faults_with(true) > faults_with(false),
@@ -1989,7 +1967,8 @@ mod tests {
         args.io.sync_error_rate = 1.0;
         let (report, sinks) = chaos_run(&args).unwrap();
         let store = sinks.recorder.as_ref().expect("a store").health();
-        // No WAL and no snapshot dumps: every injected fault is the store's.
+        // No WAL: every injected fault is the store's, the final
+        // snapshot's seal included.
         assert!(store.faults_injected > 0);
         assert_eq!(report.degradation.io_faults_injected, store.faults_injected);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2046,7 +2025,7 @@ mod tests {
         let dir = std::env::temp_dir().join("volley-cli-test-obs-run");
         let _ = std::fs::remove_dir_all(&dir);
         let mut args = run_args();
-        args.common.obs_dir = Some(dir.to_string_lossy().to_string());
+        args.common.store_dir = Some(dir.to_string_lossy().to_string());
         let text = run_to_string(Command::Run(args));
         let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed["schema"], REPORT_SCHEMA_VERSION);
@@ -2060,13 +2039,13 @@ mod tests {
             100
         );
 
-        // The dumped files parse back: JSON via the schema'd decoder,
-        // Prometheus text via the bundled parser.
-        let (path, snapshot) = volley_obs::latest_snapshot(&dir).unwrap().expect("dumps");
+        // The store's newest snapshot is the final one, and its
+        // Prometheus text parses back through the bundled parser.
+        let store = Store::open(&dir).unwrap();
+        let snapshot = store.latest_snapshot(0).unwrap().expect("snapshots");
+        assert_eq!(snapshot.tick, 100);
         assert!(snapshot.counters.contains_key("volley_runner_ticks_total"));
-        let prom_path = path.with_extension("prom");
-        let prom_text = std::fs::read_to_string(&prom_path).unwrap();
-        let samples = volley_obs::parse_prometheus(&prom_text).unwrap();
+        let samples = volley_obs::parse_prometheus(&snapshot.to_prometheus()).unwrap();
         assert!(samples
             .iter()
             .any(|s| s.name == "volley_runner_ticks_total"));
@@ -2078,15 +2057,15 @@ mod tests {
         let dir = std::env::temp_dir().join("volley-cli-test-obs-read");
         let _ = std::fs::remove_dir_all(&dir);
         let mut args = run_args();
-        args.common.obs_dir = Some(dir.to_string_lossy().to_string());
+        args.common.store_dir = Some(dir.to_string_lossy().to_string());
         let _ = run_to_string(Command::Run(args));
 
-        let obs_args = args_of(&["obs", "--obs-dir", &dir.to_string_lossy()]);
+        let obs_args = args_of(&["obs", "--store-dir", &dir.to_string_lossy()]);
         let text = run_to_string(Command::Obs(obs_args.clone()));
         assert!(text.contains("volley_runner_ticks_total"), "{text}");
         assert!(text.contains("histograms:"), "{text}");
 
-        // --report-json wraps the snapshot in the schema-3 envelope.
+        // --report-json wraps the snapshot in the versioned envelope.
         let mut json_args = obs_args.clone();
         json_args.common.report_json = true;
         let json = run_to_string(Command::Obs(json_args));
@@ -2113,10 +2092,10 @@ mod tests {
     #[test]
     fn obs_command_errors_on_empty_dir() {
         let dir = std::env::temp_dir().join("volley-cli-test-obs-empty");
-        std::fs::create_dir_all(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
         let mut buffer = Vec::new();
         let result = run(
-            Command::Obs(args_of(&["obs", "--obs-dir", &dir.to_string_lossy()])),
+            Command::Obs(args_of(&["obs", "--store-dir", &dir.to_string_lossy()])),
             &mut buffer,
         );
         assert!(matches!(result, Err(CliError::Input(_))));

@@ -1,8 +1,10 @@
 //! Byte-identity pins for `--report-json`: each deterministic
-//! invocation below runs in-process and its stdout is hashed; the
-//! digests were captured at commit `f00fe91`, before the flag-table and
-//! run-harness refactor, so "the refactor moved no report byte" is an
-//! executable claim. After an *intended* report change, rerun with
+//! invocation below runs in-process and its stdout is hashed. The
+//! digests were first captured at commit `f00fe91`, before the
+//! flag-table and run-harness refactor, so "the refactor moved no report
+//! byte" is an executable claim; they were re-pinned at report schema 8,
+//! where every report moved only in its `schema` number and the keys the
+//! schema dropped. After an *intended* report change, rerun with
 //! `--nocapture`, read the new digests off the failure message and
 //! update them here.
 
@@ -64,13 +66,14 @@ fn generate_then_monitor_report_is_pinned() {
         argv.extend_from_slice(extra);
         volley(&argv)
     };
-    assert_digest("monitor", &monitor(&[]), 0xe75c_d4b1_63ee_b89a);
-    // Captured at commit `e277774`, while `--below` still ran through a
-    // dedicated condition sampler rather than a sign flip.
+    assert_digest("monitor", &monitor(&[]), 0x0934_32f5_2524_58a7);
+    // Equal, up to the schema-8 re-pin, to the report captured at commit
+    // `e277774`, while `--below` still ran through a dedicated condition
+    // sampler rather than a sign flip.
     assert_digest(
         "monitor --below",
         &monitor(&["--below"]),
-        0xb6c8_977b_fa72_eb87,
+        0x6f2c_f153_9eb0_bd96,
     );
     let _ = std::fs::remove_file(&trace);
 }
@@ -91,9 +94,10 @@ fn sim_report_is_pinned() {
         "1",
         "--report-json",
     ]);
-    // Captured at commit `8a7c8c3`, before the three per-family scenario
-    // types became one `Scenario`.
-    assert_digest("sim", &report, 0xe6b3_9357_211a_5add);
+    // Equal, up to the schema-8 re-pin, to the report captured at commit
+    // `8a7c8c3`, before the three per-family scenario types became one
+    // `Scenario`.
+    assert_digest("sim", &report, 0x4b33_fbb0_6528_d095);
 }
 
 #[test]
@@ -114,7 +118,7 @@ fn chaos_crash_and_stall_report_is_pinned() {
         "3@20+50",
         "--report-json",
     ]);
-    assert_digest("chaos", &report, 0x3b79_00b8_b11e_83b5);
+    assert_digest("chaos", &report, 0xd11c_d950_3e0d_bc3b);
 }
 
 #[test]
@@ -131,7 +135,7 @@ fn chaos_multitask_report_is_pinned() {
         "42",
         "--report-json",
     ]);
-    assert_digest("chaos --multitask", &report, 0x5a1c_fec7_b5c6_c9a4);
+    assert_digest("chaos --multitask", &report, 0x16fe_db2d_d601_9deb);
 }
 
 #[test]
@@ -156,13 +160,30 @@ fn recorded_store_reports_are_pinned() {
             &store,
             "--report-json",
         ],
-        0x6a46_f839_5953_1249,
+        0x56ef_1123_e15a_23ef,
     );
-    pinned(
-        "store query",
-        &["store", "query", "--store-dir", &store, "--report-json"],
-        0xad8c_fa79_7091_7fd5,
-    );
+    // The store also holds the run's obs snapshots, whose latencies no
+    // digest can pin: the query is pinned one monitoring kind at a time.
+    for (kind, expected) in [
+        ("sample", 0xbb43_5483_4991_9def),
+        ("poll", 0x8b75_68ef_cb05_d89c),
+        ("alert", 0x66cb_6e32_3086_19cc),
+        ("interval", 0xaee4_91e2_ea10_f3db),
+    ] {
+        pinned(
+            &format!("store query --kind {kind}"),
+            &[
+                "store",
+                "query",
+                "--store-dir",
+                &store,
+                "--kind",
+                kind,
+                "--report-json",
+            ],
+            expected,
+        );
+    }
     pinned(
         "backtest --verify",
         &[
@@ -176,7 +197,7 @@ fn recorded_store_reports_are_pinned() {
             "--verify",
             "--report-json",
         ],
-        0x0996_b925_49f5_2410,
+        0x2afb_d3bd_c471_01e1,
     );
     pinned(
         "analyze correlate",
@@ -191,7 +212,7 @@ fn recorded_store_reports_are_pinned() {
             "2",
             "--report-json",
         ],
-        0x31ff_144a_d5e1_2265,
+        0xdcb7_63b6_bba5_8d3c,
     );
     let _ = std::fs::remove_dir_all(&store);
 }

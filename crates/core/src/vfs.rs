@@ -1,7 +1,7 @@
 //! Fault-injectable virtual filesystem and storage circuit breaker.
 //!
-//! Every durability plane in Volley — the coordinator WAL, volley-store
-//! segment files, obs snapshot exposition — writes through the small
+//! Every durability plane in Volley — the coordinator WAL and the
+//! volley-store segment files — writes through the small
 //! [`Vfs`]/[`VfsFile`] traits defined here instead of `std::fs` directly.
 //! Production code uses the zero-cost [`StdFs`] passthrough; chaos and
 //! property tests swap in [`FaultFs`], a deterministic seeded filesystem
@@ -74,8 +74,6 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Reads an entire file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Writes an entire file in one operation (not atomic, not synced).
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Renames a file (a metadata operation — never fault-injected).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes a file.
@@ -135,10 +133,6 @@ impl Vfs for StdFs {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        fs::write(path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -488,11 +482,6 @@ impl Vfs for FaultFs {
         Ok(buf)
     }
 
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut file = File::create(path)?;
-        self.ctl.faulted_write(&mut file, bytes)
-    }
-
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         fs::rename(from, to)
     }
@@ -644,10 +633,10 @@ impl CircuitBreaker {
     }
 }
 
-/// One durable sink's degradation, read in one call — the WAL's, the
-/// sample store's and the snapshot writer's `health()`: its breaker's
-/// state and transitions, what it lost for good, and the faults its
-/// filesystem injected. Counters a sink does not keep read 0.
+/// One durable sink's degradation, read in one call — the WAL's or the
+/// sample store's `health()`: its breaker's state and transitions, what
+/// it lost for good, and the faults its filesystem injected. Counters a
+/// sink does not keep read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkHealth {
     /// The breaker is open: the sink is degraded now.
@@ -656,8 +645,8 @@ pub struct SinkHealth {
     pub trips: u64,
     /// Times the breaker re-armed.
     pub rearms: u64,
-    /// What the sink dropped while degraded: ring evictions (WAL), shed
-    /// records (store), paused dumps (snapshot writer).
+    /// What the sink dropped while degraded: ring evictions (WAL) or shed
+    /// records (store).
     pub lost: u64,
     /// Records held in memory until the sink re-arms (the WAL's ring).
     pub buffered: u64,

@@ -1,31 +1,26 @@
-//! Exposition: snapshot types, Prometheus-text and JSON encoders, and the
-//! periodic snapshot writer behind `--obs-dir`.
+//! Exposition: snapshot types and the Prometheus-text encoder.
 //!
 //! A [`Snapshot`] is a point-in-time copy of every registered instrument.
-//! It round-trips through JSON (schema-versioned) and renders to the
+//! It serializes into report JSON (schema-versioned), persists into the
+//! run's store (`volley_store::Store::record_snapshot`) and renders to the
 //! Prometheus text exposition format — counters as `counter`, gauges as
 //! `gauge`, histograms as `summary` quantiles (p50/p90/p99 plus
 //! `quantile="1"` for the exact max). [`parse_prometheus`] is a minimal
-//! parser for the same format, used by `volley obs` and the tests that
-//! assert the output is machine-readable.
+//! parser for the same format, the reference the tests use to assert the
+//! output is machine-readable.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-use volley_core::vfs::{CircuitBreaker, SinkHealth, StdFs, Vfs};
+use serde::Serialize;
 
-use crate::registry::{bucket_upper_bound, Registry, BUCKETS};
-use crate::span::SpanLog;
+use crate::registry::{bucket_upper_bound, BUCKETS};
 
-/// The snapshot JSON schema version. Bump when the shape changes;
-/// consumers should refuse versions they don't understand.
+/// The snapshot schema version stamped into every [`Snapshot`]. Bump
+/// when the shape changes.
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
 
 /// A summed, mergeable view of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Total recorded values.
     pub count: u64,
@@ -51,15 +46,6 @@ impl HistogramSnapshot {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// The mean recorded value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// An upper-bound estimate of the `q`-quantile (`q` clamped to
@@ -105,8 +91,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time copy of every instrument in a [`Registry`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A point-in-time copy of every instrument in a [`Registry`](crate::Registry).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
     /// [`SNAPSHOT_SCHEMA_VERSION`] at capture time.
     pub schema: u32,
@@ -130,24 +116,6 @@ impl Snapshot {
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
-    }
-
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
-    }
-
-    /// Parses a JSON snapshot, rejecting unknown schema versions.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let snapshot: Snapshot =
-            serde_json::from_str(text).map_err(|e| format!("malformed snapshot JSON: {e:?}"))?;
-        if snapshot.schema != SNAPSHOT_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported snapshot schema {} (expected {SNAPSHOT_SCHEMA_VERSION})",
-                snapshot.schema
-            ));
-        }
-        Ok(snapshot)
     }
 
     /// Renders the Prometheus text exposition format.
@@ -269,195 +237,10 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
     Ok(samples)
 }
 
-/// Writes periodic registry snapshots (and a final span trace) into a
-/// directory: `obs-<tick>.json`, `obs-<tick>.prom` and `spans.json`.
-///
-/// File I/O goes through a [`Vfs`]; under sustained write failure a
-/// [`CircuitBreaker`] trips the writer into degraded mode — snapshot
-/// dumps *pause* (counted, skipped) until a deterministically backed-off
-/// probe write succeeds and exposition resumes.
-#[derive(Debug)]
-pub struct SnapshotWriter {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    every: u64,
-    next: u64,
-    written: u64,
-    breaker: CircuitBreaker,
-    paused: u64,
-}
-
-impl SnapshotWriter {
-    /// Creates the output directory and a writer dumping every `every`
-    /// ticks (minimum 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn new(dir: impl Into<PathBuf>, every: u64) -> io::Result<Self> {
-        SnapshotWriter::new_on(Arc::new(StdFs), dir, every)
-    }
-
-    /// [`SnapshotWriter::new`] on an arbitrary [`Vfs`] — the
-    /// fault-injection entry point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn new_on(vfs: Arc<dyn Vfs>, dir: impl Into<PathBuf>, every: u64) -> io::Result<Self> {
-        let dir = dir.into();
-        vfs.create_dir_all(&dir)?;
-        Ok(SnapshotWriter {
-            vfs,
-            dir,
-            every: every.max(1),
-            next: 0,
-            written: 0,
-            breaker: CircuitBreaker::default(),
-            paused: 0,
-        })
-    }
-
-    /// Replaces the circuit breaker (tests tune trip threshold/backoff).
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// The output directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Snapshots written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// How the writer degraded: `degraded` while snapshot dumps pause,
-    /// `lost` cadence dumps skipped so far, and its breaker's trips and
-    /// re-arms.
-    pub fn health(&self) -> SinkHealth {
-        SinkHealth {
-            lost: self.paused,
-            ..SinkHealth::new(&self.breaker, self.vfs.as_ref())
-        }
-    }
-
-    /// Dumps a snapshot if `tick` reached the cadence. Returns whether a
-    /// dump happened. While degraded, due dumps are paused (counted,
-    /// skipped) except for deterministic probe writes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-write failures.
-    pub fn maybe_write(&mut self, registry: &Registry, tick: u64) -> io::Result<bool> {
-        if tick < self.next {
-            return Ok(false);
-        }
-        self.next = tick + self.every;
-        if !self.breaker.should_attempt() {
-            self.paused += 1;
-            return Ok(false);
-        }
-        self.write_now(registry, tick)?;
-        Ok(true)
-    }
-
-    /// Dumps a snapshot unconditionally, feeding the circuit breaker
-    /// with the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-write failures.
-    pub fn write_now(&mut self, registry: &Registry, tick: u64) -> io::Result<()> {
-        self.vfs.set_tick(tick);
-        let snapshot = registry.snapshot(tick);
-        let stem = format!("obs-{tick:08}");
-        let result = self
-            .vfs
-            .write(
-                &self.dir.join(format!("{stem}.json")),
-                snapshot.to_json().as_bytes(),
-            )
-            .and_then(|()| {
-                self.vfs.write(
-                    &self.dir.join(format!("{stem}.prom")),
-                    snapshot.to_prometheus().as_bytes(),
-                )
-            });
-        match result {
-            Ok(()) => {
-                self.breaker.record_success();
-                self.written += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.breaker.record_failure();
-                Err(e)
-            }
-        }
-    }
-
-    /// Writes the span ring as `spans.json` (Chrome trace format).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-write failures.
-    pub fn write_spans(&self, spans: &SpanLog) -> io::Result<()> {
-        self.vfs.write(
-            &self.dir.join("spans.json"),
-            spans.to_chrome_trace().as_bytes(),
-        )
-    }
-}
-
-/// Finds the newest *parseable* `obs-*.json` snapshot in `dir` (by
-/// tick encoded in the file name) and parses it.
-///
-/// A torn or truncated snapshot — reachable when the fault-injecting
-/// filesystem pauses the snapshot writer mid-dump — is skipped with a
-/// warning on stderr and the next-newest candidate is tried, so one
-/// bad file never hides an otherwise healthy directory. `Ok(None)`
-/// means no candidate parsed.
-///
-/// # Errors
-///
-/// Propagates directory-read failures.
-pub fn latest_snapshot(dir: impl AsRef<Path>) -> io::Result<Option<(PathBuf, Snapshot)>> {
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(dir.as_ref())? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.starts_with("obs-") && name.ends_with(".json") {
-            candidates.push(path);
-        }
-    }
-    // Zero-padded ticks make lexicographic order numeric order.
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
-        let parsed = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Snapshot::from_json(&text).map_err(|e| e.to_string()));
-        match parsed {
-            Ok(snapshot) => return Ok(Some((path, snapshot))),
-            Err(reason) => {
-                eprintln!(
-                    "volley-obs: skipping torn snapshot {}: {reason}",
-                    path.display()
-                );
-            }
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
 
     fn sample_snapshot() -> Snapshot {
         let registry = Registry::new(true);
@@ -468,20 +251,6 @@ mod tests {
             histogram.record(v);
         }
         registry.snapshot(9)
-    }
-
-    #[test]
-    fn json_round_trip_preserves_the_snapshot() {
-        let snapshot = sample_snapshot();
-        let restored = Snapshot::from_json(&snapshot.to_json()).unwrap();
-        assert_eq!(restored, snapshot);
-    }
-
-    #[test]
-    fn unknown_schema_rejected() {
-        let mut snapshot = sample_snapshot();
-        snapshot.schema = 999;
-        assert!(Snapshot::from_json(&snapshot.to_json()).is_err());
     }
 
     #[test]
@@ -554,83 +323,5 @@ mod tests {
         assert_eq!(ab.count, 3);
         assert_eq!(ab.sum, 110);
         assert_eq!(ab.max, 100);
-    }
-
-    #[test]
-    fn writer_dumps_on_cadence_and_finds_latest() {
-        let dir = std::env::temp_dir().join(format!("volley-obs-writer-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let registry = Registry::new(true);
-        let counter = registry.counter("ticks");
-        let mut writer = SnapshotWriter::new(&dir, 10).unwrap();
-        for tick in 0..25u64 {
-            counter.inc();
-            writer.maybe_write(&registry, tick).unwrap();
-        }
-        assert_eq!(writer.written(), 3, "ticks 0, 10, 20");
-        let (path, snapshot) = latest_snapshot(&dir).unwrap().expect("snapshots exist");
-        assert!(path.to_string_lossy().contains("obs-00000020"));
-        assert_eq!(snapshot.tick, 20);
-        assert_eq!(snapshot.counters["ticks"], 21);
-        // The .prom twin parses too.
-        let prom = std::fs::read_to_string(path.with_extension("prom")).unwrap();
-        assert!(!parse_prometheus(&prom).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_newest_snapshot_is_skipped_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("volley-obs-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let registry = Registry::new(true);
-        registry.counter("ticks").add(3);
-        let mut writer = SnapshotWriter::new(&dir, 10).unwrap();
-        writer.maybe_write(&registry, 10).unwrap();
-        // A newer snapshot whose dump was cut off mid-write: truncate a
-        // valid one so the JSON is syntactically torn.
-        let good = std::fs::read_to_string(dir.join("obs-00000010.json")).unwrap();
-        std::fs::write(dir.join("obs-00000020.json"), &good[..good.len() / 2]).unwrap();
-        let (path, snapshot) = latest_snapshot(&dir)
-            .unwrap()
-            .expect("the older intact snapshot is still found");
-        assert!(path.to_string_lossy().contains("obs-00000010"));
-        assert_eq!(snapshot.tick, 10);
-        // A directory of only torn snapshots reads as empty, not an error.
-        std::fs::write(dir.join("obs-00000010.json"), "{").unwrap();
-        assert!(latest_snapshot(&dir).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn writer_pauses_under_enospc_and_resumes_after_rearm() {
-        use volley_core::vfs::FaultFs;
-        use volley_core::IoFaultPlan;
-
-        let dir = std::env::temp_dir().join(format!("volley-obs-chaos-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plan = IoFaultPlan::new(7).with_enospc_window(10, 20);
-        let fs = Arc::new(FaultFs::new(plan));
-        let registry = Registry::new(true);
-        let counter = registry.counter("ticks");
-        let mut writer = SnapshotWriter::new_on(fs, &dir, 1)
-            .unwrap()
-            .with_breaker(CircuitBreaker::with_backoff(1, 1, 2));
-        let mut io_errors = 0u64;
-        for tick in 0..60u64 {
-            counter.inc();
-            if writer.maybe_write(&registry, tick).is_err() {
-                io_errors += 1;
-            }
-        }
-        assert!(io_errors > 0, "the storm must surface write errors");
-        let health = writer.health();
-        assert!(health.lost > 0, "due dumps pause while degraded");
-        let (trips, rearms) = (health.trips, health.rearms);
-        assert!(trips >= 1 && rearms >= 1, "trips={trips} rearms={rearms}");
-        assert!(!health.degraded, "writer re-arms once the fault clears");
-        // Exposition resumed: a post-storm snapshot is the latest on disk.
-        let (_, snapshot) = latest_snapshot(&dir).unwrap().expect("snapshots exist");
-        assert!(snapshot.tick >= 30, "latest tick {}", snapshot.tick);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

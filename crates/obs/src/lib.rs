@@ -12,10 +12,9 @@
 //! - **[`SpanLog`]** — lightweight span tracing: scoped timers and
 //!   structured events with monotonic timestamps in a bounded ring,
 //!   exportable as a Chrome `traceEvents` JSON document.
-//! - **Exposition** — [`Snapshot`] (JSON, schema-versioned) and
-//!   Prometheus-text encoders, plus [`SnapshotWriter`] for the
-//!   `--obs-dir` periodic dumps and [`parse_prometheus`] for reading
-//!   them back.
+//! - **Exposition** — [`Snapshot`] (schema-versioned; the run's store
+//!   persists it) and the Prometheus-text encoder, plus
+//!   [`parse_prometheus`] for reading that text back.
 //!
 //! The [`Obs`] bundle ties a registry and span log to one shared
 //! enabled flag so the embedding runtime can flip everything on or off
@@ -42,8 +41,8 @@ pub mod registry;
 pub mod span;
 
 pub use expose::{
-    latest_snapshot, parse_prometheus, sanitize_metric_name, HistogramSnapshot, PromSample,
-    Snapshot, SnapshotWriter, SNAPSHOT_SCHEMA_VERSION,
+    parse_prometheus, sanitize_metric_name, HistogramSnapshot, PromSample, Snapshot,
+    SNAPSHOT_SCHEMA_VERSION,
 };
 pub use registry::{
     bucket_index, bucket_upper_bound, thread_ordinal, Counter, Gauge, Histogram, Registry, BUCKETS,
@@ -143,10 +142,6 @@ pub mod names {
     pub const WAL_RING_BUFFERED: &str = "volley_wal_ring_buffered";
     /// Counter: frames evicted from the bounded WAL ring (lost state).
     pub const WAL_RING_DROPPED_TOTAL: &str = "volley_wal_ring_dropped_total";
-    /// Gauge (0/1): obs snapshot writer currently paused.
-    pub const OBS_SNAPSHOTS_DEGRADED: &str = "volley_obs_snapshots_degraded";
-    /// Counter: obs snapshot dumps skipped while the writer was paused.
-    pub const OBS_SNAPSHOTS_PAUSED_TOTAL: &str = "volley_obs_snapshots_paused_total";
     /// Counter: storage faults injected by the active I/O fault plan.
     pub const IO_FAULTS_INJECTED_TOTAL: &str = "volley_io_faults_injected_total";
     /// Gauge: HTTP connections currently open on the serving plane.

@@ -91,8 +91,9 @@ pub struct FaultPlan {
     /// that are written corrupted (one payload bit flipped after the CRC
     /// is computed).
     wal_corruptions: Vec<u64>,
-    /// Storage faults injected underneath every persistence sink (WAL,
-    /// sample store, obs snapshot writer) via `FaultFs`.
+    /// Storage faults injected underneath the runner's checkpoint WAL via
+    /// `FaultFs` (the sample store is opened by the caller, over a
+    /// `FaultFs` of its own under the same plan).
     io: IoFaultPlan,
 }
 
@@ -181,10 +182,10 @@ impl FaultPlan {
         self
     }
 
-    /// Installs a storage-fault schedule: every persistence sink (WAL,
-    /// sample store, obs snapshots) runs over a `FaultFs` built from this
-    /// plan. Detection is unaffected by design — only sampling fidelity
-    /// degrades.
+    /// Installs a storage-fault schedule: the runner's checkpoint WAL
+    /// runs over a `FaultFs` built from this plan, and the caller opens
+    /// the sample store over one of its own (as the CLI does). Detection
+    /// is unaffected by design — only sampling fidelity degrades.
     #[must_use]
     pub fn with_io_faults(mut self, io: IoFaultPlan) -> Self {
         self.io = io;

@@ -1,6 +1,6 @@
 //! The monitor actor (local adaptive sampling) and the table that hosts
-//! it: a [`SlotTable`] of [`MonitorSlot`]s stepped by whichever thread
-//! feeds it — the task session's driver in process, a socket agent
+//! it: a crate-private `SlotTable` of `MonitorSlot`s stepped by whichever
+//! thread feeds it — the task session's driver in process, a socket agent
 //! ([`crate::net::run_agent`]) across the network; the two differ only in
 //! where frames come from and where the replies — [`MonitorFrame`]
 //! values handed to the feeder's sink — go: only the agent encodes them.

@@ -479,7 +479,7 @@ fn batchable(frame: &MonitorFrame) -> Option<((bool, u64, Tick), u32)> {
 
 /// Appends `replies` — the frames of one send, in order — as agent
 /// lines and returns how many: each run of consecutive monitors'
-/// [`batchable`] replies of one kind, epoch and tick as one
+/// batchable replies of one kind, epoch and tick as one
 /// [`ReplyBatch`] (split so that no line's payload passes `max_frame`),
 /// every other reply as its own [`MonitorFrame`] line.
 pub fn encode_replies(replies: &[MonitorFrame], max_frame: usize, out: &mut Vec<u8>) -> u64 {
@@ -506,7 +506,7 @@ pub fn encode_replies(replies: &[MonitorFrame], max_frame: usize, out: &mut Vec<
 /// Hands `admit` every frame one agent line carries, in order — a
 /// [`ReplyBatch`] monitor by monitor, any other line decoded as one
 /// [`MonitorFrame`] — and returns whether the line carried any: a
-/// malformed line, or a batch [`ReplyBatch::expand`] refuses, admits
+/// malformed line, or a batch whose expansion refuses it, admits
 /// nothing.
 pub fn expand_reply_line(line: &[u8], mut admit: impl FnMut(MonitorFrame)) -> bool {
     match decode_line::<ReplyBatch>(line) {

@@ -1,6 +1,6 @@
 //! The task runner: the configuration of one task — its protocol knobs,
 //! whether quarantined monitors are restarted, whether a warm standby
-//! takes over when the coordinator dies, and the WAL/obs/serve sinks the
+//! takes over when the coordinator dies, and the WAL/store/serve sinks the
 //! run publishes to — run by the session module's one drive loop.
 
 use std::path::PathBuf;
@@ -31,8 +31,7 @@ use crate::session::{self, Task};
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct DegradationReport {
     /// Storage faults injected under the task's sinks: its WAL
-    /// incarnations' and the sample store's filesystems, and — on the
-    /// first task's report — the snapshot writer's.
+    /// incarnations' and the sample store's filesystems.
     pub io_faults_injected: u64,
     /// WAL appends that never reached the file (summed across
     /// coordinator incarnations).
@@ -56,14 +55,6 @@ pub struct DegradationReport {
     pub store_rearms: u64,
     /// Store still lossy when the run ended.
     pub store_degraded_at_end: bool,
-    /// Obs snapshot dumps skipped while the writer was paused.
-    pub obs_snapshots_paused: u64,
-    /// Obs writer circuit-breaker trips.
-    pub obs_trips: u64,
-    /// Obs writer circuit-breaker re-arms.
-    pub obs_rearms: u64,
-    /// Obs writer still paused when the run ended.
-    pub obs_degraded_at_end: bool,
 }
 
 impl DegradationReport {
@@ -73,11 +64,9 @@ impl DegradationReport {
     }
 
     /// The section over one health read of each durable sink.
-    pub(crate) fn new(wal: SinkHealth, store: SinkHealth, snapshots: SinkHealth) -> Self {
+    pub(crate) fn new(wal: SinkHealth, store: SinkHealth) -> Self {
         DegradationReport {
-            io_faults_injected: wal.faults_injected
-                + store.faults_injected
-                + snapshots.faults_injected,
+            io_faults_injected: wal.faults_injected + store.faults_injected,
             wal_write_failures: wal.write_failures,
             wal_sync_failures: wal.sync_failures,
             wal_trips: wal.trips,
@@ -88,10 +77,6 @@ impl DegradationReport {
             store_trips: store.trips,
             store_rearms: store.rearms,
             store_degraded_at_end: store.degraded,
-            obs_snapshots_paused: snapshots.lost,
-            obs_trips: snapshots.trips,
-            obs_rearms: snapshots.rearms,
-            obs_degraded_at_end: snapshots.degraded,
         }
     }
 
@@ -107,7 +92,6 @@ impl DegradationReport {
             (names::STORE_SHED_SAMPLES_TOTAL, self.store_shed_samples),
             (names::STORE_BREAKER_TRIPS_TOTAL, self.store_trips),
             (names::STORE_BREAKER_REARMS_TOTAL, self.store_rearms),
-            (names::OBS_SNAPSHOTS_PAUSED_TOTAL, self.obs_snapshots_paused),
             (names::IO_FAULTS_INJECTED_TOTAL, self.io_faults_injected),
         ];
         for (name, total) in totals {
@@ -228,8 +212,8 @@ pub struct TaskRunner {
     wal: Option<(PathBuf, u64)>,
     /// WAL group-fsync policy (default sync on snapshot records).
     wal_sync: WalSyncPolicy,
-    /// Snapshot dump directory and cadence (ticks).
-    pub(crate) obs_dir: Option<(PathBuf, u64)>,
+    /// Registry snapshot cadence (ticks) into the recorder's store.
+    pub(crate) snapshot_every: Option<u64>,
     /// Self-monitor watchdog: (tick-latency threshold in µs, error
     /// allowance for its adaptive sampler).
     pub(crate) self_monitor: Option<(f64, f64)>,
@@ -262,7 +246,7 @@ impl TaskRunner {
             standby: false,
             wal: None,
             wal_sync: WalSyncPolicy::default(),
-            obs_dir: None,
+            snapshot_every: None,
             self_monitor: None,
             serve: None,
         })
@@ -299,13 +283,15 @@ impl TaskRunner {
         self
     }
 
-    /// Dumps periodic [`volley_obs::Snapshot`]s (JSON + Prometheus text)
-    /// into `dir` every `every` ticks, plus a final snapshot and the span
-    /// trace (`spans.json`) at teardown. Implies nothing about the
-    /// bundle's enabled flag — pair with an enabled [`Obs`].
+    /// Records a registry [`volley_obs::Snapshot`] into the
+    /// [recorder](Self::with_recorder)'s store every `every` ticks
+    /// (minimum 1; ticks 0, `every`, 2·`every`, …) plus a final one at
+    /// run end, and writes the span trace (`spans.json`, Chrome trace
+    /// format) into the store's directory beside it. Without a recorder
+    /// it records nothing; with one it turns the [`Obs`] bundle on.
     #[must_use]
-    pub fn with_obs_dir(mut self, dir: impl Into<PathBuf>, every: u64) -> Self {
-        self.obs_dir = Some((dir.into(), every.max(1)));
+    pub fn with_snapshot_every(mut self, every: u64) -> Self {
+        self.snapshot_every = Some(every.max(1));
         self
     }
 

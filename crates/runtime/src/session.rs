@@ -18,9 +18,9 @@
 //!   *and* on error;
 //! - **drive** ([`drive`]): the one tick loop over any number of
 //!   sessions — run length, the standby retry, the serve stream, the
-//!   runner instruments, the watchdog, the snapshot writer, degradation
-//!   accounting and finishing on every exit — with a [`Hook`] called
-//!   between steps.
+//!   runner instruments, the watchdog, registry snapshots into the store,
+//!   degradation accounting and finishing on every exit — with a
+//!   [`Hook`] called between steps.
 //!
 //! The session is pure I/O for the protocol: it sends the monitors their
 //! tick data, their shutdown and whatever the machine queues — requests,
@@ -56,7 +56,7 @@ use volley_core::task::{MonitorId, TaskSpec};
 use volley_core::time::Tick;
 use volley_core::vfs::SinkHealth;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
-use volley_obs::{names, Counter, Histogram, SnapshotWriter};
+use volley_obs::{names, Counter, Histogram};
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord};
@@ -657,20 +657,17 @@ impl<'a> Task<'a> {
     }
 }
 
-/// One health read of the run's durable sinks (`wal`, `store` and `obs`
-/// on the serve stream): the tasks' checkpoint logs side by side, the
-/// sample store (one per run: a multi-task run hands every task a handle
-/// on the same store) and the snapshot writer. A sink not attached reads
-/// all zeros.
+/// One health read of the run's durable sinks (`wal` and `store` on the
+/// serve stream): the tasks' checkpoint logs side by side and the sample
+/// store (one per run: a multi-task run hands every task a handle on the
+/// same store). A sink not attached reads all zeros.
 fn sink_health(
     wals: impl Iterator<Item = SinkHealth>,
     recorder: Option<&SampleRecorder>,
-    writer: Option<&SnapshotWriter>,
-) -> [SinkHealth; 3] {
+) -> [SinkHealth; 2] {
     [
         wals.fold(SinkHealth::default(), SinkHealth::plus),
         recorder.map(SampleRecorder::health).unwrap_or_default(),
-        writer.map(SnapshotWriter::health).unwrap_or_default(),
     ]
 }
 
@@ -681,19 +678,18 @@ fn sink_health(
 /// A task whose coordinator died is failed over and stepped again when
 /// its runner arms a standby; its alerts go out on the serve stream
 /// tagged with its index. The run-level sinks — runner instruments,
-/// watchdog, sample store, snapshot writer, serve publisher — are the
+/// watchdog, sample store, snapshot cadence, serve publisher — are the
 /// first task's runner's (a multi-task run hands every task the same obs
-/// bundle, store and publisher), and so are the watchdog's and the
-/// writer's report sections. On every exit the hook stops, then every
-/// spawned session is finished: monitors shut down, the recorder sealed.
+/// bundle, store and publisher), and so is the watchdog's report section.
+/// On every exit the hook stops, then every spawned session is finished:
+/// monitors shut down, the recorder sealed.
 ///
 /// # Errors
 ///
 /// What [`run_length`] rejects in any task (before anything is opened),
-/// an uncreatable snapshot directory, an invalid watchdog allowance or a
-/// non-finite watchdog threshold, a spec no allocator accepts, the
-/// hook's start, or a coordinator that died with no standby (or past the
-/// failover cap of 8).
+/// an invalid watchdog allowance or a non-finite watchdog threshold, a
+/// spec no allocator accepts, the hook's start, or a coordinator that
+/// died with no standby (or past the failover cap of 8).
 pub(crate) fn drive(
     mut tasks: Vec<Task<'_>>,
     mut hook: Option<&mut dyn Hook>,
@@ -707,9 +703,11 @@ pub(crate) fn drive(
     }
     let monitors: usize = tasks.iter().map(|task| task.traces.len()).sum();
     let (obs, serve) = (&first.obs, first.serve.as_ref());
-    // Asking for snapshot dumps or a watchdog implies instrumenting: both
-    // read the registry, which is empty while obs is disabled.
-    if first.obs_dir.is_some() || first.self_monitor.is_some() {
+    // Registry snapshots into the store, at the runner's cadence.
+    let snapshots = first.recorder.as_ref().zip(first.snapshot_every);
+    // Asking for snapshots or a watchdog implies instrumenting: both read
+    // the registry, which is empty while obs is disabled.
+    if snapshots.is_some() || first.self_monitor.is_some() {
         obs.set_enabled(true);
     }
 
@@ -721,17 +719,6 @@ pub(crate) fn drive(
             None => (MonitorPlane::inline(task.runner), wal),
         });
     }
-    let mut writer = match &first.obs_dir {
-        Some((dir, every)) => Some(
-            SnapshotWriter::new_on(first.sink_fs(), dir, *every).map_err(|e| {
-                VolleyError::InvalidConfig {
-                    parameter: "obs_dir",
-                    reason: format!("cannot create snapshot dir: {e}"),
-                }
-            })?,
-        ),
-        None => None,
-    };
     // The watchdog: one adaptive sampler on the loop's own tick latency
     // (µs), and the tick its next sample is due.
     let mut watchdog = match first.self_monitor {
@@ -763,12 +750,11 @@ pub(crate) fn drive(
     let wal_degraded_gauge = registry.gauge(names::WAL_DEGRADED);
     let wal_ring_gauge = registry.gauge(names::WAL_RING_BUFFERED);
     let store_degraded_gauge = registry.gauge(names::STORE_DEGRADED);
-    let obs_degraded_gauge = registry.gauge(names::OBS_SNAPSHOTS_DEGRADED);
     let mut degraded_ticks = 0u64;
     let mut self_monitor_alert_ticks: Vec<Tick> = Vec::new();
-    // Last published wal/store/obs degradation states, so the serve
-    // stream only carries *transitions*, not one event per tick.
-    let mut published = [false; 3];
+    // Last published wal/store degradation states, so the serve stream
+    // only carries *transitions*, not one event per tick.
+    let mut published = [false; 2];
 
     let mut sessions: Vec<TaskSession<'_>> = Vec::with_capacity(tasks.len());
     let driven = (|| -> Result<(), VolleyError> {
@@ -830,7 +816,8 @@ pub(crate) fn drive(
 
             // Per-tick observability: record end-to-end tick latency (the
             // watchdog samples it when due), bump the runner counters,
-            // refresh derived gauges, dump on cadence, then read the sinks.
+            // refresh derived gauges, snapshot on cadence, then read the
+            // sinks.
             if let Some(started) = tick_started {
                 let elapsed = started.elapsed();
                 let latency_us = elapsed.as_micros() as f64;
@@ -854,25 +841,24 @@ pub(crate) fn drive(
                 sampling_fraction.set(sampled as f64 / (done * monitors as f64));
                 degraded_fraction.set(degraded_ticks as f64 / done);
             }
-            if let Some(writer) = writer.as_mut() {
-                let _ = writer.maybe_write(registry, tick);
+            if let Some((recorder, _)) = snapshots.filter(|&(_, every)| tick % every == 0) {
+                recorder.record_snapshot(&registry.snapshot(tick));
             }
             // Sink health, one read a tick: every breaker transition
             // shows up as a gauge and on the serve stream, per the
             // accuracy contract's "visible, never silent" rule.
             if tick_started.is_some() || serve.is_some() {
                 let wals = sessions.iter().map(TaskSession::wal_health);
-                let sinks = sink_health(wals, first.recorder.as_ref(), writer.as_ref());
-                let [wal, store, snapshots] = sinks;
+                let sinks = sink_health(wals, first.recorder.as_ref());
+                let [wal, store] = sinks;
                 if tick_started.is_some() {
                     wal_degraded_gauge.set(f64::from(u8::from(wal.degraded)));
                     wal_ring_gauge.set(wal.buffered as f64);
                     store_degraded_gauge.set(f64::from(u8::from(store.degraded)));
-                    obs_degraded_gauge.set(f64::from(u8::from(snapshots.degraded)));
                 }
                 if let Some(serve) = serve {
                     serve.set_tick(tick);
-                    let named = ["wal", "store", "obs"].into_iter().zip(sinks);
+                    let named = ["wal", "store"].into_iter().zip(sinks);
                     for ((sink, health), published) in named.zip(&mut published) {
                         if health.degraded != *published {
                             *published = health.degraded;
@@ -895,35 +881,33 @@ pub(crate) fn drive(
     driven?;
 
     // Degradation accounting, one read of each sink: a task's section
-    // holds its own WAL and the shared store; the first task's also the
-    // snapshot writer. The run's totals are published once, so the final
-    // snapshot (and any scraper) carries them.
-    let [wal, store, snapshots] = sink_health(
-        wals.iter().copied(),
-        first.recorder.as_ref(),
-        writer.as_ref(),
-    );
-    for (index, (report, wal)) in reports.iter_mut().zip(wals).enumerate() {
-        let snapshots = if index == 0 {
-            snapshots
-        } else {
-            SinkHealth::default()
-        };
-        report.degradation = DegradationReport::new(wal, store, snapshots);
+    // holds its own WAL and the shared store. The run's totals are
+    // published once, so the final snapshot (and any scraper) carries
+    // them.
+    let [wal, store] = sink_health(wals.iter().copied(), first.recorder.as_ref());
+    if obs.enabled() {
+        DegradationReport::new(wal, store).publish(registry);
+    }
+    // The final snapshot, then the span trace beside it: best-effort,
+    // like every recording. The store is read again after this last seal,
+    // so the report counts every fault its own writes took.
+    let store = match snapshots {
+        Some((recorder, _)) => {
+            recorder.record_snapshot(&registry.snapshot(ticks));
+            recorder.flush();
+            let spans = recorder.with_store(|store| store.dir().join("spans.json"));
+            let _ = std::fs::write(spans, obs.spans().to_chrome_trace());
+            recorder.health()
+        }
+        None => store,
+    };
+    for (report, wal) in reports.iter_mut().zip(wals) {
+        report.degradation = DegradationReport::new(wal, store);
     }
     let report = &mut reports[0];
     report.self_monitor_alerts = self_monitor_alert_ticks.len() as u64;
     report.self_monitor_alert_ticks = self_monitor_alert_ticks;
     report.self_monitor_samples = self_monitor_samples;
-    if obs.enabled() {
-        DegradationReport::new(wal, store, snapshots).publish(registry);
-    }
-    // Final dump after all actors have flushed their instruments;
-    // best-effort, like WAL durability.
-    if let Some(writer) = writer.as_mut() {
-        let _ = writer.write_now(registry, ticks);
-        let _ = writer.write_spans(obs.spans());
-    }
     Ok(reports)
 }
 

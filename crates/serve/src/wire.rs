@@ -23,8 +23,11 @@ use serde::Serialize;
 /// of its fields — plus the command's own keys (`monitors`, `cost_ratio`,
 /// `net`, …), `chaos --multitask`'s `tasks_detail` entries likewise per
 /// task (the gate counters under each entry's `multitask`), and alert
-/// events on `/api/v1/alerts/stream` carry the `task` they fired in.
-pub const REPORT_SCHEMA_VERSION: u32 = 7;
+/// events on `/api/v1/alerts/stream` carry the `task` they fired in;
+/// 8 = the `degradation` section loses its four `obs_*` keys and the
+/// `run` and `sim` reports lose their snapshot-directory key (snapshots
+/// go to the store).
+pub const REPORT_SCHEMA_VERSION: u32 = 8;
 
 /// Renders `report` wrapped in the versioned envelope —
 /// `{"schema": N, "command": "<subcommand>", "report": {…}}` — as
@@ -53,7 +56,9 @@ mod tests {
     #[test]
     fn envelope_is_pretty_with_trailing_newline() {
         let text = envelope("store", &Sample { matched: 3 });
-        assert!(text.starts_with("{\n  \"schema\": 7,\n  \"command\": \"store\",\n"));
+        let head =
+            format!("{{\n  \"schema\": {REPORT_SCHEMA_VERSION},\n  \"command\": \"store\",\n");
+        assert!(text.starts_with(&head));
         assert!(text.ends_with("}\n"));
         assert!(text.contains("\"matched\": 3"));
     }

@@ -28,17 +28,23 @@ pub enum RecordKind {
     Gauge,
     /// An observability counter reading (same id scheme as `Gauge`).
     Counter,
+    /// One field of an observability histogram: `monitor` is the
+    /// interned id of `name{count}`, `name{sum}`, `name{max}` or
+    /// `name{<bucket index>}` (see
+    /// [`Store::record_snapshot`](crate::Store::record_snapshot)).
+    Histogram,
 }
 
 impl RecordKind {
     /// All kinds, in on-disk discriminant order.
-    pub const ALL: [RecordKind; 6] = [
+    pub const ALL: [RecordKind; 7] = [
         RecordKind::Sample,
         RecordKind::PollSample,
         RecordKind::Alert,
         RecordKind::IntervalChange,
         RecordKind::Gauge,
         RecordKind::Counter,
+        RecordKind::Histogram,
     ];
 
     /// The on-disk discriminant.
@@ -50,6 +56,7 @@ impl RecordKind {
             RecordKind::IntervalChange => 3,
             RecordKind::Gauge => 4,
             RecordKind::Counter => 5,
+            RecordKind::Histogram => 6,
         }
     }
 
@@ -60,7 +67,7 @@ impl RecordKind {
     }
 
     /// The CLI spelling (`sample`, `poll`, `alert`, `interval`, `gauge`,
-    /// `counter`).
+    /// `counter`, `histogram`).
     pub fn as_str(self) -> &'static str {
         match self {
             RecordKind::Sample => "sample",
@@ -69,6 +76,7 @@ impl RecordKind {
             RecordKind::IntervalChange => "interval",
             RecordKind::Gauge => "gauge",
             RecordKind::Counter => "counter",
+            RecordKind::Histogram => "histogram",
         }
     }
 

@@ -115,13 +115,10 @@ impl SampleRecorder {
         );
     }
 
-    /// Persists an obs snapshot's counters and gauges into the store
-    /// (see [`Store::record_snapshot`]).
-    pub fn record_snapshot(&self, tick: Tick, snapshot: &Snapshot) {
-        let task = self.task;
-        let mut snapshot = snapshot.clone();
-        snapshot.tick = tick;
-        if self.lock().record_snapshot(task, &snapshot).is_err() {
+    /// Persists a whole obs snapshot into the store at its tick (see
+    /// [`Store::record_snapshot`]).
+    pub fn record_snapshot(&self, snapshot: &Snapshot) {
+        if self.lock().record_snapshot(self.task, snapshot).is_err() {
             self.inner.io_errors.fetch_add(1, Ordering::Relaxed);
         }
     }

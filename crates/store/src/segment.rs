@@ -1065,6 +1065,10 @@ mod tests {
         })
     }
 
+    /// The record kinds the golden bytes were pinned with (the ones
+    /// that existed then).
+    const PINNED_KINDS: usize = 6;
+
     /// A fixed record set covering every shape the codec packs: six
     /// kinds over several series, special values, steady and jittered
     /// cadences, raw random bit patterns (full-width XORs) and one
@@ -1115,7 +1119,7 @@ mod tests {
                 value,
             });
         }
-        for (n, kind) in RecordKind::ALL.into_iter().enumerate() {
+        for (n, kind) in RecordKind::ALL[..PINNED_KINDS].iter().copied().enumerate() {
             let monitor = if kind == RecordKind::Alert {
                 crate::record::TASK_WIDE
             } else {
@@ -1144,7 +1148,7 @@ mod tests {
         let records = golden_records();
         let bytes = encode_segment(&records);
         let reader = SegmentReader::open(&bytes);
-        assert!(reader.entries().len() > RecordKind::ALL.len() + 2);
+        assert!(reader.entries().len() > PINNED_KINDS + 2);
         let got = reader.records();
         let mut expect = records.clone();
         expect.sort_by_key(Record::sort_key);

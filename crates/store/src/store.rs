@@ -21,6 +21,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use volley_core::vfs::{CircuitBreaker, SinkHealth, StdFs, Vfs};
 use volley_core::Tick;
+use volley_obs::{HistogramSnapshot, Snapshot};
 
 use crate::record::{Record, RecordKind};
 use crate::segment::{decode_entry, encode_segment, ChunkEntry, SegmentReader};
@@ -38,8 +39,8 @@ const META_FILE: &str = "task-meta.json";
 const NAMES_FILE: &str = "metric-names.txt";
 
 /// Recording-time context persisted next to the segments so `volley
-/// backtest` can rebuild the production [`TaskSpec`]
-/// (`volley_core::task::TaskSpec`) without the user re-typing it.
+/// backtest` can rebuild the production
+/// [`TaskSpec`](volley_core::task::TaskSpec) without the user re-typing it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskMeta {
     /// Monitors in the recorded task.
@@ -442,36 +443,109 @@ impl Store {
         self.names.get(id as usize).map(String::as_str)
     }
 
-    /// Persists an observability snapshot's counters and gauges as
-    /// [`RecordKind::Counter`] / [`RecordKind::Gauge`] series keyed by
-    /// interned metric-name ids — the store replaces loose `obs-*.json`
-    /// files as the snapshot sink.
-    pub fn record_snapshot(
-        &mut self,
-        task: u32,
-        snapshot: &volley_obs::Snapshot,
-    ) -> io::Result<()> {
-        for (name, &value) in &snapshot.counters {
-            let monitor = self.intern(name);
-            self.append(Record {
-                task,
-                monitor,
-                kind: RecordKind::Counter,
-                tick: snapshot.tick,
-                value: value as f64,
-            })?;
+    /// Persists a whole observability snapshot at its tick, keyed by
+    /// interned metric-name ids: each counter as a
+    /// [`RecordKind::Counter`], each gauge as a [`RecordKind::Gauge`], and
+    /// each histogram as [`RecordKind::Histogram`] records under
+    /// `name{count}`, `name{sum}`, `name{max}` and `name{<i>}` for every
+    /// non-empty bucket `i`. [`latest_snapshot`](Store::latest_snapshot)
+    /// rebuilds it exactly (integer fields up to 2^53, the `f64` value
+    /// column's exact range).
+    pub fn record_snapshot(&mut self, task: u32, snapshot: &Snapshot) -> io::Result<()> {
+        let mut series = Vec::new();
+        for (name, &n) in &snapshot.counters {
+            series.push((RecordKind::Counter, name.clone(), n as f64));
         }
         for (name, &value) in &snapshot.gauges {
-            let monitor = self.intern(name);
+            series.push((RecordKind::Gauge, name.clone(), value));
+        }
+        for (name, histogram) in &snapshot.histograms {
+            let totals = [
+                ("count", histogram.count),
+                ("sum", histogram.sum),
+                ("max", histogram.max),
+            ];
+            let totals = totals.map(|(field, n)| (field.to_string(), n));
+            let buckets = histogram
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0);
+            let buckets = buckets.map(|(i, &n)| (i.to_string(), n));
+            for (field, n) in totals.into_iter().chain(buckets) {
+                series.push((
+                    RecordKind::Histogram,
+                    format!("{name}{{{field}}}"),
+                    n as f64,
+                ));
+            }
+        }
+        for (kind, name, value) in series {
+            let monitor = self.intern(&name);
+            let tick = snapshot.tick;
             self.append(Record {
                 task,
                 monitor,
-                kind: RecordKind::Gauge,
-                tick: snapshot.tick,
+                kind,
+                tick,
                 value,
             })?;
         }
         Ok(())
+    }
+
+    /// The newest snapshot [`record_snapshot`](Store::record_snapshot)
+    /// persisted for `task` in the sealed segments, rebuilt exactly;
+    /// `None` when the task has no snapshot records.
+    ///
+    /// # Errors
+    ///
+    /// Propagates segment read failures.
+    pub fn latest_snapshot(&self, task: u32) -> io::Result<Option<Snapshot>> {
+        let kinds = [
+            RecordKind::Counter,
+            RecordKind::Gauge,
+            RecordKind::Histogram,
+        ];
+        let mut records = Vec::new();
+        for kind in kinds {
+            records.extend(self.scan(&ScanRange::all().task(task).kind(kind))?);
+        }
+        let Some(tick) = records.iter().map(|r| r.tick).max() else {
+            return Ok(None);
+        };
+        let mut snapshot = Snapshot {
+            tick,
+            ..Snapshot::empty()
+        };
+        for record in records.iter().filter(|r| r.tick == tick) {
+            let Some(name) = self.metric_name(record.monitor) else {
+                continue;
+            };
+            let value = record.value;
+            match record.kind {
+                RecordKind::Counter => {
+                    snapshot.counters.insert(name.to_string(), value as u64);
+                }
+                RecordKind::Gauge => {
+                    snapshot.gauges.insert(name.to_string(), value);
+                }
+                _ => {
+                    let field = name
+                        .strip_suffix('}')
+                        .and_then(|series| series.rsplit_once('{'));
+                    let Some((name, field)) = field else { continue };
+                    let histogram = snapshot
+                        .histograms
+                        .entry(name.to_string())
+                        .or_insert_with(HistogramSnapshot::empty);
+                    if let Some(slot) = histogram_field(histogram, field) {
+                        *slot = value as u64;
+                    }
+                }
+            }
+        }
+        Ok(Some(snapshot))
     }
 
     fn load_names(&mut self) -> io::Result<()> {
@@ -508,6 +582,17 @@ impl Store {
         )?;
         self.names_dirty = false;
         Ok(())
+    }
+}
+
+/// The field of `histogram` a [`RecordKind::Histogram`] series suffix
+/// names: `count`, `sum`, `max` or a bucket index.
+fn histogram_field<'h>(histogram: &'h mut HistogramSnapshot, field: &str) -> Option<&'h mut u64> {
+    match field {
+        "count" => Some(&mut histogram.count),
+        "sum" => Some(&mut histogram.sum),
+        "max" => Some(&mut histogram.max),
+        bucket => histogram.buckets.get_mut(bucket.parse::<usize>().ok()?),
     }
 }
 
@@ -845,15 +930,32 @@ mod tests {
         let obs = volley_obs::Obs::new(true);
         obs.registry().counter("volley_test_ticks_total").add(7);
         obs.registry().gauge("volley_test_latency_us").set(1.5);
+        let histogram = obs.registry().histogram("volley_test_tick_ns");
+        for v in [0, 3, 3, 100, 4_000, 1 << 40] {
+            histogram.record(v);
+        }
+        obs.registry().histogram("volley_test_idle_ns");
         store.record_snapshot(0, &obs.snapshot(10)).unwrap();
         store.record_snapshot(0, &obs.snapshot(20)).unwrap();
         store.flush().unwrap();
+        let recorded = obs.snapshot(20);
+        assert!(recorded.histograms["volley_test_tick_ns"]
+            .buckets
+            .iter()
+            .filter(|&&n| n > 0)
+            .nth(3)
+            .is_some());
+        assert_eq!(store.latest_snapshot(0).unwrap(), Some(recorded.clone()));
+        assert_eq!(store.latest_snapshot(1).unwrap(), None);
         drop(store);
-        // A fresh open resolves the persisted dictionary: a snapshot
-        // recorded after it files each series under the id it had.
+        // A fresh open resolves the persisted dictionary: the newest
+        // snapshot reads back whole, and one recorded after it files each
+        // series under the id it had.
         let mut store = Store::open(&dir).unwrap();
+        assert_eq!(store.latest_snapshot(0).unwrap(), Some(recorded));
         store.record_snapshot(0, &obs.snapshot(30)).unwrap();
         store.flush().unwrap();
+        assert_eq!(store.latest_snapshot(0).unwrap(), Some(obs.snapshot(30)));
         for (kind, value) in [(RecordKind::Counter, 7.0), (RecordKind::Gauge, 1.5)] {
             let range = ScanRange::all().task(0).kind(kind);
             let series: Vec<_> = store

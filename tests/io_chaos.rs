@@ -1,9 +1,8 @@
 //! Integration: storage faults degrade persistence, never detection.
 //!
 //! A mid-run ENOSPC storm (and a separate random-fault soak) hammers
-//! every durability plane at once — the coordinator WAL, the sample
-//! store, obs snapshot exposition — while the distributed runtime keeps
-//! monitoring. The alert schedule must come out bit-identical to a
+//! every durability plane at once — the coordinator WAL and the sample
+//! store — while the distributed runtime keeps monitoring. The alert schedule must come out bit-identical to a
 //! fault-free run at the same seed, the degradation section of the
 //! report must show the circuit breakers tripping and re-arming, and
 //! recording must resume after the storm clears.
@@ -79,14 +78,13 @@ fn meta() -> TaskMeta {
     }
 }
 
-/// Builds the runner every scenario shares: WAL + obs dumping.
+/// Builds the runner every scenario shares: a checkpoint WAL.
 fn runner(spec: &TaskSpec, dir: &std::path::Path, tag: &str) -> TaskRunner {
     TaskRunner::new(spec)
         .unwrap()
         .with_quarantine_after(3)
         .with_wal(dir.join(format!("{tag}.wal")), 20)
         .with_wal_sync(WalSyncPolicy::EveryN(8))
-        .with_obs_dir(dir.join(format!("obs-{tag}")), 25)
 }
 
 #[test]
@@ -108,7 +106,7 @@ fn enospc_storm_leaves_alerts_bit_identical_and_rearms() {
     assert!(!clean.degradation.any(), "no faults, no degradation");
 
     // Same seed, plus an ENOSPC storm covering ticks 60..120 on every
-    // durability plane: WAL and obs through the runner's fault plan, the
+    // durability plane: the WAL through the runner's fault plan, the
     // sample store through a fault-wrapped VFS (the same split the CLI
     // uses).
     let io = IoFaultPlan::new(7).with_enospc_window(60, 60);
@@ -146,7 +144,6 @@ fn enospc_storm_leaves_alerts_bit_identical_and_rearms() {
     );
     assert!(!d.wal_degraded_at_end, "storm cleared: {d:?}");
     assert!(!d.store_degraded_at_end, "storm cleared: {d:?}");
-    assert!(!d.obs_degraded_at_end, "storm cleared: {d:?}");
     assert!(d.io_faults_injected > 0);
 
     // Recording resumed after the re-arm: post-storm ticks are on disk.
@@ -163,12 +160,12 @@ fn enospc_storm_leaves_alerts_bit_identical_and_rearms() {
     );
 }
 
-/// The report counts every sink's injected faults — the WAL's, the
-/// snapshot writer's and the recorder's store's — and the published
-/// `volley_io_faults_injected_total` agrees with it. The WAL and the
-/// writer run on the runner's own filesystems, so their share is read
-/// off a twin run whose store sits on a plain filesystem: each sink's
-/// fault decisions depend on its own operations only.
+/// The report counts every sink's injected faults — the WAL's and the
+/// recorder's store's — and the published
+/// `volley_io_faults_injected_total` agrees with it. The WAL runs on the
+/// runner's own filesystem, so its share is read off a twin run whose
+/// store sits on a plain filesystem: each sink's fault decisions depend
+/// on its own operations only.
 #[test]
 fn io_fault_count_covers_every_sink_and_matches_its_counter() {
     let spec = spec();
@@ -201,7 +198,7 @@ fn io_fault_count_covers_every_sink_and_matches_its_counter() {
     let store_faults = store_fs.injected_faults();
     let runner_faults = twin.degradation.io_faults_injected;
     assert!(store_faults > 0, "the plan injected store faults");
-    assert!(runner_faults > 0, "the plan injected WAL and obs faults");
+    assert!(runner_faults > 0, "the plan injected WAL faults");
     assert_eq!(faulted.alert_ticks, twin.alert_ticks);
     assert_eq!(
         faulted.degradation.io_faults_injected,
@@ -222,7 +219,7 @@ fn random_fault_soak_never_perturbs_detection() {
     assert_eq!(clean.alerts, (TICKS / BURST_EVERY) as u64);
 
     // Torn, short, errored and unsynced writes at aggressive rates on
-    // the WAL and obs planes for the whole run.
+    // the WAL for the whole run.
     let io = IoFaultPlan::new(21)
         .with_error_rate(0.3)
         .with_short_writes(0.2)

@@ -1,13 +1,15 @@
 //! Integration: the observability subsystem end to end — instrumented
-//! runtime, periodic snapshot dumps in both exposition formats, and the
-//! *Volley watching Volley* watchdog (one core adaptive sampler on the
-//! runtime's own tick latency) kept quiet on a healthy run. Its alerting
+//! runtime, periodic snapshots recorded into the run's store and read
+//! back whole, and the *Volley watching Volley* watchdog (one core
+//! adaptive sampler on the runtime's own tick latency) kept quiet on a
+//! healthy run. Its alerting
 //! on a slow tick is checked where a tick can be held up on purpose:
 //! `session::tests::the_watchdog_alerts_on_a_slow_tick_and_only_there`
 //! in the runtime crate.
 
 use volley::core::task::TaskSpec;
-use volley::obs::{latest_snapshot, names, parse_prometheus, Obs};
+use volley::obs::{names, parse_prometheus, Obs};
+use volley::store::{SampleRecorder, Store};
 use volley::{TaskRunner, VolleyError};
 
 const MONITORS: usize = 3;
@@ -74,26 +76,33 @@ fn self_monitor_refuses_invalid_arming() {
     ));
 }
 
-/// `--obs-dir` dumps parse back in both exposition formats, and the
-/// instrumented counters agree with the runtime's own report.
+/// Snapshots recorded into the store read back whole: the newest one
+/// carries the instrumented counters the runtime's own report states,
+/// and it renders Prometheus text that parses back.
 #[test]
-fn obs_dir_emits_parseable_snapshots() {
-    let dir = std::env::temp_dir().join("volley-obs-integration");
+fn store_records_parseable_snapshots() {
+    let dir = std::env::temp_dir().join(format!("volley-obs-integration-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let obs = Obs::new(true);
+    let recorder = SampleRecorder::new(Store::open(&dir).unwrap());
     let report = TaskRunner::new(&spec())
         .unwrap()
         .with_obs(obs.clone())
-        .with_obs_dir(&dir, 10)
+        .with_recorder(recorder)
+        .with_snapshot_every(10)
         .run(&traces())
         .unwrap();
     assert_eq!(report.ticks, TICKS as u64);
 
-    // JSON side: schema-checked decode, counters match the report.
-    let (path, snapshot) = latest_snapshot(&dir)
-        .expect("snapshot dir readable")
-        .expect("at least one snapshot dumped");
+    // The newest snapshot is the run-end one; its counters match the
+    // report.
+    let snapshot = Store::open(&dir)
+        .unwrap()
+        .latest_snapshot(0)
+        .expect("store readable")
+        .expect("snapshots recorded");
+    assert_eq!(snapshot.tick, TICKS as u64);
     assert_eq!(
         snapshot.counters[names::RUNNER_TICKS_TOTAL],
         report.ticks,
@@ -104,10 +113,8 @@ fn obs_dir_emits_parseable_snapshots() {
         report.total_samples
     );
 
-    // Prometheus side: the sibling .prom file parses and carries the
-    // same series.
-    let prom = std::fs::read_to_string(path.with_extension("prom")).unwrap();
-    let samples = parse_prometheus(&prom).expect("valid exposition text");
+    // Prometheus side: the text parses and carries the same series.
+    let samples = parse_prometheus(&snapshot.to_prometheus()).expect("valid exposition text");
     let ticks_sample = samples
         .iter()
         .find(|s| s.name == names::RUNNER_TICKS_TOTAL)
@@ -120,9 +127,8 @@ fn obs_dir_emits_parseable_snapshots() {
         "histograms expose summary series"
     );
 
-    // Span log: the teardown dump wrote a chrome-trace document naming
-    // the hot-path spans.
-    let spans = std::fs::read_to_string(dir.join("spans.json")).unwrap();
+    // Span log: the chrome-trace document names the hot-path spans.
+    let spans = obs.spans().to_chrome_trace();
     for span in ["coordinator_tick", "monitor_sample", "runner_tick"] {
         assert!(spans.contains(span), "span {span} missing from trace");
     }
