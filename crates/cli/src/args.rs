@@ -822,8 +822,9 @@ pub static SUBCOMMANDS: [Subcommand; 15] = [
             TICKS,
             WAL_DIR,
             CHECKPOINT_INTERVAL,
+            OBS_EVERY,
             SEED,
-            STORE_DIR,
+            STORE_DIR_OBS,
             REPORT_JSON,
         ],
         groups: &[&SERVE],

@@ -994,7 +994,9 @@ fn chaos_multitask<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     })?
     .with_obs(sinks.obs.clone());
     if let Some(recorder) = &sinks.recorder {
-        runner = runner.with_recorder(recorder.clone());
+        runner = runner
+            .with_recorder(recorder.clone())
+            .with_snapshot_every(args.obs_every);
     }
     if let Some(dir) = &args.wal_dir {
         std::fs::create_dir_all(dir)?;
@@ -2086,6 +2088,35 @@ mod tests {
             .unwrap()
             .iter()
             .any(|s| s.name == "volley_runner_tick_latency_ns_count"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A multi-task chaos run records registry snapshots at the
+    /// `--obs-every` cadence like `run` and `chaos`, so `obs` reads its
+    /// store: the last at run end, with every task's ticks counted.
+    #[test]
+    fn obs_command_reads_a_multi_task_store() {
+        let dir = std::env::temp_dir().join("volley-cli-test-obs-multitask");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_string_lossy().to_string();
+        let args = args_of(&[
+            "chaos",
+            "--multitask",
+            "2",
+            "--ticks",
+            "60",
+            "--obs-every",
+            "20",
+            "--store-dir",
+            &dir_arg,
+        ]);
+        let _ = run_to_string(Command::Chaos(args));
+        let text = run_to_string(Command::Obs(args_of(&["obs", "--store-dir", &dir_arg])));
+        assert!(text.contains("volley_runner_ticks_total"), "{text}");
+        let store = Store::open(&dir).unwrap();
+        let snapshot = store.latest_snapshot(0).unwrap().expect("snapshots");
+        assert_eq!(snapshot.tick, 60, "the run-end snapshot");
+        assert_eq!(snapshot.counters["volley_runner_ticks_total"], 60);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -427,11 +427,6 @@ impl FaultFs {
     pub fn stats(&self) -> Arc<IoFaultStats> {
         Arc::clone(&self.ctl.stats)
     }
-
-    /// The number of write/sync operations attempted so far.
-    pub fn ops(&self) -> u64 {
-        self.ctl.ops.load(Ordering::Relaxed)
-    }
 }
 
 /// A faulted file handle produced by [`FaultFs`].

@@ -67,28 +67,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// Elementwise merge (associative and commutative, so shard- and
-    /// process-level merges compose in any order).
-    #[must_use]
-    pub fn merged(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let len = self.buckets.len().max(other.buckets.len());
-        let mut buckets = vec![0u64; len];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self
-                .buckets
-                .get(i)
-                .copied()
-                .unwrap_or(0)
-                .wrapping_add(other.buckets.get(i).copied().unwrap_or(0));
-        }
-        HistogramSnapshot {
-            count: self.count.wrapping_add(other.count),
-            sum: self.sum.wrapping_add(other.sum),
-            max: self.max.max(other.max),
-            buckets,
-        }
-    }
 }
 
 /// A point-in-time copy of every instrument in a [`Registry`](crate::Registry).
@@ -304,24 +282,5 @@ mod tests {
             last = v;
         }
         assert_eq!(histogram.quantile(1.0), histogram.max);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_counts_add() {
-        let mut a = HistogramSnapshot::empty();
-        a.count = 2;
-        a.sum = 10;
-        a.max = 8;
-        a.buckets[4] = 2;
-        let mut b = HistogramSnapshot::empty();
-        b.count = 1;
-        b.sum = 100;
-        b.max = 100;
-        b.buckets[7] = 1;
-        let ab = a.merged(&b);
-        assert_eq!(ab, b.merged(&a));
-        assert_eq!(ab.count, 3);
-        assert_eq!(ab.sum, 110);
-        assert_eq!(ab.max, 100);
     }
 }

@@ -58,30 +58,6 @@ proptest! {
         prop_assert!(snapshot.quantile(hi) <= snapshot.max);
     }
 
-    /// Merge is associative and commutative, so shard-, thread-, and
-    /// process-level merges compose in any order.
-    #[test]
-    fn merge_is_associative_and_commutative(
-        xs in proptest::collection::vec(0u64..1_000_000, 0..50),
-        ys in proptest::collection::vec(0u64..1_000_000, 0..50),
-        zs in proptest::collection::vec(0u64..1_000_000, 0..50),
-    ) {
-        let (a, b, c) = (histogram_from(&xs), histogram_from(&ys), histogram_from(&zs));
-        prop_assert_eq!(a.merged(&b), b.merged(&a));
-        prop_assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
-        // Merging empty is the identity.
-        prop_assert_eq!(a.merged(&HistogramSnapshot::empty()), a.clone());
-        // Merged count equals recording everything into one histogram.
-        let mut all = xs.clone();
-        all.extend(&ys);
-        let combined = if all.is_empty() {
-            HistogramSnapshot::empty()
-        } else {
-            histogram_from(&all)
-        };
-        prop_assert_eq!(a.merged(&b), combined);
-    }
-
     /// A snapshot with arbitrary counters, gauges, and histogram data
     /// renders Prometheus text that parses with every series present.
     #[test]

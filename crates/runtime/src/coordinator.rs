@@ -95,16 +95,60 @@ use crate::net::expand_reply_line;
 /// Default number of consecutive missed deadlines before quarantine.
 pub const DEFAULT_QUARANTINE_AFTER: u32 = 3;
 
+/// The recipients of one send: the consecutive monitors from `first`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MonitorRun {
+    /// The run's first monitor.
+    pub first: MonitorId,
+    /// How many monitors it holds, from `first`.
+    pub count: u32,
+}
+
+impl MonitorRun {
+    /// The run of `monitor` alone.
+    pub fn one(monitor: MonitorId) -> Self {
+        MonitorRun {
+            first: monitor,
+            count: 1,
+        }
+    }
+
+    /// Its monitors, ascending.
+    pub fn iter(self) -> impl Iterator<Item = MonitorId> {
+        (self.first.0..self.first.0 + self.count).map(MonitorId)
+    }
+}
+
+/// Cuts `monitors` (ascending) into runs of consecutive ones, handing
+/// `emit` each in order.
+fn runs(monitors: impl IntoIterator<Item = usize>, mut emit: impl FnMut(MonitorRun)) {
+    let mut open: Option<MonitorRun> = None;
+    for idx in monitors {
+        let monitor = MonitorId(idx as u32);
+        match open.as_mut() {
+            Some(run) if run.first.0 + run.count == monitor.0 => run.count += 1,
+            _ => {
+                if let Some(run) = open.replace(MonitorRun::one(monitor)) {
+                    emit(run);
+                }
+            }
+        }
+    }
+    if let Some(run) = open {
+        emit(run);
+    }
+}
+
 /// What the machine asks of its driver, to be executed in outbox order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Output {
-    /// Send `msg`, sealed at the machine's epoch, to each monitor in
-    /// `to`. A link that refuses it (the monitor process is gone) is
+    /// Send `msg`, sealed at the machine's epoch, to each monitor of the
+    /// run `to`. A link that refuses it (the monitor process is gone) is
     /// reported back through
     /// [`on_undeliverable`](CoordinatorActor::on_undeliverable).
     Send {
-        /// The recipients, ascending.
-        to: Vec<MonitorId>,
+        /// The recipients.
+        to: MonitorRun,
         /// The message.
         msg: CoordinatorToMonitor,
     },
@@ -323,14 +367,13 @@ impl CoordinatorActor {
         }
         let mut machine = Self::new(rules, tick.checked_sub(1)).with_epoch(epoch);
         let n = machine.monitors();
-        let all = (0..n as u32).map(MonitorId).collect();
-        machine.send(all, CoordinatorToMonitor::NewEpoch { epoch });
+        machine.send(0..n, CoordinatorToMonitor::NewEpoch { epoch });
         for idx in 0..n {
             let msg = match snapshot.and_then(|s| s.samplers.get(idx).copied().flatten()) {
                 Some(snapshot) => CoordinatorToMonitor::RestoreState { snapshot },
                 None => CoordinatorToMonitor::ResetSampler,
             };
-            machine.send(vec![MonitorId(idx as u32)], msg);
+            machine.send([idx], msg);
             machine.send_ledger(idx);
         }
         machine
@@ -394,17 +437,31 @@ impl CoordinatorActor {
         self.seen.len()
     }
 
-    fn send(&mut self, to: Vec<MonitorId>, msg: CoordinatorToMonitor) {
-        self.outbox.push_back(Output::Send { to, msg });
+    /// How many ticks from the round open now the monitors may step
+    /// before the machine asks them for more than a poll — through the
+    /// first tick whose close is due to gather period reports (§IV-B) or
+    /// a snapshot — at most `cap` (and at least 1). A driver granting
+    /// its monitors a window of ticks asks this first.
+    pub fn quiet_ticks(&self, cap: u64) -> u64 {
+        let next = self.expected_tick();
+        let mut last = next.saturating_add(cap.max(1) - 1);
+        last = last.min(self.rules.next_update_tick().max(next));
+        if let Some((_, due)) = self.checkpoint {
+            last = last.min(due.max(next));
+        }
+        last - next + 1
+    }
+
+    /// Sends `msg` to `monitors` (ascending): a send per run.
+    fn send(&mut self, monitors: impl IntoIterator<Item = usize>, msg: CoordinatorToMonitor) {
+        let outbox = &mut self.outbox;
+        runs(monitors, |to| outbox.push_back(Output::Send { to, msg }));
     }
 
     /// Tells monitor `idx` its ledger entry.
     fn send_ledger(&mut self, idx: usize) {
         let err = self.rules.allowances()[idx];
-        self.send(
-            vec![MonitorId(idx as u32)],
-            CoordinatorToMonitor::SetAllowance { err },
-        );
+        self.send([idx], CoordinatorToMonitor::SetAllowance { err });
     }
 
     fn active(&self, idx: usize) -> bool {
@@ -476,12 +533,13 @@ impl CoordinatorActor {
     /// each.
     fn readmit(&mut self) {
         while let Some(first) = self.owed_ledger.iter().position(|&owed| owed) {
-            let err = self.rules.allowances()[first];
+            let (owed, allowances) = (&mut self.owed_ledger, self.rules.allowances());
+            let err = allowances[first];
             let mut to = Vec::new();
-            for idx in first..self.monitors() {
-                if self.owed_ledger[idx] && self.rules.allowances()[idx] == err {
-                    self.owed_ledger[idx] = false;
-                    to.push(MonitorId(idx as u32));
+            for idx in first..owed.len() {
+                if owed[idx] && allowances[idx] == err {
+                    owed[idx] = false;
+                    to.push(idx);
                 }
             }
             self.send(to, CoordinatorToMonitor::SetAllowance { err });
@@ -534,8 +592,10 @@ impl CoordinatorActor {
         gate.engaged = !active;
         gate.flips += 1;
         let interval = gate.engaged.then_some(*interval);
-        let all = (0..self.monitors() as u32).map(MonitorId).collect();
-        self.send(all, CoordinatorToMonitor::SetGate { interval });
+        self.send(
+            0..self.monitors(),
+            CoordinatorToMonitor::SetGate { interval },
+        );
         self.outbox.push_back(Output::GateFlipped);
     }
 
@@ -713,16 +773,14 @@ impl CoordinatorActor {
     fn request(&mut self, phase: Phase, msg: CoordinatorToMonitor) {
         self.phase = phase;
         self.wait.clear();
-        let to: Vec<MonitorId> = (0..self.monitors())
-            .filter(|&idx| self.active(idx))
-            .map(|idx| MonitorId(idx as u32))
-            .collect();
-        for &monitor in &to {
-            self.wait.expect(monitor.0 as usize);
-        }
-        if !to.is_empty() {
-            self.send(to, msg);
-        }
+        let (quarantined, wait, outbox) = (&self.quarantined, &mut self.wait, &mut self.outbox);
+        let active = (0..quarantined.len()).filter(|&idx| !quarantined[idx]);
+        runs(active, |to| {
+            for monitor in to.iter() {
+                wait.expect(monitor.0 as usize);
+            }
+            outbox.push_back(Output::Send { to, msg });
+        });
         if self.wait.outstanding > 0 {
             self.outbox.push_back(Output::ArmDeadline);
         }
@@ -853,10 +911,7 @@ impl CoordinatorActor {
         for idx in 0..self.monitors() {
             if std::mem::take(&mut self.needs_epoch[idx]) {
                 let epoch = self.epoch;
-                self.send(
-                    vec![MonitorId(idx as u32)],
-                    CoordinatorToMonitor::NewEpoch { epoch },
-                );
+                self.send([idx], CoordinatorToMonitor::NewEpoch { epoch });
             }
         }
         if let Some((_, gate)) = self.gate.as_mut() {
@@ -930,11 +985,14 @@ mod tests {
         )
     }
 
+    /// The send of `msg` to the consecutive monitors `to`.
     fn send(to: &[u32], msg: CoordinatorToMonitor) -> Output {
-        Output::Send {
-            to: to.iter().copied().map(MonitorId).collect(),
-            msg,
-        }
+        assert!(to.windows(2).all(|pair| pair[0] + 1 == pair[1]), "{to:?}");
+        let to = MonitorRun {
+            first: MonitorId(to[0]),
+            count: to.len() as u32,
+        };
+        Output::Send { to, msg }
     }
 
     /// Everything in the outbox, which must hold no summary: the tick
@@ -1622,15 +1680,21 @@ mod tests {
         let assigned: Vec<f64> = before
             .iter()
             .map(|output| match output {
-                Output::Send { to, msg } => match (to.as_slice(), msg) {
-                    (&[MonitorId(m)], &CoordinatorToMonitor::SetAllowance { err }) => (m, err),
+                Output::Send { to, msg } => match (to, msg) {
+                    (
+                        MonitorRun {
+                            first: MonitorId(m),
+                            count: 1,
+                        },
+                        &CoordinatorToMonitor::SetAllowance { err },
+                    ) => (m, err),
                     other => panic!("unexpected send {other:?}"),
                 },
                 other => panic!("unexpected output {other:?}"),
             })
             .enumerate()
             .map(|(idx, (monitor, err))| {
-                assert_eq!(idx as u32, monitor);
+                assert_eq!(idx as u32, *monitor);
                 err
             })
             .collect();

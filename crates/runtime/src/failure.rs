@@ -281,19 +281,6 @@ impl FaultPlan {
         &self.wal_corruptions
     }
 
-    /// A copy of this plan with every crash and stall for `monitor`
-    /// removed — the plan a freshly restarted monitor process runs under
-    /// (a restart replaces the faulty process; message-path faults, which
-    /// model the network, remain — including partitions, which cut the
-    /// link rather than the process).
-    #[must_use]
-    pub fn without_process_faults(&self, monitor: MonitorId) -> Self {
-        let mut plan = self.clone();
-        plan.crashes.retain(|(m, _)| *m != monitor);
-        plan.stalls.retain(|(m, _, _)| *m != monitor);
-        plan
-    }
-
     /// One order-independent fault decision: a pure hash of
     /// `(seed, lane, monitor, tick)` compared against `probability`.
     fn decide(&self, lane: u64, monitor: MonitorId, tick: Tick, probability: f64) -> bool {
@@ -390,29 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_restart_strips_process_faults_only() {
-        let plan = FaultPlan::new(7)
-            .with_drop_rate(FaultPath::ViolationReport, 0.25)
-            .with_crash(MonitorId(0), 5)
-            .with_stall(MonitorId(0), 8, 3)
-            .with_stall(MonitorId(1), 8, 3);
-        let restarted = plan.without_process_faults(MonitorId(0));
-        assert_eq!(restarted.crash_tick(MonitorId(0)), None);
-        assert!(!restarted.stalled(MonitorId(0), 9));
-        assert!(
-            restarted.stalled(MonitorId(1), 9),
-            "other monitors keep theirs"
-        );
-        // Network faults are unaffected.
-        for t in 0..64 {
-            assert_eq!(
-                plan.drops(FaultPath::ViolationReport, MonitorId(2), t),
-                restarted.drops(FaultPath::ViolationReport, MonitorId(2), t)
-            );
-        }
-    }
-
-    #[test]
     fn coordinator_crash_partition_and_wal_faults() {
         let plan = FaultPlan::new(3)
             .with_coordinator_crash(80)
@@ -448,16 +412,6 @@ mod tests {
         );
         assert_eq!(plan.coordinator_crash_after(Some(39)), Some(40));
         assert_eq!(plan.coordinator_crash_after(Some(200)), None);
-    }
-
-    #[test]
-    fn partition_survives_monitor_restart() {
-        let plan = FaultPlan::new(5)
-            .with_partition(&[MonitorId(1)], 10, 20)
-            .with_crash(MonitorId(1), 12);
-        let restarted = plan.without_process_faults(MonitorId(1));
-        assert_eq!(restarted.crash_tick(MonitorId(1)), None);
-        assert!(restarted.partitioned(MonitorId(1), 15));
     }
 
     #[test]

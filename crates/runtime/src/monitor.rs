@@ -74,6 +74,21 @@ pub struct MonitorActor {
     suppressed_total: u64,
 }
 
+/// What tick data can change in an actor: the state a socket agent keeps
+/// at the start of a granted window, so that a rewind can put it back
+/// and replay (`DESIGN.md` §8). Everything else an actor holds moves only
+/// on control frames, which reach an agent between windows.
+#[derive(Debug, Clone)]
+pub(crate) struct TickState {
+    sampler: AdaptiveSampler,
+    next_sample_tick: u64,
+    current: Option<TickData>,
+    sampled_this_tick: bool,
+    last_sample_tick: Option<u64>,
+    last_interval: u32,
+    suppressed_total: u64,
+}
+
 /// Pre-resolved obs instruments, so the hot path never takes the
 /// registry mutex.
 #[derive(Debug, Clone)]
@@ -167,6 +182,30 @@ impl MonitorActor {
     /// Scheduled samples held back by the gate so far.
     pub fn suppressed_total(&self) -> u64 {
         self.suppressed_total
+    }
+
+    /// A copy of what tick data can change.
+    pub(crate) fn tick_state(&self) -> TickState {
+        TickState {
+            sampler: self.sampler.clone(),
+            next_sample_tick: self.next_sample_tick,
+            current: self.current,
+            sampled_this_tick: self.sampled_this_tick,
+            last_sample_tick: self.last_sample_tick,
+            last_interval: self.last_interval,
+            suppressed_total: self.suppressed_total,
+        }
+    }
+
+    /// Puts back what [`tick_state`](Self::tick_state) copied.
+    pub(crate) fn restore_tick_state(&mut self, state: &TickState) {
+        self.sampler = state.sampler.clone();
+        self.next_sample_tick = state.next_sample_tick;
+        self.current = state.current;
+        self.sampled_this_tick = state.sampled_this_tick;
+        self.last_sample_tick = state.last_sample_tick;
+        self.last_interval = state.last_interval;
+        self.suppressed_total = state.suppressed_total;
     }
 
     /// Handles one decoded protocol message, returning any reply and
@@ -352,12 +391,14 @@ impl MonitorActor {
     }
 }
 
-/// One hosted monitor: the actor, the [`FaultPlan`] its process and
-/// link run under, and the bit of process state those faults act on —
-/// liveness, the last tick seen, a held delayed reply.
+/// One hosted monitor: the actor and the bit of process state the
+/// [`FaultPlan`] of its table acts on — liveness, the last tick seen, a
+/// held delayed reply.
 ///
-/// The plan is acted out in [`deliver`](Self::deliver), on the frames
-/// in both directions; neither the actor nor the coordinator reads it.
+/// The plan is acted out in `deliver`, on the frames in both directions;
+/// neither the actor nor the coordinator reads it. A restarted slot
+/// replaces the faulty process, so the plan's process faults (crash,
+/// stall) pass it by, while its link faults keep applying.
 /// Faults key on virtual ticks, never on a real sleep, so any number of
 /// slots share one thread without one's fault touching another's
 /// replies:
@@ -382,12 +423,14 @@ impl MonitorActor {
 #[derive(Debug)]
 pub(crate) struct MonitorSlot {
     actor: MonitorActor,
-    faults: FaultPlan,
     /// Cleared by a crash or a shutdown, for good: a send to a dead
     /// monitor fails as a send to an exited process would.
     alive: bool,
     /// Told to shut down (whether or not a crash got there first).
     stopped: bool,
+    /// Installed by a supervisor: its process faults were the
+    /// predecessor's.
+    restarted: bool,
     /// The slot's notion of "now", which fault decisions key on.
     last_tick: u64,
     /// A delayed reply awaiting the next send opportunity (boxed: a
@@ -396,23 +439,16 @@ pub(crate) struct MonitorSlot {
 }
 
 impl MonitorSlot {
-    /// A live, fault-free slot around `actor`.
+    /// A live slot around `actor`.
     pub(crate) fn new(actor: MonitorActor) -> Self {
         MonitorSlot {
             actor,
-            faults: FaultPlan::default(),
             alive: true,
             stopped: false,
+            restarted: false,
             last_tick: 0,
             held: None,
         }
-    }
-
-    /// Runs the monitor's process and link under `faults`.
-    #[must_use]
-    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// The hosted actor.
@@ -425,18 +461,23 @@ impl MonitorSlot {
         self.alive
     }
 
-    /// Feeds the slot one control frame, handing the reply frames it
-    /// sends to `out`; returns how many that was.
-    fn deliver(&mut self, frame: ControlFrame, out: &mut impl FnMut(MonitorFrame)) -> u64 {
+    /// Feeds the slot one control frame under `faults`, handing the reply
+    /// frames it sends to `out`; returns how many that was.
+    fn deliver(
+        &mut self,
+        faults: &FaultPlan,
+        frame: ControlFrame,
+        out: &mut impl FnMut(MonitorFrame),
+    ) -> u64 {
         let shutdown = matches!(frame.msg, CoordinatorToMonitor::Shutdown);
         self.stopped |= shutdown;
         if !self.alive {
             return 0;
         }
-        let (id, faults) = (self.actor.id, &self.faults);
+        let (id, process) = (self.actor.id, !self.restarted);
         if let CoordinatorToMonitor::Tick(data) = &frame.msg {
             self.last_tick = data.tick;
-            if faults.crash_tick(id).is_some_and(|at| data.tick >= at) {
+            if process && faults.crash_tick(id).is_some_and(|at| data.tick >= at) {
                 // Simulated crash: vanish without replying.
                 self.held = None;
                 self.alive = false;
@@ -444,7 +485,8 @@ impl MonitorSlot {
             }
         }
         let now = self.last_tick;
-        if (faults.stalled(id, now) || faults.partitioned(id, now)) && !shutdown {
+        let stalled = process && faults.stalled(id, now);
+        if (stalled || faults.partitioned(id, now)) && !shutdown {
             return 0; // wedged or cut off: consume input, do nothing
         }
         let (delays, duplicates) = (faults.delays(id, now), faults.duplicates(id, now));
@@ -525,18 +567,31 @@ fn flush(held: Option<Box<MonitorFrame>>, out: &mut impl FnMut(MonitorFrame)) ->
 }
 
 /// The monitors one thread hosts: a contiguous range of the task's
-/// monitor ids, one [`MonitorSlot`] each.
+/// monitor ids, one [`MonitorSlot`] each, and the one [`FaultPlan`] their
+/// processes and links run under.
 #[derive(Debug)]
 pub(crate) struct SlotTable {
     /// Id of the first hosted monitor; `slots[i]` is monitor `base + i`.
     base: u32,
     slots: Vec<MonitorSlot>,
+    faults: FaultPlan,
 }
 
 impl SlotTable {
-    /// A table hosting `slots` as monitors `base..`.
+    /// A fault-free table hosting `slots` as monitors `base..`.
     pub(crate) fn new(base: u32, slots: Vec<MonitorSlot>) -> Self {
-        SlotTable { base, slots }
+        SlotTable {
+            base,
+            slots,
+            faults: FaultPlan::default(),
+        }
+    }
+
+    /// Runs the hosted monitors' processes and links under `faults`.
+    #[must_use]
+    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The hosted slots, in monitor order.
@@ -554,6 +609,11 @@ impl SlotTable {
         self.slots.get_mut(hosted as usize)
     }
 
+    /// The actor of the `hosted`-th slot, for a rewind to restore.
+    pub(crate) fn actor_mut(&mut self, hosted: usize) -> &mut MonitorActor {
+        &mut self.slots[hosted].actor
+    }
+
     /// Hands monitor `to` one control frame (misrouted frames and frames
     /// for a dead monitor are dropped); its replies are handed to `out`,
     /// their count returned.
@@ -563,12 +623,20 @@ impl SlotTable {
         frame: ControlFrame,
         out: &mut impl FnMut(MonitorFrame),
     ) -> u64 {
-        self.slot(to).map_or(0, |slot| slot.deliver(frame, out))
+        let faults = &self.faults;
+        let hosted = to.checked_sub(self.base).map(|at| at as usize);
+        let slot = hosted.and_then(|at| self.slots.get_mut(at));
+        slot.map_or(0, |slot| slot.deliver(faults, frame, out))
     }
 
-    /// Puts `fresh` in its predecessor's place; a reply the predecessor
-    /// still held goes out, as a process told to exit flushes it.
-    pub(crate) fn install(&mut self, fresh: MonitorSlot, out: &mut impl FnMut(MonitorFrame)) {
+    /// Puts a restarted slot around `actor` in its predecessor's place; a
+    /// reply the predecessor still held goes out, as a process told to
+    /// exit flushes it.
+    pub(crate) fn install(&mut self, actor: MonitorActor, out: &mut impl FnMut(MonitorFrame)) {
+        let fresh = MonitorSlot {
+            restarted: true,
+            ..MonitorSlot::new(actor)
+        };
         if let Some(slot) = self.slot(fresh.actor.id.0) {
             let mut old = std::mem::replace(slot, fresh);
             let sent = old.retire(out);
@@ -823,8 +891,13 @@ mod tests {
     }
 
     fn hosted(slots: Vec<MonitorSlot>) -> Hosted {
+        hosted_under(FaultPlan::default(), slots)
+    }
+
+    /// [`hosted`] with the table under `plan`.
+    fn hosted_under(plan: FaultPlan, slots: Vec<MonitorSlot>) -> Hosted {
         Hosted {
-            table: SlotTable::new(0, slots),
+            table: SlotTable::new(0, slots).with_faults(plan),
             out: Vec::new(),
         }
     }
@@ -845,8 +918,7 @@ mod tests {
 
         fn install(&mut self, actor: MonitorActor) {
             let out = &mut self.out;
-            self.table
-                .install(MonitorSlot::new(actor), &mut |reply| out.push(reply));
+            self.table.install(actor, &mut |reply| out.push(reply));
         }
 
         fn alive(&self, monitor: usize) -> bool {
@@ -892,22 +964,24 @@ mod tests {
         assert!(host.sent().is_empty());
     }
 
-    /// A delayed reply is a fault path: held behind a pointer it costs a
-    /// healthy slot 8 bytes, not a frame's 160.
+    /// Fault paths cost a healthy slot next to nothing: the plan is the
+    /// table's, one for all its slots, and a delayed reply is held behind
+    /// a pointer, not in a frame's 160 bytes.
     #[test]
-    fn the_held_reply_costs_a_slot_a_pointer_not_a_frame() {
+    fn a_slot_holds_its_actor_and_three_words() {
         use std::mem::size_of;
-        // The actor and its plan, then: the two flags (padded),
-        // `last_tick`, `held`.
-        let hosted = size_of::<MonitorActor>() + size_of::<FaultPlan>();
-        assert!(size_of::<MonitorSlot>() <= hosted + 3 * size_of::<u64>());
+        // The actor, then: the three flags (padded), `last_tick`, `held`.
+        assert!(size_of::<MonitorSlot>() <= size_of::<MonitorActor>() + 3 * size_of::<u64>());
     }
 
     #[test]
     fn crash_fault_terminates_without_reply() {
-        let faulty =
-            MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
-        let mut host = hosted(vec![faulty, MonitorSlot::new(actor_id(1, 5.0))]);
+        let plan = FaultPlan::new(1).with_crash(MonitorId(0), 1);
+        let slots = vec![
+            MonitorSlot::new(actor(5.0)),
+            MonitorSlot::new(actor_id(1, 5.0)),
+        ];
+        let mut host = hosted_under(plan, slots);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
         assert!(host.alive(0));
@@ -921,12 +995,11 @@ mod tests {
 
     #[test]
     fn stalled_monitor_discards_but_honors_shutdown() {
-        let faulty = MonitorSlot::new(actor(5.0)).with_faults(
+        let plan =
             FaultPlan::new(1)
                 .with_stall(MonitorId(0), 1, 2)
-                .with_stall(MonitorId(0), 4, 100),
-        );
-        let mut host = hosted(vec![faulty]);
+                .with_stall(MonitorId(0), 4, 100);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(5.0))]);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
         // Ticks 1 and 2 fall inside the stall window: consumed, no reply.
@@ -948,12 +1021,8 @@ mod tests {
 
     #[test]
     fn partitioned_monitor_goes_silent_then_answers_with_its_old_epoch() {
-        let faulty = MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_partition(
-            &[MonitorId(0)],
-            1,
-            3,
-        ));
-        let mut host = hosted(vec![faulty]);
+        let plan = FaultPlan::new(1).with_partition(&[MonitorId(0)], 1, 3);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(5.0))]);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
         // The partition spans a failover: the dying primary's tick 1
@@ -974,9 +1043,8 @@ mod tests {
     #[test]
     fn delayed_reply_arrives_after_the_next_one() {
         // Delay probability 1: every reply is held one send behind.
-        let faulty =
-            MonitorSlot::new(actor(100.0)).with_faults(FaultPlan::new(1).with_delay_rate(1.0));
-        let mut host = hosted(vec![faulty]);
+        let plan = FaultPlan::new(1).with_delay_rate(1.0);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(100.0))]);
         assert_eq!(host.tick(0, 0, 1.0), 0, "held");
         // Tick 0's reply only goes out when tick 1's reply displaces it;
         // tick 1's reply goes out at shutdown.
@@ -994,7 +1062,7 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_drop_rate(FaultPath::ViolationReport, 1.0)
             .with_drop_rate(FaultPath::PollReply, 1.0);
-        let mut host = hosted(vec![MonitorSlot::new(actor(5.0)).with_faults(plan)]);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(5.0))]);
         assert_eq!(host.tick(0, 0, 9.0), 1);
         let sent = host.sent();
         assert!(matches!(
@@ -1014,9 +1082,8 @@ mod tests {
 
     #[test]
     fn duplicated_reply_is_sent_twice() {
-        let faulty = MonitorSlot::new(actor(100.0))
-            .with_faults(FaultPlan::new(1).with_duplication_rate(1.0));
-        let mut host = hosted(vec![faulty]);
+        let plan = FaultPlan::new(1).with_duplication_rate(1.0);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(100.0))]);
         assert_eq!(host.tick(0, 0, 1.0), 2);
         let sent = host.sent();
         assert_eq!(sent.len(), 2);
@@ -1025,9 +1092,12 @@ mod tests {
 
     #[test]
     fn a_table_is_finished_once_every_slot_was_told_to_shut_down() {
-        let crashing =
-            MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 0));
-        let mut host = hosted(vec![crashing, MonitorSlot::new(actor_id(1, 5.0))]);
+        let plan = FaultPlan::new(1).with_crash(MonitorId(0), 0);
+        let slots = vec![
+            MonitorSlot::new(actor(5.0)),
+            MonitorSlot::new(actor_id(1, 5.0)),
+        ];
+        let mut host = hosted_under(plan, slots);
         host.tick(0, 0, 1.0);
         host.tick(1, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(1, 0)]);
@@ -1048,8 +1118,8 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_crash(MonitorId(0), 1)
             .with_stall(MonitorId(1), 1, 1_000);
-        let slots = (0..4).map(|m| MonitorSlot::new(actor_id(m, 5.0)).with_faults(plan.clone()));
-        let mut host = hosted(slots.collect());
+        let slots = (0..4).map(|m| MonitorSlot::new(actor_id(m, 5.0)));
+        let mut host = hosted_under(plan, slots.collect());
         for tick in 0..3 {
             for monitor in 0..4 {
                 host.tick(monitor, tick, 1.0);
@@ -1065,9 +1135,8 @@ mod tests {
 
     #[test]
     fn install_after_crash_revives_the_slot_and_drops_the_gap() {
-        let crashing =
-            MonitorSlot::new(actor(5.0)).with_faults(FaultPlan::new(1).with_crash(MonitorId(0), 1));
-        let mut host = hosted(vec![crashing]);
+        let plan = FaultPlan::new(1).with_crash(MonitorId(0), 1);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(5.0))]);
         host.tick(0, 0, 1.0);
         assert_eq!(host.tick_dones(0), [(0, 0)]);
         host.tick(0, 1, 1.0);
@@ -1088,21 +1157,51 @@ mod tests {
         );
     }
 
+    /// A restarted slot replaces its process, not its link: its
+    /// monitor's crash and stall pass it by, a partition still cuts it
+    /// off, and a neighbour keeps its own process faults.
+    #[test]
+    fn a_restarted_slot_runs_past_its_process_faults_not_its_link_faults() {
+        let plan = FaultPlan::new(5)
+            .with_crash(MonitorId(0), 1)
+            .with_stall(MonitorId(0), 2, 10)
+            .with_partition(&[MonitorId(0)], 4, 6)
+            .with_stall(MonitorId(1), 2, 10);
+        let slots = vec![
+            MonitorSlot::new(actor(5.0)),
+            MonitorSlot::new(actor_id(1, 5.0)),
+        ];
+        let mut host = hosted_under(plan, slots);
+        host.tick(0, 1, 1.0);
+        assert!(!host.alive(0), "crashed");
+        host.install(actor(5.0));
+        for tick in 2..8 {
+            host.tick(0, tick, 1.0);
+            host.tick(1, tick, 1.0);
+        }
+        let answered = [(0, 2), (0, 3), (0, 6), (0, 7)];
+        assert_eq!(host.tick_dones(0), answered, "cut off at 4 and 5 only");
+    }
+
     #[test]
     fn install_flushes_the_reply_a_stalled_predecessor_still_held() {
         // Every reply is delayed; from tick 1 on the monitor is wedged.
         let plan = FaultPlan::new(1)
             .with_delay_rate(1.0)
             .with_stall(MonitorId(0), 1, 1_000);
-        let mut host = hosted(vec![MonitorSlot::new(actor(5.0)).with_faults(plan)]);
+        let mut host = hosted_under(plan, vec![MonitorSlot::new(actor(5.0))]);
         host.tick(0, 0, 1.0); // reply held
         host.tick(0, 1, 1.0); // stalled
         assert!(host.sent().is_empty());
         // A process told to exit flushes what it still holds; so does
-        // the install, ahead of anything the newcomer says.
+        // the install, ahead of anything the newcomer says. The newcomer
+        // runs past the stall — a process fault of its predecessor — but
+        // its link still delays: its first reply waits for its second.
         host.install(actor(5.0));
         host.tick(0, 2, 1.0);
-        assert_eq!(host.tick_dones(0), [(0, 0), (0, 2)]);
+        assert_eq!(host.tick_dones(0), [(0, 0)]);
+        host.tick(0, 3, 1.0);
+        assert_eq!(host.tick_dones(0), [(0, 2)]);
     }
 
     #[test]

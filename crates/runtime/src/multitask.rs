@@ -163,6 +163,8 @@ impl MultiTaskOutcome {
 pub struct MultiTaskRunner {
     config: MultiTaskConfig,
     recorder: Option<SampleRecorder>,
+    /// Registry snapshots into the recorder's store every this many ticks.
+    snapshot_every: Option<u64>,
     obs: Obs,
     /// Checkpoint directory and snapshot cadence; each task logs to
     /// `task-{index}.wal` inside it.
@@ -182,6 +184,7 @@ impl MultiTaskRunner {
         Ok(MultiTaskRunner {
             config,
             recorder: None,
+            snapshot_every: None,
             obs: Obs::disabled(),
             wal: None,
             serve: None,
@@ -194,6 +197,16 @@ impl MultiTaskRunner {
     #[must_use]
     pub fn with_recorder(mut self, recorder: SampleRecorder) -> Self {
         self.recorder = Some(recorder);
+        self
+    }
+
+    /// Records a registry snapshot into the recorder's store every
+    /// `every` ticks (minimum 1) and at run end, as
+    /// [`TaskRunner::with_snapshot_every`] does — so `volley obs` reads
+    /// a multi-task store too. Without a recorder it does nothing.
+    #[must_use]
+    pub fn with_snapshot_every(mut self, every: u64) -> Self {
+        self.snapshot_every = Some(every.max(1));
         self
     }
 
@@ -242,6 +255,10 @@ impl MultiTaskRunner {
             runner.gated_interval = Some(self.config.correlation.gated_interval.get());
             if let Some(recorder) = &self.recorder {
                 runner = runner.with_recorder(recorder.for_task(index as u32));
+            }
+            // The run-level sinks are the first task's.
+            if let Some(every) = self.snapshot_every.filter(|_| index == 0) {
+                runner = runner.with_snapshot_every(every);
             }
             if let Some((dir, every)) = &self.wal {
                 runner = runner.with_wal(dir.join(format!("task-{index}.wal")), *every);

@@ -5,12 +5,23 @@
 //! [`Clock`]. Connected, the machine emits the [`AgentHello`] and a
 //! `Revived` frame per live monitor; it hands each [`ServerFrame`] line's
 //! frames to its [`SlotTable`] — the table an in-process session steps,
-//! hence report parity — and answers the line as one send
-//! ([`encode_replies`]), and says goodbye (an empty line) once its last
-//! monitor is shut down; closed, it names the next dial's delay: none
-//! after a welcomed session, else a jittered exponential backoff (a hash
-//! of `(agent, attempt)`, so a storm's agents de-synchronize) counted
-//! toward [`BackoffConfig::max_retries_per_outage`].
+//! hence report parity — and answers the line as one send (batched as
+//! [`encode_replies`](super::encode_replies) batches), and says goodbye
+//! (an empty line) once its last monitor is shut down; closed, it names
+//! the next dial's delay: none after a welcomed session, else a jittered
+//! exponential backoff (a hash of `(agent, attempt)`, so a storm's agents
+//! de-synchronize) counted toward
+//! [`BackoffConfig::max_retries_per_outage`].
+//!
+//! A [`ServerFrame::Window`] line grants its run of monitors a window of
+//! ticks: the machine keeps each monitor's state at the window's start
+//! and the window's values, steps the run row by row until a row on
+//! which one of them violated (or the window's end) and answers with one
+//! [`ReplyBatch::Window`](super::ReplyBatch::Window) line. A later line
+//! that names an earlier tick — a poll of a tick the monitor stepped
+//! past, the next window or tick starting before it got to — rewinds
+//! the monitor first: back to its window-start state, then forward
+//! through the kept values to that tick (`DESIGN.md` §8).
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -21,16 +32,22 @@ use serde::Serialize;
 
 use volley_core::hash::splitmix64;
 use volley_core::task::TaskSpec;
+use volley_core::time::Tick;
 use volley_core::VolleyError;
 
-use crate::message::{decode_line, encode_into, MonitorFrame, MonitorToCoordinator};
-use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
+use crate::message::{
+    decode_line, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
+    MonitorToCoordinator, TickData,
+};
+use crate::monitor::{MonitorActor, MonitorSlot, SlotTable, TickState};
 use crate::session::monitor_actor;
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::server::{NetAddr, Socket};
-use super::wire::{encode_replies, AgentHello, ServerFrame};
+use super::wire::{
+    flag_digit, window_tag, AgentHello, ReplyWriter, ServerFrame, WindowLine, MAX_WINDOW,
+};
 use super::{Clock, WallClock};
 
 /// Reconnect backoff policy: exponential from `base` to `cap`, with
@@ -141,17 +158,63 @@ fn serve(machine: &mut AgentMachine, socket: &mut Socket) -> std::io::Result<()>
     }
 }
 
+/// What a rewind needs of one hosted monitor: its state at the start of
+/// the last window it stepped into, that window's epoch, first tick and
+/// values, and how many of its ticks it has stepped (0: none to undo).
+#[derive(Debug)]
+struct Held {
+    state: TickState,
+    epoch: u64,
+    start: Tick,
+    stepped: u32,
+    values: [f64; MAX_WINDOW],
+}
+
+impl Held {
+    /// Rewinds the monitor `held` holds for — hosted at `at`, monitor id
+    /// `to` — to its state before tick `before`, if it stepped past it
+    /// in its window: the window-start state, then the window's ticks up
+    /// to `before`, their replies dropped (the coordinator has them).
+    /// Returns whether it did.
+    fn rewind(&mut self, table: &mut SlotTable, (at, to): (usize, u32), before: Tick) -> bool {
+        let end = self.start + u64::from(self.stepped);
+        if before < self.start || before >= end {
+            return false;
+        }
+        table.actor_mut(at).restore_tick_state(&self.state);
+        let rows = (before - self.start) as usize;
+        for (tick, &value) in (self.start..).zip(&self.values[..rows]) {
+            let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
+            let frame = ControlFrame {
+                epoch: self.epoch,
+                msg,
+            };
+            table.deliver(to, frame, &mut |_| {});
+        }
+        self.stepped = rows as u32;
+        true
+    }
+}
+
 /// The agent's side of the protocol, sans IO: the hosted slot table, the
-/// read buffer and the report; bytes and connection events in, bytes and
-/// dial delays out.
+/// read buffer, the rewind state and the report; bytes and connection
+/// events in, bytes and dial delays out.
 pub(crate) struct AgentMachine {
     hosted: Range<u32>,
     max_frame: usize,
     backoff: BackoffConfig,
     table: SlotTable,
     frames: FrameBuffer,
-    /// The replies to the line being answered, as values.
-    replies: Vec<MonitorFrame>,
+    /// Per hosted monitor, in id order; allocated with the machine.
+    held: Vec<Held>,
+    /// The rows of the window reply being written.
+    flags: Vec<u8>,
+    /// Encodes the replies to the line being answered.
+    replies: ReplyWriter,
+    /// What a window line opens with.
+    window_tag: Vec<u8>,
+    /// Monitors rewound so far.
+    pub(crate) rewinds: u64,
     pub(crate) report: AgentReport,
     /// Whether the current connection, and whether any, was welcomed.
     welcomed: (bool, bool),
@@ -174,11 +237,23 @@ impl AgentMachine {
         let actors = hosted
             .clone()
             .map(|m| monitor_actor(&config.spec, m as usize));
+        let table = SlotTable::new(hosted.start, actors.map(MonitorSlot::new).collect());
+        let held = table.slots().iter().map(|slot| Held {
+            state: slot.actor().tick_state(),
+            epoch: 0,
+            start: 0,
+            stepped: 0,
+            values: [0.0; MAX_WINDOW],
+        });
         let max_frame = config.transport.max_frame_size;
         Ok(AgentMachine {
-            table: SlotTable::new(hosted.start, actors.map(MonitorSlot::new).collect()),
+            held: held.collect(),
+            flags: Vec::with_capacity(MAX_WINDOW * hosted.len()),
+            table,
             frames: FrameBuffer::new(max_frame),
-            replies: Vec::new(),
+            replies: ReplyWriter::new(max_frame),
+            window_tag: window_tag(),
+            rewinds: 0,
             report: AgentReport {
                 agent: config.agent,
                 monitors: hosted.len() as u32,
@@ -193,8 +268,8 @@ impl AgentMachine {
         })
     }
 
-    /// A connection is up: appends the hello and a `Revived` frame per
-    /// live monitor to `out`.
+    /// A connection is up: appends the hello and the live monitors'
+    /// `Revived` notices to `out`, a line per run.
     pub(crate) fn connected(&mut self, out: &mut Vec<u8>) {
         self.frames = FrameBuffer::new(self.max_frame);
         let actors = self.table.slots().iter().map(MonitorSlot::actor);
@@ -208,26 +283,25 @@ impl AgentMachine {
         for slot in self.table.slots().iter().filter(|slot| slot.alive()) {
             let (epoch, monitor) = (slot.actor().epoch(), slot.actor().id());
             let msg = MonitorToCoordinator::Revived { monitor };
-            encode_into(&MonitorFrame { epoch, msg }, out);
-            self.report.frames_sent += 1;
+            self.replies.push(&MonitorFrame { epoch, msg }, out);
         }
+        self.report.frames_sent += self.replies.finish(out);
     }
 
     /// Bytes arrived: each line they complete is decoded where it lies,
-    /// its frames delivered to the hosted slots and its replies appended
-    /// to `out` as one send — and, once the last hosted monitor is shut
-    /// down, the goodbye the coordinator's teardown waits for: an empty
-    /// line. `false` for an oversized or garbled line: the connection
-    /// must go, to re-handshake on a clean buffer.
+    /// its frames delivered to the hosted slots (a window stepped, a
+    /// monitor rewound where the line names a tick it stepped past) and
+    /// its replies appended to `out` as one send — and, once the last
+    /// hosted monitor is shut down, the goodbye the coordinator's
+    /// teardown waits for: an empty line. `false` for an oversized or
+    /// garbled line: the connection must go, to re-handshake on a clean
+    /// buffer.
     pub(crate) fn on_bytes(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> bool {
         let finished = self.finished();
         self.frames.extend(bytes);
         loop {
-            let frame = match self.frames.next_line() {
-                Ok(Some(line)) => match decode_line::<ServerFrame>(line) {
-                    Ok(frame) => frame,
-                    Err(_) => return false,
-                },
+            let line = match self.frames.next_line() {
+                Ok(Some(line)) => line,
                 Ok(None) if !finished && self.table.finished() => {
                     out.push(b'\n');
                     return true;
@@ -235,18 +309,32 @@ impl AgentMachine {
                 Ok(None) => return true,
                 Err(_) => return false,
             };
-            self.report.frames_received += 1;
-            if matches!(frame, ServerFrame::Welcome { .. }) && !self.welcomed.0 {
-                self.report.reconnects += u64::from(self.welcomed.1);
-                (self.welcomed, self.retries) = ((true, true), 0);
+            let mut hosts = Hosts {
+                hosted: self.hosted.clone(),
+                table: &mut self.table,
+                held: &mut self.held,
+                replies: &mut self.replies,
+                rewinds: &mut self.rewinds,
+            };
+            if line.starts_with(&self.window_tag) {
+                // A window's values are read where they lie in the line.
+                let Some(window) = WindowLine::parse(line) else {
+                    return false;
+                };
+                hosts.step_window(&window, &mut self.flags, out);
+            } else {
+                let Ok(frame) = decode_line::<ServerFrame>(line) else {
+                    return false;
+                };
+                if matches!(frame, ServerFrame::Welcome { .. }) && !self.welcomed.0 {
+                    self.report.reconnects += u64::from(self.welcomed.1);
+                    (self.welcomed, self.retries) = ((true, true), 0);
+                }
+                hosts.deliver(frame, out);
             }
-            let (table, replies) = (&mut self.table, &mut self.replies);
-            frame.expand(self.hosted.clone(), |to, control| {
-                table.deliver(to, control, &mut |reply| replies.push(reply));
-            });
+            self.report.frames_received += 1;
             // The one place a monitor's reply becomes bytes.
-            self.report.frames_sent += encode_replies(replies, self.max_frame, out);
-            replies.clear();
+            self.report.frames_sent += self.replies.finish(out);
         }
     }
 
@@ -273,6 +361,118 @@ impl AgentMachine {
     }
 }
 
+/// The hosted monitors as a line reaches them: the slots, their rewind
+/// state and the writer their replies go to.
+struct Hosts<'a> {
+    hosted: Range<u32>,
+    table: &'a mut SlotTable,
+    held: &'a mut [Held],
+    replies: &'a mut ReplyWriter,
+    rewinds: &'a mut u64,
+}
+
+impl Hosts<'_> {
+    /// Hands each frame of a line to its hosted slot — rewinding the
+    /// monitor first when the frame names a tick it stepped past in a
+    /// window — and its replies to the writer.
+    fn deliver(&mut self, frame: ServerFrame, out: &mut Vec<u8>) {
+        let Hosts {
+            hosted,
+            table,
+            held,
+            replies,
+            rewinds,
+        } = self;
+        frame.expand(hosted.clone(), |to, control| {
+            let at = (to - hosted.start) as usize;
+            let before = match control.msg {
+                CoordinatorToMonitor::Tick(data) => Some(data.tick),
+                CoordinatorToMonitor::Poll { tick } => Some(tick.saturating_add(1)),
+                _ => None,
+            };
+            if let Some(before) = before {
+                **rewinds += u64::from(held[at].rewind(table, (at, to), before));
+            }
+            if matches!(control.msg, CoordinatorToMonitor::Tick(_)) {
+                // Lock-step data: nothing of a window is left to undo.
+                held[at].stepped = 0;
+            }
+            table.deliver(to, control, &mut |reply| replies.push(&reply, out));
+        });
+    }
+
+    /// Steps the hosted part of `window`'s run, keeping each monitor's
+    /// window-start state and values first, and answers with one window
+    /// reply — the rows, `flags`, up to the first on which one of them
+    /// violated.
+    fn step_window(&mut self, window: &WindowLine<'_>, flags: &mut Vec<u8>, out: &mut Vec<u8>) {
+        let (first, tick, epoch) = (window.first, window.tick, window.epoch);
+        let run_end = (u64::from(first) + window.count as u64).min(u64::from(self.hosted.end));
+        let (lo, hi) = (first.max(self.hosted.start), run_end as u32);
+        if lo >= hi {
+            return;
+        }
+        let Hosts {
+            hosted,
+            table,
+            held,
+            replies,
+            rewinds,
+        } = self;
+        let rows = window.len as usize;
+        for to in lo..hi {
+            let at = (to - hosted.start) as usize;
+            **rewinds += u64::from(held[at].rewind(table, (at, to), tick));
+            let kept = &mut held[at];
+            kept.state = table.slots()[at].actor().tick_state();
+            (kept.epoch, kept.start, kept.stepped) = (epoch, tick, 0);
+            for (row, slot) in kept.values[..rows].iter_mut().enumerate() {
+                *slot = window.value(row, (to - first) as usize);
+            }
+        }
+        flags.clear();
+        let mut reply_epoch = None;
+        for row in 0..rows {
+            let mut violated = false;
+            let at_tick = tick + row as u64;
+            for to in lo..hi {
+                let at = (to - hosted.start) as usize;
+                let value = held[at].values[row];
+                let msg = CoordinatorToMonitor::Tick(TickData {
+                    tick: at_tick,
+                    value,
+                });
+                let mut done = None;
+                table.deliver(to, ControlFrame { epoch, msg }, &mut |reply| {
+                    if let MonitorToCoordinator::TickDone {
+                        sampled,
+                        violation,
+                        suppressed,
+                        ..
+                    } = reply.msg
+                    {
+                        done = Some((reply.epoch, flag_digit(sampled, violation, suppressed)));
+                    }
+                });
+                held[at].stepped += 1;
+                let digit = match done {
+                    Some((at_epoch, digit)) if *reply_epoch.get_or_insert(at_epoch) == at_epoch => {
+                        violated |= digit & 2 != 0;
+                        digit
+                    }
+                    _ => 8,
+                };
+                flags.push(digit);
+            }
+            if violated {
+                break;
+            }
+        }
+        let run = (lo, hi - lo);
+        replies.window((reply_epoch.unwrap_or(epoch), tick), run, flags, out);
+    }
+}
+
 /// A `net` configuration error.
 fn invalid(reason: String) -> VolleyError {
     VolleyError::InvalidConfig {
@@ -295,7 +495,7 @@ mod tests {
     use std::thread;
 
     use super::*;
-    use crate::net::welcome_line;
+    use crate::net::{encode_replies, welcome_line};
 
     fn machine(monitors: Range<u32>, backoff: BackoffConfig) -> AgentMachine {
         let spec = TaskSpec::builder(100.0 * f64::from(monitors.end))
@@ -446,12 +646,12 @@ mod tests {
             read_line().starts_with(b"{\"agent\":0,"),
             "the hello comes first"
         );
-        for monitor in 1..3 {
-            let notice = MonitorToCoordinator::Revived {
-                monitor: volley_core::task::MonitorId(monitor),
-            };
-            assert_eq!(read_line()[..], MonitorFrame::seal(0, notice)[..]);
-        }
+        let notices = crate::message::encode(&crate::net::ReplyBatch::Revived {
+            epoch: 0,
+            first: 1,
+            count: 2,
+        });
+        assert_eq!(read_line()[..], notices[..], "the run's notices, one line");
 
         // The twins of the hosted actors answer the same frames by hand.
         let mut twins = [monitor_actor(&spec, 1), monitor_actor(&spec, 2)];
@@ -461,7 +661,7 @@ mod tests {
             [CoordinatorToMonitor::Poll { tick: 0 }; 2],
             [CoordinatorToMonitor::RequestSnapshot; 2],
         ];
-        let mut sent = 2;
+        let mut sent = 1;
         for msgs in sends {
             let stamped = msgs.map(|msg| ControlFrame { epoch: 0, msg });
             let frames: Vec<(u32, ControlFrame)> = (1..).zip(stamped).collect();
@@ -505,7 +705,7 @@ mod tests {
         );
         let report = agent.join().unwrap();
         assert_eq!(
-            sent, 6,
+            sent, 5,
             "the Revived notices, a batch for each run, a snapshot each"
         );
         assert_eq!(report.frames_sent, sent);

@@ -46,6 +46,13 @@ impl FrameBuffer {
             self.scanned -= self.start;
             self.start = 0;
         }
+        // Grown by a quarter, not doubled: a frame read in two chunks
+        // costs the buffer little more than itself.
+        let (len, capacity) = (self.buf.len(), self.buf.capacity());
+        if len + data.len() > capacity {
+            let grown = (len + data.len()).max(capacity + capacity / 4);
+            self.buf.reserve_exact(grown - len);
+        }
         self.buf.extend_from_slice(data);
     }
 

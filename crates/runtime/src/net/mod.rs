@@ -4,12 +4,14 @@
 //! a blocking driver around the agent's sans-IO machine; the wire
 //! ([`ServerFrame`], [`ReplyBatch`]) carries a run of consecutive
 //! monitors' frames as one line ([`encode_controls`], [`encode_replies`],
-//! [`ServerFrame::expand`], [`expand_reply_line`]); [`NetFaultPlan`]
-//! schedules reconnect storms for `volley chaos --net`. Every time read
+//! [`ServerFrame::expand`], [`expand_reply_line`]) — quiet ticks a
+//! window of up to [`MAX_WINDOW`] at a time, one line each way per agent,
+//! rewound where a poll lands inside it; [`NetFaultPlan`] schedules
+//! reconnect storms for `volley chaos --net`. Every time read
 //! and wait goes through one crate-private `Clock`: the wall clock in
 //! production; in tests, a virtual one that runs the real socket plane
-//! against real agent machines on one thread, from one seed. See
-//! `DESIGN.md` §8.
+//! against real agent machines on one thread, from one seed, and counts
+//! a steady window's work there against its budget. See `DESIGN.md` §8.
 
 use std::time::{Duration, Instant};
 
@@ -22,11 +24,11 @@ mod wire;
 pub use agent::{run_agent, AgentConfig, AgentReport, BackoffConfig};
 pub use codec::FrameBuffer;
 pub use faults::NetFaultPlan;
-pub(crate) use server::SocketPlane;
 pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats, DEFAULT_TICK_DEADLINE};
+pub(crate) use server::{SocketPlane, WindowFeed};
 pub use wire::{
     ctl_line, encode_controls, encode_replies, expand_reply_line, welcome_line, AgentHello,
-    DigitColumn, F64Column, ReplyBatch, ServerFrame,
+    DigitColumn, F64Column, ReplyBatch, ServerFrame, MAX_WINDOW,
 };
 
 /// The one source of time of the socket plane and the agent driver.
@@ -59,3 +61,5 @@ impl Clock for WallClock {
 
 #[cfg(test)]
 mod sweep;
+#[cfg(test)]
+mod work_budget;

@@ -6,19 +6,22 @@
 //! reactor, and a [`reactor::Table`](volley_serve::reactor::Table) over
 //! this module's line-frame [`Protocol`]) is stepped, never served:
 //!
-//! - **outbound**: a send routes `(monitor, frame)` values by id and
-//!   encodes each run for consecutive monitors behind one connection as
-//!   one [`ServerFrame`](super::ServerFrame) line, split under the frame
-//!   cap, into that connection's write batch, written before it returns;
+//! - **outbound**: a send addresses a run of monitors; the plane cuts it
+//!   where the route changes and encodes each part behind one connection
+//!   as one [`ServerFrame`](super::ServerFrame) line, split under the
+//!   frame cap, into that connection's write batch, written before it
+//!   returns — a window's data line straight to the socket;
 //! - **inbound**: when the coordinator machine has nothing left to do,
 //!   the session turns the table — `poll` until the armed deadline,
 //!   accept, read, [`FrameBuffer`] reassembly, flush, reap — until agent
 //!   lines are in the inbox, and hands them to the machine as one
-//!   payload: the machine cannot tell the transport changed, so parity
-//!   with the in-process runner holds by construction;
-//! - **between ticks** the drive loop's hook turns the same table for
+//!   payload, a window's replies ([`WindowFeed`]) one tick at a time: the
+//!   machine cannot tell the transport changed, so parity with the
+//!   in-process runner holds by construction;
+//! - **between windows** the drive loop's hook turns the same table for
 //!   fleet assembly, pacing, storm kicks and the teardown drain, which
-//!   lasts until every agent has said goodbye.
+//!   lasts until every agent has said goodbye; a window ends before a
+//!   storm's tick.
 //!
 //! Every deadline is read off the plane's [`Clock`], and every wait is a
 //! `poll` it times out: at the deadline or the next idle reap on the wall
@@ -55,15 +58,19 @@ use volley_obs::{names, Counter, Gauge, Obs};
 use volley_serve::reactor::{Conn, Fd, Pollable, Protocol, Reactor, Table};
 use volley_serve::ServePublisher;
 
-use crate::message::{decode_line, ControlFrame, TickSummary};
+use crate::coordinator::{CoordinatorActor, MonitorRun};
+use crate::message::{decode_line, ControlFrame, MonitorFrame, TickSummary};
 use crate::runner::{RuntimeReport, TaskRunner};
 use crate::session::{self, Hook, Task, TaskSession};
 use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::faults::NetFaultPlan;
-use super::wire::{control_runs, welcome_line, AgentHello};
-use super::{Clock, WallClock};
+use super::wire::{
+    tick_done, welcome_line, window_fits, window_rows, window_tag, write_data, write_fan,
+    AgentHello, ReplyBatch,
+};
+use super::{Clock, WallClock, MAX_WINDOW};
 
 /// Default bound on how long the coordinator lets one collection phase
 /// wait for its agents' replies. Generous next to the microseconds a
@@ -479,6 +486,20 @@ impl Hook for SocketTurn<'_> {
         })
     }
 
+    /// A window ends before the next storm, whose kick must land ahead
+    /// of its tick's data; a storm tick is a window of its own, so a
+    /// storm costs its victims that tick's reports only. Paced ticks go
+    /// one at a time.
+    fn window(&self, tick: Tick, left: u64) -> u64 {
+        if self.tick_interval > Duration::ZERO || self.faults.storm_at(tick) {
+            return 1;
+        }
+        let ahead = 1..left.min(MAX_WINDOW as u64);
+        1 + ahead
+            .take_while(|&ahead| !self.faults.storm_at(tick + ahead))
+            .count() as u64
+    }
+
     /// No supervision here: agents restart themselves; the coordinator
     /// only re-admits.
     fn before_step(&mut self, tick: Tick, _: usize, session: &mut TaskSession<'_>) {
@@ -542,6 +563,8 @@ pub(crate) struct SocketPlane {
     armed: Instant,
     /// Every time read and wait of the plane and of its hook.
     pub(super) clock: Box<dyn Clock>,
+    /// Where a window's lines are encoded on their way to the socket.
+    scratch: Vec<u8>,
 }
 
 impl fmt::Debug for SocketPlane {
@@ -562,6 +585,7 @@ impl SocketPlane {
             tick_deadline: DEFAULT_TICK_DEADLINE,
             armed: WallClock.now(),
             clock: Box::new(WallClock),
+            scratch: Vec::new(),
             reactor: Reactor::new()?,
             table: Table::new(Duration::from_secs(30)),
             lines: LineFrames {
@@ -615,45 +639,95 @@ impl SocketPlane {
         }
     }
 
-    /// Sends `frames` in order: each run of them for consecutive
-    /// monitors behind one connection ([`control_runs`]) is encoded into
-    /// that connection's write batch in pieces under the queue cap — a
-    /// full queue is flushed first, and only what the kernel will not
-    /// take is dropped — and every batch leaves before this returns.
-    pub(crate) fn send(&mut self, frames: impl IntoIterator<Item = (u32, ControlFrame)>) {
-        let (conns, lines) = (self.table.conns(), &mut self.lines);
+    /// Sends `frame` to the monitors of `to`: each part of the run
+    /// behind one connection as a line ([`write_fan`]), encoded into that
+    /// connection's write batch in pieces under the queue cap — a full
+    /// queue is flushed first, and only what the kernel will not take is
+    /// dropped — every batch leaving before this returns.
+    pub(crate) fn send(&mut self, to: MonitorRun, frame: ControlFrame) {
+        let run = to.first.0..to.first.0 + to.count;
+        self.stage((run, false), |run, max_frame, batch| {
+            write_fan((run.start, run.len()), frame, max_frame, batch)
+        });
+    }
+
+    /// Sends every monitor its data for `ticks`, `value(monitor, tick)`,
+    /// as a line per connection ([`write_data`]), under the same cap: one
+    /// tick as a `Ticks` line, a window of them as a `Window` line,
+    /// written through.
+    pub(crate) fn send_data(
+        &mut self,
+        epoch: u64,
+        ticks: Range<Tick>,
+        value: &dyn Fn(u32, Tick) -> f64,
+    ) {
+        let all = 0..self.lines.route.len() as u32;
+        let through = ticks.end - ticks.start > 1;
+        self.stage((all, through), |run, max_frame, batch| {
+            write_data(epoch, ticks.clone(), (run, value), max_frame, batch)
+        });
+    }
+
+    /// The longest window, at most `len`, whose line for one monitor fits
+    /// the frame cap.
+    pub(crate) fn window(&self, len: u64) -> u64 {
+        window_fits(len, self.lines.max_frame)
+    }
+
+    /// Stages the monitors `run` by connection: each part behind one
+    /// live connection is written by `write` (the part, the frame cap,
+    /// the batch; returning the lines it wrote) in pieces of at most the
+    /// room its queue has — a monitor counts once per send — and every
+    /// backlogged connection is flushed before this returns. Written
+    /// `through`, a piece is encoded into the plane's one scratch buffer
+    /// and leaves from there ([`Conn::write_through`]): a window's long
+    /// lines take no room in any connection's batch.
+    fn stage(
+        &mut self,
+        (run, through): (Range<u32>, bool),
+        mut write: impl FnMut(Range<u32>, usize, &mut Vec<u8>) -> u64,
+    ) {
+        let (conns, lines, scratch) = (self.table.conns(), &mut self.lines, &mut self.scratch);
         let (route, stats) = (&lines.route, &mut lines.stats);
         let (queue_cap, max_frame) = (lines.queue_cap, lines.max_frame);
-        let routed = frames.into_iter().map(|(to, frame)| {
-            let slot = route.get(to as usize).copied().flatten();
-            (slot, to, frame)
-        });
-        control_runs(routed, |slot, run| {
+        let mut at = run.start;
+        while at < run.end {
+            let slot = route.get(at as usize).copied().flatten();
+            let same = |m: &u32| route.get(*m as usize).copied().flatten() == slot;
+            let end = (at..run.end).find(|m| !same(m)).unwrap_or(run.end);
+            let part = std::mem::replace(&mut at, end)..end;
             let Some(conn) = slot
                 .and_then(|slot| conns[slot].as_mut())
                 .filter(|conn| conn.is_open())
             else {
-                stats.unrouted_drops += run.len() as u64;
-                return;
+                stats.unrouted_drops += part.len() as u64;
+                continue;
             };
-            let mut staged = 0;
-            while staged < run.len() {
+            let mut staged = part.start;
+            while staged < part.end {
                 if conn.queued() >= queue_cap {
                     conn.flush();
                 }
-                let take = (run.len() - staged).min(queue_cap.saturating_sub(conn.queued()));
+                let room = queue_cap.saturating_sub(conn.queued()) as u32;
+                let take = (part.end - staged).min(room);
                 if take == 0 {
                     break; // the kernel takes no more
                 }
-                let part = staged..staged + take;
-                conn.stage(take, |batch| {
-                    stats.frames_out += run.write(part, max_frame, batch)
-                });
+                let piece = staged..staged + take;
+                if through {
+                    scratch.clear();
+                    stats.frames_out += write(piece, max_frame, scratch);
+                    conn.write_through(take as usize, scratch);
+                } else {
+                    conn.stage(take as usize, |batch| {
+                        stats.frames_out += write(piece, max_frame, batch)
+                    });
+                }
                 staged += take;
                 stats.max_queue_depth = stats.max_queue_depth.max(conn.queued() as u64);
             }
-            stats.backpressure_drops += (run.len() - staged) as u64;
-        });
+            stats.backpressure_drops += u64::from(part.end - staged);
+        }
         for conn in conns.iter_mut().flatten() {
             if conn.pending_bytes() > 0 {
                 conn.flush();
@@ -686,6 +760,146 @@ impl SocketPlane {
             }
         }
         self.turn(Duration::ZERO);
+    }
+}
+
+/// The replies to the window of ticks a networked session granted,
+/// handed to the coordinator machine a tick at a time: an agent answers
+/// a window with one [`ReplyBatch::Window`] line, and the machine judges
+/// one tick's reports at a time, the next only once it closed the last.
+pub(crate) struct WindowFeed {
+    /// The open window's ticks; empty for a lock-step tick.
+    ticks: Range<Tick>,
+    /// The tick the machine is collecting the reports of.
+    next: Tick,
+    /// The open window's replies so far.
+    replies: Vec<WindowRun>,
+    /// The bytes a window reply's line, and no other agent line, opens
+    /// with.
+    tag: Vec<u8>,
+}
+
+/// One agent's window reply: `rows` ticks of `count` monitors' flag
+/// digits from `first`, at `epoch`.
+struct WindowRun {
+    epoch: u64,
+    first: u32,
+    count: u32,
+    rows: u64,
+    flags: Vec<u8>,
+}
+
+impl WindowFeed {
+    /// A feed with no window open.
+    pub(crate) fn new() -> Self {
+        WindowFeed {
+            ticks: 0..0,
+            next: 0,
+            replies: Vec::new(),
+            tag: window_tag(),
+        }
+    }
+
+    /// The session sent the data of `ticks`: their replies are awaited,
+    /// a window's as window replies.
+    pub(crate) fn open(&mut self, ticks: Range<Tick>) {
+        self.replies.clear();
+        self.next = ticks.start;
+        self.ticks = if ticks.end - ticks.start > 1 {
+            ticks
+        } else {
+            0..0
+        };
+    }
+
+    /// The machine opened the round of `tick`: hands it the reports the
+    /// window's replies hold for it.
+    pub(crate) fn feed(&mut self, tick: Tick, coordinator: &mut CoordinatorActor) {
+        self.next = tick;
+        self.hand(0, coordinator);
+    }
+
+    /// Hands the machine what `inbox` holds and clears it: the window
+    /// replies kept, their reports of the tick being collected fed; every
+    /// other line as one payload, ahead of those. Returns how many lines
+    /// the inbox held.
+    pub(crate) fn absorb(
+        &mut self,
+        inbox: &mut Vec<u8>,
+        coordinator: &mut CoordinatorActor,
+    ) -> u64 {
+        let (fresh, mut kept, mut at, mut lines) = (self.replies.len(), 0, 0, 0);
+        while at < inbox.len() {
+            let end = inbox[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(inbox.len(), |newline| at + newline + 1);
+            lines += 1;
+            if inbox[at..end].starts_with(&self.tag) {
+                self.keep(&inbox[at..end]);
+            } else {
+                inbox.copy_within(at..end, kept);
+                kept += end - at;
+            }
+            at = end;
+        }
+        coordinator.on_payload(&inbox[..kept]);
+        inbox.clear();
+        self.hand(fresh, coordinator);
+        lines
+    }
+
+    /// Keeps `line` if it is a window reply to the open window; a late
+    /// one, to a window since closed, is dropped.
+    fn keep(&mut self, line: &[u8]) {
+        let Ok(ReplyBatch::Window {
+            epoch,
+            tick,
+            first,
+            count,
+            flags,
+        }) = decode_line::<ReplyBatch>(line)
+        else {
+            return;
+        };
+        let rows = window_rows(first, count, flags.0.len());
+        let granted = self.ticks.end - self.ticks.start;
+        if let Some(rows) = rows.filter(|&rows| tick == self.ticks.start && rows <= granted) {
+            self.replies.push(WindowRun {
+                epoch,
+                first,
+                count,
+                rows,
+                flags: flags.0,
+            });
+        }
+    }
+
+    /// Feeds the machine the reports of the tick being collected that
+    /// the replies from the `from`-th on hold, as one batch.
+    fn hand(&self, from: usize, coordinator: &mut CoordinatorActor) {
+        let Some(row) = self.next.checked_sub(self.ticks.start) else {
+            return;
+        };
+        let runs = self.replies[from..].iter().filter(|run| row < run.rows);
+        if runs.clone().next().is_none() {
+            return;
+        }
+        let tick = self.next;
+        let frames = runs.flat_map(|run| {
+            let digits = run.flags[(row * u64::from(run.count)) as usize..].iter();
+            let reported = (run.first..).zip(digits.take(run.count as usize));
+            reported
+                .filter(|(_, &bits)| bits < 8)
+                .map(move |(monitor, &bits)| {
+                    let msg = tick_done(monitor, tick, bits);
+                    MonitorFrame {
+                        epoch: run.epoch,
+                        msg,
+                    }
+                })
+        });
+        coordinator.on_frames(frames);
     }
 }
 
@@ -865,6 +1079,33 @@ mod tests {
         line
     }
 
+    /// Sends `frames` as a session does: tick data for every monitor in
+    /// one send, any other frame to a run of consecutive monitors.
+    fn send(plane: &mut SocketPlane, frames: impl IntoIterator<Item = (u32, ControlFrame)>) {
+        let frames: Vec<(u32, ControlFrame)> = frames.into_iter().collect();
+        if let CoordinatorToMonitor::Tick(data) = frames[0].1.msg {
+            let value = |monitor: u32, _| match frames[monitor as usize].1.msg {
+                CoordinatorToMonitor::Tick(data) => data.value,
+                _ => unreachable!("one tick's data"),
+            };
+            return plane.send_data(frames[0].1.epoch, data.tick..data.tick + 1, &value);
+        }
+        let mut rest = &frames[..];
+        while let Some(&(first, frame)) = rest.first() {
+            let joins = |pair: &[(u32, ControlFrame)]| pair[1] == (pair[0].0 + 1, frame);
+            let count = 1 + rest.windows(2).take_while(|pair| joins(pair)).count();
+            let first = volley_core::task::MonitorId(first);
+            plane.send(
+                MonitorRun {
+                    first,
+                    count: count as u32,
+                },
+                frame,
+            );
+            rest = &rest[count..];
+        }
+    }
+
     /// What the wire carries for `msg` sent to `to` at `epoch`.
     fn ctl(to: u32, epoch: u64, msg: CoordinatorToMonitor) -> Vec<u8> {
         ctl_line(to, &ControlFrame::seal(epoch, msg)).to_vec()
@@ -900,37 +1141,37 @@ mod tests {
     }
 
     /// The cap bounds what waits on a peer, not what one send carries:
-    /// one send of three frames for one connection under a cap of two
-    /// flushes the full queue before the third, so nothing is dropped
+    /// one send to three monitors behind one connection under a cap of
+    /// two flushes the full queue before the third, so nothing is dropped
     /// while the kernel takes bytes, and the queue never holds more than
     /// the cap.
     #[test]
     fn bounded_queue_backpressure_and_unrouted_drops() {
-        let (mut plane, addr) = plane(2, 2);
-        let mut peer = dial(&mut plane, addr, 0, 0..1);
+        let (mut plane, addr) = plane(4, 2);
+        let mut peer = dial(&mut plane, addr, 0, 0..3);
         let stop = CoordinatorToMonitor::Shutdown;
         let frame = ControlFrame {
             epoch: 0,
             msg: stop,
         };
 
-        plane.send([(0, frame), (0, frame), (0, frame)]);
+        send(&mut plane, [(0, frame), (1, frame), (2, frame)]);
         assert_eq!(plane.stats().backpressure_drops, 0);
         assert_eq!(plane.stats().max_queue_depth, 2);
         // What was accepted left with the send: the queue is free again.
-        plane.send([(0, frame)]);
+        send(&mut plane, [(0, frame)]);
         assert_eq!(plane.stats().backpressure_drops, 0);
 
-        // Monitor 1 has no live connection: the frame is dropped and
+        // Monitor 3 has no live connection: the frame is dropped and
         // counted, never buffered.
-        plane.send([(1, frame)]);
+        send(&mut plane, [(3, frame)]);
         assert_eq!(plane.stats().unrouted_drops, 1);
 
         assert_eq!(line(&mut peer), welcome_line(0).to_vec());
-        for _ in 0..4 {
-            assert_eq!(line(&mut peer), ctl(0, 0, stop));
-        }
-        assert_eq!(plane.stats().frames_out, 5);
+        assert_eq!(line(&mut peer), fan(0, 2, 0, stop));
+        assert_eq!(line(&mut peer), ctl(2, 0, stop));
+        assert_eq!(line(&mut peer), ctl(0, 0, stop));
+        assert_eq!(plane.stats().frames_out, 4);
     }
 
     /// A peer that stops reading: the kernel's buffers fill, then the
@@ -945,13 +1186,16 @@ mod tests {
         let msg = |tick| CoordinatorToMonitor::Tick(TickData { tick, value: 0.5 });
         let mut sent = 0u64;
         while plane.stats().backpressure_drops == 0 {
-            plane.send([(
-                0,
-                ControlFrame {
-                    epoch: 1,
-                    msg: msg(sent),
-                },
-            )]);
+            send(
+                &mut plane,
+                [(
+                    0,
+                    ControlFrame {
+                        epoch: 1,
+                        msg: msg(sent),
+                    },
+                )],
+            );
             sent += 1;
             assert!(sent < 10_000_000, "the kernel never pushed back");
         }
@@ -976,13 +1220,16 @@ mod tests {
             plane.turn(Duration::from_millis(50));
         }
         let _peer = reader.join().unwrap();
-        plane.send([(
-            0,
-            ControlFrame {
-                epoch: 1,
-                msg: msg(sent),
-            },
-        )]);
+        send(
+            &mut plane,
+            [(
+                0,
+                ControlFrame {
+                    epoch: 1,
+                    msg: msg(sent),
+                },
+            )],
+        );
         assert_eq!(plane.stats().backpressure_drops, 1, "the queue reopened");
     }
 
@@ -1010,7 +1257,7 @@ mod tests {
                 2 * ticks + 1,
                 "two lines a tick, and the welcome"
             );
-            plane.send(data(ticks));
+            send(&mut plane, data(ticks));
             ticks += 1;
             assert!(ticks < 10_000_000, "the kernel never pushed back");
         }
@@ -1020,7 +1267,7 @@ mod tests {
         assert_eq!(plane.stats().max_queue_depth, 2);
         let (drops, lines) = (plane.stats().backpressure_drops, plane.stats().frames_out);
         assert_eq!(lines - 1 + drops / 2, 2 * ticks, "a line per accepted pair");
-        plane.send(data(ticks));
+        send(&mut plane, data(ticks));
         assert_eq!(
             plane.stats().backpressure_drops,
             drops + 4,
@@ -1063,11 +1310,11 @@ mod tests {
             msg: poll(tick),
         };
         let mut first = dial(&mut plane, addr, 7, 0..2);
-        plane.send([(0, stamped(1)), (1, stamped(1))]);
+        send(&mut plane, [(0, stamped(1)), (1, stamped(1))]);
         // The agent dials again while its old socket is still open.
         let mut second = dial(&mut plane, addr, 7, 0..2);
         assert_eq!(plane.stats().reconnects, 1);
-        plane.send([(1, stamped(2)), (0, stamped(2))]);
+        send(&mut plane, [(1, stamped(2)), (0, stamped(2))]);
 
         assert_eq!(line(&mut second), welcome_line(0).to_vec());
         assert_eq!(line(&mut second), ctl(1, 3, poll(2)));
@@ -1096,7 +1343,7 @@ mod tests {
             epoch: 0,
             msg: stop,
         };
-        plane.send([(0, frame), (1, frame)]);
+        send(&mut plane, [(0, frame), (1, frame)]);
         assert_eq!(plane.stats().unrouted_drops, 1);
         assert_eq!(line(&mut victim), welcome_line(0).to_vec());
         assert_eq!(line(&mut victim), b"", "end of stream");

@@ -14,7 +14,10 @@
 //! The seed picks the spec, the traces and the agent split, a
 //! [`NetFaultPlan`] storm, agent-side connection loss, and the chunk
 //! sizes the world reads and writes in, which cut lines at arbitrary
-//! bytes.
+//! bytes. The window arm plants its violations instead: on a window's
+//! first and last tick, on two agents at once, and ahead of an agent
+//! that must rewind — whose link the world then cuts right after the
+//! rewind, under a storm.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -29,6 +32,7 @@ use volley_core::{GroundTruth, VolleyError};
 
 use super::agent::AgentMachine;
 use super::server::Socket;
+use super::work_budget::{charged, Account};
 use super::{
     AgentConfig, AgentReport, BackoffConfig, Clock, NetAddr, NetCoordinator, NetFaultPlan,
     NetRunOutcome,
@@ -51,6 +55,11 @@ struct Agent {
     /// instead of handing the bytes on.
     reads: u64,
     cuts: Vec<u64>,
+    /// Whether the world cuts the link once, right after a read that
+    /// rewound a monitor — the poll's reply lost with it.
+    cut_on_rewind: bool,
+    /// Bytes the agent wrote, and read.
+    bytes: [u64; 2],
 }
 
 impl Agent {
@@ -82,6 +91,7 @@ impl Agent {
             match socket.write(&self.out[..len]) {
                 Ok(k) => {
                     self.out.drain(..k);
+                    self.bytes[0] += k as u64;
                     moved = true;
                 }
                 Err(err) if err.kind() == ErrorKind::WouldBlock => {}
@@ -100,6 +110,8 @@ impl Agent {
             Ok(0) => self.lost(now, &"end of stream"),
             Ok(k) => {
                 self.reads += 1;
+                self.bytes[1] += k as u64;
+                let rewinds = self.machine.rewinds;
                 if self.cuts.contains(&self.reads) {
                     self.lost(now, &"link cut");
                 } else if !self.machine.on_bytes(&buf[..k], &mut self.out) {
@@ -110,6 +122,9 @@ impl Agent {
                         parameter: "net",
                         reason,
                     }));
+                } else if self.cut_on_rewind && self.machine.rewinds > rewinds {
+                    self.cut_on_rewind = false;
+                    self.lost(now, &"link cut in mid-rewind");
                 }
             }
             Err(err) if err.kind() == ErrorKind::WouldBlock => return moved,
@@ -160,8 +175,8 @@ impl Clock for VirtualClock {
             buf,
         } = &mut *world;
         let mut moved = false;
-        for agent in agents.iter_mut() {
-            moved |= agent.step(*now, addr, buf);
+        for (a, agent) in agents.iter_mut().enumerate() {
+            moved |= charged(Account::Agent(a), || agent.step(*now, addr, buf));
         }
         if !moved {
             let due = agents.iter().filter_map(|agent| agent.dial_at).min();
@@ -175,15 +190,17 @@ impl Clock for VirtualClock {
 }
 
 /// Everything one seed derives.
-struct Scenario {
-    spec: TaskSpec,
-    traces: Vec<Vec<f64>>,
+pub(super) struct Scenario {
+    pub(super) spec: TaskSpec,
+    pub(super) traces: Vec<Vec<f64>>,
     /// Each agent's hosted range.
-    split: Vec<std::ops::Range<u32>>,
-    storm: Option<(u64, f64)>,
+    pub(super) split: Vec<std::ops::Range<u32>>,
+    pub(super) storm: Option<(u64, f64)>,
     /// Each agent's cut reads.
-    cuts: Vec<Vec<u64>>,
-    chunks: Vec<usize>,
+    pub(super) cuts: Vec<Vec<u64>>,
+    pub(super) chunks: Vec<usize>,
+    /// The agent whose link is cut right after its first rewind.
+    pub(super) cut_on_rewind: Option<usize>,
 }
 
 impl Scenario {
@@ -246,22 +263,75 @@ impl Scenario {
             storm,
             cuts,
             chunks,
+            cut_on_rewind: None,
+        }
+    }
+
+    /// The window arm: six monitors, two to each of three agents, every
+    /// one sampling every tick at 10 against a local threshold of 60, and
+    /// 100s planted where a window of eight meets them — with no other
+    /// poll, windows run `[0, 8)` `[1, 9)` `[9, 17)` `[10, 18)`
+    /// `[18, 26)` …:
+    ///
+    /// - tick 0, monitor 0: a window's first tick;
+    /// - tick 8, monitor 2: a window's last;
+    /// - tick 9, monitor 4: the first tick of the next;
+    /// - tick 17, monitors 1 and 5: two agents in the last tick;
+    /// - tick 21, monitor 2: agents 0 and 2 step on to 25 and rewind;
+    /// - tick 30, every monitor: a global violation, an alert.
+    ///
+    /// `faults` adds a storm every 13 ticks and cuts agent 0's link right
+    /// after its first rewind.
+    fn windows(faults: bool) -> Scenario {
+        let spec = TaskSpec::builder(360.0)
+            .monitors(6)
+            .error_allowance(0.01)
+            .max_interval(1)
+            .build()
+            .expect("valid spec");
+        let planted: [(usize, &[usize]); 6] = [
+            (0, &[0]),
+            (8, &[2]),
+            (9, &[4]),
+            (17, &[1, 5]),
+            (21, &[2]),
+            (30, &[0, 1, 2, 3, 4, 5]),
+        ];
+        let mut traces = vec![vec![10.0; 48]; 6];
+        for (tick, monitors) in planted {
+            for &monitor in monitors {
+                traces[monitor][tick] = 100.0;
+            }
+        }
+        Scenario {
+            spec,
+            traces,
+            split: vec![0..2, 2..4, 4..6],
+            storm: faults.then_some((13, 0.5)),
+            cuts: vec![Vec::new(); 3],
+            chunks: vec![61, 16 * 1024, 700],
+            cut_on_rewind: faults.then_some(0),
         }
     }
 
     fn faulty(&self) -> bool {
-        self.storm.is_some() || self.cuts.iter().any(|cuts| !cuts.is_empty())
+        self.storm.is_some()
+            || self.cuts.iter().any(|cuts| !cuts.is_empty())
+            || self.cut_on_rewind.is_some()
     }
 
-    /// Runs the scenario: the outcome and each agent's report, in order.
-    fn run(&self, seed: u64) -> Result<(NetRunOutcome, Vec<AgentReport>), String> {
+    /// Runs the scenario: the outcome, each agent's report, in order, the
+    /// monitors the agents rewound and the bytes they wrote and read —
+    /// each allocation of the plane and of every agent charged to its
+    /// [`Account`].
+    pub(super) fn run(&self, seed: u64) -> Result<Ran, String> {
         // One listener path per run: sweeps that share seeds may run at once.
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let run = RUNS.fetch_add(1, Ordering::Relaxed);
         let name = format!("volley-sweep-{}-{seed}-{run}.sock", std::process::id());
         let addr = NetAddr::Unix(std::env::temp_dir().join(name));
-        let mut coordinator =
-            NetCoordinator::bind(self.spec.clone(), &addr).map_err(|e| format!("bind: {e}"))?;
+        let bind = || NetCoordinator::bind(self.spec.clone(), &addr);
+        let mut coordinator = charged(Account::Plane, bind).map_err(|e| format!("bind: {e}"))?;
         if let Some((every, fraction)) = self.storm {
             coordinator =
                 coordinator.with_faults(NetFaultPlan::new(seed).with_storm(every, fraction));
@@ -276,8 +346,9 @@ impl Scenario {
                 transport: TransportConfig::default(),
                 backoff: BackoffConfig::default(),
             };
+            let machine = charged(Account::Agent(a), || AgentMachine::new(&config));
             Agent {
-                machine: AgentMachine::new(&config).expect("a valid range"),
+                machine: machine.expect("a valid range"),
                 socket: None,
                 out: Vec::new(),
                 dial_at: Some(start),
@@ -285,6 +356,8 @@ impl Scenario {
                 chunk: self.chunks[a],
                 reads: 0,
                 cuts: self.cuts[a].clone(),
+                cut_on_rewind: self.cut_on_rewind == Some(a),
+                bytes: [0; 2],
             }
         });
         let agents = agents.collect();
@@ -296,8 +369,7 @@ impl Scenario {
         }));
         let mut clock = VirtualClock(Arc::clone(&world));
         coordinator.plane.clock = Box::new(clock.clone());
-        let outcome = coordinator
-            .run(&self.traces)
+        let outcome = charged(Account::Plane, || coordinator.run(&self.traces))
             .map_err(|e| format!("run: {e}"))?;
         // Agents still out there outlive the coordinator: a dial that
         // fails until the budget is spent ends each.
@@ -312,23 +384,49 @@ impl Scenario {
             clock.wait_until(far, None);
         }
         let mut world = world.lock().expect("world");
+        let rewinds = world.agents.iter().map(|a| a.machine.rewinds).sum();
+        let bytes = world.agents.iter().fold([0; 2], |[wrote, read], agent| {
+            [wrote + agent.bytes[0], read + agent.bytes[1]]
+        });
         let reports = world.agents.iter_mut().enumerate().map(|(a, agent)| {
             match agent.done.take().expect("settled") {
                 Ok(report) => Ok(report),
                 Err(err) => Err(format!("agent {a}: {err}")),
             }
         });
-        Ok((outcome, reports.collect::<Result<_, _>>()?))
+        let agents = reports.collect::<Result<_, _>>()?;
+        Ok(Ran {
+            outcome,
+            agents,
+            rewinds,
+            bytes,
+        })
     }
+}
+
+/// What a scenario's run did.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct Ran {
+    pub(super) outcome: NetRunOutcome,
+    /// Each agent's report, in order.
+    pub(super) agents: Vec<AgentReport>,
+    /// Monitors the agents rewound.
+    pub(super) rewinds: u64,
+    /// Bytes the agents wrote and read: the wire, in and out.
+    pub(super) bytes: [u64; 2],
 }
 
 /// One seed: every tick runs and every agent returns `Ok`; a fault-free
 /// run is `TaskRunner`'s report bit for bit; a run with no degraded
 /// poll alerts only on ground-truth violations; a rerun is identical.
 fn sweep_seed(seed: u64) -> Result<(), String> {
-    let scenario = Scenario::of(seed);
-    let (outcome, agents) = scenario.run(seed)?;
-    let report = &outcome.report;
+    check(&Scenario::of(seed), seed).map(drop)
+}
+
+/// [`sweep_seed`]'s checks of `scenario` under `seed`; what its run did.
+fn check(scenario: &Scenario, seed: u64) -> Result<Ran, String> {
+    let ran = scenario.run(seed)?;
+    let report = &ran.outcome.report;
     if report.ticks != scenario.traces[0].len() as u64 {
         return Err(format!("{} ticks ran", report.ticks));
     }
@@ -348,10 +446,10 @@ fn sweep_seed(seed: u64) -> Result<(), String> {
             return Err(format!("alert at {tick} without a violation"));
         }
     }
-    if scenario.run(seed)? != (outcome, agents) {
+    if scenario.run(seed)? != ran {
         return Err("the rerun differs".into());
     }
-    Ok(())
+    Ok(ran)
 }
 
 /// Sweeps `seeds`, failing with a one-line `seed=<n>` repro at the first
@@ -373,6 +471,44 @@ fn the_socket_plane_under_a_virtual_clock_holds_across_64_seeds() {
 #[ignore = "≈ 500 seeds; run in release with --ignored"]
 fn the_socket_plane_under_a_virtual_clock_holds_across_500_seeds() {
     sweep(0..500);
+}
+
+/// The window arm, fault-free: every planted local violation polls at
+/// its tick — on a window's first and last tick, on two agents at once —
+/// the agents that stepped past tick 21 rewind to it, and the report is
+/// the in-process runner's bit for bit.
+#[test]
+fn planted_violations_poll_at_their_ticks_and_rewind_the_agents_ahead() {
+    let ran = check(&Scenario::windows(false), 7).unwrap_or_else(|e| panic!("{e}"));
+    let (report, rewinds) = (&ran.outcome.report, ran.rewinds);
+    assert_eq!(report.polls, 6, "one poll per planted tick");
+    assert_eq!(report.alert_ticks, [30]);
+    assert!(rewinds >= 4, "agents 0 and 2 rewound to tick 21: {rewinds}");
+    assert_eq!(report.missed_tick_reports, 0);
+}
+
+/// The window arm under a storm every 13 ticks, with agent 0's link cut
+/// right after its first rewind — the poll's reply lost: every tick
+/// still runs, every agent ends, the rerun is identical, and the planted
+/// global violation still alerts.
+#[test]
+fn a_link_cut_in_mid_rewind_under_storms_loses_no_planted_alert() {
+    let Ran {
+        outcome, rewinds, ..
+    } = check(&Scenario::windows(true), 11).unwrap_or_else(|e| panic!("{e}"));
+    assert!(rewinds > 0);
+    assert!(
+        outcome.report.alert_ticks.contains(&30),
+        "{:?}",
+        outcome.report
+    );
+    assert!(outcome.net.kicked > 0, "the storms kicked");
+    let net = &outcome.net;
+    assert_eq!(net.reconnects, net.kicked + 1, "the storms' and the cut's");
+    assert_eq!(
+        outcome.report.degraded_polls, 1,
+        "the poll the cut answered"
+    );
 }
 
 /// The seeds a 6 000-seed sweep once failed, all one way: the world cut

@@ -11,18 +11,20 @@
 //!
 //! - **agent → coordinator**: the first line on a fresh connection is an
 //!   [`AgentHello`] declaring the range of monitors behind the socket.
-//!   Every later line is a [`ReplyBatch`] — a run of `TickDone`s or of
-//!   `PollReply`s at one epoch and tick — or one raw
-//!   [`MonitorFrame`]: every other reply, a run of one, and any reply
-//!   the wire cannot carry ([`MonitorToCoordinator::is_wire_representable`]),
-//!   which travels alone so its malformed line takes no neighbour down.
+//!   Every later line is a [`ReplyBatch`] — a run of `TickDone`s, of
+//!   `PollReply`s or of `Revived` notices at one epoch (and tick), or a
+//!   window's tick reports row by row — or one raw [`MonitorFrame`]:
+//!   every other reply, a run of one, and any reply the wire cannot
+//!   carry ([`MonitorToCoordinator::is_wire_representable`]), which
+//!   travels alone so its malformed line takes no neighbour down.
 //!   [`encode_replies`] writes them; [`expand_reply_line`] turns a line
 //!   back into the frames it carries, in order. An empty line is the
 //!   agent's goodbye: every monitor it hosts is shut down.
 //! - **coordinator → agent**: every line is a [`ServerFrame`] — a
 //!   [`ServerFrame::Welcome`] acknowledging a hello, a
 //!   [`ServerFrame::Ctl`] wrapping one control frame for one monitor,
-//!   [`ServerFrame::Ticks`] carrying one tick's data for a run, or a
+//!   [`ServerFrame::Ticks`] carrying one tick's data for a run,
+//!   [`ServerFrame::Window`] a window of ticks' data, or a
 //!   [`ServerFrame::Fan`] carrying one control frame for a run.
 //!   [`encode_controls`] writes them by the socket plane's rule;
 //!   [`ServerFrame::expand`] hands an agent each `(monitor, frame)`.
@@ -122,12 +124,34 @@ pub enum ServerFrame {
         /// The epoch-stamped control frame each of them gets.
         frame: ControlFrame,
     },
+    /// A granted window's data for a run of monitors: the `len` ticks
+    /// from `tick`, row by row — monitor `first + i` gets tick `tick + r`
+    /// as `values.0[r * count + i]`, `count` being `values.0.len() / len`.
+    /// The agent steps the run through it and answers once
+    /// ([`ReplyBatch::Window`]).
+    Window {
+        /// The epoch every frame of the window is stamped with.
+        epoch: u64,
+        /// The window's first tick.
+        tick: Tick,
+        /// How many ticks it spans (at most [`MAX_WINDOW`]).
+        len: u32,
+        /// The run's first monitor id.
+        first: u32,
+        /// `len` rows of one finite value per monitor, as their bits.
+        values: F64Column,
+    },
 }
+
+/// The most ticks one window spans: a window's line carries this many
+/// values per monitor, and an agent keeps as many to replay a rewind.
+pub const MAX_WINDOW: usize = 8;
 
 impl ServerFrame {
     /// Hands `deliver` each `(monitor, frame)` this line carries, in id
-    /// order, for the monitors in `hosted` only — so a run's claimed
-    /// length costs the agent no more than the monitors it hosts.
+    /// order — a window's tick by tick — for the monitors in `hosted`
+    /// only, so a run's claimed length costs the agent no more than the
+    /// monitors it hosts.
     pub fn expand(self, hosted: Range<u32>, mut deliver: impl FnMut(u32, ControlFrame)) {
         match self {
             ServerFrame::Welcome { .. } => {}
@@ -159,12 +183,29 @@ impl ServerFrame {
                     deliver(to, frame);
                 }
             }
+            ServerFrame::Window {
+                epoch,
+                tick,
+                len,
+                first,
+                values,
+            } => {
+                let count = (values.0.len() / len.max(1) as usize).max(1);
+                for (tick, row) in (tick..).zip(values.0.chunks_exact(count)) {
+                    for (to, &value) in (first..=u32::MAX).zip(row) {
+                        if hosted.contains(&to) {
+                            let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
+                            deliver(to, ControlFrame { epoch, msg });
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
 /// A reply line carrying a run of consecutive monitors' replies of one
-/// kind, at one epoch and tick.
+/// kind, at one epoch (and tick).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ReplyBatch {
     /// `TickDone`s of monitors `first..`: one flag digit each — bit 0
@@ -192,15 +233,61 @@ pub enum ReplyBatch {
         /// One `forced_sample` per monitor (`0` or `1`), in id order.
         forced: DigitColumn<1>,
     },
+    /// The `Revived` notices of the `count` monitors from `first`.
+    Revived {
+        /// The epoch every notice of the run is stamped with.
+        epoch: u64,
+        /// The run's first monitor id.
+        first: u32,
+        /// How many consecutive monitors announce themselves.
+        count: u32,
+    },
+    /// The tick reports of a run of monitors over the ticks of a window
+    /// they stepped, from its first: row by row, one digit per monitor as
+    /// in [`TickDones`](Self::TickDones), `8` where a monitor sent none at
+    /// this epoch. The rows end with the first on which one of them
+    /// violated, or with the window.
+    Window {
+        /// The epoch every report of the run is stamped with.
+        epoch: u64,
+        /// The window's first tick.
+        tick: Tick,
+        /// The run's first monitor id.
+        first: u32,
+        /// How many consecutive monitors each row holds.
+        count: u32,
+        /// The rows, `count` digits (`0`–`8`) each.
+        flags: DigitColumn<8>,
+    },
+}
+
+/// The `TickDone` of `monitor` at `tick` that flag digit `bits` encodes.
+pub(crate) fn tick_done(monitor: u32, tick: Tick, bits: u8) -> MonitorToCoordinator {
+    MonitorToCoordinator::TickDone {
+        monitor: MonitorId(monitor),
+        tick,
+        sampled: bits & 1 != 0,
+        violation: bits & 2 != 0,
+        suppressed: bits & 4 != 0,
+    }
+}
+
+/// The flag digit of a `TickDone`.
+pub(crate) fn flag_digit(sampled: bool, violation: bool, suppressed: bool) -> u8 {
+    u8::from(sampled) | u8::from(violation) << 1 | u8::from(suppressed) << 2
+}
+
+/// Whether a run of `len` from `first` stays within the ids.
+fn fits(first: u32, len: usize) -> bool {
+    u64::from(first) + len as u64 <= 1 << 32
 }
 
 impl ReplyBatch {
-    /// The frames the batch carries, handed to `admit` in order — or
-    /// none, returning `false`, when its columns disagree in length or
-    /// the run runs past the last id. (Each column's parser has checked
-    /// the column's own contents.)
+    /// The frames the batch carries, handed to `admit` in order — a
+    /// window's row by row — or none, returning `false`, when its columns
+    /// disagree in length or the run runs past the last id. (Each
+    /// column's parser has checked the column's own contents.)
     fn expand(self, mut admit: impl FnMut(MonitorFrame)) -> bool {
-        let fits = |first: u32, len: usize| u64::from(first) + len as u64 <= 1 << 32;
         match self {
             ReplyBatch::TickDones {
                 epoch,
@@ -212,13 +299,7 @@ impl ReplyBatch {
                     return false;
                 }
                 for (monitor, bits) in (first..=u32::MAX).zip(flags.0) {
-                    let msg = MonitorToCoordinator::TickDone {
-                        monitor: MonitorId(monitor),
-                        tick,
-                        sampled: bits & 1 != 0,
-                        violation: bits & 2 != 0,
-                        suppressed: bits & 4 != 0,
-                    };
+                    let msg = tick_done(monitor, tick, bits);
                     admit(MonitorFrame { epoch, msg });
                 }
             }
@@ -243,54 +324,52 @@ impl ReplyBatch {
                     admit(MonitorFrame { epoch, msg });
                 }
             }
+            ReplyBatch::Revived {
+                epoch,
+                first,
+                count,
+            } => {
+                if !fits(first, count as usize) {
+                    return false;
+                }
+                for monitor in first..first.saturating_add(count) {
+                    let msg = MonitorToCoordinator::Revived {
+                        monitor: MonitorId(monitor),
+                    };
+                    admit(MonitorFrame { epoch, msg });
+                }
+            }
+            ReplyBatch::Window {
+                epoch,
+                tick,
+                first,
+                count,
+                flags,
+            } => {
+                let Some(rows) = window_rows(first, count, flags.0.len()) else {
+                    return false;
+                };
+                for (row, digits) in (0..rows).zip(flags.0.chunks_exact(count as usize)) {
+                    for (monitor, &bits) in (first..).zip(digits) {
+                        if bits < 8 {
+                            let msg = tick_done(monitor, tick + row, bits);
+                            admit(MonitorFrame { epoch, msg });
+                        }
+                    }
+                }
+            }
         }
         true
     }
+}
 
-    /// The batch of `run`, replies [`batchable`] found consecutive.
-    fn of(run: &[MonitorFrame]) -> ReplyBatch {
-        let epoch = run[0].epoch;
-        match run[0].msg {
-            MonitorToCoordinator::PollReply { monitor, tick, .. } => {
-                let (values, forced) = run
-                    .iter()
-                    .map(|frame| match frame.msg {
-                        MonitorToCoordinator::PollReply {
-                            value,
-                            forced_sample,
-                            ..
-                        } => (value, u8::from(forced_sample)),
-                        _ => unreachable!("a run holds one kind"),
-                    })
-                    .unzip();
-                ReplyBatch::PollReplies {
-                    epoch,
-                    tick,
-                    first: monitor.0,
-                    values: F64Column(values),
-                    forced: DigitColumn(forced),
-                }
-            }
-            MonitorToCoordinator::TickDone { monitor, tick, .. } => {
-                let flags = run.iter().map(|frame| match frame.msg {
-                    MonitorToCoordinator::TickDone {
-                        sampled,
-                        violation,
-                        suppressed,
-                        ..
-                    } => u8::from(sampled) | u8::from(violation) << 1 | u8::from(suppressed) << 2,
-                    _ => unreachable!("a run holds one kind"),
-                });
-                ReplyBatch::TickDones {
-                    epoch,
-                    tick,
-                    first: monitor.0,
-                    flags: DigitColumn(flags.collect()),
-                }
-            }
-            _ => unreachable!("only tick reports and poll replies batch"),
-        }
-    }
+/// How many rows a window reply of `count` monitors from `first` with
+/// `digits` flag digits holds — `None` for one that is no whole number
+/// of rows, or runs past the last id.
+pub(crate) fn window_rows(first: u32, count: u32, digits: usize) -> Option<u64> {
+    let count = count as usize;
+    let whole = count > 0 && digits.is_multiple_of(count) && digits / count <= MAX_WINDOW;
+    (whole && fits(first, count)).then_some((digits / count.max(1)) as u64)
 }
 
 /// A column of finite `f64`s as one JSON string: each value's
@@ -347,7 +426,6 @@ impl F64Column {
     }
 
     fn parse(text: &str) -> Option<Self> {
-        const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
         let text = text.as_bytes();
         if !text.len().is_multiple_of(Self::WIDTH) {
             return None;
@@ -355,17 +433,115 @@ impl F64Column {
         // One flag for the whole column, checked once: no branch per value.
         let mut invalid = 0;
         let values = text.chunks_exact(Self::WIDTH).map(|digits| {
-            let word =
-                |at: usize| u64::from_be_bytes(digits[at..at + 8].try_into().expect("8 digits"));
-            let ((high, high_invalid), (low, low_invalid)) =
-                (hex_value(word(0)), hex_value(word(8)));
-            let bits = high << 32 | low;
-            invalid |= high_invalid | low_invalid | u64::from(bits & EXPONENT == EXPONENT);
-            f64::from_bits(bits)
+            let (value, flag) = Self::cell(digits);
+            invalid |= flag;
+            value
         });
         let values = values.collect();
         (invalid == 0).then_some(F64Column(values))
     }
+
+    /// The value one cell's 16 digits spell, and a flag that is non-zero
+    /// unless they are canonical and the value finite.
+    fn cell(digits: &[u8]) -> (f64, u64) {
+        const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+        let word = |at: usize| u64::from_be_bytes(digits[at..at + 8].try_into().expect("8 digits"));
+        let ((high, high_invalid), (low, low_invalid)) = (hex_value(word(0)), hex_value(word(8)));
+        let bits = high << 32 | low;
+        let invalid = high_invalid | low_invalid | u64::from(bits & EXPONENT == EXPONENT);
+        (f64::from_bits(bits), invalid)
+    }
+}
+
+/// A [`ServerFrame::Window`] line as an agent reads it: the fields, and
+/// the values still the text of their column — read cell by cell where
+/// they lie in the line, never collected.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowLine<'a> {
+    pub(crate) epoch: u64,
+    pub(crate) tick: Tick,
+    pub(crate) len: u32,
+    pub(crate) first: u32,
+    /// The run's monitors: the values' cells over `len` rows.
+    pub(crate) count: usize,
+    values: &'a [u8],
+}
+
+impl<'a> WindowLine<'a> {
+    /// The window `line` carries: `None` unless it is a
+    /// [`ServerFrame::Window`] line whose values are `len` whole rows of
+    /// canonical finite cells, `len` at most [`MAX_WINDOW`] — the line
+    /// [`ServerFrame`]'s decoder accepts, and a shape it would not.
+    pub(crate) fn parse(line: &'a [u8]) -> Option<Self> {
+        let mut parser = Parser::new(line);
+        if !parser.object_begin().ok()? || parser.object_key().ok()? != "Window" {
+            return None;
+        }
+        let (mut fields, mut seen) = ([0u64; 4], 0u8);
+        let mut values = None;
+        let mut more = parser.object_begin().ok()?;
+        while more {
+            let key = parser.object_key().ok()?;
+            let at = ["epoch", "tick", "len", "first"]
+                .iter()
+                .position(|name| *name == key);
+            match at {
+                Some(at) => fields[at] = u64::from_json(&mut parser).ok()?,
+                None if key == "values" => match parser.parse_str().ok()? {
+                    std::borrow::Cow::Borrowed(text) => values = Some(text.as_bytes()),
+                    std::borrow::Cow::Owned(_) => return None,
+                },
+                None => return None,
+            }
+            seen |= 1 << at.unwrap_or(4);
+            more = parser.object_next().ok()?;
+        }
+        if parser.object_next().ok()? || parser.end().is_err() || seen != 0b1_1111 {
+            return None;
+        }
+        let [epoch, tick, len, first] = fields;
+        let (len, first) = (u32::try_from(len).ok()?, u32::try_from(first).ok()?);
+        let values = values?;
+        let cells = values.len() / F64Column::WIDTH;
+        let rows = len as usize;
+        let whole = values.len().is_multiple_of(F64Column::WIDTH)
+            && (1..=MAX_WINDOW).contains(&rows)
+            && cells.is_multiple_of(rows);
+        let count = cells / rows.max(1);
+        let mut invalid = 0;
+        for digits in values.chunks_exact(F64Column::WIDTH) {
+            invalid |= F64Column::cell(digits).1;
+        }
+        (whole && invalid == 0 && fits(first, count)).then_some(WindowLine {
+            epoch,
+            tick,
+            len,
+            first,
+            count,
+            values,
+        })
+    }
+
+    /// The value of the run's `column`-th monitor on the window's `row`-th
+    /// tick.
+    pub(crate) fn value(&self, row: usize, column: usize) -> f64 {
+        let at = (row * self.count + column) * F64Column::WIDTH;
+        F64Column::cell(&self.values[at..at + F64Column::WIDTH]).0
+    }
+}
+
+/// The bytes a window line — [`ServerFrame::Window`] or
+/// [`ReplyBatch::Window`] — and no other line opens with.
+pub(crate) fn window_tag() -> Vec<u8> {
+    let probe = crate::message::encode(&ReplyBatch::Window {
+        epoch: 0,
+        tick: 0,
+        first: 0,
+        count: 1,
+        flags: DigitColumn(vec![0]),
+    });
+    let key = probe.iter().position(|&b| b == b':').map_or(0, |at| at + 1);
+    probe[..key].to_vec()
 }
 
 /// An [`F64Column`] over borrowed values: the same text, written
@@ -406,6 +582,42 @@ impl<const MAX: u8> DigitColumn<MAX> {
     }
 }
 
+/// A [`DigitColumn`] over borrowed digits: the same text, written
+/// without owning them.
+struct DigitView<'a>(&'a [u8]);
+
+impl DigitView<'_> {
+    fn write_digits(&self, out: &mut Vec<u8>) {
+        out.extend(self.0.iter().map(|&value| b'0' + value.min(10)));
+    }
+}
+
+/// The values of a run of monitors over a span of ticks, read off the
+/// caller's traces as they are written — row by row, each row the run's
+/// monitors in id order — so a send copies no value anywhere but onto
+/// the wire.
+struct ValuesView<'a> {
+    value: &'a dyn Fn(u32, Tick) -> f64,
+    monitors: Range<u32>,
+    ticks: Range<Tick>,
+}
+
+impl ValuesView<'_> {
+    fn write_digits(&self, out: &mut Vec<u8>) {
+        let count = self.monitors.len() * (self.ticks.end - self.ticks.start) as usize;
+        let start = out.len();
+        out.resize(start + count * F64Column::WIDTH, 0);
+        let mut cells = out[start..].chunks_exact_mut(F64Column::WIDTH);
+        for tick in self.ticks.clone() {
+            for (monitor, cell) in self.monitors.clone().zip(&mut cells) {
+                let bits = (self.value)(monitor, tick).to_bits();
+                cell[..8].copy_from_slice(&hex_digits((bits >> 32) as u32));
+                cell[8..].copy_from_slice(&hex_digits(bits as u32));
+            }
+        }
+    }
+}
+
 /// The serde impls of a column type: a JSON string of its digits, the
 /// same on the streaming and the tree path (`ser` alone for a view).
 macro_rules! column_serde {
@@ -442,38 +654,236 @@ macro_rules! column_serde {
 
 column_serde!([] F64Column);
 column_serde!(ser [] F64View<'_>);
+column_serde!(ser [] ValuesView<'_>);
 column_serde!([const MAX: u8] DigitColumn<MAX>);
+column_serde!(ser [] DigitView<'_>);
 
-/// [`ServerFrame::Ticks`] over a run's borrowed values — the same
-/// variant, fields and derive, so the same bytes — for
-/// [`ControlRun::write`], which then copies no values out of its run.
+/// [`ServerFrame`]'s data lines over values read off the traces — the
+/// same variants, fields and derive, so the same bytes — for
+/// [`write_data`], which then copies no value out of the traces.
 #[derive(Serialize)]
-enum TicksLine<'a> {
+enum DataLine<'a> {
     Ticks {
         epoch: u64,
         tick: Tick,
         first: u32,
-        values: F64View<'a>,
+        values: ValuesView<'a>,
+    },
+    Window {
+        epoch: u64,
+        tick: Tick,
+        len: u32,
+        first: u32,
+        values: ValuesView<'a>,
     },
 }
 
+/// [`ReplyBatch`] over borrowed columns — the same variants, fields and
+/// derive, so the same bytes — for [`ReplyWriter`], which holds a run's
+/// replies as columns instead of frames.
+#[derive(Serialize)]
+enum ReplyLine<'a> {
+    TickDones {
+        epoch: u64,
+        tick: Tick,
+        first: u32,
+        flags: DigitView<'a>,
+    },
+    PollReplies {
+        epoch: u64,
+        tick: Tick,
+        first: u32,
+        values: F64View<'a>,
+        forced: DigitView<'a>,
+    },
+    Revived {
+        epoch: u64,
+        first: u32,
+        count: u32,
+    },
+    Window {
+        epoch: u64,
+        tick: Tick,
+        first: u32,
+        count: u32,
+        flags: DigitView<'a>,
+    },
+}
+
+/// The kinds of reply that batch, and what a run of one kind shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    TickDones(Tick),
+    PollReplies(Tick),
+    Revived,
+}
+
 /// What a reply must share with its neighbours to join their line —
-/// kind (`true` for a poll reply), epoch and tick — and its sender,
-/// which must follow theirs; `None` for a reply that always travels
-/// alone: one that is neither a tick report nor a poll reply, or that
-/// the wire cannot carry.
-fn batchable(frame: &MonitorFrame) -> Option<((bool, u64, Tick), u32)> {
+/// kind, epoch and tick — and its sender, which must follow theirs;
+/// `None` for a reply that always travels alone: a period report or a
+/// snapshot, or one the wire cannot carry.
+fn batchable(frame: &MonitorFrame) -> Option<((RunKind, u64), u32)> {
     if !frame.msg.is_wire_representable() {
         return None;
     }
-    match frame.msg {
-        MonitorToCoordinator::TickDone { monitor, tick, .. } => {
-            Some(((false, frame.epoch, tick), monitor.0))
-        }
+    let (kind, monitor) = match frame.msg {
+        MonitorToCoordinator::TickDone { monitor, tick, .. } => (RunKind::TickDones(tick), monitor),
         MonitorToCoordinator::PollReply { monitor, tick, .. } => {
-            Some(((true, frame.epoch, tick), monitor.0))
+            (RunKind::PollReplies(tick), monitor)
         }
-        _ => None,
+        MonitorToCoordinator::Revived { monitor } => (RunKind::Revived, monitor),
+        _ => return None,
+    };
+    Some(((kind, frame.epoch), monitor.0))
+}
+
+/// An agent's reply encoder: takes the replies to one line one at a
+/// time and appends them as lines — each run of consecutive monitors'
+/// batchable replies of one kind, epoch and tick as one [`ReplyBatch`]
+/// (split so that no line's payload passes the frame cap), every other
+/// reply as its own [`MonitorFrame`] line. A run waits as columns, a
+/// digit and a value per monitor, never as frames.
+#[derive(Debug)]
+pub(crate) struct ReplyWriter {
+    max_frame: usize,
+    /// The open run's kind and epoch, and its first monitor.
+    run: Option<((RunKind, u64), u32)>,
+    /// Per monitor of the open run: its flag digit (a tick report's
+    /// flags, a poll reply's `forced`), and a poll reply's value.
+    digits: Vec<u8>,
+    values: Vec<f64>,
+    /// Lines appended since the last [`finish`](Self::finish).
+    lines: u64,
+}
+
+impl ReplyWriter {
+    /// A writer keeping each batch line under `max_frame`.
+    pub(crate) fn new(max_frame: usize) -> Self {
+        ReplyWriter {
+            max_frame,
+            run: None,
+            digits: Vec::new(),
+            values: Vec::new(),
+            lines: 0,
+        }
+    }
+
+    /// Takes the next reply, appending to `out` whatever it completes.
+    pub(crate) fn push(&mut self, reply: &MonitorFrame, out: &mut Vec<u8>) {
+        let key = batchable(reply);
+        let joins = match (self.run, key) {
+            (Some((open, first)), Some((key, monitor))) => {
+                open == key && u64::from(first) + self.digits.len() as u64 == u64::from(monitor)
+            }
+            _ => false,
+        };
+        if !joins {
+            self.close(out);
+            if key.is_none() {
+                encode_into(reply, out);
+                self.lines += 1;
+                return;
+            }
+            self.run = key;
+        }
+        let (digit, value) = match reply.msg {
+            MonitorToCoordinator::TickDone {
+                sampled,
+                violation,
+                suppressed,
+                ..
+            } => (flag_digit(sampled, violation, suppressed), 0.0),
+            MonitorToCoordinator::PollReply {
+                value,
+                forced_sample,
+                ..
+            } => (u8::from(forced_sample), value),
+            _ => (0, 0.0),
+        };
+        self.digits.push(digit);
+        self.values.push(value);
+    }
+
+    /// Appends one [`ReplyBatch::Window`] line: the run of `count`
+    /// monitors from `first` over the rows of `flags`, stepped from
+    /// `tick` at `epoch`.
+    pub(crate) fn window(
+        &mut self,
+        (epoch, tick): (u64, Tick),
+        (first, count): (u32, u32),
+        flags: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        self.close(out);
+        let flags = DigitView(flags);
+        let line = ReplyLine::Window {
+            epoch,
+            tick,
+            first,
+            count,
+            flags,
+        };
+        encode_into(&line, out);
+        self.lines += 1;
+    }
+
+    /// Appends the open run, if any, and returns how many lines were
+    /// appended since the last call.
+    pub(crate) fn finish(&mut self, out: &mut Vec<u8>) -> u64 {
+        self.close(out);
+        std::mem::take(&mut self.lines)
+    }
+
+    /// Appends the open run as lines under the frame cap; a run of one
+    /// as the frame it was.
+    fn close(&mut self, out: &mut Vec<u8>) {
+        let Some(((kind, epoch), first)) = self.run.take() else {
+            return;
+        };
+        let (digits, values) = (&self.digits, &self.values);
+        let mut write = |part: Range<usize>, out: &mut Vec<u8>| {
+            let at = first + part.start as u32;
+            if part.len() == 1 {
+                let msg = match kind {
+                    RunKind::TickDones(tick) => tick_done(at, tick, digits[part.start]),
+                    RunKind::PollReplies(tick) => MonitorToCoordinator::PollReply {
+                        monitor: MonitorId(at),
+                        tick,
+                        value: values[part.start],
+                        forced_sample: digits[part.start] == 1,
+                    },
+                    RunKind::Revived => MonitorToCoordinator::Revived {
+                        monitor: MonitorId(at),
+                    },
+                };
+                return encode_into(&MonitorFrame { epoch, msg }, out);
+            }
+            let line = match kind {
+                RunKind::TickDones(tick) => ReplyLine::TickDones {
+                    epoch,
+                    tick,
+                    first: at,
+                    flags: DigitView(&digits[part]),
+                },
+                RunKind::PollReplies(tick) => ReplyLine::PollReplies {
+                    epoch,
+                    tick,
+                    first: at,
+                    values: F64View(&values[part.clone()]),
+                    forced: DigitView(&digits[part]),
+                },
+                RunKind::Revived => ReplyLine::Revived {
+                    epoch,
+                    first: at,
+                    count: part.len() as u32,
+                },
+            };
+            encode_into(&line, out);
+        };
+        let len = self.digits.len();
+        self.lines += write_split(0..len, self.max_frame, out, &mut write);
+        self.digits.clear();
+        self.values.clear();
     }
 }
 
@@ -483,24 +893,11 @@ fn batchable(frame: &MonitorFrame) -> Option<((bool, u64, Tick), u32)> {
 /// [`ReplyBatch`] (split so that no line's payload passes `max_frame`),
 /// every other reply as its own [`MonitorFrame`] line.
 pub fn encode_replies(replies: &[MonitorFrame], max_frame: usize, out: &mut Vec<u8>) -> u64 {
-    let joins = |pair: &[MonitorFrame]| match (batchable(&pair[0]), batchable(&pair[1])) {
-        (Some((key, monitor)), Some((next_key, next))) => {
-            key == next_key && monitor.checked_add(1) == Some(next)
-        }
-        _ => false,
-    };
-    let mut lines = 0;
-    let mut rest = replies;
-    while !rest.is_empty() {
-        let len = 1 + rest.windows(2).take_while(|pair| joins(pair)).count();
-        let (run, tail) = rest.split_at(len);
-        lines += write_split(0..len, max_frame, out, &mut |part, out| match &run[part] {
-            [one] => encode_into(one, out),
-            many => encode_into(&ReplyBatch::of(many), out),
-        });
-        rest = tail;
+    let mut writer = ReplyWriter::new(max_frame);
+    for reply in replies {
+        writer.push(reply, out);
     }
-    lines
+    writer.finish(out)
 }
 
 /// Hands `admit` every frame one agent line carries, in order — a
@@ -515,139 +912,148 @@ pub fn expand_reply_line(line: &[u8], mut admit: impl FnMut(MonitorFrame)) -> bo
     }
 }
 
-/// A run of control frames for consecutive monitors, as a send gathers
-/// it: one tick's data (each frame's value kept in `values`), or one
-/// frame repeated.
-pub(crate) struct ControlRun {
-    first: u32,
-    len: usize,
-    /// The run's first frame.
+/// Appends `frame` for the `count` monitors from `first` as coordinator
+/// lines whose payloads fit `max_frame` wherever a split can make them —
+/// a [`ServerFrame::Fan`], or a [`ServerFrame::Ctl`] for one — returning
+/// how many.
+pub(crate) fn write_fan(
+    (first, count): (u32, usize),
     frame: ControlFrame,
-    /// Every frame's value, for a run of tick data; empty otherwise.
-    values: Vec<f64>,
+    max_frame: usize,
+    out: &mut Vec<u8>,
+) -> u64 {
+    write_split(0..count, max_frame, out, &mut |part, out| {
+        let at = first + part.start as u32;
+        let line = match part.len() {
+            1 => ServerFrame::Ctl { to: at, frame },
+            n => ServerFrame::Fan {
+                first: at,
+                count: n as u32,
+                frame,
+            },
+        };
+        encode_into(&line, out);
+    })
 }
 
-impl ControlRun {
-    fn new(to: u32, frame: ControlFrame) -> Self {
-        let values = match frame.msg {
-            CoordinatorToMonitor::Tick(data) => vec![data.value],
-            _ => Vec::new(),
-        };
-        ControlRun {
-            first: to,
-            len: 1,
-            frame,
-            values,
+/// Appends the data of `ticks` for the monitors `monitors`, read off
+/// `value`, as coordinator lines whose payloads fit `max_frame` wherever
+/// a split (by monitors) can make them, returning how many: one tick as
+/// [`ServerFrame::Ticks`] (a [`ServerFrame::Ctl`] for one monitor), more
+/// as [`ServerFrame::Window`].
+pub(crate) fn write_data(
+    epoch: u64,
+    ticks: Range<Tick>,
+    (monitors, value): (Range<u32>, &dyn Fn(u32, Tick) -> f64),
+    max_frame: usize,
+    out: &mut Vec<u8>,
+) -> u64 {
+    let (tick, len) = (ticks.start, ticks.end - ticks.start);
+    let count = monitors.len();
+    write_split(0..count, max_frame, out, &mut |part, out| {
+        let first = monitors.start + part.start as u32;
+        let monitors = first..first + part.len() as u32;
+        // Room for the whole line at once: a long one is not doubled into.
+        out.reserve(WINDOW_OVERHEAD + 1 + part.len() * len as usize * F64Column::WIDTH);
+        if len > 1 {
+            let values = ValuesView {
+                value,
+                monitors,
+                ticks: ticks.clone(),
+            };
+            let len = len as u32;
+            return encode_into(
+                &DataLine::Window {
+                    epoch,
+                    tick,
+                    len,
+                    first,
+                    values,
+                },
+                out,
+            );
         }
-    }
+        if part.len() == 1 {
+            let value = value(first, tick);
+            let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
+            let frame = ControlFrame { epoch, msg };
+            return encode_into(&ServerFrame::Ctl { to: first, frame }, out);
+        }
+        let values = ValuesView {
+            value,
+            monitors,
+            ticks: ticks.clone(),
+        };
+        encode_into(
+            &DataLine::Ticks {
+                epoch,
+                tick,
+                first,
+                values,
+            },
+            out,
+        );
+    })
+}
 
-    /// Frames in the run.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
+/// The longest window whose line for a single monitor fits `max_frame`
+/// at any epoch, tick and id — one that fits travels however the plane
+/// splits its run — capped at `len`; 1 when no window fits.
+pub(crate) fn window_fits(len: u64, max_frame: usize) -> u64 {
+    let fits = max_frame.saturating_sub(WINDOW_OVERHEAD) / F64Column::WIDTH;
+    len.min(fits.min(MAX_WINDOW) as u64).max(1)
+}
 
-    /// Takes `frame` for monitor `to` into the run if it continues it:
-    /// the next id, and the same frame — or, for tick data, the same
-    /// epoch and tick and a value the wire can carry (a non-finite one
-    /// travels alone, like a reply that holds one).
-    fn join(&mut self, to: u32, frame: &ControlFrame) -> bool {
-        let next = u64::from(self.first) + self.len as u64 == u64::from(to);
-        let joins = next
-            && match (self.frame.msg, frame.msg) {
+/// The most a data line holds besides its values:
+/// `{"Window":{"epoch":…,"tick":…,"len":…,"first":…,"values":"…"}}` has
+/// 57 bytes of keys and punctuation, and at most 20 + 20 + 10 + 10 digits.
+const WINDOW_OVERHEAD: usize = 57 + 60;
+
+/// Appends `frames` — `(monitor, frame)` in send order, all for one
+/// connection — as coordinator lines by the socket plane's rule and
+/// returns how many: each run of one tick's data for consecutive
+/// monitors as [`ServerFrame::Ticks`], each run of one repeated frame as
+/// [`ServerFrame::Fan`] (split so that no line's payload passes
+/// `max_frame`), a run of one as [`ServerFrame::Ctl`]. A non-finite
+/// value travels alone, like a reply that holds one.
+pub fn encode_controls(frames: &[(u32, ControlFrame)], max_frame: usize, out: &mut Vec<u8>) -> u64 {
+    // Whether `next` continues the run `frames[run]`.
+    let joins = |run: &[(u32, ControlFrame)], next: &(u32, ControlFrame)| {
+        let (first, frame) = run[0];
+        let consecutive = u64::from(first) + run.len() as u64 == u64::from(next.0);
+        consecutive
+            && match (frame.msg, next.1.msg) {
                 (CoordinatorToMonitor::Tick(run), CoordinatorToMonitor::Tick(data)) => {
-                    (self.frame.epoch, run.tick) == (frame.epoch, data.tick)
+                    (frame.epoch, run.tick) == (next.1.epoch, data.tick)
                         && run.value.is_finite()
                         && data.value.is_finite()
                 }
                 (CoordinatorToMonitor::Tick(_), _) | (_, CoordinatorToMonitor::Tick(_)) => false,
-                _ => self.frame == *frame,
-            };
-        if joins {
-            if let CoordinatorToMonitor::Tick(data) = frame.msg {
-                self.values.push(data.value);
+                _ => frame == next.1,
             }
-            self.len += 1;
-        }
-        joins
-    }
-
-    /// Appends the run's frames `part` (indexes into the run) as lines
-    /// whose payloads fit `max_frame` wherever a split can make them,
-    /// returning how many.
-    pub(crate) fn write(&self, part: Range<usize>, max_frame: usize, out: &mut Vec<u8>) -> u64 {
-        write_split(part, max_frame, out, &mut |part, out| {
-            let first = self.first + part.start as u32;
-            let (epoch, msg) = (self.frame.epoch, self.frame.msg);
-            let line = match msg {
-                CoordinatorToMonitor::Tick(data) if part.len() > 1 => {
-                    let line = TicksLine::Ticks {
-                        epoch,
-                        tick: data.tick,
-                        first,
-                        values: F64View(&self.values[part]),
-                    };
-                    return encode_into(&line, out);
-                }
-                CoordinatorToMonitor::Tick(data) => {
-                    let value = self.values[part.start];
-                    let msg = CoordinatorToMonitor::Tick(TickData { value, ..data });
-                    ServerFrame::Ctl {
-                        to: first,
-                        frame: ControlFrame { epoch, msg },
-                    }
-                }
-                _ if part.len() > 1 => ServerFrame::Fan {
-                    first,
-                    count: part.len() as u32,
-                    frame: self.frame,
-                },
-                _ => ServerFrame::Ctl {
-                    to: first,
-                    frame: self.frame,
-                },
-            };
-            encode_into(&line, out);
-        })
-    }
-}
-
-/// Cuts `frames` — `(key, monitor, frame)` in send order — into
-/// [`ControlRun`]s and hands `emit` each with its frames' key: a run
-/// holds consecutive frames under one key, so each is staged before any
-/// later frame of that key. The socket plane keys a frame by the
-/// connection it is routed to.
-pub(crate) fn control_runs<K: PartialEq>(
-    frames: impl IntoIterator<Item = (K, u32, ControlFrame)>,
-    mut emit: impl FnMut(K, ControlRun),
-) {
-    let mut pending: Option<(K, ControlRun)> = None;
-    for (key, to, frame) in frames {
-        if let Some((open, run)) = &mut pending {
-            if *open == key && run.join(to, &frame) {
-                continue;
-            }
-        }
-        if let Some((key, run)) = pending.replace((key, ControlRun::new(to, frame))) {
-            emit(key, run);
-        }
-    }
-    if let Some((key, run)) = pending {
-        emit(key, run);
-    }
-}
-
-/// Appends `frames` — `(monitor, frame)` in send order, all for one
-/// connection — as coordinator lines by the socket plane's rule and
-/// returns how many: each run of one tick's data as
-/// [`ServerFrame::Ticks`], each run of one repeated frame as
-/// [`ServerFrame::Fan`] (split so that no line's payload passes
-/// `max_frame`), a run of one as [`ServerFrame::Ctl`].
-pub fn encode_controls(frames: &[(u32, ControlFrame)], max_frame: usize, out: &mut Vec<u8>) -> u64 {
+    };
     let mut lines = 0;
-    let keyed = frames.iter().map(|&(to, frame)| ((), to, frame));
-    control_runs(keyed, |(), run| {
-        lines += run.write(0..run.len(), max_frame, out)
-    });
+    let mut rest = frames;
+    while let Some(&(first, frame)) = rest.first() {
+        let mut len = 1;
+        while len < rest.len() && joins(&rest[..len], &rest[len]) {
+            len += 1;
+        }
+        let (run, tail) = rest.split_at(len);
+        lines += match frame.msg {
+            CoordinatorToMonitor::Tick(data) => {
+                let value = |to: u32, _| match run[(to - first) as usize].1.msg {
+                    CoordinatorToMonitor::Tick(data) => data.value,
+                    _ => unreachable!("a tick run holds tick data"),
+                };
+                let monitors = first..first + len as u32;
+                let ticks = data.tick..data.tick + 1;
+                write_data(frame.epoch, ticks, (monitors, &value), max_frame, out)
+            }
+            _ => write_fan((first, len), frame, max_frame, out),
+        };
+        rest = tail;
+    }
     lines
 }
 

@@ -1,0 +1,157 @@
+//! The socket plane's work budget: what one steady window costs, counted
+//! by the code itself instead of timed — wire lines and bytes each way
+//! and heap allocations per window, and the heap high-water marks of one
+//! 128-monitor agent machine and of the plane — on [`super::sweep`]'s
+//! virtual clock, so every count is a function of the run alone.
+//!
+//! The run is `live-net`'s shape: 256 monitors, two agents of 128, calm
+//! traces, no poll — a window of [`MAX_WINDOW`] ticks at a time. A
+//! steady window's cost is the difference of two runs, 104 and 200
+//! ticks, over the twelve windows between them. The budgets live in
+//! `work_budget.json` beside this file: a count above its budget fails
+//! and prints every count against its budget. A change that lowers a
+//! count lowers its budget with it; one may rise only with its reason
+//! named in `CHANGES.md`.
+//!
+//! Allocations are charged to an [`Account`] by a counting allocator
+//! (`volley_heapcount`): the world that stands in for the network
+//! charges each agent's steps to the agent and wraps the plane's bind
+//! and run in the plane's; what the test scaffolding allocates is
+//! charged to none.
+
+use std::collections::BTreeMap;
+
+use volley_core::hash::splitmix64;
+use volley_core::task::TaskSpec;
+use volley_heapcount::Counting;
+
+use super::sweep::{Ran, Scenario};
+use super::MAX_WINDOW;
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Who an allocation is charged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Account {
+    /// The coordinator's session: its sockets, machine and driver.
+    Plane,
+    /// One agent machine, by index.
+    Agent(usize),
+}
+
+/// Runs `work` with its allocations charged to `account`; past the
+/// counter's accounts, an agent is charged to none.
+pub(super) fn charged<T>(account: Account, work: impl FnOnce() -> T) -> T {
+    let slot = match account {
+        Account::Plane => 0,
+        Account::Agent(agent) => agent + 1,
+    };
+    volley_heapcount::charged(slot, work)
+}
+
+/// `live-net`'s shape for `ticks` ticks: 256 monitors split over two
+/// agents, every value calm (10 to 30 against a local threshold of 60).
+fn steady(ticks: usize) -> Scenario {
+    let spec = TaskSpec::builder(60.0 * 256.0)
+        .monitors(256)
+        .error_allowance(0.05)
+        .max_interval(8)
+        .patience(5)
+        .warmup_samples(3)
+        .build()
+        .expect("valid spec");
+    let noise = |m: u64, t: u64| (splitmix64(m << 32 ^ t) % 2000) as f64 / 100.0;
+    let traces = (0..256u64)
+        .map(|m| (0..ticks as u64).map(|t| 10.0 + noise(m, t)).collect())
+        .collect();
+    Scenario {
+        spec,
+        traces,
+        split: vec![0..128, 128..256],
+        storm: None,
+        cuts: vec![Vec::new(); 2],
+        chunks: vec![16 * 1024; 2],
+        cut_on_rewind: None,
+    }
+}
+
+/// One run's counts: what it did, and per account its allocations and
+/// heap high-water mark.
+fn measure(ticks: usize) -> (Ran, [u64; 2], [i64; 2]) {
+    volley_heapcount::reset();
+    let ran = steady(ticks).run(0).expect("a steady run");
+    let ([plane, agent, ..], [plane_peak, agent_peak, ..]) =
+        (volley_heapcount::calls(), volley_heapcount::peaks());
+    (ran, [plane, agent], [plane_peak, agent_peak])
+}
+
+/// Every count of a steady window, and the two high-water marks.
+fn counts() -> BTreeMap<String, u64> {
+    let (short, short_allocs, _) = measure(104);
+    let (long, long_allocs, peaks) = measure(200);
+    let windows = (200 - 104) / MAX_WINDOW as u64;
+    let per_window = |long: u64, short: u64| (long - short).div_ceil(windows);
+    let (short_net, long_net) = (&short.outcome.net, &long.outcome.net);
+    assert_eq!(long.outcome.report.polls, 0, "a steady run polls nothing");
+    let counted = [
+        (
+            "window.lines_out",
+            per_window(long_net.frames_out, short_net.frames_out),
+        ),
+        (
+            "window.lines_in",
+            per_window(long_net.frames_in, short_net.frames_in),
+        ),
+        (
+            "window.bytes_out",
+            per_window(long.bytes[1], short.bytes[1]),
+        ),
+        ("window.bytes_in", per_window(long.bytes[0], short.bytes[0])),
+        (
+            "window.plane_allocs",
+            per_window(long_allocs[0], short_allocs[0]),
+        ),
+        (
+            "window.agent_allocs",
+            per_window(long_allocs[1], short_allocs[1]),
+        ),
+        ("peak.plane_bytes", peaks[0] as u64),
+        ("peak.agent_bytes", peaks[1] as u64),
+    ];
+    counted
+        .into_iter()
+        .map(|(name, count)| (name.to_string(), count))
+        .collect()
+}
+
+#[test]
+fn a_steady_window_costs_no_more_than_its_budget() {
+    let counts = counts();
+    assert_eq!(
+        counts,
+        self::counts(),
+        "a count that is no function of the run"
+    );
+    let budgets: BTreeMap<String, u64> =
+        serde_json::from_str(include_str!("work_budget.json")).expect("a map of budgets");
+    assert_eq!(
+        counts.keys().collect::<Vec<_>>(),
+        budgets.keys().collect::<Vec<_>>(),
+        "every count has a budget"
+    );
+    let over: Vec<String> = counts
+        .iter()
+        .filter(|(name, count)| *count > &budgets[*name])
+        .map(|(name, count)| format!("{name}: {count} > {}", budgets[name]))
+        .collect();
+    let table: Vec<String> = counts
+        .iter()
+        .map(|(name, count)| format!("{name}: {count} (budget {})", budgets[name]))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "over budget: {over:?}\n{}",
+        table.join("\n")
+    );
+}

@@ -9,11 +9,12 @@
 //!   the plane between them ([`MonitorPlane`]) — the monitors in a slot
 //!   table this session steps itself, or behind sockets it steps just
 //!   the same;
-//! - **step** ([`TaskSession::step`]): send what the machine left
-//!   pending between ticks, then one tick's [`TickData`], then step the
-//!   coordinator machine on this thread — pump monitor frames into it,
-//!   execute its outbox — until the tick's [`TickSummary`] comes out,
-//!   and fold that into the [`RuntimeReport`];
+//! - **step** ([`TaskSession::step_window`]): send what the machine left
+//!   pending between ticks, then a window of ticks' [`TickData`] — one
+//!   tick in process — then step the coordinator machine on this thread
+//!   — pump monitor frames into it a tick at a time, execute its outbox
+//!   — until the window's [`TickSummary`]s come out, and fold them into
+//!   the [`RuntimeReport`];
 //! - **finish** ([`TaskSession::finish`]): Shutdown, flush — on success
 //!   *and* on error;
 //! - **drive** ([`drive`]): the one tick loop over any number of
@@ -57,15 +58,16 @@ use volley_core::time::Tick;
 use volley_core::vfs::SinkHealth;
 use volley_core::{AdaptationConfig, AdaptiveSampler, VolleyError};
 use volley_obs::{names, Counter, Histogram};
+use volley_serve::ServePublisher;
 use volley_store::SampleRecorder;
 
 use crate::checkpoint::{CoordinatorSnapshot, Wal, WalRecord};
-use crate::coordinator::{CoordinatorActor, Output};
+use crate::coordinator::{CoordinatorActor, MonitorRun, Output};
 use crate::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
 use crate::monitor::{MonitorActor, MonitorSlot, SlotTable};
-use crate::net::SocketPlane;
+use crate::net::{SocketPlane, WindowFeed, MAX_WINDOW};
 use crate::runner::{DegradationReport, RuntimeReport, TaskRunner};
 
 /// Hard cap on coordinator failovers per task and run — a backstop
@@ -177,50 +179,91 @@ pub(crate) enum MonitorPlane {
     /// Behind sockets the session steps on its own thread as well: a
     /// control frame is encoded straight into its connection's write
     /// batch, and the replies the agents write back are read into the
-    /// plane's inbox while the coordinator machine waits for them.
-    Remote(Box<SocketPlane>),
+    /// plane's inbox while the coordinator machine waits for them —
+    /// window replies into the feed, which hands the machine their ticks
+    /// one at a time.
+    Remote(Box<SocketPlane>, WindowFeed),
 }
 
 impl MonitorPlane {
     /// The in-process plane of `config`'s task: one fresh slot per
-    /// monitor, its process and link under the session's fault plan.
+    /// monitor, their processes and links under the session's fault plan.
     pub(crate) fn inline(config: &TaskRunner) -> Self {
-        let slot =
-            |idx| MonitorSlot::new(config.actor(0, idx)).with_faults(config.fault_plan.clone());
+        let slot = |idx| MonitorSlot::new(config.actor(0, idx));
         let slots = (0..config.spec.monitors().len()).map(slot).collect();
         MonitorPlane::Inline {
-            table: SlotTable::new(0, slots),
+            table: SlotTable::new(0, slots).with_faults(config.fault_plan.clone()),
             in_flight: Vec::new(),
         }
     }
 
-    /// Sends each `(monitor, message)` of `frames` at `epoch`, in order,
-    /// calling `refused` for every in-process monitor that is gone (it
-    /// crashed or shut down). A monitor no live connection hosts is the
-    /// socket plane's to count, and the deadline's to notice.
+    /// The monitors behind `sockets`.
+    pub(crate) fn remote(sockets: SocketPlane) -> Self {
+        MonitorPlane::Remote(Box::new(sockets), WindowFeed::new())
+    }
+
+    /// Sends `msg` at `epoch` to every monitor of `to`, in order, calling
+    /// `refused` for every in-process monitor that is gone (it crashed or
+    /// shut down). A monitor no live connection hosts is the socket
+    /// plane's to count, and the deadline's to notice.
     fn send(
         &mut self,
         epoch: u64,
-        frames: impl IntoIterator<Item = (MonitorId, CoordinatorToMonitor)>,
+        to: MonitorRun,
+        msg: CoordinatorToMonitor,
         mut refused: impl FnMut(MonitorId),
     ) {
         match self {
             MonitorPlane::Inline { table, in_flight } => {
                 let mut replies = |reply| in_flight.push(reply);
-                for (to, msg) in frames {
+                for monitor in to.iter() {
                     // Delivered even to a dead monitor: its slot drops
                     // the frame, but must still hear a shutdown.
-                    let alive = table.slots()[to.0 as usize].alive();
-                    table.deliver(to.0, ControlFrame { epoch, msg }, &mut replies);
+                    let alive = table.slots()[monitor.0 as usize].alive();
+                    table.deliver(monitor.0, ControlFrame { epoch, msg }, &mut replies);
                     if !alive {
-                        refused(to);
+                        refused(monitor);
                     }
                 }
             }
-            MonitorPlane::Remote(plane) => {
-                let stamped = |(to, msg): (MonitorId, _)| (to.0, ControlFrame { epoch, msg });
-                plane.send(frames.into_iter().map(stamped));
+            MonitorPlane::Remote(plane, _) => plane.send(to, ControlFrame { epoch, msg }),
+        }
+    }
+
+    /// Sends every monitor its data for `ticks` — one tick in process —
+    /// `value(i, t)` being monitor *i*'s at tick *t*.
+    fn send_data(
+        &mut self,
+        epoch: u64,
+        ticks: std::ops::Range<Tick>,
+        value: &dyn Fn(usize, Tick) -> f64,
+    ) {
+        match self {
+            MonitorPlane::Inline { table, in_flight } => {
+                let tick = ticks.start;
+                let mut replies = |reply| in_flight.push(reply);
+                for idx in 0..table.slots().len() {
+                    let msg = CoordinatorToMonitor::Tick(TickData {
+                        tick,
+                        value: value(idx, tick),
+                    });
+                    table.deliver(idx as u32, ControlFrame { epoch, msg }, &mut replies);
+                }
             }
+            MonitorPlane::Remote(plane, feed) => {
+                feed.open(ticks.clone());
+                plane.send_data(epoch, ticks, &|monitor, tick| value(monitor as usize, tick));
+            }
+        }
+    }
+
+    /// How many ticks the plane's monitors may step as one window, at
+    /// most `len`: one in process, where no round trip is saved and a
+    /// fault plan decides per frame and per tick.
+    fn window(&self, len: u64) -> u64 {
+        match self {
+            MonitorPlane::Inline { .. } => 1,
+            MonitorPlane::Remote(plane, _) => plane.window(len.min(MAX_WINDOW as u64)),
         }
     }
 
@@ -228,7 +271,7 @@ impl MonitorPlane {
     /// replies can arrive while the driver waits: behind sockets. In
     /// process nothing does, so there is nothing to time.
     fn arm_deadline(&mut self) {
-        if let MonitorPlane::Remote(plane) = self {
+        if let MonitorPlane::Remote(plane, _) = self {
             plane.arm();
         }
     }
@@ -267,6 +310,8 @@ pub(crate) struct TaskSession<'a> {
     obs: ShellObs,
     /// When the tick's snapshot, if one is due, began to be gathered.
     checkpoint_started: Instant,
+    /// The summaries of the ticks the last step closed, in order.
+    summaries: Vec<TickSummary>,
     report: RuntimeReport,
 }
 
@@ -295,6 +340,7 @@ impl<'a> TaskSession<'a> {
             wal,
             wal_retired: SinkHealth::default(),
             checkpoint_started: Instant::now(),
+            summaries: Vec::with_capacity(MAX_WINDOW),
             obs: ShellObs {
                 tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
                 wal_hist: registry.histogram(names::WAL_APPEND_NS),
@@ -312,14 +358,9 @@ impl<'a> TaskSession<'a> {
     /// between ticks.
     pub(crate) fn remote(&mut self) -> &mut SocketPlane {
         match &mut self.plane {
-            MonitorPlane::Remote(plane) => plane,
+            MonitorPlane::Remote(plane, _) => plane,
             MonitorPlane::Inline { .. } => unreachable!("the session was spawned in process"),
         }
-    }
-
-    /// Every monitor of the task, in order.
-    fn monitors(&self) -> impl Iterator<Item = MonitorId> {
-        (0..self.config.spec.monitors().len() as u32).map(MonitorId)
     }
 
     /// The report folded so far.
@@ -337,13 +378,36 @@ impl<'a> TaskSession<'a> {
         }
     }
 
-    /// Drives one tick: runs what the coordinator left pending between
-    /// ticks (a failover's fence, a gate flip), sends monitor *i* the
-    /// value `value(i)`, steps the coordinator until the tick's summary
-    /// comes out (restarting quarantined monitors on the way when
-    /// supervising) and folds it into the report. A refused tick means
-    /// that monitor is gone; the coordinator notices via its deadline, so
-    /// the run keeps going.
+    /// Drives one tick ([`step_window`](Self::step_window) of one) and
+    /// returns its summary.
+    ///
+    /// # Errors
+    ///
+    /// As [`step_window`](Self::step_window).
+    #[cfg(test)]
+    pub(crate) fn step(
+        &mut self,
+        tick: Tick,
+        value: impl Fn(usize) -> f64,
+    ) -> Result<TickSummary, VolleyError> {
+        self.step_window(tick, 1, &|idx, _| value(idx))?;
+        Ok(self.summaries[0])
+    }
+
+    /// Drives a window of at most `len` ticks from `tick`: runs what the
+    /// coordinator left pending between ticks (a failover's fence, a gate
+    /// flip), sends monitor *i* its values `value(i, t)` — the plane's
+    /// window of them: one tick in process — steps the coordinator one
+    /// tick at a time until the window's summaries come out (restarting
+    /// quarantined monitors on the way when supervising) and folds them
+    /// into the report; returns how many ticks closed, their summaries
+    /// in [`summaries`](Self::summaries). The window ends early at its
+    /// first poll, whose request rewinds the agents that stepped past
+    /// it, or at a deadline, which it counts as one: every tick after
+    /// the one it closes is granted again. A refused tick means that
+    /// monitor is gone; the coordinator notices via its deadline, so the
+    /// run keeps going. With a window of one this is the lock-step
+    /// protocol, exactly.
     ///
     /// The fault plan's next coordinator crash fires once the tick's
     /// data has left and before any reply reaches the machine: the
@@ -356,21 +420,19 @@ impl<'a> TaskSession<'a> {
     /// [`VolleyError::RuntimeDisconnected`] when the coordinator crashed
     /// mid-tick: [`fail_over`](Self::fail_over) and step the same tick
     /// again, or [`finish`](Self::finish).
-    pub(crate) fn step(
+    pub(crate) fn step_window(
         &mut self,
         tick: Tick,
-        value: impl Fn(usize) -> f64,
-    ) -> Result<TickSummary, VolleyError> {
+        len: u64,
+        value: &dyn Fn(usize, Tick) -> f64,
+    ) -> Result<usize, VolleyError> {
         let mut coordinator = self.coordinator.take();
+        let mut len = self.plane.window(len);
         if let Some(coordinator) = coordinator.as_mut() {
             self.drain(coordinator);
+            len = coordinator.quiet_ticks(len);
         }
-        let data = self.monitors().map(|monitor| {
-            let value = value(monitor.0 as usize);
-            let data = CoordinatorToMonitor::Tick(TickData { tick, value });
-            (monitor, data)
-        });
-        self.plane.send(self.epoch, data, |_| {});
+        self.plane.send_data(self.epoch, tick..tick + len, value);
         let mut coordinator = coordinator.ok_or(COORDINATOR_DEAD)?;
         let crash = self
             .config
@@ -385,20 +447,34 @@ impl<'a> TaskSession<'a> {
             }
             return Err(COORDINATOR_DEAD);
         }
-        let summary = self.pump(&mut coordinator)?;
+        self.summaries.clear();
+        let closed = self.pump(&mut coordinator, tick + len);
         self.coordinator = Some(coordinator);
-        Self::fold(&mut self.report, self.config.recorder.as_ref(), &summary);
-        Ok(summary)
+        for summary in &self.summaries {
+            Self::fold(&mut self.report, self.config.recorder.as_ref(), summary);
+        }
+        closed
+    }
+
+    /// The summaries of the ticks the last step closed, in order.
+    pub(crate) fn summaries(&self) -> &[TickSummary] {
+        &self.summaries
     }
 
     /// The coordinator's I/O shell: executes its outbox, and whenever
     /// that runs dry hands it what the monitors have sent (frames in
     /// process, a payload behind sockets), reporting the deadline when
-    /// nothing came. In process the replies in flight are all there is,
-    /// so a round missing some closes at once; behind sockets the table
-    /// is turned until a payload arrives or the deadline the machine
-    /// last armed passes.
-    fn pump(&mut self, coordinator: &mut CoordinatorActor) -> Result<TickSummary, VolleyError> {
+    /// nothing came; collects the summaries of the ticks before `end`.
+    /// In process the replies in flight are all there is, so a round
+    /// missing some closes at once; behind sockets the table is turned
+    /// until a payload arrives or the deadline the machine last armed
+    /// passes, and the window's replies are handed over a tick at a
+    /// time: the next tick's once the machine closed the last.
+    fn pump(
+        &mut self,
+        coordinator: &mut CoordinatorActor,
+        end: Tick,
+    ) -> Result<usize, VolleyError> {
         let spans = self.config.obs.spans();
         // The guard borrows its histogram across `&mut self` calls, so the
         // handle is cloned — only while spans record.
@@ -406,25 +482,32 @@ impl<'a> TaskSession<'a> {
         let _tick_span = tick_hist
             .as_ref()
             .map(|hist| spans.span_timed("coordinator_tick", hist));
-        // The tick's data just left: its reports are awaited from now.
+        // The window's data just left: its reports are awaited from now.
         self.plane.arm_deadline();
+        let mut cut = false;
         loop {
             if let Some(summary) = self.drain(coordinator) {
-                return Ok(summary);
+                self.summaries.push(summary);
+                let next = summary.tick + 1;
+                // A poll rewound the agents to its tick, a deadline left
+                // the rest of the window unanswered: it ends here.
+                if cut || summary.polled || next >= end {
+                    return Ok(self.summaries.len());
+                }
+                if let MonitorPlane::Remote(_, feed) = &mut self.plane {
+                    feed.feed(next, coordinator);
+                }
+                continue;
             }
             let received = match &mut self.plane {
                 MonitorPlane::Inline { in_flight, .. } => {
                     coordinator.on_frames(in_flight.drain(..))
                 }
-                MonitorPlane::Remote(plane) => {
-                    let inbox = plane.collect();
-                    let lines = coordinator.on_payload(inbox);
-                    inbox.clear();
-                    lines
-                }
+                MonitorPlane::Remote(plane, feed) => feed.absorb(plane.collect(), coordinator),
             };
             if received == 0 {
                 coordinator.on_deadline();
+                cut = true;
             }
             self.obs.recvs.add(received);
         }
@@ -444,9 +527,8 @@ impl<'a> TaskSession<'a> {
         while let Some(output) = coordinator.pop_output() {
             match output {
                 Output::Send { to, msg } => {
-                    let frames = to.into_iter().map(|monitor| (monitor, msg));
                     let refused = |monitor| coordinator.on_undeliverable(monitor);
-                    self.plane.send(self.epoch, frames, refused);
+                    self.plane.send(self.epoch, to, msg, refused);
                 }
                 Output::ArmDeadline => self.plane.arm_deadline(),
                 Output::Quarantined { monitor, .. } => {
@@ -525,10 +607,9 @@ impl<'a> TaskSession<'a> {
     /// while network faults (including partitions) keep applying.
     fn restart_monitor(&mut self, coordinator: &mut CoordinatorActor, monitor: MonitorId) {
         let idx = monitor.0 as usize;
-        let plan = self.config.fault_plan.without_process_faults(monitor);
         if let MonitorPlane::Inline { table, in_flight } = &mut self.plane {
-            let slot = MonitorSlot::new(self.config.actor(self.epoch, idx)).with_faults(plan);
-            table.install(slot, &mut |reply| in_flight.push(reply));
+            let actor = self.config.actor(self.epoch, idx);
+            table.install(actor, &mut |reply| in_flight.push(reply));
         }
         self.report.restarts += 1;
         // Tell the coordinator to await the restarted monitor again,
@@ -587,10 +668,12 @@ impl<'a> TaskSession<'a> {
     /// Tells every monitor to shut down (crashed ones refuse it, which
     /// is fine; the epoch fence never applies to `Shutdown`).
     pub(crate) fn broadcast_shutdown(&mut self) {
-        let frames = self
-            .monitors()
-            .map(|monitor| (monitor, CoordinatorToMonitor::Shutdown));
-        self.plane.send(self.epoch, frames, |_| {});
+        let all = MonitorRun {
+            first: MonitorId(0),
+            count: self.config.spec.monitors().len() as u32,
+        };
+        self.plane
+            .send(self.epoch, all, CoordinatorToMonitor::Shutdown, |_| {});
     }
 
     /// Tears the session down and returns its report: stop the monitors,
@@ -612,10 +695,19 @@ pub(crate) trait Hook {
         Ok(())
     }
 
-    /// Before task `task` steps `tick`.
+    /// How many ticks from `tick` (of the `left` the run has) a lone
+    /// task may step as one window: the hook acts before its first tick
+    /// only, so a tick it must act before starts a window of its own.
+    /// One by default: lock-step.
+    fn window(&self, _tick: Tick, _left: u64) -> u64 {
+        1
+    }
+
+    /// Before task `task` steps `tick` — the first of its window.
     fn before_step(&mut self, _tick: Tick, _task: usize, _session: &mut TaskSession<'_>) {}
 
-    /// After task `task` stepped `tick` into `summary`.
+    /// After task `task` stepped `tick` into `summary`, each tick of a
+    /// window in order.
     fn after_step(
         &mut self,
         _tick: Tick,
@@ -671,6 +763,34 @@ fn sink_health(
     ]
 }
 
+/// What the tick loop does with the `offset`-th tick task `index`'s last
+/// step closed: its alert on the serve stream, the runner counters (when
+/// instrumented), the hook's `after_step`; whether it ran degraded.
+fn closed_tick<H: Hook + ?Sized>(
+    (index, offset): (usize, u64),
+    session: &mut TaskSession<'_>,
+    hook: Option<&mut H>,
+    serve: Option<&ServePublisher>,
+    counters: Option<(&Counter, &Counter)>,
+) -> bool {
+    let summary = session.summaries()[offset as usize];
+    if summary.alerted {
+        if let Some(serve) = serve {
+            serve.alert(index as u64, summary.tick, summary.degraded);
+        }
+    }
+    if let Some((samples_total, alerts_total)) = counters {
+        samples_total.add(u64::from(summary.scheduled_samples) + u64::from(summary.poll_samples));
+        if summary.alerted {
+            alerts_total.inc();
+        }
+    }
+    if let Some(hook) = hook {
+        hook.after_step(summary.tick, index, &summary, session);
+    }
+    summary.degraded
+}
+
 /// The one tick loop: drives `tasks` in lock-step over their shortest
 /// run on the calling thread, calling `hook` between steps, and returns
 /// their reports in task order.
@@ -715,7 +835,7 @@ pub(crate) fn drive(
     for task in &mut tasks {
         let wal = task.runner.open_wal();
         planes.push(match task.sockets.take() {
-            Some(sockets) => (MonitorPlane::Remote(Box::new(sockets)), wal),
+            Some(sockets) => (MonitorPlane::remote(sockets), wal),
             None => (MonitorPlane::inline(task.runner), wal),
         });
     }
@@ -765,9 +885,20 @@ pub(crate) fn drive(
             hook.start(ticks, &mut sessions)?;
         }
         let mut order: Vec<usize> = (0..sessions.len()).collect();
-        for tick in 0..ticks {
+        let mut tick = 0;
+        while tick < ticks {
             let tick_started = obs.enabled().then(Instant::now);
+            // One session may step a window of ticks where its hook
+            // allows; tasks stepped in lock-step step one at a time.
+            let mut len = match hook.as_deref() {
+                Some(hook) if sessions.len() == 1 => hook.window(tick, ticks - tick),
+                _ => 1,
+            };
+            // The window's first tick is closed task by task, each right
+            // after its step, as lock-step steps are; a window's later
+            // ticks (one task's) once it is over.
             let mut degraded = false;
+            let counters = tick_started.map(|_| (&samples_total, &alerts_total));
             for &index in &order {
                 let (task, session) = (&mut tasks[index], &mut sessions[index]);
                 if let Some(hook) = hook.as_deref_mut() {
@@ -775,9 +906,11 @@ pub(crate) fn drive(
                 }
                 // A dead coordinator fails the step; with a standby armed
                 // the same tick is stepped again on its successor.
-                let summary = loop {
-                    let err = match session.step(tick, |i| task.traces[i][tick as usize]) {
-                        Ok(summary) => break summary,
+                let traces = task.traces;
+                let value = |i: usize, t: Tick| traces[i][t as usize];
+                loop {
+                    let err = match session.step_window(tick, len, &value) {
+                        Ok(closed) => break len = closed as u64,
                         Err(err) => err,
                     };
                     if !task.runner.standby || task.failovers_left == 0 {
@@ -790,83 +923,82 @@ pub(crate) fn drive(
                     if let Some(serve) = serve {
                         serve.epoch(epoch, tick);
                     }
-                };
-                if summary.alerted {
-                    if let Some(serve) = serve {
-                        serve.alert(index as u64, summary.tick, summary.degraded);
-                    }
                 }
-                degraded |= summary.degraded;
-                if tick_started.is_some() {
-                    samples_total.add(
-                        u64::from(summary.scheduled_samples) + u64::from(summary.poll_samples),
-                    );
-                    if summary.alerted {
-                        alerts_total.inc();
+                let hook = hook.as_deref_mut();
+                degraded |= closed_tick((index, 0), session, hook, serve, counters);
+            }
+            // A window's latency, spread evenly over its ticks.
+            let mut latency = None;
+            for offset in 0..len {
+                let tick = tick + offset;
+                if offset > 0 {
+                    degraded = false;
+                    for &index in &order {
+                        let (session, hook) = (&mut sessions[index], hook.as_deref_mut());
+                        degraded |= closed_tick((index, offset), session, hook, serve, counters);
                     }
                 }
                 if let Some(hook) = hook.as_deref_mut() {
-                    hook.after_step(tick, index, &summary, session);
+                    hook.after_tick(tick, &mut order);
                 }
-            }
-            if let Some(hook) = hook.as_deref_mut() {
-                hook.after_tick(tick, &mut order);
-            }
-            degraded_ticks += u64::from(degraded);
+                degraded_ticks += u64::from(degraded);
 
-            // Per-tick observability: record end-to-end tick latency (the
-            // watchdog samples it when due), bump the runner counters,
-            // refresh derived gauges, snapshot on cadence, then read the
-            // sinks.
-            if let Some(started) = tick_started {
-                let elapsed = started.elapsed();
-                let latency_us = elapsed.as_micros() as f64;
-                tick_hist.record(elapsed.as_nanos() as u64);
-                tick_gauge.set(latency_us);
-                if let Some((sampler, due)) = watchdog.as_mut().filter(|(_, due)| tick >= *due) {
-                    let seen = sampler.observe(tick, latency_us);
-                    self_monitor_samples += 1;
-                    if seen.violation {
-                        self_monitor_alert_ticks.push(tick);
+                // Per-tick observability: record end-to-end tick latency
+                // (the watchdog samples it when due), bump the runner
+                // counters, refresh derived gauges, snapshot on cadence,
+                // then read the sinks.
+                if let Some(started) = tick_started {
+                    let elapsed = *latency.get_or_insert_with(|| started.elapsed() / len as u32);
+                    let latency_us = elapsed.as_micros() as f64;
+                    tick_hist.record(elapsed.as_nanos() as u64);
+                    tick_gauge.set(latency_us);
+                    if let Some((sampler, due)) = watchdog.as_mut().filter(|(_, due)| tick >= *due)
+                    {
+                        let seen = sampler.observe(tick, latency_us);
+                        self_monitor_samples += 1;
+                        if seen.violation {
+                            self_monitor_alert_ticks.push(tick);
+                        }
+                        *due = seen.next_sample_tick;
                     }
-                    *due = seen.next_sample_tick;
+                    obs.spans().record("runner_tick", started);
+                    ticks_total.inc();
+                    if degraded {
+                        degraded_total.inc();
+                    }
+                    let done = (tick + 1) as f64;
+                    let sampled: u64 = sessions.iter().map(|s| s.report().total_samples).sum();
+                    sampling_fraction.set(sampled as f64 / (done * monitors as f64));
+                    degraded_fraction.set(degraded_ticks as f64 / done);
                 }
-                obs.spans().record("runner_tick", started);
-                ticks_total.inc();
-                if degraded {
-                    degraded_total.inc();
+                if let Some((recorder, _)) = snapshots.filter(|&(_, every)| tick % every == 0) {
+                    recorder.record_snapshot(&registry.snapshot(tick));
                 }
-                let done = (tick + 1) as f64;
-                let sampled: u64 = sessions.iter().map(|s| s.report().total_samples).sum();
-                sampling_fraction.set(sampled as f64 / (done * monitors as f64));
-                degraded_fraction.set(degraded_ticks as f64 / done);
-            }
-            if let Some((recorder, _)) = snapshots.filter(|&(_, every)| tick % every == 0) {
-                recorder.record_snapshot(&registry.snapshot(tick));
-            }
-            // Sink health, one read a tick: every breaker transition
-            // shows up as a gauge and on the serve stream, per the
-            // accuracy contract's "visible, never silent" rule.
-            if tick_started.is_some() || serve.is_some() {
-                let wals = sessions.iter().map(TaskSession::wal_health);
-                let sinks = sink_health(wals, first.recorder.as_ref());
-                let [wal, store] = sinks;
-                if tick_started.is_some() {
-                    wal_degraded_gauge.set(f64::from(u8::from(wal.degraded)));
-                    wal_ring_gauge.set(wal.buffered as f64);
-                    store_degraded_gauge.set(f64::from(u8::from(store.degraded)));
-                }
-                if let Some(serve) = serve {
-                    serve.set_tick(tick);
-                    let named = ["wal", "store"].into_iter().zip(sinks);
-                    for ((sink, health), published) in named.zip(&mut published) {
-                        if health.degraded != *published {
-                            *published = health.degraded;
-                            serve.degradation(sink, health.degraded, tick);
+                // Sink health, one read a tick: every breaker transition
+                // shows up as a gauge and on the serve stream, per the
+                // accuracy contract's "visible, never silent" rule.
+                if tick_started.is_some() || serve.is_some() {
+                    let wals = sessions.iter().map(TaskSession::wal_health);
+                    let sinks = sink_health(wals, first.recorder.as_ref());
+                    let [wal, store] = sinks;
+                    if tick_started.is_some() {
+                        wal_degraded_gauge.set(f64::from(u8::from(wal.degraded)));
+                        wal_ring_gauge.set(wal.buffered as f64);
+                        store_degraded_gauge.set(f64::from(u8::from(store.degraded)));
+                    }
+                    if let Some(serve) = serve {
+                        serve.set_tick(tick);
+                        let named = ["wal", "store"].into_iter().zip(sinks);
+                        for ((sink, health), published) in named.zip(&mut published) {
+                            if health.degraded != *published {
+                                *published = health.degraded;
+                                serve.degradation(sink, health.degraded, tick);
+                            }
                         }
                     }
                 }
             }
+            tick += len;
         }
         Ok(())
     })();
@@ -1031,17 +1163,14 @@ mod tests {
         let inbox = sockets.collect();
         assert_eq!(inbox[..], revived[..]);
 
-        let mut plane = MonitorPlane::Remote(Box::new(sockets));
+        let mut plane = MonitorPlane::remote(sockets);
         let poll = CoordinatorToMonitor::Poll { tick: 9 };
         let stop = CoordinatorToMonitor::Shutdown;
         let mut refused = Vec::new();
-        let frames = [
-            (MonitorId(3), poll),
-            (MonitorId(7), poll),
-            (MonitorId(1), poll),
-            (MonitorId(3), stop),
-        ];
-        plane.send(4, frames, |monitor| refused.push(monitor));
+        for (to, msg) in [(3, poll), (7, poll), (1, poll), (3, stop)] {
+            let to = MonitorRun::one(MonitorId(to));
+            plane.send(4, to, msg, |monitor| refused.push(monitor));
+        }
         assert!(refused.is_empty());
         let wire = |to, msg| ctl_line(to, &ControlFrame::seal(4, msg));
         let lines = [welcome_line(0), wire(3, poll), wire(7, poll), wire(3, stop)];
@@ -1052,7 +1181,7 @@ mod tests {
             .unwrap();
         agent.read_exact(&mut read).unwrap();
         assert_eq!(read, expected);
-        let MonitorPlane::Remote(sockets) = &plane else {
+        let MonitorPlane::Remote(sockets, _) = &plane else {
             unreachable!("the plane is remote");
         };
         assert_eq!(sockets.stats().unrouted_drops, 1);

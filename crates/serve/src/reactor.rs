@@ -399,6 +399,20 @@ impl<P: Protocol> Conn<P> {
         self.frames += frames;
     }
 
+    /// Queues `bytes`, counted as `frames` frames, behind everything
+    /// already queued — written straight from `bytes` when nothing is, so
+    /// a long line takes room in the batch only for what the kernel does
+    /// not take at once.
+    pub fn write_through(&mut self, frames: usize, bytes: &[u8]) {
+        let mut at = 0;
+        if self.wpos == self.wbuf.len() {
+            at = Self::write(&mut self.stream, &mut self.close, bytes);
+        }
+        if at < bytes.len() {
+            self.stage(frames, |batch| batch.extend_from_slice(&bytes[at..]));
+        }
+    }
+
     /// Frames accepted and not yet written, as [`stage`](Self::stage)
     /// counted them; a frame leaves the count once the batch it travels
     /// in is on the wire.
@@ -429,6 +443,22 @@ impl<P: Protocol> Conn<P> {
         self.close = Close::Now;
     }
 
+    /// Writes `bytes` to `stream` until they are gone or it would block,
+    /// closing at once on an error; how many left.
+    fn write(stream: &mut P::Stream, close: &mut Close, bytes: &[u8]) -> usize {
+        let mut at = 0;
+        while *close != Close::Now && at < bytes.len() {
+            match stream.write(&bytes[at..]) {
+                Ok(0) => *close = Close::Now,
+                Ok(k) => at += k,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => *close = Close::Now,
+            }
+        }
+        at
+    }
+
     /// Reads until the kernel buffer drains, handing each chunk to the
     /// protocol; whether any byte arrived.
     fn fill(&mut self, proto: &mut P, slot: usize, chunk: &mut [u8], now: Instant) -> bool {
@@ -457,19 +487,9 @@ impl<P: Protocol> Conn<P> {
     /// [`Table::step`] flushes every backlogged connection; an owner that
     /// stages frames between steps calls this to send them at once.
     pub fn flush(&mut self) -> bool {
-        let mut progress = false;
-        while self.close != Close::Now && self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => self.close_now(),
-                Ok(k) => {
-                    self.wpos += k;
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => self.close_now(),
-            }
-        }
+        let written = Self::write(&mut self.stream, &mut self.close, &self.wbuf[self.wpos..]);
+        self.wpos += written;
+        let progress = written > 0;
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             (self.wpos, self.frames) = (0, 0);
@@ -984,6 +1004,22 @@ mod tests {
         assert_eq!((conn.queued(), conn.pending_bytes()), (0, 0));
         assert!(!conn.flush(), "nothing left to write");
         assert_eq!(conn.stream.writes.len(), 1);
+    }
+
+    /// A line written through leaves in its own `write` when nothing is
+    /// queued, and queues behind a batch that is — its frames counted
+    /// only while they wait.
+    #[test]
+    fn a_line_written_through_queues_only_behind_a_batch() {
+        let mut conn: Conn<Sinks> = Conn::new(Sink::default(), ());
+        conn.write_through(4, b"long\n");
+        assert_eq!((conn.queued(), conn.pending_bytes()), (0, 0));
+        conn.push(b"one\n");
+        conn.write_through(4, b"long\n");
+        assert_eq!((conn.queued(), conn.pending_bytes()), (5, 9));
+        assert!(conn.flush());
+        let writes = [b"long\n".to_vec(), b"one\nlong\n".to_vec()];
+        assert_eq!(conn.stream.writes, writes);
     }
 
     /// Non-test source of one file: everything before its test module.

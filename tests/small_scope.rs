@@ -68,7 +68,7 @@ use volley::core::task::{MonitorId, TaskSpec};
 use volley::core::time::Tick;
 use volley::core::AdaptiveSampler;
 use volley::runtime::checkpoint::CoordinatorSnapshot;
-use volley::runtime::coordinator::{CoordinatorActor, Output};
+use volley::runtime::coordinator::{CoordinatorActor, MonitorRun, Output};
 use volley::runtime::message::{
     ControlFrame, CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickData, TickSummary,
 };
@@ -380,13 +380,13 @@ impl World<'_> {
 
     /// Sends `msg` to each monitor in `to`, a request possibly refused by
     /// the link.
-    fn send(&mut self, to: Vec<MonitorId>, msg: CoordinatorToMonitor) {
+    fn send(&mut self, to: MonitorRun, msg: CoordinatorToMonitor) {
         if let CoordinatorToMonitor::SetAllowance { err } = msg {
-            for monitor in &to {
+            for monitor in to.iter() {
                 self.fleet.sent[monitor.0 as usize] = err;
             }
         }
-        for monitor in to {
+        for monitor in to.iter() {
             let refused = is_request(&msg)
                 && self.chooser.pick(2, |c| {
                     let link = ["takes", "refuses"][c];
