@@ -579,6 +579,34 @@ impl AdaptiveSampler {
         sampler
     }
 
+    /// A copy of what [`observe`](Self::observe) and
+    /// [`observe_forced`](Self::observe_forced) can change.
+    pub fn tick_state(&self) -> SamplerTickState {
+        SamplerTickState {
+            tracker: self.tracker,
+            interval: self.interval,
+            consecutive_ok: self.consecutive_ok,
+            period_beta_grown_sum: self.period_beta_grown_sum,
+            period_beta_current_sum: self.period_beta_current_sum,
+            period_reduction_sum: self.period_reduction_sum,
+            period_observations: self.period_observations,
+            total_samples: self.total_samples,
+        }
+    }
+
+    /// Puts back what [`tick_state`](Self::tick_state) copied; the
+    /// configuration, threshold and allowance stay as they are.
+    pub fn restore_tick_state(&mut self, state: &SamplerTickState) {
+        self.tracker = state.tracker;
+        self.interval = state.interval;
+        self.consecutive_ok = state.consecutive_ok;
+        self.period_beta_grown_sum = state.period_beta_grown_sum;
+        self.period_beta_current_sum = state.period_beta_current_sum;
+        self.period_reduction_sum = state.period_reduction_sum;
+        self.period_observations = state.period_observations;
+        self.total_samples = state.total_samples;
+    }
+
     /// Resets the sampler to its initial state (default interval, fresh
     /// statistics). The error allowance is preserved.
     pub fn reset(&mut self) {
@@ -590,6 +618,23 @@ impl AdaptiveSampler {
         self.period_reduction_sum = 0.0;
         self.period_observations = 0;
     }
+}
+
+/// What a sampled value can change in an [`AdaptiveSampler`] — the δ
+/// statistics, the interval and its growth progress, the §IV-B period
+/// sums and the sample count — and nothing set by its owner: no
+/// configuration, threshold or allowance. A caller that steps a sampler
+/// ahead and may have to undo it keeps this instead of a clone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SamplerTickState {
+    tracker: DeltaTracker,
+    interval: u32,
+    consecutive_ok: u32,
+    period_beta_grown_sum: f64,
+    period_beta_current_sum: f64,
+    period_reduction_sum: f64,
+    period_observations: u32,
+    total_samples: u64,
 }
 
 /// Per-updating-period averages a monitor reports to its coordinator
@@ -705,6 +750,25 @@ mod tests {
         let obs = sampler.observe(10_000, 100.0);
         assert!(obs.collapsed);
         assert_eq!(sampler.interval(), Interval::DEFAULT);
+    }
+
+    /// A tick state taken, stepped past and put back leaves the sampler
+    /// as it was, observations forced or not; the allowance set in the
+    /// meantime is the owner's and stays.
+    #[test]
+    fn a_restored_tick_state_undoes_every_observation() {
+        let mut sampler = AdaptiveSampler::new(quiet_config(), 100.0);
+        run_flat(&mut sampler, 20);
+        let (kept, before) = (sampler.tick_state(), sampler.clone());
+        sampler.observe(200, 90.0);
+        sampler.observe_forced(201, 40.0);
+        sampler.set_error_allowance(0.2);
+        assert_ne!(sampler.tick_state(), kept);
+        sampler.restore_tick_state(&kept);
+        assert_eq!(sampler.error_allowance(), 0.2);
+        sampler.set_error_allowance(before.error_allowance());
+        assert_eq!(sampler, before);
+        assert!(std::mem::size_of::<SamplerTickState>() < std::mem::size_of::<AdaptiveSampler>());
     }
 
     #[test]

@@ -443,7 +443,31 @@ impl CoordinatorActor {
     /// a snapshot — at most `cap` (and at least 1). A driver granting
     /// its monitors a window of ticks asks this first.
     pub fn quiet_ticks(&self, cap: u64) -> u64 {
-        let next = self.expected_tick();
+        self.quiet_from(self.expected_tick(), cap)
+    }
+
+    /// How many ticks after the tick being polled the monitors may be
+    /// granted along with the poll — [`quiet_ticks`](Self::quiet_ticks)
+    /// from the next tick, at most `cap` — or 0 unless a poll is open and
+    /// closing its tick is sure to send the monitors nothing: it is no
+    /// reallocation or snapshot tick, and no monitor is owed an epoch
+    /// repair. (Ledger entries owed to `Revived` monitors went out with
+    /// the batch that brought the notices.) A session granting windows
+    /// asks this as the poll goes out.
+    pub fn poll_carries(&self, cap: u64) -> u64 {
+        let tick = self.summary.tick;
+        let sends = self.phase != Phase::Poll
+            || tick >= self.rules.next_update_tick()
+            || self.checkpoint.is_some_and(|(_, due)| tick >= due)
+            || self.needs_epoch.contains(&true);
+        if sends || cap == 0 {
+            return 0;
+        }
+        self.quiet_from(tick + 1, cap)
+    }
+
+    /// [`quiet_ticks`](Self::quiet_ticks) from tick `next`.
+    fn quiet_from(&self, next: Tick, cap: u64) -> u64 {
         let mut last = next.saturating_add(cap.max(1) - 1);
         last = last.min(self.rules.next_update_tick().max(next));
         if let Some((_, due)) = self.checkpoint {
@@ -1017,6 +1041,37 @@ mod tests {
                 output => before.push(output),
             }
         }
+    }
+
+    /// A poll carries the quiet ticks after its own — up to the first
+    /// reallocation, due at tick 1 000 — only while it is open, and none
+    /// from a tick whose close sends something: a reallocation round, or
+    /// an epoch repair owed to a stale sender.
+    #[test]
+    fn a_poll_carries_the_quiet_ticks_after_it_unless_its_close_sends() {
+        let mut machine = pair(3);
+        assert_eq!(machine.poll_carries(8), 0, "no poll is open");
+        for (tick, carries) in [(990, 8), (995, 5), (1_000, 0)] {
+            machine.on_frames([tick_done(0, tick, true), tick_done(1, tick, false)]);
+            pending(&mut machine);
+            assert_eq!(machine.poll_carries(8), carries, "tick {tick}");
+            assert_eq!(machine.poll_carries(0), 0, "tick {tick}");
+            machine.on_frames([
+                poll_reply(0, tick, 60.0, false),
+                poll_reply(1, tick, 10.0, true),
+            ]);
+            closed(&mut machine);
+        }
+        let mut machine = pair(3).with_epoch(1);
+        let current = |frame: MonitorFrame| sealed(1, frame.msg);
+        let stale = tick_done(1, 7, false);
+        machine.on_frames([
+            current(tick_done(0, 7, true)),
+            current(tick_done(1, 7, false)),
+            stale,
+        ]);
+        pending(&mut machine);
+        assert_eq!(machine.poll_carries(8), 0, "an epoch repair is owed");
     }
 
     #[test]

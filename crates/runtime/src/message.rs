@@ -197,6 +197,16 @@ pub enum CoordinatorToMonitor {
     Shutdown,
 }
 
+impl CoordinatorToMonitor {
+    /// The tick a `Poll` asks about; `None` for every other message.
+    pub(crate) fn polled_tick(&self) -> Option<Tick> {
+        match *self {
+            CoordinatorToMonitor::Poll { tick } => Some(tick),
+            _ => None,
+        }
+    }
+}
+
 /// Epoch-stamped envelope for every monitor→coordinator frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonitorFrame {

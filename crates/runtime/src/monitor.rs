@@ -5,6 +5,7 @@
 //! where frames come from and where the replies — [`MonitorFrame`]
 //! values handed to the feeder's sink — go: only the agent encodes them.
 
+use volley_core::adaptation::SamplerTickState;
 use volley_core::correlation::FollowerGate;
 use volley_core::task::MonitorId;
 use volley_core::AdaptiveSampler;
@@ -74,13 +75,15 @@ pub struct MonitorActor {
     suppressed_total: u64,
 }
 
-/// What tick data can change in an actor: the state a socket agent keeps
-/// at the start of a granted window, so that a rewind can put it back
-/// and replay (`DESIGN.md` §8). Everything else an actor holds moves only
-/// on control frames, which reach an agent between windows.
-#[derive(Debug, Clone)]
+/// What tick data and polls can change in an actor: the state a socket
+/// agent keeps at the start of a granted window, so that a rewind can put
+/// it back and replay (`DESIGN.md` §8). Everything else an actor holds —
+/// the sampler's configuration, threshold and allowance among it — moves
+/// only on the coordinator's other control frames, so a rewind leaves it
+/// as they last set it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TickState {
-    sampler: AdaptiveSampler,
+    sampler: SamplerTickState,
     next_sample_tick: u64,
     current: Option<TickData>,
     sampled_this_tick: bool,
@@ -184,10 +187,10 @@ impl MonitorActor {
         self.suppressed_total
     }
 
-    /// A copy of what tick data can change.
+    /// A copy of what tick data and polls can change.
     pub(crate) fn tick_state(&self) -> TickState {
         TickState {
-            sampler: self.sampler.clone(),
+            sampler: self.sampler.tick_state(),
             next_sample_tick: self.next_sample_tick,
             current: self.current,
             sampled_this_tick: self.sampled_this_tick,
@@ -199,7 +202,7 @@ impl MonitorActor {
 
     /// Puts back what [`tick_state`](Self::tick_state) copied.
     pub(crate) fn restore_tick_state(&mut self, state: &TickState) {
-        self.sampler = state.sampler.clone();
+        self.sampler.restore_tick_state(&state.sampler);
         self.next_sample_tick = state.next_sample_tick;
         self.current = state.current;
         self.sampled_this_tick = state.sampled_this_tick;

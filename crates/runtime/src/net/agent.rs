@@ -22,6 +22,14 @@
 //! past, the next window or tick starting before it got to — rewinds
 //! the monitor first: back to its window-start state, then forward
 //! through the kept values to that tick (`DESIGN.md` §8).
+//!
+//! A poll inside a window arrives with the next window, which names the
+//! ticks whose values the machine kept from the last one (`held`): it
+//! shifts those to the front of what it keeps, reads the rest off the
+//! line and keeps each monitor's state anew — the poll's forced sample
+//! in it — so a second poll rewinds to the new window's start. A line
+//! naming values the machine does not hold, as on a fresh connection,
+//! is refused.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -160,13 +168,16 @@ fn serve(machine: &mut AgentMachine, socket: &mut Socket) -> std::io::Result<()>
 
 /// What a rewind needs of one hosted monitor: its state at the start of
 /// the last window it stepped into, that window's epoch, first tick and
-/// values, and how many of its ticks it has stepped (0: none to undo).
+/// values, how many of its ticks it has stepped (0: none to undo) — and
+/// how many values it holds that the coordinator knows of: the window's,
+/// none once the connection they came on is gone.
 #[derive(Debug)]
 struct Held {
     state: TickState,
     epoch: u64,
     start: Tick,
     stepped: u32,
+    len: u32,
     values: [f64; MAX_WINDOW],
 }
 
@@ -215,6 +226,9 @@ pub(crate) struct AgentMachine {
     window_tag: Vec<u8>,
     /// Monitors rewound so far.
     pub(crate) rewinds: u64,
+    /// Values a window line carried that one before it had carried on
+    /// the same connection.
+    pub(crate) resent: u64,
     pub(crate) report: AgentReport,
     /// Whether the current connection, and whether any, was welcomed.
     welcomed: (bool, bool),
@@ -243,6 +257,7 @@ impl AgentMachine {
             epoch: 0,
             start: 0,
             stepped: 0,
+            len: 0,
             values: [0.0; MAX_WINDOW],
         });
         let max_frame = config.transport.max_frame_size;
@@ -254,6 +269,7 @@ impl AgentMachine {
             replies: ReplyWriter::new(max_frame),
             window_tag: window_tag(),
             rewinds: 0,
+            resent: 0,
             report: AgentReport {
                 agent: config.agent,
                 monitors: hosted.len() as u32,
@@ -272,6 +288,11 @@ impl AgentMachine {
     /// `Revived` notices to `out`, a line per run.
     pub(crate) fn connected(&mut self, out: &mut Vec<u8>) {
         self.frames = FrameBuffer::new(self.max_frame);
+        // The new connection was sent nothing yet: its first window
+        // carries every value.
+        for kept in &mut self.held {
+            kept.len = 0;
+        }
         let actors = self.table.slots().iter().map(MonitorSlot::actor);
         let hello = AgentHello {
             agent: self.report.agent,
@@ -315,13 +336,16 @@ impl AgentMachine {
                 held: &mut self.held,
                 replies: &mut self.replies,
                 rewinds: &mut self.rewinds,
+                resent: &mut self.resent,
             };
             if line.starts_with(&self.window_tag) {
-                // A window's values are read where they lie in the line.
-                let Some(window) = WindowLine::parse(line) else {
+                // A window's values are read where they lie in the line,
+                // its held ones where they lie in the rewind state.
+                let stepped = WindowLine::parse(line)
+                    .is_some_and(|window| hosts.step_window(&window, &mut self.flags, out));
+                if !stepped {
                     return false;
-                };
-                hosts.step_window(&window, &mut self.flags, out);
+                }
             } else {
                 let Ok(frame) = decode_line::<ServerFrame>(line) else {
                     return false;
@@ -341,6 +365,15 @@ impl AgentMachine {
     /// Whether every hosted monitor has been shut down.
     pub(crate) fn finished(&self) -> bool {
         self.table.finished()
+    }
+
+    /// Samples the hosted monitors' samplers took, forced ones included.
+    #[cfg(test)]
+    pub(crate) fn samples(&self) -> u64 {
+        let slots = self.table.slots().iter();
+        slots
+            .map(|slot| slot.actor().sampler().total_samples())
+            .sum()
     }
 
     /// The connection closed, or a dial failed (`cause`): the wait before
@@ -369,6 +402,7 @@ struct Hosts<'a> {
     held: &'a mut [Held],
     replies: &'a mut ReplyWriter,
     rewinds: &'a mut u64,
+    resent: &'a mut u64,
 }
 
 impl Hosts<'_> {
@@ -382,6 +416,7 @@ impl Hosts<'_> {
             held,
             replies,
             rewinds,
+            ..
         } = self;
         frame.expand(hosted.clone(), |to, control| {
             let at = (to - hosted.start) as usize;
@@ -402,15 +437,22 @@ impl Hosts<'_> {
     }
 
     /// Steps the hosted part of `window`'s run, keeping each monitor's
-    /// window-start state and values first, and answers with one window
-    /// reply — the rows, `flags`, up to the first on which one of them
-    /// violated.
-    fn step_window(&mut self, window: &WindowLine<'_>, flags: &mut Vec<u8>, out: &mut Vec<u8>) {
+    /// window-start state and values first — the held ones shifted to
+    /// the front of what it kept, the carried ones read off the line —
+    /// and answers with one window reply: the rows, `flags`, up to the
+    /// first on which one of them violated. `false`, and nothing stepped,
+    /// when a monitor does not hold the values the line says it does.
+    fn step_window(
+        &mut self,
+        window: &WindowLine<'_>,
+        flags: &mut Vec<u8>,
+        out: &mut Vec<u8>,
+    ) -> bool {
         let (first, tick, epoch) = (window.first, window.tick, window.epoch);
         let run_end = (u64::from(first) + window.count as u64).min(u64::from(self.hosted.end));
         let (lo, hi) = (first.max(self.hosted.start), run_end as u32);
         if lo >= hi {
-            return;
+            return true;
         }
         let Hosts {
             hosted,
@@ -418,15 +460,34 @@ impl Hosts<'_> {
             held,
             replies,
             rewinds,
+            resent,
         } = self;
-        let rows = window.len as usize;
+        let (rows, kept_rows) = (window.len as usize, window.held as usize);
+        let range = (lo - hosted.start) as usize..(hi - hosted.start) as usize;
+        let holds = |kept: &Held| {
+            tick >= kept.start && tick - kept.start + kept_rows as u64 <= u64::from(kept.len)
+        };
+        if kept_rows > 0 && !held[range].iter().all(holds) {
+            return false;
+        }
         for to in lo..hi {
             let at = (to - hosted.start) as usize;
             **rewinds += u64::from(held[at].rewind(table, (at, to), tick));
             let kept = &mut held[at];
+            let carried = tick + kept_rows as u64..tick + rows as u64;
+            let had = kept.start..kept.start + u64::from(kept.len);
+            **resent += carried
+                .end
+                .min(had.end)
+                .saturating_sub(carried.start.max(had.start));
+            if kept_rows > 0 {
+                let from = (tick - kept.start) as usize;
+                kept.values.copy_within(from..from + kept_rows, 0);
+            }
             kept.state = table.slots()[at].actor().tick_state();
             (kept.epoch, kept.start, kept.stepped) = (epoch, tick, 0);
-            for (row, slot) in kept.values[..rows].iter_mut().enumerate() {
+            kept.len = rows as u32;
+            for (row, slot) in kept.values[..rows].iter_mut().enumerate().skip(kept_rows) {
                 *slot = window.value(row, (to - first) as usize);
             }
         }
@@ -470,6 +531,7 @@ impl Hosts<'_> {
         }
         let run = (lo, hi - lo);
         replies.window((reply_epoch.unwrap_or(epoch), tick), run, flags, out);
+        true
     }
 }
 
@@ -710,6 +772,64 @@ mod tests {
         );
         assert_eq!(report.frames_sent, sent);
         assert_eq!(report.frames_received, 6);
+    }
+
+    /// A window granted along with a poll names the ticks whose values
+    /// the agent kept from the window before: it steps them from what it
+    /// kept and answers as it would had the line carried them. It refuses
+    /// a line naming values it does not hold — on a fresh connection it
+    /// holds none the coordinator knows of.
+    #[test]
+    fn held_values_step_as_if_carried_and_missing_ones_are_refused() {
+        use crate::message::{encode, ControlFrame, CoordinatorToMonitor};
+        use crate::net::wire::write_data;
+
+        let value = |to: u32, tick: Tick| 20.0 + f64::from(to) + (tick % 3) as f64;
+        let window = |ticks: Range<Tick>, held| {
+            let mut line = Vec::new();
+            write_data(0, (ticks, held), (0..2, &value), usize::MAX, &mut line);
+            line
+        };
+        let poll = ControlFrame {
+            epoch: 0,
+            msg: CoordinatorToMonitor::Poll { tick: 1 },
+        };
+        let poll = encode(&ServerFrame::Fan {
+            first: 0,
+            count: 2,
+            frame: poll,
+        });
+        let welcomed = || {
+            let mut agent = machine(0..2, BackoffConfig::default());
+            let mut out = Vec::new();
+            agent.connected(&mut out);
+            assert!(agent.on_bytes(&welcome_line(0), &mut out));
+            agent
+        };
+        let mut answers = Vec::new();
+        for held in [Some(0), Some(2)] {
+            let (mut agent, mut out) = (welcomed(), Vec::new());
+            assert!(agent.on_bytes(&window(0..4, None), &mut out));
+            let line = [&poll[..], &window(2..6, held)].concat();
+            assert!(agent.on_bytes(&line, &mut out));
+            assert_eq!((agent.rewinds, agent.resent), (2, 4 - 2 * held.unwrap()));
+            answers.push(out);
+        }
+        assert_eq!(answers[0], answers[1], "held values step as carried ones");
+
+        let (mut agent, mut out) = (welcomed(), Vec::new());
+        assert!(
+            !agent.on_bytes(&window(2..6, Some(2)), &mut out),
+            "none held"
+        );
+        let mut agent = welcomed();
+        assert!(agent.on_bytes(&window(0..4, None), &mut out));
+        agent.connected(&mut out);
+        assert!(agent.on_bytes(&welcome_line(0), &mut out));
+        assert!(
+            !agent.on_bytes(&window(2..6, Some(2)), &mut out),
+            "a re-dial"
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! monitors' frames as one line ([`encode_controls`], [`encode_replies`],
 //! [`ServerFrame::expand`], [`expand_reply_line`]) — quiet ticks a
 //! window of up to [`MAX_WINDOW`] at a time, one line each way per agent,
-//! rewound where a poll lands inside it; [`NetFaultPlan`] schedules
+//! rewound where a poll lands inside it, and the next window sent with
+//! the poll; [`NetFaultPlan`] schedules
 //! reconnect storms for `volley chaos --net`. Every time read
 //! and wait goes through one crate-private `Clock`: the wall clock in
 //! production; in tests, a virtual one that runs the real socket plane

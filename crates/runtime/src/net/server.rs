@@ -10,7 +10,9 @@
 //!   where the route changes and encodes each part behind one connection
 //!   as one [`ServerFrame`](super::ServerFrame) line, split under the
 //!   frame cap, into that connection's write batch, written before it
-//!   returns — a window's data line straight to the socket;
+//!   returns — a window's data line straight to the socket, a poll's
+//!   with the window it carries, whose values the connection holds from
+//!   its last one left out;
 //! - **inbound**: when the coordinator machine has nothing left to do,
 //!   the session turns the table — `poll` until the armed deadline,
 //!   accept, read, [`FrameBuffer`] reassembly, flush, reap — until agent
@@ -272,6 +274,17 @@ pub struct NetStats {
     /// High-water mark of any single connection's outbound queue, in
     /// monitor frames.
     pub max_queue_depth: u64,
+    /// Sends whose replies the coordinator then waited for, each timed
+    /// by its own deadline: a window's data, a request such as a poll —
+    /// and a poll and the window sent with it are one.
+    pub round_trips: u64,
+    /// Writes to agent sockets: one per connection a send reaches,
+    /// however many lines it carries, plus one per later flush of what
+    /// the kernel did not take at once.
+    pub writes: u64,
+    /// Monitor values sent: a value per monitor and tick of data a line
+    /// carried.
+    pub values_out: u64,
 }
 
 /// Result of a networked run: the runner-compatible report plus
@@ -291,6 +304,9 @@ struct AgentConn {
     /// The agent and the monitors its hello registered; `None` until a
     /// valid hello arrives.
     hello: Option<(u32, Range<usize>)>,
+    /// The ticks of the last grant this connection was sent the data of
+    /// for every monitor it hosts: the values its agent holds.
+    held: Range<Tick>,
 }
 
 /// A socket-serving coordinator bound to a listener and ready to run.
@@ -489,10 +505,11 @@ impl Hook for SocketTurn<'_> {
     /// A window ends before the next storm, whose kick must land ahead
     /// of its tick's data; a storm tick is a window of its own, so a
     /// storm costs its victims that tick's reports only. Paced ticks go
-    /// one at a time.
+    /// one at a time. Neither is granted along with a poll: the turn
+    /// acts before each.
     fn window(&self, tick: Tick, left: u64) -> u64 {
         if self.tick_interval > Duration::ZERO || self.faults.storm_at(tick) {
-            return 1;
+            return 0;
         }
         let ahead = 1..left.min(MAX_WINDOW as u64);
         1 + ahead
@@ -646,7 +663,7 @@ impl SocketPlane {
     /// dropped — every batch leaving before this returns.
     pub(crate) fn send(&mut self, to: MonitorRun, frame: ControlFrame) {
         let run = to.first.0..to.first.0 + to.count;
-        self.stage((run, false), |run, max_frame, batch| {
+        self.stage(run, None, |run, _, max_frame, batch| {
             write_fan((run.start, run.len()), frame, max_frame, batch)
         });
     }
@@ -662,9 +679,45 @@ impl SocketPlane {
         value: &dyn Fn(u32, Tick) -> f64,
     ) {
         let all = 0..self.lines.route.len() as u32;
-        let through = ticks.end - ticks.start > 1;
-        self.stage((all, through), |run, max_frame, batch| {
-            write_data(epoch, ticks.clone(), (run, value), max_frame, batch)
+        let grant = Grant {
+            ticks: ticks.clone(),
+            with_poll: false,
+        };
+        self.stage(all, Some(grant), |run, _, max_frame, batch| {
+            write_data(epoch, (ticks.clone(), None), (run, value), max_frame, batch)
+        });
+    }
+
+    /// Sends the poll `frame` to the runs `polled` and, with it, every
+    /// monitor its data for `ticks`, the window granted after the polled
+    /// tick: each connection's part of both as lines encoded into the
+    /// plane's scratch buffer and written through together, the window's
+    /// a `Window` line however long. A connection sent the values of some
+    /// of `ticks` with its last grant is not sent them again: the line
+    /// names them held.
+    pub(crate) fn send_poll(
+        &mut self,
+        polled: &[MonitorRun],
+        frame: ControlFrame,
+        ticks: Range<Tick>,
+        value: &dyn Fn(u32, Tick) -> f64,
+    ) {
+        let all = 0..self.lines.route.len() as u32;
+        let grant = Grant {
+            ticks: ticks.clone(),
+            with_poll: true,
+        };
+        self.stage(all, Some(grant), |run, held, max_frame, out| {
+            let mut lines = 0;
+            for to in polled {
+                let lo = to.first.0.max(run.start);
+                let hi = (to.first.0 + to.count).min(run.end);
+                if lo < hi {
+                    lines += write_fan((lo, (hi - lo) as usize), frame, max_frame, out);
+                }
+            }
+            let data = (ticks.clone(), held);
+            lines + write_data(frame.epoch, data, (run, value), max_frame, out)
         });
     }
 
@@ -675,21 +728,27 @@ impl SocketPlane {
     }
 
     /// Stages the monitors `run` by connection: each part behind one
-    /// live connection is written by `write` (the part, the frame cap,
-    /// the batch; returning the lines it wrote) in pieces of at most the
-    /// room its queue has — a monitor counts once per send — and every
-    /// backlogged connection is flushed before this returns. Written
-    /// `through`, a piece is encoded into the plane's one scratch buffer
-    /// and leaves from there ([`Conn::write_through`]): a window's long
-    /// lines take no room in any connection's batch.
+    /// live connection is written by `write` (the part, the rows of the
+    /// `grant` the connection holds when it goes with a poll, the frame
+    /// cap, the batch; returning the lines it wrote) in pieces of at most
+    /// the room its queue has — a monitor counts once per send — and
+    /// every backlogged connection is flushed before this returns. A
+    /// window's piece, and whatever goes with it, is encoded into the
+    /// plane's one scratch buffer and leaves from there
+    /// ([`Conn::write_through`]): its long lines take no room in any
+    /// connection's batch. A connection whose whole part took the grant
+    /// holds its values from then on.
     fn stage(
         &mut self,
-        (run, through): (Range<u32>, bool),
-        mut write: impl FnMut(Range<u32>, usize, &mut Vec<u8>) -> u64,
+        run: Range<u32>,
+        grant: Option<Grant>,
+        mut write: impl FnMut(Range<u32>, Option<u64>, usize, &mut Vec<u8>) -> u64,
     ) {
         let (conns, lines, scratch) = (self.table.conns(), &mut self.lines, &mut self.scratch);
         let (route, stats) = (&lines.route, &mut lines.stats);
         let (queue_cap, max_frame) = (lines.queue_cap, lines.max_frame);
+        let len = grant.as_ref().map_or(0, |g| g.ticks.end - g.ticks.start);
+        let through = grant.as_ref().is_some_and(|g| g.with_poll || len > 1);
         let mut at = run.start;
         while at < run.end {
             let slot = route.get(at as usize).copied().flatten();
@@ -703,10 +762,20 @@ impl SocketPlane {
                 stats.unrouted_drops += part.len() as u64;
                 continue;
             };
+            let held = grant.as_ref().filter(|g| g.with_poll).map(|g| {
+                let had = &conn.state.held;
+                let from = g.ticks.start;
+                if had.contains(&from) {
+                    had.end.min(g.ticks.end) - from
+                } else {
+                    0
+                }
+            });
             let mut staged = part.start;
             while staged < part.end {
                 if conn.queued() >= queue_cap {
                     conn.flush();
+                    stats.writes += 1;
                 }
                 let room = queue_cap.saturating_sub(conn.queued()) as u32;
                 let take = (part.end - staged).min(room);
@@ -716,27 +785,35 @@ impl SocketPlane {
                 let piece = staged..staged + take;
                 if through {
                     scratch.clear();
-                    stats.frames_out += write(piece, max_frame, scratch);
+                    stats.frames_out += write(piece, held, max_frame, scratch);
                     conn.write_through(take as usize, scratch);
+                    stats.writes += 1;
                 } else {
                     conn.stage(take as usize, |batch| {
-                        stats.frames_out += write(piece, max_frame, batch)
+                        stats.frames_out += write(piece, held, max_frame, batch)
                     });
                 }
+                stats.values_out += u64::from(take) * (len - held.unwrap_or(0));
                 staged += take;
                 stats.max_queue_depth = stats.max_queue_depth.max(conn.queued() as u64);
             }
             stats.backpressure_drops += u64::from(part.end - staged);
+            if let Some(grant) = &grant {
+                let whole = staged == part.end;
+                conn.state.held = if whole { grant.ticks.clone() } else { 0..0 };
+            }
         }
         for conn in conns.iter_mut().flatten() {
             if conn.pending_bytes() > 0 {
                 conn.flush();
+                stats.writes += 1;
             }
         }
     }
 
     /// Starts the collection deadline: one tick deadline from now.
     pub(crate) fn arm(&mut self) {
+        self.lines.stats.round_trips += 1;
         self.armed = self.clock.now() + self.tick_deadline;
     }
 
@@ -810,6 +887,15 @@ impl WindowFeed {
         } else {
             0..0
         };
+    }
+
+    /// The session granted `ticks` along with a poll of the tick before
+    /// them: their replies are window replies, kept from now on and
+    /// handed to the machine once it has closed the polled tick.
+    pub(crate) fn carry(&mut self, ticks: Range<Tick>) {
+        self.replies.clear();
+        self.next = ticks.start - 1;
+        self.ticks = ticks;
     }
 
     /// The machine opened the round of `tick`: hands it the reports the
@@ -903,6 +989,13 @@ impl WindowFeed {
     }
 }
 
+/// The ticks a send grants every monitor the data of, and whether it
+/// goes along with a poll.
+struct Grant {
+    ticks: Range<Tick>,
+    with_poll: bool,
+}
+
 /// The agent plane as the connection table sees it: newline-framed
 /// [`super::wire`] messages, routed by monitor id.
 struct LineFrames {
@@ -967,6 +1060,7 @@ impl Protocol for LineFrames {
         let state = AgentConn {
             frames: FrameBuffer::new(self.max_frame),
             hello: None,
+            held: 0..0,
         };
         Ok((socket, state))
     }

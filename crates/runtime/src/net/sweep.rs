@@ -17,7 +17,10 @@
 //! bytes. The window arm plants its violations instead: on a window's
 //! first and last tick, on two agents at once, and ahead of an agent
 //! that must rewind — whose link the world then cuts right after the
-//! rewind, under a storm.
+//! rewind, under a storm. The carry arms plant polls where a window goes
+//! out with one: twice inside one such window, on a window's last tick,
+//! on a reallocation tick, and where the world cuts an agent's link as
+//! the poll reaches it; each seed picks their noise and chunk sizes.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -60,6 +63,8 @@ struct Agent {
     cut_on_rewind: bool,
     /// Bytes the agent wrote, and read.
     bytes: [u64; 2],
+    /// Sends the machine made: what `run_agent` writes at once.
+    writes: u64,
 }
 
 impl Agent {
@@ -79,6 +84,7 @@ impl Agent {
                     stream.set_nonblocking(true).expect("nonblocking");
                     self.socket = Some(stream);
                     self.machine.connected(&mut self.out);
+                    self.writes += 1;
                 }
                 Ok(Socket::Tcp(_)) => unreachable!("the world dials a Unix socket"),
                 Err(err) => self.lost(now, &err),
@@ -111,7 +117,7 @@ impl Agent {
             Ok(k) => {
                 self.reads += 1;
                 self.bytes[1] += k as u64;
-                let rewinds = self.machine.rewinds;
+                let (rewinds, pending) = (self.machine.rewinds, self.out.len());
                 if self.cuts.contains(&self.reads) {
                     self.lost(now, &"link cut");
                 } else if !self.machine.on_bytes(&buf[..k], &mut self.out) {
@@ -125,6 +131,8 @@ impl Agent {
                 } else if self.cut_on_rewind && self.machine.rewinds > rewinds {
                     self.cut_on_rewind = false;
                     self.lost(now, &"link cut in mid-rewind");
+                } else {
+                    self.writes += u64::from(self.out.len() > pending);
                 }
             }
             Err(err) if err.kind() == ErrorKind::WouldBlock => return moved,
@@ -314,6 +322,98 @@ impl Scenario {
         }
     }
 
+    /// A carry arm: six monitors, two to each of three agents, over
+    /// `ticks` ticks. Monitors 0 to 3 run hot (57 to 59 against a local
+    /// threshold of 60), so they sample every tick; monitors 4 and 5 run
+    /// calm (10 to 12), so once warm they sample every fourth tick, and
+    /// a poll forces their samples while agent 2 steps on to its
+    /// window's end. 100s are planted at `planted` (tick, monitors). The
+    /// seed picks the noise and the chunk sizes; with `cut`, the world
+    /// cuts agent 2's link right after the read that rewound it — as the
+    /// first poll reaches it.
+    fn carry(seed: u64, ticks: usize, planted: &[(usize, &[usize])], cut: bool) -> Scenario {
+        let pick = |k: u64, n: u64| splitmix64(seed ^ splitmix64(k)) % n;
+        let spec = TaskSpec::builder(360.0)
+            .monitors(6)
+            .error_allowance(0.01)
+            .max_interval(4)
+            .patience(1)
+            .warmup_samples(3)
+            .build()
+            .expect("valid spec");
+        let mut traces: Vec<Vec<f64>> = (0..6u64)
+            .map(|m| {
+                let base = if m < 4 { 57.0 } else { 10.0 };
+                let noise = |t: u64| pick(100 + (m << 16 | t), 201) as f64 / 100.0;
+                (0..ticks as u64).map(|t| base + noise(t)).collect()
+            })
+            .collect();
+        for &(tick, monitors) in planted {
+            for &monitor in monitors {
+                traces[monitor][tick] = 100.0;
+            }
+        }
+        let chunks = (0..3).map(|a| [5, 61, 700, 16 * 1024][pick(a, 4) as usize]);
+        Scenario {
+            spec,
+            traces,
+            split: vec![0..2, 2..4, 4..6],
+            storm: None,
+            cuts: vec![Vec::new(); 3],
+            chunks: chunks.collect(),
+            cut_on_rewind: cut.then_some(2),
+        }
+    }
+
+    /// Every carry arm under `seed`: what each plants, and its scenario.
+    fn carry_arms(seed: u64) -> [(&'static str, Scenario); 4] {
+        const ALL: &[usize] = &[0, 1, 2, 3, 4, 5];
+        [
+            // Windows [0, 8) [8, 16) [16, 24): the poll at 18 carries
+            // [19, 27), inside which the polls at 21 and 23 rewind agent
+            // 2 twice — the second time to the state the first left.
+            (
+                "two polls inside one carried window",
+                Self::carry(
+                    seed,
+                    48,
+                    &[(18, &[0]), (21, &[2]), (23, &[0]), (40, ALL)],
+                    false,
+                ),
+            ),
+            // Polls on the last tick of [0, 8) and of the [8, 16) it
+            // carries: each carries the next window in full; the poll at
+            // 17 carries one that holds most of its values.
+            (
+                "polls on a window's last tick",
+                Self::carry(
+                    seed,
+                    48,
+                    &[(7, &[1]), (15, &[3]), (17, &[0]), (40, ALL)],
+                    false,
+                ),
+            ),
+            // The first reallocation is due at tick 1 000: the poll at
+            // 995 carries a window that ends there, and the poll at 1 000
+            // carries none — its close gathers the period reports first.
+            (
+                "a poll on a reallocation tick",
+                Self::carry(
+                    seed,
+                    1_016,
+                    &[(995, &[2]), (1_000, &[0]), (1_014, ALL)],
+                    false,
+                ),
+            ),
+            // Agent 2's link is cut as the poll at 18 reaches it: it
+            // re-dials and gets every value of its next window.
+            (
+                "a re-dial in a poll phase",
+                Self::carry(seed, 48, &[(18, &[0]), (21, &[2]), (40, ALL)], true),
+            ),
+        ]
+    }
+
     fn faulty(&self) -> bool {
         self.storm.is_some()
             || self.cuts.iter().any(|cuts| !cuts.is_empty())
@@ -325,10 +425,12 @@ impl Scenario {
     /// each allocation of the plane and of every agent charged to its
     /// [`Account`].
     pub(super) fn run(&self, seed: u64) -> Result<Ran, String> {
-        // One listener path per run: sweeps that share seeds may run at once.
+        // One listener path per run, of one length: sweeps may run at
+        // once, and the plane's heap must not depend on how many runs
+        // came before.
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let run = RUNS.fetch_add(1, Ordering::Relaxed);
-        let name = format!("volley-sweep-{}-{seed}-{run}.sock", std::process::id());
+        let name = format!("volley-sweep-{:07}-{run:08}.sock", std::process::id());
         let addr = NetAddr::Unix(std::env::temp_dir().join(name));
         let bind = || NetCoordinator::bind(self.spec.clone(), &addr);
         let mut coordinator = charged(Account::Plane, bind).map_err(|e| format!("bind: {e}"))?;
@@ -358,6 +460,7 @@ impl Scenario {
                 cuts: self.cuts[a].clone(),
                 cut_on_rewind: self.cut_on_rewind == Some(a),
                 bytes: [0; 2],
+                writes: 0,
             }
         });
         let agents = agents.collect();
@@ -384,7 +487,11 @@ impl Scenario {
             clock.wait_until(far, None);
         }
         let mut world = world.lock().expect("world");
-        let rewinds = world.agents.iter().map(|a| a.machine.rewinds).sum();
+        let machines = world.agents.iter().map(|a| &a.machine);
+        let rewinds = machines.clone().map(|machine| machine.rewinds).sum();
+        let resent = machines.clone().map(|machine| machine.resent).sum();
+        let samples = machines.map(AgentMachine::samples).sum();
+        let writes = world.agents.iter().map(|a| a.writes).sum();
         let bytes = world.agents.iter().fold([0; 2], |[wrote, read], agent| {
             [wrote + agent.bytes[0], read + agent.bytes[1]]
         });
@@ -399,6 +506,9 @@ impl Scenario {
             outcome,
             agents,
             rewinds,
+            resent,
+            samples,
+            writes,
             bytes,
         })
     }
@@ -412,15 +522,40 @@ pub(super) struct Ran {
     pub(super) agents: Vec<AgentReport>,
     /// Monitors the agents rewound.
     pub(super) rewinds: u64,
+    /// Values a window line carried that one before it had carried on
+    /// the same connection.
+    pub(super) resent: u64,
+    /// Samples the agents' samplers took, forced ones included.
+    pub(super) samples: u64,
+    /// Sends the agents made.
+    pub(super) writes: u64,
     /// Bytes the agents wrote and read: the wire, in and out.
     pub(super) bytes: [u64; 2],
 }
 
-/// One seed: every tick runs and every agent returns `Ok`; a fault-free
-/// run is `TaskRunner`'s report bit for bit; a run with no degraded
-/// poll alerts only on ground-truth violations; a rerun is identical.
+/// One seed, its own scenario and every carry arm: every tick runs and
+/// every agent returns `Ok`; a fault-free run is `TaskRunner`'s report
+/// bit for bit, and its agents' samplers took exactly the samples it
+/// counts; a run with no degraded poll alerts only on ground-truth
+/// violations; a rerun is identical. A carry arm's planted global
+/// violations alert, faults or not.
 fn sweep_seed(seed: u64) -> Result<(), String> {
-    check(&Scenario::of(seed), seed).map(drop)
+    check(&Scenario::of(seed), seed)?;
+    for (arm, scenario) in Scenario::carry_arms(seed) {
+        let ran = check(&scenario, seed).map_err(|e| format!("{arm}: {e}"))?;
+        let traces = &scenario.traces;
+        let everywhere = |t: &usize| traces.iter().all(|trace| trace[*t] == 100.0);
+        let alerts = &ran.outcome.report.alert_ticks;
+        if let Some(t) = (0..traces[0].len())
+            .filter(everywhere)
+            .find(|&t| !alerts.contains(&(t as u64)))
+        {
+            return Err(format!(
+                "{arm}: the global violation planted at {t} went unseen"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// [`sweep_seed`]'s checks of `scenario` under `seed`; what its run did.
@@ -436,6 +571,29 @@ fn check(scenario: &Scenario, seed: u64) -> Result<Ran, String> {
             .map_err(|e| format!("in-process run: {e}"))?;
         if *report != baseline {
             return Err(format!("{report:?} != in-process {baseline:?}"));
+        }
+        if ran.samples != report.total_samples {
+            let samples = ran.samples;
+            return Err(format!(
+                "the agents sampled {samples} times, not {report:?}"
+            ));
+        }
+    }
+    if let Some((every, fraction)) = scenario
+        .storm
+        .filter(|_| scenario.cuts.iter().all(Vec::is_empty))
+    {
+        // Every storm tick's kick ran: no window went out ahead of one.
+        let storms = NetFaultPlan::new(seed).with_storm(every, fraction);
+        let ticks = 0..report.ticks;
+        let agents = 0..scenario.split.len() as u32;
+        let victims = ticks.flat_map(|t| agents.clone().filter(move |&a| storms.severs(t, a)));
+        let expected = victims.count() as u64;
+        if ran.outcome.net.kicked != expected {
+            return Err(format!(
+                "{} kicks, {expected} storm victims",
+                ran.outcome.net.kicked
+            ));
         }
     }
     if report.degraded_polls == 0 {

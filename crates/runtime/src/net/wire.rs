@@ -124,11 +124,13 @@ pub enum ServerFrame {
         /// The epoch-stamped control frame each of them gets.
         frame: ControlFrame,
     },
-    /// A granted window's data for a run of monitors: the `len` ticks
-    /// from `tick`, row by row — monitor `first + i` gets tick `tick + r`
-    /// as `values.0[r * count + i]`, `count` being `values.0.len() / len`.
-    /// The agent steps the run through it and answers once
-    /// ([`ReplyBatch::Window`]).
+    /// A granted window's data for the `count` monitors from `first`:
+    /// the `len` ticks from `tick`, of which the first `held` are values
+    /// the agent already holds from the window this one was granted in
+    /// (a window granted along with a poll inside that one), and the rest
+    /// carried row by row — monitor `first + i` gets tick
+    /// `tick + held + r` as `values.0[r * count + i]`. The agent steps
+    /// the run through all `len` and answers once ([`ReplyBatch::Window`]).
     Window {
         /// The epoch every frame of the window is stamped with.
         epoch: u64,
@@ -136,9 +138,15 @@ pub enum ServerFrame {
         tick: Tick,
         /// How many ticks it spans (at most [`MAX_WINDOW`]).
         len: u32,
+        /// How many of them, from the first, the line carries no values
+        /// of.
+        held: u32,
         /// The run's first monitor id.
         first: u32,
-        /// `len` rows of one finite value per monitor, as their bits.
+        /// How many consecutive monitors the run holds.
+        count: u32,
+        /// `len - held` rows of one finite value per monitor, as their
+        /// bits.
         values: F64Column,
     },
 }
@@ -149,9 +157,9 @@ pub const MAX_WINDOW: usize = 8;
 
 impl ServerFrame {
     /// Hands `deliver` each `(monitor, frame)` this line carries, in id
-    /// order — a window's tick by tick — for the monitors in `hosted`
-    /// only, so a run's claimed length costs the agent no more than the
-    /// monitors it hosts.
+    /// order — a window's carried ticks tick by tick — for the monitors
+    /// in `hosted` only, so a run's claimed length costs the agent no
+    /// more than the monitors it hosts.
     pub fn expand(self, hosted: Range<u32>, mut deliver: impl FnMut(u32, ControlFrame)) {
         match self {
             ServerFrame::Welcome { .. } => {}
@@ -186,12 +194,14 @@ impl ServerFrame {
             ServerFrame::Window {
                 epoch,
                 tick,
-                len,
+                held,
                 first,
+                count,
                 values,
+                ..
             } => {
-                let count = (values.0.len() / len.max(1) as usize).max(1);
-                for (tick, row) in (tick..).zip(values.0.chunks_exact(count)) {
+                let rows = values.0.chunks_exact(count.max(1) as usize);
+                for (tick, row) in (tick + u64::from(held)..).zip(rows) {
                     for (to, &value) in (first..=u32::MAX).zip(row) {
                         if hosted.contains(&to) {
                             let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
@@ -461,30 +471,31 @@ pub(crate) struct WindowLine<'a> {
     pub(crate) epoch: u64,
     pub(crate) tick: Tick,
     pub(crate) len: u32,
+    pub(crate) held: u32,
     pub(crate) first: u32,
-    /// The run's monitors: the values' cells over `len` rows.
     pub(crate) count: usize,
+    /// The cells of rows `held..len`.
     values: &'a [u8],
 }
 
 impl<'a> WindowLine<'a> {
     /// The window `line` carries: `None` unless it is a
-    /// [`ServerFrame::Window`] line whose values are `len` whole rows of
-    /// canonical finite cells, `len` at most [`MAX_WINDOW`] — the line
-    /// [`ServerFrame`]'s decoder accepts, and a shape it would not.
+    /// [`ServerFrame::Window`] line whose values are `len - held` rows of
+    /// `count` canonical finite cells, `len` at most [`MAX_WINDOW`] and
+    /// `held` at most `len` — the line [`ServerFrame`]'s decoder accepts,
+    /// and a shape it would not.
     pub(crate) fn parse(line: &'a [u8]) -> Option<Self> {
         let mut parser = Parser::new(line);
         if !parser.object_begin().ok()? || parser.object_key().ok()? != "Window" {
             return None;
         }
-        let (mut fields, mut seen) = ([0u64; 4], 0u8);
+        const KEYS: [&str; 6] = ["epoch", "tick", "len", "held", "first", "count"];
+        let (mut fields, mut seen) = ([0u64; KEYS.len()], 0u8);
         let mut values = None;
         let mut more = parser.object_begin().ok()?;
         while more {
             let key = parser.object_key().ok()?;
-            let at = ["epoch", "tick", "len", "first"]
-                .iter()
-                .position(|name| *name == key);
+            let at = KEYS.iter().position(|name| *name == key);
             match at {
                 Some(at) => fields[at] = u64::from_json(&mut parser).ok()?,
                 None if key == "values" => match parser.parse_str().ok()? {
@@ -493,39 +504,40 @@ impl<'a> WindowLine<'a> {
                 },
                 None => return None,
             }
-            seen |= 1 << at.unwrap_or(4);
+            seen |= 1 << at.unwrap_or(KEYS.len());
             more = parser.object_next().ok()?;
         }
-        if parser.object_next().ok()? || parser.end().is_err() || seen != 0b1_1111 {
+        if parser.object_next().ok()? || parser.end().is_err() || seen != 0b111_1111 {
             return None;
         }
-        let [epoch, tick, len, first] = fields;
-        let (len, first) = (u32::try_from(len).ok()?, u32::try_from(first).ok()?);
+        let [epoch, tick, len, held, first, count] = fields;
+        let [len, held, first, count] = [len, held, first, count].map(u32::try_from);
+        let (len, held, first, count) = (len.ok()?, held.ok()?, first.ok()?, count.ok()?);
         let values = values?;
-        let cells = values.len() / F64Column::WIDTH;
-        let rows = len as usize;
-        let whole = values.len().is_multiple_of(F64Column::WIDTH)
-            && (1..=MAX_WINDOW).contains(&rows)
-            && cells.is_multiple_of(rows);
-        let count = cells / rows.max(1);
+        let carried = (len as usize).saturating_sub(held as usize) * count as usize;
+        let whole = (1..=MAX_WINDOW as u32).contains(&len)
+            && held <= len
+            && count > 0
+            && values.len() == carried * F64Column::WIDTH;
         let mut invalid = 0;
         for digits in values.chunks_exact(F64Column::WIDTH) {
             invalid |= F64Column::cell(digits).1;
         }
-        (whole && invalid == 0 && fits(first, count)).then_some(WindowLine {
+        (whole && invalid == 0 && fits(first, count as usize)).then_some(WindowLine {
             epoch,
             tick,
             len,
+            held,
             first,
-            count,
+            count: count as usize,
             values,
         })
     }
 
     /// The value of the run's `column`-th monitor on the window's `row`-th
-    /// tick.
+    /// tick, a carried one: `row` is at least `held`.
     pub(crate) fn value(&self, row: usize, column: usize) -> f64 {
-        let at = (row * self.count + column) * F64Column::WIDTH;
+        let at = ((row - self.held as usize) * self.count + column) * F64Column::WIDTH;
         F64Column::cell(&self.values[at..at + F64Column::WIDTH]).0
     }
 }
@@ -673,7 +685,9 @@ enum DataLine<'a> {
         epoch: u64,
         tick: Tick,
         len: u32,
+        held: u32,
         first: u32,
+        count: u32,
         values: ValuesView<'a>,
     },
 }
@@ -938,12 +952,15 @@ pub(crate) fn write_fan(
 
 /// Appends the data of `ticks` for the monitors `monitors`, read off
 /// `value`, as coordinator lines whose payloads fit `max_frame` wherever
-/// a split (by monitors) can make them, returning how many: one tick as
-/// [`ServerFrame::Ticks`] (a [`ServerFrame::Ctl`] for one monitor), more
-/// as [`ServerFrame::Window`].
+/// a split (by monitors) can make them, returning how many. A window
+/// granted along with a poll names the `held` ticks, from its first,
+/// whose values the agent already holds, and is a [`ServerFrame::Window`]
+/// carrying the rest, however long; any other grant carries every value:
+/// one tick as [`ServerFrame::Ticks`] (a [`ServerFrame::Ctl`] for one
+/// monitor), more as a [`ServerFrame::Window`] that holds none.
 pub(crate) fn write_data(
     epoch: u64,
-    ticks: Range<Tick>,
+    (ticks, held): (Range<Tick>, Option<u64>),
     (monitors, value): (Range<u32>, &dyn Fn(u32, Tick) -> f64),
     max_frame: usize,
     out: &mut Vec<u8>,
@@ -953,25 +970,25 @@ pub(crate) fn write_data(
     write_split(0..count, max_frame, out, &mut |part, out| {
         let first = monitors.start + part.start as u32;
         let monitors = first..first + part.len() as u32;
+        let carried = tick + held.unwrap_or(0).min(len)..ticks.end;
+        let rows = (carried.end - carried.start) as usize;
         // Room for the whole line at once: a long one is not doubled into.
-        out.reserve(WINDOW_OVERHEAD + 1 + part.len() * len as usize * F64Column::WIDTH);
-        if len > 1 {
-            let values = ValuesView {
-                value,
-                monitors,
-                ticks: ticks.clone(),
-            };
-            let len = len as u32;
-            return encode_into(
-                &DataLine::Window {
-                    epoch,
-                    tick,
-                    len,
-                    first,
-                    values,
+        out.reserve(WINDOW_OVERHEAD + 1 + part.len() * rows * F64Column::WIDTH);
+        if held.is_some() || len > 1 {
+            let line = DataLine::Window {
+                epoch,
+                tick,
+                len: len as u32,
+                held: (carried.start - tick) as u32,
+                first,
+                count: part.len() as u32,
+                values: ValuesView {
+                    value,
+                    monitors,
+                    ticks: carried,
                 },
-                out,
-            );
+            };
+            return encode_into(&line, out);
         }
         if part.len() == 1 {
             let value = value(first, tick);
@@ -1004,10 +1021,12 @@ pub(crate) fn window_fits(len: u64, max_frame: usize) -> u64 {
     len.min(fits.min(MAX_WINDOW) as u64).max(1)
 }
 
-/// The most a data line holds besides its values:
-/// `{"Window":{"epoch":…,"tick":…,"len":…,"first":…,"values":"…"}}` has
-/// 57 bytes of keys and punctuation, and at most 20 + 20 + 10 + 10 digits.
-const WINDOW_OVERHEAD: usize = 57 + 60;
+/// The most a data line for one monitor holds besides its values:
+/// `{"Window":{"epoch":…,"tick":…,"len":…,"held":…,"first":…,"count":…,
+/// "values":"…"}}` has 74 bytes of keys and punctuation, and at most
+/// 20 + 20 + 1 + 1 + 10 + 1 digits (`len` and `held` are at most
+/// [`MAX_WINDOW`], `count` is 1).
+const WINDOW_OVERHEAD: usize = 74 + 53;
 
 /// Appends `frames` — `(monitor, frame)` in send order, all for one
 /// connection — as coordinator lines by the socket plane's rule and
@@ -1048,7 +1067,13 @@ pub fn encode_controls(frames: &[(u32, ControlFrame)], max_frame: usize, out: &m
                 };
                 let monitors = first..first + len as u32;
                 let ticks = data.tick..data.tick + 1;
-                write_data(frame.epoch, ticks, (monitors, &value), max_frame, out)
+                write_data(
+                    frame.epoch,
+                    (ticks, None),
+                    (monitors, &value),
+                    max_frame,
+                    out,
+                )
             }
             _ => write_fan((first, len), frame, max_frame, out),
         };
@@ -1638,6 +1663,61 @@ mod tests {
             }
             assert_eq!(seen, lines);
         }
+    }
+
+    /// A window granted along with a poll carries only the ticks it does
+    /// not name held — none when it holds them all — and its line reads
+    /// the same way through the decoder and where it lies; a line whose
+    /// values disagree with its shape is refused.
+    #[test]
+    fn a_window_line_carries_only_the_ticks_it_does_not_hold() {
+        let value = |to: u32, tick: Tick| f64::from(to) + tick as f64 / 10.0;
+        for (held, len) in [(None, 3), (Some(0), 1), (Some(2), 5), (Some(4), 4)] {
+            let mut wire = Vec::new();
+            let grant = (10..10 + len, held);
+            assert_eq!(
+                write_data(7, grant, (4..7, &value), usize::MAX, &mut wire),
+                1
+            );
+            let held = held.unwrap_or(0);
+            let frame: ServerFrame = decode_line(&wire).unwrap();
+            let carried: Vec<f64> = (10 + held..10 + len)
+                .flat_map(|tick| (4..7).map(move |to| value(to, tick)))
+                .collect();
+            let expected = ServerFrame::Window {
+                epoch: 7,
+                tick: 10,
+                len: len as u32,
+                held: held as u32,
+                first: 4,
+                count: 3,
+                values: F64Column(carried),
+            };
+            assert_eq!(frame, expected);
+            let line = WindowLine::parse(&wire).expect("a window line");
+            assert_eq!(
+                (line.tick, line.len, line.held, line.count),
+                (10, len as u32, held as u32, 3)
+            );
+            for row in held..len {
+                for column in 0..3 {
+                    let at = line.value(row as usize, column);
+                    assert_eq!(at, value(4 + column as u32, 10 + row));
+                }
+            }
+            let mut delivered = Vec::new();
+            frame.expand(0..u32::MAX, |to, frame| delivered.push((to, frame.msg)));
+            assert_eq!(delivered.len() as u64, 3 * (len - held));
+        }
+        let mut wire = Vec::new();
+        write_data(7, (10..13, Some(1)), (4..7, &value), usize::MAX, &mut wire);
+        let text = String::from_utf8(wire).unwrap();
+        for (from, to) in [("\"held\":1", "\"held\":0"), ("\"held\":1", "\"held\":4")] {
+            let bad = text.replace(from, to);
+            assert!(WindowLine::parse(bad.as_bytes()).is_none(), "{bad}");
+        }
+        let bad = text.replace("\"count\":3", "\"count\":2");
+        assert!(WindowLine::parse(bad.as_bytes()).is_none(), "{bad}");
     }
 
     /// An agent takes from a line only the monitors it hosts, whatever

@@ -1,17 +1,22 @@
-//! The socket plane's work budget: what one steady window costs, counted
-//! by the code itself instead of timed — wire lines and bytes each way
-//! and heap allocations per window, and the heap high-water marks of one
-//! 128-monitor agent machine and of the plane — on [`super::sweep`]'s
-//! virtual clock, so every count is a function of the run alone.
+//! The socket plane's work budget: what one steady window and one poll
+//! cost, counted by the code itself instead of timed — wire lines and
+//! bytes each way and heap allocations per window, the heap high-water
+//! marks of one 128-monitor agent machine and of the plane, and a poll's
+//! round trips, socket writes and values — on [`super::sweep`]'s virtual
+//! clock, so every count is a function of the run alone.
 //!
-//! The run is `live-net`'s shape: 256 monitors, two agents of 128, calm
-//! traces, no poll — a window of [`MAX_WINDOW`] ticks at a time. A
-//! steady window's cost is the difference of two runs, 104 and 200
-//! ticks, over the twelve windows between them. The budgets live in
-//! `work_budget.json` beside this file: a count above its budget fails
-//! and prints every count against its budget. A change that lowers a
-//! count lowers its budget with it; one may rise only with its reason
-//! named in `CHANGES.md`.
+//! The runs are `live-net`'s shape: 256 monitors, two agents of 128,
+//! calm traces. With no poll, a window of [`MAX_WINDOW`] ticks goes out
+//! at a time, and a steady window's cost is the difference of two runs,
+//! 104 and 200 ticks, over the twelve windows between them. The poll
+//! case plants a local violation on the third tick of the first window
+//! and runs through the end of the window that follows the poll: its
+//! counts are the whole run's, and it fails outright if a tick's values
+//! reach one connection twice. The budgets live in `work_budget.json`
+//! beside this file: a count above its budget fails and prints every
+//! count against its budget. A change that lowers a count lowers its
+//! budget with it; one may rise only with its reason named in
+//! `CHANGES.md`.
 //!
 //! Allocations are charged to an [`Account`] by a counting allocator
 //! (`volley_heapcount`): the world that stands in for the network
@@ -76,6 +81,16 @@ fn steady(ticks: usize) -> Scenario {
     }
 }
 
+/// The poll case: [`steady`] for 11 ticks with monitor 0 at 100 on tick
+/// 2, which it samples — every monitor samples every tick while it warms
+/// up — so the first window, `[0, 8)`, polls on its third tick, and the
+/// window after the poll is `[3, 11)`.
+fn poll_cut() -> Scenario {
+    let mut scenario = steady(11);
+    scenario.traces[0][2] = 100.0;
+    scenario
+}
+
 /// One run's counts: what it did, and per account its allocations and
 /// heap high-water mark.
 fn measure(ticks: usize) -> (Ran, [u64; 2], [i64; 2]) {
@@ -86,7 +101,8 @@ fn measure(ticks: usize) -> (Ran, [u64; 2], [i64; 2]) {
     (ran, [plane, agent], [plane_peak, agent_peak])
 }
 
-/// Every count of a steady window, and the two high-water marks.
+/// Every count of a steady window, the two high-water marks, and the
+/// poll case's counts.
 fn counts() -> BTreeMap<String, u64> {
     let (short, short_allocs, _) = measure(104);
     let (long, long_allocs, peaks) = measure(200);
@@ -119,14 +135,27 @@ fn counts() -> BTreeMap<String, u64> {
         ("peak.plane_bytes", peaks[0] as u64),
         ("peak.agent_bytes", peaks[1] as u64),
     ];
+    let poll = poll_cut().run(0).expect("a run with a poll");
+    let (report, net) = (&poll.outcome.report, &poll.outcome.net);
+    assert_eq!((report.polls, report.ticks), (1, 11), "one poll, 11 ticks");
+    assert_eq!(poll.resent, 0, "values sent twice to one connection");
+    // A value is 16 hex digits on the wire.
+    let value_bytes = 16 * net.values_out / report.ticks;
+    let polled = [
+        ("poll.round_trips", net.round_trips),
+        ("poll.writes_out", net.writes),
+        ("poll.writes_in", poll.writes),
+        ("poll.value_bytes_per_tick", value_bytes),
+    ];
     counted
         .into_iter()
+        .chain(polled)
         .map(|(name, count)| (name.to_string(), count))
         .collect()
 }
 
 #[test]
-fn a_steady_window_costs_no_more_than_its_budget() {
+fn a_steady_window_and_a_poll_cost_no_more_than_their_budget() {
     let counts = counts();
     assert_eq!(
         counts,

@@ -12,9 +12,10 @@
 //! - **step** ([`TaskSession::step_window`]): send what the machine left
 //!   pending between ticks, then a window of ticks' [`TickData`] — one
 //!   tick in process — then step the coordinator machine on this thread
-//!   — pump monitor frames into it a tick at a time, execute its outbox
-//!   — until the window's [`TickSummary`]s come out, and fold them into
-//!   the [`RuntimeReport`];
+//!   — pump monitor frames into it a tick at a time, execute its outbox,
+//!   behind sockets sending a poll with the next window where the
+//!   machine allows — until the windows' [`TickSummary`]s come out, and
+//!   fold them into the [`RuntimeReport`];
 //! - **finish** ([`TaskSession::finish`]): Shutdown, flush — on success
 //!   *and* on error;
 //! - **drive** ([`drive`]): the one tick loop over any number of
@@ -257,6 +258,25 @@ impl MonitorPlane {
         }
     }
 
+    /// Sends the poll `msg` to the runs `polled` and, with it, every
+    /// monitor its data for `ticks`, the window granted after the polled
+    /// tick: behind sockets, the only plane that grants one.
+    fn send_poll(
+        &mut self,
+        epoch: u64,
+        (polled, msg): (&[MonitorRun], CoordinatorToMonitor),
+        ticks: std::ops::Range<Tick>,
+        value: &dyn Fn(usize, Tick) -> f64,
+    ) {
+        if let MonitorPlane::Remote(plane, feed) = self {
+            feed.carry(ticks.clone());
+            let poll = ControlFrame { epoch, msg };
+            plane.send_poll(polled, poll, ticks, &|monitor, tick| {
+                value(monitor as usize, tick)
+            });
+        }
+    }
+
     /// How many ticks the plane's monitors may step as one window, at
     /// most `len`: one in process, where no round trip is saved and a
     /// fault plan decides per frame and per tick.
@@ -292,6 +312,15 @@ struct ShellObs {
     gate_flips: Counter,
 }
 
+/// What a step behind sockets may grant along with a poll: the values,
+/// and how many ticks from a tick the drive loop allows a window to span
+/// without acting before it (0: none).
+#[derive(Clone, Copy)]
+struct Carry<'v> {
+    value: &'v dyn Fn(usize, Tick) -> f64,
+    ahead: &'v dyn Fn(Tick) -> u64,
+}
+
 /// One running task: its monitor plane, its coordinator incarnation and
 /// the report folded so far.
 pub(crate) struct TaskSession<'a> {
@@ -312,6 +341,10 @@ pub(crate) struct TaskSession<'a> {
     checkpoint_started: Instant,
     /// The summaries of the ticks the last step closed, in order.
     summaries: Vec<TickSummary>,
+    /// The runs a poll going out with a window goes to.
+    polled: Vec<MonitorRun>,
+    /// The end of the window the last poll went out with.
+    carried: Option<Tick>,
     report: RuntimeReport,
 }
 
@@ -341,6 +374,8 @@ impl<'a> TaskSession<'a> {
             wal_retired: SinkHealth::default(),
             checkpoint_started: Instant::now(),
             summaries: Vec::with_capacity(MAX_WINDOW),
+            polled: Vec::new(),
+            carried: None,
             obs: ShellObs {
                 tick_hist: registry.histogram(names::COORDINATOR_TICK_NS),
                 wal_hist: registry.histogram(names::WAL_APPEND_NS),
@@ -390,7 +425,7 @@ impl<'a> TaskSession<'a> {
         tick: Tick,
         value: impl Fn(usize) -> f64,
     ) -> Result<TickSummary, VolleyError> {
-        self.step_window(tick, 1, &|idx, _| value(idx))?;
+        self.step_window(tick, 1, &|idx, _| value(idx), &|_| 0)?;
         Ok(self.summaries[0])
     }
 
@@ -401,12 +436,15 @@ impl<'a> TaskSession<'a> {
     /// tick at a time until the window's summaries come out (restarting
     /// quarantined monitors on the way when supervising) and folds them
     /// into the report; returns how many ticks closed, their summaries
-    /// in [`summaries`](Self::summaries). The window ends early at its
-    /// first poll, whose request rewinds the agents that stepped past
-    /// it, or at a deadline, which it counts as one: every tick after
-    /// the one it closes is granted again. A refused tick means that
-    /// monitor is gone; the coordinator notices via its deadline, so the
-    /// run keeps going. With a window of one this is the lock-step
+    /// in [`summaries`](Self::summaries). A poll's request rewinds the
+    /// agents that stepped past its tick. Behind sockets it goes out with
+    /// the next window — of at most `ahead(t + 1)` ticks, which the step
+    /// then runs too — where the machine promises that closing the polled
+    /// tick sends the monitors nothing; otherwise the window ends at the
+    /// poll, as it does at a deadline, which it counts as one: every tick
+    /// after the one it closes is granted again. A refused tick means
+    /// that monitor is gone; the coordinator notices via its deadline, so
+    /// the run keeps going. With a window of one this is the lock-step
     /// protocol, exactly.
     ///
     /// The fault plan's next coordinator crash fires once the tick's
@@ -425,11 +463,12 @@ impl<'a> TaskSession<'a> {
         tick: Tick,
         len: u64,
         value: &dyn Fn(usize, Tick) -> f64,
+        ahead: &dyn Fn(Tick) -> u64,
     ) -> Result<usize, VolleyError> {
         let mut coordinator = self.coordinator.take();
         let mut len = self.plane.window(len);
         if let Some(coordinator) = coordinator.as_mut() {
-            self.drain(coordinator);
+            self.drain(coordinator, None);
             len = coordinator.quiet_ticks(len);
         }
         self.plane.send_data(self.epoch, tick..tick + len, value);
@@ -448,7 +487,11 @@ impl<'a> TaskSession<'a> {
             return Err(COORDINATOR_DEAD);
         }
         self.summaries.clear();
-        let closed = self.pump(&mut coordinator, tick + len);
+        let carry = match self.plane {
+            MonitorPlane::Remote(..) => Some(Carry { value, ahead }),
+            MonitorPlane::Inline { .. } => None,
+        };
+        let closed = self.pump(&mut coordinator, tick + len, carry);
         self.coordinator = Some(coordinator);
         for summary in &self.summaries {
             Self::fold(&mut self.report, self.config.recorder.as_ref(), summary);
@@ -464,7 +507,8 @@ impl<'a> TaskSession<'a> {
     /// The coordinator's I/O shell: executes its outbox, and whenever
     /// that runs dry hands it what the monitors have sent (frames in
     /// process, a payload behind sockets), reporting the deadline when
-    /// nothing came; collects the summaries of the ticks before `end`.
+    /// nothing came; collects the summaries of the ticks before `end` —
+    /// and of the window a poll went out with, if one did (`carry`).
     /// In process the replies in flight are all there is, so a round
     /// missing some closes at once; behind sockets the table is turned
     /// until a payload arrives or the deadline the machine last armed
@@ -473,7 +517,8 @@ impl<'a> TaskSession<'a> {
     fn pump(
         &mut self,
         coordinator: &mut CoordinatorActor,
-        end: Tick,
+        mut end: Tick,
+        carry: Option<Carry<'_>>,
     ) -> Result<usize, VolleyError> {
         let spans = self.config.obs.spans();
         // The guard borrows its histogram across `&mut self` calls, so the
@@ -486,12 +531,19 @@ impl<'a> TaskSession<'a> {
         self.plane.arm_deadline();
         let mut cut = false;
         loop {
-            if let Some(summary) = self.drain(coordinator) {
+            if let Some(summary) = self.drain(coordinator, carry.filter(|_| !cut)) {
                 self.summaries.push(summary);
                 let next = summary.tick + 1;
                 // A poll rewound the agents to its tick, a deadline left
-                // the rest of the window unanswered: it ends here.
-                if cut || summary.polled || next >= end {
+                // the rest of the window unanswered: it ends here — but
+                // for the window the poll went out with, if no deadline
+                // passed.
+                match self.carried.take().filter(|_| !cut) {
+                    Some(until) => end = until,
+                    None if summary.polled => return Ok(self.summaries.len()),
+                    None => {}
+                }
+                if cut || next >= end {
                     return Ok(self.summaries.len());
                 }
                 if let MonitorPlane::Remote(_, feed) = &mut self.plane {
@@ -516,15 +568,43 @@ impl<'a> TaskSession<'a> {
     /// Executes the coordinator's outbox until it is empty, returning
     /// the tick summary if one came out. Whatever follows a summary —
     /// the ledger entry a restarted monitor is re-admitted at — goes out
-    /// with it, so nothing is left pending once a tick is over.
+    /// with it, so nothing is left pending once a tick is over. With a
+    /// `carry`, a poll the machine lets carry the next window goes out
+    /// with it, once its last run is known: the outbox entry after it.
     ///
     /// WAL I/O errors are swallowed: durability is best-effort and never
     /// worth failing the run over (a standby restoring from a short log
     /// just falls back to conservative restarts for the missing state).
-    fn drain(&mut self, coordinator: &mut CoordinatorActor) -> Option<TickSummary> {
+    fn drain(
+        &mut self,
+        coordinator: &mut CoordinatorActor,
+        carry: Option<Carry<'_>>,
+    ) -> Option<TickSummary> {
         let spans = self.config.obs.spans();
         let mut closed = None;
-        while let Some(output) = coordinator.pop_output() {
+        let mut next = None;
+        while let Some(output) = next.take().or_else(|| coordinator.pop_output()) {
+            if let Some((carry, Output::Send { to, msg })) = carry.zip(Some(&output)) {
+                if let Some(grant) = self.grant(coordinator, carry, *msg) {
+                    // The poll's runs: this send and those queued behind it.
+                    self.polled.push(*to);
+                    while let Some(output) = coordinator.pop_output() {
+                        match output {
+                            Output::Send { to, msg: poll } if poll == *msg => self.polled.push(to),
+                            output => {
+                                next = Some(output);
+                                break;
+                            }
+                        }
+                    }
+                    let polled = (self.polled.as_slice(), *msg);
+                    self.plane
+                        .send_poll(self.epoch, polled, grant.clone(), carry.value);
+                    self.polled.clear();
+                    self.carried = Some(grant.end);
+                    continue;
+                }
+            }
             match output {
                 Output::Send { to, msg } => {
                     let refused = |monitor| coordinator.on_undeliverable(monitor);
@@ -569,6 +649,22 @@ impl<'a> TaskSession<'a> {
             }
         }
         closed
+    }
+
+    /// The window that may go out with `msg`, if it is a poll the
+    /// machine lets carry one: the ticks after the polled one that both
+    /// the machine and the drive loop (`carry`) allow, and the plane's frame
+    /// cap fits.
+    fn grant(
+        &self,
+        coordinator: &CoordinatorActor,
+        carry: Carry<'_>,
+        msg: CoordinatorToMonitor,
+    ) -> Option<std::ops::Range<Tick>> {
+        let next = msg.polled_tick()? + 1;
+        let ahead = (carry.ahead)(next);
+        let len = coordinator.poll_carries(self.plane.window(ahead).min(ahead));
+        (len > 0).then_some(next..next + len)
     }
 
     /// Folds one tick summary into `report` (and records its alert).
@@ -697,8 +793,9 @@ pub(crate) trait Hook {
 
     /// How many ticks from `tick` (of the `left` the run has) a lone
     /// task may step as one window: the hook acts before its first tick
-    /// only, so a tick it must act before starts a window of its own.
-    /// One by default: lock-step.
+    /// only, so a tick it must act before starts a window of its own —
+    /// and answers 0, since no window may be granted ahead of it along
+    /// with a poll. One by default: lock-step.
     fn window(&self, _tick: Tick, _left: u64) -> u64 {
         1
     }
@@ -885,13 +982,14 @@ pub(crate) fn drive(
             hook.start(ticks, &mut sessions)?;
         }
         let mut order: Vec<usize> = (0..sessions.len()).collect();
+        let lone = sessions.len() == 1;
         let mut tick = 0;
         while tick < ticks {
             let tick_started = obs.enabled().then(Instant::now);
             // One session may step a window of ticks where its hook
             // allows; tasks stepped in lock-step step one at a time.
             let mut len = match hook.as_deref() {
-                Some(hook) if sessions.len() == 1 => hook.window(tick, ticks - tick),
+                Some(hook) if lone => hook.window(tick, ticks - tick).max(1),
                 _ => 1,
             };
             // The window's first tick is closed task by task, each right
@@ -908,8 +1006,13 @@ pub(crate) fn drive(
                 // the same tick is stepped again on its successor.
                 let traces = task.traces;
                 let value = |i: usize, t: Tick| traces[i][t as usize];
+                // The windows a poll may carry: the hook's, within the run.
+                let ahead = |t: Tick| match hook.as_deref() {
+                    Some(hook) if lone && t < ticks => hook.window(t, ticks - t),
+                    _ => 0,
+                };
                 loop {
-                    let err = match session.step_window(tick, len, &value) {
+                    let err = match session.step_window(tick, len, &value, &ahead) {
                         Ok(closed) => break len = closed as u64,
                         Err(err) => err,
                     };
