@@ -13,15 +13,17 @@
 //! de-synchronize) counted toward
 //! [`BackoffConfig::max_retries_per_outage`].
 //!
-//! A [`ServerFrame::Window`] line grants its run of monitors a window of
-//! ticks: the machine keeps each monitor's state at the window's start
-//! and the window's values, steps the run row by row until a row on
-//! which one of them violated (or the window's end) and answers with one
+//! Tick data arrives in [`ServerFrame::Window`] lines only, one tick's
+//! as a window of one; a `Ctl` or `Fan` line carrying a tick is refused.
+//! A window line grants its run of monitors a window of ticks: the
+//! machine keeps each monitor's state at the window's start and the
+//! window's values, steps the run row by row until a row on which one of
+//! them violated (or the window's end) and answers with one
 //! [`ReplyBatch::Window`](super::ReplyBatch::Window) line. A later line
 //! that names an earlier tick — a poll of a tick the monitor stepped
-//! past, the next window or tick starting before it got to — rewinds
-//! the monitor first: back to its window-start state, then forward
-//! through the kept values to that tick (`DESIGN.md` §8).
+//! past, the next window starting before it got to — rewinds the monitor
+//! first: back to its window-start state, then forward through the kept
+//! values to that tick (`DESIGN.md` §8).
 //!
 //! A poll inside a window arrives with the next window, which names the
 //! ticks whose values the machine kept from the last one (`held`): it
@@ -315,8 +317,8 @@ impl AgentMachine {
     /// its replies appended to `out` as one send — and, once the last
     /// hosted monitor is shut down, the goodbye the coordinator's
     /// teardown waits for: an empty line. `false` for an oversized or
-    /// garbled line: the connection must go, to re-handshake on a clean
-    /// buffer.
+    /// garbled line, or tick data outside a window line: the connection
+    /// must go, to re-handshake on a clean buffer.
     pub(crate) fn on_bytes(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> bool {
         let finished = self.finished();
         self.frames.extend(bytes);
@@ -350,6 +352,9 @@ impl AgentMachine {
                 let Ok(frame) = decode_line::<ServerFrame>(line) else {
                     return false;
                 };
+                if carries_ticks(&frame) {
+                    return false;
+                }
                 if matches!(frame, ServerFrame::Welcome { .. }) && !self.welcomed.0 {
                     self.report.reconnects += u64::from(self.welcomed.1);
                     (self.welcomed, self.retries) = ((true, true), 0);
@@ -367,13 +372,12 @@ impl AgentMachine {
         self.table.finished()
     }
 
-    /// Samples the hosted monitors' samplers took, forced ones included.
+    /// The hosted monitors' sampler states, allowance and sample count
+    /// included, in id order.
     #[cfg(test)]
-    pub(crate) fn samples(&self) -> u64 {
+    pub(crate) fn states(&self) -> impl Iterator<Item = volley_core::SamplerSnapshot> + '_ {
         let slots = self.table.slots().iter();
-        slots
-            .map(|slot| slot.actor().sampler().total_samples())
-            .sum()
+        slots.map(|slot| slot.actor().sampler().to_snapshot())
     }
 
     /// The connection closed, or a dial failed (`cause`): the wait before
@@ -407,7 +411,7 @@ struct Hosts<'a> {
 
 impl Hosts<'_> {
     /// Hands each frame of a line to its hosted slot — rewinding the
-    /// monitor first when the frame names a tick it stepped past in a
+    /// monitor first when the frame polls a tick it stepped past in a
     /// window — and its replies to the writer.
     fn deliver(&mut self, frame: ServerFrame, out: &mut Vec<u8>) {
         let Hosts {
@@ -420,17 +424,9 @@ impl Hosts<'_> {
         } = self;
         frame.expand(hosted.clone(), |to, control| {
             let at = (to - hosted.start) as usize;
-            let before = match control.msg {
-                CoordinatorToMonitor::Tick(data) => Some(data.tick),
-                CoordinatorToMonitor::Poll { tick } => Some(tick.saturating_add(1)),
-                _ => None,
-            };
-            if let Some(before) = before {
+            if let CoordinatorToMonitor::Poll { tick } = control.msg {
+                let before = tick.saturating_add(1);
                 **rewinds += u64::from(held[at].rewind(table, (at, to), before));
-            }
-            if matches!(control.msg, CoordinatorToMonitor::Tick(_)) {
-                // Lock-step data: nothing of a window is left to undo.
-                held[at].stepped = 0;
             }
             table.deliver(to, control, &mut |reply| replies.push(&reply, out));
         });
@@ -532,6 +528,20 @@ impl Hosts<'_> {
         let run = (lo, hi - lo);
         replies.window((reply_epoch.unwrap_or(epoch), tick), run, flags, out);
         true
+    }
+}
+
+/// Whether `frame`, a line the window reader did not take, carries tick
+/// data: a `Ctl` or `Fan` line of a tick, or a window in another
+/// spelling than the writer's. The coordinator writes none: a monitor
+/// steps its ticks in windows only, where its rewind state is kept.
+fn carries_ticks(frame: &ServerFrame) -> bool {
+    match frame {
+        ServerFrame::Ctl { frame, .. } | ServerFrame::Fan { frame, .. } => {
+            matches!(frame.msg, CoordinatorToMonitor::Tick(_))
+        }
+        ServerFrame::Window { .. } => true,
+        ServerFrame::Welcome { .. } => false,
     }
 }
 
@@ -672,14 +682,15 @@ mod tests {
     }
 
     /// The agent's edge, byte for byte: what the hosted slots answer one
-    /// line with, as values, leaves the socket as exactly
-    /// `encode_replies` of those values — the only place a monitor's
-    /// reply is ever encoded: a run of tick reports or of poll replies
-    /// as one line, a snapshot as one line per monitor.
+    /// line with, as values, leaves the socket as exactly its encoding —
+    /// a tick's data, a window of one, as one window reply; a run of poll
+    /// replies as one line (`encode_replies`), a snapshot as one line per
+    /// monitor — and a `Ctl` line carrying a tick is refused.
     #[test]
     fn the_agent_writes_exactly_the_encoding_of_each_reply_frame() {
         use crate::message::{ControlFrame, CoordinatorToMonitor, TickData};
-        use crate::net::{ctl_line, encode_controls};
+        use crate::net::wire::{write_data, write_fan};
+        use crate::net::{ctl_line, ReplyBatch};
         use std::io::{BufRead, BufReader};
 
         let spec = TaskSpec::builder(300.0)
@@ -708,7 +719,7 @@ mod tests {
             read_line().starts_with(b"{\"agent\":0,"),
             "the hello comes first"
         );
-        let notices = crate::message::encode(&crate::net::ReplyBatch::Revived {
+        let notices = crate::message::encode(&ReplyBatch::Revived {
             epoch: 0,
             first: 1,
             count: 2,
@@ -718,26 +729,52 @@ mod tests {
         // The twins of the hosted actors answer the same frames by hand.
         let mut twins = [monitor_actor(&spec, 1), monitor_actor(&spec, 2)];
         socket.write_all(&welcome_line(0)).unwrap();
+        let value = |to: u32, _| [0.0, 70.0, 80.0][to as usize];
+        let mut wire = Vec::new();
+        assert_eq!(
+            write_data(0, (0..1, 0), (1..3, &value), usize::MAX, &mut wire),
+            1
+        );
+        socket.write_all(&wire).unwrap();
+        let mut flags = Vec::new();
+        for (to, twin) in (1..).zip(&mut twins) {
+            let msg = CoordinatorToMonitor::Tick(TickData {
+                tick: 0,
+                value: value(to, 0),
+            });
+            let done = twin.handle_frame(ControlFrame { epoch: 0, msg }).0;
+            let Some(MonitorToCoordinator::TickDone {
+                sampled,
+                violation,
+                suppressed,
+                ..
+            }) = done.map(|reply| reply.msg)
+            else {
+                panic!("a tick is answered with its report");
+            };
+            flags.push(flag_digit(sampled, violation, suppressed));
+        }
+        let reports = crate::message::encode(&ReplyBatch::Window {
+            epoch: 0,
+            tick: 0,
+            first: 1,
+            count: 2,
+            flags: crate::net::DigitColumn(flags),
+        });
+        assert_eq!(read_line()[..], reports[..], "one window reply");
+        let mut sent = 2;
         let sends = [
-            [70.0, 80.0].map(|value| CoordinatorToMonitor::Tick(TickData { tick: 0, value })),
-            [CoordinatorToMonitor::Poll { tick: 0 }; 2],
-            [CoordinatorToMonitor::RequestSnapshot; 2],
+            CoordinatorToMonitor::Poll { tick: 0 },
+            CoordinatorToMonitor::RequestSnapshot,
         ];
-        let mut sent = 1;
-        for msgs in sends {
-            let stamped = msgs.map(|msg| ControlFrame { epoch: 0, msg });
-            let frames: Vec<(u32, ControlFrame)> = (1..).zip(stamped).collect();
+        for msg in sends {
+            let frame = ControlFrame { epoch: 0, msg };
             let mut wire = Vec::new();
-            assert_eq!(
-                encode_controls(&frames, usize::MAX, &mut wire),
-                1,
-                "one line"
-            );
+            assert_eq!(write_fan((1, 2), frame, usize::MAX, &mut wire), 1);
             socket.write_all(&wire).unwrap();
             let replies: Vec<MonitorFrame> = twins
                 .iter_mut()
-                .zip(&frames)
-                .filter_map(|(twin, &(_, frame))| twin.handle_frame(frame).0)
+                .filter_map(|twin| twin.handle_frame(frame).0)
                 .collect();
             let mut expected = Vec::new();
             let lines = encode_replies(&replies, usize::MAX, &mut expected);
@@ -745,7 +782,7 @@ mod tests {
             for _ in 0..lines {
                 read.extend(read_line());
             }
-            assert_eq!(read, expected, "{msgs:?}");
+            assert_eq!(read, expected, "{msg:?}");
             sent += lines;
         }
         let stop = ControlFrame::seal(0, CoordinatorToMonitor::Shutdown);
@@ -768,10 +805,39 @@ mod tests {
         let report = agent.join().unwrap();
         assert_eq!(
             sent, 5,
-            "the Revived notices, a batch for each run, a snapshot each"
+            "the Revived notices, the window reply, a batch of poll replies, a snapshot each"
         );
         assert_eq!(report.frames_sent, sent);
         assert_eq!(report.frames_received, 6);
+
+        // Tick data outside a window line is refused, whatever carries it.
+        let tick = ControlFrame::seal(
+            0,
+            CoordinatorToMonitor::Tick(TickData {
+                tick: 0,
+                value: 1.0,
+            }),
+        );
+        let fan = ServerFrame::Fan {
+            first: 0,
+            count: 2,
+            frame: ControlFrame {
+                epoch: 0,
+                msg: CoordinatorToMonitor::Tick(TickData {
+                    tick: 0,
+                    value: 1.0,
+                }),
+            },
+        };
+        for line in [ctl_line(0, &tick), crate::message::encode(&fan)] {
+            let mut agent = machine(0..2, BackoffConfig::default());
+            let mut out = Vec::new();
+            agent.connected(&mut out);
+            assert!(agent.on_bytes(&welcome_line(0), &mut out));
+            assert!(!agent.on_bytes(&line, &mut out), "{line:?}");
+            let samples = agent.states().map(|state| state.total_samples);
+            assert_eq!(samples.sum::<u64>(), 0, "no monitor stepped");
+        }
     }
 
     /// A window granted along with a poll names the ticks whose values
@@ -807,29 +873,23 @@ mod tests {
             agent
         };
         let mut answers = Vec::new();
-        for held in [Some(0), Some(2)] {
+        for held in [0, 2] {
             let (mut agent, mut out) = (welcomed(), Vec::new());
-            assert!(agent.on_bytes(&window(0..4, None), &mut out));
+            assert!(agent.on_bytes(&window(0..4, 0), &mut out));
             let line = [&poll[..], &window(2..6, held)].concat();
             assert!(agent.on_bytes(&line, &mut out));
-            assert_eq!((agent.rewinds, agent.resent), (2, 4 - 2 * held.unwrap()));
+            assert_eq!((agent.rewinds, agent.resent), (2, 4 - 2 * held));
             answers.push(out);
         }
         assert_eq!(answers[0], answers[1], "held values step as carried ones");
 
         let (mut agent, mut out) = (welcomed(), Vec::new());
-        assert!(
-            !agent.on_bytes(&window(2..6, Some(2)), &mut out),
-            "none held"
-        );
+        assert!(!agent.on_bytes(&window(2..6, 2), &mut out), "none held");
         let mut agent = welcomed();
-        assert!(agent.on_bytes(&window(0..4, None), &mut out));
+        assert!(agent.on_bytes(&window(0..4, 0), &mut out));
         agent.connected(&mut out);
         assert!(agent.on_bytes(&welcome_line(0), &mut out));
-        assert!(
-            !agent.on_bytes(&window(2..6, Some(2)), &mut out),
-            "a re-dial"
-        );
+        assert!(!agent.on_bytes(&window(2..6, 2), &mut out), "a re-dial");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! thread; [`run_agent`] hosts a slice of the monitors behind one socket,
 //! a blocking driver around the agent's sans-IO machine; the wire
 //! ([`ServerFrame`], [`ReplyBatch`]) carries a run of consecutive
-//! monitors' frames as one line ([`encode_controls`], [`encode_replies`],
-//! [`ServerFrame::expand`], [`expand_reply_line`]) — quiet ticks a
-//! window of up to [`MAX_WINDOW`] at a time, one line each way per agent,
-//! rewound where a poll lands inside it, and the next window sent with
-//! the poll; [`NetFaultPlan`] schedules
+//! monitors' frames as one line ([`encode_replies`],
+//! [`ServerFrame::expand`], [`expand_reply_line`]) — tick data a window
+//! of one to [`MAX_WINDOW`] quiet ticks at a time, one line each way per
+//! agent, rewound where a poll lands inside it, and the next window sent
+//! with the poll; [`NetFaultPlan`] schedules
 //! reconnect storms for `volley chaos --net`. Every time read
 //! and wait goes through one crate-private `Clock`: the wall clock in
 //! production; in tests, a virtual one that runs the real socket plane
@@ -28,8 +28,8 @@ pub use faults::NetFaultPlan;
 pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats, DEFAULT_TICK_DEADLINE};
 pub(crate) use server::{SocketPlane, WindowFeed};
 pub use wire::{
-    ctl_line, encode_controls, encode_replies, expand_reply_line, welcome_line, AgentHello,
-    DigitColumn, F64Column, ReplyBatch, ServerFrame, MAX_WINDOW,
+    ctl_line, encode_replies, expand_reply_line, welcome_line, AgentHello, DigitColumn, F64Column,
+    ReplyBatch, ServerFrame, MAX_WINDOW,
 };
 
 /// The one source of time of the socket plane and the agent driver.

@@ -10,9 +10,9 @@
 //!   where the route changes and encodes each part behind one connection
 //!   as one [`ServerFrame`](super::ServerFrame) line, split under the
 //!   frame cap, into that connection's write batch, written before it
-//!   returns — a window's data line straight to the socket, a poll's
-//!   with the window it carries, whose values the connection holds from
-//!   its last one left out;
+//!   returns — tick data as a window line, one tick's included, straight
+//!   to the socket, a poll with the window it carries, whose values the
+//!   connection holds from its last one left out;
 //! - **inbound**: when the coordinator machine has nothing left to do,
 //!   the session turns the table — `poll` until the armed deadline,
 //!   accept, read, [`FrameBuffer`] reassembly, flush, reap — until agent
@@ -669,9 +669,8 @@ impl SocketPlane {
     }
 
     /// Sends every monitor its data for `ticks`, `value(monitor, tick)`,
-    /// as a line per connection ([`write_data`]), under the same cap: one
-    /// tick as a `Ticks` line, a window of them as a `Window` line,
-    /// written through.
+    /// as a `Window` line per connection ([`write_data`]) — one tick's as
+    /// a window of one — under the same cap, written through.
     pub(crate) fn send_data(
         &mut self,
         epoch: u64,
@@ -683,8 +682,8 @@ impl SocketPlane {
             ticks: ticks.clone(),
             with_poll: false,
         };
-        self.stage(all, Some(grant), |run, _, max_frame, batch| {
-            write_data(epoch, (ticks.clone(), None), (run, value), max_frame, batch)
+        self.stage(all, Some(grant), |run, _, max_frame, out| {
+            write_data(epoch, (ticks.clone(), 0), (run, value), max_frame, out)
         });
     }
 
@@ -733,7 +732,7 @@ impl SocketPlane {
     /// cap, the batch; returning the lines it wrote) in pieces of at most
     /// the room its queue has — a monitor counts once per send — and
     /// every backlogged connection is flushed before this returns. A
-    /// window's piece, and whatever goes with it, is encoded into the
+    /// grant's piece, and whatever goes with it, is encoded into the
     /// plane's one scratch buffer and leaves from there
     /// ([`Conn::write_through`]): its long lines take no room in any
     /// connection's batch. A connection whose whole part took the grant
@@ -742,13 +741,12 @@ impl SocketPlane {
         &mut self,
         run: Range<u32>,
         grant: Option<Grant>,
-        mut write: impl FnMut(Range<u32>, Option<u64>, usize, &mut Vec<u8>) -> u64,
+        mut write: impl FnMut(Range<u32>, u64, usize, &mut Vec<u8>) -> u64,
     ) {
         let (conns, lines, scratch) = (self.table.conns(), &mut self.lines, &mut self.scratch);
         let (route, stats) = (&lines.route, &mut lines.stats);
         let (queue_cap, max_frame) = (lines.queue_cap, lines.max_frame);
         let len = grant.as_ref().map_or(0, |g| g.ticks.end - g.ticks.start);
-        let through = grant.as_ref().is_some_and(|g| g.with_poll || len > 1);
         let mut at = run.start;
         while at < run.end {
             let slot = route.get(at as usize).copied().flatten();
@@ -762,7 +760,7 @@ impl SocketPlane {
                 stats.unrouted_drops += part.len() as u64;
                 continue;
             };
-            let held = grant.as_ref().filter(|g| g.with_poll).map(|g| {
+            let held = grant.as_ref().filter(|g| g.with_poll).map_or(0, |g| {
                 let had = &conn.state.held;
                 let from = g.ticks.start;
                 if had.contains(&from) {
@@ -783,7 +781,7 @@ impl SocketPlane {
                     break; // the kernel takes no more
                 }
                 let piece = staged..staged + take;
-                if through {
+                if grant.is_some() {
                     scratch.clear();
                     stats.frames_out += write(piece, held, max_frame, scratch);
                     conn.write_through(take as usize, scratch);
@@ -793,7 +791,7 @@ impl SocketPlane {
                         stats.frames_out += write(piece, held, max_frame, batch)
                     });
                 }
-                stats.values_out += u64::from(take) * (len - held.unwrap_or(0));
+                stats.values_out += u64::from(take) * (len - held);
                 staged += take;
                 stats.max_queue_depth = stats.max_queue_depth.max(conn.queued() as u64);
             }
@@ -845,7 +843,7 @@ impl SocketPlane {
 /// a window with one [`ReplyBatch::Window`] line, and the machine judges
 /// one tick's reports at a time, the next only once it closed the last.
 pub(crate) struct WindowFeed {
-    /// The open window's ticks; empty for a lock-step tick.
+    /// The open window's ticks.
     ticks: Range<Tick>,
     /// The tick the machine is collecting the reports of.
     next: Tick,
@@ -877,16 +875,12 @@ impl WindowFeed {
         }
     }
 
-    /// The session sent the data of `ticks`: their replies are awaited,
-    /// a window's as window replies.
+    /// The session sent the data of `ticks`: their replies are awaited
+    /// as window replies.
     pub(crate) fn open(&mut self, ticks: Range<Tick>) {
         self.replies.clear();
         self.next = ticks.start;
-        self.ticks = if ticks.end - ticks.start > 1 {
-            ticks
-        } else {
-            0..0
-        };
+        self.ticks = ticks;
     }
 
     /// The session granted `ticks` along with a poll of the tick before
@@ -974,7 +968,7 @@ impl WindowFeed {
         let tick = self.next;
         let frames = runs.flat_map(|run| {
             let digits = run.flags[(row * u64::from(run.count)) as usize..].iter();
-            let reported = (run.first..).zip(digits.take(run.count as usize));
+            let reported = (run.first..=u32::MAX).zip(digits.take(run.count as usize));
             reported
                 .filter(|(_, &bits)| bits < 8)
                 .map(move |(monitor, &bits)| {
@@ -1205,6 +1199,21 @@ mod tests {
         ctl_line(to, &ControlFrame::seal(epoch, msg)).to_vec()
     }
 
+    /// What the wire carries for one tick's `values` sent to the monitors
+    /// from `first` at `epoch`: a window of one.
+    fn data_line(epoch: u64, tick: Tick, first: u32, values: Vec<f64>) -> Vec<u8> {
+        encode(&ServerFrame::Window {
+            epoch,
+            tick,
+            len: 1,
+            held: 0,
+            first,
+            count: values.len() as u32,
+            values: F64Column(values),
+        })
+        .to_vec()
+    }
+
     /// What the wire carries for `msg` sent to the `count` monitors from
     /// `first` at `epoch`, in one send.
     fn fan(first: u32, count: u32, epoch: u64, msg: CoordinatorToMonitor) -> Vec<u8> {
@@ -1306,7 +1315,8 @@ mod tests {
         let reader = thread::spawn(move || {
             assert_eq!(line(&mut peer), welcome_line(0).to_vec());
             for tick in 0..accepted - 1 {
-                assert_eq!(line(&mut peer), ctl(0, 1, msg(tick)), "frame {tick}");
+                let expected = data_line(1, tick, 0, vec![0.5]);
+                assert_eq!(line(&mut peer), expected, "frame {tick}");
             }
             peer
         });
@@ -1328,8 +1338,8 @@ mod tests {
     }
 
     /// A stalled peer hosting four monitors under a cap of two: while the
-    /// kernel takes bytes, each tick's run of four leaves whole, staged as
-    /// two lines of two frames with a flush between them; once it stops,
+    /// kernel takes bytes, each tick's run of four leaves whole, written
+    /// through as two lines of two frames; once it stops,
     /// the queue holds exactly the cap — one line — and the frames over
     /// it are dropped, a later run whole. The peer, reading again, gets
     /// every accepted line, in order.
@@ -1373,15 +1383,9 @@ mod tests {
             assert_eq!(line(&mut peer), welcome_line(0).to_vec());
             for at in 0..lines - 1 {
                 let first = 2 * (at % 2) as u32;
-                let values = F64Column(vec![f64::from(first), f64::from(first + 1)]);
-                let tick = at / 2;
-                let ticks = ServerFrame::Ticks {
-                    epoch: 1,
-                    tick,
-                    first,
-                    values,
-                };
-                assert_eq!(line(&mut peer), encode(&ticks).to_vec(), "line {at}");
+                let values = vec![f64::from(first), f64::from(first + 1)];
+                let expected = data_line(1, at / 2, first, values);
+                assert_eq!(line(&mut peer), expected, "line {at}");
             }
         });
         while plane.table.conns()[0].as_ref().unwrap().pending_bytes() > 0 {

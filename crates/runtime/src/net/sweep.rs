@@ -20,7 +20,11 @@
 //! rewind, under a storm. The carry arms plant polls where a window goes
 //! out with one: twice inside one such window, on a window's last tick,
 //! on a reallocation tick, and where the world cuts an agent's link as
-//! the poll reaches it; each seed picks their noise and chunk sizes.
+//! the poll reaches it; each seed picks their noise and chunk sizes. The
+//! paced arm runs the seed's own task fault-free under a tick interval,
+//! so every tick is a window of one. A fault-free run is held to the
+//! in-process runner: its report, and every monitor's final sampler
+//! state, allowance included.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -31,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use volley_core::hash::splitmix64;
 use volley_core::task::TaskSpec;
-use volley_core::{GroundTruth, VolleyError};
+use volley_core::{GroundTruth, SamplerSnapshot, VolleyError};
 
 use super::agent::AgentMachine;
 use super::server::Socket;
@@ -41,6 +45,7 @@ use super::{
     NetRunOutcome,
 };
 use crate::runner::TaskRunner;
+use crate::session::inline_states;
 use crate::transport::TransportConfig;
 
 /// One agent of the world: its machine and its end of the link.
@@ -209,6 +214,8 @@ pub(super) struct Scenario {
     pub(super) chunks: Vec<usize>,
     /// The agent whose link is cut right after its first rewind.
     pub(super) cut_on_rewind: Option<usize>,
+    /// The pause before each tick (zero: back to back).
+    pub(super) interval: Duration,
 }
 
 impl Scenario {
@@ -272,6 +279,20 @@ impl Scenario {
             cuts,
             chunks,
             cut_on_rewind: None,
+            interval: Duration::ZERO,
+        }
+    }
+
+    /// The paced arm: this task and split, fault-free, under a tick
+    /// interval — so every tick is a grant of its own, a window of one,
+    /// and no poll carries a window.
+    pub(super) fn paced(self) -> Scenario {
+        Scenario {
+            storm: None,
+            cuts: vec![Vec::new(); self.split.len()],
+            cut_on_rewind: None,
+            interval: Duration::from_millis(1),
+            ..self
         }
     }
 
@@ -319,6 +340,7 @@ impl Scenario {
             cuts: vec![Vec::new(); 3],
             chunks: vec![61, 16 * 1024, 700],
             cut_on_rewind: faults.then_some(0),
+            interval: Duration::ZERO,
         }
     }
 
@@ -362,6 +384,7 @@ impl Scenario {
             cuts: vec![Vec::new(); 3],
             chunks: chunks.collect(),
             cut_on_rewind: cut.then_some(2),
+            interval: Duration::ZERO,
         }
     }
 
@@ -433,7 +456,8 @@ impl Scenario {
         let name = format!("volley-sweep-{:07}-{run:08}.sock", std::process::id());
         let addr = NetAddr::Unix(std::env::temp_dir().join(name));
         let bind = || NetCoordinator::bind(self.spec.clone(), &addr);
-        let mut coordinator = charged(Account::Plane, bind).map_err(|e| format!("bind: {e}"))?;
+        let coordinator = charged(Account::Plane, bind).map_err(|e| format!("bind: {e}"))?;
+        let mut coordinator = coordinator.with_tick_interval(self.interval);
         if let Some((every, fraction)) = self.storm {
             coordinator =
                 coordinator.with_faults(NetFaultPlan::new(seed).with_storm(every, fraction));
@@ -490,7 +514,7 @@ impl Scenario {
         let machines = world.agents.iter().map(|a| &a.machine);
         let rewinds = machines.clone().map(|machine| machine.rewinds).sum();
         let resent = machines.clone().map(|machine| machine.resent).sum();
-        let samples = machines.map(AgentMachine::samples).sum();
+        let states = machines.flat_map(AgentMachine::states).collect();
         let writes = world.agents.iter().map(|a| a.writes).sum();
         let bytes = world.agents.iter().fold([0; 2], |[wrote, read], agent| {
             [wrote + agent.bytes[0], read + agent.bytes[1]]
@@ -507,7 +531,7 @@ impl Scenario {
             agents,
             rewinds,
             resent,
-            samples,
+            states,
             writes,
             bytes,
         })
@@ -525,22 +549,32 @@ pub(super) struct Ran {
     /// Values a window line carried that one before it had carried on
     /// the same connection.
     pub(super) resent: u64,
-    /// Samples the agents' samplers took, forced ones included.
-    pub(super) samples: u64,
+    /// Every hosted monitor's final sampler state, in id order.
+    pub(super) states: Vec<SamplerSnapshot>,
     /// Sends the agents made.
     pub(super) writes: u64,
     /// Bytes the agents wrote and read: the wire, in and out.
     pub(super) bytes: [u64; 2],
 }
 
-/// One seed, its own scenario and every carry arm: every tick runs and
-/// every agent returns `Ok`; a fault-free run is `TaskRunner`'s report
-/// bit for bit, and its agents' samplers took exactly the samples it
-/// counts; a run with no degraded poll alerts only on ground-truth
-/// violations; a rerun is identical. A carry arm's planted global
-/// violations alert, faults or not.
+/// One seed, its own scenario, its paced arm and every carry arm: every
+/// tick runs and every agent returns `Ok`; a fault-free run is
+/// `TaskRunner`'s report bit for bit, its agents' samplers end where the
+/// in-process monitors' do and took exactly the samples it counts; a run
+/// with no degraded poll alerts only on ground-truth violations; a rerun
+/// is identical. The paced arm grants each tick alone: a round trip per
+/// tick and per poll. A carry arm's planted global violations alert,
+/// faults or not.
 fn sweep_seed(seed: u64) -> Result<(), String> {
     check(&Scenario::of(seed), seed)?;
+    let paced = check(&Scenario::of(seed).paced(), seed).map_err(|e| format!("paced: {e}"))?;
+    let (report, net) = (&paced.outcome.report, &paced.outcome.net);
+    if net.round_trips != report.ticks + report.polls {
+        return Err(format!(
+            "paced: {} round trips over {} ticks and {} polls",
+            net.round_trips, report.ticks, report.polls
+        ));
+    }
     for (arm, scenario) in Scenario::carry_arms(seed) {
         let ran = check(&scenario, seed).map_err(|e| format!("{arm}: {e}"))?;
         let traces = &scenario.traces;
@@ -566,14 +600,24 @@ fn check(scenario: &Scenario, seed: u64) -> Result<Ran, String> {
         return Err(format!("{} ticks ran", report.ticks));
     }
     if !scenario.faulty() {
-        let baseline = TaskRunner::new(&scenario.spec)
-            .and_then(|runner| runner.run(&scenario.traces))
-            .map_err(|e| format!("in-process run: {e}"))?;
+        let in_process = |e: VolleyError| format!("in-process run: {e}");
+        let runner = TaskRunner::new(&scenario.spec).map_err(in_process)?;
+        let baseline = runner.run(&scenario.traces).map_err(in_process)?;
+        let states = inline_states(&runner, &scenario.traces).map_err(in_process)?;
         if *report != baseline {
             return Err(format!("{report:?} != in-process {baseline:?}"));
         }
-        if ran.samples != report.total_samples {
-            let samples = ran.samples;
+        let differs = (0..)
+            .zip(&ran.states)
+            .zip(&states)
+            .find(|((_, a), b)| a != b);
+        if let Some(((monitor, agent), local)) = differs {
+            return Err(format!(
+                "monitor {monitor} ends at {agent:?}, in process at {local:?}"
+            ));
+        }
+        let samples: u64 = ran.states.iter().map(|state| state.total_samples).sum();
+        if samples != report.total_samples {
             return Err(format!(
                 "the agents sampled {samples} times, not {report:?}"
             ));

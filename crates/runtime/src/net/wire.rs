@@ -4,30 +4,29 @@
 //! task session hands each frame to its monitor's slot and never names
 //! the peer inside the frame. A socket carries traffic for *many*
 //! monitors (an agent multiplexes a contiguous range of them), so the
-//! network layer adds addressing — and, because a tick sends every
+//! network layer adds addressing — and, because a send gives every
 //! monitor the same kind of frame, batching: a line carries a *run*, the
-//! frames of one send for consecutive monitors, so a tick costs each
-//! agent a line per phase instead of a line per monitor.
+//! frames of one send for consecutive monitors, so a send costs each
+//! agent a line instead of a line per monitor.
 //!
 //! - **agent → coordinator**: the first line on a fresh connection is an
 //!   [`AgentHello`] declaring the range of monitors behind the socket.
-//!   Every later line is a [`ReplyBatch`] — a run of `TickDone`s, of
-//!   `PollReply`s or of `Revived` notices at one epoch (and tick), or a
-//!   window's tick reports row by row — or one raw [`MonitorFrame`]:
-//!   every other reply, a run of one, and any reply the wire cannot
-//!   carry ([`MonitorToCoordinator::is_wire_representable`]), which
-//!   travels alone so its malformed line takes no neighbour down.
+//!   Every later line is a [`ReplyBatch`] — a run of `PollReply`s at one
+//!   epoch and tick or of `Revived` notices at one epoch, or a window's
+//!   tick reports row by row — or one raw [`MonitorFrame`]: every other
+//!   reply, a run of one, and any reply the wire cannot carry
+//!   ([`MonitorToCoordinator::is_wire_representable`]), which travels
+//!   alone so its malformed line takes no neighbour down.
 //!   [`encode_replies`] writes them; [`expand_reply_line`] turns a line
 //!   back into the frames it carries, in order. An empty line is the
 //!   agent's goodbye: every monitor it hosts is shut down.
 //! - **coordinator → agent**: every line is a [`ServerFrame`] — a
 //!   [`ServerFrame::Welcome`] acknowledging a hello, a
-//!   [`ServerFrame::Ctl`] wrapping one control frame for one monitor,
-//!   [`ServerFrame::Ticks`] carrying one tick's data for a run,
-//!   [`ServerFrame::Window`] a window of ticks' data, or a
-//!   [`ServerFrame::Fan`] carrying one control frame for a run.
-//!   [`encode_controls`] writes them by the socket plane's rule;
-//!   [`ServerFrame::expand`] hands an agent each `(monitor, frame)`.
+//!   [`ServerFrame::Ctl`] wrapping one control frame for one monitor, a
+//!   [`ServerFrame::Fan`] carrying one control frame for a run, or a
+//!   [`ServerFrame::Window`]: a grant of one tick's data or more, the
+//!   only line tick data travels in. [`ServerFrame::expand`] hands an
+//!   agent each `(monitor, frame)`.
 //!
 //! Either way a run holds frames of one send, at one epoch (and tick),
 //! for ascending consecutive monitor ids, and a line holding more than
@@ -103,18 +102,6 @@ pub enum ServerFrame {
         /// The epoch-stamped control frame, verbatim.
         frame: ControlFrame,
     },
-    /// One tick's data for a run of monitors: monitor `first + i` gets
-    /// `CoordinatorToMonitor::Tick` of `values.0[i]` at `epoch`.
-    Ticks {
-        /// The epoch every frame of the run is stamped with.
-        epoch: u64,
-        /// The tick the values belong to.
-        tick: Tick,
-        /// The run's first monitor id.
-        first: u32,
-        /// One finite value per monitor, in id order, as their bits.
-        values: F64Column,
-    },
     /// One control frame for the `count` monitors `first..first + count`.
     Fan {
         /// The run's first monitor id.
@@ -124,13 +111,14 @@ pub enum ServerFrame {
         /// The epoch-stamped control frame each of them gets.
         frame: ControlFrame,
     },
-    /// A granted window's data for the `count` monitors from `first`:
-    /// the `len` ticks from `tick`, of which the first `held` are values
-    /// the agent already holds from the window this one was granted in
-    /// (a window granted along with a poll inside that one), and the rest
-    /// carried row by row — monitor `first + i` gets tick
-    /// `tick + held + r` as `values.0[r * count + i]`. The agent steps
-    /// the run through all `len` and answers once ([`ReplyBatch::Window`]).
+    /// A granted window's data for the `count` monitors from `first` —
+    /// every grant of tick data, one tick's included: the `len` ticks
+    /// from `tick`, of which the first `held` are values the agent
+    /// already holds from the window this one was granted in (a window
+    /// granted along with a poll inside that one), and the rest carried
+    /// row by row — monitor `first + i` gets tick `tick + held + r` as
+    /// `values.0[r * count + i]`. The agent steps the run through all
+    /// `len` and answers once ([`ReplyBatch::Window`]).
     Window {
         /// The epoch every frame of the window is stamped with.
         epoch: u64,
@@ -166,19 +154,6 @@ impl ServerFrame {
             ServerFrame::Ctl { to, frame } => {
                 if hosted.contains(&to) {
                     deliver(to, frame);
-                }
-            }
-            ServerFrame::Ticks {
-                epoch,
-                tick,
-                first,
-                values,
-            } => {
-                for (to, value) in (first..=u32::MAX).zip(values.0) {
-                    if hosted.contains(&to) {
-                        let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
-                        deliver(to, ControlFrame { epoch, msg });
-                    }
                 }
             }
             ServerFrame::Fan {
@@ -218,18 +193,6 @@ impl ServerFrame {
 /// kind, at one epoch (and tick).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ReplyBatch {
-    /// `TickDone`s of monitors `first..`: one flag digit each — bit 0
-    /// `sampled`, bit 1 `violation`, bit 2 `suppressed`.
-    TickDones {
-        /// The epoch every reply of the run is stamped with.
-        epoch: u64,
-        /// The tick the replies conclude.
-        tick: Tick,
-        /// The run's first monitor id.
-        first: u32,
-        /// One flag digit (`0`–`7`) per monitor, in id order.
-        flags: DigitColumn<7>,
-    },
     /// `PollReply`s of monitors `first..`: a value and a forced flag each.
     PollReplies {
         /// The epoch every reply of the run is stamped with.
@@ -253,10 +216,10 @@ pub enum ReplyBatch {
         count: u32,
     },
     /// The tick reports of a run of monitors over the ticks of a window
-    /// they stepped, from its first: row by row, one digit per monitor as
-    /// in [`TickDones`](Self::TickDones), `8` where a monitor sent none at
-    /// this epoch. The rows end with the first on which one of them
-    /// violated, or with the window.
+    /// they stepped, from its first: row by row, one flag digit per
+    /// monitor — bit 0 `sampled`, bit 1 `violation`, bit 2 `suppressed` —
+    /// or `8` where a monitor sent none at this epoch. The rows end with
+    /// the first on which one of them violated, or with the window.
     Window {
         /// The epoch every report of the run is stamped with.
         epoch: u64,
@@ -299,20 +262,6 @@ impl ReplyBatch {
     /// column's parser has checked the column's own contents.)
     fn expand(self, mut admit: impl FnMut(MonitorFrame)) -> bool {
         match self {
-            ReplyBatch::TickDones {
-                epoch,
-                tick,
-                first,
-                flags,
-            } => {
-                if !fits(first, flags.0.len()) {
-                    return false;
-                }
-                for (monitor, bits) in (first..=u32::MAX).zip(flags.0) {
-                    let msg = tick_done(monitor, tick, bits);
-                    admit(MonitorFrame { epoch, msg });
-                }
-            }
             ReplyBatch::PollReplies {
                 epoch,
                 tick,
@@ -360,7 +309,7 @@ impl ReplyBatch {
                     return false;
                 };
                 for (row, digits) in (0..rows).zip(flags.0.chunks_exact(count as usize)) {
-                    for (monitor, &bits) in (first..).zip(digits) {
+                    for (monitor, &bits) in (first..=u32::MAX).zip(digits) {
                         if bits < 8 {
                             let msg = tick_done(monitor, tick + row, bits);
                             admit(MonitorFrame { epoch, msg });
@@ -622,7 +571,11 @@ impl ValuesView<'_> {
         let mut cells = out[start..].chunks_exact_mut(F64Column::WIDTH);
         for tick in self.ticks.clone() {
             for (monitor, cell) in self.monitors.clone().zip(&mut cells) {
-                let bits = (self.value)(monitor, tick).to_bits();
+                let value = (self.value)(monitor, tick);
+                // The wire rule: every runner refuses a non-finite trace
+                // value before any tick, so none reaches a column.
+                debug_assert!(value.is_finite(), "{value} in a column");
+                let bits = value.to_bits();
                 cell[..8].copy_from_slice(&hex_digits((bits >> 32) as u32));
                 cell[8..].copy_from_slice(&hex_digits(bits as u32));
             }
@@ -670,17 +623,11 @@ column_serde!(ser [] ValuesView<'_>);
 column_serde!([const MAX: u8] DigitColumn<MAX>);
 column_serde!(ser [] DigitView<'_>);
 
-/// [`ServerFrame`]'s data lines over values read off the traces — the
-/// same variants, fields and derive, so the same bytes — for
-/// [`write_data`], which then copies no value out of the traces.
+/// [`ServerFrame::Window`] over values read off the traces — the same
+/// variant, fields and derive, so the same bytes — for [`write_data`],
+/// which then copies no value out of the traces.
 #[derive(Serialize)]
 enum DataLine<'a> {
-    Ticks {
-        epoch: u64,
-        tick: Tick,
-        first: u32,
-        values: ValuesView<'a>,
-    },
     Window {
         epoch: u64,
         tick: Tick,
@@ -697,12 +644,6 @@ enum DataLine<'a> {
 /// replies as columns instead of frames.
 #[derive(Serialize)]
 enum ReplyLine<'a> {
-    TickDones {
-        epoch: u64,
-        tick: Tick,
-        first: u32,
-        flags: DigitView<'a>,
-    },
     PollReplies {
         epoch: u64,
         tick: Tick,
@@ -727,21 +668,20 @@ enum ReplyLine<'a> {
 /// The kinds of reply that batch, and what a run of one kind shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunKind {
-    TickDones(Tick),
     PollReplies(Tick),
     Revived,
 }
 
 /// What a reply must share with its neighbours to join their line —
 /// kind, epoch and tick — and its sender, which must follow theirs;
-/// `None` for a reply that always travels alone: a period report or a
-/// snapshot, or one the wire cannot carry.
+/// `None` for a reply that always travels alone: a tick report (one
+/// travels in its window's reply), a period report or a snapshot, or one
+/// the wire cannot carry.
 fn batchable(frame: &MonitorFrame) -> Option<((RunKind, u64), u32)> {
     if !frame.msg.is_wire_representable() {
         return None;
     }
     let (kind, monitor) = match frame.msg {
-        MonitorToCoordinator::TickDone { monitor, tick, .. } => (RunKind::TickDones(tick), monitor),
         MonitorToCoordinator::PollReply { monitor, tick, .. } => {
             (RunKind::PollReplies(tick), monitor)
         }
@@ -762,8 +702,8 @@ pub(crate) struct ReplyWriter {
     max_frame: usize,
     /// The open run's kind and epoch, and its first monitor.
     run: Option<((RunKind, u64), u32)>,
-    /// Per monitor of the open run: its flag digit (a tick report's
-    /// flags, a poll reply's `forced`), and a poll reply's value.
+    /// Per monitor of the open run: a poll reply's `forced` digit and
+    /// value.
     digits: Vec<u8>,
     values: Vec<f64>,
     /// Lines appended since the last [`finish`](Self::finish).
@@ -801,12 +741,6 @@ impl ReplyWriter {
             self.run = key;
         }
         let (digit, value) = match reply.msg {
-            MonitorToCoordinator::TickDone {
-                sampled,
-                violation,
-                suppressed,
-                ..
-            } => (flag_digit(sampled, violation, suppressed), 0.0),
             MonitorToCoordinator::PollReply {
                 value,
                 forced_sample,
@@ -859,7 +793,6 @@ impl ReplyWriter {
             let at = first + part.start as u32;
             if part.len() == 1 {
                 let msg = match kind {
-                    RunKind::TickDones(tick) => tick_done(at, tick, digits[part.start]),
                     RunKind::PollReplies(tick) => MonitorToCoordinator::PollReply {
                         monitor: MonitorId(at),
                         tick,
@@ -873,12 +806,6 @@ impl ReplyWriter {
                 return encode_into(&MonitorFrame { epoch, msg }, out);
             }
             let line = match kind {
-                RunKind::TickDones(tick) => ReplyLine::TickDones {
-                    epoch,
-                    tick,
-                    first: at,
-                    flags: DigitView(&digits[part]),
-                },
                 RunKind::PollReplies(tick) => ReplyLine::PollReplies {
                     epoch,
                     tick,
@@ -951,65 +878,40 @@ pub(crate) fn write_fan(
 }
 
 /// Appends the data of `ticks` for the monitors `monitors`, read off
-/// `value`, as coordinator lines whose payloads fit `max_frame` wherever
-/// a split (by monitors) can make them, returning how many. A window
-/// granted along with a poll names the `held` ticks, from its first,
-/// whose values the agent already holds, and is a [`ServerFrame::Window`]
-/// carrying the rest, however long; any other grant carries every value:
-/// one tick as [`ServerFrame::Ticks`] (a [`ServerFrame::Ctl`] for one
-/// monitor), more as a [`ServerFrame::Window`] that holds none.
+/// `value`, as [`ServerFrame::Window`] lines whose payloads fit
+/// `max_frame` wherever a split (by monitors) can make them, returning
+/// how many — one tick's data as a window of one. A window granted along
+/// with a poll names the `held` ticks, from its first, whose values the
+/// agent already holds, and carries the rest; any other carries every
+/// value.
 pub(crate) fn write_data(
     epoch: u64,
-    (ticks, held): (Range<Tick>, Option<u64>),
+    (ticks, held): (Range<Tick>, u64),
     (monitors, value): (Range<u32>, &dyn Fn(u32, Tick) -> f64),
     max_frame: usize,
     out: &mut Vec<u8>,
 ) -> u64 {
     let (tick, len) = (ticks.start, ticks.end - ticks.start);
-    let count = monitors.len();
-    write_split(0..count, max_frame, out, &mut |part, out| {
+    let carried = tick + held.min(len)..ticks.end;
+    let rows = (carried.end - carried.start) as usize;
+    write_split(0..monitors.len(), max_frame, out, &mut |part, out| {
         let first = monitors.start + part.start as u32;
-        let monitors = first..first + part.len() as u32;
-        let carried = tick + held.unwrap_or(0).min(len)..ticks.end;
-        let rows = (carried.end - carried.start) as usize;
         // Room for the whole line at once: a long one is not doubled into.
         out.reserve(WINDOW_OVERHEAD + 1 + part.len() * rows * F64Column::WIDTH);
-        if held.is_some() || len > 1 {
-            let line = DataLine::Window {
-                epoch,
-                tick,
-                len: len as u32,
-                held: (carried.start - tick) as u32,
-                first,
-                count: part.len() as u32,
-                values: ValuesView {
-                    value,
-                    monitors,
-                    ticks: carried,
-                },
-            };
-            return encode_into(&line, out);
-        }
-        if part.len() == 1 {
-            let value = value(first, tick);
-            let msg = CoordinatorToMonitor::Tick(TickData { tick, value });
-            let frame = ControlFrame { epoch, msg };
-            return encode_into(&ServerFrame::Ctl { to: first, frame }, out);
-        }
-        let values = ValuesView {
-            value,
-            monitors,
-            ticks: ticks.clone(),
-        };
-        encode_into(
-            &DataLine::Ticks {
-                epoch,
-                tick,
-                first,
-                values,
+        let line = DataLine::Window {
+            epoch,
+            tick,
+            len: len as u32,
+            held: (carried.start - tick) as u32,
+            first,
+            count: part.len() as u32,
+            values: ValuesView {
+                value,
+                monitors: first..first + part.len() as u32,
+                ticks: carried.clone(),
             },
-            out,
-        );
+        };
+        encode_into(&line, out);
     })
 }
 
@@ -1027,60 +929,6 @@ pub(crate) fn window_fits(len: u64, max_frame: usize) -> u64 {
 /// 20 + 20 + 1 + 1 + 10 + 1 digits (`len` and `held` are at most
 /// [`MAX_WINDOW`], `count` is 1).
 const WINDOW_OVERHEAD: usize = 74 + 53;
-
-/// Appends `frames` — `(monitor, frame)` in send order, all for one
-/// connection — as coordinator lines by the socket plane's rule and
-/// returns how many: each run of one tick's data for consecutive
-/// monitors as [`ServerFrame::Ticks`], each run of one repeated frame as
-/// [`ServerFrame::Fan`] (split so that no line's payload passes
-/// `max_frame`), a run of one as [`ServerFrame::Ctl`]. A non-finite
-/// value travels alone, like a reply that holds one.
-pub fn encode_controls(frames: &[(u32, ControlFrame)], max_frame: usize, out: &mut Vec<u8>) -> u64 {
-    // Whether `next` continues the run `frames[run]`.
-    let joins = |run: &[(u32, ControlFrame)], next: &(u32, ControlFrame)| {
-        let (first, frame) = run[0];
-        let consecutive = u64::from(first) + run.len() as u64 == u64::from(next.0);
-        consecutive
-            && match (frame.msg, next.1.msg) {
-                (CoordinatorToMonitor::Tick(run), CoordinatorToMonitor::Tick(data)) => {
-                    (frame.epoch, run.tick) == (next.1.epoch, data.tick)
-                        && run.value.is_finite()
-                        && data.value.is_finite()
-                }
-                (CoordinatorToMonitor::Tick(_), _) | (_, CoordinatorToMonitor::Tick(_)) => false,
-                _ => frame == next.1,
-            }
-    };
-    let mut lines = 0;
-    let mut rest = frames;
-    while let Some(&(first, frame)) = rest.first() {
-        let mut len = 1;
-        while len < rest.len() && joins(&rest[..len], &rest[len]) {
-            len += 1;
-        }
-        let (run, tail) = rest.split_at(len);
-        lines += match frame.msg {
-            CoordinatorToMonitor::Tick(data) => {
-                let value = |to: u32, _| match run[(to - first) as usize].1.msg {
-                    CoordinatorToMonitor::Tick(data) => data.value,
-                    _ => unreachable!("a tick run holds tick data"),
-                };
-                let monitors = first..first + len as u32;
-                let ticks = data.tick..data.tick + 1;
-                write_data(
-                    frame.epoch,
-                    (ticks, None),
-                    (monitors, &value),
-                    max_frame,
-                    out,
-                )
-            }
-            _ => write_fan((first, len), frame, max_frame, out),
-        };
-        rest = tail;
-    }
-    lines
-}
 
 /// Appends the lines `line` makes of `items`, returning how many: one
 /// line for all of them when its payload fits `max_frame` (or `items`
@@ -1272,22 +1120,15 @@ mod tests {
     }
 
     fn poll_reply(monitor: u32, value: f64) -> MonitorFrame {
-        let msg = MonitorToCoordinator::PollReply {
-            monitor: MonitorId(monitor),
-            tick: 9,
-            value,
-            forced_sample: monitor.is_multiple_of(2),
-        };
-        MonitorFrame { epoch: 2, msg }
+        poll_reply_at(monitor, 9, value)
     }
 
-    fn tick_done(monitor: u32, bits: u8) -> MonitorFrame {
-        let msg = MonitorToCoordinator::TickDone {
+    fn poll_reply_at(monitor: u32, tick: Tick, value: f64) -> MonitorFrame {
+        let msg = MonitorToCoordinator::PollReply {
             monitor: MonitorId(monitor),
-            tick: 9,
-            sampled: bits & 1 != 0,
-            violation: bits & 2 != 0,
-            suppressed: bits & 4 != 0,
+            tick,
+            value,
+            forced_sample: monitor.is_multiple_of(2),
         };
         MonitorFrame { epoch: 2, msg }
     }
@@ -1344,10 +1185,11 @@ mod tests {
     }
 
     /// A run breaks wherever kind, epoch, tick or the next id does, and a
-    /// reply that never batches sits between runs on its own line.
+    /// reply that never batches — a tick report among them, which travels
+    /// in its window's reply — sits between runs on its own line.
     #[test]
     fn replies_batch_only_in_runs_of_one_kind_epoch_tick_and_consecutive_ids() {
-        let mut stale = tick_done(3, 1);
+        let mut stale = poll_reply(3, 3.0);
         stale.epoch = 1;
         let revived = MonitorFrame {
             epoch: 2,
@@ -1355,28 +1197,32 @@ mod tests {
                 monitor: MonitorId(6),
             },
         };
+        let report = MonitorFrame {
+            epoch: 2,
+            msg: tick_done(9, 10, 0b011),
+        };
         let replies = vec![
-            tick_done(0, 0),
-            tick_done(1, 0b111),
-            tick_done(2, 0b001),
+            poll_reply(0, 0.5),
+            poll_reply(1, 1.5),
+            poll_reply(2, 2.5),
             stale,
-            tick_done(4, 0b011),
-            tick_done(6, 0b100),
+            poll_reply(4, 4.5),
+            poll_reply(6, 6.5),
             revived,
-            tick_done(7, 0),
-            tick_done(8, 0),
-            poll_reply(9, 1.0),
+            poll_reply_at(7, 10, 7.5),
+            poll_reply_at(8, 10, 8.5),
+            report,
         ];
         let mut payload = Vec::new();
-        // [0 1 2] [3 stale] [4] [6] [Revived] [7 8] [poll 9]
+        // [0 1 2] [3 stale] [4] [6] [Revived] [7 8 at 10] [report 9]
         assert_eq!(encode_replies(&replies, usize::MAX, &mut payload), 7);
         let first = payload.split_inclusive(|&b| b == b'\n').next().unwrap();
-        let flags = DigitColumn(vec![0, 0b111, 0b001]);
-        let batch = ReplyBatch::TickDones {
+        let batch = ReplyBatch::PollReplies {
             epoch: 2,
             tick: 9,
             first: 0,
-            flags,
+            values: F64Column(vec![0.5, 1.5, 2.5]),
+            forced: DigitColumn(vec![1, 0, 1]),
         };
         assert_eq!(first, &encode(&batch)[..]);
         assert_eq!(expanded(&payload), replies);
@@ -1410,17 +1256,26 @@ mod tests {
     #[test]
     fn a_malformed_batch_admits_nothing() {
         let bad = [
-            ReplyBatch::TickDones {
+            ReplyBatch::Window {
                 epoch: 0,
                 tick: 1,
                 first: 0,
-                flags: DigitColumn(vec![0, 8]),
+                count: 2,
+                flags: DigitColumn(vec![0, 8, 1]),
             },
-            ReplyBatch::TickDones {
+            ReplyBatch::Window {
                 epoch: 0,
                 tick: 1,
                 first: u32::MAX,
+                count: 2,
                 flags: DigitColumn(vec![0, 0]),
+            },
+            ReplyBatch::Window {
+                epoch: 0,
+                tick: 1,
+                first: 0,
+                count: 1,
+                flags: DigitColumn(vec![0; MAX_WINDOW + 1]),
             },
             ReplyBatch::PollReplies {
                 epoch: 0,
@@ -1435,14 +1290,12 @@ mod tests {
             assert!(!expand_reply_line(&encode(&batch), |_| admitted += 1));
             assert_eq!(admitted, 0, "{batch:?}");
         }
-        assert!(!expand_reply_line(
-            b"{\"TickDones\":7}\n",
-            |_| unreachable!()
-        ));
-        let last = ReplyBatch::TickDones {
+        assert!(!expand_reply_line(b"{\"Window\":7}\n", |_| unreachable!()));
+        let last = ReplyBatch::Window {
             epoch: 0,
             tick: 1,
             first: u32::MAX,
+            count: 1,
             flags: DigitColumn(vec![1]),
         };
         let mut admitted = Vec::new();
@@ -1471,16 +1324,20 @@ mod tests {
                    0000000000000001\
                    7fefffffffffffff\
                    3fb999999999999a";
-        let ticks = ServerFrame::Ticks {
+        let data = ServerFrame::Window {
             epoch: 3,
             tick: 42,
+            len: 1,
+            held: 0,
             first: 7,
+            count: 5,
             values: values.clone(),
         };
-        let dones = ReplyBatch::TickDones {
+        let reports = ReplyBatch::Window {
             epoch: 3,
             tick: 42,
             first: 7,
+            count: 5,
             flags: DigitColumn(vec![0, 1, 2, 7, 5]),
         };
         let polls = ReplyBatch::PollReplies {
@@ -1491,24 +1348,28 @@ mod tests {
             forced: DigitColumn(vec![1, 0, 0, 1, 1]),
         };
         let golden = [
-            format!("{{\"Ticks\":{{\"epoch\":3,\"tick\":42,\"first\":7,\"values\":\"{hex}\"}}}}\n"),
-            "{\"TickDones\":{\"epoch\":3,\"tick\":42,\"first\":7,\"flags\":\"01275\"}}\n".into(),
+            format!(
+                "{{\"Window\":{{\"epoch\":3,\"tick\":42,\"len\":1,\"held\":0,\"first\":7,\
+                 \"count\":5,\"values\":\"{hex}\"}}}}\n"
+            ),
+            "{\"Window\":{\"epoch\":3,\"tick\":42,\"first\":7,\"count\":5,\"flags\":\"01275\"}}\n"
+                .into(),
             format!(
                 "{{\"PollReplies\":{{\"epoch\":3,\"tick\":42,\"first\":7,\"values\":\"{hex}\",\
                  \"forced\":\"10011\"}}}}\n"
             ),
         ];
-        assert_eq!(std::str::from_utf8(&encode(&ticks)).unwrap(), golden[0]);
-        assert_eq!(std::str::from_utf8(&encode(&dones)).unwrap(), golden[1]);
+        assert_eq!(std::str::from_utf8(&encode(&data)).unwrap(), golden[0]);
+        assert_eq!(std::str::from_utf8(&encode(&reports)).unwrap(), golden[1]);
         assert_eq!(std::str::from_utf8(&encode(&polls)).unwrap(), golden[2]);
         let back: ServerFrame = decode_line(golden[0].as_bytes()).unwrap();
         assert_eq!(encode(&back)[..], *golden[0].as_bytes());
         match back {
-            ServerFrame::Ticks { values, .. } => {
+            ServerFrame::Window { values, .. } => {
                 assert!(values.0[1].is_sign_negative(), "-0.0 keeps its sign");
                 assert_eq!(values.0[2].to_bits(), 1, "the least subnormal");
             }
-            other => panic!("expected Ticks, got {other:?}"),
+            other => panic!("expected a window, got {other:?}"),
         }
         for line in &golden[1..] {
             let batch: ReplyBatch = decode_line(line.as_bytes()).unwrap();
@@ -1525,9 +1386,10 @@ mod tests {
     #[test]
     fn a_non_canonical_column_fails_its_whole_line() {
         let one = "3ff0000000000000";
-        let ticks = |values: &str| {
+        let data = |values: &str| {
             format!(
-                "{{\"Ticks\":{{\"epoch\":0,\"tick\":1,\"first\":0,\"values\":\"{values}\"}}}}\n"
+                "{{\"Window\":{{\"epoch\":0,\"tick\":1,\"len\":1,\"held\":0,\"first\":0,\
+                 \"count\":2,\"values\":\"{values}\"}}}}\n"
             )
         };
         let polls = |values: &str, forced: &str| {
@@ -1536,18 +1398,21 @@ mod tests {
                  \"forced\":\"{forced}\"}}}}\n"
             )
         };
-        let dones = |flags: &str| {
+        let reports = |flags: &str| {
             format!(
-                "{{\"TickDones\":{{\"epoch\":0,\"tick\":1,\"first\":0,\"flags\":\"{flags}\"}}}}\n"
+                "{{\"Window\":{{\"epoch\":0,\"tick\":1,\"first\":0,\"count\":2,\
+                 \"flags\":\"{flags}\"}}}}\n"
             )
         };
         // The canonical lines these corrupt are accepted.
-        assert!(decode_line::<ServerFrame>(ticks(&one.repeat(2)).as_bytes()).is_ok());
+        let line = data(&one.repeat(2));
+        assert!(decode_line::<ServerFrame>(line.as_bytes()).is_ok());
+        assert!(WindowLine::parse(line.as_bytes()).is_some());
         assert!(expand_reply_line(
             polls(&one.repeat(2), "10").as_bytes(),
             |_| {}
         ));
-        assert!(expand_reply_line(dones("07").as_bytes(), |_| {}));
+        assert!(expand_reply_line(reports("08").as_bytes(), |_| {}));
         let bad_values = [
             format!("{one}{}", &one[1..]),    // odd length
             format!("{one}3FF0000000000000"), // uppercase hex
@@ -1558,19 +1423,20 @@ mod tests {
             format!("{one}fff8000000000001"), // a negative NaN payload
         ];
         for values in &bad_values {
-            let line = ticks(values);
+            let line = data(values);
             assert!(
                 decode_line::<ServerFrame>(line.as_bytes()).is_err(),
                 "{line}"
             );
+            assert!(WindowLine::parse(line.as_bytes()).is_none(), "{line}");
             let line = polls(values, "10");
             assert!(
                 !expand_reply_line(line.as_bytes(), |_| unreachable!()),
                 "{line}"
             );
         }
-        for flags in ["08", "0:", "0a", "0 "] {
-            let line = dones(flags);
+        for flags in ["09", "0:", "0a", "0 "] {
+            let line = reports(flags);
             assert!(
                 !expand_reply_line(line.as_bytes(), |_| unreachable!()),
                 "{line}"
@@ -1582,86 +1448,91 @@ mod tests {
             "{line}"
         );
         // A number array, the shape before columns, is no column either.
-        let line = ticks(one).replace(&format!("\"{one}\""), "[1.0]");
+        let line = data(one).replace(&format!("\"{one}\""), "[1.0]");
         assert!(
             decode_line::<ServerFrame>(line.as_bytes()).is_err(),
             "{line}"
         );
     }
 
-    /// Control frames go out by the same rule: one tick's data for
-    /// consecutive monitors as a `Ticks` line, a frame repeated for them
-    /// as a `Fan` line, a run of one — and a non-finite value — as `Ctl`.
+    /// Tick data goes out as window lines only — one tick's for a run as
+    /// a window of one, one monitor's as a window with a count of one — a
+    /// frame repeated for a run as a `Fan` line, for one monitor as a
+    /// `Ctl`; each expands back to the frames it was made of.
     #[test]
-    fn control_runs_become_ticks_fan_and_ctl_lines_and_expand_back() {
-        let seal = |epoch, msg| ControlFrame { epoch, msg };
-        let data = |tick, value| CoordinatorToMonitor::Tick(TickData { tick, value });
-        let poll = CoordinatorToMonitor::Poll { tick: 4 };
-        let frames = vec![
-            (0, seal(1, data(4, 1.0))),
-            (1, seal(1, data(4, 2.0))),
-            (2, seal(1, data(4, f64::NAN))),
-            (3, seal(1, data(4, 3.0))),
-            (4, seal(1, data(5, 3.0))),
-            (0, seal(1, poll)),
-            (1, seal(1, poll)),
-            (2, seal(1, poll)),
-            (3, seal(2, poll)),
-        ];
+    fn data_and_fan_runs_become_window_fan_and_ctl_lines_and_expand_back() {
+        let value = |to: u32, tick: Tick| f64::from(to) + tick as f64 / 4.0;
+        let poll = ControlFrame {
+            epoch: 1,
+            msg: CoordinatorToMonitor::Poll { tick: 4 },
+        };
         let mut wire = Vec::new();
-        assert_eq!(encode_controls(&frames, usize::MAX, &mut wire), 6);
+        let mut lines = write_data(1, (4..5, 0), (0..3, &value), usize::MAX, &mut wire);
+        lines += write_data(1, (5..6, 0), (3..4, &value), usize::MAX, &mut wire);
+        lines += write_fan((0, 3), poll, usize::MAX, &mut wire);
+        lines += write_fan((3, 1), poll, usize::MAX, &mut wire);
+        assert_eq!(lines, 4);
         let lines: Vec<ServerFrame> = wire
             .split_inclusive(|&b| b == b'\n')
-            .filter_map(|line| decode_line(line).ok())
+            .map(|line| decode_line(line).unwrap())
             .collect();
-        let ticks = ServerFrame::Ticks {
+        let window = |tick, first, count, values| ServerFrame::Window {
             epoch: 1,
-            tick: 4,
-            first: 0,
-            values: F64Column(vec![1.0, 2.0]),
+            tick,
+            len: 1,
+            held: 0,
+            first,
+            count,
+            values: F64Column(values),
         };
-        let fan = ServerFrame::Fan {
-            first: 0,
-            count: 3,
-            frame: seal(1, poll),
-        };
-        // The NaN line is malformed (its value encodes as `null`), alone.
-        assert_eq!(lines.len(), 5);
-        assert_eq!(lines[0], ticks);
-        assert_eq!(lines[3], fan);
+        let expected = [
+            window(4, 0, 3, vec![1.0, 2.0, 3.0]),
+            window(5, 3, 1, vec![4.25]),
+            ServerFrame::Fan {
+                first: 0,
+                count: 3,
+                frame: poll,
+            },
+            ServerFrame::Ctl { to: 3, frame: poll },
+        ];
+        assert_eq!(lines, expected);
         let mut delivered = Vec::new();
         for line in lines {
-            line.expand(0..u32::MAX, |to, frame| delivered.push((to, frame)));
+            line.expand(0..u32::MAX, |to, frame| delivered.push((to, frame.msg)));
         }
-        let mut carried = frames.clone();
-        carried.remove(2);
+        let data = |to: u32, tick| {
+            CoordinatorToMonitor::Tick(TickData {
+                tick,
+                value: value(to, tick),
+            })
+        };
+        let mut carried: Vec<(u32, CoordinatorToMonitor)> = vec![
+            (0, data(0, 4)),
+            (1, data(1, 4)),
+            (2, data(2, 4)),
+            (3, data(3, 5)),
+        ];
+        carried.extend((0..4).map(|to| (to, poll.msg)));
         assert_eq!(delivered, carried);
     }
 
-    /// A tick run written from its borrowed values is, line for line and
-    /// under any frame cap, the bytes of the owned `Ticks` frame.
+    /// A data run written from its borrowed values is, line for line and
+    /// under any frame cap, the bytes of the owned `Window` frame.
     #[test]
-    fn tick_runs_write_the_owned_frames_bytes_under_every_cap() {
-        let frames: Vec<(u32, ControlFrame)> = (0..40)
-            .map(|to| {
-                let data = TickData {
-                    tick: 6,
-                    value: f64::from(to) * -0.3,
-                };
-                let msg = CoordinatorToMonitor::Tick(data);
-                (to + 5, ControlFrame { epoch: 2, msg })
-            })
-            .collect();
+    fn data_runs_write_the_owned_frames_bytes_under_every_cap() {
+        let value = |to: u32, tick: Tick| f64::from(to) * -0.3 + tick as f64;
         for cap in [0, 100, 256, 1024, usize::MAX] {
-            let mut wire = Vec::new();
-            let lines = encode_controls(&frames, cap, &mut wire);
-            let mut seen = 0;
-            for line in wire.split_inclusive(|&b| b == b'\n') {
-                let frame: ServerFrame = decode_line(line).unwrap();
-                assert_eq!(encode(&frame)[..], *line, "cap {cap}");
-                seen += 1;
+            for ticks in [6..7, 6..14] {
+                let mut wire = Vec::new();
+                let lines = write_data(2, (ticks, 0), (5..45, &value), cap, &mut wire);
+                let mut seen = 0;
+                for line in wire.split_inclusive(|&b| b == b'\n') {
+                    let frame: ServerFrame = decode_line(line).unwrap();
+                    assert_eq!(encode(&frame)[..], *line, "cap {cap}");
+                    seen += 1;
+                }
+                assert_eq!(seen, lines);
             }
-            assert_eq!(seen, lines);
         }
     }
 
@@ -1672,14 +1543,13 @@ mod tests {
     #[test]
     fn a_window_line_carries_only_the_ticks_it_does_not_hold() {
         let value = |to: u32, tick: Tick| f64::from(to) + tick as f64 / 10.0;
-        for (held, len) in [(None, 3), (Some(0), 1), (Some(2), 5), (Some(4), 4)] {
+        for (held, len) in [(0, 3), (0, 1), (2, 5), (4, 4)] {
             let mut wire = Vec::new();
             let grant = (10..10 + len, held);
             assert_eq!(
                 write_data(7, grant, (4..7, &value), usize::MAX, &mut wire),
                 1
             );
-            let held = held.unwrap_or(0);
             let frame: ServerFrame = decode_line(&wire).unwrap();
             let carried: Vec<f64> = (10 + held..10 + len)
                 .flat_map(|tick| (4..7).map(move |to| value(to, tick)))
@@ -1710,7 +1580,7 @@ mod tests {
             assert_eq!(delivered.len() as u64, 3 * (len - held));
         }
         let mut wire = Vec::new();
-        write_data(7, (10..13, Some(1)), (4..7, &value), usize::MAX, &mut wire);
+        write_data(7, (10..13, 1), (4..7, &value), usize::MAX, &mut wire);
         let text = String::from_utf8(wire).unwrap();
         for (from, to) in [("\"held\":1", "\"held\":0"), ("\"held\":1", "\"held\":4")] {
             let bad = text.replace(from, to);
@@ -1736,14 +1606,17 @@ mod tests {
         let mut to = Vec::new();
         fan.expand(5..8, |id, _| to.push(id));
         assert_eq!(to, [5, 6, 7]);
-        let ticks = ServerFrame::Ticks {
+        let data = ServerFrame::Window {
             epoch: 0,
             tick: 0,
+            len: 1,
+            held: 0,
             first: 6,
+            count: 4,
             values: F64Column(vec![1.0; 4]),
         };
         to.clear();
-        ticks.expand(5..8, |id, _| to.push(id));
+        data.expand(5..8, |id, _| to.push(id));
         assert_eq!(to, [6, 7]);
         to.clear();
         ServerFrame::Ctl { to: 9, frame }.expand(5..8, |id, _| to.push(id));
@@ -1852,8 +1725,8 @@ mod tests {
                     text
                 );
                 proptest::prop_assert_eq!(
-                    DigitColumn::<7>::parse(text).map(|column| column.0),
-                    reference::parse_digits(text, 7),
+                    DigitColumn::<8>::parse(text).map(|column| column.0),
+                    reference::parse_digits(text, 8),
                     "{:?}",
                     text
                 );
@@ -1864,6 +1737,90 @@ mod tests {
                     text
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The plane's writers under any frame cap and any fragmentation:
+        /// a run's tick data over a span of ticks — a window, one tick's
+        /// included, naming some of them held — and a run's repeated
+        /// control frame become lines that a reader capped at the sender's
+        /// cap (or a one-monitor line's length, if longer) reassembles,
+        /// that decode, fit the cap unless they carry one monitor, and
+        /// expand back to exactly the frames of the run.
+        #[test]
+        fn data_and_fan_lines_expand_to_the_frames_they_were_made_of(
+            segments in proptest::collection::vec(((0u8..4, 1u32..9, 0u32..3), (0u8..4, 1u64..9)), 0..12),
+            cap in 0usize..600,
+            cuts in proptest::collection::vec(0usize..16_384, 0..24),
+        ) {
+            // A segment: kind, run length, gap before it (0 continues the
+            // last id), an epoch/tick/held wobble, and a window's length.
+            // A one-monitor line is longest for the run's last, widest id.
+            let (mut wire, mut lines, mut sent, mut lone) = (Vec::new(), 0, Vec::new(), 0);
+            let mut next = 0u32;
+            for (i, &((kind, count, gap), (wobble, len))) in segments.iter().enumerate() {
+                next += gap;
+                let (epoch, tick) = (u64::from(wobble & 1), 40 + u64::from(wobble >> 1));
+                let run = next..next + count;
+                let value = |to: u32, tick: Tick| f64::from(to) * 1.25 - tick as f64 + i as f64;
+                if kind == 0 {
+                    let held = u64::from(wobble >> 1).min(len);
+                    let ticks = tick..tick + len;
+                    lines += write_data(epoch, (ticks, held), (run.clone(), &value), cap, &mut wire);
+                    for tick in tick + held..tick + len {
+                        for to in run.clone() {
+                            let msg = CoordinatorToMonitor::Tick(TickData { tick, value: value(to, tick) });
+                            sent.push((to, ControlFrame { epoch, msg }));
+                        }
+                    }
+                    let mut one = Vec::new();
+                    write_data(epoch, (tick..tick + len, held), (run.end - 1..run.end, &value), 0, &mut one);
+                    lone = lone.max(one.len() - 1);
+                } else {
+                    let msg = match kind {
+                        1 => CoordinatorToMonitor::Poll { tick },
+                        2 => CoordinatorToMonitor::SetAllowance { err: 0.01 * f64::from(wobble) },
+                        _ => CoordinatorToMonitor::Shutdown,
+                    };
+                    let frame = ControlFrame { epoch, msg };
+                    lines += write_fan((run.start, run.len()), frame, cap, &mut wire);
+                    sent.extend(run.clone().map(|to| (to, frame)));
+                    let one = encode(&ServerFrame::Ctl { to: run.end - 1, frame });
+                    lone = lone.max(one.len() - 1);
+                }
+                next += count;
+            }
+            let mut points: Vec<usize> = cuts.iter().map(|&c| c % (wire.len() + 1)).collect();
+            points.extend([0, wire.len()]);
+            points.sort_unstable();
+            points.dedup();
+            let mut reader = crate::net::FrameBuffer::new(cap.max(lone));
+            let mut read = Vec::new();
+            for pair in points.windows(2) {
+                reader.extend(&wire[pair[0]..pair[1]]);
+                while let Some(line) = reader.next_line().expect("every line under the cap") {
+                    read.push(line.to_vec());
+                }
+            }
+            proptest::prop_assert_eq!(read.len() as u64, lines);
+            let mut delivered = Vec::new();
+            for line in &read {
+                let frame: ServerFrame = decode_line(line).expect("a control line decodes");
+                let before = delivered.len();
+                frame.expand(0..u32::MAX, |to, frame| delivered.push((to, frame)));
+                let monitors = delivered[before..].iter().map(|&(to, _)| to);
+                let single = monitors.clone().min() == monitors.max();
+                proptest::prop_assert!(single || line.len() - 1 <= cap);
+            }
+            // Split lines reorder a window's cells: rows within a part.
+            let order = |(to, frame): &(u32, ControlFrame)| match frame.msg {
+                CoordinatorToMonitor::Tick(data) => (*to, data.tick),
+                _ => (*to, 0),
+            };
+            delivered.sort_by_key(order);
+            sent.sort_by_key(order);
+            proptest::prop_assert_eq!(delivered, sent);
         }
     }
 

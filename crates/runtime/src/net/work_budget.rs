@@ -1,14 +1,17 @@
-//! The socket plane's work budget: what one steady window and one poll
-//! cost, counted by the code itself instead of timed — wire lines and
-//! bytes each way and heap allocations per window, the heap high-water
-//! marks of one 128-monitor agent machine and of the plane, and a poll's
-//! round trips, socket writes and values — on [`super::sweep`]'s virtual
-//! clock, so every count is a function of the run alone.
+//! The socket plane's work budget: what one steady window, one paced
+//! tick and one poll cost, counted by the code itself instead of timed —
+//! wire lines and bytes each way and heap allocations per window and per
+//! paced tick, the heap high-water marks of one 128-monitor agent
+//! machine and of the plane, and a poll's round trips, socket writes and
+//! values — on [`super::sweep`]'s virtual clock, so every count is a
+//! function of the run alone.
 //!
 //! The runs are `live-net`'s shape: 256 monitors, two agents of 128,
 //! calm traces. With no poll, a window of [`MAX_WINDOW`] ticks goes out
 //! at a time, and a steady window's cost is the difference of two runs,
-//! 104 and 200 ticks, over the twelve windows between them. The poll
+//! 104 and 200 ticks, over the twelve windows between them. Paced, every
+//! tick is a window of one, and a tick's cost is the difference of two
+//! paced runs, 40 and 72 ticks, over the 32 ticks between them. The poll
 //! case plants a local violation on the third tick of the first window
 //! and runs through the end of the window that follows the poll: its
 //! counts are the whole run's, and it fails outright if a tick's values
@@ -25,6 +28,7 @@
 //! charged to none.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use volley_core::hash::splitmix64;
 use volley_core::task::TaskSpec;
@@ -78,6 +82,7 @@ fn steady(ticks: usize) -> Scenario {
         cuts: vec![Vec::new(); 2],
         chunks: vec![16 * 1024; 2],
         cut_on_rewind: None,
+        interval: Duration::ZERO,
     }
 }
 
@@ -91,21 +96,21 @@ fn poll_cut() -> Scenario {
     scenario
 }
 
-/// One run's counts: what it did, and per account its allocations and
-/// heap high-water mark.
-fn measure(ticks: usize) -> (Ran, [u64; 2], [i64; 2]) {
+/// One run's counts: what it did, and per account — the plane, then
+/// each agent — its allocations and heap high-water mark.
+fn measure(scenario: Scenario) -> (Ran, [u64; 3], [i64; 3]) {
     volley_heapcount::reset();
-    let ran = steady(ticks).run(0).expect("a steady run");
-    let ([plane, agent, ..], [plane_peak, agent_peak, ..]) =
+    let ran = scenario.run(0).expect("a steady run");
+    let ([plane, one, two, ..], [plane_peak, one_peak, two_peak, ..]) =
         (volley_heapcount::calls(), volley_heapcount::peaks());
-    (ran, [plane, agent], [plane_peak, agent_peak])
+    (ran, [plane, one, two], [plane_peak, one_peak, two_peak])
 }
 
-/// Every count of a steady window, the two high-water marks, and the
-/// poll case's counts.
+/// Every count of a steady window, the two high-water marks, a paced
+/// tick's counts and the poll case's.
 fn counts() -> BTreeMap<String, u64> {
-    let (short, short_allocs, _) = measure(104);
-    let (long, long_allocs, peaks) = measure(200);
+    let (short, short_allocs, _) = measure(steady(104));
+    let (long, long_allocs, peaks) = measure(steady(200));
     let windows = (200 - 104) / MAX_WINDOW as u64;
     let per_window = |long: u64, short: u64| (long - short).div_ceil(windows);
     let (short_net, long_net) = (&short.outcome.net, &long.outcome.net);
@@ -135,6 +140,35 @@ fn counts() -> BTreeMap<String, u64> {
         ("peak.plane_bytes", peaks[0] as u64),
         ("peak.agent_bytes", peaks[1] as u64),
     ];
+    let (short, short_allocs, _) = measure(steady(40).paced());
+    let (long, long_allocs, _) = measure(steady(72).paced());
+    assert_eq!(long.outcome.report.polls, 0, "a steady run polls nothing");
+    let per_tick = |long: u64, short: u64| (long - short).div_ceil(72 - 40);
+    let (short_net, long_net) = (&short.outcome.net, &long.outcome.net);
+    let paced = [
+        (
+            "tick.lines_out",
+            per_tick(long_net.frames_out, short_net.frames_out),
+        ),
+        (
+            "tick.lines_in",
+            per_tick(long_net.frames_in, short_net.frames_in),
+        ),
+        ("tick.bytes_out", per_tick(long.bytes[1], short.bytes[1])),
+        ("tick.bytes_in", per_tick(long.bytes[0], short.bytes[0])),
+        (
+            "tick.plane_allocs",
+            per_tick(long_allocs[0], short_allocs[0]),
+        ),
+        (
+            "tick.agent0_allocs",
+            per_tick(long_allocs[1], short_allocs[1]),
+        ),
+        (
+            "tick.agent1_allocs",
+            per_tick(long_allocs[2], short_allocs[2]),
+        ),
+    ];
     let poll = poll_cut().run(0).expect("a run with a poll");
     let (report, net) = (&poll.outcome.report, &poll.outcome.net);
     assert_eq!((report.polls, report.ticks), (1, 11), "one poll, 11 ticks");
@@ -149,13 +183,14 @@ fn counts() -> BTreeMap<String, u64> {
     ];
     counted
         .into_iter()
+        .chain(paced)
         .chain(polled)
         .map(|(name, count)| (name.to_string(), count))
         .collect()
 }
 
 #[test]
-fn a_steady_window_and_a_poll_cost_no_more_than_their_budget() {
+fn a_steady_window_a_paced_tick_and_a_poll_cost_no_more_than_their_budget() {
     let counts = counts();
     assert_eq!(
         counts,

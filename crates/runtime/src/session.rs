@@ -11,7 +11,8 @@
 //!   the same;
 //! - **step** ([`TaskSession::step_window`]): send what the machine left
 //!   pending between ticks, then a window of ticks' [`TickData`] — one
-//!   tick in process — then step the coordinator machine on this thread
+//!   tick in process, one window line per agent behind sockets, however
+//!   many ticks — then step the coordinator machine on this thread
 //!   — pump monitor frames into it a tick at a time, execute its outbox,
 //!   behind sockets sending a poll with the next window where the
 //!   machine allows — until the windows' [`TickSummary`]s come out, and
@@ -162,6 +163,27 @@ pub(crate) fn run_length(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<u64, Vo
     Ok(ticks as u64)
 }
 
+/// Every monitor's final sampler state, allowance included, in id order,
+/// once `config`'s task has stepped `traces` in process, tick by tick as
+/// the drive loop steps it.
+#[cfg(test)]
+pub(crate) fn inline_states(
+    config: &TaskRunner,
+    traces: &[Vec<f64>],
+) -> Result<Vec<volley_core::SamplerSnapshot>, VolleyError> {
+    let mut session = TaskSession::spawn(config, MonitorPlane::inline(config), None)?;
+    for tick in 0..run_length(&config.spec, traces)? {
+        session.step(tick, |idx| traces[idx][tick as usize])?;
+    }
+    let MonitorPlane::Inline { table, .. } = &session.plane else {
+        unreachable!("the session was spawned in process");
+    };
+    let slots = table.slots().iter();
+    Ok(slots
+        .map(|slot| slot.actor().sampler().to_snapshot())
+        .collect())
+}
+
 /// What a step reports once the coordinator has crashed.
 const COORDINATOR_DEAD: VolleyError = VolleyError::RuntimeDisconnected {
     component: "coordinator",
@@ -179,10 +201,10 @@ pub(crate) enum MonitorPlane {
     },
     /// Behind sockets the session steps on its own thread as well: a
     /// control frame is encoded straight into its connection's write
-    /// batch, and the replies the agents write back are read into the
-    /// plane's inbox while the coordinator machine waits for them —
-    /// window replies into the feed, which hands the machine their ticks
-    /// one at a time.
+    /// batch, tick data as a window line, and the replies the agents
+    /// write back are read into the plane's inbox while the coordinator
+    /// machine waits for them — window replies into the feed, which hands
+    /// the machine their ticks one at a time.
     Remote(Box<SocketPlane>, WindowFeed),
 }
 
@@ -231,8 +253,9 @@ impl MonitorPlane {
         }
     }
 
-    /// Sends every monitor its data for `ticks` — one tick in process —
-    /// `value(i, t)` being monitor *i*'s at tick *t*.
+    /// Sends every monitor its data for `ticks` — one tick in process, a
+    /// window line of one or more behind sockets — `value(i, t)` being
+    /// monitor *i*'s at tick *t*.
     fn send_data(
         &mut self,
         epoch: u64,
@@ -444,8 +467,9 @@ impl<'a> TaskSession<'a> {
     /// poll, as it does at a deadline, which it counts as one: every tick
     /// after the one it closes is granted again. A refused tick means
     /// that monitor is gone; the coordinator notices via its deadline, so
-    /// the run keeps going. With a window of one this is the lock-step
-    /// protocol, exactly.
+    /// the run keeps going. In process every window is one tick, stepped
+    /// in lock-step; behind sockets a window of one is the same window
+    /// line and reply as any other.
     ///
     /// The fault plan's next coordinator crash fires once the tick's
     /// data has left and before any reply reaches the machine: the

@@ -97,12 +97,15 @@ const EDGE_VALUES: [f64; 8] = [
 fn column_lines(text: &str) -> [String; 4] {
     let quoted = serde_json::to_string(text).expect("a string serializes");
     let head = r#""epoch":1,"tick":2,"first":3"#;
+    let (values, flags) = ((text.len() / 16).max(1), text.len().max(1));
     let forced = "1".repeat(text.len() / 16);
     [
-        format!(r#"{{"Ticks":{{{head},"values":{quoted}}}}}"#),
+        format!(
+            r#"{{"Window":{{"epoch":1,"tick":2,"len":1,"held":0,"first":3,"count":{values},"values":{quoted}}}}}"#
+        ),
         format!(r#"{{"PollReplies":{{{head},"values":{quoted},"forced":"{forced}"}}}}"#),
         format!(r#"{{"PollReplies":{{{head},"values":"","forced":{quoted}}}}}"#),
-        format!(r#"{{"TickDones":{{{head},"flags":{quoted}}}}}"#),
+        format!(r#"{{"Window":{{{head},"count":{flags},"flags":{quoted}}}}}"#),
     ]
 }
 
@@ -475,8 +478,9 @@ proptest! {
     }
 
     /// The batched lines round-trip byte for byte against the tree
-    /// oracle, corruptions and all — tick data and the fan-out on the way
-    /// out, tick reports and poll replies on the way back — and every
+    /// oracle, corruptions and all — a window of tick data and the
+    /// fan-out on the way out, a window's tick reports and poll replies
+    /// on the way back — and every
     /// float a run carries comes back bit for bit: ±0.0, subnormals and
     /// ±1e308 included. A column's width is fixed: 16 hex digits a value,
     /// one digit a flag.
@@ -495,7 +499,8 @@ proptest! {
         let flags: Vec<u8> = picks.iter().map(|&(_, _, bits)| bits).collect();
         let forced: Vec<u8> = flags.iter().map(|&bits| bits & 1).collect();
         let column = F64Column(values.clone());
-        let ticks = ServerFrame::Ticks { epoch, tick, first, values: column.clone() };
+        let window = |values| ServerFrame::Window { epoch, tick, len: 1, held: 0, first, count, values };
+        let ticks = window(column.clone());
         let polls = ReplyBatch::PollReplies {
             epoch,
             tick,
@@ -505,18 +510,19 @@ proptest! {
         };
         round_trip(&ticks);
         round_trip(&polls);
-        let dones = ReplyBatch::TickDones { epoch, tick, first, flags: DigitColumn(flags) };
+        let reports = |flags| ReplyBatch::Window { epoch, tick, first, count, flags: DigitColumn(flags) };
+        let dones = reports(flags);
         round_trip(&dones);
-        let empty_ticks = ServerFrame::Ticks { epoch, tick, first, values: F64Column(Vec::new()) };
-        let empty_dones = ReplyBatch::TickDones { epoch, tick, first, flags: DigitColumn(Vec::new()) };
+        let empty_ticks = window(F64Column(Vec::new()));
+        let empty_dones = reports(Vec::new());
         prop_assert_eq!(encode(&ticks).len(), encode(&empty_ticks).len() + 16 * values.len());
         prop_assert_eq!(encode(&dones).len(), encode(&empty_dones).len() + values.len());
         let frame = ControlFrame { epoch, msg: CoordinatorToMonitor::Poll { tick } };
         round_trip(&ServerFrame::Fan { first, count, frame });
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         match decode::<ServerFrame>(&encode(&ticks)).expect("decodes") {
-            ServerFrame::Ticks { values: back, .. } => prop_assert_eq!(bits(&back.0), bits(&values)),
-            other => panic!("expected Ticks, got {other:?}"),
+            ServerFrame::Window { values: back, .. } => prop_assert_eq!(bits(&back.0), bits(&values)),
+            other => panic!("expected a window, got {other:?}"),
         }
         match decode::<ReplyBatch>(&encode(&polls)).expect("decodes") {
             ReplyBatch::PollReplies { values: back, .. } => prop_assert_eq!(bits(&back.0), bits(&values)),
@@ -681,7 +687,7 @@ proptest! {
                 let _ = expand_reply_line(line.as_bytes(), |_| {});
                 let canonical = |encoded: Bytes| encoded[..encoded.len() - 1] == *line.as_bytes();
                 if let Ok(frame) = decode_line::<ServerFrame>(line.as_bytes()) {
-                    if let ServerFrame::Ticks { values, .. } = &frame {
+                    if let ServerFrame::Window { values, .. } = &frame {
                         prop_assert!(values.0.iter().all(|v| v.is_finite()), "{line}");
                     }
                     prop_assert!(canonical(encode(&frame)), "{line}");
