@@ -7,7 +7,9 @@
 //! ([`on_frames`](CoordinatorActor::on_frames)) in process, a received
 //! payload of encoded ones, batched per run of monitors
 //! ([`on_payload`](CoordinatorActor::on_payload), expanded into the same
-//! loop) behind sockets — tells it when the phase
+//! loop) behind sockets — and a tick's reports as rows of digits
+//! ([`on_rows`](CoordinatorActor::on_rows); a `TickDone` is a row of
+//! one), tells it when the phase
 //! it is in has waited long enough
 //! ([`on_deadline`](CoordinatorActor::on_deadline)) and executes what it
 //! finds in the outbox ([`pop_output`](CoordinatorActor::pop_output)) in
@@ -21,7 +23,7 @@
 //!
 //! # One tick, four phases
 //!
-//! A tick collects every awaited monitor's `TickDone` (*reports*), on a
+//! A tick collects every awaited monitor's report (*reports*), on a
 //! surviving local violation polls the fleet (*poll*), at the end of an
 //! updating period gathers period reports (*reallocate*) and on the
 //! checkpoint cadence gathers sampler state (*snapshot*). Every phase
@@ -89,8 +91,17 @@ use volley_core::task::MonitorId;
 use volley_core::time::Tick;
 
 use crate::checkpoint::{CoordinatorSnapshot, MultitaskSnapshot, TickOutcome};
-use crate::message::{CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, TickSummary};
-use crate::net::expand_reply_line;
+use crate::message::{
+    CoordinatorToMonitor, MonitorFrame, MonitorToCoordinator, ReportRow, TickSummary, NO_REPORT,
+};
+use crate::net::{expand_reply_line, Reply};
+
+#[cfg(test)]
+thread_local! {
+    /// The report inputs this thread's machines took — rows, a `TickDone`
+    /// a row of one — for the socket plane's work budget.
+    pub(crate) static REPORT_INPUTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Default number of consecutive missed deadlines before quarantine.
 pub const DEFAULT_QUARANTINE_AFTER: u32 = 3;
@@ -186,7 +197,8 @@ pub enum Output {
 /// The collection phase a tick is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Every awaited monitor's `TickDone`.
+    /// Every awaited monitor's report of the open round's tick: a digit
+    /// of a [`ReportRow`] (a `TickDone` is a row of one).
     Reports,
     /// `PollReply`s to a global poll.
     Poll,
@@ -228,31 +240,6 @@ impl Await {
     }
 }
 
-/// The monitor a protocol message comes from.
-fn msg_sender(msg: &MonitorToCoordinator) -> MonitorId {
-    match *msg {
-        MonitorToCoordinator::TickDone { monitor, .. }
-        | MonitorToCoordinator::PollReply { monitor, .. }
-        | MonitorToCoordinator::Report { monitor, .. }
-        | MonitorToCoordinator::Revived { monitor }
-        | MonitorToCoordinator::StateSnapshot { monitor, .. } => monitor,
-    }
-}
-
-/// Whether `msg` is *fresh* evidence of life — something a live monitor
-/// would send now, as opposed to a delayed or replayed frame from an
-/// already-closed tick. Only fresh evidence may resurrect a quarantined
-/// monitor: awaiting one again on a stale delayed frame would stall every
-/// round on a monitor that is in fact dead.
-fn is_fresh(msg: &MonitorToCoordinator, last_tick: Option<Tick>) -> bool {
-    match *msg {
-        MonitorToCoordinator::Revived { .. } => true,
-        MonitorToCoordinator::TickDone { tick, .. }
-        | MonitorToCoordinator::PollReply { tick, .. } => last_tick.is_none_or(|lt| tick > lt),
-        MonitorToCoordinator::Report { .. } | MonitorToCoordinator::StateSnapshot { .. } => false,
-    }
-}
-
 /// The coordinator: evaluates the global condition on local-violation
 /// reports and periodically redistributes the error allowance (§IV),
 /// tolerating crashed, stalled and lossy monitors via deadlines,
@@ -273,6 +260,9 @@ pub struct CoordinatorActor {
     /// checkpoints it.
     gate: Option<(u32, MultitaskSnapshot)>,
     quarantined: Vec<bool>,
+    /// How many monitors are quarantined: with none, a round every
+    /// monitor reported closes and reopens without a per-monitor pass.
+    in_quarantine: usize,
     /// A quarantined monitor showing signs of life (a `Revived` notice
     /// from the driver's supervisor, or a *fresh* frame of its own): the
     /// next collection awaits it again so it can re-earn active status.
@@ -280,11 +270,14 @@ pub struct CoordinatorActor {
     consecutive_missed: Vec<u32>,
     /// The last tick closed, by this incarnation or its predecessor.
     last_tick: Option<Tick>,
-    /// Monitors that sent a stale-epoch frame and owe an epoch repair.
+    /// Monitors that sent a stale-epoch frame and owe an epoch repair,
+    /// and whether any does.
     needs_epoch: Vec<bool>,
+    epoch_owed: bool,
     /// Monitors that sent a `Revived` in the batch being fed, owed
-    /// their ledger entry.
+    /// their ledger entry, and whether any did.
     owed_ledger: Vec<bool>,
+    ledger_owed: bool,
     phase: Phase,
     wait: Await,
     /// The open round's tick, fixed by its first report.
@@ -299,8 +292,9 @@ pub struct CoordinatorActor {
     reports: Vec<Option<PeriodReport>>,
     snapshots: Vec<Option<SamplerSnapshot>>,
     /// Reports read ahead of their round (defensive; lock-step rarely
-    /// produces them), replayed when the next round opens.
-    read_ahead: Vec<MonitorToCoordinator>,
+    /// produces them) as `(tick, monitor, digit)`, replayed when the next
+    /// round opens.
+    read_ahead: Vec<(Tick, u32, u8)>,
     outbox: VecDeque<Output>,
 }
 
@@ -318,11 +312,14 @@ impl CoordinatorActor {
             checkpoint: None,
             gate: None,
             quarantined: vec![false; n],
+            in_quarantine: 0,
             reviving: vec![false; n],
             consecutive_missed: vec![0; n],
             last_tick,
             needs_epoch: vec![false; n],
+            epoch_owed: false,
             owed_ledger: vec![false; n],
+            ledger_owed: false,
             phase: Phase::Reports,
             wait: Await {
                 on: vec![false; n],
@@ -459,7 +456,7 @@ impl CoordinatorActor {
         let sends = self.phase != Phase::Poll
             || tick >= self.rules.next_update_tick()
             || self.checkpoint.is_some_and(|(_, due)| tick >= due)
-            || self.needs_epoch.contains(&true);
+            || self.epoch_owed;
         if sends || cap == 0 {
             return 0;
         }
@@ -519,16 +516,29 @@ impl CoordinatorActor {
         self.on_batch(frames, Self::admit)
     }
 
+    /// Feeds the machine rows of tick reports that arrived together, as
+    /// the socket plane reads a window reply's rows where they lie;
+    /// returns how many. A row is admitted as its frames would be, one
+    /// by one, but its row-wide checks — epoch, phase, tick — are made
+    /// once, and a run of active monitors reporting the open round's
+    /// tick for the first time is settled in one pass.
+    pub fn on_rows<'r>(&mut self, rows: impl IntoIterator<Item = ReportRow<'r>>) -> u64 {
+        self.on_batch(rows, Self::admit_row)
+    }
+
     /// [`on_frames`](Self::on_frames) for a payload as the socket plane
     /// reads it — agent lines, each an encoded [`MonitorFrame`] or a
     /// [`ReplyBatch`](crate::net::ReplyBatch) of many, the last line's
-    /// newline optional — each line expanded into its frames
-    /// ([`expand_reply_line`]) as the same loop reaches it, a malformed
-    /// one skipped alone. Returns how many lines it held.
+    /// newline optional — each line expanded into its frames and report
+    /// rows ([`expand_reply_line`]) as the same loop reaches it, a
+    /// malformed one skipped alone. Returns how many lines it held.
     pub fn on_payload(&mut self, payload: &[u8]) -> u64 {
         let lines = payload.split_inclusive(|&b| b == b'\n');
         self.on_batch(lines, |machine, line| {
-            expand_reply_line(line, |frame| machine.admit(frame));
+            expand_reply_line(line, |reply| match reply {
+                Reply::Frame(frame) => machine.admit(frame),
+                Reply::Row(row) => machine.admit_row(row),
+            });
         })
     }
 
@@ -556,6 +566,9 @@ impl CoordinatorActor {
     /// so a fleet connecting at once costs one outbox entry, not one
     /// each.
     fn readmit(&mut self) {
+        if !std::mem::take(&mut self.ledger_owed) {
+            return;
+        }
         while let Some(first) = self.owed_ledger.iter().position(|&owed| owed) {
             let (owed, allowances) = (&mut self.owed_ledger, self.rules.allowances());
             let err = allowances[first];
@@ -571,33 +584,128 @@ impl CoordinatorActor {
     }
 
     /// One frame into the machine, short of closing the phase it may
-    /// have completed.
+    /// have completed; a tick report as a row of one. Only *fresh*
+    /// evidence — what a live monitor would send now, not a delayed frame
+    /// of a closed tick — is a sign of life: awaiting a quarantined
+    /// monitor again on a stale frame would stall every round on a
+    /// monitor that is in fact dead.
     fn admit(&mut self, frame: MonitorFrame) {
         let MonitorFrame { epoch, msg } = frame;
-        if !msg.is_wire_representable() {
-            return;
-        }
-        let sender = msg_sender(&msg).0 as usize;
-        let known = sender < self.monitors();
-        if epoch < self.epoch {
-            // A frame from before the failover — e.g. a monitor that
-            // missed the NewEpoch broadcast behind a partition, or
-            // traffic from the deposed primary's world. Reject it
-            // (split-brain safety) but schedule an epoch repair so the
-            // sender can rejoin the current epoch.
-            self.summary.stale_epoch_frames += 1;
-            if known {
-                self.needs_epoch[sender] = true;
+        let (sender, fresh) = match msg {
+            MonitorToCoordinator::TickDone { .. } => {
+                let (monitor, tick, flags) = msg.report().expect("a tick report");
+                let (first, digits) = (monitor.0, &[b'0' + flags][..]);
+                let row = ReportRow {
+                    epoch,
+                    tick,
+                    first,
+                    digits,
+                };
+                return self.admit_row(row);
             }
+            MonitorToCoordinator::PollReply { monitor, tick, .. } => {
+                (monitor.0, self.last_tick.is_none_or(|lt| tick > lt))
+            }
+            MonitorToCoordinator::Revived { monitor } => (monitor.0, true),
+            MonitorToCoordinator::Report { monitor, .. }
+            | MonitorToCoordinator::StateSnapshot { monitor, .. } => (monitor.0, false),
+        };
+        let representable = msg.is_wire_representable();
+        if !representable || self.fence(epoch, sender, b"0", fresh).is_none() {
             return;
         }
-        if known && is_fresh(&msg, self.last_tick) {
-            self.mark_reviving(sender);
-        }
-        if known && matches!(msg, MonitorToCoordinator::Revived { .. }) {
-            self.owed_ledger[sender] = true;
+        let idx = sender as usize;
+        if idx < self.monitors() && matches!(msg, MonitorToCoordinator::Revived { .. }) {
+            (self.owed_ledger[idx], self.ledger_owed) = (true, true);
         }
         self.accept(msg);
+    }
+
+    /// One row of tick reports into the machine, short of closing the
+    /// phase it may have completed: fenced, then handed to the report
+    /// collection ([`report_row`](Self::report_row)) while it is open.
+    fn admit_row(&mut self, row: ReportRow<'_>) {
+        #[cfg(test)]
+        REPORT_INPUTS.with(|inputs| inputs.set(inputs.get() + 1));
+        let fresh = self.last_tick.is_none_or(|lt| row.tick > lt);
+        let current = self.fence(row.epoch, row.first, row.digits, fresh);
+        if let Some((lo, known)) = current.filter(|_| self.phase == Phase::Reports) {
+            self.report_row(row.tick, lo, known);
+        }
+    }
+
+    /// The epoch fence for the replies of the monitors from `first`, a
+    /// digit each (`8`: none): the digits of the monitors this task has,
+    /// from the first's index, if they are current. A stale one —
+    /// from before the failover, e.g. a monitor that missed the NewEpoch
+    /// broadcast behind a partition, or traffic from the deposed
+    /// primary's world — is rejected (split-brain safety) and counted,
+    /// and its sender owed an epoch repair so it can rejoin; a current
+    /// *fresh* one from a quarantined monitor is a sign of life.
+    fn fence<'d>(
+        &mut self,
+        epoch: u64,
+        first: u32,
+        digits: &'d [u8],
+        fresh: bool,
+    ) -> Option<(usize, &'d [u8])> {
+        let lo = (first as usize).min(self.monitors());
+        let known = &digits[..digits.len().min(self.monitors() - lo)];
+        let senders = (lo..).zip(known).filter(|(_, &d)| d < NO_REPORT);
+        if epoch < self.epoch {
+            let stale = digits.iter().filter(|&&d| d < NO_REPORT).count();
+            self.summary.stale_epoch_frames += stale as u32;
+            for (idx, _) in senders {
+                self.needs_epoch[idx] = true;
+                self.epoch_owed = true;
+            }
+            return None;
+        }
+        if fresh && self.in_quarantine > 0 {
+            senders.for_each(|(idx, _)| self.mark_reviving(idx));
+        }
+        Some((lo, known))
+    }
+
+    /// The report collection's half of a row: the reports of `tick` by
+    /// the monitors from `lo`, a digit each. A row of a closed tick is
+    /// late, one of a later tick than the open round's is set aside for
+    /// the next round; the open round's is settled in one pass — each
+    /// monitor reporting for the first time is settled and its flags
+    /// summed, a quarantined one among them restored.
+    fn report_row(&mut self, tick: Tick, lo: usize, digits: &[u8]) {
+        match self.round_tick {
+            None => {
+                let late = self.last_tick.is_some_and(|lt| tick <= lt);
+                if late || !digits.iter().any(|&d| d < NO_REPORT) {
+                    return;
+                }
+                self.round_tick = Some(tick);
+            }
+            Some(rt) if tick < rt => return, // late row
+            Some(rt) if tick > rt => {
+                // Possible only if the driver raced ahead.
+                let reported = (lo as u32..).zip(digits).filter(|(_, &d)| d < NO_REPORT);
+                let ahead = reported.map(|(monitor, &d)| (tick, monitor, d));
+                return self.read_ahead.extend(ahead);
+            }
+            Some(_) => {}
+        }
+        for (idx, &digit) in (lo..).zip(digits) {
+            if digit >= NO_REPORT || std::mem::replace(&mut self.seen[idx], true) {
+                continue; // no report, or a duplicated one
+            }
+            self.wait.settle(idx);
+            self.consecutive_missed[idx] = 0;
+            if std::mem::replace(&mut self.quarantined[idx], false) {
+                (self.in_quarantine, self.reviving[idx]) = (self.in_quarantine - 1, false);
+                let monitor = MonitorId(idx as u32);
+                self.outbox.push_back(Output::Recovered { monitor, tick });
+            }
+            self.summary.scheduled_samples += u32::from(digit & 1);
+            self.summary.local_violations += u32::from(digit >> 1 & 1);
+            self.summary.suppressed_samples += u32::from(digit >> 2 & 1);
+        }
     }
 
     /// The leader task's state ahead of `tick`, the tick about to open:
@@ -662,9 +770,6 @@ impl CoordinatorActor {
     fn accept(&mut self, msg: MonitorToCoordinator) {
         let (n, tick) = (self.monitors(), self.summary.tick);
         match (self.phase, msg) {
-            (Phase::Reports, msg @ MonitorToCoordinator::TickDone { .. }) => {
-                self.on_tick_done(msg);
-            }
             (
                 Phase::Poll,
                 MonitorToCoordinator::PollReply {
@@ -700,52 +805,6 @@ impl CoordinatorActor {
         }
     }
 
-    fn on_tick_done(&mut self, msg: MonitorToCoordinator) {
-        let MonitorToCoordinator::TickDone {
-            monitor,
-            tick: t,
-            sampled,
-            violation,
-            suppressed,
-        } = msg
-        else {
-            return;
-        };
-        let idx = monitor.0 as usize;
-        if idx >= self.monitors() {
-            return;
-        }
-        match self.round_tick {
-            None => {
-                if self.last_tick.is_some_and(|lt| t <= lt) {
-                    return; // late frame for an already-closed tick
-                }
-                self.round_tick = Some(t);
-            }
-            Some(rt) if t < rt => return, // late frame
-            Some(rt) if t > rt => {
-                // Possible only if the driver raced ahead.
-                self.read_ahead.push(msg);
-                return;
-            }
-            Some(_) => {}
-        }
-        if std::mem::replace(&mut self.seen[idx], true) {
-            return; // duplicated frame
-        }
-        self.wait.settle(idx);
-        self.consecutive_missed[idx] = 0;
-        if self.quarantined[idx] {
-            self.quarantined[idx] = false;
-            self.reviving[idx] = false;
-            self.outbox
-                .push_back(Output::Recovered { monitor, tick: t });
-        }
-        self.summary.scheduled_samples += u32::from(sampled);
-        self.summary.suppressed_samples += u32::from(suppressed);
-        self.summary.local_violations += u32::from(violation);
-    }
-
     /// Closes every phase that is over — its awaited set emptied or, for
     /// the current one, the driver's deadline `expired`. The report
     /// collection is special in one way: with nobody to wait for
@@ -774,16 +833,22 @@ impl CoordinatorActor {
         self.summary = TickSummary::default();
         self.seen.fill(false);
         self.await_reports();
-        for msg in std::mem::take(&mut self.read_ahead) {
-            self.accept(msg);
+        for (tick, monitor, digit) in std::mem::take(&mut self.read_ahead) {
+            self.report_row(tick, monitor as usize, &[digit]);
         }
     }
 
-    /// Awaits a `TickDone` from every active monitor plus the
-    /// quarantined ones showing signs of life. One cut off from the
-    /// coordinator never answers and counts as missing, so a long
-    /// partition quarantines it and degraded aggregation takes over.
+    /// Awaits a report from every active monitor plus the quarantined
+    /// ones showing signs of life — with none quarantined, every monitor
+    /// at once. One cut off from the coordinator never answers and
+    /// counts as missing, so a long partition quarantines it and
+    /// degraded aggregation takes over.
     fn await_reports(&mut self) {
+        if self.in_quarantine == 0 {
+            self.wait.on.fill(true);
+            (self.wait.armed, self.wait.outstanding) = (self.monitors(), self.monitors());
+            return;
+        }
         self.wait.clear();
         for idx in 0..self.monitors() {
             if self.active(idx) || self.reviving[idx] {
@@ -820,7 +885,11 @@ impl CoordinatorActor {
         self.last_tick = Some(tick);
         self.summary.tick = tick;
 
-        for idx in 0..self.monitors() {
+        // With none quarantined and none awaited, every monitor reported:
+        // nobody is missing.
+        let quiet = self.in_quarantine == 0 && self.wait.outstanding == 0;
+        let scanned = if quiet { 0 } else { self.monitors() };
+        for idx in 0..scanned {
             if self.quarantined[idx] {
                 self.summary.missing_reports += 1;
                 // A reviving monitor that keeps missing deadlines loses
@@ -836,6 +905,7 @@ impl CoordinatorActor {
                 self.consecutive_missed[idx] += 1;
                 if self.consecutive_missed[idx] >= self.quarantine_after {
                     self.quarantined[idx] = true;
+                    self.in_quarantine += 1;
                     self.outbox.push_back(Output::Quarantined {
                         monitor: MonitorId(idx as u32),
                         tick,
@@ -846,8 +916,7 @@ impl CoordinatorActor {
         }
 
         if self.summary.local_violations == 0 {
-            self.summary.degraded =
-                self.quarantined.contains(&true) && self.summary.missing_reports > 0;
+            self.summary.degraded = self.in_quarantine > 0 && self.summary.missing_reports > 0;
             return self.begin_reallocate();
         }
         self.summary.polled = true;
@@ -871,7 +940,7 @@ impl CoordinatorActor {
     /// the task over.
     fn begin_reallocate(&mut self) {
         let due = self.rules.reallocation_due(self.summary.tick);
-        if due && (0..self.monitors()).all(|idx| self.active(idx)) {
+        if due && self.in_quarantine == 0 {
             self.reports = vec![None; self.monitors()];
             self.request(Phase::Reallocate, CoordinatorToMonitor::RequestReport);
         } else {
@@ -932,7 +1001,12 @@ impl CoordinatorActor {
         // Epoch repair: answer every stale-epoch sender with the current
         // epoch so it can rejoin (its next report will be fresh and
         // current-epoch, re-earning active status the normal way).
-        for idx in 0..self.monitors() {
+        let owed = if std::mem::take(&mut self.epoch_owed) {
+            self.monitors()
+        } else {
+            0
+        };
+        for idx in 0..owed {
             if std::mem::take(&mut self.needs_epoch[idx]) {
                 let epoch = self.epoch;
                 self.send([idx], CoordinatorToMonitor::NewEpoch { epoch });
@@ -1460,6 +1534,7 @@ mod tests {
         // only on *fresh* evidence.
         let mut machine = pair(1);
         machine.quarantined[1] = true;
+        machine.in_quarantine = 1;
         machine.last_tick = Some(5);
         // A delayed frame for the long-closed tick 3 finally arrives.
         machine.on_frame(tick_done(1, 3, false));

@@ -144,7 +144,46 @@ impl MonitorToCoordinator {
             Self::TickDone { .. } | Self::Revived { .. } => true,
         }
     }
+
+    /// A `TickDone`'s sender, tick and flags as one number — bit 0
+    /// `sampled`, bit 1 `violation`, bit 2 `suppressed` — its digit in a
+    /// [`ReportRow`]; `None` for any other message.
+    pub(crate) fn report(&self) -> Option<(MonitorId, Tick, u8)> {
+        let Self::TickDone {
+            monitor,
+            tick,
+            sampled,
+            violation,
+            suppressed,
+        } = *self
+        else {
+            return None;
+        };
+        let flags = u8::from(sampled) | u8::from(violation) << 1 | u8::from(suppressed) << 2;
+        Some((monitor, tick, flags))
+    }
 }
+
+/// One tick's reports of a run of consecutive monitors from `first`, as
+/// the coordinator machine reads them
+/// ([`on_rows`](crate::coordinator::CoordinatorActor::on_rows)): an ASCII
+/// digit per monitor — its [`report`](MonitorToCoordinator::report), or
+/// [`NO_REPORT`] — as a window reply spells them. A `TickDone` is a row
+/// of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportRow<'a> {
+    /// The epoch every report of the row is stamped with.
+    pub epoch: u64,
+    /// The tick the reports conclude.
+    pub tick: Tick,
+    /// The run's first monitor id.
+    pub first: u32,
+    /// One digit (`0`–`8`) per monitor, in id order.
+    pub digits: &'a [u8],
+}
+
+/// The digit of a monitor that sent no report: `8`.
+pub const NO_REPORT: u8 = b'8';
 
 /// Messages from the coordinator (or runner) to a monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

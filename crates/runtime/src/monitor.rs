@@ -580,6 +580,17 @@ pub(crate) struct SlotTable {
     faults: FaultPlan,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Ticks watched on this thread and, per monitor id, its sampler
+    /// state as the tick's data last reached it in a slot table — the
+    /// sweep's probe of agent-hosted monitors, recorded afresh each
+    /// time, so a re-stepped monitor's record is the state it last
+    /// stepped on from.
+    pub(crate) static WATCHED: std::cell::RefCell<crate::session::Watched> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 impl SlotTable {
     /// A fault-free table hosting `slots` as monitors `base..`.
     pub(crate) fn new(base: u32, slots: Vec<MonitorSlot>) -> Self {
@@ -628,6 +639,18 @@ impl SlotTable {
     ) -> u64 {
         let faults = &self.faults;
         let hosted = to.checked_sub(self.base).map(|at| at as usize);
+        #[cfg(test)]
+        if let (CoordinatorToMonitor::Tick(data), Some(at)) = (frame.msg, hosted) {
+            let state = self
+                .slots
+                .get(at)
+                .map(|slot| crate::session::probe(slot.actor.sampler()));
+            WATCHED.with_borrow_mut(|watched| {
+                for (_, states) in watched.iter_mut().filter(|(t, _)| *t == data.tick) {
+                    states[to as usize] = state;
+                }
+            });
+        }
         let slot = hosted.and_then(|at| self.slots.get_mut(at));
         slot.map_or(0, |slot| slot.deliver(faults, frame, out))
     }

@@ -55,9 +55,7 @@ use crate::transport::TransportConfig;
 
 use super::codec::FrameBuffer;
 use super::server::{NetAddr, Socket};
-use super::wire::{
-    flag_digit, window_tag, AgentHello, ReplyWriter, ServerFrame, WindowLine, MAX_WINDOW,
-};
+use super::wire::{window_tag, AgentHello, ReplyWriter, ServerFrame, WindowLine, MAX_WINDOW};
 use super::{Clock, WallClock};
 
 /// Reconnect backoff policy: exponential from `base` to `cap`, with
@@ -501,14 +499,8 @@ impl Hosts<'_> {
                 });
                 let mut done = None;
                 table.deliver(to, ControlFrame { epoch, msg }, &mut |reply| {
-                    if let MonitorToCoordinator::TickDone {
-                        sampled,
-                        violation,
-                        suppressed,
-                        ..
-                    } = reply.msg
-                    {
-                        done = Some((reply.epoch, flag_digit(sampled, violation, suppressed)));
+                    if let Some((_, _, flags)) = reply.msg.report() {
+                        done = Some((reply.epoch, flags));
                     }
                 });
                 held[at].stepped += 1;
@@ -743,16 +735,9 @@ mod tests {
                 value: value(to, 0),
             });
             let done = twin.handle_frame(ControlFrame { epoch: 0, msg }).0;
-            let Some(MonitorToCoordinator::TickDone {
-                sampled,
-                violation,
-                suppressed,
-                ..
-            }) = done.map(|reply| reply.msg)
-            else {
-                panic!("a tick is answered with its report");
-            };
-            flags.push(flag_digit(sampled, violation, suppressed));
+            let report = done.and_then(|reply| reply.msg.report());
+            let (_, _, bits) = report.expect("a tick is answered with its report");
+            flags.push(bits);
         }
         let reports = crate::message::encode(&ReplyBatch::Window {
             epoch: 0,

@@ -29,7 +29,7 @@ pub use server::{NetAddr, NetCoordinator, NetRunOutcome, NetStats, DEFAULT_TICK_
 pub(crate) use server::{SocketPlane, WindowFeed};
 pub use wire::{
     ctl_line, encode_replies, expand_reply_line, welcome_line, AgentHello, DigitColumn, F64Column,
-    ReplyBatch, ServerFrame, MAX_WINDOW,
+    Reply, ReplyBatch, ServerFrame, MAX_WINDOW,
 };
 
 /// The one source of time of the socket plane and the agent driver.

@@ -61,7 +61,7 @@ use volley_serve::reactor::{Conn, Fd, Pollable, Protocol, Reactor, Table};
 use volley_serve::ServePublisher;
 
 use crate::coordinator::{CoordinatorActor, MonitorRun};
-use crate::message::{decode_line, ControlFrame, MonitorFrame, TickSummary};
+use crate::message::{decode_line, ControlFrame, TickSummary};
 use crate::runner::{RuntimeReport, TaskRunner};
 use crate::session::{self, Hook, Task, TaskSession};
 use crate::transport::TransportConfig;
@@ -69,8 +69,8 @@ use crate::transport::TransportConfig;
 use super::codec::FrameBuffer;
 use super::faults::NetFaultPlan;
 use super::wire::{
-    tick_done, welcome_line, window_fits, window_rows, window_tag, write_data, write_fan,
-    AgentHello, ReplyBatch,
+    welcome_line, window_fits, window_reply, window_tag, write_data, write_fan, AgentHello,
+    ReplyRows,
 };
 use super::{Clock, WallClock, MAX_WINDOW};
 
@@ -840,28 +840,31 @@ impl SocketPlane {
 
 /// The replies to the window of ticks a networked session granted,
 /// handed to the coordinator machine a tick at a time: an agent answers
-/// a window with one [`ReplyBatch::Window`] line, and the machine judges
-/// one tick's reports at a time, the next only once it closed the last.
+/// a window with one [`ReplyBatch::Window`](super::ReplyBatch::Window)
+/// line, and the machine judges one tick's reports at a time, the next
+/// only once it closed the last. A reply's flag digits are kept in one
+/// buffer the feed reuses from window to window, and each tick's row is
+/// read where it lies there ([`ReplyRows`]) and handed over as it is.
 pub(crate) struct WindowFeed {
     /// The open window's ticks.
     ticks: Range<Tick>,
     /// The tick the machine is collecting the reports of.
     next: Tick,
-    /// The open window's replies so far.
+    /// The open window's replies so far: each one's rows, in `digits`.
     replies: Vec<WindowRun>,
+    digits: Vec<u8>,
     /// The bytes a window reply's line, and no other agent line, opens
     /// with.
     tag: Vec<u8>,
 }
 
-/// One agent's window reply: `rows` ticks of `count` monitors' flag
-/// digits from `first`, at `epoch`.
+/// One agent's window reply: its epoch and run, and where its rows lie
+/// in the feed's digits.
 struct WindowRun {
     epoch: u64,
     first: u32,
     count: u32,
-    rows: u64,
-    flags: Vec<u8>,
+    at: Range<usize>,
 }
 
 impl WindowFeed {
@@ -871,6 +874,7 @@ impl WindowFeed {
             ticks: 0..0,
             next: 0,
             replies: Vec::new(),
+            digits: Vec::new(),
             tag: window_tag(),
         }
     }
@@ -879,6 +883,7 @@ impl WindowFeed {
     /// as window replies.
     pub(crate) fn open(&mut self, ticks: Range<Tick>) {
         self.replies.clear();
+        self.digits.clear();
         self.next = ticks.start;
         self.ticks = ticks;
     }
@@ -888,6 +893,7 @@ impl WindowFeed {
     /// handed to the machine once it has closed the polled tick.
     pub(crate) fn carry(&mut self, ticks: Range<Tick>) {
         self.replies.clear();
+        self.digits.clear();
         self.next = ticks.start - 1;
         self.ticks = ticks;
     }
@@ -929,57 +935,46 @@ impl WindowFeed {
         lines
     }
 
-    /// Keeps `line` if it is a window reply to the open window; a late
-    /// one, to a window since closed, is dropped.
+    /// Keeps `line`'s rows if it is a window reply to the open window;
+    /// a late one, to a window since closed, is dropped.
     fn keep(&mut self, line: &[u8]) {
-        let Ok(ReplyBatch::Window {
-            epoch,
-            tick,
-            first,
-            count,
-            flags,
-        }) = decode_line::<ReplyBatch>(line)
+        let granted = self.ticks.end - self.ticks.start;
+        let Some(rows) = window_reply(line)
+            .filter(|rows| rows.tick == self.ticks.start && rows.len() <= granted)
         else {
             return;
         };
-        let rows = window_rows(first, count, flags.0.len());
-        let granted = self.ticks.end - self.ticks.start;
-        if let Some(rows) = rows.filter(|&rows| tick == self.ticks.start && rows <= granted) {
-            self.replies.push(WindowRun {
-                epoch,
-                first,
-                count,
-                rows,
-                flags: flags.0,
-            });
-        }
+        let start = self.digits.len();
+        self.digits.extend_from_slice(rows.digits);
+        let (epoch, first, count) = (rows.epoch, rows.first, rows.count);
+        let at = start..self.digits.len();
+        self.replies.push(WindowRun {
+            epoch,
+            first,
+            count,
+            at,
+        });
     }
 
-    /// Feeds the machine the reports of the tick being collected that
-    /// the replies from the `from`-th on hold, as one batch.
+    /// Feeds the machine the rows of the tick being collected that the
+    /// replies from the `from`-th on hold, as one batch.
     fn hand(&self, from: usize, coordinator: &mut CoordinatorActor) {
         let Some(row) = self.next.checked_sub(self.ticks.start) else {
             return;
         };
-        let runs = self.replies[from..].iter().filter(|run| row < run.rows);
-        if runs.clone().next().is_none() {
-            return;
-        }
-        let tick = self.next;
-        let frames = runs.flat_map(|run| {
-            let digits = run.flags[(row * u64::from(run.count)) as usize..].iter();
-            let reported = (run.first..=u32::MAX).zip(digits.take(run.count as usize));
-            reported
-                .filter(|(_, &bits)| bits < 8)
-                .map(move |(monitor, &bits)| {
-                    let msg = tick_done(monitor, tick, bits);
-                    MonitorFrame {
-                        epoch: run.epoch,
-                        msg,
-                    }
-                })
+        let rows = self.replies[from..].iter().filter_map(|run| {
+            let rows = ReplyRows {
+                epoch: run.epoch,
+                tick: self.ticks.start,
+                first: run.first,
+                count: run.count,
+                digits: &self.digits[run.at.clone()],
+            };
+            (row < rows.len()).then(|| rows.row(row))
         });
-        coordinator.on_frames(frames);
+        if rows.clone().next().is_some() {
+            coordinator.on_rows(rows);
+        }
     }
 }
 

@@ -23,8 +23,31 @@
 //! the poll reaches it; each seed picks their noise and chunk sizes. The
 //! paced arm runs the seed's own task fault-free under a tick interval,
 //! so every tick is a window of one. A fault-free run is held to the
-//! in-process runner: its report, and every monitor's final sampler
-//! state, allowance included.
+//! in-process runner: its report, and every monitor's sampler state —
+//! snapshot (allowance included) and tick state (period sums included) —
+//! at the end and as the data of the tick after each reallocation or
+//! snapshot tick reaches it, where a monitor stepping on before the
+//! round's frames would show.
+//!
+//! # Mutants
+//!
+//! A change to the windowed plane runs each of these in a throwaway copy
+//! and reports the seeds of the 64 that fail:
+//!
+//! - the reallocation carry: `CoordinatorActor::poll_carries` without
+//!   its reallocation-tick condition, so a poll on tick 1 000 carries a
+//!   window (every seed);
+//! - `held` off by one: `SocketPlane::stage` names one tick more held
+//!   than the connection was sent (every seed: the agent refuses it);
+//! - a rewind to the wrong window start: `Held::rewind` replays one tick
+//!   fewer (every seed);
+//! - `WindowFeed` skipping a carried tick: `feed` hands the machine
+//!   nothing for a window's first tick (62 seeds);
+//! - `window_reply` accepting a ragged reply (no seed: agents write
+//!   none; `net::wire`'s unit tests catch it);
+//! - digit 8 counted as a report by `CoordinatorActor::report_row` (no
+//!   seed: agents rarely write one; `tests/proptest_messages.rs`'s row
+//!   parity catches it).
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -35,6 +58,7 @@ use std::time::{Duration, Instant};
 
 use volley_core::hash::splitmix64;
 use volley_core::task::TaskSpec;
+use volley_core::time::Tick;
 use volley_core::{GroundTruth, SamplerSnapshot, VolleyError};
 
 use super::agent::AgentMachine;
@@ -44,8 +68,9 @@ use super::{
     AgentConfig, AgentReport, BackoffConfig, Clock, NetAddr, NetCoordinator, NetFaultPlan,
     NetRunOutcome,
 };
+use crate::monitor::WATCHED;
 use crate::runner::TaskRunner;
-use crate::session::inline_states;
+use crate::session::{inline_states, Watched};
 use crate::transport::TransportConfig;
 
 /// One agent of the world: its machine and its end of the link.
@@ -447,7 +472,7 @@ impl Scenario {
     /// monitors the agents rewound and the bytes they wrote and read —
     /// each allocation of the plane and of every agent charged to its
     /// [`Account`].
-    pub(super) fn run(&self, seed: u64) -> Result<Ran, String> {
+    pub(super) fn run(&self, seed: u64, watch: &[Tick]) -> Result<Ran, String> {
         // One listener path per run, of one length: sweeps may run at
         // once, and the plane's heap must not depend on how many runs
         // came before.
@@ -496,6 +521,9 @@ impl Scenario {
         }));
         let mut clock = VirtualClock(Arc::clone(&world));
         coordinator.plane.clock = Box::new(clock.clone());
+        let monitors = self.traces.len();
+        let watching = watch.iter().map(|&tick| (tick, vec![None; monitors]));
+        WATCHED.set(watching.collect());
         let outcome = charged(Account::Plane, || coordinator.run(&self.traces))
             .map_err(|e| format!("run: {e}"))?;
         // Agents still out there outlive the coordinator: a dial that
@@ -515,6 +543,7 @@ impl Scenario {
         let rewinds = machines.clone().map(|machine| machine.rewinds).sum();
         let resent = machines.clone().map(|machine| machine.resent).sum();
         let states = machines.flat_map(AgentMachine::states).collect();
+        let watched = WATCHED.take();
         let writes = world.agents.iter().map(|a| a.writes).sum();
         let bytes = world.agents.iter().fold([0; 2], |[wrote, read], agent| {
             [wrote + agent.bytes[0], read + agent.bytes[1]]
@@ -532,6 +561,7 @@ impl Scenario {
             rewinds,
             resent,
             states,
+            watched,
             writes,
             bytes,
         })
@@ -551,6 +581,9 @@ pub(super) struct Ran {
     pub(super) resent: u64,
     /// Every hosted monitor's final sampler state, in id order.
     pub(super) states: Vec<SamplerSnapshot>,
+    /// Every hosted monitor's sampler state as each watched tick's data
+    /// reached it.
+    pub(super) watched: Watched,
     /// Sends the agents made.
     pub(super) writes: u64,
     /// Bytes the agents wrote and read: the wire, in and out.
@@ -594,27 +627,42 @@ fn sweep_seed(seed: u64) -> Result<(), String> {
 
 /// [`sweep_seed`]'s checks of `scenario` under `seed`; what its run did.
 fn check(scenario: &Scenario, seed: u64) -> Result<Ran, String> {
-    let ran = scenario.run(seed)?;
+    let in_process = |e: VolleyError| format!("in-process run: {e}");
+    let runner = TaskRunner::new(&scenario.spec).map_err(in_process)?;
+    let inline = match scenario.faulty() {
+        false => Some(inline_states(&runner, &scenario.traces).map_err(in_process)?),
+        true => None,
+    };
+    let watch: Vec<Tick> = inline
+        .iter()
+        .flat_map(|(_, w)| w.iter().map(|(t, _)| *t))
+        .collect();
+    let ran = scenario.run(seed, &watch)?;
     let report = &ran.outcome.report;
     if report.ticks != scenario.traces[0].len() as u64 {
         return Err(format!("{} ticks ran", report.ticks));
     }
-    if !scenario.faulty() {
-        let in_process = |e: VolleyError| format!("in-process run: {e}");
-        let runner = TaskRunner::new(&scenario.spec).map_err(in_process)?;
+    if let Some((states, watched)) = &inline {
         let baseline = runner.run(&scenario.traces).map_err(in_process)?;
-        let states = inline_states(&runner, &scenario.traces).map_err(in_process)?;
         if *report != baseline {
             return Err(format!("{report:?} != in-process {baseline:?}"));
         }
-        let differs = (0..)
+        let at_end = (0..)
             .zip(&ran.states)
-            .zip(&states)
+            .zip(states)
             .find(|((_, a), b)| a != b);
-        if let Some(((monitor, agent), local)) = differs {
+        if let Some(((monitor, agent), local)) = at_end {
             return Err(format!(
                 "monitor {monitor} ends at {agent:?}, in process at {local:?}"
             ));
+        }
+        for ((tick, agents), (_, locals)) in ran.watched.iter().zip(watched) {
+            let differs = (0..).zip(agents).zip(locals).find(|((_, a), b)| a != b);
+            if let Some(((monitor, agent), local)) = differs {
+                return Err(format!(
+                    "monitor {monitor} met tick {tick}'s data at {agent:?}, in process at {local:?}"
+                ));
+            }
         }
         let samples: u64 = ran.states.iter().map(|state| state.total_samples).sum();
         if samples != report.total_samples {
@@ -648,7 +696,7 @@ fn check(scenario: &Scenario, seed: u64) -> Result<Ran, String> {
             return Err(format!("alert at {tick} without a violation"));
         }
     }
-    if scenario.run(seed)? != ran {
+    if scenario.run(seed, &watch)? != ran {
         return Err("the rerun differs".into());
     }
     Ok(ran)

@@ -18,8 +18,9 @@
 //!   ([`MonitorToCoordinator::is_wire_representable`]), which travels
 //!   alone so its malformed line takes no neighbour down.
 //!   [`encode_replies`] writes them; [`expand_reply_line`] turns a line
-//!   back into the frames it carries, in order. An empty line is the
-//!   agent's goodbye: every monitor it hosts is shut down.
+//!   back into the frames it carries, in order — a window reply into its
+//!   rows of reports, read where they lie. An empty line is the agent's
+//!   goodbye: every monitor it hosts is shut down.
 //! - **coordinator → agent**: every line is a [`ServerFrame`] — a
 //!   [`ServerFrame::Welcome`] acknowledging a hello, a
 //!   [`ServerFrame::Ctl`] wrapping one control frame for one monitor, a
@@ -61,7 +62,7 @@ use volley_core::time::Tick;
 
 use crate::message::{
     decode_line, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
-    MonitorToCoordinator, TickData,
+    MonitorToCoordinator, ReportRow, TickData, NO_REPORT,
 };
 
 /// First frame an agent sends on every (re)connection: the range of
@@ -234,20 +235,14 @@ pub enum ReplyBatch {
     },
 }
 
-/// The `TickDone` of `monitor` at `tick` that flag digit `bits` encodes.
-pub(crate) fn tick_done(monitor: u32, tick: Tick, bits: u8) -> MonitorToCoordinator {
-    MonitorToCoordinator::TickDone {
-        monitor: MonitorId(monitor),
-        tick,
-        sampled: bits & 1 != 0,
-        violation: bits & 2 != 0,
-        suppressed: bits & 4 != 0,
-    }
-}
-
-/// The flag digit of a `TickDone`.
-pub(crate) fn flag_digit(sampled: bool, violation: bool, suppressed: bool) -> u8 {
-    u8::from(sampled) | u8::from(violation) << 1 | u8::from(suppressed) << 2
+/// What an agent line carries, one item at a time: a frame, or a row of
+/// a window reply's tick reports.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply<'a> {
+    /// A reply frame.
+    Frame(MonitorFrame),
+    /// One tick's reports of a run of monitors.
+    Row(ReportRow<'a>),
 }
 
 /// Whether a run of `len` from `first` stays within the ids.
@@ -256,11 +251,12 @@ fn fits(first: u32, len: usize) -> bool {
 }
 
 impl ReplyBatch {
-    /// The frames the batch carries, handed to `admit` in order — a
-    /// window's row by row — or none, returning `false`, when its columns
-    /// disagree in length or the run runs past the last id. (Each
-    /// column's parser has checked the column's own contents.)
-    fn expand(self, mut admit: impl FnMut(MonitorFrame)) -> bool {
+    /// The frames the batch carries, handed to `admit` in order, or
+    /// none, returning `false`, when its columns disagree in length or
+    /// the run runs past the last id. (Each column's parser has checked
+    /// the column's own contents.) A window reply is refused here: it is
+    /// read where it lies ([`window_reply`]), in the writer's spelling.
+    fn expand(self, mut admit: impl FnMut(Reply<'_>)) -> bool {
         match self {
             ReplyBatch::PollReplies {
                 epoch,
@@ -280,7 +276,7 @@ impl ReplyBatch {
                         value,
                         forced_sample: forced == 1,
                     };
-                    admit(MonitorFrame { epoch, msg });
+                    admit(Reply::Frame(MonitorFrame { epoch, msg }));
                 }
             }
             ReplyBatch::Revived {
@@ -295,40 +291,46 @@ impl ReplyBatch {
                     let msg = MonitorToCoordinator::Revived {
                         monitor: MonitorId(monitor),
                     };
-                    admit(MonitorFrame { epoch, msg });
+                    admit(Reply::Frame(MonitorFrame { epoch, msg }));
                 }
             }
-            ReplyBatch::Window {
-                epoch,
-                tick,
-                first,
-                count,
-                flags,
-            } => {
-                let Some(rows) = window_rows(first, count, flags.0.len()) else {
-                    return false;
-                };
-                for (row, digits) in (0..rows).zip(flags.0.chunks_exact(count as usize)) {
-                    for (monitor, &bits) in (first..=u32::MAX).zip(digits) {
-                        if bits < 8 {
-                            let msg = tick_done(monitor, tick + row, bits);
-                            admit(MonitorFrame { epoch, msg });
-                        }
-                    }
-                }
-            }
+            ReplyBatch::Window { .. } => return false,
         }
         true
     }
 }
 
-/// How many rows a window reply of `count` monitors from `first` with
-/// `digits` flag digits holds — `None` for one that is no whole number
-/// of rows, or runs past the last id.
-pub(crate) fn window_rows(first: u32, count: u32, digits: usize) -> Option<u64> {
-    let count = count as usize;
-    let whole = count > 0 && digits.is_multiple_of(count) && digits / count <= MAX_WINDOW;
-    (whole && fits(first, count)).then_some((digits / count.max(1)) as u64)
+/// A window reply's rows — the reports of the `count` monitors from
+/// `first` over the ticks from `tick`, at `epoch`: `digits` row by row,
+/// an ASCII digit per monitor — read a row at a time where they lie.
+/// The socket plane's feed reads its replies through it where it keeps
+/// them, [`expand_reply_line`] where the line lies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplyRows<'a> {
+    pub(crate) epoch: u64,
+    pub(crate) tick: Tick,
+    pub(crate) first: u32,
+    pub(crate) count: u32,
+    pub(crate) digits: &'a [u8],
+}
+
+impl<'a> ReplyRows<'a> {
+    /// How many rows there are.
+    pub(crate) fn len(&self) -> u64 {
+        (self.digits.len() / self.count as usize) as u64
+    }
+
+    /// The `row`-th row: the reports of tick `tick + row`.
+    pub(crate) fn row(&self, row: u64) -> ReportRow<'a> {
+        let width = self.count as usize;
+        let at = row as usize * width;
+        ReportRow {
+            epoch: self.epoch,
+            tick: self.tick + row,
+            first: self.first,
+            digits: &self.digits[at..at + width],
+        }
+    }
 }
 
 /// A column of finite `f64`s as one JSON string: each value's
@@ -434,35 +436,10 @@ impl<'a> WindowLine<'a> {
     /// `held` at most `len` — the line [`ServerFrame`]'s decoder accepts,
     /// and a shape it would not.
     pub(crate) fn parse(line: &'a [u8]) -> Option<Self> {
-        let mut parser = Parser::new(line);
-        if !parser.object_begin().ok()? || parser.object_key().ok()? != "Window" {
-            return None;
-        }
-        const KEYS: [&str; 6] = ["epoch", "tick", "len", "held", "first", "count"];
-        let (mut fields, mut seen) = ([0u64; KEYS.len()], 0u8);
-        let mut values = None;
-        let mut more = parser.object_begin().ok()?;
-        while more {
-            let key = parser.object_key().ok()?;
-            let at = KEYS.iter().position(|name| *name == key);
-            match at {
-                Some(at) => fields[at] = u64::from_json(&mut parser).ok()?,
-                None if key == "values" => match parser.parse_str().ok()? {
-                    std::borrow::Cow::Borrowed(text) => values = Some(text.as_bytes()),
-                    std::borrow::Cow::Owned(_) => return None,
-                },
-                None => return None,
-            }
-            seen |= 1 << at.unwrap_or(KEYS.len());
-            more = parser.object_next().ok()?;
-        }
-        if parser.object_next().ok()? || parser.end().is_err() || seen != 0b111_1111 {
-            return None;
-        }
-        let [epoch, tick, len, held, first, count] = fields;
+        let keys = ["epoch", "tick", "len", "held", "first", "count"];
+        let ([epoch, tick, len, held, first, count], values) = window_fields(line, keys, "values")?;
         let [len, held, first, count] = [len, held, first, count].map(u32::try_from);
         let (len, held, first, count) = (len.ok()?, held.ok()?, first.ok()?, count.ok()?);
-        let values = values?;
         let carried = (len as usize).saturating_sub(held as usize) * count as usize;
         let whole = (1..=MAX_WINDOW as u32).contains(&len)
             && held <= len
@@ -489,6 +466,62 @@ impl<'a> WindowLine<'a> {
         let at = ((row - self.held as usize) * self.count + column) * F64Column::WIDTH;
         F64Column::cell(&self.values[at..at + F64Column::WIDTH]).0
     }
+}
+
+/// The fields of a window line — `{"Window":{…}}` holding exactly the
+/// unsigned `keys` and the string `column`, in any order — and the
+/// column's text where it lies in `line`; `None` for any other line.
+fn window_fields<'a, const K: usize>(
+    line: &'a [u8],
+    keys: [&str; K],
+    column: &str,
+) -> Option<([u64; K], &'a [u8])> {
+    let mut parser = Parser::new(line);
+    if !parser.object_begin().ok()? || parser.object_key().ok()? != "Window" {
+        return None;
+    }
+    let (mut fields, mut seen) = ([0u64; K], 0u32);
+    let mut text = None;
+    let mut more = parser.object_begin().ok()?;
+    while more {
+        let key = parser.object_key().ok()?;
+        let at = keys.iter().position(|name| *name == key);
+        match at {
+            Some(at) => fields[at] = u64::from_json(&mut parser).ok()?,
+            None if key == column => match parser.parse_str().ok()? {
+                std::borrow::Cow::Borrowed(digits) => text = Some(digits.as_bytes()),
+                std::borrow::Cow::Owned(_) => return None,
+            },
+            None => return None,
+        }
+        seen |= 1 << at.unwrap_or(K);
+        more = parser.object_next().ok()?;
+    }
+    let all = (1 << (K + 1)) - 1;
+    if parser.object_next().ok()? || parser.end().is_err() || seen != all {
+        return None;
+    }
+    Some((fields, text?))
+}
+
+/// The rows of the [`ReplyBatch::Window`] line `line`, read where they
+/// lie: `None` unless it is one in the writer's spelling whose flags are
+/// digits `0`–`8` making up whole rows of `count` monitors, at most
+/// [`MAX_WINDOW`] of them, and whose run stays within the ids.
+pub(crate) fn window_reply(line: &[u8]) -> Option<ReplyRows<'_>> {
+    let keys = ["epoch", "tick", "first", "count"];
+    let ([epoch, tick, first, count], digits) = window_fields(line, keys, "flags")?;
+    let (first, count) = (u32::try_from(first).ok()?, u32::try_from(count).ok()?);
+    let rows = digits.len().checked_div(count as usize)?;
+    let whole = rows * count as usize == digits.len() && rows <= MAX_WINDOW;
+    let flags = digits.iter().all(|&b| (b'0'..=NO_REPORT).contains(&b));
+    (whole && flags && fits(first, count as usize)).then_some(ReplyRows {
+        epoch,
+        tick,
+        first,
+        count,
+        digits,
+    })
 }
 
 /// The bytes a window line — [`ServerFrame::Window`] or
@@ -841,15 +874,21 @@ pub fn encode_replies(replies: &[MonitorFrame], max_frame: usize, out: &mut Vec<
     writer.finish(out)
 }
 
-/// Hands `admit` every frame one agent line carries, in order — a
-/// [`ReplyBatch`] monitor by monitor, any other line decoded as one
-/// [`MonitorFrame`] — and returns whether the line carried any: a
-/// malformed line, or a batch whose expansion refuses it, admits
-/// nothing.
-pub fn expand_reply_line(line: &[u8], mut admit: impl FnMut(MonitorFrame)) -> bool {
+/// Hands `admit` everything one agent line carries, in order — a
+/// [`ReplyBatch`] monitor by monitor, a window reply row by row, any
+/// other line decoded as one [`MonitorFrame`] — and returns whether the
+/// line carried any: a malformed line, or a batch whose expansion
+/// refuses it, admits nothing.
+pub fn expand_reply_line(line: &[u8], mut admit: impl FnMut(Reply<'_>)) -> bool {
+    if let Some(rows) = window_reply(line) {
+        (0..rows.len()).for_each(|row| admit(Reply::Row(rows.row(row))));
+        return true;
+    }
     match decode_line::<ReplyBatch>(line) {
         Ok(batch) => batch.expand(admit),
-        Err(_) => decode_line::<MonitorFrame>(line).map(&mut admit).is_ok(),
+        Err(_) => decode_line::<MonitorFrame>(line)
+            .map(|frame| admit(Reply::Frame(frame)))
+            .is_ok(),
     }
 }
 
@@ -1133,11 +1172,39 @@ mod tests {
         MonitorFrame { epoch: 2, msg }
     }
 
+    /// The `TickDone` of `monitor` at `tick` that flag digit `bits`
+    /// encodes.
+    fn tick_done(monitor: u32, tick: Tick, bits: u8) -> MonitorToCoordinator {
+        MonitorToCoordinator::TickDone {
+            monitor: MonitorId(monitor),
+            tick,
+            sampled: bits & 1 != 0,
+            violation: bits & 2 != 0,
+            suppressed: bits & 4 != 0,
+        }
+    }
+
+    /// The frames `reply` stands for: a row's reports as their
+    /// `TickDone`s.
+    fn frames_of(reply: Reply<'_>) -> Vec<MonitorFrame> {
+        match reply {
+            Reply::Frame(frame) => vec![frame],
+            Reply::Row(row) => (row.first..=u32::MAX)
+                .zip(row.digits)
+                .filter(|(_, &digit)| digit < NO_REPORT)
+                .map(|(monitor, &digit)| MonitorFrame {
+                    epoch: row.epoch,
+                    msg: tick_done(monitor, row.tick, digit - b'0'),
+                })
+                .collect(),
+        }
+    }
+
     /// Every frame an agent payload carries, in order.
     fn expanded(payload: &[u8]) -> Vec<MonitorFrame> {
         let mut frames = Vec::new();
         for line in payload.split_inclusive(|&b| b == b'\n') {
-            expand_reply_line(line, |frame| frames.push(frame));
+            expand_reply_line(line, |reply| frames.extend(frames_of(reply)));
         }
         frames
     }
@@ -1299,7 +1366,7 @@ mod tests {
             flags: DigitColumn(vec![1]),
         };
         let mut admitted = Vec::new();
-        assert!(expand_reply_line(&encode(&last), |frame| admitted.push(frame)));
+        assert!(expand_reply_line(&encode(&last), |reply| admitted.extend(frames_of(reply))));
         assert!(matches!(
             admitted[..],
             [MonitorFrame {
@@ -1375,7 +1442,7 @@ mod tests {
             let batch: ReplyBatch = decode_line(line.as_bytes()).unwrap();
             assert_eq!(encode(&batch)[..], *line.as_bytes());
             let mut admitted = Vec::new();
-            assert!(expand_reply_line(line.as_bytes(), |frame| admitted.push(frame)));
+            assert!(expand_reply_line(line.as_bytes(), |reply| admitted.extend(frames_of(reply))));
             assert_eq!(admitted.len(), 5);
         }
     }
@@ -1413,6 +1480,7 @@ mod tests {
             |_| {}
         ));
         assert!(expand_reply_line(reports("08").as_bytes(), |_| {}));
+        assert!(window_reply(reports("08").as_bytes()).is_some());
         let bad_values = [
             format!("{one}{}", &one[1..]),    // odd length
             format!("{one}3FF0000000000000"), // uppercase hex
@@ -1437,6 +1505,7 @@ mod tests {
         }
         for flags in ["09", "0:", "0a", "0 "] {
             let line = reports(flags);
+            assert!(window_reply(line.as_bytes()).is_none(), "{line}");
             assert!(
                 !expand_reply_line(line.as_bytes(), |_| unreachable!()),
                 "{line}"

@@ -1,7 +1,8 @@
 //! The socket plane's work budget: what one steady window, one paced
 //! tick and one poll cost, counted by the code itself instead of timed —
-//! wire lines and bytes each way and heap allocations per window and per
-//! paced tick, the heap high-water marks of one 128-monitor agent
+//! wire lines and bytes each way, heap allocations and the report inputs
+//! the coordinator machine takes (rows; a lone `TickDone` is one) per
+//! window and per paced tick, the heap high-water marks of one 128-monitor agent
 //! machine and of the plane, and a poll's round trips, socket writes and
 //! values — on [`super::sweep`]'s virtual clock, so every count is a
 //! function of the run alone.
@@ -36,6 +37,7 @@ use volley_heapcount::Counting;
 
 use super::sweep::{Ran, Scenario};
 use super::MAX_WINDOW;
+use crate::coordinator::REPORT_INPUTS;
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
@@ -96,21 +98,29 @@ fn poll_cut() -> Scenario {
     scenario
 }
 
-/// One run's counts: what it did, and per account — the plane, then
-/// each agent — its allocations and heap high-water mark.
-fn measure(scenario: Scenario) -> (Ran, [u64; 3], [i64; 3]) {
+/// One run's counts: what it did, per account — the plane, then each
+/// agent — its allocations and heap high-water mark, and the report
+/// inputs its coordinator machine took.
+fn measure(scenario: Scenario) -> (Ran, [u64; 3], [i64; 3], u64) {
     volley_heapcount::reset();
-    let ran = scenario.run(0).expect("a steady run");
+    REPORT_INPUTS.with(|inputs| inputs.set(0));
+    let ran = scenario.run(0, &[]).expect("a steady run");
     let ([plane, one, two, ..], [plane_peak, one_peak, two_peak, ..]) =
         (volley_heapcount::calls(), volley_heapcount::peaks());
-    (ran, [plane, one, two], [plane_peak, one_peak, two_peak])
+    let inputs = REPORT_INPUTS.with(std::cell::Cell::get);
+    (
+        ran,
+        [plane, one, two],
+        [plane_peak, one_peak, two_peak],
+        inputs,
+    )
 }
 
 /// Every count of a steady window, the two high-water marks, a paced
 /// tick's counts and the poll case's.
 fn counts() -> BTreeMap<String, u64> {
-    let (short, short_allocs, _) = measure(steady(104));
-    let (long, long_allocs, peaks) = measure(steady(200));
+    let (short, short_allocs, _, short_inputs) = measure(steady(104));
+    let (long, long_allocs, peaks, long_inputs) = measure(steady(200));
     let windows = (200 - 104) / MAX_WINDOW as u64;
     let per_window = |long: u64, short: u64| (long - short).div_ceil(windows);
     let (short_net, long_net) = (&short.outcome.net, &long.outcome.net);
@@ -137,11 +147,15 @@ fn counts() -> BTreeMap<String, u64> {
             "window.agent_allocs",
             per_window(long_allocs[1], short_allocs[1]),
         ),
+        (
+            "window.machine_inputs",
+            per_window(long_inputs, short_inputs),
+        ),
         ("peak.plane_bytes", peaks[0] as u64),
         ("peak.agent_bytes", peaks[1] as u64),
     ];
-    let (short, short_allocs, _) = measure(steady(40).paced());
-    let (long, long_allocs, _) = measure(steady(72).paced());
+    let (short, short_allocs, _, short_inputs) = measure(steady(40).paced());
+    let (long, long_allocs, _, long_inputs) = measure(steady(72).paced());
     assert_eq!(long.outcome.report.polls, 0, "a steady run polls nothing");
     let per_tick = |long: u64, short: u64| (long - short).div_ceil(72 - 40);
     let (short_net, long_net) = (&short.outcome.net, &long.outcome.net);
@@ -168,8 +182,9 @@ fn counts() -> BTreeMap<String, u64> {
             "tick.agent1_allocs",
             per_tick(long_allocs[2], short_allocs[2]),
         ),
+        ("tick.machine_inputs", per_tick(long_inputs, short_inputs)),
     ];
-    let poll = poll_cut().run(0).expect("a run with a poll");
+    let poll = poll_cut().run(0, &[]).expect("a run with a poll");
     let (report, net) = (&poll.outcome.report, &poll.outcome.net);
     assert_eq!((report.polls, report.ticks), (1, 11), "one poll, 11 ticks");
     assert_eq!(poll.resent, 0, "values sent twice to one connection");

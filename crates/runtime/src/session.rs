@@ -163,25 +163,56 @@ pub(crate) fn run_length(spec: &TaskSpec, traces: &[Vec<f64>]) -> Result<u64, Vo
     Ok(ticks as u64)
 }
 
-/// Every monitor's final sampler state, allowance included, in id order,
-/// once `config`'s task has stepped `traces` in process, tick by tick as
-/// the drive loop steps it.
+/// Watched ticks and, per monitor in id order, its sampler's state as
+/// the tick's data reached it: its snapshot (allowance included) and its
+/// tick state (period sums included).
+#[cfg(test)]
+pub(crate) type Watched = Vec<(Tick, Vec<Option<Probe>>)>;
+
+/// A sampler's snapshot and tick state.
+#[cfg(test)]
+pub(crate) type Probe = (
+    volley_core::SamplerSnapshot,
+    volley_core::adaptation::SamplerTickState,
+);
+
+/// What [`Watched`] records of `sampler`.
+#[cfg(test)]
+pub(crate) fn probe(sampler: &AdaptiveSampler) -> Probe {
+    (sampler.to_snapshot(), sampler.tick_state())
+}
+
+/// Every monitor's sampler state, allowance included, in id order, once
+/// `config`'s task has stepped `traces` in process, tick by tick as the
+/// drive loop steps it: at the end, and as the data of the tick after
+/// each reallocation or snapshot tick — each tick whose close sends the
+/// monitors more than a poll — reached them.
 #[cfg(test)]
 pub(crate) fn inline_states(
     config: &TaskRunner,
     traces: &[Vec<f64>],
-) -> Result<Vec<volley_core::SamplerSnapshot>, VolleyError> {
+) -> Result<(Vec<volley_core::SamplerSnapshot>, Watched), VolleyError> {
     let mut session = TaskSession::spawn(config, MonitorPlane::inline(config), None)?;
-    for tick in 0..run_length(&config.spec, traces)? {
-        session.step(tick, |idx| traces[idx][tick as usize])?;
-    }
-    let MonitorPlane::Inline { table, .. } = &session.plane else {
-        unreachable!("the session was spawned in process");
+    let states = |session: &TaskSession| -> Vec<Probe> {
+        let MonitorPlane::Inline { table, .. } = &session.plane else {
+            unreachable!("the session was spawned in process");
+        };
+        table
+            .slots()
+            .iter()
+            .map(|slot| probe(slot.actor().sampler()))
+            .collect()
     };
-    let slots = table.slots().iter();
-    Ok(slots
-        .map(|slot| slot.actor().sampler().to_snapshot())
-        .collect())
+    let mut watched = Vec::new();
+    for tick in 0..run_length(&config.spec, traces)? {
+        let sends = session.coordinator.as_ref().map(|c| c.quiet_ticks(2)) == Some(1);
+        session.step(tick, |idx| traces[idx][tick as usize])?;
+        if sends {
+            watched.push((tick + 1, states(&session).into_iter().map(Some).collect()));
+        }
+    }
+    let at_end = states(&session).into_iter().map(|(snapshot, _)| snapshot);
+    Ok((at_end.collect(), watched))
 }
 
 /// What a step reports once the coordinator has crashed.

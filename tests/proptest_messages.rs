@@ -11,7 +11,9 @@
 //!
 //! And of what sits behind the codec: a coordinator machine handed a
 //! batch of frames as values and one handed the batch's encoding end up
-//! with the same outbox ([`driven_both_ways`]).
+//! with the same outbox ([`driven_both_ways`]), as do one handed window
+//! replies' rows and one handed their reports as frames
+//! ([`rows_and_frames_alike`]).
 
 #[path = "../vendor/serde_json/tests/differential/mod.rs"]
 mod differential;
@@ -29,11 +31,11 @@ use volley::core::{AdaptationConfig, AdaptiveSampler};
 use volley::runtime::coordinator::{CoordinatorActor, Output};
 use volley::runtime::message::{
     decode, decode_line, encode, encode_into, ControlFrame, CoordinatorToMonitor, MonitorFrame,
-    MonitorToCoordinator, TickData, TickSummary,
+    MonitorToCoordinator, ReportRow, TickData, TickSummary,
 };
 use volley::runtime::net::{
-    encode_replies, expand_reply_line, AgentHello, DigitColumn, F64Column, FrameBuffer, ReplyBatch,
-    ServerFrame,
+    encode_replies, expand_reply_line, AgentHello, DigitColumn, F64Column, FrameBuffer, Reply,
+    ReplyBatch, ServerFrame,
 };
 
 /// A realistic sampler snapshot with proptest-supplied variation: built
@@ -340,6 +342,148 @@ fn values_and_payloads_drive_the_machine_alike_through_a_scripted_run() {
     assert!(asked_for_reports, "tick 1000 reallocates");
 }
 
+/// A window reply as the generator makes one: whether its epoch is the
+/// deposed one, how many ticks from the one before the open round its
+/// first row is (0: a closed tick, 2: the tick after the open round's),
+/// its first monitor, its row width, its row count, and its flag digits
+/// (`0`–`8`, as many as the rows hold).
+type ReplyRecipe = (bool, u64, u32, u32, usize, Vec<u8>);
+
+/// Feeds two identical coordinator machines the same `events` — each a
+/// batch of window replies that arrive together, and whether the phase's
+/// deadline passes after it — one by [`CoordinatorActor::on_rows`] of
+/// the rows each reply's line holds, read as the socket plane reads them
+/// ([`expand_reply_line`]), the other by
+/// [`CoordinatorActor::on_frames`] of each reported digit as its own
+/// `TickDone` value, and holds them to the same outbox after every event.
+/// Returns every output, in order.
+fn rows_and_frames_alike(events: &[(Vec<ReplyRecipe>, bool)]) -> Vec<Output> {
+    let machine = || {
+        let spec = TaskSpec::builder(600.0)
+            .monitors(6)
+            .error_allowance(0.02)
+            .build()
+            .expect("valid spec");
+        let scheme = CoordinationScheme::Adaptive;
+        let rules = Coordinator::new(&spec, scheme, AllocationConfig::default()).expect("rules");
+        CoordinatorActor::new(rules, Some(996))
+            .with_epoch(EPOCH)
+            .with_quarantine_after(2)
+    };
+    let (mut by_rows, mut by_frames) = (machine(), machine());
+    let mut open_round = 997u64;
+    let mut outputs = Vec::new();
+    for (replies, deadline) in events {
+        let mut rows: Vec<(u64, u64, u32, Vec<u8>)> = Vec::new();
+        for (stale, ahead, first, count, len, digits) in replies {
+            let reply = ReplyBatch::Window {
+                epoch: if *stale { EPOCH - 1 } else { EPOCH },
+                tick: (open_round + ahead).saturating_sub(1),
+                first: *first,
+                count: *count,
+                flags: DigitColumn(
+                    digits[..*count as usize * len]
+                        .iter()
+                        .map(|d| d - b'0')
+                        .collect(),
+                ),
+            };
+            let carried = expand_reply_line(&encode(&reply), |reply| match reply {
+                Reply::Row(row) => rows.push((row.epoch, row.tick, row.first, row.digits.to_vec())),
+                Reply::Frame(frame) => panic!("a window reply carries rows: {frame:?}"),
+            });
+            assert!(carried, "{reply:?}");
+        }
+        let mut frames = Vec::new();
+        for (epoch, tick, first, digits) in &rows {
+            for (monitor, &digit) in (*first..).zip(digits).filter(|(_, &d)| d != b'8') {
+                let bits = digit - b'0';
+                let msg = MonitorToCoordinator::TickDone {
+                    monitor: MonitorId(monitor),
+                    tick: *tick,
+                    sampled: bits & 1 != 0,
+                    violation: bits & 2 != 0,
+                    suppressed: bits & 4 != 0,
+                };
+                frames.push(MonitorFrame { epoch: *epoch, msg });
+            }
+        }
+        by_rows.on_rows(rows.iter().map(|(epoch, tick, first, digits)| ReportRow {
+            epoch: *epoch,
+            tick: *tick,
+            first: *first,
+            digits,
+        }));
+        by_frames.on_frames(frames);
+        if *deadline {
+            by_rows.on_deadline();
+            by_frames.on_deadline();
+        }
+        let read: Vec<Output> = std::iter::from_fn(|| by_rows.pop_output()).collect();
+        let expanded: Vec<Output> = std::iter::from_fn(|| by_frames.pop_output()).collect();
+        assert_eq!(read, expanded, "after {rows:?} (deadline: {deadline})");
+        for output in &read {
+            if let Output::Summary(summary) = output {
+                open_round = summary.tick + 1;
+            }
+        }
+        outputs.extend(read);
+    }
+    outputs
+}
+
+/// The scripted run of [`rows_and_frames_alike`]: a run of monitors
+/// quarantined by two missed deadlines, then reporting again inside a
+/// window reply with a stale neighbour's row, a duplicate and a digit 8,
+/// and a row read ahead of the open round — and the outputs that prove
+/// each was reached.
+#[test]
+fn rows_and_frames_drive_the_machine_alike_through_a_scripted_run() {
+    let quiet = |first, count: u32| (false, 1, first, count, 1, vec![b'0'; 12]);
+    let events = vec![
+        // Ticks 997 and 998: monitors 4 and 5 miss both deadlines.
+        (vec![quiet(0, 3), quiet(3, 1)], true),
+        (vec![quiet(0, 2), quiet(2, 2)], true),
+        // Tick 999: all report, 4 and 5 in one row with monitor 3, whose
+        // report is duplicated, monitor 2's digit 8 — and a stale row.
+        // Monitor 0's two-row reply also reports tick 1000, ahead.
+        (
+            vec![
+                (false, 1, 0, 1, 2, vec![b'1', b'0']),
+                (false, 1, 1, 2, 1, b"18".to_vec()),
+                (true, 1, 2, 2, 1, b"33".to_vec()),
+                (false, 1, 3, 3, 1, b"101".to_vec()),
+                quiet(3, 1),
+            ],
+            true,
+        ),
+    ];
+    let outputs = rows_and_frames_alike(&events);
+    let quarantined = outputs
+        .iter()
+        .filter(|o| matches!(o, Output::Quarantined { .. }))
+        .count();
+    let recovered = outputs
+        .iter()
+        .filter(|o| matches!(o, Output::Recovered { .. }))
+        .count();
+    assert_eq!((quarantined, recovered), (2, 2), "{outputs:?}");
+    let summaries: Vec<TickSummary> = outputs
+        .iter()
+        .filter_map(|output| match output {
+            Output::Summary(summary) => Some(*summary),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(summaries[2].tick, 999);
+    assert_eq!(summaries[2].stale_epoch_frames, 2);
+    assert_eq!(summaries[2].missing_reports, 1, "monitor 2's digit 8");
+    assert_eq!(
+        summaries[2].scheduled_samples, 4,
+        "monitors 0, 1, 3 and 5: the duplicate counts once"
+    );
+}
+
 proptest! {
     /// The reply direction has two entrances and one machine behind them:
     /// whatever frames arrive, in whatever batches, handing them over as
@@ -362,6 +506,45 @@ proptest! {
             .map(|(batch, deadline)| (batch, deadline == 0))
             .collect();
         driven_both_ways(&events);
+    }
+
+    /// A window reply's rows and its reports one by one are the same
+    /// input: multi-row replies read by the socket plane's reader and
+    /// handed over as rows, and each reported digit handed over as its
+    /// own `TickDone`, leave the machine with the same outbox after every
+    /// batch — digit 8, duplicates, stale epochs, quarantined and reviving
+    /// monitors inside a run and rows ahead of the open round included.
+    #[test]
+    fn rows_and_frames_drive_the_machine_alike(
+        events in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (
+                        (0u8..6, 0u64..3, 0u32..7),
+                        (1u32..4, 1usize..4, prop::collection::vec(0usize..12, 9..10)),
+                    ),
+                    0..5,
+                ),
+                0u8..3,
+            ),
+            1..30,
+        ),
+    ) {
+        let events: Vec<(Vec<ReplyRecipe>, bool)> = events
+            .into_iter()
+            .map(|(replies, deadline)| {
+                let replies = replies
+                    .into_iter()
+                    .map(|((stale, ahead, first), (count, len, picks))| {
+                        // Digit 8 — no report — five times in twelve.
+                        let digits = picks.iter().map(|&pick| b"012345678888"[pick]).collect();
+                        (stale == 0, ahead, first, count, len, digits)
+                    })
+                    .collect();
+                (replies, deadline == 0)
+            })
+            .collect();
+        rows_and_frames_alike(&events);
     }
 
     /// `MonitorToCoordinator` round-trips for every variant.

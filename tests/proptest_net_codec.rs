@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use volley::core::task::MonitorId;
 use volley::core::VolleyError;
 use volley::runtime::message::{decode_line, encode, MonitorFrame, MonitorToCoordinator};
-use volley::runtime::net::{encode_replies, expand_reply_line, FrameBuffer, ReplyBatch};
+use volley::runtime::net::{encode_replies, expand_reply_line, FrameBuffer, Reply, ReplyBatch};
 
 /// The blocking reference reader: one newline-delimited frame of at most
 /// `max_size` bytes from `reader`; `Ok(None)` signals a clean end of
@@ -306,7 +306,10 @@ proptest! {
         let mut admitted = Vec::new();
         for line in &got {
             let before = admitted.len();
-            let carried = expand_reply_line(line, |frame| admitted.push(frame));
+            let carried = expand_reply_line(line, |reply| match reply {
+                Reply::Frame(frame) => admitted.push(frame),
+                Reply::Row(row) => panic!("no window reply was written: {row:?}"),
+            });
             let batch = decode_line::<ReplyBatch>(line).is_ok();
             prop_assert_eq!(carried, admitted.len() > before);
             prop_assert!(!batch || line.len() - 1 <= cap);
